@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet lint check bench bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet lint check bench bench-repo bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -50,9 +50,10 @@ race:
 # latency-hiding kernel layer (RHS-interleaved batch multiply, the prefetch
 # knob, sticky first-touch pools, the STREAM probe), and the incremental
 # rebuild path (delta classification, Woodbury-corrected solves, drift
-# fallback) racing concurrent queries.
+# fallback) racing concurrent queries, and qexec's keyed cache and
+# singleflight (hot-set storm solved once per key, leader cancellation).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/
@@ -64,6 +65,14 @@ check: lint race race-par
 
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkQexecThroughput -benchmem ./internal/qexec/
+
+# Smoke-run the repository benchmark (benchmark/README.md): all five
+# workloads at -quick sizes, answers checked against the oracle, a few
+# seconds. CI runs it so a change that breaks a workload end to end — a
+# wrong answer, a failed op, a stack that no longer comes up — fails the
+# build; the numbers it prints at these sizes are not measurements.
+bench-repo:
+	$(GO) run ./benchmark -quick
 
 # Serial-vs-parallel kernel benchmarks (Schur build, H11 factorization,
 # SpMV) across worker counts; compare the workers=1 and workers=N lines.

@@ -67,8 +67,10 @@ func publicGraph(g *graph.Graph) (*bepi.Graph, error) {
 // worker pool, LRU cache, singleflight — so the sweep measures exactly
 // what sharding buys: consistent-hash routing splits the hot set into
 // disjoint per-replica shards, the aggregate cache capacity grows with the
-// fleet, and the hit rate (and with it qps, since a miss is a full Schur
-// solve) climbs as replicas are added. Spraying seeds randomly instead of
+// fleet, and the hit rate (and with it qps, since a miss is a Schur solve)
+// climbs as replicas are added. The queries are default top-10 rankings,
+// so what each cache holds is mostly certified (seed, 10) rankings.
+// Spraying seeds randomly instead of
 // affinity-routing would duplicate the working set in every cache and
 // forfeit the capacity win.
 func Cluster(cfg Config) ([]*Table, error) {

@@ -227,7 +227,8 @@ func (a *ActiveTrace) SetTag(key, value string) {
 	a.mu.Unlock()
 }
 
-// SetCached marks the query as served from the score cache.
+// SetCached marks the query as served from the executor's cache (a score
+// vector or a certified top-k ranking).
 func (a *ActiveTrace) SetCached() {
 	if a != nil {
 		a.mu.Lock()

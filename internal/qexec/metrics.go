@@ -13,6 +13,7 @@ func BatchBuckets() []int { return batchBuckets }
 // counters is the executor's internal atomic counter set.
 type counters struct {
 	hits      atomic.Int64
+	topkHits  atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	shed      atomic.Int64
@@ -45,6 +46,9 @@ func (c *counters) observeBatch(size int) {
 type Metrics struct {
 	// CacheHits counts queries answered from the LRU cache with no solve.
 	CacheHits int64
+	// TopKCacheHits counts the subset of CacheHits served from a certified
+	// (seed, k) ranking rather than a full score vector.
+	TopKCacheHits int64
 	// CacheMisses counts queries that had to go past the cache (includes
 	// coalesced and personalized queries).
 	CacheMisses int64
@@ -73,7 +77,8 @@ type Metrics struct {
 	// the solver reached full tolerance (the subset of TopKSolves that
 	// actually saved iterations).
 	EarlyStops int64
-	// CacheEntries is the current number of cached score vectors (gauge).
+	// CacheEntries is the current number of cached answers, score vectors
+	// and certified rankings together (gauge).
 	CacheEntries int
 	// Queued is the current admission-queue occupancy (gauge).
 	Queued int
@@ -89,18 +94,19 @@ type Metrics struct {
 // computations over any non-trivial window.
 func (e *Executor) Metrics() Metrics {
 	m := Metrics{
-		CacheHits:   e.m.hits.Load(),
-		CacheMisses: e.m.misses.Load(),
-		Coalesced:   e.m.coalesced.Load(),
-		Shed:        e.m.shed.Load(),
-		Batches:     e.m.batches.Load(),
-		Executed:    e.m.executed.Load(),
-		EngineSwaps: e.m.swaps.Load(),
-		SolvePanics: e.m.panics.Load(),
-		TopKSolves:  e.m.topk.Load(),
-		EarlyStops:  e.m.early.Load(),
-		Queued:      len(e.reqs),
-		Generation:  e.Generation(),
+		CacheHits:     e.m.hits.Load(),
+		TopKCacheHits: e.m.topkHits.Load(),
+		CacheMisses:   e.m.misses.Load(),
+		Coalesced:     e.m.coalesced.Load(),
+		Shed:          e.m.shed.Load(),
+		Batches:       e.m.batches.Load(),
+		Executed:      e.m.executed.Load(),
+		EngineSwaps:   e.m.swaps.Load(),
+		SolvePanics:   e.m.panics.Load(),
+		TopKSolves:    e.m.topk.Load(),
+		EarlyStops:    e.m.early.Load(),
+		Queued:        len(e.reqs),
+		Generation:    e.Generation(),
 	}
 	for i := range m.BatchSizeHist {
 		m.BatchSizeHist[i] = e.m.batchHist[i].Load()
@@ -117,19 +123,20 @@ func (e *Executor) Metrics() Metrics {
 // Queued) are carried over from m unchanged.
 func (m Metrics) Delta(prev Metrics) Metrics {
 	d := Metrics{
-		CacheHits:    m.CacheHits - prev.CacheHits,
-		CacheMisses:  m.CacheMisses - prev.CacheMisses,
-		Coalesced:    m.Coalesced - prev.Coalesced,
-		Shed:         m.Shed - prev.Shed,
-		Batches:      m.Batches - prev.Batches,
-		Executed:     m.Executed - prev.Executed,
-		EngineSwaps:  m.EngineSwaps - prev.EngineSwaps,
-		SolvePanics:  m.SolvePanics - prev.SolvePanics,
-		TopKSolves:   m.TopKSolves - prev.TopKSolves,
-		EarlyStops:   m.EarlyStops - prev.EarlyStops,
-		CacheEntries: m.CacheEntries,
-		Queued:       m.Queued,
-		Generation:   m.Generation,
+		CacheHits:     m.CacheHits - prev.CacheHits,
+		TopKCacheHits: m.TopKCacheHits - prev.TopKCacheHits,
+		CacheMisses:   m.CacheMisses - prev.CacheMisses,
+		Coalesced:     m.Coalesced - prev.Coalesced,
+		Shed:          m.Shed - prev.Shed,
+		Batches:       m.Batches - prev.Batches,
+		Executed:      m.Executed - prev.Executed,
+		EngineSwaps:   m.EngineSwaps - prev.EngineSwaps,
+		SolvePanics:   m.SolvePanics - prev.SolvePanics,
+		TopKSolves:    m.TopKSolves - prev.TopKSolves,
+		EarlyStops:    m.EarlyStops - prev.EarlyStops,
+		CacheEntries:  m.CacheEntries,
+		Queued:        m.Queued,
+		Generation:    m.Generation,
 	}
 	for i := range d.BatchSizeHist {
 		d.BatchSizeHist[i] = m.BatchSizeHist[i] - prev.BatchSizeHist[i]

@@ -9,13 +9,18 @@
 //     multi-RHS block-elimination solves (core.Engine.QueryVectorBatch),
 //     amortizing the H11 back-substitutions and the H12/H21/H31/H32 SpMVs
 //     across the batch;
-//   - an LRU score cache with singleflight deduplication, so a hot seed
-//     costs one solve no matter how many requests race for it;
+//   - one generation-tagged LRU cache and one singleflight map, both keyed
+//     by (seed, k): k = 0 is the seed's full-tolerance score vector, k > 0
+//     its certified top-k ranking. A hot (seed, k) costs one solve per
+//     engine generation no matter how many requests race for it or repeat
+//     it. A full vector serves every request for its seed; a ranking from
+//     an early-stopped solve is exact only as a SET for its own k, so it is
+//     served to that (seed, k) alone and its approximate scores never
+//     leave that key;
 //   - a bounded top-k path: TopK halts each Schur solve on a certified
 //     score-error bound as soon as the top-k SET is provably settled
-//     (core.Engine.TopKBoundedBatch), batches k-class requests separately
-//     from full-vector ones, and serves any k from a cached or in-flight
-//     full vector without a solve;
+//     (core.Engine.TopKBoundedBatch) and batches k-class requests
+//     separately from full-vector ones;
 //   - admission control: a bounded queue that sheds load with
 //     ErrOverloaded when full, and per-query deadlines threaded down into
 //     the iterative Schur solver via context.Context.
@@ -70,15 +75,17 @@ type Config struct {
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with ErrOverloaded. Default 4×Workers×MaxBatch.
 	QueueDepth int
-	// CacheEntries bounds the LRU score cache; default 1024, negative
-	// disables caching.
+	// CacheEntries bounds the LRU cache, counting score vectors and
+	// certified top-k rankings alike; default 1024, negative disables
+	// caching.
 	CacheEntries int
 	// Timeout, if positive, is the per-query deadline applied on
 	// submission and enforced inside the iterative solver.
 	Timeout time.Duration
 	// CopyCachedScores makes cache hits return a private copy of the
-	// cached vector instead of the shared read-only one. Costs one O(N)
-	// copy per hit; turn it on when callers need to mutate Result.Scores.
+	// cached vector (or ranking) instead of the shared read-only one. Costs
+	// one O(N) copy per vector hit; turn it on when callers need to mutate
+	// Result.Scores.
 	CopyCachedScores bool
 	// Parallelism, when non-zero, re-points the engine's compute pool
 	// (core.Engine.SetParallelism) before the workers start: the sparse
@@ -174,9 +181,12 @@ type Result struct {
 	// MUST NOT be mutated: writing through it silently corrupts every
 	// future hit for the same seed. Callers that need a private, mutable
 	// vector set Config.CopyCachedScores (cache hits then copy on the way
-	// out) or copy it themselves.
+	// out) or copy it themselves. Nil when a TopK was served from a cached
+	// certified ranking: the cache keeps the ranked list, not the vector.
 	Scores []float64
-	Stats  core.QueryStats
+	// Stats describes the solve this request ran or joined; zero on a
+	// cache hit, which ran none.
+	Stats core.QueryStats
 	// Cached means the result came from the LRU cache without any solve.
 	Cached bool
 	// Coalesced means this request piggybacked on an identical in-flight
@@ -190,9 +200,11 @@ type Result struct {
 	// instead of guessing from timing.
 	Generation uint64
 	// EarlyStopped (TopK results only) means the scores come from a
-	// bound-certified early-stopped solve: the top-k SET is exact, but
-	// Scores are only within the certified radius of the true values —
-	// they are never cached or served as full-tolerance vectors.
+	// bound-certified early-stopped solve: the top-k SET is exact, but the
+	// scores are only within the certified radius of the true values. Such
+	// a ranking is cached under its exact (seed, k) and replayed to that
+	// key alone, flag included; it is never served to Query, TopKFull or
+	// another k, and its vector is never cached.
 	EarlyStopped bool
 	// SavedIters (early-stopped TopK results only) estimates the solver
 	// iterations the early stop skipped.
@@ -224,39 +236,25 @@ type Executor struct {
 
 	cache *lruCache // nil when disabled
 
-	fmu       sync.Mutex
-	flights   map[int]*flight   // singleflight per seed (full-vector solves)
-	tkFlights map[tkKey]*tkFlight // singleflight per (seed, k) bounded solve
+	fmu     sync.Mutex
+	flights map[key]*flight // singleflight per (seed, k)
 
 	m counters
 }
 
-// flight is one in-progress single-seed solve that duplicate requests wait
+// flight is one in-progress solve for a key that duplicate requests wait
 // on. gen pins the engine generation the solve runs under: requests on a
-// later generation never coalesce onto it.
+// later generation never coalesce onto it. Requests for the same seed but
+// different k have different stopping points, so a bounded solve is joined
+// only by its exact (seed, k) twins; a full-vector flight is joined by
+// every request for its seed.
 type flight struct {
 	done  chan struct{}
 	gen   uint64
-	res   []float64
+	ans   answer
 	stats core.QueryStats
+	saved int
 	err   error
-}
-
-// tkKey identifies one bounded top-k singleflight: requests for the same
-// seed but different k have different stopping points, so they only
-// coalesce with their exact (seed, k, generation) twins — or with a full
-// solve for the seed, whose finished vector answers any k.
-type tkKey struct {
-	seed, k int
-	gen     uint64
-}
-
-// tkFlight is one in-progress bounded top-k solve.
-type tkFlight struct {
-	done chan struct{}
-	top  []core.Ranked
-	res  Result
-	err  error
 }
 
 // New starts the executor's worker pool over a preprocessed engine.
@@ -264,11 +262,10 @@ type tkFlight struct {
 func New(eng *core.Engine, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
-		cfg:       cfg,
-		obs:       cfg.Obs,
-		reqs:      make(chan *request, cfg.QueueDepth),
-		flights:   make(map[int]*flight),
-		tkFlights: make(map[tkKey]*tkFlight),
+		cfg:     cfg,
+		obs:     cfg.Obs,
+		reqs:    make(chan *request, cfg.QueueDepth),
+		flights: make(map[key]*flight),
 	}
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
@@ -328,9 +325,9 @@ func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 // ever see: requests already submitted keep solving against the engine
 // they captured, but their results are tagged with the old generation, so
 // neither the cache nor the singleflight map can serve them to queries
-// that arrive after the swap. The score cache is purged eagerly (stale
-// vectors free immediately) and the generation tag covers the remaining
-// race of a pre-swap solve completing post-swap.
+// that arrive after the swap. The cache is purged eagerly (stale vectors
+// and rankings free immediately) and the generation tag covers the
+// remaining race of a pre-swap solve completing post-swap.
 //
 // SwapEngine is safe to call concurrently with queries. The new engine
 // inherits the executor's telemetry hooks and, when Config.Parallelism is
@@ -363,7 +360,6 @@ func (e *Executor) SwapEngine(eng *core.Engine) {
 	// identically theirs, so clearing here cannot strand a new flight.
 	e.fmu.Lock()
 	clear(e.flights)
-	clear(e.tkFlights)
 	e.fmu.Unlock()
 }
 
@@ -476,13 +472,7 @@ func (e *Executor) worker() {
 			ws = r.eng.NewWorkspace()
 			wsEng = r.eng
 		}
-		var panicErr error
-		if r.k > 0 {
-			panicErr = e.solveTopKBatch(r.eng, batch, ctxs, qs, ws)
-		} else {
-			panicErr = e.solveBatch(r.eng, batch, ctxs, qs, ws)
-		}
-		if panicErr != nil {
+		if panicErr := e.solve(r.eng, batch, ctxs, qs, ws); panicErr != nil {
 			// The engine panicked mid-solve: fail the whole batch instead
 			// of hanging it, discard the workspace (its buffers are in an
 			// unknown state), and keep the worker alive for the next batch.
@@ -533,36 +523,27 @@ func addStageSpans(at *obs.ActiveTrace, tSolve time.Time, st core.StageTimings) 
 	}
 }
 
-// solveBatch runs the multi-RHS engine solve with a panic barrier: a panic
-// inside the engine (or a hook it calls) is recovered and reported as an
-// ErrSolvePanicked-wrapped error so the batch fails loudly instead of
-// killing the worker and hanging every waiter. Results land in the
-// requests positionally.
-func (e *Executor) solveBatch(eng *core.Engine, batch []*request, ctxs []context.Context, qs [][]float64, ws *core.Workspace) (panicErr error) {
+// solve runs one k-class-homogeneous batch through the engine — the
+// multi-RHS full-vector solve, or the bounded top-k path where each
+// member's Schur solve halts on its own gap certificate — behind a panic
+// barrier: a panic inside the engine (or a hook it calls) is recovered and
+// reported as an ErrSolvePanicked-wrapped error so the batch fails loudly
+// instead of killing the worker and hanging every waiter. Results land in
+// the requests positionally.
+func (e *Executor) solve(eng *core.Engine, batch []*request, ctxs []context.Context, qs [][]float64, ws *core.Workspace) (panicErr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.m.panics.Add(1)
 			panicErr = fmt.Errorf("%w: %v", ErrSolvePanicked, p)
 		}
 	}()
-	res, stats, errs := eng.QueryVectorBatch(ctxs, qs, ws)
-	for i, br := range batch {
-		br.res, br.stats, br.err = res[i], stats[i], errs[i]
+	if batch[0].k == 0 {
+		res, stats, errs := eng.QueryVectorBatch(ctxs, qs, ws)
+		for i, br := range batch {
+			br.res, br.stats, br.err = res[i], stats[i], errs[i]
+		}
+		return nil
 	}
-	return nil
-}
-
-// solveTopKBatch runs a k-class batch through the bounded top-k engine
-// path, with the same panic barrier as solveBatch. Each member's Schur
-// solve halts on its own gap certificate, so the batch completes when its
-// last unresolved member does — nobody waits past that.
-func (e *Executor) solveTopKBatch(eng *core.Engine, batch []*request, ctxs []context.Context, qs [][]float64, ws *core.Workspace) (panicErr error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.m.panics.Add(1)
-			panicErr = fmt.Errorf("%w: %v", ErrSolvePanicked, p)
-		}
-	}()
 	ks := make([]int, len(batch))
 	excl := make([]int, len(batch))
 	for i, br := range batch {
@@ -628,6 +609,11 @@ func (e *Executor) finish(qo *queryObs, kind string, seed int, res *Result, err 
 		if res.Generation > 0 {
 			at.SetTag("generation", strconv.FormatUint(res.Generation, 10))
 		}
+		if res.EarlyStopped {
+			// Said on hits too: a replayed certified ranking still carries
+			// early-stopped scores.
+			at.SetTag("early_stopped", "true")
+		}
 		at.SetErr(err)
 		at.Finish(end)
 	}
@@ -660,82 +646,113 @@ func (e *Executor) submit(r *request) error {
 	}
 }
 
-// do runs one query through admission control and the pool, honoring the
-// per-query deadline both while waiting and inside the solver. eng is the
-// engine snapshot the query vector was built against.
-func (e *Executor) do(ctx context.Context, q []float64, eng *core.Engine, qo *queryObs) ([]float64, core.QueryStats, error) {
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
-	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}), at: qo.at, enq: e.obs.Now()}
-	if err := e.await(ctx, r, qo); err != nil {
-		return nil, core.QueryStats{}, err
-	}
-	return r.res, r.stats, r.err
-}
-
-// await submits a prepared request and waits for the worker or the
-// caller's context, whichever ends first. A nil return means the worker
-// completed the request (r.err may still carry the solve's error).
-func (e *Executor) await(ctx context.Context, r *request, qo *queryObs) error {
+// do runs one prepared query vector through admission control and the
+// pool, honoring ctx (which carries the per-query deadline, see deadline)
+// both while waiting and inside the solver. eng is the engine snapshot the
+// query vector was built against; k > 0 asks for the bounded top-k solve
+// with seed left out of the ranking. A nil error means the worker
+// completed the request without one.
+func (e *Executor) do(ctx context.Context, q []float64, eng *core.Engine, k, seed int, qo *queryObs) (*request, error) {
+	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}),
+		at: qo.at, enq: e.obs.Now(), k: k, exclude: seed}
 	if err := e.submit(r); err != nil {
-		return err
+		return nil, err
 	}
 	select {
 	case <-r.done:
-		return nil
+		return r, r.err
 	case <-ctx.Done():
 		// The worker sees the same context and aborts the solve; the
 		// requester does not wait for it. The worker may still append
 		// spans to the trace afterwards, so the trace is abandoned
 		// (never finished) instead of raced.
 		qo.abandoned = true
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// run is the execution core of a single-seed query: cache hit, coalesce
-// onto an identical in-flight solve, or solve through the batched pool.
-// eng and gen are the engine snapshot the query runs against; cache
-// lookups, cache fills, and singleflight joins all carry gen so nothing
-// crosses an engine swap.
-func (e *Executor) run(ctx context.Context, seed int, eng *core.Engine, gen uint64, qo *queryObs) (Result, error) {
-	if e.cache != nil {
-		scores, ok := e.cache.get(seed, gen)
-		e.span(qo.at, "cache", qo.start)
-		if ok {
-			e.m.hits.Add(1)
-			qo.at.SetCached()
-			return Result{Scores: scores, Cached: true, Generation: gen}, nil
-		}
+// deadline applies Config.Timeout, the per-query deadline, to a request's
+// context, once per query that goes past the cache.
+func (e *Executor) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if e.cfg.Timeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, e.cfg.Timeout)
+}
+
+// run is the one execution core of every single-seed query — k = 0 for
+// the full-tolerance score vector, k > 0 for the bounded top-k ranking:
+// serve a cache hit, coalesce onto an in-flight solve, or lead a solve
+// through the batched pool and remember its answer. eng and gen are the
+// engine snapshot the query runs against; cache lookups, cache fills, and
+// singleflight joins all carry gen so nothing crosses an engine swap.
+//
+// Reuse follows one rule, applied to the cache and to flights alike: the
+// seed's full vector, key (seed, 0), answers any k and is consulted first;
+// a bounded answer is consulted and stored only under its exact (seed, k),
+// because an early-stopped solve certifies that k's SET and nothing else.
+// rank > 0 asks for a ranking of that length (rank = k when k > 0).
+func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
+	full, own := key{seed, 0}, key{seed, k}
+	ans, hit := e.lookup(full, own, gen)
+	e.span(qo.at, "cache", qo.start)
+	if hit {
+		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: gen})
 	}
 	e.m.misses.Add(1)
+	// One deadline covers waiting on a flight and leading a solve, so a
+	// follower that takes over from a timed-out leader does not start over.
+	ctx, cancel := e.deadline(ctx)
+	defer cancel()
 
-	e.fmu.Lock()
-	if f, ok := e.flights[seed]; ok && f.gen == gen {
+	var f *flight // this request's own flight, once it leads
+	for f == nil {
+		e.fmu.Lock()
+		w := e.flights[full]
+		if (w == nil || w.gen != gen) && k > 0 {
+			w = e.flights[own]
+		}
+		if w == nil || w.gen != gen {
+			// Nobody is solving it. A leader fills the cache before it
+			// retires its flight, so an answer may have landed since the
+			// lookup above: look once more while holding the flight lock,
+			// and a (seed, k, generation) is solved exactly once however
+			// requests interleave. Otherwise lead, overwriting any stale
+			// (older-generation) flight; its leader only removes entries
+			// that are identically its own.
+			if ans, hit = e.lookup(full, own, gen); !hit {
+				f = &flight{done: make(chan struct{}), gen: gen}
+				e.flights[own] = f
+			}
+			e.fmu.Unlock()
+			if hit {
+				return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: gen})
+			}
+			break
+		}
 		e.fmu.Unlock()
 		e.m.coalesced.Add(1)
 		tw := e.obs.Now()
 		select {
-		case <-f.done:
-			e.span(qo.at, "coalesce", tw)
-			qo.at.SetCoalesced()
-			if f.err != nil {
-				return Result{}, f.err
-			}
-			qo.at.SetSolve(f.stats.Iterations, f.stats.Residual)
-			return Result{Scores: f.res, Stats: f.stats, Coalesced: true, Generation: f.gen}, nil
+		case <-w.done:
 		case <-ctx.Done():
-			return Result{}, ctx.Err()
+			return nil, Result{}, ctx.Err()
 		}
+		e.span(qo.at, "coalesce", tw)
+		if isContextErr(w.err) && ctx.Err() == nil {
+			// The leader's own context ended (client gone, deadline hit);
+			// that says nothing about this request, whose context is
+			// alive: go round again and lead, or join whoever now does.
+			continue
+		}
+		qo.at.SetCoalesced()
+		if w.err != nil {
+			return nil, Result{}, w.err
+		}
+		qo.at.SetSolve(w.stats.Iterations, w.stats.Residual)
+		return e.deliver(qo, w.ans, seed, rank,
+			Result{Stats: w.stats, SavedIters: w.saved, Coalesced: true, Generation: gen})
 	}
-	// Leader: overwrite any stale (older-generation) flight; its leader
-	// only removes entries that are identically its own.
-	f := &flight{done: make(chan struct{}), gen: gen}
-	e.flights[seed] = f
-	e.fmu.Unlock()
 
 	// The flight MUST be released no matter how the solve ends — error,
 	// engine panic surfacing through do, even a panic in the cache fill —
@@ -745,8 +762,8 @@ func (e *Executor) run(ctx context.Context, seed int, eng *core.Engine, gen uint
 	// cache instead of a dead flight.
 	defer func() {
 		e.fmu.Lock()
-		if e.flights[seed] == f {
-			delete(e.flights, seed)
+		if e.flights[own] == f {
+			delete(e.flights, own)
 		}
 		e.fmu.Unlock()
 		close(f.done)
@@ -754,30 +771,119 @@ func (e *Executor) run(ctx context.Context, seed int, eng *core.Engine, gen uint
 
 	q := make([]float64, eng.N())
 	q[seed] = 1
-	f.res, f.stats, f.err = e.do(ctx, q, eng, qo)
-	if f.err != nil {
-		return Result{}, f.err
+	r, err := e.do(ctx, q, eng, k, seed, qo)
+	if err != nil {
+		f.err = err
+		return nil, Result{}, err
 	}
+	f.ans = answer{scores: r.res, top: r.top, early: r.early}
+	f.stats, f.saved = r.stats, r.saved
 	if e.cache != nil {
-		e.cache.put(seed, f.res, gen)
+		if r.early {
+			// Certified for this k only, and only as a set: remember the
+			// ranking, not the approximate vector behind it.
+			e.cache.put(own, answer{top: r.top, early: true}, gen)
+		} else {
+			e.cache.put(full, answer{scores: r.res}, gen)
+		}
 	}
-	return Result{Scores: f.res, Stats: f.stats, Generation: gen}, nil
+	return e.deliver(qo, f.ans, seed, rank, Result{Stats: r.stats, SavedIters: r.saved, Generation: gen})
 }
 
-// Query answers a single-seed RWR query: cache hit, coalesce onto an
-// identical in-flight solve, or run through the batched pool.
-func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
+// lookup consults the cache for a request keyed own: the seed's full
+// vector first, then the request's own key. It counts the hit.
+func (e *Executor) lookup(full, own key, gen uint64) (answer, bool) {
+	if e.cache == nil {
+		return answer{}, false
+	}
+	ans, ok := e.cache.get(full, gen)
+	if !ok && own != full {
+		if ans, ok = e.cache.get(own, gen); ok {
+			e.m.topkHits.Add(1)
+		}
+	}
+	if ok {
+		e.m.hits.Add(1)
+	}
+	return ans, ok
+}
+
+// deliver shapes an answer — out of the cache, a joined flight, or the
+// request's own solve — into what the request returns. An answer without a
+// ranking is the seed's full vector (see answer): it is ranked here when a
+// ranking was asked for, inside the query's observation window, so traces
+// carry the "rank" span. A bounded answer already is the ranking asked for.
+func (e *Executor) deliver(qo *queryObs, ans answer, seed, rank int, res Result) ([]core.Ranked, Result, error) {
+	if res.Cached {
+		qo.at.SetCached()
+	}
+	res.Scores, res.EarlyStopped = ans.scores, ans.early
+	if rank > 0 && ans.top == nil {
+		tr := e.obs.Now()
+		ans.top = core.RankTopK(ans.scores, rank, seed)
+		e.span(qo.at, "rank", tr)
+	}
+	return ans.top, res, nil
+}
+
+// isContextErr reports whether err is a context's own ending rather than a
+// failure of the solve.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// single is the shared body of Query, TopK and TopKFull: validate the
+// seed, pick the solve class, and run the execution core under one
+// observation window. k > 0 asks for the bounded top-k solve — demoted to
+// the full-vector class (k = 0) by Config.FullSolveTopK or a k covering
+// the whole graph — and rank > 0 for a ranking of that length.
+func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked, Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	eng, gen := e.engine()
 	if seed < 0 || seed >= eng.N() {
-		return Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
+		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
 	}
-	qo := e.startQuery(ctx, "query", seed)
-	res, err := e.run(ctx, seed, eng, gen, &qo)
-	e.finish(&qo, "query", seed, &res, err)
+	kind := "topk"
+	if k <= 0 || k >= eng.N() || e.cfg.FullSolveTopK {
+		kind, k = "query", 0
+	}
+	qo := e.startQuery(ctx, kind, seed)
+	top, res, err := e.run(ctx, seed, k, rank, eng, gen, &qo)
+	e.finish(&qo, kind, seed, &res, err)
+	return top, res, err
+}
+
+// Query answers a single-seed RWR query with the full-tolerance score
+// vector: cache hit, coalesce onto an identical in-flight solve, or run
+// through the batched pool.
+func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
+	_, res, err := e.single(ctx, seed, 0, 0)
 	return res, err
+}
+
+// TopK returns the k highest-scoring nodes for a seed (seed excluded).
+// By default it runs the bound-pruned search: the Schur solve halts as
+// soon as the engine's accuracy certificate proves the top-k SET is
+// settled (see core.Engine.TopKBounded), which is provably the same set a
+// full solve would rank — only the returned scores may be early-stopped
+// approximations (Result.EarlyStopped). The certified ranking is cached
+// under (seed, k), so repeating the request costs a map lookup. A cached
+// or in-flight full vector for the seed short-circuits the solve entirely:
+// any k ranks out of a full vector for free. Config.FullSolveTopK, k <= 0,
+// and k covering the whole graph all fall back to TopKFull.
+func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
+	return e.single(ctx, seed, k, k)
+}
+
+// TopKFull ranks the seed's full-tolerance score vector — the pre-bounded
+// TopK behavior, served through the cache and pool like Query and never
+// from a certified (seed, k) ranking. It is the path for callers that need
+// exact scores alongside the exact set (the cluster tier's weighted
+// merges, debugging, A-B baselines).
+func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
+	return e.single(ctx, seed, 0, k)
 }
 
 // Personalized answers an arbitrary-distribution PPR query through the
@@ -793,173 +899,13 @@ func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error
 	}
 	qo := e.startQuery(ctx, "personalized", -1)
 	e.m.misses.Add(1)
-	scores, stats, err := e.do(ctx, q, eng, &qo)
+	ctx, cancel := e.deadline(ctx)
+	defer cancel()
 	var res Result
+	r, err := e.do(ctx, q, eng, 0, -1, &qo)
 	if err == nil {
-		res = Result{Scores: scores, Stats: stats, Generation: gen}
+		res = Result{Scores: r.res, Stats: r.stats, Generation: gen}
 	}
 	e.finish(&qo, "personalized", -1, &res, err)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// TopK returns the k highest-scoring nodes for a seed (seed excluded).
-// By default it runs the bound-pruned search: the Schur solve halts as
-// soon as the engine's accuracy certificate proves the top-k SET is
-// settled (see core.Engine.TopKBounded), which is provably the same set a
-// full solve would rank — only the returned Scores may be early-stopped
-// approximations (Result.EarlyStopped). A cached or in-flight full vector
-// for the seed short-circuits the solve entirely: any k ranks out of a
-// full vector for free. Config.FullSolveTopK, k <= 0, and k covering the
-// whole graph all fall back to TopKFull.
-func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng, gen := e.engine()
-	if seed < 0 || seed >= eng.N() {
-		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
-	}
-	if e.cfg.FullSolveTopK || k <= 0 || k >= eng.N() {
-		return e.TopKFull(ctx, seed, k)
-	}
-	qo := e.startQuery(ctx, "topk", seed)
-	top, res, err := e.runTopK(ctx, seed, k, eng, gen, &qo)
-	e.finish(&qo, "topk", seed, &res, err)
-	return top, res, err
-}
-
-// TopKFull ranks the seed's full-tolerance score vector — the pre-bounded
-// TopK behavior, served through the cache and pool like Query. It is the
-// path for callers that need exact scores alongside the exact set (the
-// cluster tier's weighted merges, debugging, A-B baselines). The ranking
-// runs inside the query's observation window, so traces gain a "rank"
-// span and the latency histogram covers it.
-func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng, gen := e.engine()
-	if seed < 0 || seed >= eng.N() {
-		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
-	}
-	qo := e.startQuery(ctx, "query", seed)
-	res, err := e.run(ctx, seed, eng, gen, &qo)
-	if err != nil {
-		e.finish(&qo, "query", seed, &res, err)
-		return nil, Result{}, err
-	}
-	tr := e.obs.Now()
-	top := core.RankTopK(res.Scores, k, seed)
-	e.span(qo.at, "rank", tr)
-	e.finish(&qo, "query", seed, &res, nil)
-	return top, res, nil
-}
-
-// runTopK is the execution core of a bounded top-k query: rank a cached
-// or in-flight full vector if one exists (any k is served by a full
-// vector without a solve), coalesce onto an identical (seed, k) bounded
-// solve, or lead one through the k-class batched pool.
-func (e *Executor) runTopK(ctx context.Context, seed, k int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
-	if e.cache != nil {
-		scores, ok := e.cache.get(seed, gen)
-		e.span(qo.at, "cache", qo.start)
-		if ok {
-			e.m.hits.Add(1)
-			qo.at.SetCached()
-			tr := e.obs.Now()
-			top := core.RankTopK(scores, k, seed)
-			e.span(qo.at, "rank", tr)
-			return top, Result{Scores: scores, Cached: true, Generation: gen}, nil
-		}
-	}
-	e.m.misses.Add(1)
-
-	key := tkKey{seed: seed, k: k, gen: gen}
-	e.fmu.Lock()
-	// A full-vector solve already in flight for this seed will deliver
-	// full-tolerance scores; ranking those answers any k, so join it
-	// rather than starting a redundant bounded solve.
-	if f, ok := e.flights[seed]; ok && f.gen == gen {
-		e.fmu.Unlock()
-		e.m.coalesced.Add(1)
-		tw := e.obs.Now()
-		select {
-		case <-f.done:
-			e.span(qo.at, "coalesce", tw)
-			qo.at.SetCoalesced()
-			if f.err != nil {
-				return nil, Result{}, f.err
-			}
-			qo.at.SetSolve(f.stats.Iterations, f.stats.Residual)
-			tr := e.obs.Now()
-			top := core.RankTopK(f.res, k, seed)
-			e.span(qo.at, "rank", tr)
-			return top, Result{Scores: f.res, Stats: f.stats, Coalesced: true, Generation: f.gen}, nil
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
-		}
-	}
-	if f, ok := e.tkFlights[key]; ok {
-		e.fmu.Unlock()
-		e.m.coalesced.Add(1)
-		tw := e.obs.Now()
-		select {
-		case <-f.done:
-			e.span(qo.at, "coalesce", tw)
-			qo.at.SetCoalesced()
-			if f.err != nil {
-				return nil, Result{}, f.err
-			}
-			res := f.res
-			res.Coalesced = true
-			qo.at.SetSolve(res.Stats.Iterations, res.Stats.Residual)
-			return f.top, res, nil
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
-		}
-	}
-	f := &tkFlight{done: make(chan struct{})}
-	e.tkFlights[key] = f
-	e.fmu.Unlock()
-
-	// Same release discipline as run(): the flight must open no matter how
-	// the solve ends, and the map entry goes before the channel closes.
-	defer func() {
-		e.fmu.Lock()
-		if e.tkFlights[key] == f {
-			delete(e.tkFlights, key)
-		}
-		e.fmu.Unlock()
-		close(f.done)
-	}()
-
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
-	}
-	q := make([]float64, eng.N())
-	q[seed] = 1
-	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}),
-		at: qo.at, enq: e.obs.Now(), k: k, exclude: seed}
-	if err := e.await(ctx, r, qo); err != nil {
-		f.err = err
-		return nil, Result{}, err
-	}
-	if r.err != nil {
-		f.err = r.err
-		return nil, Result{}, r.err
-	}
-	res := Result{Scores: r.res, Stats: r.stats, Generation: gen,
-		EarlyStopped: r.early, SavedIters: r.saved}
-	// Early-stopped vectors are exact only as a top-k SET, not as scores:
-	// they never enter the cache, which holds full-tolerance vectors only.
-	if e.cache != nil && !r.early {
-		e.cache.put(seed, r.res, gen)
-	}
-	f.top, f.res = r.top, res
-	return r.top, res, nil
+	return res, err
 }

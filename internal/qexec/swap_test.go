@@ -183,25 +183,27 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	}
 }
 
+// iteratingSeed returns a seed whose Schur solve actually iterates, for
+// tests that inject through the per-iteration solver hook — spoke/dead-end
+// seeds can finish in zero iterations and never reach the hook.
+func iteratingSeed(t *testing.T, e *core.Engine) int {
+	t.Helper()
+	for s := 0; s < e.N(); s++ {
+		if _, st, err := e.Query(s); err == nil && st.Iterations > 0 {
+			return s
+		}
+	}
+	t.Skip("no seed on this graph exercises the iterative solver")
+	return -1
+}
+
 // TestSolvePanicFailsFlight injects a panic into the engine's iteration
 // hook and checks the worker's panic barrier: the leader and every
 // coalesced waiter get ErrSolvePanicked instead of hanging on a flight
 // whose done channel never closes, and the executor keeps serving.
 func TestSolvePanicFailsFlight(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
-	// The fault injects through the per-iteration solver hook, so the test
-	// needs a seed whose Schur solve actually iterates — spoke/dead-end
-	// seeds can finish in zero iterations and never reach the hook.
-	seed := -1
-	for s := 0; s < e.N(); s++ {
-		if _, st, err := e.Query(s); err == nil && st.Iterations > 0 {
-			seed = s
-			break
-		}
-	}
-	if seed < 0 {
-		t.Skip("no seed on this graph exercises the iterative solver")
-	}
+	seed := iteratingSeed(t, e)
 	ex := New(e, Config{Workers: 1, MaxBatch: 8, BatchWindow: 20 * time.Millisecond})
 	defer ex.Close()
 

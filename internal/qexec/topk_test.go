@@ -26,11 +26,10 @@ func skewedEng(t testing.TB) *core.Engine {
 	return e
 }
 
-// sameTopKSet fails unless both rankings name the same node set.
-func sameTopKSet(t *testing.T, tag string, want, got []core.Ranked) {
-	t.Helper()
+// sameSet reports whether both rankings name the same node set.
+func sameSet(want, got []core.Ranked) bool {
 	if len(want) != len(got) {
-		t.Fatalf("%s: size mismatch: want %d, got %d", tag, len(want), len(got))
+		return false
 	}
 	set := make(map[int]bool, len(want))
 	for _, r := range want {
@@ -38,8 +37,18 @@ func sameTopKSet(t *testing.T, tag string, want, got []core.Ranked) {
 	}
 	for _, r := range got {
 		if !set[r.Node] {
-			t.Fatalf("%s: node %d not in expected top-k\nwant %v\ngot  %v", tag, r.Node, want, got)
+			return false
 		}
+	}
+	return true
+}
+
+// sameTopKSet fails unless both rankings name the same node set. Test
+// goroutine only; elsewhere use sameSet with t.Errorf.
+func sameTopKSet(t *testing.T, tag string, want, got []core.Ranked) {
+	t.Helper()
+	if !sameSet(want, got) {
+		t.Fatalf("%s: top-k set differs\nwant %v\ngot  %v", tag, want, got)
 	}
 }
 
@@ -121,8 +130,8 @@ func TestTopKCacheHitAnyK(t *testing.T) {
 }
 
 // TestTopKEarlyStopNotCached pins the cache policy: an early-stopped score
-// vector is exact only as a set, so it must never enter the full-vector
-// cache — a Query on the same seed afterwards must solve, not hit.
+// vector is exact only as a set, so only its ranking is remembered, under
+// (seed, k) — a Query on the same seed afterwards must solve, not hit.
 func TestTopKEarlyStopNotCached(t *testing.T) {
 	e := skewedEng(t)
 	ex := New(e, Config{})
@@ -199,15 +208,8 @@ func TestTopKParallelCoalesce(t *testing.T) {
 					errCh <- err
 					return
 				}
-				set := make(map[int]bool, len(want))
-				for _, r := range want {
-					set[r.Node] = true
-				}
-				for _, r := range top {
-					if !set[r.Node] {
-						errCh <- fmt.Errorf("worker %d: node %d not in expected set", w, r.Node)
-						return
-					}
+				if !sameSet(want, top) {
+					errCh <- fmt.Errorf("worker %d: got %v, want the set %v", w, top, want)
 				}
 			case 1: // different k-class member on another seed
 				if _, _, err := ex.TopK(ctx, (w*37)%e.N(), 5); err != nil {

@@ -72,7 +72,7 @@ func NewCore(eng *bepi.Engine, cfg qexec.Config) *Core {
 
 // NewDynamicCore builds a serving core over a dynamic (online-update)
 // index: every successful background rebuild atomically swaps the serving
-// engine, purges the executor's score cache, bumps the generation, and
+// engine, purges the executor's cache, bumps the generation, and
 // records the new index fingerprint.
 func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 	c := NewCore(d.Engine(), cfg)
@@ -139,6 +139,7 @@ func (c *Core) MetricsSnapshot() obs.MetricsSnapshot {
 			"personalized":      c.personalized.Load(),
 			"errors":            c.errors.Load(),
 			"cache_hits":        xm.CacheHits,
+			"topk_cache_hits":   xm.TopKCacheHits,
 			"cache_misses":      xm.CacheMisses,
 			"coalesced":         xm.Coalesced,
 			"shed":              xm.Shed,
@@ -330,7 +331,9 @@ type QueryRequest struct {
 
 // Query answers a single-seed query: a ranking by default, the full score
 // vector when req.Full. The returned scores may be shared with the
-// executor's cache and must be treated as read-only.
+// executor's cache and must be treated as read-only. A default ranking
+// replayed from the cache keeps EarlyStopped as the solve that certified it
+// set it; Full and Exact are only ever served full-tolerance scores.
 func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	if n := c.Engine().N(); req.Seed < 0 || req.Seed >= n {
 		c.errors.Add(1)
@@ -356,9 +359,10 @@ func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, erro
 		top, res, err = c.exec.TopKFull(ctx, req.Seed, topk)
 	default:
 		// Bound-pruned search: the Schur solve stops as soon as the top-k
-		// set is certified, a cached full vector is ranked without touching
-		// the engine. Ranking runs inside the executor so traces carry the
-		// "rank" span.
+		// set is certified, and the certified ranking is remembered under
+		// (seed, k); a repeat, or a cached full vector, answers without
+		// touching the engine. Ranking runs inside the executor so traces
+		// carry the "rank" span.
 		top, res, err = c.exec.TopK(ctx, req.Seed, topk)
 	}
 	if err != nil {
@@ -468,6 +472,7 @@ type MetricsResponse struct {
 
 	// Query-execution subsystem counters.
 	CacheHits     int64   `json:"cache_hits"`
+	TopKCacheHits int64   `json:"topk_cache_hits"` // subset of cache_hits served from a certified (seed, k) ranking
 	CacheMisses   int64   `json:"cache_misses"`
 	CacheEntries  int     `json:"cache_entries"`
 	Coalesced     int64   `json:"coalesced"`
@@ -579,6 +584,7 @@ func (c *Core) Metrics() MetricsResponse {
 		PreprocessMS:    prepMS,
 		QueriesPerIndex: ratio,
 		CacheHits:       xm.CacheHits,
+		TopKCacheHits:   xm.TopKCacheHits,
 		CacheMisses:     xm.CacheMisses,
 		CacheEntries:    xm.CacheEntries,
 		Coalesced:       xm.Coalesced,

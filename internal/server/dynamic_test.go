@@ -207,3 +207,109 @@ func TestDynamicEndpointsOnStaticServer(t *testing.T) {
 		t.Fatalf("/flush/1 on static server: status %d", rec.Code)
 	}
 }
+
+// TestDynamicFlushInvalidatesCachedTopK checks that a cached certified
+// top-k answer does not survive an engine swap: after /edges + /flush the
+// same seed&topk request is solved again on the new generation, and names
+// the set a fresh bepi.New on the updated graph ranks.
+func TestDynamicFlushInvalidatesCachedTopK(t *testing.T) {
+	// Hub-heavy, so the bounded top-k certificate actually fires.
+	g := bepi.RMAT(9, 8, 42)
+	hubs := bepi.WithHubRatio(0.2)
+	d, err := bepi.NewDynamic(g, hubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDynamic(d, qexec.Config{})
+	t.Cleanup(s.Close)
+
+	// A seed whose top-k solve stops early, so what the cache holds is the
+	// certified (seed, k) ranking; and of low degree, so one new out-edge
+	// is sure to change that ranking.
+	const k = 5
+	seed := -1
+	for u := 0; u < g.N() && seed < 0; u++ {
+		if deg := g.OutDegree(u); deg < 1 || deg > 2 {
+			continue
+		}
+		if _, early, err := d.Engine().TopKBounded(u, k); err == nil && early {
+			seed = u
+		}
+	}
+	if seed < 0 {
+		t.Fatal("test setup: no early-stopping seed with out-degree 1–2")
+	}
+	path := fmt.Sprintf("/query?seed=%d&topk=%d", seed, k)
+	nodesOf := func(body map[string]any) map[int]bool {
+		set := map[int]bool{}
+		for _, e := range body["top"].([]any) {
+			set[int(e.(map[string]any)["node"].(float64))] = true
+		}
+		return set
+	}
+
+	_, first := get(t, s, path)
+	_, replay := get(t, s, path)
+	if first["cached"] == true || replay["cached"] != true {
+		t.Fatalf("warm-up: cached = %v then %v, want a solve then a hit", first["cached"], replay["cached"])
+	}
+	if first["early_stopped"] != true || replay["early_stopped"] != true {
+		t.Fatalf("warm-up: early_stopped = %v then %v, want an early-stopped solve and a hit that says so", first["early_stopped"], replay["early_stopped"])
+	}
+	before := nodesOf(first)
+	target := -1
+	for x := 0; x < g.N(); x++ {
+		if x != seed && !before[x] && !g.HasEdge(seed, x) {
+			target = x
+			break
+		}
+	}
+
+	rec, body := post(t, s, "/edges", EdgesRequest{Add: []EdgeJSON{{Src: seed, Dst: target}}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/edges: status %d body %v", rec.Code, body)
+	}
+	rec, body = post(t, s, "/flush", nil)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("/flush: status %d body %v", rec.Code, body)
+	}
+	if final := waitFlush(t, s, uint64(body["id"].(float64))); final["state"] != string(bepi.RebuildDone) {
+		t.Fatalf("rebuild state %v (error %v)", final["state"], final["error"])
+	}
+
+	_, after := get(t, s, path)
+	if after["cached"] == true {
+		t.Fatal("post-swap top-k served from the pre-swap cache")
+	}
+	if after["generation"].(float64) != first["generation"].(float64)+1 {
+		t.Fatalf("generation %v -> %v, want +1", first["generation"], after["generation"])
+	}
+	g2, err := bepi.NewGraph(g.N(), append(g.Edges(), bepi.Edge{Src: seed, Dst: target}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := bepi.New(g2, hubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.TopK(seed, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := nodesOf(after)
+	if len(got) != len(want) {
+		t.Fatalf("post-swap top-%d has %d nodes, fresh engine %d", k, len(got), len(want))
+	}
+	for _, r := range want {
+		if !got[r.Node] {
+			t.Fatalf("post-swap top-%d %v lacks node %d of the fresh engine's %v", k, after["top"], r.Node, want)
+		}
+	}
+	if !got[target] {
+		t.Fatalf("test setup: new out-neighbour %d did not enter the top-%d, so a stale answer would go unnoticed", target, k)
+	}
+	// The new generation's answer is remembered in turn.
+	if _, again := get(t, s, path); again["cached"] != true || again["generation"] != after["generation"] {
+		t.Fatalf("repeat on the new generation: cached=%v generation=%v", again["cached"], again["generation"])
+	}
+}

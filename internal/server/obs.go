@@ -53,11 +53,12 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 
 	// Query-execution subsystem counters.
 	xm := s.core.exec.Metrics()
-	p.Counter("bepi_cache_hits_total", "Queries answered from the score cache.", float64(xm.CacheHits))
+	p.Counter("bepi_cache_hits_total", "Queries answered from the cache (score vectors and certified top-k rankings).", float64(xm.CacheHits))
+	p.Counter("bepi_topk_cache_hits_total", "Cache hits served from a certified (seed, k) ranking.", float64(xm.TopKCacheHits))
 	p.Counter("bepi_cache_misses_total", "Queries past the cache.", float64(xm.CacheMisses))
 	p.Counter("bepi_coalesced_total", "Queries that rode an identical in-flight solve.", float64(xm.Coalesced))
 	p.Counter("bepi_shed_total", "Requests shed by admission control.", float64(xm.Shed))
-	p.Gauge("bepi_cache_entries", "Cached score vectors.", float64(xm.CacheEntries))
+	p.Gauge("bepi_cache_entries", "Cached answers: score vectors and certified top-k rankings.", float64(xm.CacheEntries))
 	p.Gauge("bepi_queue_depth", "Requests waiting in the admission queue.", float64(xm.Queued))
 	p.CounterHist("bepi_batch_size", "Queries coalesced per multi-RHS engine solve.",
 		qexec.BatchBuckets(), xm.BatchSizeHist[:], float64(xm.Executed))

@@ -66,8 +66,8 @@ func parseProm(t *testing.T, body string) map[string]*promFamily {
 func TestMetricsPrometheus(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	get(t, s, "/query?seed=1&exact=true") // cacheable full-tolerance solve
-	get(t, s, "/query?seed=1")            // cache hit
+	get(t, s, "/query?seed=1") // solve: vector or certified ranking cached
+	get(t, s, "/query?seed=1") // cache hit
 	get(t, s, "/query?seed=2")
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics.prom", nil)
@@ -84,6 +84,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	for _, want := range []struct{ name, typ string }{
 		{"bepi_queries_total", "counter"},
 		{"bepi_cache_hits_total", "counter"},
+		{"bepi_topk_cache_hits_total", "counter"},
 		{"bepi_cache_misses_total", "counter"},
 		{"bepi_shed_total", "counter"},
 		{"bepi_solver_iterations_total", "counter"},
@@ -175,10 +176,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 func TestDebugTraces(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true pins the solve to the full path: its vector is always
-	// cached (bound-pruned solves may stop early and skip the cache) and
-	// its trace carries the executor-side "rank" span (the bounded path
-	// ranks inside the engine batch instead).
+	// exact=true pins the solve to the full path: its trace carries the
+	// executor-side "rank" span (the bounded path ranks inside the engine
+	// batch instead), and the hit below ranks the cached vector.
 	get(t, s, "/query?seed=3&exact=true")
 	get(t, s, "/query?seed=3") // hit: ranks the cached full vector
 	rec, body := get(t, s, "/debug/traces?n=10")
@@ -216,10 +216,11 @@ func TestDebugTraces(t *testing.T) {
 func TestQueryDebugParam(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true makes the warmup's full-tolerance vector cacheable, so the
-	// replay below is a deterministic hit (a bound-pruned solve may stop
-	// early, and early-stopped vectors never enter the cache).
-	_, body := get(t, s, "/query?seed=4&debug=1&exact=true")
+	// A default bound-pruned query: whether or not its solve stops early,
+	// the answer is remembered (the certified ranking under (seed, k), or
+	// the full vector), so the replay below is a deterministic hit.
+	_, body := get(t, s, "/query?seed=4&debug=1")
+	early := body["early_stopped"]
 	dbg, ok := body["debug"].(map[string]any)
 	if !ok {
 		t.Fatalf("no debug block: %v", body)
@@ -246,6 +247,9 @@ func TestQueryDebugParam(t *testing.T) {
 	if _, has := dbg["stage_ms"]; has {
 		t.Errorf("cached query reports engine stages: %v", dbg)
 	}
+	if body["cached"] != true || body["early_stopped"] != early {
+		t.Errorf("replay cached=%v early_stopped=%v, want true and %v", body["cached"], body["early_stopped"], early)
+	}
 	// Without the param there is no debug block.
 	_, body = get(t, s, "/query?seed=4")
 	if _, has := body["debug"]; has {
@@ -258,10 +262,8 @@ func TestQueryDebugParam(t *testing.T) {
 func TestMetricsJSONObservability(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	// exact=true warmup guarantees a cacheable full-tolerance vector (a
-	// bound-pruned solve may stop early and skip the cache); the repeat is
-	// then a deterministic hit.
-	get(t, s, "/query?seed=5&exact=true")
+	// One solve, then a deterministic hit on what it left in the cache.
+	get(t, s, "/query?seed=5")
 	get(t, s, "/query?seed=5")
 	_, body := get(t, s, "/metrics")
 	prep, ok := body["prep"].(map[string]any)

@@ -109,15 +109,13 @@ func TestMixedTrafficConcurrency(t *testing.T) {
 }
 
 // TestQexecMetricsExposed checks /metrics carries the execution-subsystem
-// counters: a repeated seed must show up as a cache hit. The warmup query
-// asks for exact=true so its full-tolerance vector enters the cache (a
-// bound-pruned query may stop early, and early-stopped vectors are never
-// cached); the repeat is a default bounded query served by ranking that
-// cached vector.
+// counters: a repeated default (bound-pruned) query must show up as a cache
+// hit, counted under topk_cache_hits too when it replayed a certified
+// ranking rather than ranking a cached full vector.
 func TestQexecMetricsExposed(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
-	get(t, s, "/query?seed=4&exact=true")
+	get(t, s, "/query?seed=4")
 	rec, body := get(t, s, "/query?seed=4")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -126,8 +124,15 @@ func TestQexecMetricsExposed(t *testing.T) {
 		t.Fatalf("repeat seed not served from cache: %v", body)
 	}
 	_, metrics := get(t, s, "/metrics")
-	if int(metrics["cache_hits"].(float64)) < 1 {
-		t.Fatalf("cache_hits = %v, want ≥ 1", metrics["cache_hits"])
+	if int(metrics["cache_hits"].(float64)) != 1 {
+		t.Fatalf("cache_hits = %v, want 1", metrics["cache_hits"])
+	}
+	wantTopK := 0.0
+	if body["early_stopped"] == true {
+		wantTopK = 1
+	}
+	if metrics["topk_cache_hits"] != wantTopK {
+		t.Fatalf("topk_cache_hits = %v, want %v (early_stopped=%v)", metrics["topk_cache_hits"], wantTopK, body["early_stopped"])
 	}
 	if int(metrics["executed"].(float64)) < 1 {
 		t.Fatalf("executed = %v, want ≥ 1", metrics["executed"])

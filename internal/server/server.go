@@ -69,9 +69,10 @@ func NewWithConfig(eng *bepi.Engine, cfg qexec.Config) *Server {
 // NewDynamic builds a server over a dynamic (online-update) index: the
 // /edges and /flush endpoints buffer updates and trigger background
 // rebuilds, and every successful rebuild atomically swaps the serving
-// engine, purges the executor's score cache, and bumps the index
-// generation — queries in flight keep completing on the old engine, and no
-// stale cached score survives the swap.
+// engine, purges the executor's cache (score vectors and certified top-k
+// rankings alike), and bumps the index generation — queries in flight keep
+// completing on the old engine, and no stale cached answer survives the
+// swap.
 func NewDynamic(d *bepi.Dynamic, cfg qexec.Config) *Server {
 	return NewFromCore(NewDynamicCore(d, cfg))
 }
@@ -206,7 +207,8 @@ type QueryResponse struct {
 	Cached     bool          `json:"cached,omitempty"`
 	// EarlyStopped means the ranking came from a bound-certified
 	// early-stopped solve: the top-k SET is exact, the scores shown are
-	// within the certified error radius of the true values.
+	// within the certified error radius of the true values. It stays set
+	// when the ranking is replayed from the cache (Cached).
 	EarlyStopped bool        `json:"early_stopped,omitempty"`
 	Generation   uint64      `json:"generation"`
 	IndexHash    string      `json:"index_hash,omitempty"`
