@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet lint check bench bench-repo bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -15,10 +15,16 @@ test:
 vet:
 	$(GO) vet ./...
 
+# Fails when any file is not gofmt-clean, naming the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -l . lists:"; echo "$$out"; exit 1; \
+	fi
+
 # Static analysis beyond vet. staticcheck and govulncheck are used when
 # installed (CI installs them); locally the target degrades to a note
 # instead of failing on a missing tool.
-lint: vet
+lint: fmt vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -51,16 +57,18 @@ race:
 # knob, sticky first-touch pools, the STREAM probe), and the incremental
 # rebuild path (delta classification, Woodbury-corrected solves, drift
 # fallback) racing concurrent queries, and qexec's keyed cache and
-# singleflight (hot-set storm solved once per key, leader cancellation).
+# singleflight (hot-set storm solved once per key, leader cancellation),
+# and the wire codec (pooled chunk buffers, negotiation on both handlers,
+# corrupt binary bodies retried on the ring successor).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight|Wire|Vector|Negotiat' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
-		./internal/solver/
+		./internal/solver/ ./internal/wire/
 
-# The CI gate: everything must build, lint clean (vet always; staticcheck/
-# govulncheck when installed), and pass under the race detector, with an
-# extra repeated pass over the parallel kernels.
+# The CI gate: everything must build, lint clean (gofmt and vet always;
+# staticcheck/govulncheck when installed), and pass under the race
+# detector, with an extra repeated pass over the parallel kernels.
 check: lint race race-par
 
 bench:

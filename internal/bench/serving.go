@@ -43,7 +43,7 @@ func servingSeed(i, n int) int {
 func Serving(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	t := &Table{
-		Title:  "Steady-state serving (qexec over BePI)",
+		Title: "Steady-state serving (qexec over BePI)",
 		Note: fmt.Sprintf("%d concurrent clients, hot-set workload; warmup excluded via metric deltas; engine layout: %s",
 			servingClients, layoutName(cfg.Compact)),
 		Header: []string{"dataset", "queries", "qps", "p50", "p99", "hit rate", "batch sz", "coalesced", "shed"},

@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -14,6 +12,7 @@ import (
 
 	"bepi/internal/obs"
 	"bepi/internal/server"
+	"bepi/internal/wire"
 )
 
 // Health is a replica's readiness report: the (index hash, generation)
@@ -45,6 +44,22 @@ type Partial struct {
 	Generation   uint64
 	IndexHash    string
 	DurationMS   float64
+}
+
+// partialOf is a shard's answer as the named replica's Partial.
+func partialOf(replica string, r server.QueryResponse) Partial {
+	return Partial{
+		Seed:         r.Seed,
+		Replica:      replica,
+		Top:          r.Top,
+		Scores:       r.Scores,
+		Iterations:   r.Iterations,
+		Cached:       r.Cached,
+		EarlyStopped: r.EarlyStopped,
+		Generation:   r.Generation,
+		IndexHash:    r.IndexHash,
+		DurationMS:   r.DurationMS,
+	}
 }
 
 // Tag returns the partial's merge key: the (index hash, generation) pair.
@@ -171,18 +186,7 @@ func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bo
 			Msg:        err.Error(),
 		}
 	}
-	return Partial{
-		Seed:         resp.Seed,
-		Replica:      b.name,
-		Top:          resp.Top,
-		Scores:       resp.Scores,
-		Iterations:   resp.Iterations,
-		Cached:       resp.Cached,
-		EarlyStopped: resp.EarlyStopped,
-		Generation:   resp.Generation,
-		IndexHash:    resp.IndexHash,
-		DurationMS:   resp.DurationMS,
-	}, nil
+	return partialOf(b.name, resp), nil
 }
 
 // Traces implements TraceSource over the core's in-process trace ring.
@@ -218,8 +222,9 @@ type HTTPBackend struct {
 }
 
 // NewHTTPBackend wraps a replica address ("host:port" or a full URL) as a
-// backend. A nil client selects a dedicated one with sane keep-alive
-// defaults; the per-request deadline comes from the caller's context.
+// backend. A nil client is a zero http.Client, which sends through the
+// process-wide http.DefaultTransport and so shares its connection pool;
+// the per-request deadline comes from the caller's context.
 func NewHTTPBackend(addr string, client *http.Client) *HTTPBackend {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -235,72 +240,88 @@ func NewHTTPBackend(addr string, client *http.Client) *HTTPBackend {
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.name }
 
-// get issues a GET and decodes the JSON body into out, mapping non-200
-// statuses (and their Retry-After hints) to BackendError. A trace context on
-// ctx is forwarded as the X-Bepi-Trace header, so the shard's executor
-// records its spans under the coordinator's trace.
-func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
+// do issues a GET and returns the 200 response, whose body the caller
+// closes; any other status (and its Retry-After hint) becomes a
+// BackendError. A non-empty accept is sent as the Accept header. A trace
+// context on ctx is forwarded as the X-Bepi-Trace header, so the shard's
+// executor records its spans under the coordinator's trace.
+func (b *HTTPBackend) do(ctx context.Context, path, accept string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	if tc, ok := obs.TraceFrom(ctx); ok {
 		req.Header.Set(obs.TraceHeader, tc.HeaderValue())
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		msg, ra := wire.ReadError(resp)
+		return nil, &BackendError{Replica: b.name, Status: resp.StatusCode, RetryAfter: ra, Msg: msg}
+	}
+	return resp, nil
+}
+
+// get issues a GET and decodes the JSON body into out.
+func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
+	resp, err := b.do(ctx, path, "")
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := strings.TrimSpace(string(body))
-		var decoded struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &decoded) == nil && decoded.Error != "" {
-			msg = decoded.Error
-		}
-		var ra time.Duration
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, err := strconv.Atoi(v); err == nil && secs > 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		return &BackendError{Replica: b.name, Status: resp.StatusCode, RetryAfter: ra, Msg: msg}
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return wire.ReadJSON(resp.Body, out)
 }
 
-// Query implements Backend over GET /query.
+// Query implements Backend over GET /query. A full-vector query asks for
+// the binary vector body and takes either form back (an old shard answers
+// JSON). A body that does not decode — corrupt or cut short — is returned
+// as a plain error, which Retryable treats like a transport failure: the
+// coordinator moves to the ring successor.
 func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	v := url.Values{}
 	v.Set("seed", strconv.Itoa(seed))
 	if topk > 0 {
 		v.Set("topk", strconv.Itoa(topk))
 	}
+	accept := ""
 	if full {
 		v.Set("full", "true")
+		accept = wire.AcceptVector
 	}
 	if exact {
 		v.Set("exact", "true")
 	}
-	var resp server.QueryResponse
-	if err := b.get(ctx, "/query?"+v.Encode(), &resp); err != nil {
+	resp, err := b.do(ctx, "/query?"+v.Encode(), accept)
+	if err != nil {
 		return Partial{}, err
 	}
-	return Partial{
-		Seed:         resp.Seed,
-		Replica:      b.name,
-		Top:          resp.Top,
-		Scores:       resp.Scores,
-		Iterations:   resp.Iterations,
-		Cached:       resp.Cached,
-		EarlyStopped: resp.EarlyStopped,
-		Generation:   resp.Generation,
-		IndexHash:    resp.IndexHash,
-		DurationMS:   resp.DurationMS,
-	}, nil
+	defer resp.Body.Close()
+	if wire.IsVector(resp) {
+		vec, err := wire.DecodeVector(resp.Body, resp.ContentLength)
+		if err != nil {
+			return Partial{}, fmt.Errorf("replica %s: %w", b.name, err)
+		}
+		return partialOf(b.name, server.QueryResponse{
+			Seed:       vec.Seed,
+			Scores:     vec.Scores,
+			Iterations: vec.Iterations,
+			Cached:     vec.Cached,
+			Generation: vec.Generation,
+			IndexHash:  vec.IndexHash,
+			DurationMS: vec.DurationMS,
+		}), nil
+	}
+	var qr server.QueryResponse
+	if err := wire.ReadJSON(resp.Body, &qr); err != nil {
+		return Partial{}, fmt.Errorf("replica %s: %w", b.name, err)
+	}
+	return partialOf(b.name, qr), nil
 }
 
 // Traces implements TraceSource over GET /debug/traces?trace=ID.

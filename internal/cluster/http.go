@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 
 	"bepi/internal/obs"
 	"bepi/internal/server"
+	"bepi/internal/wire"
 )
 
 // Handler is the coordinator's HTTP binding — what `bepi-serve -coordinator`
@@ -58,12 +58,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeErr maps coordinator errors onto HTTP: replica errors keep their
 // status (and Retry-After hint), a generation mix and an empty ring are
 // retryable-soon conditions (503 + Retry-After).
@@ -83,27 +77,24 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 		retryAfter = server.RetryAfterSeconds(status)
 	}
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	wire.WriteError(w, status, retryAfter, err.Error())
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
 		return
 	}
 	seedStr := r.URL.Query().Get("seed")
 	seed, err := strconv.Atoi(seedStr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("seed %q is not an integer", seedStr)})
+		wire.WriteError(w, http.StatusBadRequest, 0, fmt.Sprintf("seed %q is not an integer", seedStr))
 		return
 	}
 	topk := 0
 	if v := r.URL.Query().Get("topk"); v != "" {
 		if topk, err = strconv.Atoi(v); err != nil || topk < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad topk %q", v)})
+			wire.WriteError(w, http.StatusBadRequest, 0, fmt.Sprintf("bad topk %q", v))
 			return
 		}
 	}
@@ -114,7 +105,16 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	wire.WriteQuery(w, r, wire.Vector{
+		Seed:       p.Seed,
+		Iterations: p.Iterations,
+		Cached:     p.Cached,
+		Generation: p.Generation,
+		DurationMS: p.DurationMS,
+		IndexHash:  p.IndexHash,
+		Replica:    p.Replica,
+		Scores:     p.Scores,
+	}, p)
 }
 
 // BatchRequest is the /batch request body.
@@ -145,16 +145,16 @@ type BatchResponse struct {
 
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
 		return
 	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if err := wire.ReadJSON(r.Body, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, 0, "bad JSON: "+err.Error())
 		return
 	}
 	if len(req.Seeds) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "seeds must be non-empty"})
+		wire.WriteError(w, http.StatusBadRequest, 0, "seeds must be non-empty")
 		return
 	}
 	res, err := h.coord.Batch(traceContext(w, r), req.Seeds, req.TopK)
@@ -190,7 +190,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(server.RetryAfterSeconds(status)))
 	}
-	writeJSON(w, status, resp)
+	wire.WriteJSON(w, status, resp)
 }
 
 // PersonalizedResponse is the /personalized payload.
@@ -208,29 +208,25 @@ type PersonalizedResponse struct {
 
 func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
 		return
 	}
 	var req server.PersonalizedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad JSON: " + err.Error()})
+	if err := wire.ReadJSON(r.Body, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, 0, "bad JSON: "+err.Error())
 		return
 	}
-	weights := make(map[int]float64, len(req.Weights))
-	for k, v := range req.Weights {
-		node, err := strconv.Atoi(k)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad node id %q", k)})
-			return
-		}
-		weights[node] = v
+	weights, err := req.NodeWeights()
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, 0, err.Error())
+		return
 	}
 	m, err := h.coord.Personalized(traceContext(w, r), weights, req.TopK)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PersonalizedResponse{
+	wire.WriteJSON(w, http.StatusOK, PersonalizedResponse{
 		Top:        m.Top,
 		Generation: m.Tag.Gen,
 		IndexHash:  m.Tag.Hash,
@@ -263,11 +259,11 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 	case ring.Len() < len(h.coord.names):
 		resp.Status = "degraded"
 	}
-	writeJSON(w, status, resp)
+	wire.WriteJSON(w, status, resp)
 }
 
 func (h *Handler) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.coord.Replicas())
+	wire.WriteJSON(w, http.StatusOK, h.coord.Replicas())
 }
 
 // MetricsResponse is the coordinator's /metrics JSON payload.
@@ -317,7 +313,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := snapshotCtx(r)
 	m.Fleet = fleetMetrics(h.coord.FleetSnapshots(ctx))
 	cancel()
-	writeJSON(w, http.StatusOK, m)
+	wire.WriteJSON(w, http.StatusOK, m)
 }
 
 func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {

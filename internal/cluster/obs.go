@@ -13,6 +13,7 @@ import (
 	"bepi/internal/obs"
 	"bepi/internal/server"
 	"bepi/internal/sparse"
+	"bepi/internal/wire"
 )
 
 // maxDebugItems caps how many traces or events one coordinator debug
@@ -115,7 +116,7 @@ type TraceTreeResponse struct {
 // distributed trace.
 func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
 		return
 	}
 	if r.Context().Err() != nil {
@@ -126,7 +127,7 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 		var err error
 		n, err = strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad n " + strconv.Quote(v)})
+			wire.WriteError(w, http.StatusBadRequest, 0, "bad n "+strconv.Quote(v))
 			return
 		}
 	}
@@ -138,20 +139,20 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 		if roots == nil {
 			roots = []*TraceNode{}
 		}
-		writeJSON(w, http.StatusOK, TraceTreeResponse{TraceID: id, Count: count, Roots: roots})
+		wire.WriteJSON(w, http.StatusOK, TraceTreeResponse{TraceID: id, Count: count, Roots: roots})
 		return
 	}
 	traces := h.coord.Observer().Tracer.Recent(n)
 	if traces == nil {
 		traces = []obs.Trace{}
 	}
-	writeJSON(w, http.StatusOK, server.TraceResponse{Count: len(traces), Traces: traces})
+	wire.WriteJSON(w, http.StatusOK, server.TraceResponse{Count: len(traces), Traces: traces})
 }
 
 // handleEvents serves the coordinator's flight recorder, newest first.
 func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET"})
+		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
 		return
 	}
 	if r.Context().Err() != nil {
@@ -162,7 +163,7 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 		var err error
 		n, err = strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad n " + strconv.Quote(v)})
+			wire.WriteError(w, http.StatusBadRequest, 0, "bad n "+strconv.Quote(v))
 			return
 		}
 	}
@@ -173,7 +174,7 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if events == nil {
 		events = []obs.Event{}
 	}
-	writeJSON(w, http.StatusOK, server.EventResponse{Count: len(events), Events: events})
+	wire.WriteJSON(w, http.StatusOK, server.EventResponse{Count: len(events), Events: events})
 }
 
 // FleetSnapshots fetches the mergeable metrics snapshot from every replica

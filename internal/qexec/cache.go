@@ -27,18 +27,27 @@ type answer struct {
 	early  bool
 }
 
-// lruCache maps key → answer with least-recently-used eviction. Entries
-// are generation-tagged: each answer remembers the engine generation it
-// was solved under, and get only returns entries whose tag matches the
-// caller's current generation, so a cached answer can never cross an
-// engine swap (SwapEngine also purges eagerly; the tag covers the race
-// where a solve that started before the swap populates the cache after
-// it). By default cached answers are handed out shared, so callers treat
-// them as read-only; copyOnHit makes get return a private copy instead
-// (Config.CopyCachedScores).
+// cost is what an answer is charged against the cache's byte budget: its
+// score vector and its ranked list.
+func (a answer) cost() int64 { return 8*int64(len(a.scores)) + 16*int64(len(a.top)) }
+
+// lruCache maps key → answer with least-recently-used eviction under two
+// limits: an entry cap and a byte budget. The budget is what bounds
+// memory — an answer is a 200 B ranking or an 8·n B vector — and is set to
+// the served engine's MemoryBytes, so cached answers never outweigh the
+// index they front. Entries are generation-tagged: each answer remembers
+// the engine generation it was solved under, and get only returns entries
+// whose tag matches the caller's current generation, so a cached answer
+// can never cross an engine swap (SwapEngine also resets eagerly; the tag
+// covers the race where a solve that started before the swap populates
+// the cache after it). By default cached answers are handed out shared,
+// so callers treat them as read-only; copyOnHit makes get return a
+// private copy instead (Config.CopyCachedScores).
 type lruCache struct {
 	mu        sync.Mutex
 	cap       int
+	budget    int64
+	bytes     int64 // sum of cost() over the entries held
 	copyOnHit bool
 	ll        *list.List // front = most recently used
 	items     map[key]*list.Element
@@ -50,13 +59,21 @@ type lruEntry struct {
 	val answer
 }
 
-func newLRUCache(capacity int, copyOnHit bool) *lruCache {
+func newLRUCache(capacity int, budget int64, copyOnHit bool) *lruCache {
 	return &lruCache{
 		cap:       capacity,
+		budget:    budget,
 		copyOnHit: copyOnHit,
 		ll:        list.New(),
 		items:     make(map[key]*list.Element, capacity),
 	}
+}
+
+// remove drops one entry and its charge. Caller holds mu.
+func (c *lruCache) remove(el *list.Element) {
+	ent := c.ll.Remove(el).(*lruEntry)
+	delete(c.items, ent.key)
+	c.bytes -= ent.val.cost()
 }
 
 // get returns the answer cached under k if it was solved under the given
@@ -71,8 +88,7 @@ func (c *lruCache) get(k key, gen uint64) (answer, bool) {
 	}
 	ent := el.Value.(*lruEntry)
 	if ent.gen != gen {
-		c.ll.Remove(el)
-		delete(c.items, k)
+		c.remove(el)
 		return answer{}, false
 	}
 	c.ll.MoveToFront(el)
@@ -84,7 +100,9 @@ func (c *lruCache) get(k key, gen uint64) (answer, bool) {
 
 // put stores an answer solved under the given generation. It never
 // replaces a newer-generation entry with an older one (a pre-swap solve
-// finishing after the swap must not shadow a fresh result).
+// finishing after the swap must not shadow a fresh result). Entries are
+// then evicted from the LRU tail while the cache is over either limit; the
+// entry just stored always stays.
 func (c *lruCache) put(k key, val answer, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -94,29 +112,32 @@ func (c *lruCache) put(k key, val answer, gen uint64) {
 			return
 		}
 		c.ll.MoveToFront(el)
+		c.bytes += val.cost() - ent.val.cost()
 		ent.val, ent.gen = val, gen
-		return
+	} else {
+		c.items[k] = c.ll.PushFront(&lruEntry{key: k, gen: gen, val: val})
+		c.bytes += val.cost()
 	}
-	c.items[k] = c.ll.PushFront(&lruEntry{key: k, gen: gen, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+	for c.ll.Len() > 1 && (c.ll.Len() > c.cap || c.bytes > c.budget) {
+		c.remove(c.ll.Back())
 	}
 }
 
-// purge drops every entry; called on engine swap so stale answers free
-// their memory immediately instead of lingering until LRU eviction.
-func (c *lruCache) purge() {
+// reset drops every entry and takes a new byte budget; called on engine
+// swap so stale answers free their memory immediately instead of lingering
+// until LRU eviction, and the budget follows the engine being served.
+func (c *lruCache) reset(budget int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
 	clear(c.items)
+	c.bytes, c.budget = 0, budget
 }
 
-// len reports the number of cached entries.
-func (c *lruCache) len() int {
+// size reports the number of cached entries and the bytes they are
+// charged.
+func (c *lruCache) size() (entries int, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.ll.Len(), c.bytes
 }

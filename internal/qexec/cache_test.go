@@ -208,7 +208,6 @@ func TestFlightLeaderCancelSparesFollowers(t *testing.T) {
 				stallOnce.Do(func() { close(started) })
 				<-release
 			})
-			defer e.SetIterHook(nil)
 
 			leaderCtx, cancelLeader := context.WithCancel(context.Background())
 			defer cancelLeader()
@@ -244,5 +243,109 @@ func TestFlightLeaderCancelSparesFollowers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCacheByteBudget: the LRU is bounded in bytes as well as entries.
+// Vectors past the budget leave in LRU order while the rankings — a few
+// hundred bytes each, and touched since — stay; and every way an entry can
+// leave or be replaced keeps the byte count exact.
+func TestCacheByteBudget(t *testing.T) {
+	const n = 100
+	vec := func() answer { return answer{scores: make([]float64, n)} }    // 800 B
+	rank := func() answer { return answer{top: make([]core.Ranked, 10)} } // 160 B
+	c := newLRUCache(1024, 4*800+3*160, false)
+	wantSize := func(entries int, bytes int64) {
+		t.Helper()
+		if e, b := c.size(); e != entries || b != bytes {
+			t.Fatalf("cache holds %d entries / %d B, want %d / %d", e, b, entries, bytes)
+		}
+	}
+	for s := 0; s < 3; s++ {
+		c.put(key{s, 10}, rank(), 1)
+	}
+	for s := 0; s < 4; s++ {
+		c.put(key{s, 0}, vec(), 1)
+	}
+	wantSize(7, 4*800+3*160) // exactly at the budget: nothing evicted
+	// Touch the rankings, then push two more vectors: the two oldest vectors
+	// go, in order; the rankings are newer than every vector left.
+	for s := 0; s < 3; s++ {
+		if _, ok := c.get(key{s, 10}, 1); !ok {
+			t.Fatalf("ranking %d missing", s)
+		}
+	}
+	c.put(key{4, 0}, vec(), 1)
+	c.put(key{5, 0}, vec(), 1)
+	wantSize(7, 4*800+3*160)
+	for s := 0; s < 6; s++ {
+		_, ok := c.get(key{s, 0}, 1)
+		if want := s >= 2; ok != want {
+			t.Fatalf("vector %d cached = %v, want %v (LRU order)", s, ok, want)
+		}
+	}
+	for s := 0; s < 3; s++ {
+		if _, ok := c.get(key{s, 10}, 1); !ok {
+			t.Fatalf("ranking %d evicted by vectors", s)
+		}
+	}
+	// Replacing an entry re-charges it: a ranking under a vector's key.
+	c.put(key{5, 0}, rank(), 1)
+	wantSize(7, 3*800+4*160)
+	// A stale-generation entry is dropped on sight, with its charge.
+	if _, ok := c.get(key{4, 0}, 2); ok {
+		t.Fatal("generation-1 entry served to generation 2")
+	}
+	wantSize(6, 2*800+4*160)
+	// An answer larger than the whole budget is still kept — alone.
+	c.put(key{9, 0}, answer{scores: make([]float64, 10*n)}, 1)
+	wantSize(1, 8000)
+	c.put(key{8, 10}, rank(), 1)
+	wantSize(1, 160)
+	c.reset(800)
+	wantSize(0, 0)
+	c.put(key{1, 0}, vec(), 2)
+	c.put(key{2, 0}, vec(), 2)
+	wantSize(1, 800) // the new budget is in force
+	// Draining the cache through stale gets returns the count to zero.
+	if _, ok := c.get(key{2, 0}, 3); ok {
+		t.Fatal("stale entry served")
+	}
+	wantSize(0, 0)
+}
+
+// TestCacheBudgetFollowsEngine: the executor's budget is the served
+// engine's MemoryBytes, re-derived on swap, and the charge is exported.
+func TestCacheBudgetFollowsEngine(t *testing.T) {
+	e1 := freshEngine(t, 8, 6, 5)
+	e2 := freshEngine(t, 7, 6, 5)
+	ex := New(e1, Config{})
+	defer ex.Close()
+	if ex.cache.budget != e1.MemoryBytes() {
+		t.Fatalf("budget %d, want the engine's %d bytes", ex.cache.budget, e1.MemoryBytes())
+	}
+	ctx := context.Background()
+	perVector := int64(8 * e1.N())
+	fit := int(e1.MemoryBytes() / perVector)
+	if fit >= e1.N() {
+		t.Fatalf("test setup: all %d vectors fit the budget (%d)", e1.N(), fit)
+	}
+	for s := 0; s < e1.N(); s++ {
+		if _, err := ex.Query(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := ex.Metrics()
+	if m.CacheEntries != fit || m.CacheBytes != int64(fit)*perVector {
+		t.Fatalf("after %d distinct vectors: %d entries / %d B, want %d / %d",
+			e1.N(), m.CacheEntries, m.CacheBytes, fit, int64(fit)*perVector)
+	}
+	if r, err := ex.Query(ctx, e1.N()-1); err != nil || !r.Cached {
+		t.Fatalf("most recent vector not served from the cache: cached=%v err=%v", r.Cached, err)
+	}
+	ex.SwapEngine(e2)
+	if m := ex.Metrics(); m.CacheEntries != 0 || m.CacheBytes != 0 || ex.cache.budget != e2.MemoryBytes() {
+		t.Fatalf("after swap: %d entries / %d B under budget %d, want 0 / 0 under %d",
+			m.CacheEntries, m.CacheBytes, ex.cache.budget, e2.MemoryBytes())
 	}
 }

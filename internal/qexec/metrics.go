@@ -41,8 +41,8 @@ func (c *counters) observeBatch(size int) {
 // Metrics is a point-in-time snapshot of the executor's counters. All
 // counter fields are cumulative since the executor started — they are
 // never reset, so rates come from subtracting two snapshots (Delta) rather
-// than from a Reset that would race other readers. CacheEntries and Queued
-// are gauges: current occupancy, not cumulative.
+// than from a Reset that would race other readers. CacheEntries, CacheBytes
+// and Queued are gauges: current occupancy, not cumulative.
 type Metrics struct {
 	// CacheHits counts queries answered from the LRU cache with no solve.
 	CacheHits int64
@@ -80,6 +80,9 @@ type Metrics struct {
 	// CacheEntries is the current number of cached answers, score vectors
 	// and certified rankings together (gauge).
 	CacheEntries int
+	// CacheBytes is what those answers are charged against the cache's byte
+	// budget: 8 B per cached score, 16 B per cached ranked entry (gauge).
+	CacheBytes int64
 	// Queued is the current admission-queue occupancy (gauge).
 	Queued int
 	// Generation is the current engine generation (gauge; starts at 1,
@@ -112,7 +115,7 @@ func (e *Executor) Metrics() Metrics {
 		m.BatchSizeHist[i] = e.m.batchHist[i].Load()
 	}
 	if e.cache != nil {
-		m.CacheEntries = e.cache.len()
+		m.CacheEntries, m.CacheBytes = e.cache.size()
 	}
 	return m
 }
@@ -120,7 +123,7 @@ func (e *Executor) Metrics() Metrics {
 // Delta returns the counter movement between two snapshots, m − prev —
 // the Reset-free way to compute steady-state rates (take a snapshot after
 // warmup, another at the end, and call Delta). Gauge fields (CacheEntries,
-// Queued) are carried over from m unchanged.
+// CacheBytes, Queued) are carried over from m unchanged.
 func (m Metrics) Delta(prev Metrics) Metrics {
 	d := Metrics{
 		CacheHits:     m.CacheHits - prev.CacheHits,
@@ -135,6 +138,7 @@ func (m Metrics) Delta(prev Metrics) Metrics {
 		TopKSolves:    m.TopKSolves - prev.TopKSolves,
 		EarlyStops:    m.EarlyStops - prev.EarlyStops,
 		CacheEntries:  m.CacheEntries,
+		CacheBytes:    m.CacheBytes,
 		Queued:        m.Queued,
 		Generation:    m.Generation,
 	}

@@ -77,7 +77,9 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the LRU cache, counting score vectors and
 	// certified top-k rankings alike; default 1024, negative disables
-	// caching.
+	// caching. The cache is also bounded in bytes, by the served engine's
+	// MemoryBytes (about 80 full vectors or ~10⁵ rankings at any graph
+	// size), so it never outweighs the index it fronts.
 	CacheEntries int
 	// Timeout, if positive, is the per-query deadline applied on
 	// submission and enforced inside the iterative solver.
@@ -270,7 +272,7 @@ func New(eng *core.Engine, cfg Config) *Executor {
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
 	if cfg.CacheEntries > 0 {
-		e.cache = newLRUCache(cfg.CacheEntries, cfg.CopyCachedScores)
+		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes(), cfg.CopyCachedScores)
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -325,9 +327,10 @@ func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 // ever see: requests already submitted keep solving against the engine
 // they captured, but their results are tagged with the old generation, so
 // neither the cache nor the singleflight map can serve them to queries
-// that arrive after the swap. The cache is purged eagerly (stale vectors
-// and rankings free immediately) and the generation tag covers the
-// remaining race of a pre-swap solve completing post-swap.
+// that arrive after the swap. The cache is emptied eagerly (stale vectors
+// and rankings free immediately; its byte budget becomes the new engine's
+// size) and the generation tag covers the remaining race of a pre-swap
+// solve completing post-swap.
 //
 // SwapEngine is safe to call concurrently with queries. The new engine
 // inherits the executor's telemetry hooks and, when Config.Parallelism is
@@ -352,7 +355,7 @@ func (e *Executor) SwapEngine(eng *core.Engine) {
 		"generation": strconv.FormatUint(e.eng.Load().gen, 10),
 	})
 	if e.cache != nil {
-		e.cache.purge()
+		e.cache.reset(e.Engine().MemoryBytes())
 	}
 	// Drop the stale flights: post-swap arrivals start fresh solves
 	// instead of waiting on old-generation results. The old leaders still

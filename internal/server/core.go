@@ -141,6 +141,7 @@ func (c *Core) MetricsSnapshot() obs.MetricsSnapshot {
 			"cache_hits":        xm.CacheHits,
 			"topk_cache_hits":   xm.TopKCacheHits,
 			"cache_misses":      xm.CacheMisses,
+			"cache_bytes":       xm.CacheBytes,
 			"coalesced":         xm.Coalesced,
 			"shed":              xm.Shed,
 			"engine_swaps":      xm.EngineSwaps,
@@ -475,6 +476,7 @@ type MetricsResponse struct {
 	TopKCacheHits int64   `json:"topk_cache_hits"` // subset of cache_hits served from a certified (seed, k) ranking
 	CacheMisses   int64   `json:"cache_misses"`
 	CacheEntries  int     `json:"cache_entries"`
+	CacheBytes    int64   `json:"cache_bytes"` // what cache_entries are charged against the byte budget (= index_bytes)
 	Coalesced     int64   `json:"coalesced"`
 	Shed          int64   `json:"shed"`
 	Batches       int64   `json:"batches"`
@@ -587,6 +589,7 @@ func (c *Core) Metrics() MetricsResponse {
 		TopKCacheHits:   xm.TopKCacheHits,
 		CacheMisses:     xm.CacheMisses,
 		CacheEntries:    xm.CacheEntries,
+		CacheBytes:      xm.CacheBytes,
 		Coalesced:       xm.Coalesced,
 		Shed:            xm.Shed,
 		Batches:         xm.Batches,

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"bepi"
+	"bepi/internal/wire"
 )
 
 // Dynamic-update endpoints (available when the server was built with
@@ -99,7 +99,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EdgesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := wire.ReadJSON(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON body: %v", err)
 		return
 	}
@@ -126,7 +126,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, EdgesResponse{
+	wire.WriteJSON(w, http.StatusOK, EdgesResponse{
 		Nodes:      s.core.dyn.N(),
 		Pending:    s.core.dyn.Pending(),
 		Generation: s.core.dyn.Generation(),
@@ -152,7 +152,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		"id":      strconv.FormatUint(st.ID, 10),
 		"applied": strconv.Itoa(st.Applied),
 	})
-	writeJSON(w, http.StatusAccepted, rebuildJSON(st))
+	wire.WriteJSON(w, http.StatusAccepted, rebuildJSON(st))
 }
 
 func (s *Server) handleFlushStatus(w http.ResponseWriter, r *http.Request) {
@@ -174,5 +174,5 @@ func (s *Server) handleFlushStatus(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "unknown rebuild id %d (history is bounded)", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, rebuildJSON(st))
+	wire.WriteJSON(w, http.StatusOK, rebuildJSON(st))
 }

@@ -9,6 +9,7 @@ import (
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
 	"bepi/internal/sparse"
+	"bepi/internal/wire"
 )
 
 // wantsProm reports whether the /metrics request asked for the Prometheus
@@ -59,6 +60,7 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 	p.Counter("bepi_coalesced_total", "Queries that rode an identical in-flight solve.", float64(xm.Coalesced))
 	p.Counter("bepi_shed_total", "Requests shed by admission control.", float64(xm.Shed))
 	p.Gauge("bepi_cache_entries", "Cached answers: score vectors and certified top-k rankings.", float64(xm.CacheEntries))
+	p.Gauge("bepi_cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", float64(xm.CacheBytes))
 	p.Gauge("bepi_queue_depth", "Requests waiting in the admission queue.", float64(xm.Queued))
 	p.CounterHist("bepi_batch_size", "Queries coalesced per multi-RHS engine solve.",
 		qexec.BatchBuckets(), xm.BatchSizeHist[:], float64(xm.Executed))
@@ -212,7 +214,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []obs.Trace{} // tracing disabled: an empty list, not null
 	}
-	writeJSON(w, http.StatusOK, TraceResponse{Count: len(traces), Traces: traces})
+	wire.WriteJSON(w, http.StatusOK, TraceResponse{Count: len(traces), Traces: traces})
 }
 
 // EventResponse is the /debug/events payload.
@@ -240,7 +242,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if events == nil {
 		events = []obs.Event{}
 	}
-	writeJSON(w, http.StatusOK, EventResponse{Count: len(events), Events: events})
+	wire.WriteJSON(w, http.StatusOK, EventResponse{Count: len(events), Events: events})
 }
 
 // handleMetricsSnapshot serves this process's mergeable metrics export — the
@@ -251,7 +253,7 @@ func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.core.MetricsSnapshot())
+	wire.WriteJSON(w, http.StatusOK, s.core.MetricsSnapshot())
 }
 
 // LatencySummary is the JSON quantile summary of one latency histogram.

@@ -39,7 +39,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -48,6 +47,7 @@ import (
 	"bepi"
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
+	"bepi/internal/wire"
 )
 
 // Server is the http.Handler binding over a serving Core.
@@ -116,7 +116,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handleMetricsProm(w, r)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.core.Metrics())
+	wire.WriteJSON(w, http.StatusOK, s.core.Metrics())
 }
 
 // ServeHTTP implements http.Handler.
@@ -124,19 +124,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
+// writeError fails a request. Admission-control rejections carry a
+// Retry-After hint so clients (the cluster coordinator in particular) back
+// off instead of hot-retrying.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	// Admission-control rejections carry a Retry-After hint so clients (the
-	// cluster coordinator in particular) back off instead of hot-retrying.
-	if ra := RetryAfterSeconds(status); ra > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(ra))
-	}
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	wire.WriteError(w, status, RetryAfterSeconds(status), fmt.Sprintf(format, args...))
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -164,7 +156,7 @@ func (s *Server) failCore(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.core.Health())
+	wire.WriteJSON(w, http.StatusOK, s.core.Health())
 }
 
 // StatsResponse is the /stats payload.
@@ -187,7 +179,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.core.Stats())
+	wire.WriteJSON(w, http.StatusOK, s.core.Stats())
 }
 
 // RankedEntry is one row of a ranking response.
@@ -281,7 +273,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.failCore(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// A full score vector goes out as bytes to a client that asked for them
+	// (the coordinator's HTTPBackend does); everything else is JSON.
+	wire.WriteQuery(w, r, wire.Vector{
+		Seed:       resp.Seed,
+		Iterations: resp.Iterations,
+		Cached:     resp.Cached,
+		Generation: resp.Generation,
+		DurationMS: resp.DurationMS,
+		IndexHash:  resp.IndexHash,
+		Scores:     resp.Scores,
+	}, resp)
 }
 
 // traceContext resolves the request's tracing context. A propagated
@@ -310,24 +312,33 @@ type PersonalizedRequest struct {
 	TopK    int                `json:"topk"`
 }
 
+// NodeWeights parses the string-keyed Weights into node id → weight.
+func (r PersonalizedRequest) NodeWeights() (map[int]float64, error) {
+	weights := make(map[int]float64, len(r.Weights))
+	for k, v := range r.Weights {
+		node, err := strconv.Atoi(k)
+		if err != nil {
+			return nil, fmt.Errorf("bad node id %q", k)
+		}
+		weights[node] = v
+	}
+	return weights, nil
+}
+
 func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req PersonalizedRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := wire.ReadJSON(r.Body, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	weights := make(map[int]float64, len(req.Weights))
-	for k, v := range req.Weights {
-		node, err := strconv.Atoi(k)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad node id %q", k)
-			return
-		}
-		weights[node] = v
+	weights, err := req.NodeWeights()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	ctx, traceID := traceContext(r)
 	if traceID != "" {
@@ -338,5 +349,5 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		s.failCore(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

@@ -184,16 +184,22 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 	}
 
 	scratch := ar.take()
-	for stats.Iterations < opts.MaxIter {
+	for first := true; stats.Iterations < opts.MaxIter; first = false {
 		if err := opts.ctxErr(); err != nil {
 			return x, stats, fmt.Errorf("solver: aborted after %d iterations: %w", stats.Iterations, err)
 		}
-		// Residual of the current iterate in the preconditioned norm.
-		a.MulVec(scratch, x)
-		vec.Sub(scratch, b, scratch) // b − A·x
-		z := ar.take()
-		opts.Precond.Apply(z, scratch)
-		beta := vec.Norm2(z)
+		// Residual of the current iterate in the preconditioned norm. On
+		// the first cycle x = 0, so it is M⁻¹b — t, already computed — and
+		// the operator product and the second preconditioner sweep that
+		// would reproduce it are skipped; restart cycles compute it.
+		z, beta := t, normT
+		if !first {
+			a.MulVec(scratch, x)
+			vec.Sub(scratch, b, scratch) // b − A·x
+			z = ar.take()
+			opts.Precond.Apply(z, scratch)
+			beta = vec.Norm2(z)
+		}
 		stats.Residual = beta / normT
 		if stats.Residual <= opts.Tol {
 			stats.Converged = true
