@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -59,12 +59,15 @@ race:
 # fallback) racing concurrent queries, and qexec's keyed cache and
 # singleflight (hot-set storm solved once per key, leader cancellation),
 # and the wire codec (pooled chunk buffers, negotiation on both handlers,
-# corrupt binary bodies retried on the ring successor).
+# corrupt binary bodies retried on the ring successor), and the index write
+# path (SlashBurn over the counting-pass adjacency, the direct H assembly,
+# save/load round trips sharing the index codec's chunk pool).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight|Wire|Vector|Negotiat' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
-		./internal/solver/ ./internal/wire/
+		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
+		./internal/binio/
 
 # The CI gate: everything must build, lint clean (gofmt and vet always;
 # staticcheck/govulncheck when installed), and pass under the race
@@ -96,6 +99,13 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSchurOperator -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkILUApplyLevels -benchtime=100x -benchmem ./internal/lu/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
+
+# Smoke-run the index write path — preprocessing, and a Save + Load round
+# trip — with allocation counts, so CI shows a return to per-word index I/O
+# or append-grown arrays as a jump in B/op and allocs/op next to the time.
+# (The exact gate on those is TestPreprocessingAllocBudget in `make test`.)
+bench-prep:
+	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad' -benchtime=3x -benchmem .
 
 # Smoke-run the latency-hiding SpMV benchmarks: the RHS-interleaved batch
 # kernel against its frozen row-outer baseline across widths/layouts/worker

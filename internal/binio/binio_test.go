@@ -1,0 +1,198 @@
+package binio
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+)
+
+// onlyReader hides every method but Read, as a pipe or a network body
+// would: the Reader cannot learn how much input is left.
+type onlyReader struct{ r io.Reader }
+
+func (o onlyReader) Read(b []byte) (int, error) { return o.r.Read(b) }
+
+func encode(t testing.TB, ints []int, floats []float64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U32(0xfeedface)
+	w.Int(len(ints))
+	w.F64(math.Pi)
+	WriteInts(w, ints)
+	WriteFloats(w, floats)
+	n, err := w.Close()
+	if err != nil || n != int64(buf.Len()) {
+		t.Fatalf("Close = %d, %v; wrote %d", n, err, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// TestRoundTrip crosses several chunk boundaries in both directions, from a
+// source that reports its length and from one that does not, and checks
+// that negative ints, NaN payloads and signed zeros survive.
+func TestRoundTrip(t *testing.T) {
+	ints := make([]int, 3*chunkBytes/8+5)
+	floats := make([]float64, 2*chunkBytes/8+1)
+	for i := range ints {
+		ints[i] = i*7919 - 1<<40
+	}
+	for i := range floats {
+		floats[i] = float64(i) / 3
+	}
+	floats[0], floats[1] = math.Copysign(0, -1), math.Float64frombits(0x7ff8000000abcdef)
+	raw := encode(t, ints, floats)
+	if want := 4 + 16 + 8*(len(ints)+len(floats)); len(raw) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(raw), want)
+	}
+	for name, src := range map[string]io.Reader{"sized": bytes.NewReader(raw), "stream": onlyReader{bytes.NewReader(raw)}} {
+		r := NewReader(src)
+		var head [20]byte
+		if err := r.Full(head[:]); err != nil {
+			t.Fatal(err)
+		}
+		gotI, err := r.Ints(len(ints))
+		if err != nil || !reflect.DeepEqual(gotI, ints) {
+			t.Fatalf("%s: ints differ (err %v)", name, err)
+		}
+		gotF, err := r.Floats(len(floats))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range floats {
+			if math.Float64bits(gotF[i]) != math.Float64bits(floats[i]) {
+				t.Fatalf("%s: float %d = %x, want %x", name, i, math.Float64bits(gotF[i]), math.Float64bits(floats[i]))
+			}
+		}
+		if name == "sized" && (cap(gotI) != len(gotI) || cap(gotF) != len(gotF) || r.left != 0) {
+			t.Fatalf("sized source: cap %d/%d cap %d/%d left %d", cap(gotI), len(gotI), cap(gotF), len(gotF), r.left)
+		}
+		if _, err := r.Ints(1); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: reading past the end: %v", name, err)
+		}
+	}
+}
+
+// TestNarrowTypesWriteWideWords: every index width produces the bytes of
+// the widened slice.
+func TestNarrowTypesWriteWideWords(t *testing.T) {
+	want := encode(t, []int{0, 5, 1 << 31, -1}, []float64{1.5, -2})
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U32(0xfeedface)
+	w.Int(4)
+	w.F64(math.Pi)
+	WriteInts(w, []uint32{0, 5})
+	WriteInts(w, []int64{1 << 31})
+	WriteInts(w, []int32{-1})
+	WriteFloats(w, []float32{1.5, -2})
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("narrow slices encode differently from their widened values")
+	}
+}
+
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(b []byte) (int, error) {
+	if f.n -= len(b); f.n < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(b), nil
+}
+
+// TestWriterErrorSticks: the first failed write is what Close reports, and
+// later writes are not attempted.
+func TestWriterErrorSticks(t *testing.T) {
+	sink := &failAfter{n: chunkBytes}
+	w := NewWriter(sink)
+	WriteInts(w, make([]int, 4*chunkBytes/8))
+	n, err := w.Close()
+	if err == nil || err.Error() != "disk full" || n != chunkBytes {
+		t.Fatalf("Close = %d, %v", n, err)
+	}
+	if sink.n > -chunkBytes || sink.n < -2*chunkBytes {
+		t.Fatalf("writer kept writing after the error (sink at %d)", sink.n)
+	}
+}
+
+// TestUnbackedLengthRefusedOrBounded: a declared length the input cannot
+// back is refused outright when the source reports its size, and otherwise
+// fails at the end of the stream having grown no further than the input.
+func TestUnbackedLengthRefusedOrBounded(t *testing.T) {
+	raw := make([]byte, 8*1000)
+	if _, err := NewReader(bytes.NewReader(raw)).Ints(1 << 50); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("sized source: %v", err)
+	}
+	if _, err := NewReader(bytes.NewReader(raw)).Floats(-1); err == nil {
+		t.Fatal("negative length accepted")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewReader(onlyReader{bytes.NewReader(raw)}).Ints(1 << 50); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream source: %v", err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("an unbacked length on a stream took %.0f allocations", allocs)
+	}
+}
+
+// TestNestedReadersShareTheCount: a decoder handed a *Reader keeps using
+// it, so the remaining-bytes count stays right across nested formats, also
+// for a seekable source positioned mid-file.
+func TestNestedReadersShareTheCount(t *testing.T) {
+	r := NewReader(bytes.NewReader(make([]byte, 64)))
+	if NewReader(r) != r {
+		t.Fatal("NewReader wrapped a *Reader again")
+	}
+	if _, err := NewReader(r).Ints(3); err != nil || r.left != 40 {
+		t.Fatalf("left = %d after 24 of 64 bytes (err %v)", r.left, err)
+	}
+	type seeker struct{ io.ReadSeeker } // hides Len, keeps Seek, as *os.File
+	s := seeker{bytes.NewReader(make([]byte, 64))}
+	if _, err := s.Seek(16, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if sr := NewReader(s); sr.left != 48 {
+		t.Fatalf("seekable source at offset 16 of 64: left = %d", sr.left)
+	} else if v, err := sr.Ints(6); err != nil || len(v) != 6 {
+		t.Fatalf("reading after the size probe: %v", err)
+	}
+}
+
+// TestPoolSharedAcrossGoroutines: writers and readers on many goroutines
+// share the chunk pool without mixing their bytes.
+func TestPoolSharedAcrossGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ints := make([]int, chunkBytes/8+g)
+			for i := range ints {
+				ints[i] = g<<32 | i
+			}
+			for rep := 0; rep < 20; rep++ {
+				var buf bytes.Buffer
+				w := NewWriter(&buf)
+				WriteInts(w, ints)
+				if _, err := w.Close(); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := NewReader(&buf).Ints(len(ints))
+				if err != nil || !reflect.DeepEqual(got, ints) {
+					t.Errorf("goroutine %d: round trip differs (err %v)", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -502,16 +502,15 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 
 	// 2. Build the reordered H = I − (1−c)Ãᵀ and partition it.
 	t0 := time.Now()
-	h := BuildH(g, e.ord.Perm, opts.C)
 	n1, n2 := e.ord.N1, e.ord.N2
 	l := n1 + n2
-	h11 := h.Block(0, n1, 0, n1)
-	h12 := h.Block(0, n1, n1, l)
-	h21 := h.Block(n1, l, 0, n1)
-	h22 := h.Block(n1, l, n1, l)
+	// The deadend columns (≥ l) hold only the diagonal and belong to no
+	// stored block.
+	blocks := BuildH(g, e.ord.Perm, opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
+	h11, h12 := blocks[0][0], blocks[0][1]
+	h21, h22 := blocks[1][0], blocks[1][1]
 	e.h12, e.h21 = h12, h21
-	e.h31 = h.Block(l, e.n, 0, n1)
-	e.h32 = h.Block(l, e.n, n1, l)
+	e.h31, e.h32 = blocks[2][0], blocks[2][1]
 	if opts.ImplicitSchur {
 		e.h22 = h22
 	} else {
@@ -574,34 +573,60 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 }
 
 // BuildH constructs the reordered system matrix H = P(I − (1−c)Ãᵀ)Pᵀ
-// directly from the graph in O(m): entry (perm[v], perm[u]) receives
-// −(1−c)/outdeg(u) for every edge (u, v), and the diagonal is 1.
+// directly from the graph in O(n + m): entry (perm[v], perm[u]) receives
+// −(1−c)/outdeg(u) for every edge (u, v), and the diagonal is 1 (a
+// self-loop's weight is added to it). Rows are counted, then filled while
+// the source nodes u are walked in increasing perm[u]: every row receives
+// its columns in increasing order, so the CSR is born sorted and
+// duplicate-free with no triplet list and no per-row sort.
 func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 	n := g.N()
-	coo := sparse.NewCOO(n, n)
-	coo.Reserve(g.M() + n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, 1)
+	inv := make([]int, n) // new id -> old id
+	for u := range inv {
+		if perm == nil {
+			inv[u] = u
+		} else {
+			inv[perm[u]] = u
+		}
 	}
+	if perm == nil {
+		perm = inv // the identity is its own inverse
+	}
+	rowPtr := make([]int, n+1)
 	for u := 0; u < n; u++ {
-		deg := g.OutDegree(u)
-		if deg == 0 {
+		rowPtr[perm[u]+1]++ // the diagonal
+		for _, v := range g.OutNeighbors(u) {
+			if v != u {
+				rowPtr[perm[v]+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	col := make([]int, rowPtr[n])
+	val := make([]float64, rowPtr[n])
+	next := make([]int, n)
+	copy(next, rowPtr[:n])
+	for j, u := range inv {
+		diag := next[j]
+		next[j]++
+		col[diag], val[diag] = j, 1
+		if g.OutDegree(u) == 0 {
 			continue
 		}
-		w := -(1 - c) / float64(deg)
-		pu := u
-		if perm != nil {
-			pu = perm[u]
-		}
+		w := -(1 - c) / float64(g.OutDegree(u))
 		for _, v := range g.OutNeighbors(u) {
-			pv := v
-			if perm != nil {
-				pv = perm[v]
+			if v == u {
+				val[diag] += w
+				continue
 			}
-			coo.Add(pv, pu, w)
+			p := next[perm[v]]
+			next[perm[v]]++
+			col[p], val[p] = j, w
 		}
 	}
-	return coo.ToCSR()
+	return sparse.NewCSR(n, n, rowPtr, col, val)
 }
 
 // SchurComplement computes S = H22 − H21·H11⁻¹·H12 column by column,

@@ -29,6 +29,10 @@ func FuzzReadEngine(f *testing.F) {
 	corrupted2 := append([]byte(nil), valid...)
 	corrupted2[len(corrupted2)-9] ^= 0x7F
 	f.Add(corrupted2)
+	_, corrupt := corruptIndexes(f)
+	for _, raw := range corrupt {
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := ReadEngine(bytes.NewReader(data))

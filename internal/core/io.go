@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"math"
 	"time"
 
+	"bepi/internal/binio"
 	"bepi/internal/lu"
 	"bepi/internal/reorder"
 	"bepi/internal/sparse"
@@ -42,149 +42,63 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	if e.wood != nil {
 		return 0, errors.New("core: cannot serialize a Woodbury-corrected engine; run a full rebuild first")
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		k, err := bw.Write(buf[:])
-		n += int64(k)
-		return err
+	bw := binio.NewWriter(w)
+	bw.U32(indexMagic)
+	bw.F64(e.opts.C)
+	bw.F64(e.opts.Tol)
+	bw.Int(int(e.opts.Variant))
+	bw.Int(e.opts.MaxIter)
+	bw.Int(e.opts.GMRESRestart)
+	bw.F64(e.opts.HubRatio)
+	bw.Int(int(e.opts.Solver))
+	for _, v := range []int{e.n, e.ord.N1, e.ord.N2, e.ord.N3, len(e.ord.Blocks)} {
+		bw.Int(v)
 	}
-	writeI := func(v int) error { return writeU64(uint64(v)) }
-	writeF := func(v float64) error { return writeU64(math.Float64bits(v)) }
-
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], indexMagic)
-	k, err := bw.Write(magic[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	for _, step := range []func() error{
-		func() error { return writeF(e.opts.C) },
-		func() error { return writeF(e.opts.Tol) },
-		func() error { return writeI(int(e.opts.Variant)) },
-		func() error { return writeI(e.opts.MaxIter) },
-		func() error { return writeI(e.opts.GMRESRestart) },
-		func() error { return writeF(e.opts.HubRatio) },
-		func() error { return writeI(int(e.opts.Solver)) },
-		func() error { return writeI(e.n) },
-		func() error { return writeI(e.ord.N1) },
-		func() error { return writeI(e.ord.N2) },
-		func() error { return writeI(e.ord.N3) },
-		func() error { return writeI(len(e.ord.Blocks)) },
-	} {
-		if err := step(); err != nil {
-			return n, err
-		}
-	}
-	for _, p := range e.ord.Perm {
-		if err := writeI(p); err != nil {
-			return n, err
-		}
-	}
-	for _, b := range e.ord.Blocks {
-		if err := writeI(b); err != nil {
-			return n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	// Matrices are serialized in the wide layout regardless of the in-memory
-	// one, so the on-disk format is independent of Options.Compact.
-	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur} {
-		k, err := asCSR(m).WriteTo(w)
-		n += k
+	binio.WriteInts(bw, e.ord.Perm)
+	binio.WriteInts(bw, e.ord.Blocks)
+	n, err := bw.Close()
+	// Every matrix writes the wide layout whatever its in-memory one, so the
+	// on-disk format is independent of Options.Compact.
+	for _, part := range []io.WriterTo{e.h12, e.h21, e.h31, e.h32, e.schur, e.h11LU} {
 		if err != nil {
 			return n, err
 		}
+		var k int64
+		k, err = part.WriteTo(w)
+		n += k
 	}
-	k2, err := e.h11LU.WriteTo(w)
-	n += k2
 	return n, err
 }
 
 // ReadEngine deserializes an engine written by WriteTo, recomputing the ILU
-// preconditioner if the stored variant requires one.
+// preconditioner if the stored variant requires one. Arrays and shapes that
+// disagree with the header are rejected here, not discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading index magic: %w", err)
+	br := binio.NewReader(r)
+	var head [4 + 12*8]byte
+	if err := br.Full(head[:]); err != nil {
+		return nil, fmt.Errorf("core: reading index header: %w", err)
 	}
-	if binary.LittleEndian.Uint32(magic[:]) != indexMagic {
-		return nil, fmt.Errorf("core: bad index magic %#x", binary.LittleEndian.Uint32(magic[:]))
+	if magic := binary.LittleEndian.Uint32(head[:]); magic != indexMagic {
+		return nil, fmt.Errorf("core: bad index magic %#x", magic)
 	}
-	readU64 := func() (uint64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(buf[:]), nil
-	}
-	readI := func() (int, error) {
-		v, err := readU64()
-		return int(v), err
-	}
-	readF := func() (float64, error) {
-		v, err := readU64()
-		return math.Float64frombits(v), err
-	}
-
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(head[4+8*i:]) }
 	e := &Engine{}
-	var variant, nblocks int
-	var err error
-	if e.opts.C, err = readF(); err != nil {
-		return nil, fmt.Errorf("core: reading options: %w", err)
-	}
-	if e.opts.Tol, err = readF(); err != nil {
-		return nil, err
-	}
-	if variant, err = readI(); err != nil {
-		return nil, err
-	}
-	e.opts.Variant = Variant(variant)
-	if e.opts.MaxIter, err = readI(); err != nil {
-		return nil, err
-	}
-	if e.opts.GMRESRestart, err = readI(); err != nil {
-		return nil, err
-	}
-	if e.opts.HubRatio, err = readF(); err != nil {
-		return nil, err
-	}
-	var slv int
-	if slv, err = readI(); err != nil {
-		return nil, err
-	}
-	e.opts.Solver = SchurSolver(slv)
-	if e.n, err = readI(); err != nil {
-		return nil, err
-	}
-	ord := &reorder.Ordering{}
-	if ord.N1, err = readI(); err != nil {
-		return nil, err
-	}
-	if ord.N2, err = readI(); err != nil {
-		return nil, err
-	}
-	if ord.N3, err = readI(); err != nil {
-		return nil, err
-	}
-	if nblocks, err = readI(); err != nil {
-		return nil, err
-	}
+	e.opts.C, e.opts.Tol = math.Float64frombits(word(0)), math.Float64frombits(word(1))
+	e.opts.Variant = Variant(word(2))
+	e.opts.MaxIter, e.opts.GMRESRestart = int(word(3)), int(word(4))
+	e.opts.HubRatio = math.Float64frombits(word(5))
+	e.opts.Solver = SchurSolver(word(6))
+	e.n = int(word(7))
+	ord := &reorder.Ordering{N1: int(word(8)), N2: int(word(9)), N3: int(word(10))}
+	nblocks := int(word(11))
 	if e.n < 0 || nblocks < 0 || ord.N1+ord.N2+ord.N3 != e.n {
 		return nil, fmt.Errorf("core: corrupt index header (n=%d partition=%d+%d+%d)",
 			e.n, ord.N1, ord.N2, ord.N3)
 	}
-	ord.Perm = make([]int, e.n)
-	for i := range ord.Perm {
-		if ord.Perm[i], err = readI(); err != nil {
-			return nil, fmt.Errorf("core: reading permutation: %w", err)
-		}
+	var err error
+	if ord.Perm, err = br.Ints(e.n); err != nil {
+		return nil, fmt.Errorf("core: reading permutation: %w", err)
 	}
 	ord.Inv = make([]int, e.n)
 	for old, nw := range ord.Perm {
@@ -193,28 +107,32 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		}
 		ord.Inv[nw] = old
 	}
-	ord.Blocks = make([]int, nblocks)
-	for i := range ord.Blocks {
-		if ord.Blocks[i], err = readI(); err != nil {
-			return nil, fmt.Errorf("core: reading blocks: %w", err)
-		}
+	if ord.Blocks, err = br.Ints(nblocks); err != nil {
+		return nil, fmt.Errorf("core: reading blocks: %w", err)
 	}
 	if err := ord.Validate(); err != nil {
 		return nil, fmt.Errorf("core: stored ordering invalid: %w", err)
 	}
 	e.ord = ord
 
-	mats := make([]*sparse.CSR, 5)
-	for i := range mats {
+	n1, n2, n3 := ord.N1, ord.N2, ord.N3
+	var mats [5]*sparse.CSR
+	for i, shape := range [5][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}, {n2, n2}} {
 		m, err := sparse.ReadCSR(br)
 		if err != nil {
 			return nil, fmt.Errorf("core: reading matrix %d: %w", i, err)
+		}
+		if m.Rows() != shape[0] || m.Cols() != shape[1] {
+			return nil, fmt.Errorf("core: matrix %d is %v, the partition wants %dx%d", i, m, shape[0], shape[1])
 		}
 		mats[i] = m
 	}
 	e.h12, e.h21, e.h31, e.h32, e.schur = mats[0], mats[1], mats[2], mats[3], mats[4]
 	if e.h11LU, err = lu.ReadBlockLU(br); err != nil {
 		return nil, err
+	}
+	if e.h11LU.N() != n1 {
+		return nil, fmt.Errorf("core: H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), n1)
 	}
 	if e.opts.Variant == VariantFull {
 		t0 := time.Now()

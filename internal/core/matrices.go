@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+
 	"bepi/internal/par"
 	"bepi/internal/sparse"
 )
@@ -10,8 +12,9 @@ import (
 // the bandwidth-lean sparse.CSR32 satisfy it with bit-identical float64
 // kernels, so the engine can hold either layout behind one field type and
 // switch between them (Options.Compact, SetCompact) without touching the
-// query algorithms.
+// query algorithms. Both serialize to the same (wide) bytes.
 type mat interface {
+	io.WriterTo
 	Rows() int
 	Cols() int
 	NNZ() int
@@ -23,9 +26,8 @@ type mat interface {
 }
 
 // asCSR returns the wide view of a stored matrix: the matrix itself when
-// already wide, a widened copy when compact. Serialization and the
-// read-only accessors use it so the on-disk format and the exported API
-// stay layout-independent.
+// already wide, a widened copy when compact. The read-only accessors use it
+// so the exported API stays layout-independent.
 func asCSR(m mat) *sparse.CSR {
 	switch v := m.(type) {
 	case *sparse.CSR:

@@ -147,72 +147,121 @@ func (g *Graph) Adjacency() *sparse.CSR {
 // id of every node plus the component sizes. Component ids are assigned in
 // discovery (BFS from node 0 upward) order.
 func (g *Graph) UndirectedComponents() (compOf []int, sizes []int) {
-	und := g.undirectedAdj()
+	und := g.Undirected(nil)
 	compOf = make([]int, g.n)
 	for i := range compOf {
 		compOf[i] = -1
 	}
-	var queue []int
+	queue := make([]int, 0, g.n)
 	for s := 0; s < g.n; s++ {
 		if compOf[s] >= 0 {
 			continue
 		}
 		id := len(sizes)
-		size := 0
 		queue = append(queue[:0], s)
 		compOf[s] = id
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			size++
-			for _, v := range und.neighbors(u) {
+		for head := 0; head < len(queue); head++ {
+			for _, v := range und.Neighbors(queue[head]) {
 				if compOf[v] < 0 {
 					compOf[v] = id
 					queue = append(queue, v)
 				}
 			}
 		}
-		sizes = append(sizes, size)
+		sizes = append(sizes, len(queue))
 	}
 	return compOf, sizes
 }
 
-// undirected is a symmetric adjacency built once for BFS traversals.
-type undirected struct {
-	ptr []int
-	adj []int
+// Undirected is the symmetric view of a directed graph, or of the subgraph
+// induced by a node subset, as CSR adjacency over local ids (a node's
+// position in the subset): each neighbor list is sorted, holds a neighbor
+// once however many directed edges join the pair, and omits self-loops.
+type Undirected struct {
+	ptr []int // len n+1
+	adj []int // concatenated neighbor lists
 }
 
-func (u *undirected) neighbors(v int) []int { return u.adj[u.ptr[v]:u.ptr[v+1]] }
+// Neighbors returns the sorted neighbor list of local node v (shared
+// storage; do not mutate).
+func (u *Undirected) Neighbors(v int) []int { return u.adj[u.ptr[v]:u.ptr[v+1]] }
 
-func (g *Graph) undirectedAdj() *undirected {
-	deg := make([]int, g.n)
-	for u := 0; u < g.n; u++ {
+// Degree returns the number of distinct neighbors of local node v.
+func (u *Undirected) Degree(v int) int { return u.ptr[v+1] - u.ptr[v] }
+
+// Undirected builds the symmetric view of the subgraph induced by nodes,
+// which must be strictly increasing; nil means every node. It is two
+// counting passes over the out-adjacency and one merge, O(n + m) with no
+// comparison sort: the induced in-lists are bucketed by head while tails
+// are walked in increasing order, so they are born sorted like the
+// out-lists, and merging the two sorted lists of a node puts duplicates
+// (u→v next to v→u) side by side.
+func (g *Graph) Undirected(nodes []int) *Undirected {
+	if nodes == nil {
+		nodes = make([]int, g.n)
+		for i := range nodes {
+			nodes[i] = i
+		}
+	}
+	nn := len(nodes)
+	local := make([]int, g.n) // original id -> local id, -1 outside the subset
+	for i := range local {
+		local[i] = -1
+	}
+	for i, u := range nodes {
+		if i > 0 && u <= nodes[i-1] {
+			panic(fmt.Sprintf("graph: Undirected nodes not strictly increasing at %d", i))
+		}
+		local[u] = i
+	}
+	// Pass 1: count each local node's induced in-edges (self-loops dropped).
+	inPtr := make([]int, nn+1)
+	for i, u := range nodes {
 		for _, v := range g.OutNeighbors(u) {
-			deg[u]++
-			if v != u {
-				deg[v]++
+			if lv := local[v]; lv >= 0 && lv != i {
+				inPtr[lv+1]++
 			}
 		}
 	}
-	ptr := make([]int, g.n+1)
-	for i := 0; i < g.n; i++ {
-		ptr[i+1] = ptr[i] + deg[i]
+	for i := 0; i < nn; i++ {
+		inPtr[i+1] += inPtr[i]
 	}
-	adj := make([]int, ptr[g.n])
-	next := make([]int, g.n)
-	copy(next, ptr[:g.n])
-	for u := 0; u < g.n; u++ {
+	// Pass 2: scatter tails into their heads' buckets, tails ascending.
+	in := make([]int, inPtr[nn])
+	next := make([]int, nn)
+	copy(next, inPtr[:nn])
+	for i, u := range nodes {
 		for _, v := range g.OutNeighbors(u) {
-			adj[next[u]] = v
-			next[u]++
-			if v != u {
-				adj[next[v]] = u
-				next[v]++
+			if lv := local[v]; lv >= 0 && lv != i {
+				in[next[lv]] = i
+				next[lv]++
 			}
 		}
 	}
-	return &undirected{ptr: ptr, adj: adj}
+	// Merge each node's out- and in-list. Both hold at most the induced
+	// edges, so 2·|in| bounds the result; reciprocal pairs leave it short.
+	ptr := make([]int, nn+1)
+	adj := make([]int, 0, 2*len(in))
+	for i, u := range nodes {
+		ins := in[inPtr[i]:inPtr[i+1]]
+		for _, v := range g.OutNeighbors(u) {
+			lv := local[v]
+			if lv < 0 || lv == i {
+				continue
+			}
+			for len(ins) > 0 && ins[0] < lv {
+				adj = append(adj, ins[0])
+				ins = ins[1:]
+			}
+			if len(ins) > 0 && ins[0] == lv {
+				ins = ins[1:]
+			}
+			adj = append(adj, lv)
+		}
+		adj = append(adj, ins...)
+		ptr[i+1] = len(adj)
+	}
+	return &Undirected{ptr: ptr, adj: adj}
 }
 
 // EdgePrefix returns the subgraph induced by the first m edges in (src, dst)

@@ -1,12 +1,11 @@
 package lu
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"bepi/internal/binio"
 	"bepi/internal/dense"
 )
 
@@ -22,46 +21,23 @@ const blockLUMagic = 0x424c5531
 
 // WriteTo serializes the factors. It implements io.WriterTo.
 func (b *BlockLU) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		k, err := bw.Write(buf[:])
-		n += int64(k)
-		return err
-	}
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], blockLUMagic)
-	k, err := bw.Write(magic[:])
-	n += int64(k)
-	if err != nil {
-		return n, err
-	}
-	if err := writeU64(uint64(len(b.factors))); err != nil {
-		return n, err
-	}
-	for _, off := range b.offsets {
-		if err := writeU64(uint64(off)); err != nil {
-			return n, err
-		}
-	}
+	bw := binio.NewWriter(w)
+	bw.U32(blockLUMagic)
+	bw.Int(len(b.factors))
+	binio.WriteInts(bw, b.offsets)
 	for _, f := range b.factors {
-		for _, v := range f.Data {
-			if err := writeU64(math.Float64bits(v)); err != nil {
-				return n, err
-			}
-		}
+		binio.WriteFloats(bw, f.Data)
 	}
-	return n, bw.Flush()
+	return bw.Close()
 }
 
 // ReadBlockLU deserializes factors written by WriteTo. It reads exactly the
 // bytes the factors occupy (no read-ahead), so the data can be embedded in a
-// concatenated stream.
+// concatenated stream. The blocks share one backing array, read in one run.
 func ReadBlockLU(r io.Reader) (*BlockLU, error) {
+	br := binio.NewReader(r)
 	var head [4 + 8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	if err := br.Full(head[:]); err != nil {
 		return nil, fmt.Errorf("lu: reading BlockLU header: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(head[0:]); magic != blockLUMagic {
@@ -71,49 +47,38 @@ func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	if nb < 0 {
 		return nil, fmt.Errorf("lu: corrupt block count %d", nb)
 	}
-	// Chunked reads keep corrupt headers (claiming absurd sizes) from
-	// triggering giant allocations before the stream runs dry.
-	const chunk = 1 << 16
-	offsets := make([]int, 0, minI(nb+1, chunk))
-	buf := make([]byte, 8*chunk)
-	for remaining := nb + 1; remaining > 0; {
-		c := minI(remaining, chunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, fmt.Errorf("lu: reading offsets: %w", err)
-		}
-		for i := 0; i < c; i++ {
-			offsets = append(offsets, int(int64(binary.LittleEndian.Uint64(buf[8*i:]))))
-		}
-		remaining -= c
+	offsets, err := br.Ints(nb + 1)
+	if err != nil {
+		return nil, fmt.Errorf("lu: reading offsets: %w", err)
+	}
+	if offsets[0] != 0 {
+		return nil, fmt.Errorf("lu: corrupt offsets start %d", offsets[0])
 	}
 	// A dense block of dimension 2^20 would be 8 TiB; anything close is a
-	// corrupt stream.
-	const maxBlockDim = 1 << 20
-	factors := make([]*dense.Matrix, 0, minI(nb, chunk))
+	// corrupt stream. Capping the running total as well keeps it from
+	// overflowing before the reader refuses a length its input cannot back.
+	const maxBlockDim, maxEntries = 1 << 20, 1 << 50
+	total := 0
 	for i := 0; i < nb; i++ {
 		size := offsets[i+1] - offsets[i]
 		if size <= 0 || size > maxBlockDim {
 			return nil, fmt.Errorf("lu: corrupt block size %d", size)
 		}
-		m := dense.New(size, size)
-		for off := 0; off < len(m.Data); {
-			c := minI(len(m.Data)-off, chunk)
-			if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-				return nil, fmt.Errorf("lu: reading block %d: %w", i, err)
-			}
-			for j := 0; j < c; j++ {
-				m.Data[off+j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-			}
-			off += c
+		if total += size * size; total > maxEntries {
+			return nil, fmt.Errorf("lu: corrupt offsets: over %d factor entries", maxEntries)
 		}
-		factors = append(factors, m)
+	}
+	data, err := br.Floats(total)
+	if err != nil {
+		return nil, fmt.Errorf("lu: reading %d blocks of %d entries: %w", nb, total, err)
+	}
+	blocks := make([]dense.Matrix, nb)
+	factors := make([]*dense.Matrix, nb)
+	for i := range blocks {
+		size := offsets[i+1] - offsets[i]
+		blocks[i] = dense.Matrix{R: size, C: size, Data: data[: size*size : size*size]}
+		data = data[size*size:]
+		factors[i] = &blocks[i]
 	}
 	return &BlockLU{offsets: offsets, factors: factors}, nil
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

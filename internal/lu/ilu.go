@@ -2,7 +2,7 @@ package lu
 
 import (
 	"fmt"
-	"math"
+	"sort"
 
 	"bepi/internal/par"
 	"bepi/internal/sparse"
@@ -35,36 +35,31 @@ type ILU struct {
 // FactorILU0 computes the ILU(0) factorization of a square CSR matrix. The
 // matrix must have a nonzero diagonal. A small pivot is replaced by a signed
 // epsilon to keep the preconditioner applicable (standard ILU practice); the
-// factorization is approximate anyway.
+// factorization is approximate anyway. The input is only read: elimination
+// runs in place on one working copy of its values, over its own pattern.
 func FactorILU0(a *sparse.CSR) (*ILU, error) {
 	n := a.Rows()
 	if n != a.Cols() {
 		return nil, fmt.Errorf("lu: ILU0 requires a square matrix, got %v", a)
 	}
-	rowPtr := make([]int, n+1)
-	copy(rowPtr, a.RowPtr())
-	col := make([]int, a.NNZ())
-	copy(col, a.ColIdx())
+	rowPtr, col := a.RowPtr(), a.ColIdx()
 	val := make([]float64, a.NNZ())
 	copy(val, a.Values())
 
 	diagPos := make([]int, n)
 	for i := 0; i < n; i++ {
-		diagPos[i] = -1
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			if col[p] == i {
-				diagPos[i] = p
-				break
-			}
-		}
-		if diagPos[i] < 0 {
+		row := col[rowPtr[i]:rowPtr[i+1]]
+		p := sort.SearchInts(row, i)
+		if p == len(row) || row[p] != i {
 			return nil, fmt.Errorf("lu: ILU0 missing diagonal at row %d", i)
 		}
+		diagPos[i] = rowPtr[i] + p
 	}
 
 	// IKJ variant: for each row i, eliminate with all previous rows k that
 	// appear in row i's pattern. pos[j] maps column j to its position in
-	// row i, or -1.
+	// row i, or -1. Row k's pivot is nonzero by the time a later row divides
+	// by it: a zero one is replaced as soon as row k is finished.
 	pos := make([]int, n)
 	for j := range pos {
 		pos[j] = -1
@@ -74,25 +69,17 @@ func FactorILU0(a *sparse.CSR) (*ILU, error) {
 		for p := start; p < end; p++ {
 			pos[col[p]] = p
 		}
-		for p := start; p < end; p++ {
+		for p := start; p < diagPos[i]; p++ {
 			k := col[p]
-			if k >= i {
-				break
-			}
-			piv := val[diagPos[k]]
-			if piv == 0 {
-				piv = math.Copysign(1e-12, 1)
-			}
-			lik := val[p] / piv
+			lik := val[p] / val[diagPos[k]]
 			val[p] = lik
 			for q := diagPos[k] + 1; q < rowPtr[k+1]; q++ {
-				j := col[q]
-				if t := pos[j]; t >= 0 {
+				if t := pos[col[q]]; t >= 0 {
 					val[t] -= lik * val[q]
 				}
 			}
 		}
-		if v := val[diagPos[i]]; v == 0 {
+		if val[diagPos[i]] == 0 {
 			val[diagPos[i]] = 1e-12
 		}
 		for p := start; p < end; p++ {
@@ -101,8 +88,7 @@ func FactorILU0(a *sparse.CSR) (*ILU, error) {
 	}
 	f := &ILU{n: n}
 	// Splitting into level-ordered factors costs one O(nnz) pass against
-	// the O(nnz·row) factorization above; the packed working arrays are
-	// released here.
+	// the O(nnz·row) factorization above; the working copy is released here.
 	f.l, f.u = buildTriFactors(n, rowPtr, col, val, diagPos)
 	return f, nil
 }

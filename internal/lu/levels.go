@@ -175,35 +175,26 @@ func buildTriFactors(n int, rowPtr, col []int, val []float64, diagPos []int) (l,
 	}
 	u.order, u.bounds = buildSchedule(level, maxL)
 
-	// Gather the entries in level order.
+	// Gather the entries in level order into exactly-sized arrays.
 	var nnzL int
 	for i := 0; i < n; i++ {
 		nnzL += diagPos[i] - rowPtr[i]
 	}
-	l.rowPtr = make([]int, n+1)
-	l.col = make([]int, 0, nnzL)
-	l.val = make([]float64, 0, nnzL)
-	for k, i32 := range l.order {
-		i := int(i32)
-		for p := rowPtr[i]; p < diagPos[i]; p++ {
-			l.col = append(l.col, col[p])
-			l.val = append(l.val, val[p])
+	gather := func(t *triFactor, nnz int, span func(i int) (lo, hi int)) {
+		t.rowPtr = make([]int, n+1)
+		t.col = make([]int, nnz)
+		t.val = make([]float64, nnz)
+		out := 0
+		for k, i := range t.order {
+			lo, hi := span(int(i))
+			copy(t.col[out:], col[lo:hi])
+			copy(t.val[out:], val[lo:hi])
+			out += hi - lo
+			t.rowPtr[k+1] = out
 		}
-		l.rowPtr[k+1] = len(l.col)
 	}
-
-	nnzU := len(val) - nnzL
-	u.rowPtr = make([]int, n+1)
-	u.col = make([]int, 0, nnzU)
-	u.val = make([]float64, 0, nnzU)
-	for k, i32 := range u.order {
-		i := int(i32)
-		for p := diagPos[i]; p < rowPtr[i+1]; p++ {
-			u.col = append(u.col, col[p])
-			u.val = append(u.val, val[p])
-		}
-		u.rowPtr[k+1] = len(u.col)
-	}
+	gather(&l, nnzL, func(i int) (int, int) { return rowPtr[i], diagPos[i] })
+	gather(&u, len(val)-nnzL, func(i int) (int, int) { return diagPos[i], rowPtr[i+1] })
 	return l, u
 }
 

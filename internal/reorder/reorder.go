@@ -8,7 +8,9 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bepi/internal/graph"
@@ -83,14 +85,11 @@ func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
 	n := g.N()
 	// Deadend separation. nonDead keeps original relative order, so the
 	// local SlashBurn ids are stable and deterministic.
-	isDead := make([]bool, n)
-	for _, u := range g.Deadends() {
-		isDead[u] = true
-	}
-	var nonDead, dead []int
-	for u := 0; u < n; u++ {
-		if isDead[u] {
-			dead = append(dead, u)
+	dead := g.Deadends()
+	nonDead := make([]int, 0, n-len(dead))
+	for u, d := 0, 0; u < n; u++ {
+		if d < len(dead) && dead[d] == u {
+			d++
 		} else {
 			nonDead = append(nonDead, u)
 		}
@@ -123,72 +122,17 @@ type sbResult struct {
 }
 
 // slashBurn runs SlashBurn on the undirected view of the subgraph induced by
-// the given nodes. hubsPerIter = ceil(k·|nodes|) high-degree nodes are
-// slashed per iteration; the procedure recurses on the giant connected
-// component until it is no larger than one slash, at which point the
-// remainder joins the hub region.
+// the given nodes (strictly increasing). hubsPerIter = ceil(k·|nodes|)
+// high-degree nodes are slashed per iteration; the procedure recurses on the
+// giant connected component until it is no larger than one slash, at which
+// point the remainder joins the hub region.
 func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 	nn := len(nodes)
 	res := &sbResult{perm: make([]int, nn)}
 	if nn == 0 {
 		return res
 	}
-	localID := make([]int, g.N())
-	for i := range localID {
-		localID[i] = -1
-	}
-	for i, u := range nodes {
-		localID[u] = i
-	}
-	// Build the undirected adjacency restricted to `nodes` in local ids,
-	// with duplicate (u,v)+(v,u) pairs collapsed via sort+dedupe (a map is
-	// far too slow at millions of edges).
-	type pair struct{ a, b int }
-	pairs := make([]pair, 0, g.M())
-	for _, u := range nodes {
-		lu := localID[u]
-		for _, v := range g.OutNeighbors(u) {
-			lv := localID[v]
-			if lv < 0 || lu == lv {
-				continue
-			}
-			a, b := lu, lv
-			if a > b {
-				a, b = b, a
-			}
-			pairs = append(pairs, pair{a, b})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
-	})
-	uniq := pairs[:0]
-	for i, p := range pairs {
-		if i == 0 || p != pairs[i-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	deg := make([]int, nn)
-	for _, p := range uniq {
-		deg[p.a]++
-		deg[p.b]++
-	}
-	ptr := make([]int, nn+1)
-	for i := 0; i < nn; i++ {
-		ptr[i+1] = ptr[i] + deg[i]
-	}
-	adj := make([]int, ptr[nn])
-	next := make([]int, nn)
-	copy(next, ptr[:nn])
-	for _, p := range uniq {
-		adj[next[p.a]] = p.b
-		next[p.a]++
-		adj[next[p.b]] = p.a
-		next[p.b]++
-	}
+	und := g.Undirected(nodes)
 
 	hubsPerIter := int(k * float64(nn))
 	if k*float64(nn) > float64(hubsPerIter) {
@@ -200,12 +144,12 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 
 	alive := make([]bool, nn)
 	curDeg := make([]int, nn)
-	copy(curDeg, deg)
 	// current holds the nodes of the graph SlashBurn currently operates on
 	// (initially everything; after the first iteration, the previous GCC).
 	current := make([]int, nn)
 	for i := range current {
 		alive[i] = true
+		curDeg[i] = und.Degree(i)
 		current[i] = i
 	}
 
@@ -214,91 +158,79 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 
 	removeNode := func(u int) {
 		alive[u] = false
-		for p := ptr[u]; p < ptr[u+1]; p++ {
-			v := adj[p]
+		for _, v := range und.Neighbors(u) {
 			if alive[v] {
 				curDeg[v]--
 			}
 		}
 	}
-
-	var queue []int
-	visitedIter := make([]int, nn) // BFS stamp: iteration index when visited
-	for i := range visitedIter {
-		visitedIter[i] = -1
-	}
-	iter := 0
-	for len(current) > 0 {
-		iter++
-		if maxIters > 0 && iter > maxIters {
-			// Iteration cap reached: the rest of the graph joins the hub
-			// region, highest degree first.
-			sort.Slice(current, func(a, b int) bool {
-				if curDeg[current[a]] != curDeg[current[b]] {
-					return curDeg[current[a]] > curDeg[current[b]]
-				}
-				return current[a] < current[b]
-			})
-			for _, u := range current {
-				res.perm[u] = high
-				high--
-				res.n2++
-				removeNode(u)
+	// byDegree orders nodes highest current degree first, ties by id: the
+	// order hubs are slashed in and components are discovered in.
+	byDegree := func(us []int) {
+		slices.SortFunc(us, func(a, b int) int {
+			if c := cmp.Compare(curDeg[b], curDeg[a]); c != 0 {
+				return c
 			}
-			break
-		}
-		// 1. Slash: remove the hubsPerIter highest-degree nodes of the
-		// current graph, assigning them the highest free ids in
-		// decreasing-degree order.
-		h := hubsPerIter
-		if h > len(current) {
-			h = len(current)
-		}
-		cand := append([]int(nil), current...)
-		sort.Slice(cand, func(a, b int) bool {
-			if curDeg[cand[a]] != curDeg[cand[b]] {
-				return curDeg[cand[a]] > curDeg[cand[b]]
-			}
-			return cand[a] < cand[b]
+			return cmp.Compare(a, b)
 		})
-		hubs := cand[:h]
-		for _, u := range hubs {
+	}
+	// joinHubs assigns every given node the next hub id, in the given order.
+	joinHubs := func(us []int) {
+		for _, u := range us {
 			res.perm[u] = high
 			high--
 			res.n2++
 			removeNode(u)
 		}
-		if h == len(current) {
+	}
+
+	// burned receives each iteration's BFS output: the members of every
+	// component back to back, each component doubling as its own queue.
+	// spare is the buffer of the iteration before, which current (a
+	// component of it) still points into.
+	var burned, spare []int
+	visitedIter := make([]int, nn) // BFS stamp: iteration index when visited
+	for iter := 1; len(current) > 0; iter++ {
+		byDegree(current)
+		if maxIters > 0 && iter > maxIters {
+			// Iteration cap reached: the rest of the graph joins the hub
+			// region, highest degree first.
+			joinHubs(current)
+			break
+		}
+		// 1. Slash: remove the hubsPerIter highest-degree nodes of the
+		// current graph, assigning them the highest free ids in
+		// decreasing-degree order.
+		h := min(hubsPerIter, len(current))
+		joinHubs(current[:h])
+		remaining := current[h:]
+		if len(remaining) == 0 {
 			break
 		}
 		// 2. Burn: find components of the remainder; all but the largest
 		// are spokes and leave the graph with the lowest free ids, one
 		// contiguous block per component.
-		remaining := cand[h:]
+		burned, spare = spare[:0], burned
+		if cap(burned) < len(remaining) {
+			burned = make([]int, 0, len(remaining))
+		}
 		var comps [][]int
 		for _, s := range remaining {
 			if visitedIter[s] == iter {
 				continue
 			}
-			queue = append(queue[:0], s)
+			start := len(burned)
+			burned = append(burned, s)
 			visitedIter[s] = iter
-			var members []int
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				members = append(members, u)
-				for p := ptr[u]; p < ptr[u+1]; p++ {
-					v := adj[p]
-					if !alive[v] {
-						continue
-					}
-					if visitedIter[v] != iter {
+			for head := start; head < len(burned); head++ {
+				for _, v := range und.Neighbors(burned[head]) {
+					if alive[v] && visitedIter[v] != iter {
 						visitedIter[v] = iter
-						queue = append(queue, v)
+						burned = append(burned, v)
 					}
 				}
 			}
-			comps = append(comps, members)
+			comps = append(comps, burned[start:])
 		}
 		gcc := 0
 		for i := 1; i < len(comps); i++ {
@@ -310,7 +242,7 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 			if i == gcc {
 				continue
 			}
-			sort.Ints(members)
+			slices.Sort(members)
 			for _, u := range members {
 				res.perm[u] = low
 				low++
@@ -323,18 +255,8 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 		current = comps[gcc]
 		if len(current) <= hubsPerIter {
 			// Remainder joins the hub region, highest degree first.
-			sort.Slice(current, func(a, b int) bool {
-				if curDeg[current[a]] != curDeg[current[b]] {
-					return curDeg[current[a]] > curDeg[current[b]]
-				}
-				return current[a] < current[b]
-			})
-			for _, u := range current {
-				res.perm[u] = high
-				high--
-				res.n2++
-				removeNode(u)
-			}
+			byDegree(current)
+			joinHubs(current)
 			break
 		}
 	}

@@ -25,6 +25,9 @@ func FuzzReadCSR(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[10] ^= 0xFF
 	f.Add(mutated)
+	for _, raw := range csrCorruptions(f) {
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCSR(bytes.NewReader(data))
@@ -34,6 +37,12 @@ func FuzzReadCSR(f *testing.F) {
 		// Whatever parsed must be internally consistent and round-trip.
 		if got.Rows() < 0 || got.Cols() < 0 {
 			t.Fatal("negative dims accepted")
+		}
+		if err := validate(got.rows, got.cols, got.rowPtr, got.col, true); err != nil {
+			t.Fatalf("accepted a matrix that breaks the CSR invariants: %v", err)
+		}
+		if got.rows < 1<<16 && got.cols < 1<<16 { // an empty matrix may declare any shape
+			got.MulVec(make([]float64, got.rows), make([]float64, got.cols))
 		}
 		var out bytes.Buffer
 		if _, err := got.WriteTo(&out); err != nil {

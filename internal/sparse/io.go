@@ -1,11 +1,11 @@
 package sparse
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"bepi/internal/binio"
 )
 
 // Binary serialization of CSR matrices. The format is a fixed little-endian
@@ -20,65 +20,57 @@ import (
 //	rowPtr  (rows+1) × int64
 //	col     nnz × int64
 //	val     nnz × float64
+//
+// The layout is the wide one whatever the in-memory index width: a CSR32
+// writes the bytes its widened copy would, without making the copy.
 
 const (
 	csrMagic   = 0x42655049
 	csrVersion = 1
 )
 
+func writeCSR[P int | int32 | int64, C int | uint32, V float32 | float64](w io.Writer, rows, cols int, rowPtr []P, col []C, val []V) (int64, error) {
+	bw := binio.NewWriter(w)
+	bw.U32(csrMagic)
+	bw.U32(csrVersion)
+	bw.Int(rows)
+	bw.Int(cols)
+	bw.Int(len(col))
+	binio.WriteInts(bw, rowPtr)
+	binio.WriteInts(bw, col)
+	binio.WriteFloats(bw, val)
+	return bw.Close()
+}
+
 // WriteTo serializes the matrix. It implements io.WriterTo.
 func (m *CSR) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	writeU32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		k, err := bw.Write(b[:])
-		n += int64(k)
-		return err
+	return writeCSR(w, m.rows, m.cols, m.rowPtr, m.col, m.val)
+}
+
+// WriteTo serializes the matrix in the CSR format (float32 values widen).
+// It implements io.WriterTo.
+func (m *CSR32) WriteTo(w io.Writer) (int64, error) {
+	switch {
+	case m.rowPtr32 != nil && m.val != nil:
+		return writeCSR(w, m.rows, m.cols, m.rowPtr32, m.col, m.val)
+	case m.rowPtr32 != nil:
+		return writeCSR(w, m.rows, m.cols, m.rowPtr32, m.col, m.val32)
+	case m.val != nil:
+		return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val)
+	default:
+		return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val32)
 	}
-	writeU64 := func(v uint64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		k, err := bw.Write(b[:])
-		n += int64(k)
-		return err
-	}
-	if err := writeU32(csrMagic); err != nil {
-		return n, err
-	}
-	if err := writeU32(csrVersion); err != nil {
-		return n, err
-	}
-	for _, v := range []int{m.rows, m.cols, m.NNZ()} {
-		if err := writeU64(uint64(v)); err != nil {
-			return n, err
-		}
-	}
-	for _, v := range m.rowPtr {
-		if err := writeU64(uint64(v)); err != nil {
-			return n, err
-		}
-	}
-	for _, v := range m.col {
-		if err := writeU64(uint64(v)); err != nil {
-			return n, err
-		}
-	}
-	for _, v := range m.val {
-		if err := writeU64(math.Float64bits(v)); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
 }
 
 // ReadCSR deserializes a matrix written by WriteTo. It reads exactly the
 // bytes the matrix occupies (no read-ahead), so matrices can be read back
-// from a concatenated stream; wrap the source in a bufio.Reader for speed.
+// from a concatenated stream, and rejects arrays that break the CSR
+// invariants (see validate) instead of building a matrix whose kernels would
+// read out of bounds.
 func ReadCSR(r io.Reader) (*CSR, error) {
+	br := binio.NewReader(r)
 	var head [4 + 4 + 3*8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	if err := br.Full(head[:]); err != nil {
 		return nil, fmt.Errorf("sparse: reading header: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(head[0:]); magic != csrMagic {
@@ -93,68 +85,23 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: corrupt header %dx%d nnz=%d", rows, cols, nnz)
 	}
-	rowPtr, err := readIntArray(r, rows+1)
+	rowPtr, err := br.Ints(rows + 1)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading rowPtr: %w", err)
 	}
-	if rowPtr[rows] != nnz {
+	if rowPtr[rows] != nnz { // checked again by validate; here it is known before col is read
 		return nil, fmt.Errorf("sparse: rowPtr end %d != nnz %d", rowPtr[rows], nnz)
 	}
-	col, err := readIntArray(r, nnz)
+	col, err := br.Ints(nnz)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading col: %w", err)
 	}
-	val, err := ReadFloatArray(r, nnz)
+	if err := validate(rows, cols, rowPtr, col, true); err != nil {
+		return nil, fmt.Errorf("sparse: corrupt matrix: %w", err)
+	}
+	val, err := br.Floats(nnz)
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading val: %w", err)
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, col: col, val: val}, nil
-}
-
-// readChunkEntries is how many 8-byte values the array readers consume per
-// read. Chunking means a corrupt header claiming an enormous array fails
-// with an EOF as soon as the stream runs dry, instead of attempting one
-// giant allocation up front.
-const readChunkEntries = 1 << 16
-
-// readIntArray reads n little-endian uint64 values as ints.
-func readIntArray(r io.Reader, n int) ([]int, error) {
-	out := make([]int, 0, minInt(n, readChunkEntries))
-	buf := make([]byte, 8*minInt(n, readChunkEntries))
-	for remaining := n; remaining > 0; {
-		c := minInt(remaining, readChunkEntries)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, int(int64(binary.LittleEndian.Uint64(buf[8*i:]))))
-		}
-		remaining -= c
-	}
-	return out, nil
-}
-
-// ReadFloatArray reads n little-endian float64 values, chunked like
-// readIntArray.
-func ReadFloatArray(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, minInt(n, readChunkEntries))
-	buf := make([]byte, 8*minInt(n, readChunkEntries))
-	for remaining := n; remaining > 0; {
-		c := minInt(remaining, readChunkEntries)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-		remaining -= c
-	}
-	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

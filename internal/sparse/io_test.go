@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -57,5 +58,109 @@ func TestReadCSRRejectsTruncated(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := ReadCSR(bytes.NewReader(raw[:len(raw)-9])); err == nil {
 		t.Fatal("expected error for truncated stream")
+	}
+}
+
+// TestCSR32WriteToMatchesWide: a compact matrix serializes to exactly the
+// bytes of its widened copy, at both row-pointer widths and both value
+// widths, so the saved index does not depend on the in-memory layout.
+func TestCSR32WriteToMatchesWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randCSR(rng, 40, 33, 0.25)
+	rp64 := make([]int64, len(m.rowPtr))
+	col32 := make([]uint32, len(m.col))
+	for i, p := range m.rowPtr {
+		rp64[i] = int64(p)
+	}
+	for i, c := range m.col {
+		col32[i] = uint32(c)
+	}
+	for name, c := range map[string]*CSR32{
+		"int32 rowPtr":   Compact(m),
+		"int64 rowPtr":   NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
+		"float32 values": CompactFloat32(m),
+	} {
+		var got, want bytes.Buffer
+		if _, err := c.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ToCSR().WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: CSR32.WriteTo differs from the widened copy's bytes", name)
+		}
+	}
+}
+
+// corruptCSR serializes m and overwrites the 8-byte word at array position
+// idx of rowPtr (which = 0) or col (which = 1).
+func corruptCSR(t testing.TB, m *CSR, which, idx int, v uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	off := 32 + 8*idx
+	if which == 1 {
+		off += 8 * (m.rows + 1)
+	}
+	binary.LittleEndian.PutUint64(raw[off:], v)
+	return raw
+}
+
+// csrCorruptions are single-word corruptions of a valid serialized matrix
+// that leave every length consistent: ReadCSR accepted all of them before it
+// validated the arrays it decodes, and the matrix then indexed out of bounds
+// (or, once compacted, silently aliased another column).
+func csrCorruptions(t testing.TB) map[string][]byte {
+	m := NewCSR(3, 6, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5})
+	return map[string][]byte{
+		"column 1<<40":          corruptCSR(t, m, 1, 1, 1<<40),
+		"column == cols":        corruptCSR(t, m, 1, 4, 6),
+		"column negative":       corruptCSR(t, m, 1, 0, ^uint64(0)),
+		"columns out of order":  corruptCSR(t, m, 1, 1, 0),
+		"duplicate column":      corruptCSR(t, m, 1, 4, 2),
+		"rowPtr does not start": corruptCSR(t, m, 0, 0, 1),
+		"rowPtr decreases":      corruptCSR(t, m, 0, 1, 4),
+	}
+}
+
+func TestReadCSRRejectsCorruptArrays(t *testing.T) {
+	for name, raw := range csrCorruptions(t) {
+		if m, err := ReadCSR(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted as %v", name, m)
+		}
+	}
+}
+
+// TestReadCSRSizesFromInput: with a source that reports its length the
+// arrays are allocated once at their declared size, and a declared size the
+// input cannot back is refused before anything is allocated for it.
+func TestReadCSRSizesFromInput(t *testing.T) {
+	m := randBigCSR(3000, 3000, 30, 1)
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	back, err := ReadCSR(bytes.NewReader(raw))
+	if err != nil || !back.Equal(m) {
+		t.Fatalf("round trip: err=%v", err)
+	}
+	if cap(back.col) != len(back.col) || cap(back.val) != len(back.val) || cap(back.rowPtr) != len(back.rowPtr) {
+		t.Fatalf("arrays over-allocated: col %d/%d val %d/%d rowPtr %d/%d",
+			len(back.col), cap(back.col), len(back.val), cap(back.val), len(back.rowPtr), cap(back.rowPtr))
+	}
+	huge := append([]byte(nil), raw[:64]...)
+	binary.LittleEndian.PutUint64(huge[8:], 1<<40) // rows
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := ReadCSR(bytes.NewReader(huge)); err == nil {
+			t.Fatal("accepted 2^40 rows backed by 32 bytes")
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("refusing an unbacked length took %.0f allocations", allocs)
 	}
 }

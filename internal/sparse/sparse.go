@@ -658,24 +658,74 @@ func (m *CSR) PermuteSym(perm []int) *CSR {
 // matrix of shape (r1−r0)×(c1−c0). Intended for extracting the contiguous
 // partitions H11, H12, ... after node reordering.
 func (m *CSR) Block(r0, r1, c0, c1 int) *CSR {
-	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
-		panic(fmt.Sprintf("sparse: Block [%d:%d,%d:%d] out of range %dx%d", r0, r1, c0, c1, m.rows, m.cols))
-	}
-	rows := r1 - r0
-	rowPtr := make([]int, rows+1)
-	var col []int
-	var val []float64
-	for i := r0; i < r1; i++ {
-		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		// Binary search the first column >= c0.
-		lo := start + sort.SearchInts(m.col[start:end], c0)
-		for p := lo; p < end && m.col[p] < c1; p++ {
-			col = append(col, m.col[p]-c0)
-			val = append(val, m.val[p])
+	return m.Partition([]int{r0, r1}, []int{c0, c1})[0][0]
+}
+
+// Partition cuts the matrix along row boundaries rowCuts and column
+// boundaries colCuts (each non-decreasing and within the matrix) and
+// returns the grid of blocks: out[a][b] = M[rowCuts[a]:rowCuts[a+1],
+// colCuts[b]:colCuts[b+1]]. Entries left of colCuts[0] or right of the last
+// cut belong to no block. Every block is counted before it is filled, so
+// each array is allocated once at its final size, and a row band is walked
+// twice (count, fill) however many blocks it feeds.
+func (m *CSR) Partition(rowCuts, colCuts []int) [][]*CSR {
+	checkCuts := func(cuts []int, limit int) {
+		for i, c := range cuts {
+			if c < 0 || c > limit || (i > 0 && c < cuts[i-1]) {
+				panic(fmt.Sprintf("sparse: Partition cuts %v out of order or outside [0,%d]", cuts, limit))
+			}
 		}
-		rowPtr[i-r0+1] = len(col)
 	}
-	return &CSR{rows: rows, cols: c1 - c0, rowPtr: rowPtr, col: col, val: val}
+	checkCuts(rowCuts, m.rows)
+	checkCuts(colCuts, m.cols)
+	if len(rowCuts) < 2 || len(colCuts) < 2 {
+		panic("sparse: Partition needs at least two row cuts and two column cuts")
+	}
+	nb := len(colCuts) - 1
+	out := make([][]*CSR, len(rowCuts)-1)
+	// first returns where row i's entries at or right of colCuts[0] start.
+	first := func(i int) int {
+		start, end := m.rowPtr[i], m.rowPtr[i+1]
+		return start + sort.SearchInts(m.col[start:end], colCuts[0])
+	}
+	for a := range out {
+		r0, r1 := rowCuts[a], rowCuts[a+1]
+		band := make([]*CSR, nb)
+		for b := range band {
+			band[b] = &CSR{rows: r1 - r0, cols: colCuts[b+1] - colCuts[b], rowPtr: make([]int, r1-r0+1)}
+		}
+		// Count: a row's columns are sorted, so its entries fall into the
+		// column bands left to right.
+		for i := r0; i < r1; i++ {
+			p, end := first(i), m.rowPtr[i+1]
+			for b, blk := range band {
+				q := p
+				for q < end && m.col[q] < colCuts[b+1] {
+					q++
+				}
+				blk.rowPtr[i-r0+1] = blk.rowPtr[i-r0] + q - p
+				p = q
+			}
+		}
+		for _, blk := range band {
+			blk.col = make([]int, blk.rowPtr[r1-r0])
+			blk.val = make([]float64, blk.rowPtr[r1-r0])
+		}
+		// Fill: the counts say where each band's run of the row ends.
+		for i := r0; i < r1; i++ {
+			p := first(i)
+			for b, blk := range band {
+				lo, hi := blk.rowPtr[i-r0], blk.rowPtr[i-r0+1]
+				copy(blk.val[lo:hi], m.val[p:])
+				for q := lo; q < hi; q++ {
+					blk.col[q] = m.col[p] - colCuts[b]
+					p++
+				}
+			}
+		}
+		out[a] = band
+	}
+	return out
 }
 
 // RowSums returns the vector of row sums.

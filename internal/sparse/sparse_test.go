@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -434,5 +435,60 @@ func BenchmarkSpMSpM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.Mul(m)
+	}
+}
+
+// blockRef is Block as it was before Partition: one row at a time, binary
+// search for the first column, entries appended one by one. The reference
+// of TestPartitionMatchesBlock.
+func blockRef(m *CSR, r0, r1, c0, c1 int) *CSR {
+	rowPtr := make([]int, r1-r0+1)
+	var col []int
+	var val []float64
+	for i := r0; i < r1; i++ {
+		start, end := m.rowPtr[i], m.rowPtr[i+1]
+		lo := start + sort.SearchInts(m.col[start:end], c0)
+		for p := lo; p < end && m.col[p] < c1; p++ {
+			col = append(col, m.col[p]-c0)
+			val = append(val, m.val[p])
+		}
+		rowPtr[i-r0+1] = len(col)
+	}
+	return &CSR{rows: r1 - r0, cols: c1 - c0, rowPtr: rowPtr, col: col, val: val}
+}
+
+// TestPartitionMatchesBlock: every block of a one-pass Partition equals the
+// block the per-call extraction returned, for random cuts including empty
+// bands, cuts that leave columns out on both sides, and the 3×2 grid
+// preprocessing uses.
+func TestPartitionMatchesBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cuts := func(limit, k int, full bool) []int {
+		c := make([]int, k)
+		for i := range c {
+			c[i] = rng.Intn(limit + 1)
+		}
+		sort.Ints(c)
+		if full {
+			c[0], c[k-1] = 0, limit
+		}
+		return c
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := randCSR(rng, 1+rng.Intn(40), 1+rng.Intn(40), rng.Float64()*0.5)
+		rowCuts := cuts(m.rows, 2+rng.Intn(4), trial%2 == 0)
+		colCuts := cuts(m.cols, 2+rng.Intn(4), trial%3 == 0)
+		grid := m.Partition(rowCuts, colCuts)
+		for a := range grid {
+			for b, got := range grid[a] {
+				want := blockRef(m, rowCuts[a], rowCuts[a+1], colCuts[b], colCuts[b+1])
+				if !got.Equal(want) {
+					t.Fatalf("trial %d: block [%d][%d] of cuts %v × %v differs from Block", trial, a, b, rowCuts, colCuts)
+				}
+				if cap(got.col) != len(got.col) || cap(got.val) != len(got.val) {
+					t.Fatalf("trial %d: block [%d][%d] over-allocated", trial, a, b)
+				}
+			}
+		}
 	}
 }
