@@ -44,8 +44,9 @@ race:
 # Focused, repeated race pass over the parallel runtime and the kernels
 # built on it — including the stress test of concurrent engine builds
 # sharing one pool, where interleavings vary run to run — plus the obs
-# histograms' record-vs-snapshot race test, the level-scheduled ILU
-# triangular solves, the compact CSR32 kernel paths, and the dynamic-index
+# histograms' record-vs-snapshot race test, the one-pass DILU operator
+# (concurrent operators over one factorization, pooled engine workspaces),
+# the compact CSR32 kernel paths, and the dynamic-index
 # rebuild/swap protocol (root package: concurrent queries, updates, and
 # background flushes over one index), the cluster tier's routing ring
 # and generation-guarded scatter-gather against concurrent engine swaps,
@@ -63,7 +64,7 @@ race:
 # path (SlashBurn over the counting-pass adjacency, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|Level|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Prefetch|Sticky|Stream|Delta|Woodbury|Drift|Cache|Flight|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -92,12 +93,13 @@ bench-par:
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
 # Smoke-run the bandwidth-lean kernel benchmarks — fused Schur operator,
-# level-scheduled ILU sweeps, compact CSR32 SpMV — at a fixed small
+# one preconditioned Schur iteration (S·x + ILU(0) sweeps vs the one-pass
+# DILU operator, 0 allocs/op), compact CSR32 SpMV — at a fixed small
 # iteration count so CI catches kernel regressions (compile errors, panics,
 # gross slowdowns) without paying for a full benchmark run.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSchurOperator -benchtime=100x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench BenchmarkILUApplyLevels -benchtime=100x -benchmem ./internal/lu/
+	$(GO) test -run '^$$' -bench BenchmarkSchurIteration -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
 # Smoke-run the index write path — preprocessing, and a Save + Load round

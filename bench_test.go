@@ -136,7 +136,7 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkSaveLoad measures index persistence round trips: Save into a
-// buffer, Load back (which re-factors the ILU preconditioner).
+// buffer, Load back (which recomputes the DILU preconditioner's pivots).
 func BenchmarkSaveLoad(b *testing.B) {
 	g := benchGraph()
 	eng, err := bepi.New(g)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -146,14 +145,13 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		}
 		e.permutePhase(ws, qs, active)
 		e.forwardPhase(ws, active)
-		op, opts := e.schurSolveOptions(context.Background(), e.schurOperator(ws), &ws.slv)
 		var iterates []calIter
-		opts.Probe = func(iter int, residual float64, iterate func() []float64) {
+		probe := func(iter int, residual float64, iterate func() []float64) {
 			if len(iterates) < calMaxIters {
 				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
 			}
 		}
-		r2, st, err := e.runSchurSolve(op, ws.qt2s[0], opts)
+		r2, st, err := e.runSchurSolve(ws, ws.qt2s[0], solver.GMRESOptions{Probe: probe})
 		if err != nil {
 			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
 		}

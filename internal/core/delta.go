@@ -31,9 +31,9 @@ import (
 //     H12/H22/H32, perturbing exactly one column of S per hub source: a
 //     rank-r update S' = S̃ + U·Vᵀ. Engines serving the explicit operator
 //     absorb it with a Sherman–Morrison–Woodbury correction applied after
-//     every Schur solve (stored S̃ and its ILU stay the base); engines built
+//     every Schur solve (stored S̃ and its DILU stay the base); engines built
 //     with ImplicitSchur patch H12/H22/H32 directly — the fused operator is
-//     then exact and only the ILU preconditioner goes stale. Either way a
+//     then exact and only the DILU preconditioner goes stale. Either way a
 //     drift score accumulates and, past Options.MaxHubDrift, ApplyDelta
 //     refuses with ErrDriftExceeded so the caller runs a full rebuild.
 //   - Anything that breaks the reused ordering's structure — a new node
@@ -59,7 +59,7 @@ const (
 	// under the reused ordering.
 	DeltaSpoke DeltaClass = iota
 	// DeltaHub: at least one op had a hub source; the Schur solve carries a
-	// Woodbury correction (explicit operator) or a stale ILU (implicit).
+	// Woodbury correction (explicit operator) or a stale DILU (implicit).
 	DeltaHub
 	// DeltaFull: the delta cannot reuse the ordering; callers must run a
 	// full rebuild.
@@ -104,7 +104,7 @@ type colEntry struct {
 }
 
 // woodbury is the rank-r correction a hub delta installs over the explicit
-// Schur operator: solves run against the base S̃ (stored schur + ILU), then
+// Schur operator: solves run against the base S̃ (stored schur + DILU), then
 // y ← y − Z·C⁻¹·y[J] maps the base solution to the updated graph's, where
 // Z = S̃⁻¹U and C = I + VᵀZ is the LU-factored capacitance. All state is
 // read-only after construction, so concurrent solves share it safely.
@@ -495,7 +495,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	useWood := e.h22 == nil && (hub || e.wood != nil)
 	if useWood {
 		// Explicit operator, hub-touched (or already corrected): stored S̃
-		// and ILU stay the base; affected columns become (or update)
+		// and DILU stay the base; affected columns become (or update)
 		// Woodbury corrections. Δ is always measured against the base S̃, so
 		// repeated deltas never compound approximation error.
 		if err := e.installWoodbury(ne, schurW, cols, newCols, oldCols); err != nil {
@@ -507,14 +507,13 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		// the recomputed columns into the stored S.
 		if len(cols) > 0 {
 			var edits []sparse.Edit
-			changedRows := make([]bool, n2)
 			for _, j := range cols {
-				edits = appendColumnEdits(edits, j, oldCols[j], newCols[j], changedRows)
+				edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
 			}
 			sNew := schurW.WithEdits(edits)
 			if hub && e.h22 != nil && e.ilu != nil {
 				// Implicit hub path: the fused operator and the patched S are
-				// exact; only the ILU preconditioner is left stale. Account
+				// exact; only the DILU preconditioner is left stale. Account
 				// the staleness per column and refuse past the threshold.
 				dc := make(map[int]float64, len(e.driftCols)+len(cols))
 				for j, d := range e.driftCols {
@@ -539,23 +538,14 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 				}
 				ne.driftCols, ne.driftBase = dc, db
 			} else if e.ilu != nil {
-				// Exact spoke path: re-factor ILU(0) from the patched wide S
-				// — the same source Preprocess factors from — restoring full
-				// exactness (and resetting any implicit-path drift). When the
-				// serving ILU matches the stored S (no accumulated drift), the
-				// partial refactorization reuses every factor row outside the
-				// edited rows' dirty closure; a drifted implicit engine's ILU
-				// is stale, so it re-factors from scratch.
+				// Exact spoke path: re-factor DILU from the patched wide S —
+				// the same source and the same one O(|S|) pass Preprocess
+				// runs — restoring full exactness (and resetting any
+				// implicit-path drift).
 				tILU := time.Now()
-				var ilu *lu.ILU
-				var err error
-				if e.driftCols == nil {
-					ilu, err = e.ilu.RefactorRows(sNew, changedRows)
-				} else {
-					ilu, err = lu.FactorILU0(sNew)
-				}
+				ilu, err := lu.FactorDILU(sNew)
 				if err != nil {
-					return nil, st, fmt.Errorf("core: re-factoring ILU(0) of patched S: %w", err)
+					return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
 				}
 				if e.Compacted() {
 					ilu.Compact()
@@ -574,7 +564,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			ne.driftCols, ne.driftBase = nil, 0
 			if e.h22 != nil && e.driftCols != nil && e.ilu != nil && len(cols) == 0 {
 				// A pure-growth delta on a drifted implicit engine keeps the
-				// stale ILU; carry the drift forward.
+				// stale DILU; carry the drift forward.
 				ne.driftCols, ne.driftBase = e.driftCols, e.driftBase
 			}
 		}
@@ -593,9 +583,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			matSetPool(m, ne.pool)
 			matFirstTouch(m)
 		}
-	}
-	if ne.ilu != nil && ne.ilu != e.ilu {
-		ne.ilu.SetPool(ne.pool)
 	}
 
 	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.N3
@@ -660,11 +647,11 @@ func (e *Engine) installWoodbury(ne *Engine, baseS *sparse.CSR, cols []int, newC
 
 	// Z = S̃⁻¹·U, one preconditioned solve per changed column against the
 	// base operator — the correction itself is what makes these solves (and
-	// every later query) land on the updated graph's solution.
-	zopts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Restart: e.opts.GMRESRestart}
-	if e.ilu != nil {
-		zopts.Precond = e.ilu
-	}
+	// every later query) land on the updated graph's solution. They run on
+	// ne, which already holds the base S̃ and its factors but no correction
+	// yet, through the same runSchurSolve every query takes.
+	ws := ne.acquireWorkspace()
+	defer ne.releaseWorkspace(ws)
 	z := make([][]float64, len(allCols))
 	rhs := make([]float64, n2)
 	for b, j := range allCols {
@@ -678,11 +665,11 @@ func (e *Engine) installWoodbury(ne *Engine, baseS *sparse.CSR, cols []int, newC
 		for _, ce := range deltas[j] {
 			rhs[ce.row] = ce.val
 		}
-		zj, _, err := solver.GMRES(e.schur, rhs, zopts)
+		zj, _, err := ne.runSchurSolve(ws, rhs, solver.GMRESOptions{})
 		if err != nil {
 			return fmt.Errorf("core: Woodbury solve for S column %d: %w", j, err)
 		}
-		z[b] = zj
+		z[b] = append([]float64(nil), zj...)
 	}
 
 	// Capacitance C = I + VᵀZ, C[a][b] = δ_ab + z_b[j_a]; r×r and dense.
@@ -857,25 +844,20 @@ func extractColumns(m *sparse.CSR, want map[int]bool) map[int][]colEntry {
 // appendColumnEdits emits the WithEdits batch replacing column j's old
 // entries with the new ones, skipping entries that are already bitwise
 // equal — an affected column usually overlaps its predecessor almost
-// everywhere, and both the splice cost and the partial ILU(0)
-// refactorization's dirty set scale with the edits actually emitted. Every
-// edited row is flagged in changed (length n2), which feeds RefactorRows.
-func appendColumnEdits(edits []sparse.Edit, j int, oldCol, newCol []colEntry, changed []bool) []sparse.Edit {
+// everywhere, and the splice cost scales with the edits actually emitted.
+func appendColumnEdits(edits []sparse.Edit, j int, oldCol, newCol []colEntry) []sparse.Edit {
 	pa, pb := 0, 0
 	for pa < len(oldCol) || pb < len(newCol) {
 		switch {
 		case pb >= len(newCol) || (pa < len(oldCol) && oldCol[pa].row < newCol[pb].row):
 			edits = append(edits, sparse.Edit{Row: oldCol[pa].row, Col: j, Delete: true})
-			changed[oldCol[pa].row] = true
 			pa++
 		case pa >= len(oldCol) || newCol[pb].row < oldCol[pa].row:
 			edits = append(edits, sparse.Edit{Row: newCol[pb].row, Col: j, Val: newCol[pb].val})
-			changed[newCol[pb].row] = true
 			pb++
 		default:
 			if math.Float64bits(oldCol[pa].val) != math.Float64bits(newCol[pb].val) {
 				edits = append(edits, sparse.Edit{Row: newCol[pb].row, Col: j, Val: newCol[pb].val})
-				changed[newCol[pb].row] = true
 			}
 			pa++
 			pb++

@@ -1,14 +1,15 @@
 // Package core implements BePI itself: the preprocessing phase
 // (Algorithms 1 and 3 of the paper — deadend + SlashBurn reordering, block
 // partitioning of H, per-block LU of H11, Schur complement construction,
-// and optional ILU(0) preconditioner), and the query phase (Algorithms 2
-// and 4 — block elimination with an iterative Schur solve).
+// and optional incomplete-LU preconditioner), and the query phase
+// (Algorithms 2 and 4 — block elimination with an iterative Schur solve).
 //
 // The three published variants are exposed through Options.Variant:
 //
 //	VariantB    — block elimination + plain GMRES on S (BePI-B, §3.3)
 //	VariantS    — + hub ratio chosen to sparsify S (BePI-S, §3.4)
-//	VariantFull — + ILU(0)-preconditioned GMRES (BePI, §3.5)
+//	VariantFull — + incomplete-LU-preconditioned GMRES (BePI, §3.5); the
+//	              factors are DILU, applied in one pass (DESIGN.md §19)
 package core
 
 import (
@@ -29,8 +30,11 @@ type Variant int
 
 const (
 	// VariantFull is BePI, the complete algorithm: sparsified Schur
-	// complement plus ILU(0) preconditioning. It is the zero value, so an
-	// unconfigured Options runs full BePI.
+	// complement plus incomplete-LU preconditioning — DILU factors (ILU(0)
+	// with only the pivots updated) where the paper uses ILU(0), so that a
+	// preconditioned iteration is one pass over S's entries instead of
+	// three (DESIGN.md §19). It is the zero value, so an unconfigured
+	// Options runs full BePI.
 	VariantFull Variant = iota
 	// VariantB is BePI-B: block elimination with an unpreconditioned
 	// iterative Schur solve and a small fixed hub ratio (paper uses 0.001).
@@ -102,7 +106,7 @@ type Options struct {
 	// (Parallelism == 0) and for serial execution. Results are unaffected.
 	PinWorkers bool
 	// Compact selects the storage layout of the preprocessed matrices
-	// (H12/H21/H31/H32, the Schur complement, and the ILU factors).
+	// (H12/H21/H31/H32, the Schur complement, and the DILU factors).
 	// CompactAuto — the zero value, i.e. the default — narrows the index
 	// arrays to 32 bits after preprocessing, cutting their footprint and
 	// the bytes every solve iteration streams roughly in half; query
@@ -113,11 +117,13 @@ type Options struct {
 	// ImplicitSchur, when true, makes the iterative solver apply the Schur
 	// complement as the fused operator H22·x − H21·(H11⁻¹·(H12·x)) instead
 	// of an explicit SpMV on the precomputed S; the engine then retains the
-	// H22 block. The explicit S is still built (the ILU preconditioner and
-	// the accuracy bound need it). Default false — the explicit operator is
-	// the paper's formulation and the bit-stable baseline. The flag applies
-	// to engines built by Preprocess; a loaded index always serves the
-	// explicit operator.
+	// H22 block. The explicit S is still built (the DILU preconditioner and
+	// the accuracy bound need it), and because the fused operator is not the
+	// matrix those factors share entries with, the solve stays classically
+	// left-preconditioned instead of one-pass. Default false — the explicit
+	// operator is the paper's formulation and the bit-stable baseline. The
+	// flag applies to engines built by Preprocess; a loaded index always
+	// serves the explicit operator.
 	ImplicitSchur bool
 	// MaxHubDrift bounds how much hub-touching deltas may perturb the Schur
 	// complement before ApplyDelta refuses and demands a full rebuild: the
@@ -261,7 +267,18 @@ type Engine struct {
 	// loaded from disk fall back to the per-column graph reconstruction.
 	h22x  mat
 	h11LU *lu.BlockLU
-	ilu   *lu.ILU // nil unless VariantFull
+	ilu   *lu.ILU // DILU factors of schur; nil unless VariantFull
+
+	// wsFree recycles Workspaces for the query entry points that are not
+	// handed one (Query, QueryVector, TopKBounded, …), so a library caller's
+	// steady state allocates little beyond the score vector it gets back.
+	// It is a plain free list, not a sync.Pool: the runtime keeps every pool
+	// that was ever Put to — and, through its workspaces' back-pointers, the
+	// whole engine — reachable for two more GC cycles, and an update stream
+	// that swaps engines every 100 ms then carried 30 MB of retired indexes
+	// (update-stream peak_rss_mb +24%). A free list dies with its engine.
+	wsMu   sync.Mutex
+	wsFree []*Workspace
 
 	pool *par.Pool // compute pool for kernels; nil means serial
 	prep PrepStats
@@ -291,13 +308,13 @@ type Engine struct {
 
 	// wood, when non-nil, is the Woodbury low-rank correction a hub-touching
 	// delta installed over the explicit Schur operator: the stored schur (and
-	// its ILU factors) remain the base S̃ the correction was built against,
+	// its DILU factors) remain the base S̃ the correction was built against,
 	// and runSchurSolve applies the rank-r update after every iterative
 	// solve. Engines with a correction cannot be serialized and do not serve
 	// the bounded top-k certificate. Built by ApplyDelta (delta.go).
 	wood *woodbury
 	// driftCols tracks, per Schur column, the accumulated perturbation
-	// ‖ΔS[:,j]‖₂ hub deltas have applied since the ILU factors (and, for
+	// ‖ΔS[:,j]‖₂ hub deltas have applied since the DILU factors (and, for
 	// corrected engines, the stored S̃) were last exact; driftBase is
 	// ‖S̃‖F at that point. Engine.Drift derives the relative score from them.
 	driftCols map[int]float64
@@ -342,9 +359,9 @@ func poolFor(parallelism int, pin bool) *par.Pool {
 	}
 }
 
-// attachPool points every stored matrix (and the ILU factors) at the
-// engine's pool so the query-path SpMVs and triangular sweeps
-// row-partition across it, then first-touches each matrix: the row
+// attachPool points every stored matrix at the engine's pool so the
+// query-path SpMVs row-partition across it (the triangular sweeps are
+// serial), then first-touches each matrix: the row
 // partition is cached, and on a sticky pool each worker rewrites its own
 // partition segment so the pages it will stream every apply are placed
 // local to it.
@@ -354,9 +371,6 @@ func (e *Engine) attachPool() {
 			matSetPool(m, e.pool)
 			matFirstTouch(m)
 		}
-	}
-	if e.ilu != nil {
-		e.ilu.SetPool(e.pool)
 	}
 	e.prep.Workers = e.pool.Workers()
 }
@@ -369,10 +383,10 @@ func WarmupKernels() {
 	sparse.AutoTunePrefetch()
 }
 
-// setCompactMatrices converts every stored matrix (and the ILU factors)
+// setCompactMatrices converts every stored matrix (and the DILU factors)
 // to the requested layout in place. Narrowing shares the value slices, so
-// only the index arrays are rebuilt; widening a compacted ILU re-factors
-// it from the (widened) Schur complement, which reproduces the original
+// only the index arrays are rebuilt; widening compacted factors re-factors
+// them from the (widened) Schur complement, which reproduces the original
 // factors exactly.
 func (e *Engine) setCompactMatrices(on bool) {
 	conv := widenMat
@@ -387,7 +401,7 @@ func (e *Engine) setCompactMatrices(on bool) {
 		if on {
 			e.ilu.Compact()
 		} else if e.ilu.Compacted() {
-			if f, err := lu.FactorILU0(asCSR(e.schur)); err == nil {
+			if f, err := lu.FactorDILU(asCSR(e.schur)); err == nil {
 				e.ilu = f
 			}
 		}
@@ -464,7 +478,7 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 // PreprocessWithOrdering runs preprocessing stages 2–6 (build H, partition,
-// factor H11, Schur complement, ILU, compaction) under a caller-supplied
+// factor H11, Schur complement, DILU, compaction) under a caller-supplied
 // node ordering, skipping the SlashBurn reordering stage entirely. It is the
 // from-scratch reference for the delta-rebuild path: a spoke-only delta
 // rebuild must be bit-identical to PreprocessWithOrdering of the updated
@@ -549,13 +563,13 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 		return nil, err
 	}
 
-	// 5. ILU(0) preconditioner for the full variant, factored from the wide
+	// 5. DILU preconditioner for the full variant, factored from the wide
 	// S before any index compaction.
 	if opts.Variant == VariantFull {
 		t0 = time.Now()
-		e.ilu, err = lu.FactorILU0(schur)
+		e.ilu, err = lu.FactorDILU(schur)
 		if err != nil {
-			return nil, fmt.Errorf("core: ILU(0) of S: %w", err)
+			return nil, fmt.Errorf("core: DILU of S: %w", err)
 		}
 		e.prep.ILU = time.Since(t0)
 	}
@@ -758,7 +772,7 @@ func (e *Engine) Schur() *sparse.CSR { return asCSR(e.schur) }
 // MemoryBytes reports the total footprint of the preprocessed data:
 // the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 when
 // the engine applies the Schur complement implicitly), the Schur
-// complement, and (for full BePI) its ILU factors, all at their current
+// complement, and (for full BePI) its DILU factors, all at their current
 // index width. This is the quantity in Figure 1(b) of the paper.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
@@ -782,6 +796,6 @@ func (e *Engine) MemoryBytes() int64 {
 // Preconditioned reports whether the engine applies an ILU preconditioner.
 func (e *Engine) Preconditioned() bool { return e.ilu != nil }
 
-// ILU exposes the ILU(0) factors of S (nil unless VariantFull), for the
-// spectrum experiments.
+// ILU exposes the DILU factors of S (nil unless VariantFull), for the
+// spectrum experiments; Apply on them is the left preconditioner M⁻¹.
 func (e *Engine) ILU() *lu.ILU { return e.ilu }

@@ -26,8 +26,8 @@ import (
 //	h12, h21, h31, h32, schur   (sparse.CSR.WriteTo)
 //	blockLU   (lu.BlockLU.WriteTo)
 //
-// The ILU preconditioner is not stored: recomputing ILU(0) from S on load is
-// linear-ish in |S| and avoids format coupling.
+// The preconditioner is not stored: recomputing the DILU pivots from S on
+// load is one O(|S|) pass and avoids format coupling.
 
 const indexMagic = 0x42504931
 
@@ -70,7 +70,7 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	return n, err
 }
 
-// ReadEngine deserializes an engine written by WriteTo, recomputing the ILU
+// ReadEngine deserializes an engine written by WriteTo, recomputing the DILU
 // preconditioner if the stored variant requires one. Arrays and shapes that
 // disagree with the header are rejected here, not discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
@@ -136,8 +136,8 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	}
 	if e.opts.Variant == VariantFull {
 		t0 := time.Now()
-		if e.ilu, err = lu.FactorILU0(mats[4]); err != nil {
-			return nil, fmt.Errorf("core: rebuilding ILU: %w", err)
+		if e.ilu, err = lu.FactorDILU(mats[4]); err != nil {
+			return nil, fmt.Errorf("core: rebuilding DILU: %w", err)
 		}
 		e.prep.ILU = time.Since(t0)
 	}

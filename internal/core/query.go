@@ -16,83 +16,103 @@ func (e *Engine) Query(seed int) ([]float64, QueryStats, error) {
 	if seed < 0 || seed >= e.n {
 		return nil, QueryStats{}, fmt.Errorf("core: seed %d out of range [0,%d)", seed, e.n)
 	}
-	q := make([]float64, e.n)
-	q[seed] = 1
-	return e.QueryVector(q)
+	ws := e.acquireWorkspace()
+	defer e.releaseWorkspace(ws)
+	q := ws.unitQuery(seed)
+	defer func() { q[seed] = 0 }()
+	return e.QueryVectorWS(context.Background(), q, ws)
 }
 
 // QueryVector computes the personalized PageRank vector for an arbitrary
 // starting distribution q (indexed by original node ids). RWR is the
 // special case of a single-entry q; multi-seed q gives PPR, which the
 // block-elimination machinery supports unchanged. It is the batch-of-one
-// case of QueryVectorBatch.
+// case of QueryVectorBatch, on a workspace from the engine's free list.
 func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 	return e.QueryVectorWS(context.Background(), q, nil)
 }
 
-// solveSchur runs the configured iterative solver on S·r2 = q̃2.
-func (e *Engine) solveSchur(qt2 []float64, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	return e.solveSchurCtx(context.Background(), qt2, e.schurOperator(nil), nil, cb)
-}
-
-// solveSchurCtx is solveSchur with a cancellation context threaded into the
-// iterative solver, an explicit Schur operator (see Engine.schurOperator),
-// and an optional reusable Krylov workspace. With a workspace, the returned
-// solution points into it and is only valid until the next solve on that
-// workspace.
-func (e *Engine) solveSchurCtx(ctx context.Context, qt2 []float64, op solver.Operator, ws *solver.Workspace, cb func(int, []float64)) ([]float64, solver.Stats, error) {
-	op, opts := e.schurSolveOptions(ctx, op, ws)
-	opts.Callback = cb
-	return e.runSchurSolve(op, qt2, opts)
-}
-
-// schurSolveOptions builds the solver options every Schur solve shares —
-// tolerance, iteration budget, preconditioner, telemetry hooks — and wraps
-// the operator/preconditioner with the kernel-timing shims when installed.
-// Callers add their per-solve hooks (Callback, Probe, StopWhen) on top.
-func (e *Engine) schurSolveOptions(ctx context.Context, op solver.Operator, ws *solver.Workspace) (solver.Operator, solver.GMRESOptions) {
-	opts := solver.GMRESOptions{
-		Tol:         e.opts.Tol,
-		MaxIter:     e.opts.MaxIter,
-		Restart:     e.opts.GMRESRestart,
-		OnIteration: e.iterHook,
-		Ctx:         ctx,
-		Work:        ws,
+// runSchurSolve solves S·r2 = q̃2 with the configured iterative method, and
+// is the only place the engine does: queries, top-k, bound calibration and
+// the Woodbury Z-column solves all funnel through here, so every one of
+// them sees the same system. The caller's opts carry the per-solve hooks
+// (Ctx, Callback, Probe, StopWhen); tolerance, iteration budget, telemetry
+// and the Krylov arena come from the engine and the workspace. The returned
+// solution points into the workspace and is only valid until its next solve.
+//
+// With DILU factors of the stored S the solve is split-preconditioned and
+// runs on the one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then
+// r2 = Û⁻¹·y — the residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and
+// every iterate a Probe or Callback sees is mapped through Û⁻¹ first, by
+// the same arithmetic as the returned solution. Otherwise (no
+// preconditioner, or the fused implicit operator, which is not the matrix
+// the factors came from) it is the classic left-preconditioned solve.
+//
+// On engines carrying a Woodbury correction the iteration runs against the
+// stored base S̃ and the low-rank correction maps the result to the updated
+// graph's solution.
+func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
+	opts.Tol, opts.MaxIter, opts.Restart = e.opts.Tol, e.opts.MaxIter, e.opts.GMRESRestart
+	opts.OnIteration = e.iterHook
+	opts.Work = &ws.slv
+	solve := solver.GMRES
+	if e.opts.Solver == SolverBiCGSTAB {
+		solve = solver.BiCGSTAB
 	}
-	if e.ilu != nil {
-		opts.Precond = e.ilu
-	}
-	if hook := e.kernelHook; hook != nil {
-		op = &timedOperator{op: op, hook: hook, kernel: KernelSchur, bytes: e.schurApplyBytes()}
-		if opts.Precond != nil {
-			opts.Precond = &timedPrecond{pre: opts.Precond, hook: hook, kernel: KernelPrecond,
-				bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
-		}
-	}
-	return op, opts
-}
+	hook := e.kernelHook
 
-// runSchurSolve dispatches the configured iterative method. On engines
-// carrying a Woodbury correction (hub deltas absorbed over the explicit
-// operator) the iteration runs against the stored base S̃ and the low-rank
-// correction maps the result to the updated graph's solution; every Schur
-// solve in the engine — queries, top-k, bound calibration — funnels through
-// here, so all of them see the corrected system consistently.
-func (e *Engine) runSchurSolve(op solver.Operator, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	var (
-		t2    []float64
+		r2    []float64
 		stats solver.Stats
 		err   error
 	)
-	if e.opts.Solver == SolverBiCGSTAB {
-		t2, stats, err = solver.BiCGSTAB(op, qt2, opts)
+	if sp := e.splitOperator(ws); sp != nil {
+		var op solver.Operator = sp
+		left, right := sp.Left, sp.Right
+		if hook != nil {
+			mulB, leftB, rightB := sp.TrafficBytes()
+			op = &timedOperator{op: sp, hook: hook, bytes: mulB}
+			left = (&timedPrecond{apply: sp.Left, hook: hook, bytes: leftB}).Apply
+			right = (&timedPrecond{apply: sp.Right, hook: hook, bytes: rightB}).Apply
+		}
+		// Iterates shown to the caller are mapped untimed, as their assembly
+		// inside the solver is: the hook reports the solve's own kernels.
+		if probe := opts.Probe; probe != nil {
+			opts.Probe = func(iter int, residual float64, iterate func() []float64) {
+				probe(iter, residual, func() []float64 {
+					sp.Right(ws.iterate, iterate())
+					return ws.iterate
+				})
+			}
+		}
+		if cb := opts.Callback; cb != nil {
+			opts.Callback = func(iter int, y []float64) {
+				sp.Right(ws.iterate, y)
+				cb(iter, ws.iterate)
+			}
+		}
+		left(ws.bhat, qt2)
+		if r2, stats, err = solve(op, ws.bhat, opts); err == nil {
+			right(r2, r2)
+		}
 	} else {
-		t2, stats, err = solver.GMRES(op, qt2, opts)
+		op := e.schurOperator(ws)
+		if hook != nil {
+			op = &timedOperator{op: op, hook: hook, bytes: e.schurApplyBytes()}
+		}
+		if e.ilu != nil {
+			opts.Precond = e.ilu
+			if hook != nil {
+				opts.Precond = &timedPrecond{apply: e.ilu.Apply, hook: hook,
+					bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
+			}
+		}
+		r2, stats, err = solve(op, qt2, opts)
 	}
 	if err == nil && e.wood != nil {
-		e.wood.correct(t2)
+		e.wood.correct(r2)
 	}
-	return t2, stats, err
+	return r2, stats, err
 }
 
 // QueryWithCallback runs a query invoking cb with the fully assembled RWR
@@ -157,7 +177,9 @@ func (e *Engine) QueryWithCallback(seed int, cb func(iter int, r []float64)) ([]
 	if cb != nil {
 		solveCB = func(iter int, r2 []float64) { cb(iter, assemble(r2)) }
 	}
-	r2, stats, err := e.solveSchur(qt2, solveCB)
+	ws := e.acquireWorkspace()
+	defer e.releaseWorkspace(ws)
+	r2, stats, err := e.runSchurSolve(ws, qt2, solver.GMRESOptions{Callback: solveCB})
 	if err != nil {
 		return nil, QueryStats{Duration: time.Since(start)}, fmt.Errorf("core: solving Schur system: %w", err)
 	}

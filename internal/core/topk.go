@@ -97,9 +97,11 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 	if seed < 0 || seed >= e.n {
 		return nil, TopKStats{}, fmt.Errorf("core: seed %d out of range [0,%d)", seed, e.n)
 	}
-	q := make([]float64, e.n)
-	q[seed] = 1
-	tops, _, stats, errs := e.TopKBoundedBatch(nil, [][]float64{q}, []int{seed}, []int{k}, nil)
+	ws := e.acquireWorkspace()
+	defer e.releaseWorkspace(ws)
+	q := ws.unitQuery(seed)
+	defer func() { q[seed] = 0 }()
+	tops, _, stats, errs := e.TopKBoundedBatch(nil, [][]float64{q}, []int{seed}, []int{k}, ws)
 	return tops[0], stats[0], errs[0]
 }
 
@@ -131,7 +133,8 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 	}
 	start := time.Now()
 	if ws == nil || ws.e != e {
-		ws = e.NewWorkspace()
+		ws = e.acquireWorkspace()
+		defer e.releaseWorkspace(ws)
 	}
 	ws.grow(K)
 	ws.growTopK()
@@ -148,7 +151,6 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 	permuteDur := e.permutePhase(ws, qs, active)
 	forwardDur := e.forwardPhase(ws, active)
 
-	op, baseOpts := e.schurSolveOptions(context.Background(), e.schurOperator(ws), &ws.slv)
 	solved := make([]int, 0, len(active))
 	chks := make([]*tkChecker, K)
 	for _, slot := range active {
@@ -157,8 +159,7 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 		if x := excludes[slot]; x >= 0 && x < e.n {
 			cand--
 		}
-		opts := baseOpts
-		opts.Ctx = batchCtx(ctxs, slot)
+		opts := solver.GMRESOptions{Ctx: batchCtx(ctxs, slot)}
 		var chk *tkChecker
 		// A k that covers every candidate can't early-stop (there is no
 		// (k+1)-th bound to clear) — run those to tolerance.
@@ -172,7 +173,7 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 			opts.StopWhen = chk.stop
 		}
 		tSolve := time.Now()
-		r2, st, err := e.runSchurSolve(op, ws.qt2s[slot], opts)
+		r2, st, err := e.runSchurSolve(ws, ws.qt2s[slot], opts)
 		stats[slot].Iterations, stats[slot].Residual = st.Iterations, st.Residual
 		stats[slot].Stages.Solve = time.Since(tSolve)
 		if chk != nil {

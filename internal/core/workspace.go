@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
+	"bepi/internal/lu"
 	"bepi/internal/solver"
 )
 
@@ -28,6 +30,16 @@ type Workspace struct {
 	// concurrent workspaces never share one and repeated solves allocate
 	// nothing. Built lazily by Engine.schurOperator.
 	schurOp *SchurOperator
+	// split is this workspace's one-pass preconditioned operator (engines
+	// whose DILU factors come from the stored S), bhat the split system's
+	// right-hand side D·L̂⁻¹·q̃2, and iterate the Û⁻¹-mapped iterate handed
+	// to Probe/Callback. Built together, lazily, by Engine.splitOperator.
+	split         *lu.Eisenstat
+	bhat, iterate []float64
+	// unit (length n) is the all-zero query vector Engine.Query and
+	// TopKBounded set one entry of, so a single-seed query allocates no
+	// input vector; see unitQuery.
+	unit []float64
 	// tkScores (length n, permuted order) is the bounded top-k search's
 	// scratch: the mid-solve score snapshot the gap checks rank. One buffer
 	// serves a whole batch — the per-item Schur solves run sequentially.
@@ -37,6 +49,41 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace for the engine. Buffers are
 // allocated on first use and grow to the largest batch size submitted.
 func (e *Engine) NewWorkspace() *Workspace { return &Workspace{e: e} }
+
+// acquireWorkspace takes an idle workspace from the engine's free list (or
+// builds an empty one). This is what the public query entry points solve
+// from when the caller supplies no workspace of its own.
+func (e *Engine) acquireWorkspace() *Workspace {
+	e.wsMu.Lock()
+	defer e.wsMu.Unlock()
+	if last := len(e.wsFree) - 1; last >= 0 {
+		ws := e.wsFree[last]
+		e.wsFree = e.wsFree[:last]
+		return ws
+	}
+	return e.NewWorkspace()
+}
+
+// releaseWorkspace returns a workspace once nothing the caller hands back
+// points into it. The list holds at most one workspace per P: more callers
+// than that cannot be solving at once for long.
+func (e *Engine) releaseWorkspace(ws *Workspace) {
+	e.wsMu.Lock()
+	defer e.wsMu.Unlock()
+	if len(e.wsFree) < runtime.GOMAXPROCS(0) {
+		e.wsFree = append(e.wsFree, ws)
+	}
+}
+
+// unitQuery returns the workspace's zero vector with q[seed] = 1. The
+// caller resets that entry before releasing the workspace.
+func (w *Workspace) unitQuery(seed int) []float64 {
+	if len(w.unit) != w.e.n {
+		w.unit = make([]float64, w.e.n)
+	}
+	w.unit[seed] = 1
+	return w.unit
+}
 
 // grow ensures the workspace has buffers for a batch of k queries.
 func (w *Workspace) grow(k int) {
@@ -90,9 +137,9 @@ func (e *Engine) QueryVectorWS(ctx context.Context, q []float64, ws *Workspace) 
 // batchmates. Duration in each query's stats is the wall time of the whole
 // batch, i.e. the latency that query experienced at the engine.
 //
-// ctxs may be nil (no cancellation) and ws may be nil (allocate
-// per call); a batch of one with a nil context computes bit-identical
-// results to QueryVector.
+// ctxs may be nil (no cancellation) and ws may be nil (solve from a
+// workspace of the engine's free list); a batch of one with a nil context
+// computes bit-identical results to QueryVector.
 func (e *Engine) QueryVectorBatch(ctxs []context.Context, qs [][]float64, ws *Workspace) ([][]float64, []QueryStats, []error) {
 	K := len(qs)
 	res := make([][]float64, K)
@@ -103,7 +150,8 @@ func (e *Engine) QueryVectorBatch(ctxs []context.Context, qs [][]float64, ws *Wo
 	}
 	start := time.Now()
 	if ws == nil || ws.e != e {
-		ws = e.NewWorkspace()
+		ws = e.acquireWorkspace()
+		defer e.releaseWorkspace(ws)
 	}
 	ws.grow(K)
 
@@ -113,11 +161,10 @@ func (e *Engine) QueryVectorBatch(ctxs []context.Context, qs [][]float64, ws *Wo
 
 	// Solve S·r2 = q̃2 per query (line 4) — iterative, so per-query
 	// contexts apply here; the Krylov workspace is shared sequentially.
-	op := e.schurOperator(ws)
 	solved := make([]int, 0, len(active))
 	for _, k := range active {
 		tSolve := time.Now()
-		r2, st, err := e.solveSchurCtx(batchCtx(ctxs, k), ws.qt2s[k], op, &ws.slv, nil)
+		r2, st, err := e.runSchurSolve(ws, ws.qt2s[k], solver.GMRESOptions{Ctx: batchCtx(ctxs, k)})
 		stats[k].Iterations, stats[k].Residual = st.Iterations, st.Residual
 		stats[k].Stages.Solve = time.Since(tSolve)
 		if err != nil {

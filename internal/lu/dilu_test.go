@@ -1,0 +1,415 @@
+package lu
+
+import (
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"bepi/internal/sparse"
+)
+
+// randSparseDiag builds a random square matrix with a guaranteed dominant
+// diagonal and roughly nnzPerRow off-diagonal entries per row.
+func randSparseDiag(n, nnzPerRow int, seed int64) *sparse.CSR {
+	rng := rand.New(rand.NewSource(seed))
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		coo.Add(i, i, 4+rng.Float64())
+		for e := 0; e < nnzPerRow; e++ {
+			if j := rng.Intn(n); j != i {
+				coo.Add(i, j, rng.NormFloat64()*0.3)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// randSparseCSR builds a random square matrix with a full diagonal — the
+// shape the factorizations accept — including occasional explicit zeros,
+// which the Schur build's cancellation produces and the factor pattern must
+// keep.
+func randSparseCSR(rng *rand.Rand, n int, density float64) *sparse.CSR {
+	a := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		a.Add(i, i, 3+rng.Float64())
+		for j := 0; j < n; j++ {
+			if j != i && rng.Float64() < density {
+				v := rng.NormFloat64()
+				if rng.Float64() < 0.05 {
+					v = 0
+				}
+				a.Add(i, j, v)
+			}
+		}
+	}
+	return a.ToCSR()
+}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+func maxAbs(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// diluPivotsRef is the DILU recurrence written the slow way: every a_ki is
+// looked up with At, no cursors.
+func diluPivotsRef(a *sparse.CSR) []float64 {
+	n := a.Rows()
+	d := make([]float64, n)
+	for i := 0; i < n; i++ {
+		d[i] = a.At(i, i)
+		s, e := a.RowRange(i)
+		for p := s; p < e; p++ {
+			k := a.ColIdx()[p]
+			if k >= i {
+				break
+			}
+			if hasEntry(a, k, i) {
+				d[i] -= a.Values()[p] * a.At(k, i) / d[k]
+			}
+		}
+		if d[i] == 0 {
+			d[i] = 1e-12
+		}
+	}
+	return d
+}
+
+func hasEntry(m *sparse.CSR, i, j int) bool {
+	s, e := m.RowRange(i)
+	for p := s; p < e; p++ {
+		if m.ColIdx()[p] == j {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDILUFactorization checks FactorDILU against its definition on random
+// patterns (explicit zeros included), a matrix whose recurrence drives a
+// pivot to exactly zero, and the trivial sizes: pivots equal the slow
+// recurrence bit for bit, the strict triangles are the input's own bits,
+// diag(L̂·D⁻¹·Û) reproduces diag(A), K = 2D − diag(A), the stored entry
+// count is the input's, the input is untouched and nothing is
+// over-allocated.
+func TestDILUFactorization(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	mats := []*sparse.CSR{
+		sparse.Zero(0, 0),
+		sparse.Identity(1),
+		// Row 1's pivot is 2 − 2·1/1 = 0, which row 2 divides by.
+		sparse.FromDense([][]float64{{1, 1, 0}, {2, 2, 1}, {0, 3, 1}}),
+	}
+	for trial := 0; trial < 40; trial++ {
+		mats = append(mats, randSparseCSR(rng, 1+rng.Intn(60), rng.Float64()*0.3))
+	}
+	for mi, a := range mats {
+		before := a.Clone()
+		f, err := FactorDILU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Equal(before) {
+			t.Fatalf("matrix %d: FactorDILU modified its input", mi)
+		}
+		n := a.Rows()
+		if f.N() != n || f.NNZ() != a.NNZ() {
+			t.Fatalf("matrix %d: factor is %d rows / %d entries, input %d / %d", mi, f.N(), f.NNZ(), n, a.NNZ())
+		}
+		for _, tf := range []*triFactor{&f.l, &f.u} {
+			if cap(tf.col) != len(tf.col) || cap(tf.val) != len(tf.val) {
+				t.Fatalf("matrix %d: factor arrays over-allocated", mi)
+			}
+		}
+		want := diluPivotsRef(a)
+		l, u := f.Split()
+		prod := f.Product()
+		for i := 0; i < n; i++ {
+			d := u.At(i, i)
+			if math.Float64bits(d) != math.Float64bits(want[i]) || l.At(i, i) != d {
+				t.Fatalf("matrix %d: pivot %d = %v (L̂ holds %v), recurrence gives %v", mi, i, d, l.At(i, i), want[i])
+			}
+			if k := 2*d - a.At(i, i); math.Float64bits(f.k[i]) != math.Float64bits(k) {
+				t.Fatalf("matrix %d: K[%d] = %v want %v", mi, i, f.k[i], k)
+			}
+			if mi > 2 {
+				if got := prod.At(i, i); math.Abs(got-a.At(i, i)) > 1e-13*math.Abs(a.At(i, i)) {
+					t.Fatalf("matrix %d: diag(L̂·D⁻¹·Û)[%d] = %v, A has %v", mi, i, got, a.At(i, i))
+				}
+			}
+			s, e := a.RowRange(i)
+			for p := s; p < e; p++ {
+				j := a.ColIdx()[p]
+				tri := l
+				if j > i {
+					tri = u
+				}
+				if j != i && (!hasEntry(tri, i, j) || math.Float64bits(tri.At(i, j)) != math.Float64bits(a.Values()[p])) {
+					t.Fatalf("matrix %d: factor entry (%d,%d) is not A's own", mi, i, j)
+				}
+			}
+		}
+		if l.NNZ()+u.NNZ() != a.NNZ()+n {
+			t.Fatalf("matrix %d: factors hold entries outside A's pattern", mi)
+		}
+	}
+	if f, err := FactorDILU(mats[2]); err != nil || f.u.val[f.u.rowPtr[1]] != 1e-12 {
+		t.Fatalf("zero pivot not replaced by the epsilon: %v", err)
+	}
+}
+
+func TestDILURejectsBadInput(t *testing.T) {
+	coo := sparse.NewCOO(2, 2)
+	coo.Add(0, 1, 1)
+	coo.Add(1, 0, 1)
+	if _, err := FactorDILU(coo.ToCSR()); err == nil {
+		t.Fatal("expected error for missing diagonal")
+	}
+	if _, err := FactorDILU(sparse.Zero(2, 3)); err == nil {
+		t.Fatal("expected error for a non-square matrix")
+	}
+	f, err := FactorILU0(sparse.Identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Eisenstat over ILU(0) factors should panic")
+		}
+	}()
+	f.Eisenstat()
+}
+
+// TestDILUApplyIsInverseOfProduct: Apply is M⁻¹ for M = L̂·D⁻¹·Û, aliased or
+// not, and agrees with the split solve's two half-passes composed.
+func TestDILUApplyIsInverseOfProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 7, 40, 120} {
+		a := randSparseCSR(rng, n, 0.12)
+		f, err := FactorDILU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randVec(rng, n)
+		b := make([]float64, n)
+		f.Product().MulVec(b, x)
+		got := make([]float64, n)
+		f.Apply(got, b)
+		for i := range got {
+			if math.Abs(got[i]-x[i]) > 1e-10*(1+maxAbs(x)) {
+				t.Fatalf("n=%d: Apply(M·x)[%d] = %v want %v", n, i, got[i], x[i])
+			}
+		}
+		op := f.Eisenstat()
+		half := make([]float64, n)
+		op.Left(half, b)
+		op.Right(half, half)
+		for i := range half {
+			if math.Abs(half[i]-got[i]) > 1e-12*(1+maxAbs(got)) {
+				t.Fatalf("n=%d: Right(Left(b))[%d] = %v, Apply gives %v", n, i, half[i], got[i])
+			}
+		}
+		f.Apply(b, b)
+		if !bitsEqual(b, got) {
+			t.Fatalf("n=%d: in-place Apply differs", n)
+		}
+	}
+}
+
+// TestEisenstatMatchesComposedOperator: the one-pass product equals
+// D·L̂⁻¹·(A·(Û⁻¹·v)) computed the long way with an explicit product by A,
+// to 1e-12 relative; the compact layout agrees with the wide one bit for
+// bit; and the half-passes tolerate aliasing.
+func TestEisenstatMatchesComposedOperator(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, a := range []*sparse.CSR{
+		sparse.Identity(1),
+		randSparseCSR(rng, 9, 0.3),
+		randSparseCSR(rng, 150, 0.08),
+		randSparseDiag(3000, 8, 5),
+	} {
+		n := a.Rows()
+		f, err := FactorDILU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := f.Eisenstat()
+		v := randVec(rng, n)
+		got := make([]float64, n)
+		op.MulVec(got, v)
+
+		tmp := make([]float64, n)
+		op.Right(tmp, v)
+		av := make([]float64, n)
+		a.MulVec(av, tmp)
+		want := make([]float64, n)
+		op.Left(want, av)
+		scale := maxAbs(want)
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-12*scale {
+				t.Fatalf("n=%d: (Â·v)[%d] = %v, composed %v", n, i, got[i], want[i])
+			}
+		}
+
+		g, err := FactorDILU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Compact().Compacted() {
+			t.Fatal("Compact did not narrow")
+		}
+		cop := g.Eisenstat()
+		cgot := make([]float64, n)
+		cop.MulVec(cgot, v)
+		if !bitsEqual(cgot, got) {
+			t.Fatalf("n=%d: compact one-pass product differs from wide", n)
+		}
+		cop.Left(cgot, av)
+		if !bitsEqual(cgot, want) {
+			t.Fatalf("n=%d: compact Left differs from wide", n)
+		}
+		alias := append([]float64(nil), av...)
+		op.Left(alias, alias)
+		if !bitsEqual(alias, want) {
+			t.Fatalf("n=%d: aliased Left differs", n)
+		}
+		alias = append(alias[:0], v...)
+		op.Right(alias, alias)
+		if !bitsEqual(alias, tmp) {
+			t.Fatalf("n=%d: aliased Right differs", n)
+		}
+	}
+}
+
+// TestEisenstatOperatorsShareFactorsConcurrently runs several one-pass
+// operators over one factorization from different goroutines — what
+// concurrent queries on one engine do — and checks every product against
+// the serial one. Under -race it is the check that the sweeps write only
+// their own scratch.
+func TestEisenstatOperatorsShareFactorsConcurrently(t *testing.T) {
+	a := randSparseDiag(2000, 8, 6)
+	f, err := FactorDILU(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Compact()
+	v := randVec(rand.New(rand.NewSource(7)), f.N())
+	want := make([]float64, f.N())
+	f.Eisenstat().MulVec(want, v)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := f.Eisenstat()
+			got := make([]float64, f.N())
+			for rep := 0; rep < 5; rep++ {
+				op.MulVec(got, v)
+				if !bitsEqual(got, want) {
+					t.Error("concurrent one-pass product differs from serial")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestILUCompactApplySerialBitIdentical pins the narrowed-index sweeps
+// against the wide ones, for both factorizations.
+func TestILUCompactApplySerialBitIdentical(t *testing.T) {
+	a := randSparseDiag(300, 5, 4)
+	for name, factor := range map[string]func(*sparse.CSR) (*ILU, error){"ILU0": FactorILU0, "DILU": FactorDILU} {
+		wide, err := factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, err := factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow.Compact()
+		src := make([]float64, wide.n)
+		for i := range src {
+			src[i] = float64(i%17) - 8.5
+		}
+		want := make([]float64, wide.n)
+		wide.Apply(want, src)
+		got := make([]float64, narrow.n)
+		narrow.Apply(got, src)
+		if !bitsEqual(got, want) {
+			t.Fatalf("%s: compact Apply differs", name)
+		}
+		// Split must still reconstruct the factors after compaction.
+		lw, uw := wide.Split()
+		ln, un := narrow.Split()
+		if !lw.Equal(ln) || !uw.Equal(un) {
+			t.Fatalf("%s: Split changed after Compact", name)
+		}
+	}
+}
+
+// TestILUMemoryBytesPinned pins MemoryBytes against manually computed
+// sizes, wide and compacted — the accounting the serving layer's memory
+// budget and the benchmark's index_bytes rely on. DILU pays for its one
+// extra diagonal and nothing else.
+func TestILUMemoryBytesPinned(t *testing.T) {
+	a := randSparseDiag(200, 4, 5)
+	for name, factor := range map[string]func(*sparse.CSR) (*ILU, error){"ILU0": FactorILU0, "DILU": FactorDILU} {
+		f, err := factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, nnz := int64(f.n), int64(f.NNZ())
+		if nnz != int64(a.NNZ()) {
+			t.Fatalf("%s: factor nnz %d != matrix nnz %d", name, nnz, a.NNZ())
+		}
+		var diag int64
+		if name == "DILU" {
+			diag = 8 * n // K
+		}
+		wide := nnz*8 + // values (split across L and U)
+			nnz*8 + // columns
+			2*(n+1)*8 + // two row-pointer arrays
+			diag
+		if got := f.MemoryBytes(); got != wide {
+			t.Fatalf("%s: wide MemoryBytes = %d want %d", name, got, wide)
+		}
+		f.Compact()
+		compact := nnz*8 + // values stay float64
+			nnz*4 + // uint32 columns
+			2*(n+1)*4 + // int32 row pointers
+			diag
+		if got := f.MemoryBytes(); got != compact {
+			t.Fatalf("%s: compact MemoryBytes = %d want %d", name, got, compact)
+		}
+		if 2*(compact-diag-nnz*8) != wide-diag-nnz*8 {
+			t.Fatalf("%s: compaction did not halve index bytes: wide=%d compact=%d", name, wide, compact)
+		}
+	}
+}

@@ -2,34 +2,136 @@ package lu
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"bepi/internal/par"
 	"bepi/internal/sparse"
 )
 
-// ILU holds an ILU(0) incomplete factorization A ≈ L·U where L is unit
-// lower triangular and U upper triangular, both restricted to the sparsity
-// pattern of A, so the stored entry count equals the input's — the property
-// Theorem 3 of the paper relies on. The factors are kept as two
-// level-ordered triangular structures (see levels.go): dependency levels
-// are computed once here at factorization and the rows stored physically in
-// level order, which makes the triangular sweeps both stream memory
-// contiguously and parallelize level by level.
+// ILU holds an incomplete factorization of a square matrix A restricted to
+// A's own sparsity pattern, so the stored entry count equals the input's —
+// the property Theorem 3 of the paper relies on. Two factorizations share
+// the struct:
 //
-// The factors are immutable after FactorILU0. Two optional post-build steps
-// tune Apply for the query path: Compact narrows the index arrays to
-// int32/uint32 (halving index bandwidth), and SetPool attaches a parallel
-// pool so wide levels execute across workers — bit-identically to the
-// serial sweeps, since rows within a level are independent and each row's
-// accumulation loop is unchanged.
+//   - FactorILU0, the paper's ILU(0): A ≈ L·U with L unit lower triangular
+//     (strict part stored) and U upper triangular.
+//   - FactorDILU, the diagonal ILU: A ≈ L̂·D⁻¹·Û with L̂ = D + L_A and
+//     Û = D + U_A — only the pivots D differ from A, the strict triangles
+//     are A's own. k then holds the diagonal K = 2D − diag(A), which makes
+//     A = L̂ + Û − K and lets Eisenstat apply the preconditioned operator
+//     in one pass over the factors.
+//
+// Both keep the two triangles as separate row-major structures in natural
+// row order, each row of the upper one led by its pivot. The factors are
+// immutable after construction except for Compact, which narrows the index
+// arrays to int32/uint32 (halving index bandwidth); values are untouched.
 type ILU struct {
 	n    int
 	l, u triFactor
+	k    []float64 // nil for ILU(0)
+}
 
-	// pool, when set, runs wide levels of the sweeps in parallel for
-	// systems of at least iluParallelMinNNZ stored entries.
-	pool *par.Pool
+// triFactor is one triangular factor in row-major storage, rows in natural
+// order, columns ascending within a row (so a row of the upper factor leads
+// with its diagonal entry). Exactly one of the (rowPtr, col) /
+// (rowPtr32, col32) index pairs is non-nil; compact switches to the narrow
+// pair.
+type triFactor struct {
+	val []float64
+
+	rowPtr []int
+	col    []int
+
+	rowPtr32 []int32
+	col32    []uint32
+}
+
+func (t *triFactor) nnz() int { return len(t.val) }
+
+// rowSpan returns row i's half-open entry range.
+func (t *triFactor) rowSpan(i int) (int, int) {
+	if t.col32 != nil {
+		return int(t.rowPtr32[i]), int(t.rowPtr32[i+1])
+	}
+	return t.rowPtr[i], t.rowPtr[i+1]
+}
+
+func (t *triFactor) colAt(p int) int {
+	if t.col32 != nil {
+		return int(t.col32[p])
+	}
+	return t.col[p]
+}
+
+// compact narrows the index arrays to int32/uint32, releasing the wide
+// ones. No-op when already narrow or out of range.
+func (t *triFactor) compact(n int) {
+	if t.col32 != nil || len(t.val) > math.MaxInt32 || int64(n) >= 1<<32 {
+		return
+	}
+	t.rowPtr32 = make([]int32, len(t.rowPtr))
+	for i, p := range t.rowPtr {
+		t.rowPtr32[i] = int32(p)
+	}
+	t.col32 = make([]uint32, len(t.col))
+	for i, j := range t.col {
+		t.col32[i] = uint32(j)
+	}
+	t.rowPtr, t.col = nil, nil
+}
+
+// memoryBytes is the factor's retained footprint at its current width.
+func (t *triFactor) memoryBytes() int64 {
+	b := int64(len(t.val)) * 8
+	if t.col32 != nil {
+		return b + int64(len(t.col32))*4 + int64(len(t.rowPtr32))*4
+	}
+	return b + int64(len(t.col))*8 + int64(len(t.rowPtr))*8
+}
+
+// diagPositions locates every row's diagonal entry in a square CSR matrix
+// with sorted rows.
+func diagPositions(a *sparse.CSR, what string) ([]int, error) {
+	n := a.Rows()
+	if n != a.Cols() {
+		return nil, fmt.Errorf("lu: %s requires a square matrix, got %v", what, a)
+	}
+	rowPtr, col := a.RowPtr(), a.ColIdx()
+	diagPos := make([]int, n)
+	for i := 0; i < n; i++ {
+		row := col[rowPtr[i]:rowPtr[i+1]]
+		p := sort.SearchInts(row, i)
+		if p == len(row) || row[p] != i {
+			return nil, fmt.Errorf("lu: %s missing diagonal at row %d", what, i)
+		}
+		diagPos[i] = rowPtr[i] + p
+	}
+	return diagPos, nil
+}
+
+// splitTriangles copies a packed pattern (strict lower part below diagPos,
+// diagonal and upper part from it) into the two exactly-sized factors.
+func splitTriangles(n int, rowPtr, col []int, val []float64, diagPos []int) (l, u triFactor) {
+	var nnzL int
+	for i := 0; i < n; i++ {
+		nnzL += diagPos[i] - rowPtr[i]
+	}
+	gather := func(t *triFactor, nnz int, span func(i int) (lo, hi int)) {
+		t.rowPtr = make([]int, n+1)
+		t.col = make([]int, nnz)
+		t.val = make([]float64, nnz)
+		out := 0
+		for i := 0; i < n; i++ {
+			lo, hi := span(i)
+			copy(t.col[out:], col[lo:hi])
+			copy(t.val[out:], val[lo:hi])
+			out += hi - lo
+			t.rowPtr[i+1] = out
+		}
+	}
+	gather(&l, nnzL, func(i int) (int, int) { return rowPtr[i], diagPos[i] })
+	gather(&u, len(val)-nnzL, func(i int) (int, int) { return diagPos[i], rowPtr[i+1] })
+	return l, u
 }
 
 // FactorILU0 computes the ILU(0) factorization of a square CSR matrix. The
@@ -38,23 +140,14 @@ type ILU struct {
 // factorization is approximate anyway. The input is only read: elimination
 // runs in place on one working copy of its values, over its own pattern.
 func FactorILU0(a *sparse.CSR) (*ILU, error) {
-	n := a.Rows()
-	if n != a.Cols() {
-		return nil, fmt.Errorf("lu: ILU0 requires a square matrix, got %v", a)
+	diagPos, err := diagPositions(a, "ILU0")
+	if err != nil {
+		return nil, err
 	}
+	n := a.Rows()
 	rowPtr, col := a.RowPtr(), a.ColIdx()
 	val := make([]float64, a.NNZ())
 	copy(val, a.Values())
-
-	diagPos := make([]int, n)
-	for i := 0; i < n; i++ {
-		row := col[rowPtr[i]:rowPtr[i+1]]
-		p := sort.SearchInts(row, i)
-		if p == len(row) || row[p] != i {
-			return nil, fmt.Errorf("lu: ILU0 missing diagonal at row %d", i)
-		}
-		diagPos[i] = rowPtr[i] + p
-	}
 
 	// IKJ variant: for each row i, eliminate with all previous rows k that
 	// appear in row i's pattern. pos[j] maps column j to its position in
@@ -87,41 +180,67 @@ func FactorILU0(a *sparse.CSR) (*ILU, error) {
 		}
 	}
 	f := &ILU{n: n}
-	// Splitting into level-ordered factors costs one O(nnz) pass against
-	// the O(nnz·row) factorization above; the working copy is released here.
-	f.l, f.u = buildTriFactors(n, rowPtr, col, val, diagPos)
+	f.l, f.u = splitTriangles(n, rowPtr, col, val, diagPos)
+	return f, nil
+}
+
+// FactorDILU computes the diagonal incomplete factorization of a square
+// CSR matrix with a nonzero diagonal: one O(nnz) pass for the pivots
+//
+//	d_i = a_ii − Σ a_ik·a_ki/d_k   over k < i with (i,k) and (k,i) stored,
+//
+// the off-diagonals left as A's own. A zero pivot is replaced by the same
+// epsilon FactorILU0 uses. For the M-matrices the engine factors (Schur
+// complements of I − (1−c)Ãᵀ) every pivot is positive.
+func FactorDILU(a *sparse.CSR) (*ILU, error) {
+	diagPos, err := diagPositions(a, "DILU")
+	if err != nil {
+		return nil, err
+	}
+	n := a.Rows()
+	rowPtr, col, val := a.RowPtr(), a.ColIdx(), a.Values()
+	f := &ILU{n: n, k: make([]float64, n)}
+	f.l, f.u = splitTriangles(n, rowPtr, col, val, diagPos)
+
+	// next[k] walks row k's strict upper part: rows i ask for a_ki in
+	// ascending i, so each cursor only ever moves forward.
+	next := make([]int, n)
+	for k := range next {
+		next[k] = diagPos[k] + 1
+	}
+	for i := 0; i < n; i++ {
+		d := val[diagPos[i]]
+		for p := rowPtr[i]; p < diagPos[i]; p++ {
+			k := col[p]
+			q, end := next[k], rowPtr[k+1]
+			for q < end && col[q] < i {
+				q++
+			}
+			next[k] = q
+			if q < end && col[q] == i {
+				d -= val[p] * val[q] / f.u.val[f.u.rowPtr[k]]
+			}
+		}
+		if d == 0 {
+			d = 1e-12
+		}
+		f.u.val[f.u.rowPtr[i]] = d
+		f.k[i] = 2*d - val[diagPos[i]]
+	}
 	return f, nil
 }
 
 // N returns the dimension.
 func (f *ILU) N() int { return f.n }
 
-// SetPool attaches a parallel pool and returns f. With a pool of more than
-// one worker, Apply executes each dependency level's rows across the pool
-// (for systems of at least iluParallelMinNNZ entries); results remain
-// bit-identical to serial execution. A nil pool restores serial sweeps.
-func (f *ILU) SetPool(p *par.Pool) *ILU {
-	f.pool = p
-	return f
-}
-
-// Pool returns the attached pool (nil means serial).
-func (f *ILU) Pool() *par.Pool { return f.pool }
-
 // NNZ returns the number of stored factor entries (equal to the factored
 // matrix's entry count).
 func (f *ILU) NNZ() int { return f.l.nnz() + f.u.nnz() }
 
-// Levels reports the number of dependency levels of the forward and
-// backward sweeps — the critical-path lengths of the two triangular solves.
-func (f *ILU) Levels() (forward, backward int) {
-	return f.l.levels(), f.u.levels()
-}
-
 // Compact narrows both factors' index arrays to int32 row pointers and
 // uint32 columns, releasing the wide ones — the same ~2× index-bandwidth
 // cut CSR32 gives the SpMV kernels. No-op if already compact or too large
-// to narrow. Values are untouched, so Apply stays bit-identical.
+// to narrow. Values are untouched, so every sweep stays bit-identical.
 func (f *ILU) Compact() *ILU {
 	f.l.compact(f.n)
 	f.u.compact(f.n)
@@ -131,10 +250,9 @@ func (f *ILU) Compact() *ILU {
 // Compacted reports whether the index arrays have been narrowed.
 func (f *ILU) Compacted() bool { return f.l.col32 != nil && f.u.col32 != nil }
 
-// Apply computes dst = U⁻¹ L⁻¹ src, the preconditioner application
-// M⁻¹ = (L̃ Ũ)⁻¹ used by preconditioned GMRES. dst and src may alias. With a
-// pool attached (SetPool) the sweeps run level-scheduled in parallel;
-// either way the result is bit-identical to the serial sweeps.
+// Apply computes dst = M⁻¹·src, the classic left-preconditioner
+// application: U⁻¹·L⁻¹ for ILU(0), Û⁻¹·D·L̂⁻¹ for DILU. dst and src may
+// alias.
 func (f *ILU) Apply(dst, src []float64) {
 	if len(dst) != f.n || len(src) != f.n {
 		panic("lu: ILU.Apply length mismatch")
@@ -145,57 +263,60 @@ func (f *ILU) Apply(dst, src []float64) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)
 	}
-	if f.pool.Workers() > 1 && f.NNZ() >= iluParallelMinNNZ {
-		f.l.runLevels(f.pool, func(lo, hi int) { f.sweepL(dst, lo, hi) })
-		f.u.runLevels(f.pool, func(lo, hi int) { f.sweepU(dst, lo, hi) })
-		return
-	}
-	// Serial: a full walk in storage order is a valid dependency order by
-	// construction, and streams the factors contiguously.
-	f.sweepL(dst, 0, f.n)
-	f.sweepU(dst, 0, f.n)
-}
-
-func (f *ILU) sweepL(dst []float64, lo, hi int) {
-	if f.l.col32 != nil {
-		sweepLower(f.l.order, f.l.rowPtr32, f.l.col32, f.l.val, dst, lo, hi)
-	} else {
-		sweepLower(f.l.order, f.l.rowPtr, f.l.col, f.l.val, dst, lo, hi)
+	l, u := &f.l, &f.u
+	switch {
+	case f.k == nil && l.col32 != nil:
+		sweepLower(l.rowPtr32, l.col32, l.val, dst)
+		sweepUpper(u.rowPtr32, u.col32, u.val, dst)
+	case f.k == nil:
+		sweepLower(l.rowPtr, l.col, l.val, dst)
+		sweepUpper(u.rowPtr, u.col, u.val, dst)
+	case l.col32 != nil:
+		sweepLowerPivot(l.rowPtr32, l.col32, l.val, u.rowPtr32, u.val, dst)
+		sweepUpperScaled(u.rowPtr32, u.col32, u.val, dst)
+	default:
+		sweepLowerPivot(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst)
+		sweepUpperScaled(u.rowPtr, u.col, u.val, dst)
 	}
 }
 
-func (f *ILU) sweepU(dst []float64, lo, hi int) {
-	if f.u.col32 != nil {
-		sweepUpper(f.u.order, f.u.rowPtr32, f.u.col32, f.u.val, dst, lo, hi)
-	} else {
-		sweepUpper(f.u.order, f.u.rowPtr, f.u.col, f.u.val, dst, lo, hi)
-	}
-}
-
-// Product returns the explicit product L·U as a CSR matrix; for tests that
-// check the on-pattern approximation property of ILU(0).
+// Product returns the explicit preconditioner matrix M as CSR — L·U for
+// ILU(0), L̂·D⁻¹·Û for DILU; for tests of the on-pattern approximation
+// properties.
 func (f *ILU) Product() *sparse.CSR {
 	l, u := f.Split()
+	if f.k != nil {
+		// Scale row i of Û by 1/d_i: D⁻¹·Û.
+		uc := sparse.NewCOO(f.n, f.n)
+		for i := 0; i < f.n; i++ {
+			start, end := f.u.rowSpan(i)
+			for p := start; p < end; p++ {
+				uc.Add(i, f.u.colAt(p), f.u.val[p]/f.u.val[start])
+			}
+		}
+		u = uc.ToCSR()
+	}
 	return l.Mul(u)
 }
 
-// Split returns the unit-lower factor L (with explicit unit diagonal) and
-// the upper factor U as separate CSR matrices.
+// Split returns the lower and upper factors as separate CSR matrices: the
+// unit-lower L (explicit unit diagonal) and U for ILU(0), L̂ = D + L_A and
+// Û = D + U_A for DILU.
 func (f *ILU) Split() (l, u *sparse.CSR) {
 	lc := sparse.NewCOO(f.n, f.n)
 	uc := sparse.NewCOO(f.n, f.n)
-	for k := 0; k < f.n; k++ {
-		i := int(f.l.order[k])
-		lc.Add(i, i, 1)
-		start, end := f.l.rowSpan(k)
+	for i := 0; i < f.n; i++ {
+		ustart, uend := f.u.rowSpan(i)
+		if f.k != nil {
+			lc.Add(i, i, f.u.val[ustart])
+		} else {
+			lc.Add(i, i, 1)
+		}
+		start, end := f.l.rowSpan(i)
 		for p := start; p < end; p++ {
 			lc.Add(i, f.l.colAt(p), f.l.val[p])
 		}
-	}
-	for k := 0; k < f.n; k++ {
-		i := int(f.u.order[k])
-		start, end := f.u.rowSpan(k)
-		for p := start; p < end; p++ {
+		for p := ustart; p < uend; p++ {
 			uc.Add(i, f.u.colAt(p), f.u.val[p])
 		}
 	}
@@ -203,8 +324,78 @@ func (f *ILU) Split() (l, u *sparse.CSR) {
 }
 
 // MemoryBytes reports the storage footprint of everything the factorization
-// retains: both factors' values, index arrays at their current width (wide
-// or compacted), and the level order/boundary arrays.
+// retains: both factors' values and index arrays at their current width
+// (wide or compacted), and DILU's diagonal K.
 func (f *ILU) MemoryBytes() int64 {
-	return f.l.memoryBytes() + f.u.memoryBytes()
+	return f.l.memoryBytes() + f.u.memoryBytes() + int64(len(f.k))*8
+}
+
+// The sweep kernels are generic over the index width so the wide (int) and
+// compact (int32/uint32, after ILU.Compact) layouts share one loop body.
+// Rows are sliced so the inner loop ranges over the row (bounds-check
+// free), like the SpMV kernels. The backward sweeps walk each row from its
+// last entry to its first, so the whole sweep reads the factor arrays in
+// one direction — descending — instead of stepping forward inside a row and
+// backward between rows, which costs the hardware prefetcher about a tenth
+// of the sweep.
+
+// sweepLower is unit-lower forward substitution in place:
+// dst[i] −= Σ L[i,j]·dst[j].
+func sweepLower[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+	for i := range dst {
+		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
+		cols := col[lo:hi]
+		vals := val[lo:hi]
+		s := dst[i]
+		for p, j := range cols {
+			s -= vals[p] * dst[j]
+		}
+		dst[i] = s
+	}
+}
+
+// sweepUpper is upper back substitution in place; each row leads with its
+// pivot: dst[i] = (dst[i] − Σ U[i,j]·dst[j]) / U[i,i].
+func sweepUpper[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+	for i := len(dst) - 1; i >= 0; i-- {
+		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
+		cols := col[lo+1 : hi]
+		vals := val[lo+1 : hi]
+		s := dst[i]
+		for p := len(cols) - 1; p >= 0; p-- {
+			s -= vals[p] * dst[cols[p]]
+		}
+		dst[i] = s / val[lo]
+	}
+}
+
+// sweepLowerPivot is forward substitution with L̂ = D + L_A in place, the
+// pivots read from the upper factor's row-leading entries:
+// dst[i] = (dst[i] − Σ L̂[i,j]·dst[j]) / d_i.
+func sweepLowerPivot[P int | int32, C int | uint32](rowPtr []P, col []C, val []float64, uRowPtr []P, uVal, dst []float64) {
+	for i := range dst {
+		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
+		cols := col[lo:hi]
+		vals := val[lo:hi]
+		s := dst[i]
+		for p, j := range cols {
+			s -= vals[p] * dst[j]
+		}
+		dst[i] = s / uVal[uRowPtr[i]]
+	}
+}
+
+// sweepUpperScaled solves Û·x = D·y in place:
+// dst[i] −= (Σ Û[i,j]·dst[j]) / d_i.
+func sweepUpperScaled[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+	for i := len(dst) - 1; i >= 0; i-- {
+		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
+		cols := col[lo+1 : hi]
+		vals := val[lo+1 : hi]
+		var s float64
+		for p := len(cols) - 1; p >= 0; p-- {
+			s += vals[p] * dst[cols[p]]
+		}
+		dst[i] -= s / val[lo]
+	}
 }

@@ -322,8 +322,9 @@ func TestQuickSparseLURoundTrip(t *testing.T) {
 }
 
 // Property: ILU memory footprint matches the input matrix footprint
-// (Theorem 3's storage argument) plus the diagonal index and the
-// level-schedule arrays retained for parallel sweeps.
+// (Theorem 3's storage argument): the same nnz as A, split across the L and
+// U structures, which adds a second row-pointer array — plus, for DILU, the
+// one diagonal K.
 func TestQuickILUMemoryMatchesPattern(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -333,12 +334,12 @@ func TestQuickILUMemoryMatchesPattern(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Same nnz as A (split across the L and U structures, which adds a
-		// second row-pointer array), plus two int32 level schedules (an
-		// order entry per row and levels+1 bounds per sweep).
-		fwd, bwd := fac.Levels()
-		sched := int64(4 * (2*n + (fwd + 1) + (bwd + 1)))
-		return fac.MemoryBytes() == a.MemoryBytes()+int64(n+1)*8+sched
+		dilu, err := FactorDILU(a)
+		if err != nil {
+			return false
+		}
+		split := a.MemoryBytes() + int64(n+1)*8
+		return fac.MemoryBytes() == split && dilu.MemoryBytes() == split+int64(n)*8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

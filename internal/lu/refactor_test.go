@@ -139,186 +139,3 @@ func TestRefactorBlocksDeltaErrors(t *testing.T) {
 		}
 	}
 }
-
-// randSparseCSR builds a random square matrix with a full diagonal — the
-// shape FactorILU0 accepts — including occasional explicit zeros, which the
-// Schur build's cancellation produces and the ILU(0) pattern must keep.
-func randSparseCSR(rng *rand.Rand, n int, density float64) *sparse.CSR {
-	a := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		a.Add(i, i, 3+rng.Float64())
-		for j := 0; j < n; j++ {
-			if j != i && rng.Float64() < density {
-				v := rng.NormFloat64()
-				if rng.Float64() < 0.05 {
-					v = 0
-				}
-				a.Add(i, j, v)
-			}
-		}
-	}
-	return a.ToCSR()
-}
-
-// iluFactorsEqual compares two ILU factorizations entry-bitwise.
-func iluFactorsEqual(t *testing.T, a, b *ILU) {
-	t.Helper()
-	for _, f := range []struct {
-		name string
-		x, y *triFactor
-	}{{"L", &a.l, &b.l}, {"U", &a.u, &b.u}} {
-		if f.x.nnz() != f.y.nnz() {
-			t.Fatalf("%s nnz %d != %d", f.name, f.x.nnz(), f.y.nnz())
-		}
-		if len(f.x.order) != len(f.y.order) {
-			t.Fatalf("%s rows %d != %d", f.name, len(f.x.order), len(f.y.order))
-		}
-		for k := range f.x.order {
-			if f.x.order[k] != f.y.order[k] {
-				t.Fatalf("%s order[%d] = %d != %d", f.name, k, f.x.order[k], f.y.order[k])
-			}
-			xs, xe := f.x.rowSpan(k)
-			ys, ye := f.y.rowSpan(k)
-			if xe-xs != ye-ys {
-				t.Fatalf("%s row %d length %d != %d", f.name, k, xe-xs, ye-ys)
-			}
-			for p := 0; p < xe-xs; p++ {
-				if f.x.colAt(xs+p) != f.y.colAt(ys+p) {
-					t.Fatalf("%s row %d col %d != %d", f.name, k, f.x.colAt(xs+p), f.y.colAt(ys+p))
-				}
-				if f.x.val[xs+p] != f.y.val[ys+p] || (f.x.val[xs+p] == 0) != (f.y.val[ys+p] == 0) {
-					t.Fatalf("%s row %d entry %d: %v != %v", f.name, k, p, f.x.val[xs+p], f.y.val[ys+p])
-				}
-			}
-		}
-	}
-}
-
-// TestRefactorRowsDeltaBitIdentical perturbs a few rows' values (same
-// pattern) and checks the partial refactorization is bit-identical to a
-// from-scratch FactorILU0 of the perturbed matrix.
-func TestRefactorRowsDeltaBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 7, 40, 120} {
-		m := randSparseCSR(rng, n, 0.12)
-		base, err := FactorILU0(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Perturb the values of ~1/8 of the rows in place on a clone.
-		m2 := m.Clone()
-		changed := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if rng.Float64() > 0.125 && i != n/2 {
-				continue
-			}
-			changed[i] = true
-			s, e := m2.RowRange(i)
-			for p := s; p < e; p++ {
-				if m2.ColIdx()[p] != i {
-					m2.Values()[p] += rng.NormFloat64()
-				}
-			}
-		}
-		want, err := FactorILU0(m2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := base.RefactorRows(m2, changed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iluFactorsEqual(t, want, got)
-
-		// The old factor still matches the original matrix (untouched).
-		again, err := FactorILU0(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		iluFactorsEqual(t, again, base)
-	}
-}
-
-// TestRefactorRowsPatternChange splices entries in and out of a row and
-// checks the pattern-mismatch insurance re-eliminates it even with a stale
-// (all-false) changed mask, via the dirty closure.
-func TestRefactorRowsPatternChange(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	n := 60
-	m := randSparseCSR(rng, n, 0.1)
-	base, err := FactorILU0(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remove the first off-diagonal entry of row n/3 and add one to row n/2.
-	var edits []sparse.Edit
-	i := n / 3
-	s, e := m.RowRange(i)
-	for p := s; p < e; p++ {
-		if j := m.ColIdx()[p]; j != i {
-			edits = append(edits, sparse.Edit{Row: i, Col: j, Delete: true})
-			break
-		}
-	}
-	k := n / 2
-	for j := 0; j < n; j++ {
-		if j != k && !hasEntry(m, k, j) {
-			edits = append(edits, sparse.Edit{Row: k, Col: j, Val: 1.5})
-			break
-		}
-	}
-	if len(edits) != 2 {
-		t.Fatalf("expected 2 edits, built %d", len(edits))
-	}
-	m2 := m.WithEdits(edits)
-	want, err := FactorILU0(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := base.RefactorRows(m2, make([]bool, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	iluFactorsEqual(t, want, got)
-}
-
-func hasEntry(m *sparse.CSR, i, j int) bool {
-	s, e := m.RowRange(i)
-	for p := s; p < e; p++ {
-		if m.ColIdx()[p] == j {
-			return true
-		}
-	}
-	return false
-}
-
-// TestRefactorRowsCompactBase checks the partial refactorization reads a
-// compacted base factor correctly (the default engine layout).
-func TestRefactorRowsCompactBase(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 50
-	m := randSparseCSR(rng, n, 0.15)
-	base, err := FactorILU0(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Compact()
-	m2 := m.Clone()
-	changed := make([]bool, n)
-	changed[n/4] = true
-	s, e := m2.RowRange(n / 4)
-	for p := s; p < e; p++ {
-		if m2.ColIdx()[p] != n/4 {
-			m2.Values()[p] *= 1.75
-		}
-	}
-	want, err := FactorILU0(m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := base.RefactorRows(m2, changed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iluFactorsEqual(t, want, got)
-}

@@ -128,8 +128,15 @@ func TestMetricsPrometheus(t *testing.T) {
 	if lat.samples["bepi_query_latency_seconds_sum"] <= 0 {
 		t.Error("latency histogram sum not positive")
 	}
-	if fams["bepi_schur_apply_seconds"].samples["bepi_schur_apply_seconds_count"] < 1 {
-		t.Error("no Schur-operator applications observed")
+	// The one-pass operator is applied once per solver iteration and nowhere
+	// else; the preconditioner histogram sees the two half-passes of every
+	// solve (calibration solves included), never a sweep per iteration.
+	applies := fams["bepi_schur_apply_seconds"].samples["bepi_schur_apply_seconds_count"]
+	if iters := fams["bepi_solver_iterations_total"].samples["bepi_solver_iterations_total"]; applies < 1 || applies != iters {
+		t.Errorf("%v Schur-operator applications observed over %v solver iterations", applies, iters)
+	}
+	if sweeps := fams["bepi_precond_apply_seconds"].samples["bepi_precond_apply_seconds_count"]; sweeps < 2 || int(sweeps)%2 != 0 {
+		t.Errorf("%v preconditioner half-passes observed next to %v operator applications", sweeps, applies)
 	}
 	if fams["bepi_kernel_bytes_total"].samples["bepi_kernel_bytes_total"] <= 0 {
 		t.Error("kernel bytes counter not positive")

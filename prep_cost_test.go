@@ -95,7 +95,7 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		t.Errorf("Save allocated %d bytes, budget 512 KiB (it copies no array)", saveBytes)
 	}
 	// Load allocates every array once at its declared size, then the narrowed
-	// index copies and the ILU factors; append-doubling the arrays or
+	// index copies and the DILU factors; append-doubling the arrays or
 	// widening copies push it back towards 4 ×.
 	if ratio := float64(loadBytes) / mem; ratio > loadBudget {
 		t.Errorf("Load allocated %.2f × MemoryBytes(), budget %.2f ×", ratio, loadBudget)
@@ -111,4 +111,67 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 const (
 	loadBudget = 1.76 // measured 1.60
 	newBudget  = 5.37 // measured 4.88 (3.84 serial)
+)
+
+// TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
+// index_bytes on the fixture at or below what the level-ordered ILU(0)
+// factors of the commit before occupied (iluBytesBefore): the natural-order
+// DILU factors drop the level schedule's order and bounds arrays and add
+// the one diagonal K; storing the pivots a second time (8·n2 bytes) would
+// put it above.
+func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
+	eng, err := bepi.New(costFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := eng.Internal().ILU()
+	nnz, n2 := int64(f.NNZ()), int64(f.N())
+	if want := 12*nnz + 2*4*(n2+1) + 8*n2; f.MemoryBytes() != want {
+		t.Errorf("factors occupy %d B, want 12·nnz + two row-pointer arrays + K = %d B", f.MemoryBytes(), want)
+	}
+	if f.MemoryBytes() > iluBytesBefore {
+		t.Errorf("factors occupy %d B, the commit before %d B", f.MemoryBytes(), iluBytesBefore)
+	}
+}
+
+// TestQueryAllocBudget pins what one library query allocates once the
+// engine holds an idle workspace: the score vector it returns (8·n bytes),
+// GMRES's per-solve Hessenberg bookkeeping, and a handful of result slices
+// — not the Krylov basis, the block-elimination temporaries or the query
+// vector, which come from the recycled workspace. The worst of eight seeds
+// with a real solve is judged; budgets are the measured values plus 10%.
+func TestQueryAllocBudget(t *testing.T) {
+	g := costFixture(t)
+	eng, err := bepi.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worstObjects, worstBytes uint64
+	for seed, seen := 100, 0; seen < 8; seed++ {
+		if _, st, err := eng.QueryWithStats(seed); err != nil {
+			t.Fatal(err)
+		} else if st.Iterations == 0 {
+			continue // a dead end: nothing is solved
+		}
+		seen++
+		objects, bytes := allocated(func() {
+			if _, err := eng.Query(seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		worstObjects, worstBytes = max(worstObjects, objects), max(worstBytes, bytes)
+	}
+	t.Logf("%d objects, %d B per query (score vector %d B)", worstObjects, worstBytes, 8*g.N())
+	if worstObjects > queryObjectBudget {
+		t.Errorf("a query allocated %d objects, budget %d", worstObjects, queryObjectBudget)
+	}
+	if worstBytes > queryByteBudget {
+		t.Errorf("a query allocated %d B, budget %d B", worstBytes, queryByteBudget)
+	}
+}
+
+const (
+	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 742 900
+	queryObjectBudget = 29     // measured 26; the commit before averaged 105
+	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
 )
