@@ -202,37 +202,17 @@ func WithParallelism(n int) Option {
 	return func(o *core.Options) { o.Parallelism = n }
 }
 
-// WithPinnedWorkers locks the engine's dedicated kernel workers to OS
-// threads (effective with WithParallelism(n), n > 1): combined with the
-// engine's first-touch partition placement this keeps each worker streaming
-// the matrix pages it faulted in — the NUMA-friendly sticky configuration.
-// Results are bit-identical either way.
-func WithPinnedWorkers(on bool) Option {
-	return func(o *core.Options) { o.PinWorkers = on }
-}
-
 // WithCompact selects the in-memory matrix layout: true (the default) keeps
 // the preprocessed matrices in the compact CSR32 form (uint32 column
 // indices, narrow row pointers — roughly half the index bytes), false keeps
 // the wide CSR form. Query results are bit-identical either way.
 func WithCompact(on bool) Option {
 	return func(o *core.Options) {
-		if on {
-			o.Compact = core.CompactOn
-		} else {
+		o.Compact = core.CompactAuto
+		if !on {
 			o.Compact = core.CompactOff
 		}
 	}
-}
-
-// WithMaxHubDrift bounds how far hub-touching incremental updates may
-// perturb the Schur complement before a Dynamic flush falls back to a full
-// rebuild: the drift score is ‖S_now − S_base‖F/‖S_base‖F accumulated
-// across hub deltas. 0 (the default) selects 0.1; a negative value disables
-// the hub-delta path entirely, so any hub-touching delta triggers a full
-// rebuild. Spoke-only deltas are exact and unaffected by this knob.
-func WithMaxHubDrift(max float64) Option {
-	return func(o *core.Options) { o.MaxHubDrift = max }
 }
 
 // Engine is a preprocessed RWR index. It is safe for concurrent queries.
@@ -343,18 +323,6 @@ func (e *Engine) SetCompact(on bool) { e.inner.SetCompact(on) }
 
 // Compacted reports whether the compact layout is active.
 func (e *Engine) Compacted() bool { return e.inner.Compacted() }
-
-// Drift reports the engine's accumulated hub-delta drift score — how far
-// incremental hub updates have moved the true Schur complement from the
-// factored base (see WithMaxHubDrift). Zero for engines whose factors are
-// exact for the graph they serve, including all spoke-only delta rebuilds.
-func (e *Engine) Drift() float64 { return e.inner.Drift() }
-
-// Corrected reports whether the engine serves through a Woodbury low-rank
-// correction installed by a hub delta. Corrected engines answer within the
-// solver tolerance but are not bit-identical to a full rebuild, cannot be
-// Saved, and serve top-k without certified early termination.
-func (e *Engine) Corrected() bool { return e.inner.Corrected() }
 
 // PreprocessTime reports how long preprocessing took.
 func (e *Engine) PreprocessTime() time.Duration { return e.inner.PrepStats().Total }

@@ -20,7 +20,6 @@ import (
 	"bepi/internal/bench"
 	"bepi/internal/core"
 	"bepi/internal/method"
-	"bepi/internal/sparse"
 )
 
 func main() {
@@ -51,15 +50,11 @@ func main() {
 	deadline := fs.Duration("deadline", 0, "preprocessing deadline (0 = size default)")
 	parallelism := fs.Int("parallelism", 0, "worker cap for preprocessing kernels (0 = all cores, 1 = serial)")
 	compact := fs.Bool("compact", true, "use the compact CSR32 matrix layout in the kernels/serving experiments (false = wide CSR)")
-	prefetch := fs.Int("prefetch", -1, "SpMV gather prefetch distance: -1 auto-calibrates, 0 disables, n > 0 fixes the lookahead")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	if *prefetch >= 0 {
-		sparse.SetPrefetchDistance(*prefetch)
-	}
-	layout := core.CompactOn
+	layout := core.CompactAuto
 	if !*compact {
 		layout = core.CompactOff
 	}

@@ -69,7 +69,6 @@ import (
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
 	"bepi/internal/server"
-	"bepi/internal/sparse"
 )
 
 // pprofServer starts the private debug listener: the four pprof handlers
@@ -174,22 +173,16 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "LRU score-cache capacity (0 = default 1024, negative disables)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline enforced inside the solver (0 = none)")
 	parallelism := flag.Int("parallelism", 0, "per-solve kernel worker cap (0 = keep engine default, 1 = serial kernels)")
-	prefetch := flag.Int("prefetch", -1, "SpMV gather prefetch distance: -1 auto-calibrates at warmup, 0 disables, n > 0 fixes the lookahead")
-	pinWorkers := flag.Bool("pin-workers", false, "pin dedicated kernel workers to OS threads (with -parallelism > 1) for sticky NUMA-friendly placement")
 	compact := flag.Bool("compact", true, "serve from the compact CSR32 matrix layout (false = wide CSR; results are bit-identical)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this threshold via slog (0 = disabled)")
 	traceSample := flag.Int("trace-sample", qexec.DefaultTraceSample, "trace every Nth query into /debug/traces (1 = all; tracing allocates, sampling keeps it off the hot path)")
 	debugAddr := flag.String("debug-addr", "", "private listen address for net/http/pprof (empty = disabled)")
-	maxHubDrift := flag.Float64("max-hub-drift", 0, "dynamic mode: hub-delta drift threshold before a flush falls back to a full rebuild (0 = default 0.1, negative disables incremental hub updates)")
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator fronting -replicas instead of serving an index")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses (host:port) for -coordinator mode")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "coordinator replica health-probe period")
 	retriesFlag := flag.Int("retries", 2, "coordinator retry budget: failed queries retry up to this many ring successors")
 	flag.Parse()
-	if *prefetch >= 0 {
-		sparse.SetPrefetchDistance(*prefetch)
-	}
 	if *coordinator {
 		runCoordinator(*addr, *replicas, *healthInterval, *retriesFlag, *traceSample, *slowQuery, *debugAddr, *shutdownTimeout)
 		return
@@ -230,12 +223,6 @@ func main() {
 		if *parallelism != 0 {
 			dynOpts = append(dynOpts, bepi.WithParallelism(*parallelism))
 		}
-		if *pinWorkers {
-			dynOpts = append(dynOpts, bepi.WithPinnedWorkers(true))
-		}
-		if *maxHubDrift != 0 {
-			dynOpts = append(dynOpts, bepi.WithMaxHubDrift(*maxHubDrift))
-		}
 		dyn, err := bepi.NewDynamic(g, dynOpts...)
 		if err != nil {
 			log.Fatalf("bepi-serve: preprocessing %s: %v", *graphPath, err)
@@ -260,11 +247,6 @@ func main() {
 		// Loaded engines are compact by default; -compact=false widens them.
 		if eng.Compacted() != *compact {
 			eng.SetCompact(*compact)
-		}
-		if *pinWorkers {
-			// Recorded before the executor applies -parallelism, so the
-			// dedicated pool it builds comes up pinned.
-			eng.Internal().SetPinWorkers(true)
 		}
 		log.Printf("loaded %s (%d nodes, %d bytes, %s layout) in %v",
 			*indexPath, eng.N(), eng.MemoryBytes(), layoutName(eng.Compacted()),

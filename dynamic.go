@@ -17,17 +17,17 @@ import (
 // strategy practical — rebuilding is the operation Figure 1(a) shows it
 // winning by orders of magnitude.
 //
-// A flush first tries an incremental rebuild (core.Engine.ApplyDelta): a
-// delta whose sources are all spokes reuses the SlashBurn ordering and hub
-// set, patches only the affected rows of the stored blocks, re-factors only
-// the touched H11 diagonal blocks, and recomputes only the affected Schur
-// columns — bit-identical to a full preprocess under the reused ordering at
-// a fraction of the cost. Hub-touching deltas are absorbed as a low-rank
-// Woodbury correction on the Schur solve (or an exact patch with a stale
-// preconditioner for implicit-operator engines) until the accumulated drift
-// crosses WithMaxHubDrift, at which point — like any delta the ordering
-// cannot absorb — the flush falls back to the full preprocessing pipeline.
-// RebuildStatus.Mode reports which path served each rebuild.
+// A flush first tries an incremental rebuild (core.Engine.ApplyDelta): it
+// reuses the SlashBurn ordering and hub set, patches only the affected
+// entries of the stored blocks, re-factors only the touched H11 diagonal
+// blocks, recomputes only the affected Schur columns and re-factors the
+// preconditioner from the patched S — bit-identical to a full preprocess
+// under the reused ordering at a fraction of the cost, whether the delta's
+// sources are spokes, hubs or both. A delta the ordering cannot absorb (a
+// spoke edge crossing H11 blocks, a deadend gaining an out-edge, a new node
+// with out-edges) falls back to the full preprocessing pipeline.
+// RebuildStatus.Mode reports which path served each rebuild, and
+// RebuildStatus.Fallback why a fallback fired.
 //
 // Rebuilds run in the background: Flush (or StartFlush) snapshots the edge
 // set under a short lock, runs graph construction and the rebuild with no
@@ -219,9 +219,9 @@ const (
 	// Schur columns recomputed; bit-identical to a full preprocess under
 	// the reused ordering.
 	RebuildModeDeltaSpoke RebuildMode = "delta-spoke"
-	// RebuildModeDeltaHub absorbed a hub-touching delta incrementally with
-	// a Woodbury correction (or an exact patch with a stale ILU on
-	// implicit-operator engines).
+	// RebuildModeDeltaHub absorbed a delta with at least one hub source the
+	// same way, one Schur column per hub source; equally bit-identical. The
+	// two modes differ in what they report, not in how they compute.
 	RebuildModeDeltaHub RebuildMode = "delta-hub"
 	// RebuildModeNoop had nothing to do.
 	RebuildModeNoop RebuildMode = "noop"
@@ -237,13 +237,13 @@ type Rebuild struct {
 	done     chan struct{}
 
 	// Written once by the rebuild goroutine before close(done).
-	err     error
-	gen     uint64
-	noop    bool
-	applied int
-	mode    RebuildMode
-	drift   float64
-	dur     time.Duration
+	err      error
+	gen      uint64
+	noop     bool
+	applied  int
+	mode     RebuildMode
+	fallback string
+	dur      time.Duration
 }
 
 // ID identifies the rebuild for status polling (Dynamic.RebuildStatus).
@@ -286,9 +286,12 @@ type RebuildStatus struct {
 	// Mode is the path the rebuild took (full, delta-spoke, delta-hub,
 	// noop); empty while the rebuild is still running.
 	Mode RebuildMode
-	// Drift is the serving engine's accumulated hub-delta drift score
-	// after this rebuild (zero for exact rebuilds). Meaningful once
-	// settled.
+	// Fallback is why the incremental path refused this rebuild's delta and
+	// the full pipeline ran instead ("edge 12→907 crosses H11 blocks: …");
+	// empty when the delta was absorbed or none was tried.
+	Fallback string
+	// Drift is always zero: every absorbed delta is exact. The field stays
+	// because the frozen benchmark reads it (benchmark/w_update.go).
 	Drift float64
 	// Duration is the rebuild wall time so far (final once settled).
 	Duration time.Duration
@@ -315,7 +318,7 @@ func (r *Rebuild) Status() RebuildStatus {
 		Applied:    r.applied,
 		Generation: r.gen,
 		Mode:       r.mode,
-		Drift:      r.drift,
+		Fallback:   r.fallback,
 		Duration:   r.dur,
 		Err:        r.err,
 	}
@@ -409,9 +412,9 @@ func (d *Dynamic) record(r *Rebuild) {
 // against the serving engine with ApplyDelta, which classifies it and
 // either absorbs it (reusing the ordering, untouched factors, and
 // unaffected Schur columns) or refuses. Any refusal — structural
-// (ErrDeltaFull), drift past threshold (ErrDriftExceeded), or a numerical
-// failure while patching — falls back to the full preprocessing pipeline,
-// so the delta path can only ever improve rebuild latency, never
+// (ErrDeltaFull) or a numerical failure while patching — falls back to the
+// full preprocessing pipeline and is recorded as the rebuild's Fallback
+// reason, so the delta path can only ever improve rebuild latency, never
 // availability. The swap and generation bump are identical on both paths;
 // downstream consumers (qexec executors, serving layers) see the same
 // OnSwap contract regardless of mode.
@@ -460,7 +463,8 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 		if ce, st, derr := base.inner.ApplyDelta(g.inner, ops); derr == nil {
 			eng = &Engine{inner: ce}
 			mode = RebuildMode(st.Class.String())
-			r.drift = st.Drift
+		} else {
+			r.fallback = derr.Error()
 		}
 	}
 	if err == nil && eng == nil {

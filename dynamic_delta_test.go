@@ -1,8 +1,15 @@
 package bepi
 
 import (
+	"io"
+	"math"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"bepi/internal/qexec"
 	"bepi/internal/vec"
 )
 
@@ -208,8 +215,8 @@ func TestDynamicDeltaRebuildModes(t *testing.T) {
 			t.Fatalf("seed %d: delta-flushed index off by %v", seed, dist)
 		}
 	}
-	if d.Engine().Corrected() && d.Engine().Drift() <= 0 {
-		t.Fatal("corrected engine must report positive drift")
+	if st.Fallback != "" {
+		t.Fatalf("absorbed delta reports a fallback reason %q", st.Fallback)
 	}
 
 	// Re-inserting the same edges rides the delta path too (the entries
@@ -235,10 +242,198 @@ func TestDynamicDeltaRebuildModes(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st = d.LastRebuild().Status(); st.Mode != RebuildModeFull {
-		t.Fatalf("structural flush mode = %q, want full", st.Mode)
+	if st = d.LastRebuild().Status(); st.Mode != RebuildModeFull || !strings.Contains(st.Fallback, "has out-edges") {
+		t.Fatalf("structural flush mode = %q, reason %q; want full because the new node has out-edges", st.Mode, st.Fallback)
 	}
 	if d.Generation() != 4 {
 		t.Fatalf("generation = %d, want 4", d.Generation())
+	}
+}
+
+// TestDynamicFallbackReason: a flush that falls back to the full pipeline
+// says why. A leaf batch with an edge between two H11 blocks reports mode
+// full and ApplyDelta's own reason; a hub batch is absorbed and reports
+// none.
+func TestDynamicFallbackReason(t *testing.T) {
+	g := RMAT(8, 6, 17)
+	d, err := NewDynamic(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord := d.Engine().Internal().Ordering()
+	if len(ord.Blocks) < 2 || ord.N2 == 0 {
+		t.Fatalf("fixture has %d H11 blocks and %d hubs; want at least 2 and 1", len(ord.Blocks), ord.N2)
+	}
+	// Spokes are numbered block by block, so the first and the last spoke
+	// sit in different blocks.
+	u, v := ord.Inv[0], ord.Inv[ord.N1-1]
+	if err := d.AddEdge(u, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.LastRebuild().Status()
+	if st.Mode != RebuildModeFull || !strings.Contains(st.Fallback, "crosses H11 blocks") {
+		t.Fatalf("block-crossing batch: mode %q, reason %q; want full with a \"crosses H11 blocks\" reason", st.Mode, st.Fallback)
+	}
+
+	// The full rebuild re-ran SlashBurn: pick the hub from the new ordering.
+	ord = d.Engine().Internal().Ordering()
+	hub := ord.Inv[ord.N1]
+	dst := 0
+	for d.graph.HasEdge(hub, dst) {
+		dst++
+	}
+	if err := d.AddEdge(hub, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st = d.LastRebuild().Status(); st.Mode != RebuildModeDeltaHub || st.Fallback != "" {
+		t.Fatalf("hub batch: mode %q, reason %q; want delta-hub and no reason", st.Mode, st.Fallback)
+	}
+}
+
+// TestDynamicRandomInterleavingMatchesFreshBuild drives Dynamic with a
+// seeded random interleaving of AddEdge / RemoveEdge / AddNode / Flush and
+// checks, after every flush, that the serving index agrees with a fresh
+// bepi.New of a naively maintained edge set (L1 ≤ 1e-6, equal top-10 sets)
+// and can be saved — whatever mix of delta and full rebuilds led to it.
+func TestDynamicRandomInterleavingMatchesFreshBuild(t *testing.T) {
+	g := RMAT(7, 5, 3)
+	d, err := NewDynamic(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make(map[Edge]bool, g.M())
+	for _, e := range g.Edges() {
+		edges[e] = true
+	}
+	n := g.N()
+	rng := rand.New(rand.NewSource(20170514))
+	modes := map[RebuildMode]int{}
+	check := func(step int) {
+		t.Helper()
+		if err := d.Flush(); err != nil {
+			t.Fatalf("step %d: flush: %v", step, err)
+		}
+		modes[d.LastRebuild().Status().Mode]++
+		list := make([]Edge, 0, len(edges))
+		for e := range edges {
+			list = append(list, e)
+		}
+		gNow, err := NewGraph(n, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(gNow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int{0, rng.Intn(n), n - 1} {
+			got, err := d.Query(seed)
+			if err != nil {
+				t.Fatalf("step %d seed %d: %v", step, seed, err)
+			}
+			want, err := fresh.Query(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var l1 float64
+			for i := range want {
+				l1 += math.Abs(got[i] - want[i])
+			}
+			if l1 > 1e-6 {
+				t.Fatalf("step %d seed %d: L1 distance to a fresh build %v", step, seed, l1)
+			}
+			top, err := d.TopK(seed, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTop, err := fresh.TopK(seed, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make(map[int]bool, len(wantTop))
+			for _, r := range wantTop {
+				in[r.Node] = true
+			}
+			for _, r := range top {
+				if !in[r.Node] {
+					t.Fatalf("step %d seed %d: top-10 %v, a fresh build ranks %v", step, seed, top, wantTop)
+				}
+			}
+		}
+		if err := d.Engine().Save(io.Discard); err != nil {
+			t.Fatalf("step %d: Save: %v", step, err)
+		}
+	}
+	for step := 0; step < 40; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			e := Edge{Src: rng.Intn(n), Dst: rng.Intn(n)}
+			if err := d.AddEdge(e.Src, e.Dst); err != nil {
+				t.Fatal(err)
+			}
+			edges[e] = true
+		case op < 7:
+			u := rng.Intn(n)
+			if u >= d.graph.N() || d.graph.OutDegree(u) == 0 {
+				continue
+			}
+			nbrs := d.graph.OutNeighbors(u)
+			e := Edge{Src: u, Dst: nbrs[rng.Intn(len(nbrs))]}
+			if err := d.RemoveEdge(e.Src, e.Dst); err != nil {
+				t.Fatal(err)
+			}
+			delete(edges, e)
+		case op < 8:
+			d.AddNode()
+			n++
+		default:
+			check(step)
+		}
+	}
+	check(40)
+	if modes[RebuildModeFull] == 0 || modes[RebuildModeDeltaSpoke]+modes[RebuildModeDeltaHub] == 0 {
+		t.Fatalf("rebuild modes %v: the interleaving should exercise both the delta path and the full fallback", modes)
+	}
+}
+
+// TestDynamicParallelismLeaksNoGoroutines: an index built WithParallelism(4)
+// and an executor configured with Parallelism 4 go through ten full rebuilds
+// and ten engine swaps without the process gaining goroutines — dedicated
+// pools hold none between kernel calls.
+func TestDynamicParallelismLeaksNoGoroutines(t *testing.T) {
+	d, err := NewDynamic(RMAT(7, 5, 3), WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := qexec.New(d.Engine().Internal(), qexec.Config{Workers: 1, Parallelism: 4})
+	defer x.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		// A new node with an out-edge cannot reuse the ordering: full rebuild.
+		id := d.AddNode()
+		if err := d.AddEdge(id, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if mode := d.LastRebuild().Status().Mode; mode != RebuildModeFull {
+			t.Fatalf("flush %d took mode %q, want full", i, mode)
+		}
+		x.SwapEngine(d.Engine().Internal())
+	}
+	// A settled rebuild's goroutine may still be returning.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("goroutines grew from %d to %d over ten rebuilds and swaps", before, after)
 	}
 }

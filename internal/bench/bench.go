@@ -105,7 +105,7 @@ type Config struct {
 	// withDefaults).
 	Budget method.Budget
 	// Compact selects the matrix layout of engines built by the kernels
-	// and serving experiments: CompactAuto/CompactOn (default) use the
+	// and serving experiments: CompactAuto (default) uses the
 	// compact CSR32 form, CompactOff the wide CSR form. Exposed on the
 	// bepi-bench command line as -compact.
 	Compact core.CompactMode

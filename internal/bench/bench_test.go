@@ -227,7 +227,7 @@ func parseCount(t *testing.T, s string) int {
 // (the bepi-bench -compact A/B) and checks the memory table reports a
 // strictly positive saving for the compact one.
 func TestKernelsLayoutAB(t *testing.T) {
-	for _, mode := range []core.CompactMode{core.CompactOn, core.CompactOff} {
+	for _, mode := range []core.CompactMode{core.CompactAuto, core.CompactOff} {
 		tables, err := Kernels(Config{Size: Tiny, Seeds: 2, Compact: mode})
 		if err != nil {
 			t.Fatalf("compact=%v: %v", mode, err)

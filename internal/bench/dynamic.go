@@ -215,8 +215,8 @@ func deltaStreamSizes(s Size) []int {
 // rebuild is in flight. Deletions are restricted to sources that (a) stay
 // non-deadend and (b) are spokes under the engine's ordering, so every
 // batch stays on the delta-spoke path — the one whose cost must be
-// proportional to the delta, not the graph (the Woodbury hub path is
-// exercised by the unit tests). The full baseline is measured through the
+// proportional to the delta, not the graph (hub-sourced deltas take the
+// same code path; the unit tests exercise them). The full baseline is measured through the
 // same Flush machinery under the same query load, forced onto the full
 // path by an update the ordering cannot absorb (a new node with an
 // out-edge); it runs after the delta batches so the full rebuild's fresh

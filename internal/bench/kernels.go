@@ -32,19 +32,16 @@ func timeKernel(reps int, f func()) time.Duration {
 }
 
 // Kernels is the beyond-paper kernel A/B experiment: per dataset it
-// measures the three optimizations of the bandwidth-lean kernel layer in
+// measures the optimizations of the bandwidth-lean kernel layer in
 // isolation — the compact CSR32 layout against wide CSR (index memory and
-// SpMV time on the explicit Schur complement), the fused implicit Schur
-// operator against the explicit solve on the end-to-end query path, and
-// one preconditioned iteration's kernels — S·x plus the paper's ILU(0)
-// sweeps against the one-pass DILU operator the engine runs.
-// Config.Compact (bepi-bench -compact) selects the layout of the
-// engines used for the query-time A/B, so both layouts can be compared
-// end to end.
+// SpMV time on the Schur complement) and one preconditioned iteration's
+// kernels, S·x plus the paper's ILU(0) sweeps against the one-pass DILU
+// operator the engine runs — next to the end-to-end query time.
+// Config.Compact (bepi-bench -compact) selects the layout of the engine
+// the queries run on, so both layouts can be compared end to end.
 func Kernels(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	reps := kernelReps(cfg.Size)
-	core.WarmupKernels()
 	stream := sparse.StreamBandwidth()
 
 	mem := &Table{
@@ -53,10 +50,10 @@ func Kernels(cfg Config) ([]*Table, error) {
 		Header: []string{"dataset", "index wide", "index compact", "saving"},
 	}
 	tim := &Table{
-		Title: "Kernel timings: layout, fusion, one preconditioned iteration",
-		Note: fmt.Sprintf("avg of %d applications; queries avg over %d seeds; iteration kernels on the compact layout; query layout: %s; prefetch distance %d; STREAM roof %s/s",
-			reps, cfg.Seeds, layoutName(cfg.Compact), sparse.PrefetchDistance(), FmtBytes(int64(stream))),
-		Header: []string{"dataset", "S·x wide", "S·x compact", "query explicit", "query fused", "S·x + ILU(0)", "one-pass DILU"},
+		Title: "Kernel timings: layout, one preconditioned iteration",
+		Note: fmt.Sprintf("avg of %d applications; queries avg over %d seeds; iteration kernels on the compact layout; query layout: %s; STREAM roof %s/s",
+			reps, cfg.Seeds, layoutName(cfg.Compact), FmtBytes(int64(stream))),
+		Header: []string{"dataset", "S·x wide", "S·x compact", "query", "S·x + ILU(0)", "one-pass DILU"},
 	}
 	bat := &Table{
 		Title: "Batched S·x: row-outer baseline vs RHS-interleaved",
@@ -78,7 +75,7 @@ func Kernels(cfg Config) ([]*Table, error) {
 		e, err := core.Preprocess(d.G, opts)
 		if err != nil {
 			mem.AddRow(d.Name, classifyCell(err), "-", "-")
-			tim.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-", "-")
+			tim.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-")
 			continue
 		}
 
@@ -132,34 +129,15 @@ func Kernels(cfg Config) ([]*Table, error) {
 				FmtBytes(int64(achieved))+"/s", pct)
 		}
 
-		// Query path, explicit S vs fused implicit operator; both engines
-		// share the layout selected by Config.Compact.
-		iopts := opts
-		iopts.ImplicitSchur = true
-		imp, err := core.Preprocess(d.G, iopts)
-		if err != nil {
-			tim.AddRow(d.Name, FmtDuration(spmvWide), FmtDuration(spmvComp),
-				"-", classifyCell(err), "-", "-")
-			continue
-		}
+		// Query path, on the layout selected by Config.Compact.
 		seeds := QuerySeeds(d.G, cfg.Seeds, int64(di))
-		queryAvg := func(eng *core.Engine) (time.Duration, error) {
-			start := time.Now()
-			for _, seed := range seeds {
-				if _, _, err := eng.Query(seed); err != nil {
-					return 0, err
-				}
+		tQuery := time.Now()
+		for _, seed := range seeds {
+			if _, _, err := e.Query(seed); err != nil {
+				return nil, fmt.Errorf("bench: kernels query on %s: %w", d.Name, err)
 			}
-			return time.Since(start) / time.Duration(len(seeds)), nil
 		}
-		qExplicit, err := queryAvg(e)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kernels explicit query on %s: %w", d.Name, err)
-		}
-		qFused, err := queryAvg(imp)
-		if err != nil {
-			return nil, fmt.Errorf("bench: kernels fused query on %s: %w", d.Name, err)
-		}
+		query := time.Since(tQuery) / time.Duration(len(seeds))
 
 		// One preconditioned iteration's kernels: S·x then the ILU(0)
 		// sweeps (the paper's form) vs the one-pass DILU operator.
@@ -179,7 +157,7 @@ func Kernels(cfg Config) ([]*Table, error) {
 
 		tim.AddRow(d.Name,
 			FmtDuration(spmvWide), FmtDuration(spmvComp),
-			FmtDuration(qExplicit), FmtDuration(qFused),
+			FmtDuration(query),
 			FmtDuration(iterRef), FmtDuration(iterOnePass))
 	}
 	return []*Table{mem, tim, bat}, nil

@@ -38,10 +38,9 @@ func topkQueries(s Size) int {
 // topkVariants are the engine configurations the experiment contrasts:
 // VariantFull is the production default, where the ILU-preconditioned
 // solve converges in a handful of iterations and the early stop can only
-// shave the tail of an already-short solve; VariantB keeps the fused
-// (implicit) Schur operator but no preconditioner, so each iteration
-// costs a full H12/H11⁻¹/H21 traversal and the solve runs 2-3x longer —
-// the regime the k-dash-style certificate is built for; VariantS
+// shave the tail of an already-short solve; VariantB has no
+// preconditioner, so the solve runs 2-3x longer — the regime the
+// k-dash-style certificate is built for; VariantS
 // materializes a small sparsified S whose iterations are nearly free, so
 // even large iteration savings barely move the total.
 var topkVariants = []struct {
@@ -91,7 +90,7 @@ func TopK(cfg Config) ([]*Table, error) {
 			"so the ~half of RMAT seeds with trivial 0-iteration solves can't mask the rest); " +
 			"stop spd = the same median over early-stopped seeds only. Savings track solver " +
 			"iterations: the ILU-preconditioned solve converges in a handful of iterations so " +
-			"the stop shaves only its tail; the unpreconditioned fused-operator solve (BePI-B) " +
+			"the stop shaves only its tail; the unpreconditioned solve (BePI-B) " +
 			"runs long enough for the certificate to pay; the sparsified-S solve iterates on a " +
 			"small matrix whose iterations are nearly free.",
 		Header: []string{"variant", "k", "full p50", "full p99", "bounded p50", "bounded p99",

@@ -97,12 +97,12 @@ func WriteInts[T int | int32 | int64 | uint32](w *Writer, s []T) {
 }
 
 // WriteFloats writes every element of s as a float64 bit pattern.
-func WriteFloats[T float32 | float64](w *Writer, s []T) {
+func WriteFloats(w *Writer, s []float64) {
 	for len(s) > 0 {
 		b := w.room(8)
 		k := min(len(s), len(b)/8)
 		for i, v := range s[:k] {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(v)))
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 		}
 		w.fill += 8 * k
 		s = s[k:]

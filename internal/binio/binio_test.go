@@ -89,7 +89,7 @@ func TestNarrowTypesWriteWideWords(t *testing.T) {
 	WriteInts(w, []uint32{0, 5})
 	WriteInts(w, []int64{1 << 31})
 	WriteInts(w, []int32{-1})
-	WriteFloats(w, []float32{1.5, -2})
+	WriteFloats(w, []float64{1.5, -2})
 	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -181,65 +181,6 @@ func TestCompactSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-// TestImplicitSchurMatchesExplicit checks the fused operator: it must
-// apply exactly S = H22 − H21·H11⁻¹·H12 (validated against the dense
-// expansion of the explicit S within fill-in rounding) and the resulting
-// queries must converge to the explicit engine's answers within solver
-// tolerance.
-func TestImplicitSchurMatchesExplicit(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(9, 7, 25))
-	const tol = 1e-9
-	exp, err := Preprocess(g, Options{Tol: tol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp, err := Preprocess(g, Options{Tol: tol, ImplicitSchur: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp.h22 == nil {
-		t.Fatal("implicit engine did not retain H22")
-	}
-	// Operator check: fused apply vs explicit S SpMV on a few basis-ish
-	// vectors. VariantFull sparsifies nothing away at k=0.2 defaults, so
-	// the two agree to rounding.
-	n2 := imp.ord.N2
-	op := imp.newSchurOperator()
-	x := make([]float64, n2)
-	yf := make([]float64, n2)
-	ye := make([]float64, n2)
-	for trial := 0; trial < 3; trial++ {
-		for i := range x {
-			x[i] = float64((i+trial)%5) - 2
-		}
-		op.MulVec(yf, x)
-		exp.schur.MulVec(ye, x)
-		for i := range yf {
-			if d := math.Abs(yf[i] - ye[i]); d > 1e-8 {
-				t.Fatalf("trial %d: fused operator differs from explicit S at %d by %v", trial, i, d)
-			}
-		}
-	}
-	for _, seed := range []int{1, 11} {
-		re, _, err := exp.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri, st, err := imp.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Residual > tol {
-			t.Fatalf("implicit solve residual %v above tol", st.Residual)
-		}
-		for i := range re {
-			if d := math.Abs(re[i] - ri[i]); d > 1e-7 {
-				t.Fatalf("seed %d: implicit score[%d] differs by %v", seed, i, d)
-			}
-		}
-	}
-}
-
 // TestKernelHookObservesSolve checks what SetKernelHook reports for a
 // one-pass solve: KernelSchur once per iteration (the operator application,
 // which here is the whole preconditioned pass), KernelPrecond for exactly

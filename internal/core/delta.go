@@ -11,7 +11,6 @@ import (
 	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/reorder"
-	"bepi/internal/solver"
 	"bepi/internal/sparse"
 )
 
@@ -23,19 +22,15 @@ import (
 //   - An edge update with a spoke source u rescales column perm[u] of H,
 //     which lives entirely inside u's H11 diagonal block plus the H21/H31
 //     columns below it. Only that block's LU factors and the Schur columns
-//     fed by the block change; everything else is reused byte-for-byte. The
-//     changed Schur columns are recomputed with the exact per-column
-//     algorithm SchurComplementT runs, so the patched engine is
-//     bit-identical to PreprocessWithOrdering on the updated graph.
+//     fed by the block change; everything else is reused byte-for-byte.
 //   - An edge update with a hub source u rescales column perm[u]−n1 of
-//     H12/H22/H32, perturbing exactly one column of S per hub source: a
-//     rank-r update S' = S̃ + U·Vᵀ. Engines serving the explicit operator
-//     absorb it with a Sherman–Morrison–Woodbury correction applied after
-//     every Schur solve (stored S̃ and its DILU stay the base); engines built
-//     with ImplicitSchur patch H12/H22/H32 directly — the fused operator is
-//     then exact and only the DILU preconditioner goes stale. Either way a
-//     drift score accumulates and, past Options.MaxHubDrift, ApplyDelta
-//     refuses with ErrDriftExceeded so the caller runs a full rebuild.
+//     H12/H22/H32, so exactly one column of S changes per hub source.
+//   - Either way the changed Schur columns are recomputed with the exact
+//     per-column algorithm SchurComplementT runs and spliced into S, and the
+//     DILU factors are re-factored from the patched S — the one O(nnz(S))
+//     pass Preprocess runs — so every absorbed delta, first or n-th in a
+//     chain, on a built or a loaded engine, is bit-identical to
+//     PreprocessWithOrdering on the updated graph (DESIGN.md §16, §20).
 //   - Anything that breaks the reused ordering's structure — a new node
 //     with out-edges, a deadend gaining its first out-edge, a spoke edge
 //     crossing H11 blocks — is refused with ErrDeltaFull.
@@ -55,11 +50,10 @@ type DeltaClass int
 
 const (
 	// DeltaSpoke: every op had a spoke source (or the delta was pure node
-	// growth); the rebuild is exact — bit-identical to a full preprocess
-	// under the reused ordering.
+	// growth).
 	DeltaSpoke DeltaClass = iota
-	// DeltaHub: at least one op had a hub source; the Schur solve carries a
-	// Woodbury correction (explicit operator) or a stale DILU (implicit).
+	// DeltaHub: at least one op had a hub source. A reported class only —
+	// both classes take the same exact path.
 	DeltaHub
 	// DeltaFull: the delta cannot reuse the ordering; callers must run a
 	// full rebuild.
@@ -78,11 +72,8 @@ func (c DeltaClass) String() string {
 	}
 }
 
-// Errors ApplyDelta refuses with; both mean "run a full rebuild instead".
-var (
-	ErrDeltaFull     = errors.New("core: delta requires a full rebuild")
-	ErrDriftExceeded = errors.New("core: accumulated hub drift exceeds MaxHubDrift")
-)
+// ErrDeltaFull is what ApplyDelta refuses with: run a full rebuild instead.
+var ErrDeltaFull = errors.New("core: delta requires a full rebuild")
 
 // DeltaStats describes one ApplyDelta application.
 type DeltaStats struct {
@@ -91,8 +82,6 @@ type DeltaStats struct {
 	NewNodes        int
 	TouchedBlocks   int // H11 diagonal blocks re-factored
 	AffectedColumns int // Schur columns recomputed
-	Rank            int // columns carrying a Woodbury correction (explicit hub path)
-	Drift           float64
 	Duration        time.Duration
 }
 
@@ -101,58 +90,6 @@ type DeltaStats struct {
 type colEntry struct {
 	row int
 	val float64
-}
-
-// woodbury is the rank-r correction a hub delta installs over the explicit
-// Schur operator: solves run against the base S̃ (stored schur + DILU), then
-// y ← y − Z·C⁻¹·y[J] maps the base solution to the updated graph's, where
-// Z = S̃⁻¹U and C = I + VᵀZ is the LU-factored capacitance. All state is
-// read-only after construction, so concurrent solves share it safely.
-type woodbury struct {
-	cols   []int              // J: corrected S columns, ascending
-	z      [][]float64        // z[b] = S̃⁻¹·Δcol(cols[b]), length n2 each
-	capLU  *dense.Matrix      // LU factors of C
-	deltas map[int][]colEntry // Δ per corrected column vs base S̃
-}
-
-// correct applies the Woodbury update in place on a base-system solution.
-func (w *woodbury) correct(y []float64) {
-	r := len(w.cols)
-	s := make([]float64, r)
-	for a, j := range w.cols {
-		s[a] = y[j]
-	}
-	w.capLU.LUSolve(s)
-	for b, zb := range w.z {
-		sb := s[b]
-		if sb == 0 {
-			continue
-		}
-		for i, zv := range zb {
-			y[i] -= zv * sb
-		}
-	}
-}
-
-// Corrected reports whether the engine carries a Woodbury correction, i.e.
-// its stored Schur complement is the base of a low-rank update rather than
-// the updated graph's S. Corrected engines cannot be serialized and do not
-// serve the bounded top-k certificate.
-func (e *Engine) Corrected() bool { return e.wood != nil }
-
-// Drift returns the accumulated hub-delta drift score
-// ‖S_now − S̃_base‖F / ‖S̃_base‖F (an upper bound, for implicit engines,
-// where per-delta column perturbations accumulate by triangle inequality).
-// Zero on engines whose factors are exact for the graph they serve.
-func (e *Engine) Drift() float64 {
-	if e.driftBase == 0 || len(e.driftCols) == 0 {
-		return 0
-	}
-	var s float64
-	for _, d := range e.driftCols {
-		s += d * d
-	}
-	return math.Sqrt(s) / e.driftBase
 }
 
 // srcDelta groups a delta's ops by source node.
@@ -167,10 +104,9 @@ type srcDelta struct {
 //
 // Preconditions: gNew.N() ≥ e.N(); ops lists the actual changes (an insert
 // for an edge gNew lacks, or a delete for one it has, is refused); nodes
-// beyond e.N() are new and must have no out-edges. ErrDeltaFull and
-// ErrDriftExceeded mean the delta cannot be absorbed incrementally — run a
-// full Preprocess instead. Any other error likewise leaves the receiver
-// untouched.
+// beyond e.N() are new and must have no out-edges. ErrDeltaFull means the
+// delta cannot be absorbed incrementally — run a full Preprocess instead.
+// Any other error likewise leaves the receiver untouched.
 func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaStats, error) {
 	start := time.Now()
 	st := DeltaStats{Class: DeltaFull, Ops: len(ops)}
@@ -233,9 +169,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		} else {
 			d.del = append(d.del, op.Dst)
 		}
-	}
-	if hub && e.opts.MaxHubDrift < 0 {
-		return nil, st, fmt.Errorf("hub-delta path disabled (MaxHubDrift < 0): %w", ErrDeltaFull)
 	}
 
 	touched := make(map[int]bool)
@@ -320,8 +253,17 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	}
 
 	// Copy-on-write patches. Only matrices with edits (or appended rows)
-	// are rebuilt; the rest are shared with the serving engine.
+	// are rebuilt — in the layout of the one they replace, on the engine's
+	// pool; the rest are shared with the serving engine, untouched.
 	tPatch := time.Now()
+	relayout := func(w *sparse.CSR, old mat) mat {
+		var m mat = w
+		if _, compact := old.(*sparse.CSR32); compact && fitsCompact(w) {
+			m = sparse.Compact(w)
+		}
+		matSetPool(m, e.pool)
+		return m
+	}
 	patch := func(m mat, appendRows int, edits []sparse.Edit) mat {
 		if appendRows == 0 && len(edits) == 0 {
 			return m
@@ -330,11 +272,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		if appendRows > 0 {
 			w = w.WithRowsAppended(appendRows)
 		}
-		w = w.WithEdits(edits)
-		if _, compact := m.(*sparse.CSR32); compact && fitsCompact(w) {
-			return sparse.Compact(w)
-		}
-		return w
+		return relayout(w.WithEdits(edits), m)
 	}
 	h12New := patch(e.h12, 0, h12E)
 	h21New := patch(e.h21, 0, h21E)
@@ -343,10 +281,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	var h22New mat
 	if e.h22 != nil {
 		h22New = patch(e.h22, 0, h22E)
-	}
-	var h22xNew mat
-	if e.h22x != nil {
-		h22xNew = patch(e.h22x, 0, h22E)
 	}
 	patchDur := time.Since(tPatch)
 
@@ -426,11 +360,8 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		// block holds exactly the values BuildH assembled — the same two-term
 		// sums h22Column reproduces — so both sources are bit-identical.
 		var h22Cols map[int][]colEntry
-		switch {
-		case h22New != nil:
+		if h22New != nil {
 			h22Cols = extractColumns(asCSR(h22New), affected)
-		case h22xNew != nil:
-			h22Cols = extractColumns(asCSR(h22xNew), affected)
 		}
 		h12T := h12W.Transpose()
 		h21T := asCSR(h21New).Transpose()
@@ -480,109 +411,38 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	}
 	schurDur := time.Since(tSchur)
 
-	// Base/previous values of the affected columns from the stored S.
-	schurW := asCSR(e.schur)
-	oldCols := extractColumns(schurW, affected)
-
 	ne := &Engine{
 		opts: e.opts, n: gNew.N(), ord: ord,
 		h12: h12New, h21: h21New, h31: h31New, h32: h32New,
-		h22: h22New, h22x: h22xNew, schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
+		h22: h22New, schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
 		pool: e.pool, prep: e.prep,
 	}
 
+	// Splice the recomputed columns into the stored S and re-factor DILU
+	// from the patched wide S — the same source and the same one O(|S|)
+	// pass Preprocess runs.
 	iluDur := time.Duration(0)
-	useWood := e.h22 == nil && (hub || e.wood != nil)
-	if useWood {
-		// Explicit operator, hub-touched (or already corrected): stored S̃
-		// and DILU stay the base; affected columns become (or update)
-		// Woodbury corrections. Δ is always measured against the base S̃, so
-		// repeated deltas never compound approximation error.
-		if err := e.installWoodbury(ne, schurW, cols, newCols, oldCols); err != nil {
-			return nil, st, err
+	if len(cols) > 0 {
+		schurW := asCSR(e.schur)
+		oldCols := extractColumns(schurW, affected)
+		var edits []sparse.Edit
+		for _, j := range cols {
+			edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
 		}
-		st.Rank = len(ne.wood.cols)
-	} else {
-		// Exact path (spoke-only explicit, or any implicit delta): splice
-		// the recomputed columns into the stored S.
-		if len(cols) > 0 {
-			var edits []sparse.Edit
-			for _, j := range cols {
-				edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
+		sNew := schurW.WithEdits(edits)
+		if e.ilu != nil {
+			tILU := time.Now()
+			ilu, err := lu.FactorDILU(sNew)
+			if err != nil {
+				return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
 			}
-			sNew := schurW.WithEdits(edits)
-			if hub && e.h22 != nil && e.ilu != nil {
-				// Implicit hub path: the fused operator and the patched S are
-				// exact; only the DILU preconditioner is left stale. Account
-				// the staleness per column and refuse past the threshold.
-				dc := make(map[int]float64, len(e.driftCols)+len(cols))
-				for j, d := range e.driftCols {
-					dc[j] = d
-				}
-				db := e.driftBase
-				if db == 0 {
-					db = schurW.FrobeniusNorm()
-					if db == 0 {
-						db = 1
-					}
-				}
-				for _, j := range cols {
-					dc[j] += colNorm(diffColumns(newCols[j], oldCols[j]))
-				}
-				var sum float64
-				for _, d := range dc {
-					sum += d * d
-				}
-				if drift := math.Sqrt(sum) / db; drift > e.opts.MaxHubDrift {
-					return nil, st, fmt.Errorf("drift %.3g > %.3g: %w", drift, e.opts.MaxHubDrift, ErrDriftExceeded)
-				}
-				ne.driftCols, ne.driftBase = dc, db
-			} else if e.ilu != nil {
-				// Exact spoke path: re-factor DILU from the patched wide S —
-				// the same source and the same one O(|S|) pass Preprocess
-				// runs — restoring full exactness (and resetting any
-				// implicit-path drift).
-				tILU := time.Now()
-				ilu, err := lu.FactorDILU(sNew)
-				if err != nil {
-					return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
-				}
-				if e.Compacted() {
-					ilu.Compact()
-				}
-				ne.ilu = ilu
-				iluDur = time.Since(tILU)
+			if e.Compacted() {
+				ilu.Compact()
 			}
-			if _, compact := e.schur.(*sparse.CSR32); compact && fitsCompact(sNew) {
-				ne.schur = sparse.Compact(sNew)
-			} else {
-				ne.schur = sNew
-			}
+			ne.ilu = ilu
+			iluDur = time.Since(tILU)
 		}
-		if !hub {
-			// Fully exact again: no residual drift.
-			ne.driftCols, ne.driftBase = nil, 0
-			if e.h22 != nil && e.driftCols != nil && e.ilu != nil && len(cols) == 0 {
-				// A pure-growth delta on a drifted implicit engine keeps the
-				// stale DILU; carry the drift forward.
-				ne.driftCols, ne.driftBase = e.driftCols, e.driftBase
-			}
-		}
-	}
-
-	// Attach the pool to the matrices this delta rebuilt; shared ones are
-	// already attached (and must not be re-first-touched while the old
-	// engine is serving from them).
-	for _, m := range []mat{ne.h12, ne.h21, ne.h31, ne.h32, ne.h22, ne.schur} {
-		if m == nil {
-			continue
-		}
-		switch m {
-		case e.h12, e.h21, e.h31, e.h32, e.h22, e.schur:
-		default:
-			matSetPool(m, ne.pool)
-			matFirstTouch(m)
-		}
+		ne.schur = relayout(sNew, e.schur)
 	}
 
 	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.N3
@@ -593,103 +453,8 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	ne.prep.ILU = iluDur
 	ne.prep.SchurNNZ = ne.schur.NNZ()
 	ne.prep.Total = time.Since(start)
-	st.Drift = ne.Drift()
 	st.Duration = ne.prep.Total
 	return ne, st, nil
-}
-
-// installWoodbury builds ne.wood: previous corrections not re-affected by
-// this delta keep their Δ and solved Z column; affected columns get a fresh
-// Δ against the base S̃ and a fresh solve.
-func (e *Engine) installWoodbury(ne *Engine, baseS *sparse.CSR, cols []int, newCols, oldCols map[int][]colEntry) error {
-	n2 := e.ord.N2
-	deltas := make(map[int][]colEntry)
-	oldZ := make(map[int][]float64)
-	if e.wood != nil {
-		for j, d := range e.wood.deltas {
-			deltas[j] = d
-		}
-		for b, j := range e.wood.cols {
-			oldZ[j] = e.wood.z[b]
-		}
-	}
-	for _, j := range cols {
-		deltas[j] = diffColumns(newCols[j], oldCols[j])
-		delete(oldZ, j) // Δ changed: the cached solve is stale
-	}
-
-	// Drift check before any solve work: Δ is against the fixed base, so
-	// the column norms compose exactly into ‖S_now − S̃‖F.
-	db := e.driftBase
-	if db == 0 {
-		db = baseS.FrobeniusNorm()
-		if db == 0 {
-			db = 1
-		}
-	}
-	dc := make(map[int]float64, len(deltas))
-	var sum float64
-	for j, d := range deltas {
-		nrm := colNorm(d)
-		dc[j] = nrm
-		sum += nrm * nrm
-	}
-	drift := math.Sqrt(sum) / db
-	if drift > e.opts.MaxHubDrift {
-		return fmt.Errorf("drift %.3g > %.3g: %w", drift, e.opts.MaxHubDrift, ErrDriftExceeded)
-	}
-
-	allCols := make([]int, 0, len(deltas))
-	for j := range deltas {
-		allCols = append(allCols, j)
-	}
-	sort.Ints(allCols)
-
-	// Z = S̃⁻¹·U, one preconditioned solve per changed column against the
-	// base operator — the correction itself is what makes these solves (and
-	// every later query) land on the updated graph's solution. They run on
-	// ne, which already holds the base S̃ and its factors but no correction
-	// yet, through the same runSchurSolve every query takes.
-	ws := ne.acquireWorkspace()
-	defer ne.releaseWorkspace(ws)
-	z := make([][]float64, len(allCols))
-	rhs := make([]float64, n2)
-	for b, j := range allCols {
-		if zj, ok := oldZ[j]; ok {
-			z[b] = zj
-			continue
-		}
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		for _, ce := range deltas[j] {
-			rhs[ce.row] = ce.val
-		}
-		zj, _, err := ne.runSchurSolve(ws, rhs, solver.GMRESOptions{})
-		if err != nil {
-			return fmt.Errorf("core: Woodbury solve for S column %d: %w", j, err)
-		}
-		z[b] = append([]float64(nil), zj...)
-	}
-
-	// Capacitance C = I + VᵀZ, C[a][b] = δ_ab + z_b[j_a]; r×r and dense.
-	r := len(allCols)
-	capM := dense.New(r, r)
-	for a := 0; a < r; a++ {
-		for b := 0; b < r; b++ {
-			v := z[b][allCols[a]]
-			if a == b {
-				v++
-			}
-			capM.Set(a, b, v)
-		}
-	}
-	if err := capM.LU(); err != nil {
-		return fmt.Errorf("core: Woodbury capacitance singular: %w", err)
-	}
-	ne.wood = &woodbury{cols: allCols, z: z, capLU: capM, deltas: deltas}
-	ne.driftCols, ne.driftBase = dc, db
-	return nil
 }
 
 // h22Column builds column j of the reordered H22 straight from the graph:
@@ -751,44 +516,6 @@ func mergeColumns(h22col, staged []colEntry) []colEntry {
 		}
 	}
 	return out
-}
-
-// diffColumns returns newCol − oldCol as a sparse column (entries whose
-// difference is exactly zero are dropped — they contribute nothing to the
-// correction or the drift).
-func diffColumns(newCol, oldCol []colEntry) []colEntry {
-	var out []colEntry
-	pa, pb := 0, 0
-	for pa < len(newCol) || pb < len(oldCol) {
-		switch {
-		case pb >= len(oldCol) || (pa < len(newCol) && newCol[pa].row < oldCol[pb].row):
-			if newCol[pa].val != 0 {
-				out = append(out, newCol[pa])
-			}
-			pa++
-		case pa >= len(newCol) || oldCol[pb].row < newCol[pa].row:
-			if oldCol[pb].val != 0 {
-				out = append(out, colEntry{oldCol[pb].row, -oldCol[pb].val})
-			}
-			pb++
-		default:
-			if d := newCol[pa].val - oldCol[pb].val; d != 0 {
-				out = append(out, colEntry{newCol[pa].row, d})
-			}
-			pa++
-			pb++
-		}
-	}
-	return out
-}
-
-// colNorm returns the ℓ2 norm of a sparse column.
-func colNorm(col []colEntry) float64 {
-	var s float64
-	for _, ce := range col {
-		s += ce.val * ce.val
-	}
-	return math.Sqrt(s)
 }
 
 // extractColumns collects the stored entries of the wanted columns in one

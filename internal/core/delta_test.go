@@ -9,7 +9,6 @@ import (
 
 	"bepi/internal/gen"
 	"bepi/internal/graph"
-	"bepi/internal/vec"
 )
 
 // applyOpsToGraph materializes the updated graph a delta describes.
@@ -171,22 +170,111 @@ func requireQueryBitsEqual(t *testing.T, a, b *Engine, seeds []int) {
 	}
 }
 
-// TestDeltaSpokeBitIdentical is the core property: a spoke-only delta
-// rebuild is bit-identical to a full preprocess of the updated graph under
-// the reused ordering — matrices, Schur complement, and query results — on
-// an RMAT graph and a pathological near-uniform one, across operator
-// variants, implicit/explicit, and both storage layouts.
-func TestDeltaSpokeBitIdentical(t *testing.T) {
+// engineBytes serializes an engine.
+func engineBytes(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := e.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// requireMatchesFullPreprocess is the one contract every absorbed delta
+// has: the engine is bit-identical to PreprocessWithOrdering of the graph it
+// serves under its own ordering — the four stored H blocks, the retained
+// H22 (engines loaded from disk have none), S, four seeds' scores, and the
+// saved bytes.
+func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
+	t.Helper()
+	ref, err := PreprocessWithOrdering(g, e.opts, e.ord)
+	if err != nil {
+		t.Fatalf("reference preprocess: %v", err)
+	}
+	matBitsEqual(t, "h12", e.h12, ref.h12)
+	matBitsEqual(t, "h21", e.h21, ref.h21)
+	matBitsEqual(t, "h31", e.h31, ref.h31)
+	matBitsEqual(t, "h32", e.h32, ref.h32)
+	if e.h22 != nil {
+		matBitsEqual(t, "h22", e.h22, ref.h22)
+	}
+	matBitsEqual(t, "schur", e.schur, ref.schur)
+	requireQueryBitsEqual(t, e, ref, []int{0, 1, g.N() / 2, g.N() - 1})
+	if !bytes.Equal(engineBytes(t, e), engineBytes(t, ref)) {
+		t.Fatal("saved bytes differ from the full preprocess's")
+	}
+}
+
+// deltaKind names a shape of delta; every one of them is absorbed exactly.
+type deltaKind string
+
+const (
+	kindSpoke  deltaKind = "spoke"
+	kindHub    deltaKind = "hub"
+	kindMixed  deltaKind = "mixed"
+	kindGrowth deltaKind = "growth"
+)
+
+// genDelta builds one delta of the given kind against the engine's graph
+// and returns it with the updated graph. Growth adds two nodes and points a
+// spoke and a hub at them, except on a chain's first step (step 0), which
+// grows the node set and nothing else.
+func genDelta(t *testing.T, rng *rand.Rand, kind deltaKind, step int, g *graph.Graph, e *Engine) ([]EdgeDelta, *graph.Graph) {
+	t.Helper()
+	var ops []EdgeDelta
+	n := g.N()
+	switch kind {
+	case kindSpoke:
+		ops = genSpokeDeltaOps(rng, g, e, 12)
+	case kindHub:
+		ops = genHubDeltaOps(rng, g, e, 4)
+	case kindMixed:
+		ops = append(genSpokeDeltaOps(rng, g, e, 8), genHubDeltaOps(rng, g, e, 3)...)
+	case kindGrowth:
+		n += 2
+		if step > 0 {
+			// One spoke and one hub each gain an edge to a new (deadend) node.
+			n1, l := e.ord.N1, e.ord.N1+e.ord.N2
+			if n1 == 0 || l == n1 {
+				t.Skip("fixture lacks a spoke or a hub")
+			}
+			ops = []EdgeDelta{
+				{Src: e.ord.Inv[0], Dst: g.N(), Insert: true},
+				{Src: e.ord.Inv[l-1], Dst: g.N() + 1, Insert: true},
+			}
+		}
+	}
+	if len(ops) == 0 && n == g.N() {
+		t.Skipf("no %s ops generable", kind)
+	}
+	return ops, applyOpsToGraph(g, n, ops)
+}
+
+// wantClass is the class ApplyDelta must report for a delta.
+func wantClass(e *Engine, ops []EdgeDelta) DeltaClass {
+	for _, op := range ops {
+		if e.ord.Perm[op.Src] >= e.ord.N1 {
+			return DeltaHub
+		}
+	}
+	return DeltaSpoke
+}
+
+// runDeltaBitIdentical is the core property: chains of three deltas of one
+// kind, each link bit-identical to a full preprocess of the updated graph
+// under the reused ordering, on an R-MAT graph, a pathological near-uniform
+// one and the benchmark's generator, across variants and both layouts.
+func runDeltaBitIdentical(t *testing.T, kind deltaKind) {
 	graphs := map[string]*graph.Graph{
-		"rmat": gen.RMAT(gen.DefaultRMAT(8, 6, 17)),
-		"ws":   gen.WattsStrogatz(300, 6, 0.05, 3),
+		"rmat":      gen.RMAT(gen.DefaultRMAT(8, 6, 17)),
+		"ws":        gen.WattsStrogatz(300, 6, 0.05, 3),
+		"hybrid-11": gen.Hybrid(gen.DefaultHybrid(11, 14, 1)),
 	}
 	cases := []struct {
 		name string
 		opts Options
 	}{
 		{"full", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10}},
-		{"full-implicit", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, ImplicitSchur: true}},
 		{"full-wide", Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, Compact: CompactOff}},
 		{"b", Options{Variant: VariantB, HubRatio: 0.01, Tol: 1e-10}},
 	}
@@ -194,41 +282,42 @@ func TestDeltaSpokeBitIdentical(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(gname+"/"+tc.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(91))
-				e0, err := Preprocess(g, tc.opts)
+				e, err := Preprocess(g, tc.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ops := genSpokeDeltaOps(rng, g, e0, 12)
-				if len(ops) == 0 {
-					t.Skip("no spoke ops generable")
+				g := g
+				for step := 0; step < 3; step++ {
+					ops, gNew := genDelta(t, rng, kind, step, g, e)
+					ne, st, err := e.ApplyDelta(gNew, ops)
+					if err != nil {
+						t.Fatalf("step %d: ApplyDelta: %v", step, err)
+					}
+					if want := wantClass(e, ops); st.Class != want {
+						t.Fatalf("step %d: class %v, want %v", step, st.Class, want)
+					}
+					if len(ops) > 0 && st.AffectedColumns == 0 {
+						t.Fatalf("step %d: stats %+v: expected affected columns", step, st)
+					}
+					if kind == kindSpoke && st.TouchedBlocks == 0 {
+						t.Fatalf("step %d: stats %+v: expected touched blocks", step, st)
+					}
+					requireMatchesFullPreprocess(t, ne, gNew)
+					e, g = ne, gNew
 				}
-				gNew := applyOpsToGraph(g, g.N(), ops)
-				e1, st, err := e0.ApplyDelta(gNew, ops)
-				if err != nil {
-					t.Fatalf("ApplyDelta: %v", err)
-				}
-				if st.Class != DeltaSpoke {
-					t.Fatalf("class %v, want DeltaSpoke", st.Class)
-				}
-				if st.TouchedBlocks == 0 || st.AffectedColumns == 0 {
-					t.Fatalf("stats %+v: expected touched blocks and affected columns", st)
-				}
-				if e1.Corrected() || e1.Drift() != 0 {
-					t.Fatalf("spoke delta left correction state: corrected=%v drift=%v", e1.Corrected(), e1.Drift())
-				}
-				ref, err := PreprocessWithOrdering(gNew, tc.opts, e1.ord)
-				if err != nil {
-					t.Fatalf("reference preprocess: %v", err)
-				}
-				matBitsEqual(t, "h12", e1.h12, ref.h12)
-				matBitsEqual(t, "h21", e1.h21, ref.h21)
-				matBitsEqual(t, "h31", e1.h31, ref.h31)
-				matBitsEqual(t, "h32", e1.h32, ref.h32)
-				matBitsEqual(t, "h22", e1.h22, ref.h22)
-				matBitsEqual(t, "schur", e1.schur, ref.schur)
-				requireQueryBitsEqual(t, e1, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 			})
 		}
+	}
+}
+
+// TestDeltaSpokeBitIdentical: the spoke rows of the property.
+func TestDeltaSpokeBitIdentical(t *testing.T) { runDeltaBitIdentical(t, kindSpoke) }
+
+// TestDeltaBitIdentical: the same property for hub-touching, mixed and
+// node-growth deltas — one contract for every delta the ordering absorbs.
+func TestDeltaBitIdentical(t *testing.T) {
+	for _, kind := range []deltaKind{kindHub, kindMixed, kindGrowth} {
+		t.Run(string(kind), func(t *testing.T) { runDeltaBitIdentical(t, kind) })
 	}
 }
 
@@ -320,189 +409,6 @@ func TestDeltaNodeGrowth(t *testing.T) {
 	matBitsEqual(t, "h31", e2.h31, ref.h31)
 	matBitsEqual(t, "schur", e2.schur, ref.schur)
 	requireQueryBitsEqual(t, e2, ref, []int{0, g.N() + 2})
-}
-
-// TestDeltaHubWoodbury checks the hub path on the explicit operator: the
-// corrected engine answers within solver tolerance of a full rebuild, with
-// identical top-k sets, reports its correction state, and refuses to
-// serialize.
-func TestDeltaHubWoodbury(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 41))
-	opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10}
-	e0, err := Preprocess(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	ops := genHubDeltaOps(rng, g, e0, 5)
-	if len(ops) == 0 {
-		t.Skip("no hubs")
-	}
-	gNew := applyOpsToGraph(g, g.N(), ops)
-	e1, st, err := e0.ApplyDelta(gNew, ops)
-	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
-	if st.Class != DeltaHub || st.Rank == 0 {
-		t.Fatalf("stats %+v, want hub class with positive rank", st)
-	}
-	if !e1.Corrected() {
-		t.Fatal("hub delta on explicit operator must install a Woodbury correction")
-	}
-	if e1.Drift() <= 0 || st.Drift != e1.Drift() {
-		t.Fatalf("drift %v (stats %v), want positive and consistent", e1.Drift(), st.Drift)
-	}
-	if _, err := e1.WriteTo(&bytes.Buffer{}); err == nil {
-		t.Fatal("corrected engine serialized; want refusal")
-	}
-
-	ref, err := Preprocess(gNew, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []int{0, 3, g.N() / 2} {
-		got, _, err := e1.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := ref.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := vec.Dist2(got, want); d > 1e-7 {
-			t.Fatalf("seed %d: corrected query off by %v", seed, d)
-		}
-		const k = 10
-		tk1, err := e1.TopK(seed, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tk2, err := ref.TopK(seed, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1 := make(map[int]bool, k)
-		for _, r := range tk1 {
-			s1[r.Node] = true
-		}
-		for _, r := range tk2 {
-			if !s1[r.Node] {
-				t.Fatalf("seed %d: top-%d sets differ (missing node %d)", seed, k, r.Node)
-			}
-		}
-	}
-
-	// Bounded top-k must fall back to full solves (certificate invalid on
-	// corrected iterates) yet still return the right set.
-	tb, _, err := e1.TopKBounded(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ref.TopK(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr {
-		if tb[i].Node != tr[i].Node {
-			t.Fatalf("bounded top-k on corrected engine: rank %d node %d want %d", i, tb[i].Node, tr[i].Node)
-		}
-	}
-}
-
-// TestDeltaHubImplicitExact checks the hub path on an implicit-operator
-// engine: S and the fused operator are patched exactly (no Woodbury), only
-// drift accrues for the stale ILU, and the engine still serializes.
-func TestDeltaHubImplicitExact(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 43))
-	opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10, ImplicitSchur: true}
-	e0, err := Preprocess(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(19))
-	ops := genHubDeltaOps(rng, g, e0, 4)
-	if len(ops) == 0 {
-		t.Skip("no hubs")
-	}
-	gNew := applyOpsToGraph(g, g.N(), ops)
-	e1, st, err := e0.ApplyDelta(gNew, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Class != DeltaHub || e1.Corrected() {
-		t.Fatalf("implicit hub delta: class=%v corrected=%v, want DeltaHub uncorrected", st.Class, e1.Corrected())
-	}
-	if e1.Drift() <= 0 {
-		t.Fatal("implicit hub delta should accrue ILU drift")
-	}
-	// The patched S must equal the reference bit-for-bit even though the
-	// solve trajectory differs (stale preconditioner).
-	ref, err := PreprocessWithOrdering(gNew, opts, e1.ord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matBitsEqual(t, "schur", e1.schur, ref.schur)
-	matBitsEqual(t, "h22", e1.h22, ref.h22)
-	got, _, err := e1.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.Query(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := vec.Dist2(got, want); d > 1e-7 {
-		t.Fatalf("implicit corrected query off by %v", d)
-	}
-	if _, err := e1.WriteTo(&bytes.Buffer{}); err != nil {
-		t.Fatalf("implicit delta engine must stay serializable: %v", err)
-	}
-
-	// A follow-up spoke delta re-factors the ILU and clears the drift.
-	ops2 := genSpokeDeltaOps(rng, gNew, e1, 3)
-	if len(ops2) > 0 {
-		g2 := applyOpsToGraph(gNew, gNew.N(), ops2)
-		e2, _, err := e1.ApplyDelta(g2, ops2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e2.Drift() != 0 {
-			t.Fatalf("spoke delta should reset drift, got %v", e2.Drift())
-		}
-	}
-}
-
-// TestDeltaDriftFallback checks the rebuild-demand paths: a tiny threshold
-// rejects hub deltas with ErrDriftExceeded, and a negative MaxHubDrift
-// disables the hub path outright.
-func TestDeltaDriftFallback(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 47))
-	rng := rand.New(rand.NewSource(23))
-	for _, implicit := range []bool{false, true} {
-		opts := Options{Variant: VariantFull, HubRatio: 0.2, Tol: 1e-10,
-			ImplicitSchur: implicit, MaxHubDrift: 1e-15}
-		e0, err := Preprocess(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := genHubDeltaOps(rng, g, e0, 4)
-		if len(ops) == 0 {
-			t.Skip("no hubs")
-		}
-		gNew := applyOpsToGraph(g, g.N(), ops)
-		if _, _, err := e0.ApplyDelta(gNew, ops); !errors.Is(err, ErrDriftExceeded) {
-			t.Fatalf("implicit=%v: err=%v, want ErrDriftExceeded", implicit, err)
-		}
-
-		opts.MaxHubDrift = -1
-		eNeg, err := Preprocess(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := eNeg.ApplyDelta(gNew, ops); !errors.Is(err, ErrDeltaFull) {
-			t.Fatalf("implicit=%v: MaxHubDrift<0: err=%v, want ErrDeltaFull", implicit, err)
-		}
-	}
 }
 
 // TestDeltaFullClassification checks every refusal path returns

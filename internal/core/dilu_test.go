@@ -279,70 +279,63 @@ func powerOracle(g *graph.Graph, c float64, seed int) []float64 {
 	return r
 }
 
-// TestEveryEngineStateMatchesOracle: each state the solve dispatches on —
-// one-pass explicit (both layouts), Woodbury-corrected, spoke-patched,
-// implicit with fresh and with stale factors, BiCGSTAB, loaded from disk —
-// answers within 10·Tol (L1) of the power iteration on the graph it
-// serves.
-func TestEveryEngineStateMatchesOracle(t *testing.T) {
+// engineState is one servable engine with the graph it serves.
+type engineState struct {
+	name string
+	e    *Engine
+	g    *graph.Graph
+}
+
+// engineStates builds, on the scale-10 hybrid fixture, every state an
+// engine can be in: built, loaded from disk, after one delta of each kind,
+// and after a hub delta followed by a save/load round trip.
+func engineStates(t *testing.T) []engineState {
+	t.Helper()
 	g := gen.Hybrid(gen.DefaultHybrid(10, 14, 1))
 	rng := rand.New(rand.NewSource(23))
-	type state struct {
-		name string
-		e    *Engine
-		g    *graph.Graph
+	built, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	build := func(opts Options) *Engine {
+	reload := func(e *Engine) *Engine {
+		loaded, err := ReadEngine(bytes.NewReader(engineBytes(t, e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	states := []engineState{{"built", built, g}, {"loaded", reload(built), g}}
+	for _, kind := range []deltaKind{kindSpoke, kindHub, kindMixed, kindGrowth} {
+		ops, gNew := genDelta(t, rng, kind, 1, g, built)
+		e, _, err := built.ApplyDelta(gNew, ops)
+		if err != nil {
+			t.Fatalf("%s delta: %v", kind, err)
+		}
+		states = append(states, engineState{"after-" + string(kind), e, gNew})
+		if kind == kindHub {
+			states = append(states, engineState{"after-hub-then-saved-and-loaded", reload(e), gNew})
+		}
+	}
+	return states
+}
+
+// TestEveryEngineStateMatchesOracle: every engine state — plus the wide
+// layout and BiCGSTAB, the two other arms the solve dispatches on — answers
+// within 10·Tol (L1) of the power iteration on the graph it serves.
+func TestEveryEngineStateMatchesOracle(t *testing.T) {
+	states := engineStates(t)
+	g := states[0].g
+	for name, opts := range map[string]Options{"built-wide": {Compact: CompactOff}, "bicgstab": {Solver: SolverBiCGSTAB}} {
 		e, err := Preprocess(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		states = append(states, engineState{name, e, g})
 	}
-	delta := func(e *Engine, ops []EdgeDelta) (*Engine, *graph.Graph) {
-		if len(ops) == 0 {
-			t.Fatal("no delta ops generated")
-		}
-		gNew := applyOpsToGraph(g, g.N(), ops)
-		ne, _, err := e.ApplyDelta(gNew, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ne, gNew
-	}
-	explicit := build(Options{})
-	implicit := build(Options{ImplicitSchur: true})
-	states := []state{
-		{"explicit", explicit, g},
-		{"explicit-wide", build(Options{Compact: CompactOff}), g},
-		{"implicit", implicit, g},
-		{"bicgstab", build(Options{Solver: SolverBiCGSTAB}), g},
-	}
-	wood, gHub := delta(explicit, genHubDeltaOps(rng, g, explicit, 4))
-	if !wood.Corrected() {
-		t.Fatal("hub delta on an explicit engine should install a Woodbury correction")
-	}
-	states = append(states, state{"woodbury", wood, gHub})
-	stale, gStale := delta(implicit, genHubDeltaOps(rng, g, implicit, 4))
-	if stale.Corrected() || stale.Drift() <= 0 {
-		t.Fatal("hub delta on an implicit engine should leave stale factors, not a correction")
-	}
-	states = append(states, state{"implicit-stale", stale, gStale})
-	spoke, gSpoke := delta(explicit, genSpokeDeltaOps(rng, g, explicit, 6))
-	states = append(states, state{"spoke-delta", spoke, gSpoke})
-	var buf bytes.Buffer
-	if _, err := explicit.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states = append(states, state{"loaded", loaded, g})
-
+	rng := rand.New(rand.NewSource(29))
 	for _, st := range states {
 		for trial := 0; trial < 4; trial++ {
-			seed := rng.Intn(g.N())
+			seed := rng.Intn(st.g.N())
 			got, _, err := st.e.Query(seed)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", st.name, seed, err)
@@ -356,6 +349,53 @@ func TestEveryEngineStateMatchesOracle(t *testing.T) {
 				t.Errorf("%s seed %d: L1 distance to the oracle %v", st.name, seed, l1)
 			}
 		}
+	}
+}
+
+// TestEveryEngineStateComposes: there is one engine state, so every
+// capability holds in every way of reaching it. Each state saves and
+// reloads to bit-equal queries, absorbs a further hub and a further spoke
+// delta exactly, and serves TopKBounded with the certificate running (gap
+// checks happen — not the full-solve fallback) and the same set as TopK.
+func TestEveryEngineStateComposes(t *testing.T) {
+	for _, st := range engineStates(t) {
+		t.Run(st.name, func(t *testing.T) {
+			e, g := st.e, st.g
+			loaded, err := ReadEngine(bytes.NewReader(engineBytes(t, e)))
+			if err != nil {
+				t.Fatalf("reload: %v", err)
+			}
+			requireQueryBitsEqual(t, loaded, e, []int{0, 3, g.N() / 2, g.N() - 1})
+
+			rng := rand.New(rand.NewSource(31))
+			for _, kind := range []deltaKind{kindHub, kindSpoke} {
+				ops, gNew := genDelta(t, rng, kind, 1, g, e)
+				ne, _, err := e.ApplyDelta(gNew, ops)
+				if err != nil {
+					t.Fatalf("further %s delta: %v", kind, err)
+				}
+				requireMatchesFullPreprocess(t, ne, gNew)
+			}
+
+			checks := 0
+			for _, seed := range []int{0, 7, g.N() / 3} {
+				for _, k := range []int{1, 10, 100} {
+					full, err := e.TopK(seed, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bounded, stats, err := e.TopKBounded(seed, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameTopKSet(t, fmt.Sprintf("seed %d k %d", seed, k), full, bounded, !stats.EarlyStopped)
+					checks += stats.BoundChecks
+				}
+			}
+			if checks == 0 {
+				t.Fatal("TopKBounded ran no gap check: the certificate is off and every query took the full-solve fallback")
+			}
+		})
 	}
 }
 

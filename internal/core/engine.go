@@ -98,13 +98,6 @@ type Options struct {
 	// engine its own n-worker pool. Parallel and serial execution produce
 	// bit-identical results.
 	Parallelism int
-	// PinWorkers, with Parallelism > 1, locks each of the engine's
-	// dedicated pool workers to an OS thread (runtime.LockOSThread), so the
-	// scheduler cannot migrate a worker between first-touching its matrix
-	// partition (FirstTouch) and streaming it on later applies — the
-	// NUMA-friendly sticky placement. Ignored for the shared pool
-	// (Parallelism == 0) and for serial execution. Results are unaffected.
-	PinWorkers bool
 	// Compact selects the storage layout of the preprocessed matrices
 	// (H12/H21/H31/H32, the Schur complement, and the DILU factors).
 	// CompactAuto — the zero value, i.e. the default — narrows the index
@@ -114,29 +107,7 @@ type Options struct {
 	// wide CSR layout. The mode is a runtime knob (see SetCompact), not
 	// part of the serialized index.
 	Compact CompactMode
-	// ImplicitSchur, when true, makes the iterative solver apply the Schur
-	// complement as the fused operator H22·x − H21·(H11⁻¹·(H12·x)) instead
-	// of an explicit SpMV on the precomputed S; the engine then retains the
-	// H22 block. The explicit S is still built (the DILU preconditioner and
-	// the accuracy bound need it), and because the fused operator is not the
-	// matrix those factors share entries with, the solve stays classically
-	// left-preconditioned instead of one-pass. Default false — the explicit
-	// operator is the paper's formulation and the bit-stable baseline. The
-	// flag applies to engines built by Preprocess; a loaded index always
-	// serves the explicit operator.
-	ImplicitSchur bool
-	// MaxHubDrift bounds how much hub-touching deltas may perturb the Schur
-	// complement before ApplyDelta refuses and demands a full rebuild: the
-	// drift score is ‖S_now − S̃_base‖F / ‖S̃_base‖F accumulated column-wise
-	// across hub deltas (see Engine.Drift). Zero selects the default 0.1; a
-	// negative value disables the hub-delta path entirely, so any
-	// hub-touching delta falls back to a full rebuild.
-	MaxHubDrift float64
 }
-
-// DefaultMaxHubDrift is the hub-drift threshold used when
-// Options.MaxHubDrift is zero.
-const DefaultMaxHubDrift = 0.1
 
 // CompactMode selects between the wide CSR and compact CSR32 index layouts
 // for the engine's stored matrices.
@@ -145,9 +116,6 @@ type CompactMode int
 const (
 	// CompactAuto (the default) compacts whenever the index range allows.
 	CompactAuto CompactMode = iota
-	// CompactOn compacts, like CompactAuto; the distinct value lets
-	// configuration layers express an explicit choice.
-	CompactOn
 	// CompactOff keeps the wide layout.
 	CompactOff
 )
@@ -168,9 +136,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
-	}
-	if o.MaxHubDrift == 0 {
-		o.MaxHubDrift = DefaultMaxHubDrift
 	}
 	return o
 }
@@ -259,13 +224,12 @@ type Engine struct {
 
 	h12, h21, h31, h32 mat
 	schur              mat
-	h22                mat // retained only when opts.ImplicitSchur
-	// h22x retains the H22 block on explicit-operator engines purely for the
-	// incremental-rebuild path: ApplyDelta extracts affected H22 columns from
-	// it in one sweep instead of reconstructing them from the graph per
-	// column. Never read on the query path and not serialized — engines
-	// loaded from disk fall back to the per-column graph reconstruction.
-	h22x  mat
+	// h22 is retained for ApplyDelta only, which extracts affected H22
+	// columns from it in one sweep instead of reconstructing them from the
+	// graph per column: never read by a query, not serialized (a loaded
+	// engine has none and takes the per-column reconstruction), counted by
+	// MemoryBytes.
+	h22   mat
 	h11LU *lu.BlockLU
 	ilu   *lu.ILU // DILU factors of schur; nil unless VariantFull
 
@@ -306,20 +270,6 @@ type Engine struct {
 	bndFactor float64
 	bndErr    error
 
-	// wood, when non-nil, is the Woodbury low-rank correction a hub-touching
-	// delta installed over the explicit Schur operator: the stored schur (and
-	// its DILU factors) remain the base S̃ the correction was built against,
-	// and runSchurSolve applies the rank-r update after every iterative
-	// solve. Engines with a correction cannot be serialized and do not serve
-	// the bounded top-k certificate. Built by ApplyDelta (delta.go).
-	wood *woodbury
-	// driftCols tracks, per Schur column, the accumulated perturbation
-	// ‖ΔS[:,j]‖₂ hub deltas have applied since the DILU factors (and, for
-	// corrected engines, the stored S̃) were last exact; driftBase is
-	// ‖S̃‖F at that point. Engine.Drift derives the relative score from them.
-	driftCols map[int]float64
-	driftBase float64
-
 	// tk caches the calibrated ℓ∞ error-to-residual ratio the bounded
 	// top-k certificate scales per-iteration residuals by. Unlike the
 	// Theorem-4 ℓ2 envelope above (valid but orders too conservative for
@@ -345,15 +295,14 @@ func (e *Engine) SetKernelHook(f func(kernel string, seconds float64, bytes int6
 }
 
 // poolFor resolves the Parallelism option to a pool: 0 shares the
-// process-wide pool, 1 is serial (nil pool), n > 1 is a dedicated sticky
-// pool — persistent workers with a deterministic chunk assignment, locked
-// to OS threads when pin is set.
-func poolFor(parallelism int, pin bool) *par.Pool {
+// process-wide pool, 1 is serial (nil pool), n > 1 is a dedicated n-worker
+// pool.
+func poolFor(parallelism int) *par.Pool {
 	switch {
 	case parallelism == 1:
 		return nil
 	case parallelism > 1:
-		return par.NewStickyPool(parallelism, pin)
+		return par.NewPool(parallelism)
 	default:
 		return par.Shared()
 	}
@@ -361,26 +310,12 @@ func poolFor(parallelism int, pin bool) *par.Pool {
 
 // attachPool points every stored matrix at the engine's pool so the
 // query-path SpMVs row-partition across it (the triangular sweeps are
-// serial), then first-touches each matrix: the row
-// partition is cached, and on a sticky pool each worker rewrites its own
-// partition segment so the pages it will stream every apply are placed
-// local to it.
+// serial); each matrix computes its row partition once, here.
 func (e *Engine) attachPool() {
-	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur, e.h22} {
-		if m != nil {
-			matSetPool(m, e.pool)
-			matFirstTouch(m)
-		}
+	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur} {
+		matSetPool(m, e.pool)
 	}
 	e.prep.Workers = e.pool.Workers()
-}
-
-// WarmupKernels runs the process-wide kernel calibrations an engine's hot
-// paths depend on: the prefetch-distance micro-probe (unless a distance was
-// set explicitly). Executors call it once at construction; it is cheap
-// after the first call.
-func WarmupKernels() {
-	sparse.AutoTunePrefetch()
 }
 
 // setCompactMatrices converts every stored matrix (and the DILU factors)
@@ -396,7 +331,6 @@ func (e *Engine) setCompactMatrices(on bool) {
 	e.h12, e.h21, e.h31, e.h32 = conv(e.h12), conv(e.h21), conv(e.h31), conv(e.h32)
 	e.schur = conv(e.schur)
 	e.h22 = conv(e.h22)
-	e.h22x = conv(e.h22x)
 	if e.ilu != nil {
 		if on {
 			e.ilu.Compact()
@@ -415,9 +349,8 @@ func (e *Engine) setCompactMatrices(on bool) {
 // Query results are bit-identical in either layout; only MemoryBytes and
 // the bandwidth the kernels stream change.
 func (e *Engine) SetCompact(on bool) {
-	if on {
-		e.opts.Compact = CompactOn
-	} else {
+	e.opts.Compact = CompactAuto
+	if !on {
 		e.opts.Compact = CompactOff
 	}
 	e.setCompactMatrices(on)
@@ -435,22 +368,8 @@ func (e *Engine) Compacted() bool {
 // it must not race with in-flight queries.
 func (e *Engine) SetParallelism(n int) {
 	e.opts.Parallelism = n
-	e.pool = poolFor(n, e.opts.PinWorkers)
+	e.pool = poolFor(n)
 	e.attachPool()
-}
-
-// SetPinWorkers records the worker-pinning preference (Options.PinWorkers)
-// and, when the engine runs a dedicated pool, rebuilds it accordingly. Call
-// before serving queries; it must not race with in-flight solves.
-func (e *Engine) SetPinWorkers(on bool) {
-	if e.opts.PinWorkers == on {
-		return
-	}
-	e.opts.PinWorkers = on
-	if e.opts.Parallelism > 1 {
-		e.pool = poolFor(e.opts.Parallelism, on)
-		e.attachPool()
-	}
 }
 
 // Pool exposes the engine's compute pool (nil means serial).
@@ -462,7 +381,7 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 
-	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism, opts.PinWorkers)}
+	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio
 	e.prep.Workers = e.pool.Workers()
@@ -493,7 +412,7 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 		return nil, fmt.Errorf("core: invalid ordering: %w", err)
 	}
 	start := time.Now()
-	e := &Engine{opts: opts, n: g.N(), ord: ord, pool: poolFor(opts.Parallelism, opts.PinWorkers)}
+	e := &Engine{opts: opts, n: g.N(), ord: ord, pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio
 	e.prep.Workers = e.pool.Workers()
@@ -525,11 +444,7 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	h21, h22 := blocks[1][0], blocks[1][1]
 	e.h12, e.h21 = h12, h21
 	e.h31, e.h32 = blocks[2][0], blocks[2][1]
-	if opts.ImplicitSchur {
-		e.h22 = h22
-	} else {
-		e.h22x = h22
-	}
+	e.h22 = h22
 	e.prep.BuildH = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
@@ -770,8 +685,8 @@ func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 func (e *Engine) Schur() *sparse.CSR { return asCSR(e.schur) }
 
 // MemoryBytes reports the total footprint of the preprocessed data:
-// the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 when
-// the engine applies the Schur complement implicitly), the Schur
+// the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 on
+// engines built in this process, which keep it for ApplyDelta), the Schur
 // complement, and (for full BePI) its DILU factors, all at their current
 // index width. This is the quantity in Figure 1(b) of the paper.
 func (e *Engine) MemoryBytes() int64 {
@@ -781,9 +696,6 @@ func (e *Engine) MemoryBytes() int64 {
 		e.schur.MemoryBytes()
 	if e.h22 != nil {
 		total += e.h22.MemoryBytes()
-	}
-	if e.h22x != nil {
-		total += e.h22x.MemoryBytes()
 	}
 	if e.ilu != nil {
 		total += e.ilu.MemoryBytes()

@@ -120,7 +120,7 @@ func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	for name, pair := range map[string][2]*sparse.CSR{
 		"h12": {asCSR(e.h12), h.Block(0, n1, n1, l)},
 		"h21": {asCSR(e.h21), h.Block(n1, l, 0, n1)},
-		"h22": {asCSR(e.h22x), h.Block(n1, l, n1, l)},
+		"h22": {asCSR(e.h22), h.Block(n1, l, n1, l)},
 		"h31": {asCSR(e.h31), h.Block(l, n, 0, n1)},
 		"h32": {asCSR(e.h32), h.Block(l, n, n1, l)},
 	} {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -32,16 +31,7 @@ import (
 const indexMagic = 0x42504931
 
 // WriteTo serializes the engine. It implements io.WriterTo.
-//
-// Engines carrying a Woodbury correction refuse: their stored S is the base
-// of a low-rank update, not the served graph's Schur complement, and the
-// correction state is deliberately not part of the format. Run a full
-// rebuild first. (Implicit-operator delta engines patch S in place and stay
-// serializable.)
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	if e.wood != nil {
-		return 0, errors.New("core: cannot serialize a Woodbury-corrected engine; run a full rebuild first")
-	}
 	bw := binio.NewWriter(w)
 	bw.U32(indexMagic)
 	bw.F64(e.opts.C)
@@ -150,7 +140,7 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 	// index format: a loaded engine starts on the shared process-wide pool
 	// with compacted indexes (the CompactAuto default); callers tune both
 	// with SetParallelism / SetCompact before serving.
-	e.pool = poolFor(0, false)
+	e.pool = poolFor(0)
 	e.setCompactMatrices(true)
 	return e, nil
 }

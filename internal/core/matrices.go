@@ -20,7 +20,6 @@ type mat interface {
 	NNZ() int
 	MulVec(dst, x []float64)
 	MulVecT(dst, x []float64)
-	AddMulVec(dst []float64, alpha float64, x []float64)
 	MulVecBatch(dst, x [][]float64)
 	MemoryBytes() int64
 }
@@ -45,18 +44,6 @@ func matSetPool(m mat, p *par.Pool) {
 		v.SetPool(p)
 	case *sparse.CSR32:
 		v.SetPool(p)
-	}
-}
-
-// matFirstTouch caches a stored matrix's parallel partition and, on a
-// sticky pool, first-touches its partition segments from their owning
-// workers; see sparse.CSR.FirstTouch.
-func matFirstTouch(m mat) {
-	switch v := m.(type) {
-	case *sparse.CSR:
-		v.FirstTouch()
-	case *sparse.CSR32:
-		v.FirstTouch()
 	}
 }
 

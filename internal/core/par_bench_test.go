@@ -98,94 +98,6 @@ func BenchmarkSchurComplement(b *testing.B) {
 	})
 }
 
-// oldMulVec is the pre-fusion SpMV frozen for baseline comparison: wide
-// CSR arrays walked by the original single-accumulator per-row loop.
-func oldMulVec(m *sparse.CSR, dst, x []float64) {
-	rowPtr, col, val := m.RowPtr(), m.ColIdx(), m.Values()
-	for i := 0; i < m.Rows(); i++ {
-		var s float64
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			s += val[p] * x[col[p]]
-		}
-		dst[i] = s
-	}
-}
-
-// BenchmarkSchurOperator measures one application of the implicit Schur
-// operator S·x = H22·x − H21·(H11⁻¹·(H12·x)) on the ~1M-edge fixture. The
-// "baseline" case is the unfused formulation this operator replaces,
-// frozen above as oldMulVec: wide CSR matrices, the single-accumulator
-// row loop, temporaries allocated per application, and a separate
-// full-vector subtraction pass. The "fused" cases run SchurOperator (one
-// workspace-owned temporary, multi-lane kernels, AddMulVec epilogue) at
-// increasing worker counts, with compact=true additionally narrowing the
-// matrices to the CSR32 layout. Compare baseline against
-// fused/compact=true/workers=N for the kernel win.
-func BenchmarkSchurOperator(b *testing.B) {
-	parBenchSetup(b)
-	n1, n2 := parBench.ord.N1, parBench.ord.N2
-	x := make([]float64, n2)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	dst := make([]float64, n2)
-	applyBytes := func(h12, h21, h22 mat) int64 {
-		return h12.MemoryBytes() + h21.MemoryBytes() + h22.MemoryBytes() +
-			parBench.f.MemoryBytes() + int64(16*(n1+n2))
-	}
-
-	b.Run("baseline", func(b *testing.B) {
-		b.SetBytes(applyBytes(parBench.h12, parBench.h21, parBench.h22))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := make([]float64, n1)
-			oldMulVec(parBench.h12, t, x)
-			parBench.f.Solve(t)
-			u := make([]float64, n2)
-			oldMulVec(parBench.h21, u, t)
-			oldMulVec(parBench.h22, dst, x)
-			for j := range dst {
-				dst[j] -= u[j]
-			}
-		}
-	})
-
-	for _, compact := range []bool{false, true} {
-		for _, w := range benchWorkerCounts() {
-			w, compact := w, compact
-			b.Run(fmt.Sprintf("fused/compact=%v/workers=%d", compact, w), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(w)
-				defer runtime.GOMAXPROCS(prev)
-				var pool *par.Pool
-				if w > 1 {
-					pool = par.NewPool(w)
-				}
-				e := &Engine{n: parBench.h11.Rows() + n2, ord: parBench.ord,
-					h11LU: parBench.f, pool: pool}
-				if compact {
-					e.h12 = sparse.Compact(parBench.h12)
-					e.h21 = sparse.Compact(parBench.h21)
-					e.h22 = sparse.Compact(parBench.h22)
-				} else {
-					e.h12 = parBench.h12.Clone()
-					e.h21 = parBench.h21.Clone()
-					e.h22 = parBench.h22.Clone()
-				}
-				for _, m := range []mat{e.h12, e.h21, e.h22} {
-					matSetPool(m, pool)
-				}
-				op := e.newSchurOperator()
-				b.SetBytes(applyBytes(e.h12, e.h21, e.h22))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					op.MulVec(dst, x)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFactorBlockDiag measures the per-block dense LU of H11 with the
 // independent blocks factored across the pool.
 func BenchmarkFactorBlockDiag(b *testing.B) {

@@ -33,24 +33,20 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 }
 
 // runSchurSolve solves S·r2 = q̃2 with the configured iterative method, and
-// is the only place the engine does: queries, top-k, bound calibration and
-// the Woodbury Z-column solves all funnel through here, so every one of
-// them sees the same system. The caller's opts carry the per-solve hooks
-// (Ctx, Callback, Probe, StopWhen); tolerance, iteration budget, telemetry
-// and the Krylov arena come from the engine and the workspace. The returned
-// solution points into the workspace and is only valid until its next solve.
+// is the only place the engine does: queries, top-k and bound calibration
+// all funnel through here, so every one of them sees the same system. The
+// caller's opts carry the per-solve hooks (Ctx, Callback, Probe, StopWhen);
+// tolerance, iteration budget, telemetry and the Krylov arena come from the
+// engine and the workspace. The returned solution points into the workspace
+// and is only valid until its next solve.
 //
 // With DILU factors of the stored S the solve is split-preconditioned and
 // runs on the one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then
 // r2 = Û⁻¹·y — the residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and
 // every iterate a Probe or Callback sees is mapped through Û⁻¹ first, by
-// the same arithmetic as the returned solution. Otherwise (no
-// preconditioner, or the fused implicit operator, which is not the matrix
-// the factors came from) it is the classic left-preconditioned solve.
-//
-// On engines carrying a Woodbury correction the iteration runs against the
-// stored base S̃ and the low-rank correction maps the result to the updated
-// graph's solution.
+// the same arithmetic as the returned solution. Without factors it is the
+// plain solve on S; BiCGSTAB alone stays classically left-preconditioned
+// (see splitOperator).
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter, opts.Restart = e.opts.Tol, e.opts.MaxIter, e.opts.GMRESRestart
 	opts.OnIteration = e.iterHook
@@ -96,11 +92,11 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 			right(r2, r2)
 		}
 	} else {
-		op := e.schurOperator(ws)
+		var op solver.Operator = e.schur
 		if hook != nil {
-			op = &timedOperator{op: op, hook: hook, bytes: e.schurApplyBytes()}
+			op = &timedOperator{op: op, hook: hook, bytes: e.schur.MemoryBytes() + int64(16*e.ord.N2)}
 		}
-		if e.ilu != nil {
+		if e.ilu != nil { // BiCGSTAB: left-preconditioned
 			opts.Precond = e.ilu
 			if hook != nil {
 				opts.Precond = &timedPrecond{apply: e.ilu.Apply, hook: hook,
@@ -108,9 +104,6 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 			}
 		}
 		r2, stats, err = solve(op, qt2, opts)
-	}
-	if err == nil && e.wood != nil {
-		e.wood.correct(r2)
 	}
 	return r2, stats, err
 }

@@ -141,11 +141,8 @@ func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, exclud
 
 	// The calibrated factor computes lazily here on first use; engines that
 	// cannot be calibrated (or have no hub block) serve full solves.
-	// Woodbury-corrected engines serve full solves: the certificate probes
-	// intermediate GMRES iterates, which live in the base system and only
-	// become the updated graph's solution after the final correction.
 	factor, ferr := e.topkFactor()
-	bounded := ferr == nil && factor > 0 && e.ord.N2 > 0 && e.wood == nil
+	bounded := ferr == nil && factor > 0 && e.ord.N2 > 0
 
 	active := e.admitBatch(ctxs, qs, errs)
 	permuteDur := e.permutePhase(ws, qs, active)

@@ -25,13 +25,8 @@ type Workspace struct {
 	// slots, reused across phases.
 	sel [7][][]float64
 	slv solver.Workspace
-	// schurOp is this workspace's fused Schur operator (engines built with
-	// Options.ImplicitSchur only): its n1-length temporary is owned here so
-	// concurrent workspaces never share one and repeated solves allocate
-	// nothing. Built lazily by Engine.schurOperator.
-	schurOp *SchurOperator
 	// split is this workspace's one-pass preconditioned operator (engines
-	// whose DILU factors come from the stored S), bhat the split system's
+	// with DILU factors), bhat the split system's
 	// right-hand side D·L̂⁻¹·q̃2, and iterate the Û⁻¹-mapped iterate handed
 	// to Probe/Callback. Built together, lazily, by Engine.splitOperator.
 	split         *lu.Eisenstat

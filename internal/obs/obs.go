@@ -63,13 +63,12 @@ type Observer struct {
 	// Residual observes the solver's final relative residual per solved
 	// query.
 	Residual *Histogram
-	// SchurApply observes the wall time of each Schur-operator application
-	// (one SpMV with the explicit S, or the fused
-	// H22·x − H21·(H11⁻¹·(H12·x)) chain), in seconds — the dominant
-	// per-iteration kernel.
+	// SchurApply observes the wall time of each application of the solve's
+	// operator (core.KernelSchur), in seconds — the dominant per-iteration
+	// kernel.
 	SchurApply *Histogram
-	// PrecondApply observes the wall time of each ILU(0) preconditioner
-	// application (the two triangular sweeps), in seconds.
+	// PrecondApply observes the wall time of each preconditioner sweep
+	// outside that operator (core.KernelPrecond), in seconds.
 	PrecondApply *Histogram
 	// TopKSaved observes, for each early-stopped bounded top-k solve, the
 	// estimated number of Schur iterations the certificate avoided — the

@@ -34,18 +34,7 @@ import (
 // A nil *Pool is valid everywhere and means "run serially".
 type Pool struct {
 	workers int
-	sem     chan struct{} // nil when workers == 1 or sticky
-
-	// sticky, when non-nil, holds the persistent per-worker task channels
-	// of a sticky pool (NewStickyPool). Chunk c > 0 of every ForBounds is
-	// first offered to worker (c-1) mod len(sticky), so repeated kernel
-	// invocations with the same partition land each chunk on the same
-	// goroutine (and, when pinned, the same OS thread). That keeps a
-	// chunk's output range and first-touched matrix pages local to one
-	// worker across applies — the NUMA story behind CSR.FirstTouch.
-	sticky []chan func()
-	pinned bool
-	closed sync.Once
+	sem     chan struct{} // nil when workers == 1
 }
 
 // NewPool returns a pool that runs at most workers chunks concurrently.
@@ -60,63 +49,6 @@ func NewPool(workers int) *Pool {
 		p.sem = make(chan struct{}, workers)
 	}
 	return p
-}
-
-// NewStickyPool returns a pool whose workers are persistent goroutines with
-// a deterministic chunk→worker assignment (see the sticky field). With pin
-// set, each worker wires itself to an OS thread via runtime.LockOSThread so
-// the OS scheduler cannot migrate it between first-touching pages and
-// streaming them later. Dispatch stays non-blocking: a chunk whose owner is
-// busy runs inline on the submitter, so the no-deadlock-under-nesting rule
-// holds and results remain bit-identical (chunks write disjoint ranges
-// regardless of where they run).
-//
-// Idle workers cost a parked goroutine each; Close releases them. Using the
-// pool after Close panics, so only close a pool no kernel will touch again.
-func NewStickyPool(workers int, pin bool) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{workers: workers, pinned: pin && workers > 1}
-	if workers > 1 {
-		p.sticky = make([]chan func(), workers-1)
-		for w := range p.sticky {
-			ch := make(chan func())
-			p.sticky[w] = ch
-			go stickyWorker(ch, p.pinned)
-		}
-	}
-	return p
-}
-
-func stickyWorker(ch <-chan func(), pin bool) {
-	if pin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
-	for f := range ch {
-		f()
-	}
-}
-
-// Sticky reports whether the pool has persistent sticky workers.
-func (p *Pool) Sticky() bool { return p != nil && p.sticky != nil }
-
-// Pinned reports whether the pool's sticky workers are locked to OS threads.
-func (p *Pool) Pinned() bool { return p != nil && p.pinned }
-
-// Close shuts down a sticky pool's persistent workers. It is idempotent and
-// a no-op on nil or non-sticky pools. The caller must ensure no ForBounds is
-// in flight and none will follow: dispatching on a closed pool panics.
-func (p *Pool) Close() {
-	if p == nil || p.sticky == nil {
-		return
-	}
-	p.closed.Do(func() {
-		for _, ch := range p.sticky {
-			close(ch)
-		}
-	})
 }
 
 var (
@@ -235,10 +167,6 @@ func (p *Pool) ForBounds(bounds []int, fn func(chunk, lo, hi int)) {
 		}
 		return
 	}
-	if p.sticky != nil {
-		p.forBoundsSticky(bounds, parts, fn)
-		return
-	}
 	var wg sync.WaitGroup
 	var inline []int
 	for c := 1; c < parts; c++ {
@@ -256,35 +184,6 @@ func (p *Pool) ForBounds(bounds []int, fn func(chunk, lo, hi int)) {
 			// Pool saturated (possibly by our own caller chain): run this
 			// chunk on the submitter rather than wait — see the package
 			// comment on nesting.
-			inline = append(inline, c)
-		}
-	}
-	fn(0, bounds[0], bounds[1])
-	for _, c := range inline {
-		fn(c, bounds[c], bounds[c+1])
-	}
-	wg.Wait()
-}
-
-// forBoundsSticky dispatches chunk c to its owning persistent worker. The
-// send is non-blocking — an unbuffered channel accepts only when the worker
-// is parked in receive — so a busy owner (another stage holding it, or more
-// chunks than workers) degrades to inline execution on the submitter
-// instead of blocking, exactly like the semaphore path.
-func (p *Pool) forBoundsSticky(bounds []int, parts int, fn func(chunk, lo, hi int)) {
-	var wg sync.WaitGroup
-	var inline []int
-	for c := 1; c < parts; c++ {
-		c := c
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(c, bounds[c], bounds[c+1])
-		}
-		select {
-		case p.sticky[(c-1)%len(p.sticky)] <- task:
-		default:
-			wg.Done()
 			inline = append(inline, c)
 		}
 	}

@@ -278,10 +278,6 @@ func New(eng *core.Engine, cfg Config) *Executor {
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
 	}
-	// Executor construction is serving warmup: calibrate the process-wide
-	// kernel knobs (prefetch distance) before query traffic arrives. Cheap
-	// after the first executor.
-	core.WarmupKernels()
 	return e
 }
 

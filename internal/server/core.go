@@ -528,8 +528,6 @@ type KernelMetrics struct {
 	StreamBytesPerSec float64 `json:"stream_bytes_per_second"`
 	// PctOfStream is 100·Achieved/Stream.
 	PctOfStream float64 `json:"pct_of_stream"`
-	// PrefetchDistance is the gather prefetch lookahead in effect (0 = off).
-	PrefetchDistance int `json:"prefetch_distance"`
 }
 
 // Stats reports the index statistics (the /stats payload).
@@ -639,7 +637,6 @@ func kernelMetrics(o *obs.Observer) KernelMetrics {
 		Seconds:             float64(o.KernelNanos.Load()) / 1e9,
 		AchievedBytesPerSec: o.AchievedBandwidth(),
 		StreamBytesPerSec:   sparse.StreamBandwidth(),
-		PrefetchDistance:    sparse.PrefetchDistance(),
 	}
 	if k.StreamBytesPerSec > 0 {
 		k.PctOfStream = 100 * k.AchievedBytesPerSec / k.StreamBytesPerSec

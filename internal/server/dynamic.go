@@ -51,7 +51,8 @@ type EdgesResponse struct {
 // is the generation still serving queries; once settled, the generation
 // after the rebuild — "state" carries the lifecycle, not a zero sentinel.
 // Mode reports which path the rebuild took (full, delta-spoke, delta-hub,
-// noop) once it has settled.
+// noop) once it has settled, and Fallback why the incremental path refused
+// when a full rebuild ran in its place.
 type RebuildJSON struct {
 	ID         uint64  `json:"id"`
 	State      string  `json:"state"` // running | done | failed
@@ -59,7 +60,7 @@ type RebuildJSON struct {
 	Applied    int     `json:"applied"`
 	Generation uint64  `json:"generation"`
 	Mode       string  `json:"mode,omitempty"`
-	Drift      float64 `json:"drift,omitempty"`
+	Fallback   string  `json:"fallback,omitempty"`
 	DurationMS float64 `json:"duration_ms"`
 	Error      string  `json:"error,omitempty"`
 }
@@ -72,7 +73,7 @@ func rebuildJSON(st bepi.RebuildStatus) RebuildJSON {
 		Applied:    st.Applied,
 		Generation: st.Generation,
 		Mode:       string(st.Mode),
-		Drift:      st.Drift,
+		Fallback:   st.Fallback,
 		DurationMS: float64(st.Duration.Microseconds()) / 1000,
 	}
 	if st.Err != nil {

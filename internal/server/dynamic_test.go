@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,6 +112,11 @@ func TestDynamicEndpointsEndToEnd(t *testing.T) {
 	if int(final["applied"].(float64)) != 2 {
 		t.Fatalf("applied = %v, want 2", final["applied"])
 	}
+	// The new node has an out-edge (and deadend node 0 gains one), so the
+	// delta path refused and said why.
+	if reason, _ := final["fallback"].(string); final["mode"] != string(bepi.RebuildModeFull) || !strings.Contains(reason, "out-edge") {
+		t.Fatalf("mode %v fallback %q, want full with the out-edge that broke the ordering", final["mode"], reason)
+	}
 
 	// The executor's cache was generation-invalidated: the same seed must
 	// be re-solved on the new engine and score the new node.
@@ -154,6 +160,39 @@ func TestDynamicEndpointsEndToEnd(t *testing.T) {
 	for _, fam := range []string{"bepi_index_generation", "bepi_pending_updates", "bepi_rebuild_seconds", "bepi_engine_swaps_total"} {
 		if !bytes.Contains(prec.Body.Bytes(), []byte(fam)) {
 			t.Fatalf("prometheus exposition missing %s", fam)
+		}
+	}
+}
+
+// TestRemovedKnobsLeaveNoTrace: with one exact delta path and plain kernels
+// there is no hub drift and no prefetch distance to report, so no endpoint
+// mentions either — after a hub-touching flush included.
+func TestRemovedKnobsLeaveNoTrace(t *testing.T) {
+	s, d := testDynamicServer(t)
+	ord := d.Engine().Internal().Ordering()
+	hub := ord.Inv[ord.N1]
+	dst := 0
+	for g := bepi.RMAT(8, 6, 5); g.HasEdge(hub, dst); { // testDynamicServer's graph
+		dst++
+	}
+	if rec, body := post(t, s, "/edges", EdgesRequest{Add: []EdgeJSON{{Src: hub, Dst: dst}}}); rec.Code != http.StatusOK {
+		t.Fatalf("/edges: status %d body %v", rec.Code, body)
+	}
+	_, body := post(t, s, "/flush", nil)
+	id := uint64(body["id"].(float64))
+	if final := waitFlush(t, s, id); final["mode"] != string(bepi.RebuildModeDeltaHub) || final["fallback"] != nil {
+		t.Fatalf("hub flush settled as %v, want delta-hub and no fallback reason", final)
+	}
+	for _, path := range []string{fmt.Sprintf("/flush/%d", id), "/metrics", "/metrics.prom", "/healthz", "/stats"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		for _, gone := range []string{"drift", "prefetch"} {
+			if strings.Contains(rec.Body.String(), gone) {
+				t.Errorf("%s still mentions %q", path, gone)
+			}
 		}
 	}
 }

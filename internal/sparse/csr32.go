@@ -13,16 +13,13 @@ const maxIndex32 = int64(1) << 32
 
 // CSR32 is the bandwidth-lean, immutable counterpart of CSR: column indices
 // are uint32, row pointers are int32 when the entry count allows it (int64
-// otherwise, chosen at build time), and values are float64 by default with
-// an opt-in float32 path. Halving the index width halves the index bytes an
-// SpMV streams per stored entry, which is the dominant cost of the
-// memory-bound iteration kernels.
+// otherwise, chosen at build time), and values stay float64. Halving the
+// index width halves the index bytes an SpMV streams per stored entry,
+// which is the dominant cost of the memory-bound iteration kernels.
 //
-// The float64-valued kernels perform the exact additions and
-// multiplications of the CSR kernels in the same order, so their results
-// are bit-identical to CSR at any worker count. The float32 value path
-// (CompactFloat32) trades that for another ~4 bytes/entry and is explicitly
-// lossy; it is never chosen implicitly.
+// The kernels perform the exact additions and multiplications of the CSR
+// kernels in the same order, so their results are bit-identical to CSR at
+// any worker count.
 //
 // CSR32 is immutable after construction: there is no mutating API, and the
 // constructors reject (rather than repair) malformed input.
@@ -32,9 +29,7 @@ type CSR32 struct {
 	rowPtr32 []int32
 	rowPtr64 []int64
 	col      []uint32
-	// Exactly one of val/val32 is non-nil (val for the lossless default).
-	val   []float64
-	val32 []float32
+	val      []float64
 
 	// pool, when set, parallelizes the matvec kernels above ParallelMinNNZ
 	// by nnz-balanced row partition, exactly like CSR.
@@ -42,8 +37,8 @@ type CSR32 struct {
 	// tr is the cached transpose built by CacheTranspose; MulVecT runs as
 	// a (parallelizable) row-gather over it when present.
 	tr *CSR32
-	// bounds is the row partition cached by FirstTouch, exactly like
-	// CSR.bounds; SetPool invalidates it.
+	// bounds is the row partition SetPool computes, exactly like
+	// CSR.bounds.
 	bounds []int
 }
 
@@ -51,31 +46,14 @@ type CSR32 struct {
 // float64 value slice (values are identical; only the index arrays shrink).
 // It panics if the matrix dimensions exceed the uint32 index range. The
 // conversion is lossless: ToCSR reproduces an Equal matrix, and every
-// float64 kernel is bit-identical to its CSR counterpart.
+// kernel is bit-identical to its CSR counterpart.
 func Compact(m *CSR) *CSR32 {
-	c := compactIndices(m)
-	c.val = m.val
-	return c
-}
-
-// CompactFloat32 converts a CSR matrix into the compact layout with values
-// narrowed to float32. This is the opt-in lossy path: kernels widen each
-// stored value back to float64 at multiply time, so results differ from the
-// CSR kernels by the value rounding only.
-func CompactFloat32(m *CSR) *CSR32 {
-	c := compactIndices(m)
-	c.val32 = make([]float32, len(m.val))
-	for i, v := range m.val {
-		c.val32[i] = float32(v)
-	}
-	return c
-}
-
-func compactIndices(m *CSR) *CSR32 {
 	if int64(m.cols) > maxIndex32 || int64(m.rows) > maxIndex32 {
 		panic(fmt.Sprintf("sparse: Compact %dx%d exceeds uint32 index range", m.rows, m.cols))
 	}
-	c := &CSR32{rows: m.rows, cols: m.cols, pool: m.pool}
+	// The row partition depends on the row pointers' values only, so the
+	// wide matrix's cached one carries over.
+	c := &CSR32{rows: m.rows, cols: m.cols, val: m.val, pool: m.pool, bounds: m.bounds}
 	c.col = make([]uint32, len(m.col))
 	for i, j := range m.col {
 		c.col[i] = uint32(j)
@@ -94,8 +72,7 @@ func compactIndices(m *CSR) *CSR32 {
 		}
 	}
 	if m.tr != nil {
-		c.tr = compactIndices(m.tr)
-		c.tr.val = m.tr.val
+		c.tr = Compact(m.tr)
 	}
 	return c
 }
@@ -126,9 +103,8 @@ func NewCSR32Wide(rows, cols int, rowPtr []int64, col []uint32, val []float64) *
 	return &CSR32{rows: rows, cols: cols, rowPtr64: rowPtr, col: col, val: val}
 }
 
-// ToCSR widens the matrix back to the standard CSR layout. For float64
-// values the round trip CSR -> Compact -> ToCSR is exact (Equal); for the
-// float32 path the widened values carry the float32 rounding.
+// ToCSR widens the matrix back to the standard CSR layout. The round trip
+// CSR -> Compact -> ToCSR is exact (Equal).
 func (m *CSR32) ToCSR() *CSR {
 	rowPtr := make([]int, m.rows+1)
 	if m.rowPtr32 != nil {
@@ -144,17 +120,9 @@ func (m *CSR32) ToCSR() *CSR {
 	for i, j := range m.col {
 		col[i] = int(j)
 	}
-	var val []float64
-	if m.val != nil {
-		val = make([]float64, len(m.val))
-		copy(val, m.val)
-	} else {
-		val = make([]float64, len(m.val32))
-		for i, v := range m.val32 {
-			val[i] = float64(v)
-		}
-	}
-	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, col: col, val: val, pool: m.pool}
+	val := make([]float64, len(m.val))
+	copy(val, m.val)
+	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, col: col, val: val, pool: m.pool, bounds: m.bounds}
 }
 
 // Rows returns the number of rows.
@@ -166,65 +134,20 @@ func (m *CSR32) Cols() int { return m.cols }
 // NNZ returns the number of stored entries.
 func (m *CSR32) NNZ() int { return len(m.col) }
 
-// Float32Values reports whether the matrix stores float32 values (the
-// lossy CompactFloat32 path) rather than the default float64.
-func (m *CSR32) Float32Values() bool { return m.val32 != nil }
-
 // SetPool attaches a parallel pool and returns m; semantics match
 // CSR.SetPool (parallel above ParallelMinNNZ, bit-identical results).
 func (m *CSR32) SetPool(p *par.Pool) *CSR32 {
 	m.pool = p
 	m.bounds = nil
+	if p.Workers() > 1 && m.rows >= 2 {
+		if m.rowPtr32 != nil {
+			m.bounds = par.BoundsByPrefixOf(m.rowPtr32, p.Workers())
+		} else {
+			m.bounds = par.BoundsByPrefixOf(m.rowPtr64, p.Workers())
+		}
+	}
 	if m.tr != nil {
 		m.tr.SetPool(p)
-	}
-	return m
-}
-
-// rowStart returns rowPtr[i] regardless of the pointer width in use.
-func (m *CSR32) rowStart(i int) int {
-	if m.rowPtr32 != nil {
-		return int(m.rowPtr32[i])
-	}
-	return int(m.rowPtr64[i])
-}
-
-// FirstTouch caches the row partition and, on a sticky pool, rewrites each
-// partition's index/value segments from its owning worker — semantics match
-// CSR.FirstTouch. The rebuilt slices hold identical contents, so the
-// layout's immutability contract (values and pattern never change) is kept.
-func (m *CSR32) FirstTouch() *CSR32 {
-	m.bounds = nil
-	if bounds, ok := m.parBounds(); ok {
-		if m.pool.Sticky() {
-			col := make([]uint32, len(m.col))
-			var val []float64
-			var val32 []float32
-			if m.val != nil {
-				val = make([]float64, len(m.val))
-			} else {
-				val32 = make([]float32, len(m.val32))
-			}
-			m.pool.ForBounds(bounds, func(_, lo, hi int) {
-				s, e := m.rowStart(lo), m.rowStart(hi)
-				copy(col[s:e], m.col[s:e])
-				if val != nil {
-					copy(val[s:e], m.val[s:e])
-				} else {
-					copy(val32[s:e], m.val32[s:e])
-				}
-			})
-			m.col = col
-			if val != nil {
-				m.val = val
-			} else {
-				m.val32 = val32
-			}
-		}
-		m.bounds = bounds
-	}
-	if m.tr != nil {
-		m.tr.FirstTouch()
 	}
 	return m
 }
@@ -241,84 +164,48 @@ func (m *CSR32) CacheTranspose() *CSR32 {
 	if m.tr == nil {
 		// Transpose once through the wide layout; this runs once per
 		// matrix lifetime, outside any query path.
-		wide := m.ToCSR().Transpose()
-		if m.val32 != nil {
-			m.tr = CompactFloat32(wide)
-		} else {
-			m.tr = Compact(wide)
-		}
-		m.tr.pool = m.pool
+		m.tr = Compact(m.ToCSR().Transpose()).SetPool(m.pool)
 	}
 	return m.tr
 }
 
-// parBounds mirrors CSR.parBounds: nnz-balanced row chunks over the pool's
-// workers when parallel execution pays off.
-func (m *CSR32) parBounds() ([]int, bool) {
-	if m.pool.Workers() <= 1 || len(m.col) < ParallelMinNNZ || m.rows < 2 {
-		return nil, false
+// parBounds mirrors CSR.parBounds.
+func (m *CSR32) parBounds(width int) []int {
+	if len(m.col)*width < ParallelMinNNZ {
+		return nil
 	}
-	if m.bounds != nil {
-		return m.bounds, true
-	}
-	if m.rowPtr32 != nil {
-		return par.BoundsByPrefixOf(m.rowPtr32, m.pool.Workers()), true
-	}
-	return par.BoundsByPrefixOf(m.rowPtr64, m.pool.Workers()), true
+	return m.bounds
 }
 
-// batchParBounds mirrors CSR.batchParBounds: the parallel threshold scales
-// with the batch width, since a K-RHS batch does K× the work per entry.
-func (m *CSR32) batchParBounds(width int) ([]int, bool) {
-	if width < 1 {
-		width = 1
-	}
-	if m.pool.Workers() <= 1 || len(m.col)*width < ParallelMinNNZ || m.rows < 2 {
-		return nil, false
-	}
-	if m.bounds != nil {
-		return m.bounds, true
-	}
-	if m.rowPtr32 != nil {
-		return par.BoundsByPrefixOf(m.rowPtr32, m.pool.Workers()), true
-	}
-	return par.BoundsByPrefixOf(m.rowPtr64, m.pool.Workers()), true
-}
+// The range kernels are generic over the row-pointer width so both layouts
+// share one loop body each, delegating the per-row accumulation to the
+// shared gather kernels (kernels.go): the compiled loop performs the exact
+// CSR operation sequence, which is what keeps CSR32 bit-identical to CSR.
 
-// The range kernels are generic over (row-pointer width × value width) so
-// the four layout combinations share one loop body each, delegating the
-// per-row accumulation to the shared gather kernels (kernels.go).
-// Instantiated with V = float64 the conversion is the identity and the
-// compiled loop performs the exact CSR operation sequence, which is what
-// keeps the float64 layouts bit-identical to CSR.
-
-func mulVecRange32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
+func mulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRow4(col[start:end], val[start:end], x, d)
+		dst[i] = gatherRow4(col[start:end], val[start:end], x)
 	}
 }
 
 // mulVecRangeSeq32 is the sequential per-row gather reserved for the
 // cached-transpose MulVecT path, matching the scatter's addition order.
-func mulVecRangeSeq32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
+func mulVecRangeSeq32[P int32 | int64](rowPtr []P, col []uint32, val, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRowSeq(col[start:end], val[start:end], x, d)
+		dst[i] = gatherRowSeq(col[start:end], val[start:end], x)
 	}
 }
 
-func addMulVecRange32[P int32 | int64, V float32 | float64](rowPtr []P, col []uint32, val []V, dst []float64, alpha float64, x []float64, lo, hi int) {
-	d := PrefetchDistance()
+func addMulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst []float64, alpha float64, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x, d)
+		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x)
 	}
 }
 
-func mulVecTScatter32[P int32 | int64, V float32 | float64](rows int, rowPtr []P, col []uint32, val []V, dst, x []float64) {
+func mulVecTScatter32[P int32 | int64](rows int, rowPtr []P, col []uint32, val, dst, x []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -328,70 +215,50 @@ func mulVecTScatter32[P int32 | int64, V float32 | float64](rows int, rowPtr []P
 			continue
 		}
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			dst[col[p]] += float64(val[p]) * xi
+			dst[col[p]] += val[p] * xi
 		}
 	}
 }
 
 func (m *CSR32) mulVecRange(dst, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecRange32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	case m.rowPtr32 != nil:
-		mulVecRange32(m.rowPtr32, m.col, m.val32, dst, x, lo, hi)
-	case m.val != nil:
+	} else {
 		mulVecRange32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
-	default:
-		mulVecRange32(m.rowPtr64, m.col, m.val32, dst, x, lo, hi)
 	}
 }
 
 func (m *CSR32) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecRangeSeq32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	case m.rowPtr32 != nil:
-		mulVecRangeSeq32(m.rowPtr32, m.col, m.val32, dst, x, lo, hi)
-	case m.val != nil:
+	} else {
 		mulVecRangeSeq32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
-	default:
-		mulVecRangeSeq32(m.rowPtr64, m.col, m.val32, dst, x, lo, hi)
 	}
 }
 
 func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		addMulVecRange32(m.rowPtr32, m.col, m.val, dst, alpha, x, lo, hi)
-	case m.rowPtr32 != nil:
-		addMulVecRange32(m.rowPtr32, m.col, m.val32, dst, alpha, x, lo, hi)
-	case m.val != nil:
+	} else {
 		addMulVecRange32(m.rowPtr64, m.col, m.val, dst, alpha, x, lo, hi)
-	default:
-		addMulVecRange32(m.rowPtr64, m.col, m.val32, dst, alpha, x, lo, hi)
 	}
 }
 
 func (m *CSR32) mulVecBatchRange(dst, x [][]float64, rlo, rhi int) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecBatchRows(m.rowPtr32, m.col, m.val, dst, x, rlo, rhi)
-	case m.rowPtr32 != nil:
-		mulVecBatchRows(m.rowPtr32, m.col, m.val32, dst, x, rlo, rhi)
-	case m.val != nil:
+	} else {
 		mulVecBatchRows(m.rowPtr64, m.col, m.val, dst, x, rlo, rhi)
-	default:
-		mulVecBatchRows(m.rowPtr64, m.col, m.val32, dst, x, rlo, rhi)
 	}
 }
 
 // MulVec computes dst = M·x with the same dimension rules, pool behavior
-// and (for float64 values) bit-identical results as CSR.MulVec.
+// and bit-identical results as CSR.MulVec.
 func (m *CSR32) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d want %d,%d", len(dst), len(x), m.rows, m.cols))
 	}
-	if bounds, ok := m.parBounds(); ok {
+	if bounds := m.parBounds(1); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
 		return
 	}
@@ -412,7 +279,7 @@ func (m *CSR32) MulVecBatch(dst, x [][]float64) {
 				len(dst[k]), len(x[k]), m.rows, m.cols))
 		}
 	}
-	if bounds, ok := m.batchParBounds(len(x)); ok {
+	if bounds := m.parBounds(len(x)); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecBatchRange(dst, x, lo, hi) })
 		return
 	}
@@ -427,49 +294,37 @@ func (m *CSR32) MulVecT(dst, x []float64) {
 	}
 	if m.tr != nil {
 		tr := m.tr
-		if bounds, ok := tr.parBounds(); ok {
+		if bounds := tr.parBounds(1); bounds != nil {
 			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
 			return
 		}
 		tr.mulVecRangeSeq(dst, x, 0, tr.rows)
 		return
 	}
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val, dst, x)
-	case m.rowPtr32 != nil:
-		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val32, dst, x)
-	case m.val != nil:
+	} else {
 		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val, dst, x)
-	default:
-		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val32, dst, x)
 	}
 }
 
-// AddMulVec computes dst += alpha · M·x, row-partitioned like MulVec. It is
-// the fusion epilogue the Schur operator uses to fold the H21 term into the
-// H22 product without an intermediate vector or an extra full-vector pass.
+// AddMulVec computes dst += alpha · M·x, row-partitioned like MulVec.
 func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic("sparse: AddMulVec dimension mismatch")
 	}
-	if bounds, ok := m.parBounds(); ok {
+	if bounds := m.parBounds(1); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
 		return
 	}
 	m.addMulVecRange(dst, alpha, x, 0, m.rows)
 }
 
-// MemoryBytes reports the storage footprint: 8 (or 4, float32 path) bytes
-// per value, 4 per column index, and 4 or 8 per row pointer as chosen at
-// build time. Compare CSR.MemoryBytes' 16 bytes per entry + 8 per row.
+// MemoryBytes reports the storage footprint: 8 bytes per value, 4 per
+// column index, and 4 or 8 per row pointer as chosen at build time. Compare
+// CSR.MemoryBytes' 16 bytes per entry + 8 per row.
 func (m *CSR32) MemoryBytes() int64 {
-	b := int64(len(m.col)) * 4
-	if m.val != nil {
-		b += int64(len(m.val)) * 8
-	} else {
-		b += int64(len(m.val32)) * 4
-	}
+	b := int64(len(m.col))*4 + int64(len(m.val))*8
 	if m.rowPtr32 != nil {
 		b += int64(len(m.rowPtr32)) * 4
 	} else {

@@ -64,8 +64,7 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 					m := mulVecBench.m.Clone()
 					var pool *par.Pool
 					if w > 1 {
-						pool = par.NewStickyPool(w, false)
-						defer pool.Close()
+						pool = par.NewPool(w)
 					}
 					vecBytes := int64(width) * 8 * int64(m.Rows()+m.Cols())
 					run := func(matBytes int64, batch func(dst, x [][]float64)) func(b *testing.B) {
@@ -79,7 +78,7 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 					}
 					if layout == "csr" {
 						if pool != nil {
-							m.SetPool(pool).FirstTouch()
+							m.SetPool(pool)
 						}
 						b.Run("rowouter", run(int64(m.NNZ()*16), func(dst, x [][]float64) {
 							rowOuterBatchBench(m, dst, x)
@@ -88,7 +87,7 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 					} else {
 						c := Compact(m)
 						if pool != nil {
-							c.SetPool(pool).FirstTouch()
+							c.SetPool(pool)
 						}
 						// No row-outer CSR32 baseline survives; compare the
 						// interleaved compact kernel against the wide row-outer.
@@ -97,24 +96,5 @@ func BenchmarkMulVecBatchInterleaved(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkPrefetchDistance sweeps the gather prefetch knob over the shared
-// cache-spilling fixture, serial so the effect is not hidden by parallel
-// overlap. Distance 0 is the unhinted baseline.
-func BenchmarkPrefetchDistance(b *testing.B) {
-	mulVecBenchSetup()
-	defer resetPrefetchForTest()
-	for _, d := range []int{0, 4, 8, 16} {
-		b.Run(fmt.Sprintf("dist=%d", d), func(b *testing.B) {
-			SetPrefetchDistance(d)
-			m := mulVecBench.m
-			b.SetBytes(int64(m.NNZ() * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.MulVec(mulVecBench.dst, mulVecBench.x)
-			}
-		})
 	}
 }

@@ -61,17 +61,17 @@ func TestInterleavedBatchGateScalesWithWidth(t *testing.T) {
 		t.Fatalf("fixture nnz=%d does not straddle the gate (min %d)", m.NNZ(), ParallelMinNNZ)
 	}
 	m.SetPool(par.NewPool(4))
-	if _, ok := m.batchParBounds(1); ok {
+	if m.parBounds(1) != nil {
 		t.Fatal("width-1 batch below ParallelMinNNZ must stay serial")
 	}
-	if _, ok := m.batchParBounds(8); !ok {
+	if m.parBounds(8) == nil {
 		t.Fatal("width-8 batch over ParallelMinNNZ total work must parallelize")
 	}
 	c := Compact(m.Clone()).SetPool(par.NewPool(4))
-	if _, ok := c.batchParBounds(1); ok {
+	if c.parBounds(1) != nil {
 		t.Fatal("CSR32 width-1 batch below ParallelMinNNZ must stay serial")
 	}
-	if _, ok := c.batchParBounds(8); !ok {
+	if c.parBounds(8) == nil {
 		t.Fatal("CSR32 width-8 batch over ParallelMinNNZ total work must parallelize")
 	}
 

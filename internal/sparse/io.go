@@ -29,7 +29,7 @@ const (
 	csrVersion = 1
 )
 
-func writeCSR[P int | int32 | int64, C int | uint32, V float32 | float64](w io.Writer, rows, cols int, rowPtr []P, col []C, val []V) (int64, error) {
+func writeCSR[P int | int32 | int64, C int | uint32](w io.Writer, rows, cols int, rowPtr []P, col []C, val []float64) (int64, error) {
 	bw := binio.NewWriter(w)
 	bw.U32(csrMagic)
 	bw.U32(csrVersion)
@@ -47,19 +47,13 @@ func (m *CSR) WriteTo(w io.Writer) (int64, error) {
 	return writeCSR(w, m.rows, m.cols, m.rowPtr, m.col, m.val)
 }
 
-// WriteTo serializes the matrix in the CSR format (float32 values widen).
-// It implements io.WriterTo.
+// WriteTo serializes the matrix in the CSR format. It implements
+// io.WriterTo.
 func (m *CSR32) WriteTo(w io.Writer) (int64, error) {
-	switch {
-	case m.rowPtr32 != nil && m.val != nil:
+	if m.rowPtr32 != nil {
 		return writeCSR(w, m.rows, m.cols, m.rowPtr32, m.col, m.val)
-	case m.rowPtr32 != nil:
-		return writeCSR(w, m.rows, m.cols, m.rowPtr32, m.col, m.val32)
-	case m.val != nil:
-		return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val)
-	default:
-		return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val32)
 	}
+	return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val)
 }
 
 // ReadCSR deserializes a matrix written by WriteTo. It reads exactly the

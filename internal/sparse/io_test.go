@@ -62,8 +62,8 @@ func TestReadCSRRejectsTruncated(t *testing.T) {
 }
 
 // TestCSR32WriteToMatchesWide: a compact matrix serializes to exactly the
-// bytes of its widened copy, at both row-pointer widths and both value
-// widths, so the saved index does not depend on the in-memory layout.
+// bytes of its widened copy, at both row-pointer widths, so the saved index
+// does not depend on the in-memory layout.
 func TestCSR32WriteToMatchesWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randCSR(rng, 40, 33, 0.25)
@@ -76,9 +76,8 @@ func TestCSR32WriteToMatchesWide(t *testing.T) {
 		col32[i] = uint32(c)
 	}
 	for name, c := range map[string]*CSR32{
-		"int32 rowPtr":   Compact(m),
-		"int64 rowPtr":   NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
-		"float32 values": CompactFloat32(m),
+		"int32 rowPtr": Compact(m),
+		"int64 rowPtr": NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
 	} {
 		var got, want bytes.Buffer
 		if _, err := c.WriteTo(&got); err != nil {

@@ -199,6 +199,35 @@ func TestSetPoolPropagatesToCachedTranspose(t *testing.T) {
 	}
 }
 
+// TestPooledMulVecAllocatesNoPartition: SetPool computes the nnz-balanced
+// row partition once, so a pooled apply above ParallelMinNNZ allocates
+// nothing beyond what the bare chunk dispatch over that partition does — in
+// both layouts, and across Compact / ToCSR, which carry the partition over.
+func TestPooledMulVecAllocatesNoPartition(t *testing.T) {
+	pool := par.NewPool(4)
+	m := randBigCSR(4000, 3000, 12, 50).SetPool(pool)
+	if m.NNZ() < ParallelMinNNZ {
+		t.Fatalf("fixture nnz=%d is below the parallel gate", m.NNZ())
+	}
+	c := Compact(m)
+	x, dst := randVec(m.Cols(), 51), make([]float64, m.Rows())
+	if c.bounds == nil || c.ToCSR().bounds == nil {
+		t.Fatal("Compact / ToCSR dropped the cached partition")
+	}
+	// A different worker count needs a different partition.
+	if other := m.Clone().SetPool(pool).SetPool(par.NewPool(2)); len(other.bounds) != 3 {
+		t.Fatalf("re-pointed at a 2-worker pool, the partition has %d boundaries", len(other.bounds))
+	}
+	dispatch := testing.AllocsPerRun(50, func() {
+		pool.ForBounds(c.bounds, func(_, lo, hi int) { c.mulVecRange(dst, x, lo, hi) })
+	})
+	for name, mulVec := range map[string]func(dst, x []float64){"csr": m.MulVec, "csr32": c.MulVec} {
+		if got := testing.AllocsPerRun(50, func() { mulVec(dst, x) }); got > dispatch {
+			t.Errorf("%s: pooled MulVec allocates %.1f objects per apply, the bare dispatch %.1f", name, got, dispatch)
+		}
+	}
+}
+
 func TestCOOAppend(t *testing.T) {
 	a := NewCOO(4, 4)
 	a.Add(0, 1, 2)

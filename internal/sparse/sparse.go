@@ -121,10 +121,9 @@ type CSR struct {
 	// tr is the cached transpose built by CacheTranspose; MulVecT runs as
 	// a (parallelizable) row-gather over it when present.
 	tr *CSR
-	// bounds is the row partition cached by FirstTouch for the attached
-	// pool, so the apply kernels stop recomputing (and reallocating) it per
-	// call and sticky pools see the same chunk→worker map every apply.
-	// SetPool invalidates it. nil means compute per call.
+	// bounds is the nnz-balanced row partition over the attached pool's
+	// workers, computed once by SetPool so the apply kernels neither
+	// recompute nor reallocate it per call. nil means serial.
 	bounds []int
 }
 
@@ -142,39 +141,11 @@ const ParallelMinNNZ = 1 << 15
 func (m *CSR) SetPool(p *par.Pool) *CSR {
 	m.pool = p
 	m.bounds = nil
+	if p.Workers() > 1 && m.rows >= 2 {
+		m.bounds = par.BoundsByPrefix(m.rowPtr, p.Workers())
+	}
 	if m.tr != nil {
 		m.tr.SetPool(p)
-	}
-	return m
-}
-
-// FirstTouch pins the matrix's parallel layout to the attached pool: it
-// caches the nnz-balanced row partition so the apply kernels stop
-// recomputing it on every call, and — when the pool is sticky — rewrites
-// each partition's col/val segment from the worker that owns the chunk, so
-// the backing pages are first-touched (hence, under first-touch NUMA
-// policy, placed) local to the worker that will stream them on every
-// future apply. Contents are identical afterwards; only page placement and
-// partition caching change, so results are unaffected. Call after SetPool
-// (which invalidates the cached partition); matrices below the parallel
-// threshold are left untouched. Returns m.
-func (m *CSR) FirstTouch() *CSR {
-	m.bounds = nil
-	if bounds, ok := m.parBounds(); ok {
-		if m.pool.Sticky() {
-			col := make([]int, len(m.col))
-			val := make([]float64, len(m.val))
-			m.pool.ForBounds(bounds, func(_, lo, hi int) {
-				s, e := m.rowPtr[lo], m.rowPtr[hi]
-				copy(col[s:e], m.col[s:e])
-				copy(val[s:e], m.val[s:e])
-			})
-			m.col, m.val = col, val
-		}
-		m.bounds = bounds
-	}
-	if m.tr != nil {
-		m.tr.FirstTouch()
 	}
 	return m
 }
@@ -190,40 +161,22 @@ func (m *CSR) Pool() *par.Pool { return m.pool }
 // cache.
 func (m *CSR) CacheTranspose() *CSR {
 	if m.tr == nil {
-		m.tr = m.Transpose()
-		m.tr.pool = m.pool
+		m.tr = m.Transpose().SetPool(m.pool)
 	}
 	return m.tr
 }
 
-// parBounds reports whether the kernels should run parallel, and with
-// which row partition: nnz-balanced chunk boundaries over the pool's
-// workers.
-func (m *CSR) parBounds() ([]int, bool) {
-	if m.pool.Workers() <= 1 || len(m.val) < ParallelMinNNZ || m.rows < 2 {
-		return nil, false
+// parBounds returns the row partition a kernel over width right-hand sides
+// should run parallel with, or nil to run serially. The threshold scales
+// with the batch width: a K-RHS batch does K times the work per stored
+// entry, so chunk handoff amortizes at 1/K of the nnz. The partition itself
+// does not depend on width — results are bit-identical either way; only the
+// serial/parallel cutover moves.
+func (m *CSR) parBounds(width int) []int {
+	if len(m.val)*width < ParallelMinNNZ {
+		return nil
 	}
-	if m.bounds != nil {
-		return m.bounds, true
-	}
-	return par.BoundsByPrefix(m.rowPtr, m.pool.Workers()), true
-}
-
-// batchParBounds is parBounds with the threshold scaled by the batch width:
-// a K-RHS batch does K times the work per stored entry, so chunk handoff
-// amortizes at 1/K of the nnz. The partition itself is unchanged — results
-// stay bit-identical either way; only the serial/parallel cutover moves.
-func (m *CSR) batchParBounds(width int) ([]int, bool) {
-	if width < 1 {
-		width = 1
-	}
-	if m.pool.Workers() <= 1 || len(m.val)*width < ParallelMinNNZ || m.rows < 2 {
-		return nil, false
-	}
-	if m.bounds != nil {
-		return m.bounds, true
-	}
-	return par.BoundsByPrefix(m.rowPtr, m.pool.Workers()), true
+	return m.bounds
 }
 
 // NewCSR constructs a CSR matrix directly from raw slices. The slices are
@@ -370,7 +323,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d want %d,%d", len(dst), len(x), m.rows, m.cols))
 	}
-	if bounds, ok := m.parBounds(); ok {
+	if bounds := m.parBounds(1); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
 		return
 	}
@@ -380,12 +333,11 @@ func (m *CSR) MulVec(dst, x []float64) {
 // mulVecRange is the gather loop behind MulVec and AddMulVec; the shared
 // four-lane kernel (kernels.go) does the accumulation, so CSR and CSR32
 // run the exact same sequence — which is what keeps the two layouts
-// bit-identical — with the process-wide prefetch distance applied.
+// bit-identical.
 func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRow4(m.col[start:end], m.val[start:end], x, d)
+		dst[i] = gatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -395,10 +347,9 @@ func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 // in ascending row order, and only the sequential gather reproduces that
 // addition order bit for bit.
 func (m *CSR) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRowSeq(m.col[start:end], m.val[start:end], x, d)
+		dst[i] = gatherRowSeq(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -422,7 +373,7 @@ func (m *CSR) MulVecBatch(dst, x [][]float64) {
 				len(dst[k]), len(x[k]), m.rows, m.cols))
 		}
 	}
-	if bounds, ok := m.batchParBounds(len(x)); ok {
+	if bounds := m.parBounds(len(x)); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecBatchRange(dst, x, lo, hi) })
 		return
 	}
@@ -445,7 +396,7 @@ func (m *CSR) MulVecT(dst, x []float64) {
 	}
 	if m.tr != nil {
 		tr := m.tr
-		if bounds, ok := tr.parBounds(); ok {
+		if bounds := tr.parBounds(1); bounds != nil {
 			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
 			return
 		}
@@ -472,7 +423,7 @@ func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic("sparse: AddMulVec dimension mismatch")
 	}
-	if bounds, ok := m.parBounds(); ok {
+	if bounds := m.parBounds(1); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
 		return
 	}
@@ -480,10 +431,9 @@ func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
 }
 
 func (m *CSR) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	d := PrefetchDistance()
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(m.col[start:end], m.val[start:end], x, d)
+		dst[i] += alpha * gatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 
