@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep bench-spmv bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep bench-dynamic bench-serving bench-topk bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -51,11 +51,10 @@ race:
 # background flushes over one index), the cluster tier's routing ring
 # and generation-guarded scatter-gather against concurrent engine swaps,
 # and the bounded top-k search (solver StopWhen/Probe hooks, set-equality
-# property tests, qexec k-class batching under concurrent load), and the
+# property tests, qexec top-k coalescing under concurrent load), and the
 # observability layer (lock-free event ring, trace propagation across
 # HTTP backends during engine swaps, histogram snapshot merging), and the
-# latency-hiding kernel layer (RHS-interleaved batch multiply, the STREAM
-# probe), and the incremental rebuild path (delta classification, exact
+# STREAM probe, and the incremental rebuild path (delta classification, exact
 # hub and spoke splices) racing concurrent queries, and qexec's keyed cache
 # and singleflight (hot-set storm solved once per key, leader cancellation),
 # and the wire codec (pooled chunk buffers, negotiation on both handlers,
@@ -63,7 +62,7 @@ race:
 # path (SlashBurn over the counting-pass adjacency, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Interleav|Stream|Delta|Cache|Flight|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -106,12 +105,6 @@ bench-kernels:
 # (The exact gate on those is TestPreprocessingAllocBudget in `make test`.)
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad' -benchtime=3x -benchmem .
-
-# Smoke-run the latency-hiding SpMV benchmark: the RHS-interleaved batch
-# kernel against its frozen row-outer baseline across widths/layouts/worker
-# counts. CI runs it so a batch kernel regression shows up immediately.
-bench-spmv:
-	$(GO) test -run '^$$' -bench BenchmarkMulVecBatchInterleaved -benchtime=20x ./internal/sparse/
 
 # Smoke-run the dynamic-rebuild experiments on a small R-MAT graph: queries
 # keep answering while a background flush re-preprocesses (in-rebuild p99

@@ -1,6 +1,6 @@
 // Command bepi-serve serves RWR queries from a preprocessed index over
 // HTTP/JSON through the qexec execution subsystem (pooled workspaces,
-// batched multi-seed solves, score cache, admission control).
+// score cache, singleflight, admission control).
 //
 //	bepi-serve -index graph.idx -addr :8080
 //
@@ -167,9 +167,7 @@ func main() {
 	graphPath := flag.String("graph", "", "edge-list file to preprocess at startup and serve with online updates (dynamic mode)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("batch-max", 0, "max queries coalesced into one multi-seed solve (0 = default 8)")
-	batchWindow := flag.Duration("batch-window", 0, "how long a non-full batch waits for more queries (0 = default 200µs, negative disables)")
-	queueDepth := flag.Int("queue-depth", 0, "admission queue bound; excess requests get 429 (0 = default 4×workers×batch-max)")
+	queueDepth := flag.Int("queue-depth", 0, "admission queue bound; excess requests get 429 (0 = default 32×workers)")
 	cacheEntries := flag.Int("cache-entries", 0, "LRU score-cache capacity (0 = default 1024, negative disables)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline enforced inside the solver (0 = none)")
 	parallelism := flag.Int("parallelism", 0, "per-solve kernel worker cap (0 = keep engine default, 1 = serial kernels)")
@@ -194,8 +192,6 @@ func main() {
 
 	cfg := qexec.Config{
 		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		BatchWindow:  *batchWindow,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		Timeout:      *queryTimeout,
@@ -254,8 +250,8 @@ func main() {
 		handler = server.NewWithConfig(eng, cfg)
 	}
 	xc := handler.Executor().Config()
-	log.Printf("qexec: %d workers, batch ≤%d within %v, queue %d, cache %d entries, timeout %v",
-		xc.Workers, xc.MaxBatch, xc.BatchWindow, xc.QueueDepth, xc.CacheEntries, xc.Timeout)
+	log.Printf("qexec: %d workers, queue %d, cache %d entries, timeout %v",
+		xc.Workers, xc.QueueDepth, xc.CacheEntries, xc.Timeout)
 	if *slowQuery > 0 {
 		log.Printf("obs: logging queries slower than %v", *slowQuery)
 	}

@@ -232,8 +232,8 @@ func TestKernelsLayoutAB(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compact=%v: %v", mode, err)
 		}
-		if len(tables) != 3 {
-			t.Fatalf("compact=%v: got %d tables, want 3", mode, len(tables))
+		if len(tables) != 2 {
+			t.Fatalf("compact=%v: got %d tables, want 2", mode, len(tables))
 		}
 		mem := tables[0]
 		for _, row := range mem.Rows {

@@ -55,13 +55,6 @@ func Kernels(cfg Config) ([]*Table, error) {
 			reps, cfg.Seeds, layoutName(cfg.Compact), FmtBytes(int64(stream))),
 		Header: []string{"dataset", "S·x wide", "S·x compact", "query", "S·x + ILU(0)", "one-pass DILU"},
 	}
-	bat := &Table{
-		Title: "Batched S·x: row-outer baseline vs RHS-interleaved",
-		Note: fmt.Sprintf("avg of %d serial applications on the wide layout; achieved counts matrix bytes + 8 B per in/out vector element per RHS; roof = STREAM triad %s/s",
-			reps, FmtBytes(int64(stream))),
-		Header: []string{"dataset", "width", "row-outer", "interleaved", "speedup", "achieved", "% of STREAM"},
-	}
-
 	datasets := Suite(cfg.Size)
 	if len(datasets) > 3 {
 		datasets = datasets[:3]
@@ -100,35 +93,6 @@ func Kernels(cfg Config) ([]*Table, error) {
 		spmvWide := timeKernel(reps, func() { s.MulVec(y, x) })
 		spmvComp := timeKernel(reps, func() { c32.MulVec(y, x) })
 
-		// Batched S·x A/B: the frozen row-outer kernel vs the shipped
-		// RHS-interleaved MulVecBatch, serial on a pool-free clone so both
-		// sides measure pure kernel time. Outputs are bit-identical; only
-		// the traversal differs.
-		sk := s.Clone()
-		for _, width := range []int{4, 16} {
-			xs := make([][]float64, width)
-			ys := make([][]float64, width)
-			for k := range xs {
-				xs[k] = make([]float64, sk.Cols())
-				for i := range xs[k] {
-					xs[k][i] = float64((i+3*k)%7) - 3
-				}
-				ys[k] = make([]float64, sk.Rows())
-			}
-			tBase := timeKernel(reps, func() { rowOuterBatch(sk, ys, xs) })
-			tInter := timeKernel(reps, func() { sk.MulVecBatch(ys, xs) })
-			bytes := sk.MemoryBytes() + int64(width)*8*int64(sk.Rows()+sk.Cols())
-			achieved := float64(bytes) / tInter.Seconds()
-			pct := "-"
-			if stream > 0 {
-				pct = fmt.Sprintf("%.1f%%", 100*achieved/stream)
-			}
-			bat.AddRow(d.Name, fmt.Sprintf("%d", width),
-				FmtDuration(tBase), FmtDuration(tInter),
-				fmt.Sprintf("%.2fx", tBase.Seconds()/tInter.Seconds()),
-				FmtBytes(int64(achieved))+"/s", pct)
-		}
-
 		// Query path, on the layout selected by Config.Compact.
 		seeds := QuerySeeds(d.G, cfg.Seeds, int64(di))
 		tQuery := time.Now()
@@ -160,34 +124,7 @@ func Kernels(cfg Config) ([]*Table, error) {
 			FmtDuration(query),
 			FmtDuration(iterRef), FmtDuration(iterOnePass))
 	}
-	return []*Table{mem, tim, bat}, nil
-}
-
-// rowOuterBatch is the frozen pre-interleaving MulVecBatch kernel, kept as
-// the benchmark baseline: rows outer, one RHS at a time through the
-// four-lane loop. Bit-identical outputs to MulVecBatch — the interleaved
-// kernel changed only the traversal, never any per-RHS accumulation order.
-func rowOuterBatch(m *sparse.CSR, dst, x [][]float64) {
-	rowPtr, col, val := m.RowPtr(), m.ColIdx(), m.Values()
-	for i := 0; i < m.Rows(); i++ {
-		cols := col[rowPtr[i]:rowPtr[i+1]]
-		vals := val[rowPtr[i]:rowPtr[i+1]]
-		for k := range x {
-			xk := x[k]
-			var s0, s1, s2, s3 float64
-			p := 0
-			for ; p+4 <= len(cols); p += 4 {
-				s0 += vals[p] * xk[cols[p]]
-				s1 += vals[p+1] * xk[cols[p+1]]
-				s2 += vals[p+2] * xk[cols[p+2]]
-				s3 += vals[p+3] * xk[cols[p+3]]
-			}
-			for ; p < len(cols); p++ {
-				s0 += vals[p] * xk[cols[p]]
-			}
-			dst[k][i] = (s0 + s1) + (s2 + s3)
-		}
-	}
+	return []*Table{mem, tim}, nil
 }
 
 // layoutName renders the CompactMode selected for query-path engines.

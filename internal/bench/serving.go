@@ -11,7 +11,8 @@ import (
 )
 
 // servingClients is how many concurrent query clients the serving
-// experiment models; enough to keep the batch scheduler coalescing.
+// experiment models; enough to keep every worker busy and identical
+// requests coalescing.
 const servingClients = 8
 
 // servingQueries returns the measured query count per dataset.
@@ -46,7 +47,7 @@ func Serving(cfg Config) ([]*Table, error) {
 		Title: "Steady-state serving (qexec over BePI)",
 		Note: fmt.Sprintf("%d concurrent clients, hot-set workload; warmup excluded via metric deltas; engine layout: %s",
 			servingClients, layoutName(cfg.Compact)),
-		Header: []string{"dataset", "queries", "qps", "p50", "p99", "hit rate", "batch sz", "coalesced", "shed"},
+		Header: []string{"dataset", "queries", "qps", "p50", "p99", "hit rate", "coalesced", "shed"},
 	}
 	for _, d := range Suite(cfg.Size) {
 		e, err := core.Preprocess(d.G, core.Options{
@@ -55,7 +56,7 @@ func Serving(cfg Config) ([]*Table, error) {
 			Compact: cfg.Compact,
 		})
 		if err != nil {
-			t.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-", "-", "-", "-")
+			t.AddRow(d.Name, classifyCell(err), "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		// Histograms only: tracing off so the measurement is the serving
@@ -101,7 +102,6 @@ func Serving(cfg Config) ([]*Table, error) {
 			FmtDuration(time.Duration(lat.Quantile(0.50)*float64(time.Second))),
 			FmtDuration(time.Duration(lat.Quantile(0.99)*float64(time.Second))),
 			fmt.Sprintf("%.1f%%", 100*dm.HitRate()),
-			fmt.Sprintf("%.2f", dm.AvgBatchSize()),
 			fmt.Sprintf("%d", dm.Coalesced),
 			fmt.Sprintf("%d", dm.Shed))
 	}

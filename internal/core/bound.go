@@ -37,21 +37,13 @@ func (e *Engine) AccuracyBound(seed int) (float64, error) {
 // normQt2 computes ‖q̃2‖₂ for a single-seed query — the seed-dependent part
 // of the Theorem-4 bound, one block back-substitution and one H21 traversal.
 func (e *Engine) normQt2(seed int) float64 {
-	n1, n2 := e.ord.N1, e.ord.N2
-	c := e.opts.C
-	qp := make([]float64, e.n)
-	qp[e.ord.Perm[seed]] = 1
-	t1 := make([]float64, n1)
-	for i := 0; i < n1; i++ {
-		t1[i] = c * qp[i]
-	}
-	e.h11LU.Solve(t1)
-	qt2 := make([]float64, n2)
-	e.h21.MulVec(qt2, t1)
-	for i := range qt2 {
-		qt2[i] = c*qp[n1+i] - qt2[i]
-	}
-	return vec.Norm2(qt2)
+	ws := e.acquireWorkspace()
+	defer e.releaseWorkspace(ws)
+	q := ws.unitQuery(seed)
+	defer func() { q[seed] = 0 }()
+	e.permute(ws, q)
+	e.forward(ws)
+	return vec.Norm2(ws.qt2)
 }
 
 // boundFactor returns the cached seed-independent part of the Theorem-4
@@ -122,8 +114,6 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		return 0, nil
 	}
 	ws := e.NewWorkspace()
-	ws.grow(1)
-	ws.growTopK()
 	ref := make([]float64, e.n)
 	cur := make([]float64, e.n)
 	rng := rand.New(rand.NewSource(calSeedRNG))
@@ -135,23 +125,17 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 	}
 	for try := 0; try < calMaxSeeds && samples < calSamples; try++ {
 		seed := rng.Intn(e.n)
-		q := make([]float64, e.n)
-		q[seed] = 1
-		qs := [][]float64{q}
-		errs := make([]error, 1)
-		active := e.admitBatch(nil, qs, errs)
-		if len(active) == 0 {
-			continue
-		}
-		e.permutePhase(ws, qs, active)
-		e.forwardPhase(ws, active)
+		q := ws.unitQuery(seed)
+		e.permute(ws, q)
+		q[seed] = 0
+		e.forward(ws)
 		var iterates []calIter
 		probe := func(iter int, residual float64, iterate func() []float64) {
 			if len(iterates) < calMaxIters {
 				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
 			}
 		}
-		r2, st, err := e.runSchurSolve(ws, ws.qt2s[0], solver.GMRESOptions{Probe: probe})
+		r2, st, err := e.runSchurSolve(ws, ws.qt2, solver.GMRESOptions{Probe: probe})
 		if err != nil {
 			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
 		}
@@ -159,14 +143,14 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 			continue
 		}
 		samples++
-		e.reconstructSlot(ws, 0, r2, ref)
-		qt2Norm := vec.Norm2(ws.qt2s[0])
+		e.permutedScores(ws, r2, ref)
+		qt2Norm := vec.Norm2(ws.qt2)
 		for _, it := range iterates {
 			rn := it.residual * qt2Norm
 			if rn == 0 {
 				continue
 			}
-			e.reconstructSlot(ws, 0, it.x, cur)
+			e.permutedScores(ws, it.x, cur)
 			var errInf float64
 			for j := range cur {
 				if d := math.Abs(cur[j] - ref[j]); d > errInf {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,6 +180,39 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, _, err := e.QueryVector(make([]float64, 3)); err == nil {
 		t.Fatal("expected error for wrong-length query vector")
+	}
+}
+
+// TestQueryContextCancel checks the caller's context reaches the query — a
+// canceled one carries its context error — and that a refused query (wrong
+// length, canceled) leaves the workspace fit for the next one.
+func TestQueryContextCancel(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(7, 5, 13))
+	e, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, e.N())
+	q[1] = 1
+	ws := e.NewWorkspace()
+	want, _, err := e.QueryVectorWS(context.Background(), q, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, _, err := e.QueryVectorWS(ctx, q, ws); !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("canceled query returned (%v, %v), want its context error", r != nil, err)
+	}
+	if r, _, err := e.QueryVectorWS(context.Background(), make([]float64, e.N()+3), ws); err == nil || r != nil {
+		t.Fatal("length-mismatched query should fail")
+	}
+	got, _, err := e.QueryVectorWS(context.Background(), q, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(got, want) {
+		t.Fatal("a refused query changed the next answer on its workspace")
 	}
 }
 

@@ -143,22 +143,16 @@ func TestDILUOfEngineSchur(t *testing.T) {
 func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64, int) {
 	t.Helper()
 	ws := e.NewWorkspace()
-	ws.grow(1)
 	q := make([]float64, e.n)
 	q[seed] = 1
-	qs := [][]float64{q}
-	active := e.admitBatch(nil, qs, make([]error, 1))
-	e.permutePhase(ws, qs, active)
-	e.forwardPhase(ws, active)
+	e.permute(ws, q)
+	e.forward(ws)
 	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Precond: ilu0}
-	r2, st, err := solver.GMRES(asCSR(e.schur), ws.qt2s[0], opts)
+	r2, st, err := solver.GMRES(asCSR(e.schur), ws.qt2, opts)
 	if err != nil {
 		t.Fatalf("reference solve for seed %d: %v", seed, err)
 	}
-	copy(ws.r2s[0], r2)
-	res := make([][]float64, 1)
-	e.backPhase(ws, active, res)
-	return res[0], st.Iterations
+	return e.assemble(ws, r2), st.Iterations
 }
 
 func topKSet(scores []float64, k, exclude int) map[int]bool {

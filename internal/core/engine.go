@@ -191,24 +191,20 @@ type QueryStats struct {
 	Duration   time.Duration
 	Iterations int
 	Residual   float64
-	// Stages breaks Duration down by pipeline phase. In a batched solve the
-	// shared phases (everything except Solve) report the whole batch's
-	// phase wall time — the latency that query actually experienced there.
+	// Stages breaks Duration down by pipeline phase.
 	Stages StageTimings
 }
 
 // StageTimings is the engine-side phase breakdown of one query: where the
-// time between entering QueryVectorBatch and returning the score vector
-// went. Solve is per query (the iterative Schur solve runs per item); the
-// other phases are shared across the batch.
+// time between entering QueryVectorWS and returning the score vector went.
 type StageTimings struct {
 	// Permute covers scattering q into the reordered space and forming
 	// t1 = c·q1.
 	Permute time.Duration
-	// Forward covers the batched H11 back-substitution, the H21 SpMV, and
+	// Forward covers the H11 back-substitution, the H21 SpMV, and
 	// assembling q̃2 (Algorithm 4, line 3).
 	Forward time.Duration
-	// Solve is this query's iterative solve of S·r2 = q̃2 (line 4).
+	// Solve is the iterative solve of S·r2 = q̃2 (line 4).
 	Solve time.Duration
 	// Back covers r1/r3 reconstruction and the un-permute into original
 	// node ids (lines 5-7).

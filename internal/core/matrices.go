@@ -20,7 +20,6 @@ type mat interface {
 	NNZ() int
 	MulVec(dst, x []float64)
 	MulVecT(dst, x []float64)
-	MulVecBatch(dst, x [][]float64)
 	MemoryBytes() int64
 }
 

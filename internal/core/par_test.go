@@ -53,11 +53,11 @@ func TestSchurComplementParallelMatchesSerialRMAT(t *testing.T) {
 	}
 }
 
-// TestSchurComplementParallelMatchesSerialPathological drives the parallel
-// build through shapes that stress the partitioner: a star (one hub owning
-// every edge), a chain (blocks of size 1, sparse coupling), a clique plus
-// pendant spokes, and a heavy-deadend random graph.
-func TestSchurComplementParallelMatchesSerialPathological(t *testing.T) {
+// pathologicalGraphs are shapes that stress the partitioner and the
+// degenerate corners of the block structure: a star (one hub owning every
+// edge), a chain (blocks of size 1, sparse coupling), a clique plus pendant
+// spokes, and a heavy-deadend random graph.
+func pathologicalGraphs() []*graph.Graph {
 	var cases []*graph.Graph
 
 	// Star: node 0 is the single hub, everything else spokes.
@@ -95,10 +95,14 @@ func TestSchurComplementParallelMatchesSerialPathological(t *testing.T) {
 
 	// Random with a large deadend share.
 	rng := rand.New(rand.NewSource(99))
-	cases = append(cases, randGraph(rng, 300))
+	return append(cases, randGraph(rng, 300))
+}
 
+// TestSchurComplementParallelMatchesSerialPathological drives the parallel
+// build through the pathological shapes.
+func TestSchurComplementParallelMatchesSerialPathological(t *testing.T) {
 	ran := 0
-	for ci, g := range cases {
+	for ci, g := range pathologicalGraphs() {
 		for _, k := range []float64{0.05, 0.3} {
 			if schurBothWays(t, g, k, 8) {
 				ran++

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"bepi/internal/solver"
-	"bepi/internal/vec"
 )
 
 // Query computes the RWR score vector for the given seed node
@@ -26,8 +24,8 @@ func (e *Engine) Query(seed int) ([]float64, QueryStats, error) {
 // QueryVector computes the personalized PageRank vector for an arbitrary
 // starting distribution q (indexed by original node ids). RWR is the
 // special case of a single-entry q; multi-seed q gives PPR, which the
-// block-elimination machinery supports unchanged. It is the batch-of-one
-// case of QueryVectorBatch, on a workspace from the engine's free list.
+// block-elimination machinery supports unchanged. It solves on a workspace
+// from the engine's free list.
 func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 	return e.QueryVectorWS(context.Background(), q, nil)
 }
@@ -116,72 +114,15 @@ func (e *Engine) QueryWithCallback(seed int, cb func(iter int, r []float64)) ([]
 	if seed < 0 || seed >= e.n {
 		return nil, QueryStats{}, fmt.Errorf("core: seed %d out of range [0,%d)", seed, e.n)
 	}
-	n1, n2 := e.ord.N1, e.ord.N2
-	l := n1 + n2
-	c := e.opts.C
-	qp := make([]float64, e.n)
-	qp[e.ord.Perm[seed]] = 1
-	q1 := qp[:n1]
-	q2 := qp[n1:l]
-	q3 := qp[l:]
-
-	t1 := make([]float64, n1)
-	for i, v := range q1 {
-		t1[i] = c * v
-	}
-	e.h11LU.SolvePool(t1, e.pool)
-	qt2 := make([]float64, n2)
-	e.h21.MulVec(qt2, t1)
-	for i := range qt2 {
-		qt2[i] = c*q2[i] - qt2[i]
-	}
-
-	assemble := func(r2 []float64) []float64 {
-		r1 := make([]float64, n1)
-		e.h12.MulVec(r1, r2)
-		for i := range r1 {
-			r1[i] = c*q1[i] - r1[i]
-		}
-		e.h11LU.SolvePool(r1, e.pool)
-		r3 := make([]float64, e.n-l)
-		e.h31.MulVec(r3, r1)
-		tmp := make([]float64, e.n-l)
-		e.h32.MulVec(tmp, r2)
-		for i := range r3 {
-			r3[i] = c*q3[i] - r3[i] - tmp[i]
-		}
-		r := make([]float64, e.n)
-		for old := 0; old < e.n; old++ {
-			nw := e.ord.Perm[old]
-			switch {
-			case nw < n1:
-				r[old] = r1[nw]
-			case nw < l:
-				r[old] = r2[nw-n1]
-			default:
-				r[old] = r3[nw-l]
-			}
-		}
-		return r
-	}
-
-	start := time.Now()
-	var solveCB func(int, []float64)
-	if cb != nil {
-		solveCB = func(iter int, r2 []float64) { cb(iter, assemble(r2)) }
-	}
 	ws := e.acquireWorkspace()
 	defer e.releaseWorkspace(ws)
-	r2, stats, err := e.runSchurSolve(ws, qt2, solver.GMRESOptions{Callback: solveCB})
-	if err != nil {
-		return nil, QueryStats{Duration: time.Since(start)}, fmt.Errorf("core: solving Schur system: %w", err)
+	q := ws.unitQuery(seed)
+	defer func() { q[seed] = 0 }()
+	var opts solver.GMRESOptions
+	if cb != nil {
+		opts.Callback = func(iter int, r2 []float64) { cb(iter, e.assemble(ws, r2)) }
 	}
-	r := assemble(r2)
-	if vec.Norm2(r) == 0 && vec.Norm2(qp) != 0 && e.n > 0 {
-		// Defensive: a zero result for a nonzero query indicates a bug.
-		return nil, QueryStats{}, fmt.Errorf("core: zero RWR vector for nonzero query")
-	}
-	return r, QueryStats{Duration: time.Since(start), Iterations: stats.Iterations, Residual: stats.Residual}, nil
+	return e.queryOn(ws, q, opts)
 }
 
 // TopK returns the k highest-scoring nodes for the seed, excluding the seed

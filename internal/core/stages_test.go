@@ -7,43 +7,30 @@ import (
 	"bepi/internal/gen"
 )
 
-// TestQueryStageTimings checks that QueryVectorBatch fills the per-phase
-// breakdown: every phase is measured, Solve is per-query, and the phases
-// fit inside the total duration.
+// TestQueryStageTimings checks that a query fills the per-phase breakdown:
+// every phase is measured and the phases fit inside the total duration.
 func TestQueryStageTimings(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 8, 1))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := make([][]float64, 3)
-	for k := range qs {
-		q := make([]float64, e.N())
-		q[k*3+1] = 1
-		qs[k] = q
-	}
-	_, stats, errs := e.QueryVectorBatch(nil, qs, nil)
-	for k, err := range errs {
+	for _, seed := range []int{1, 4, 7} {
+		_, stats, err := e.Query(seed)
 		if err != nil {
-			t.Fatalf("query %d: %v", k, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		st := stats[k].Stages
+		st := stats.Stages
 		if st.Solve <= 0 {
-			t.Errorf("query %d: Solve stage not timed: %+v", k, st)
+			t.Errorf("seed %d: Solve stage not timed: %+v", seed, st)
 		}
 		if st.Permute < 0 || st.Forward <= 0 || st.Back <= 0 {
-			t.Errorf("query %d: phases not timed: %+v", k, st)
+			t.Errorf("seed %d: phases not timed: %+v", seed, st)
 		}
 		sum := st.Permute + st.Forward + st.Solve + st.Back
-		if sum > stats[k].Duration+time.Millisecond {
-			t.Errorf("query %d: stages %v exceed total %v", k, sum, stats[k].Duration)
+		if sum > stats.Duration+time.Millisecond {
+			t.Errorf("seed %d: stages %v exceed total %v", seed, sum, stats.Duration)
 		}
-	}
-	// Shared phases must be identical across the batch (one traversal
-	// serves every query); Solve is per query.
-	if stats[0].Stages.Forward != stats[1].Stages.Forward ||
-		stats[0].Stages.Back != stats[2].Stages.Back {
-		t.Error("shared phases must report the batch's phase time")
 	}
 }
 

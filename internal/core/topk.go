@@ -101,137 +101,88 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 	defer e.releaseWorkspace(ws)
 	q := ws.unitQuery(seed)
 	defer func() { q[seed] = 0 }()
-	tops, _, stats, errs := e.TopKBoundedBatch(nil, [][]float64{q}, []int{seed}, []int{k}, ws)
-	return tops[0], stats[0], errs[0]
+	top, _, stats, err := e.TopKBoundedWS(context.Background(), q, seed, k, ws)
+	return top, stats, err
 }
 
-// TopKBoundedBatch answers a batch of bounded top-k queries in one
-// block-elimination pass, sharing the permute/forward/back phases with
-// QueryVectorBatch. qs[i] is the starting distribution, excludes[i] the
-// node left out of ranking i (negative: none), ks[i] the requested k.
-// Results are positional like QueryVectorBatch: tops[i]/res[i] are nil iff
-// errs[i] is non-nil. res[i] is the full score vector in original ids —
-// exact when !stats[i].EarlyStopped, otherwise within stats[i].Bound per
-// node (callers must not treat early-stopped vectors as full-tolerance
-// results). Each solve stops independently: a batch never waits on its
-// slowest member beyond that member's own certificate.
-func (e *Engine) TopKBoundedBatch(ctxs []context.Context, qs [][]float64, excludes, ks []int, ws *Workspace) ([][]Ranked, [][]float64, []TopKStats, []error) {
-	K := len(qs)
-	tops := make([][]Ranked, K)
-	res := make([][]float64, K)
-	stats := make([]TopKStats, K)
-	errs := make([]error, K)
-	if K == 0 {
-		return tops, res, stats, errs
-	}
-	if len(excludes) != K || len(ks) != K {
-		for i := range errs {
-			errs[i] = fmt.Errorf("core: top-k batch shape mismatch: %d queries, %d excludes, %d ks",
-				K, len(excludes), len(ks))
-		}
-		return tops, res, stats, errs
-	}
+// TopKBoundedWS is the bounded top-k search for an arbitrary starting
+// distribution q, with an explicit context and workspace like QueryVectorWS.
+// exclude is the node left out of the ranking (negative: none). Besides the
+// ranking it returns the full score vector in original ids — exact when
+// !stats.EarlyStopped, otherwise within stats.Bound per node (callers must
+// not treat early-stopped vectors as full-tolerance results).
+func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int, ws *Workspace) ([]Ranked, []float64, TopKStats, error) {
 	start := time.Now()
 	if ws == nil || ws.e != e {
 		ws = e.acquireWorkspace()
 		defer e.releaseWorkspace(ws)
 	}
-	ws.grow(K)
-	ws.growTopK()
-
 	// The calibrated factor computes lazily here on first use; engines that
 	// cannot be calibrated (or have no hub block) serve full solves.
 	factor, ferr := e.topkFactor()
-	bounded := ferr == nil && factor > 0 && e.ord.N2 > 0
+	cand := e.n
+	if exclude >= 0 && exclude < e.n {
+		cand--
+	}
+	opts := solver.GMRESOptions{Ctx: ctx}
+	var chk *tkChecker
+	// A k that covers every candidate can't early-stop (there is no
+	// (k+1)-th bound to clear) — run those to tolerance.
+	if ferr == nil && factor > 0 && e.ord.N2 > 0 && k > 0 && k < cand {
+		chk = &tkChecker{e: e, ws: ws, k: k, skip: -1, factor: factor, qt2Norm: -1, nextCheck: 1}
+		if len(ws.tkScores) < e.n {
+			ws.tkScores = make([]float64, e.n)
+		}
+		if exclude >= 0 && exclude < e.n {
+			chk.skip = e.ord.Perm[exclude]
+		}
+		opts.Probe = chk.probe
+		opts.StopWhen = chk.stop
+	}
+	var stats TopKStats
+	r2, st, err := e.solveR2(ws, q, opts, &stats.QueryStats)
+	if chk != nil {
+		stats.BoundChecks, stats.Bound, stats.Gap = chk.checks, chk.delta, chk.gap
+	}
+	if err != nil {
+		stats.Duration = time.Since(start)
+		return nil, nil, stats, err
+	}
+	if st.StopReason == solver.StopEarly {
+		stats.EarlyStopped = true
+		stats.SavedIters = estimateSavedIters(st, e.opts.Tol)
+	}
 
-	active := e.admitBatch(ctxs, qs, errs)
-	permuteDur := e.permutePhase(ws, qs, active)
-	forwardDur := e.forwardPhase(ws, active)
-
-	solved := make([]int, 0, len(active))
-	chks := make([]*tkChecker, K)
-	for _, slot := range active {
-		kk := ks[slot]
-		cand := e.n
-		if x := excludes[slot]; x >= 0 && x < e.n {
-			cand--
-		}
-		opts := solver.GMRESOptions{Ctx: batchCtx(ctxs, slot)}
-		var chk *tkChecker
-		// A k that covers every candidate can't early-stop (there is no
-		// (k+1)-th bound to clear) — run those to tolerance.
-		if bounded && kk > 0 && kk < cand {
-			chk = &tkChecker{e: e, ws: ws, slot: slot, k: kk, skip: -1, factor: factor,
-				qt2Norm: vec.Norm2(ws.qt2s[slot]), nextCheck: 1}
-			if x := excludes[slot]; x >= 0 && x < e.n {
-				chk.skip = e.ord.Perm[x]
-			}
-			opts.Probe = chk.probe
-			opts.StopWhen = chk.stop
-		}
-		tSolve := time.Now()
-		r2, st, err := e.runSchurSolve(ws, ws.qt2s[slot], opts)
-		stats[slot].Iterations, stats[slot].Residual = st.Iterations, st.Residual
-		stats[slot].Stages.Solve = time.Since(tSolve)
-		if chk != nil {
-			chks[slot] = chk
-			stats[slot].BoundChecks, stats[slot].Bound, stats[slot].Gap = chk.checks, chk.delta, chk.gap
-		}
-		if err != nil {
-			errs[slot] = fmt.Errorf("core: solving Schur system: %w", err)
-			continue
-		}
-		if st.StopReason == solver.StopEarly {
-			stats[slot].EarlyStopped = true
-			stats[slot].SavedIters = estimateSavedIters(st, e.opts.Tol)
-		}
-		copy(ws.r2s[slot], r2)
-		solved = append(solved, slot)
+	tBack := time.Now()
+	// An early-stopped solve skips the r1/r3 recomputation: the solver's
+	// returned iterate is assembled by the same arithmetic as the probe's,
+	// so the resolving gap check's reconstruction (still in the workspace's
+	// r1/r3 buffers) is bitwise current — only the unpermute remains.
+	if chk == nil || !chk.resolved {
+		e.reconstruct(ws, r2)
 	}
-	active = solved
-
-	tPhase := time.Now()
-	// Early-stopped slots skip the back phase's r1/r3 recomputation: the
-	// solver's returned iterate is assembled by the same arithmetic as the
-	// probe's, so the resolving gap check's reconstruction (already parked
-	// in the slot's r1/r3 buffers) is bitwise current — only the unpermute
-	// into original ids remains.
-	recompute := make([]int, 0, len(active))
-	for _, slot := range active {
-		if c := chks[slot]; c != nil && c.resolved {
-			res[slot] = e.unpermuteSlot(ws, slot)
-		} else {
-			recompute = append(recompute, slot)
-		}
-	}
-	e.backPhase(ws, recompute, res)
-	for _, slot := range active {
-		// The final exact ranking pass over the reconstructed vector — in
-		// original-id space, so order and tie-breaks match Engine.TopK.
-		tops[slot] = RankTopK(res[slot], ks[slot], excludes[slot])
-	}
-	backDur := time.Since(tPhase)
-	elapsed := time.Since(start)
-	for i := range stats {
-		stats[i].Duration = elapsed
-		stats[i].Stages.Permute = permuteDur
-		stats[i].Stages.Forward = forwardDur
-		stats[i].Stages.Back = backDur
-	}
-	return tops, res, stats, errs
+	r := e.unpermute(ws, r2)
+	// The final exact ranking pass over the reconstructed vector — in
+	// original-id space, so order and tie-breaks match Engine.TopK.
+	top := RankTopK(r, k, exclude)
+	stats.Stages.Back = time.Since(tBack)
+	stats.Duration = time.Since(start)
+	return top, r, stats, nil
 }
 
 // tkChecker is the per-solve state of the bounded search: probe() turns
 // selected iterates into (certified radius, current k-th gap) and stop()
 // reports the verdict to the solver's StopWhen.
 type tkChecker struct {
-	e       *Engine
-	ws      *Workspace
-	slot    int
-	k       int
-	skip    int // permuted index excluded from ranking; -1 none
-	factor  float64
-	qt2Norm float64 // ‖q̃2‖₂, rescales the solver's relative residual
+	e      *Engine
+	ws     *Workspace
+	k      int
+	skip   int // permuted index excluded from ranking; -1 none
+	factor float64
+	// qt2Norm is ‖q̃2‖₂, which rescales the solver's relative residual;
+	// negative until the first probe takes it (q̃2 exists only once the
+	// forward phase has run, after the checker is built).
+	qt2Norm float64
 
 	resolved  bool
 	gapKnown  bool
@@ -248,6 +199,9 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 		return
 	}
 	e, ws := c.e, c.ws
+	if c.qt2Norm < 0 {
+		c.qt2Norm = vec.Norm2(ws.qt2)
+	}
 
 	// Radius δ from the solver's reported residual, rescaled by ‖q̃2‖ — the
 	// exact metric computeTopKFactor calibrated the factor against (safety
@@ -276,7 +230,7 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	// Current full score snapshot (permuted order — only score values and
 	// the k-th gap matter here; the final ranking re-ranks in original-id
 	// space after the solve).
-	e.reconstructSlot(ws, c.slot, r2, ws.tkScores)
+	e.permutedScores(ws, r2, ws.tkScores)
 	skip := c.skip
 	top := RankTopKFunc(ws.tkScores[:e.n], c.k+1, func(i int) bool { return i == skip })
 	if len(top) <= c.k {
@@ -312,32 +266,16 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	c.nextCheck = iter + 1
 }
 
-// reconstructSlot rebuilds the full permuted-order score vector for one
-// batch slot from a mid-solve r2 iterate: r1 = H11⁻¹(c·q1 − H12·r2),
-// r3 = c·q3 − H31·r1 − H32·r2, concatenated into out. It reuses the slot's
-// r1/r3/tmp buffers (they are rewritten by the final back phase anyway)
-// and must not touch the solver workspace — the solve is still running.
-func (e *Engine) reconstructSlot(ws *Workspace, slot int, r2, out []float64) {
-	n1, n2 := e.ord.N1, e.ord.N2
-	l := n1 + n2
-	c := e.opts.C
-	qp := ws.qps[slot]
-	r1, r3, tmp := ws.r1s[slot], ws.r3s[slot], ws.tmps[slot]
-
-	e.h12.MulVec(r1, r2)
-	for i := range r1 {
-		r1[i] = c*qp[i] - r1[i]
-	}
-	e.h11LU.SolvePool(r1, e.pool)
-	e.h31.MulVec(r3, r1)
-	e.h32.MulVec(tmp, r2)
-	q3 := qp[l:]
-	for i := range r3 {
-		r3[i] = c*q3[i] - r3[i] - tmp[i]
-	}
-	copy(out[:n1], r1)
+// permutedScores rebuilds the full permuted-order score vector from a
+// mid-solve r2 iterate: r1 and r3 by reconstruct (left in the workspace's
+// buffers), concatenated with r2 into out.
+func (e *Engine) permutedScores(ws *Workspace, r2, out []float64) {
+	e.reconstruct(ws, r2)
+	n1 := e.ord.N1
+	l := n1 + e.ord.N2
+	copy(out[:n1], ws.r1)
 	copy(out[n1:l], r2)
-	copy(out[l:e.n], r3)
+	copy(out[l:e.n], ws.r3)
 }
 
 // estimateSavedIters extrapolates how many more iterations the solve would

@@ -118,46 +118,6 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKBoundedBatchMixedK drives the batch entry point directly with
-// heterogeneous ks — the shape qexec's k-class batches take.
-func TestTopKBoundedBatchMixedK(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 17))
-	e, err := Preprocess(g, Options{Variant: VariantFull, HubRatio: 0.2})
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	seeds := []int{1, 2, 3, 50}
-	ks := []int{1, 10, 100, 5}
-	qs := make([][]float64, len(seeds))
-	for i, s := range seeds {
-		q := make([]float64, e.N())
-		q[s] = 1
-		qs[i] = q
-	}
-	ws := e.NewWorkspace()
-	tops, res, stats, errs := e.TopKBoundedBatch(nil, qs, seeds, ks, ws)
-	for i, s := range seeds {
-		if errs[i] != nil {
-			t.Fatalf("slot %d: %v", i, errs[i])
-		}
-		if len(res[i]) != e.N() {
-			t.Fatalf("slot %d: score vector length %d", i, len(res[i]))
-		}
-		full, err := e.TopK(s, ks[i])
-		if err != nil {
-			t.Fatalf("TopK: %v", err)
-		}
-		assertSameTopKSet(t, fmt.Sprintf("slot %d", i), full, tops[i], !stats[i].EarlyStopped)
-	}
-	// Shape-mismatch batches must fail positionally, not panic.
-	_, _, _, errs = e.TopKBoundedBatch(nil, qs, seeds[:2], ks, ws)
-	for i := range errs {
-		if errs[i] == nil {
-			t.Fatalf("slot %d: expected shape-mismatch error", i)
-		}
-	}
-}
-
 // TestTopKBoundedParallelPool runs bounded queries concurrently on a
 // pooled engine — the -race configuration the serving path uses, with the
 // lazily calibrated bound factor racing across goroutines on purpose.

@@ -155,26 +155,6 @@ func (b *BlockLU) Solve(x []float64) {
 	}
 }
 
-// SolveBatch solves the full block-diagonal system in place on every
-// right-hand side in the batch. Iterating blocks in the outer loop keeps
-// each block's packed factors hot in cache while all K substitutions run,
-// amortizing the factor traffic across the batch the same way
-// sparse.CSR.MulVecBatch amortizes matrix traffic. A batch of one is
-// bit-identical to Solve.
-func (b *BlockLU) SolveBatch(xs [][]float64) {
-	for k, x := range xs {
-		if len(x) != b.N() {
-			panic(fmt.Sprintf("lu: BlockLU.SolveBatch rhs %d length %d want %d", k, len(x), b.N()))
-		}
-	}
-	for i, f := range b.factors {
-		lo, hi := b.offsets[i], b.offsets[i+1]
-		for _, x := range xs {
-			f.LUSolve(x[lo:hi])
-		}
-	}
-}
-
 // ensureCost builds the lazy prefix of per-block substitution costs (s²),
 // used to balance the parallel solve partitions.
 func (b *BlockLU) ensureCost() []int {
@@ -189,9 +169,9 @@ func (b *BlockLU) ensureCost() []int {
 	return b.costPfx
 }
 
-// parallelMinUnknowns is the system size below which SolvePool and
-// SolveBatchPool stay serial: substitution on a few thousand unknowns is
-// cheaper than a chunk handoff.
+// parallelMinUnknowns is the system size below which SolvePool stays
+// serial: substitution on a few thousand unknowns is cheaper than a chunk
+// handoff.
 const parallelMinUnknowns = 1 << 12
 
 // SolvePool is Solve with the independent per-block substitutions run in
@@ -210,32 +190,6 @@ func (b *BlockLU) SolvePool(x []float64, p *par.Pool) {
 	p.ForBounds(par.BoundsByPrefix(b.ensureCost(), p.Workers()), func(_, blo, bhi int) {
 		for i := blo; i < bhi; i++ {
 			b.factors[i].LUSolve(x[b.offsets[i]:b.offsets[i+1]])
-		}
-	})
-}
-
-// SolveBatchPool is SolveBatch with the per-block substitutions run in
-// parallel over the pool: blocks are partitioned across workers and each
-// worker keeps its blocks' factors hot across all K right-hand sides, so
-// the batched cache reuse of SolveBatch is preserved inside each partition.
-// Results are bit-identical to SolveBatch. A nil pool (or a small system)
-// runs serially.
-func (b *BlockLU) SolveBatchPool(xs [][]float64, p *par.Pool) {
-	for k, x := range xs {
-		if len(x) != b.N() {
-			panic(fmt.Sprintf("lu: BlockLU.SolveBatchPool rhs %d length %d want %d", k, len(x), b.N()))
-		}
-	}
-	if p.Workers() <= 1 || len(b.factors) < 2 || b.N()*len(xs) < parallelMinUnknowns {
-		b.SolveBatch(xs)
-		return
-	}
-	p.ForBounds(par.BoundsByPrefix(b.ensureCost(), p.Workers()), func(_, blo, bhi int) {
-		for i := blo; i < bhi; i++ {
-			lo, hi := b.offsets[i], b.offsets[i+1]
-			for _, x := range xs {
-				b.factors[i].LUSolve(x[lo:hi])
-			}
 		}
 	})
 }

@@ -81,47 +81,6 @@ func TestFactorBlockDiagPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSolveBatchPoolBitIdentical checks the parallel batched solve against
-// the serial batched solve, and both against per-vector Solve.
-func TestSolveBatchPoolBitIdentical(t *testing.T) {
-	sizes := randSizes(150, 40, 10)
-	m := parBlockDiag(sizes, 11)
-	f, err := FactorBlockDiag(m, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 6
-	mk := func() [][]float64 {
-		rng := rand.New(rand.NewSource(13))
-		xs := make([][]float64, batch)
-		for k := range xs {
-			xs[k] = make([]float64, f.N())
-			for i := range xs[k] {
-				xs[k][i] = rng.NormFloat64()
-			}
-		}
-		return xs
-	}
-	want := mk()
-	f.SolveBatch(want)
-	single := mk()
-	for _, x := range single {
-		f.Solve(x)
-	}
-	got := mk()
-	f.SolveBatchPool(got, par.NewPool(8))
-	for k := 0; k < batch; k++ {
-		for i := range got[k] {
-			if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-				t.Fatalf("rhs %d: SolveBatchPool[%d] differs from SolveBatch", k, i)
-			}
-			if math.Float64bits(single[k][i]) != math.Float64bits(want[k][i]) {
-				t.Fatalf("rhs %d: SolveBatch[%d] differs from Solve", k, i)
-			}
-		}
-	}
-}
-
 // TestFactorBlockDiagPoolErrorMatchesSerial makes a middle block singular
 // and checks serial and parallel factorization report the same error.
 func TestFactorBlockDiagPoolErrorMatchesSerial(t *testing.T) {

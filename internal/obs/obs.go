@@ -3,10 +3,10 @@
 // the Schur-complement solve.
 //
 //   - Histogram: lock-free fixed-bucket (log-spaced) histograms for query
-//     latency, batch-solve latency, queue wait, GMRES iteration counts and
+//     latency, engine-solve latency, queue wait, GMRES iteration counts and
 //     final residuals, with p50/p90/p99 snapshot summaries;
 //   - Tracer: per-query trace records with stage spans (admission, cache
-//     lookup, coalesce wait, batch assembly, solve, top-k rank) captured
+//     lookup, coalesce wait, solve, top-k rank) captured
 //     against an injected clock and kept in a bounded ring buffer
 //     (served at GET /debug/traces);
 //   - PromWriter: Prometheus text-format exposition (served at
@@ -51,9 +51,9 @@ type Observer struct {
 	// QueryLatency observes end-to-end executor latency per query, in
 	// seconds (cache hits included).
 	QueryLatency *Histogram
-	// BatchLatency observes the wall time of each multi-RHS engine solve,
-	// in seconds.
-	BatchLatency *Histogram
+	// SolveLatency observes the wall time of each engine solve, in
+	// seconds.
+	SolveLatency *Histogram
 	// QueueWait observes the time each solved query spent in the admission
 	// queue before a worker picked it up, in seconds.
 	QueueWait *Histogram
@@ -151,7 +151,7 @@ func New(opts Options) *Observer {
 	o := &Observer{
 		Clock:        opts.Clock,
 		QueryLatency: NewHistogram("query latency (s)", LatencyBuckets()),
-		BatchLatency: NewHistogram("batch solve latency (s)", LatencyBuckets()),
+		SolveLatency: NewHistogram("engine solve latency (s)", LatencyBuckets()),
 		QueueWait:    NewHistogram("queue wait (s)", LatencyBuckets()),
 		Iterations:   NewHistogram("solver iterations", IterationBuckets()),
 		Residual:     NewHistogram("final residual", ResidualBuckets()),

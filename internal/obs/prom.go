@@ -179,27 +179,6 @@ func (p *PromWriter) Histogram(name, help string, s HistSnapshot) {
 	p.sample(name+"_count", "", float64(s.Count))
 }
 
-// CounterHist writes an integer bucket histogram (e.g. qexec's batch-size
-// counters) as a Prometheus histogram family. counts are per-bucket with a
-// final overflow bucket, matching Histogram's layout; sum is the total of
-// the observed values when known (pass NaN to omit _sum).
-func (p *PromWriter) CounterHist(name, help string, bounds []int, counts []int64, sum float64) {
-	if !p.family(name, "histogram", help) {
-		return
-	}
-	var cum int64
-	for i, b := range bounds {
-		cum += counts[i]
-		p.sample(name+"_bucket", fmt.Sprintf("le=%q", promFloat(float64(b))), float64(cum))
-	}
-	cum += counts[len(bounds)]
-	p.sample(name+"_bucket", `le="+Inf"`, float64(cum))
-	if !math.IsNaN(sum) {
-		p.sample(name+"_sum", "", sum)
-	}
-	p.sample(name+"_count", "", float64(cum))
-}
-
 // WriteGoStats emits Go runtime health: goroutines, heap, GC activity.
 func WriteGoStats(p *PromWriter) {
 	var m runtime.MemStats

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -61,29 +60,6 @@ func TestPromWriterHistogram(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-func TestPromWriterCounterHist(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.CounterHist("batch_size", "Batch sizes.", []int{1, 2}, []int64{5, 3, 2}, math.NaN())
-	if err := p.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`batch_size_bucket{le="1"} 5`,
-		`batch_size_bucket{le="2"} 8`,
-		`batch_size_bucket{le="+Inf"} 10`,
-		"batch_size_count 10",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "batch_size_sum") {
-		t.Error("NaN sum must be omitted")
 	}
 }
 

@@ -8,7 +8,7 @@ import "time"
 // identical bucket layout (see the *Buckets constructors).
 const (
 	FamilyQueryLatency = "bepi_query_latency_seconds"
-	FamilyBatchSolve   = "bepi_batch_solve_seconds"
+	FamilySolve        = "bepi_solve_seconds"
 	FamilyQueueWait    = "bepi_queue_wait_seconds"
 	FamilyIterations   = "bepi_query_iterations"
 	FamilyResidual     = "bepi_query_residual"
@@ -53,7 +53,7 @@ func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
 		}
 	}
 	put(FamilyQueryLatency, o.QueryLatency)
-	put(FamilyBatchSolve, o.BatchLatency)
+	put(FamilySolve, o.SolveLatency)
 	put(FamilyQueueWait, o.QueueWait)
 	put(FamilyIterations, o.Iterations)
 	put(FamilyResidual, o.Residual)

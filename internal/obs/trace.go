@@ -10,8 +10,7 @@ import (
 // Span is one named stage of a query's life, as an offset from the trace
 // start. The serving path emits: "cache" (lookup), "coalesce" (waiting on
 // an identical in-flight solve), "admission" (bounded queue, enqueue to
-// worker pickup), "batch" (batch assembly: pickup to solve start), "solve"
-// (the multi-RHS engine call), and "rank" (top-k extraction).
+// worker pickup), "solve" (the engine call), and "rank" (top-k extraction).
 type Span struct {
 	Name  string        `json:"name"`
 	Start time.Duration `json:"start_ns"`
@@ -246,7 +245,7 @@ func (a *ActiveTrace) SetCoalesced() {
 	}
 }
 
-// SetBatch records how many queries shared this query's engine solve.
+// SetBatch records how many seeds a coordinator scatter-gather carried.
 func (a *ActiveTrace) SetBatch(k int) {
 	if a != nil {
 		a.mu.Lock()

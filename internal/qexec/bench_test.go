@@ -25,11 +25,9 @@ func benchSeed(i, n int) int {
 //
 //	naive   — the pre-qexec serving path: every request calls
 //	          Engine.Query directly, allocating all solve temporaries.
-//	pooled  — the qexec pool with cache and batch window disabled:
-//	          reusable workspaces plus opportunistic batching of whatever
-//	          is already queued.
-//	qexec   — the full subsystem: pool + batching + LRU cache with
-//	          singleflight.
+//	pooled  — the qexec pool with the cache disabled: reusable
+//	          workspaces behind the admission queue.
+//	qexec   — the full subsystem: pool + LRU cache with singleflight.
 //
 // Run with -benchmem: queries/sec (ns/op) and allocs/op are the acceptance
 // numbers for the subsystem.
@@ -78,8 +76,8 @@ func BenchmarkQexecThroughput(b *testing.B) {
 		var ctr atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()
-		// Model several concurrent clients even on few cores so queries
-		// can actually coalesce into multi-RHS batches.
+		// Model several concurrent clients even on few cores so identical
+		// queries can actually coalesce.
 		b.SetParallelism(8)
 		b.RunParallel(func(pb *testing.PB) {
 			ctx := context.Background()
@@ -97,15 +95,9 @@ func BenchmarkQexecThroughput(b *testing.B) {
 		b.StopTimer()
 		d := ex.Metrics().Delta(warm)
 		b.ReportMetric(d.HitRate(), "hitrate")
-		if sz := d.AvgBatchSize(); sz > 0 {
-			b.ReportMetric(sz, "batchsz")
-		}
 	}
 
-	// The batch window is a latency-for-throughput trade that only pays
-	// off under concurrent load; disable it here so "pooled" isolates the
-	// workspace-reuse + opportunistic-batching effect.
-	b.Run("pooled", func(b *testing.B) { run(b, Config{CacheEntries: -1, BatchWindow: -1}) })
+	b.Run("pooled", func(b *testing.B) { run(b, Config{CacheEntries: -1}) })
 	b.Run("qexec", func(b *testing.B) { run(b, Config{}) })
 	// Observability cost check: the full subsystem with every obs hook
 	// disabled. qexec vs noobs is the histogram/trace recording overhead

@@ -2,7 +2,6 @@ package qexec
 
 import (
 	"container/list"
-	"slices"
 	"sync"
 
 	"bepi/internal/core"
@@ -17,7 +16,7 @@ type key struct{ seed, k int }
 // answer is what is remembered under a key or handed over by a flight: the
 // full-tolerance score vector with no ranking (k == 0: top is nil), or the
 // certified ranked list of a bounded solve (k > 0: top is non-nil, as
-// core.Engine.TopKBoundedBatch returns it) with the flag that says its
+// core.Engine.TopKBoundedWS returns it) with the flag that says its
 // scores came from an early-stopped solve — exact as a SET for that k
 // only, so such an answer never leaves its (seed, k) key. A bounded
 // flight's answer also carries the solve's vector; the cache drops it.
@@ -40,17 +39,15 @@ func (a answer) cost() int64 { return 8*int64(len(a.scores)) + 16*int64(len(a.to
 // whose tag matches the caller's current generation, so a cached answer
 // can never cross an engine swap (SwapEngine also resets eagerly; the tag
 // covers the race where a solve that started before the swap populates
-// the cache after it). By default cached answers are handed out shared,
-// so callers treat them as read-only; copyOnHit makes get return a
-// private copy instead (Config.CopyCachedScores).
+// the cache after it). Cached answers are handed out shared, so callers
+// treat them as read-only.
 type lruCache struct {
-	mu        sync.Mutex
-	cap       int
-	budget    int64
-	bytes     int64 // sum of cost() over the entries held
-	copyOnHit bool
-	ll        *list.List // front = most recently used
-	items     map[key]*list.Element
+	mu     sync.Mutex
+	cap    int
+	budget int64
+	bytes  int64      // sum of cost() over the entries held
+	ll     *list.List // front = most recently used
+	items  map[key]*list.Element
 }
 
 type lruEntry struct {
@@ -59,13 +56,12 @@ type lruEntry struct {
 	val answer
 }
 
-func newLRUCache(capacity int, budget int64, copyOnHit bool) *lruCache {
+func newLRUCache(capacity int, budget int64) *lruCache {
 	return &lruCache{
-		cap:       capacity,
-		budget:    budget,
-		copyOnHit: copyOnHit,
-		ll:        list.New(),
-		items:     make(map[key]*list.Element, capacity),
+		cap:    capacity,
+		budget: budget,
+		ll:     list.New(),
+		items:  make(map[key]*list.Element, capacity),
 	}
 }
 
@@ -92,9 +88,6 @@ func (c *lruCache) get(k key, gen uint64) (answer, bool) {
 		return answer{}, false
 	}
 	c.ll.MoveToFront(el)
-	if c.copyOnHit {
-		return answer{scores: slices.Clone(ent.val.scores), top: slices.Clone(ent.val.top), early: ent.val.early}, true
-	}
 	return ent.val, true
 }
 

@@ -254,7 +254,7 @@ func TestCacheByteBudget(t *testing.T) {
 	const n = 100
 	vec := func() answer { return answer{scores: make([]float64, n)} }    // 800 B
 	rank := func() answer { return answer{top: make([]core.Ranked, 10)} } // 160 B
-	c := newLRUCache(1024, 4*800+3*160, false)
+	c := newLRUCache(1024, 4*800+3*160)
 	wantSize := func(entries int, bytes int64) {
 		t.Helper()
 		if e, b := c.size(); e != entries || b != bytes {

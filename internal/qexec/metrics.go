@@ -2,14 +2,6 @@ package qexec
 
 import "sync/atomic"
 
-// batchBuckets are the upper bounds of the batch-size histogram buckets:
-// 1, 2, 3–4, 5–8, 9–16, 17+.
-var batchBuckets = []int{1, 2, 4, 8, 16}
-
-// BatchBuckets returns the batch-size histogram bucket upper bounds (a
-// final +Inf bucket follows), for exporters that re-emit BatchSizeHist.
-func BatchBuckets() []int { return batchBuckets }
-
 // counters is the executor's internal atomic counter set.
 type counters struct {
 	hits      atomic.Int64
@@ -17,25 +9,11 @@ type counters struct {
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	shed      atomic.Int64
-	batches   atomic.Int64
 	executed  atomic.Int64
 	swaps     atomic.Int64
 	panics    atomic.Int64
 	topk      atomic.Int64
 	early     atomic.Int64
-	batchHist [6]atomic.Int64
-}
-
-func (c *counters) observeBatch(size int) {
-	c.batches.Add(1)
-	c.executed.Add(int64(size))
-	for i, ub := range batchBuckets {
-		if size <= ub {
-			c.batchHist[i].Add(1)
-			return
-		}
-	}
-	c.batchHist[len(batchBuckets)].Add(1)
 }
 
 // Metrics is a point-in-time snapshot of the executor's counters. All
@@ -57,18 +35,17 @@ type Metrics struct {
 	Coalesced int64
 	// Shed counts requests rejected by admission control (full queue).
 	Shed int64
-	// Batches counts multi-RHS solves executed by the pool.
+	// Batches counts engine solves executed by the pool. Each solve serves
+	// one query, so it equals Executed; the name is what the benchmark
+	// harness compiles against.
 	Batches int64
-	// Executed counts queries actually solved (summed batch sizes).
+	// Executed counts queries actually solved.
 	Executed int64
-	// BatchSizeHist is the batch-size histogram with bucket upper bounds
-	// 1, 2, 4, 8, 16, +Inf (see BatchBuckets).
-	BatchSizeHist [6]int64
 	// EngineSwaps counts SwapEngine calls that actually replaced the
 	// engine (the dynamic-graph rebuild path).
 	EngineSwaps int64
 	// SolvePanics counts engine solves that panicked and were recovered by
-	// the worker's panic barrier (each fails its whole batch with
+	// the worker's panic barrier (each fails its request with
 	// ErrSolvePanicked).
 	SolvePanics int64
 	// TopKSolves counts queries solved through the bounded top-k path.
@@ -102,7 +79,6 @@ func (e *Executor) Metrics() Metrics {
 		CacheMisses:   e.m.misses.Load(),
 		Coalesced:     e.m.coalesced.Load(),
 		Shed:          e.m.shed.Load(),
-		Batches:       e.m.batches.Load(),
 		Executed:      e.m.executed.Load(),
 		EngineSwaps:   e.m.swaps.Load(),
 		SolvePanics:   e.m.panics.Load(),
@@ -111,9 +87,7 @@ func (e *Executor) Metrics() Metrics {
 		Queued:        len(e.reqs),
 		Generation:    e.Generation(),
 	}
-	for i := range m.BatchSizeHist {
-		m.BatchSizeHist[i] = e.m.batchHist[i].Load()
-	}
+	m.Batches = m.Executed
 	if e.cache != nil {
 		m.CacheEntries, m.CacheBytes = e.cache.size()
 	}
@@ -125,7 +99,7 @@ func (e *Executor) Metrics() Metrics {
 // warmup, another at the end, and call Delta). Gauge fields (CacheEntries,
 // CacheBytes, Queued) are carried over from m unchanged.
 func (m Metrics) Delta(prev Metrics) Metrics {
-	d := Metrics{
+	return Metrics{
 		CacheHits:     m.CacheHits - prev.CacheHits,
 		TopKCacheHits: m.TopKCacheHits - prev.TopKCacheHits,
 		CacheMisses:   m.CacheMisses - prev.CacheMisses,
@@ -142,10 +116,6 @@ func (m Metrics) Delta(prev Metrics) Metrics {
 		Queued:        m.Queued,
 		Generation:    m.Generation,
 	}
-	for i := range d.BatchSizeHist {
-		d.BatchSizeHist[i] = m.BatchSizeHist[i] - prev.BatchSizeHist[i]
-	}
-	return d
 }
 
 // HitRate returns the fraction of queries served from the cache,
@@ -159,8 +129,8 @@ func (m Metrics) HitRate() float64 {
 	return float64(m.CacheHits) / float64(total)
 }
 
-// AvgBatchSize returns Executed/Batches — how many queries the scheduler
-// coalesced into each multi-RHS solve on average — or 0 before any solve.
+// AvgBatchSize returns Executed/Batches — queries per engine solve, 1 once
+// anything was solved — or 0 before any solve.
 func (m Metrics) AvgBatchSize() float64 {
 	if m.Batches == 0 {
 		return 0

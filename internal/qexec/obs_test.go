@@ -76,8 +76,8 @@ func TestObserverIntegration(t *testing.T) {
 	if got := o.Residual.Snapshot().Count; got != 2 {
 		t.Errorf("Residual observed %d solves, want 2", got)
 	}
-	if o.BatchLatency.Snapshot().Count == 0 {
-		t.Error("BatchLatency observed no batches")
+	if got := o.SolveLatency.Snapshot().Count; got != 2 {
+		t.Errorf("SolveLatency observed %d solves, want 2", got)
 	}
 	if o.SolverIters.Load() == 0 {
 		t.Error("SolverIters never incremented: engine iteration hook not wired")
@@ -100,12 +100,12 @@ func TestObserverIntegration(t *testing.T) {
 			traces[2].Cached, spanNames(traces[2].Spans))
 	}
 	miss := traces[3]
-	for _, want := range []string{"cache", "admission", "batch", "solve"} {
+	for _, want := range []string{"cache", "admission", "solve"} {
 		if !hasSpan(miss.Spans, want) {
 			t.Errorf("miss trace lacks %q span: %v", want, spanNames(miss.Spans))
 		}
 	}
-	if miss.BatchSize < 1 || miss.Iterations < 1 || miss.Total <= 0 {
+	if miss.Iterations < 1 || miss.Total <= 0 {
 		t.Errorf("miss trace incomplete: %+v", miss)
 	}
 

@@ -3,12 +3,9 @@
 // queries fast" into served throughput. It combines:
 //
 //   - a worker pool (sized to GOMAXPROCS by default) where each worker owns
-//     a reusable core.Workspace, so steady-state queries allocate nothing
+//     a reusable core.Workspace and solves one request at a time
+//     (core.Engine.QueryVectorWS), so steady-state queries allocate nothing
 //     but their result vectors;
-//   - a batch scheduler that coalesces concurrently-arriving queries into
-//     multi-RHS block-elimination solves (core.Engine.QueryVectorBatch),
-//     amortizing the H11 back-substitutions and the H12/H21/H31/H32 SpMVs
-//     across the batch;
 //   - one generation-tagged LRU cache and one singleflight map, both keyed
 //     by (seed, k): k = 0 is the seed's full-tolerance score vector, k > 0
 //     its certified top-k ranking. A hot (seed, k) costs one solve per
@@ -19,8 +16,7 @@
 //     leave that key;
 //   - a bounded top-k path: TopK halts each Schur solve on a certified
 //     score-error bound as soon as the top-k SET is provably settled
-//     (core.Engine.TopKBoundedBatch) and batches k-class requests
-//     separately from full-vector ones;
+//     (core.Engine.TopKBoundedWS);
 //   - admission control: a bounded queue that sheds load with
 //     ErrOverloaded when full, and per-query deadlines threaded down into
 //     the iterative Schur solver via context.Context.
@@ -28,8 +24,8 @@
 // Counters for all of the above are exposed through Metrics for the
 // server's /metrics endpoint, and every query is observed by an
 // internal/obs Observer: latency/queue-wait/iteration/residual histograms,
-// sampled per-query stage traces (admission → batch assembly → solve →
-// rank), and a slow-query log.
+// sampled per-query stage traces (admission → solve → rank), and a
+// slow-query log.
 package qexec
 
 import (
@@ -64,16 +60,8 @@ var (
 type Config struct {
 	// Workers is the pool size; default runtime.GOMAXPROCS(0).
 	Workers int
-	// MaxBatch caps how many queries one worker coalesces into a single
-	// multi-RHS solve; default 8.
-	MaxBatch int
-	// BatchWindow is how long a worker holding a non-full batch waits for
-	// more queries to arrive before solving; default 200µs. Zero after
-	// defaulting is allowed via -1: solve immediately, batching only what
-	// is already queued.
-	BatchWindow time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are shed
-	// with ErrOverloaded. Default 4×Workers×MaxBatch.
+	// with ErrOverloaded. Default 32×Workers.
 	QueueDepth int
 	// CacheEntries bounds the LRU cache, counting score vectors and
 	// certified top-k rankings alike; default 1024, negative disables
@@ -84,11 +72,6 @@ type Config struct {
 	// Timeout, if positive, is the per-query deadline applied on
 	// submission and enforced inside the iterative solver.
 	Timeout time.Duration
-	// CopyCachedScores makes cache hits return a private copy of the
-	// cached vector (or ranking) instead of the shared read-only one. Costs
-	// one O(N) copy per vector hit; turn it on when callers need to mutate
-	// Result.Scores.
-	CopyCachedScores bool
 	// Parallelism, when non-zero, re-points the engine's compute pool
 	// (core.Engine.SetParallelism) before the workers start: the sparse
 	// kernels under each solve then use up to that many cores. Zero keeps
@@ -107,11 +90,6 @@ type Config struct {
 	// the layer off, or a custom observer with TraceSample 1 to trace
 	// every query while debugging.
 	Obs *obs.Observer
-	// FullSolveTopK disables the bounded top-k path: TopK then always
-	// solves to full tolerance and ranks (the pre-bounded behavior). The
-	// bounded path returns the provably identical top-k set, so this is an
-	// operational escape hatch / A-B knob, not a correctness switch.
-	FullSolveTopK bool
 }
 
 // DefaultTraceSample is the default observer's trace sampling rate: one
@@ -122,16 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
-	} else if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers * c.MaxBatch
+		c.QueueDepth = 32 * c.Workers
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
@@ -145,7 +115,7 @@ func (c Config) withDefaults() Config {
 // request is one query in flight through the pool. eng is the engine
 // snapshot the query vector was built against: the worker solves on it even
 // if SwapEngine replaces the serving engine while the request queues, so a
-// batch never mixes engines (or query-vector lengths) across a swap.
+// query vector never meets an engine of another length.
 type request struct {
 	ctx   context.Context
 	q     []float64
@@ -156,11 +126,8 @@ type request struct {
 	err   error
 
 	// k > 0 marks a bounded top-k request: the worker routes it through
-	// Engine.TopKBoundedBatch with `exclude` left out of the ranking, and
-	// fills top/early/saved alongside res. Batches are k-class-homogeneous
-	// — top-k and full-vector requests never share a multi-RHS solve, so a
-	// full-vector batch is never held hostage by bound checks and a top-k
-	// batch stops each member on its own certificate.
+	// Engine.TopKBoundedWS with `exclude` left out of the ranking, and
+	// fills top/early/saved alongside res.
 	k       int
 	exclude int
 	top     []core.Ranked
@@ -182,8 +149,7 @@ type Result struct {
 	// true it is shared with other callers and with the cache itself, and
 	// MUST NOT be mutated: writing through it silently corrupts every
 	// future hit for the same seed. Callers that need a private, mutable
-	// vector set Config.CopyCachedScores (cache hits then copy on the way
-	// out) or copy it themselves. Nil when a TopK was served from a cached
+	// vector copy it themselves. Nil when a TopK was served from a cached
 	// certified ranking: the cache keeps the ranked list, not the vector.
 	Scores []float64
 	// Stats describes the solve this request ran or joined; zero on a
@@ -272,7 +238,7 @@ func New(eng *core.Engine, cfg Config) *Executor {
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
 	if cfg.CacheEntries > 0 {
-		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes(), cfg.CopyCachedScores)
+		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes())
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -383,123 +349,49 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// worker owns one reusable workspace and runs coalesced batches until the
-// queue closes. Batches are homogeneous in engine AND k-class: a request
-// submitted before an engine swap is solved on the engine it captured, so
-// a swap mid-queue splits a batch rather than mixing generations, and
-// bounded top-k requests never share a multi-RHS solve with full-vector
-// requests (carry holds the first request of the next batch when a split
-// happens). The workspace is engine-bound and rebuilt when the worker
-// moves to a new engine.
+// worker owns one reusable workspace and solves one request at a time until
+// the queue closes. A request submitted before an engine swap is solved on
+// the engine it captured; the workspace is engine-bound and rebuilt when the
+// worker moves to a new engine. Each request's done closes when its own
+// solve ends.
 func (e *Executor) worker() {
 	defer e.wg.Done()
 	var ws *core.Workspace
 	var wsEng *core.Engine
-	batch := make([]*request, 0, e.cfg.MaxBatch)
-	ctxs := make([]context.Context, 0, e.cfg.MaxBatch)
-	qs := make([][]float64, 0, e.cfg.MaxBatch)
-	var carry *request
-	for {
-		var r *request
-		if carry != nil {
-			r, carry = carry, nil
-		} else {
-			var ok bool
-			r, ok = <-e.reqs
-			if !ok {
-				return
-			}
-			r.deq = e.obs.Now()
-		}
-		batch = append(batch[:0], r)
-		// Take whatever is already queued, then hold the batch open for
-		// the batch window to let concurrent arrivals coalesce.
-	drain:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case r2, ok := <-e.reqs:
-				if !ok {
-					break drain
-				}
-				r2.deq = e.obs.Now()
-				if r2.eng != r.eng || (r2.k > 0) != (r.k > 0) {
-					carry = r2
-					break drain
-				}
-				batch = append(batch, r2)
-			default:
-				break drain
-			}
-		}
-		if carry == nil && len(batch) < e.cfg.MaxBatch && e.cfg.BatchWindow > 0 {
-			timer := time.NewTimer(e.cfg.BatchWindow)
-		window:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case r2, ok := <-e.reqs:
-					if !ok {
-						break window
-					}
-					r2.deq = e.obs.Now()
-					if r2.eng != r.eng || (r2.k > 0) != (r.k > 0) {
-						carry = r2
-						break window
-					}
-					batch = append(batch, r2)
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
-		}
-
-		e.m.observeBatch(len(batch))
-		tSolve := e.obs.Now()
-		ctxs = ctxs[:0]
-		qs = qs[:0]
-		for _, br := range batch {
-			e.obs.QueueWait.Observe(br.deq.Sub(br.enq).Seconds())
-			if br.at != nil {
-				br.at.AddSpan("admission", br.enq, br.deq)
-				br.at.AddSpan("batch", br.deq, tSolve)
-				br.at.SetBatch(len(batch))
-			}
-			ctxs = append(ctxs, br.ctx)
-			qs = append(qs, br.q)
+	for r := range e.reqs {
+		r.deq = e.obs.Now()
+		e.m.executed.Add(1)
+		e.obs.QueueWait.Observe(r.deq.Sub(r.enq).Seconds())
+		if r.at != nil {
+			r.at.AddSpan("admission", r.enq, r.deq)
 		}
 		if wsEng != r.eng {
-			ws = r.eng.NewWorkspace()
-			wsEng = r.eng
+			ws, wsEng = r.eng.NewWorkspace(), r.eng
 		}
-		if panicErr := e.solve(r.eng, batch, ctxs, qs, ws); panicErr != nil {
-			// The engine panicked mid-solve: fail the whole batch instead
-			// of hanging it, discard the workspace (its buffers are in an
-			// unknown state), and keep the worker alive for the next batch.
+		if panicErr := e.solve(r, ws); panicErr != nil {
+			// The engine panicked mid-solve: fail the request instead of
+			// hanging it, discard the workspace (its buffers are in an
+			// unknown state), and keep the worker alive for the next one.
 			e.obs.Events.Record("solve_panic", r.at.TraceID(), map[string]string{
-				"batch": strconv.Itoa(len(batch)),
 				"error": panicErr.Error(),
 			})
 			wsEng, ws = nil, nil
-			for _, br := range batch {
-				br.err = panicErr
-				close(br.done)
-			}
+			r.err = panicErr
+			close(r.done)
 			continue
 		}
 		tEnd := e.obs.Now()
-		e.obs.BatchLatency.Observe(tEnd.Sub(tSolve).Seconds())
-		for _, br := range batch {
-			if br.at != nil {
-				br.at.AddSpan("solve", tSolve, tEnd)
-				br.at.SetSolve(br.stats.Iterations, br.stats.Residual)
-				addStageSpans(br.at, tSolve, br.stats.Stages)
-			}
-			if br.err == nil {
-				e.obs.Iterations.Observe(float64(br.stats.Iterations))
-				e.obs.Residual.Observe(br.stats.Residual)
-			}
-			close(br.done)
+		e.obs.SolveLatency.Observe(tEnd.Sub(r.deq).Seconds())
+		if r.at != nil {
+			r.at.AddSpan("solve", r.deq, tEnd)
+			r.at.SetSolve(r.stats.Iterations, r.stats.Residual)
+			addStageSpans(r.at, r.deq, r.stats.Stages)
 		}
+		if r.err == nil {
+			e.obs.Iterations.Observe(float64(r.stats.Iterations))
+			e.obs.Residual.Observe(r.stats.Residual)
+		}
+		close(r.done)
 	}
 }
 
@@ -522,43 +414,30 @@ func addStageSpans(at *obs.ActiveTrace, tSolve time.Time, st core.StageTimings) 
 	}
 }
 
-// solve runs one k-class-homogeneous batch through the engine — the
-// multi-RHS full-vector solve, or the bounded top-k path where each
-// member's Schur solve halts on its own gap certificate — behind a panic
-// barrier: a panic inside the engine (or a hook it calls) is recovered and
-// reported as an ErrSolvePanicked-wrapped error so the batch fails loudly
-// instead of killing the worker and hanging every waiter. Results land in
-// the requests positionally.
-func (e *Executor) solve(eng *core.Engine, batch []*request, ctxs []context.Context, qs [][]float64, ws *core.Workspace) (panicErr error) {
+// solve runs one request through the engine — the full-vector solve, or the
+// bounded top-k path whose Schur solve halts on its gap certificate — behind
+// a panic barrier: a panic inside the engine (or a hook it calls) is
+// recovered and reported as an ErrSolvePanicked-wrapped error so the request
+// fails loudly instead of killing the worker and hanging its waiters.
+func (e *Executor) solve(r *request, ws *core.Workspace) (panicErr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.m.panics.Add(1)
 			panicErr = fmt.Errorf("%w: %v", ErrSolvePanicked, p)
 		}
 	}()
-	if batch[0].k == 0 {
-		res, stats, errs := eng.QueryVectorBatch(ctxs, qs, ws)
-		for i, br := range batch {
-			br.res, br.stats, br.err = res[i], stats[i], errs[i]
-		}
+	if r.k == 0 {
+		r.res, r.stats, r.err = r.eng.QueryVectorWS(r.ctx, r.q, ws)
 		return nil
 	}
-	ks := make([]int, len(batch))
-	excl := make([]int, len(batch))
-	for i, br := range batch {
-		ks[i], excl[i] = br.k, br.exclude
-	}
-	tops, res, stats, errs := eng.TopKBoundedBatch(ctxs, qs, excl, ks, ws)
-	for i, br := range batch {
-		br.top, br.res, br.err = tops[i], res[i], errs[i]
-		br.stats = stats[i].QueryStats
-		br.early, br.saved = stats[i].EarlyStopped, stats[i].SavedIters
-		if errs[i] == nil {
-			e.m.topk.Add(1)
-			if stats[i].EarlyStopped {
-				e.m.early.Add(1)
-				e.obs.TopKSaved.Observe(float64(stats[i].SavedIters))
-			}
+	var stats core.TopKStats
+	r.top, r.res, stats, r.err = r.eng.TopKBoundedWS(r.ctx, r.q, r.exclude, r.k, ws)
+	r.stats, r.early, r.saved = stats.QueryStats, stats.EarlyStopped, stats.SavedIters
+	if r.err == nil {
+		e.m.topk.Add(1)
+		if r.early {
+			e.m.early.Add(1)
+			e.obs.TopKSaved.Observe(float64(r.saved))
 		}
 	}
 	return nil
@@ -682,7 +561,7 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 // run is the one execution core of every single-seed query — k = 0 for
 // the full-tolerance score vector, k > 0 for the bounded top-k ranking:
 // serve a cache hit, coalesce onto an in-flight solve, or lead a solve
-// through the batched pool and remember its answer. eng and gen are the
+// through the pool and remember its answer. eng and gen are the
 // engine snapshot the query runs against; cache lookups, cache fills, and
 // singleflight joins all carry gen so nothing crosses an engine swap.
 //
@@ -834,8 +713,8 @@ func isContextErr(err error) bool {
 // single is the shared body of Query, TopK and TopKFull: validate the
 // seed, pick the solve class, and run the execution core under one
 // observation window. k > 0 asks for the bounded top-k solve — demoted to
-// the full-vector class (k = 0) by Config.FullSolveTopK or a k covering
-// the whole graph — and rank > 0 for a ranking of that length.
+// the full-vector class (k = 0) by a k covering the whole graph — and
+// rank > 0 for a ranking of that length.
 func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked, Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -845,7 +724,7 @@ func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked
 		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
 	}
 	kind := "topk"
-	if k <= 0 || k >= eng.N() || e.cfg.FullSolveTopK {
+	if k <= 0 || k >= eng.N() {
 		kind, k = "query", 0
 	}
 	qo := e.startQuery(ctx, kind, seed)
@@ -856,7 +735,7 @@ func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked
 
 // Query answers a single-seed RWR query with the full-tolerance score
 // vector: cache hit, coalesce onto an identical in-flight solve, or run
-// through the batched pool.
+// through the pool.
 func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
 	_, res, err := e.single(ctx, seed, 0, 0)
 	return res, err
@@ -870,8 +749,8 @@ func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
 // approximations (Result.EarlyStopped). The certified ranking is cached
 // under (seed, k), so repeating the request costs a map lookup. A cached
 // or in-flight full vector for the seed short-circuits the solve entirely:
-// any k ranks out of a full vector for free. Config.FullSolveTopK, k <= 0,
-// and k covering the whole graph all fall back to TopKFull.
+// any k ranks out of a full vector for free. k <= 0 and k covering the
+// whole graph fall back to TopKFull.
 func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
 	return e.single(ctx, seed, k, k)
 }
@@ -886,8 +765,8 @@ func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Re
 }
 
 // Personalized answers an arbitrary-distribution PPR query through the
-// batched pool. q must have length N; it is not cached (the key space is
-// unbounded) but still benefits from pooled workspaces and batching.
+// pool. q must have length N; it is not cached (the key space is
+// unbounded) but still benefits from pooled workspaces.
 func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

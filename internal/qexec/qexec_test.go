@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,35 +195,87 @@ func TestSingleflightCoalesce(t *testing.T) {
 	}
 }
 
-// TestBatchCoalescing checks the batch window actually merges concurrent
-// distinct-seed queries into multi-RHS solves.
-func TestBatchCoalescing(t *testing.T) {
-	e := eng(t)
-	ex := New(e, Config{
-		Workers:      1,
-		MaxBatch:     8,
-		BatchWindow:  50 * time.Millisecond,
-		CacheEntries: -1,
-	})
-	defer ex.Close()
-	const N = 8
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(N)
-	for i := 0; i < N; i++ {
-		go func(seed int) {
-			defer wg.Done()
-			<-start
-			if _, err := ex.Query(context.Background(), seed); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
-		}(i * 3)
+// TestQueuedMissCompletesAfterOwnSolve: a request that queued behind another
+// on one worker completes when its own solve ends, not when the solves queued
+// after it do, and its Stats.Duration covers that one solve. The single
+// worker is parked inside a first solve while two distinct-seed misses queue
+// behind it; once released, the first of the two must return while the second
+// is still held inside its solve.
+func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	var seeds []int
+	for s := 0; s < e.N() && len(seeds) < 3; s++ {
+		if _, st, err := e.Query(s); err == nil && st.Iterations > 0 {
+			seeds = append(seeds, s)
+		}
 	}
-	close(start)
-	wg.Wait()
-	m := ex.Metrics()
-	if m.Batches >= m.Executed {
-		t.Fatalf("no batching happened: %d batches for %d executed queries", m.Batches, m.Executed)
+	if len(seeds) < 3 {
+		t.Skip("fewer than three seeds on this graph exercise the iterative solver")
+	}
+	ex := New(e, Config{Workers: 1, CacheEntries: -1})
+	defer ex.Close()
+
+	// Installed after New (the executor attaches its own hook there). Every
+	// solve's first iteration reports iter == 1; solves 1 and 3 park on it.
+	var solves atomic.Int32
+	gates := map[int32]chan struct{}{1: make(chan struct{}), 3: make(chan struct{})}
+	thirdStarted := make(chan struct{})
+	e.SetIterHook(func(iter int, _ float64) {
+		if iter != 1 {
+			return
+		}
+		n := solves.Add(1)
+		if n == 3 {
+			close(thirdStarted)
+		}
+		if gate := gates[n]; gate != nil {
+			<-gate
+		}
+	})
+	defer e.SetIterHook(nil)
+
+	type out struct {
+		res Result
+		err error
+	}
+	done := make([]chan out, 3)
+	for i, seed := range seeds {
+		done[i] = make(chan out, 1)
+		go func(i, seed int) {
+			r, err := ex.Query(context.Background(), seed)
+			done[i] <- out{r, err}
+		}(i, seed)
+		// Queue them in order: the first is parked in its solve (nothing
+		// queued), the next two wait behind it.
+		for solves.Load() < 1 || ex.Metrics().Queued < i {
+			runtime.Gosched()
+		}
+	}
+	released := time.Now()
+	close(gates[1])
+	var first out
+	select {
+	case first = <-done[1]:
+	case <-time.After(10 * time.Second):
+		close(gates[3])
+		t.Fatal("the first queued miss did not return while the one behind it was still solving")
+	}
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	select {
+	case <-thirdStarted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second queued miss never started its solve")
+	}
+	if d, wall := first.res.Stats.Duration, time.Since(released); d <= 0 || d > wall {
+		t.Fatalf("Stats.Duration = %v, want one solve's time within the %v since the worker was released", d, wall)
+	}
+	close(gates[3])
+	for _, i := range []int{0, 2} {
+		if o := <-done[i]; o.err != nil {
+			t.Fatalf("seed %d: %v", seeds[i], o.err)
+		}
 	}
 }
 
@@ -233,8 +287,6 @@ func TestAdmissionControlSheds(t *testing.T) {
 	e := eng(t)
 	ex := New(e, Config{
 		Workers:      1,
-		MaxBatch:     1,
-		BatchWindow:  -1,
 		QueueDepth:   1,
 		CacheEntries: -1,
 	})
@@ -323,7 +375,7 @@ func TestConcurrencyStress(t *testing.T) {
 		wantPPR[s] = r
 	}
 
-	ex := New(e, Config{MaxBatch: 4, CacheEntries: 8})
+	ex := New(e, Config{CacheEntries: 8})
 	const workers = 16
 	const opsEach = 40
 	var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package qexec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -204,7 +205,7 @@ func iteratingSeed(t *testing.T, e *core.Engine) int {
 func TestSolvePanicFailsFlight(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
 	seed := iteratingSeed(t, e)
-	ex := New(e, Config{Workers: 1, MaxBatch: 8, BatchWindow: 20 * time.Millisecond})
+	ex := New(e, Config{Workers: 1})
 	defer ex.Close()
 
 	// Installed after New: the executor attaches its own hook at
@@ -260,10 +261,9 @@ func TestSolvePanicFailsFlight(t *testing.T) {
 	}
 }
 
-// TestCachedScoresSharedByDefault documents the zero-copy contract: without
-// CopyCachedScores, a cache hit returns the executor's own slice, so a
-// caller mutation would be visible to the next hit. The test detects
-// mutation leaking through the cache.
+// TestCachedScoresSharedByDefault documents the zero-copy contract: a cache
+// hit returns the executor's own slice, so a caller mutation would be visible
+// to the next hit. The test detects mutation leaking through the cache.
 func TestCachedScoresSharedByDefault(t *testing.T) {
 	e := eng(t)
 	ex := New(e, Config{})
@@ -287,41 +287,84 @@ func TestCachedScoresSharedByDefault(t *testing.T) {
 		t.Fatal("expected a cache hit")
 	}
 	if hit2.Scores[0] != 12345 {
-		t.Fatal("default mode should share the cached slice (zero-copy); mutation did not propagate — did the default change? update Result.Scores docs")
+		t.Fatal("cache hits should share the cached slice (zero-copy); mutation did not propagate — did the contract change? update Result.Scores docs")
 	}
 }
 
-// TestCopyCachedScoresIsolates checks the CopyCachedScores knob: every
-// cache hit gets a private copy, so caller mutations cannot corrupt the
-// cache or other callers.
-func TestCopyCachedScoresIsolates(t *testing.T) {
-	e := eng(t)
-	ex := New(e, Config{CopyCachedScores: true})
+// TestQueuedRequestSolvesOnCapturedEngine: a request that is still queued
+// when SwapEngine replaces the serving engine solves on the engine it
+// captured at submission — here one of a different size, so a mix-up could
+// not go unnoticed — and is tagged with that engine's generation, while the
+// next request on the same worker solves on the new engine.
+func TestQueuedRequestSolvesOnCapturedEngine(t *testing.T) {
+	e1 := freshEngine(t, 8, 6, 5)
+	e2 := freshEngine(t, 7, 6, 99)
+	ex := New(e1, Config{Workers: 1, CacheEntries: -1})
 	defer ex.Close()
-	miss, err := ex.Query(context.Background(), 37)
-	if err != nil {
+
+	// Park the only worker inside a first solve on e1.
+	parkSeed := iteratingSeed(t, e1)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var startOnce sync.Once
+	e1.SetIterHook(func(int, float64) {
+		startOnce.Do(func() { close(started) })
+		<-release
+	})
+	defer e1.SetIterHook(nil)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := ex.Query(context.Background(), parkSeed)
+		parked <- err
+	}()
+	<-started
+
+	const seed = 11
+	type out struct {
+		res Result
+		err error
+	}
+	oldDone := make(chan out, 1)
+	go func() {
+		r, err := ex.Query(context.Background(), seed)
+		oldDone <- out{r, err}
+	}()
+	for ex.Metrics().Queued < 1 {
+		runtime.Gosched()
+	}
+	ex.SwapEngine(e2)
+	newDone := make(chan out, 1)
+	go func() {
+		r, err := ex.Query(context.Background(), seed)
+		newDone <- out{r, err}
+	}()
+	for ex.Metrics().Queued < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-parked; err != nil {
 		t.Fatal(err)
 	}
-	hit1, err := ex.Query(context.Background(), 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit1.Cached {
-		t.Fatal("expected a cache hit")
-	}
-	orig := hit1.Scores[0]
-	hit1.Scores[0] = 9999
-	hit2, err := ex.Query(context.Background(), 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit2.Cached {
-		t.Fatal("expected a cache hit")
-	}
-	if hit2.Scores[0] != orig {
-		t.Fatalf("mutation leaked through the cache with CopyCachedScores: got %g, want %g", hit2.Scores[0], orig)
-	}
-	if d := maxAbsDiff(hit2.Scores, miss.Scores); d != 0 {
-		t.Fatalf("copied hit diverges from the solved scores by %g", d)
+
+	for _, c := range []struct {
+		name string
+		done chan out
+		eng  *core.Engine
+		gen  uint64
+	}{{"queued before the swap", oldDone, e1, 1}, {"submitted after the swap", newDone, e2, 2}} {
+		got := <-c.done
+		if got.err != nil {
+			t.Fatalf("%s: %v", c.name, got.err)
+		}
+		want, _, err := c.eng.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.res.Scores) != len(want) || maxAbsDiff(got.res.Scores, want) > 1e-12 {
+			t.Errorf("%s: scores are not its own engine's (%d nodes, want %d)", c.name, len(got.res.Scores), len(want))
+		}
+		if got.res.Generation != c.gen {
+			t.Errorf("%s: generation %d, want %d", c.name, got.res.Generation, c.gen)
+		}
 	}
 }

@@ -160,29 +160,6 @@ func TestTopKEarlyStopNotCached(t *testing.T) {
 	}
 }
 
-// TestTopKFullSolveConfig checks the escape hatch: with FullSolveTopK set,
-// TopK never routes to the bounded path.
-func TestTopKFullSolveConfig(t *testing.T) {
-	e := skewedEng(t)
-	ex := New(e, Config{CacheEntries: -1, FullSolveTopK: true})
-	defer ex.Close()
-	top, res, err := ex.TopK(context.Background(), 7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EarlyStopped {
-		t.Fatal("FullSolveTopK result marked early-stopped")
-	}
-	want, err := e.TopK(7, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTopKSet(t, "full-solve", want, top)
-	if m := ex.Metrics(); m.TopKSolves != 0 {
-		t.Fatalf("FullSolveTopK still counted %d bounded solves", m.TopKSolves)
-	}
-}
-
 // TestTopKParallelCoalesce races many TopK calls — identical (seed, k)
 // twins that should coalesce onto one bounded flight, plus mixed k-classes
 // and full-vector queries interleaved — under the race detector.

@@ -479,12 +479,9 @@ type MetricsResponse struct {
 	CacheBytes    int64   `json:"cache_bytes"` // what cache_entries are charged against the byte budget (= index_bytes)
 	Coalesced     int64   `json:"coalesced"`
 	Shed          int64   `json:"shed"`
-	Batches       int64   `json:"batches"`
 	Executed      int64   `json:"executed"`
-	BatchSizeHist []int64 `json:"batch_size_hist"` // buckets ≤1, ≤2, ≤4, ≤8, ≤16, +Inf
 	Queued        int     `json:"queued"`
 	HitRate       float64 `json:"hit_rate"`
-	AvgBatchSize  float64 `json:"avg_batch_size"`
 
 	// Bounded top-k path: how many queries took it, how many of those the
 	// certificate stopped early, and the distribution of iterations saved.
@@ -590,12 +587,9 @@ func (c *Core) Metrics() MetricsResponse {
 		CacheBytes:      xm.CacheBytes,
 		Coalesced:       xm.Coalesced,
 		Shed:            xm.Shed,
-		Batches:         xm.Batches,
 		Executed:        xm.Executed,
-		BatchSizeHist:   xm.BatchSizeHist[:],
 		Queued:          xm.Queued,
 		HitRate:         xm.HitRate(),
-		AvgBatchSize:    xm.AvgBatchSize(),
 		TopKSolves:      xm.TopKSolves,
 		EarlyStops:      xm.EarlyStops,
 		TopKSaved:       summarizeIters(o.TopKSaved),

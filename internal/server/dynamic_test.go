@@ -164,9 +164,10 @@ func TestDynamicEndpointsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRemovedKnobsLeaveNoTrace: with one exact delta path and plain kernels
-// there is no hub drift and no prefetch distance to report, so no endpoint
-// mentions either — after a hub-touching flush included.
+// TestRemovedKnobsLeaveNoTrace: with one exact delta path, plain kernels and
+// one solve per query there is no hub drift, no prefetch distance and no
+// batch size to report, so no endpoint mentions any — after a hub-touching
+// flush included.
 func TestRemovedKnobsLeaveNoTrace(t *testing.T) {
 	s, d := testDynamicServer(t)
 	ord := d.Engine().Internal().Ordering()
@@ -189,7 +190,7 @@ func TestRemovedKnobsLeaveNoTrace(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, rec.Code)
 		}
-		for _, gone := range []string{"drift", "prefetch"} {
+		for _, gone := range []string{"drift", "prefetch", "batch_size", "avg_batch", "bepi_batch_size"} {
 			if strings.Contains(rec.Body.String(), gone) {
 				t.Errorf("%s still mentions %q", path, gone)
 			}

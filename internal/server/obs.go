@@ -7,7 +7,6 @@ import (
 
 	"bepi"
 	"bepi/internal/obs"
-	"bepi/internal/qexec"
 	"bepi/internal/sparse"
 	"bepi/internal/wire"
 )
@@ -62,8 +61,6 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 	p.Gauge("bepi_cache_entries", "Cached answers: score vectors and certified top-k rankings.", float64(xm.CacheEntries))
 	p.Gauge("bepi_cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", float64(xm.CacheBytes))
 	p.Gauge("bepi_queue_depth", "Requests waiting in the admission queue.", float64(xm.Queued))
-	p.CounterHist("bepi_batch_size", "Queries coalesced per multi-RHS engine solve.",
-		qexec.BatchBuckets(), xm.BatchSizeHist[:], float64(xm.Executed))
 
 	// Observer histograms and live counters.
 	o := s.core.exec.Observer()
@@ -74,8 +71,8 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 	if o.QueryLatency != nil {
 		p.Histogram("bepi_query_latency_seconds", "End-to-end executor latency per query.", o.QueryLatency.Snapshot())
 	}
-	if o.BatchLatency != nil {
-		p.Histogram("bepi_batch_solve_seconds", "Wall time of each multi-RHS engine solve.", o.BatchLatency.Snapshot())
+	if o.SolveLatency != nil {
+		p.Histogram("bepi_solve_seconds", "Wall time of each engine solve.", o.SolveLatency.Snapshot())
 	}
 	if o.QueueWait != nil {
 		p.Histogram("bepi_queue_wait_seconds", "Admission-queue wait per solved query.", o.QueueWait.Snapshot())

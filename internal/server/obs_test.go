@@ -88,7 +88,7 @@ func TestMetricsPrometheus(t *testing.T) {
 		{"bepi_cache_misses_total", "counter"},
 		{"bepi_shed_total", "counter"},
 		{"bepi_solver_iterations_total", "counter"},
-		{"bepi_batch_size", "histogram"},
+		{"bepi_solve_seconds", "histogram"},
 		{"bepi_query_latency_seconds", "histogram"},
 		{"bepi_queue_wait_seconds", "histogram"},
 		{"bepi_query_iterations", "histogram"},
@@ -206,7 +206,7 @@ func TestDebugTraces(t *testing.T) {
 	for _, sp := range miss["spans"].([]any) {
 		names[sp.(map[string]any)["name"].(string)] = true
 	}
-	for _, want := range []string{"cache", "admission", "batch", "solve", "rank"} {
+	for _, want := range []string{"cache", "admission", "solve", "rank"} {
 		if !names[want] {
 			t.Errorf("solve trace lacks %q span (have %v)", want, names)
 		}

@@ -25,7 +25,7 @@ func TestMixedTrafficConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithConfig(eng, qexec.Config{MaxBatch: 4, CacheEntries: 8})
+	s := NewWithConfig(eng, qexec.Config{CacheEntries: 8})
 
 	const seeds = 10
 	wantSeed := make([][]float64, seeds)
@@ -137,9 +137,6 @@ func TestQexecMetricsExposed(t *testing.T) {
 	if int(metrics["executed"].(float64)) < 1 {
 		t.Fatalf("executed = %v, want ≥ 1", metrics["executed"])
 	}
-	if _, ok := metrics["batch_size_hist"].([]any); !ok {
-		t.Fatalf("batch_size_hist missing: %v", metrics)
-	}
 }
 
 // TestOverloadReturns429 floods a depth-1 queue behind a single worker and
@@ -156,7 +153,6 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 	s := NewWithConfig(eng, qexec.Config{
 		Workers:      1,
-		MaxBatch:     2,
 		QueueDepth:   1,
 		CacheEntries: -1,
 	})

@@ -6,8 +6,8 @@
 // simultaneously serve public HTTP traffic and the cluster coordinator's
 // in-process replica path (internal/cluster). All query traffic runs
 // through the internal/qexec execution subsystem (worker pool with pooled
-// workspaces → batch scheduler → LRU cache + singleflight → admission
-// control), so concurrent requests coalesce, hot seeds hit the cache, and
+// workspaces → LRU cache + singleflight → admission control), so
+// identical concurrent requests coalesce, hot seeds hit the cache, and
 // overload sheds with 429 (plus a Retry-After hint) instead of piling up
 // goroutines.
 //
@@ -61,7 +61,7 @@ type Server struct {
 func New(eng *bepi.Engine) *Server { return NewWithConfig(eng, qexec.Config{}) }
 
 // NewWithConfig builds a server with explicit query-execution settings
-// (pool size, batch window, cache entries, queue depth, per-query timeout).
+// (pool size, cache entries, queue depth, per-query timeout).
 func NewWithConfig(eng *bepi.Engine, cfg qexec.Config) *Server {
 	return NewFromCore(NewCore(eng, cfg))
 }
@@ -215,8 +215,7 @@ type QueryDebug struct {
 	Cached     bool    `json:"cached"`
 	Coalesced  bool    `json:"coalesced"`
 	// Engine stage wall times in milliseconds (zero for cache hits, which
-	// never reach the engine). Shared phases report the whole batch's time;
-	// solve_ms is this query's own Schur solve.
+	// never reach the engine).
 	StageMS map[string]float64 `json:"stage_ms,omitempty"`
 }
 

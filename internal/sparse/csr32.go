@@ -170,8 +170,8 @@ func (m *CSR32) CacheTranspose() *CSR32 {
 }
 
 // parBounds mirrors CSR.parBounds.
-func (m *CSR32) parBounds(width int) []int {
-	if len(m.col)*width < ParallelMinNNZ {
+func (m *CSR32) parBounds() []int {
+	if len(m.col) < ParallelMinNNZ {
 		return nil
 	}
 	return m.bounds
@@ -244,46 +244,17 @@ func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi
 	}
 }
 
-func (m *CSR32) mulVecBatchRange(dst, x [][]float64, rlo, rhi int) {
-	if m.rowPtr32 != nil {
-		mulVecBatchRows(m.rowPtr32, m.col, m.val, dst, x, rlo, rhi)
-	} else {
-		mulVecBatchRows(m.rowPtr64, m.col, m.val, dst, x, rlo, rhi)
-	}
-}
-
 // MulVec computes dst = M·x with the same dimension rules, pool behavior
 // and bit-identical results as CSR.MulVec.
 func (m *CSR32) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d want %d,%d", len(dst), len(x), m.rows, m.cols))
 	}
-	if bounds := m.parBounds(1); bounds != nil {
+	if bounds := m.parBounds(); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
 		return
 	}
 	m.mulVecRange(dst, x, 0, m.rows)
-}
-
-// MulVecBatch computes dst[k] = M·x[k] for every right-hand side, row-outer
-// and RHS-interleaved like CSR.MulVecBatch: the compact index arrays are
-// streamed once per batch, with groups of four RHS sharing each loaded
-// entry, and every output bit-identical to MulVec per RHS.
-func (m *CSR32) MulVecBatch(dst, x [][]float64) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("sparse: MulVecBatch got %d dst vectors for %d rhs", len(dst), len(x)))
-	}
-	for k := range x {
-		if len(dst[k]) != m.rows || len(x[k]) != m.cols {
-			panic(fmt.Sprintf("sparse: MulVecBatch dims dst=%d x=%d want %d,%d",
-				len(dst[k]), len(x[k]), m.rows, m.cols))
-		}
-	}
-	if bounds := m.parBounds(len(x)); bounds != nil {
-		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecBatchRange(dst, x, lo, hi) })
-		return
-	}
-	m.mulVecBatchRange(dst, x, 0, m.rows)
 }
 
 // MulVecT computes dst = Mᵀ·x: the serial scatter loop without a cached
@@ -294,7 +265,7 @@ func (m *CSR32) MulVecT(dst, x []float64) {
 	}
 	if m.tr != nil {
 		tr := m.tr
-		if bounds := tr.parBounds(1); bounds != nil {
+		if bounds := tr.parBounds(); bounds != nil {
 			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
 			return
 		}
@@ -313,7 +284,7 @@ func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic("sparse: AddMulVec dimension mismatch")
 	}
-	if bounds := m.parBounds(1); bounds != nil {
+	if bounds := m.parBounds(); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
 		return
 	}

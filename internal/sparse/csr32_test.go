@@ -50,14 +50,6 @@ func TestCSR32BitIdentical(t *testing.T) {
 			m.AddMulVec(wantAdd, -0.7, x)
 			wantT := make([]float64, cols)
 			m.MulVecT(wantT, xt)
-			const batch = 4
-			xb := make([][]float64, batch)
-			wantB := make([][]float64, batch)
-			for k := range xb {
-				xb[k] = randVec(cols, int64(10+k))
-				wantB[k] = make([]float64, rows)
-			}
-			m.MulVecBatch(wantB, xb)
 
 			for _, workers := range []int{1, 3, 8} {
 				c := Compact(m.Clone())
@@ -89,17 +81,6 @@ func TestCSR32BitIdentical(t *testing.T) {
 				for j := range gotT {
 					if gotT[j] != wantT[j] {
 						t.Fatalf("workers=%d MulVecT (gather) [%d] = %v want %v", workers, j, gotT[j], wantT[j])
-					}
-				}
-
-				gotB := make([][]float64, batch)
-				for k := range gotB {
-					gotB[k] = make([]float64, rows)
-				}
-				c.MulVecBatch(gotB, xb)
-				for k := range gotB {
-					if i, ok := bitsEqual(gotB[k], wantB[k]); !ok {
-						t.Fatalf("workers=%d MulVecBatch rhs %d differs at %d", workers, k, i)
 					}
 				}
 			}

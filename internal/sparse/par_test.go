@@ -69,15 +69,6 @@ func TestParallelMulVecBitIdentical(t *testing.T) {
 	wantT := make([]float64, cols)
 	m.MulVecT(wantT, xt)
 
-	const batch = 5
-	xb := make([][]float64, batch)
-	wantB := make([][]float64, batch)
-	for k := range xb {
-		xb[k] = randVec(cols, int64(10+k))
-		wantB[k] = make([]float64, rows)
-	}
-	m.MulVecBatch(wantB, xb)
-
 	for _, workers := range []int{2, 3, 8} {
 		p := m.Clone().SetPool(par.NewPool(workers))
 		p.CacheTranspose()
@@ -98,17 +89,6 @@ func TestParallelMulVecBitIdentical(t *testing.T) {
 		p.MulVecT(gotT, xt)
 		if i, ok := bitsEqual(gotT, wantT); !ok {
 			t.Fatalf("workers=%d MulVecT differs at %d: %v vs %v", workers, i, gotT[i], wantT[i])
-		}
-
-		gotB := make([][]float64, batch)
-		for k := range gotB {
-			gotB[k] = make([]float64, rows)
-		}
-		p.MulVecBatch(gotB, xb)
-		for k := range gotB {
-			if i, ok := bitsEqual(gotB[k], wantB[k]); !ok {
-				t.Fatalf("workers=%d MulVecBatch rhs %d differs at %d", workers, k, i)
-			}
 		}
 	}
 }

@@ -133,8 +133,8 @@ type CSR struct {
 const ParallelMinNNZ = 1 << 15
 
 // SetPool attaches a parallel pool to the matrix and returns it. With a
-// pool attached (and more than one worker), MulVec, MulVecT, AddMulVec and
-// MulVecBatch partition rows across the pool once the matrix has at least
+// pool attached (and more than one worker), MulVec, MulVecT and AddMulVec
+// partition rows across the pool once the matrix has at least
 // ParallelMinNNZ stored entries. Each output element is still produced by
 // the unchanged serial per-row loop, so results are bit-identical to the
 // serial kernels at any worker count. A nil pool restores serial execution.
@@ -166,14 +166,11 @@ func (m *CSR) CacheTranspose() *CSR {
 	return m.tr
 }
 
-// parBounds returns the row partition a kernel over width right-hand sides
-// should run parallel with, or nil to run serially. The threshold scales
-// with the batch width: a K-RHS batch does K times the work per stored
-// entry, so chunk handoff amortizes at 1/K of the nnz. The partition itself
-// does not depend on width — results are bit-identical either way; only the
-// serial/parallel cutover moves.
-func (m *CSR) parBounds(width int) []int {
-	if len(m.val)*width < ParallelMinNNZ {
+// parBounds returns the row partition the apply kernels should run parallel
+// with, or nil to run serially (no pool, or too few entries to pay for the
+// chunk handoff). Results are bit-identical either way.
+func (m *CSR) parBounds() []int {
+	if len(m.val) < ParallelMinNNZ {
 		return nil
 	}
 	return m.bounds
@@ -323,7 +320,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic(fmt.Sprintf("sparse: MulVec dims dst=%d x=%d want %d,%d", len(dst), len(x), m.rows, m.cols))
 	}
-	if bounds := m.parBounds(1); bounds != nil {
+	if bounds := m.parBounds(); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecRange(dst, x, lo, hi) })
 		return
 	}
@@ -353,37 +350,6 @@ func (m *CSR) mulVecRangeSeq(dst, x []float64, lo, hi int) {
 	}
 }
 
-// MulVecBatch computes dst[k] = M·x[k] for every right-hand side in the
-// batch, traversing the matrix row by row so that each row's indices and
-// values are read once from memory and reused across all K vectors. For the
-// memory-bound SpMV this amortizes the matrix traffic over the batch, which
-// is what makes multi-seed query batching pay off. Groups of four RHS run
-// through the RHS-interleaved kernel — each loaded index and value feeds
-// four independent accumulation chains, hiding gather latency behind work —
-// while each RHS's per-row accumulation order is unchanged, so every output
-// vector is bit-identical to MulVec on the same input. dst and x must hold
-// equally many vectors with the same per-vector dimension rules as MulVec.
-func (m *CSR) MulVecBatch(dst, x [][]float64) {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("sparse: MulVecBatch got %d dst vectors for %d rhs", len(dst), len(x)))
-	}
-	for k := range x {
-		if len(dst[k]) != m.rows || len(x[k]) != m.cols {
-			panic(fmt.Sprintf("sparse: MulVecBatch dims dst=%d x=%d want %d,%d",
-				len(dst[k]), len(x[k]), m.rows, m.cols))
-		}
-	}
-	if bounds := m.parBounds(len(x)); bounds != nil {
-		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.mulVecBatchRange(dst, x, lo, hi) })
-		return
-	}
-	m.mulVecBatchRange(dst, x, 0, m.rows)
-}
-
-func (m *CSR) mulVecBatchRange(dst, x [][]float64, rlo, rhi int) {
-	mulVecBatchRows(m.rowPtr, m.col, m.val, dst, x, rlo, rhi)
-}
-
 // MulVecT computes dst = Mᵀ·x. dst must have length Cols and x length
 // Rows; they must not alias. Without a cached transpose it is the serial
 // scatter loop; after CacheTranspose it becomes a gather over Mᵀ's rows —
@@ -396,7 +362,7 @@ func (m *CSR) MulVecT(dst, x []float64) {
 	}
 	if m.tr != nil {
 		tr := m.tr
-		if bounds := tr.parBounds(1); bounds != nil {
+		if bounds := tr.parBounds(); bounds != nil {
 			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
 			return
 		}
@@ -423,7 +389,7 @@ func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
 		panic("sparse: AddMulVec dimension mismatch")
 	}
-	if bounds := m.parBounds(1); bounds != nil {
+	if bounds := m.parBounds(); bounds != nil {
 		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
 		return
 	}
