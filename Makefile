@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep bench-dynamic bench-serving bench-topk bench-obs profile
+.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep profile
 
 build:
 	$(GO) build ./...
@@ -62,7 +62,7 @@ race:
 # path (SlashBurn over the counting-pass adjacency, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|Reorder|SlashBurn|BuildH|SaveLoad' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -90,11 +90,11 @@ bench-par:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurComplement|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
-# Smoke-run the bandwidth-lean kernel benchmarks — one preconditioned Schur
-# iteration (S·x + ILU(0) sweeps vs the one-pass DILU operator, 0
-# allocs/op), compact CSR32 SpMV — at a fixed small iteration count so CI
-# catches kernel regressions (compile errors, panics, gross slowdowns)
-# without paying for a full benchmark run.
+# The one micro-benchmark target: one preconditioned Schur iteration
+# (S·x + ILU(0) sweeps vs the one-pass DILU operator, 0 allocs/op) and the
+# compact CSR32 SpMV, at a fixed small iteration count. What these kernels
+# cost inside a query is gated by the repository benchmark (batch-solve's
+# sparse.* and lu.* rows); this target shows them in isolation.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSchurIteration -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
@@ -105,40 +105,6 @@ bench-kernels:
 # (The exact gate on those is TestPreprocessingAllocBudget in `make test`.)
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad' -benchtime=3x -benchmem .
-
-# Smoke-run the dynamic-rebuild experiments on a small R-MAT graph: queries
-# keep answering while a background flush re-preprocesses (in-rebuild p99
-# vs a stop-the-world emulation), and the continuous-update-stream table
-# flushes per-batch edge deletions through the incremental delta path. CI
-# runs it so regressions that reintroduce flush blocking show up as a p99
-# jump, and a delta flush silently falling back to a full rebuild shows up
-# in the mode column and the vs-full ratio.
-bench-dynamic:
-	$(GO) run ./cmd/bepi-bench dynamic -size tiny
-
-# Smoke-run the serving-tier experiments: steady-state qexec serving
-# (throughput, latency quantiles, cache hit rate) and the sharded cluster
-# coordinator at 1/2/4 in-process replicas. CI runs it so a regression in
-# routing, per-replica caching, or the scatter-gather path shows up as a
-# qps or hit-rate drop in the table.
-bench-serving:
-	$(GO) run ./cmd/bepi-bench serving -size tiny
-	$(GO) run ./cmd/bepi-bench cluster -size tiny
-
-# Smoke-run the exact top-k early-termination experiment: bounded vs
-# full-tolerance ranking across engine variants, with the set-equality
-# column checked on every query. CI runs it so a certificate regression
-# (sets column flipping to MISMATCH) or a latency cliff shows up in the
-# table.
-bench-topk:
-	$(GO) run ./cmd/bepi-bench topk -size tiny
-
-# Smoke-run the observability-overhead experiment: the cluster workload
-# with histograms, sampled tracing and the flight recorder on versus
-# obs.Disabled. CI runs it so a change that puts allocation or locking on
-# the query hot path shows up as an overhead jump in the table.
-bench-obs:
-	$(GO) run ./cmd/bepi-bench obs -size tiny
 
 # Capture a CPU profile from a running bepi-serve (start it with
 # -debug-addr $(PROFILE_ADDR)) and drop into the pprof shell:

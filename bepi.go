@@ -161,24 +161,8 @@ func WithHubRatio(k float64) Option {
 	return func(o *core.Options) { o.HubRatio = k }
 }
 
-// SchurSolver selects the iterative solver for the Schur system.
-type SchurSolver = core.SchurSolver
-
-// Schur solvers.
-const (
-	// SolverGMRES is the paper's solver (default).
-	SolverGMRES = core.SolverGMRES
-	// SolverBiCGSTAB uses constant memory in the iteration count.
-	SolverBiCGSTAB = core.SolverBiCGSTAB
-)
-
-// WithSchurSolver selects GMRES (default) or BiCGSTAB for the per-query
-// Schur-complement solve.
-func WithSchurSolver(s SchurSolver) Option {
-	return func(o *core.Options) { o.Solver = s }
-}
-
-// WithMaxIterations bounds GMRES iterations per query; default 1000.
+// WithMaxIterations bounds GMRES iterations per query; default 1000, values
+// above 65536 are lowered to it.
 func WithMaxIterations(n int) Option {
 	return func(o *core.Options) { o.MaxIter = n }
 }
@@ -200,19 +184,6 @@ func WithDeadline(d time.Duration) Option {
 // n-worker pool. Results are bit-identical at every setting.
 func WithParallelism(n int) Option {
 	return func(o *core.Options) { o.Parallelism = n }
-}
-
-// WithCompact selects the in-memory matrix layout: true (the default) keeps
-// the preprocessed matrices in the compact CSR32 form (uint32 column
-// indices, narrow row pointers — roughly half the index bytes), false keeps
-// the wide CSR form. Query results are bit-identical either way.
-func WithCompact(on bool) Option {
-	return func(o *core.Options) {
-		o.Compact = core.CompactAuto
-		if !on {
-			o.Compact = core.CompactOff
-		}
-	}
 }
 
 // Engine is a preprocessed RWR index. It is safe for concurrent queries.
@@ -315,14 +286,6 @@ func (e *Engine) MemoryBytes() int64 { return e.inner.MemoryBytes() }
 // with Load start on the shared pool; call this before serving queries —
 // it must not race with them.
 func (e *Engine) SetParallelism(n int) { e.inner.SetParallelism(n) }
-
-// SetCompact switches the engine between the compact CSR32 layout (true)
-// and the wide CSR layout (false) in place. Not safe to call concurrently
-// with queries.
-func (e *Engine) SetCompact(on bool) { e.inner.SetCompact(on) }
-
-// Compacted reports whether the compact layout is active.
-func (e *Engine) Compacted() bool { return e.inner.Compacted() }
 
 // PreprocessTime reports how long preprocessing took.
 func (e *Engine) PreprocessTime() time.Duration { return e.inner.PrepStats().Total }

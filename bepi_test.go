@@ -2,6 +2,8 @@ package bepi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -194,6 +196,32 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if d := vec.Dist2(got, want); d > 1e-12 {
 		t.Fatalf("reloaded engine differs by %v", d)
+	}
+}
+
+// TestLoadRefusesCorruptHeader: option words no engine writes — an iteration
+// budget of 2⁴⁰ (or one flipped byte of it), c = 7, variant 9 — come back
+// from Load as core.ErrCorruptIndex, not as an engine.
+func TestLoadRefusesCorruptHeader(t *testing.T) {
+	eng, err := New(RMAT(6, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, patch := range map[string]func(raw []byte){
+		"maxIter 1<<40": func(raw []byte) { binary.LittleEndian.PutUint64(raw[4+8*3:], 1<<40) },
+		"maxIter flip":  func(raw []byte) { raw[30] ^= 0x7F },
+		"c 7.0":         func(raw []byte) { binary.LittleEndian.PutUint64(raw[4:], math.Float64bits(7)) },
+		"variant 9":     func(raw []byte) { binary.LittleEndian.PutUint64(raw[4+8*2:], 9) },
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		patch(raw)
+		if e, err := Load(bytes.NewReader(raw)); !errors.Is(err, core.ErrCorruptIndex) {
+			t.Errorf("%s: Load returned (%v, %v), want core.ErrCorruptIndex", name, e, err)
+		}
 	}
 }
 

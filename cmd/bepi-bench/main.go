@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"bepi/internal/bench"
-	"bepi/internal/core"
 	"bepi/internal/method"
 )
 
@@ -49,21 +48,15 @@ func main() {
 	memBudget := fs.Int64("mem-budget", 0, "preprocessing memory budget in bytes (0 = size default)")
 	deadline := fs.Duration("deadline", 0, "preprocessing deadline (0 = size default)")
 	parallelism := fs.Int("parallelism", 0, "worker cap for preprocessing kernels (0 = all cores, 1 = serial)")
-	compact := fs.Bool("compact", true, "use the compact CSR32 matrix layout in the kernels/serving experiments (false = wide CSR)")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
-	}
-	layout := core.CompactAuto
-	if !*compact {
-		layout = core.CompactOff
 	}
 	cfg := bench.Config{
 		Size:        bench.Size(*size),
 		Seeds:       *seeds,
 		Tol:         *tol,
 		Parallelism: *parallelism,
-		Compact:     layout,
 		Budget: method.Budget{
 			Memory:   *memBudget,
 			Deadline: *deadline,
@@ -143,7 +136,6 @@ flags:
   -mem-budget BYTES       preprocessing memory budget
   -deadline DUR           preprocessing deadline (e.g. 120s)
   -parallelism N          kernel worker cap (0 = all cores, 1 = serial)
-  -compact BOOL           CSR32 compact layout in kernels/serving experiments (default true)
   -csv DIR                also write tables as CSV
 `, strings.Join(names, " "))
 }

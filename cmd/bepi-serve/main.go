@@ -155,13 +155,6 @@ func runCoordinator(addr, replicaList string, healthInterval time.Duration, retr
 	}
 }
 
-func layoutName(compact bool) string {
-	if compact {
-		return "compact CSR32"
-	}
-	return "wide CSR"
-}
-
 func main() {
 	indexPath := flag.String("index", "", "index file built by `bepi preprocess` (static mode; exactly one of -index/-graph)")
 	graphPath := flag.String("graph", "", "edge-list file to preprocess at startup and serve with online updates (dynamic mode)")
@@ -171,7 +164,6 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "LRU score-cache capacity (0 = default 1024, negative disables)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline enforced inside the solver (0 = none)")
 	parallelism := flag.Int("parallelism", 0, "per-solve kernel worker cap (0 = keep engine default, 1 = serial kernels)")
-	compact := flag.Bool("compact", true, "serve from the compact CSR32 matrix layout (false = wide CSR; results are bit-identical)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this threshold via slog (0 = disabled)")
 	traceSample := flag.Int("trace-sample", qexec.DefaultTraceSample, "trace every Nth query into /debug/traces (1 = all; tracing allocates, sampling keeps it off the hot path)")
@@ -215,7 +207,7 @@ func main() {
 			log.Fatalf("bepi-serve: reading graph: %v", err)
 		}
 		start := time.Now()
-		dynOpts := []bepi.Option{bepi.WithCompact(*compact)}
+		var dynOpts []bepi.Option
 		if *parallelism != 0 {
 			dynOpts = append(dynOpts, bepi.WithParallelism(*parallelism))
 		}
@@ -224,8 +216,8 @@ func main() {
 			log.Fatalf("bepi-serve: preprocessing %s: %v", *graphPath, err)
 		}
 		eng := dyn.Engine()
-		log.Printf("preprocessed %s (%d nodes, %d edges, %d bytes, %s layout) in %v",
-			*graphPath, eng.N(), g.M(), eng.MemoryBytes(), layoutName(eng.Compacted()),
+		log.Printf("preprocessed %s (%d nodes, %d edges, %d bytes) in %v",
+			*graphPath, eng.N(), g.M(), eng.MemoryBytes(),
 			time.Since(start).Round(time.Millisecond))
 		log.Printf("dynamic mode: POST /edges buffers updates, POST /flush rebuilds in the background")
 		handler = server.NewDynamic(dyn, cfg)
@@ -240,12 +232,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("bepi-serve: loading index: %v", err)
 		}
-		// Loaded engines are compact by default; -compact=false widens them.
-		if eng.Compacted() != *compact {
-			eng.SetCompact(*compact)
-		}
-		log.Printf("loaded %s (%d nodes, %d bytes, %s layout) in %v",
-			*indexPath, eng.N(), eng.MemoryBytes(), layoutName(eng.Compacted()),
+		log.Printf("loaded %s (%d nodes, %d bytes) in %v",
+			*indexPath, eng.N(), eng.MemoryBytes(),
 			time.Since(start).Round(time.Millisecond))
 		handler = server.NewWithConfig(eng, cfg)
 	}

@@ -33,14 +33,18 @@ func serve(t *testing.T, args ...string) (string, int) {
 	return string(out), 0
 }
 
-// TestBatchFlagsAreGone: the batch scheduler's two flags left with it, so the
-// command refuses them as it does any unknown flag, and -h lists the 17 that
-// remain.
+// TestBatchFlagsAreGone: the flags of deleted knobs — the batch scheduler's
+// two, the matrix layout's one — left with them, so the command refuses them
+// as it does any unknown flag, and -h lists the 16 that remain.
 func TestBatchFlagsAreGone(t *testing.T) {
-	for _, name := range []string{"-batch-max", "-batch-window"} {
-		out, code := serve(t, name, "4")
-		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+name) {
-			t.Errorf("bepi-serve %s 4: exit %d, output %q; want exit 2 and an unknown-flag error", name, code, out)
+	for _, tc := range []struct{ flag, arg string }{
+		{"-compact", "-compact=false"},
+		{"-batch-max", "-batch-max=4"},
+		{"-batch-window", "-batch-window=1ms"},
+	} {
+		out, code := serve(t, tc.arg)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+tc.flag) {
+			t.Errorf("bepi-serve %s: exit %d, output %q; want exit 2 and an unknown-flag error", tc.arg, code, out)
 		}
 	}
 	usage, _ := serve(t, "-h")
@@ -51,7 +55,7 @@ func TestBatchFlagsAreGone(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 17 {
-		t.Errorf("bepi-serve -h lists %d flags, want 17:\n%s", flags, usage)
+	if flags != 16 {
+		t.Errorf("bepi-serve -h lists %d flags, want 16:\n%s", flags, usage)
 	}
 }

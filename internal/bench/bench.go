@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"bepi/internal/core"
 	"bepi/internal/gen"
 	"bepi/internal/graph"
 	"bepi/internal/method"
@@ -104,11 +103,6 @@ type Config struct {
 	// Budget bounds preprocessing; zero values scale with Size (see
 	// withDefaults).
 	Budget method.Budget
-	// Compact selects the matrix layout of engines built by the kernels
-	// and serving experiments: CompactAuto (default) uses the
-	// compact CSR32 form, CompactOff the wide CSR form. Exposed on the
-	// bepi-bench command line as -compact.
-	Compact core.CompactMode
 }
 
 func (c Config) withDefaults() Config {

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bepi/internal/core"
 )
 
 func TestSuiteSizes(t *testing.T) {
@@ -121,8 +119,8 @@ func TestLogLogSlope(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRunsAtTinySize is the harness integration test: all
-// twelve tables/figures must run end to end and produce non-empty tables.
+// TestEveryExperimentRunsAtTinySize is the harness integration test: every
+// table and figure must run end to end and produce non-empty tables.
 func TestEveryExperimentRunsAtTinySize(t *testing.T) {
 	cfg := Config{Size: Tiny, Seeds: 2}
 	for _, exp := range Experiments() {
@@ -221,30 +219,4 @@ func parseCount(t *testing.T, s string) int {
 		t.Fatalf("parsing count %q: %v", s, err)
 	}
 	return v
-}
-
-// TestKernelsLayoutAB runs the kernels experiment in both matrix layouts
-// (the bepi-bench -compact A/B) and checks the memory table reports a
-// strictly positive saving for the compact one.
-func TestKernelsLayoutAB(t *testing.T) {
-	for _, mode := range []core.CompactMode{core.CompactAuto, core.CompactOff} {
-		tables, err := Kernels(Config{Size: Tiny, Seeds: 2, Compact: mode})
-		if err != nil {
-			t.Fatalf("compact=%v: %v", mode, err)
-		}
-		if len(tables) != 2 {
-			t.Fatalf("compact=%v: got %d tables, want 2", mode, len(tables))
-		}
-		mem := tables[0]
-		for _, row := range mem.Rows {
-			saving := strings.TrimSuffix(row[3], "%")
-			v, err := strconv.ParseFloat(saving, 64)
-			if err != nil {
-				t.Fatalf("compact=%v: bad saving cell %q: %v", mode, row[3], err)
-			}
-			if v <= 0 {
-				t.Fatalf("compact=%v: dataset %s reports no index saving (%v%%)", mode, row[0], v)
-			}
-		}
-	}
 }

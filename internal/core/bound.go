@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"bepi/internal/solver"
+	"bepi/internal/sparse"
 	"bepi/internal/vec"
 )
 
@@ -201,10 +202,8 @@ func (e *Engine) computeBoundFactor() (float64, error) {
 	return math.Sqrt(t*t+alpha*alpha+1) / sminS, nil
 }
 
-// Norm2Est estimates ‖A‖₂ by power iteration on AᵀA. It accepts either
-// stored matrix layout (sparse.CSR or sparse.CSR32); the float64 kernels
-// agree bitwise, so the estimate is layout-independent.
-func Norm2Est(a mat, iters int, seed int64) float64 {
+// Norm2Est estimates ‖A‖₂ by power iteration on AᵀA.
+func Norm2Est(a *sparse.CSR32, iters int, seed int64) float64 {
 	if a.NNZ() == 0 {
 		return 0
 	}
@@ -262,7 +261,7 @@ func (e *Engine) sminSchur(iters int, seed int64) (float64, error) {
 	if n2 == 0 {
 		return 1, nil
 	}
-	st := asCSR(e.schur).Transpose()
+	st := e.schur.ToCSR().Transpose()
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float64, n2)
 	for i := range x {

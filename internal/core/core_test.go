@@ -112,33 +112,6 @@ func TestPreconditioningReducesIterations(t *testing.T) {
 	}
 }
 
-func TestBiCGSTABSolverMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 5; trial++ {
-		n := 30 + rng.Intn(60)
-		g := randGraph(rng, n)
-		seed := rng.Intn(n)
-		e, err := Preprocess(g, Options{
-			Variant: VariantFull, HubRatio: 0.2, Tol: 1e-11,
-			Solver: SolverBiCGSTAB, MaxIter: 4000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := e.Query(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ExactDense(g, DefaultC, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := vec.Dist2(got, want); d > 1e-7 {
-			t.Fatalf("trial %d: BiCGSTAB engine distance %v", trial, d)
-		}
-	}
-}
-
 func TestQueryVectorMultiSeedPPR(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randGraph(rng, 60)

@@ -113,6 +113,9 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	if gNew.N() < e.n {
 		return nil, st, fmt.Errorf("graph shrank %d → %d: %w", e.n, gNew.N(), ErrDeltaFull)
 	}
+	if err := checkNodeCount(gNew.N()); err != nil {
+		return nil, st, fmt.Errorf("%v: %w", err, ErrDeltaFull)
+	}
 	growth := gNew.N() - e.n
 	st.NewNodes = growth
 
@@ -253,35 +256,25 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	}
 
 	// Copy-on-write patches. Only matrices with edits (or appended rows)
-	// are rebuilt — in the layout of the one they replace, on the engine's
-	// pool; the rest are shared with the serving engine, untouched.
+	// are rebuilt — widened, patched with the surgery the wide layout has,
+	// narrowed again, on the engine's pool; the rest are shared with the
+	// serving engine, untouched.
 	tPatch := time.Now()
-	relayout := func(w *sparse.CSR, old mat) mat {
-		var m mat = w
-		if _, compact := old.(*sparse.CSR32); compact && fitsCompact(w) {
-			m = sparse.Compact(w)
-		}
-		matSetPool(m, e.pool)
-		return m
-	}
-	patch := func(m mat, appendRows int, edits []sparse.Edit) mat {
-		if appendRows == 0 && len(edits) == 0 {
+	patch := func(m *sparse.CSR32, appendRows int, edits []sparse.Edit) *sparse.CSR32 {
+		if m == nil || (appendRows == 0 && len(edits) == 0) {
 			return m
 		}
-		w := asCSR(m)
+		w := m.ToCSR()
 		if appendRows > 0 {
 			w = w.WithRowsAppended(appendRows)
 		}
-		return relayout(w.WithEdits(edits), m)
+		return sparse.Compact(w.WithEdits(edits)).SetPool(e.pool)
 	}
 	h12New := patch(e.h12, 0, h12E)
 	h21New := patch(e.h21, 0, h21E)
 	h31New := patch(e.h31, growth, h31E)
 	h32New := patch(e.h32, growth, h32E)
-	var h22New mat
-	if e.h22 != nil {
-		h22New = patch(e.h22, 0, h22E)
-	}
+	h22New := patch(e.h22, 0, h22E)
 	patchDur := time.Since(tPatch)
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
@@ -329,7 +322,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	for j := range hubCols {
 		affected[j] = true
 	}
-	h12W := asCSR(h12New)
+	h12W := h12New.ToCSR()
 	for b := range touched {
 		lo, hi := e.h11LU.BlockRange(b)
 		for i := lo; i < hi; i++ {
@@ -361,10 +354,10 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		// sums h22Column reproduces — so both sources are bit-identical.
 		var h22Cols map[int][]colEntry
 		if h22New != nil {
-			h22Cols = extractColumns(asCSR(h22New), affected)
+			h22Cols = extractColumns(h22New.ToCSR(), affected)
 		}
 		h12T := h12W.Transpose()
-		h21T := asCSR(h21New).Transpose()
+		h21T := h21New.ToCSR().Transpose()
 		scratch := make([]float64, maxInt(h11LUNew.MaxBlockSize(), 1))
 		acc := make([]float64, n2)
 		mark := make([]int, n2)
@@ -418,12 +411,12 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		pool: e.pool, prep: e.prep,
 	}
 
-	// Splice the recomputed columns into the stored S and re-factor DILU
+	// Splice the recomputed columns into the widened S and re-factor DILU
 	// from the patched wide S — the same source and the same one O(|S|)
 	// pass Preprocess runs.
 	iluDur := time.Duration(0)
 	if len(cols) > 0 {
-		schurW := asCSR(e.schur)
+		schurW := e.schur.ToCSR()
 		oldCols := extractColumns(schurW, affected)
 		var edits []sparse.Edit
 		for _, j := range cols {
@@ -436,13 +429,10 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			if err != nil {
 				return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
 			}
-			if e.Compacted() {
-				ilu.Compact()
-			}
-			ne.ilu = ilu
+			ne.ilu = ilu.Compact()
 			iluDur = time.Since(tILU)
 		}
-		ne.schur = relayout(sNew, e.schur)
+		ne.schur = sparse.Compact(sNew).SetPool(e.pool)
 	}
 
 	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.N3

@@ -65,7 +65,7 @@ func relMaxDiff(got, want []float64) float64 {
 }
 
 // TestDILUOfEngineSchur checks the factorization and the one-pass operator
-// on every S the engine builds from the fixtures, in both layouts: the
+// on every S the engine builds from the fixtures: the
 // pivots are positive (S is an M-matrix, so the recurrence cannot break
 // down), diag(L̂·D⁻¹·Û) reproduces diag(S) to 1e-13, the strict triangles
 // are S's own bits, the factors store exactly nnz(S) entries, and Ŝ·v
@@ -75,63 +75,61 @@ func TestDILUOfEngineSchur(t *testing.T) {
 	fixtures := splitFixtures()
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range sortedNames(fixtures) {
-		for _, mode := range []CompactMode{CompactOff, CompactAuto} {
-			e, err := Preprocess(fixtures[name], Options{Compact: mode})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		e, err := Preprocess(fixtures[name], Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := e.Schur()
+		f := e.ILU()
+		n2 := s.Rows()
+		if f.N() != n2 || f.NNZ() != s.NNZ() {
+			t.Fatalf("%s: factors are %d rows, %d entries for an S of %d rows, %d entries",
+				name, f.N(), f.NNZ(), n2, s.NNZ())
+		}
+		l, u := f.Split()
+		for i := 0; i < n2; i++ {
+			d := u.At(i, i)
+			if !(d > 0) {
+				t.Fatalf("%s: pivot %d = %v", name, i, d)
 			}
-			s := e.Schur()
-			f := e.ILU()
-			n2 := s.Rows()
-			if f.N() != n2 || f.NNZ() != s.NNZ() || f.Compacted() != (mode == CompactAuto) {
-				t.Fatalf("%s/%v: factors are %d rows, %d entries, compact=%v for an S of %d rows, %d entries",
-					name, mode, f.N(), f.NNZ(), f.Compacted(), n2, s.NNZ())
-			}
-			l, u := f.Split()
-			for i := 0; i < n2; i++ {
-				d := u.At(i, i)
-				if !(d > 0) {
-					t.Fatalf("%s/%v: pivot %d = %v", name, mode, i, d)
-				}
-				// diag(L̂·D⁻¹·Û)[i] = d_i + Σ_{k<i} l_ik·u_ki/d_k.
-				diag := d
-				ls, le := l.RowRange(i)
-				for p := ls; p < le; p++ {
-					if k := l.ColIdx()[p]; k < i {
-						diag += l.Values()[p] * u.At(k, i) / u.At(k, k)
-					}
-				}
-				if sii := s.At(i, i); math.Abs(diag-sii) > 1e-13*math.Abs(sii) {
-					t.Fatalf("%s/%v: diag(L̂·D⁻¹·Û)[%d] = %v, S has %v", name, mode, i, diag, sii)
-				}
-				ss, se := s.RowRange(i)
-				for p := ss; p < se; p++ {
-					j := s.ColIdx()[p]
-					tri := l
-					if j > i {
-						tri = u
-					}
-					if j != i && math.Float64bits(tri.At(i, j)) != math.Float64bits(s.Values()[p]) {
-						t.Fatalf("%s/%v: factor entry (%d,%d) = %v, S has %v", name, mode, i, j, tri.At(i, j), s.Values()[p])
-					}
+			// diag(L̂·D⁻¹·Û)[i] = d_i + Σ_{k<i} l_ik·u_ki/d_k.
+			diag := d
+			ls, le := l.RowRange(i)
+			for p := ls; p < le; p++ {
+				if k := l.ColIdx()[p]; k < i {
+					diag += l.Values()[p] * u.At(k, i) / u.At(k, k)
 				}
 			}
-			if n2 == 0 {
-				continue
+			if sii := s.At(i, i); math.Abs(diag-sii) > 1e-13*math.Abs(sii) {
+				t.Fatalf("%s: diag(L̂·D⁻¹·Û)[%d] = %v, S has %v", name, i, diag, sii)
 			}
-			op := f.Eisenstat()
-			v := make([]float64, n2)
-			for i := range v {
-				v[i] = rng.NormFloat64()
+			ss, se := s.RowRange(i)
+			for p := ss; p < se; p++ {
+				j := s.ColIdx()[p]
+				tri := l
+				if j > i {
+					tri = u
+				}
+				if j != i && math.Float64bits(tri.At(i, j)) != math.Float64bits(s.Values()[p]) {
+					t.Fatalf("%s: factor entry (%d,%d) = %v, S has %v", name, i, j, tri.At(i, j), s.Values()[p])
+				}
 			}
-			got, tmp, sv, want := make([]float64, n2), make([]float64, n2), make([]float64, n2), make([]float64, n2)
-			op.MulVec(got, v)
-			op.Right(tmp, v)
-			s.MulVec(sv, tmp)
-			op.Left(want, sv)
-			if d := relMaxDiff(got, want); d > 1e-12 {
-				t.Fatalf("%s/%v: Ŝ·v differs from the composed operator by %v", name, mode, d)
-			}
+		}
+		if n2 == 0 {
+			continue
+		}
+		op := f.Eisenstat()
+		v := make([]float64, n2)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		got, tmp, sv, want := make([]float64, n2), make([]float64, n2), make([]float64, n2), make([]float64, n2)
+		op.MulVec(got, v)
+		op.Right(tmp, v)
+		s.MulVec(sv, tmp)
+		op.Left(want, sv)
+		if d := relMaxDiff(got, want); d > 1e-12 {
+			t.Fatalf("%s: Ŝ·v differs from the composed operator by %v", name, d)
 		}
 	}
 }
@@ -148,7 +146,7 @@ func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64,
 	e.permute(ws, q)
 	e.forward(ws)
 	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Precond: ilu0}
-	r2, st, err := solver.GMRES(asCSR(e.schur), ws.qt2, opts)
+	r2, st, err := solver.GMRES(e.schur, ws.qt2, opts)
 	if err != nil {
 		t.Fatalf("reference solve for seed %d: %v", seed, err)
 	}
@@ -313,19 +311,10 @@ func engineStates(t *testing.T) []engineState {
 	return states
 }
 
-// TestEveryEngineStateMatchesOracle: every engine state — plus the wide
-// layout and BiCGSTAB, the two other arms the solve dispatches on — answers
-// within 10·Tol (L1) of the power iteration on the graph it serves.
+// TestEveryEngineStateMatchesOracle: every engine state answers within
+// 10·Tol (L1) of the power iteration on the graph it serves.
 func TestEveryEngineStateMatchesOracle(t *testing.T) {
 	states := engineStates(t)
-	g := states[0].g
-	for name, opts := range map[string]Options{"built-wide": {Compact: CompactOff}, "bicgstab": {Solver: SolverBiCGSTAB}} {
-		e, err := Preprocess(g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states = append(states, engineState{name, e, g})
-	}
 	rng := rand.New(rand.NewSource(29))
 	for _, st := range states {
 		for trial := 0; trial < 4; trial++ {
@@ -405,9 +394,6 @@ func TestSolveStreamsOneFactorPassPerIteration(t *testing.T) {
 	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.Compacted() {
-		t.Fatal("fixture engine is not compact")
 	}
 	var mu sync.Mutex
 	counts := map[string]int{}
@@ -493,10 +479,6 @@ func TestWorkspacePoolReuseBitIdentical(t *testing.T) {
 		}(i, s)
 	}
 	wg.Wait()
-	e.SetCompact(false)
-	check("after widening")
-	e.SetCompact(true)
-	check("after narrowing")
 	if tops, _, err := e.TopKBounded(5, 10); err != nil || len(tops) != 10 {
 		t.Fatalf("bounded top-k from the pool: %v, %v", tops, err)
 	}

@@ -78,13 +78,6 @@ type Options struct {
 	HubRatio float64
 	// MaxIter bounds GMRES iterations per query; default 1000.
 	MaxIter int
-	// GMRESRestart, if positive, restarts GMRES with that cycle length.
-	// Zero (default) runs full GMRES as the paper does.
-	GMRESRestart int
-	// Solver selects the iterative method for the Schur system. The paper
-	// uses GMRES (the default); BiCGSTAB is a short-recurrence alternative
-	// provided for the solver-ablation experiment.
-	Solver SchurSolver
 	// MemoryBudget, if positive, aborts preprocessing with
 	// ErrMemoryBudget when the preprocessed data would exceed this many
 	// bytes. Models the paper's out-of-memory outcomes.
@@ -98,33 +91,19 @@ type Options struct {
 	// engine its own n-worker pool. Parallel and serial execution produce
 	// bit-identical results.
 	Parallelism int
-	// Compact selects the storage layout of the preprocessed matrices
-	// (H12/H21/H31/H32, the Schur complement, and the DILU factors).
-	// CompactAuto — the zero value, i.e. the default — narrows the index
-	// arrays to 32 bits after preprocessing, cutting their footprint and
-	// the bytes every solve iteration streams roughly in half; query
-	// results are bit-identical to the wide layout. CompactOff keeps the
-	// wide CSR layout. The mode is a runtime knob (see SetCompact), not
-	// part of the serialized index.
-	Compact CompactMode
 }
 
-// CompactMode selects between the wide CSR and compact CSR32 index layouts
-// for the engine's stored matrices.
-type CompactMode int
-
-const (
-	// CompactAuto (the default) compacts whenever the index range allows.
-	CompactAuto CompactMode = iota
-	// CompactOff keeps the wide layout.
-	CompactOff
-)
+// maxIterLimit is the largest per-query iteration budget an engine accepts:
+// GMRES sizes its rotation and Hessenberg bookkeeping by the budget before
+// the first iteration (72 B per iteration allowed), so the budget is an
+// allocation per solve, and a stored index's header chooses it.
+const maxIterLimit = 1 << 16
 
 func (o Options) withDefaults() Options {
-	if o.C <= 0 || o.C >= 1 {
+	if !(o.C > 0 && o.C < 1) {
 		o.C = DefaultC
 	}
-	if o.Tol <= 0 {
+	if !(o.Tol > 0 && o.Tol < 1) {
 		o.Tol = DefaultTol
 	}
 	if o.HubRatio == 0 {
@@ -137,28 +116,29 @@ func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
 	}
+	if o.MaxIter > maxIterLimit {
+		o.MaxIter = maxIterLimit
+	}
 	return o
 }
 
-// SchurSolver names an iterative solver for the Schur-complement system.
-type SchurSolver int
-
-const (
-	// SolverGMRES is the paper's choice (default).
-	SolverGMRES SchurSolver = iota
-	// SolverBiCGSTAB trades the stored Krylov basis for two mat-vecs per
-	// iteration.
-	SolverBiCGSTAB
-)
-
-// String returns the solver's display name.
-func (s SchurSolver) String() string {
-	switch s {
-	case SolverBiCGSTAB:
-		return "BiCGSTAB"
-	default:
-		return "GMRES"
+// validate reports option values no engine carries after withDefaults — the
+// check on the option words of a stored index. The comparisons are written
+// so that NaN fails them.
+func (o Options) validate() error {
+	switch {
+	case !(o.C > 0 && o.C < 1):
+		return fmt.Errorf("restart probability %v outside (0,1)", o.C)
+	case !(o.Tol > 0 && o.Tol < 1):
+		return fmt.Errorf("tolerance %v outside (0,1)", o.Tol)
+	case o.Variant != VariantFull && o.Variant != VariantB && o.Variant != VariantS:
+		return fmt.Errorf("unknown variant %d", int(o.Variant))
+	case !(o.HubRatio > 0 && o.HubRatio <= 1):
+		return fmt.Errorf("hub ratio %v outside (0,1]", o.HubRatio)
+	case o.MaxIter <= 0 || o.MaxIter > maxIterLimit:
+		return fmt.Errorf("iteration budget %d outside [1,%d]", o.MaxIter, maxIterLimit)
 	}
+	return nil
 }
 
 // Errors reported by preprocessing budget guards.
@@ -218,14 +198,17 @@ type Engine struct {
 	n    int
 	ord  *reorder.Ordering
 
-	h12, h21, h31, h32 mat
-	schur              mat
+	// The stored matrices are built (and patched by ApplyDelta) in the wide
+	// sparse.CSR layout and served from the compact one: 32-bit indexes over
+	// the same float64 values, bit-identical kernels, a quarter less memory.
+	h12, h21, h31, h32 *sparse.CSR32
+	schur              *sparse.CSR32
 	// h22 is retained for ApplyDelta only, which extracts affected H22
 	// columns from it in one sweep instead of reconstructing them from the
 	// graph per column: never read by a query, not serialized (a loaded
 	// engine has none and takes the per-column reconstruction), counted by
 	// MemoryBytes.
-	h22   mat
+	h22   *sparse.CSR32
 	h11LU *lu.BlockLU
 	ilu   *lu.ILU // DILU factors of schur; nil unless VariantFull
 
@@ -260,7 +243,7 @@ type Engine struct {
 	// singular-value estimates behind it cost dozens of GMRES solves on S,
 	// so they run once per engine — lazily, under the Once — and every
 	// per-seed bound then just scales the factor by that seed's ‖q̃2‖.
-	// Compact/parallelism toggles keep it valid (their kernels are
+	// SetParallelism keeps it valid (the parallel kernels are
 	// bit-identical), and an engine swap replaces the whole Engine.
 	bndOnce   sync.Once
 	bndFactor float64
@@ -308,54 +291,21 @@ func poolFor(parallelism int) *par.Pool {
 // query-path SpMVs row-partition across it (the triangular sweeps are
 // serial); each matrix computes its row partition once, here.
 func (e *Engine) attachPool() {
-	for _, m := range []mat{e.h12, e.h21, e.h31, e.h32, e.schur} {
-		matSetPool(m, e.pool)
+	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32, e.schur} {
+		m.SetPool(e.pool)
 	}
 	e.prep.Workers = e.pool.Workers()
 }
 
-// setCompactMatrices converts every stored matrix (and the DILU factors)
-// to the requested layout in place. Narrowing shares the value slices, so
-// only the index arrays are rebuilt; widening compacted factors re-factors
-// them from the (widened) Schur complement, which reproduces the original
-// factors exactly.
-func (e *Engine) setCompactMatrices(on bool) {
-	conv := widenMat
-	if on {
-		conv = compactMat
-	}
-	e.h12, e.h21, e.h31, e.h32 = conv(e.h12), conv(e.h21), conv(e.h31), conv(e.h32)
-	e.schur = conv(e.schur)
-	e.h22 = conv(e.h22)
-	if e.ilu != nil {
-		if on {
-			e.ilu.Compact()
-		} else if e.ilu.Compacted() {
-			if f, err := lu.FactorDILU(asCSR(e.schur)); err == nil {
-				e.ilu = f
-			}
-		}
-	}
-	e.attachPool()
-}
+// maxNodes bounds the graphs an engine can index: the serving layout holds
+// row and column indexes in 32 bits.
+const maxNodes = int64(1) << 32
 
-// SetCompact switches the engine between the wide CSR and compact CSR32
-// layouts at runtime (the same knob as Options.Compact, for engines
-// already built or loaded). It must not race with in-flight queries.
-// Query results are bit-identical in either layout; only MemoryBytes and
-// the bandwidth the kernels stream change.
-func (e *Engine) SetCompact(on bool) {
-	e.opts.Compact = CompactAuto
-	if !on {
-		e.opts.Compact = CompactOff
+func checkNodeCount(n int) error {
+	if int64(n) >= maxNodes {
+		return fmt.Errorf("core: %d nodes exceed the 32-bit index range of the serving layout", n)
 	}
-	e.setCompactMatrices(on)
-}
-
-// Compacted reports whether the stored matrices use the compact layout.
-func (e *Engine) Compacted() bool {
-	_, ok := e.schur.(*sparse.CSR32)
-	return ok
+	return nil
 }
 
 // SetParallelism re-points the engine (and its matrices) at a pool for the
@@ -374,19 +324,17 @@ func (e *Engine) Pool() *par.Pool { return e.pool }
 // Preprocess runs Algorithm 1/3 on the graph and returns a query-ready
 // engine.
 func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
-	opts = opts.withDefaults()
 	start := time.Now()
-
-	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism)}
-	e.prep.N, e.prep.M = g.N(), g.M()
-	e.prep.HubRatio = opts.HubRatio
-	e.prep.Workers = e.pool.Workers()
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	// 1. Node reordering: deadends to the tail, SlashBurn on the rest.
 	t0 := time.Now()
-	e.ord = reorder.HubAndSpoke(g, opts.HubRatio)
+	e.ord = reorder.HubAndSpoke(g, e.opts.HubRatio)
 	e.prep.Reorder = time.Since(t0)
-	if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
+	if e.opts.Deadline > 0 && time.Since(start) > e.opts.Deadline {
 		return nil, fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
 	}
 	return e.preprocessFrom(g, start)
@@ -400,7 +348,6 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 // graph under the reused ordering. The ordering must cover exactly g.N()
 // nodes and pass its own validation.
 func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering) (*Engine, error) {
-	opts = opts.withDefaults()
 	if len(ord.Perm) != g.N() {
 		return nil, fmt.Errorf("core: ordering covers %d nodes, graph has %d", len(ord.Perm), g.N())
 	}
@@ -408,11 +355,27 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 		return nil, fmt.Errorf("core: invalid ordering: %w", err)
 	}
 	start := time.Now()
-	e := &Engine{opts: opts, n: g.N(), ord: ord, pool: poolFor(opts.Parallelism)}
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.ord = ord
+	return e.preprocessFrom(g, start)
+}
+
+// newEngine is the engine both entry points start from: defaulted options,
+// the pool, the graph's sizes — and the refusal of a graph the serving
+// layout cannot index, before any work is spent on it.
+func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
+	if err := checkNodeCount(g.N()); err != nil {
+		return nil, err
+	}
+	opts = opts.withDefaults()
+	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio
 	e.prep.Workers = e.pool.Workers()
-	return e.preprocessFrom(g, start)
+	return e, nil
 }
 
 // preprocessFrom runs stages 2–6 of preprocessing on an engine whose
@@ -438,9 +401,7 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	blocks := BuildH(g, e.ord.Perm, opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
 	h11, h12 := blocks[0][0], blocks[0][1]
 	h21, h22 := blocks[1][0], blocks[1][1]
-	e.h12, e.h21 = h12, h21
-	e.h31, e.h32 = blocks[2][0], blocks[2][1]
-	e.h22 = h22
+	h31, h32 := blocks[2][0], blocks[2][1]
 	e.prep.BuildH = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
@@ -467,15 +428,13 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	// SchurComplement rebuild them.
 	t0 = time.Now()
 	schur := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), e.h11LU, e.pool)
-	e.schur = schur
 	e.prep.Schur = time.Since(t0)
 	e.prep.SchurNNZ = schur.NNZ()
 	if err := deadline(); err != nil {
 		return nil, err
 	}
 
-	// 5. DILU preconditioner for the full variant, factored from the wide
-	// S before any index compaction.
+	// 5. DILU preconditioner for the full variant, factored from the wide S.
 	if opts.Variant == VariantFull {
 		t0 = time.Now()
 		e.ilu, err = lu.FactorDILU(schur)
@@ -483,12 +442,13 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 			return nil, fmt.Errorf("core: DILU of S: %w", err)
 		}
 		e.prep.ILU = time.Since(t0)
+		e.ilu.Compact()
 	}
-	// 6. Narrow the index arrays (default on): the wide copies are dropped
-	// here, so the budget check below sees the footprint queries will pay.
-	if opts.Compact != CompactOff {
-		e.setCompactMatrices(true)
-	}
+	// 6. Narrow the index arrays: the wide copies are dropped here, so the
+	// budget check below sees the footprint queries will pay.
+	e.h12, e.h21 = sparse.Compact(h12), sparse.Compact(h21)
+	e.h31, e.h32 = sparse.Compact(h31), sparse.Compact(h32)
+	e.h22, e.schur = sparse.Compact(h22), sparse.Compact(schur)
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
@@ -676,15 +636,15 @@ func (e *Engine) PrepStats() PrepStats { return e.prep }
 // Ordering exposes the node ordering (for experiments).
 func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 
-// Schur exposes the Schur complement (for experiments; read-only). When
-// the engine stores the compact layout this is a widened copy.
-func (e *Engine) Schur() *sparse.CSR { return asCSR(e.schur) }
+// Schur exposes the Schur complement as a widened copy of the stored one
+// (for experiments; read-only).
+func (e *Engine) Schur() *sparse.CSR { return e.schur.ToCSR() }
 
 // MemoryBytes reports the total footprint of the preprocessed data:
 // the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 on
 // engines built in this process, which keep it for ApplyDelta), the Schur
-// complement, and (for full BePI) its DILU factors, all at their current
-// index width. This is the quantity in Figure 1(b) of the paper.
+// complement, and (for full BePI) its DILU factors. This is the quantity in
+// Figure 1(b) of the paper.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
 		e.h12.MemoryBytes() + e.h21.MemoryBytes() +

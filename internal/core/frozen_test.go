@@ -70,9 +70,9 @@ func answersHash(t *testing.T, e *Engine) string {
 // TestAnswersFrozen pins every answer of the query path to the bits the
 // commit before the multi-RHS batch stack was deleted produced (hashes
 // captured there, with this function): the single-RHS path that remained is
-// the arithmetic a batch of one always ran. One hash per graph — the layout,
-// the worker count and whether the engine was built or loaded must not move a
-// bit either.
+// the arithmetic a batch of one always ran. One hash per graph — the worker
+// count and whether the engine was built or loaded must not move a bit
+// either.
 func TestAnswersFrozen(t *testing.T) {
 	graphs := append([]*graph.Graph{gen.RMAT(gen.DefaultRMAT(10, 8, 5))}, pathologicalGraphs()...)
 	frozen := [...]struct{ name, hash string }{
@@ -84,27 +84,24 @@ func TestAnswersFrozen(t *testing.T) {
 	}
 	for i, f := range frozen {
 		g := graphs[i]
-		for _, mode := range []CompactMode{CompactAuto, CompactOff} {
-			for _, workers := range []int{1, 4} {
-				built, err := Preprocess(g, Options{Compact: mode, Parallelism: workers})
-				if err != nil {
-					t.Fatalf("%s: %v", f.name, err)
-				}
-				var buf bytes.Buffer
-				if _, err := built.WriteTo(&buf); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := ReadEngine(&buf)
-				if err != nil {
-					t.Fatalf("%s: %v", f.name, err)
-				}
-				loaded.SetCompact(mode == CompactAuto)
-				loaded.SetParallelism(workers)
-				for state, e := range map[string]*Engine{"built": built, "loaded": loaded} {
-					if got := answersHash(t, e); got != f.hash {
-						t.Errorf("%s compact=%v workers=%d %s: answers hash to %s, frozen %s",
-							f.name, mode, workers, state, got, f.hash)
-					}
+		for _, workers := range []int{1, 4} {
+			built, err := Preprocess(g, Options{Parallelism: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			var buf bytes.Buffer
+			if _, err := built.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadEngine(&buf)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			loaded.SetParallelism(workers)
+			for state, e := range map[string]*Engine{"built": built, "loaded": loaded} {
+				if got := answersHash(t, e); got != f.hash {
+					t.Errorf("%s workers=%d %s: answers hash to %s, frozen %s",
+						f.name, workers, state, got, f.hash)
 				}
 			}
 		}

@@ -2,41 +2,37 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
-
-	"bepi/internal/gen"
 )
 
-// FuzzReadEngine checks the index deserializer never panics on corrupt
-// bytes and that any engine it accepts can answer a query.
+// FuzzReadEngine checks the index deserializer on corrupt bytes: it refuses
+// them with ErrCorruptIndex, or returns an engine that answers a query —
+// scores or an error — within the iteration budget the loader bounds. Matrix
+// values, c and tol are not cross-checked against each other on load, so
+// an accepted mutant of those may serve numeric garbage; an index that
+// differs from a valid one only in the other option words (variant,
+// iteration budget, reserved, hub ratio) must still serve probabilities.
 func FuzzReadEngine(f *testing.F) {
-	g := gen.RMAT(gen.DefaultRMAT(6, 4, 3))
-	e, err := Preprocess(g, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := e.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid, corrupt := corruptIndexes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3])
 	f.Add([]byte{})
-	corrupted := append([]byte(nil), valid...)
-	corrupted[30] ^= 0x7F
-	f.Add(corrupted)
-	corrupted2 := append([]byte(nil), valid...)
-	corrupted2[len(corrupted2)-9] ^= 0x7F
-	f.Add(corrupted2)
-	_, corrupt := corruptIndexes(f)
+	tail := append([]byte(nil), valid...)
+	tail[len(tail)-9] ^= 0x7F
+	f.Add(tail)
 	for _, raw := range corrupt {
 		f.Add(raw)
 	}
+	// The option words after c and tol end where n begins.
+	const optLo, optHi = 4 + 2*8, 4 + 7*8
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := ReadEngine(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrCorruptIndex) {
+				t.Fatalf("untyped error: %v", err)
+			}
 			return
 		}
 		if eng.N() < 0 {
@@ -45,8 +41,18 @@ func FuzzReadEngine(f *testing.F) {
 		if eng.N() == 0 {
 			return
 		}
-		// An accepted engine must at least answer without panicking;
-		// numeric garbage values may legitimately fail to converge.
-		_, _, _ = eng.Query(0)
+		r, st, err := eng.Query(0)
+		if st.Iterations > maxIterLimit {
+			t.Fatalf("query ran %d iterations, the loader bounds the budget at %d", st.Iterations, maxIterLimit)
+		}
+		if err != nil || len(data) != len(valid) ||
+			!bytes.Equal(data[:optLo], valid[:optLo]) || !bytes.Equal(data[optHi:], valid[optHi:]) {
+			return
+		}
+		for node, v := range r {
+			if !(v >= 0 && v <= 1+1e-9) {
+				t.Fatalf("score[%d] = %v from an index whose matrices, c and tol are intact", node, v)
+			}
+		}
 	})
 }

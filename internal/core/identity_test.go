@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -111,18 +113,18 @@ func TestBuildHMatchesCOO(t *testing.T) {
 // the ones six separate Block calls cut from the same H.
 func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	g := gen.Hybrid(gen.DefaultHybrid(10, 8, 1))
-	e, err := Preprocess(g, Options{Compact: CompactOff})
+	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := buildHCOO(g, e.ord.Perm, e.opts.C)
 	n1, l, n := e.ord.N1, e.ord.N1+e.ord.N2, e.n
 	for name, pair := range map[string][2]*sparse.CSR{
-		"h12": {asCSR(e.h12), h.Block(0, n1, n1, l)},
-		"h21": {asCSR(e.h21), h.Block(n1, l, 0, n1)},
-		"h22": {asCSR(e.h22), h.Block(n1, l, n1, l)},
-		"h31": {asCSR(e.h31), h.Block(l, n, 0, n1)},
-		"h32": {asCSR(e.h32), h.Block(l, n, n1, l)},
+		"h12": {e.h12.ToCSR(), h.Block(0, n1, n1, l)},
+		"h21": {e.h21.ToCSR(), h.Block(n1, l, 0, n1)},
+		"h22": {e.h22.ToCSR(), h.Block(n1, l, n1, l)},
+		"h31": {e.h31.ToCSR(), h.Block(l, n, 0, n1)},
+		"h32": {e.h32.ToCSR(), h.Block(l, n, n1, l)},
 	} {
 		if !csrBitsEqual(pair[0], pair[1]) {
 			t.Errorf("%s differs from Block of the reference H", name)
@@ -146,34 +148,28 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
 // SHA-256 the commit before the chunked codec and the linear-time builders
 // produced (captured there): ordering, H blocks, S and the block LU all
-// flow into these bytes, so none of them may move by one bit. The compact
-// and the wide engine write the same file, and Save → Load → Save is a fixed
-// point.
+// flow into these bytes, so none of them may move by one bit. Save → Load →
+// Save is a fixed point.
 func TestSaveLoadFrozenBytes(t *testing.T) {
 	const frozen = "9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c"
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
-	for _, mode := range []CompactMode{CompactAuto, CompactOff} {
-		e, err := Preprocess(g, Options{Compact: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Compacted() != (mode == CompactAuto) {
-			t.Fatalf("mode %v: Compacted() = %v", mode, e.Compacted())
-		}
-		sum, raw := saveHash(t, e)
-		if sum != frozen {
-			t.Errorf("mode %v: saved index hashes to %s, frozen %s (%d bytes)", mode, sum, frozen, len(raw))
-		}
-		back, err := ReadEngine(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again, _ := saveHash(t, back); again != sum {
-			t.Errorf("mode %v: Save → Load → Save changed the bytes", mode)
-		}
-		if back.ILU() == nil {
-			t.Errorf("mode %v: Load returned without the ILU factors", mode)
-		}
+	e, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, raw := saveHash(t, e)
+	if sum != frozen {
+		t.Errorf("saved index hashes to %s, frozen %s (%d bytes)", sum, frozen, len(raw))
+	}
+	back, err := ReadEngine(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := saveHash(t, back); again != sum {
+		t.Error("Save → Load → Save changed the bytes")
+	}
+	if back.ILU() == nil {
+		t.Error("Load returned without the ILU factors")
 	}
 }
 
@@ -222,10 +218,15 @@ func h12ColumnOffset(e *Engine, k int) int {
 	return 4 + 12*8 + 8*e.n + 8*len(e.ord.Blocks) + (4 + 4 + 3*8) + 8*(e.ord.N1+1) + 8*k
 }
 
-// corruptIndexes are saved indexes with one H12 column index overwritten.
-// Before ReadCSR validated what it decodes both loaded without error: the
-// first was truncated to column 0 by the uint32 compaction and the engine
-// served silently wrong scores, the second made Query index out of range.
+// corruptIndexes are saved indexes with one H12 column index or one option
+// word of the header overwritten. Before ReadCSR validated what it decodes
+// the first two loaded without error: one was truncated to column 0 by the
+// uint32 compaction and the engine served silently wrong scores, the other
+// made Query index out of range. Before ReadEngine validated the option
+// words so did the rest: an iteration budget of 2⁴⁰ died in GMRES's
+// bookkeeping allocation with a fatal out-of-memory no recover catches, one
+// of 8.3 M (a single flipped byte) allocated 600 MB per query, c = 7 served
+// "probabilities" of 7.5, and an unknown variant served unpreconditioned.
 func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	e, err := Preprocess(gen.RMAT(gen.DefaultRMAT(6, 4, 3)), Options{})
 	if err != nil {
@@ -241,17 +242,47 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 		binary.LittleEndian.PutUint64(raw[h12ColumnOffset(e, 1):], v)
 		corrupt["H12 column "+name] = raw
 	}
+	for name, w := range map[string]struct {
+		word int
+		bits uint64
+	}{
+		"maxIter 1<<40":  {3, 1 << 40},
+		"maxIter 0":      {3, 0},
+		"c 7.0":          {0, math.Float64bits(7)},
+		"tol NaN":        {1, math.Float64bits(math.NaN())},
+		"variant 9":      {2, 9},
+		"hubRatio +Inf":  {5, math.Float64bits(math.Inf(1))},
+		"hubRatio -0.25": {5, math.Float64bits(-0.25)},
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(raw[4+8*w.word:], w.bits)
+		corrupt["header "+name] = raw
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[30] ^= 0x7F // maxIter 1000 → 8 323 048
+	corrupt["header maxIter byte flip"] = flipped
 	return valid, corrupt
 }
 
+// TestReadEngineRejectsCorruptColumn: every corrupt index is refused with
+// the typed error, having allocated no more than a small multiple of the
+// bytes it was given — the refusal comes before the file's own numbers
+// size anything.
 func TestReadEngineRejectsCorruptColumn(t *testing.T) {
 	valid, corrupt := corruptIndexes(t)
 	if _, err := ReadEngine(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("fixture does not load: %v", err)
 	}
 	for name, raw := range corrupt {
-		if _, err := ReadEngine(bytes.NewReader(raw)); err == nil {
-			t.Errorf("%s: a corrupt index loaded without error", name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadEngine(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex", name, err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(raw)+(1<<20)); got > limit {
+			t.Errorf("%s: refusing a %d-byte index allocated %d bytes", name, len(raw), got)
 		}
 	}
 }

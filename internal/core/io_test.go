@@ -2,6 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,12 +53,51 @@ func TestEngineSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadEngineRejectsGarbage(t *testing.T) {
-	if _, err := ReadEngine(bytes.NewReader([]byte("not an index"))); err == nil {
-		t.Fatal("expected error for bad magic")
+// TestReadEngineIgnoresReservedWords: header words 4 and 6 held a GMRES
+// restart length and a solver id while those were options. A file that
+// carries them — restart 20, BiCGSTAB — loads, answers like the power
+// iteration, and is saved again with zeros there, which is byte for byte
+// what the engine that never had them writes.
+func TestReadEngineIgnoresReservedWords(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(8, 6, 21))
+	e, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadEngine(bytes.NewReader(nil)); err == nil {
-		t.Fatal("expected error for empty stream")
+	_, fresh := saveHash(t, e)
+	old := append([]byte(nil), fresh...)
+	binary.LittleEndian.PutUint64(old[4+8*4:], 20)
+	binary.LittleEndian.PutUint64(old[4+8*6:], 1)
+	loaded, err := ReadEngine(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("a file with restart=20 solver=1 does not load: %v", err)
+	}
+	if _, again := saveHash(t, loaded); !bytes.Equal(again, fresh) {
+		t.Error("re-saving did not zero the reserved words (or moved another byte)")
+	}
+	for _, seed := range []int{0, 5, g.N() / 2, g.N() - 1} {
+		got, _, err := loaded.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := powerOracle(g, loaded.opts.C, seed)
+		var l1 float64
+		for i := range got {
+			l1 += math.Abs(got[i] - want[i])
+		}
+		if l1 > 1e-6 {
+			t.Errorf("seed %d: L1 distance to the oracle %v", seed, l1)
+		}
+		assertSameTopKSet(t, fmt.Sprintf("seed %d", seed), RankTopK(want, 10, seed), RankTopK(got, 10, seed), false)
+	}
+}
+
+func TestReadEngineRejectsGarbage(t *testing.T) {
+	if _, err := ReadEngine(bytes.NewReader([]byte("not an index"))); !errors.Is(err, ErrCorruptIndex) {
+		t.Fatalf("bad magic: %v, want ErrCorruptIndex", err)
+	}
+	if _, err := ReadEngine(bytes.NewReader(nil)); !errors.Is(err, ErrCorruptIndex) || !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Fatalf("empty stream: %v, want ErrCorruptIndex beside the EOF", err)
 	}
 }
 
@@ -69,8 +113,8 @@ func TestReadEngineRejectsTruncated(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 5} {
-		if _, err := ReadEngine(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("expected error for stream cut at %d", cut)
+		if _, err := ReadEngine(bytes.NewReader(raw[:cut])); !errors.Is(err, ErrCorruptIndex) {
+			t.Fatalf("stream cut at %d: %v, want ErrCorruptIndex", cut, err)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -32,6 +34,26 @@ func TestOptionsDefaults(t *testing.T) {
 	if c.C != DefaultC || c.Tol != DefaultTol || c.HubRatio != 0.33 || c.MaxIter != 7 {
 		t.Fatalf("mixed defaults: %+v", c)
 	}
+	// What withDefaults hands the engine is what ReadEngine accepts back:
+	// the values a header is refused for are replaced or capped here.
+	for _, o := range []Options{{}, {Variant: VariantB}, {Tol: 3, MaxIter: 1 << 40}, {C: math.NaN(), Tol: math.NaN()}} {
+		d := o.withDefaults()
+		if err := d.validate(); err != nil {
+			t.Errorf("%+v defaults to %+v, which a stored index is refused for: %v", o, d, err)
+		}
+	}
+	if d := (Options{Tol: 3, MaxIter: 1 << 40}).withDefaults(); d.Tol != DefaultTol || d.MaxIter != maxIterLimit {
+		t.Fatalf("Tol 3 / MaxIter 2^40 default to %v / %d", d.Tol, d.MaxIter)
+	}
+}
+
+// TestOptionsFieldCount pins the configuration surface: a new field is a new
+// axis every test and benchmark must cover, so adding one is a decision
+// taken here, in view.
+func TestOptionsFieldCount(t *testing.T) {
+	if n := reflect.TypeOf(Options{}).NumField(); n != 8 {
+		t.Fatalf("core.Options has %d fields, want 8", n)
+	}
 }
 
 func TestVariantString(t *testing.T) {
@@ -45,12 +67,6 @@ func TestVariantString(t *testing.T) {
 		if v.String() != want {
 			t.Errorf("%d.String() = %q want %q", int(v), v.String(), want)
 		}
-	}
-}
-
-func TestSchurSolverString(t *testing.T) {
-	if SolverGMRES.String() != "GMRES" || SolverBiCGSTAB.String() != "BiCGSTAB" {
-		t.Fatal("solver names wrong")
 	}
 }
 

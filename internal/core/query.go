@@ -30,78 +30,62 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 	return e.QueryVectorWS(context.Background(), q, nil)
 }
 
-// runSchurSolve solves S·r2 = q̃2 with the configured iterative method, and
-// is the only place the engine does: queries, top-k and bound calibration
-// all funnel through here, so every one of them sees the same system. The
-// caller's opts carry the per-solve hooks (Ctx, Callback, Probe, StopWhen);
-// tolerance, iteration budget, telemetry and the Krylov arena come from the
-// engine and the workspace. The returned solution points into the workspace
-// and is only valid until its next solve.
+// runSchurSolve solves S·r2 = q̃2 by GMRES, and is the only place the engine
+// does: queries, top-k and bound calibration all funnel through here, so
+// every one of them sees the same system. The caller's opts carry the
+// per-solve hooks (Ctx, Callback, Probe, StopWhen); tolerance, iteration
+// budget, telemetry and the Krylov arena come from the engine and the
+// workspace. The returned solution points into the workspace and is only
+// valid until its next solve.
 //
-// With DILU factors of the stored S the solve is split-preconditioned and
-// runs on the one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then
-// r2 = Û⁻¹·y — the residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and
-// every iterate a Probe or Callback sees is mapped through Û⁻¹ first, by
-// the same arithmetic as the returned solution. Without factors it is the
-// plain solve on S; BiCGSTAB alone stays classically left-preconditioned
-// (see splitOperator).
+// With DILU factors the solve is split-preconditioned and runs on the
+// one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
+// residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and every iterate a
+// Probe or Callback sees is mapped through Û⁻¹ first, by the same
+// arithmetic as the returned solution. Without factors (BePI-B, BePI-S) it
+// is plain GMRES on S.
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
-	opts.Tol, opts.MaxIter, opts.Restart = e.opts.Tol, e.opts.MaxIter, e.opts.GMRESRestart
+	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
 	opts.OnIteration = e.iterHook
 	opts.Work = &ws.slv
-	solve := solver.GMRES
-	if e.opts.Solver == SolverBiCGSTAB {
-		solve = solver.BiCGSTAB
-	}
 	hook := e.kernelHook
 
-	var (
-		r2    []float64
-		stats solver.Stats
-		err   error
-	)
-	if sp := e.splitOperator(ws); sp != nil {
-		var op solver.Operator = sp
-		left, right := sp.Left, sp.Right
-		if hook != nil {
-			mulB, leftB, rightB := sp.TrafficBytes()
-			op = &timedOperator{op: sp, hook: hook, bytes: mulB}
-			left = (&timedPrecond{apply: sp.Left, hook: hook, bytes: leftB}).Apply
-			right = (&timedPrecond{apply: sp.Right, hook: hook, bytes: rightB}).Apply
-		}
-		// Iterates shown to the caller are mapped untimed, as their assembly
-		// inside the solver is: the hook reports the solve's own kernels.
-		if probe := opts.Probe; probe != nil {
-			opts.Probe = func(iter int, residual float64, iterate func() []float64) {
-				probe(iter, residual, func() []float64 {
-					sp.Right(ws.iterate, iterate())
-					return ws.iterate
-				})
-			}
-		}
-		if cb := opts.Callback; cb != nil {
-			opts.Callback = func(iter int, y []float64) {
-				sp.Right(ws.iterate, y)
-				cb(iter, ws.iterate)
-			}
-		}
-		left(ws.bhat, qt2)
-		if r2, stats, err = solve(op, ws.bhat, opts); err == nil {
-			right(r2, r2)
-		}
-	} else {
+	sp := e.splitOperator(ws)
+	if sp == nil {
 		var op solver.Operator = e.schur
 		if hook != nil {
 			op = &timedOperator{op: op, hook: hook, bytes: e.schur.MemoryBytes() + int64(16*e.ord.N2)}
 		}
-		if e.ilu != nil { // BiCGSTAB: left-preconditioned
-			opts.Precond = e.ilu
-			if hook != nil {
-				opts.Precond = &timedPrecond{apply: e.ilu.Apply, hook: hook,
-					bytes: e.ilu.MemoryBytes() + int64(16*e.ord.N2)}
-			}
+		return solver.GMRES(op, qt2, opts)
+	}
+	var op solver.Operator = sp
+	left, right := sp.Left, sp.Right
+	if hook != nil {
+		mulB, leftB, rightB := sp.TrafficBytes()
+		op = &timedOperator{op: sp, hook: hook, bytes: mulB}
+		left = (&timedPrecond{apply: sp.Left, hook: hook, bytes: leftB}).Apply
+		right = (&timedPrecond{apply: sp.Right, hook: hook, bytes: rightB}).Apply
+	}
+	// Iterates shown to the caller are mapped untimed, as their assembly
+	// inside the solver is: the hook reports the solve's own kernels.
+	if probe := opts.Probe; probe != nil {
+		opts.Probe = func(iter int, residual float64, iterate func() []float64) {
+			probe(iter, residual, func() []float64 {
+				sp.Right(ws.iterate, iterate())
+				return ws.iterate
+			})
 		}
-		r2, stats, err = solve(op, qt2, opts)
+	}
+	if cb := opts.Callback; cb != nil {
+		opts.Callback = func(iter int, y []float64) {
+			sp.Right(ws.iterate, y)
+			cb(iter, ws.iterate)
+		}
+	}
+	left(ws.bhat, qt2)
+	r2, stats, err := solver.GMRES(op, ws.bhat, opts)
+	if err == nil {
+		right(r2, r2)
 	}
 	return r2, stats, err
 }

@@ -11,25 +11,18 @@ import (
 const (
 	// KernelSchur is one application of the operator an iterative solve
 	// runs on: the one-pass preconditioned Ŝ = D·L̂⁻¹·S·Û⁻¹ on engines with
-	// DILU factors, the SpMV on S otherwise (unpreconditioned variants and
-	// BiCGSTAB).
+	// DILU factors, the SpMV on S otherwise (the unpreconditioned variants).
 	KernelSchur = "schur"
 	// KernelPrecond is one preconditioner sweep outside that operator: the
 	// two half-passes of a split solve (b̂ = D·L̂⁻¹·b before it, x = Û⁻¹·y
-	// after it) and M⁻¹ per BiCGSTAB iteration.
+	// after it).
 	KernelPrecond = "precond"
 )
 
 // splitOperator returns the workspace's one-pass operator over the engine's
-// DILU factors, or nil when there are none or the solver is BiCGSTAB, which
-// stays left-preconditioned: it fixes its shadow residual to the initial
-// one, and the split system's b̂ = D·L̂⁻¹·q̃2 is as sparse as q̃2's lower
-// closure (a single entry for a last-ordered hub seed), so r̂ᵀr hits
-// structural exact zeros — ρ = 0 breakdowns that the dense M⁻¹·q̃2 of the
-// left-preconditioned form does not produce
-// (TestBiCGSTABSolverMatchesExact trips on them).
+// DILU factors, or nil when there are none.
 func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
-	if e.ilu == nil || e.opts.Solver == SolverBiCGSTAB {
+	if e.ilu == nil {
 		return nil
 	}
 	if ws.split == nil || ws.split.ILU() != e.ilu {
@@ -54,8 +47,8 @@ func (t *timedOperator) MulVec(dst, x []float64) {
 	t.hook(KernelSchur, time.Since(start).Seconds(), t.bytes)
 }
 
-// timedPrecond reports a preconditioner sweep (M⁻¹, or one half-pass of a
-// split solve) through the engine's kernel hook as KernelPrecond.
+// timedPrecond reports one half-pass of a split solve through the engine's
+// kernel hook as KernelPrecond.
 type timedPrecond struct {
 	apply func(dst, src []float64)
 	hook  func(kernel string, seconds float64, bytes int64)

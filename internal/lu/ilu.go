@@ -247,9 +247,6 @@ func (f *ILU) Compact() *ILU {
 	return f
 }
 
-// Compacted reports whether the index arrays have been narrowed.
-func (f *ILU) Compacted() bool { return f.l.col32 != nil && f.u.col32 != nil }
-
 // Apply computes dst = M⁻¹·src, the classic left-preconditioner
 // application: U⁻¹·L⁻¹ for ILU(0), Û⁻¹·D·L̂⁻¹ for DILU. dst and src may
 // alias.

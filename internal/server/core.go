@@ -109,15 +109,10 @@ func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 	return c
 }
 
-// BuildInfo reports the running build's identity: module version, Go
-// toolchain, and whether the serving engine uses the compact (CSR32) matrix
-// layout.
+// BuildInfo reports the running build's identity: module version and Go
+// toolchain.
 func (c *Core) BuildInfo() obs.BuildInfo {
-	compact := "off"
-	if c.Engine().Internal().Compacted() {
-		compact = "on"
-	}
-	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version(), Compact: compact}
+	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()}
 }
 
 // MetricsSnapshot exports this core's metrics in the mergeable form the
@@ -173,10 +168,9 @@ func (c *Core) Close() { c.exec.Close() }
 // IndexFingerprint hashes the quantities that determine an engine's
 // answers — graph size, partition, Schur structure, and solver options —
 // into a short hex tag. Two replicas that preprocessed the same graph with
-// the same options fingerprint identically regardless of matrix layout
-// (compact vs wide CSR produce bit-identical scores); any edge update
-// changes it. The cluster coordinator uses equality of this tag (plus the
-// generation) as its merge guard.
+// the same options fingerprint identically; any edge update changes it. The
+// cluster coordinator uses equality of this tag (plus the generation) as its
+// merge guard.
 func IndexFingerprint(eng *bepi.Engine) string {
 	st := eng.Internal().PrepStats()
 	opts := eng.Internal().Options()

@@ -164,10 +164,10 @@ func TestDynamicEndpointsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRemovedKnobsLeaveNoTrace: with one exact delta path, plain kernels and
-// one solve per query there is no hub drift, no prefetch distance and no
-// batch size to report, so no endpoint mentions any — after a hub-touching
-// flush included.
+// TestRemovedKnobsLeaveNoTrace: with one exact delta path, plain kernels,
+// one solve per query and one serving layout there is no hub drift, no
+// prefetch distance, no batch size and no compact on/off to report, so no
+// endpoint mentions any — after a hub-touching flush included.
 func TestRemovedKnobsLeaveNoTrace(t *testing.T) {
 	s, d := testDynamicServer(t)
 	ord := d.Engine().Internal().Ordering()
@@ -184,13 +184,13 @@ func TestRemovedKnobsLeaveNoTrace(t *testing.T) {
 	if final := waitFlush(t, s, id); final["mode"] != string(bepi.RebuildModeDeltaHub) || final["fallback"] != nil {
 		t.Fatalf("hub flush settled as %v, want delta-hub and no fallback reason", final)
 	}
-	for _, path := range []string{fmt.Sprintf("/flush/%d", id), "/metrics", "/metrics.prom", "/healthz", "/stats"} {
+	for _, path := range []string{fmt.Sprintf("/flush/%d", id), "/metrics", "/metrics.prom", "/metrics/snapshot", "/healthz", "/stats"} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", path, rec.Code)
 		}
-		for _, gone := range []string{"drift", "prefetch", "batch_size", "avg_batch", "bepi_batch_size"} {
+		for _, gone := range []string{"drift", "prefetch", "batch_size", "avg_batch", "bepi_batch_size", "compact"} {
 			if strings.Contains(rec.Body.String(), gone) {
 				t.Errorf("%s still mentions %q", path, gone)
 			}

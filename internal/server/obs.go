@@ -84,10 +84,10 @@ func (s *Server) writeProm(p *obs.PromWriter) {
 		p.Histogram("bepi_query_residual", "Final relative residual per solved query.", o.Residual.Snapshot())
 	}
 	if o.SchurApply != nil {
-		p.Histogram("bepi_schur_apply_seconds", "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants and BiCGSTAB.", o.SchurApply.Snapshot())
+		p.Histogram("bepi_schur_apply_seconds", "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants.", o.SchurApply.Snapshot())
 	}
 	if o.PrecondApply != nil {
-		p.Histogram("bepi_precond_apply_seconds", "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve, M^-1 per BiCGSTAB iteration.", o.PrecondApply.Snapshot())
+		p.Histogram("bepi_precond_apply_seconds", "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve.", o.PrecondApply.Snapshot())
 	}
 	p.Counter("bepi_kernel_bytes_total", "Bytes streamed by the observed solve kernels.", float64(o.KernelBytes.Load()))
 	p.Counter("bepi_kernel_seconds_total", "Wall seconds spent in the observed solve kernels.", float64(o.KernelNanos.Load())/1e9)
