@@ -90,19 +90,21 @@ bench-par:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurComplement|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
-# The one micro-benchmark target: one preconditioned Schur iteration
-# (S·x + ILU(0) sweeps vs the one-pass DILU operator, 0 allocs/op) and the
-# compact CSR32 SpMV, at a fixed small iteration count. What these kernels
-# cost inside a query is gated by the repository benchmark (batch-solve's
-# sparse.* and lu.* rows); this target shows them in isolation.
+# The one micro-benchmark target: one preconditioned Schur iteration (the
+# one-pass DILU operator, 0 allocs/op) and the compact CSR32 SpMV, at a
+# fixed small iteration count. What these kernels cost inside a query is
+# gated by the repository benchmark (batch-solve's sparse.* and lu.* rows);
+# this target shows them in isolation.
 bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSchurIteration -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
 # Smoke-run the index write path — preprocessing, and a Save + Load round
-# trip — with allocation counts, so CI shows a return to per-word index I/O
-# or append-grown arrays as a jump in B/op and allocs/op next to the time.
-# (The exact gate on those is TestPreprocessingAllocBudget in `make test`.)
+# trip — with allocation counts and the built index's MemoryBytes()
+# (index-B), so CI shows a return to per-word index I/O, append-grown arrays
+# or a second copy of S as a jump in B/op, allocs/op or index-B next to the
+# time. (The exact gate on those is TestPreprocessingAllocBudget in
+# `make test`.)
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad' -benchtime=3x -benchmem .
 

@@ -63,9 +63,11 @@ func BenchmarkPreprocessBePI(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bepi.New(g); err != nil {
+		eng, err := bepi.New(g)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(eng.MemoryBytes()), "index-B")
 	}
 }
 

@@ -261,7 +261,8 @@ func (e *Engine) sminSchur(iters int, seed int64) (float64, error) {
 	if n2 == 0 {
 		return 1, nil
 	}
-	st := e.schur.ToCSR().Transpose()
+	s := e.schurWide()
+	st := s.Transpose()
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float64, n2)
 	for i := range x {
@@ -279,7 +280,7 @@ func (e *Engine) sminSchur(iters int, seed int64) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: σmin(S) transpose solve: %w", err)
 		}
-		z, _, err := solver.GMRES(e.schur, y, opts)
+		z, _, err := solver.GMRES(s, y, opts)
 		if err != nil {
 			return 0, fmt.Errorf("core: σmin(S) solve: %w", err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
-	"bepi/internal/lu"
 	"bepi/internal/reorder"
 	"bepi/internal/sparse"
 )
@@ -411,37 +410,27 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		pool: e.pool, prep: e.prep,
 	}
 
-	// Splice the recomputed columns into the widened S and re-factor DILU
-	// from the patched wide S — the same source and the same one O(|S|)
-	// pass Preprocess runs.
-	iluDur := time.Duration(0)
-	if len(cols) > 0 {
-		schurW := e.schur.ToCSR()
-		oldCols := extractColumns(schurW, affected)
-		var edits []sparse.Edit
-		for _, j := range cols {
-			edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
-		}
-		sNew := schurW.WithEdits(edits)
-		if e.ilu != nil {
-			tILU := time.Now()
-			ilu, err := lu.FactorDILU(sNew)
-			if err != nil {
-				return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
-			}
-			ne.ilu = ilu.Compact()
-			iluDur = time.Since(tILU)
-		}
-		ne.schur = sparse.Compact(sNew).SetPool(e.pool)
-	}
-
 	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.N3
 	ne.prep.Reorder = 0
 	ne.prep.BuildH = patchDur
 	ne.prep.FactorH11 = factorDur
 	ne.prep.Schur = schurDur
-	ne.prep.ILU = iluDur
-	ne.prep.SchurNNZ = ne.schur.NNZ()
+	ne.prep.ILU = 0
+
+	// Splice the recomputed columns into a wide copy of S and store the
+	// patched S the way Preprocess does — for the full variant that is the
+	// same one O(|S|) DILU pass over the same source.
+	if len(cols) > 0 {
+		schurW := e.schurWide()
+		oldCols := extractColumns(schurW, affected)
+		var edits []sparse.Edit
+		for _, j := range cols {
+			edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
+		}
+		if err := ne.storeSchur(schurW.WithEdits(edits)); err != nil {
+			return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
+		}
+	}
 	ne.prep.Total = time.Since(start)
 	st.Duration = ne.prep.Total
 	return ne, st, nil

@@ -181,6 +181,41 @@ func engineBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
+// requireSchurStoredOnce checks the engine's storage invariant: S lives in
+// exactly one structure — the DILU factors on a full-BePI engine, the CSR32
+// on the unpreconditioned variants — PrepStats reports its entry count, and
+// MemoryBytes() is the sum of the arrays the engine retains, worked out
+// here from their lengths (int32 row pointers at test sizes).
+func requireSchurStoredOnce(t *testing.T, e *Engine) {
+	t.Helper()
+	if (e.schur == nil) != (e.ilu != nil) || (e.ilu != nil) != (e.opts.Variant == VariantFull) {
+		t.Fatalf("%v engine: schur stored = %t, factors stored = %t; want exactly one, the factors iff BePI",
+			e.opts.Variant, e.schur != nil, e.ilu != nil)
+	}
+	csr32 := func(m *sparse.CSR32) int64 {
+		if m == nil {
+			return 0
+		}
+		return 12*int64(m.NNZ()) + 4*int64(m.Rows()+1)
+	}
+	want := csr32(e.h12) + csr32(e.h21) + csr32(e.h31) + csr32(e.h32) + csr32(e.h22) + csr32(e.schur) +
+		e.h11LU.MemoryBytes() + 16*int64(e.n)
+	var nnz int
+	if e.ilu != nil {
+		nnz = e.ilu.NNZ()
+		n2 := int64(e.ord.N2)
+		want += 12*int64(nnz) + 2*4*(n2+1) + 8*n2
+	} else {
+		nnz = e.schur.NNZ()
+	}
+	if got := e.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes() = %d, the retained arrays sum to %d", got, want)
+	}
+	if e.prep.SchurNNZ != nnz {
+		t.Fatalf("PrepStats.SchurNNZ = %d, S holds %d entries", e.prep.SchurNNZ, nnz)
+	}
+}
+
 // requireMatchesFullPreprocess is the one contract every absorbed delta
 // has: the engine is bit-identical to PreprocessWithOrdering of the graph it
 // serves under its own ordering — the four stored H blocks, the retained
@@ -192,6 +227,7 @@ func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	if err != nil {
 		t.Fatalf("reference preprocess: %v", err)
 	}
+	requireSchurStoredOnce(t, e)
 	matBitsEqual(t, "h12", e.h12, ref.h12)
 	matBitsEqual(t, "h21", e.h21, ref.h21)
 	matBitsEqual(t, "h31", e.h31, ref.h31)
@@ -199,7 +235,7 @@ func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	if e.h22 != nil {
 		matBitsEqual(t, "h22", e.h22, ref.h22)
 	}
-	matBitsEqual(t, "schur", e.schur, ref.schur)
+	matBitsEqual(t, "schur", sparse.Compact(e.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 	if !bytes.Equal(engineBytes(t, e), engineBytes(t, ref)) {
 		t.Fatal("saved bytes differ from the full preprocess's")
@@ -348,7 +384,7 @@ func TestDeltaSequentialSpoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matBitsEqual(t, "schur", e2.schur, ref.schur)
+	matBitsEqual(t, "schur", sparse.Compact(e2.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e2, ref, []int{2, g.N() / 3})
 }
 
@@ -407,7 +443,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	matBitsEqual(t, "h31", e2.h31, ref.h31)
-	matBitsEqual(t, "schur", e2.schur, ref.schur)
+	matBitsEqual(t, "schur", sparse.Compact(e2.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e2, ref, []int{0, g.N() + 2})
 }
 

@@ -134,6 +134,47 @@ func TestDILUOfEngineSchur(t *testing.T) {
 	}
 }
 
+// TestDILUFactorsAreTheOnlySchur: on every fixture a full-BePI engine
+// holds S in its DILU factors and nowhere else, and what they hold is S
+// exactly — the reassembled matrix has the pattern and the value bits of
+// the S a BePI-S build under the same ordering stores as a CSR32 (no
+// factors on that path), and the section Save streams from the triangles is
+// byte for byte that matrix's own WriteTo. The unpreconditioned variants
+// hold the CSR32 and no factors.
+func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
+	fixtures := splitFixtures()
+	for _, name := range sortedNames(fixtures) {
+		g := fixtures[name]
+		e, err := Preprocess(g, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSchurStoredOnce(t, e)
+		ref, err := PreprocessWithOrdering(g, Options{Variant: VariantS}, e.ord)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSchurStoredOnce(t, ref)
+		matBitsEqual(t, name+": S", sparse.Compact(e.ilu.Matrix()), ref.schur)
+		matBitsEqual(t, name+": Schur()", sparse.Compact(e.Schur()), ref.schur)
+		var want, got bytes.Buffer
+		if _, err := ref.schur.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ilu.WriteMatrixTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: S streamed from the factors differs from S written from the CSR32 (%d vs %d bytes)", name, got.Len(), want.Len())
+		}
+		b, err := Preprocess(g, Options{Variant: VariantB})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSchurStoredOnce(t, b)
+	}
+}
+
 // referenceQuery answers a single-seed query the way the engine did before
 // the one-pass solve: left-preconditioned GMRES on S with the paper's
 // ILU(0) factors (M⁻¹ = FactorILU0(S).Apply), through the engine's own
@@ -146,7 +187,7 @@ func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64,
 	e.permute(ws, q)
 	e.forward(ws)
 	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Precond: ilu0}
-	r2, st, err := solver.GMRES(e.schur, ws.qt2, opts)
+	r2, st, err := solver.GMRES(e.schurWide(), ws.qt2, opts)
 	if err != nil {
 		t.Fatalf("reference solve for seed %d: %v", seed, err)
 	}
@@ -336,10 +377,12 @@ func TestEveryEngineStateMatchesOracle(t *testing.T) {
 }
 
 // TestEveryEngineStateComposes: there is one engine state, so every
-// capability holds in every way of reaching it. Each state saves and
-// reloads to bit-equal queries, absorbs a further hub and a further spoke
-// delta exactly, and serves TopKBounded with the certificate running (gap
-// checks happen — not the full-solve fallback) and the same set as TopK.
+// capability holds in every way of reaching it. Each state holds S exactly
+// once and counts every array it retains (requireSchurStoredOnce, also on
+// its reload and on each further delta), saves and reloads to bit-equal
+// queries, absorbs a further hub and a further spoke delta exactly, and
+// serves TopKBounded with the certificate running (gap checks happen — not
+// the full-solve fallback) and the same set as TopK.
 func TestEveryEngineStateComposes(t *testing.T) {
 	for _, st := range engineStates(t) {
 		t.Run(st.name, func(t *testing.T) {
@@ -349,6 +392,8 @@ func TestEveryEngineStateComposes(t *testing.T) {
 				t.Fatalf("reload: %v", err)
 			}
 			requireQueryBitsEqual(t, loaded, e, []int{0, 3, g.N() / 2, g.N() - 1})
+			requireSchurStoredOnce(t, e)
+			requireSchurStoredOnce(t, loaded)
 
 			rng := rand.New(rand.NewSource(31))
 			for _, kind := range []deltaKind{kindHub, kindSpoke} {
@@ -404,7 +449,7 @@ func TestSolveStreamsOneFactorPassPerIteration(t *testing.T) {
 		counts[kernel]++
 		streamed += b
 	})
-	nnz, n2 := int64(e.schur.NNZ()), int64(e.ord.N2)
+	nnz, n2 := int64(e.ilu.NNZ()), int64(e.ord.N2)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
 		counts, streamed = map[string]int{}, 0
@@ -512,7 +557,6 @@ func BenchmarkSchurIteration(b *testing.B) {
 		if fx.ilu0, fx.err = lu.FactorILU0(s); fx.err != nil {
 			return
 		}
-		fx.ilu0.Compact()
 		fx.op = e.ILU().Eisenstat()
 	})
 	if fx.err != nil {

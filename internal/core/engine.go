@@ -202,7 +202,12 @@ type Engine struct {
 	// sparse.CSR layout and served from the compact one: 32-bit indexes over
 	// the same float64 values, bit-identical kernels, a quarter less memory.
 	h12, h21, h31, h32 *sparse.CSR32
-	schur              *sparse.CSR32
+	// S is stored once: schur == nil ⇔ ilu != nil. An engine with DILU
+	// factors holds S as the two triangles its solve streams (the factors
+	// are S's own off-diagonals plus its diagonal, lu.ILU.Matrix), the
+	// unpreconditioned variants as the CSR32 their SpMV reads; schurWide
+	// widens whichever there is for the cold readers.
+	schur *sparse.CSR32
 	// h22 is retained for ApplyDelta only, which extracts affected H22
 	// columns from it in one sweep instead of reconstructing them from the
 	// graph per column: never read by a query, not serialized (a loaded
@@ -210,7 +215,7 @@ type Engine struct {
 	// MemoryBytes.
 	h22   *sparse.CSR32
 	h11LU *lu.BlockLU
-	ilu   *lu.ILU // DILU factors of schur; nil unless VariantFull
+	ilu   *lu.ILU // DILU factors of S, and S itself; nil unless VariantFull
 
 	// wsFree recycles Workspaces for the query entry points that are not
 	// handed one (Query, QueryVector, TopKBounded, …), so a library caller's
@@ -291,8 +296,11 @@ func poolFor(parallelism int) *par.Pool {
 // query-path SpMVs row-partition across it (the triangular sweeps are
 // serial); each matrix computes its row partition once, here.
 func (e *Engine) attachPool() {
-	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32, e.schur} {
+	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32} {
 		m.SetPool(e.pool)
+	}
+	if e.schur != nil {
+		e.schur.SetPool(e.pool)
 	}
 	e.prep.Workers = e.pool.Workers()
 }
@@ -429,32 +437,55 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	t0 = time.Now()
 	schur := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), e.h11LU, e.pool)
 	e.prep.Schur = time.Since(t0)
-	e.prep.SchurNNZ = schur.NNZ()
 	if err := deadline(); err != nil {
 		return nil, err
 	}
 
-	// 5. DILU preconditioner for the full variant, factored from the wide S.
-	if opts.Variant == VariantFull {
-		t0 = time.Now()
-		e.ilu, err = lu.FactorDILU(schur)
-		if err != nil {
-			return nil, fmt.Errorf("core: DILU of S: %w", err)
-		}
-		e.prep.ILU = time.Since(t0)
-		e.ilu.Compact()
+	// 5. S moves into the layout its solve reads: for the full variant the
+	// DILU factors, which are S split at the diagonal plus the pivots;
+	// otherwise the compact CSR.
+	if err := e.storeSchur(schur); err != nil {
+		return nil, fmt.Errorf("core: DILU of S: %w", err)
 	}
 	// 6. Narrow the index arrays: the wide copies are dropped here, so the
 	// budget check below sees the footprint queries will pay.
 	e.h12, e.h21 = sparse.Compact(h12), sparse.Compact(h21)
 	e.h31, e.h32 = sparse.Compact(h31), sparse.Compact(h32)
-	e.h22, e.schur = sparse.Compact(h22), sparse.Compact(schur)
+	e.h22 = sparse.Compact(h22)
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
 	}
 	e.attachPool()
 	return e, nil
+}
+
+// storeSchur takes the wide S into the engine in the one layout its variant
+// serves it from — DILU factors for VariantFull, the compact CSR on the
+// engine's pool otherwise — and records the factorization time and S's
+// entry count.
+func (e *Engine) storeSchur(s *sparse.CSR) error {
+	e.prep.SchurNNZ = s.NNZ()
+	if e.opts.Variant != VariantFull {
+		e.schur = sparse.Compact(s).SetPool(e.pool)
+		return nil
+	}
+	t0 := time.Now()
+	ilu, err := lu.FactorDILU(s)
+	if err != nil {
+		return err
+	}
+	e.ilu, e.prep.ILU = ilu, time.Since(t0)
+	return nil
+}
+
+// schurWide returns S as a fresh wide matrix on the engine's pool, from
+// whichever structure holds it. Cold paths only: it copies S.
+func (e *Engine) schurWide() *sparse.CSR {
+	if e.ilu != nil {
+		return e.ilu.Matrix().SetPool(e.pool)
+	}
+	return e.schur.ToCSR()
 }
 
 // BuildH constructs the reordered system matrix H = P(I − (1−c)Ãᵀ)Pᵀ
@@ -636,20 +667,25 @@ func (e *Engine) PrepStats() PrepStats { return e.prep }
 // Ordering exposes the node ordering (for experiments).
 func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 
-// Schur exposes the Schur complement as a widened copy of the stored one
-// (for experiments; read-only).
-func (e *Engine) Schur() *sparse.CSR { return e.schur.ToCSR() }
+// Schur exposes the Schur complement as a wide copy — reassembled from the
+// DILU factors on an engine that has them, widened from the stored matrix
+// otherwise; bit for bit the S preprocessing computed either way (for
+// experiments; each call copies S).
+func (e *Engine) Schur() *sparse.CSR { return e.schurWide() }
 
-// MemoryBytes reports the total footprint of the preprocessed data:
-// the H11 LU factors, the partition blocks H12/H21/H31/H32 (plus H22 on
-// engines built in this process, which keep it for ApplyDelta), the Schur
-// complement, and (for full BePI) its DILU factors. This is the quantity in
-// Figure 1(b) of the paper.
+// MemoryBytes reports the total footprint of the preprocessed data: the H11
+// LU factors, the partition blocks H12/H21/H31/H32 (plus H22 on engines
+// built in this process, which keep it for ApplyDelta), and the Schur
+// complement — stored once: as its DILU factors (S's two triangles, its
+// diagonal and the pivots) for full BePI, as a compact CSR otherwise. This
+// is the quantity in Figure 1(b) of the paper.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
 		e.h12.MemoryBytes() + e.h21.MemoryBytes() +
-		e.h31.MemoryBytes() + e.h32.MemoryBytes() +
-		e.schur.MemoryBytes()
+		e.h31.MemoryBytes() + e.h32.MemoryBytes()
+	if e.schur != nil {
+		total += e.schur.MemoryBytes()
+	}
 	if e.h22 != nil {
 		total += e.h22.MemoryBytes()
 	}
@@ -664,6 +700,7 @@ func (e *Engine) MemoryBytes() int64 {
 // Preconditioned reports whether the engine applies an ILU preconditioner.
 func (e *Engine) Preconditioned() bool { return e.ilu != nil }
 
-// ILU exposes the DILU factors of S (nil unless VariantFull), for the
-// spectrum experiments; Apply on them is the left preconditioner M⁻¹.
+// ILU exposes the DILU factors of S (nil unless VariantFull), which are
+// also the engine's only copy of S, for the spectrum experiments; Apply on
+// them is the left preconditioner M⁻¹.
 func (e *Engine) ILU() *lu.ILU { return e.ilu }

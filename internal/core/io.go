@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"bepi/internal/binio"
 	"bepi/internal/lu"
@@ -57,12 +56,20 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	binio.WriteInts(bw, e.ord.Perm)
 	binio.WriteInts(bw, e.ord.Blocks)
 	n, err := bw.Close()
-	for _, part := range []io.WriterTo{e.h12, e.h21, e.h31, e.h32, e.schur, e.h11LU} {
+	// S's section is streamed from whichever structure holds it, in the one
+	// CSR format; no wide copy is made.
+	writeSchur := e.schur.WriteTo
+	if e.ilu != nil {
+		writeSchur = e.ilu.WriteMatrixTo
+	}
+	for _, write := range []func(io.Writer) (int64, error){
+		e.h12.WriteTo, e.h21.WriteTo, e.h31.WriteTo, e.h32.WriteTo, writeSchur, e.h11LU.WriteTo,
+	} {
 		if err != nil {
 			return n, err
 		}
 		var k int64
-		k, err = part.WriteTo(w)
+		k, err = write(w)
 		n += k
 	}
 	return n, err
@@ -144,26 +151,19 @@ func readEngine(r io.Reader) (*Engine, error) {
 	if e.h11LU.N() != n1 {
 		return nil, fmt.Errorf("H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), n1)
 	}
-	if e.opts.Variant == VariantFull {
-		t0 := time.Now()
-		if e.ilu, err = lu.FactorDILU(mats[4]); err != nil {
-			return nil, fmt.Errorf("rebuilding DILU: %w", err)
-		}
-		e.prep.ILU = time.Since(t0)
-		e.ilu.Compact()
-	}
-	e.h12, e.h21 = sparse.Compact(mats[0]), sparse.Compact(mats[1])
-	e.h31, e.h32 = sparse.Compact(mats[2]), sparse.Compact(mats[3])
-	e.schur = sparse.Compact(mats[4])
-	e.prep.N = e.n
-	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
-	e.prep.Blocks = nblocks
-	e.prep.SchurNNZ = e.schur.NNZ()
-	e.prep.HubRatio = e.opts.HubRatio
 	// Parallelism is a runtime knob, not part of the index format: a loaded
 	// engine starts on the shared process-wide pool; callers re-point it
 	// with SetParallelism before serving.
 	e.pool = poolFor(0)
+	if err := e.storeSchur(mats[4]); err != nil {
+		return nil, fmt.Errorf("rebuilding DILU: %w", err)
+	}
+	e.h12, e.h21 = sparse.Compact(mats[0]), sparse.Compact(mats[1])
+	e.h31, e.h32 = sparse.Compact(mats[2]), sparse.Compact(mats[3])
+	e.prep.N = e.n
+	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
+	e.prep.Blocks = nblocks
+	e.prep.HubRatio = e.opts.HubRatio
 	e.attachPool()
 	return e, nil
 }

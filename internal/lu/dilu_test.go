@@ -1,8 +1,11 @@
 package lu
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,8 +117,8 @@ func hasEntry(m *sparse.CSR, i, j int) bool {
 // patterns (explicit zeros included), a matrix whose recurrence drives a
 // pivot to exactly zero, and the trivial sizes: pivots equal the slow
 // recurrence bit for bit, the strict triangles are the input's own bits,
-// diag(L̂·D⁻¹·Û) reproduces diag(A), K = 2D − diag(A), the stored entry
-// count is the input's, the input is untouched and nothing is
+// diag(L̂·D⁻¹·Û) reproduces diag(A), D_S is diag(A)'s own bits, the stored
+// entry count is the input's, the input is untouched and nothing is
 // over-allocated.
 func TestDILUFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -154,8 +157,8 @@ func TestDILUFactorization(t *testing.T) {
 			if math.Float64bits(d) != math.Float64bits(want[i]) || l.At(i, i) != d {
 				t.Fatalf("matrix %d: pivot %d = %v (L̂ holds %v), recurrence gives %v", mi, i, d, l.At(i, i), want[i])
 			}
-			if k := 2*d - a.At(i, i); math.Float64bits(f.k[i]) != math.Float64bits(k) {
-				t.Fatalf("matrix %d: K[%d] = %v want %v", mi, i, f.k[i], k)
+			if math.Float64bits(f.ds[i]) != math.Float64bits(a.At(i, i)) {
+				t.Fatalf("matrix %d: D_S[%d] = %v, A has %v", mi, i, f.ds[i], a.At(i, i))
 			}
 			if mi > 2 {
 				if got := prod.At(i, i); math.Abs(got-a.At(i, i)) > 1e-13*math.Abs(a.At(i, i)) {
@@ -180,6 +183,65 @@ func TestDILUFactorization(t *testing.T) {
 	}
 	if f, err := FactorDILU(mats[2]); err != nil || f.u.val[f.u.rowPtr[1]] != 1e-12 {
 		t.Fatalf("zero pivot not replaced by the epsilon: %v", err)
+	}
+}
+
+// TestDILUStoresMatrixOnce: the factors are their matrix stored once.
+// Matrix gives FactorDILU's input back — same pattern (explicit zeros
+// kept), same values by Float64bits, including a diagonal the pivot
+// recurrence replaced — and WriteMatrixTo streams the bytes the input's own
+// WriteTo writes, across several chunks of the codec. ILU(0) factors, which
+// overwrite their matrix, refuse both.
+func TestDILUStoresMatrixOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	mats := []*sparse.CSR{
+		sparse.Zero(0, 0),
+		sparse.Identity(1),
+		sparse.FromDense([][]float64{{1, 1, 0}, {2, 2, 1}, {0, 3, 1}}),
+		sparse.NewCSR(2, 2, []int{0, 2, 4}, []int{0, 1, 0, 1}, []float64{math.Copysign(0, -1), 2, 3, 1e-300}),
+		randSparseDiag(4000, 9, 17), // 300 KB of columns: chunk boundaries fall inside rows
+	}
+	for trial := 0; trial < 40; trial++ {
+		mats = append(mats, randSparseCSR(rng, 1+rng.Intn(60), rng.Float64()*0.3))
+	}
+	for mi, a := range mats {
+		f, err := FactorDILU(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := f.Matrix()
+		if m.Rows() != a.Rows() || m.Cols() != a.Cols() ||
+			!slices.Equal(m.RowPtr(), a.RowPtr()) || !slices.Equal(m.ColIdx(), a.ColIdx()) {
+			t.Fatalf("matrix %d: reassembled pattern differs from the input's", mi)
+		}
+		if !bitsEqual(m.Values(), a.Values()) {
+			t.Fatalf("matrix %d: reassembled values differ from the input's", mi)
+		}
+		var want, got bytes.Buffer
+		if _, err := a.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		n, err := f.WriteMatrixTo(&got)
+		if err != nil || n != int64(got.Len()) {
+			t.Fatalf("matrix %d: WriteMatrixTo = %d, %v; wrote %d", mi, n, err, got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("matrix %d: streamed section differs from the input's WriteTo (%d vs %d bytes)", mi, got.Len(), want.Len())
+		}
+	}
+	f, err := FactorILU0(sparse.Identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func(){"Matrix": func() { f.Matrix() }, "WriteMatrixTo": func() { f.WriteMatrixTo(io.Discard) }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over ILU(0) factors should panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -243,8 +305,42 @@ func TestDILUApplyIsInverseOfProduct(t *testing.T) {
 
 // TestEisenstatMatchesComposedOperator: the one-pass product equals
 // D·L̂⁻¹·(A·(Û⁻¹·v)) computed the long way with an explicit product by A,
-// to 1e-12 relative; the compact layout agrees with the wide one bit for
-// bit; and the half-passes tolerate aliasing.
+// to 1e-12 relative; it agrees bit for bit with eisenstatRef, which reads a
+// stored K = 2D − diag(A) as the operator did before K was formed per row;
+// and the half-passes tolerate aliasing.
+// eisenstatRef is Â·v over the wide matrix itself with K = 2D − diag(A)
+// computed up front and stored: the arithmetic of Eisenstat.MulVec, entry
+// for entry, with none of its layout.
+func eisenstatRef(a *sparse.CSR, d, v []float64) []float64 {
+	n := a.Rows()
+	k := make([]float64, n)
+	for i := range k {
+		k[i] = 2*d[i] - a.At(i, i)
+	}
+	col, val := a.ColIdx(), a.Values()
+	t := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		lo, hi := a.RowRange(i)
+		s := v[i]
+		for p := hi - 1; p >= lo && col[p] > i; p-- {
+			s -= val[p] * t[col[p]]
+		}
+		t[i] = s / d[i]
+	}
+	dst := make([]float64, n)
+	for i := 0; i < n; i++ {
+		lo, hi := a.RowRange(i)
+		ti := t[i]
+		s := v[i] - k[i]*ti
+		for p := lo; p < hi && col[p] < i; p++ {
+			s -= val[p] * t[col[p]]
+		}
+		dst[i] = d[i]*ti + s
+		t[i] = s / d[i]
+	}
+	return dst
+}
+
 func TestEisenstatMatchesComposedOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for _, a := range []*sparse.CSR{
@@ -276,22 +372,8 @@ func TestEisenstatMatchesComposedOperator(t *testing.T) {
 			}
 		}
 
-		g, err := FactorDILU(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Compact(); g.l.col32 == nil || g.u.col32 == nil {
-			t.Fatal("Compact did not narrow")
-		}
-		cop := g.Eisenstat()
-		cgot := make([]float64, n)
-		cop.MulVec(cgot, v)
-		if !bitsEqual(cgot, got) {
-			t.Fatalf("n=%d: compact one-pass product differs from wide", n)
-		}
-		cop.Left(cgot, av)
-		if !bitsEqual(cgot, want) {
-			t.Fatalf("n=%d: compact Left differs from wide", n)
+		if ref := eisenstatRef(a, diluPivotsRef(a), v); !bitsEqual(got, ref) {
+			t.Fatalf("n=%d: one-pass product differs from the stored-K reference", n)
 		}
 		alias := append([]float64(nil), av...)
 		op.Left(alias, alias)
@@ -317,7 +399,6 @@ func TestEisenstatOperatorsShareFactorsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Compact()
 	v := randVec(rand.New(rand.NewSource(7)), f.N())
 	want := make([]float64, f.N())
 	f.Eisenstat().MulVec(want, v)
@@ -340,44 +421,10 @@ func TestEisenstatOperatorsShareFactorsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestILUCompactApplySerialBitIdentical pins the narrowed-index sweeps
-// against the wide ones, for both factorizations.
-func TestILUCompactApplySerialBitIdentical(t *testing.T) {
-	a := randSparseDiag(300, 5, 4)
-	for name, factor := range map[string]func(*sparse.CSR) (*ILU, error){"ILU0": FactorILU0, "DILU": FactorDILU} {
-		wide, err := factor(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrow, err := factor(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrow.Compact()
-		src := make([]float64, wide.n)
-		for i := range src {
-			src[i] = float64(i%17) - 8.5
-		}
-		want := make([]float64, wide.n)
-		wide.Apply(want, src)
-		got := make([]float64, narrow.n)
-		narrow.Apply(got, src)
-		if !bitsEqual(got, want) {
-			t.Fatalf("%s: compact Apply differs", name)
-		}
-		// Split must still reconstruct the factors after compaction.
-		lw, uw := wide.Split()
-		ln, un := narrow.Split()
-		if !lw.Equal(ln) || !uw.Equal(un) {
-			t.Fatalf("%s: Split changed after Compact", name)
-		}
-	}
-}
-
 // TestILUMemoryBytesPinned pins MemoryBytes against manually computed
-// sizes, wide and compacted — the accounting the serving layer's memory
-// budget and the benchmark's index_bytes rely on. DILU pays for its one
-// extra diagonal and nothing else.
+// sizes — the accounting the serving layer's memory budget and the
+// benchmark's index_bytes rely on. DILU pays for its one extra diagonal and
+// nothing else.
 func TestILUMemoryBytesPinned(t *testing.T) {
 	a := randSparseDiag(200, 4, 5)
 	for name, factor := range map[string]func(*sparse.CSR) (*ILU, error){"ILU0": FactorILU0, "DILU": FactorDILU} {
@@ -389,27 +436,14 @@ func TestILUMemoryBytesPinned(t *testing.T) {
 		if nnz != int64(a.NNZ()) {
 			t.Fatalf("%s: factor nnz %d != matrix nnz %d", name, nnz, a.NNZ())
 		}
-		var diag int64
-		if name == "DILU" {
-			diag = 8 * n // K
-		}
-		wide := nnz*8 + // values (split across L and U)
-			nnz*8 + // columns
-			2*(n+1)*8 + // two row-pointer arrays
-			diag
-		if got := f.MemoryBytes(); got != wide {
-			t.Fatalf("%s: wide MemoryBytes = %d want %d", name, got, wide)
-		}
-		f.Compact()
-		compact := nnz*8 + // values stay float64
+		want := nnz*8 + // values (split across L and U)
 			nnz*4 + // uint32 columns
-			2*(n+1)*4 + // int32 row pointers
-			diag
-		if got := f.MemoryBytes(); got != compact {
-			t.Fatalf("%s: compact MemoryBytes = %d want %d", name, got, compact)
+			2*(n+1)*4 // two int32 row-pointer arrays
+		if name == "DILU" {
+			want += 8 * n // D_S
 		}
-		if 2*(compact-diag-nnz*8) != wide-diag-nnz*8 {
-			t.Fatalf("%s: compaction did not halve index bytes: wide=%d compact=%d", name, wide, compact)
+		if got := f.MemoryBytes(); got != want {
+			t.Fatalf("%s: MemoryBytes = %d want %d", name, got, want)
 		}
 	}
 }

@@ -7,7 +7,8 @@ package lu
 //
 // in one pass over the factors (Eisenstat, SIAM J. Sci. Stat. Comput. 2,
 // 1981). Because the factors share A's off-diagonals, A = L̂ + Û − K with
-// K = 2D − diag(A), and with t = Û⁻¹·v
+// K = 2D − D_S (formed per row from the stored diagonal D_S of A, never
+// stored), and with t = Û⁻¹·v
 //
 //	A·t = L̂·t + v − K·t   ⇒   Â·v = D·(t + L̂⁻¹·(v − K·t)):
 //
@@ -23,7 +24,7 @@ type Eisenstat struct {
 // Eisenstat returns a one-pass operator over f, which must come from
 // FactorDILU.
 func (f *ILU) Eisenstat() *Eisenstat {
-	if f.k == nil {
+	if f.ds == nil {
 		panic("lu: Eisenstat needs a DILU factorization")
 	}
 	return &Eisenstat{f: f, t: make([]float64, f.n)}
@@ -36,24 +37,15 @@ func (o *Eisenstat) ILU() *ILU { return o.f }
 // iterative solvers' operator contract.
 func (o *Eisenstat) MulVec(dst, v []float64) {
 	l, u := &o.f.l, &o.f.u
-	if l.col32 != nil {
-		eisenstatUpper(u.rowPtr32, u.col32, u.val, dst, o.t, v)
-		eisenstatLower(l.rowPtr32, l.col32, l.val, o.f.k, dst, o.t, v)
-	} else {
-		eisenstatUpper(u.rowPtr, u.col, u.val, dst, o.t, v)
-		eisenstatLower(l.rowPtr, l.col, l.val, o.f.k, dst, o.t, v)
-	}
+	eisenstatUpper(u.rowPtr, u.col, u.val, dst, o.t, v)
+	eisenstatLower(l.rowPtr, l.col, l.val, o.f.ds, dst, o.t, v)
 }
 
 // Left computes dst = D·L̂⁻¹·b, the right-hand side of the split system.
 // dst and b may alias.
 func (o *Eisenstat) Left(dst, b []float64) {
 	l, u := &o.f.l, &o.f.u
-	if l.col32 != nil {
-		eisenstatLeft(l.rowPtr32, l.col32, l.val, u.rowPtr32, u.val, dst, o.t, b)
-	} else {
-		eisenstatLeft(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst, o.t, b)
-	}
+	eisenstatLeft(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst, o.t, b)
 }
 
 // Right computes dst = Û⁻¹·y, mapping a solution (or iterate) of the split
@@ -63,15 +55,11 @@ func (o *Eisenstat) Right(dst, y []float64) {
 		copy(dst, y)
 	}
 	u := &o.f.u
-	if u.col32 != nil {
-		sweepUpper(u.rowPtr32, u.col32, u.val, dst)
-	} else {
-		sweepUpper(u.rowPtr, u.col, u.val, dst)
-	}
+	sweepUpper(u.rowPtr, u.col, u.val, dst)
 }
 
 // TrafficBytes approximates the bytes one call of each method moves: the
-// factor arrays it streams (plus K for MulVec) and its vector operands —
+// factor arrays it streams (plus D_S for MulVec) and its vector operands —
 // three for MulVec, two for each half-pass.
 func (o *Eisenstat) TrafficBytes() (mulVec, left, right int64) {
 	vec := int64(8 * o.f.n)
@@ -81,7 +69,7 @@ func (o *Eisenstat) TrafficBytes() (mulVec, left, right int64) {
 // eisenstatUpper is the backward half of MulVec: t = Û⁻¹·v, with each pivot
 // parked in dst so the forward half reads it sequentially instead of
 // gathering it from the upper factor.
-func eisenstatUpper[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst, t, v []float64) {
+func eisenstatUpper(rowPtr []int32, col []uint32, val, dst, t, v []float64) {
 	for i := len(v) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo+1 : hi]
@@ -97,19 +85,22 @@ func eisenstatUpper[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst
 }
 
 // eisenstatLower is the forward half: w = L̂⁻¹·(v − K·t) overwrites t row by
-// row (t[i] is dead once row i has read it) and dst = D·(t + w). The sum
-// d·t[i] + (d·w[i]) uses w's pre-division numerator.
-func eisenstatLower[P int | int32, C int | uint32](rowPtr []P, col []C, val, k, dst, t, v []float64) {
+// row (t[i] is dead once row i has read it) and dst = D·(t + w). K's entry
+// is formed from the pivot the backward half parked and the matrix's own
+// diagonal, k = 2·d − ds[i]. The sum d·t[i] + (d·w[i]) uses w's pre-division
+// numerator.
+func eisenstatLower(rowPtr []int32, col []uint32, val, ds, dst, t, v []float64) {
 	for i := range v {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo:hi]
 		vals := val[lo:hi]
 		ti := t[i]
-		s := v[i] - k[i]*ti
+		d := dst[i]
+		k := 2*d - ds[i]
+		s := v[i] - k*ti
 		for p, j := range cols {
 			s -= vals[p] * t[j]
 		}
-		d := dst[i]
 		dst[i] = d*ti + s
 		t[i] = s / d
 	}
@@ -117,7 +108,7 @@ func eisenstatLower[P int | int32, C int | uint32](rowPtr []P, col []C, val, k, 
 
 // eisenstatLeft is forward substitution with L̂ keeping the numerators:
 // t = L̂⁻¹·b, dst = D·t.
-func eisenstatLeft[P int | int32, C int | uint32](rowPtr []P, col []C, val []float64, uRowPtr []P, uVal, dst, t, b []float64) {
+func eisenstatLeft(rowPtr []int32, col []uint32, val []float64, uRowPtr []int32, uVal, dst, t, b []float64) {
 	for i := range b {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo:hi]

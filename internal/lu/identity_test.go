@@ -71,14 +71,14 @@ func factorILU0Ref(a *sparse.CSR) (*ILU, error) {
 	}
 	f := &ILU{n: n}
 	split := func(t *triFactor, span func(i int) (int, int)) {
-		t.rowPtr = make([]int, n+1)
+		t.rowPtr = make([]int32, n+1)
 		for i := 0; i < n; i++ {
 			lo, hi := span(i)
 			for p := lo; p < hi; p++ {
-				t.col = append(t.col, col[p])
+				t.col = append(t.col, uint32(col[p]))
 				t.val = append(t.val, val[p])
 			}
-			t.rowPtr[i+1] = len(t.col)
+			t.rowPtr[i+1] = int32(len(t.col))
 		}
 	}
 	split(&f.l, func(i int) (int, int) { return rowPtr[i], diagPos[i] })

@@ -2,6 +2,7 @@ package lu
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -17,84 +18,50 @@ import (
 //     (strict part stored) and U upper triangular.
 //   - FactorDILU, the diagonal ILU: A ≈ L̂·D⁻¹·Û with L̂ = D + L_A and
 //     Û = D + U_A — only the pivots D differ from A, the strict triangles
-//     are A's own. k then holds the diagonal K = 2D − diag(A), which makes
-//     A = L̂ + Û − K and lets Eisenstat apply the preconditioned operator
-//     in one pass over the factors.
+//     are A's own. ds then holds A's own diagonal D_S, so the factors are A
+//     stored once: Matrix and WriteMatrixTo give it back exactly, and
+//     Eisenstat applies the preconditioned operator in one pass over them
+//     with K = 2D − D_S formed per row.
 //
 // Both keep the two triangles as separate row-major structures in natural
-// row order, each row of the upper one led by its pivot. The factors are
-// immutable after construction except for Compact, which narrows the index
-// arrays to int32/uint32 (halving index bandwidth); values are untouched.
+// row order, each row of the upper one led by its pivot, indexed by int32
+// row pointers and uint32 columns. The factors are immutable after
+// construction.
 type ILU struct {
 	n    int
 	l, u triFactor
-	k    []float64 // nil for ILU(0)
+	ds   []float64 // nil for ILU(0)
 }
 
 // triFactor is one triangular factor in row-major storage, rows in natural
 // order, columns ascending within a row (so a row of the upper factor leads
-// with its diagonal entry). Exactly one of the (rowPtr, col) /
-// (rowPtr32, col32) index pairs is non-nil; compact switches to the narrow
-// pair.
+// with its diagonal entry).
 type triFactor struct {
-	val []float64
-
-	rowPtr []int
-	col    []int
-
-	rowPtr32 []int32
-	col32    []uint32
+	val    []float64
+	rowPtr []int32
+	col    []uint32
 }
 
 func (t *triFactor) nnz() int { return len(t.val) }
 
 // rowSpan returns row i's half-open entry range.
 func (t *triFactor) rowSpan(i int) (int, int) {
-	if t.col32 != nil {
-		return int(t.rowPtr32[i]), int(t.rowPtr32[i+1])
-	}
-	return t.rowPtr[i], t.rowPtr[i+1]
+	return int(t.rowPtr[i]), int(t.rowPtr[i+1])
 }
 
-func (t *triFactor) colAt(p int) int {
-	if t.col32 != nil {
-		return int(t.col32[p])
-	}
-	return t.col[p]
-}
-
-// compact narrows the index arrays to int32/uint32, releasing the wide
-// ones. No-op when already narrow or out of range.
-func (t *triFactor) compact(n int) {
-	if t.col32 != nil || len(t.val) > math.MaxInt32 || int64(n) >= 1<<32 {
-		return
-	}
-	t.rowPtr32 = make([]int32, len(t.rowPtr))
-	for i, p := range t.rowPtr {
-		t.rowPtr32[i] = int32(p)
-	}
-	t.col32 = make([]uint32, len(t.col))
-	for i, j := range t.col {
-		t.col32[i] = uint32(j)
-	}
-	t.rowPtr, t.col = nil, nil
-}
-
-// memoryBytes is the factor's retained footprint at its current width.
 func (t *triFactor) memoryBytes() int64 {
-	b := int64(len(t.val)) * 8
-	if t.col32 != nil {
-		return b + int64(len(t.col32))*4 + int64(len(t.rowPtr32))*4
-	}
-	return b + int64(len(t.col))*8 + int64(len(t.rowPtr))*8
+	return int64(len(t.val))*8 + int64(len(t.col))*4 + int64(len(t.rowPtr))*4
 }
 
 // diagPositions locates every row's diagonal entry in a square CSR matrix
-// with sorted rows.
+// with sorted rows, refusing one the factors' 32-bit indexes cannot hold.
 func diagPositions(a *sparse.CSR, what string) ([]int, error) {
 	n := a.Rows()
 	if n != a.Cols() {
 		return nil, fmt.Errorf("lu: %s requires a square matrix, got %v", what, a)
+	}
+	if int64(n) >= 1<<32 || a.NNZ() > math.MaxInt32 {
+		return nil, fmt.Errorf("lu: %s of %v exceeds the factors' 32-bit index range", what, a)
 	}
 	rowPtr, col := a.RowPtr(), a.ColIdx()
 	diagPos := make([]int, n)
@@ -110,23 +77,27 @@ func diagPositions(a *sparse.CSR, what string) ([]int, error) {
 }
 
 // splitTriangles copies a packed pattern (strict lower part below diagPos,
-// diagonal and upper part from it) into the two exactly-sized factors.
+// diagonal and upper part from it) into the two exactly-sized factors,
+// narrowing the indexes on the way.
 func splitTriangles(n int, rowPtr, col []int, val []float64, diagPos []int) (l, u triFactor) {
 	var nnzL int
 	for i := 0; i < n; i++ {
 		nnzL += diagPos[i] - rowPtr[i]
 	}
 	gather := func(t *triFactor, nnz int, span func(i int) (lo, hi int)) {
-		t.rowPtr = make([]int, n+1)
-		t.col = make([]int, nnz)
+		t.rowPtr = make([]int32, n+1)
+		t.col = make([]uint32, nnz)
 		t.val = make([]float64, nnz)
 		out := 0
 		for i := 0; i < n; i++ {
 			lo, hi := span(i)
-			copy(t.col[out:], col[lo:hi])
+			dst := t.col[out : out+hi-lo]
+			for p, j := range col[lo:hi] {
+				dst[p] = uint32(j)
+			}
 			copy(t.val[out:], val[lo:hi])
 			out += hi - lo
-			t.rowPtr[i+1] = out
+			t.rowPtr[i+1] = int32(out)
 		}
 	}
 	gather(&l, nnzL, func(i int) (int, int) { return rowPtr[i], diagPos[i] })
@@ -199,7 +170,7 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 	}
 	n := a.Rows()
 	rowPtr, col, val := a.RowPtr(), a.ColIdx(), a.Values()
-	f := &ILU{n: n, k: make([]float64, n)}
+	f := &ILU{n: n, ds: make([]float64, n)}
 	f.l, f.u = splitTriangles(n, rowPtr, col, val, diagPos)
 
 	// next[k] walks row k's strict upper part: rows i ask for a_ki in
@@ -225,7 +196,7 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 			d = 1e-12
 		}
 		f.u.val[f.u.rowPtr[i]] = d
-		f.k[i] = 2*d - val[diagPos[i]]
+		f.ds[i] = val[diagPos[i]]
 	}
 	return f, nil
 }
@@ -236,16 +207,6 @@ func (f *ILU) N() int { return f.n }
 // NNZ returns the number of stored factor entries (equal to the factored
 // matrix's entry count).
 func (f *ILU) NNZ() int { return f.l.nnz() + f.u.nnz() }
-
-// Compact narrows both factors' index arrays to int32 row pointers and
-// uint32 columns, releasing the wide ones — the same ~2× index-bandwidth
-// cut CSR32 gives the SpMV kernels. No-op if already compact or too large
-// to narrow. Values are untouched, so every sweep stays bit-identical.
-func (f *ILU) Compact() *ILU {
-	f.l.compact(f.n)
-	f.u.compact(f.n)
-	return f
-}
 
 // Apply computes dst = M⁻¹·src, the classic left-preconditioner
 // application: U⁻¹·L⁻¹ for ILU(0), Û⁻¹·D·L̂⁻¹ for DILU. dst and src may
@@ -261,17 +222,10 @@ func (f *ILU) Apply(dst, src []float64) {
 		copy(dst, src)
 	}
 	l, u := &f.l, &f.u
-	switch {
-	case f.k == nil && l.col32 != nil:
-		sweepLower(l.rowPtr32, l.col32, l.val, dst)
-		sweepUpper(u.rowPtr32, u.col32, u.val, dst)
-	case f.k == nil:
+	if f.ds == nil {
 		sweepLower(l.rowPtr, l.col, l.val, dst)
 		sweepUpper(u.rowPtr, u.col, u.val, dst)
-	case l.col32 != nil:
-		sweepLowerPivot(l.rowPtr32, l.col32, l.val, u.rowPtr32, u.val, dst)
-		sweepUpperScaled(u.rowPtr32, u.col32, u.val, dst)
-	default:
+	} else {
 		sweepLowerPivot(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst)
 		sweepUpperScaled(u.rowPtr, u.col, u.val, dst)
 	}
@@ -282,13 +236,13 @@ func (f *ILU) Apply(dst, src []float64) {
 // properties.
 func (f *ILU) Product() *sparse.CSR {
 	l, u := f.Split()
-	if f.k != nil {
+	if f.ds != nil {
 		// Scale row i of Û by 1/d_i: D⁻¹·Û.
 		uc := sparse.NewCOO(f.n, f.n)
 		for i := 0; i < f.n; i++ {
 			start, end := f.u.rowSpan(i)
 			for p := start; p < end; p++ {
-				uc.Add(i, f.u.colAt(p), f.u.val[p]/f.u.val[start])
+				uc.Add(i, int(f.u.col[p]), f.u.val[p]/f.u.val[start])
 			}
 		}
 		u = uc.ToCSR()
@@ -304,31 +258,61 @@ func (f *ILU) Split() (l, u *sparse.CSR) {
 	uc := sparse.NewCOO(f.n, f.n)
 	for i := 0; i < f.n; i++ {
 		ustart, uend := f.u.rowSpan(i)
-		if f.k != nil {
+		if f.ds != nil {
 			lc.Add(i, i, f.u.val[ustart])
 		} else {
 			lc.Add(i, i, 1)
 		}
 		start, end := f.l.rowSpan(i)
 		for p := start; p < end; p++ {
-			lc.Add(i, f.l.colAt(p), f.l.val[p])
+			lc.Add(i, int(f.l.col[p]), f.l.val[p])
 		}
 		for p := ustart; p < uend; p++ {
-			uc.Add(i, f.u.colAt(p), f.u.val[p])
+			uc.Add(i, int(f.u.col[p]), f.u.val[p])
 		}
 	}
 	return lc.ToCSR(), uc.ToCSR()
 }
 
-// MemoryBytes reports the storage footprint of everything the factorization
-// retains: both factors' values and index arrays at their current width
-// (wide or compacted), and DILU's diagonal K.
-func (f *ILU) MemoryBytes() int64 {
-	return f.l.memoryBytes() + f.u.memoryBytes() + int64(len(f.k))*8
+// matrixRow hands emit row i of the matrix a DILU factorization was computed
+// from, as the three runs that hold it: the strict-lower row, the diagonal
+// (D_S, under the column index leading the upper row) and the strict-upper
+// row.
+func (f *ILU) matrixRow(i int, emit func(col []uint32, val []float64)) {
+	lo, hi := f.l.rowSpan(i)
+	emit(f.l.col[lo:hi], f.l.val[lo:hi])
+	lo, hi = f.u.rowSpan(i)
+	emit(f.u.col[lo:lo+1], f.ds[i:i+1])
+	emit(f.u.col[lo+1:hi], f.u.val[lo+1:hi])
 }
 
-// The sweep kernels are generic over the index width so the wide (int) and
-// compact (int32/uint32, after ILU.Compact) layouts share one loop body.
+// Matrix reassembles the matrix a DILU factorization was computed from:
+// copies only, so pattern and values (by Float64bits) are FactorDILU's
+// input exactly.
+func (f *ILU) Matrix() *sparse.CSR {
+	if f.ds == nil {
+		panic("lu: only a DILU factorization retains its matrix")
+	}
+	return sparse.CSRFromRows(f.n, f.n, f.matrixRow)
+}
+
+// WriteMatrixTo streams Matrix() in the sparse.CSR format — the bytes
+// Matrix().WriteTo would write — without assembling it.
+func (f *ILU) WriteMatrixTo(w io.Writer) (int64, error) {
+	if f.ds == nil {
+		panic("lu: only a DILU factorization retains its matrix")
+	}
+	return sparse.WriteCSRRows(w, f.n, f.n, f.matrixRow)
+}
+
+// MemoryBytes reports the storage footprint of everything the factorization
+// retains: both factors' values and index arrays, and DILU's diagonal D_S —
+// for DILU, 12 bytes per entry of the factored matrix, two row-pointer
+// arrays and one diagonal, and the matrix needs no other copy.
+func (f *ILU) MemoryBytes() int64 {
+	return f.l.memoryBytes() + f.u.memoryBytes() + int64(len(f.ds))*8
+}
+
 // Rows are sliced so the inner loop ranges over the row (bounds-check
 // free), like the SpMV kernels. The backward sweeps walk each row from its
 // last entry to its first, so the whole sweep reads the factor arrays in
@@ -338,7 +322,7 @@ func (f *ILU) MemoryBytes() int64 {
 
 // sweepLower is unit-lower forward substitution in place:
 // dst[i] −= Σ L[i,j]·dst[j].
-func sweepLower[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+func sweepLower(rowPtr []int32, col []uint32, val, dst []float64) {
 	for i := range dst {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo:hi]
@@ -353,7 +337,7 @@ func sweepLower[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []f
 
 // sweepUpper is upper back substitution in place; each row leads with its
 // pivot: dst[i] = (dst[i] − Σ U[i,j]·dst[j]) / U[i,i].
-func sweepUpper[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+func sweepUpper(rowPtr []int32, col []uint32, val, dst []float64) {
 	for i := len(dst) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo+1 : hi]
@@ -369,7 +353,7 @@ func sweepUpper[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []f
 // sweepLowerPivot is forward substitution with L̂ = D + L_A in place, the
 // pivots read from the upper factor's row-leading entries:
 // dst[i] = (dst[i] − Σ L̂[i,j]·dst[j]) / d_i.
-func sweepLowerPivot[P int | int32, C int | uint32](rowPtr []P, col []C, val []float64, uRowPtr []P, uVal, dst []float64) {
+func sweepLowerPivot(rowPtr []int32, col []uint32, val []float64, uRowPtr []int32, uVal, dst []float64) {
 	for i := range dst {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo:hi]
@@ -384,7 +368,7 @@ func sweepLowerPivot[P int | int32, C int | uint32](rowPtr []P, col []C, val []f
 
 // sweepUpperScaled solves Û·x = D·y in place:
 // dst[i] −= (Σ Û[i,j]·dst[j]) / d_i.
-func sweepUpperScaled[P int | int32, C int | uint32](rowPtr []P, col []C, val, dst []float64) {
+func sweepUpperScaled(rowPtr []int32, col []uint32, val, dst []float64) {
 	for i := len(dst) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo+1 : hi]

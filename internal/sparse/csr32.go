@@ -34,16 +34,17 @@ type CSR32 struct {
 	// pool, when set, parallelizes the matvec kernels above ParallelMinNNZ
 	// by nnz-balanced row partition, exactly like CSR.
 	pool *par.Pool
-	// tr is the cached transpose built by CacheTranspose; MulVecT runs as
-	// a (parallelizable) row-gather over it when present.
-	tr *CSR32
 	// bounds is the row partition SetPool computes, exactly like
 	// CSR.bounds.
 	bounds []int
 }
 
 // Compact converts a CSR matrix into the compact layout, sharing the
-// float64 value slice (values are identical; only the index arrays shrink).
+// float64 value slice (values are identical; only the index arrays shrink)
+// unless that slice was built with spare capacity (AddScaled and WithEdits
+// size for the worst case): the compact matrix is what an engine retains,
+// and MemoryBytes counts lengths, so such values are copied to their exact
+// size instead of pinning the dead tail.
 // It panics if the matrix dimensions exceed the uint32 index range. The
 // conversion is lossless: ToCSR reproduces an Equal matrix, and every
 // kernel is bit-identical to its CSR counterpart.
@@ -54,6 +55,10 @@ func Compact(m *CSR) *CSR32 {
 	// The row partition depends on the row pointers' values only, so the
 	// wide matrix's cached one carries over.
 	c := &CSR32{rows: m.rows, cols: m.cols, val: m.val, pool: m.pool, bounds: m.bounds}
+	if cap(c.val) > len(c.val) {
+		c.val = make([]float64, len(m.val))
+		copy(c.val, m.val)
+	}
 	c.col = make([]uint32, len(m.col))
 	for i, j := range m.col {
 		c.col[i] = uint32(j)
@@ -70,9 +75,6 @@ func Compact(m *CSR) *CSR32 {
 		for i, p := range m.rowPtr {
 			c.rowPtr64[i] = int64(p)
 		}
-	}
-	if m.tr != nil {
-		c.tr = Compact(m.tr)
 	}
 	return c
 }
@@ -146,28 +148,11 @@ func (m *CSR32) SetPool(p *par.Pool) *CSR32 {
 			m.bounds = par.BoundsByPrefixOf(m.rowPtr64, p.Workers())
 		}
 	}
-	if m.tr != nil {
-		m.tr.SetPool(p)
-	}
 	return m
 }
 
 // Pool returns the attached pool (nil means serial).
 func (m *CSR32) Pool() *par.Pool { return m.pool }
-
-// CacheTranspose builds, caches and returns Mᵀ in compact form. While
-// cached, MulVecT runs as a row-gather over the transpose, which
-// row-partitions across the pool; the gather applies each output element's
-// contributions in the same ascending-row order as the serial scatter, so
-// results stay bit-identical.
-func (m *CSR32) CacheTranspose() *CSR32 {
-	if m.tr == nil {
-		// Transpose once through the wide layout; this runs once per
-		// matrix lifetime, outside any query path.
-		m.tr = Compact(m.ToCSR().Transpose()).SetPool(m.pool)
-	}
-	return m.tr
-}
 
 // parBounds mirrors CSR.parBounds.
 func (m *CSR32) parBounds() []int {
@@ -186,15 +171,6 @@ func mulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst, x []floa
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
 		dst[i] = gatherRow4(col[start:end], val[start:end], x)
-	}
-}
-
-// mulVecRangeSeq32 is the sequential per-row gather reserved for the
-// cached-transpose MulVecT path, matching the scatter's addition order.
-func mulVecRangeSeq32[P int32 | int64](rowPtr []P, col []uint32, val, dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRowSeq(col[start:end], val[start:end], x)
 	}
 }
 
@@ -228,14 +204,6 @@ func (m *CSR32) mulVecRange(dst, x []float64, lo, hi int) {
 	}
 }
 
-func (m *CSR32) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	if m.rowPtr32 != nil {
-		mulVecRangeSeq32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	} else {
-		mulVecRangeSeq32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
-	}
-}
-
 func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
 	if m.rowPtr32 != nil {
 		addMulVecRange32(m.rowPtr32, m.col, m.val, dst, alpha, x, lo, hi)
@@ -257,20 +225,10 @@ func (m *CSR32) MulVec(dst, x []float64) {
 	m.mulVecRange(dst, x, 0, m.rows)
 }
 
-// MulVecT computes dst = Mᵀ·x: the serial scatter loop without a cached
-// transpose, a pool-partitioned row gather over it after CacheTranspose.
+// MulVecT computes dst = Mᵀ·x, a serial scatter loop like CSR.MulVecT.
 func (m *CSR32) MulVecT(dst, x []float64) {
 	if len(dst) != m.cols || len(x) != m.rows {
 		panic(fmt.Sprintf("sparse: MulVecT dims dst=%d x=%d want %d,%d", len(dst), len(x), m.cols, m.rows))
-	}
-	if m.tr != nil {
-		tr := m.tr
-		if bounds := tr.parBounds(); bounds != nil {
-			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
-			return
-		}
-		tr.mulVecRangeSeq(dst, x, 0, tr.rows)
-		return
 	}
 	if m.rowPtr32 != nil {
 		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val, dst, x)

@@ -72,16 +72,7 @@ func TestCSR32BitIdentical(t *testing.T) {
 				gotT := make([]float64, cols)
 				c.MulVecT(gotT, xt)
 				if i, ok := bitsEqual(gotT, wantT); !ok {
-					t.Fatalf("workers=%d MulVecT (scatter) differs at %d", workers, i)
-				}
-				// The transpose-gather path is == equal to the scatter (zero
-				// signs may differ), matching the CSR contract.
-				c.CacheTranspose()
-				c.MulVecT(gotT, xt)
-				for j := range gotT {
-					if gotT[j] != wantT[j] {
-						t.Fatalf("workers=%d MulVecT (gather) [%d] = %v want %v", workers, j, gotT[j], wantT[j])
-					}
+					t.Fatalf("workers=%d MulVecT differs at %d", workers, i)
 				}
 			}
 		})
@@ -172,56 +163,34 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestCSR32CompactPreservesTransposeAndPool: compaction carries the pool
-// and any cached transpose across.
-func TestCSR32CompactPreservesTransposeAndPool(t *testing.T) {
+// TestCSR32CompactPreservesPool: compaction carries the pool across.
+func TestCSR32CompactPreservesPool(t *testing.T) {
 	pool := par.NewPool(4)
 	m := randBigCSR(300, 250, 5, 13).SetPool(pool)
-	m.CacheTranspose()
-	c := Compact(m)
-	if c.Pool() != pool {
+	if c := Compact(m); c.Pool() != pool {
 		t.Fatal("Compact dropped the pool")
-	}
-	if c.tr == nil || c.tr.Pool() != pool {
-		t.Fatal("Compact dropped the cached transpose or its pool")
-	}
-	c2 := Compact(randBigCSR(300, 250, 5, 14))
-	c2.CacheTranspose()
-	p2 := par.NewPool(2)
-	c2.SetPool(p2)
-	if c2.tr.Pool() != p2 {
-		t.Fatal("SetPool did not propagate to the compact cached transpose")
 	}
 }
 
-// TestCSR32TransposeGatherBitIdentical is the transpose-gather pinning
-// test: with a strictly nonzero x (so the scatter's zero-skip and the
-// gather's multiply-through agree on zero signs), the parallel gather over
-// the cached transpose must reproduce the serial scatter exactly by
-// representation, at several worker counts.
-func TestCSR32TransposeGatherBitIdentical(t *testing.T) {
-	for trial := int64(0); trial < 3; trial++ {
-		m := randBigCSR(2200, 1800, 18, 90+trial)
-		if m.NNZ() < ParallelMinNNZ {
-			t.Fatalf("fixture too small: nnz=%d", m.NNZ())
-		}
-		x := randVec(m.Rows(), 50+trial)
-		for i := range x {
-			if x[i] == 0 {
-				x[i] = 0.5 // keep the scatter's zero-skip out of play
-			}
-		}
-		want := make([]float64, m.Cols())
-		Compact(m.Clone()).MulVecT(want, x) // serial scatter reference
-		for _, workers := range []int{2, 8} {
-			c := Compact(m.Clone()).SetPool(par.NewPool(workers))
-			c.CacheTranspose()
-			got := make([]float64, m.Cols())
-			c.MulVecT(got, x)
-			if j, ok := bitsEqual(got, want); !ok {
-				t.Fatalf("trial %d workers=%d: gather MulVecT[%d] = %v, scatter %v", trial, workers, j, got[j], want[j])
-			}
-		}
+// TestCSR32CompactOwnsExactValues: Compact shares an exactly-sized value
+// slice and copies one built with spare capacity (a sum of overlapping
+// patterns is), so that what a compact matrix retains is what MemoryBytes
+// counts.
+func TestCSR32CompactOwnsExactValues(t *testing.T) {
+	a := randBigCSR(200, 150, 6, 21).Clone() // the builder's own merge slack dropped
+	if c := Compact(a); &c.val[0] != &a.val[0] {
+		t.Fatal("Compact copied an exactly-sized value slice")
+	}
+	sum := a.Add(a)
+	if cap(sum.val) == len(sum.val) {
+		t.Fatal("fixture: the sum carries no spare capacity")
+	}
+	c := Compact(sum)
+	if cap(c.val) != len(c.val) || len(c.val) != sum.NNZ() {
+		t.Fatalf("compact values: len %d cap %d for %d entries", len(c.val), cap(c.val), sum.NNZ())
+	}
+	if !c.ToCSR().Equal(sum) {
+		t.Fatal("Compact of a matrix with spare capacity is not lossless")
 	}
 }
 

@@ -29,16 +29,49 @@ const (
 	csrVersion = 1
 )
 
-func writeCSR[P int | int32 | int64, C int | uint32](w io.Writer, rows, cols int, rowPtr []P, col []C, val []float64) (int64, error) {
-	bw := binio.NewWriter(w)
+func writeCSRHeader(bw *binio.Writer, rows, cols, nnz int) {
 	bw.U32(csrMagic)
 	bw.U32(csrVersion)
 	bw.Int(rows)
 	bw.Int(cols)
-	bw.Int(len(col))
+	bw.Int(nnz)
+}
+
+func writeCSR[P int | int32 | int64, C int | uint32](w io.Writer, rows, cols int, rowPtr []P, col []C, val []float64) (int64, error) {
+	bw := binio.NewWriter(w)
+	writeCSRHeader(bw, rows, cols, len(col))
 	binio.WriteInts(bw, rowPtr)
 	binio.WriteInts(bw, col)
 	binio.WriteFloats(bw, val)
+	return bw.Close()
+}
+
+// WriteCSRRows serializes the matrix the runs describe in the CSR format:
+// the bytes CSRFromRows(...).WriteTo would write, without assembling it. The
+// rows are walked once per section of the format (entry count, row
+// pointers, columns, values) and no array is copied.
+func WriteCSRRows(w io.Writer, rows, cols int, row RowRuns) (int64, error) {
+	bw := binio.NewWriter(w)
+	end := 0
+	count := func(col []uint32, _ []float64) { end += len(col) }
+	for i := 0; i < rows; i++ {
+		row(i, count)
+	}
+	writeCSRHeader(bw, rows, cols, end)
+	end = 0
+	bw.Int(0)
+	for i := 0; i < rows; i++ {
+		row(i, count)
+		bw.Int(end)
+	}
+	putCols := func(col []uint32, _ []float64) { binio.WriteInts(bw, col) }
+	for i := 0; i < rows; i++ {
+		row(i, putCols)
+	}
+	putVals := func(_ []uint32, val []float64) { binio.WriteFloats(bw, val) }
+	for i := 0; i < rows; i++ {
+		row(i, putVals)
+	}
 	return bw.Close()
 }
 

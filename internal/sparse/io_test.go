@@ -25,6 +25,47 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSRRowsMatchAssembledMatrix: a matrix handed over as runs of entries
+// per row — here a random matrix cut at two random points of every row,
+// empty runs and empty rows included — is assembled by CSRFromRows into
+// that matrix exactly, and WriteCSRRows streams the bytes its own WriteTo
+// writes. The largest case crosses the codec's 64 KiB chunk inside rows.
+func TestCSRRowsMatchAssembledMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	mats := []*CSR{Zero(0, 0), Zero(4, 9), randBigCSR(900, 700, 40, 45)}
+	for trial := 0; trial < 20; trial++ {
+		mats = append(mats, randCSR(rng, 1+rng.Intn(50), 1+rng.Intn(50), 0.3))
+	}
+	for mi, m := range mats {
+		c := Compact(m)
+		cuts := make([][2]int, m.rows)
+		for i := range cuts {
+			n := m.rowPtr[i+1] - m.rowPtr[i]
+			a, b := rng.Intn(n+1), rng.Intn(n+1)
+			cuts[i] = [2]int{min(a, b), max(a, b)}
+		}
+		runs := func(i int, emit func(col []uint32, val []float64)) {
+			lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+			for _, r := range [][2]int{{lo, lo + cuts[i][0]}, {lo + cuts[i][0], lo + cuts[i][1]}, {lo + cuts[i][1], hi}} {
+				emit(c.col[r[0]:r[1]], c.val[r[0]:r[1]])
+			}
+		}
+		if got := CSRFromRows(m.rows, m.cols, runs); !got.Equal(m) {
+			t.Fatalf("matrix %d: CSRFromRows differs from the matrix the runs were cut from", mi)
+		}
+		var want, got bytes.Buffer
+		if _, err := m.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := WriteCSRRows(&got, m.rows, m.cols, runs); err != nil || n != int64(got.Len()) {
+			t.Fatalf("matrix %d: WriteCSRRows = %d, %v; wrote %d", mi, n, err, got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("matrix %d: streamed bytes differ from WriteTo's", mi)
+		}
+	}
+}
+
 func TestSerializationEmptyMatrix(t *testing.T) {
 	m := Zero(5, 7)
 	var buf bytes.Buffer

@@ -23,15 +23,3 @@ func gatherRow4[C int | uint32](cols []C, vals, x []float64) float64 {
 	}
 	return (s0 + s1) + (s2 + s3)
 }
-
-// gatherRowSeq is the strictly sequential per-row gather reserved for the
-// cached-transpose MulVecT path: the scatter loop it replaces applies each
-// output element's contributions one at a time in ascending row order, and
-// only the sequential gather reproduces that addition order bit for bit.
-func gatherRowSeq[C int | uint32](cols []C, vals, x []float64) float64 {
-	var s float64
-	for p, c := range cols {
-		s += vals[p] * x[c]
-	}
-	return s
-}

@@ -71,7 +71,6 @@ func TestParallelMulVecBitIdentical(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 8} {
 		p := m.Clone().SetPool(par.NewPool(workers))
-		p.CacheTranspose()
 
 		got := make([]float64, rows)
 		p.MulVec(got, x)
@@ -133,49 +132,6 @@ func TestParallelMulVecPathological(t *testing.T) {
 	small.Clone().SetPool(pool).MulVec(g, xs)
 	if i, ok := bitsEqual(g, w); !ok {
 		t.Fatalf("small MulVec differs at %d", i)
-	}
-}
-
-// TestCacheTransposeMulVecT checks the gather path against the scatter path
-// under == float semantics. (Representations may differ only in zero sign:
-// the scatter skips x[i]==0 while the gather multiplies through, which can
-// turn -0 into +0 — numerically identical.)
-func TestCacheTransposeMulVecT(t *testing.T) {
-	for trial := int64(0); trial < 5; trial++ {
-		m := randBigCSR(300, 200, 4, 20+trial)
-		x := randVec(m.Rows(), 30+trial)
-		for i := 0; i < len(x); i += 7 {
-			x[i] = 0 // exercise the scatter's zero-skip
-		}
-		want := make([]float64, m.Cols())
-		m.MulVecT(want, x)
-		c := m.Clone()
-		tr := c.CacheTranspose()
-		if !tr.Equal(m.Transpose()) {
-			t.Fatal("CacheTranspose differs from Transpose")
-		}
-		got := make([]float64, m.Cols())
-		c.MulVecT(got, x)
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("trial %d: MulVecT[%d] = %v via transpose, %v via scatter", trial, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-func TestSetPoolPropagatesToCachedTranspose(t *testing.T) {
-	m := randBigCSR(100, 100, 3, 40)
-	tr := m.CacheTranspose()
-	pool := par.NewPool(4)
-	m.SetPool(pool)
-	if tr.Pool() != pool {
-		t.Fatal("SetPool did not propagate to the cached transpose")
-	}
-	// Caching after the pool is attached propagates too.
-	m2 := randBigCSR(100, 100, 3, 41).SetPool(pool)
-	if m2.CacheTranspose().Pool() != pool {
-		t.Fatal("CacheTranspose did not inherit the pool")
 	}
 }
 

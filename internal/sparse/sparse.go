@@ -118,9 +118,6 @@ type CSR struct {
 	// pool, when set, parallelizes the matvec kernels above
 	// ParallelMinNNZ by row partition; see SetPool.
 	pool *par.Pool
-	// tr is the cached transpose built by CacheTranspose; MulVecT runs as
-	// a (parallelizable) row-gather over it when present.
-	tr *CSR
 	// bounds is the nnz-balanced row partition over the attached pool's
 	// workers, computed once by SetPool so the apply kernels neither
 	// recompute nor reallocate it per call. nil means serial.
@@ -144,27 +141,11 @@ func (m *CSR) SetPool(p *par.Pool) *CSR {
 	if p.Workers() > 1 && m.rows >= 2 {
 		m.bounds = par.BoundsByPrefix(m.rowPtr, p.Workers())
 	}
-	if m.tr != nil {
-		m.tr.SetPool(p)
-	}
 	return m
 }
 
 // Pool returns the attached pool (nil means serial).
 func (m *CSR) Pool() *par.Pool { return m.pool }
-
-// CacheTranspose builds, caches and returns Mᵀ. While cached, MulVecT runs
-// as a row-gather over the transpose — the same additions in the same
-// order as the scatter loop, so results stay bit-identical — which, unlike
-// the scatter, can be row-partitioned across the pool. Call it once the
-// pattern and values are final; mutating the matrix afterwards desyncs the
-// cache.
-func (m *CSR) CacheTranspose() *CSR {
-	if m.tr == nil {
-		m.tr = m.Transpose().SetPool(m.pool)
-	}
-	return m.tr
-}
 
 // parBounds returns the row partition the apply kernels should run parallel
 // with, or nil to run serially (no pool, or too few entries to pay for the
@@ -190,6 +171,34 @@ func NewCSR(rows, cols int, rowPtr, col []int, val []float64) *CSR {
 	}
 	m := &CSR{rows: rows, cols: cols, rowPtr: rowPtr, col: col, val: val}
 	m.sortRowsAndMerge()
+	return m
+}
+
+// RowRuns describes a matrix its owner holds as several runs of entries per
+// row: called with a row index, it hands emit that row's runs, the runs and
+// the columns within them strictly ascending and in range.
+type RowRuns func(i int, emit func(col []uint32, val []float64))
+
+// CSRFromRows assembles the matrix the runs describe: copies only.
+func CSRFromRows(rows, cols int, row RowRuns) *CSR {
+	end := 0
+	count := func(col []uint32, _ []float64) { end += len(col) }
+	for i := 0; i < rows; i++ {
+		row(i, count)
+	}
+	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1), col: make([]int, end), val: make([]float64, end)}
+	end = 0
+	widen := func(col []uint32, val []float64) {
+		dst := m.col[end : end+len(col)]
+		for k, j := range col {
+			dst[k] = int(j)
+		}
+		end += copy(m.val[end:], val)
+	}
+	for i := 0; i < rows; i++ {
+		row(i, widen)
+		m.rowPtr[i+1] = end
+	}
 	return m
 }
 
@@ -338,36 +347,11 @@ func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 	}
 }
 
-// mulVecRangeSeq is the strictly sequential per-row gather. MulVecT's
-// cached-transpose path uses it instead of the unrolled kernel: the
-// scatter loop applies each output element's contributions one at a time
-// in ascending row order, and only the sequential gather reproduces that
-// addition order bit for bit.
-func (m *CSR) mulVecRangeSeq(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRowSeq(m.col[start:end], m.val[start:end], x)
-	}
-}
-
 // MulVecT computes dst = Mᵀ·x. dst must have length Cols and x length
-// Rows; they must not alias. Without a cached transpose it is the serial
-// scatter loop; after CacheTranspose it becomes a gather over Mᵀ's rows —
-// for each output j the contributions arrive in the same ascending-i order
-// the scatter applies them, so the result is bit-identical — and the
-// gather row-partitions across the pool like MulVec.
+// Rows; they must not alias. It is a serial scatter loop.
 func (m *CSR) MulVecT(dst, x []float64) {
 	if len(dst) != m.cols || len(x) != m.rows {
 		panic(fmt.Sprintf("sparse: MulVecT dims dst=%d x=%d want %d,%d", len(dst), len(x), m.cols, m.rows))
-	}
-	if m.tr != nil {
-		tr := m.tr
-		if bounds := tr.parBounds(); bounds != nil {
-			tr.pool.ForBounds(bounds, func(_, lo, hi int) { tr.mulVecRangeSeq(dst, x, lo, hi) })
-			return
-		}
-		tr.mulVecRangeSeq(dst, x, 0, tr.rows)
-		return
 	}
 	for j := range dst {
 		dst[j] = 0

@@ -18,7 +18,10 @@ import (
 // against the engine's own MemoryBytes() so that they survive a change of
 // the fixture. The commit before measured, on this graph: Save one heap
 // object per written word (about 148 000), Load 4.0 × and New 9.9 ×
-// MemoryBytes().
+// MemoryBytes(). Storing S once took a third off MemoryBytes() (2 315 664
+// → 1 591 584 B here), so the same budgets are restated against the smaller
+// denominator: in bytes both calls allocate less than before it (New 10.81
+// → 10.04 MB, Load 3.22 → 2.45 MB at two workers; EXPERIMENTS.md).
 
 // costFixture is a scale-12 hybrid graph (n = 4096, m ≈ 60 k).
 func costFixture(t testing.TB) *bepi.Graph {
@@ -83,11 +86,13 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		}
 	})
 
-	t.Logf("MemoryBytes %.0f, file %d B; New %.2f ×, Save %d objects / %d B, Load %.2f ×",
-		mem, len(raw), float64(newBytes)/mem, saveObjects, saveBytes, float64(loadBytes)/mem)
+	t.Logf("MemoryBytes %.0f, file %d B; New %d B = %.2f ×, Save %d objects / %d B, Load %d B = %.2f ×",
+		mem, len(raw), newBytes, float64(newBytes)/mem, saveObjects, saveBytes, loadBytes, float64(loadBytes)/mem)
 
-	// Save streams through one pooled chunk: a return to a write, an error
-	// check or a heap object per word shows up as ~148 000 objects here.
+	// Save streams through one pooled chunk — S's section too, row run by
+	// row run out of the DILU factors: a return to a write, an error check
+	// or a heap object per word shows up as ~148 000 objects here, a wide
+	// copy of S as 1.2 MB.
 	if saveObjects > 100 {
 		t.Errorf("Save allocated %d objects, budget 100", saveObjects)
 	}
@@ -95,10 +100,15 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		t.Errorf("Save allocated %d bytes, budget 512 KiB (it copies no array)", saveBytes)
 	}
 	// Load allocates every array once at its declared size, then the narrowed
-	// index copies and the DILU factors; append-doubling the arrays or
-	// widening copies push it back towards 4 ×.
-	if ratio := float64(loadBytes) / mem; ratio > loadBudget {
-		t.Errorf("Load allocated %.2f × MemoryBytes(), budget %.2f ×", ratio, loadBudget)
+	// index copies of the H blocks and the DILU factors S moves into;
+	// append-doubling the arrays, widening copies or a second copy of S push
+	// it back up.
+	// poolSlack: under the race detector the codec's pool comes up empty for
+	// up to four of Load's array reads in the best of five runs (64 KiB
+	// each). The old budget's 10% margin (370 KB) absorbed that; this one's
+	// (245 KB) would not, so it is allowed for in bytes beside the ratio.
+	if budget := loadBudget*mem + poolSlack; float64(loadBytes) > budget {
+		t.Errorf("Load allocated %d B = %.2f × MemoryBytes(), budget %.2f × + %d B", loadBytes, float64(loadBytes)/mem, loadBudget, poolSlack)
 	}
 	// New: no edge-pair list, no triplet list for H, blocks counted before
 	// they are filled. What remains is dominated by the Schur complement's
@@ -109,16 +119,18 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 }
 
 const (
-	loadBudget = 1.76 // measured 1.60
-	newBudget  = 5.37 // measured 4.88 (3.84 serial)
+	poolSlack  = 4 * 64 << 10
+	loadBudget = 1.69 // measured 1.54
+	newBudget  = 6.94 // measured 6.31 at two workers (4.80 serial, 6.18 at four)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
 // index_bytes on the fixture at or below what the level-ordered ILU(0)
 // factors of the commit before occupied (iluBytesBefore): the natural-order
 // DILU factors drop the level schedule's order and bounds arrays and add
-// the one diagonal K; storing the pivots a second time (8·n2 bytes) would
-// put it above.
+// the one diagonal D_S; storing K beside it, or the pivots a second time
+// (8·n2 bytes either way), would put it above. The factors are also the
+// engine's only copy of S, so the whole index is pinned to the byte.
 func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	eng, err := bepi.New(costFixture(t))
 	if err != nil {
@@ -127,10 +139,55 @@ func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	f := eng.Internal().ILU()
 	nnz, n2 := int64(f.NNZ()), int64(f.N())
 	if want := 12*nnz + 2*4*(n2+1) + 8*n2; f.MemoryBytes() != want {
-		t.Errorf("factors occupy %d B, want 12·nnz + two row-pointer arrays + K = %d B", f.MemoryBytes(), want)
+		t.Errorf("factors occupy %d B, want 12·nnz + two row-pointer arrays + D_S = %d B", f.MemoryBytes(), want)
 	}
 	if f.MemoryBytes() > iluBytesBefore {
 		t.Errorf("factors occupy %d B, the commit before %d B", f.MemoryBytes(), iluBytesBefore)
+	}
+	if got := eng.Internal().MemoryBytes(); got != indexBytesFixture {
+		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B)",
+			got, indexBytesFixture, indexBytesFixture+12*nnz+4*(n2+1))
+	}
+}
+
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestMemoryBytesMatchesRetainedHeap holds the counter index_bytes reports
+// against the heap: the live heap with one built engine reachable, minus
+// the live heap once it is dropped, is within 5% (+ 64 KiB for what no
+// array accounts for: the ordering's block list, stats, the structs
+// themselves) of MemoryBytes() — for the variant that holds S as DILU
+// factors and for one that holds it as a CSR. The smallest of three
+// attempts is judged, so that garbage another goroutine leaves between the
+// two readings does not count. A retained array MemoryBytes() does not
+// count fails the upper bound; a counted one that is not retained, the
+// lower.
+func TestMemoryBytesMatchesRetainedHeap(t *testing.T) {
+	g := costFixture(t)
+	for _, variant := range []bepi.Variant{bepi.BePIFull, bepi.BePIS} {
+		var mem int64
+		retained := int64(1) << 62
+		for attempt := 0; attempt < 3; attempt++ {
+			eng, err := bepi.New(g, bepi.WithVariant(variant))
+			if err != nil {
+				t.Fatal(err)
+			}
+			with := liveHeap()
+			mem = eng.MemoryBytes()
+			eng = nil
+			retained = min(retained, int64(with)-int64(liveHeap()))
+		}
+		t.Logf("%v: MemoryBytes %d B, retained heap %d B (%.3f ×)", variant, mem, retained, float64(retained)/float64(mem))
+		if lo, hi := int64(0.95*float64(mem))-64<<10, int64(1.05*float64(mem))+64<<10; retained < lo || retained > hi {
+			t.Errorf("%v: an engine retains %d B of heap, MemoryBytes() says %d B (accepted %d–%d)", variant, retained, mem, lo, hi)
+		}
 	}
 }
 
@@ -171,6 +228,7 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 const (
+	indexBytesFixture = 1591584
 	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 742 900
 	queryObjectBudget = 29     // measured 26; the commit before averaged 105
 	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
