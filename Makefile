@@ -99,14 +99,17 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkSchurIteration -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
-# Smoke-run the index write path — preprocessing, and a Save + Load round
-# trip — with allocation counts and the built index's MemoryBytes()
-# (index-B), so CI shows a return to per-word index I/O, append-grown arrays
-# or a second copy of S as a jump in B/op, allocs/op or index-B next to the
-# time. (The exact gate on those is TestPreprocessingAllocBudget in
+# Smoke-run the index write path — preprocessing, a Save + Load round trip,
+# and a hub and a spoke delta absorbed by a built and by a loaded engine —
+# with allocation counts and the resulting index's MemoryBytes() (index-B),
+# so CI shows a return to per-word index I/O, append-grown arrays, a second
+# copy of S, or state only some engines carry (the built and loaded
+# ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op
+# or index-B next to the time. (The exact gates on those are
+# TestPreprocessingAllocBudget and TestEveryEngineStateComposes in
 # `make test`.)
 bench-prep:
-	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad' -benchtime=3x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .
 
 # Capture a CPU profile from a running bepi-serve (start it with
 # -debug-addr $(PROFILE_ADDR)) and drop into the pprof shell:

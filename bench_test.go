@@ -9,10 +9,13 @@ package bepi_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"bepi"
 	"bepi/internal/bench"
+	"bepi/internal/core"
+	"bepi/internal/graph"
 	"bepi/internal/method"
 )
 
@@ -68,6 +71,103 @@ func BenchmarkPreprocessBePI(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(eng.MemoryBytes()), "index-B")
+	}
+}
+
+// benchDelta is a batch of size edge ops over the given sources, dealt round
+// robin — the first half inserts toward hubs (which a source of either kind
+// may point at without breaking the ordering), the second half deletes of
+// edges the graph has — with the graph the batch leads to.
+func benchDelta(b *testing.B, g *bepi.Graph, eng *bepi.Engine, sources []int, size int) (*graph.Graph, []core.EdgeDelta) {
+	b.Helper()
+	ord := eng.Internal().Ordering()
+	var ops []core.EdgeDelta
+	var add, del []graph.Edge
+	for k := 0; k < size; k++ {
+		u := sources[k%len(sources)]
+		if k < size/2 {
+			for p := ord.N1; p < ord.N1+ord.N2; p++ {
+				v := ord.Inv[p]
+				if v != u && !g.HasEdge(u, v) && !slices.Contains(add, graph.Edge{Src: u, Dst: v}) {
+					add = append(add, graph.Edge{Src: u, Dst: v})
+					ops = append(ops, core.EdgeDelta{Src: u, Dst: v, Insert: true})
+					break
+				}
+			}
+			continue
+		}
+		for _, v := range g.OutNeighbors(u) {
+			if !slices.Contains(del, graph.Edge{Src: u, Dst: v}) {
+				del = append(del, graph.Edge{Src: u, Dst: v})
+				ops = append(ops, core.EdgeDelta{Src: u, Dst: v})
+				break
+			}
+		}
+	}
+	if len(ops) != size {
+		b.Fatalf("fixture yields %d of %d ops", len(ops), size)
+	}
+	gNew, err := g.Internal().WithEdgeDeltas(g.N(), add, del)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gNew, ops
+}
+
+// BenchmarkApplyDelta is what a Dynamic flush spends in core.ApplyDelta on
+// the scale-12 fixture: a 4-op batch on its two highest-out-degree hubs
+// and a 64-op batch spread over 32 spokes, each absorbed by the engine
+// bepi.New built and by the same index loaded from its file. index-B is the
+// patched engine's MemoryBytes(). The built and the loaded lines agree — in
+// index-B exactly — because where an index came from is not part of it.
+func BenchmarkApplyDelta(b *testing.B) {
+	g := costFixture(b)
+	built, err := bepi.New(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var index bytes.Buffer
+	if err := built.Save(&index); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := bepi.Load(&index)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ord := built.Internal().Ordering()
+	hubs := slices.Clone(ord.Inv[ord.N1 : ord.N1+ord.N2])
+	slices.SortStableFunc(hubs, func(u, v int) int { return g.OutDegree(v) - g.OutDegree(u) })
+	var spokes []int
+	for p := 0; p < ord.N1 && len(spokes) < 32; p += max(1, ord.N1/64) {
+		if u := ord.Inv[p]; g.OutDegree(u) >= 2 {
+			spokes = append(spokes, u)
+		}
+	}
+	for _, batch := range []struct {
+		name    string
+		sources []int
+		size    int
+		class   core.DeltaClass
+	}{
+		{"hub-4op", hubs[:2], 4, core.DeltaHub},
+		{"spoke-batch", spokes, 64, core.DeltaSpoke},
+	} {
+		gNew, ops := benchDelta(b, g, built, batch.sources, batch.size)
+		for _, from := range []struct {
+			name string
+			eng  *bepi.Engine
+		}{{"built", built}, {"loaded", loaded}} {
+			b.Run(batch.name+"/"+from.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ne, st, err := from.eng.Internal().ApplyDelta(gNew, ops)
+					if err != nil || st.Class != batch.class {
+						b.Fatalf("class %v, want %v: %v", st.Class, batch.class, err)
+					}
+					b.ReportMetric(float64(ne.MemoryBytes()), "index-B")
+				}
+			})
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,8 +26,9 @@ import (
 //     fed by the block change; everything else is reused byte-for-byte.
 //   - An edge update with a hub source u rescales column perm[u]−n1 of
 //     H12/H22/H32, so exactly one column of S changes per hub source.
-//   - Either way the changed Schur columns are recomputed with the exact
-//     per-column algorithm SchurComplementT runs and spliced into S, and the
+//   - Either way the changed Schur columns are recomputed by the column
+//     routine SchurComplementT runs (schurScratch.column), merged with their
+//     H22 columns read off the updated graph, and spliced into S, and the
 //     DILU factors are re-factored from the patched S — the one O(nnz(S))
 //     pass Preprocess runs — so every absorbed delta, first or n-th in a
 //     chain, on a built or a loaded engine, is bit-identical to
@@ -99,7 +102,9 @@ type srcDelta struct {
 // ApplyDelta builds a new engine for gNew — the updated graph — from the
 // receiver plus the edge updates that turned the receiver's graph into
 // gNew. The receiver is not modified and keeps serving; the returned engine
-// shares every untouched matrix and LU factor with it.
+// shares every untouched matrix and LU factor with it. Where the receiver
+// came from — a build, a file, an earlier ApplyDelta — changes nothing about
+// the result: not its bits, not its MemoryBytes(), not the work done here.
 //
 // Preconditions: gNew.N() ≥ e.N(); ops lists the actual changes (an insert
 // for an edge gNew lacks, or a delete for one it has, is refused); nodes
@@ -198,10 +203,11 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// Translate each rescaled H column into entry edits on the stored
 	// blocks. A source's whole current out-neighborhood is rewritten (a
 	// degree change rescales every remaining entry), deleted targets are
-	// removed, and H11 entries are skipped — touched blocks are rebuilt
-	// dense from gNew below.
+	// removed, and two blocks are skipped: H11, whose touched blocks are
+	// rebuilt dense from gNew below, and H22, which no engine stores — S
+	// replaced it, and an affected S column takes its H22 part from gNew.
 	c := e.opts.C
-	var h21E, h31E, h12E, h22E, h32E []sparse.Edit
+	var h21E, h31E, h12E, h32E []sparse.Edit
 	hubCols := make(map[int]bool)
 	for u, d := range srcs {
 		pu := ord.Perm[u]
@@ -225,19 +231,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 				switch {
 				case pv < n1:
 					h12E = append(h12E, sparse.Edit{Row: pv, Col: j, Val: val, Delete: del})
-				case pv < l:
-					if pv-n1 == j {
-						// Diagonal of H22 merges identity + self-loop; it
-						// exists even without the self-loop, so deletion
-						// means "revert to 1", never removal.
-						if del {
-							h22E = append(h22E, sparse.Edit{Row: j, Col: j, Val: 1})
-						} else {
-							h22E = append(h22E, sparse.Edit{Row: j, Col: j, Val: 1 + val})
-						}
-						return
-					}
-					h22E = append(h22E, sparse.Edit{Row: pv - n1, Col: j, Val: val, Delete: del})
+				case pv < l: // an H22 entry: not stored, see h22Column
 				default:
 					h32E = append(h32E, sparse.Edit{Row: pv - l, Col: j, Val: val, Delete: del})
 				}
@@ -260,7 +254,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// serving engine, untouched.
 	tPatch := time.Now()
 	patch := func(m *sparse.CSR32, appendRows int, edits []sparse.Edit) *sparse.CSR32 {
-		if m == nil || (appendRows == 0 && len(edits) == 0) {
+		if appendRows == 0 && len(edits) == 0 {
 			return m
 		}
 		w := m.ToCSR()
@@ -273,7 +267,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	h21New := patch(e.h21, 0, h21E)
 	h31New := patch(e.h31, growth, h31E)
 	h32New := patch(e.h32, growth, h32E)
-	h22New := patch(e.h22, 0, h22E)
 	patchDur := time.Since(tPatch)
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
@@ -338,67 +331,24 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	sort.Ints(cols)
 	st.AffectedColumns = len(cols)
 
-	// Recompute each affected S column with SchurComplementT's per-column
-	// algorithm, verbatim, against the patched blocks — same accumulation
-	// order, same staging, same merge with the H22 column, explicit zeros
-	// kept — so the recomputed columns are bit-identical to a from-scratch
-	// Schur build.
+	// Recompute each affected S column the way SchurComplementT builds it,
+	// against the patched blocks: the shared column routine, then the merge
+	// with the H22 column (rebuilt from the graph) that CSR.Add performs,
+	// explicit zeros kept — bit-identical to a from-scratch Schur build.
 	tSchur := time.Now()
 	newCols := make(map[int][]colEntry, len(cols))
 	if len(cols) > 0 {
-		// Updated H22 columns: extracted in one sweep from the retained (and
-		// just patched) H22 block when the engine kept one; reconstructed from
-		// the graph per column otherwise (deserialized engines). The stored
-		// block holds exactly the values BuildH assembled — the same two-term
-		// sums h22Column reproduces — so both sources are bit-identical.
-		var h22Cols map[int][]colEntry
-		if h22New != nil {
-			h22Cols = extractColumns(h22New.ToCSR(), affected)
-		}
 		h12T := h12W.Transpose()
 		h21T := h21New.ToCSR().Transpose()
-		scratch := make([]float64, maxInt(h11LUNew.MaxBlockSize(), 1))
-		acc := make([]float64, n2)
-		mark := make([]int, n2)
-		for i := range mark {
-			mark[i] = -1
-		}
-		var touchedIdx []int
+		w := newSchurScratch(n2, h11LUNew)
 		for _, j := range cols {
-			touchedIdx = touchedIdx[:0]
-			s, en := h12T.RowRange(j)
-			idx := h12T.ColIdx()[s:en]
-			vals := h12T.Values()[s:en]
-			h11LUNew.SolveSparse(idx, vals, scratch, func(row int, x float64) {
-				rs, re := h21T.RowRange(row)
-				tcols := h21T.ColIdx()[rs:re]
-				vs := h21T.Values()[rs:re]
-				for p, i := range tcols {
-					if mark[i] != j {
-						mark[i] = j
-						acc[i] = 0
-						touchedIdx = append(touchedIdx, i)
-					}
-					acc[i] += vs[p] * x
-				}
-			})
-			sort.Ints(touchedIdx)
-			staged := make([]colEntry, 0, len(touchedIdx))
-			for _, i := range touchedIdx {
-				if acc[i] != 0 {
-					staged = append(staged, colEntry{i, -acc[i]})
-				}
+			w.column(j, h21T, h12T, h11LUNew)
+			sort.Ints(w.touched)
+			staged := make([]colEntry, len(w.touched))
+			for k, i := range w.touched {
+				staged[k] = colEntry{i, w.acc[i]}
 			}
-			hc, ok := h22Cols[j]
-			if !ok {
-				hc = h22Column(gNew, ord, c, j)
-			}
-			newCols[j] = mergeColumns(hc, staged)
-			// Reset marks for the next column (stamp value is the column id,
-			// which repeats never, but guard against j reuse across calls).
-			for _, i := range touchedIdx {
-				mark[i] = -1
-			}
+			newCols[j] = mergeColumns(h22Column(gNew, ord, c, j), staged)
 		}
 	}
 	schurDur := time.Since(tSchur)
@@ -406,7 +356,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	ne := &Engine{
 		opts: e.opts, n: gNew.N(), ord: ord,
 		h12: h12New, h21: h21New, h31: h31New, h32: h32New,
-		h22: h22New, schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
+		schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
 		pool: e.pool, prep: e.prep,
 	}
 
@@ -444,8 +394,8 @@ func h22Column(g *graph.Graph, ord *reorder.Ordering, c float64, j int) []colEnt
 	n1 := ord.N1
 	l := n1 + ord.N2
 	u := ord.Inv[n1+j]
-	out := []colEntry{{j, 1}}
 	deg := g.OutDegree(u)
+	out := append(make([]colEntry, 0, deg+1), colEntry{j, 1})
 	if deg > 0 {
 		w := -(1 - c) / float64(deg)
 		for _, v := range g.OutNeighbors(u) {
@@ -454,15 +404,11 @@ func h22Column(g *graph.Graph, ord *reorder.Ordering, c float64, j int) []colEnt
 			}
 		}
 	}
-	// Insertion sort: hub columns are short, and the reflection-based
-	// sort.Slice showed up in per-flush profiles at 347 columns a delta.
-	// Stable, so the duplicate diagonal keeps its 1 + w summation order
-	// (commutative anyway — the merged value is bit-identical either way).
-	for a := 1; a < len(out); a++ {
-		for b := a; b > 0 && out[b].row < out[b-1].row; b-- {
-			out[b], out[b-1] = out[b-1], out[b]
-		}
-	}
+	// A top hub's column holds thousands of entries, so this is an
+	// O(d log d) sort — and not the reflection-based sort.Slice, which showed
+	// up in per-flush profiles at 347 columns a delta. The only duplicate row
+	// is the diagonal, and its two terms sum to the same bits in either order.
+	slices.SortFunc(out, func(a, b colEntry) int { return cmp.Compare(a.row, b.row) })
 	merged := out[:0]
 	for _, ce := range out {
 		if len(merged) > 0 && merged[len(merged)-1].row == ce.row {

@@ -181,6 +181,16 @@ func engineBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
+// reloaded is the engine after a save/load round trip.
+func reloaded(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	loaded, err := ReadEngine(bytes.NewReader(engineBytes(t, e)))
+	if err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	return loaded
+}
+
 // requireSchurStoredOnce checks the engine's storage invariant: S lives in
 // exactly one structure — the DILU factors on a full-BePI engine, the CSR32
 // on the unpreconditioned variants — PrepStats reports its entry count, and
@@ -198,7 +208,7 @@ func requireSchurStoredOnce(t *testing.T, e *Engine) {
 		}
 		return 12*int64(m.NNZ()) + 4*int64(m.Rows()+1)
 	}
-	want := csr32(e.h12) + csr32(e.h21) + csr32(e.h31) + csr32(e.h32) + csr32(e.h22) + csr32(e.schur) +
+	want := csr32(e.h12) + csr32(e.h21) + csr32(e.h31) + csr32(e.h32) + csr32(e.schur) +
 		e.h11LU.MemoryBytes() + 16*int64(e.n)
 	var nnz int
 	if e.ilu != nil {
@@ -218,9 +228,8 @@ func requireSchurStoredOnce(t *testing.T, e *Engine) {
 
 // requireMatchesFullPreprocess is the one contract every absorbed delta
 // has: the engine is bit-identical to PreprocessWithOrdering of the graph it
-// serves under its own ordering — the four stored H blocks, the retained
-// H22 (engines loaded from disk have none), S, four seeds' scores, and the
-// saved bytes.
+// serves under its own ordering — the four stored H blocks, S, four seeds'
+// scores, the saved bytes, and MemoryBytes().
 func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	t.Helper()
 	ref, err := PreprocessWithOrdering(g, e.opts, e.ord)
@@ -232,13 +241,13 @@ func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	matBitsEqual(t, "h21", e.h21, ref.h21)
 	matBitsEqual(t, "h31", e.h31, ref.h31)
 	matBitsEqual(t, "h32", e.h32, ref.h32)
-	if e.h22 != nil {
-		matBitsEqual(t, "h22", e.h22, ref.h22)
-	}
 	matBitsEqual(t, "schur", sparse.Compact(e.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 	if !bytes.Equal(engineBytes(t, e), engineBytes(t, ref)) {
 		t.Fatal("saved bytes differ from the full preprocess's")
+	}
+	if got, want := e.MemoryBytes(), ref.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes() = %d, a full preprocess of the same graph occupies %d", got, want)
 	}
 }
 
@@ -354,6 +363,59 @@ func TestDeltaSpokeBitIdentical(t *testing.T) { runDeltaBitIdentical(t, kindSpok
 func TestDeltaBitIdentical(t *testing.T) {
 	for _, kind := range []deltaKind{kindHub, kindMixed, kindGrowth} {
 		t.Run(string(kind), func(t *testing.T) { runDeltaBitIdentical(t, kind) })
+	}
+}
+
+// TestDeltaLongHubColumnBitIdentical: a hub's H22 column is as long as the
+// hub's out-degree among hubs — thousands of entries for a top hub, not the
+// handful the R-MAT fixtures above reach. A star whose centre points at every
+// node, with a small clique beside it and nine nodes in ten taken as hubs,
+// gives the centre a column of over 2 000 entries; a delta that deletes three
+// of its edges and adds its self-loop (the one duplicate row h22Column
+// merges, here inside a sort too long to be stable) is absorbed exactly, by
+// the built engine and by its reload.
+func TestDeltaLongHubColumnBitIdentical(t *testing.T) {
+	const n, clique = 2600, 8
+	var edges []graph.Edge
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{Src: 0, Dst: v}, graph.Edge{Src: v, Dst: 0})
+	}
+	for u := 1; u <= clique; u++ {
+		for v := 1; v <= clique; v++ {
+			if u != v {
+				edges = append(edges, graph.Edge{Src: u, Dst: v})
+			}
+		}
+	}
+	g := graph.MustNew(n, edges)
+	built, err := Preprocess(g, Options{HubRatio: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord := built.ord
+	if p := ord.Perm[0]; p < ord.N1 || p >= ord.N1+ord.N2 {
+		t.Fatalf("the star's centre is at %d, outside the hub range [%d,%d)", p, ord.N1, ord.N1+ord.N2)
+	}
+	if d := len(h22Column(g, ord, built.opts.C, ord.Perm[0]-ord.N1)); d < 2000 {
+		t.Fatalf("the centre's H22 column has %d entries, the fixture is meant to give it 2000", d)
+	}
+	ops := []EdgeDelta{
+		{Src: 0, Dst: 0, Insert: true},
+		{Src: 0, Dst: 2, Insert: false},
+		{Src: 0, Dst: n / 2, Insert: false},
+		{Src: 0, Dst: n - 1, Insert: false},
+		{Src: 3, Dst: 4, Insert: false},
+	}
+	gNew := applyOpsToGraph(g, n, ops)
+	for name, e := range map[string]*Engine{"built": built, "loaded": reloaded(t, built)} {
+		ne, st, err := e.ApplyDelta(gNew, ops)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Class != DeltaHub {
+			t.Fatalf("%s: class %v, want %v", name, st.Class, DeltaHub)
+		}
+		requireMatchesFullPreprocess(t, ne, gNew)
 	}
 }
 

@@ -330,14 +330,7 @@ func engineStates(t *testing.T) []engineState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reload := func(e *Engine) *Engine {
-		loaded, err := ReadEngine(bytes.NewReader(engineBytes(t, e)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return loaded
-	}
-	states := []engineState{{"built", built, g}, {"loaded", reload(built), g}}
+	states := []engineState{{"built", built, g}, {"loaded", reloaded(t, built), g}}
 	for _, kind := range []deltaKind{kindSpoke, kindHub, kindMixed, kindGrowth} {
 		ops, gNew := genDelta(t, rng, kind, 1, g, built)
 		e, _, err := built.ApplyDelta(gNew, ops)
@@ -346,7 +339,7 @@ func engineStates(t *testing.T) []engineState {
 		}
 		states = append(states, engineState{"after-" + string(kind), e, gNew})
 		if kind == kindHub {
-			states = append(states, engineState{"after-hub-then-saved-and-loaded", reload(e), gNew})
+			states = append(states, engineState{"after-hub-then-saved-and-loaded", reloaded(t, e), gNew})
 		}
 	}
 	return states
@@ -377,23 +370,35 @@ func TestEveryEngineStateMatchesOracle(t *testing.T) {
 }
 
 // TestEveryEngineStateComposes: there is one engine state, so every
-// capability holds in every way of reaching it. Each state holds S exactly
-// once and counts every array it retains (requireSchurStoredOnce, also on
-// its reload and on each further delta), saves and reloads to bit-equal
-// queries, absorbs a further hub and a further spoke delta exactly, and
-// serves TopKBounded with the certificate running (gap checks happen — not
-// the full-solve fallback) and the same set as TopK.
+// capability holds in every way of reaching it, and the way does not show.
+// States serving the same graph occupy the same MemoryBytes(). Each state
+// holds S exactly once and counts every array it retains
+// (requireSchurStoredOnce, also on its reload and on each further delta),
+// saves and reloads to bit-equal queries and an equal footprint, absorbs a
+// further hub and a further spoke delta exactly — to the same engine whether
+// the delta lands on the state or on its reload — and serves TopKBounded
+// with the certificate running (gap checks happen — not the full-solve
+// fallback) and the same set as TopK.
 func TestEveryEngineStateComposes(t *testing.T) {
-	for _, st := range engineStates(t) {
+	states := engineStates(t)
+	first := map[*graph.Graph]engineState{}
+	for _, st := range states {
+		if ref, ok := first[st.g]; !ok {
+			first[st.g] = st
+		} else if st.e.MemoryBytes() != ref.e.MemoryBytes() {
+			t.Errorf("%s occupies %d B, %s of the same graph %d B", st.name, st.e.MemoryBytes(), ref.name, ref.e.MemoryBytes())
+		}
+	}
+	for _, st := range states {
 		t.Run(st.name, func(t *testing.T) {
 			e, g := st.e, st.g
-			loaded, err := ReadEngine(bytes.NewReader(engineBytes(t, e)))
-			if err != nil {
-				t.Fatalf("reload: %v", err)
-			}
+			loaded := reloaded(t, e)
 			requireQueryBitsEqual(t, loaded, e, []int{0, 3, g.N() / 2, g.N() - 1})
 			requireSchurStoredOnce(t, e)
 			requireSchurStoredOnce(t, loaded)
+			if loaded.MemoryBytes() != e.MemoryBytes() {
+				t.Fatalf("reloaded, the index occupies %d B; before, %d B", loaded.MemoryBytes(), e.MemoryBytes())
+			}
 
 			rng := rand.New(rand.NewSource(31))
 			for _, kind := range []deltaKind{kindHub, kindSpoke} {
@@ -403,6 +408,14 @@ func TestEveryEngineStateComposes(t *testing.T) {
 					t.Fatalf("further %s delta: %v", kind, err)
 				}
 				requireMatchesFullPreprocess(t, ne, gNew)
+				nl, _, err := loaded.ApplyDelta(gNew, ops)
+				if err != nil {
+					t.Fatalf("further %s delta on the reload: %v", kind, err)
+				}
+				if nl.MemoryBytes() != ne.MemoryBytes() || !bytes.Equal(engineBytes(t, nl), engineBytes(t, ne)) {
+					t.Fatalf("further %s delta: on the reload it yields %d B in memory, on the state %d B (or other saved bytes)",
+						kind, nl.MemoryBytes(), ne.MemoryBytes())
+				}
 			}
 
 			checks := 0

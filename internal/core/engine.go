@@ -193,6 +193,12 @@ type StageTimings struct {
 
 // Engine is a preprocessed BePI index able to answer RWR queries for any
 // seed node. It is safe for concurrent queries (all query state is local).
+//
+// What it holds is the output of the paper's Algorithm 3 plus the node
+// permutation: the LU factors of H11, S (with its incomplete factors), and
+// H12, H21, H31, H32. H22 is not kept — S replaces it — so an engine is the
+// same state, byte for byte, whether Preprocess built it, ReadEngine loaded
+// it or ApplyDelta patched it.
 type Engine struct {
 	opts Options
 	n    int
@@ -208,12 +214,6 @@ type Engine struct {
 	// unpreconditioned variants as the CSR32 their SpMV reads; schurWide
 	// widens whichever there is for the cold readers.
 	schur *sparse.CSR32
-	// h22 is retained for ApplyDelta only, which extracts affected H22
-	// columns from it in one sweep instead of reconstructing them from the
-	// graph per column: never read by a query, not serialized (a loaded
-	// engine has none and takes the per-column reconstruction), counted by
-	// MemoryBytes.
-	h22   *sparse.CSR32
 	h11LU *lu.BlockLU
 	ilu   *lu.ILU // DILU factors of S, and S itself; nil unless VariantFull
 
@@ -451,7 +451,6 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	// budget check below sees the footprint queries will pay.
 	e.h12, e.h21 = sparse.Compact(h12), sparse.Compact(h21)
 	e.h31, e.h32 = sparse.Compact(h31), sparse.Compact(h32)
-	e.h22 = sparse.Compact(h22)
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
@@ -555,15 +554,62 @@ func SchurComplement(h22, h21, h12 *sparse.CSR, h11LU *lu.BlockLU) *sparse.CSR {
 	return SchurComplementT(h22, h21.Transpose(), h12.Transpose(), h11LU, nil)
 }
 
-// schurScratch is the per-worker state of a parallel Schur build: a dense
-// accumulator with last-touched column marks, a substitution scratch
-// vector, and a COO shard collecting the worker's −H21·H11⁻¹·H12 entries.
+// schurScratch is the working state of Schur-column computations: a dense
+// accumulator with last-touched column marks, a substitution scratch vector
+// and the rows the current column reached. A parallel Schur build gives each
+// worker one, with a COO shard collecting the worker's columns.
 type schurScratch struct {
 	acc     []float64
 	mark    []int
 	scratch []float64
 	touched []int
 	coo     *sparse.COO
+}
+
+func newSchurScratch(n2 int, h11LU *lu.BlockLU) *schurScratch {
+	mark := make([]int, n2)
+	for i := range mark {
+		mark[i] = -1
+	}
+	return &schurScratch{
+		acc:     make([]float64, n2),
+		mark:    mark,
+		scratch: make([]float64, maxInt(h11LU.MaxBlockSize(), 1)),
+	}
+}
+
+// column computes column j of −H21·H11⁻¹·H12 over the column views h21T and
+// h12T: y = H21·(H11⁻¹·H12[:,j]) accumulated sparsely in the order the
+// substitution emits its rows, exact zeros dropped, the rest negated. On
+// return w.touched lists the rows of the column's entries in the order they
+// were first reached and w.acc[i] holds entry i. This is the one place a
+// Schur column is computed — the full build runs it for every j, a delta for
+// the affected ones — so the two agree bit for bit by construction. A
+// scratch may be reused across columns as long as no j repeats.
+func (w *schurScratch) column(j int, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU) {
+	w.touched = w.touched[:0]
+	s, e := h12T.RowRange(j)
+	h11LU.SolveSparse(h12T.ColIdx()[s:e], h12T.Values()[s:e], w.scratch, func(row int, x float64) {
+		rs, re := h21T.RowRange(row)
+		cols := h21T.ColIdx()[rs:re]
+		vs := h21T.Values()[rs:re]
+		for p, i := range cols {
+			if w.mark[i] != j {
+				w.mark[i] = j
+				w.acc[i] = 0
+				w.touched = append(w.touched, i)
+			}
+			w.acc[i] += vs[p] * x
+		}
+	})
+	kept := w.touched[:0]
+	for _, i := range w.touched {
+		if w.acc[i] != 0 {
+			w.acc[i] = -w.acc[i]
+			kept = append(kept, i)
+		}
+	}
+	w.touched = kept
 }
 
 // SchurComplementT is SchurComplement over the pre-transposed column views
@@ -581,46 +627,20 @@ func SchurComplementT(h22, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU, pool *par.
 		parts = 1
 	}
 	arena := par.NewArena(parts, func() *schurScratch {
-		mark := make([]int, n2)
-		for i := range mark {
-			mark[i] = -1
-		}
-		return &schurScratch{
-			acc:     make([]float64, n2),
-			mark:    mark,
-			scratch: make([]float64, maxInt(h11LU.MaxBlockSize(), 1)),
-			coo:     sparse.NewCOO(n2, n2),
-		}
+		w := newSchurScratch(n2, h11LU)
+		w.coo = sparse.NewCOO(n2, n2)
+		return w
 	})
 
-	// Build Sᵀ row by row (row j of Sᵀ = column j of S): y = H21 ·
-	// (H11⁻¹ · H12[:,j]) accumulated sparsely, then staged as −y; S = H22 +
+	// Build Sᵀ row by row (row j of Sᵀ = column j of S); S = H22 +
 	// (−H21·H11⁻¹·H12). Columns are independent: each touches only its own
 	// chunk's scratch and shard.
 	columnRange := func(chunk, jlo, jhi int) {
 		w := arena.Get(chunk)
 		for j := jlo; j < jhi; j++ {
-			w.touched = w.touched[:0]
-			s, e := h12T.RowRange(j)
-			idx := h12T.ColIdx()[s:e]
-			vals := h12T.Values()[s:e]
-			h11LU.SolveSparse(idx, vals, w.scratch, func(row int, x float64) {
-				rs, re := h21T.RowRange(row)
-				cols := h21T.ColIdx()[rs:re]
-				vs := h21T.Values()[rs:re]
-				for p, i := range cols {
-					if w.mark[i] != j {
-						w.mark[i] = j
-						w.acc[i] = 0
-						w.touched = append(w.touched, i)
-					}
-					w.acc[i] += vs[p] * x
-				}
-			})
+			w.column(j, h21T, h12T, h11LU)
 			for _, i := range w.touched {
-				if w.acc[i] != 0 {
-					w.coo.Add(i, j, -w.acc[i])
-				}
+				w.coo.Add(i, j, w.acc[i])
 			}
 		}
 	}
@@ -674,20 +694,17 @@ func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 func (e *Engine) Schur() *sparse.CSR { return e.schurWide() }
 
 // MemoryBytes reports the total footprint of the preprocessed data: the H11
-// LU factors, the partition blocks H12/H21/H31/H32 (plus H22 on engines
-// built in this process, which keep it for ApplyDelta), and the Schur
-// complement — stored once: as its DILU factors (S's two triangles, its
-// diagonal and the pivots) for full BePI, as a compact CSR otherwise. This
-// is the quantity in Figure 1(b) of the paper.
+// LU factors, the partition blocks H12/H21/H31/H32 (not H22 — S replaces
+// it), and the Schur complement — stored once: as its DILU factors (S's two
+// triangles, its diagonal and the pivots) for full BePI, as a compact CSR
+// otherwise. This is the quantity in Figure 1(b) of the paper, and the same
+// number for an index whether it was built, loaded or patched.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
 		e.h12.MemoryBytes() + e.h21.MemoryBytes() +
 		e.h31.MemoryBytes() + e.h32.MemoryBytes()
 	if e.schur != nil {
 		total += e.schur.MemoryBytes()
-	}
-	if e.h22 != nil {
-		total += e.h22.MemoryBytes()
 	}
 	if e.ilu != nil {
 		total += e.ilu.MemoryBytes()

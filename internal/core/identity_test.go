@@ -109,8 +109,8 @@ func TestBuildHMatchesCOO(t *testing.T) {
 	}
 }
 
-// TestPreprocessBlocksMatchBlock: the six blocks preprocessing keeps are
-// the ones six separate Block calls cut from the same H.
+// TestPreprocessBlocksMatchBlock: the four H blocks an engine keeps are the
+// ones separate Block calls cut from the same H.
 func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	g := gen.Hybrid(gen.DefaultHybrid(10, 8, 1))
 	e, err := Preprocess(g, Options{})
@@ -122,7 +122,6 @@ func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	for name, pair := range map[string][2]*sparse.CSR{
 		"h12": {e.h12.ToCSR(), h.Block(0, n1, n1, l)},
 		"h21": {e.h21.ToCSR(), h.Block(n1, l, 0, n1)},
-		"h22": {e.h22.ToCSR(), h.Block(n1, l, n1, l)},
 		"h31": {e.h31.ToCSR(), h.Block(l, n, 0, n1)},
 		"h32": {e.h32.ToCSR(), h.Block(l, n, n1, l)},
 	} {

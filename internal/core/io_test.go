@@ -35,6 +35,9 @@ func TestEngineSerializationRoundTrip(t *testing.T) {
 		if back.Preconditioned() != (v == VariantFull) {
 			t.Fatalf("%v: preconditioner state lost", v)
 		}
+		if back.MemoryBytes() != orig.MemoryBytes() {
+			t.Fatalf("%v: the loaded index occupies %d B, the built one %d B", v, back.MemoryBytes(), orig.MemoryBytes())
+		}
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 3; trial++ {
 			seed := rng.Intn(g.N())

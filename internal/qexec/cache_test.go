@@ -1,6 +1,7 @@
 package qexec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,15 +24,40 @@ func earlySeed(t *testing.T, e *core.Engine, k int) int {
 	return -1
 }
 
-// TestCacheHotSetSolvedOnce is the hot-set contract under concurrency: 64
-// seeds × 8 goroutines asking the same top-10 cost exactly one bounded solve
+// TestCacheHotSetSolvedOnce is the hot-set contract under concurrency: a hot
+// set × 8 goroutines asking the same top-10 cost exactly one bounded solve
 // per (seed, k, generation) — every other request coalesces or hits — and
-// once the set is warm, replaying it runs no solve at all.
+// once the set is warm, replaying it runs no solve at all. The set is as
+// many seeds as the cache's budget holds full vectors (a solve that runs to
+// tolerance is stored as one), derived from the engine the way
+// TestCacheBudgetFollowsEngine derives fit — and the index loaded from its
+// file gets the same budget, hence the same set, as the one built here.
 func TestCacheHotSetSolvedOnce(t *testing.T) {
-	e := skewedEng(t)
+	built := skewedEng(t)
+	var index bytes.Buffer
+	if _, err := built.WriteTo(&index); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.ReadEngine(&index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.CalibrateBound(); err != nil {
+		t.Fatal(err)
+	}
+	seeds := int(built.MemoryBytes() / int64(8*built.N()))
+	if seeds < 8 {
+		t.Fatalf("test setup: the budget holds %d full vectors, too few for a storm", seeds)
+	}
+	for name, e := range map[string]*core.Engine{"built": built, "loaded": loaded} {
+		t.Run(name, func(t *testing.T) { hotSetSolvedOnce(t, e, seeds) })
+	}
+}
+
+func hotSetSolvedOnce(t *testing.T, e *core.Engine, seeds int) {
 	ex := New(e, Config{})
 	defer ex.Close()
-	const seeds, dup, k = 64, 8, 10
+	const dup, k = 8, 10
 	ctx := context.Background()
 	want := make([][]core.Ranked, seeds)
 	for s := range want {
@@ -63,7 +89,7 @@ func TestCacheHotSetSolvedOnce(t *testing.T) {
 	}
 	storm()
 	m := ex.Metrics()
-	if m.TopKSolves != seeds || m.Executed != seeds {
+	if m.TopKSolves != int64(seeds) || m.Executed != int64(seeds) {
 		t.Fatalf("cold storm: %d bounded solves, %d executed, want %d each (one per seed)", m.TopKSolves, m.Executed, seeds)
 	}
 	if m.EarlyStops == 0 {
@@ -74,7 +100,7 @@ func TestCacheHotSetSolvedOnce(t *testing.T) {
 	}
 	storm()
 	d := ex.Metrics().Delta(m)
-	if d.Executed != 0 || d.CacheMisses != 0 || d.CacheHits != seeds*dup {
+	if d.Executed != 0 || d.CacheMisses != 0 || d.CacheHits != int64(seeds*dup) {
 		t.Fatalf("warm storm: executed %d, misses %d, hits %d; want 0, 0, %d", d.Executed, d.CacheMisses, d.CacheHits, seeds*dup)
 	}
 	if d.TopKCacheHits == 0 || d.TopKCacheHits > d.CacheHits {
