@@ -102,10 +102,11 @@ bench-kernels:
 # Smoke-run the index write path — preprocessing, a Save + Load round trip,
 # and a hub and a spoke delta absorbed by a built and by a loaded engine —
 # with allocation counts and the resulting index's MemoryBytes() (index-B),
-# so CI shows a return to per-word index I/O, append-grown arrays, a second
-# copy of S, or state only some engines carry (the built and loaded
-# ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op
-# or index-B next to the time. (The exact gates on those are
+# and for the round trip the saved file's size (file-B), so CI shows a
+# return to per-word index I/O, append-grown arrays, a second copy of S, a
+# widened file, or state only some engines carry (the built and loaded
+# ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op,
+# file-B or index-B next to the time. (The exact gates on those are
 # TestPreprocessingAllocBudget and TestEveryEngineStateComposes in
 # `make test`.)
 bench-prep:

@@ -238,7 +238,9 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkSaveLoad measures index persistence round trips: Save into a
-// buffer, Load back (which recomputes the DILU preconditioner's pivots).
+// buffer, Load back (which recomputes the DILU preconditioner's pivots). It
+// reports the saved file's size (file-B) beside the index it loads into
+// (index-B).
 func BenchmarkSaveLoad(b *testing.B) {
 	g := benchGraph()
 	eng, err := bepi.New(g)
@@ -258,4 +260,6 @@ func BenchmarkSaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(buf.Len()), "file-B")
+	b.ReportMetric(float64(eng.MemoryBytes()), "index-B")
 }

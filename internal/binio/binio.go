@@ -1,14 +1,21 @@
 // Package binio is the one array codec of the index file format. Every
-// array in a saved index (sparse.CSR, lu.BlockLU, core.Engine) is a run of
-// little-endian 64-bit words; this package moves such runs between slices
-// and a stream a chunk at a time, through a pooled buffer and a tight
-// PutUint64/Uint64 loop, so that neither direction makes a call, an
+// array in a saved index (sparse.CSR32, lu.ILU, lu.BlockLU, core.Engine) is
+// a run of little-endian 32- or 64-bit words; this package moves such runs
+// between slices and a stream a chunk at a time, through a pooled buffer and
+// a tight Put/Uint loop, so that neither direction makes a call, an
 // allocation or an error check per word.
+//
+// It also frames sections: length · payload · CRC-32C(payload). The
+// checksum is computed over the bytes as they pass through the chunk, so no
+// encoder computes one, and while a section is open every array length is
+// checked against what is left of the section before anything is allocated.
 package binio
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sync"
@@ -20,6 +27,14 @@ const chunkBytes = 64 << 10
 
 var chunks = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
 
+// castagnoli is the CRC-32C table, hardware-accelerated where the CPU has
+// the instruction.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrChecksum is what EndSection returns when a section's bytes do not hash
+// to the CRC-32C stored after them.
+var ErrChecksum = errors.New("binio: section checksum mismatch")
+
 // Writer buffers words into one pooled chunk and hands full chunks to the
 // underlying writer. The first write error sticks: later calls do nothing
 // and Close reports it, so callers check once.
@@ -29,20 +44,48 @@ type Writer struct {
 	fill  int   // bytes of buf not yet handed to w
 	total int64 // bytes handed to w
 	err   error
+
+	// n counts the bytes accepted (or, while counting, only counted);
+	// nested holds its value at each open nested NewWriter.
+	n        int64
+	nested   []int64
+	counting bool
+
+	// summing: a section is open, and crc covers its bytes up to
+	// buf[sumFrom:fill], which are not yet hashed.
+	summing bool
+	sumFrom int
+	crc     uint32
 }
 
 // NewWriter returns a Writer on w. Close it to flush and release its chunk.
+// Handed a *Writer it returns it, opened once more: an encoder called on a
+// Writer writes into the caller's chunk and section, and its Close reports
+// the bytes it wrote without flushing.
 func NewWriter(w io.Writer) *Writer {
+	if bw, ok := w.(*Writer); ok {
+		bw.nested = append(bw.nested, bw.n)
+		return bw
+	}
 	return &Writer{w: w, buf: chunks.Get().(*[chunkBytes]byte)}
 }
 
+// sum hashes the section bytes buffered since the last call.
+func (w *Writer) sum() {
+	if w.summing {
+		w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.sumFrom:w.fill])
+		w.sumFrom = w.fill
+	}
+}
+
 func (w *Writer) flush() {
+	w.sum()
 	if w.err == nil && w.fill > 0 {
 		n, err := w.w.Write(w.buf[:w.fill])
 		w.total += int64(n)
 		w.err = err
 	}
-	w.fill = 0
+	w.fill, w.sumFrom = 0, 0
 }
 
 // room returns the unfilled tail of the chunk, at least need bytes long.
@@ -53,16 +96,30 @@ func (w *Writer) room(need int) []byte {
 	return w.buf[w.fill:]
 }
 
-// U32 writes one 32-bit word (the format's magic numbers).
+// advance records k bytes placed at the head of room's slice.
+func (w *Writer) advance(k int) {
+	w.fill += k
+	w.n += int64(k)
+}
+
+// U32 writes one 32-bit word.
 func (w *Writer) U32(v uint32) {
+	if w.counting {
+		w.n += 4
+		return
+	}
 	binary.LittleEndian.PutUint32(w.room(4), v)
-	w.fill += 4
+	w.advance(4)
 }
 
 // U64 writes one 64-bit word.
 func (w *Writer) U64(v uint64) {
+	if w.counting {
+		w.n += 8
+		return
+	}
 	binary.LittleEndian.PutUint64(w.room(8), v)
-	w.fill += 8
+	w.advance(8)
 }
 
 // Int writes one integer as a 64-bit word.
@@ -71,27 +128,104 @@ func (w *Writer) Int(v int) { w.U64(uint64(v)) }
 // F64 writes one float64 as its bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
-// Close flushes what is buffered, releases the chunk and returns the bytes
-// written to the underlying writer with the first error met. The Writer
-// must not be used afterwards.
+// Write copies b into the stream. It implements io.Writer, so that a Writer
+// can be handed to an encoder that takes one.
+func (w *Writer) Write(b []byte) (int, error) {
+	if w.counting {
+		w.n += int64(len(b))
+		return len(b), nil
+	}
+	for rest := b; len(rest) > 0; {
+		k := copy(w.room(1), rest)
+		w.advance(k)
+		rest = rest[k:]
+	}
+	return len(b), w.err
+}
+
+// Section writes one framed section: the length of the payload write
+// produces, as a 64-bit word; the payload; and its CRC-32C as a 32-bit word.
+// write runs twice, first with the Writer only counting — which reads no
+// array — to learn the length, so it must produce the same bytes both
+// times; it writes to the Writer it is handed (directly or through
+// NewWriter). A payload that comes out at another length than counted is a
+// sticky error.
+func (w *Writer) Section(write func(io.Writer) (int64, error)) {
+	start := w.n
+	w.counting = true
+	write(w)
+	w.counting = false
+	length := w.n - start
+	w.n = start
+	w.U64(uint64(length))
+	start = w.n
+	w.summing, w.sumFrom, w.crc = true, w.fill, 0
+	write(w)
+	w.sum()
+	w.summing = false
+	if got := w.n - start; got != length && w.err == nil {
+		w.err = fmt.Errorf("binio: section counted %d bytes, wrote %d", length, got)
+	}
+	w.U32(w.crc)
+}
+
+// Close ends what the matching NewWriter opened and returns the bytes
+// written since, with the first error met. The outermost Close flushes
+// what is buffered and releases the chunk; the Writer must not be used
+// afterwards.
 func (w *Writer) Close() (int64, error) {
+	if k := len(w.nested); k > 0 {
+		start := w.nested[k-1]
+		w.nested = w.nested[:k-1]
+		return w.n - start, w.err
+	}
 	w.flush()
 	chunks.Put(w.buf)
 	w.buf = nil
 	return w.total, w.err
 }
 
+// next returns room for as many of entries words of size bytes as the
+// chunk holds, and that count; the caller fills them and calls advance.
+// Counting, it counts all of them and returns 0.
+func (w *Writer) next(entries, size int) ([]byte, int) {
+	if w.counting {
+		w.n += int64(entries * size)
+		return nil, 0
+	}
+	b := w.room(size)
+	return b, min(entries, len(b)/size)
+}
+
 // WriteInts writes every element of s as a 64-bit word (sign-extended for
-// the signed types), whatever the in-memory width: a CSR32's uint32 columns
-// produce the same bytes as the widened CSR's.
+// the signed types), whatever the in-memory width.
 func WriteInts[T int | int32 | int64 | uint32](w *Writer, s []T) {
 	for len(s) > 0 {
-		b := w.room(8)
-		k := min(len(s), len(b)/8)
+		b, k := w.next(len(s), 8)
+		if k == 0 {
+			return
+		}
 		for i, v := range s[:k] {
 			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
 		}
-		w.fill += 8 * k
+		w.advance(8 * k)
+		s = s[k:]
+	}
+}
+
+// WriteInts32 writes every element of s as a 32-bit word: its low 32 bits,
+// which hold the value for a uint32, an int32, or a wider integer the caller
+// knows to fit (Int32s and Uint32s read them back).
+func WriteInts32[T int | int32 | int64 | uint32](w *Writer, s []T) {
+	for len(s) > 0 {
+		b, k := w.next(len(s), 4)
+		if k == 0 {
+			return
+		}
+		for i, v := range s[:k] {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+		w.advance(4 * k)
 		s = s[k:]
 	}
 }
@@ -99,12 +233,14 @@ func WriteInts[T int | int32 | int64 | uint32](w *Writer, s []T) {
 // WriteFloats writes every element of s as a float64 bit pattern.
 func WriteFloats(w *Writer, s []float64) {
 	for len(s) > 0 {
-		b := w.room(8)
-		k := min(len(s), len(b)/8)
+		b, k := w.next(len(s), 8)
+		if k == 0 {
+			return
+		}
 		for i, v := range s[:k] {
 			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 		}
-		w.fill += 8 * k
+		w.advance(8 * k)
 		s = s[k:]
 	}
 }
@@ -114,10 +250,15 @@ func WriteFloats(w *Writer, s []float64) {
 // how many bytes the source still holds when the source can say (a
 // bytes.Reader or bytes.Buffer, a file), and uses that to allocate each
 // array at its declared length — or to refuse, before allocating, a length
-// the input cannot back.
+// the input cannot back. Inside a section, reads stop at its declared end
+// and array lengths are refused against it too, whatever the source.
 type Reader struct {
 	r    io.Reader
 	left int64 // bytes the source still holds; -1 when it cannot say
+
+	inSection bool
+	sec       int64  // bytes of the open section not yet read
+	crc       uint32 // CRC-32C of the section bytes read so far
 }
 
 // NewReader returns a Reader on r; handed a *Reader it returns it, so
@@ -147,11 +288,25 @@ func remaining(r io.Reader) int64 {
 	return -1
 }
 
-// Read implements io.Reader, keeping the remaining-bytes count current.
+// errPastSection is a decoder asking for more than its section declared.
+var errPastSection = fmt.Errorf("binio: read past the end of the section: %w", io.ErrUnexpectedEOF)
+
+// Read implements io.Reader, keeping the remaining-bytes count and the
+// open section's length and checksum current.
 func (r *Reader) Read(b []byte) (int, error) {
+	if r.inSection {
+		if r.sec == 0 && len(b) > 0 {
+			return 0, errPastSection
+		}
+		b = b[:min(int64(len(b)), r.sec)]
+	}
 	n, err := r.r.Read(b)
 	if r.left >= 0 {
 		r.left -= int64(n)
+	}
+	if r.inSection {
+		r.crc = crc32.Update(r.crc, castagnoli, b[:n])
+		r.sec -= int64(n)
 	}
 	return n, err
 }
@@ -165,16 +320,50 @@ func (r *Reader) Full(b []byte) error {
 	return err
 }
 
+// Section opens the next section: it reads the length word and refuses a
+// length the input is known not to hold (with the checksum after it).
+func (r *Reader) Section() error {
+	var b [8]byte
+	if err := r.Full(b[:]); err != nil {
+		return err
+	}
+	n := int64(binary.LittleEndian.Uint64(b[:]))
+	if n < 0 || (r.left >= 0 && n > r.left-4) {
+		return fmt.Errorf("binio: section of %d bytes with %d left: %w", n, r.left, io.ErrUnexpectedEOF)
+	}
+	r.inSection, r.sec, r.crc = true, n, 0
+	return nil
+}
+
+// EndSection closes the open section: the decoder must have read all of it,
+// and its bytes must hash to the CRC-32C that follows (else ErrChecksum).
+func (r *Reader) EndSection() error {
+	if r.sec != 0 {
+		return fmt.Errorf("binio: %d bytes of the section not read", r.sec)
+	}
+	r.inSection = false
+	var b [4]byte
+	if err := r.Full(b[:]); err != nil {
+		return err
+	}
+	if stored := binary.LittleEndian.Uint32(b[:]); stored != r.crc {
+		return fmt.Errorf("%w: stored %#08x, computed %#08x", ErrChecksum, stored, r.crc)
+	}
+	return nil
+}
+
 // growEntries bounds how far an array read runs ahead of the input when the
 // source cannot say how much it holds: a corrupt length then fails at the
 // end of the stream instead of attempting one giant allocation.
 const growEntries = 1 << 16
 
-// sized returns an empty slice for n declared entries: exactly sized when
-// the remaining input is known to back them, refused when it is known not
-// to, and otherwise capped so that the slice grows with the input.
-func sized[T any](r *Reader, n int) ([]T, error) {
-	if n < 0 || (r.left >= 0 && int64(n) > r.left/8) {
+// sized returns an empty slice for n declared entries of size bytes each:
+// refused when the open section or the remaining input is known not to back
+// them, exactly sized when the input is known to, and otherwise capped so
+// that the slice grows with the input.
+func sized[T any](r *Reader, n, size int) ([]T, error) {
+	if n < 0 || (r.left >= 0 && int64(n) > r.left/int64(size)) ||
+		(r.inSection && int64(n) > r.sec/int64(size)) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if r.left < 0 {
@@ -194,45 +383,59 @@ func extend[T any](s *[]T, k int) []T {
 	return (*s)[n:]
 }
 
-// each reads n words a chunk at a time and hands decode each chunk's bytes.
-func (r *Reader) each(n int, decode func(b []byte)) error {
+// read reads n words of size bytes each into a slice sized for them, a
+// chunk at a time, handing decode each chunk's bytes and the slice's tail
+// they fill.
+func read[T any](r *Reader, n, size int, decode func(dst []T, b []byte)) ([]T, error) {
+	out, err := sized[T](r, n, size)
+	if err != nil {
+		return nil, err
+	}
 	buf := chunks.Get().(*[chunkBytes]byte)
 	defer chunks.Put(buf)
 	for n > 0 {
-		k := min(n, chunkBytes/8)
-		if err := r.Full(buf[:8*k]); err != nil {
-			return err
+		k := min(n, chunkBytes/size)
+		if err := r.Full(buf[:size*k]); err != nil {
+			return nil, err
 		}
-		decode(buf[:8*k])
+		decode(extend(&out, k), buf[:size*k])
 		n -= k
 	}
-	return nil
+	return out, nil
 }
 
-// Ints reads n words as ints.
+// Ints reads n 64-bit words as ints.
 func (r *Reader) Ints(n int) ([]int, error) {
-	out, err := sized[int](r, n)
-	if err != nil {
-		return nil, err
-	}
-	err = r.each(n, func(b []byte) {
-		for i, dst := 0, extend(&out, len(b)/8); i < len(dst); i++ {
+	return read(r, n, 8, func(dst []int, b []byte) {
+		for i := range dst {
 			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 		}
 	})
-	return out, err
 }
 
-// Floats reads n words as float64 bit patterns.
+// Int32s reads n 32-bit words as int32s.
+func (r *Reader) Int32s(n int) ([]int32, error) {
+	return read(r, n, 4, func(dst []int32, b []byte) {
+		for i := range dst {
+			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	})
+}
+
+// Uint32s reads n 32-bit words as uint32s.
+func (r *Reader) Uint32s(n int) ([]uint32, error) {
+	return read(r, n, 4, func(dst []uint32, b []byte) {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	})
+}
+
+// Floats reads n 64-bit words as float64 bit patterns.
 func (r *Reader) Floats(n int) ([]float64, error) {
-	out, err := sized[float64](r, n)
-	if err != nil {
-		return nil, err
-	}
-	err = r.each(n, func(b []byte) {
-		for i, dst := 0, extend(&out, len(b)/8); i < len(dst); i++ {
+	return read(r, n, 8, func(dst []float64, b []byte) {
+		for i := range dst {
 			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 	})
-	return out, err
 }

@@ -2,7 +2,9 @@ package binio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"reflect"
@@ -195,4 +197,151 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// encodeSections writes two sections: 32-bit runs of every accepted type
+// through a nested encoder, crossing chunk boundaries, then one word.
+func encodeSections(t testing.TB, u []uint32, f []float64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U32(0xfeedface)
+	nested := func(out io.Writer) (int64, error) {
+		bw := NewWriter(out)
+		bw.Int(len(u))
+		WriteInts32(bw, u)
+		WriteInts32(bw, []int32{-1, 7})
+		WriteInts32(bw, []int{1 << 31})
+		WriteFloats(bw, f)
+		return bw.Close()
+	}
+	w.Section(nested)
+	w.Section(func(out io.Writer) (int64, error) {
+		bw := NewWriter(out)
+		bw.F64(math.E)
+		return bw.Close()
+	})
+	n, err := w.Close()
+	if err != nil || n != int64(buf.Len()) {
+		t.Fatalf("Close = %d, %v; wrote %d", n, err, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// TestSaveLoadSectionRoundTrip: a section is its length, its payload and
+// the payload's CRC-32C, the length counted without writing; 32-bit runs
+// come back exactly, from a source that reports its length and from one
+// that does not.
+func TestSaveLoadSectionRoundTrip(t *testing.T) {
+	u := make([]uint32, chunkBytes/4+9)
+	for i := range u {
+		u[i] = uint32(i*2654435761) ^ 0x80000000
+	}
+	f := make([]float64, chunkBytes/8+3)
+	for i := range f {
+		f[i] = float64(i) / 7
+	}
+	raw := encodeSections(t, u, f)
+	payload := 8 + 4*(len(u)+3) + 8*len(f)
+	if want := 4 + (8 + payload + 4) + (8 + 8 + 4); len(raw) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(raw), want)
+	}
+	if got := binary.LittleEndian.Uint64(raw[4:]); got != uint64(payload) {
+		t.Fatalf("section length %d, want %d", got, payload)
+	}
+	if got, want := binary.LittleEndian.Uint32(raw[12+payload:]), crc32.Checksum(raw[12:12+payload], crc32.MakeTable(crc32.Castagnoli)); got != want {
+		t.Fatalf("stored CRC %#x, want CRC-32C %#x", got, want)
+	}
+	for name, src := range map[string]io.Reader{"sized": bytes.NewReader(raw), "stream": onlyReader{bytes.NewReader(raw)}} {
+		r := NewReader(src)
+		var word [8]byte
+		if err := r.Full(word[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Section(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Full(word[:]); err != nil {
+			t.Fatal(err)
+		}
+		gotU, err := r.Uint32s(len(u))
+		if err != nil || !reflect.DeepEqual(gotU, u) {
+			t.Fatalf("%s: uint32 run differs (err %v)", name, err)
+		}
+		gotI, err := r.Int32s(3)
+		if err != nil || !reflect.DeepEqual(gotI, []int32{-1, 7, math.MinInt32}) {
+			t.Fatalf("%s: int32 run = %v (err %v)", name, gotI, err)
+		}
+		gotF, err := r.Floats(len(f))
+		if err != nil || !reflect.DeepEqual(gotF, f) {
+			t.Fatalf("%s: floats differ (err %v)", name, err)
+		}
+		if err := r.EndSection(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := r.Section(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Full(word[:]); err != nil || math.Float64frombits(binary.LittleEndian.Uint64(word[:])) != math.E {
+			t.Fatalf("%s: second section: %v", name, err)
+		}
+		if err := r.EndSection(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestSaveLoadSectionRefusals: a flipped payload byte fails the checksum; a
+// decoder that stops short of its section's end, or reads past it, fails;
+// and an array the section cannot hold is refused before it is allocated,
+// whether or not the source reports its length.
+func TestSaveLoadSectionRefusals(t *testing.T) {
+	raw := encodeSections(t, []uint32{1, 2, 3}, []float64{0.5})
+	open := func(b []byte) *Reader {
+		r := NewReader(onlyReader{bytes.NewReader(b)})
+		if err := r.Full(make([]byte, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Section(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	flipped := append([]byte(nil), raw...)
+	flipped[20] ^= 1
+	r := open(flipped)
+	if _, err := r.Uint32s(2 + 3 + 3 + 2); err != nil { // the count word, both runs and the float, as 32-bit words
+		t.Fatal(err)
+	}
+	if err := r.EndSection(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped payload byte: %v, want ErrChecksum", err)
+	}
+	if err := open(raw).EndSection(); err == nil || errors.Is(err, ErrChecksum) {
+		t.Fatalf("section left unread: %v", err)
+	}
+	if _, err := open(raw).Floats(6); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("array longer than the section: %v", err)
+	}
+	r = open(raw)
+	if _, err := r.Floats(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Int32s(1); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("read past the section: %v", err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := open(raw).Uint32s(1 << 40); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("unbacked length: %v", err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("an unbacked length in a section took %.0f allocations", allocs)
+	}
+	short := NewReader(bytes.NewReader(raw[:20]))
+	if err := short.Full(make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := short.Section(); err == nil {
+		t.Fatal("a section longer than the input opened")
+	}
 }

@@ -178,8 +178,15 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		}
 	}
 
-	touched := make(map[int]bool)
+	// Sources in ascending id, so a refusal names the smallest crossing
+	// source whatever the map's order.
+	sorted := make([]int, 0, len(srcs))
 	for u := range srcs {
+		sorted = append(sorted, u)
+	}
+	slices.Sort(sorted)
+	touched := make(map[int]bool)
+	for _, u := range sorted {
 		pu := ord.Perm[u]
 		if pu >= n1 {
 			continue

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bepi/internal/gen"
@@ -596,5 +598,37 @@ func TestDeltaFullClassification(t *testing.T) {
 	// The receiver must still answer correctly after all refusals.
 	if _, _, err := e0.Query(0); err != nil {
 		t.Fatalf("receiver corrupted by refused deltas: %v", err)
+	}
+}
+
+// TestDeltaCrossingRefusalIsDeterministic: a delta with two block-crossing
+// sources is refused with one reason, run after run, naming the smaller
+// source — not whichever one the map of sources happened to yield first.
+func TestDeltaCrossingRefusalIsDeterministic(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(8, 6, 53))
+	e, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord := e.ord
+	if len(ord.Blocks) < 2 {
+		t.Fatalf("fixture has %d H11 blocks; want at least 2", len(ord.Blocks))
+	}
+	// Spokes are numbered block by block, so the first and the last spoke
+	// sit in different blocks, and no edge joins them yet.
+	first, last := ord.Inv[0], ord.Inv[ord.N1-1]
+	ops := []EdgeDelta{{Src: first, Dst: last, Insert: true}, {Src: last, Dst: first, Insert: true}}
+	gNew := applyOpsToGraph(g, g.N(), ops)
+	want := fmt.Sprintf("edge %d→", min(first, last))
+	var reason string
+	for run := 0; run < 50; run++ {
+		_, _, err := e.ApplyDelta(gNew, ops)
+		if !errors.Is(err, ErrDeltaFull) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: %v, want ErrDeltaFull naming %q", run, err, want)
+		}
+		if run > 0 && err.Error() != reason {
+			t.Fatalf("run %d: reason %q, run 0 gave %q", run, err, reason)
+		}
+		reason = err.Error()
 	}
 }

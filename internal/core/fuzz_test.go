@@ -2,56 +2,80 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
 // FuzzReadEngine checks the index deserializer on corrupt bytes: it refuses
-// them with ErrCorruptIndex, or returns an engine that answers a query —
-// scores or an error — within the iteration budget the loader bounds. Matrix
-// values, c and tol are not cross-checked against each other on load, so
-// an accepted mutant of those may serve numeric garbage; an index that
-// differs from a valid one only in the other option words (variant,
-// iteration budget, reserved, hub ratio) must still serve probabilities.
+// them with a typed error (ErrCorruptIndex or ErrIndexVersion), or the file
+// is one no checksum could tell from a valid index — so it must be one: it
+// re-saves to itself and its answers pass the power-iteration oracle of the
+// fixture's graph. Version-1 files carry no checksums; an accepted one must
+// answer a query — scores or an error — within the iteration budget the
+// loader bounds, and, if it differs from the valid file only in the option
+// words after c and tol, serve probabilities.
 func FuzzReadEngine(f *testing.F) {
 	valid, corrupt := corruptIndexes(f)
+	v1 := v1Fixture(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/3])
 	f.Add([]byte{})
 	tail := append([]byte(nil), valid...)
 	tail[len(tail)-9] ^= 0x7F
 	f.Add(tail)
+	f.Add(v1)
 	for _, raw := range corrupt {
 		f.Add(raw)
 	}
-	// The option words after c and tol end where n begins.
+	g := corruptFixture()
+	// In a version-1 file the option words after c and tol end where n
+	// begins.
 	const optLo, optHi = 4 + 2*8, 4 + 7*8
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng, err := ReadEngine(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrCorruptIndex) {
+			if !errors.Is(err, ErrCorruptIndex) && !errors.Is(err, ErrIndexVersion) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
-		if eng.N() < 0 {
-			t.Fatal("negative n accepted")
-		}
-		if eng.N() == 0 {
+		if binary.LittleEndian.Uint32(data) == indexMagicV1 {
+			if eng.N() == 0 {
+				return
+			}
+			r, st, err := eng.Query(0)
+			if st.Iterations > maxIterLimit {
+				t.Fatalf("query ran %d iterations, the loader bounds the budget at %d", st.Iterations, maxIterLimit)
+			}
+			if err != nil || len(data) != len(v1) ||
+				!bytes.Equal(data[:optLo], v1[:optLo]) || !bytes.Equal(data[optHi:], v1[optHi:]) {
+				return
+			}
+			for node, v := range r {
+				if !(v >= 0 && v <= 1+1e-9) {
+					t.Fatalf("score[%d] = %v from an index whose matrices, c and tol are intact", node, v)
+				}
+			}
 			return
 		}
-		r, st, err := eng.Query(0)
-		if st.Iterations > maxIterLimit {
-			t.Fatalf("query ran %d iterations, the loader bounds the budget at %d", st.Iterations, maxIterLimit)
+		if _, again := saveHash(t, eng); !bytes.Equal(again, data) {
+			t.Fatal("an accepted version-2 file does not re-save to itself")
 		}
-		if err != nil || len(data) != len(valid) ||
-			!bytes.Equal(data[:optLo], valid[:optLo]) || !bytes.Equal(data[optHi:], valid[optHi:]) {
-			return
-		}
-		for node, v := range r {
-			if !(v >= 0 && v <= 1+1e-9) {
-				t.Fatalf("score[%d] = %v from an index whose matrices, c and tol are intact", node, v)
+		for _, seed := range []int{0, g.N() / 2, g.N() - 1} {
+			got, _, err := eng.Query(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := powerOracle(g, eng.opts.C, seed)
+			var l1 float64
+			for i := range got {
+				l1 += math.Abs(got[i] - want[i])
+			}
+			if l1 > 1e-6 {
+				t.Fatalf("seed %d: an accepted version-2 file answers %v off the oracle (L1)", seed, l1)
 			}
 		}
 	})

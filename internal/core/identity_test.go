@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"bepi/internal/binio"
 	"bepi/internal/gen"
 	"bepi/internal/graph"
 	"bepi/internal/reorder"
@@ -145,12 +147,15 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 }
 
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
-// SHA-256 the commit before the chunked codec and the linear-time builders
-// produced (captured there): ordering, H blocks, S and the block LU all
-// flow into these bytes, so none of them may move by one bit. Save → Load →
-// Save is a fixed point.
+// SHA-256 of its format-version-2 file (436 540 bytes): ordering, H blocks,
+// S and the block LU all flow into these bytes, so none of them may move by
+// one bit. Save → Load → Save is a fixed point. History: the version-1 file
+// of the same index, 591 136 bytes, hashed to
+// 9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c from the
+// commit before the chunked codec and the linear-time builders to the last
+// version-1 writer.
 func TestSaveLoadFrozenBytes(t *testing.T) {
-	const frozen = "9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c"
+	const frozen = "7fb69f6b2f30d25d0e34df3ba877900c7f8e4610069aa3a21e55460c332716ce"
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
@@ -210,24 +215,70 @@ func TestSaveLoadConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// h12ColumnOffset returns the byte offset of H12's k-th column index in a
-// saved index: past the engine header, the permutation, the block sizes,
-// and H12's own header and row pointers.
-func h12ColumnOffset(e *Engine, k int) int {
-	return 4 + 12*8 + 8*e.n + 8*len(e.ord.Blocks) + (4 + 4 + 3*8) + 8*(e.ord.N1+1) + 8*k
+// Section indexes of a version-2 file.
+const (
+	secHeader = iota
+	secOrdering
+	secH12
+	secH21
+	secH31
+	secH32
+	secS
+	secBlockLU
+	numSections
+)
+
+// sections returns the payload span [start, end) of every section of a
+// version-2 file, read off its length words.
+func sections(t testing.TB, raw []byte) [][2]int {
+	t.Helper()
+	var out [][2]int
+	for off := 8; off < len(raw); {
+		start := off + 8
+		end := start + int(binary.LittleEndian.Uint64(raw[off:]))
+		out = append(out, [2]int{start, end})
+		off = end + 4
+	}
+	if len(out) != numSections {
+		t.Fatalf("%d sections, want %d", len(out), numSections)
+	}
+	return out
 }
 
+// reseal recomputes every section's CRC-32C over its (perhaps corrupted)
+// payload, so that what refuses the file is not the checksum.
+func reseal(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	for _, s := range sections(t, raw) {
+		binary.LittleEndian.PutUint32(raw[s[1]:], crc32.Checksum(raw[s[0]:s[1]], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return raw
+}
+
+// h12ColumnOffset returns the byte offset of H12's k-th column index in a
+// saved index: its section's start, past the dimension words and the int32
+// row pointers.
+func h12ColumnOffset(t testing.TB, e *Engine, raw []byte, k int) int {
+	return sections(t, raw)[secH12][0] + 3*8 + 4*(e.ord.N1+1) + 4*k
+}
+
+// corruptFixture is the graph of corruptIndexes, and of the version-1 file
+// under testdata.
+func corruptFixture() *graph.Graph { return gen.RMAT(gen.DefaultRMAT(6, 4, 3)) }
+
 // corruptIndexes are saved indexes with one H12 column index or one option
-// word of the header overwritten. Before ReadCSR validated what it decodes
-// the first two loaded without error: one was truncated to column 0 by the
-// uint32 compaction and the engine served silently wrong scores, the other
-// made Query index out of range. Before ReadEngine validated the option
-// words so did the rest: an iteration budget of 2⁴⁰ died in GMRES's
-// bookkeeping allocation with a fatal out-of-memory no recover catches, one
-// of 8.3 M (a single flipped byte) allocated 600 MB per query, c = 7 served
-// "probabilities" of 7.5, and an unknown variant served unpreconditioned.
+// word of the header overwritten, and their checksums recomputed: what the
+// structural checks must refuse on their own. Before ReadCSR validated what
+// it decodes the first two loaded without error: one was truncated to
+// column 0 by the uint32 compaction and the engine served silently wrong
+// scores, the other made Query index out of range. Before ReadEngine
+// validated the option words so did the rest: an iteration budget of 2⁴⁰
+// died in GMRES's bookkeeping allocation with a fatal out-of-memory no
+// recover catches, one of 8.3 M (a single flipped byte) allocated 600 MB
+// per query, c = 7 served "probabilities" of 7.5, and an unknown variant
+// served unpreconditioned.
 func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
-	e, err := Preprocess(gen.RMAT(gen.DefaultRMAT(6, 4, 3)), Options{})
+	e, err := Preprocess(corruptFixture(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +286,12 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 		t.Fatal("fixture has no H12 entries to corrupt")
 	}
 	_, valid = saveHash(t, e)
+	header := sections(t, valid)[secHeader][0]
 	corrupt = map[string][]byte{}
-	for name, v := range map[string]uint64{"1<<40": 1 << 40, "100000": 100000} {
+	for name, v := range map[string]uint32{"1<<32-1": 1<<32 - 1, "100000": 100000} {
 		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint64(raw[h12ColumnOffset(e, 1):], v)
-		corrupt["H12 column "+name] = raw
+		binary.LittleEndian.PutUint32(raw[h12ColumnOffset(t, e, raw, 1):], v)
+		corrupt["H12 column "+name] = reseal(t, raw)
 	}
 	for name, w := range map[string]struct {
 		word int
@@ -250,55 +302,64 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 		"c 7.0":          {0, math.Float64bits(7)},
 		"tol NaN":        {1, math.Float64bits(math.NaN())},
 		"variant 9":      {2, 9},
-		"hubRatio +Inf":  {5, math.Float64bits(math.Inf(1))},
-		"hubRatio -0.25": {5, math.Float64bits(-0.25)},
+		"hubRatio +Inf":  {4, math.Float64bits(math.Inf(1))},
+		"hubRatio -0.25": {4, math.Float64bits(-0.25)},
 	} {
 		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint64(raw[4+8*w.word:], w.bits)
-		corrupt["header "+name] = raw
+		binary.LittleEndian.PutUint64(raw[header+8*w.word:], w.bits)
+		corrupt["header "+name] = reseal(t, raw)
 	}
 	flipped := append([]byte(nil), valid...)
-	flipped[30] ^= 0x7F // maxIter 1000 → 8 323 048
-	corrupt["header maxIter byte flip"] = flipped
+	flipped[header+8*3+2] ^= 0x7F // maxIter 1000 → 8 323 048
+	corrupt["header maxIter byte flip"] = reseal(t, flipped)
 	return valid, corrupt
 }
 
 // TestReadEngineRejectsCorruptColumn: every corrupt index is refused with
-// the typed error, having allocated no more than a small multiple of the
-// bytes it was given — the refusal comes before the file's own numbers
-// size anything.
+// the typed error — by the structural checks, its checksums being intact —
+// having allocated no more than a small multiple of the bytes it was given:
+// the refusal comes before the file's own numbers size anything.
 func TestReadEngineRejectsCorruptColumn(t *testing.T) {
 	valid, corrupt := corruptIndexes(t)
 	if _, err := ReadEngine(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("fixture does not load: %v", err)
 	}
 	for name, raw := range corrupt {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := ReadEngine(bytes.NewReader(raw))
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorruptIndex) {
-			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex", name, err)
+		allocated, err := readAllocated(raw)
+		if !errors.Is(err, ErrCorruptIndex) || errors.Is(err, binio.ErrChecksum) {
+			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex from a structural check", name, err)
 		}
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(raw)+(1<<20)); got > limit {
-			t.Errorf("%s: refusing a %d-byte index allocated %d bytes", name, len(raw), got)
+		if limit := refusalAllocLimit(raw); allocated > limit {
+			t.Errorf("%s: refusing a %d-byte index allocated %d bytes", name, len(raw), allocated)
 		}
 	}
 }
+
+// readAllocated loads raw and returns the bytes that took with its error.
+func readAllocated(raw []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadEngine(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// refusalAllocLimit is what refusing a corrupt file may allocate: a small
+// multiple of its size.
+func refusalAllocLimit(raw []byte) uint64 { return uint64(4*len(raw) + (1 << 20)) }
 
 // TestReadEngineRejectsWrongShapes: a matrix that is well-formed but not
 // the shape the header's partition implies is refused at load, not found by
 // a query.
 func TestReadEngineRejectsWrongShapes(t *testing.T) {
-	e, err := Preprocess(gen.RMAT(gen.DefaultRMAT(6, 4, 3)), Options{})
+	e, err := Preprocess(corruptFixture(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, raw := saveHash(t, e)
-	// H12's declared column count sits 16 bytes into its header.
-	off := h12ColumnOffset(e, 0) - 8*(e.ord.N1+1) - 16
-	binary.LittleEndian.PutUint64(raw[off:], uint64(e.ord.N2+1))
-	if _, err := ReadEngine(bytes.NewReader(raw)); err == nil {
-		t.Fatal("an index whose H12 is one column too wide loaded without error")
+	// H12's declared column count is its section's second word.
+	binary.LittleEndian.PutUint64(raw[sections(t, raw)[secH12][0]+8:], uint64(e.ord.N2+1))
+	if _, err := ReadEngine(bytes.NewReader(reseal(t, raw))); err == nil || errors.Is(err, binio.ErrChecksum) {
+		t.Fatalf("an index whose H12 is one column too wide: %v", err)
 	}
 }

@@ -15,7 +15,31 @@ import (
 
 // Index persistence: a preprocessed engine can be written to disk once and
 // reloaded for later query sessions, which is the whole point of a
-// preprocessing method. The layout is little-endian:
+// preprocessing method. The file is the index in the layout the engine
+// serves it from, little-endian (format version 2):
+//
+//	magic    uint32 'BePI'
+//	version  uint32 2
+//	sections, each  length int64 · payload · CRC-32C(payload) uint32:
+//	  header    c, tol (float64), variant, maxIter (int64), hubRatio (float64),
+//	            n, n1, n2, n3, nblocks (int64)
+//	  ordering  perm n × uint32, blocks nblocks × uint32
+//	  h12, h21, h31, h32   (sparse.CSR32.WriteTo: int32 row pointers,
+//	                        uint32 columns)
+//	  S         (lu.ILU.WriteTo: the strict lower triangle, and the upper one
+//	            with each row led by S's diagonal)
+//	  blockLU   (lu.BlockLU.WriteTo)
+//
+// Every engine writes S as DILU factors do; a BePI-B/-S engine's loader
+// assembles its CSR32 from them. Loading reads every array at its served
+// width and recomputes only the DILU pivots (one O(|S|) pass). A flipped bit
+// anywhere fails a checksum or a length; a file whose checksums were
+// recomputed over corrupt arrays still meets the structural checks a
+// version-1 file does.
+//
+// Version-1 files — magic 'BPI1', no version word, no checksums, every
+// matrix in sparse.CSR's wide layout, the header with two reserved words
+// after maxIter and after hubRatio — are still read, never written:
 //
 //	magic     uint32 'BPI1'
 //	options   c, tol (float64), variant, maxIter, reserved (int64), k (float64), reserved (int64)
@@ -24,63 +48,79 @@ import (
 //	blocks    nblocks × int64
 //	h12, h21, h31, h32, schur   (sparse.CSR.WriteTo)
 //	blockLU   (lu.BlockLU.WriteTo)
-//
-// The reserved words are written 0 and ignored on read: older files carry a
-// GMRES restart length and a solver id there, options that no longer exist.
-// The preconditioner is not stored: recomputing the DILU pivots from S on
-// load is one O(|S|) pass and avoids format coupling. Matrices are stored
-// in the wide layout.
 
-const indexMagic = 0x42504931
+const (
+	indexMagicV1 = 0x42504931 // 'BPI1'
+	indexMagic   = 0x49506542 // "BePI" as bytes
+	indexVersion = 2
+)
 
-// ErrCorruptIndex is wrapped around every error ReadEngine returns: whatever
-// the cause — a header no engine could have written, a truncated or
-// malformed array, a failing reader — the bytes read do not make an index.
-// The cause stays matchable beside it.
+// ErrCorruptIndex is wrapped around every error ReadEngine returns but
+// ErrIndexVersion: whatever the cause — a header no engine could have
+// written, a truncated or malformed array, a checksum mismatch, a failing
+// reader — the bytes read do not make an index. The cause stays matchable
+// beside it.
 var ErrCorruptIndex = errors.New("core: corrupt index")
 
-// WriteTo serializes the engine. It implements io.WriterTo.
+// ErrIndexVersion is what ReadEngine returns for a file of a format version
+// newer than this build reads.
+var ErrIndexVersion = errors.New("core: unsupported index format version")
+
+// WriteTo serializes the engine in format version 2. It implements
+// io.WriterTo.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
+	s := e.ilu
+	if s == nil {
+		// BePI-B/-S: S is written as factors too — one S encoding. The
+		// factorization is a copy of S, on a path only ablations take.
+		var err error
+		if s, err = lu.FactorDILU(e.schur.ToCSR()); err != nil {
+			return 0, fmt.Errorf("core: writing S: %w", err)
+		}
+	}
 	bw := binio.NewWriter(w)
 	bw.U32(indexMagic)
+	bw.U32(indexVersion)
+	bw.Section(e.writeHeader)
+	bw.Section(e.writeOrdering)
+	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32} {
+		bw.Section(m.WriteTo)
+	}
+	bw.Section(s.WriteTo)
+	bw.Section(e.h11LU.WriteTo)
+	return bw.Close()
+}
+
+func (e *Engine) writeHeader(w io.Writer) (int64, error) {
+	bw := binio.NewWriter(w)
 	bw.F64(e.opts.C)
 	bw.F64(e.opts.Tol)
 	bw.Int(int(e.opts.Variant))
 	bw.Int(e.opts.MaxIter)
-	bw.Int(0)
 	bw.F64(e.opts.HubRatio)
-	bw.Int(0)
 	for _, v := range []int{e.n, e.ord.N1, e.ord.N2, e.ord.N3, len(e.ord.Blocks)} {
 		bw.Int(v)
 	}
-	binio.WriteInts(bw, e.ord.Perm)
-	binio.WriteInts(bw, e.ord.Blocks)
-	n, err := bw.Close()
-	// S's section is streamed from whichever structure holds it, in the one
-	// CSR format; no wide copy is made.
-	writeSchur := e.schur.WriteTo
-	if e.ilu != nil {
-		writeSchur = e.ilu.WriteMatrixTo
-	}
-	for _, write := range []func(io.Writer) (int64, error){
-		e.h12.WriteTo, e.h21.WriteTo, e.h31.WriteTo, e.h32.WriteTo, writeSchur, e.h11LU.WriteTo,
-	} {
-		if err != nil {
-			return n, err
-		}
-		var k int64
-		k, err = write(w)
-		n += k
-	}
-	return n, err
+	return bw.Close()
 }
 
-// ReadEngine deserializes an engine written by WriteTo, recomputing the DILU
-// preconditioner if the stored variant requires one. Option words, arrays
-// and shapes that no engine could have written, or that disagree with each
-// other, are rejected here, not discovered by a query.
+func (e *Engine) writeOrdering(w io.Writer) (int64, error) {
+	bw := binio.NewWriter(w)
+	binio.WriteInts32(bw, e.ord.Perm) // n < 2³² (checkNodeCount)
+	binio.WriteInts32(bw, e.ord.Blocks)
+	return bw.Close()
+}
+
+// ReadEngine deserializes an engine written by WriteTo — or by the
+// version-1 writer — recomputing the DILU pivots if the stored variant uses
+// them. Option words, arrays and shapes that no engine could have written,
+// or that disagree with each other, are rejected here, not discovered by a
+// query.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	e, err := readEngine(r)
+	if errors.Is(err, ErrIndexVersion) {
+		return nil, err
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
 	}
@@ -89,51 +129,216 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 
 func readEngine(r io.Reader) (*Engine, error) {
 	br := binio.NewReader(r)
-	var head [4 + 12*8]byte
-	if err := br.Full(head[:]); err != nil {
-		return nil, fmt.Errorf("reading header: %w", err)
+	var word [4]byte
+	if err := br.Full(word[:]); err != nil {
+		return nil, fmt.Errorf("reading magic: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(head[:]); magic != indexMagic {
+	switch magic := binary.LittleEndian.Uint32(word[:]); magic {
+	case indexMagicV1:
+		return readEngineV1(br)
+	case indexMagic:
+	default:
 		return nil, fmt.Errorf("bad magic %#x", magic)
 	}
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(head[4+8*i:]) }
-	e := &Engine{}
-	e.opts.C, e.opts.Tol = math.Float64frombits(word(0)), math.Float64frombits(word(1))
-	e.opts.Variant = Variant(word(2))
-	e.opts.MaxIter = int(word(3))
-	e.opts.HubRatio = math.Float64frombits(word(5))
-	if err := e.opts.validate(); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
+	if err := br.Full(word[:]); err != nil {
+		return nil, fmt.Errorf("reading version: %w", err)
 	}
-	e.n = int(word(7))
-	ord := &reorder.Ordering{N1: int(word(8)), N2: int(word(9)), N3: int(word(10))}
-	nblocks := int(word(11))
-	if e.n < 0 || nblocks < 0 || ord.N1+ord.N2+ord.N3 != e.n {
-		return nil, fmt.Errorf("header: n=%d partition=%d+%d+%d", e.n, ord.N1, ord.N2, ord.N3)
+	switch v := binary.LittleEndian.Uint32(word[:]); {
+	case v > indexVersion:
+		return nil, fmt.Errorf("%w %d: this build reads versions 1 to %d", ErrIndexVersion, v, indexVersion)
+	case v != indexVersion:
+		return nil, fmt.Errorf("version %d under the versioned magic", v)
 	}
-	if err := checkNodeCount(e.n); err != nil {
+	return readEngineV2(br)
+}
+
+func readEngineV2(br *binio.Reader) (*Engine, error) {
+	section := func(what string, read func() error) error {
+		if err := br.Section(); err != nil {
+			return fmt.Errorf("%s: %w", what, err)
+		}
+		if err := read(); err != nil {
+			return fmt.Errorf("%s: %w", what, err)
+		}
+		if err := br.EndSection(); err != nil {
+			return fmt.Errorf("%s: %w", what, err)
+		}
+		return nil
+	}
+	var head [10 * 8]byte
+	if err := section("header", func() error { return br.Full(head[:]) }); err != nil {
 		return nil, err
 	}
-	var err error
-	if ord.Perm, err = br.Ints(e.n); err != nil {
-		return nil, fmt.Errorf("reading permutation: %w", err)
+	var words [10]uint64
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(head[8*i:])
 	}
+	e, nblocks, err := engineFromHeader(words)
+	if err != nil {
+		return nil, err
+	}
+	err = section("ordering", func() error {
+		perm, err := br.Uint32s(e.n)
+		if err != nil {
+			return err
+		}
+		blocks, err := br.Uint32s(nblocks)
+		if err != nil {
+			return err
+		}
+		return e.setOrdering(widen(perm), widen(blocks))
+	})
+	if err != nil {
+		return nil, err
+	}
+	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
+	var mats [4]*sparse.CSR32
+	for i, shape := range [4][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}} {
+		err := section(fmt.Sprintf("matrix %d", i), func() error {
+			m, err := sparse.ReadCSR32(br)
+			if err != nil {
+				return err
+			}
+			if m.Rows() != shape[0] || m.Cols() != shape[1] {
+				return fmt.Errorf("%v, the partition wants %dx%d", m, shape[0], shape[1])
+			}
+			mats[i] = m
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	var s *lu.ILU
+	err = section("S", func() error {
+		if s, err = lu.ReadDILU(br); err != nil {
+			return err
+		}
+		if s.N() != n2 {
+			return fmt.Errorf("%d rows, the partition has %d hubs", s.N(), n2)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := section("H11 factors", func() error { return e.readBlockLU(br) }); err != nil {
+		return nil, err
+	}
+	e.prep.SchurNNZ = s.NNZ()
+	if e.opts.Variant == VariantFull {
+		e.ilu = s
+	} else {
+		e.schur = sparse.Compact(s.Matrix())
+	}
+	e.h12, e.h21, e.h31, e.h32 = mats[0], mats[1], mats[2], mats[3]
+	return e.loaded(), nil
+}
+
+// widen copies stored 32-bit indexes into the ints the ordering holds.
+func widen(s []uint32) []int {
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = int(v)
+	}
+	return out
+}
+
+// engineFromHeader starts a loaded engine from the header words in the
+// order version 2 writes them — c, tol, variant, maxIter, hubRatio, n, n1,
+// n2, n3, nblocks — refusing option words no engine carries and a partition
+// that does not add up. It returns the block count the ordering declares.
+func engineFromHeader(w [10]uint64) (*Engine, int, error) {
+	e := &Engine{}
+	e.opts.C, e.opts.Tol = math.Float64frombits(w[0]), math.Float64frombits(w[1])
+	e.opts.Variant = Variant(w[2])
+	e.opts.MaxIter = int(w[3])
+	e.opts.HubRatio = math.Float64frombits(w[4])
+	if err := e.opts.validate(); err != nil {
+		return nil, 0, fmt.Errorf("header: %w", err)
+	}
+	e.n = int(w[5])
+	e.ord = &reorder.Ordering{N1: int(w[6]), N2: int(w[7]), N3: int(w[8])}
+	nblocks := int(w[9])
+	if e.n < 0 || nblocks < 0 || e.ord.N1+e.ord.N2+e.ord.N3 != e.n {
+		return nil, 0, fmt.Errorf("header: n=%d partition=%d+%d+%d", e.n, e.ord.N1, e.ord.N2, e.ord.N3)
+	}
+	if err := checkNodeCount(e.n); err != nil {
+		return nil, 0, err
+	}
+	return e, nblocks, nil
+}
+
+// setOrdering installs the stored permutation and block sizes, refusing a
+// permutation entry out of range and an ordering that fails its own
+// validation.
+func (e *Engine) setOrdering(perm, blocks []int) error {
+	ord := e.ord
+	ord.Perm, ord.Blocks = perm, blocks
 	ord.Inv = make([]int, e.n)
 	for old, nw := range ord.Perm {
 		if nw < 0 || nw >= e.n {
-			return nil, fmt.Errorf("permutation entry %d out of range", nw)
+			return fmt.Errorf("permutation entry %d out of range", nw)
 		}
 		ord.Inv[nw] = old
 	}
-	if ord.Blocks, err = br.Ints(nblocks); err != nil {
+	if err := ord.Validate(); err != nil {
+		return fmt.Errorf("stored ordering invalid: %w", err)
+	}
+	return nil
+}
+
+func (e *Engine) readBlockLU(br *binio.Reader) error {
+	var err error
+	if e.h11LU, err = lu.ReadBlockLU(br); err != nil {
+		return err
+	}
+	if e.h11LU.N() != e.ord.N1 {
+		return fmt.Errorf("H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), e.ord.N1)
+	}
+	return nil
+}
+
+// loaded finishes an engine whose matrices are in place. Parallelism is a
+// runtime knob, not part of the index format: a loaded engine starts on the
+// shared process-wide pool; callers re-point it with SetParallelism before
+// serving.
+func (e *Engine) loaded() *Engine {
+	e.pool = poolFor(0)
+	e.prep.N = e.n
+	e.prep.N1, e.prep.N2, e.prep.N3 = e.ord.N1, e.ord.N2, e.ord.N3
+	e.prep.Blocks = len(e.ord.Blocks)
+	e.prep.HubRatio = e.opts.HubRatio
+	e.attachPool()
+	return e
+}
+
+// readEngineV1 reads the rest of a version-1 file, the magic consumed.
+func readEngineV1(br *binio.Reader) (*Engine, error) {
+	var head [12 * 8]byte
+	if err := br.Full(head[:]); err != nil {
+		return nil, fmt.Errorf("reading header: %w", err)
+	}
+	var words [10]uint64
+	for i, at := range [10]int{0, 1, 2, 3, 5, 7, 8, 9, 10, 11} { // words 4 and 6 are reserved
+		words[i] = binary.LittleEndian.Uint64(head[8*at:])
+	}
+	e, nblocks, err := engineFromHeader(words)
+	if err != nil {
+		return nil, err
+	}
+	perm, err := br.Ints(e.n)
+	if err != nil {
+		return nil, fmt.Errorf("reading permutation: %w", err)
+	}
+	blocks, err := br.Ints(nblocks)
+	if err != nil {
 		return nil, fmt.Errorf("reading blocks: %w", err)
 	}
-	if err := ord.Validate(); err != nil {
-		return nil, fmt.Errorf("stored ordering invalid: %w", err)
+	if err := e.setOrdering(perm, blocks); err != nil {
+		return nil, err
 	}
-	e.ord = ord
-
-	n1, n2, n3 := ord.N1, ord.N2, ord.N3
+	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
 	var mats [5]*sparse.CSR
 	for i, shape := range [5][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}, {n2, n2}} {
 		m, err := sparse.ReadCSR(br)
@@ -145,25 +350,13 @@ func readEngine(r io.Reader) (*Engine, error) {
 		}
 		mats[i] = m
 	}
-	if e.h11LU, err = lu.ReadBlockLU(br); err != nil {
+	if err := e.readBlockLU(br); err != nil {
 		return nil, err
 	}
-	if e.h11LU.N() != n1 {
-		return nil, fmt.Errorf("H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), n1)
-	}
-	// Parallelism is a runtime knob, not part of the index format: a loaded
-	// engine starts on the shared process-wide pool; callers re-point it
-	// with SetParallelism before serving.
-	e.pool = poolFor(0)
 	if err := e.storeSchur(mats[4]); err != nil {
 		return nil, fmt.Errorf("rebuilding DILU: %w", err)
 	}
 	e.h12, e.h21 = sparse.Compact(mats[0]), sparse.Compact(mats[1])
 	e.h31, e.h32 = sparse.Compact(mats[2]), sparse.Compact(mats[3])
-	e.prep.N = e.n
-	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
-	e.prep.Blocks = nblocks
-	e.prep.HubRatio = e.opts.HubRatio
-	e.attachPool()
-	return e, nil
+	return e.loaded(), nil
 }

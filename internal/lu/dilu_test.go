@@ -2,6 +2,8 @@ package lu
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -189,9 +191,10 @@ func TestDILUFactorization(t *testing.T) {
 // TestDILUStoresMatrixOnce: the factors are their matrix stored once.
 // Matrix gives FactorDILU's input back — same pattern (explicit zeros
 // kept), same values by Float64bits, including a diagonal the pivot
-// recurrence replaced — and WriteMatrixTo streams the bytes the input's own
-// WriteTo writes, across several chunks of the codec. ILU(0) factors, which
-// overwrite their matrix, refuse both.
+// recurrence replaced — and WriteTo writes it in the factors' layout, 12
+// bytes an entry and 8 a row, which ReadDILU turns back into the same
+// factors bit for bit, across several chunks of the codec. ILU(0) factors,
+// which overwrite their matrix, refuse both.
 func TestDILUStoresMatrixOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	mats := []*sparse.CSR{
@@ -217,23 +220,25 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 		if !bitsEqual(m.Values(), a.Values()) {
 			t.Fatalf("matrix %d: reassembled values differ from the input's", mi)
 		}
-		var want, got bytes.Buffer
-		if _, err := a.WriteTo(&want); err != nil {
-			t.Fatal(err)
+		var buf bytes.Buffer
+		n, err := f.WriteTo(&buf)
+		if err != nil || n != int64(buf.Len()) {
+			t.Fatalf("matrix %d: WriteTo = %d, %v; wrote %d", mi, n, err, buf.Len())
 		}
-		n, err := f.WriteMatrixTo(&got)
-		if err != nil || n != int64(got.Len()) {
-			t.Fatalf("matrix %d: WriteMatrixTo = %d, %v; wrote %d", mi, n, err, got.Len())
+		if want := 24 + 8*(a.Rows()+1) + 12*a.NNZ(); buf.Len() != want {
+			t.Fatalf("matrix %d: %d bytes, want %d", mi, buf.Len(), want)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("matrix %d: streamed section differs from the input's WriteTo (%d vs %d bytes)", mi, got.Len(), want.Len())
+		back, err := ReadDILU(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("matrix %d: %v", mi, err)
 		}
+		requireSameFactors(t, fmt.Sprintf("matrix %d", mi), back, f)
 	}
 	f, err := FactorILU0(sparse.Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, call := range map[string]func(){"Matrix": func() { f.Matrix() }, "WriteMatrixTo": func() { f.WriteMatrixTo(io.Discard) }} {
+	for name, call := range map[string]func(){"Matrix": func() { f.Matrix() }, "WriteTo": func() { f.WriteTo(io.Discard) }} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -242,6 +247,62 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// requireSameFactors fails unless got holds want's arrays exactly: pattern,
+// values and pivots by Float64bits, D_S, and MemoryBytes.
+func requireSameFactors(t *testing.T, tag string, got, want *ILU) {
+	t.Helper()
+	for name, pair := range map[string][2]*triFactor{"L": {&got.l, &want.l}, "U": {&got.u, &want.u}} {
+		g, w := pair[0], pair[1]
+		if !slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(g.col, w.col) || !bitsEqual(g.val, w.val) {
+			t.Fatalf("%s: %s factor differs", tag, name)
+		}
+	}
+	if got.n != want.n || !bitsEqual(got.ds, want.ds) || got.MemoryBytes() != want.MemoryBytes() {
+		t.Fatalf("%s: D_S or size differs", tag)
+	}
+}
+
+// TestReadDILURejectsCorruptTriangles: a written factorization with one
+// index word overwritten — lengths kept consistent — is refused by the
+// triangle check, never turned into factors a sweep would read out of
+// bounds or out of order; a truncated one by the reader.
+func TestReadDILURejectsCorruptTriangles(t *testing.T) {
+	f, err := FactorDILU(sparse.FromDense([][]float64{{4, 1, 0}, {2, 4, 1}, {0, 3, 4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// L: rowPtr [0 0 1 2] at 24, col [0 1] at 40, val at 48; U: rowPtr
+	// [0 2 4 5] at 64, col [0 1 1 2 2] at 80.
+	const lPtr, lCol, uPtr, uCol = 24, 40, 64, 80
+	for name, w := range map[string]struct {
+		off int
+		v   uint32
+	}{
+		"L column on the diagonal": {lCol, 1},
+		"L column above":           {lCol + 4, 2},
+		"L rowPtr does not start":  {lPtr, 1},
+		"L rowPtr runs past":       {lPtr + 4, 3},
+		"U row leads off-diagonal": {uCol + 4*2, 2},
+		"U column out of range":    {uCol + 4, 3},
+		"U empty row":              {uPtr + 4, 0},
+		"U rowPtr negative":        {uPtr + 8, 1 << 31},
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(raw[w.off:], w.v)
+		if _, err := ReadDILU(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ReadDILU(bytes.NewReader(valid[:len(valid)-1])); err == nil {
+		t.Error("truncated factors accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package lu
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -19,9 +18,9 @@ import (
 //   - FactorDILU, the diagonal ILU: A ≈ L̂·D⁻¹·Û with L̂ = D + L_A and
 //     Û = D + U_A — only the pivots D differ from A, the strict triangles
 //     are A's own. ds then holds A's own diagonal D_S, so the factors are A
-//     stored once: Matrix and WriteMatrixTo give it back exactly, and
-//     Eisenstat applies the preconditioned operator in one pass over them
-//     with K = 2D − D_S formed per row.
+//     stored once: Matrix gives it back exactly, WriteTo writes it in the
+//     factors' own layout, and Eisenstat applies the preconditioned
+//     operator in one pass over them with K = 2D − D_S formed per row.
 //
 // Both keep the two triangles as separate row-major structures in natural
 // row order, each row of the upper one led by its pivot, indexed by int32
@@ -169,36 +168,46 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 		return nil, err
 	}
 	n := a.Rows()
-	rowPtr, col, val := a.RowPtr(), a.ColIdx(), a.Values()
 	f := &ILU{n: n, ds: make([]float64, n)}
-	f.l, f.u = splitTriangles(n, rowPtr, col, val, diagPos)
+	f.l, f.u = splitTriangles(n, a.RowPtr(), a.ColIdx(), a.Values(), diagPos)
+	for i := range f.ds {
+		f.ds[i] = f.u.val[f.u.rowPtr[i]]
+	}
+	f.pivots()
+	return f, nil
+}
 
+// pivots runs the DILU recurrence over factors whose rows of Û still lead
+// with A's own diagonal (f.ds), replacing each lead by its pivot d_i in
+// ascending i — the division by d_k reads the pivot row k < i already
+// holds.
+func (f *ILU) pivots() {
+	l, u := &f.l, &f.u
 	// next[k] walks row k's strict upper part: rows i ask for a_ki in
 	// ascending i, so each cursor only ever moves forward.
-	next := make([]int, n)
+	next := make([]int32, f.n)
 	for k := range next {
-		next[k] = diagPos[k] + 1
+		next[k] = u.rowPtr[k] + 1
 	}
-	for i := 0; i < n; i++ {
-		d := val[diagPos[i]]
-		for p := rowPtr[i]; p < diagPos[i]; p++ {
-			k := col[p]
-			q, end := next[k], rowPtr[k+1]
-			for q < end && col[q] < i {
+	for i := 0; i < f.n; i++ {
+		d := f.ds[i]
+		lo, hi := l.rowSpan(i)
+		for p := lo; p < hi; p++ {
+			k := l.col[p]
+			q, end := next[k], u.rowPtr[k+1]
+			for q < end && u.col[q] < uint32(i) {
 				q++
 			}
 			next[k] = q
-			if q < end && col[q] == i {
-				d -= val[p] * val[q] / f.u.val[f.u.rowPtr[k]]
+			if q < end && u.col[q] == uint32(i) {
+				d -= l.val[p] * u.val[q] / u.val[u.rowPtr[k]]
 			}
 		}
 		if d == 0 {
 			d = 1e-12
 		}
-		f.u.val[f.u.rowPtr[i]] = d
-		f.ds[i] = val[diagPos[i]]
+		u.val[u.rowPtr[i]] = d
 	}
-	return f, nil
 }
 
 // N returns the dimension.
@@ -294,15 +303,6 @@ func (f *ILU) Matrix() *sparse.CSR {
 		panic("lu: only a DILU factorization retains its matrix")
 	}
 	return sparse.CSRFromRows(f.n, f.n, f.matrixRow)
-}
-
-// WriteMatrixTo streams Matrix() in the sparse.CSR format — the bytes
-// Matrix().WriteTo would write — without assembling it.
-func (f *ILU) WriteMatrixTo(w io.Writer) (int64, error) {
-	if f.ds == nil {
-		panic("lu: only a DILU factorization retains its matrix")
-	}
-	return sparse.WriteCSRRows(w, f.n, f.n, f.matrixRow)
 }
 
 // MemoryBytes reports the storage footprint of everything the factorization

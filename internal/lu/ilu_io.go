@@ -1,0 +1,117 @@
+package lu
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+
+	"bepi/internal/binio"
+)
+
+// Binary serialization of DILU factors as the matrix they were computed
+// from, in the layout they hold it, little-endian:
+//
+//	n, nnzL, nnzU  int64
+//	L  rowPtr (n+1) × int32, col nnzL × uint32, val nnzL × float64
+//	U  rowPtr (n+1) × int32, col nnzU × uint32, val nnzU × float64
+//
+// L is the strict lower triangle, U the upper one with each row led by its
+// diagonal entry — A's own D_S, not the pivot: the pivots are a function of
+// the rest, and ReadDILU recomputes them. The preprocessing of an index
+// writes its S in this layout whichever layout the engine serves it from.
+
+// WriteTo serializes DILU factors; it panics on ILU(0) factors, which do
+// not retain their matrix. It implements io.WriterTo.
+func (f *ILU) WriteTo(w io.Writer) (int64, error) {
+	if f.ds == nil {
+		panic("lu: only a DILU factorization retains its matrix")
+	}
+	bw := binio.NewWriter(w)
+	bw.Int(f.n)
+	bw.Int(f.l.nnz())
+	bw.Int(f.u.nnz())
+	binio.WriteInts32(bw, f.l.rowPtr)
+	binio.WriteInts32(bw, f.l.col)
+	binio.WriteFloats(bw, f.l.val)
+	binio.WriteInts32(bw, f.u.rowPtr)
+	binio.WriteInts32(bw, f.u.col)
+	for i := 0; i < f.n; i++ {
+		lo, hi := f.u.rowSpan(i)
+		bw.F64(f.ds[i])
+		binio.WriteFloats(bw, f.u.val[lo+1:hi])
+	}
+	return bw.Close()
+}
+
+// ReadDILU deserializes factors written by ILU.WriteTo straight into their
+// arrays, refuses triangles no factorization could hold, and runs the pivot
+// recurrence — the only computation FactorDILU does beyond splitting its
+// input, so the factors are FactorDILU's of the same matrix bit for bit.
+func ReadDILU(r io.Reader) (*ILU, error) {
+	br := binio.NewReader(r)
+	var head [3 * 8]byte
+	if err := br.Full(head[:]); err != nil {
+		return nil, fmt.Errorf("lu: reading DILU header: %w", err)
+	}
+	n := int64(binary.LittleEndian.Uint64(head[0:]))
+	nnzL := int64(binary.LittleEndian.Uint64(head[8:]))
+	nnzU := int64(binary.LittleEndian.Uint64(head[16:]))
+	if n < 0 || n >= 1<<32 || nnzL < 0 || nnzU < 0 || nnzL+nnzU > math.MaxInt32 {
+		return nil, fmt.Errorf("lu: corrupt DILU header n=%d nnz=%d+%d", n, nnzL, nnzU)
+	}
+	f := &ILU{n: int(n)}
+	for _, t := range []struct {
+		f     *triFactor
+		nnz   int
+		upper bool
+	}{{&f.l, int(nnzL), false}, {&f.u, int(nnzU), true}} {
+		var err error
+		if t.f.rowPtr, err = br.Int32s(f.n + 1); err != nil {
+			return nil, fmt.Errorf("lu: reading DILU row pointers: %w", err)
+		}
+		if t.f.col, err = br.Uint32s(t.nnz); err != nil {
+			return nil, fmt.Errorf("lu: reading DILU columns: %w", err)
+		}
+		if err := t.f.check(f.n, t.upper); err != nil {
+			return nil, err
+		}
+		if t.f.val, err = br.Floats(t.nnz); err != nil {
+			return nil, fmt.Errorf("lu: reading DILU values: %w", err)
+		}
+	}
+	f.ds = make([]float64, f.n)
+	for i := range f.ds {
+		f.ds[i] = f.u.val[f.u.rowPtr[i]]
+	}
+	f.pivots()
+	return f, nil
+}
+
+// check refuses a factor that is not a triangle of an n×n matrix stored the
+// way the sweeps read it: row pointers from 0 to the entry count, never
+// decreasing; columns strictly increasing within a row; every column below
+// the row in the strict lower factor, and every row of the upper one led by
+// its diagonal.
+func (t *triFactor) check(n int, upper bool) error {
+	if t.rowPtr[0] != 0 || int(t.rowPtr[n]) != len(t.col) {
+		return fmt.Errorf("lu: DILU row pointers run %d..%d over %d entries", t.rowPtr[0], t.rowPtr[n], len(t.col))
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
+		if hi < lo || hi > t.rowPtr[n] {
+			return fmt.Errorf("lu: DILU row pointers out of order at row %d", i)
+		}
+		if upper && (lo == hi || t.col[lo] != uint32(i)) {
+			return fmt.Errorf("lu: upper DILU factor row %d does not lead with its diagonal", i)
+		}
+		prev := int64(-1)
+		for _, j := range t.col[lo:hi] {
+			if c := int64(j); c <= prev || c >= int64(n) || (!upper && c >= int64(i)) {
+				return fmt.Errorf("lu: DILU factor row %d holds column %d out of place", i, j)
+			}
+			prev = int64(j)
+		}
+	}
+	return nil
+}

@@ -4,99 +4,149 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"bepi/internal/binio"
 )
 
-// Binary serialization of CSR matrices. The format is a fixed little-endian
-// layout so preprocessed indexes can be persisted and memory-mapped-style
-// reloaded without re-running the (expensive) preprocessing phase:
+// Binary serialization of sparse matrices, little-endian. A CSR32 — what an
+// engine serves from — is written in the widths it holds, as one section of
+// the index file (the framing is the caller's):
+//
+//	rows, cols, nnz  int64
+//	rowPtr  (rows+1) × int32 (× int64 when nnz exceeds the int32 range)
+//	col     nnz × uint32
+//	val     nnz × float64
+//
+// The wide CSR keeps the version-1 layout, which version-1 index files hold
+// and ReadCSR reads:
 //
 //	magic   uint32  'BePI' (0x42655049)
 //	version uint32  1
-//	rows    int64
-//	cols    int64
-//	nnz     int64
+//	rows, cols, nnz  int64
 //	rowPtr  (rows+1) × int64
 //	col     nnz × int64
 //	val     nnz × float64
-//
-// The layout is the wide one whatever the in-memory index width: a CSR32
-// writes the bytes its widened copy would, without making the copy.
 
 const (
 	csrMagic   = 0x42655049
 	csrVersion = 1
 )
 
-func writeCSRHeader(bw *binio.Writer, rows, cols, nnz int) {
+// WriteTo serializes the matrix in the version-1 layout. It implements
+// io.WriterTo.
+func (m *CSR) WriteTo(w io.Writer) (int64, error) {
+	bw := binio.NewWriter(w)
 	bw.U32(csrMagic)
 	bw.U32(csrVersion)
-	bw.Int(rows)
-	bw.Int(cols)
-	bw.Int(nnz)
-}
-
-func writeCSR[P int | int32 | int64, C int | uint32](w io.Writer, rows, cols int, rowPtr []P, col []C, val []float64) (int64, error) {
-	bw := binio.NewWriter(w)
-	writeCSRHeader(bw, rows, cols, len(col))
-	binio.WriteInts(bw, rowPtr)
-	binio.WriteInts(bw, col)
-	binio.WriteFloats(bw, val)
+	bw.Int(m.rows)
+	bw.Int(m.cols)
+	bw.Int(len(m.col))
+	binio.WriteInts(bw, m.rowPtr)
+	binio.WriteInts(bw, m.col)
+	binio.WriteFloats(bw, m.val)
 	return bw.Close()
 }
 
-// WriteCSRRows serializes the matrix the runs describe in the CSR format:
-// the bytes CSRFromRows(...).WriteTo would write, without assembling it. The
-// rows are walked once per section of the format (entry count, row
-// pointers, columns, values) and no array is copied.
-func WriteCSRRows(w io.Writer, rows, cols int, row RowRuns) (int64, error) {
-	bw := binio.NewWriter(w)
-	end := 0
-	count := func(col []uint32, _ []float64) { end += len(col) }
-	for i := 0; i < rows; i++ {
-		row(i, count)
-	}
-	writeCSRHeader(bw, rows, cols, end)
-	end = 0
-	bw.Int(0)
-	for i := 0; i < rows; i++ {
-		row(i, count)
-		bw.Int(end)
-	}
-	putCols := func(col []uint32, _ []float64) { binio.WriteInts(bw, col) }
-	for i := 0; i < rows; i++ {
-		row(i, putCols)
-	}
-	putVals := func(_ []uint32, val []float64) { binio.WriteFloats(bw, val) }
-	for i := 0; i < rows; i++ {
-		row(i, putVals)
-	}
-	return bw.Close()
-}
+// wideRowPtr reports whether a matrix of nnz entries has int64 row
+// pointers: exactly when nnz exceeds the int32 range, the choice Compact
+// makes, so a read matrix holds the widths the written one did.
+func wideRowPtr(nnz int) bool { return int64(nnz) > math.MaxInt32 }
 
-// WriteTo serializes the matrix. It implements io.WriterTo.
-func (m *CSR) WriteTo(w io.Writer) (int64, error) {
-	return writeCSR(w, m.rows, m.cols, m.rowPtr, m.col, m.val)
-}
-
-// WriteTo serializes the matrix in the CSR format. It implements
+// WriteTo serializes the matrix in the compact layout. It implements
 // io.WriterTo.
 func (m *CSR32) WriteTo(w io.Writer) (int64, error) {
-	if m.rowPtr32 != nil {
-		return writeCSR(w, m.rows, m.cols, m.rowPtr32, m.col, m.val)
+	bw := binio.NewWriter(w)
+	bw.Int(m.rows)
+	bw.Int(m.cols)
+	bw.Int(len(m.col))
+	switch {
+	case m.rowPtr32 != nil:
+		binio.WriteInts32(bw, m.rowPtr32)
+	case wideRowPtr(len(m.col)):
+		binio.WriteInts(bw, m.rowPtr64)
+	default: // int64 row pointers NewCSR32Wide was handed for a matrix that fits
+		binio.WriteInts32(bw, m.rowPtr64)
 	}
-	return writeCSR(w, m.rows, m.cols, m.rowPtr64, m.col, m.val)
+	binio.WriteInts32(bw, m.col)
+	binio.WriteFloats(bw, m.val)
+	return bw.Close()
 }
 
-// ReadCSR deserializes a matrix written by WriteTo. It reads exactly the
-// bytes the matrix occupies (no read-ahead), so matrices can be read back
-// from a concatenated stream, and rejects arrays that break the CSR
-// invariants (see validate) instead of building a matrix whose kernels would
-// read out of bounds.
+// readHeader reads the three dimension words both layouts share.
+func readHeader(br *binio.Reader) (rows, cols, nnz int, err error) {
+	var head [3 * 8]byte
+	if err := br.Full(head[:]); err != nil {
+		return 0, 0, 0, fmt.Errorf("sparse: reading header: %w", err)
+	}
+	rows = int(int64(binary.LittleEndian.Uint64(head[0:])))
+	cols = int(int64(binary.LittleEndian.Uint64(head[8:])))
+	nnz = int(int64(binary.LittleEndian.Uint64(head[16:])))
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return 0, 0, 0, fmt.Errorf("sparse: corrupt header %dx%d nnz=%d", rows, cols, nnz)
+	}
+	return rows, cols, nnz, nil
+}
+
+// ReadCSR32 deserializes a matrix written by CSR32.WriteTo, reading exactly
+// its bytes. The arrays are read at the widths they are served in — nothing
+// is widened or narrowed — and rejected if they break the CSR invariants
+// (see validate) instead of building a matrix whose kernels would read out
+// of bounds.
+func ReadCSR32(r io.Reader) (*CSR32, error) {
+	br := binio.NewReader(r)
+	rows, cols, nnz, err := readHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	if int64(rows) >= maxIndex32 || int64(cols) > maxIndex32 {
+		return nil, fmt.Errorf("sparse: %dx%d exceeds the uint32 index range", rows, cols)
+	}
+	m := &CSR32{rows: rows, cols: cols}
+	var end int64
+	if wideRowPtr(nnz) {
+		wide, err := br.Ints(rows + 1)
+		if err != nil {
+			return nil, fmt.Errorf("sparse: reading rowPtr: %w", err)
+		}
+		m.rowPtr64 = make([]int64, len(wide))
+		for i, p := range wide {
+			m.rowPtr64[i] = int64(p)
+		}
+		end = m.rowPtr64[rows]
+	} else {
+		if m.rowPtr32, err = br.Int32s(rows + 1); err != nil {
+			return nil, fmt.Errorf("sparse: reading rowPtr: %w", err)
+		}
+		end = int64(m.rowPtr32[rows])
+	}
+	if end != int64(nnz) { // checked again by validate; here it is known before col is read
+		return nil, fmt.Errorf("sparse: rowPtr end %d != nnz %d", end, nnz)
+	}
+	if m.col, err = br.Uint32s(nnz); err != nil {
+		return nil, fmt.Errorf("sparse: reading col: %w", err)
+	}
+	if m.rowPtr32 != nil {
+		err = validateCompact(rows, cols, m.rowPtr32, m.col)
+	} else {
+		err = validateCompact(rows, cols, m.rowPtr64, m.col)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sparse: corrupt matrix: %w", err)
+	}
+	if m.val, err = br.Floats(nnz); err != nil {
+		return nil, fmt.Errorf("sparse: reading val: %w", err)
+	}
+	return m, nil
+}
+
+// ReadCSR deserializes a matrix written by CSR.WriteTo. It reads exactly
+// the bytes the matrix occupies (no read-ahead), so matrices can be read
+// back from a concatenated stream, and rejects arrays that break the CSR
+// invariants (see validate).
 func ReadCSR(r io.Reader) (*CSR, error) {
 	br := binio.NewReader(r)
-	var head [4 + 4 + 3*8]byte
+	var head [4 + 4]byte
 	if err := br.Full(head[:]); err != nil {
 		return nil, fmt.Errorf("sparse: reading header: %w", err)
 	}
@@ -106,11 +156,9 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	if version := binary.LittleEndian.Uint32(head[4:]); version != csrVersion {
 		return nil, fmt.Errorf("sparse: unsupported version %d", version)
 	}
-	rows := int(int64(binary.LittleEndian.Uint64(head[8:])))
-	cols := int(int64(binary.LittleEndian.Uint64(head[16:])))
-	nnz := int(int64(binary.LittleEndian.Uint64(head[24:])))
-	if rows < 0 || cols < 0 || nnz < 0 {
-		return nil, fmt.Errorf("sparse: corrupt header %dx%d nnz=%d", rows, cols, nnz)
+	rows, cols, nnz, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	rowPtr, err := br.Ints(rows + 1)
 	if err != nil {

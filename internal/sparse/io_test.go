@@ -28,8 +28,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 // TestCSRRowsMatchAssembledMatrix: a matrix handed over as runs of entries
 // per row — here a random matrix cut at two random points of every row,
 // empty runs and empty rows included — is assembled by CSRFromRows into
-// that matrix exactly, and WriteCSRRows streams the bytes its own WriteTo
-// writes. The largest case crosses the codec's 64 KiB chunk inside rows.
+// that matrix exactly.
 func TestCSRRowsMatchAssembledMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	mats := []*CSR{Zero(0, 0), Zero(4, 9), randBigCSR(900, 700, 40, 45)}
@@ -52,16 +51,6 @@ func TestCSRRowsMatchAssembledMatrix(t *testing.T) {
 		}
 		if got := CSRFromRows(m.rows, m.cols, runs); !got.Equal(m) {
 			t.Fatalf("matrix %d: CSRFromRows differs from the matrix the runs were cut from", mi)
-		}
-		var want, got bytes.Buffer
-		if _, err := m.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := WriteCSRRows(&got, m.rows, m.cols, runs); err != nil || n != int64(got.Len()) {
-			t.Fatalf("matrix %d: WriteCSRRows = %d, %v; wrote %d", mi, n, err, got.Len())
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("matrix %d: streamed bytes differ from WriteTo's", mi)
 		}
 	}
 }
@@ -102,34 +91,75 @@ func TestReadCSRRejectsTruncated(t *testing.T) {
 	}
 }
 
-// TestCSR32WriteToMatchesWide: a compact matrix serializes to exactly the
-// bytes of its widened copy, at both row-pointer widths, so the saved index
-// does not depend on the in-memory layout.
-func TestCSR32WriteToMatchesWide(t *testing.T) {
+// TestCSR32WriteToRoundTrip: a compact matrix is written in the widths it
+// holds — 24 header bytes, 4 per row pointer, 12 per entry — and ReadCSR32
+// gives it back exactly, with the int32 row pointers Compact would choose
+// even when it held int64 ones, across several chunks of the codec.
+func TestCSR32WriteToRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	m := randCSR(rng, 40, 33, 0.25)
-	rp64 := make([]int64, len(m.rowPtr))
-	col32 := make([]uint32, len(m.col))
-	for i, p := range m.rowPtr {
-		rp64[i] = int64(p)
+	for _, m := range []*CSR{randCSR(rng, 40, 33, 0.25), Zero(3, 0), randBigCSR(900, 700, 40, 45)} {
+		rp64 := make([]int64, len(m.rowPtr))
+		col32 := make([]uint32, len(m.col))
+		for i, p := range m.rowPtr {
+			rp64[i] = int64(p)
+		}
+		for i, c := range m.col {
+			col32[i] = uint32(c)
+		}
+		for name, c := range map[string]*CSR32{
+			"int32 rowPtr": Compact(m),
+			"int64 rowPtr": NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
+		} {
+			var buf bytes.Buffer
+			n, err := c.WriteTo(&buf)
+			if err != nil || n != int64(buf.Len()) {
+				t.Fatalf("%s: WriteTo = %d, %v; wrote %d", name, n, err, buf.Len())
+			}
+			if want := 24 + 4*(m.rows+1) + 12*m.NNZ(); buf.Len() != want {
+				t.Errorf("%s %v: %d bytes, want %d", name, m, buf.Len(), want)
+			}
+			back, err := ReadCSR32(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if back.rowPtr32 == nil || !back.ToCSR().Equal(m) || back.MemoryBytes() != Compact(m).MemoryBytes() {
+				t.Errorf("%s %v: read back %v, not the matrix written", name, m, back)
+			}
+		}
 	}
-	for i, c := range m.col {
-		col32[i] = uint32(c)
+}
+
+// TestReadCSR32RejectsCorruptArrays: single-word corruptions of a written
+// compact matrix that keep every length consistent are refused by the
+// structural check, and a truncated one by the reader.
+func TestReadCSR32RejectsCorruptArrays(t *testing.T) {
+	m := Compact(NewCSR(3, 6, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5}))
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for name, c := range map[string]*CSR32{
-		"int32 rowPtr": Compact(m),
-		"int64 rowPtr": NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
+	valid := buf.Bytes()
+	const rowPtrAt, colAt = 24, 24 + 4*4
+	for name, w := range map[string]struct {
+		off int
+		v   uint32
+	}{
+		"column == cols":        {colAt + 4*4, 6},
+		"column 1<<31":          {colAt + 4*1, 1 << 31},
+		"columns out of order":  {colAt + 4*1, 0},
+		"duplicate column":      {colAt + 4*4, 2},
+		"rowPtr does not start": {rowPtrAt, 1},
+		"rowPtr decreases":      {rowPtrAt + 4, 4},
+		"rowPtr negative":       {rowPtrAt + 4, 1 << 31},
 	} {
-		var got, want bytes.Buffer
-		if _, err := c.WriteTo(&got); err != nil {
-			t.Fatal(err)
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(raw[w.off:], w.v)
+		if got, err := ReadCSR32(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted as %v", name, got)
 		}
-		if _, err := c.ToCSR().WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: CSR32.WriteTo differs from the widened copy's bytes", name)
-		}
+	}
+	if _, err := ReadCSR32(bytes.NewReader(valid[:len(valid)-3])); err == nil {
+		t.Error("truncated matrix accepted")
 	}
 }
 

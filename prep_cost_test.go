@@ -91,25 +91,31 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	t.Logf("MemoryBytes %d, file %d B; New %d B, Save %d objects / %d B, Load %d B",
 		mem, len(raw), newBytes, saveObjects, saveBytes, loadBytes)
 
-	// Save streams through one pooled chunk — S's section too, row run by
-	// row run out of the DILU factors: a return to a write, an error check
-	// or a heap object per word shows up as ~148 000 objects here, a wide
-	// copy of S as 1.2 MB.
+	// Save streams through one pooled chunk — S's section too, out of the
+	// DILU factors: a return to a write, an error check or a heap object per
+	// word shows up as ~148 000 objects here, a wide copy of S as 1.2 MB.
 	if saveObjects > 100 {
 		t.Errorf("Save allocated %d objects, budget 100", saveObjects)
 	}
 	if saveBytes > 512<<10 {
 		t.Errorf("Save allocated %d bytes, budget 512 KiB (it copies no array)", saveBytes)
 	}
-	// Load allocates every array once at its declared size, then the narrowed
-	// index copies of the H blocks and the DILU factors S moves into;
-	// append-doubling the arrays, widening copies or a second copy of S push
+	// Load allocates every array once at its declared size and served
+	// width — the file is the index — plus the pivot recurrence's cursors and
+	// the 32-bit permutation it widens: append-doubling the arrays, a wide
+	// copy of S (the version-1 path: 2 447 824 B) or a second copy of S push
 	// it back up.
 	// poolSlack: under the race detector the codec's pool comes up empty for
 	// up to four of Load's array reads in the best of five runs (64 KiB
 	// each), which the 10% margin (245 KB) would not absorb.
 	if loadBytes > loadBudget+poolSlack {
 		t.Errorf("Load allocated %d B, budget %d B + %d B", loadBytes, loadBudget, poolSlack)
+	}
+	// The saved file is the index in the layout it is served from, without
+	// what loading derives from it (the inverse permutation, the pivots) and
+	// with the permutation in 32 bits.
+	if int64(len(raw)) > mem {
+		t.Errorf("the saved file takes %d B, the index it loads into %d B", len(raw), mem)
 	}
 	// New: no edge-pair list, no triplet list for H, blocks counted before
 	// they are filled. What remains is dominated by the Schur complement's
@@ -121,7 +127,7 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 
 const (
 	poolSlack  = 4 * 64 << 10
-	loadBudget = 2_692_000  // measured 2 447 824
+	loadBudget = 1_314_000  // measured 1 194 400 (2 447 824 reading the wide version-1 layout)
 	newBudget  = 10_850_000 // measured 9 864 560 at two workers (7 467 496 serial)
 )
 
