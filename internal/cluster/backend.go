@@ -84,10 +84,10 @@ func (t Tag) String() string { return fmt.Sprintf("%s@g%d", t.Hash, t.Gen) }
 type Backend interface {
 	Name() string
 	// Query answers a single-seed query; full requests the whole score
-	// vector (used by the full-vector scatter-gather merge), otherwise a
-	// top-k ranking — bound-pruned by default, from a full-tolerance solve
-	// when exact is set (the rank merge needs exact scores for its
-	// bit-identical weighted sums).
+	// vector (what the personalized merge sums), otherwise a top-k ranking —
+	// bound-pruned by default, from a full-tolerance solve when exact is set.
+	// exact is never set by the coordinator; it is kept for callers of a
+	// shard's /query that ask for it.
 	Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error)
 	// Health probes the replica's readiness.
 	Health(ctx context.Context) (Health, error)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -55,12 +54,6 @@ type Config struct {
 	// attempt counts as a retryable replica failure (504), not a caller
 	// cancellation.
 	AttemptTimeout time.Duration
-	// FullVectorMerge forces Personalized to gather full score vectors and
-	// merge them (the pre-rank-merge behavior) instead of attempting the
-	// top-k rank merge first. Both produce bit-identical results — the rank
-	// merge falls back to the full merge whenever it cannot certify
-	// exactness — so this is an A-B/debugging knob, not a correctness one.
-	FullVectorMerge bool
 	// Obs is the coordinator's observability bundle: its tracer opens the
 	// root span of every distributed trace (replicas attach under it via
 	// the propagated X-Bepi-Trace context), and its flight recorder logs
@@ -143,12 +136,6 @@ type Coordinator struct {
 	// refetches counts partials re-queried to converge a gather on one
 	// engine generation (the minority side of a mid-gather swap).
 	refetches atomic.Int64
-	// Rank-merge counters: merges answered from per-shard top-k lists, how
-	// often the candidate lists had to be escalated (re-fetched wider), and
-	// how often the merge gave up and fell back to full vectors.
-	rankMerges      atomic.Int64
-	rankEscalations atomic.Int64
-	fullFallbacks   atomic.Int64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -224,19 +211,11 @@ func (c *Coordinator) beginTrace(ctx context.Context, kind string, seed int) (*o
 // cache affinity and retrying ring successors (with back-off honoring the
 // replica's Retry-After hint) on retryable failures.
 func (c *Coordinator) Query(ctx context.Context, seed, topk int, full bool) (Partial, error) {
-	return c.query(ctx, seed, topk, full, false)
-}
-
-// query is Query with the exact flag threaded through to the replica: a
-// top-k fetch with exact set comes from a full-tolerance solve (the rank
-// merge requires exact scores), otherwise replicas serve the bound-pruned
-// fast path.
-func (c *Coordinator) query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	at, ctx := c.beginTrace(ctx, "cluster.query", seed)
-	p, err := c.route(ctx, at, seed, topk, full, exact)
+	p, err := c.route(ctx, at, seed, topk, full)
 	if at != nil {
 		if err != nil {
 			at.SetErr(err)
@@ -257,7 +236,7 @@ func (c *Coordinator) query(ctx context.Context, seed, topk int, full, exact boo
 // back-off wait) becomes a span on the coordinator's trace record, tagged
 // with the shard and attempt number; retries and exhausted routes go to the
 // flight recorder.
-func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk int, full, exact bool) (Partial, error) {
+func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk int, full bool) (Partial, error) {
 	ring := c.ring.Load()
 	if ring.Len() == 0 {
 		return Partial{}, ErrNoReplicas
@@ -280,7 +259,7 @@ func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk
 			at.AddSpan("backoff", bStart, c.obs.Now())
 		}
 		aStart := c.obs.Now()
-		p, err := c.queryReplica(ctx, c.replicas[name], seed, topk, full, exact)
+		p, err := c.queryReplica(ctx, c.replicas[name], seed, topk, full)
 		at.AddSpanTags("attempt", aStart, c.obs.Now(), map[string]string{
 			"shard":   name,
 			"attempt": strconv.Itoa(i + 1),
@@ -316,13 +295,14 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int, lastErr error) e
 
 // queryReplica runs one attempt against one replica under the per-attempt
 // timeout, recording routing metrics. An attempt-timeout is reported as a
-// retryable 504 BackendError rather than a caller cancellation.
-func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk int, full, exact bool) (Partial, error) {
+// retryable 504 BackendError rather than a caller cancellation. Replicas
+// answer top-k fetches from their bound-pruned path (exact is never set).
+func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk int, full bool) (Partial, error) {
 	rep.routed.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
 	defer cancel()
 	start := time.Now()
-	p, err := rep.backend.Query(actx, seed, topk, full, exact)
+	p, err := rep.backend.Query(actx, seed, topk, full, false)
 	rep.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		rep.errs.Add(1)
@@ -438,7 +418,8 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// Merged is a personalized query assembled from per-seed partials.
+// Merged is a personalized query: the top-k of the weighted sum of the
+// per-seed score vectors, assembled from one full-vector partial per seed.
 type Merged struct {
 	Top []server.RankedEntry
 	// Tag is the single (index hash, generation) every merged partial
@@ -450,11 +431,6 @@ type Merged struct {
 	Refetched int
 	// CacheHits counts partials served from replica caches.
 	CacheHits int
-	// Mode says how the merge was assembled: "rank" (per-shard top-k lists,
-	// first candidate width), "rank-escalated" (lists had to be re-fetched
-	// wider once), or "full" (full score vectors — the fallback, or forced
-	// by Config.FullVectorMerge). All modes return identical rankings.
-	Mode string
 }
 
 // Personalized answers a multi-seed PPR query by linear decomposition:
@@ -462,21 +438,14 @@ type Merged struct {
 // and each single-seed solve routes to the replica that owns that seed —
 // exactly the per-seed cache the affinity routing has been warming.
 //
-// By default the coordinator gathers per-seed top-k' RANKINGS (k' a small
-// multiple of the requested k, with exact full-tolerance scores) instead
-// of full score vectors, and merges them threshold-algorithm style: a
-// node's merged lower bound sums the list entries that name it, its upper
-// bound adds each absent list's tail score. When the k selected nodes are
-// covered by every list and their exact merged scores strictly clear
-// every other candidate's upper bound (and the all-tails bound on unseen
-// nodes), the ranking is provably identical to the full-vector merge —
-// and moved k'·|seeds| ranked entries over the wire instead of
-// |seeds|·N scores. If the certificate does not close, the candidate
-// lists are re-fetched once at 4× the width; if it still does not close
-// (massive ties, near-uniform scores), the coordinator falls back to the
-// full-vector merge, so exactness never depends on the fast path.
+// Each replica returns the seed's full-tolerance score vector (the one its
+// cache holds under (seed, 0)); the coordinator sums them with weights
+// wᵢ/Σw in ascending seed order and ranks the sum with core.RankTopKFunc,
+// leaving out the seeds and non-positive scores. The ranking is therefore a
+// pure function of the per-seed vectors: the same nodes and the same
+// float64 bits however the partials travelled.
 //
-// Merging is generation-guarded in every mode: every partial must carry
+// Merging is generation-guarded: every partial must carry
 // the same (index hash, generation) tag. If a rebuild swaps engines
 // mid-gather, the minority partials are re-fetched once (a swapped
 // replica answers the re-fetch from its new engine); if the gather still
@@ -514,13 +483,12 @@ func (c *Coordinator) Personalized(ctx context.Context, weights map[int]float64,
 	}
 
 	at, ctx := c.beginTrace(ctx, "cluster.personalized", len(seeds))
-	m, err := c.merge(ctx, weights, sum, seeds, topk)
+	m, err := c.fullMerge(ctx, weights, sum, seeds, topk)
 	if at != nil {
 		if err != nil {
 			at.SetErr(err)
 		} else {
 			at.SetBatch(len(seeds))
-			at.SetTag("mode", m.Mode)
 			at.SetTag("generation", strconv.FormatUint(m.Tag.Gen, 10))
 			if m.Refetched > 0 {
 				at.SetTag("refetched", strconv.Itoa(m.Refetched))
@@ -531,29 +499,13 @@ func (c *Coordinator) Personalized(ctx context.Context, weights map[int]float64,
 	return m, err
 }
 
-// merge runs the personalized merge under an already-opened trace context:
-// the rank merge first (unless disabled), the full-vector merge as the
-// certified-exact fallback.
-func (c *Coordinator) merge(ctx context.Context, weights map[int]float64, sum float64, seeds []int, topk int) (Merged, error) {
-	if !c.cfg.FullVectorMerge {
-		if m, ok, err := c.rankMerge(ctx, weights, sum, seeds, topk); err != nil {
-			return Merged{}, err
-		} else if ok {
-			return m, nil
-		}
-		c.fullFallbacks.Add(1)
-	}
-	return c.fullMerge(ctx, weights, sum, seeds, topk)
-}
-
-// gather fetches one partial per seed concurrently (ranking of width topk
-// when full is false, the whole score vector otherwise) and enforces the
-// generation guard: every partial must end up under one (index hash,
+// gather fetches every seed's full score vector concurrently and enforces
+// the generation guard: every partial must end up under one (index hash,
 // generation) tag, with one re-fetch pass for the minority side of a
 // mid-gather engine swap. A failed partial fails the gather — a weighted
 // sum missing one component is silently wrong (unlike Batch, whose
 // entries are independent).
-func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, exact bool) ([]Partial, int, error) {
+func (c *Coordinator) gather(ctx context.Context, seeds []int) ([]Partial, int, error) {
 	partials := make([]Partial, len(seeds))
 	errs := make([]error, len(seeds))
 	fetch := func(idxs []int) {
@@ -562,7 +514,7 @@ func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, e
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				partials[i], errs[i] = c.query(ctx, seeds[i], topk, full, exact)
+				partials[i], errs[i] = c.Query(ctx, seeds[i], 0, true)
 			}(i)
 		}
 		wg.Wait()
@@ -607,11 +559,10 @@ func (c *Coordinator) gather(ctx context.Context, seeds []int, topk int, full, e
 	return partials, refetched, nil
 }
 
-// fullMerge is the full-vector merge: gather every seed's whole score
-// vector, weighted-sum them, rank. The reference path the rank merge must
-// match bit-for-bit.
+// fullMerge is the personalized merge: gather every seed's whole score
+// vector, weighted-sum them, rank.
 func (c *Coordinator) fullMerge(ctx context.Context, weights map[int]float64, sum float64, seeds []int, topk int) (Merged, error) {
-	partials, refetched, err := c.gather(ctx, seeds, 0, true, false)
+	partials, refetched, err := c.gather(ctx, seeds)
 	if err != nil {
 		return Merged{}, err
 	}
@@ -652,189 +603,7 @@ func (c *Coordinator) fullMerge(ctx context.Context, weights map[int]float64, su
 		Replicas:  sortedKeys(shards),
 		Refetched: refetched,
 		CacheHits: hits,
-		Mode:      "full",
 	}, nil
-}
-
-// rankMergeBaseWidth is the minimum per-seed candidate-list width the rank
-// merge fetches; wider lists close the certificate more often at the cost
-// of bandwidth, and the width also scales with the requested k.
-const rankMergeBaseWidth = 64
-
-// rankMerge attempts the threshold-algorithm merge over per-seed top-k'
-// lists with exact scores. ok=false (with nil error) means the exactness
-// certificate did not close even after one escalation and the caller
-// should fall back to the full-vector merge.
-func (c *Coordinator) rankMerge(ctx context.Context, weights map[int]float64, sum float64, seeds []int, topk int) (Merged, bool, error) {
-	width := 4 * topk
-	if width < rankMergeBaseWidth {
-		width = rankMergeBaseWidth
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		if attempt > 0 {
-			width *= 4
-			c.rankEscalations.Add(1)
-		}
-		partials, refetched, err := c.gather(ctx, seeds, width, false, true)
-		if err != nil {
-			return Merged{}, false, err
-		}
-		top, ok := mergeRanked(partials, seeds, weights, sum, width, topk)
-		if !ok {
-			continue
-		}
-		c.merges.Add(1)
-		c.rankMerges.Add(1)
-		shards := map[string]bool{}
-		hits := 0
-		for _, p := range partials {
-			shards[p.Replica] = true
-			if p.Cached {
-				hits++
-			}
-		}
-		mode := "rank"
-		if attempt > 0 {
-			mode = "rank-escalated"
-		}
-		return Merged{
-			Top:       top,
-			Tag:       partials[0].Tag(),
-			Replicas:  sortedKeys(shards),
-			Refetched: refetched,
-			CacheHits: hits,
-			Mode:      mode,
-		}, true, nil
-	}
-	return Merged{}, false, nil
-}
-
-// mergeRanked runs the bounded merge over per-seed candidate lists and
-// reports whether the result is certified identical to the full-vector
-// merge.
-//
-// Bounds: node n's merged score is Σᵢ wᵢ·sᵢ(n) with every sᵢ(n) ≥ 0.
-// For lists that contain n the term is exact; a list of full width that
-// omits n bounds its term by wᵢ·tᵢ (tᵢ = the list's weakest score), and a
-// list shorter than the requested width is the replica's complete ranking,
-// so omission there means the term is exactly 0 (n is that list's
-// excluded seed — and seeds are excluded from the merged ranking anyway).
-// The certificate demands (a) each selected node appears in every list,
-// making its merged score exact — and summed in ascending-seed order, the
-// same floating-point accumulation order as the full merge, hence
-// bit-identical; and (b) the weakest selected score strictly exceeds
-// every unselected candidate's upper bound and the all-tails bound on
-// nodes no list surfaced. Strictness makes ties uncertifiable by design:
-// equal-score sets fall back to the full merge rather than risk a
-// tie-break on approximate information.
-func mergeRanked(partials []Partial, seeds []int, weights map[int]float64, sum float64, width, topk int) ([]server.RankedEntry, bool) {
-	m := len(partials)
-	// Per-list weighted tail bounds and the bound on wholly unseen nodes.
-	tails := make([]float64, m)
-	unseenUB := 0.0
-	for i, p := range partials {
-		if len(p.Top) >= width && len(p.Top) > 0 {
-			tails[i] = weights[seeds[i]] / sum * p.Top[len(p.Top)-1].Score
-		}
-		unseenUB += tails[i]
-	}
-
-	// Candidate table: per-list exact scores for every node any list names.
-	// Missing entries are NaN (a zero score is meaningful and must not be
-	// confused with absence).
-	cands := map[int][]float64{}
-	for i, p := range partials {
-		for _, e := range p.Top {
-			sc, ok := cands[e.Node]
-			if !ok {
-				sc = make([]float64, m)
-				for j := range sc {
-					sc[j] = math.NaN()
-				}
-				cands[e.Node] = sc
-			}
-			sc[i] = e.Score
-		}
-	}
-
-	isSeed := make(map[int]bool, len(seeds))
-	for _, s := range seeds {
-		isSeed[s] = true
-	}
-
-	type bound struct {
-		lb      float64 // exact when covered
-		ub      float64
-		covered bool
-	}
-	bounds := make(map[int]bound, len(cands))
-	sel := make([]core.Ranked, 0, len(cands))
-	for node, sc := range cands {
-		if isSeed[node] {
-			continue
-		}
-		b := bound{covered: true}
-		for i := 0; i < m; i++ {
-			if math.IsNaN(sc[i]) {
-				// Absent from a full-width list: bounded by its tail.
-				// Absent from a short list: the list was complete, the
-				// score is exactly zero (contributes to neither bound).
-				b.ub += tails[i]
-				if tails[i] > 0 {
-					b.covered = false
-				}
-				continue
-			}
-			// Same expression and ascending-seed order as the full merge's
-			// accumulation — covered nodes get bit-identical sums.
-			b.lb += weights[seeds[i]] / sum * sc[i]
-		}
-		b.ub += b.lb
-		bounds[node] = b
-		sel = append(sel, core.Ranked{Node: node, Score: b.lb})
-	}
-
-	// Select the k best by lower bound under the system's total order.
-	sort.Slice(sel, func(i, j int) bool { return sel[i].Outranks(sel[j]) })
-	if len(sel) < topk {
-		if unseenUB > 0 {
-			// Not enough candidates to fill the ranking, and whether more
-			// exist below the tails is unknowable from truncated lists.
-			return nil, false
-		}
-		// Every list came back shorter than requested — each is a complete
-		// ranking, so the candidate table is exhaustive and exact. The full
-		// merge would return this same short ranking (it too drops
-		// non-positive scores).
-		topk = len(sel)
-		for topk > 0 && sel[topk-1].Score <= 0 {
-			topk--
-		}
-		if topk == 0 {
-			return nil, false
-		}
-	}
-	selected := sel[:topk]
-	kth := selected[topk-1]
-	if kth.Score <= unseenUB {
-		return nil, false
-	}
-	for _, s := range selected {
-		if b := bounds[s.Node]; !b.covered || b.lb <= 0 {
-			return nil, false
-		}
-	}
-	for _, u := range sel[topk:] {
-		if kth.Score <= bounds[u.Node].ub {
-			return nil, false
-		}
-	}
-
-	top := make([]server.RankedEntry, topk)
-	for i, s := range selected {
-		top[i] = server.RankedEntry{Node: s.Node, Score: s.Score}
-	}
-	return top, true
 }
 
 // mismatched returns the indexes of partials whose tag disagrees with the

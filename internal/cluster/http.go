@@ -18,11 +18,13 @@ import (
 // Endpoints:
 //
 //	GET  /query?seed=N&topk=K             routed single-seed query
-//	     (&full=true for the score vector, &exact=true to force a
-//	     full-tolerance solve instead of the bound-pruned top-k path)
+//	     (&full=true for the score vector; top-k comes from the shard's
+//	     bound-pruned path)
 //	POST /batch {"seeds":[...],"topk":K}  scatter-gather batch (degraded
 //	                                      responses report failed shards)
-//	POST /personalized {"weights":{...}}  linearity-decomposed PPR merge
+//	POST /personalized {"weights":{...}}  linearity-decomposed PPR: the
+//	                                      weighted sum of per-seed score
+//	                                      vectors, ranked
 //	GET  /healthz                         coordinator readiness
 //	GET  /replicas                        per-replica health/routing state
 //	GET  /metrics, /metrics.prom          routing + fleet-merged metrics
@@ -98,9 +100,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p, err := h.coord.query(traceContext(w, r), seed, topk,
-		r.URL.Query().Get("full") == "true",
-		r.URL.Query().Get("exact") == "true")
+	p, err := h.coord.Query(traceContext(w, r), seed, topk, r.URL.Query().Get("full") == "true")
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -193,7 +193,8 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, status, resp)
 }
 
-// PersonalizedResponse is the /personalized payload.
+// PersonalizedResponse is the /personalized payload: Coordinator.Personalized's
+// Merged, with the tag split into its generation and index hash.
 type PersonalizedResponse struct {
 	Top        []server.RankedEntry `json:"top"`
 	Generation uint64               `json:"generation"`
@@ -201,9 +202,6 @@ type PersonalizedResponse struct {
 	Replicas   []string             `json:"replicas"`
 	Refetched  int                  `json:"refetched,omitempty"`
 	CacheHits  int                  `json:"cache_hits"`
-	// Mode is how the merge was assembled: "rank", "rank-escalated", or
-	// "full". All modes return identical rankings.
-	Mode string `json:"mode,omitempty"`
 }
 
 func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
@@ -233,7 +231,6 @@ func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		Replicas:   m.Replicas,
 		Refetched:  m.Refetched,
 		CacheHits:  m.CacheHits,
-		Mode:       m.Mode,
 	})
 }
 
@@ -270,9 +267,6 @@ func (h *Handler) handleReplicas(w http.ResponseWriter, r *http.Request) {
 type MetricsResponse struct {
 	Batches          int64           `json:"batches"`
 	Merges           int64           `json:"merges"`
-	RankMerges       int64           `json:"rank_merges"`
-	RankEscalations  int64           `json:"rank_escalations"`
-	FullFallbacks    int64           `json:"full_fallbacks"`
 	MixRefused       int64           `json:"generation_mix_refused"`
 	Refetches        int64           `json:"generation_refetches"`
 	DegradedBatches  int64           `json:"degraded_batches"`
@@ -288,9 +282,6 @@ func (h *Handler) metrics() MetricsResponse {
 	return MetricsResponse{
 		Batches:          h.coord.batches.Load(),
 		Merges:           h.coord.merges.Load(),
-		RankMerges:       h.coord.rankMerges.Load(),
-		RankEscalations:  h.coord.rankEscalations.Load(),
-		FullFallbacks:    h.coord.fullFallbacks.Load(),
 		MixRefused:       h.coord.mixRefused.Load(),
 		Refetches:        h.coord.refetches.Load(),
 		DegradedBatches:  h.coord.degraded.Load(),
@@ -301,8 +292,7 @@ func (h *Handler) metrics() MetricsResponse {
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/plain") ||
-		r.URL.Query().Get("format") == "prometheus" {
+	if wire.WantsProm(r) {
 		h.handleMetricsProm(w, r)
 		return
 	}
@@ -329,12 +319,6 @@ func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	m := h.metrics()
 	p.Counter("bepi_cluster_batches_total", "Scatter-gather batch queries.", float64(m.Batches))
 	p.Counter("bepi_cluster_merges_total", "Personalized merges completed.", float64(m.Merges))
-	p.Counter("bepi_cluster_rank_merges_total",
-		"Personalized merges served from per-shard top-k lists.", float64(m.RankMerges))
-	p.Counter("bepi_cluster_rank_escalations_total",
-		"Rank merges that re-fetched wider candidate lists.", float64(m.RankEscalations))
-	p.Counter("bepi_cluster_full_fallbacks_total",
-		"Personalized merges that fell back to full score vectors.", float64(m.FullFallbacks))
 	p.Counter("bepi_cluster_generation_mix_refused_total",
 		"Merges refused because partials spanned index generations.", float64(m.MixRefused))
 	p.Counter("bepi_cluster_degraded_batches_total", "Batches with at least one failed seed.", float64(m.DegradedBatches))

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,10 +14,6 @@ import (
 	"bepi/internal/sparse"
 	"bepi/internal/wire"
 )
-
-// maxDebugItems caps how many traces or events one coordinator debug
-// request returns, whatever ?n= asks for.
-const maxDebugItems = 512
 
 // traceContext resolves a coordinator request's tracing context, mirroring
 // the shard server: a propagated X-Bepi-Trace header wins (this coordinator
@@ -122,17 +117,9 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	n := 50
-	if v := r.URL.Query().Get("n"); v != "" {
-		var err error
-		n, err = strconv.Atoi(v)
-		if err != nil || n < 0 {
-			wire.WriteError(w, http.StatusBadRequest, 0, "bad n "+strconv.Quote(v))
-			return
-		}
-	}
-	if n == 0 || n > maxDebugItems {
-		n = maxDebugItems
+	n, ok := server.DebugCount(w, r, 50)
+	if !ok {
+		return
 	}
 	if id := r.URL.Query().Get("trace"); id != "" {
 		roots, count := h.coord.TraceTree(r.Context(), id, n)
@@ -158,17 +145,9 @@ func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	n := 100
-	if v := r.URL.Query().Get("n"); v != "" {
-		var err error
-		n, err = strconv.Atoi(v)
-		if err != nil || n < 0 {
-			wire.WriteError(w, http.StatusBadRequest, 0, "bad n "+strconv.Quote(v))
-			return
-		}
-	}
-	if n == 0 || n > maxDebugItems {
-		n = maxDebugItems
+	n, ok := server.DebugCount(w, r, 100)
+	if !ok {
+		return
 	}
 	events := h.coord.Observer().Events.Recent(n)
 	if events == nil {

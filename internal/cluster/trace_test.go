@@ -68,9 +68,9 @@ func TestClusterDistributedTraceTreeHTTP(t *testing.T) {
 	ch := httptest.NewServer(NewHandler(coord))
 	defer ch.Close()
 
-	// exact=true forces a full-tolerance solve through the batch worker, so
-	// the shard record carries engine stage spans, not just a cache probe.
-	resp, err := http.Get(ch.URL + "/query?seed=3&topk=4&exact=true&trace=1")
+	// full=true forces a full-tolerance solve through the worker, so the
+	// shard record carries engine stage spans, not just a cache probe.
+	resp, err := http.Get(ch.URL + "/query?seed=3&full=true&trace=1")
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}

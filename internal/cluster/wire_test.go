@@ -297,10 +297,10 @@ func (s *staleFirst) Query(ctx context.Context, seed, topk int, full, exact bool
 }
 func (s *staleFirst) Health(ctx context.Context) (Health, error) { return s.cur.Health(ctx) }
 
-// TestWirePersonalizedFullMergeMatchesLocal: the full-vector merge — the
-// rank merge's fallback, and the path a generation re-fetch takes — gives
-// the same ranking and scores, bit for bit, whether its partials crossed
-// the binary hop (HTTPBackend) or never left the process (LocalBackend).
+// TestWirePersonalizedFullMergeMatchesLocal: the personalized merge — with
+// and without a generation re-fetch — gives the same ranking and scores,
+// bit for bit, whether its partials crossed the binary hop (HTTPBackend) or
+// never left the process (LocalBackend).
 func TestWirePersonalizedFullMergeMatchesLocal(t *testing.T) {
 	g := swapTestGraph(t, 60)
 	weights := map[int]float64{3: 1, 17: 2, 40: 0.5, 41: 1}
@@ -329,9 +329,7 @@ func TestWirePersonalizedFullMergeMatchesLocal(t *testing.T) {
 			}
 			backends = append(backends, sf)
 		}
-		cfg := testConfig()
-		cfg.FullVectorMerge = true
-		coord, err := New(backends, cfg)
+		coord, err := New(backends, testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,8 +351,8 @@ func TestWirePersonalizedFullMergeMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stale=%d http: %v", stale, err)
 		}
-		if got.Mode != "full" || want.Mode != "full" || got.Refetched != int(stale) || want.Refetched != int(stale) {
-			t.Fatalf("stale=%d: modes %q/%q, refetched %d/%d", stale, got.Mode, want.Mode, got.Refetched, want.Refetched)
+		if got.Refetched != int(stale) || want.Refetched != int(stale) {
+			t.Fatalf("stale=%d: refetched %d/%d", stale, got.Refetched, want.Refetched)
 		}
 		if got.Tag != want.Tag || got.Tag.Gen != 2 {
 			t.Fatalf("stale=%d: tag %v, local %v, want generation 2", stale, got.Tag, want.Tag)

@@ -3,26 +3,12 @@ package server
 import (
 	"net/http"
 	"strconv"
-	"strings"
 
 	"bepi"
 	"bepi/internal/obs"
 	"bepi/internal/sparse"
 	"bepi/internal/wire"
 )
-
-// wantsProm reports whether the /metrics request asked for the Prometheus
-// text format: a Prometheus scraper advertises text/plain (or the
-// OpenMetrics type) in Accept, and `?format=prometheus` forces it. The
-// JSON default keeps the endpoint's pre-existing shape for dashboards.
-func wantsProm(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return true
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") ||
-		strings.Contains(accept, "application/openmetrics-text")
-}
 
 // handleMetricsProm writes the full Prometheus exposition: served-traffic
 // counters, qexec counters and histograms, preprocessing stats, and Go
@@ -165,10 +151,11 @@ type TraceResponse struct {
 // response while the serving path is under load.
 const maxDebugItems = 512
 
-// debugCount parses the `?n=` item count for a debug endpoint: default def,
-// hard-capped at maxDebugItems. The bool is false (after a 400 was written)
-// when the parameter is malformed.
-func debugCount(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
+// DebugCount parses the `?n=` item count of a debug endpoint, on the shard
+// and the coordinator alike: default def, 0 or anything above
+// maxDebugItems capped to it. The bool is false (after a 400 was written)
+// when the parameter is malformed or negative.
+func DebugCount(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 	n := def
 	if v := r.URL.Query().Get("n"); v != "" {
 		var err error
@@ -185,7 +172,7 @@ func debugCount(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 }
 
 // handleTraces serves finished query traces, newest first. `?n=` bounds the
-// count (default 50, hard cap maxDebugItems); `?trace=ID` filters to the
+// count (default 50, see DebugCount); `?trace=ID` filters to the
 // records of one distributed trace (the shape the cluster coordinator
 // fetches when assembling a cross-process trace tree).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -196,7 +183,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return // client already gone: skip the ring scan and the write
 	}
-	n, ok := debugCount(w, r, 50)
+	n, ok := DebugCount(w, r, 50)
 	if !ok {
 		return
 	}
@@ -220,8 +207,8 @@ type EventResponse struct {
 }
 
 // handleEvents serves the flight recorder: recent structured operational
-// events, newest first. `?n=` bounds the count (default 100, hard cap
-// maxDebugItems).
+// events, newest first. `?n=` bounds the count (default 100, see
+// DebugCount).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
@@ -230,7 +217,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	n, ok := debugCount(w, r, 100)
+	n, ok := DebugCount(w, r, 100)
 	if !ok {
 		return
 	}

@@ -112,7 +112,7 @@ func (s *Server) Executor() *qexec.Executor { return s.core.Executor() }
 func (s *Server) Close() { s.core.Close() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r) {
+	if wire.WantsProm(r) {
 		s.handleMetricsProm(w, r)
 		return
 	}

@@ -40,6 +40,19 @@ func WriteError(w http.ResponseWriter, status, retryAfter int, msg string) {
 	WriteJSON(w, status, map[string]string{"error": msg})
 }
 
+// WantsProm reports whether a /metrics request asked for the Prometheus
+// text format: a Prometheus scraper advertises text/plain (or the
+// OpenMetrics type) in Accept, and `?format=prometheus` forces it. JSON is
+// the default, on the shard and the coordinator alike.
+func WantsProm(r *http.Request) bool {
+	if r.URL.Query().Get("format") == "prometheus" {
+		return true
+	}
+	accept := r.Header.Get("Accept")
+	return strings.Contains(accept, "text/plain") ||
+		strings.Contains(accept, "application/openmetrics-text")
+}
+
 // ReadJSON decodes one JSON value from a request or response body.
 func ReadJSON(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
 
