@@ -46,8 +46,9 @@ race:
 # sharing one pool, where interleavings vary run to run — plus the obs
 # histograms' record-vs-snapshot race test, the one-pass DILU operator
 # (concurrent operators over one factorization, pooled engine workspaces),
-# the compact CSR32 kernel paths, and the dynamic-index
-# rebuild/swap protocol (root package: concurrent queries, updates, and
+# the compact CSR32 kernel paths and the value-free H-block pattern kernels
+# checked against them, and the dynamic-index rebuild/swap protocol (root
+# package: concurrent queries, updates, and
 # background flushes over one index), the cluster tier's routing ring
 # and generation-guarded scatter-gather against concurrent engine swaps,
 # and the bounded top-k search (solver StopWhen/Probe hooks, set-equality
@@ -62,7 +63,7 @@ race:
 # path (SlashBurn over the counting-pass adjacency, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -91,12 +92,15 @@ bench-par:
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
 # The one micro-benchmark target: one preconditioned Schur iteration (the
-# one-pass DILU operator, 0 allocs/op) and the compact CSR32 SpMV, at a
-# fixed small iteration count. What these kernels cost inside a query is
-# gated by the repository benchmark (batch-solve's sparse.* and lu.* rows);
-# this target shows them in isolation.
+# one-pass DILU operator, 0 allocs/op), the back phase's H32·r2 on the
+# scale-15 benchmark graph as a valued CSR32 against the pattern plus
+# weights the engine keeps (stream-B/op: the bytes each pass moves), and
+# the compact CSR32 SpMV, at a fixed small iteration count. What these
+# kernels cost inside a query is gated by the repository benchmark
+# (batch-solve's sparse.* and lu.* rows); this target shows them in
+# isolation.
 bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkSchurIteration -benchtime=100x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkSchurIteration|BenchmarkHBlockMulVec' -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
 # Smoke-run the index write path — preprocessing, a Save + Load round trip,

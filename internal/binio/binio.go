@@ -151,6 +151,12 @@ func (w *Writer) Write(b []byte) (int, error) {
 // NewWriter). A payload that comes out at another length than counted is a
 // sticky error.
 func (w *Writer) Section(write func(io.Writer) (int64, error)) {
+	if w.counting { // inside Count: the frame and one counting pass
+		w.n += 8
+		write(w)
+		w.n += 4
+		return
+	}
 	start := w.n
 	w.counting = true
 	write(w)
@@ -167,6 +173,15 @@ func (w *Writer) Section(write func(io.Writer) (int64, error)) {
 		w.err = fmt.Errorf("binio: section counted %d bytes, wrote %d", length, got)
 	}
 	w.U32(w.crc)
+}
+
+// Count returns the number of bytes write produces, counted the way Section
+// counts a payload: nothing is written and no array is read. A caller that
+// knows its sink can grow tells it the length up front with it.
+func Count(write func(io.Writer) (int64, error)) int64 {
+	w := &Writer{counting: true}
+	write(w)
+	return w.n
 }
 
 // Close ends what the matching NewWriter opened and returns the bytes

@@ -204,34 +204,41 @@ func TestPoolSharedAcrossGoroutines(t *testing.T) {
 func encodeSections(t testing.TB, u []uint32, f []float64) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.U32(0xfeedface)
-	nested := func(out io.Writer) (int64, error) {
-		bw := NewWriter(out)
-		bw.Int(len(u))
-		WriteInts32(bw, u)
-		WriteInts32(bw, []int32{-1, 7})
-		WriteInts32(bw, []int{1 << 31})
-		WriteFloats(bw, f)
-		return bw.Close()
-	}
-	w.Section(nested)
-	w.Section(func(out io.Writer) (int64, error) {
-		bw := NewWriter(out)
-		bw.F64(math.E)
-		return bw.Close()
-	})
-	n, err := w.Close()
+	n, err := writeSections(u, f)(&buf)
 	if err != nil || n != int64(buf.Len()) {
 		t.Fatalf("Close = %d, %v; wrote %d", n, err, buf.Len())
 	}
 	return buf.Bytes()
 }
 
+// writeSections is encodeSections' encoder.
+func writeSections(u []uint32, f []float64) func(io.Writer) (int64, error) {
+	return func(out io.Writer) (int64, error) {
+		w := NewWriter(out)
+		w.U32(0xfeedface)
+		w.Section(func(out io.Writer) (int64, error) {
+			bw := NewWriter(out)
+			bw.Int(len(u))
+			WriteInts32(bw, u)
+			WriteInts32(bw, []int32{-1, 7})
+			WriteInts32(bw, []int{1 << 31})
+			WriteFloats(bw, f)
+			return bw.Close()
+		})
+		w.Section(func(out io.Writer) (int64, error) {
+			bw := NewWriter(out)
+			bw.F64(math.E)
+			return bw.Close()
+		})
+		return w.Close()
+	}
+}
+
 // TestSaveLoadSectionRoundTrip: a section is its length, its payload and
-// the payload's CRC-32C, the length counted without writing; 32-bit runs
-// come back exactly, from a source that reports its length and from one
-// that does not.
+// the payload's CRC-32C, the length counted without writing — and Count
+// counts the whole stream, frames included, to the byte; 32-bit runs come
+// back exactly, from a source that reports its length and from one that
+// does not.
 func TestSaveLoadSectionRoundTrip(t *testing.T) {
 	u := make([]uint32, chunkBytes/4+9)
 	for i := range u {
@@ -245,6 +252,9 @@ func TestSaveLoadSectionRoundTrip(t *testing.T) {
 	payload := 8 + 4*(len(u)+3) + 8*len(f)
 	if want := 4 + (8 + payload + 4) + (8 + 8 + 4); len(raw) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(raw), want)
+	}
+	if n := Count(writeSections(u, f)); n != int64(len(raw)) {
+		t.Fatalf("Count = %d, the stream is %d bytes", n, len(raw))
 	}
 	if got := binary.LittleEndian.Uint64(raw[4:]); got != uint64(payload) {
 		t.Fatalf("section length %d, want %d", got, payload)

@@ -181,9 +181,9 @@ func (e *Engine) computeBoundFactor() (float64, error) {
 		return 0, nil
 	}
 
-	normH12 := Norm2Est(e.h12, normIters, seedRNG)
-	normH31 := Norm2Est(e.h31, normIters, seedRNG+1)
-	normH32 := Norm2Est(e.h32, normIters, seedRNG+2)
+	normH12 := Norm2Est(e.h12, e.hw[n1:], normIters, seedRNG)
+	normH31 := Norm2Est(e.h31, e.hw[:n1], normIters, seedRNG+1)
+	normH32 := Norm2Est(e.h32, e.hw[n1:], normIters, seedRNG+2)
 
 	sminH11, err := e.sminH11(normIters, seedRNG+3)
 	if err != nil {
@@ -202,8 +202,9 @@ func (e *Engine) computeBoundFactor() (float64, error) {
 	return math.Sqrt(t*t+alpha*alpha+1) / sminS, nil
 }
 
-// Norm2Est estimates ‖A‖₂ by power iteration on AᵀA.
-func Norm2Est(a *sparse.CSR32, iters int, seed int64) float64 {
+// Norm2Est estimates ‖A‖₂ of A = P·diag(w), a stored H block, by power
+// iteration on AᵀA.
+func Norm2Est(a *sparse.Pattern, w []float64, iters int, seed int64) float64 {
 	if a.NNZ() == 0 {
 		return 0
 	}
@@ -212,7 +213,7 @@ func Norm2Est(a *sparse.CSR32, iters int, seed int64) float64 {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	y := make([]float64, a.Rows())
+	y, z := make([]float64, a.Rows()), make([]float64, a.Cols())
 	var sigma float64
 	for it := 0; it < iters; it++ {
 		nx := vec.Norm2(x)
@@ -220,9 +221,9 @@ func Norm2Est(a *sparse.CSR32, iters int, seed int64) float64 {
 			return 0
 		}
 		vec.Scale(1/nx, x)
-		a.MulVec(y, x)
+		a.MulVecScaled(y, z, w, x)
 		sigma = vec.Norm2(y)
-		a.MulVecT(x, y)
+		a.MulVecTScaled(x, w, y)
 	}
 	return sigma
 }

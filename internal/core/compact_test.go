@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"bepi/internal/gen"
+	"bepi/internal/sparse"
 )
 
 // bitsEqual compares two score vectors under Float64bits.
@@ -133,5 +135,57 @@ func TestParallelCompactQueriesBitIdentical(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// hBlockFixture is the H32 block of the repository benchmark's scale-15
+// index-build graph — the largest of its four H blocks — with its weights,
+// built once for BenchmarkHBlockMulVec.
+var hBlockFixture struct {
+	once sync.Once
+	p    *sparse.Pattern
+	w    []float64
+	err  error
+}
+
+// BenchmarkHBlockMulVec measures the back phase's H32·r2 on that block
+// (serial) in the two layouts: the CSR32 with a value per entry the engine
+// kept before, and the pattern it keeps now, weights beside it — z = w∘x
+// over the columns, then a value-free gather. stream-B/op counts the arrays
+// each pass reads or writes: per entry 12 bytes against 4, plus 24 per
+// column (w and x read, z written) for the pattern.
+func BenchmarkHBlockMulVec(b *testing.B) {
+	fx := &hBlockFixture
+	fx.once.Do(func() {
+		var e *Engine
+		if e, fx.err = Preprocess(gen.Hybrid(gen.DefaultHybrid(15, 14, 1)), Options{Parallelism: 1}); fx.err == nil {
+			fx.p, fx.w = e.h32, e.hw[e.ord.N1:]
+		}
+	})
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	p, w := fx.p, fx.w
+	valued := sparse.Compact(p.Expand(w))
+	x, z, dst := make([]float64, p.Cols()), make([]float64, p.Cols()), make([]float64, p.Rows())
+	for i := range x {
+		x[i] = 1 / float64(i+1)
+	}
+	for _, run := range []struct {
+		name   string
+		stream int64
+		mulVec func()
+	}{
+		{"csr32", valued.MemoryBytes(), func() { valued.MulVec(dst, x) }},
+		{"pattern", p.MemoryBytes() + 24*int64(p.Cols()), func() { p.MulVecScaled(dst, z, w, x) }},
+	} {
+		b.Run(fmt.Sprintf("%s/nnz=%d", run.name, p.NNZ()), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(run.stream)
+			for i := 0; i < b.N; i++ {
+				run.mulVec()
+			}
+			b.ReportMetric(float64(run.stream), "stream-B/op")
+		})
 	}
 }

@@ -22,7 +22,8 @@ import (
 //
 //   - An edge update with a spoke source u rescales column perm[u] of H,
 //     which lives entirely inside u's H11 diagonal block plus the H21/H31
-//     columns below it. Only that block's LU factors and the Schur columns
+//     columns below it — for those two, one weight and the inserted or
+//     deleted entries. Only that block's LU factors and the Schur columns
 //     fed by the block change; everything else is reused byte-for-byte.
 //   - An edge update with a hub source u rescales column perm[u]−n1 of
 //     H12/H22/H32, so exactly one column of S changes per hub source.
@@ -102,13 +103,16 @@ type srcDelta struct {
 // ApplyDelta builds a new engine for gNew — the updated graph — from the
 // receiver plus the edge updates that turned the receiver's graph into
 // gNew. The receiver is not modified and keeps serving; the returned engine
-// shares every untouched matrix and LU factor with it. Where the receiver
-// came from — a build, a file, an earlier ApplyDelta — changes nothing about
-// the result: not its bits, not its MemoryBytes(), not the work done here.
+// shares every untouched H pattern, matrix and LU factor with it and holds
+// its own copy of the H weights, in which each source of ops has taken the
+// weight of its new out-degree. Where the receiver came from — a build, a
+// file, an earlier ApplyDelta — changes nothing about the result: not its
+// bits, not its MemoryBytes(), not the work done here.
 //
-// Preconditions: gNew.N() ≥ e.N(); ops lists the actual changes (an insert
-// for an edge gNew lacks, or a delete for one it has, is refused); nodes
-// beyond e.N() are new and must have no out-edges. ErrDeltaFull means the
+// Preconditions: gNew.N() ≥ e.N(); ops lists every change, since the H
+// patterns are patched from the ops alone (an insert for an edge gNew
+// lacks, or a delete for one it has, is refused); nodes beyond e.N() are
+// new and must have no out-edges. ErrDeltaFull means the
 // delta cannot be absorbed incrementally — run a full Preprocess instead.
 // Any other error likewise leaves the receiver untouched.
 func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaStats, error) {
@@ -207,73 +211,72 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		st.Class = DeltaSpoke
 	}
 
-	// Translate each rescaled H column into entry edits on the stored
-	// blocks. A source's whole current out-neighborhood is rewritten (a
-	// degree change rescales every remaining entry), deleted targets are
-	// removed, and two blocks are skipped: H11, whose touched blocks are
-	// rebuilt dense from gNew below, and H22, which no engine stores — S
-	// replaced it, and an affected S column takes its H22 part from gNew.
+	// Translate the ops into structural edits on the stored blocks: an
+	// inserted edge adds an entry, a deleted one removes it. The values are
+	// the weights': a source's out-degree changed, so its column takes a new
+	// weight — one number, not a rewrite of every entry of the column. Two
+	// blocks are skipped: H11, whose touched blocks are rebuilt dense from
+	// gNew below, and H22, which no engine stores — S replaced it, and an
+	// affected S column takes its H22 part from gNew.
 	c := e.opts.C
 	var h21E, h31E, h12E, h32E []sparse.Edit
 	hubCols := make(map[int]bool)
+	hw := slices.Clone(e.hw)
 	for u, d := range srcs {
 		pu := ord.Perm[u]
-		deg := gNew.OutDegree(u)
-		var w float64
-		if deg > 0 {
-			w = -(1 - c) / float64(deg)
-		}
-		route := func(pv int, val float64, del bool) {
+		route := func(pv int, del bool) {
 			switch {
 			case pu < n1: // spoke column
 				switch {
 				case pv < n1: // inside the rebuilt H11 block
 				case pv < l:
-					h21E = append(h21E, sparse.Edit{Row: pv - n1, Col: pu, Val: val, Delete: del})
+					h21E = append(h21E, sparse.Edit{Row: pv - n1, Col: pu, Delete: del})
 				default:
-					h31E = append(h31E, sparse.Edit{Row: pv - l, Col: pu, Val: val, Delete: del})
+					h31E = append(h31E, sparse.Edit{Row: pv - l, Col: pu, Delete: del})
 				}
 			default: // hub column j = pu-n1
 				j := pu - n1
 				switch {
 				case pv < n1:
-					h12E = append(h12E, sparse.Edit{Row: pv, Col: j, Val: val, Delete: del})
+					h12E = append(h12E, sparse.Edit{Row: pv, Col: j, Delete: del})
 				case pv < l: // an H22 entry: not stored, see h22Column
 				default:
-					h32E = append(h32E, sparse.Edit{Row: pv - l, Col: j, Val: val, Delete: del})
+					h32E = append(h32E, sparse.Edit{Row: pv - l, Col: j, Delete: del})
 				}
 			}
 		}
 		for _, v := range d.del {
-			route(ord.Perm[v], 0, true)
+			route(ord.Perm[v], true)
 		}
-		for _, v := range gNew.OutNeighbors(u) {
-			route(ord.Perm[v], w, false)
+		for _, v := range d.ins {
+			route(ord.Perm[v], false)
 		}
+		hw[pu] = hWeight(gNew, ord, c, pu)
 		if pu >= n1 {
 			hubCols[pu-n1] = true
 		}
 	}
 
-	// Copy-on-write patches. Only matrices with edits (or appended rows)
-	// are rebuilt — widened, patched with the surgery the wide layout has,
+	// Copy-on-write patches. Only patterns with edits (or appended rows) are
+	// rebuilt — widened, patched with the surgery the wide layout has,
 	// narrowed again, on the engine's pool; the rest are shared with the
 	// serving engine, untouched.
 	tPatch := time.Now()
-	patch := func(m *sparse.CSR32, appendRows int, edits []sparse.Edit) *sparse.CSR32 {
+	patch := func(m *sparse.Pattern, w []float64, appendRows int, edits []sparse.Edit) *sparse.Pattern {
 		if appendRows == 0 && len(edits) == 0 {
 			return m
 		}
-		w := m.ToCSR()
+		wide := m.Expand(w)
 		if appendRows > 0 {
-			w = w.WithRowsAppended(appendRows)
+			wide = wide.WithRowsAppended(appendRows)
 		}
-		return sparse.Compact(w.WithEdits(edits)).SetPool(e.pool)
+		return sparse.PatternOf(wide.WithEdits(edits)).SetPool(e.pool)
 	}
-	h12New := patch(e.h12, 0, h12E)
-	h21New := patch(e.h21, 0, h21E)
-	h31New := patch(e.h31, growth, h31E)
-	h32New := patch(e.h32, growth, h32E)
+	wSpoke, wHub := hw[:n1], hw[n1:]
+	h12New := patch(e.h12, wHub, 0, h12E)
+	h21New := patch(e.h21, wSpoke, 0, h21E)
+	h31New := patch(e.h31, wSpoke, growth, h31E)
+	h32New := patch(e.h32, wHub, growth, h32E)
 	patchDur := time.Since(tPatch)
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
@@ -321,7 +324,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	for j := range hubCols {
 		affected[j] = true
 	}
-	h12W := h12New.ToCSR()
+	h12W := h12New.Expand(wHub)
 	for b := range touched {
 		lo, hi := e.h11LU.BlockRange(b)
 		for i := lo; i < hi; i++ {
@@ -346,7 +349,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	newCols := make(map[int][]colEntry, len(cols))
 	if len(cols) > 0 {
 		h12T := h12W.Transpose()
-		h21T := h21New.ToCSR().Transpose()
+		h21T := h21New.Expand(wSpoke).Transpose()
 		w := newSchurScratch(n2, h11LUNew)
 		for _, j := range cols {
 			w.column(j, h21T, h12T, h11LUNew)
@@ -362,7 +365,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 
 	ne := &Engine{
 		opts: e.opts, n: gNew.N(), ord: ord,
-		h12: h12New, h21: h21New, h31: h31New, h32: h32New,
+		h12: h12New, h21: h21New, h31: h31New, h32: h32New, hw: hw,
 		schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
 		pool: e.pool, prep: e.prep,
 	}

@@ -151,6 +151,32 @@ func matBitsEqual(t *testing.T, name string, a, b *sparse.CSR32) {
 	}
 }
 
+// requireHBitsEqual compares two engines' stored H blocks as the valued
+// matrices they stand for — each pattern times the weights it reads — with
+// matBitsEqual, and their weights bit for bit, canonical zeros included.
+func requireHBitsEqual(t *testing.T, a, b *Engine) {
+	t.Helper()
+	av, bv := valuedH(a), valuedH(b)
+	for i, name := range []string{"h12", "h21", "h31", "h32"} {
+		matBitsEqual(t, name, av[i], bv[i])
+	}
+	if !bitsEqual(a.hw, b.hw) {
+		t.Fatal("H weights differ")
+	}
+}
+
+// valuedH is an engine's H12, H21, H31 and H32, each pattern expanded with
+// the slice of the weights it reads.
+func valuedH(e *Engine) [4]*sparse.CSR32 {
+	spoke, hub := e.hw[:e.ord.N1], e.hw[e.ord.N1:]
+	return [4]*sparse.CSR32{
+		sparse.Compact(e.h12.Expand(hub)),
+		sparse.Compact(e.h21.Expand(spoke)),
+		sparse.Compact(e.h31.Expand(spoke)),
+		sparse.Compact(e.h32.Expand(hub)),
+	}
+}
+
 // requireQueryBitsEqual runs queries on both engines and demands
 // bit-identical result vectors — the strongest end-to-end check, covering
 // the factors, the ILU, and the solve trajectory.
@@ -197,21 +223,20 @@ func reloaded(t *testing.T, e *Engine) *Engine {
 // exactly one structure — the DILU factors on a full-BePI engine, the CSR32
 // on the unpreconditioned variants — PrepStats reports its entry count, and
 // MemoryBytes() is the sum of the arrays the engine retains, worked out
-// here from their lengths (int32 row pointers at test sizes).
+// here from their lengths (int32 row pointers at test sizes): the H blocks
+// as patterns, 4 bytes per entry, and one weight per non-deadend node.
 func requireSchurStoredOnce(t *testing.T, e *Engine) {
 	t.Helper()
 	if (e.schur == nil) != (e.ilu != nil) || (e.ilu != nil) != (e.opts.Variant == VariantFull) {
 		t.Fatalf("%v engine: schur stored = %t, factors stored = %t; want exactly one, the factors iff BePI",
 			e.opts.Variant, e.schur != nil, e.ilu != nil)
 	}
-	csr32 := func(m *sparse.CSR32) int64 {
-		if m == nil {
-			return 0
-		}
-		return 12*int64(m.NNZ()) + 4*int64(m.Rows()+1)
+	pattern := func(m *sparse.Pattern) int64 { return 4*int64(m.NNZ()) + 4*int64(m.Rows()+1) }
+	want := pattern(e.h12) + pattern(e.h21) + pattern(e.h31) + pattern(e.h32) +
+		8*int64(e.ord.N1+e.ord.N2) + e.h11LU.MemoryBytes() + 16*int64(e.n)
+	if e.schur != nil {
+		want += 12*int64(e.schur.NNZ()) + 4*int64(e.schur.Rows()+1)
 	}
-	want := csr32(e.h12) + csr32(e.h21) + csr32(e.h31) + csr32(e.h32) + csr32(e.schur) +
-		e.h11LU.MemoryBytes() + 16*int64(e.n)
 	var nnz int
 	if e.ilu != nil {
 		nnz = e.ilu.NNZ()
@@ -230,8 +255,8 @@ func requireSchurStoredOnce(t *testing.T, e *Engine) {
 
 // requireMatchesFullPreprocess is the one contract every absorbed delta
 // has: the engine is bit-identical to PreprocessWithOrdering of the graph it
-// serves under its own ordering — the four stored H blocks, S, four seeds'
-// scores, the saved bytes, and MemoryBytes().
+// serves under its own ordering — the four stored H patterns and their
+// weights, S, four seeds' scores, the saved bytes, and MemoryBytes().
 func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	t.Helper()
 	ref, err := PreprocessWithOrdering(g, e.opts, e.ord)
@@ -239,10 +264,7 @@ func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 		t.Fatalf("reference preprocess: %v", err)
 	}
 	requireSchurStoredOnce(t, e)
-	matBitsEqual(t, "h12", e.h12, ref.h12)
-	matBitsEqual(t, "h21", e.h21, ref.h21)
-	matBitsEqual(t, "h31", e.h31, ref.h31)
-	matBitsEqual(t, "h32", e.h32, ref.h32)
+	requireHBitsEqual(t, e, ref)
 	matBitsEqual(t, "schur", sparse.Compact(e.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 	if !bytes.Equal(engineBytes(t, e), engineBytes(t, ref)) {
@@ -506,7 +528,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matBitsEqual(t, "h31", e2.h31, ref.h31)
+	requireHBitsEqual(t, e2, ref)
 	matBitsEqual(t, "schur", sparse.Compact(e2.schurWide()), sparse.Compact(ref.schurWide()))
 	requireQueryBitsEqual(t, e2, ref, []int{0, g.N() + 2})
 }

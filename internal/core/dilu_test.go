@@ -324,8 +324,9 @@ type engineState struct {
 }
 
 // engineStates builds, on the scale-10 hybrid fixture, every state an
-// engine can be in: built, loaded from disk, after one delta of each kind,
-// and after a hub delta followed by a save/load round trip.
+// engine can be in: built, loaded from disk — a version-3 file or a
+// version-2 one — after one delta of each kind, and after a hub delta
+// followed by a save/load round trip.
 func engineStates(t *testing.T) []engineState {
 	t.Helper()
 	g := gen.Hybrid(gen.DefaultHybrid(10, 14, 1))
@@ -334,7 +335,7 @@ func engineStates(t *testing.T) []engineState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := []engineState{{"built", built, g}, {"loaded", reloaded(t, built), g}}
+	states := []engineState{{"built", built, g}, {"loaded", reloaded(t, built), g}, {"loaded-from-v2", readV2(t, built), g}}
 	for _, kind := range []deltaKind{kindSpoke, kindHub, kindMixed, kindGrowth} {
 		ops, gNew := genDelta(t, rng, kind, 1, g, built)
 		e, _, err := built.ApplyDelta(gNew, ops)
@@ -376,8 +377,10 @@ func TestEveryEngineStateMatchesOracle(t *testing.T) {
 // TestEveryEngineStateComposes: there is one engine state, so every
 // capability holds in every way of reaching it, and the way does not show.
 // States serving the same graph occupy the same MemoryBytes(). Each state
-// holds S exactly once and counts every array it retains
-// (requireSchurStoredOnce, also on its reload and on each further delta),
+// holds the H blocks of its graph as patterns times canonical weights
+// (requireHBlocks, on its reload too), S exactly once and counts every array
+// it retains (requireSchurStoredOnce, also on its reload and on each further
+// delta),
 // saves and reloads to bit-equal queries and an equal footprint, absorbs a
 // further hub and a further spoke delta exactly — to the same engine whether
 // the delta lands on the state or on its reload — and serves TopKBounded
@@ -397,6 +400,8 @@ func TestEveryEngineStateComposes(t *testing.T) {
 		t.Run(st.name, func(t *testing.T) {
 			e, g := st.e, st.g
 			loaded := reloaded(t, e)
+			requireHBlocks(t, e, g)
+			requireHBlocks(t, loaded, g)
 			requireQueryBitsEqual(t, loaded, e, []int{0, 3, g.N() / 2, g.N() - 1})
 			requireSchurStoredOnce(t, e)
 			requireSchurStoredOnce(t, loaded)

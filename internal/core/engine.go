@@ -196,18 +196,25 @@ type StageTimings struct {
 //
 // What it holds is the output of the paper's Algorithm 3 plus the node
 // permutation: the LU factors of H11, S (with its incomplete factors), and
-// H12, H21, H31, H32. H22 is not kept — S replaces it — so an engine is the
-// same state, byte for byte, whether Preprocess built it, ReadEngine loaded
-// it or ApplyDelta patched it.
+// H12, H21, H31, H32 as patterns beside one weight per non-deadend node.
+// H22 is not kept — S replaces it — so an engine is the same state, byte
+// for byte, whether Preprocess built it, ReadEngine loaded it or ApplyDelta
+// patched it.
 type Engine struct {
 	opts Options
 	n    int
 	ord  *reorder.Ordering
 
-	// The stored matrices are built (and patched by ApplyDelta) in the wide
-	// sparse.CSR layout and served from the compact one: 32-bit indexes over
-	// the same float64 values, bit-identical kernels, a quarter less memory.
-	h12, h21, h31, h32 *sparse.CSR32
+	// The four off-diagonal blocks of H are built (and patched by ApplyDelta)
+	// in the wide sparse.CSR layout and served as value-free patterns with
+	// 32-bit indexes: every off-diagonal entry of column j of H is the same
+	// number, −(1−c)/outdeg of the node at j (BuildH), so hw holds it once
+	// per column, for the l = n1+n2 non-deadend nodes in new-id order —
+	// H21/H31 read hw[:n1], H12/H32 hw[n1:]. hw is canonical: 0 at a column
+	// none of the four blocks holds an entry of (hWeight), so the weights
+	// are a function of the graph and the ordering alone.
+	h12, h21, h31, h32 *sparse.Pattern
+	hw                 []float64
 	// S is stored once: schur == nil ⇔ ilu != nil. An engine with DILU
 	// factors holds S as the two triangles its solve streams (the factors
 	// are S's own off-diagonals plus its diagonal, lu.ILU.Matrix), the
@@ -296,7 +303,7 @@ func poolFor(parallelism int) *par.Pool {
 // query-path SpMVs row-partition across it (the triangular sweeps are
 // serial); each matrix computes its row partition once, here.
 func (e *Engine) attachPool() {
-	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32} {
+	for _, m := range []*sparse.Pattern{e.h12, e.h21, e.h31, e.h32} {
 		m.SetPool(e.pool)
 	}
 	if e.schur != nil {
@@ -447,10 +454,15 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	if err := e.storeSchur(schur); err != nil {
 		return nil, fmt.Errorf("core: DILU of S: %w", err)
 	}
-	// 6. Narrow the index arrays: the wide copies are dropped here, so the
-	// budget check below sees the footprint queries will pay.
-	e.h12, e.h21 = sparse.Compact(h12), sparse.Compact(h21)
-	e.h31, e.h32 = sparse.Compact(h31), sparse.Compact(h32)
+	// 6. Keep the blocks as narrow patterns and their weights once per
+	// column: the wide copies are dropped here, so the budget check below
+	// sees the footprint queries will pay.
+	e.h12, e.h21 = sparse.PatternOf(h12), sparse.PatternOf(h21)
+	e.h31, e.h32 = sparse.PatternOf(h31), sparse.PatternOf(h32)
+	e.hw = make([]float64, l)
+	for j := range e.hw {
+		e.hw[j] = hWeight(g, e.ord, opts.C, j)
+	}
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
@@ -542,6 +554,26 @@ func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 		}
 	}
 	return sparse.NewCSR(n, n, rowPtr, col, val)
+}
+
+// hWeight is the stored weight of column j < l of the reordered H: the
+// number BuildH writes into every off-diagonal entry of the column,
+// −(1−c)/outdeg(u) for the node u at j, when one of those entries falls in
+// a stored block — a spoke's out-neighbor outside H11, a hub's outside H22 —
+// and 0 when every one falls in the diagonal block the engine does not
+// store as values. Preprocessing and ApplyDelta both take weights from here.
+func hWeight(g *graph.Graph, ord *reorder.Ordering, c float64, j int) float64 {
+	lo, hi := 0, ord.N1 // the rows of the column's diagonal block
+	if j >= ord.N1 {
+		lo, hi = ord.N1, ord.N1+ord.N2
+	}
+	u := ord.Inv[j]
+	for _, v := range g.OutNeighbors(u) {
+		if pv := ord.Perm[v]; pv < lo || pv >= hi {
+			return -(1 - c) / float64(g.OutDegree(u))
+		}
+	}
+	return 0
 }
 
 // SchurComplement computes S = H22 − H21·H11⁻¹·H12 column by column,
@@ -695,14 +727,17 @@ func (e *Engine) Schur() *sparse.CSR { return e.schurWide() }
 
 // MemoryBytes reports the total footprint of the preprocessed data: the H11
 // LU factors, the partition blocks H12/H21/H31/H32 (not H22 — S replaces
-// it), and the Schur complement — stored once: as its DILU factors (S's two
-// triangles, its diagonal and the pivots) for full BePI, as a compact CSR
-// otherwise. This is the quantity in Figure 1(b) of the paper, and the same
-// number for an index whether it was built, loaded or patched.
+// it) as patterns — 4 bytes per entry and per row pointer — plus one 8-byte
+// weight per non-deadend node, and the Schur complement — stored once: as
+// its DILU factors (S's two triangles, its diagonal and the pivots) for full
+// BePI, as a compact CSR otherwise. This is the quantity in Figure 1(b) of
+// the paper, and the same number for an index whether it was built, loaded
+// or patched.
 func (e *Engine) MemoryBytes() int64 {
 	total := e.h11LU.MemoryBytes() +
 		e.h12.MemoryBytes() + e.h21.MemoryBytes() +
-		e.h31.MemoryBytes() + e.h32.MemoryBytes()
+		e.h31.MemoryBytes() + e.h32.MemoryBytes() +
+		int64(8*len(e.hw))
 	if e.schur != nil {
 		total += e.schur.MemoryBytes()
 	}

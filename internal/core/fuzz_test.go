@@ -11,11 +11,12 @@ import (
 // FuzzReadEngine checks the index deserializer on corrupt bytes: it refuses
 // them with a typed error (ErrCorruptIndex or ErrIndexVersion), or the file
 // is one no checksum could tell from a valid index — so it must be one: it
-// re-saves to itself and its answers pass the power-iteration oracle of the
-// fixture's graph. Version-1 files carry no checksums; an accepted one must
-// answer a query — scores or an error — within the iteration budget the
-// loader bounds, and, if it differs from the valid file only in the option
-// words after c and tol, serve probabilities.
+// re-saves to itself in its own format version (3, or 2 through v2Bytes)
+// and its answers pass the power-iteration oracle of the fixture's graph.
+// Version-1 files carry no checksums; an accepted one must answer a query —
+// scores or an error — within the iteration budget the loader bounds, and,
+// if it differs from the valid file only in the option words after c and
+// tol, serve probabilities.
 func FuzzReadEngine(f *testing.F) {
 	valid, corrupt := corruptIndexes(f)
 	v1 := v1Fixture(f)
@@ -27,6 +28,12 @@ func FuzzReadEngine(f *testing.F) {
 	f.Add(tail)
 	f.Add(v1)
 	for _, raw := range corrupt {
+		f.Add(raw)
+	}
+	v2 := v2Fixture(f)
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
+	for _, raw := range v2Mutants(f) {
 		f.Add(raw)
 	}
 	g := corruptFixture()
@@ -61,8 +68,14 @@ func FuzzReadEngine(f *testing.F) {
 			}
 			return
 		}
-		if _, again := saveHash(t, eng); !bytes.Equal(again, data) {
-			t.Fatal("an accepted version-2 file does not re-save to itself")
+		var again []byte
+		if binary.LittleEndian.Uint32(data[4:]) == 2 {
+			again = v2Bytes(t, eng)
+		} else {
+			_, again = saveHash(t, eng)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("an accepted file does not re-save to itself")
 		}
 		for _, seed := range []int{0, g.N() / 2, g.N() - 1} {
 			got, _, err := eng.Query(seed)
@@ -75,7 +88,7 @@ func FuzzReadEngine(f *testing.F) {
 				l1 += math.Abs(got[i] - want[i])
 			}
 			if l1 > 1e-6 {
-				t.Fatalf("seed %d: an accepted version-2 file answers %v off the oracle (L1)", seed, l1)
+				t.Fatalf("seed %d: an accepted file answers %v off the oracle (L1)", seed, l1)
 			}
 		}
 	})

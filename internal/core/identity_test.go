@@ -122,14 +122,83 @@ func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	h := buildHCOO(g, e.ord.Perm, e.opts.C)
 	n1, l, n := e.ord.N1, e.ord.N1+e.ord.N2, e.n
 	for name, pair := range map[string][2]*sparse.CSR{
-		"h12": {e.h12.ToCSR(), h.Block(0, n1, n1, l)},
-		"h21": {e.h21.ToCSR(), h.Block(n1, l, 0, n1)},
-		"h31": {e.h31.ToCSR(), h.Block(l, n, 0, n1)},
-		"h32": {e.h32.ToCSR(), h.Block(l, n, n1, l)},
+		"h12": {e.h12.Expand(e.hw[n1:]), h.Block(0, n1, n1, l)},
+		"h21": {e.h21.Expand(e.hw[:n1]), h.Block(n1, l, 0, n1)},
+		"h31": {e.h31.Expand(e.hw[:n1]), h.Block(l, n, 0, n1)},
+		"h32": {e.h32.Expand(e.hw[n1:]), h.Block(l, n, n1, l)},
 	} {
 		if !csrBitsEqual(pair[0], pair[1]) {
 			t.Errorf("%s differs from Block of the reference H", name)
 		}
+	}
+}
+
+// requireHBlocks: an engine's H patterns times its weights are, bit for
+// bit, the blocks BuildH(g, perm, c).Partition cuts from the H of the graph
+// it serves, and its weights are canonical — a column's value where one of
+// the four blocks holds entries of it, 0 at every other non-deadend column.
+func requireHBlocks(t *testing.T, e *Engine, g *graph.Graph) {
+	t.Helper()
+	n1, l := e.ord.N1, e.ord.N1+e.ord.N2
+	blocks := BuildH(g, e.ord.Perm, e.opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
+	want := make([]float64, l)
+	for _, b := range []struct {
+		name string
+		got  *sparse.Pattern
+		ref  *sparse.CSR
+		col0 int
+	}{
+		{"h12", e.h12, blocks[0][1], n1},
+		{"h21", e.h21, blocks[1][0], 0},
+		{"h31", e.h31, blocks[2][0], 0},
+		{"h32", e.h32, blocks[2][1], n1},
+	} {
+		if !csrBitsEqual(b.got.Expand(e.hw[b.col0:b.col0+b.ref.Cols()]), b.ref) {
+			t.Fatalf("%s: pattern × weights differs from BuildH's block", b.name)
+		}
+		for p, j := range b.ref.ColIdx() {
+			want[b.col0+j] = b.ref.Values()[p]
+		}
+	}
+	if !bitsEqual(e.hw, want) {
+		t.Fatal("the weights are not the blocks' column values, 0 at empty columns")
+	}
+}
+
+// TestHBlocksOnEdgeGraphs: the pattern-and-weight split holds on graphs
+// whose columns are unusual — self-loops (the loop's weight merges into the
+// diagonal, which no block stores), no out-edges at all (no weights, empty
+// blocks), and a star (one hub column holding nearly every entry) — when
+// built, reloaded, and read from a version-2 file.
+func TestHBlocksOnEdgeGraphs(t *testing.T) {
+	loops := make([]graph.Edge, 0, 3*200)
+	for u := 0; u < 200; u++ {
+		loops = append(loops, graph.Edge{Src: u, Dst: u}, graph.Edge{Src: u, Dst: (u * 7) % 200}, graph.Edge{Src: u, Dst: (u + 1) % 200})
+	}
+	var star []graph.Edge
+	for v := 1; v < 300; v++ {
+		star = append(star, graph.Edge{Src: 0, Dst: v})
+		if v%3 == 0 {
+			star = append(star, graph.Edge{Src: v, Dst: 0})
+		}
+	}
+	for name, g := range map[string]*graph.Graph{
+		"self-loops":   graph.MustNew(200, loops),
+		"all-deadends": graph.MustNew(50, nil),
+		"star":         graph.MustNew(300, star),
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, err := Preprocess(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for state, s := range map[string]*Engine{"built": e, "loaded": reloaded(t, e), "loaded-from-v2": readV2(t, e)} {
+				t.Run(state, func(t *testing.T) {
+					requireHBlocks(t, s, g)
+					requireQueryBitsEqual(t, s, e, []int{0, g.N() - 1})
+				})
+			}
+		})
 	}
 }
 
@@ -147,15 +216,17 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 }
 
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
-// SHA-256 of its format-version-2 file (436 540 bytes): ordering, H blocks,
-// S and the block LU all flow into these bytes, so none of them may move by
-// one bit. Save → Load → Save is a fixed point. History: the version-1 file
-// of the same index, 591 136 bytes, hashed to
-// 9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c from the
-// commit before the chunked codec and the linear-time builders to the last
-// version-1 writer.
+// SHA-256 of its format-version-3 file (382 336 bytes): ordering, H patterns
+// and weights, S and the block LU all flow into these bytes, so none of
+// them may move by one bit. Save → Load → Save is a fixed point. History:
+// the version-2 file of the same index, 436 540 bytes, hashed to
+// 7fb69f6b2f30d25d0e34df3ba877900c7f8e4610069aa3a21e55460c332716ce from
+// the first version-2 writer to the last; the version-1 file, 591 136
+// bytes, to 9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c
+// from the commit before the chunked codec and the linear-time builders to
+// the last version-1 writer.
 func TestSaveLoadFrozenBytes(t *testing.T) {
-	const frozen = "7fb69f6b2f30d25d0e34df3ba877900c7f8e4610069aa3a21e55460c332716ce"
+	const frozen = "f9b322e12979898f3b74da5100df30bc30309fa3e76806c1973122ef469d251b"
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
@@ -215,7 +286,8 @@ func TestSaveLoadConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// Section indexes of a version-2 file.
+// Section indexes of a version-3 file; a version-2 file has no weights
+// section, and S and the block LU one place earlier.
 const (
 	secHeader = iota
 	secOrdering
@@ -223,13 +295,14 @@ const (
 	secH21
 	secH31
 	secH32
+	secWeights
 	secS
 	secBlockLU
 	numSections
 )
 
 // sections returns the payload span [start, end) of every section of a
-// version-2 file, read off its length words.
+// version-2 or -3 file, read off its length words.
 func sections(t testing.TB, raw []byte) [][2]int {
 	t.Helper()
 	var out [][2]int
@@ -239,8 +312,12 @@ func sections(t testing.TB, raw []byte) [][2]int {
 		out = append(out, [2]int{start, end})
 		off = end + 4
 	}
-	if len(out) != numSections {
-		t.Fatalf("%d sections, want %d", len(out), numSections)
+	want := numSections
+	if binary.LittleEndian.Uint32(raw[4:]) == 2 {
+		want-- // no weights section
+	}
+	if len(out) != want {
+		t.Fatalf("%d sections, want %d", len(out), want)
 	}
 	return out
 }

@@ -16,16 +16,18 @@ import (
 // Index persistence: a preprocessed engine can be written to disk once and
 // reloaded for later query sessions, which is the whole point of a
 // preprocessing method. The file is the index in the layout the engine
-// serves it from, little-endian (format version 2):
+// serves it from, little-endian (format version 3):
 //
 //	magic    uint32 'BePI'
-//	version  uint32 2
+//	version  uint32 3
 //	sections, each  length int64 · payload · CRC-32C(payload) uint32:
 //	  header    c, tol (float64), variant, maxIter (int64), hubRatio (float64),
 //	            n, n1, n2, n3, nblocks (int64)
 //	  ordering  perm n × uint32, blocks nblocks × uint32
-//	  h12, h21, h31, h32   (sparse.CSR32.WriteTo: int32 row pointers,
-//	                        uint32 columns)
+//	  h12, h21, h31, h32   (sparse.Pattern.WriteTo: int32 row pointers,
+//	                        uint32 columns, no values)
+//	  weights   n1+n2 × float64: the H blocks' value of each non-deadend
+//	            column, 0 at a column no block holds an entry of
 //	  S         (lu.ILU.WriteTo: the strict lower triangle, and the upper one
 //	            with each row led by S's diagonal)
 //	  blockLU   (lu.BlockLU.WriteTo)
@@ -35,7 +37,12 @@ import (
 // width and recomputes only the DILU pivots (one O(|S|) pass). A flipped bit
 // anywhere fails a checksum or a length; a file whose checksums were
 // recomputed over corrupt arrays still meets the structural checks a
-// version-1 file does.
+// version-1 file does, and weights no H has are refused (checkWeights).
+//
+// Version-2 files are read, never written: the same sections without the
+// weights, the four H blocks as sparse.CSR32 — every entry with its value.
+// Their weights are the values: a column whose entries differ, or that two
+// blocks give different values, is a corrupt index.
 //
 // Version-1 files — magic 'BPI1', no version word, no checksums, every
 // matrix in sparse.CSR's wide layout, the header with two reserved words
@@ -52,7 +59,7 @@ import (
 const (
 	indexMagicV1 = 0x42504931 // 'BPI1'
 	indexMagic   = 0x49506542 // "BePI" as bytes
-	indexVersion = 2
+	indexVersion = 3
 )
 
 // ErrCorruptIndex is wrapped around every error ReadEngine returns but
@@ -66,8 +73,10 @@ var ErrCorruptIndex = errors.New("core: corrupt index")
 // newer than this build reads.
 var ErrIndexVersion = errors.New("core: unsupported index format version")
 
-// WriteTo serializes the engine in format version 2. It implements
-// io.WriterTo.
+// WriteTo serializes the engine in format version 3. It implements
+// io.WriterTo. A sink with a Grow(int) method — a bytes.Buffer — is told the
+// file's length first, by a counting pass that reads no array, so that it
+// allocates once instead of doubling under the writes.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	s := e.ilu
 	if s == nil {
@@ -78,17 +87,24 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 			return 0, fmt.Errorf("core: writing S: %w", err)
 		}
 	}
-	bw := binio.NewWriter(w)
-	bw.U32(indexMagic)
-	bw.U32(indexVersion)
-	bw.Section(e.writeHeader)
-	bw.Section(e.writeOrdering)
-	for _, m := range []*sparse.CSR32{e.h12, e.h21, e.h31, e.h32} {
-		bw.Section(m.WriteTo)
+	write := func(w io.Writer) (int64, error) {
+		bw := binio.NewWriter(w)
+		bw.U32(indexMagic)
+		bw.U32(indexVersion)
+		bw.Section(e.writeHeader)
+		bw.Section(e.writeOrdering)
+		for _, m := range []*sparse.Pattern{e.h12, e.h21, e.h31, e.h32} {
+			bw.Section(m.WriteTo)
+		}
+		bw.Section(e.writeWeights)
+		bw.Section(s.WriteTo)
+		bw.Section(e.h11LU.WriteTo)
+		return bw.Close()
 	}
-	bw.Section(s.WriteTo)
-	bw.Section(e.h11LU.WriteTo)
-	return bw.Close()
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(binio.Count(write)))
+	}
+	return write(w)
 }
 
 func (e *Engine) writeHeader(w io.Writer) (int64, error) {
@@ -111,11 +127,17 @@ func (e *Engine) writeOrdering(w io.Writer) (int64, error) {
 	return bw.Close()
 }
 
+func (e *Engine) writeWeights(w io.Writer) (int64, error) {
+	bw := binio.NewWriter(w)
+	binio.WriteFloats(bw, e.hw)
+	return bw.Close()
+}
+
 // ReadEngine deserializes an engine written by WriteTo — or by the
-// version-1 writer — recomputing the DILU pivots if the stored variant uses
-// them. Option words, arrays and shapes that no engine could have written,
-// or that disagree with each other, are rejected here, not discovered by a
-// query.
+// version-1 or -2 writer — recomputing the DILU pivots if the stored variant
+// uses them. Option words, arrays, shapes and weights that no engine could
+// have written, or that disagree with each other, are rejected here, not
+// discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	e, err := readEngine(r)
 	if errors.Is(err, ErrIndexVersion) {
@@ -143,16 +165,19 @@ func readEngine(r io.Reader) (*Engine, error) {
 	if err := br.Full(word[:]); err != nil {
 		return nil, fmt.Errorf("reading version: %w", err)
 	}
-	switch v := binary.LittleEndian.Uint32(word[:]); {
+	v := binary.LittleEndian.Uint32(word[:])
+	switch {
 	case v > indexVersion:
 		return nil, fmt.Errorf("%w %d: this build reads versions 1 to %d", ErrIndexVersion, v, indexVersion)
-	case v != indexVersion:
+	case v < 2:
 		return nil, fmt.Errorf("version %d under the versioned magic", v)
 	}
-	return readEngineV2(br)
+	return readSections(br, v)
 }
 
-func readEngineV2(br *binio.Reader) (*Engine, error) {
+// readSections reads the sections of a version-2 or -3 file, the magic and
+// version word consumed.
+func readSections(br *binio.Reader, version uint32) (*Engine, error) {
 	section := func(what string, read func() error) error {
 		if err := br.Section(); err != nil {
 			return fmt.Errorf("%s: %w", what, err)
@@ -192,22 +217,49 @@ func readEngineV2(br *binio.Reader) (*Engine, error) {
 		return nil, err
 	}
 	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
-	var mats [4]*sparse.CSR32
-	for i, shape := range [4][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}} {
+	shapes := [4][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}}
+	var pats [4]*sparse.Pattern
+	var valued [4]*sparse.CSR32 // version 2
+	for i, shape := range shapes {
 		err := section(fmt.Sprintf("matrix %d", i), func() error {
-			m, err := sparse.ReadCSR32(br)
+			var m interface {
+				Rows() int
+				Cols() int
+			}
+			var err error
+			if version == 2 {
+				valued[i], err = sparse.ReadCSR32(br)
+				m = valued[i]
+			} else {
+				pats[i], err = sparse.ReadPattern(br)
+				m = pats[i]
+			}
 			if err != nil {
 				return err
 			}
 			if m.Rows() != shape[0] || m.Cols() != shape[1] {
 				return fmt.Errorf("%v, the partition wants %dx%d", m, shape[0], shape[1])
 			}
-			mats[i] = m
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+	}
+	if version == 2 {
+		err = e.unscaleBlocks(valued)
+	} else {
+		e.h12, e.h21, e.h31, e.h32 = pats[0], pats[1], pats[2], pats[3]
+		err = section("H weights", func() error {
+			e.hw, err = br.Floats(n1 + n2)
+			return err
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := e.checkWeights(); err != nil {
+		return nil, err
 	}
 	var s *lu.ILU
 	err = section("S", func() error {
@@ -231,8 +283,56 @@ func readEngineV2(br *binio.Reader) (*Engine, error) {
 	} else {
 		e.schur = sparse.Compact(s.Matrix())
 	}
-	e.h12, e.h21, e.h31, e.h32 = mats[0], mats[1], mats[2], mats[3]
 	return e.loaded(), nil
+}
+
+// unscaleBlocks stores the four H blocks of a version-1 or -2 file, read
+// with a value per entry, as the patterns and weights the engine serves:
+// each column's weight is the value its entries hold. A column whose
+// entries differ, or that H21 and H31 (H12 and H32) give different values,
+// is not a column of H and is refused. A column no block holds an entry of
+// keeps weight 0, the canonical form.
+func (e *Engine) unscaleBlocks(blocks [4]*sparse.CSR32) error {
+	l := e.ord.N1 + e.ord.N2
+	e.hw = make([]float64, l)
+	seen := make([]bool, l)
+	var pats [4]*sparse.Pattern
+	for i, lo := range e.blockCol0() {
+		hi := lo + blocks[i].Cols()
+		var err error
+		if pats[i], err = blocks[i].Unscale(e.hw[lo:hi], seen[lo:hi]); err != nil {
+			return fmt.Errorf("matrix %d: %w", i, err)
+		}
+	}
+	e.h12, e.h21, e.h31, e.h32 = pats[0], pats[1], pats[2], pats[3]
+	return nil
+}
+
+// blockCol0 is, for H12, H21, H31 and H32 in turn, the first column of H
+// the block spans: H12 and H32 span the hubs, the others the spokes.
+func (e *Engine) blockCol0() [4]int {
+	n1 := e.ord.N1
+	return [4]int{n1, 0, 0, n1}
+}
+
+// checkWeights refuses weights no engine holds. A column that holds an
+// entry of a stored block carries −(1−c)/outdeg for an out-degree of at
+// least one, a number in [−(1−c), 0); any other column carries 0.
+func (e *Engine) checkWeights() error {
+	used := make([]bool, len(e.hw))
+	blocks := [4]*sparse.Pattern{e.h12, e.h21, e.h31, e.h32}
+	for i, lo := range e.blockCol0() {
+		for _, j := range blocks[i].ColIdx() {
+			used[lo+int(j)] = true
+		}
+	}
+	floor := -(1 - e.opts.C)
+	for j, w := range e.hw {
+		if used[j] && !(w >= floor && w < 0) || !used[j] && w != 0 {
+			return fmt.Errorf("H weights: column %d (in a block: %t) has weight %v", j, used[j], w)
+		}
+	}
+	return nil
 }
 
 // widen copies stored 32-bit indexes into the ints the ordering holds.
@@ -356,7 +456,14 @@ func readEngineV1(br *binio.Reader) (*Engine, error) {
 	if err := e.storeSchur(mats[4]); err != nil {
 		return nil, fmt.Errorf("rebuilding DILU: %w", err)
 	}
-	e.h12, e.h21 = sparse.Compact(mats[0]), sparse.Compact(mats[1])
-	e.h31, e.h32 = sparse.Compact(mats[2]), sparse.Compact(mats[3])
+	err = e.unscaleBlocks([4]*sparse.CSR32{
+		sparse.Compact(mats[0]), sparse.Compact(mats[1]), sparse.Compact(mats[2]), sparse.Compact(mats[3]),
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := e.checkWeights(); err != nil {
+		return nil, err
+	}
 	return e.loaded(), nil
 }

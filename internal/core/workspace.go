@@ -19,9 +19,11 @@ type Workspace struct {
 	e *Engine
 	// Buffers in the reordered space: the permuted query, t1 = H11⁻¹·c·q1,
 	// the Schur right-hand side q̃2, the r1 and r3 result blocks and the
-	// H32·r2 temporary. r2 itself lives in the solver workspace.
-	qp, t1, qt2, r1, r3, tmp []float64
-	slv                      solver.Workspace
+	// H32·r2 temporary. r2 itself lives in the solver workspace. z1 and z2
+	// hold a spoke- and a hub-length vector scaled by its columns' weights,
+	// what the H-block gathers read.
+	qp, t1, qt2, r1, r3, tmp, z1, z2 []float64
+	slv                              solver.Workspace
 	// split is this workspace's one-pass preconditioned operator (engines
 	// with DILU factors), bhat the split system's
 	// right-hand side D·L̂⁻¹·q̃2, and iterate the Û⁻¹-mapped iterate handed
@@ -147,6 +149,7 @@ func (e *Engine) permute(ws *Workspace, q []float64) {
 		ws.t1, ws.r1 = make([]float64, n1), make([]float64, n1)
 		ws.qt2 = make([]float64, n2)
 		ws.r3, ws.tmp = make([]float64, n3), make([]float64, n3)
+		ws.z1, ws.z2 = make([]float64, n1), make([]float64, n2)
 	}
 	qp := ws.qp
 	for i := range qp {
@@ -170,7 +173,7 @@ func (e *Engine) forward(ws *Workspace) {
 	n1 := e.ord.N1
 	c := e.opts.C
 	e.h11LU.SolvePool(ws.t1, e.pool)
-	e.h21.MulVec(ws.qt2, ws.t1)
+	e.h21.MulVecScaled(ws.qt2, ws.z1, e.hw[:n1], ws.t1)
 	q2 := ws.qp[n1 : n1+e.ord.N2]
 	for i, v := range ws.qt2 {
 		ws.qt2[i] = c*q2[i] - v
@@ -182,19 +185,20 @@ func (e *Engine) forward(ws *Workspace) {
 // not touch the solver workspace: the solve may still be running.
 func (e *Engine) reconstruct(ws *Workspace, r2 []float64) {
 	c := e.opts.C
+	n1 := e.ord.N1
 	qp, r1, r3, tmp := ws.qp, ws.r1, ws.r3, ws.tmp
 
-	// r1 = H11⁻¹·(c·q1 − H12·r2)   (line 5)
-	e.h12.MulVec(r1, r2)
+	// r1 = H11⁻¹·(c·q1 − H12·r2)   (line 5); z2 = w2∘r2 serves H32 below
+	e.h12.MulVecScaled(r1, ws.z2, e.hw[n1:], r2)
 	for i := range r1 {
 		r1[i] = c*qp[i] - r1[i]
 	}
 	e.h11LU.SolvePool(r1, e.pool)
 
 	// r3 = c·q3 − H31·r1 − H32·r2   (line 6)
-	e.h31.MulVec(r3, r1)
-	e.h32.MulVec(tmp, r2)
-	q3 := qp[e.ord.N1+e.ord.N2:]
+	e.h31.MulVecScaled(r3, ws.z1, e.hw[:n1], r1)
+	e.h32.MulVec(tmp, ws.z2)
+	q3 := qp[n1+e.ord.N2:]
 	for i := range r3 {
 		r3[i] = c*q3[i] - r3[i] - tmp[i]
 	}

@@ -66,9 +66,9 @@ type Config struct {
 	// CacheEntries bounds the LRU cache, counting score vectors and
 	// certified top-k rankings alike; default 1024, negative disables
 	// caching. The cache is also bounded in bytes, by the served engine's
-	// MemoryBytes (36 full vectors on the scale-15 benchmark index, 48 on
-	// the scale-16 one, or ~10⁵ rankings), so it never outweighs the index
-	// it fronts.
+	// MemoryBytes (32 full vectors on the scale-15 benchmark index, 43 on
+	// the scale-16 one, or ~5·10⁴ top-10 rankings), so it never outweighs
+	// the index it fronts.
 	CacheEntries int
 	// Timeout, if positive, is the per-query deadline applied on
 	// submission and enforced inside the iterative solver.

@@ -24,19 +24,118 @@ const maxIndex32 = int64(1) << 32
 // CSR32 is immutable after construction: there is no mutating API, and the
 // constructors reject (rather than repair) malformed input.
 type CSR32 struct {
+	layout32
+	val []float64
+}
+
+// layout32 is what CSR32 and Pattern share: the shape, the compact index
+// arrays, and the pool with the row partition the kernels split rows by.
+type layout32 struct {
 	rows, cols int
 	// Exactly one of rowPtr32/rowPtr64 is non-nil.
 	rowPtr32 []int32
 	rowPtr64 []int64
 	col      []uint32
-	val      []float64
 
 	// pool, when set, parallelizes the matvec kernels above ParallelMinNNZ
 	// by nnz-balanced row partition, exactly like CSR.
 	pool *par.Pool
-	// bounds is the row partition SetPool computes, exactly like
+	// bounds is the row partition setPool computes, exactly like
 	// CSR.bounds.
 	bounds []int
+}
+
+// compactLayout narrows a CSR's index arrays: int32 row pointers when nnz
+// fits, int64 otherwise. The row partition depends on the row pointers'
+// values only, so the wide matrix's cached one carries over. It panics if
+// the matrix dimensions exceed the uint32 index range.
+func compactLayout(m *CSR) layout32 {
+	if int64(m.cols) > maxIndex32 || int64(m.rows) > maxIndex32 {
+		panic(fmt.Sprintf("sparse: compacting %dx%d exceeds the uint32 index range", m.rows, m.cols))
+	}
+	l := layout32{rows: m.rows, cols: m.cols, pool: m.pool, bounds: m.bounds}
+	l.col = make([]uint32, len(m.col))
+	for i, j := range m.col {
+		l.col[i] = uint32(j)
+	}
+	// The last entry is the largest, so checking it covers the whole array.
+	if nnz := m.rowPtr[m.rows]; int64(nnz) <= math.MaxInt32 {
+		l.rowPtr32 = make([]int32, len(m.rowPtr))
+		for i, p := range m.rowPtr {
+			l.rowPtr32[i] = int32(p)
+		}
+	} else {
+		l.rowPtr64 = make([]int64, len(m.rowPtr))
+		for i, p := range m.rowPtr {
+			l.rowPtr64[i] = int64(p)
+		}
+	}
+	return l
+}
+
+// wide returns the index arrays widened to CSR's ints.
+func (l *layout32) wide() (rowPtr, col []int) {
+	rowPtr = make([]int, l.rows+1)
+	if l.rowPtr32 != nil {
+		for i, p := range l.rowPtr32 {
+			rowPtr[i] = int(p)
+		}
+	} else {
+		for i, p := range l.rowPtr64 {
+			rowPtr[i] = int(p)
+		}
+	}
+	col = make([]int, len(l.col))
+	for i, j := range l.col {
+		col[i] = int(j)
+	}
+	return rowPtr, col
+}
+
+// Rows returns the number of rows.
+func (l *layout32) Rows() int { return l.rows }
+
+// Cols returns the number of columns.
+func (l *layout32) Cols() int { return l.cols }
+
+// NNZ returns the number of stored entries.
+func (l *layout32) NNZ() int { return len(l.col) }
+
+// Pool returns the attached pool (nil means serial).
+func (l *layout32) Pool() *par.Pool { return l.pool }
+
+// setPool attaches a pool and computes the row partition its kernels split
+// rows by, once.
+func (l *layout32) setPool(p *par.Pool) {
+	l.pool = p
+	l.bounds = nil
+	if p.Workers() > 1 && l.rows >= 2 {
+		if l.rowPtr32 != nil {
+			l.bounds = par.BoundsByPrefixOf(l.rowPtr32, p.Workers())
+		} else {
+			l.bounds = par.BoundsByPrefixOf(l.rowPtr64, p.Workers())
+		}
+	}
+}
+
+// parBounds mirrors CSR.parBounds.
+func (l *layout32) parBounds() []int {
+	if len(l.col) < ParallelMinNNZ {
+		return nil
+	}
+	return l.bounds
+}
+
+// indexBytes is the footprint of the index arrays: 4 bytes per column index
+// and 4 or 8 per row pointer as chosen at build time.
+func (l *layout32) indexBytes() int64 {
+	b := int64(len(l.col)) * 4
+	if l.rowPtr32 != nil {
+		b += int64(len(l.rowPtr32)) * 4
+	} else {
+		b += int64(len(l.rowPtr64)) * 8
+	}
+	return b
 }
 
 // Compact converts a CSR matrix into the compact layout, sharing the
@@ -49,32 +148,10 @@ type CSR32 struct {
 // conversion is lossless: ToCSR reproduces an Equal matrix, and every
 // kernel is bit-identical to its CSR counterpart.
 func Compact(m *CSR) *CSR32 {
-	if int64(m.cols) > maxIndex32 || int64(m.rows) > maxIndex32 {
-		panic(fmt.Sprintf("sparse: Compact %dx%d exceeds uint32 index range", m.rows, m.cols))
-	}
-	// The row partition depends on the row pointers' values only, so the
-	// wide matrix's cached one carries over.
-	c := &CSR32{rows: m.rows, cols: m.cols, val: m.val, pool: m.pool, bounds: m.bounds}
+	c := &CSR32{layout32: compactLayout(m), val: m.val}
 	if cap(c.val) > len(c.val) {
 		c.val = make([]float64, len(m.val))
 		copy(c.val, m.val)
-	}
-	c.col = make([]uint32, len(m.col))
-	for i, j := range m.col {
-		c.col[i] = uint32(j)
-	}
-	// Row pointers: int32 when nnz fits, int64 otherwise. The last entry is
-	// the largest, so checking it covers the whole array.
-	if nnz := m.rowPtr[m.rows]; int64(nnz) <= math.MaxInt32 {
-		c.rowPtr32 = make([]int32, len(m.rowPtr))
-		for i, p := range m.rowPtr {
-			c.rowPtr32[i] = int32(p)
-		}
-	} else {
-		c.rowPtr64 = make([]int64, len(m.rowPtr))
-		for i, p := range m.rowPtr {
-			c.rowPtr64[i] = int64(p)
-		}
 	}
 	return c
 }
@@ -90,7 +167,7 @@ func NewCSR32(rows, cols int, rowPtr []int32, col []uint32, val []float64) *CSR3
 	if err := validateCompact(rows, cols, rowPtr, col); err != nil {
 		panic(err)
 	}
-	return &CSR32{rows: rows, cols: cols, rowPtr32: rowPtr, col: col, val: val}
+	return &CSR32{layout32: layout32{rows: rows, cols: cols, rowPtr32: rowPtr, col: col}, val: val}
 }
 
 // NewCSR32Wide is NewCSR32 with int64 row pointers, for matrices whose
@@ -102,64 +179,23 @@ func NewCSR32Wide(rows, cols int, rowPtr []int64, col []uint32, val []float64) *
 	if err := validateCompact(rows, cols, rowPtr, col); err != nil {
 		panic(err)
 	}
-	return &CSR32{rows: rows, cols: cols, rowPtr64: rowPtr, col: col, val: val}
+	return &CSR32{layout32: layout32{rows: rows, cols: cols, rowPtr64: rowPtr, col: col}, val: val}
 }
 
 // ToCSR widens the matrix back to the standard CSR layout. The round trip
 // CSR -> Compact -> ToCSR is exact (Equal).
 func (m *CSR32) ToCSR() *CSR {
-	rowPtr := make([]int, m.rows+1)
-	if m.rowPtr32 != nil {
-		for i, p := range m.rowPtr32 {
-			rowPtr[i] = int(p)
-		}
-	} else {
-		for i, p := range m.rowPtr64 {
-			rowPtr[i] = int(p)
-		}
-	}
-	col := make([]int, len(m.col))
-	for i, j := range m.col {
-		col[i] = int(j)
-	}
+	rowPtr, col := m.wide()
 	val := make([]float64, len(m.val))
 	copy(val, m.val)
 	return &CSR{rows: m.rows, cols: m.cols, rowPtr: rowPtr, col: col, val: val, pool: m.pool, bounds: m.bounds}
 }
 
-// Rows returns the number of rows.
-func (m *CSR32) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *CSR32) Cols() int { return m.cols }
-
-// NNZ returns the number of stored entries.
-func (m *CSR32) NNZ() int { return len(m.col) }
-
 // SetPool attaches a parallel pool and returns m; semantics match
 // CSR.SetPool (parallel above ParallelMinNNZ, bit-identical results).
 func (m *CSR32) SetPool(p *par.Pool) *CSR32 {
-	m.pool = p
-	m.bounds = nil
-	if p.Workers() > 1 && m.rows >= 2 {
-		if m.rowPtr32 != nil {
-			m.bounds = par.BoundsByPrefixOf(m.rowPtr32, p.Workers())
-		} else {
-			m.bounds = par.BoundsByPrefixOf(m.rowPtr64, p.Workers())
-		}
-	}
+	m.setPool(p)
 	return m
-}
-
-// Pool returns the attached pool (nil means serial).
-func (m *CSR32) Pool() *par.Pool { return m.pool }
-
-// parBounds mirrors CSR.parBounds.
-func (m *CSR32) parBounds() []int {
-	if len(m.col) < ParallelMinNNZ {
-		return nil
-	}
-	return m.bounds
 }
 
 // The range kernels are generic over the row-pointer width so both layouts
@@ -178,21 +214,6 @@ func addMulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst []floa
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
 		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x)
-	}
-}
-
-func mulVecTScatter32[P int32 | int64](rows int, rowPtr []P, col []uint32, val, dst, x []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
-			dst[col[p]] += val[p] * xi
-		}
 	}
 }
 
@@ -225,18 +246,6 @@ func (m *CSR32) MulVec(dst, x []float64) {
 	m.mulVecRange(dst, x, 0, m.rows)
 }
 
-// MulVecT computes dst = Mᵀ·x, a serial scatter loop like CSR.MulVecT.
-func (m *CSR32) MulVecT(dst, x []float64) {
-	if len(dst) != m.cols || len(x) != m.rows {
-		panic(fmt.Sprintf("sparse: MulVecT dims dst=%d x=%d want %d,%d", len(dst), len(x), m.cols, m.rows))
-	}
-	if m.rowPtr32 != nil {
-		mulVecTScatter32(m.rows, m.rowPtr32, m.col, m.val, dst, x)
-	} else {
-		mulVecTScatter32(m.rows, m.rowPtr64, m.col, m.val, dst, x)
-	}
-}
-
 // AddMulVec computes dst += alpha · M·x, row-partitioned like MulVec.
 func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
 	if len(dst) != m.rows || len(x) != m.cols {
@@ -253,13 +262,7 @@ func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
 // column index, and 4 or 8 per row pointer as chosen at build time. Compare
 // CSR.MemoryBytes' 16 bytes per entry + 8 per row.
 func (m *CSR32) MemoryBytes() int64 {
-	b := int64(len(m.col))*4 + int64(len(m.val))*8
-	if m.rowPtr32 != nil {
-		b += int64(len(m.rowPtr32)) * 4
-	} else {
-		b += int64(len(m.rowPtr64)) * 8
-	}
-	return b
+	return m.indexBytes() + int64(len(m.val))*8
 }
 
 // String returns a short shape/nnz description.

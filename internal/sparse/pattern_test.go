@@ -1,0 +1,116 @@
+package sparse
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"bepi/internal/par"
+)
+
+// TestPatternScaledBitIdentical: the value-free kernels on a pattern and its
+// weights equal, by Float64bits, the valued kernels on the expanded matrix —
+// CSR32.MulVec, and for the transpose CSR.MulVecT — serially and on a
+// 4-worker pool, over the shapes of csr32Cases, and MulVecScaled leaves w∘x
+// in z for a second gather.
+func TestPatternScaledBitIdentical(t *testing.T) {
+	for name, m := range csr32Cases() {
+		t.Run(name, func(t *testing.T) {
+			rows, cols := m.Rows(), m.Cols()
+			w := randVec(cols, 5)
+			x := randVec(cols, 2)
+			xt := randVec(rows, 3)
+			for i := 0; i < len(xt); i += 5 {
+				xt[i] = 0 // exercise the scatter zero-skip on both sides
+			}
+			wide := PatternOf(m).Expand(w)
+			wantMul := make([]float64, rows)
+			Compact(wide).MulVec(wantMul, x)
+			wantT := make([]float64, cols)
+			wide.MulVecT(wantT, xt)
+
+			for _, workers := range []int{1, 4} {
+				p := PatternOf(m)
+				if workers > 1 {
+					p.SetPool(par.NewPool(workers))
+				}
+				got, z := make([]float64, rows), make([]float64, cols)
+				p.MulVecScaled(got, z, w, x)
+				if i, ok := bitsEqual(got, wantMul); !ok {
+					t.Fatalf("workers=%d MulVecScaled differs at %d: %v vs %v", workers, i, got[i], wantMul[i])
+				}
+				again := make([]float64, rows)
+				p.MulVec(again, z)
+				if i, ok := bitsEqual(again, wantMul); !ok {
+					t.Fatalf("workers=%d MulVec over the scaled z differs at %d", workers, i)
+				}
+				gotT := make([]float64, cols)
+				p.MulVecTScaled(gotT, w, xt)
+				if i, ok := bitsEqual(gotT, wantT); !ok {
+					t.Fatalf("workers=%d MulVecTScaled differs at %d: %v vs %v", workers, i, gotT[i], wantT[i])
+				}
+			}
+		})
+	}
+}
+
+// TestPatternRoundTrip: a pattern is written as CSR32's layout without the
+// values, ReadPattern gives it back exactly, it occupies CSR32's bytes less
+// 8 per entry, and Unscale recovers pattern and weights from the expanded
+// matrix.
+func TestPatternRoundTrip(t *testing.T) {
+	m := randBigCSR(900, 700, 40, 45)
+	p := PatternOf(m)
+	w := randVec(m.Cols(), 6)
+	var buf bytes.Buffer
+	if n, err := p.WriteTo(&buf); err != nil || n != int64(buf.Len()) {
+		t.Fatalf("WriteTo = %d, %v; wrote %d", n, err, buf.Len())
+	}
+	if want := 24 + 4*(m.rows+1) + 4*m.NNZ(); buf.Len() != want {
+		t.Errorf("%d bytes, want %d", buf.Len(), want)
+	}
+	back, err := ReadPattern(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valued := Compact(p.Expand(w))
+	if !back.Expand(w).Equal(valued.ToCSR()) {
+		t.Error("read back another pattern")
+	}
+	if got, want := back.MemoryBytes(), valued.MemoryBytes()-8*int64(m.NNZ()); got != want {
+		t.Errorf("pattern occupies %d B, want %d", got, want)
+	}
+
+	got, seen := make([]float64, m.Cols()), make([]bool, m.Cols())
+	unscaled, err := valued.Unscale(got, seen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unscaled.Expand(w).Equal(valued.ToCSR()) {
+		t.Error("Unscale changed the pattern")
+	}
+	for j := range w {
+		if seen[j] && math.Float64bits(got[j]) != math.Float64bits(w[j]) {
+			t.Fatalf("column %d: weight %v, want %v", j, got[j], w[j])
+		}
+	}
+}
+
+// TestUnscaleRefusesNonConstantColumns: a column whose entries differ, or
+// that a second matrix over the same columns gives another value, is no
+// pattern times weights.
+func TestUnscaleRefusesNonConstantColumns(t *testing.T) {
+	a := Compact(NewCSR(3, 2, []int{0, 1, 2, 3}, []int{0, 0, 1}, []float64{-0.5, -0.5, -0.25}))
+	w, seen := make([]float64, 2), make([]bool, 2)
+	if _, err := a.Unscale(w, seen); err != nil || w[0] != -0.5 || w[1] != -0.25 {
+		t.Fatalf("constant columns: w = %v, %v", w, err)
+	}
+	b := Compact(NewCSR(1, 2, []int{0, 1}, []int{1}, []float64{-0.125}))
+	if _, err := b.Unscale(w, seen); err == nil {
+		t.Error("a second matrix disagreeing on column 1 accepted")
+	}
+	c := Compact(NewCSR(2, 2, []int{0, 1, 2}, []int{0, 0}, []float64{-0.5, -0.5000001}))
+	if _, err := c.Unscale(make([]float64, 2), make([]bool, 2)); err == nil {
+		t.Error("a non-constant column accepted")
+	}
+}

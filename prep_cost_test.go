@@ -82,6 +82,23 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := index.Bytes()
+	// A bytes.Buffer is told the file's length before the first chunk
+	// arrives, so it holds the file in one allocation of about its size,
+	// with less than a chunk to spare; grown by doubling under 64 KiB chunks
+	// it allocated about three times the file (29 MB for the 9.1 MB file of
+	// the repository benchmark's index-build).
+	if slack := index.Cap() - index.Len(); slack >= 64<<10 {
+		t.Errorf("saving a %d-byte file left a buffer of %d B capacity", index.Len(), index.Cap())
+	}
+	var sink growSink
+	if err := eng.Save(&sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.grows) != 1 || sink.grows[0] != sink.Len() || sink.writtenBefore != 0 {
+		t.Errorf("saving %d B: Grow calls %v, the first after %d B written; want one, for the file's length, before any",
+			sink.Len(), sink.grows, sink.writtenBefore)
+	}
+
 	_, loadBytes := allocated(func() {
 		if _, err := bepi.Load(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
@@ -125,10 +142,26 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	}
 }
 
+// growSink is a bytes.Buffer that records the Grow calls a Save makes, and
+// how many bytes had arrived before the first.
+type growSink struct {
+	bytes.Buffer
+	grows         []int
+	writtenBefore int
+}
+
+func (s *growSink) Grow(n int) {
+	if len(s.grows) == 0 {
+		s.writtenBefore = s.Len()
+	}
+	s.grows = append(s.grows, n)
+	s.Buffer.Grow(n)
+}
+
 const (
 	poolSlack  = 4 * 64 << 10
-	loadBudget = 1_314_000  // measured 1 194 400 (2 447 824 reading the wide version-1 layout)
-	newBudget  = 10_850_000 // measured 9 864 560 at two workers (7 467 496 serial)
+	loadBudget = 1_165_000  // measured 1 059 184 (1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	newBudget  = 10_867_000 // measured 9 879 216 at two workers (7 482 152 serial)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
@@ -139,7 +172,9 @@ const (
 // (8·n2 bytes either way), would put it above. The factors are also the
 // engine's only copy of S, so the whole index is pinned to the byte: 2 315 664
 // B with S held twice, 1 591 584 B with S held once and H22 retained by built
-// engines, 1 084 296 B now — what the same index occupies once loaded.
+// engines, 1 084 296 B for the index a built, a loaded and a patched engine
+// share, 948 384 B now that H12/H21/H31/H32 keep their structure and one
+// weight per non-deadend node instead of a value per entry.
 func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	eng, err := bepi.New(costFixture(t))
 	if err != nil {
@@ -154,7 +189,7 @@ func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 		t.Errorf("factors occupy %d B, the commit before %d B", f.MemoryBytes(), iluBytesBefore)
 	}
 	if got := eng.Internal().MemoryBytes(); got != indexBytesFixture {
-		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with H22 retained: 1591584 B)",
+		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with the H blocks' values: 1084296 B)",
 			got, indexBytesFixture, indexBytesFixture+12*nnz+4*(n2+1))
 	}
 }
@@ -237,7 +272,7 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 const (
-	indexBytesFixture = 1084296
+	indexBytesFixture = 948384
 	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 742 900
 	queryObjectBudget = 29     // measured 26; the commit before averaged 105
 	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
