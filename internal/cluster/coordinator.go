@@ -157,14 +157,23 @@ func New(backends []Backend, cfg Config) (*Coordinator, error) {
 		replicas: make(map[string]*replica, len(backends)),
 		stop:     make(chan struct{}),
 	}
+	families := make(map[string]string, len(backends))
 	for _, b := range backends {
 		if _, dup := c.replicas[b.Name()]; dup {
 			return nil, fmt.Errorf("cluster: duplicate replica name %q", b.Name())
 		}
+		// Each replica's latency histogram is a family of its own, named
+		// after the replica: two names that map to one family would cut the
+		// exposition short.
+		family := replicaLatencyFamily + promSafe(b.Name())
+		if other, dup := families[family]; dup {
+			return nil, fmt.Errorf("cluster: replica names %q and %q share the metric name %s", other, b.Name(), family)
+		}
+		families[family] = b.Name()
 		r := &replica{
 			name:    b.Name(),
 			backend: b,
-			latency: obs.NewHistogram("replica_latency", obs.LatencyBuckets()),
+			latency: obs.NewHistogram(family, obs.LatencyBuckets()),
 		}
 		r.healthy.Store(true)
 		c.replicas[b.Name()] = r

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"bepi/internal/obs"
 	"bepi/internal/server"
@@ -51,7 +50,9 @@ func NewHandler(c *Coordinator) *Handler {
 	h.mux.HandleFunc("/metrics", h.handleMetrics)
 	h.mux.HandleFunc("/metrics.prom", h.handleMetricsProm)
 	h.mux.HandleFunc("/debug/traces", h.handleTraces)
-	h.mux.HandleFunc("/debug/events", h.handleEvents)
+	h.mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
+		server.ServeEvents(w, r, c.Observer().Events)
+	})
 	return h
 }
 
@@ -100,7 +101,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p, err := h.coord.Query(traceContext(w, r), seed, topk, r.URL.Query().Get("full") == "true")
+	p, err := h.coord.Query(obs.TraceRequest(w, r), seed, topk, r.URL.Query().Get("full") == "true")
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -157,7 +158,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, 0, "seeds must be non-empty")
 		return
 	}
-	res, err := h.coord.Batch(traceContext(w, r), req.Seeds, req.TopK)
+	res, err := h.coord.Batch(obs.TraceRequest(w, r), req.Seeds, req.TopK)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -219,7 +220,7 @@ func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	m, err := h.coord.Personalized(traceContext(w, r), weights, req.TopK)
+	m, err := h.coord.Personalized(obs.TraceRequest(w, r), weights, req.TopK)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -261,115 +262,4 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, h.coord.Replicas())
-}
-
-// MetricsResponse is the coordinator's /metrics JSON payload.
-type MetricsResponse struct {
-	Batches          int64           `json:"batches"`
-	Merges           int64           `json:"merges"`
-	MixRefused       int64           `json:"generation_mix_refused"`
-	Refetches        int64           `json:"generation_refetches"`
-	DegradedBatches  int64           `json:"degraded_batches"`
-	Replicas         []ReplicaStatus `json:"replicas"`
-	RingMembers      []string        `json:"ring_members"`
-	ConfiguredVnodes int             `json:"vnodes"`
-	// Fleet is the fleet-wide latency aggregation over replica
-	// /metrics/snapshot payloads (absent when no backend supports it).
-	Fleet *FleetMetrics `json:"fleet,omitempty"`
-}
-
-func (h *Handler) metrics() MetricsResponse {
-	return MetricsResponse{
-		Batches:          h.coord.batches.Load(),
-		Merges:           h.coord.merges.Load(),
-		MixRefused:       h.coord.mixRefused.Load(),
-		Refetches:        h.coord.refetches.Load(),
-		DegradedBatches:  h.coord.degraded.Load(),
-		Replicas:         h.coord.Replicas(),
-		RingMembers:      h.coord.Ring().Members(),
-		ConfiguredVnodes: h.coord.cfg.Vnodes,
-	}
-}
-
-func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wire.WantsProm(r) {
-		h.handleMetricsProm(w, r)
-		return
-	}
-	if r.Context().Err() != nil {
-		return
-	}
-	m := h.metrics()
-	ctx, cancel := snapshotCtx(r)
-	m.Fleet = fleetMetrics(h.coord.FleetSnapshots(ctx))
-	cancel()
-	wire.WriteJSON(w, http.StatusOK, m)
-}
-
-func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
-		return
-	}
-	ctx, cancel := snapshotCtx(r)
-	snaps := h.coord.FleetSnapshots(ctx)
-	cancel()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-	h.writeFleetProm(p, snaps)
-	m := h.metrics()
-	p.Counter("bepi_cluster_batches_total", "Scatter-gather batch queries.", float64(m.Batches))
-	p.Counter("bepi_cluster_merges_total", "Personalized merges completed.", float64(m.Merges))
-	p.Counter("bepi_cluster_generation_mix_refused_total",
-		"Merges refused because partials spanned index generations.", float64(m.MixRefused))
-	p.Counter("bepi_cluster_degraded_batches_total", "Batches with at least one failed seed.", float64(m.DegradedBatches))
-	p.Gauge("bepi_cluster_ring_size", "Healthy replicas on the ring.", float64(len(m.RingMembers)))
-
-	routed := map[string]float64{}
-	errs := map[string]float64{}
-	retries := map[string]float64{}
-	ejections := map[string]float64{}
-	readmissions := map[string]float64{}
-	healthy := map[string]float64{}
-	gen := map[string]float64{}
-	for _, rs := range m.Replicas {
-		routed[rs.Name] = float64(rs.Routed)
-		errs[rs.Name] = float64(rs.Errors)
-		retries[rs.Name] = float64(rs.Retries)
-		ejections[rs.Name] = float64(rs.Ejections)
-		readmissions[rs.Name] = float64(rs.Readmissions)
-		if rs.Healthy {
-			healthy[rs.Name] = 1
-		} else {
-			healthy[rs.Name] = 0
-		}
-		gen[rs.Name] = float64(rs.Generation)
-	}
-	p.CounterVec("bepi_cluster_replica_routed_total", "Queries routed per replica.", "replica", routed)
-	p.CounterVec("bepi_cluster_replica_errors_total", "Failed replica attempts.", "replica", errs)
-	p.CounterVec("bepi_cluster_replica_retries_total", "Retry attempts landing on this replica.", "replica", retries)
-	p.CounterVec("bepi_cluster_replica_ejections_total", "Health-check ejections.", "replica", ejections)
-	p.CounterVec("bepi_cluster_replica_readmissions_total", "Health-check readmissions.", "replica", readmissions)
-	p.GaugeVec("bepi_cluster_replica_healthy", "1 if the replica is on the ring.", "replica", healthy)
-	p.GaugeVec("bepi_cluster_replica_generation", "Replica's last reported index generation.", "replica", gen)
-	for _, name := range h.coord.names {
-		rep := h.coord.replicas[name]
-		p.Histogram("bepi_cluster_replica_latency_seconds_"+promSafe(name),
-			"Attempt latency for replica "+name+".", rep.latency.Snapshot())
-	}
-	obs.WriteGoStats(p)
-}
-
-// promSafe rewrites a replica name (often host:port) into a metric-name
-// suffix.
-func promSafe(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }

@@ -3,35 +3,16 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"bepi"
 	"bepi/internal/obs"
 	"bepi/internal/server"
 	"bepi/internal/sparse"
 	"bepi/internal/wire"
 )
-
-// traceContext resolves a coordinator request's tracing context, mirroring
-// the shard server: a propagated X-Bepi-Trace header wins (this coordinator
-// may itself sit behind another tier), otherwise ?trace=1 forces a fresh
-// trace. The resolved trace ID is echoed in the X-Bepi-Trace response
-// header so the caller knows what to ask /debug/traces?trace=<id> for.
-func traceContext(w http.ResponseWriter, r *http.Request) context.Context {
-	ctx := r.Context()
-	tc, ok := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-	if !ok {
-		if r.URL.Query().Get("trace") != "1" {
-			return ctx
-		}
-		tc = obs.TraceContext{TraceID: obs.NewTraceID()}
-	}
-	w.Header().Set(obs.TraceHeader, tc.TraceID)
-	return obs.WithTrace(ctx, tc)
-}
 
 // TraceNode is one process's trace record with the records it parented
 // nested under it — one node of the cross-process trace tree.
@@ -136,26 +117,6 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, server.TraceResponse{Count: len(traces), Traces: traces})
 }
 
-// handleEvents serves the coordinator's flight recorder, newest first.
-func (h *Handler) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
-		return
-	}
-	if r.Context().Err() != nil {
-		return
-	}
-	n, ok := server.DebugCount(w, r, 100)
-	if !ok {
-		return
-	}
-	events := h.coord.Observer().Events.Recent(n)
-	if events == nil {
-		events = []obs.Event{}
-	}
-	wire.WriteJSON(w, http.StatusOK, server.EventResponse{Count: len(events), Events: events})
-}
-
 // FleetSnapshots fetches the mergeable metrics snapshot from every replica
 // whose backend supports SnapshotSource, concurrently under the attempt
 // timeout. Failed or unsupported replicas are skipped — aggregation
@@ -191,144 +152,122 @@ func (c *Coordinator) FleetSnapshots(ctx context.Context) []obs.MetricsSnapshot 
 	return out
 }
 
-// ShardQuantiles is one process's query-latency summary inside the fleet
-// aggregation (milliseconds, from the mergeable histogram).
-type ShardQuantiles struct {
-	Shard string  `json:"shard,omitempty"`
-	Count uint64  `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// FleetMetrics is the fleet-wide aggregation in the coordinator's /metrics
-// JSON: per-shard query-latency quantiles plus the same quantiles over the
-// bucket-wise merged histogram. Merged quantiles are exact to within bucket
-// resolution because every shard shares the identical bucket layout.
-type FleetMetrics struct {
-	Shards []ShardQuantiles `json:"shards"`
-	Merged ShardQuantiles   `json:"merged"`
-	// MismatchedFamilies lists histogram families dropped from the merge
-	// because shards disagreed on bucket bounds (a mixed-version fleet).
-	MismatchedFamilies []string `json:"mismatched_families,omitempty"`
-	// Kernel is the fleet-merged achieved-bandwidth view: summed kernel
-	// bytes over summed kernel seconds from the shard snapshots, judged
-	// against the coordinator host's own STREAM roof (shards may differ;
-	// per-shard roofs live on the shards' /metrics).
-	Kernel *KernelBandwidth `json:"kernel,omitempty"`
-}
-
-// KernelBandwidth is the fleet-level kernel bandwidth summary.
-type KernelBandwidth struct {
-	Bytes               int64   `json:"bytes"`
-	Seconds             float64 `json:"seconds"`
-	AchievedBytesPerSec float64 `json:"achieved_bytes_per_second"`
-	StreamBytesPerSec   float64 `json:"stream_bytes_per_second"`
-	PctOfStream         float64 `json:"pct_of_stream"`
-}
-
-// kernelBandwidth derives the fleet kernel summary from merged snapshot
-// counters (nil when no shard reported kernel counters).
-func kernelBandwidth(merged obs.MetricsSnapshot) *KernelBandwidth {
-	bytes := merged.Counters["kernel_bytes"]
-	ns := merged.Counters["kernel_seconds_ns"]
-	if bytes == 0 && ns == 0 {
-		return nil
-	}
-	k := &KernelBandwidth{
-		Bytes:             bytes,
-		Seconds:           float64(ns) / 1e9,
-		StreamBytesPerSec: sparse.StreamBandwidth(),
-	}
-	if ns > 0 {
-		k.AchievedBytesPerSec = float64(bytes) / (float64(ns) / 1e9)
-	}
-	if k.StreamBytesPerSec > 0 {
-		k.PctOfStream = 100 * k.AchievedBytesPerSec / k.StreamBytesPerSec
-	}
-	return k
-}
-
-func quantilesOf(shard string, s obs.HistSnapshot) ShardQuantiles {
-	return ShardQuantiles{
-		Shard: shard,
-		Count: s.Count,
-		P50MS: s.Quantile(0.50) * 1e3,
-		P99MS: s.Quantile(0.99) * 1e3,
-	}
-}
-
-// fleetMetrics aggregates replica snapshots into the JSON fleet view.
-func fleetMetrics(snaps []obs.MetricsSnapshot) *FleetMetrics {
-	if len(snaps) == 0 {
-		return nil
-	}
-	merged, mismatched := obs.MergeMetricsSnapshots(snaps)
-	sort.Strings(mismatched)
-	fm := &FleetMetrics{
-		Merged:             quantilesOf("", merged.Histograms[obs.FamilyQueryLatency]),
-		MismatchedFamilies: mismatched,
-		Kernel:             kernelBandwidth(merged),
-	}
-	for _, s := range snaps {
-		fm.Shards = append(fm.Shards, quantilesOf(s.Replica, s.Histograms[obs.FamilyQueryLatency]))
-	}
-	return fm
-}
-
-// writeFleetProm writes the fleet-aggregated families: build identity, ring
-// shape, per-shard health and latency quantiles, and every bucket-wise
-// merged histogram under a bepi_fleet_ prefix.
-func (h *Handler) writeFleetProm(p *obs.PromWriter, snaps []obs.MetricsSnapshot) {
-	c := h.coord
-	obs.WriteBuildInfo(p, obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()})
-	p.Gauge("bepi_ring_members", "Healthy replicas on the consistent-hash ring.", float64(c.Ring().Len()))
-	healthy := make(map[string]float64, len(c.names))
-	for _, name := range c.names {
-		if c.replicas[name].healthy.Load() {
-			healthy[name] = 1
-		} else {
-			healthy[name] = 0
+// metrics is the coordinator's metric table: routing counters, replica
+// state and, when any replica served a snapshot, the fleet view merged
+// from them — every metric declared once, in exposition order (see
+// obs.Metric). It is built per scrape. mismatched lists the histogram
+// families the merge dropped.
+func (c *Coordinator) metrics(snaps []obs.MetricsSnapshot) (rows []obs.Metric, mismatched []string) {
+	ring, reps := c.Ring(), c.Replicas()
+	perReplica := func(f func(ReplicaStatus) float64) func() map[string]float64 {
+		return func() map[string]float64 {
+			m := make(map[string]float64, len(reps))
+			for _, r := range reps {
+				m[r.Name] = f(r)
+			}
+			return m
 		}
 	}
-	p.GaugeVec("bepi_shard_healthy", "1 when the shard is on the ring.", "shard", healthy)
-
-	// Fleet-total routing counters (summed across replicas) and the
-	// generation-guard counters.
-	var retries, ejections, readmissions int64
+	total := func(f func(ReplicaStatus) float64) func() float64 {
+		return func() float64 {
+			var n float64
+			for _, r := range reps {
+				n += f(r)
+			}
+			return n
+		}
+	}
+	routed := func(r ReplicaStatus) float64 { return float64(r.Routed) }
+	errs := func(r ReplicaStatus) float64 { return float64(r.Errors) }
+	retries := func(r ReplicaStatus) float64 { return float64(r.Retries) }
+	ejections := func(r ReplicaStatus) float64 { return float64(r.Ejections) }
+	readmissions := func(r ReplicaStatus) float64 { return float64(r.Readmissions) }
+	generation := func(r ReplicaStatus) float64 { return float64(r.Generation) }
+	healthy := perReplica(func(r ReplicaStatus) float64 {
+		if r.Healthy {
+			return 1
+		}
+		return 0
+	})
+	const counter, gauge = obs.KindCounter, obs.KindGauge
+	rows = []obs.Metric{
+		obs.RingMembers(obs.Val(ring.Len())),
+		obs.ShardHealthy(healthy),
+		// Fleet totals of the routing counters, and the generation guard.
+		{Name: "bepi_cluster_retries_total", Kind: counter, Help: "Query attempts retried on a ring successor.", Value: total(retries)},
+		{Name: "bepi_cluster_ejections_total", Kind: counter, Help: "Health-check ejections across the fleet.", Value: total(ejections)},
+		{Name: "bepi_cluster_readmissions_total", Kind: counter, Help: "Health-check readmissions across the fleet.", Value: total(readmissions)},
+		{Name: "bepi_cluster_refetches_total", Kind: counter, Help: "Partials re-fetched to converge a merge on one generation.", JSON: "generation_refetches", Value: obs.Val(c.refetches.Load())},
+	}
+	if len(snaps) > 0 {
+		var fleet []obs.Metric
+		fleet, mismatched = fleetMetrics(snaps)
+		rows = append(rows, fleet...)
+	}
+	rows = append(rows, []obs.Metric{
+		{Name: "bepi_cluster_batches_total", Kind: counter, Help: "Scatter-gather batch queries.", JSON: "batches", Value: obs.Val(c.batches.Load())},
+		{Name: "bepi_cluster_merges_total", Kind: counter, Help: "Personalized merges completed.", JSON: "merges", Value: obs.Val(c.merges.Load())},
+		{Name: "bepi_cluster_generation_mix_refused_total", Kind: counter, Help: "Merges refused because partials spanned index generations.", JSON: "generation_mix_refused", Value: obs.Val(c.mixRefused.Load())},
+		{Name: "bepi_cluster_degraded_batches_total", Kind: counter, Help: "Batches with at least one failed seed.", JSON: "degraded_batches", Value: obs.Val(c.degraded.Load())},
+		{Name: "bepi_cluster_ring_size", Kind: gauge, Help: "Healthy replicas on the ring.", Value: obs.Val(ring.Len())},
+		{JSON: "vnodes", Value: obs.Val(c.cfg.Vnodes)},
+		{Name: "bepi_cluster_replica_routed_total", Kind: counter, Label: "replica", Help: "Queries routed per replica.", Vec: perReplica(routed)},
+		{Name: "bepi_cluster_replica_errors_total", Kind: counter, Label: "replica", Help: "Failed replica attempts.", Vec: perReplica(errs)},
+		{Name: "bepi_cluster_replica_retries_total", Kind: counter, Label: "replica", Help: "Retry attempts landing on this replica.", Vec: perReplica(retries)},
+		{Name: "bepi_cluster_replica_ejections_total", Kind: counter, Label: "replica", Help: "Health-check ejections.", Vec: perReplica(ejections)},
+		{Name: "bepi_cluster_replica_readmissions_total", Kind: counter, Label: "replica", Help: "Health-check readmissions.", Vec: perReplica(readmissions)},
+		{Name: "bepi_cluster_replica_healthy", Kind: gauge, Label: "replica", Help: "1 if the replica is on the ring.", Vec: healthy},
+		{Name: "bepi_cluster_replica_generation", Kind: gauge, Label: "replica", Help: "Replica's last reported index generation.", Vec: perReplica(generation)},
+	}...)
 	for _, name := range c.names {
-		rep := c.replicas[name]
-		retries += rep.retries.Load()
-		ejections += rep.ejections.Load()
-		readmissions += rep.readmissions.Load()
+		h := c.replicas[name].latency
+		rows = append(rows, obs.Metric{Name: h.Name(), Kind: obs.KindHistogram, Help: "Attempt latency for replica " + name + ".", Hist: h.Snapshot})
 	}
-	p.Counter("bepi_cluster_retries_total", "Query attempts retried on a ring successor.", float64(retries))
-	p.Counter("bepi_cluster_ejections_total", "Health-check ejections across the fleet.", float64(ejections))
-	p.Counter("bepi_cluster_readmissions_total", "Health-check readmissions across the fleet.", float64(readmissions))
-	p.Counter("bepi_cluster_refetches_total", "Partials re-fetched to converge a merge on one generation.", float64(c.refetches.Load()))
+	return rows, mismatched
+}
 
-	if len(snaps) == 0 {
-		return
+// fleetMetrics is the fleet view of replica snapshots: the merged kernel
+// bandwidth and delta-path counters, per-shard and merged query-latency
+// quantiles (merged quantiles are exact to bucket resolution because every
+// shard shares the bucket layout), and every merged histogram family under
+// a bepi_fleet_ prefix.
+func fleetMetrics(snaps []obs.MetricsSnapshot) (rows []obs.Metric, mismatched []string) {
+	merged, mismatched := obs.MergeMetricsSnapshots(snaps)
+	sort.Strings(mismatched)
+	perShard := func(f func(obs.HistSnapshot) float64) func() map[string]float64 {
+		return func() map[string]float64 {
+			m := make(map[string]float64, len(snaps))
+			for _, s := range snaps {
+				m[s.Replica] = f(s.Histograms[obs.FamilyQueryLatency])
+			}
+			return m
+		}
 	}
-	merged, _ := obs.MergeMetricsSnapshots(snaps)
-	// Fleet-merged achieved kernel bandwidth: summed bytes over summed
-	// seconds across shards. The STREAM roof is the coordinator host's own
-	// probe — a like-for-like fraction only on homogeneous fleets.
-	if k := kernelBandwidth(merged); k != nil {
-		p.Gauge("bepi_kernel_achieved_bytes_per_second", "Fleet-merged achieved solve-kernel bandwidth (summed bytes over summed seconds).", k.AchievedBytesPerSec)
-		p.Gauge("bepi_stream_bytes_per_second", "Measured STREAM-triad roof of the coordinator host.", k.StreamBytesPerSec)
+	quantile := func(q float64) func(obs.HistSnapshot) float64 {
+		return func(h obs.HistSnapshot) float64 { return h.Quantile(q) }
 	}
-	// Incremental-rebuild adoption across the fleet (shards sum their
-	// delta-mode rebuild counts into the mergeable snapshot).
-	p.Counter("bepi_delta_applied_total", "Rebuilds absorbed incrementally by the delta path across the fleet.", float64(merged.Counters["delta_applied"]))
-	p50 := make(map[string]float64, len(snaps))
-	p99 := make(map[string]float64, len(snaps))
-	for _, s := range snaps {
-		q := quantilesOf(s.Replica, s.Histograms[obs.FamilyQueryLatency])
-		p50[s.Replica] = q.P50MS / 1e3
-		p99[s.Replica] = q.P99MS / 1e3
+	if merged.Counters[obs.SnapKernelBytes] != 0 || merged.Counters[obs.SnapKernelNanos] != 0 {
+		// Summed bytes over summed seconds, against the coordinator host's
+		// own roof: a like-for-like fraction only on homogeneous fleets.
+		kernel := obs.Kernel("fleet.kernel", obs.Val(merged.Counter(obs.SnapKernelBytes)),
+			obs.Val(merged.Counter(obs.SnapKernelNanos)), sparse.StreamBandwidth)
+		// The byte and second counters are the shards' own; their fleet
+		// sums stay in JSON.
+		kernel[0].Name, kernel[1].Name = "", ""
+		rows = append(rows, kernel...)
 	}
-	p.GaugeVec("bepi_shard_query_latency_p50_seconds", "Per-shard query-latency p50.", "shard", p50)
-	p.GaugeVec("bepi_shard_query_latency_p99_seconds", "Per-shard query-latency p99.", "shard", p99)
+	lat := merged.Histograms[obs.FamilyQueryLatency]
+	rows = append(rows,
+		obs.DeltaApplied(obs.Val(merged.Counter(obs.SnapDeltaApplied))),
+		obs.Metric{Name: "bepi_shard_query_latency_p50_seconds", Kind: obs.KindGauge, Label: "shard", Help: "Per-shard query-latency p50.",
+			JSON: "fleet.shards[].p50_ms", Vec: perShard(quantile(0.50))},
+		obs.Metric{Name: "bepi_shard_query_latency_p99_seconds", Kind: obs.KindGauge, Label: "shard", Help: "Per-shard query-latency p99.",
+			JSON: "fleet.shards[].p99_ms", Vec: perShard(quantile(0.99))},
+		obs.Metric{Label: "shard", JSON: "fleet.shards[].count", Vec: perShard(func(h obs.HistSnapshot) float64 { return float64(h.Count) })},
+		obs.Metric{JSON: "fleet.merged.count", Value: obs.Val(lat.Count)},
+		obs.Metric{JSON: "fleet.merged.p50_ms", Value: obs.Val(lat.Quantile(0.50))},
+		obs.Metric{JSON: "fleet.merged.p99_ms", Value: obs.Val(lat.Quantile(0.99))},
+	)
 	families := make([]string, 0, len(merged.Histograms))
 	for f := range merged.Histograms {
 		families = append(families, f)
@@ -337,13 +276,65 @@ func (h *Handler) writeFleetProm(p *obs.PromWriter, snaps []obs.MetricsSnapshot)
 	for _, f := range families {
 		// bepi_query_latency_seconds → bepi_fleet_query_latency_seconds:
 		// the same family, bucket-wise summed across the fleet.
-		p.Histogram("bepi_fleet_"+f[len("bepi_"):], "Fleet-merged "+f+" (bucket-wise sum over shards).",
-			merged.Histograms[f])
+		h := merged.Histograms[f]
+		rows = append(rows, obs.Metric{Name: "bepi_fleet_" + strings.TrimPrefix(f, "bepi_"), Kind: obs.KindHistogram,
+			Help: "Fleet-merged " + f + " (bucket-wise sum over shards).", Hist: func() obs.HistSnapshot { return h }})
 	}
+	return rows, mismatched
 }
 
-// snapshotCtx bounds how long a /metrics scrape waits on replica snapshot
-// fan-out before serving what it has.
-func snapshotCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), 5*time.Second)
+// replicaLatencyFamily prefixes each replica's attempt-latency histogram;
+// the suffix is the replica's name made metric-safe (promSafe).
+const replicaLatencyFamily = "bepi_cluster_replica_latency_seconds_"
+
+// promSafe rewrites a replica name (often host:port) into a metric-name
+// suffix.
+func promSafe(name string) string {
+	var b strings.Builder
+	for _, r := range name {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
+// snapshots fetches the replicas' snapshots for one /metrics scrape,
+// waiting at most 5s on the fan-out before serving what it has.
+func (h *Handler) snapshots(r *http.Request) []obs.MetricsSnapshot {
+	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
+	defer cancel()
+	return h.coord.FleetSnapshots(ctx)
+}
+
+func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if wire.WantsProm(r) {
+		h.handleMetricsProm(w, r)
+		return
+	}
+	if r.Context().Err() != nil {
+		return
+	}
+	rows, mismatched := h.coord.metrics(h.snapshots(r))
+	doc := obs.JSON(rows)
+	obs.SetJSON(doc, "replicas", h.coord.Replicas())
+	obs.SetJSON(doc, "ring_members", h.coord.Ring().Members())
+	if len(mismatched) > 0 {
+		// Histogram families dropped from the merge because replicas
+		// disagreed on their bounds (a mixed-version fleet) or sent them
+		// malformed.
+		obs.SetJSON(doc, "fleet.mismatched_families", mismatched)
+	}
+	wire.WriteJSON(w, http.StatusOK, doc)
+}
+
+func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
+	if r.Context().Err() != nil {
+		return
+	}
+	rows, _ := h.coord.metrics(h.snapshots(r))
+	obs.ServeProm(w, server.BuildInfo(), rows)
 }

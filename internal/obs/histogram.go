@@ -23,8 +23,7 @@ type Histogram struct {
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
-// The name is used by the Prometheus exporter's HELP text and the bench
-// tables.
+// The name is its Prometheus family name.
 func NewHistogram(name string, bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -56,7 +55,7 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Name returns the label the histogram was built with.
+// Name returns the family name the histogram was built with.
 func (h *Histogram) Name() string {
 	if h == nil {
 		return ""
@@ -112,6 +111,28 @@ func (s HistSnapshot) Merge(o HistSnapshot) (HistSnapshot, error) {
 		}
 	}
 	return m, nil
+}
+
+// Validate reports whether the snapshot is one a Histogram could have
+// taken: one count per bound plus the overflow bucket, strictly ascending
+// bounds, and a total that is the sum of the buckets.
+func (s HistSnapshot) Validate() error {
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("obs: histogram %q: %d counts for %d bounds", s.Name, len(s.Counts), len(s.Bounds))
+	}
+	for i := 1; i < len(s.Bounds); i++ {
+		if !(s.Bounds[i] > s.Bounds[i-1]) {
+			return fmt.Errorf("obs: histogram %q: bounds not strictly ascending at %d", s.Name, i)
+		}
+	}
+	var sum uint64
+	for _, c := range s.Counts {
+		sum += c
+	}
+	if sum != s.Count {
+		return fmt.Errorf("obs: histogram %q: count %d, buckets sum to %d", s.Name, s.Count, sum)
+	}
+	return nil
 }
 
 // Snapshot copies the histogram's current state. Safe under concurrent

@@ -9,8 +9,10 @@
 //     lookup, coalesce wait, solve, top-k rank) captured
 //     against an injected clock and kept in a bounded ring buffer
 //     (served at GET /debug/traces);
-//   - PromWriter: Prometheus text-format exposition (served at
-//     GET /metrics with content negotiation, and at /metrics.prom);
+//   - Metric: one row of a serving tier's metric table, where each metric
+//     is declared once; ServeProm, JSON and Snapshot derive the Prometheus
+//     text (GET /metrics with content negotiation, /metrics.prom), the
+//     /metrics JSON and the mergeable /metrics/snapshot from the rows;
 //   - SlowLog: a structured (log/slog) slow-query log with a configurable
 //     threshold.
 //
@@ -90,7 +92,7 @@ type Observer struct {
 	// applications. Pairing it with KernelBytes makes the achieved memory
 	// bandwidth (bytes over seconds) derivable at scrape time, locally or
 	// across fleet-merged snapshots, and comparable against the machine's
-	// measured STREAM roof.
+	// measured STREAM roof (see Kernel).
 	KernelNanos atomic.Int64
 
 	// SolverIters counts solver iterations as they happen (incremented from
@@ -113,18 +115,6 @@ type Observer struct {
 // Observer would select the defaults instead.
 var Disabled = &Observer{}
 
-// AchievedBandwidth returns the cumulative achieved memory bandwidth of the
-// observed solve kernels in bytes/second — KernelBytes over KernelNanos —
-// or 0 before any kernel application was observed. Divide by the machine's
-// STREAM roof (sparse.StreamBandwidth) to judge kernels against hardware.
-func (o *Observer) AchievedBandwidth() float64 {
-	ns := o.KernelNanos.Load()
-	if ns <= 0 {
-		return 0
-	}
-	return float64(o.KernelBytes.Load()) / (float64(ns) / 1e9)
-}
-
 // Options configures New. Zero values select the defaults.
 type Options struct {
 	// Clock overrides the time source (nil = time.Now).
@@ -144,21 +134,44 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// histogramFamilies is the observer's histogram set, one row per family:
+// its Observer field, Prometheus help text and bucket layout. New builds
+// the histograms from it (each named by its family), and the shard's metric
+// table and HistogramSnapshots read them through it. A merged family is
+// only meaningful because every process builds it over the identical
+// bucket layout.
+var histogramFamilies = []struct {
+	name, help string
+	buckets    func() []float64
+	field      func(*Observer) **Histogram
+}{
+	{FamilyQueryLatency, "End-to-end executor latency per query.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.QueryLatency }},
+	{FamilySolve, "Wall time of each engine solve.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.SolveLatency }},
+	{FamilyQueueWait, "Admission-queue wait per solved query.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.QueueWait }},
+	{FamilyIterations, "Schur-solver iterations per solved query.", IterationBuckets,
+		func(o *Observer) **Histogram { return &o.Iterations }},
+	{FamilyResidual, "Final relative residual per solved query.", ResidualBuckets,
+		func(o *Observer) **Histogram { return &o.Residual }},
+	{FamilySchurApply, "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.SchurApply }},
+	{FamilyPrecondApply, "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.PrecondApply }},
+	{FamilyTopKSaved, "Estimated solver iterations saved per early-stopped top-k solve.", IterationBuckets,
+		func(o *Observer) **Histogram { return &o.TopKSaved }},
+	{FamilyRebuild, "Wall time of each background index rebuild.", LatencyBuckets,
+		func(o *Observer) **Histogram { return &o.Rebuild }},
+}
+
 // New builds a fully wired observer: the standard histograms (including the
 // per-kernel ones), a trace ring, and (when Options.SlowQuery is positive) a
 // slow-query log.
 func New(opts Options) *Observer {
-	o := &Observer{
-		Clock:        opts.Clock,
-		QueryLatency: NewHistogram("query latency (s)", LatencyBuckets()),
-		SolveLatency: NewHistogram("engine solve latency (s)", LatencyBuckets()),
-		QueueWait:    NewHistogram("queue wait (s)", LatencyBuckets()),
-		Iterations:   NewHistogram("solver iterations", IterationBuckets()),
-		Residual:     NewHistogram("final residual", ResidualBuckets()),
-		SchurApply:   NewHistogram("Schur operator apply (s)", LatencyBuckets()),
-		TopKSaved:    NewHistogram("top-k iterations saved", IterationBuckets()),
-		PrecondApply: NewHistogram("ILU preconditioner apply (s)", LatencyBuckets()),
-		Rebuild:      NewHistogram("index rebuild (s)", LatencyBuckets()),
+	o := &Observer{Clock: opts.Clock}
+	for _, f := range histogramFamilies {
+		*f.field(o) = NewHistogram(f.name, f.buckets())
 	}
 	cap := opts.TraceCapacity
 	if cap == 0 {
@@ -182,4 +195,38 @@ func (o *Observer) Now() time.Time {
 		return time.Now()
 	}
 	return o.Clock.now()
+}
+
+// Metric is the metric-table row of one of the observer's histogram
+// families, at the given /metrics JSON path and merged across the fleet
+// under its family name. A histogram the observer does not carry is a row
+// without a source.
+func (o *Observer) Metric(family, json string) Metric {
+	m := Metric{Name: family, Kind: KindHistogram, JSON: json, Snap: family}
+	for _, f := range histogramFamilies {
+		if f.name != family {
+			continue
+		}
+		m.Help = f.help
+		if h := *f.field(o); h != nil {
+			m.Hist = h.Snapshot
+		}
+	}
+	return m
+}
+
+// HistogramSnapshots exports every histogram the observer carries, keyed by
+// family name. Nil-valued histograms (and a nil observer) yield no entry —
+// absent, not zero.
+func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
+	out := make(map[string]HistSnapshot, len(histogramFamilies))
+	if o == nil {
+		return out
+	}
+	for _, f := range histogramFamilies {
+		if h := *f.field(o); h != nil {
+			out[f.name] = h.Snapshot()
+		}
+	}
+	return out
 }

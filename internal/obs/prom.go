@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +47,7 @@ func validName(name string) bool {
 	return true
 }
 
-func (p *PromWriter) family(name, typ, help string) bool {
+func (p *PromWriter) family(name string, kind Kind, help string) bool {
 	if p.err != nil {
 		return false
 	}
@@ -62,7 +61,7 @@ func (p *PromWriter) family(name, typ, help string) bool {
 	}
 	p.seen[name] = true
 	_, p.err = fmt.Fprintf(p.w, "# HELP %s %s\n# TYPE %s %s\n",
-		name, strings.ReplaceAll(help, "\n", " "), name, typ)
+		name, strings.ReplaceAll(help, "\n", " "), name, kind)
 	return p.err == nil
 }
 
@@ -88,24 +87,10 @@ func (p *PromWriter) sample(name, labels string, v float64) {
 	_, p.err = fmt.Fprintf(p.w, "%s%s %s\n", name, labels, promFloat(v))
 }
 
-// Counter writes a single-sample counter family.
-func (p *PromWriter) Counter(name, help string, v float64) {
-	if p.family(name, "counter", help) {
-		p.sample(name, "", v)
-	}
-}
-
-// Gauge writes a single-sample gauge family.
-func (p *PromWriter) Gauge(name, help string, v float64) {
-	if p.family(name, "gauge", help) {
-		p.sample(name, "", v)
-	}
-}
-
-// GaugeVec writes one gauge family with a sample per value of the given
-// label, in sorted label order for a reproducible exposition.
-func (p *PromWriter) GaugeVec(name, help, label string, vals map[string]float64) {
-	if !p.family(name, "gauge", help) {
+// vec writes one family with a sample per value of the given label, in
+// sorted label order for a reproducible exposition.
+func (p *PromWriter) vec(name string, kind Kind, help, label string, vals map[string]float64) {
+	if !p.family(name, kind, help) {
 		return
 	}
 	keys := make([]string, 0, len(vals))
@@ -118,54 +103,19 @@ func (p *PromWriter) GaugeVec(name, help, label string, vals map[string]float64)
 	}
 }
 
-// InfoGauge writes a gauge family with one constant-1 sample carrying the
-// given labels (the `foo_build_info` idiom: the values live in the labels).
-// Labels are written in sorted key order for a reproducible exposition.
-func (p *PromWriter) InfoGauge(name, help string, labels map[string]string) {
-	if !p.family(name, "gauge", help) {
-		return
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%q", k, labels[k]))
-	}
-	p.sample(name, strings.Join(parts, ","), 1)
-}
-
-// WriteBuildInfo emits the standard bepi_build_info gauge from a BuildInfo.
-func WriteBuildInfo(p *PromWriter, b BuildInfo) {
-	p.InfoGauge("bepi_build_info", "Build identity; the values are in the labels.",
-		map[string]string{
-			"version":    b.Version,
-			"go_version": b.GoVersion,
-		})
-}
-
-// CounterVec writes one counter family with a sample per value of the
-// given label, in sorted label order for a reproducible exposition.
-func (p *PromWriter) CounterVec(name, help, label string, vals map[string]float64) {
-	if !p.family(name, "counter", help) {
-		return
-	}
-	keys := make([]string, 0, len(vals))
-	for k := range vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p.sample(name, fmt.Sprintf("%s=%q", label, k), vals[k])
+// buildInfo writes the bepi_build_info gauge: one constant-1 sample whose
+// labels carry the build identity (the `foo_build_info` idiom).
+func (p *PromWriter) buildInfo(b BuildInfo) {
+	const name = "bepi_build_info"
+	if p.family(name, KindGauge, "Build identity; the values are in the labels.") {
+		p.sample(name, fmt.Sprintf("go_version=%q,version=%q", b.GoVersion, b.Version), 1)
 	}
 }
 
 // Histogram writes a snapshot as a Prometheus histogram family: cumulative
 // `le` buckets, then _sum and _count.
 func (p *PromWriter) Histogram(name, help string, s HistSnapshot) {
-	if !p.family(name, "histogram", help) {
+	if !p.family(name, KindHistogram, help) {
 		return
 	}
 	var cum uint64
@@ -176,19 +126,4 @@ func (p *PromWriter) Histogram(name, help string, s HistSnapshot) {
 	p.sample(name+"_bucket", `le="+Inf"`, float64(s.Count))
 	p.sample(name+"_sum", "", s.Sum)
 	p.sample(name+"_count", "", float64(s.Count))
-}
-
-// WriteGoStats emits Go runtime health: goroutines, heap, GC activity.
-func WriteGoStats(p *PromWriter) {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	p.Gauge("go_goroutines", "Number of goroutines.", float64(runtime.NumGoroutine()))
-	p.Gauge("go_mem_heap_alloc_bytes", "Bytes of allocated heap objects.", float64(m.HeapAlloc))
-	p.Gauge("go_mem_heap_sys_bytes", "Heap memory obtained from the OS.", float64(m.HeapSys))
-	p.Gauge("go_mem_heap_objects", "Number of allocated heap objects.", float64(m.HeapObjects))
-	p.Counter("go_mem_alloc_bytes_total", "Cumulative bytes allocated.", float64(m.TotalAlloc))
-	p.Counter("go_gc_cycles_total", "Completed GC cycles.", float64(m.NumGC))
-	p.Counter("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause.", float64(m.PauseTotalNs)/1e9)
-	p.Gauge("go_gc_next_target_bytes", "Heap size at which the next GC runs.", float64(m.NextGC))
-	p.Gauge("go_maxprocs", "GOMAXPROCS.", float64(runtime.GOMAXPROCS(0)))
 }

@@ -8,10 +8,14 @@ import (
 func TestPromWriterFamilies(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Counter("requests_total", "Total requests.", 42)
-	p.Gauge("up", "Whether up.", 1)
-	p.GaugeVec("stage_seconds", "Stage times.", "stage", map[string]float64{
-		"reorder": 0.5, "build": 1.25,
+	p.rows([]Metric{
+		{Name: "requests_total", Kind: KindCounter, Help: "Total requests.", Value: Val(42)},
+		{Name: "up", Kind: KindGauge, Help: "Whether up.", Value: Val(1)},
+		{Name: "absent", Kind: KindGauge, Help: "Not collected here."},
+		{JSON: "json_only", Value: Val(1)},
+		{Name: "stage_seconds", Kind: KindGauge, Help: "Stage times.", Label: "stage", Vec: func() map[string]float64 {
+			return map[string]float64{"reorder": 0.5, "build": 1.25}
+		}},
 	})
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
@@ -28,6 +32,11 @@ func TestPromWriterFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"absent", "json_only"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("%s written:\n%s", gone, out)
 		}
 	}
 	// Labeled samples must be sorted (build before reorder).
@@ -64,29 +73,25 @@ func TestPromWriterHistogram(t *testing.T) {
 }
 
 func TestPromWriterRejectsDuplicatesAndBadNames(t *testing.T) {
-	var b strings.Builder
-	p := NewPromWriter(&b)
-	p.Counter("x_total", "X.", 1)
-	p.Counter("x_total", "X again.", 2)
+	gauge := func(name string) Metric { return Metric{Name: name, Kind: KindGauge, Help: "X.", Value: Val(1)} }
+	p := NewPromWriter(&strings.Builder{})
+	p.rows([]Metric{gauge("x_total"), gauge("x_total")})
 	if p.Err() == nil {
 		t.Fatal("duplicate family not rejected")
 	}
-	p2 := NewPromWriter(&strings.Builder{})
-	p2.Gauge("1bad", "Bad.", 0)
-	if p2.Err() == nil {
-		t.Fatal("invalid name not rejected")
-	}
-	p3 := NewPromWriter(&strings.Builder{})
-	p3.Gauge("bad name", "Bad.", 0)
-	if p3.Err() == nil {
-		t.Fatal("space in name not rejected")
+	for _, bad := range []string{"1bad", "bad name"} {
+		p := NewPromWriter(&strings.Builder{})
+		p.rows([]Metric{gauge(bad)})
+		if p.Err() == nil {
+			t.Fatalf("invalid name %q not rejected", bad)
+		}
 	}
 }
 
 func TestWriteGoStats(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	WriteGoStats(p)
+	p.rows(goStats())
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,9 @@ package obs
 
 import "time"
 
-// Canonical histogram family names shared by the shard exposition, the
-// /metrics/snapshot payload, and the coordinator's fleet aggregation. A
-// merged family is only meaningful because every process builds it over the
-// identical bucket layout (see the *Buckets constructors).
+// The observer's histogram families (see histogramFamilies): the names the
+// shard exposition, the /metrics/snapshot payload and the coordinator's
+// fleet aggregation key them by.
 const (
 	FamilyQueryLatency = "bepi_query_latency_seconds"
 	FamilySolve        = "bepi_solve_seconds"
@@ -38,36 +37,13 @@ type BuildInfo struct {
 	GoVersion string `json:"go_version,omitempty"`
 }
 
-// HistogramSnapshots exports every histogram the observer carries, keyed by
-// canonical family name. Nil-valued histograms (and a nil observer) yield
-// an empty map entry-wise — absent, not zero.
-func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
-	out := make(map[string]HistSnapshot, 9)
-	if o == nil {
-		return out
-	}
-	put := func(family string, h *Histogram) {
-		if h != nil {
-			out[family] = h.Snapshot()
-		}
-	}
-	put(FamilyQueryLatency, o.QueryLatency)
-	put(FamilySolve, o.SolveLatency)
-	put(FamilyQueueWait, o.QueueWait)
-	put(FamilyIterations, o.Iterations)
-	put(FamilyResidual, o.Residual)
-	put(FamilySchurApply, o.SchurApply)
-	put(FamilyPrecondApply, o.PrecondApply)
-	put(FamilyTopKSaved, o.TopKSaved)
-	put(FamilyRebuild, o.Rebuild)
-	return out
-}
-
 // MergeMetricsSnapshots folds per-process snapshots into one fleet-wide
 // snapshot: histogram families merge bucket-wise (families present in only
 // some snapshots still merge — an empty operand is the identity), counters
-// add. Families whose bounds disagree across snapshots are dropped with
-// their name returned in mismatched, never silently misbinned.
+// add. Snapshots arrive from other processes, so a family whose bounds
+// disagree across snapshots, or that is malformed in any one of them (see
+// HistSnapshot.Validate), is dropped with its name returned in mismatched,
+// never silently misbinned.
 func MergeMetricsSnapshots(snaps []MetricsSnapshot) (merged MetricsSnapshot, mismatched []string) {
 	merged.Histograms = make(map[string]HistSnapshot)
 	merged.Counters = make(map[string]int64)
@@ -80,7 +56,11 @@ func MergeMetricsSnapshots(snaps []MetricsSnapshot) (merged MetricsSnapshot, mis
 			if bad[family] {
 				continue
 			}
-			m, err := merged.Histograms[family].Merge(h)
+			var m HistSnapshot
+			err := h.Validate()
+			if err == nil {
+				m, err = merged.Histograms[family].Merge(h)
+			}
 			if err != nil {
 				bad[family] = true
 				delete(merged.Histograms, family)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
 	"strings"
 	"sync/atomic"
 )
@@ -66,6 +67,27 @@ func isHex(s string) bool {
 		}
 	}
 	return true
+}
+
+// TraceRequest resolves an incoming request's tracing context, on a shard
+// and a coordinator alike. A propagated X-Bepi-Trace header wins: the
+// upstream root already decided this request is traced, and adopting its
+// trace ID makes this process's spans join the caller's tree. Otherwise
+// ?trace=1 mints a fresh trace ID, making a single ad-hoc request traceable
+// regardless of the sampling rate. The resolved ID is echoed in the
+// X-Bepi-Trace response header, so the caller knows what to ask
+// /debug/traces?trace=<id> for.
+func TraceRequest(w http.ResponseWriter, r *http.Request) context.Context {
+	ctx := r.Context()
+	tc, ok := ParseTraceHeader(r.Header.Get(TraceHeader))
+	if !ok {
+		if r.URL.Query().Get("trace") != "1" {
+			return ctx
+		}
+		tc = TraceContext{TraceID: NewTraceID()}
+	}
+	w.Header().Set(TraceHeader, tc.TraceID)
+	return WithTrace(ctx, tc)
 }
 
 type traceCtxKey struct{}

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,9 +14,7 @@ import (
 
 	"bepi"
 	"bepi/internal/core"
-	"bepi/internal/obs"
 	"bepi/internal/qexec"
-	"bepi/internal/sparse"
 )
 
 // Core is the transport-agnostic serving core: the query/top-k/metrics
@@ -107,50 +104,6 @@ func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 		ev.Record("rebuild_swap", "", fields)
 	})
 	return c
-}
-
-// BuildInfo reports the running build's identity: module version and Go
-// toolchain.
-func (c *Core) BuildInfo() obs.BuildInfo {
-	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()}
-}
-
-// MetricsSnapshot exports this core's metrics in the mergeable form the
-// cluster coordinator aggregates: every observer histogram keyed by its
-// Prometheus family name, the cumulative counters, and build identity.
-// Served at GET /metrics/snapshot.
-func (c *Core) MetricsSnapshot() obs.MetricsSnapshot {
-	o := c.exec.Observer()
-	xm := c.exec.Metrics()
-	var slow int64
-	if o.SlowLog != nil {
-		slow = o.SlowLog.Count()
-	}
-	return obs.MetricsSnapshot{
-		TakenAt:    time.Now(),
-		Histograms: o.HistogramSnapshots(),
-		Counters: map[string]int64{
-			"queries":           c.queries.Load(),
-			"personalized":      c.personalized.Load(),
-			"errors":            c.errors.Load(),
-			"cache_hits":        xm.CacheHits,
-			"topk_cache_hits":   xm.TopKCacheHits,
-			"cache_misses":      xm.CacheMisses,
-			"cache_bytes":       xm.CacheBytes,
-			"coalesced":         xm.Coalesced,
-			"shed":              xm.Shed,
-			"engine_swaps":      xm.EngineSwaps,
-			"solve_panics":      xm.SolvePanics,
-			"topk_solves":       xm.TopKSolves,
-			"topk_early_stops":  xm.EarlyStops,
-			"slow_queries":      slow,
-			"solver_iterations": o.SolverIters.Load(),
-			"kernel_bytes":      o.KernelBytes.Load(),
-			"kernel_seconds_ns": o.KernelNanos.Load(),
-			"delta_applied":     c.deltaApplied.Load(),
-		},
-		Build: c.BuildInfo(),
-	}
 }
 
 // Engine snapshots the currently serving engine.
@@ -455,72 +408,6 @@ func (c *Core) Personalized(ctx context.Context, weights map[int]float64, topk i
 	}, nil
 }
 
-// MetricsResponse is the /metrics payload.
-type MetricsResponse struct {
-	Queries         int64   `json:"queries"`
-	Personalized    int64   `json:"personalized"`
-	Errors          int64   `json:"errors"`
-	AvgQueryMS      float64 `json:"avg_query_ms"`
-	IndexBytes      int64   `json:"index_bytes"`
-	PreprocessMS    float64 `json:"preprocess_ms"`
-	QueriesPerIndex float64 `json:"queries_per_preprocess"`
-
-	// Query-execution subsystem counters.
-	CacheHits     int64   `json:"cache_hits"`
-	TopKCacheHits int64   `json:"topk_cache_hits"` // subset of cache_hits served from a certified (seed, k) ranking
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheEntries  int     `json:"cache_entries"`
-	CacheBytes    int64   `json:"cache_bytes"` // what cache_entries are charged against the byte budget (= index_bytes)
-	Coalesced     int64   `json:"coalesced"`
-	Shed          int64   `json:"shed"`
-	Executed      int64   `json:"executed"`
-	Queued        int     `json:"queued"`
-	HitRate       float64 `json:"hit_rate"`
-
-	// Bounded top-k path: how many queries took it, how many of those the
-	// certificate stopped early, and the distribution of iterations saved.
-	TopKSolves int64            `json:"topk_solves"`
-	EarlyStops int64            `json:"topk_early_stops"`
-	TopKSaved  IterationSummary `json:"topk_iters_saved"`
-
-	// Observability layer: solver progress, latency quantiles, slow queries.
-	SolverIters  int64          `json:"solver_iters_total"`
-	SlowQueries  int64          `json:"slow_queries"`
-	QueryLatency LatencySummary `json:"query_latency"`
-	QueueWait    LatencySummary `json:"queue_wait"`
-
-	// Dynamic-update subsystem (generation is 1 and the rest zero for a
-	// static index).
-	Generation     uint64         `json:"generation"`
-	EngineSwaps    int64          `json:"engine_swaps"`
-	SolvePanics    int64          `json:"solve_panics"`
-	PendingUpdates int            `json:"pending_updates"`
-	RebuildLatency LatencySummary `json:"rebuild_latency"`
-
-	// Prep is the preprocessing stage/size breakdown (core.PrepStats).
-	Prep PrepMetrics `json:"prep"`
-
-	// Kernel is the achieved-bandwidth view of the solve kernels: bytes and
-	// seconds accumulated by the kernel hook, their ratio, and the measured
-	// STREAM roof it is judged against.
-	Kernel KernelMetrics `json:"kernel"`
-}
-
-// KernelMetrics reports how close the observed solve kernels run to the
-// machine's memory-bandwidth roof.
-type KernelMetrics struct {
-	// Bytes and Seconds accumulate over every observed Schur-operator and
-	// preconditioner application.
-	Bytes   int64   `json:"bytes"`
-	Seconds float64 `json:"seconds"`
-	// AchievedBytesPerSec is Bytes/Seconds (0 before any kernel ran).
-	AchievedBytesPerSec float64 `json:"achieved_bytes_per_second"`
-	// StreamBytesPerSec is the host's one-shot STREAM-triad roof.
-	StreamBytesPerSec float64 `json:"stream_bytes_per_second"`
-	// PctOfStream is 100·Achieved/Stream.
-	PctOfStream float64 `json:"pct_of_stream"`
-}
-
 // Stats reports the index statistics (the /stats payload).
 func (c *Core) Stats() StatsResponse {
 	eng := c.Engine()
@@ -539,95 +426,4 @@ func (c *Core) Stats() StatsResponse {
 		Variant:        opts.Variant.String(),
 		Preconditioned: eng.Internal().Preconditioned(),
 	}
-}
-
-// Metrics assembles the full metrics snapshot (the /metrics JSON payload).
-func (c *Core) Metrics() MetricsResponse {
-	eng := c.Engine()
-	q := c.queries.Load() + c.personalized.Load()
-	var avg float64
-	if q > 0 {
-		avg = float64(c.queryNanos.Load()) / float64(q) / 1e6
-	}
-	prepMS := float64(eng.PreprocessTime().Microseconds()) / 1000
-	var ratio float64
-	if prepMS > 0 {
-		ratio = float64(q) * avg / prepMS
-	}
-	xm := c.exec.Metrics()
-	o := c.exec.Observer()
-	st := eng.Internal().PrepStats()
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	var slow int64
-	if o.SlowLog != nil {
-		slow = o.SlowLog.Count()
-	}
-	var pending int
-	if c.dyn != nil {
-		pending = c.dyn.Pending()
-	}
-	return MetricsResponse{
-		Queries:         c.queries.Load(),
-		Personalized:    c.personalized.Load(),
-		Errors:          c.errors.Load(),
-		AvgQueryMS:      avg,
-		IndexBytes:      eng.MemoryBytes(),
-		PreprocessMS:    prepMS,
-		QueriesPerIndex: ratio,
-		CacheHits:       xm.CacheHits,
-		TopKCacheHits:   xm.TopKCacheHits,
-		CacheMisses:     xm.CacheMisses,
-		CacheEntries:    xm.CacheEntries,
-		CacheBytes:      xm.CacheBytes,
-		Coalesced:       xm.Coalesced,
-		Shed:            xm.Shed,
-		Executed:        xm.Executed,
-		Queued:          xm.Queued,
-		HitRate:         xm.HitRate(),
-		TopKSolves:      xm.TopKSolves,
-		EarlyStops:      xm.EarlyStops,
-		TopKSaved:       summarizeIters(o.TopKSaved),
-		SolverIters:     o.SolverIters.Load(),
-		SlowQueries:     slow,
-		QueryLatency:    summarize(o.QueryLatency),
-		QueueWait:       summarize(o.QueueWait),
-		Generation:      xm.Generation,
-		EngineSwaps:     xm.EngineSwaps,
-		SolvePanics:     xm.SolvePanics,
-		PendingUpdates:  pending,
-		RebuildLatency:  summarize(o.Rebuild),
-		Prep: PrepMetrics{
-			TotalMS:     ms(st.Total),
-			ReorderMS:   ms(st.Reorder),
-			BuildHMS:    ms(st.BuildH),
-			FactorH11MS: ms(st.FactorH11),
-			SchurMS:     ms(st.Schur),
-			ILUMS:       ms(st.ILU),
-			Nodes:       st.N,
-			Edges:       st.M,
-			Spokes:      st.N1,
-			Hubs:        st.N2,
-			Deadends:    st.N3,
-			Blocks:      st.Blocks,
-			SchurNNZ:    st.SchurNNZ,
-			HubRatio:    st.HubRatio,
-			Workers:     st.Workers,
-		},
-		Kernel: kernelMetrics(o),
-	}
-}
-
-// kernelMetrics assembles the achieved-vs-roof bandwidth view from the
-// observer's kernel counters and the process-wide probes.
-func kernelMetrics(o *obs.Observer) KernelMetrics {
-	k := KernelMetrics{
-		Bytes:               o.KernelBytes.Load(),
-		Seconds:             float64(o.KernelNanos.Load()) / 1e9,
-		AchievedBytesPerSec: o.AchievedBandwidth(),
-		StreamBytesPerSec:   sparse.StreamBandwidth(),
-	}
-	if k.StreamBytesPerSec > 0 {
-		k.PctOfStream = 100 * k.AchievedBytesPerSec / k.StreamBytesPerSec
-	}
-	return k
 }

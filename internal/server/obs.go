@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"strconv"
 
 	"bepi"
@@ -10,134 +11,146 @@ import (
 	"bepi/internal/wire"
 )
 
-// handleMetricsProm writes the full Prometheus exposition: served-traffic
-// counters, qexec counters and histograms, preprocessing stats, and Go
-// runtime health.
-func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := obs.NewPromWriter(w)
-	s.writeProm(p)
-	if err := p.Err(); err != nil {
-		// Too late for a status change; surface the bug in the body where
-		// the scraper's parse failure will point at it.
-		http.Error(w, "exposition error: "+err.Error(), http.StatusInternalServerError)
+// metrics is the shard's metric table: every metric it exports, declared
+// once, in exposition order. /metrics.prom, the /metrics JSON and
+// /metrics/snapshot are all derived from it (see obs.Metric). It is built
+// per scrape, over one read of the executor's counters.
+func (c *Core) metrics() []obs.Metric {
+	o := c.exec.Observer()
+	xm := c.exec.Metrics()
+	eng := c.Engine()
+	st := eng.Internal().PrepStats()
+	queries, personalized := c.queries.Load(), c.personalized.Load()
+	served, servedSeconds := queries+personalized, float64(c.queryNanos.Load())/1e9
+	var avg, perPrep float64
+	if served > 0 {
+		avg = servedSeconds / float64(served)
 	}
+	if prep := eng.PreprocessTime().Seconds(); prep > 0 {
+		perPrep = servedSeconds / prep
+	}
+	// Sources of what only some shards collect: a nil source leaves the
+	// family out of the exposition.
+	var slow, pending, delta func() float64
+	var modes func() map[string]float64
+	if o.SlowLog != nil {
+		slow = obs.Val(o.SlowLog.Count())
+	}
+	if c.dyn != nil {
+		pending = obs.Val(c.dyn.Pending())
+		delta = obs.Val(c.deltaApplied.Load())
+		// One-hot: which path produced the serving index's most recent
+		// rebuild.
+		modes = func() map[string]float64 {
+			m := map[string]float64{}
+			for _, mode := range []bepi.RebuildMode{bepi.RebuildModeFull, bepi.RebuildModeDeltaSpoke, bepi.RebuildModeDeltaHub, bepi.RebuildModeNoop} {
+				m[string(mode)] = 0
+			}
+			if last, ok := c.lastRebuildMode.Load().(string); ok && last != "" {
+				m[last] = 1
+			}
+			return m
+		}
+	}
+	const counter, gauge = obs.KindCounter, obs.KindGauge
+	// merged is a row in JSON and in the fleet snapshot under one key.
+	merged := func(kind obs.Kind, name, key, help string, v func() float64) obs.Metric {
+		return obs.Metric{Name: name, Kind: kind, Help: help, JSON: key, Snap: key, Value: v}
+	}
+	rows := []obs.Metric{
+		// Ring shape (degenerate for one process), so fleet dashboards can
+		// target shards and coordinators with the same queries.
+		obs.RingMembers(obs.Val(1)),
+		obs.ShardHealthy(func() map[string]float64 { return map[string]float64{"local": 1} }),
+
+		// Served traffic.
+		merged(counter, "bepi_queries_total", "queries", "Single-seed queries served.", obs.Val(queries)),
+		merged(counter, "bepi_personalized_total", "personalized", "Personalized (multi-seed) queries served.", obs.Val(personalized)),
+		merged(counter, "bepi_errors_total", "errors", "Requests answered with an error status.", obs.Val(c.errors.Load())),
+		{JSON: "avg_query_ms", Value: obs.Val(avg)},
+		{JSON: "preprocess_ms", Value: obs.Val(eng.PreprocessTime().Seconds())},
+		{JSON: "queries_per_preprocess", Value: obs.Val(perPrep)},
+
+		// Query-execution subsystem.
+		merged(counter, "bepi_cache_hits_total", "cache_hits", "Queries answered from the cache (score vectors and certified top-k rankings).", obs.Val(xm.CacheHits)),
+		merged(counter, "bepi_topk_cache_hits_total", "topk_cache_hits", "Cache hits served from a certified (seed, k) ranking.", obs.Val(xm.TopKCacheHits)),
+		merged(counter, "bepi_cache_misses_total", "cache_misses", "Queries past the cache.", obs.Val(xm.CacheMisses)),
+		merged(counter, "bepi_coalesced_total", "coalesced", "Queries that rode an identical in-flight solve.", obs.Val(xm.Coalesced)),
+		merged(counter, "bepi_shed_total", "shed", "Requests shed by admission control.", obs.Val(xm.Shed)),
+		{Name: "bepi_cache_entries", Kind: gauge, Help: "Cached answers: score vectors and certified top-k rankings.", JSON: "cache_entries", Value: obs.Val(xm.CacheEntries)},
+		merged(gauge, "bepi_cache_bytes", "cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", obs.Val(xm.CacheBytes)),
+		{Name: "bepi_queue_depth", Kind: gauge, Help: "Requests waiting in the admission queue.", JSON: "queued", Value: obs.Val(xm.Queued)},
+		{JSON: "executed", Value: obs.Val(xm.Executed)},
+		{JSON: "hit_rate", Value: obs.Val(xm.HitRate())},
+
+		// Solver progress and the observer's histograms.
+		{Name: "bepi_solver_iterations_total", Kind: counter, Help: "Iterative-solver iterations across all solves.", JSON: "solver_iters_total", Snap: "solver_iterations", Value: obs.Val(o.SolverIters.Load())},
+		merged(counter, "bepi_slow_queries_total", "slow_queries", "Queries slower than the slow-query threshold.", slow),
+		o.Metric(obs.FamilyQueryLatency, "query_latency"),
+		o.Metric(obs.FamilySolve, ""),
+		o.Metric(obs.FamilyQueueWait, "queue_wait"),
+		o.Metric(obs.FamilyIterations, ""),
+		o.Metric(obs.FamilyResidual, ""),
+		o.Metric(obs.FamilySchurApply, ""),
+		o.Metric(obs.FamilyPrecondApply, ""),
+	}
+	rows = append(rows, obs.Kernel("kernel",
+		obs.Val(o.KernelBytes.Load()), obs.Val(float64(o.KernelNanos.Load())/1e9), sparse.StreamBandwidth)...)
+	return append(rows, []obs.Metric{
+		// Bounded top-k path.
+		merged(counter, "bepi_topk_solves_total", "topk_solves", "Queries solved through the bounded top-k path.", obs.Val(xm.TopKSolves)),
+		merged(counter, "bepi_topk_early_stops_total", "topk_early_stops", "Bounded top-k solves stopped early by the certificate.", obs.Val(xm.EarlyStops)),
+		o.Metric(obs.FamilyTopKSaved, "topk_iters_saved"),
+
+		// Dynamic-update subsystem: rebuild cost, buffered updates, and the
+		// generation the executor is serving from.
+		o.Metric(obs.FamilyRebuild, "rebuild_latency"),
+		{Name: "bepi_pending_updates", Kind: gauge, Help: "Updates (edges and nodes) buffered since the last rebuild.", JSON: "pending_updates", Value: pending},
+		obs.DeltaApplied(delta),
+		{Name: "bepi_rebuild_mode", Kind: gauge, Label: "mode", Help: "Mode of the most recent settled rebuild (one-hot).", Vec: modes},
+		{Name: "bepi_index_generation", Kind: gauge, Help: "Serving-engine generation (bumped on every swap).", JSON: "generation", Value: obs.Val(xm.Generation)},
+		merged(counter, "bepi_engine_swaps_total", "engine_swaps", "Engine swaps applied by the executor.", obs.Val(xm.EngineSwaps)),
+		merged(counter, "bepi_solve_panics_total", "solve_panics", "Engine solves recovered by the panic barrier.", obs.Val(xm.SolvePanics)),
+
+		// Index and preprocessing (Table 2 / Figure 1 quantities, live).
+		{Name: "bepi_index_bytes", Kind: gauge, Help: "Preprocessed index size.", JSON: "index_bytes", Value: obs.Val(eng.MemoryBytes())},
+		{Name: "bepi_nodes", Kind: gauge, Help: "Graph nodes.", JSON: "prep.nodes", Value: obs.Val(st.N)},
+		{Name: "bepi_edges", Kind: gauge, Help: "Graph edges.", JSON: "prep.edges", Value: obs.Val(st.M)},
+		{Name: "bepi_schur_nnz", Kind: gauge, Help: "Nonzeros in the Schur complement.", JSON: "prep.schur_nnz", Value: obs.Val(st.SchurNNZ)},
+		{Name: "bepi_hub_ratio", Kind: gauge, Help: "Hub selection ratio k.", JSON: "prep.hub_ratio", Value: obs.Val(st.HubRatio)},
+		{Name: "bepi_prep_workers", Kind: gauge, Help: "Effective parallel workers during preprocessing.", JSON: "prep.workers", Value: obs.Val(st.Workers)},
+		{JSON: "prep.blocks", Value: obs.Val(st.Blocks)},
+		{Name: "bepi_partition_size", Kind: gauge, Label: "block", Help: "Nodes per block of the hub-and-spoke reordering.", JSON: "prep.{}", Vec: func() map[string]float64 {
+			return map[string]float64{"spokes": float64(st.N1), "hubs": float64(st.N2), "deadends": float64(st.N3)}
+		}},
+		{Name: "bepi_prep_stage_seconds", Kind: gauge, Label: "stage", Help: "Preprocessing wall time by stage.", JSON: "prep.{}_ms", Vec: func() map[string]float64 {
+			return map[string]float64{
+				"reorder":    st.Reorder.Seconds(),
+				"build_h":    st.BuildH.Seconds(),
+				"factor_h11": st.FactorH11.Seconds(),
+				"schur":      st.Schur.Seconds(),
+				"ilu":        st.ILU.Seconds(),
+				"total":      st.Total.Seconds(),
+			}
+		}},
+	}...)
 }
 
-func (s *Server) writeProm(p *obs.PromWriter) {
-	// Build identity and (degenerate single-process) ring shape, so fleet
-	// dashboards can target shards and coordinators with the same queries.
-	obs.WriteBuildInfo(p, s.core.BuildInfo())
-	p.Gauge("bepi_ring_members", "Replicas on the consistent-hash ring (1 for a standalone shard).", 1)
-	p.GaugeVec("bepi_shard_healthy", "1 when the shard is serving (per-shard from the coordinator).", "shard",
-		map[string]float64{"local": 1})
+// BuildInfo reports the running build's identity: module version and Go
+// toolchain.
+func BuildInfo() obs.BuildInfo {
+	return obs.BuildInfo{Version: bepi.Version, GoVersion: runtime.Version()}
+}
 
-	// Served traffic.
-	p.Counter("bepi_queries_total", "Single-seed queries served.", float64(s.core.queries.Load()))
-	p.Counter("bepi_personalized_total", "Personalized (multi-seed) queries served.", float64(s.core.personalized.Load()))
-	p.Counter("bepi_errors_total", "Requests answered with an error status.", float64(s.core.errors.Load()))
+// MetricsSnapshot exports this core's metrics in the mergeable form the
+// cluster coordinator aggregates (served at GET /metrics/snapshot).
+func (c *Core) MetricsSnapshot() obs.MetricsSnapshot {
+	return obs.Snapshot(BuildInfo(), c.metrics())
+}
 
-	// Query-execution subsystem counters.
-	xm := s.core.exec.Metrics()
-	p.Counter("bepi_cache_hits_total", "Queries answered from the cache (score vectors and certified top-k rankings).", float64(xm.CacheHits))
-	p.Counter("bepi_topk_cache_hits_total", "Cache hits served from a certified (seed, k) ranking.", float64(xm.TopKCacheHits))
-	p.Counter("bepi_cache_misses_total", "Queries past the cache.", float64(xm.CacheMisses))
-	p.Counter("bepi_coalesced_total", "Queries that rode an identical in-flight solve.", float64(xm.Coalesced))
-	p.Counter("bepi_shed_total", "Requests shed by admission control.", float64(xm.Shed))
-	p.Gauge("bepi_cache_entries", "Cached answers: score vectors and certified top-k rankings.", float64(xm.CacheEntries))
-	p.Gauge("bepi_cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", float64(xm.CacheBytes))
-	p.Gauge("bepi_queue_depth", "Requests waiting in the admission queue.", float64(xm.Queued))
-
-	// Observer histograms and live counters.
-	o := s.core.exec.Observer()
-	p.Counter("bepi_solver_iterations_total", "Iterative-solver iterations across all solves.", float64(o.SolverIters.Load()))
-	if sl := o.SlowLog; sl != nil {
-		p.Counter("bepi_slow_queries_total", "Queries slower than the slow-query threshold.", float64(sl.Count()))
-	}
-	if o.QueryLatency != nil {
-		p.Histogram("bepi_query_latency_seconds", "End-to-end executor latency per query.", o.QueryLatency.Snapshot())
-	}
-	if o.SolveLatency != nil {
-		p.Histogram("bepi_solve_seconds", "Wall time of each engine solve.", o.SolveLatency.Snapshot())
-	}
-	if o.QueueWait != nil {
-		p.Histogram("bepi_queue_wait_seconds", "Admission-queue wait per solved query.", o.QueueWait.Snapshot())
-	}
-	if o.Iterations != nil {
-		p.Histogram("bepi_query_iterations", "Schur-solver iterations per solved query.", o.Iterations.Snapshot())
-	}
-	if o.Residual != nil {
-		p.Histogram("bepi_query_residual", "Final relative residual per solved query.", o.Residual.Snapshot())
-	}
-	if o.SchurApply != nil {
-		p.Histogram("bepi_schur_apply_seconds", "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants.", o.SchurApply.Snapshot())
-	}
-	if o.PrecondApply != nil {
-		p.Histogram("bepi_precond_apply_seconds", "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve.", o.PrecondApply.Snapshot())
-	}
-	p.Counter("bepi_kernel_bytes_total", "Bytes streamed by the observed solve kernels.", float64(o.KernelBytes.Load()))
-	p.Counter("bepi_kernel_seconds_total", "Wall seconds spent in the observed solve kernels.", float64(o.KernelNanos.Load())/1e9)
-	p.Gauge("bepi_kernel_achieved_bytes_per_second", "Achieved memory bandwidth of the observed solve kernels (cumulative bytes over seconds).", o.AchievedBandwidth())
-	p.Gauge("bepi_stream_bytes_per_second", "Measured STREAM-triad memory-bandwidth roof of this host.", sparse.StreamBandwidth())
-
-	// Bounded top-k path.
-	p.Counter("bepi_topk_solves_total", "Queries solved through the bounded top-k path.", float64(xm.TopKSolves))
-	p.Counter("bepi_topk_early_stops_total", "Bounded top-k solves stopped early by the certificate.", float64(xm.EarlyStops))
-	if o.TopKSaved != nil {
-		p.Histogram("bepi_topk_iters_saved", "Estimated solver iterations saved per early-stopped top-k solve.", o.TopKSaved.Snapshot())
-	}
-
-	// Dynamic-update subsystem: rebuild cost, buffered updates, and the
-	// generation the executor is serving from.
-	if o.Rebuild != nil {
-		p.Histogram("bepi_rebuild_seconds", "Wall time of each background index rebuild.", o.Rebuild.Snapshot())
-	}
-	if s.core.dyn != nil {
-		p.Gauge("bepi_pending_updates", "Updates (edges and nodes) buffered since the last rebuild.", float64(s.core.dyn.Pending()))
-		p.Counter("bepi_delta_applied_total", "Rebuilds absorbed incrementally by the delta path (spoke or hub mode).", float64(s.core.deltaApplied.Load()))
-		// One-hot mode gauge: which path produced the serving index's most
-		// recent rebuild.
-		modes := map[string]float64{
-			string(bepi.RebuildModeFull):       0,
-			string(bepi.RebuildModeDeltaSpoke): 0,
-			string(bepi.RebuildModeDeltaHub):   0,
-			string(bepi.RebuildModeNoop):       0,
-		}
-		if m, ok := s.core.lastRebuildMode.Load().(string); ok && m != "" {
-			modes[m] = 1
-		}
-		p.GaugeVec("bepi_rebuild_mode", "Mode of the most recent settled rebuild (one-hot).", "mode", modes)
-	}
-	p.Gauge("bepi_index_generation", "Serving-engine generation (bumped on every swap).", float64(xm.Generation))
-	p.Counter("bepi_engine_swaps_total", "Engine swaps applied by the executor.", float64(xm.EngineSwaps))
-	p.Counter("bepi_solve_panics_total", "Engine solves recovered by the panic barrier.", float64(xm.SolvePanics))
-
-	// Index and preprocessing (Table 2 / Figure 1 quantities, live).
-	eng := s.core.Engine()
-	st := eng.Internal().PrepStats()
-	p.Gauge("bepi_index_bytes", "Preprocessed index size.", float64(eng.MemoryBytes()))
-	p.Gauge("bepi_nodes", "Graph nodes.", float64(st.N))
-	p.Gauge("bepi_edges", "Graph edges.", float64(st.M))
-	p.Gauge("bepi_schur_nnz", "Nonzeros in the Schur complement.", float64(st.SchurNNZ))
-	p.Gauge("bepi_hub_ratio", "Hub selection ratio k.", st.HubRatio)
-	p.Gauge("bepi_prep_workers", "Effective parallel workers during preprocessing.", float64(st.Workers))
-	p.GaugeVec("bepi_partition_size", "Nodes per block of the hub-and-spoke reordering.", "block",
-		map[string]float64{
-			"spokes":   float64(st.N1),
-			"hubs":     float64(st.N2),
-			"deadends": float64(st.N3),
-		})
-	p.GaugeVec("bepi_prep_stage_seconds", "Preprocessing wall time by stage.", "stage",
-		map[string]float64{
-			"reorder":    st.Reorder.Seconds(),
-			"build_h":    st.BuildH.Seconds(),
-			"factor_h11": st.FactorH11.Seconds(),
-			"schur":      st.Schur.Seconds(),
-			"ilu":        st.ILU.Seconds(),
-			"total":      st.Total.Seconds(),
-		})
-
-	obs.WriteGoStats(p)
+// handleMetricsProm writes the full Prometheus exposition.
+func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
+	obs.ServeProm(w, BuildInfo(), s.core.metrics())
 }
 
 // TraceResponse is the /debug/traces payload.
@@ -206,10 +219,10 @@ type EventResponse struct {
 	Events []obs.Event `json:"events"`
 }
 
-// handleEvents serves the flight recorder: recent structured operational
-// events, newest first. `?n=` bounds the count (default 100, see
-// DebugCount).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+// ServeEvents serves a flight recorder, on the shard and the coordinator
+// alike: recent structured operational events, newest first. `?n=` bounds
+// the count (default 100, see DebugCount).
+func ServeEvents(w http.ResponseWriter, r *http.Request, log *obs.EventLog) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
@@ -221,7 +234,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	events := s.core.exec.Observer().Events.Recent(n)
+	events := log.Recent(n)
 	if events == nil {
 		events = []obs.Event{}
 	}
@@ -237,61 +250,4 @@ func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, s.core.MetricsSnapshot())
-}
-
-// LatencySummary is the JSON quantile summary of one latency histogram.
-type LatencySummary struct {
-	Count int64   `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P90MS float64 `json:"p90_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// IterationSummary is the JSON quantile summary of an iteration-count
-// histogram (dimensionless, unlike LatencySummary's milliseconds).
-type IterationSummary struct {
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
-func summarizeIters(h *obs.Histogram) IterationSummary {
-	s := h.Snapshot()
-	return IterationSummary{
-		Count: int64(s.Count),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-	}
-}
-
-func summarize(h *obs.Histogram) LatencySummary {
-	s := h.Snapshot()
-	return LatencySummary{
-		Count: int64(s.Count),
-		P50MS: s.Quantile(0.50) * 1e3,
-		P90MS: s.Quantile(0.90) * 1e3,
-		P99MS: s.Quantile(0.99) * 1e3,
-	}
-}
-
-// PrepMetrics is core.PrepStats in the /metrics JSON payload: stage wall
-// times plus the partition sizes preprocessing decided on.
-type PrepMetrics struct {
-	TotalMS     float64 `json:"total_ms"`
-	ReorderMS   float64 `json:"reorder_ms"`
-	BuildHMS    float64 `json:"build_h_ms"`
-	FactorH11MS float64 `json:"factor_h11_ms"`
-	SchurMS     float64 `json:"schur_ms"`
-	ILUMS       float64 `json:"ilu_ms"`
-	Nodes       int     `json:"nodes"`
-	Edges       int     `json:"edges"`
-	Spokes      int     `json:"spokes"`
-	Hubs        int     `json:"hubs"`
-	Deadends    int     `json:"deadends"`
-	Blocks      int     `json:"blocks"`
-	SchurNNZ    int     `json:"schur_nnz"`
-	HubRatio    float64 `json:"hub_ratio"`
-	Workers     int     `json:"workers"`
 }

@@ -61,8 +61,10 @@ func parseProm(t *testing.T, body string) map[string]*promFamily {
 }
 
 // TestMetricsPrometheus drives traffic, scrapes /metrics.prom, and checks
-// the exposition parses with all expected families, no duplicates, and a
-// self-consistent latency histogram.
+// the exposition parses with no duplicates and with counters and
+// histograms that agree with the traffic and with each other. (Which
+// families exist is pinned by cluster's TestMetricsGolden and
+// TestMetricsREADMETable.)
 func TestMetricsPrometheus(t *testing.T) {
 	s, _ := testServer(t)
 	defer s.Close()
@@ -80,38 +82,6 @@ func TestMetricsPrometheus(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 	fams := parseProm(t, rec.Body.String())
-
-	for _, want := range []struct{ name, typ string }{
-		{"bepi_queries_total", "counter"},
-		{"bepi_cache_hits_total", "counter"},
-		{"bepi_topk_cache_hits_total", "counter"},
-		{"bepi_cache_misses_total", "counter"},
-		{"bepi_shed_total", "counter"},
-		{"bepi_solver_iterations_total", "counter"},
-		{"bepi_solve_seconds", "histogram"},
-		{"bepi_query_latency_seconds", "histogram"},
-		{"bepi_queue_wait_seconds", "histogram"},
-		{"bepi_query_iterations", "histogram"},
-		{"bepi_query_residual", "histogram"},
-		{"bepi_schur_apply_seconds", "histogram"},
-		{"bepi_precond_apply_seconds", "histogram"},
-		{"bepi_kernel_bytes_total", "counter"},
-		{"bepi_index_bytes", "gauge"},
-		{"bepi_schur_nnz", "gauge"},
-		{"bepi_partition_size", "gauge"},
-		{"bepi_prep_stage_seconds", "gauge"},
-		{"go_goroutines", "gauge"},
-		{"go_gc_cycles_total", "counter"},
-	} {
-		f, ok := fams[want.name]
-		if !ok {
-			t.Errorf("family %s missing", want.name)
-			continue
-		}
-		if f.typ != want.typ {
-			t.Errorf("family %s has type %s, want %s", want.name, f.typ, want.typ)
-		}
-	}
 
 	if v := fams["bepi_queries_total"].samples["bepi_queries_total"]; v != 3 {
 		t.Errorf("bepi_queries_total = %v, want 3", v)

@@ -89,7 +89,9 @@ func NewFromCore(c *Core) *Server {
 	s.mux.HandleFunc("/metrics.prom", s.handleMetricsProm)
 	s.mux.HandleFunc("/metrics/snapshot", s.handleMetricsSnapshot)
 	s.mux.HandleFunc("/debug/traces", s.handleTraces)
-	s.mux.HandleFunc("/debug/events", s.handleEvents)
+	s.mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
+		ServeEvents(w, r, c.exec.Observer().Events)
+	})
 	s.mux.HandleFunc("/query", s.handleQuery)
 	s.mux.HandleFunc("/personalized", s.handlePersonalized)
 	s.mux.HandleFunc("/edges", s.handleEdges)
@@ -116,7 +118,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handleMetricsProm(w, r)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, s.core.Metrics())
+	wire.WriteJSON(w, http.StatusOK, obs.JSON(s.core.metrics()))
 }
 
 // ServeHTTP implements http.Handler.
@@ -263,10 +265,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, traceID := traceContext(r)
-	if traceID != "" {
-		w.Header().Set(obs.TraceHeader, traceID)
-	}
+	ctx := obs.TraceRequest(w, r)
 	resp, err := s.core.Query(ctx, req)
 	if err != nil {
 		s.failCore(w, err)
@@ -283,25 +282,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		IndexHash:  resp.IndexHash,
 		Scores:     resp.Scores,
 	}, resp)
-}
-
-// traceContext resolves the request's tracing context. A propagated
-// X-Bepi-Trace header wins: the upstream root already decided this request is
-// traced, and the executor adopts its trace ID so the shard's spans join the
-// caller's tree. Otherwise ?trace=1 mints a fresh trace ID, making a single
-// ad-hoc request traceable regardless of the sampling rate. The returned
-// trace ID (if any) is echoed back in the X-Bepi-Trace response header so the
-// caller knows what to ask /debug/traces?trace=<id> for.
-func traceContext(r *http.Request) (context.Context, string) {
-	ctx := r.Context()
-	if tc, ok := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); ok {
-		return obs.WithTrace(ctx, tc), tc.TraceID
-	}
-	if r.URL.Query().Get("trace") == "1" {
-		tc := obs.TraceContext{TraceID: obs.NewTraceID()}
-		return obs.WithTrace(ctx, tc), tc.TraceID
-	}
-	return ctx, ""
 }
 
 // PersonalizedRequest is the /personalized request body.
@@ -339,10 +319,7 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, traceID := traceContext(r)
-	if traceID != "" {
-		w.Header().Set(obs.TraceHeader, traceID)
-	}
+	ctx := obs.TraceRequest(w, r)
 	resp, err := s.core.Personalized(ctx, weights, req.TopK)
 	if err != nil {
 		s.failCore(w, err)
