@@ -81,6 +81,68 @@ func TestWirePartialGolden(t *testing.T) {
 	}
 }
 
+// TestCoordinatorHugeTopK: a topk beyond the node count answers through the
+// coordinator's /query and /personalized, and every shard keeps serving. A
+// shard once sized a ranking heap by topk and died with an uncatchable
+// out-of-memory, and the coordinator, retrying on ring successors, took
+// each replica it reached down with it.
+func TestCoordinatorHugeTopK(t *testing.T) {
+	eng := wireEngine(t, bepi.RMAT(8, 6, 5))
+	var backends []Backend
+	for i := 0; i < 2; i++ {
+		addr, _ := wireShard(t, eng, nil)
+		backends = append(backends, NewHTTPBackend(addr, nil))
+	}
+	coord, err := New(backends, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	h := NewHandler(coord)
+	serve := func(method, path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var p Partial
+	if err := json.Unmarshal(serve(http.MethodGet, "/query?seed=0&topk=1099511627776", ""), &p); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Top) != eng.N()-1 {
+		t.Fatalf("/query: %d entries, want every node but the seed (%d)", len(p.Top), eng.N()-1)
+	}
+	personalized := func(topk int) []server.RankedEntry {
+		t.Helper()
+		var m struct{ Top []server.RankedEntry }
+		body := fmt.Sprintf(`{"weights":{"1":1,"2":3},"topk":%d}`, topk)
+		if err := json.Unmarshal(serve(http.MethodPost, "/personalized", body), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Top
+	}
+	huge, all := personalized(1<<40), personalized(eng.N())
+	if len(huge) == 0 || len(huge) != len(all) {
+		t.Fatalf("/personalized topk=2⁴⁰: %d entries, topk=N %d", len(huge), len(all))
+	}
+	for i := range huge {
+		if huge[i] != all[i] {
+			t.Fatalf("/personalized rank %d: %+v, want %+v", i, huge[i], all[i])
+		}
+	}
+	for seed := 0; seed < 32; seed++ { // both shards still answer
+		serve(http.MethodGet, fmt.Sprintf("/query?seed=%d&topk=5", seed), "")
+	}
+	for _, rs := range coord.Replicas() {
+		if rs.Errors != 0 || rs.Retries != 0 || rs.Routed == 0 {
+			t.Fatalf("replica %s: %d errors, %d retries, %d routed", rs.Name, rs.Errors, rs.Retries, rs.Routed)
+		}
+	}
+}
+
 // TestWireNegotiationCoordinator is the negotiation matrix over the
 // coordinator's /query handler, in front of a real shard over HTTP (so the
 // internal hop is binary throughout and the client's choice is independent

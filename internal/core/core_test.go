@@ -251,6 +251,23 @@ func TestRankTopK(t *testing.T) {
 	}
 }
 
+// TestRankTopKHugeK: a k far beyond the node count — a request's topk
+// reaches RankTopK unchanged — ranks every node. The heap used to be sized
+// by k, and k = 2⁴⁰ died with an uncatchable out-of-memory.
+func TestRankTopKHugeK(t *testing.T) {
+	scores := []float64{0.1, 0.9, 0.5, 0.9, 0.2, 0, 0.3, 0.7, 0.4, 0.6}
+	all := RankTopK(scores, len(scores), 3)
+	got := RankTopK(scores, 1<<40, 3)
+	if len(got) != len(scores)-1 || len(all) != len(got) {
+		t.Fatalf("k = 2⁴⁰ over %d scores: %d entries, want %d", len(scores), len(got), len(scores)-1)
+	}
+	for i := range got {
+		if got[i] != all[i] {
+			t.Fatalf("rank %d: %+v, want %+v", i, got[i], all[i])
+		}
+	}
+}
+
 func TestTopK(t *testing.T) {
 	g := gen.Figure2()
 	e := engineFor(t, g, VariantFull, 0.3)

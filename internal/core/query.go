@@ -150,14 +150,16 @@ func outranks(a, b Ranked) bool { return a.Outranks(b) }
 // in descending order (ties break on lower node id). It maintains a bounded
 // min-heap of k candidates — O(n·log k) instead of the O(n·k)
 // insertion-sort it replaces — and is shared by Engine.TopK and the HTTP
-// handlers' multi-seed rankings. skip may be nil.
+// handlers' multi-seed rankings. skip may be nil. A k beyond len(scores)
+// returns every node not skipped.
 func RankTopKFunc(scores []float64, k int, skip func(node int) bool) []Ranked {
 	if k <= 0 {
 		return nil
 	}
 	// h is a min-heap on the outranks order: h[0] is the weakest candidate
-	// kept so far, the first to be displaced by a better node.
-	h := make([]Ranked, 0, k)
+	// kept so far, the first to be displaced by a better node. k comes from
+	// requests, so it sizes the heap only up to the nodes there are.
+	h := make([]Ranked, 0, min(k, len(scores)))
 	for node, s := range scores {
 		if skip != nil && skip(node) {
 			continue

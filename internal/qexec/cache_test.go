@@ -272,76 +272,189 @@ func TestFlightLeaderCancelSparesFollowers(t *testing.T) {
 	}
 }
 
-// TestCacheByteBudget: the LRU is bounded in bytes as well as entries.
-// Vectors past the budget leave in LRU order while the rankings — a few
-// hundred bytes each, and touched since — stay; and every way an entry can
-// leave or be replaced keeps the byte count exact.
+// checkSegments walks both segments of c and fails unless every entry is
+// indexed, knows its segment, and is charged exactly once: each segment's
+// byte count is the sum of its entries' costs.
+func checkSegments(t *testing.T, c *lruCache) {
+	t.Helper()
+	entries := 0
+	for _, s := range []*segment{&c.probation, &c.protected} {
+		var bytes int64
+		for el := s.ll.Front(); el != nil; el = el.Next() {
+			ent := el.Value.(*lruEntry)
+			if ent.seg != s || c.items[ent.key] != el {
+				t.Fatalf("entry %v is indexed or segmented wrongly", ent.key)
+			}
+			bytes += ent.val.cost()
+			entries++
+		}
+		if bytes != s.bytes {
+			t.Fatalf("segment charged %d B, its entries cost %d B", s.bytes, bytes)
+		}
+	}
+	if entries != len(c.items) {
+		t.Fatalf("%d entries in the segments, %d indexed", entries, len(c.items))
+	}
+}
+
+// wantCache fails unless c holds the given entries and bytes, and its
+// accounting is exact.
+func wantCache(t *testing.T, c *lruCache, entries int, bytes int64) {
+	t.Helper()
+	checkSegments(t, c)
+	if e, b, _ := c.size(); e != entries || b != bytes {
+		t.Fatalf("cache holds %d entries / %d B, want %d / %d", e, b, entries, bytes)
+	}
+}
+
+const testN = 100 // scores per test vector
+
+func testVec() answer  { return answer{scores: make([]float64, testN)} } // 800 B
+func testRank() answer { return answer{top: make([]core.Ranked, 10)} }   // 160 B
+
+// TestCacheByteBudget: the cache is bounded in bytes and entries. Answers
+// hit at least once are an LRU within the budget less probation's share;
+// never-hit answers crowd out only each other; an answer larger than the
+// budget is kept, alone; and the entry cap evicts never-hit answers first.
 func TestCacheByteBudget(t *testing.T) {
-	const n = 100
-	vec := func() answer { return answer{scores: make([]float64, n)} }    // 800 B
-	rank := func() answer { return answer{top: make([]core.Ranked, 10)} } // 160 B
-	c := newLRUCache(1024, 4*800+3*160)
-	wantSize := func(entries int, bytes int64) {
+	c := newLRUCache(1024, 8*800) // probation 800 B: one vector; protected seven
+	putHit := func(k key, a answer) {
 		t.Helper()
-		if e, b := c.size(); e != entries || b != bytes {
-			t.Fatalf("cache holds %d entries / %d B, want %d / %d", e, b, entries, bytes)
+		c.put(k, a, 1)
+		if _, ok := c.get(k, 1); !ok {
+			t.Fatalf("%v missing right after put", k)
 		}
 	}
-	for s := 0; s < 3; s++ {
-		c.put(key{s, 10}, rank(), 1)
+	for s := 0; s < 8; s++ {
+		putHit(key{s, 0}, testVec())
 	}
-	for s := 0; s < 4; s++ {
-		c.put(key{s, 0}, vec(), 1)
-	}
-	wantSize(7, 4*800+3*160) // exactly at the budget: nothing evicted
-	// Touch the rankings, then push two more vectors: the two oldest vectors
-	// go, in order; the rankings are newer than every vector left.
-	for s := 0; s < 3; s++ {
-		if _, ok := c.get(key{s, 10}, 1); !ok {
-			t.Fatalf("ranking %d missing", s)
-		}
-	}
-	c.put(key{4, 0}, vec(), 1)
-	c.put(key{5, 0}, vec(), 1)
-	wantSize(7, 4*800+3*160)
-	for s := 0; s < 6; s++ {
-		_, ok := c.get(key{s, 0}, 1)
-		if want := s >= 2; ok != want {
+	wantCache(t, c, 7, 7*800)
+	// Touch vector 1: the next promotion evicts 2, the least recently used.
+	c.get(key{1, 0}, 1)
+	putHit(key{8, 0}, testVec())
+	wantCache(t, c, 7, 7*800)
+	for s, want := range map[int]bool{0: false, 1: true, 2: false, 8: true} {
+		if _, ok := c.get(key{s, 0}, 1); ok != want {
 			t.Fatalf("vector %d cached = %v, want %v (LRU order)", s, ok, want)
 		}
 	}
-	for s := 0; s < 3; s++ {
-		if _, ok := c.get(key{s, 10}, 1); !ok {
-			t.Fatalf("ranking %d evicted by vectors", s)
+	// Never-hit vectors crowd out each other, not the hit ones: only the
+	// newest of a stream stays, and the cache is then exactly at its budget.
+	for s := 10; s < 14; s++ {
+		c.put(key{s, 0}, testVec(), 1)
+	}
+	wantCache(t, c, 8, 8*800)
+	if _, _, ev := c.size(); ev != 3 || c.protected.ll.Len() != 7 {
+		t.Fatalf("%d probation evictions, %d protected; want 3, 7", ev, c.protected.ll.Len())
+	}
+	// An answer larger than the whole budget is still kept — alone.
+	c.put(key{9, 0}, answer{scores: make([]float64, 10*testN)}, 1)
+	wantCache(t, c, 1, 8000)
+	c.put(key{8, 10}, testRank(), 1)
+	wantCache(t, c, 1, 160)
+
+	// The entry cap: a new answer evicts never-hit ones first, then the
+	// least recently used hit one.
+	c = newLRUCache(4, 1<<20)
+	for s := 0; s < 4; s++ {
+		putHit(key{s, 10}, testRank())
+	}
+	c.put(key{4, 10}, testRank(), 1)
+	c.put(key{5, 10}, testRank(), 1)
+	wantCache(t, c, 4, 4*160)
+	for s, want := range map[int]bool{0: false, 1: true, 4: false, 5: true} {
+		if _, ok := c.get(key{s, 10}, 1); ok != want {
+			t.Fatalf("ranking %d cached = %v, want %v", s, ok, want)
 		}
 	}
-	// Replacing an entry re-charges it: a ranking under a vector's key.
-	c.put(key{5, 0}, rank(), 1)
-	wantSize(7, 3*800+4*160)
-	// A stale-generation entry is dropped on sight, with its charge.
-	if _, ok := c.get(key{4, 0}, 2); ok {
+}
+
+// TestCacheSegmentAccounting: the byte count stays exact however an entry
+// moves or leaves — promotion, replacement, a stale-generation drop, a
+// reset — and only never-hit answers evicted for room count as probation
+// evictions.
+func TestCacheSegmentAccounting(t *testing.T) {
+	c := newLRUCache(1024, 32*800) // probation: 3200 B
+	c.put(key{1, 10}, testRank(), 1)
+	c.put(key{1, 0}, testVec(), 1)
+	c.put(key{2, 0}, testVec(), 1)
+	wantCache(t, c, 3, 160+2*800)
+	// Promote two.
+	c.get(key{1, 10}, 1)
+	c.get(key{1, 0}, 1)
+	wantCache(t, c, 3, 160+2*800)
+	if c.protected.bytes != 960 || c.probation.bytes != 800 {
+		t.Fatalf("protected %d B, probation %d B; want 960, 800", c.protected.bytes, c.probation.bytes)
+	}
+	// Replacing re-charges and restarts in probation, both ways.
+	c.put(key{1, 0}, testRank(), 1)
+	wantCache(t, c, 3, 2*160+800)
+	c.put(key{2, 0}, testRank(), 1)
+	wantCache(t, c, 3, 3*160)
+	if c.protected.bytes != 160 || c.probation.bytes != 320 {
+		t.Fatalf("protected %d B, probation %d B; want 160, 320", c.protected.bytes, c.probation.bytes)
+	}
+	// An older generation never replaces a newer one.
+	c.put(key{3, 0}, testVec(), 2)
+	c.put(key{3, 0}, testRank(), 1)
+	wantCache(t, c, 4, 3*160+800)
+	// A stale-generation entry is dropped on sight, with its charge, from
+	// either segment.
+	if _, ok := c.get(key{1, 10}, 2); ok {
 		t.Fatal("generation-1 entry served to generation 2")
 	}
-	wantSize(6, 2*800+4*160)
-	// An answer larger than the whole budget is still kept — alone.
-	c.put(key{9, 0}, answer{scores: make([]float64, 10*n)}, 1)
-	wantSize(1, 8000)
-	c.put(key{8, 10}, rank(), 1)
-	wantSize(1, 160)
+	if _, ok := c.get(key{2, 0}, 2); ok {
+		t.Fatal("generation-1 entry served to generation 2")
+	}
+	wantCache(t, c, 2, 160+800)
+	if _, _, ev := c.size(); ev != 0 {
+		t.Fatalf("%d probation evictions from replaces and stale drops, want 0", ev)
+	}
+	c.get(key{3, 0}, 2)
 	c.reset(800)
-	wantSize(0, 0)
-	c.put(key{1, 0}, vec(), 2)
-	c.put(key{2, 0}, vec(), 2)
-	wantSize(1, 800) // the new budget is in force
+	wantCache(t, c, 0, 0)
+	if c.probation.ll.Len()+c.protected.ll.Len() != 0 {
+		t.Fatal("reset left entries in a segment")
+	}
+	c.put(key{1, 0}, testVec(), 2)
+	c.put(key{2, 0}, testVec(), 2)
+	wantCache(t, c, 1, 800) // the new budget is in force
+	if _, _, ev := c.size(); ev != 1 {
+		t.Fatalf("%d probation evictions, want 1", ev)
+	}
 	// Draining the cache through stale gets returns the count to zero.
 	if _, ok := c.get(key{2, 0}, 3); ok {
 		t.Fatal("stale entry served")
 	}
-	wantSize(0, 0)
+	wantCache(t, c, 0, 0)
+}
+
+// vectorFit is how many of e's score vectors the cache's budget holds, and
+// how many of them never-hit answers may hold.
+func vectorFit(t *testing.T, e *core.Engine) (fit, probation int) {
+	t.Helper()
+	perVector := int64(8 * e.N())
+	fit = int(e.MemoryBytes() / perVector)
+	probation = int(e.MemoryBytes() / probationShare / perVector)
+	if probation < 1 || fit >= e.N() {
+		t.Fatalf("test setup: the budget holds %d of %d vectors, probation %d", fit, e.N(), probation)
+	}
+	return fit, probation
+}
+
+// queryAll runs Query for every seed in [from, to).
+func queryAll(t *testing.T, ex *Executor, from, to int) {
+	t.Helper()
+	for s := from; s < to; s++ {
+		if _, err := ex.Query(context.Background(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestCacheBudgetFollowsEngine: the executor's budget is the served
-// engine's MemoryBytes, re-derived on swap, and the charge is exported.
+// engine's MemoryBytes, re-derived on swap, and the charge is exported. A
+// stream of distinct vectors keeps as many of them as probation holds.
 func TestCacheBudgetFollowsEngine(t *testing.T) {
 	e1 := freshEngine(t, 8, 6, 5)
 	e2 := freshEngine(t, 7, 6, 5)
@@ -350,28 +463,117 @@ func TestCacheBudgetFollowsEngine(t *testing.T) {
 	if ex.cache.budget != e1.MemoryBytes() {
 		t.Fatalf("budget %d, want the engine's %d bytes", ex.cache.budget, e1.MemoryBytes())
 	}
-	ctx := context.Background()
+	_, kept := vectorFit(t, e1)
 	perVector := int64(8 * e1.N())
-	fit := int(e1.MemoryBytes() / perVector)
-	if fit >= e1.N() {
-		t.Fatalf("test setup: all %d vectors fit the budget (%d)", e1.N(), fit)
-	}
-	for s := 0; s < e1.N(); s++ {
-		if _, err := ex.Query(ctx, s); err != nil {
-			t.Fatal(err)
-		}
-	}
+	queryAll(t, ex, 0, e1.N())
 	m := ex.Metrics()
-	if m.CacheEntries != fit || m.CacheBytes != int64(fit)*perVector {
+	if m.CacheEntries != kept || m.CacheBytes != int64(kept)*perVector {
 		t.Fatalf("after %d distinct vectors: %d entries / %d B, want %d / %d",
-			e1.N(), m.CacheEntries, m.CacheBytes, fit, int64(fit)*perVector)
+			e1.N(), m.CacheEntries, m.CacheBytes, kept, int64(kept)*perVector)
 	}
-	if r, err := ex.Query(ctx, e1.N()-1); err != nil || !r.Cached {
+	if r, err := ex.Query(context.Background(), e1.N()-1); err != nil || !r.Cached {
 		t.Fatalf("most recent vector not served from the cache: cached=%v err=%v", r.Cached, err)
 	}
 	ex.SwapEngine(e2)
 	if m := ex.Metrics(); m.CacheEntries != 0 || m.CacheBytes != 0 || ex.cache.budget != e2.MemoryBytes() {
 		t.Fatalf("after swap: %d entries / %d B under budget %d, want 0 / 0 under %d",
 			m.CacheEntries, m.CacheBytes, ex.cache.budget, e2.MemoryBytes())
+	}
+}
+
+// TestCacheMissStreamStaysOnProbation is the memory contract of the
+// segmented cache: a stream of more distinct full-vector misses than the
+// budget holds leaves the cache charged at most probation's share, and
+// every vector it let go is counted.
+func TestCacheMissStreamStaysOnProbation(t *testing.T) {
+	e := freshEngine(t, 8, 6, 5)
+	ex := New(e, Config{})
+	defer ex.Close()
+	fit, kept := vectorFit(t, e)
+	queryAll(t, ex, 0, 2*fit)
+	m := ex.Metrics()
+	if share := e.MemoryBytes() / probationShare; m.CacheBytes > share {
+		t.Fatalf("%d distinct misses left %d B cached, more than probation's %d B", 2*fit, m.CacheBytes, share)
+	}
+	if m.ProbationEvictions != int64(2*fit-kept) {
+		t.Fatalf("%d probation evictions, want %d", m.ProbationEvictions, 2*fit-kept)
+	}
+}
+
+// TestCacheHitVectorSurvivesMissStream: a vector read once after it was
+// stored is protected — a following stream of distinct misses larger than
+// the budget does not evict it.
+func TestCacheHitVectorSurvivesMissStream(t *testing.T) {
+	e := freshEngine(t, 8, 6, 5)
+	ex := New(e, Config{})
+	defer ex.Close()
+	fit, _ := vectorFit(t, e)
+	ctx := context.Background()
+	const hot = 0
+	queryAll(t, ex, hot, hot+1)
+	if r, err := ex.Query(ctx, hot); err != nil || !r.Cached {
+		t.Fatalf("immediate repeat not a hit: cached=%v err=%v", r.Cached, err)
+	}
+	queryAll(t, ex, 1, 2*fit+1)
+	executed := ex.Metrics().Executed
+	if r, err := ex.Query(ctx, hot); err != nil || !r.Cached {
+		t.Fatalf("hit vector evicted by a stream of misses: cached=%v err=%v", r.Cached, err)
+	}
+	if _, r, err := ex.TopK(ctx, hot, 50); err != nil || !r.Cached {
+		t.Fatalf("hit vector no longer answers any k: cached=%v err=%v", r.Cached, err)
+	}
+	if d := ex.Metrics().Executed - executed; d != 0 {
+		t.Fatalf("%d solves for a protected seed", d)
+	}
+}
+
+// TestCacheRankingsNotSqueezedByProbation: rankings asked for again keep
+// their place however many never-hit vectors pass through probation — a
+// hot set of top-k answers costs no solve after a miss stream.
+func TestCacheRankingsNotSqueezedByProbation(t *testing.T) {
+	e := skewedEng(t)
+	ex := New(e, Config{})
+	defer ex.Close()
+	fit, _ := vectorFit(t, e)
+	ctx := context.Background()
+	const hot, k = 16, 10
+	for round := 0; round < 2; round++ {
+		for s := 0; s < hot; s++ {
+			if _, _, err := ex.TopK(ctx, s, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queryAll(t, ex, hot, hot+2*fit)
+	before := ex.Metrics()
+	for s := 0; s < hot; s++ {
+		if _, r, err := ex.TopK(ctx, s, k); err != nil || !r.Cached {
+			t.Fatalf("seed %d: ranking not served from the cache after a miss stream: cached=%v err=%v", s, r.Cached, err)
+		}
+	}
+	if d := ex.Metrics().Delta(before); d.Executed != 0 || d.TopKCacheHits != hot {
+		t.Fatalf("hot set after a miss stream: %d solves, %d ranking hits; want 0, %d", d.Executed, d.TopKCacheHits, hot)
+	}
+}
+
+// TestSwapEngineEmptiesBothSegments: SwapEngine drops never-hit and hit
+// answers alike, and their bytes.
+func TestSwapEngineEmptiesBothSegments(t *testing.T) {
+	e1 := freshEngine(t, 8, 6, 5)
+	e2 := freshEngine(t, 8, 6, 99)
+	ex := New(e1, Config{})
+	defer ex.Close()
+	queryAll(t, ex, 0, 1)
+	queryAll(t, ex, 0, 2) // seed 0 hit: protected; seed 1 on probation
+	if p, q := ex.cache.protected.ll.Len(), ex.cache.probation.ll.Len(); p != 1 || q != 1 {
+		t.Fatalf("test setup: %d protected, %d on probation; want 1, 1", p, q)
+	}
+	ex.SwapEngine(e2)
+	checkSegments(t, ex.cache)
+	if m := ex.Metrics(); m.CacheEntries != 0 || m.CacheBytes != 0 {
+		t.Fatalf("after swap: %d entries / %d B, want 0 / 0", m.CacheEntries, m.CacheBytes)
+	}
+	if ex.cache.probation.bytes != 0 || ex.cache.protected.bytes != 0 {
+		t.Fatalf("after swap: probation %d B, protected %d B", ex.cache.probation.bytes, ex.cache.protected.bytes)
 	}
 }

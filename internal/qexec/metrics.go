@@ -60,6 +60,9 @@ type Metrics struct {
 	// CacheBytes is what those answers are charged against the cache's byte
 	// budget: 8 B per cached score, 16 B per cached ranked entry (gauge).
 	CacheBytes int64
+	// ProbationEvictions counts answers the cache evicted from its
+	// probation segment without any request having read them.
+	ProbationEvictions int64
 	// Queued is the current admission-queue occupancy (gauge).
 	Queued int
 	// Generation is the current engine generation (gauge; starts at 1,
@@ -89,7 +92,7 @@ func (e *Executor) Metrics() Metrics {
 	}
 	m.Batches = m.Executed
 	if e.cache != nil {
-		m.CacheEntries, m.CacheBytes = e.cache.size()
+		m.CacheEntries, m.CacheBytes, m.ProbationEvictions = e.cache.size()
 	}
 	return m
 }
@@ -115,6 +118,8 @@ func (m Metrics) Delta(prev Metrics) Metrics {
 		CacheBytes:    m.CacheBytes,
 		Queued:        m.Queued,
 		Generation:    m.Generation,
+
+		ProbationEvictions: m.ProbationEvictions - prev.ProbationEvictions,
 	}
 }
 

@@ -6,14 +6,17 @@
 //     a reusable core.Workspace and solves one request at a time
 //     (core.Engine.QueryVectorWS), so steady-state queries allocate nothing
 //     but their result vectors;
-//   - one generation-tagged LRU cache and one singleflight map, both keyed
-//     by (seed, k): k = 0 is the seed's full-tolerance score vector, k > 0
-//     its certified top-k ranking. A hot (seed, k) costs one solve per
+//   - one generation-tagged segmented LRU cache and one singleflight map,
+//     both keyed by (seed, k): k = 0 is the seed's full-tolerance score
+//     vector, k > 0 its top-k ranking. Full requests store vectors and
+//     bounded requests store rankings. A hot (seed, k) costs one solve per
 //     engine generation no matter how many requests race for it or repeat
-//     it. A full vector serves every request for its seed; a ranking from
-//     an early-stopped solve is exact only as a SET for its own k, so it is
-//     served to that (seed, k) alone and its approximate scores never
-//     leave that key;
+//     it. A full vector serves every request for its seed; a ranking is
+//     served to its own (seed, k) alone, because one from an early-stopped
+//     solve is exact only as a SET for that k and its approximate scores
+//     never leave that key. Answers no request has read yet hold at most
+//     an eighth of the cache's bytes, so one-time misses cannot crowd out
+//     the answers that are asked for again;
 //   - a bounded top-k path: TopK halts each Schur solve on a certified
 //     score-error bound as soon as the top-k SET is provably settled
 //     (core.Engine.TopKBoundedWS);
@@ -63,12 +66,13 @@ type Config struct {
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with ErrOverloaded. Default 32×Workers.
 	QueueDepth int
-	// CacheEntries bounds the LRU cache, counting score vectors and
-	// certified top-k rankings alike; default 1024, negative disables
-	// caching. The cache is also bounded in bytes, by the served engine's
-	// MemoryBytes (32 full vectors on the scale-15 benchmark index, 43 on
-	// the scale-16 one, or ~5·10⁴ top-10 rankings), so it never outweighs
-	// the index it fronts.
+	// CacheEntries bounds the LRU cache, counting score vectors and top-k
+	// rankings alike; default 1024, negative disables caching. The cache is
+	// also bounded in bytes, by the served engine's MemoryBytes (~5·10⁴
+	// top-10 rankings), so it never outweighs the index it fronts. Answers
+	// no request has read since they were stored hold at most an eighth of
+	// those bytes: on the scale-15 benchmark index that is 4 full vectors,
+	// and 28 more once they are asked for again.
 	CacheEntries int
 	// Timeout, if positive, is the per-query deadline applied on
 	// submission and enforced inside the iterative solver.
@@ -151,7 +155,7 @@ type Result struct {
 	// MUST NOT be mutated: writing through it silently corrupts every
 	// future hit for the same seed. Callers that need a private, mutable
 	// vector copy it themselves. Nil when a TopK was served from a cached
-	// certified ranking: the cache keeps the ranked list, not the vector.
+	// ranking: the cache keeps the ranked list, not the vector.
 	Scores []float64
 	// Stats describes the solve this request ran or joined; zero on a
 	// cache hit, which ran none.
@@ -170,10 +174,11 @@ type Result struct {
 	Generation uint64
 	// EarlyStopped (TopK results only) means the scores come from a
 	// bound-certified early-stopped solve: the top-k SET is exact, but the
-	// scores are only within the certified radius of the true values. Such
-	// a ranking is cached under its exact (seed, k) and replayed to that
-	// key alone, flag included; it is never served to Query, TopKFull or
-	// another k, and its vector is never cached.
+	// scores are only within the certified radius of the true values. Like
+	// every TopK ranking, it is cached under its exact (seed, k) and
+	// replayed to that key alone, flag included; it is never served to
+	// Query, TopKFull or another k, and the vector behind a TopK is never
+	// cached.
 	EarlyStopped bool
 	// SavedIters (early-stopped TopK results only) estimates the solver
 	// iterations the early stop skipped.
@@ -570,7 +575,10 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 // seed's full vector, key (seed, 0), answers any k and is consulted first;
 // a bounded answer is consulted and stored only under its exact (seed, k),
 // because an early-stopped solve certifies that k's SET and nothing else.
-// rank > 0 asks for a ranking of that length (rank = k when k > 0).
+// So a full request stores its vector and a bounded one its ranking, the
+// latter about 16·k bytes against the vector's 8·n whether or not its solve
+// stopped early. rank > 0 asks for a ranking of that length (rank = k when
+// k > 0).
 func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
 	full, own := key{seed, 0}, key{seed, k}
 	ans, hit := e.lookup(full, own, gen)
@@ -658,13 +666,11 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 	f.ans = answer{scores: r.res, top: r.top, early: r.early}
 	f.stats, f.saved = r.stats, r.saved
 	if e.cache != nil {
-		if r.early {
-			// Certified for this k only, and only as a set: remember the
-			// ranking, not the approximate vector behind it.
-			e.cache.put(own, answer{top: r.top, early: true}, gen)
-		} else {
-			e.cache.put(full, answer{scores: r.res}, gen)
+		stored := f.ans
+		if k > 0 {
+			stored.scores = nil // the ranking, not the vector behind it
 		}
+		e.cache.put(own, stored, gen)
 	}
 	return e.deliver(qo, f.ans, seed, rank, Result{Stats: r.stats, SavedIters: r.saved, Generation: gen})
 }

@@ -132,18 +132,22 @@ func TestCacheHitSkipsSolver(t *testing.T) {
 	}
 }
 
+// TestLRUEviction: the entry cap evicts the least recently used of the
+// answers that were hit, once probation holds only the newest answer.
 func TestLRUEviction(t *testing.T) {
 	e := eng(t)
 	ex := New(e, Config{CacheEntries: 2})
 	defer ex.Close()
 	ctx := context.Background()
-	for _, s := range []int{1, 2, 3} { // 1 is evicted by 3
-		if _, err := ex.Query(ctx, s); err != nil {
-			t.Fatal(err)
+	for _, s := range []int{1, 2, 3} { // each hit once; 1 is evicted by 3
+		for i := 0; i < 2; i++ {
+			if _, err := ex.Query(ctx, s); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if m := ex.Metrics(); m.CacheEntries != 2 {
-		t.Fatalf("cache entries = %d, want 2", m.CacheEntries)
+	if m := ex.Metrics(); m.CacheEntries != 2 || m.CacheHits != 3 {
+		t.Fatalf("cache entries = %d, hits = %d; want 2, 3", m.CacheEntries, m.CacheHits)
 	}
 	res, err := ex.Query(ctx, 1)
 	if err != nil {

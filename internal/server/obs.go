@@ -79,6 +79,7 @@ func (c *Core) metrics() []obs.Metric {
 		merged(counter, "bepi_shed_total", "shed", "Requests shed by admission control.", obs.Val(xm.Shed)),
 		{Name: "bepi_cache_entries", Kind: gauge, Help: "Cached answers: score vectors and certified top-k rankings.", JSON: "cache_entries", Value: obs.Val(xm.CacheEntries)},
 		merged(gauge, "bepi_cache_bytes", "cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", obs.Val(xm.CacheBytes)),
+		merged(counter, "bepi_cache_probation_evictions_total", "cache_probation_evictions", "Cached answers evicted from probation without ever being hit.", obs.Val(xm.ProbationEvictions)),
 		{Name: "bepi_queue_depth", Kind: gauge, Help: "Requests waiting in the admission queue.", JSON: "queued", Value: obs.Val(xm.Queued)},
 		{JSON: "executed", Value: obs.Val(xm.Executed)},
 		{JSON: "hit_rate", Value: obs.Val(xm.HitRate())},

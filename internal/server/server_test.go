@@ -178,6 +178,46 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestQueryHugeTopK: a topk beyond the node count answers with every
+// other node through /query and /personalized, and the server keeps
+// serving. Both once sized a ranking heap by topk, so topk=2⁴⁰ killed the
+// process with an uncatchable out-of-memory.
+func TestQueryHugeTopK(t *testing.T) {
+	s, eng := testServer(t)
+	rec, body := get(t, s, "/query?seed=0&topk=1099511627776")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/query: status %d: %v", rec.Code, body)
+	}
+	if top := body["top"].([]any); len(top) != eng.N()-1 {
+		t.Fatalf("/query: %d entries, want every node but the seed (%d)", len(top), eng.N()-1)
+	}
+	personalized := func(topk int) []byte {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/personalized",
+			bytes.NewReader([]byte(fmt.Sprintf(`{"weights":{"1":1,"2":3},"topk":%d}`, topk))))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/personalized topk=%d: status %d: %s", topk, rec.Code, rec.Body)
+		}
+		var resp PersonalizedResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		top, err := json.Marshal(resp.Top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return top
+	}
+	if huge, all := personalized(1<<40), personalized(eng.N()); !bytes.Equal(huge, all) {
+		t.Fatalf("/personalized topk=2⁴⁰ ranks\n%s\nwant what topk=N ranks\n%s", huge, all)
+	}
+	if rec, body := get(t, s, "/query?seed=1&topk=5"); rec.Code != http.StatusOK {
+		t.Fatalf("server stopped serving: status %d: %v", rec.Code, body)
+	}
+}
+
 func TestPersonalized(t *testing.T) {
 	s, eng := testServer(t)
 	body, _ := json.Marshal(PersonalizedRequest{
