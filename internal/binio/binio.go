@@ -1,6 +1,6 @@
 // Package binio is the one array codec of the index file format. Every
 // array in a saved index (sparse.CSR32, lu.ILU, lu.BlockLU, core.Engine) is
-// a run of little-endian 32- or 64-bit words; this package moves such runs
+// a run of little-endian 16-, 32- or 64-bit words; this package moves such runs
 // between slices and a stream a chunk at a time, through a pooled buffer and
 // a tight Put/Uint loop, so that neither direction makes a call, an
 // allocation or an error check per word.
@@ -245,6 +245,22 @@ func WriteInts32[T int | int32 | int64 | uint32](w *Writer, s []T) {
 	}
 }
 
+// WriteUint16s writes every element of s as a 16-bit word (Uint16s reads
+// them back).
+func WriteUint16s(w *Writer, s []uint16) {
+	for len(s) > 0 {
+		b, k := w.next(len(s), 2)
+		if k == 0 {
+			return
+		}
+		for i, v := range s[:k] {
+			binary.LittleEndian.PutUint16(b[2*i:], v)
+		}
+		w.advance(2 * k)
+		s = s[k:]
+	}
+}
+
 // WriteFloats writes every element of s as a float64 bit pattern.
 func WriteFloats(w *Writer, s []float64) {
 	for len(s) > 0 {
@@ -433,6 +449,15 @@ func (r *Reader) Int32s(n int) ([]int32, error) {
 	return read(r, n, 4, func(dst []int32, b []byte) {
 		for i := range dst {
 			dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	})
+}
+
+// Uint16s reads n 16-bit words as uint16s.
+func (r *Reader) Uint16s(n int) ([]uint16, error) {
+	return read(r, n, 2, func(dst []uint16, b []byte) {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint16(b[2*i:])
 		}
 	})
 }

@@ -355,3 +355,25 @@ func TestSaveLoadSectionRefusals(t *testing.T) {
 		t.Fatal("a section longer than the input opened")
 	}
 }
+
+// TestUint16RunRoundTrip: a 16-bit run across chunk boundaries is written
+// as 2 bytes an element and comes back exactly, from a source that reports
+// its length and from one that does not.
+func TestUint16RunRoundTrip(t *testing.T) {
+	h := make([]uint16, chunkBytes/2+9)
+	for i := range h {
+		h[i] = uint16(i * 40503)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	WriteUint16s(w, h)
+	if n, err := w.Close(); err != nil || n != int64(2*len(h)) || buf.Len() != 2*len(h) {
+		t.Fatalf("Close = %d, %v; wrote %d, want %d", n, err, buf.Len(), 2*len(h))
+	}
+	for name, src := range map[string]io.Reader{"sized": bytes.NewReader(buf.Bytes()), "stream": onlyReader{bytes.NewReader(buf.Bytes())}} {
+		got, err := NewReader(src).Uint16s(len(h))
+		if err != nil || !reflect.DeepEqual(got, h) {
+			t.Fatalf("%s: uint16 run differs (err %v)", name, err)
+		}
+	}
+}

@@ -152,8 +152,8 @@ var hBlockFixture struct {
 // (serial) in the two layouts: the CSR32 with a value per entry the engine
 // kept before, and the pattern it keeps now, weights beside it — z = w∘x
 // over the columns, then a value-free gather. stream-B/op counts the arrays
-// each pass reads or writes: per entry 12 bytes against 4, plus 24 per
-// column (w and x read, z written) for the pattern.
+// each pass reads or writes: per entry 10 bytes against 2 (16-bit columns),
+// plus 24 per column (w and x read, z written) for the pattern.
 func BenchmarkHBlockMulVec(b *testing.B) {
 	fx := &hBlockFixture
 	fx.once.Do(func() {

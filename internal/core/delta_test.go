@@ -223,25 +223,26 @@ func reloaded(t *testing.T, e *Engine) *Engine {
 // exactly one structure — the DILU factors on a full-BePI engine, the CSR32
 // on the unpreconditioned variants — PrepStats reports its entry count, and
 // MemoryBytes() is the sum of the arrays the engine retains, worked out
-// here from their lengths (int32 row pointers at test sizes): the H blocks
-// as patterns, 4 bytes per entry, and one weight per non-deadend node.
+// here from their lengths (int32 row pointers and 16-bit columns at test
+// sizes): the H blocks as patterns, 2 bytes per entry, one weight per
+// non-deadend node, and S at 10 bytes an entry.
 func requireSchurStoredOnce(t *testing.T, e *Engine) {
 	t.Helper()
 	if (e.schur == nil) != (e.ilu != nil) || (e.ilu != nil) != (e.opts.Variant == VariantFull) {
 		t.Fatalf("%v engine: schur stored = %t, factors stored = %t; want exactly one, the factors iff BePI",
 			e.opts.Variant, e.schur != nil, e.ilu != nil)
 	}
-	pattern := func(m *sparse.Pattern) int64 { return 4*int64(m.NNZ()) + 4*int64(m.Rows()+1) }
+	pattern := func(m *sparse.Pattern) int64 { return 2*int64(m.NNZ()) + 4*int64(m.Rows()+1) }
 	want := pattern(e.h12) + pattern(e.h21) + pattern(e.h31) + pattern(e.h32) +
 		8*int64(e.ord.N1+e.ord.N2) + e.h11LU.MemoryBytes() + 16*int64(e.n)
 	if e.schur != nil {
-		want += 12*int64(e.schur.NNZ()) + 4*int64(e.schur.Rows()+1)
+		want += 10*int64(e.schur.NNZ()) + 4*int64(e.schur.Rows()+1)
 	}
 	var nnz int
 	if e.ilu != nil {
 		nnz = e.ilu.NNZ()
 		n2 := int64(e.ord.N2)
-		want += 12*int64(nnz) + 2*4*(n2+1) + 8*n2
+		want += 10*int64(nnz) + 2*4*(n2+1) + 8*n2
 	} else {
 		nnz = e.schur.NNZ()
 	}

@@ -324,9 +324,8 @@ type engineState struct {
 }
 
 // engineStates builds, on the scale-10 hybrid fixture, every state an
-// engine can be in: built, loaded from disk — a version-3 file or a
-// version-2 one — after one delta of each kind, and after a hub delta
-// followed by a save/load round trip.
+// engine can be in: built, loaded from disk, after one delta of each kind,
+// and after a hub delta followed by a save/load round trip.
 func engineStates(t *testing.T) []engineState {
 	t.Helper()
 	g := gen.Hybrid(gen.DefaultHybrid(10, 14, 1))
@@ -335,7 +334,7 @@ func engineStates(t *testing.T) []engineState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := []engineState{{"built", built, g}, {"loaded", reloaded(t, built), g}, {"loaded-from-v2", readV2(t, built), g}}
+	states := []engineState{{"built", built, g}, {"loaded", reloaded(t, built), g}}
 	for _, kind := range []deltaKind{kindSpoke, kindHub, kindMixed, kindGrowth} {
 		ops, gNew := genDelta(t, rng, kind, 1, g, built)
 		e, _, err := built.ApplyDelta(gNew, ops)

@@ -207,7 +207,7 @@ type Engine struct {
 
 	// The four off-diagonal blocks of H are built (and patched by ApplyDelta)
 	// in the wide sparse.CSR layout and served as value-free patterns with
-	// 32-bit indexes: every off-diagonal entry of column j of H is the same
+	// compact indexes: every off-diagonal entry of column j of H is the same
 	// number, −(1−c)/outdeg of the node at j (BuildH), so hw holds it once
 	// per column, for the l = n1+n2 non-deadend nodes in new-id order —
 	// H21/H31 read hw[:n1], H12/H32 hw[n1:]. hw is canonical: 0 at a column
@@ -725,27 +725,51 @@ func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
 // experiments; each call copies S).
 func (e *Engine) Schur() *sparse.CSR { return e.schurWide() }
 
-// MemoryBytes reports the total footprint of the preprocessed data: the H11
-// LU factors, the partition blocks H12/H21/H31/H32 (not H22 — S replaces
-// it) as patterns — 4 bytes per entry and per row pointer — plus one 8-byte
-// weight per non-deadend node, and the Schur complement — stored once: as
-// its DILU factors (S's two triangles, its diagonal and the pivots) for full
-// BePI, as a compact CSR otherwise. This is the quantity in Figure 1(b) of
-// the paper, and the same number for an index whether it was built, loaded
-// or patched.
-func (e *Engine) MemoryBytes() int64 {
-	total := e.h11LU.MemoryBytes() +
-		e.h12.MemoryBytes() + e.h21.MemoryBytes() +
-		e.h31.MemoryBytes() + e.h32.MemoryBytes() +
-		int64(8*len(e.hw))
+// IndexPart is one part of an index's footprint, in bytes.
+type IndexPart struct {
+	Name  string
+	Bytes int64
+}
+
+// IndexParts splits the footprint of the preprocessed data by what holds
+// it, in the one order the split is reported in:
+//
+//   - "schur": the Schur complement, stored once — as its DILU factors (S's
+//     two triangles, its diagonal and the pivots) for full BePI, as a
+//     compact CSR otherwise;
+//   - "h": the partition blocks H12/H21/H31/H32 (not H22 — S replaces it)
+//     as patterns, 2 bytes per entry (4 in a block of more than 65 536
+//     columns) and 4 per row pointer;
+//   - "weights": the blocks' one 8-byte weight per non-deadend node;
+//   - "blocklu": the H11 LU factors;
+//   - "perm": the permutation and its inverse.
+//
+// MemoryBytes is their sum.
+func (e *Engine) IndexParts() []IndexPart {
+	var schur int64
 	if e.schur != nil {
-		total += e.schur.MemoryBytes()
+		schur += e.schur.MemoryBytes()
 	}
 	if e.ilu != nil {
-		total += e.ilu.MemoryBytes()
+		schur += e.ilu.MemoryBytes()
 	}
-	// Permutation arrays.
-	total += int64(2 * e.n * 8)
+	return []IndexPart{
+		{"schur", schur},
+		{"h", e.h12.MemoryBytes() + e.h21.MemoryBytes() + e.h31.MemoryBytes() + e.h32.MemoryBytes()},
+		{"weights", int64(8 * len(e.hw))},
+		{"blocklu", e.h11LU.MemoryBytes()},
+		{"perm", int64(2 * e.n * 8)},
+	}
+}
+
+// MemoryBytes reports the total footprint of the preprocessed data, the sum
+// of IndexParts. This is the quantity in Figure 1(b) of the paper, and the
+// same number for an index whether it was built, loaded or patched.
+func (e *Engine) MemoryBytes() int64 {
+	var total int64
+	for _, p := range e.IndexParts() {
+		total += p.Bytes
+	}
 	return total
 }
 

@@ -169,7 +169,7 @@ func requireHBlocks(t *testing.T, e *Engine, g *graph.Graph) {
 // whose columns are unusual — self-loops (the loop's weight merges into the
 // diagonal, which no block stores), no out-edges at all (no weights, empty
 // blocks), and a star (one hub column holding nearly every entry) — when
-// built, reloaded, and read from a version-2 file.
+// built and reloaded.
 func TestHBlocksOnEdgeGraphs(t *testing.T) {
 	loops := make([]graph.Edge, 0, 3*200)
 	for u := 0; u < 200; u++ {
@@ -192,7 +192,7 @@ func TestHBlocksOnEdgeGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for state, s := range map[string]*Engine{"built": e, "loaded": reloaded(t, e), "loaded-from-v2": readV2(t, e)} {
+			for state, s := range map[string]*Engine{"built": e, "loaded": reloaded(t, e)} {
 				t.Run(state, func(t *testing.T) {
 					requireHBlocks(t, s, g)
 					requireQueryBitsEqual(t, s, e, []int{0, g.N() - 1})
@@ -216,17 +216,20 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 }
 
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
-// SHA-256 of its format-version-3 file (382 336 bytes): ordering, H patterns
+// SHA-256 of its format-version-4 file (315 690 bytes): ordering, H patterns
 // and weights, S and the block LU all flow into these bytes, so none of
 // them may move by one bit. Save → Load → Save is a fixed point. History:
-// the version-2 file of the same index, 436 540 bytes, hashed to
+// the version-3 file of the same index, 382 336 bytes — 2 bytes more per
+// entry of S and of the H patterns — hashed to
+// f9b322e12979898f3b74da5100df30bc30309fa3e76806c1973122ef469d251b; the
+// version-2 file, 436 540 bytes, to
 // 7fb69f6b2f30d25d0e34df3ba877900c7f8e4610069aa3a21e55460c332716ce from
 // the first version-2 writer to the last; the version-1 file, 591 136
 // bytes, to 9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c
 // from the commit before the chunked codec and the linear-time builders to
 // the last version-1 writer.
 func TestSaveLoadFrozenBytes(t *testing.T) {
-	const frozen = "f9b322e12979898f3b74da5100df30bc30309fa3e76806c1973122ef469d251b"
+	const frozen = "552aefa6743d8dced65319db2088f091f165af2bfb391534b8a3dbc53f50ef48"
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
@@ -286,8 +289,7 @@ func TestSaveLoadConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// Section indexes of a version-3 file; a version-2 file has no weights
-// section, and S and the block LU one place earlier.
+// Section indexes of a saved index.
 const (
 	secHeader = iota
 	secOrdering
@@ -302,7 +304,7 @@ const (
 )
 
 // sections returns the payload span [start, end) of every section of a
-// version-2 or -3 file, read off its length words.
+// saved index, read off its length words.
 func sections(t testing.TB, raw []byte) [][2]int {
 	t.Helper()
 	var out [][2]int
@@ -312,12 +314,8 @@ func sections(t testing.TB, raw []byte) [][2]int {
 		out = append(out, [2]int{start, end})
 		off = end + 4
 	}
-	want := numSections
-	if binary.LittleEndian.Uint32(raw[4:]) == 2 {
-		want-- // no weights section
-	}
-	if len(out) != want {
-		t.Fatalf("%d sections, want %d", len(out), want)
+	if len(out) != numSections {
+		t.Fatalf("%d sections, want %d", len(out), numSections)
 	}
 	return out
 }
@@ -334,20 +332,19 @@ func reseal(t testing.TB, raw []byte) []byte {
 
 // h12ColumnOffset returns the byte offset of H12's k-th column index in a
 // saved index: its section's start, past the dimension words and the int32
-// row pointers.
+// row pointers, 2 bytes a column (H12 has n2 ≤ 65 536 columns here).
 func h12ColumnOffset(t testing.TB, e *Engine, raw []byte, k int) int {
-	return sections(t, raw)[secH12][0] + 3*8 + 4*(e.ord.N1+1) + 4*k
+	return sections(t, raw)[secH12][0] + 3*8 + 4*(e.ord.N1+1) + 2*k
 }
 
-// corruptFixture is the graph of corruptIndexes, and of the version-1 file
-// under testdata.
+// corruptFixture is the graph of corruptIndexes.
 func corruptFixture() *graph.Graph { return gen.RMAT(gen.DefaultRMAT(6, 4, 3)) }
 
 // corruptIndexes are saved indexes with one H12 column index or one option
 // word of the header overwritten, and their checksums recomputed: what the
-// structural checks must refuse on their own. Before ReadCSR validated what
-// it decodes the first two loaded without error: one was truncated to
-// column 0 by the uint32 compaction and the engine served silently wrong
+// structural checks must refuse on their own. Before the matrix reader
+// validated what it decodes the first two loaded without error: one was
+// truncated to column 0 by the uint32 compaction and the engine served silently wrong
 // scores, the other made Query index out of range. Before ReadEngine
 // validated the option words so did the rest: an iteration budget of 2⁴⁰
 // died in GMRES's bookkeeping allocation with a fatal out-of-memory no
@@ -365,9 +362,9 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	_, valid = saveHash(t, e)
 	header := sections(t, valid)[secHeader][0]
 	corrupt = map[string][]byte{}
-	for name, v := range map[string]uint32{"1<<32-1": 1<<32 - 1, "100000": 100000} {
+	for name, v := range map[string]uint16{"1<<16-1": 1<<16 - 1, "n2": uint16(e.ord.N2)} {
 		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(raw[h12ColumnOffset(t, e, raw, 1):], v)
+		binary.LittleEndian.PutUint16(raw[h12ColumnOffset(t, e, raw, 1):], v)
 		corrupt["H12 column "+name] = reseal(t, raw)
 	}
 	for name, w := range map[string]struct {

@@ -16,50 +16,42 @@ import (
 // Index persistence: a preprocessed engine can be written to disk once and
 // reloaded for later query sessions, which is the whole point of a
 // preprocessing method. The file is the index in the layout the engine
-// serves it from, little-endian (format version 3):
+// serves it from, little-endian (format version 4):
 //
 //	magic    uint32 'BePI'
-//	version  uint32 3
+//	version  uint32 4
 //	sections, each  length int64 · payload · CRC-32C(payload) uint32:
 //	  header    c, tol (float64), variant, maxIter (int64), hubRatio (float64),
 //	            n, n1, n2, n3, nblocks (int64)
 //	  ordering  perm n × uint32, blocks nblocks × uint32
 //	  h12, h21, h31, h32   (sparse.Pattern.WriteTo: int32 row pointers,
-//	                        uint32 columns, no values)
+//	                        uint16 columns, no values)
 //	  weights   n1+n2 × float64: the H blocks' value of each non-deadend
 //	            column, 0 at a column no block holds an entry of
 //	  S         (lu.ILU.WriteTo: the strict lower triangle, and the upper one
-//	            with each row led by S's diagonal)
+//	            with each row led by S's diagonal; int32 row pointers,
+//	            uint16 columns)
 //	  blockLU   (lu.BlockLU.WriteTo)
 //
+// A column array is 16-bit exactly when its matrix has at most 65 536
+// columns (sparse.NarrowCols) and 32-bit otherwise: H12 and H32 span the n2
+// hubs, H21 and H31 the n1 spokes, S the hubs — so each width follows from
+// the header, and every array is read at the width it is served in.
+//
 // Every engine writes S as DILU factors do; a BePI-B/-S engine's loader
-// assembles its CSR32 from them. Loading reads every array at its served
-// width and recomputes only the DILU pivots (one O(|S|) pass). A flipped bit
-// anywhere fails a checksum or a length; a file whose checksums were
-// recomputed over corrupt arrays still meets the structural checks a
-// version-1 file does, and weights no H has are refused (checkWeights).
+// assembles its CSR32 from them. Loading recomputes only the DILU pivots
+// (one O(|S|) pass). A flipped bit anywhere fails a checksum or a length; a
+// file whose checksums were recomputed over corrupt arrays still meets the
+// structural checks, and weights no H has are refused (checkWeights).
 //
-// Version-2 files are read, never written: the same sections without the
-// weights, the four H blocks as sparse.CSR32 — every entry with its value.
-// Their weights are the values: a column whose entries differ, or that two
-// blocks give different values, is a corrupt index.
-//
-// Version-1 files — magic 'BPI1', no version word, no checksums, every
-// matrix in sparse.CSR's wide layout, the header with two reserved words
-// after maxIter and after hubRatio — are still read, never written:
-//
-//	magic     uint32 'BPI1'
-//	options   c, tol (float64), variant, maxIter, reserved (int64), k (float64), reserved (int64)
-//	n, n1, n2, n3, nblocks  int64
-//	perm      n × int64
-//	blocks    nblocks × int64
-//	h12, h21, h31, h32, schur   (sparse.CSR.WriteTo)
-//	blockLU   (lu.BlockLU.WriteTo)
+// Versions 1 to 3 — v1 under the magic 'BPI1', with no version word — are
+// refused with ErrIndexVersion: re-running `bepi preprocess` rebuilds the
+// index in this format.
 
 const (
-	indexMagicV1 = 0x42504931 // 'BPI1'
+	indexMagicV1 = 0x42504931 // 'BPI1', the unversioned magic of version 1
 	indexMagic   = 0x49506542 // "BePI" as bytes
-	indexVersion = 3
+	indexVersion = 4
 )
 
 // ErrCorruptIndex is wrapped around every error ReadEngine returns but
@@ -70,10 +62,11 @@ const (
 var ErrCorruptIndex = errors.New("core: corrupt index")
 
 // ErrIndexVersion is what ReadEngine returns for a file of a format version
-// newer than this build reads.
+// this build does not read: an older one, which re-running `bepi
+// preprocess` replaces, or a newer one.
 var ErrIndexVersion = errors.New("core: unsupported index format version")
 
-// WriteTo serializes the engine in format version 3. It implements
+// WriteTo serializes the engine in format version 4. It implements
 // io.WriterTo. A sink with a Grow(int) method — a bytes.Buffer — is told the
 // file's length first, by a counting pass that reads no array, so that it
 // allocates once instead of doubling under the writes.
@@ -133,11 +126,10 @@ func (e *Engine) writeWeights(w io.Writer) (int64, error) {
 	return bw.Close()
 }
 
-// ReadEngine deserializes an engine written by WriteTo — or by the
-// version-1 or -2 writer — recomputing the DILU pivots if the stored variant
-// uses them. Option words, arrays, shapes and weights that no engine could
-// have written, or that disagree with each other, are rejected here, not
-// discovered by a query.
+// ReadEngine deserializes an engine written by WriteTo, recomputing the
+// DILU pivots if the stored variant uses them. Option words, arrays, shapes
+// and weights that no engine could have written, or that disagree with each
+// other, are rejected here, not discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	e, err := readEngine(r)
 	if errors.Is(err, ErrIndexVersion) {
@@ -157,7 +149,7 @@ func readEngine(r io.Reader) (*Engine, error) {
 	}
 	switch magic := binary.LittleEndian.Uint32(word[:]); magic {
 	case indexMagicV1:
-		return readEngineV1(br)
+		return nil, versionError(1)
 	case indexMagic:
 	default:
 		return nil, fmt.Errorf("bad magic %#x", magic)
@@ -165,19 +157,27 @@ func readEngine(r io.Reader) (*Engine, error) {
 	if err := br.Full(word[:]); err != nil {
 		return nil, fmt.Errorf("reading version: %w", err)
 	}
-	v := binary.LittleEndian.Uint32(word[:])
-	switch {
-	case v > indexVersion:
-		return nil, fmt.Errorf("%w %d: this build reads versions 1 to %d", ErrIndexVersion, v, indexVersion)
-	case v < 2:
-		return nil, fmt.Errorf("version %d under the versioned magic", v)
+	switch v := binary.LittleEndian.Uint32(word[:]); v {
+	case indexVersion:
+		return readSections(br)
+	case 0:
+		return nil, errors.New("version 0 under the versioned magic")
+	default:
+		return nil, versionError(v)
 	}
-	return readSections(br, v)
 }
 
-// readSections reads the sections of a version-2 or -3 file, the magic and
-// version word consumed.
-func readSections(br *binio.Reader, version uint32) (*Engine, error) {
+// versionError is ErrIndexVersion for a file of format version v.
+func versionError(v uint32) error {
+	if v > indexVersion {
+		return fmt.Errorf("%w %d: this build reads version %d", ErrIndexVersion, v, indexVersion)
+	}
+	return fmt.Errorf("%w %d: this build reads version %d only; re-run `bepi preprocess` to rebuild the index", ErrIndexVersion, v, indexVersion)
+}
+
+// readSections reads the sections of a file, the magic and version word
+// consumed.
+func readSections(br *binio.Reader) (*Engine, error) {
 	section := func(what string, read func() error) error {
 		if err := br.Section(); err != nil {
 			return fmt.Errorf("%s: %w", what, err)
@@ -219,42 +219,27 @@ func readSections(br *binio.Reader, version uint32) (*Engine, error) {
 	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
 	shapes := [4][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}}
 	var pats [4]*sparse.Pattern
-	var valued [4]*sparse.CSR32 // version 2
 	for i, shape := range shapes {
 		err := section(fmt.Sprintf("matrix %d", i), func() error {
-			var m interface {
-				Rows() int
-				Cols() int
-			}
-			var err error
-			if version == 2 {
-				valued[i], err = sparse.ReadCSR32(br)
-				m = valued[i]
-			} else {
-				pats[i], err = sparse.ReadPattern(br)
-				m = pats[i]
-			}
+			p, err := sparse.ReadPattern(br)
 			if err != nil {
 				return err
 			}
-			if m.Rows() != shape[0] || m.Cols() != shape[1] {
-				return fmt.Errorf("%v, the partition wants %dx%d", m, shape[0], shape[1])
+			if p.Rows() != shape[0] || p.Cols() != shape[1] {
+				return fmt.Errorf("%v, the partition wants %dx%d", p, shape[0], shape[1])
 			}
+			pats[i] = p
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	if version == 2 {
-		err = e.unscaleBlocks(valued)
-	} else {
-		e.h12, e.h21, e.h31, e.h32 = pats[0], pats[1], pats[2], pats[3]
-		err = section("H weights", func() error {
-			e.hw, err = br.Floats(n1 + n2)
-			return err
-		})
-	}
+	e.h12, e.h21, e.h31, e.h32 = pats[0], pats[1], pats[2], pats[3]
+	err = section("H weights", func() error {
+		e.hw, err = br.Floats(n1 + n2)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -286,28 +271,6 @@ func readSections(br *binio.Reader, version uint32) (*Engine, error) {
 	return e.loaded(), nil
 }
 
-// unscaleBlocks stores the four H blocks of a version-1 or -2 file, read
-// with a value per entry, as the patterns and weights the engine serves:
-// each column's weight is the value its entries hold. A column whose
-// entries differ, or that H21 and H31 (H12 and H32) give different values,
-// is not a column of H and is refused. A column no block holds an entry of
-// keeps weight 0, the canonical form.
-func (e *Engine) unscaleBlocks(blocks [4]*sparse.CSR32) error {
-	l := e.ord.N1 + e.ord.N2
-	e.hw = make([]float64, l)
-	seen := make([]bool, l)
-	var pats [4]*sparse.Pattern
-	for i, lo := range e.blockCol0() {
-		hi := lo + blocks[i].Cols()
-		var err error
-		if pats[i], err = blocks[i].Unscale(e.hw[lo:hi], seen[lo:hi]); err != nil {
-			return fmt.Errorf("matrix %d: %w", i, err)
-		}
-	}
-	e.h12, e.h21, e.h31, e.h32 = pats[0], pats[1], pats[2], pats[3]
-	return nil
-}
-
 // blockCol0 is, for H12, H21, H31 and H32 in turn, the first column of H
 // the block spans: H12 and H32 span the hubs, the others the spokes.
 func (e *Engine) blockCol0() [4]int {
@@ -322,9 +285,7 @@ func (e *Engine) checkWeights() error {
 	used := make([]bool, len(e.hw))
 	blocks := [4]*sparse.Pattern{e.h12, e.h21, e.h31, e.h32}
 	for i, lo := range e.blockCol0() {
-		for _, j := range blocks[i].ColIdx() {
-			used[lo+int(j)] = true
-		}
+		blocks[i].MarkColumns(used[lo : lo+blocks[i].Cols()])
 	}
 	floor := -(1 - e.opts.C)
 	for j, w := range e.hw {
@@ -345,7 +306,7 @@ func widen(s []uint32) []int {
 }
 
 // engineFromHeader starts a loaded engine from the header words in the
-// order version 2 writes them — c, tol, variant, maxIter, hubRatio, n, n1,
+// order WriteTo writes them — c, tol, variant, maxIter, hubRatio, n, n1,
 // n2, n3, nblocks — refusing option words no engine carries and a partition
 // that does not add up. It returns the block count the ordering declares.
 func engineFromHeader(w [10]uint64) (*Engine, int, error) {
@@ -411,59 +372,4 @@ func (e *Engine) loaded() *Engine {
 	e.prep.HubRatio = e.opts.HubRatio
 	e.attachPool()
 	return e
-}
-
-// readEngineV1 reads the rest of a version-1 file, the magic consumed.
-func readEngineV1(br *binio.Reader) (*Engine, error) {
-	var head [12 * 8]byte
-	if err := br.Full(head[:]); err != nil {
-		return nil, fmt.Errorf("reading header: %w", err)
-	}
-	var words [10]uint64
-	for i, at := range [10]int{0, 1, 2, 3, 5, 7, 8, 9, 10, 11} { // words 4 and 6 are reserved
-		words[i] = binary.LittleEndian.Uint64(head[8*at:])
-	}
-	e, nblocks, err := engineFromHeader(words)
-	if err != nil {
-		return nil, err
-	}
-	perm, err := br.Ints(e.n)
-	if err != nil {
-		return nil, fmt.Errorf("reading permutation: %w", err)
-	}
-	blocks, err := br.Ints(nblocks)
-	if err != nil {
-		return nil, fmt.Errorf("reading blocks: %w", err)
-	}
-	if err := e.setOrdering(perm, blocks); err != nil {
-		return nil, err
-	}
-	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
-	var mats [5]*sparse.CSR
-	for i, shape := range [5][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}, {n2, n2}} {
-		m, err := sparse.ReadCSR(br)
-		if err != nil {
-			return nil, fmt.Errorf("reading matrix %d: %w", i, err)
-		}
-		if m.Rows() != shape[0] || m.Cols() != shape[1] {
-			return nil, fmt.Errorf("matrix %d is %v, the partition wants %dx%d", i, m, shape[0], shape[1])
-		}
-		mats[i] = m
-	}
-	if err := e.readBlockLU(br); err != nil {
-		return nil, err
-	}
-	if err := e.storeSchur(mats[4]); err != nil {
-		return nil, fmt.Errorf("rebuilding DILU: %w", err)
-	}
-	err = e.unscaleBlocks([4]*sparse.CSR32{
-		sparse.Compact(mats[0]), sparse.Compact(mats[1]), sparse.Compact(mats[2]), sparse.Compact(mats[3]),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkWeights(); err != nil {
-		return nil, err
-	}
-	return e.loaded(), nil
 }

@@ -147,7 +147,7 @@ func TestDILUFactorization(t *testing.T) {
 			t.Fatalf("matrix %d: factor is %d rows / %d entries, input %d / %d", mi, f.N(), f.NNZ(), n, a.NNZ())
 		}
 		for _, tf := range []*triFactor{&f.l, &f.u} {
-			if cap(tf.col) != len(tf.col) || cap(tf.val) != len(tf.val) {
+			if cap(tf.col16) != len(tf.col16) || cap(tf.col32) != len(tf.col32) || cap(tf.val) != len(tf.val) {
 				t.Fatalf("matrix %d: factor arrays over-allocated", mi)
 			}
 		}
@@ -191,7 +191,7 @@ func TestDILUFactorization(t *testing.T) {
 // TestDILUStoresMatrixOnce: the factors are their matrix stored once.
 // Matrix gives FactorDILU's input back — same pattern (explicit zeros
 // kept), same values by Float64bits, including a diagonal the pivot
-// recurrence replaced — and WriteTo writes it in the factors' layout, 12
+// recurrence replaced — and WriteTo writes it in the factors' layout, 10
 // bytes an entry and 8 a row, which ReadDILU turns back into the same
 // factors bit for bit, across several chunks of the codec. ILU(0) factors,
 // which overwrite their matrix, refuse both.
@@ -225,7 +225,7 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 		if err != nil || n != int64(buf.Len()) {
 			t.Fatalf("matrix %d: WriteTo = %d, %v; wrote %d", mi, n, err, buf.Len())
 		}
-		if want := 24 + 8*(a.Rows()+1) + 12*a.NNZ(); buf.Len() != want {
+		if want := 24 + 8*(a.Rows()+1) + 10*a.NNZ(); buf.Len() != want {
 			t.Fatalf("matrix %d: %d bytes, want %d", mi, buf.Len(), want)
 		}
 		back, err := ReadDILU(bytes.NewReader(buf.Bytes()))
@@ -256,7 +256,7 @@ func requireSameFactors(t *testing.T, tag string, got, want *ILU) {
 	t.Helper()
 	for name, pair := range map[string][2]*triFactor{"L": {&got.l, &want.l}, "U": {&got.u, &want.u}} {
 		g, w := pair[0], pair[1]
-		if !slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(g.col, w.col) || !bitsEqual(g.val, w.val) {
+		if !slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(g.col16, w.col16) || !slices.Equal(g.col32, w.col32) || !bitsEqual(g.val, w.val) {
 			t.Fatalf("%s: %s factor differs", tag, name)
 		}
 	}
@@ -279,24 +279,29 @@ func TestReadDILURejectsCorruptTriangles(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	// L: rowPtr [0 0 1 2] at 24, col [0 1] at 40, val at 48; U: rowPtr
-	// [0 2 4 5] at 64, col [0 1 1 2 2] at 80.
-	const lPtr, lCol, uPtr, uCol = 24, 40, 64, 80
+	// L: rowPtr [0 0 1 2] at 24, uint16 col [0 1] at 40, val at 44; U:
+	// rowPtr [0 2 4 5] at 60, col [0 1 1 2 2] at 76.
+	const lPtr, lCol, uPtr, uCol = 24, 40, 60, 76
 	for name, w := range map[string]struct {
 		off int
 		v   uint32
+		col bool // a 16-bit column word, else a 32-bit row pointer
 	}{
-		"L column on the diagonal": {lCol, 1},
-		"L column above":           {lCol + 4, 2},
-		"L rowPtr does not start":  {lPtr, 1},
-		"L rowPtr runs past":       {lPtr + 4, 3},
-		"U row leads off-diagonal": {uCol + 4*2, 2},
-		"U column out of range":    {uCol + 4, 3},
-		"U empty row":              {uPtr + 4, 0},
-		"U rowPtr negative":        {uPtr + 8, 1 << 31},
+		"L column on the diagonal": {lCol, 1, true},
+		"L column above":           {lCol + 2, 2, true},
+		"L rowPtr does not start":  {lPtr, 1, false},
+		"L rowPtr runs past":       {lPtr + 4, 3, false},
+		"U row leads off-diagonal": {uCol + 2*2, 2, true},
+		"U column out of range":    {uCol + 2, 3, true},
+		"U empty row":              {uPtr + 4, 0, false},
+		"U rowPtr negative":        {uPtr + 8, 1 << 31, false},
 	} {
 		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(raw[w.off:], w.v)
+		if w.col {
+			binary.LittleEndian.PutUint16(raw[w.off:], uint16(w.v))
+		} else {
+			binary.LittleEndian.PutUint32(raw[w.off:], w.v)
+		}
 		if _, err := ReadDILU(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -498,7 +503,7 @@ func TestILUMemoryBytesPinned(t *testing.T) {
 			t.Fatalf("%s: factor nnz %d != matrix nnz %d", name, nnz, a.NNZ())
 		}
 		want := nnz*8 + // values (split across L and U)
-			nnz*4 + // uint32 columns
+			nnz*2 + // uint16 columns (n ≤ 65 536)
 			2*(n+1)*4 // two int32 row-pointer arrays
 		if name == "DILU" {
 			want += 8 * n // D_S

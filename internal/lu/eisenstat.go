@@ -37,15 +37,24 @@ func (o *Eisenstat) ILU() *ILU { return o.f }
 // iterative solvers' operator contract.
 func (o *Eisenstat) MulVec(dst, v []float64) {
 	l, u := &o.f.l, &o.f.u
-	eisenstatUpper(u.rowPtr, u.col, u.val, dst, o.t, v)
-	eisenstatLower(l.rowPtr, l.col, l.val, o.f.ds, dst, o.t, v)
+	if u.col16 != nil {
+		eisenstatUpper(u.rowPtr, u.col16, u.val, dst, o.t, v)
+		eisenstatLower(l.rowPtr, l.col16, l.val, o.f.ds, dst, o.t, v)
+	} else {
+		eisenstatUpper(u.rowPtr, u.col32, u.val, dst, o.t, v)
+		eisenstatLower(l.rowPtr, l.col32, l.val, o.f.ds, dst, o.t, v)
+	}
 }
 
 // Left computes dst = D·L̂⁻¹·b, the right-hand side of the split system.
 // dst and b may alias.
 func (o *Eisenstat) Left(dst, b []float64) {
 	l, u := &o.f.l, &o.f.u
-	eisenstatLeft(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst, o.t, b)
+	if l.col16 != nil {
+		eisenstatLeft(l.rowPtr, l.col16, l.val, u.rowPtr, u.val, dst, o.t, b)
+	} else {
+		eisenstatLeft(l.rowPtr, l.col32, l.val, u.rowPtr, u.val, dst, o.t, b)
+	}
 }
 
 // Right computes dst = Û⁻¹·y, mapping a solution (or iterate) of the split
@@ -55,7 +64,11 @@ func (o *Eisenstat) Right(dst, y []float64) {
 		copy(dst, y)
 	}
 	u := &o.f.u
-	sweepUpper(u.rowPtr, u.col, u.val, dst)
+	if u.col16 != nil {
+		sweepUpper(u.rowPtr, u.col16, u.val, dst)
+	} else {
+		sweepUpper(u.rowPtr, u.col32, u.val, dst)
+	}
 }
 
 // TrafficBytes approximates the bytes one call of each method moves: the
@@ -69,15 +82,10 @@ func (o *Eisenstat) TrafficBytes() (mulVec, left, right int64) {
 // eisenstatUpper is the backward half of MulVec: t = Û⁻¹·v, with each pivot
 // parked in dst so the forward half reads it sequentially instead of
 // gathering it from the upper factor.
-func eisenstatUpper(rowPtr []int32, col []uint32, val, dst, t, v []float64) {
+func eisenstatUpper[C uint16 | uint32](rowPtr []int32, col []C, val, dst, t, v []float64) {
 	for i := len(v) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo+1 : hi]
-		vals := val[lo+1 : hi]
-		s := v[i]
-		for p := len(cols) - 1; p >= 0; p-- {
-			s -= vals[p] * t[cols[p]]
-		}
+		s := subRowDesc(v[i], col[lo+1:hi], val[lo+1:hi], t)
 		d := val[lo]
 		t[i] = s / d
 		dst[i] = d
@@ -89,18 +97,13 @@ func eisenstatUpper(rowPtr []int32, col []uint32, val, dst, t, v []float64) {
 // is formed from the pivot the backward half parked and the matrix's own
 // diagonal, k = 2·d − ds[i]. The sum d·t[i] + (d·w[i]) uses w's pre-division
 // numerator.
-func eisenstatLower(rowPtr []int32, col []uint32, val, ds, dst, t, v []float64) {
+func eisenstatLower[C uint16 | uint32](rowPtr []int32, col []C, val, ds, dst, t, v []float64) {
 	for i := range v {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo:hi]
-		vals := val[lo:hi]
 		ti := t[i]
 		d := dst[i]
 		k := 2*d - ds[i]
-		s := v[i] - k*ti
-		for p, j := range cols {
-			s -= vals[p] * t[j]
-		}
+		s := subRow(v[i]-k*ti, col[lo:hi], val[lo:hi], t)
 		dst[i] = d*ti + s
 		t[i] = s / d
 	}
@@ -108,15 +111,10 @@ func eisenstatLower(rowPtr []int32, col []uint32, val, ds, dst, t, v []float64) 
 
 // eisenstatLeft is forward substitution with L̂ keeping the numerators:
 // t = L̂⁻¹·b, dst = D·t.
-func eisenstatLeft(rowPtr []int32, col []uint32, val []float64, uRowPtr []int32, uVal, dst, t, b []float64) {
+func eisenstatLeft[C uint16 | uint32](rowPtr []int32, col []C, val []float64, uRowPtr []int32, uVal, dst, t, b []float64) {
 	for i := range b {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo:hi]
-		vals := val[lo:hi]
-		s := b[i]
-		for p, j := range cols {
-			s -= vals[p] * t[j]
-		}
+		s := subRow(b[i], col[lo:hi], val[lo:hi], t)
 		dst[i] = s
 		t[i] = s / uVal[uRowPtr[i]]
 	}

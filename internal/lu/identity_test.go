@@ -72,13 +72,21 @@ func factorILU0Ref(a *sparse.CSR) (*ILU, error) {
 	f := &ILU{n: n}
 	split := func(t *triFactor, span func(i int) (int, int)) {
 		t.rowPtr = make([]int32, n+1)
+		var cols []int
 		for i := 0; i < n; i++ {
 			lo, hi := span(i)
 			for p := lo; p < hi; p++ {
-				t.col = append(t.col, uint32(col[p]))
+				cols = append(cols, col[p])
 				t.val = append(t.val, val[p])
 			}
-			t.rowPtr[i+1] = int32(len(t.col))
+			t.rowPtr[i+1] = int32(len(cols))
+		}
+		if sparse.NarrowCols(n) {
+			t.col16 = make([]uint16, len(cols))
+			narrowInto(t.col16, cols)
+		} else {
+			t.col32 = make([]uint32, len(cols))
+			narrowInto(t.col32, cols)
 		}
 	}
 	split(&f.l, func(i int) (int, int) { return rowPtr[i], diagPos[i] })
@@ -99,8 +107,8 @@ func iluHash(f *ILU) string {
 		for _, x := range t.rowPtr {
 			put(uint64(x))
 		}
-		for _, x := range t.col {
-			put(uint64(x))
+		for p := range t.val {
+			put(uint64(t.colAt(p)))
 		}
 		for _, x := range t.val {
 			put(math.Float64bits(x))
@@ -110,11 +118,11 @@ func iluHash(f *ILU) string {
 }
 
 func triEqual(a, b *triFactor) bool {
-	if !reflect.DeepEqual(a.rowPtr, b.rowPtr) || len(a.col) != len(b.col) {
+	if !reflect.DeepEqual(a.rowPtr, b.rowPtr) || len(a.val) != len(b.val) || (a.col16 != nil) != (b.col16 != nil) {
 		return false
 	}
-	for p := range a.col {
-		if a.col[p] != b.col[p] || math.Float64bits(a.val[p]) != math.Float64bits(b.val[p]) {
+	for p := range a.val {
+		if a.colAt(p) != b.colAt(p) || math.Float64bits(a.val[p]) != math.Float64bits(b.val[p]) {
 			return false
 		}
 	}
@@ -155,7 +163,7 @@ func TestFactorILU0MatchesReference(t *testing.T) {
 			t.Fatalf("matrix %d: FactorILU0 modified its input", i)
 		}
 		for _, f := range []*triFactor{&got.l, &got.u} {
-			if cap(f.col) != len(f.col) || cap(f.val) != len(f.val) {
+			if cap(f.col16) != len(f.col16) || cap(f.col32) != len(f.col32) || cap(f.val) != len(f.val) {
 				t.Fatalf("matrix %d: factor arrays over-allocated", i)
 			}
 		}

@@ -24,8 +24,8 @@ import (
 //
 // Both keep the two triangles as separate row-major structures in natural
 // row order, each row of the upper one led by its pivot, indexed by int32
-// row pointers and uint32 columns. The factors are immutable after
-// construction.
+// row pointers and uint16 columns — uint32 past 65 536 rows, the width
+// sparse.NarrowCols picks. The factors are immutable after construction.
 type ILU struct {
 	n    int
 	l, u triFactor
@@ -34,11 +34,13 @@ type ILU struct {
 
 // triFactor is one triangular factor in row-major storage, rows in natural
 // order, columns ascending within a row (so a row of the upper factor leads
-// with its diagonal entry).
+// with its diagonal entry). col16 is non-nil exactly when
+// sparse.NarrowCols(n); otherwise col32 holds the columns.
 type triFactor struct {
 	val    []float64
 	rowPtr []int32
-	col    []uint32
+	col16  []uint16
+	col32  []uint32
 }
 
 func (t *triFactor) nnz() int { return len(t.val) }
@@ -48,8 +50,16 @@ func (t *triFactor) rowSpan(i int) (int, int) {
 	return int(t.rowPtr[i]), int(t.rowPtr[i+1])
 }
 
+// colAt returns the column of entry p, for the cold paths.
+func (t *triFactor) colAt(p int) int {
+	if t.col16 != nil {
+		return int(t.col16[p])
+	}
+	return int(t.col32[p])
+}
+
 func (t *triFactor) memoryBytes() int64 {
-	return int64(len(t.val))*8 + int64(len(t.col))*4 + int64(len(t.rowPtr))*4
+	return int64(len(t.val))*8 + int64(len(t.col16))*2 + int64(len(t.col32))*4 + int64(len(t.rowPtr))*4
 }
 
 // diagPositions locates every row's diagonal entry in a square CSR matrix
@@ -85,14 +95,19 @@ func splitTriangles(n int, rowPtr, col []int, val []float64, diagPos []int) (l, 
 	}
 	gather := func(t *triFactor, nnz int, span func(i int) (lo, hi int)) {
 		t.rowPtr = make([]int32, n+1)
-		t.col = make([]uint32, nnz)
 		t.val = make([]float64, nnz)
+		if sparse.NarrowCols(n) {
+			t.col16 = make([]uint16, nnz)
+		} else {
+			t.col32 = make([]uint32, nnz)
+		}
 		out := 0
 		for i := 0; i < n; i++ {
 			lo, hi := span(i)
-			dst := t.col[out : out+hi-lo]
-			for p, j := range col[lo:hi] {
-				dst[p] = uint32(j)
+			if t.col16 != nil {
+				narrowInto(t.col16[out:], col[lo:hi])
+			} else {
+				narrowInto(t.col32[out:], col[lo:hi])
 			}
 			copy(t.val[out:], val[lo:hi])
 			out += hi - lo
@@ -102,6 +117,13 @@ func splitTriangles(n int, rowPtr, col []int, val []float64, diagPos []int) (l, 
 	gather(&l, nnzL, func(i int) (int, int) { return rowPtr[i], diagPos[i] })
 	gather(&u, len(val)-nnzL, func(i int) (int, int) { return diagPos[i], rowPtr[i+1] })
 	return l, u
+}
+
+// narrowInto copies column indexes known to fit C into dst.
+func narrowInto[C uint16 | uint32](dst []C, src []int) {
+	for p, j := range src {
+		dst[p] = C(j)
+	}
 }
 
 // FactorILU0 computes the ILU(0) factorization of a square CSR matrix. The
@@ -182,6 +204,14 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 // ascending i — the division by d_k reads the pivot row k < i already
 // holds.
 func (f *ILU) pivots() {
+	if f.u.col16 != nil {
+		pivots(f, f.l.col16, f.u.col16)
+	} else {
+		pivots(f, f.l.col32, f.u.col32)
+	}
+}
+
+func pivots[C uint16 | uint32](f *ILU, lCol, uCol []C) {
 	l, u := &f.l, &f.u
 	// next[k] walks row k's strict upper part: rows i ask for a_ki in
 	// ascending i, so each cursor only ever moves forward.
@@ -193,13 +223,13 @@ func (f *ILU) pivots() {
 		d := f.ds[i]
 		lo, hi := l.rowSpan(i)
 		for p := lo; p < hi; p++ {
-			k := l.col[p]
+			k := lCol[p]
 			q, end := next[k], u.rowPtr[k+1]
-			for q < end && u.col[q] < uint32(i) {
+			for q < end && int(uCol[q]) < i {
 				q++
 			}
 			next[k] = q
-			if q < end && u.col[q] == uint32(i) {
+			if q < end && int(uCol[q]) == i {
 				d -= l.val[p] * u.val[q] / u.val[u.rowPtr[k]]
 			}
 		}
@@ -230,13 +260,21 @@ func (f *ILU) Apply(dst, src []float64) {
 	if &dst[0] != &src[0] {
 		copy(dst, src)
 	}
+	if f.u.col16 != nil {
+		apply(f, f.l.col16, f.u.col16, dst)
+	} else {
+		apply(f, f.l.col32, f.u.col32, dst)
+	}
+}
+
+func apply[C uint16 | uint32](f *ILU, lCol, uCol []C, dst []float64) {
 	l, u := &f.l, &f.u
 	if f.ds == nil {
-		sweepLower(l.rowPtr, l.col, l.val, dst)
-		sweepUpper(u.rowPtr, u.col, u.val, dst)
+		sweepLower(l.rowPtr, lCol, l.val, dst)
+		sweepUpper(u.rowPtr, uCol, u.val, dst)
 	} else {
-		sweepLowerPivot(l.rowPtr, l.col, l.val, u.rowPtr, u.val, dst)
-		sweepUpperScaled(u.rowPtr, u.col, u.val, dst)
+		sweepLowerPivot(l.rowPtr, lCol, l.val, u.rowPtr, u.val, dst)
+		sweepUpperScaled(u.rowPtr, uCol, u.val, dst)
 	}
 }
 
@@ -251,7 +289,7 @@ func (f *ILU) Product() *sparse.CSR {
 		for i := 0; i < f.n; i++ {
 			start, end := f.u.rowSpan(i)
 			for p := start; p < end; p++ {
-				uc.Add(i, int(f.u.col[p]), f.u.val[p]/f.u.val[start])
+				uc.Add(i, f.u.colAt(p), f.u.val[p]/f.u.val[start])
 			}
 		}
 		u = uc.ToCSR()
@@ -274,25 +312,27 @@ func (f *ILU) Split() (l, u *sparse.CSR) {
 		}
 		start, end := f.l.rowSpan(i)
 		for p := start; p < end; p++ {
-			lc.Add(i, int(f.l.col[p]), f.l.val[p])
+			lc.Add(i, f.l.colAt(p), f.l.val[p])
 		}
 		for p := ustart; p < uend; p++ {
-			uc.Add(i, int(f.u.col[p]), f.u.val[p])
+			uc.Add(i, f.u.colAt(p), f.u.val[p])
 		}
 	}
 	return lc.ToCSR(), uc.ToCSR()
 }
 
-// matrixRow hands emit row i of the matrix a DILU factorization was computed
-// from, as the three runs that hold it: the strict-lower row, the diagonal
-// (D_S, under the column index leading the upper row) and the strict-upper
-// row.
-func (f *ILU) matrixRow(i int, emit func(col []uint32, val []float64)) {
-	lo, hi := f.l.rowSpan(i)
-	emit(f.l.col[lo:hi], f.l.val[lo:hi])
-	lo, hi = f.u.rowSpan(i)
-	emit(f.u.col[lo:lo+1], f.ds[i:i+1])
-	emit(f.u.col[lo+1:hi], f.u.val[lo+1:hi])
+// matrixRows describes the matrix a DILU factorization was computed from,
+// as the three runs that hold each row i: the strict-lower row, the
+// diagonal (D_S, under the column index leading the upper row) and the
+// strict-upper row.
+func matrixRows[C uint16 | uint32](f *ILU, lCol, uCol []C) sparse.RowRuns[C] {
+	return func(i int, emit func(col []C, val []float64)) {
+		lo, hi := f.l.rowSpan(i)
+		emit(lCol[lo:hi], f.l.val[lo:hi])
+		lo, hi = f.u.rowSpan(i)
+		emit(uCol[lo:lo+1], f.ds[i:i+1])
+		emit(uCol[lo+1:hi], f.u.val[lo+1:hi])
+	}
 }
 
 // Matrix reassembles the matrix a DILU factorization was computed from:
@@ -302,13 +342,17 @@ func (f *ILU) Matrix() *sparse.CSR {
 	if f.ds == nil {
 		panic("lu: only a DILU factorization retains its matrix")
 	}
-	return sparse.CSRFromRows(f.n, f.n, f.matrixRow)
+	if f.u.col16 != nil {
+		return sparse.CSRFromRows(f.n, f.n, matrixRows(f, f.l.col16, f.u.col16))
+	}
+	return sparse.CSRFromRows(f.n, f.n, matrixRows(f, f.l.col32, f.u.col32))
 }
 
 // MemoryBytes reports the storage footprint of everything the factorization
 // retains: both factors' values and index arrays, and DILU's diagonal D_S —
-// for DILU, 12 bytes per entry of the factored matrix, two row-pointer
-// arrays and one diagonal, and the matrix needs no other copy.
+// for DILU, 10 bytes per entry of the factored matrix (12 past 65 536
+// rows), two row-pointer arrays and one diagonal, and the matrix needs no
+// other copy.
 func (f *ILU) MemoryBytes() int64 {
 	return f.l.memoryBytes() + f.u.memoryBytes() + int64(len(f.ds))*8
 }
@@ -320,55 +364,59 @@ func (f *ILU) MemoryBytes() int64 {
 // backward between rows, which costs the hardware prefetcher about a tenth
 // of the sweep.
 
+// subRow returns s − Σ vals[p]·x[cols[p]], subtracting in ascending p. It
+// and subRowDesc inline into the sweeps and the Eisenstat halves: a row
+// loop of its own keeps the sweep's other slices out of its registers,
+// without which the generic sweeps ran about a tenth slower than
+// one-width code.
+func subRow[C uint16 | uint32](s float64, cols []C, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	for p, j := range cols {
+		s -= vals[p] * x[j]
+	}
+	return s
+}
+
+// subRowDesc is subRow subtracting in descending p.
+func subRowDesc[C uint16 | uint32](s float64, cols []C, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	for p := len(cols) - 1; p >= 0; p-- {
+		s -= vals[p] * x[cols[p]]
+	}
+	return s
+}
+
 // sweepLower is unit-lower forward substitution in place:
 // dst[i] −= Σ L[i,j]·dst[j].
-func sweepLower(rowPtr []int32, col []uint32, val, dst []float64) {
+func sweepLower[C uint16 | uint32](rowPtr []int32, col []C, val, dst []float64) {
 	for i := range dst {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo:hi]
-		vals := val[lo:hi]
-		s := dst[i]
-		for p, j := range cols {
-			s -= vals[p] * dst[j]
-		}
-		dst[i] = s
+		dst[i] = subRow(dst[i], col[lo:hi], val[lo:hi], dst)
 	}
 }
 
 // sweepUpper is upper back substitution in place; each row leads with its
 // pivot: dst[i] = (dst[i] − Σ U[i,j]·dst[j]) / U[i,i].
-func sweepUpper(rowPtr []int32, col []uint32, val, dst []float64) {
+func sweepUpper[C uint16 | uint32](rowPtr []int32, col []C, val, dst []float64) {
 	for i := len(dst) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo+1 : hi]
-		vals := val[lo+1 : hi]
-		s := dst[i]
-		for p := len(cols) - 1; p >= 0; p-- {
-			s -= vals[p] * dst[cols[p]]
-		}
-		dst[i] = s / val[lo]
+		dst[i] = subRowDesc(dst[i], col[lo+1:hi], val[lo+1:hi], dst) / val[lo]
 	}
 }
 
 // sweepLowerPivot is forward substitution with L̂ = D + L_A in place, the
 // pivots read from the upper factor's row-leading entries:
 // dst[i] = (dst[i] − Σ L̂[i,j]·dst[j]) / d_i.
-func sweepLowerPivot(rowPtr []int32, col []uint32, val []float64, uRowPtr []int32, uVal, dst []float64) {
+func sweepLowerPivot[C uint16 | uint32](rowPtr []int32, col []C, val []float64, uRowPtr []int32, uVal, dst []float64) {
 	for i := range dst {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
-		cols := col[lo:hi]
-		vals := val[lo:hi]
-		s := dst[i]
-		for p, j := range cols {
-			s -= vals[p] * dst[j]
-		}
-		dst[i] = s / uVal[uRowPtr[i]]
+		dst[i] = subRow(dst[i], col[lo:hi], val[lo:hi], dst) / uVal[uRowPtr[i]]
 	}
 }
 
 // sweepUpperScaled solves Û·x = D·y in place:
 // dst[i] −= (Σ Û[i,j]·dst[j]) / d_i.
-func sweepUpperScaled(rowPtr []int32, col []uint32, val, dst []float64) {
+func sweepUpperScaled[C uint16 | uint32](rowPtr []int32, col []C, val, dst []float64) {
 	for i := len(dst) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		cols := col[lo+1 : hi]

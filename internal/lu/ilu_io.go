@@ -7,15 +7,18 @@ import (
 	"math"
 
 	"bepi/internal/binio"
+	"bepi/internal/sparse"
 )
 
 // Binary serialization of DILU factors as the matrix they were computed
 // from, in the layout they hold it, little-endian:
 //
 //	n, nnzL, nnzU  int64
-//	L  rowPtr (n+1) × int32, col nnzL × uint32, val nnzL × float64
-//	U  rowPtr (n+1) × int32, col nnzU × uint32, val nnzU × float64
+//	L  rowPtr (n+1) × int32, col nnzL × uint16, val nnzL × float64
+//	U  rowPtr (n+1) × int32, col nnzU × uint16, val nnzU × float64
 //
+// with uint32 columns instead when n exceeds 65 536 (sparse.NarrowCols), so
+// the width follows from n.
 // L is the strict lower triangle, U the upper one with each row led by its
 // diagonal entry — A's own D_S, not the pivot: the pivots are a function of
 // the rest, and ReadDILU recomputes them. The preprocessing of an index
@@ -32,16 +35,24 @@ func (f *ILU) WriteTo(w io.Writer) (int64, error) {
 	bw.Int(f.l.nnz())
 	bw.Int(f.u.nnz())
 	binio.WriteInts32(bw, f.l.rowPtr)
-	binio.WriteInts32(bw, f.l.col)
+	f.l.writeCols(bw)
 	binio.WriteFloats(bw, f.l.val)
 	binio.WriteInts32(bw, f.u.rowPtr)
-	binio.WriteInts32(bw, f.u.col)
+	f.u.writeCols(bw)
 	for i := 0; i < f.n; i++ {
 		lo, hi := f.u.rowSpan(i)
 		bw.F64(f.ds[i])
 		binio.WriteFloats(bw, f.u.val[lo+1:hi])
 	}
 	return bw.Close()
+}
+
+func (t *triFactor) writeCols(bw *binio.Writer) {
+	if t.col16 != nil {
+		binio.WriteUint16s(bw, t.col16)
+	} else {
+		binio.WriteInts32(bw, t.col32)
+	}
 }
 
 // ReadDILU deserializes factors written by ILU.WriteTo straight into their
@@ -70,7 +81,12 @@ func ReadDILU(r io.Reader) (*ILU, error) {
 		if t.f.rowPtr, err = br.Int32s(f.n + 1); err != nil {
 			return nil, fmt.Errorf("lu: reading DILU row pointers: %w", err)
 		}
-		if t.f.col, err = br.Uint32s(t.nnz); err != nil {
+		if sparse.NarrowCols(f.n) {
+			t.f.col16, err = br.Uint16s(t.nnz)
+		} else {
+			t.f.col32, err = br.Uint32s(t.nnz)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("lu: reading DILU columns: %w", err)
 		}
 		if err := t.f.check(f.n, t.upper); err != nil {
@@ -94,19 +110,26 @@ func ReadDILU(r io.Reader) (*ILU, error) {
 // the row in the strict lower factor, and every row of the upper one led by
 // its diagonal.
 func (t *triFactor) check(n int, upper bool) error {
-	if t.rowPtr[0] != 0 || int(t.rowPtr[n]) != len(t.col) {
-		return fmt.Errorf("lu: DILU row pointers run %d..%d over %d entries", t.rowPtr[0], t.rowPtr[n], len(t.col))
+	if t.col16 != nil {
+		return check(t, t.col16, n, upper)
+	}
+	return check(t, t.col32, n, upper)
+}
+
+func check[C uint16 | uint32](t *triFactor, col []C, n int, upper bool) error {
+	if t.rowPtr[0] != 0 || int(t.rowPtr[n]) != len(col) {
+		return fmt.Errorf("lu: DILU row pointers run %d..%d over %d entries", t.rowPtr[0], t.rowPtr[n], len(col))
 	}
 	for i := 0; i < n; i++ {
 		lo, hi := t.rowPtr[i], t.rowPtr[i+1]
 		if hi < lo || hi > t.rowPtr[n] {
 			return fmt.Errorf("lu: DILU row pointers out of order at row %d", i)
 		}
-		if upper && (lo == hi || t.col[lo] != uint32(i)) {
+		if upper && (lo == hi || int(col[lo]) != i) {
 			return fmt.Errorf("lu: upper DILU factor row %d does not lead with its diagonal", i)
 		}
 		prev := int64(-1)
-		for _, j := range t.col[lo:hi] {
+		for _, j := range col[lo:hi] {
 			if c := int64(j); c <= prev || c >= int64(n) || (!upper && c >= int64(i)) {
 				return fmt.Errorf("lu: DILU factor row %d holds column %d out of place", i, j)
 			}

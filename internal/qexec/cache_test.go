@@ -429,6 +429,10 @@ func TestCacheSegmentAccounting(t *testing.T) {
 	wantCache(t, c, 0, 0)
 }
 
+// budgetEngine is a fixture whose index holds 9 of its 256 score vectors,
+// so that probation holds one.
+func budgetEngine(t *testing.T) *core.Engine { return freshEngine(t, 8, 8, 5) }
+
 // vectorFit is how many of e's score vectors the cache's budget holds, and
 // how many of them never-hit answers may hold.
 func vectorFit(t *testing.T, e *core.Engine) (fit, probation int) {
@@ -456,7 +460,7 @@ func queryAll(t *testing.T, ex *Executor, from, to int) {
 // engine's MemoryBytes, re-derived on swap, and the charge is exported. A
 // stream of distinct vectors keeps as many of them as probation holds.
 func TestCacheBudgetFollowsEngine(t *testing.T) {
-	e1 := freshEngine(t, 8, 6, 5)
+	e1 := budgetEngine(t)
 	e2 := freshEngine(t, 7, 6, 5)
 	ex := New(e1, Config{})
 	defer ex.Close()
@@ -486,7 +490,7 @@ func TestCacheBudgetFollowsEngine(t *testing.T) {
 // budget holds leaves the cache charged at most probation's share, and
 // every vector it let go is counted.
 func TestCacheMissStreamStaysOnProbation(t *testing.T) {
-	e := freshEngine(t, 8, 6, 5)
+	e := budgetEngine(t)
 	ex := New(e, Config{})
 	defer ex.Close()
 	fit, kept := vectorFit(t, e)
@@ -504,7 +508,7 @@ func TestCacheMissStreamStaysOnProbation(t *testing.T) {
 // stored is protected — a following stream of distinct misses larger than
 // the budget does not evict it.
 func TestCacheHitVectorSurvivesMissStream(t *testing.T) {
-	e := freshEngine(t, 8, 6, 5)
+	e := budgetEngine(t)
 	ex := New(e, Config{})
 	defer ex.Close()
 	fit, _ := vectorFit(t, e)

@@ -115,6 +115,13 @@ func (c *Core) metrics() []obs.Metric {
 
 		// Index and preprocessing (Table 2 / Figure 1 quantities, live).
 		{Name: "bepi_index_bytes", Kind: gauge, Help: "Preprocessed index size.", JSON: "index_bytes", Value: obs.Val(eng.MemoryBytes())},
+		{Name: "bepi_index_part_bytes", Kind: gauge, Label: "part", Help: "Preprocessed index size by part; the parts sum to bepi_index_bytes.", JSON: "index_parts.{}", Vec: func() map[string]float64 {
+			m := map[string]float64{}
+			for _, p := range eng.Internal().IndexParts() {
+				m[p.Name] = float64(p.Bytes)
+			}
+			return m
+		}},
 		{Name: "bepi_nodes", Kind: gauge, Help: "Graph nodes.", JSON: "prep.nodes", Value: obs.Val(st.N)},
 		{Name: "bepi_edges", Kind: gauge, Help: "Graph edges.", JSON: "prep.edges", Value: obs.Val(st.M)},
 		{Name: "bepi_schur_nnz", Kind: gauge, Help: "Nonzeros in the Schur complement.", JSON: "prep.schur_nnz", Value: obs.Val(st.SchurNNZ)},

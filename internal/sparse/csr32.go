@@ -11,15 +11,23 @@ import (
 // compact uint32 column indices.
 const maxIndex32 = int64(1) << 32
 
+// NarrowCols reports whether a matrix of cols columns stores its column
+// indexes in 16 bits — exactly when every column index fits a uint16. It is
+// the one choice of the column width: every compact matrix of the package
+// and lu's triangular factors make it here, from the column count alone, so
+// the width of a stored array follows from the shape written beside it.
+func NarrowCols(cols int) bool { return cols <= 1<<16 }
+
 // CSR32 is the bandwidth-lean, immutable counterpart of CSR: column indices
-// are uint32, row pointers are int32 when the entry count allows it (int64
-// otherwise, chosen at build time), and values stay float64. Halving the
-// index width halves the index bytes an SpMV streams per stored entry,
-// which is the dominant cost of the memory-bound iteration kernels.
+// are uint16 when the column count allows it (NarrowCols) and uint32
+// otherwise, row pointers are int32 when the entry count allows it (int64
+// otherwise), both chosen at build time, and values stay float64. Narrowing
+// the indexes cuts the index bytes an SpMV streams per stored entry, which
+// is the dominant cost of the memory-bound iteration kernels.
 //
 // The kernels perform the exact additions and multiplications of the CSR
 // kernels in the same order, so their results are bit-identical to CSR at
-// any worker count.
+// any worker count and either index width.
 //
 // CSR32 is immutable after construction: there is no mutating API, and the
 // constructors reject (rather than repair) malformed input.
@@ -32,10 +40,12 @@ type CSR32 struct {
 // arrays, and the pool with the row partition the kernels split rows by.
 type layout32 struct {
 	rows, cols int
-	// Exactly one of rowPtr32/rowPtr64 is non-nil.
+	// Exactly one of rowPtr32/rowPtr64 is non-nil. col16 is non-nil exactly
+	// when NarrowCols(cols); otherwise col32 holds the columns.
 	rowPtr32 []int32
 	rowPtr64 []int64
-	col      []uint32
+	col16    []uint16
+	col32    []uint32
 
 	// pool, when set, parallelizes the matvec kernels above ParallelMinNNZ
 	// by nnz-balanced row partition, exactly like CSR.
@@ -45,18 +55,39 @@ type layout32 struct {
 	bounds []int
 }
 
-// compactLayout narrows a CSR's index arrays: int32 row pointers when nnz
-// fits, int64 otherwise. The row partition depends on the row pointers'
-// values only, so the wide matrix's cached one carries over. It panics if
-// the matrix dimensions exceed the uint32 index range.
+// narrow copies column indexes known to fit C into a fresh array of C; the
+// result is non-nil even when empty, which is how a layout tells its width.
+func narrow[C uint16 | uint32, S int | uint32](src []S) []C {
+	out := make([]C, len(src))
+	for i, j := range src {
+		out[i] = C(j)
+	}
+	return out
+}
+
+// widen copies compact column indexes into ints.
+func widen[C uint16 | uint32](src []C) []int {
+	out := make([]int, len(src))
+	for i, j := range src {
+		out[i] = int(j)
+	}
+	return out
+}
+
+// compactLayout narrows a CSR's index arrays: 16-bit columns when the
+// column count allows it, int32 row pointers when nnz fits, the wider types
+// otherwise. The row partition depends on the row pointers' values only, so
+// the wide matrix's cached one carries over. It panics if the matrix
+// dimensions exceed the uint32 index range.
 func compactLayout(m *CSR) layout32 {
 	if int64(m.cols) > maxIndex32 || int64(m.rows) > maxIndex32 {
 		panic(fmt.Sprintf("sparse: compacting %dx%d exceeds the uint32 index range", m.rows, m.cols))
 	}
 	l := layout32{rows: m.rows, cols: m.cols, pool: m.pool, bounds: m.bounds}
-	l.col = make([]uint32, len(m.col))
-	for i, j := range m.col {
-		l.col[i] = uint32(j)
+	if NarrowCols(m.cols) {
+		l.col16 = narrow[uint16](m.col)
+	} else {
+		l.col32 = narrow[uint32](m.col)
 	}
 	// The last entry is the largest, so checking it covers the whole array.
 	if nnz := m.rowPtr[m.rows]; int64(nnz) <= math.MaxInt32 {
@@ -85,11 +116,24 @@ func (l *layout32) wide() (rowPtr, col []int) {
 			rowPtr[i] = int(p)
 		}
 	}
-	col = make([]int, len(l.col))
-	for i, j := range l.col {
-		col[i] = int(j)
+	if l.col16 != nil {
+		return rowPtr, widen(l.col16)
 	}
-	return rowPtr, col
+	return rowPtr, widen(l.col32)
+}
+
+// validate is validateCompact over the layout's own arrays, at their widths.
+func (l *layout32) validate() error {
+	switch {
+	case l.rowPtr32 != nil && l.col16 != nil:
+		return validateCompact(l.rows, l.cols, l.rowPtr32, l.col16)
+	case l.rowPtr32 != nil:
+		return validateCompact(l.rows, l.cols, l.rowPtr32, l.col32)
+	case l.col16 != nil:
+		return validateCompact(l.rows, l.cols, l.rowPtr64, l.col16)
+	default:
+		return validateCompact(l.rows, l.cols, l.rowPtr64, l.col32)
+	}
 }
 
 // Rows returns the number of rows.
@@ -99,7 +143,7 @@ func (l *layout32) Rows() int { return l.rows }
 func (l *layout32) Cols() int { return l.cols }
 
 // NNZ returns the number of stored entries.
-func (l *layout32) NNZ() int { return len(l.col) }
+func (l *layout32) NNZ() int { return len(l.col16) + len(l.col32) }
 
 // Pool returns the attached pool (nil means serial).
 func (l *layout32) Pool() *par.Pool { return l.pool }
@@ -120,16 +164,16 @@ func (l *layout32) setPool(p *par.Pool) {
 
 // parBounds mirrors CSR.parBounds.
 func (l *layout32) parBounds() []int {
-	if len(l.col) < ParallelMinNNZ {
+	if l.NNZ() < ParallelMinNNZ {
 		return nil
 	}
 	return l.bounds
 }
 
-// indexBytes is the footprint of the index arrays: 4 bytes per column index
-// and 4 or 8 per row pointer as chosen at build time.
+// indexBytes is the footprint of the index arrays: 2 or 4 bytes per column
+// index and 4 or 8 per row pointer as chosen at build time.
 func (l *layout32) indexBytes() int64 {
-	b := int64(len(l.col)) * 4
+	b := int64(len(l.col16))*2 + int64(len(l.col32))*4
 	if l.rowPtr32 != nil {
 		b += int64(len(l.rowPtr32)) * 4
 	} else {
@@ -157,29 +201,33 @@ func Compact(m *CSR) *CSR32 {
 }
 
 // NewCSR32 constructs a compact matrix from raw slices with int32 row
-// pointers. Unlike NewCSR it does not repair its input: the slices are used
-// as-is and must already satisfy the CSR invariants (monotone row pointers,
-// in-range and strictly increasing columns per row); violations panic.
+// pointers. Unlike NewCSR it does not repair its input: the slices must
+// already satisfy the CSR invariants (monotone row pointers, in-range and
+// strictly increasing columns per row); violations panic. The row pointers
+// and values are used as-is; the columns are copied to 16 bits when the
+// column count allows it (NarrowCols), as Compact stores them.
 func NewCSR32(rows, cols int, rowPtr []int32, col []uint32, val []float64) *CSR32 {
-	if len(col) != len(val) {
-		panic(fmt.Sprintf("sparse: col/val length %d/%d", len(col), len(val)))
-	}
-	if err := validateCompact(rows, cols, rowPtr, col); err != nil {
-		panic(err)
-	}
-	return &CSR32{layout32: layout32{rows: rows, cols: cols, rowPtr32: rowPtr, col: col}, val: val}
+	return newCSR32(layout32{rows: rows, cols: cols, rowPtr32: rowPtr}, col, val)
 }
 
 // NewCSR32Wide is NewCSR32 with int64 row pointers, for matrices whose
 // entry count exceeds the int32 range.
 func NewCSR32Wide(rows, cols int, rowPtr []int64, col []uint32, val []float64) *CSR32 {
+	return newCSR32(layout32{rows: rows, cols: cols, rowPtr64: rowPtr}, col, val)
+}
+
+func newCSR32(l layout32, col []uint32, val []float64) *CSR32 {
 	if len(col) != len(val) {
 		panic(fmt.Sprintf("sparse: col/val length %d/%d", len(col), len(val)))
 	}
-	if err := validateCompact(rows, cols, rowPtr, col); err != nil {
+	l.col32 = col
+	if err := l.validate(); err != nil {
 		panic(err)
 	}
-	return &CSR32{layout32: layout32{rows: rows, cols: cols, rowPtr64: rowPtr, col: col}, val: val}
+	if NarrowCols(l.cols) {
+		l.col16, l.col32 = narrow[uint16](col), nil
+	}
+	return &CSR32{layout32: l, val: val}
 }
 
 // ToCSR widens the matrix back to the standard CSR layout. The round trip
@@ -198,19 +246,20 @@ func (m *CSR32) SetPool(p *par.Pool) *CSR32 {
 	return m
 }
 
-// The range kernels are generic over the row-pointer width so both layouts
-// share one loop body each, delegating the per-row accumulation to the
-// shared gather kernels (kernels.go): the compiled loop performs the exact
-// CSR operation sequence, which is what keeps CSR32 bit-identical to CSR.
+// The range kernels are generic over the row-pointer and the column width,
+// so all four layouts share one loop body each, delegating the per-row
+// accumulation to the shared gather kernels (kernels.go): the compiled loop
+// performs the exact CSR operation sequence, which is what keeps CSR32
+// bit-identical to CSR.
 
-func mulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst, x []float64, lo, hi int) {
+func mulVecRange32[P int32 | int64, C uint16 | uint32](rowPtr []P, col []C, val, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
 		dst[i] = gatherRow4(col[start:end], val[start:end], x)
 	}
 }
 
-func addMulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst []float64, alpha float64, x []float64, lo, hi int) {
+func addMulVecRange32[P int32 | int64, C uint16 | uint32](rowPtr []P, col []C, val, dst []float64, alpha float64, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
 		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x)
@@ -218,18 +267,28 @@ func addMulVecRange32[P int32 | int64](rowPtr []P, col []uint32, val, dst []floa
 }
 
 func (m *CSR32) mulVecRange(dst, x []float64, lo, hi int) {
-	if m.rowPtr32 != nil {
-		mulVecRange32(m.rowPtr32, m.col, m.val, dst, x, lo, hi)
-	} else {
-		mulVecRange32(m.rowPtr64, m.col, m.val, dst, x, lo, hi)
+	switch {
+	case m.rowPtr32 != nil && m.col16 != nil:
+		mulVecRange32(m.rowPtr32, m.col16, m.val, dst, x, lo, hi)
+	case m.rowPtr32 != nil:
+		mulVecRange32(m.rowPtr32, m.col32, m.val, dst, x, lo, hi)
+	case m.col16 != nil:
+		mulVecRange32(m.rowPtr64, m.col16, m.val, dst, x, lo, hi)
+	default:
+		mulVecRange32(m.rowPtr64, m.col32, m.val, dst, x, lo, hi)
 	}
 }
 
 func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	if m.rowPtr32 != nil {
-		addMulVecRange32(m.rowPtr32, m.col, m.val, dst, alpha, x, lo, hi)
-	} else {
-		addMulVecRange32(m.rowPtr64, m.col, m.val, dst, alpha, x, lo, hi)
+	switch {
+	case m.rowPtr32 != nil && m.col16 != nil:
+		addMulVecRange32(m.rowPtr32, m.col16, m.val, dst, alpha, x, lo, hi)
+	case m.rowPtr32 != nil:
+		addMulVecRange32(m.rowPtr32, m.col32, m.val, dst, alpha, x, lo, hi)
+	case m.col16 != nil:
+		addMulVecRange32(m.rowPtr64, m.col16, m.val, dst, alpha, x, lo, hi)
+	default:
+		addMulVecRange32(m.rowPtr64, m.col32, m.val, dst, alpha, x, lo, hi)
 	}
 }
 
@@ -258,7 +317,7 @@ func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
 	m.addMulVecRange(dst, alpha, x, 0, m.rows)
 }
 
-// MemoryBytes reports the storage footprint: 8 bytes per value, 4 per
+// MemoryBytes reports the storage footprint: 8 bytes per value, 2 or 4 per
 // column index, and 4 or 8 per row pointer as chosen at build time. Compare
 // CSR.MemoryBytes' 16 bytes per entry + 8 per row.
 func (m *CSR32) MemoryBytes() int64 {

@@ -69,23 +69,26 @@ func TestCSR32BitIdentical(t *testing.T) {
 }
 
 // TestCSR32RoundTripAndMemory: Compact is lossless (ToCSR gives an Equal
-// matrix) and cuts the index footprint in half — 8 bytes/entry of index vs
-// CSR's 16, and 4-byte row pointers when nnz fits int32.
+// matrix) and cuts the index footprint — 2 bytes per column index up to
+// 65 536 columns and 4 past them, against CSR's 8, and 4-byte row pointers
+// when nnz fits int32.
 func TestCSR32RoundTripAndMemory(t *testing.T) {
-	m := randBigCSR(1200, 900, 12, 7)
-	c := Compact(m)
-	if !c.ToCSR().Equal(m) {
-		t.Fatal("Compact -> ToCSR is not the identity")
-	}
-
-	// Index bytes: CSR stores 8 per col + 8 per rowPtr entry; CSR32 4+4.
-	wideIdx := int64(m.NNZ())*8 + int64(len(m.rowPtr))*8
-	compactIdx := c.MemoryBytes() - int64(m.NNZ())*8 // subtract shared float64 values
-	if compactIdx*2 != wideIdx {
-		t.Fatalf("index bytes not halved: compact %d vs wide %d", compactIdx, wideIdx)
-	}
-	if c.MemoryBytes() >= m.MemoryBytes() {
-		t.Fatalf("MemoryBytes did not shrink: %d vs %d", c.MemoryBytes(), m.MemoryBytes())
+	for _, m := range []*CSR{randBigCSR(1200, 900, 12, 7), randBigCSR(300, 1<<16+1, 12, 7)} {
+		c := Compact(m)
+		if !c.ToCSR().Equal(m) {
+			t.Fatal("Compact -> ToCSR is not the identity")
+		}
+		width := int64(4)
+		if NarrowCols(m.cols) {
+			width = 2
+		}
+		compactIdx := c.MemoryBytes() - int64(m.NNZ())*8 // subtract shared float64 values
+		if want := width*int64(m.NNZ()) + 4*int64(len(m.rowPtr)); compactIdx != want {
+			t.Fatalf("%v: index bytes %d, want %d", m, compactIdx, want)
+		}
+		if c.MemoryBytes() >= m.MemoryBytes() {
+			t.Fatalf("MemoryBytes did not shrink: %d vs %d", c.MemoryBytes(), m.MemoryBytes())
+		}
 	}
 }
 

@@ -7,20 +7,48 @@ import (
 	"testing"
 )
 
+// writePattern serializes the pattern of m.
+func writePattern(t testing.TB, m *CSR) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	p := PatternOf(m)
+	if n, err := p.WriteTo(&buf); err != nil || n != int64(buf.Len()) {
+		t.Fatalf("WriteTo = %d, %v; wrote %d", n, err, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// patternBytes is the size of a serialized pattern with int32 row pointers:
+// the dimension words, the row pointers, and 2 or 4 bytes per column index.
+func patternBytes(rows, cols, nnz int) int {
+	width := 4
+	if NarrowCols(cols) {
+		width = 2
+	}
+	return 24 + 4*(rows+1) + width*nnz
+}
+
+// TestSerializationRoundTrip: the pattern of a random matrix is written in
+// the widths it holds and read back exactly, at both column widths.
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
-		m := randCSR(rng, 1+rng.Intn(50), 1+rng.Intn(50), 0.2)
-		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
-			t.Fatalf("WriteTo: %v", err)
+		cols := 1 + rng.Intn(50)
+		if trial%2 == 1 {
+			cols += 1 << 16 // 32-bit columns
 		}
-		back, err := ReadCSR(&buf)
+		m := randCSR(rng, 1+rng.Intn(50), cols, 200/float64(cols))
+		raw := writePattern(t, m)
+		if want := patternBytes(m.rows, m.cols, m.NNZ()); len(raw) != want {
+			t.Fatalf("trial %d %v: %d bytes, want %d", trial, m, len(raw), want)
+		}
+		back, err := ReadPattern(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("ReadCSR: %v", err)
+			t.Fatalf("ReadPattern: %v", err)
 		}
-		if !m.Equal(back) {
-			t.Fatalf("trial %d: round trip not bit-exact", trial)
+		w := randVec(m.cols, int64(trial))
+		if !back.Expand(w).Equal(PatternOf(m).Expand(w)) || (back.col16 != nil) != NarrowCols(m.cols) {
+			t.Fatalf("trial %d: round trip not exact", trial)
 		}
 	}
 }
@@ -43,10 +71,10 @@ func TestCSRRowsMatchAssembledMatrix(t *testing.T) {
 			a, b := rng.Intn(n+1), rng.Intn(n+1)
 			cuts[i] = [2]int{min(a, b), max(a, b)}
 		}
-		runs := func(i int, emit func(col []uint32, val []float64)) {
+		runs := func(i int, emit func(col []uint16, val []float64)) {
 			lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 			for _, r := range [][2]int{{lo, lo + cuts[i][0]}, {lo + cuts[i][0], lo + cuts[i][1]}, {lo + cuts[i][1], hi}} {
-				emit(c.col[r[0]:r[1]], c.val[r[0]:r[1]])
+				emit(c.col16[r[0]:r[1]], c.val[r[0]:r[1]])
 			}
 		}
 		if got := CSRFromRows(m.rows, m.cols, runs); !got.Equal(m) {
@@ -56,152 +84,97 @@ func TestCSRRowsMatchAssembledMatrix(t *testing.T) {
 }
 
 func TestSerializationEmptyMatrix(t *testing.T) {
-	m := Zero(5, 7)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	back, err := ReadCSR(&buf)
+	back, err := ReadPattern(bytes.NewReader(writePattern(t, Zero(5, 7))))
 	if err != nil {
-		t.Fatalf("ReadCSR: %v", err)
+		t.Fatalf("ReadPattern: %v", err)
 	}
-	if back.Rows() != 5 || back.Cols() != 7 || back.NNZ() != 0 {
+	if back.Rows() != 5 || back.Cols() != 7 || back.NNZ() != 0 || back.col16 == nil {
 		t.Fatalf("got %v", back)
 	}
 }
 
+// TestReadCSRRejectsGarbage: input too short to hold the dimension words is
+// refused by the compact CSR reader.
 func TestReadCSRRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSR(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("expected error for bad magic")
+	if _, err := ReadPattern(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
+		t.Fatal("expected error for a short header")
 	}
-	if _, err := ReadCSR(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadPattern(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
 
 func TestReadCSRRejectsTruncated(t *testing.T) {
-	m := Identity(10)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadCSR(bytes.NewReader(raw[:len(raw)-9])); err == nil {
+	raw := writePattern(t, Identity(10))
+	if _, err := ReadPattern(bytes.NewReader(raw[:len(raw)-9])); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }
 
-// TestCSR32WriteToRoundTrip: a compact matrix is written in the widths it
-// holds — 24 header bytes, 4 per row pointer, 12 per entry — and ReadCSR32
-// gives it back exactly, with the int32 row pointers Compact would choose
-// even when it held int64 ones, across several chunks of the codec.
-func TestCSR32WriteToRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, m := range []*CSR{randCSR(rng, 40, 33, 0.25), Zero(3, 0), randBigCSR(900, 700, 40, 45)} {
-		rp64 := make([]int64, len(m.rowPtr))
-		col32 := make([]uint32, len(m.col))
-		for i, p := range m.rowPtr {
-			rp64[i] = int64(p)
-		}
-		for i, c := range m.col {
-			col32[i] = uint32(c)
-		}
-		for name, c := range map[string]*CSR32{
-			"int32 rowPtr": Compact(m),
-			"int64 rowPtr": NewCSR32Wide(m.rows, m.cols, rp64, col32, m.val),
-		} {
-			var buf bytes.Buffer
-			n, err := c.WriteTo(&buf)
-			if err != nil || n != int64(buf.Len()) {
-				t.Fatalf("%s: WriteTo = %d, %v; wrote %d", name, n, err, buf.Len())
-			}
-			if want := 24 + 4*(m.rows+1) + 12*m.NNZ(); buf.Len() != want {
-				t.Errorf("%s %v: %d bytes, want %d", name, m, buf.Len(), want)
-			}
-			back, err := ReadCSR32(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if back.rowPtr32 == nil || !back.ToCSR().Equal(m) || back.MemoryBytes() != Compact(m).MemoryBytes() {
-				t.Errorf("%s %v: read back %v, not the matrix written", name, m, back)
-			}
-		}
-	}
-}
-
-// TestReadCSR32RejectsCorruptArrays: single-word corruptions of a written
-// compact matrix that keep every length consistent are refused by the
-// structural check, and a truncated one by the reader.
-func TestReadCSR32RejectsCorruptArrays(t *testing.T) {
-	m := Compact(NewCSR(3, 6, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5}))
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	const rowPtrAt, colAt = 24, 24 + 4*4
-	for name, w := range map[string]struct {
-		off int
-		v   uint32
-	}{
-		"column == cols":        {colAt + 4*4, 6},
-		"column 1<<31":          {colAt + 4*1, 1 << 31},
-		"columns out of order":  {colAt + 4*1, 0},
-		"duplicate column":      {colAt + 4*4, 2},
-		"rowPtr does not start": {rowPtrAt, 1},
-		"rowPtr decreases":      {rowPtrAt + 4, 4},
-		"rowPtr negative":       {rowPtrAt + 4, 1 << 31},
-	} {
-		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(raw[w.off:], w.v)
-		if got, err := ReadCSR32(bytes.NewReader(raw)); err == nil {
-			t.Errorf("%s: accepted as %v", name, got)
-		}
-	}
-	if _, err := ReadCSR32(bytes.NewReader(valid[:len(valid)-3])); err == nil {
-		t.Error("truncated matrix accepted")
-	}
-}
-
-// corruptCSR serializes m and overwrites the 8-byte word at array position
-// idx of rowPtr (which = 0) or col (which = 1).
-func corruptCSR(t testing.TB, m *CSR, which, idx int, v uint64) []byte {
+// corruptPattern serializes the pattern of m and overwrites the word at
+// array position idx of rowPtr (which = 0, 4 bytes) or col (which = 1, 2 or
+// 4 bytes as the column count implies).
+func corruptPattern(t testing.TB, m *CSR, which, idx int, v uint32) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	off := 32 + 8*idx
+	raw := writePattern(t, m)
+	off := 24 + 4*idx
 	if which == 1 {
-		off += 8 * (m.rows + 1)
+		off = 24 + 4*(m.rows+1)
+		if NarrowCols(m.cols) {
+			binary.LittleEndian.PutUint16(raw[off+2*idx:], uint16(v))
+			return raw
+		}
+		off += 4 * idx
 	}
-	binary.LittleEndian.PutUint64(raw[off:], v)
+	binary.LittleEndian.PutUint32(raw[off:], v)
 	return raw
 }
 
-// csrCorruptions are single-word corruptions of a valid serialized matrix
-// that leave every length consistent: ReadCSR accepted all of them before it
-// validated the arrays it decodes, and the matrix then indexed out of bounds
-// (or, once compacted, silently aliased another column).
-func csrCorruptions(t testing.TB) map[string][]byte {
-	m := NewCSR(3, 6, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5})
-	return map[string][]byte{
-		"column 1<<40":          corruptCSR(t, m, 1, 1, 1<<40),
-		"column == cols":        corruptCSR(t, m, 1, 4, 6),
-		"column negative":       corruptCSR(t, m, 1, 0, ^uint64(0)),
-		"columns out of order":  corruptCSR(t, m, 1, 1, 0),
-		"duplicate column":      corruptCSR(t, m, 1, 4, 2),
-		"rowPtr does not start": corruptCSR(t, m, 0, 0, 1),
-		"rowPtr decreases":      corruptCSR(t, m, 0, 1, 4),
+// csrCorruptions are single-word corruptions of a serialized pattern with
+// cols columns (6, or past 65 536 for 32-bit columns) that leave every
+// length consistent: the reader must refuse each by the structural check —
+// before that check a matrix indexed out of bounds, or silently aliased
+// another column.
+func csrCorruptions(t testing.TB, cols int) map[string][]byte {
+	m := NewCSR(3, cols, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5})
+	out := map[string][]byte{
+		"column == cols":        corruptPattern(t, m, 1, 4, uint32(cols)),
+		"columns out of order":  corruptPattern(t, m, 1, 1, 0),
+		"duplicate column":      corruptPattern(t, m, 1, 4, 2),
+		"rowPtr does not start": corruptPattern(t, m, 0, 0, 1),
+		"rowPtr decreases":      corruptPattern(t, m, 0, 1, 4),
+		"rowPtr negative":       corruptPattern(t, m, 0, 1, 1<<31),
+	}
+	if NarrowCols(cols) {
+		out["column 1<<16-1"] = corruptPattern(t, m, 1, 1, 1<<16-1)
+	} else {
+		out["column 1<<31"] = corruptPattern(t, m, 1, 1, 1<<31)
+	}
+	return out
+}
+
+// TestReadCSRRejectsCorruptArrays: the corruptions of a pattern with 16-bit
+// columns are refused.
+func TestReadCSRRejectsCorruptArrays(t *testing.T) {
+	for name, raw := range csrCorruptions(t, 6) {
+		if m, err := ReadPattern(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted as %v", name, m)
+		}
 	}
 }
 
-func TestReadCSRRejectsCorruptArrays(t *testing.T) {
-	for name, raw := range csrCorruptions(t) {
-		if m, err := ReadCSR(bytes.NewReader(raw)); err == nil {
+// TestReadCSR32RejectsCorruptArrays: the corruptions of a pattern with
+// 32-bit columns are refused, and so is a truncated one.
+func TestReadCSR32RejectsCorruptArrays(t *testing.T) {
+	const cols = 1<<16 + 6
+	for name, raw := range csrCorruptions(t, cols) {
+		if m, err := ReadPattern(bytes.NewReader(raw)); err == nil {
 			t.Errorf("%s: accepted as %v", name, m)
 		}
+	}
+	valid := writePattern(t, NewCSR(3, cols, []int{0, 2, 3, 5}, []int{1, 4, 0, 2, 5}, []float64{1, 2, 3, 4, 5}))
+	if _, err := ReadPattern(bytes.NewReader(valid[:len(valid)-3])); err == nil {
+		t.Error("truncated matrix accepted")
 	}
 }
 
@@ -210,24 +183,20 @@ func TestReadCSRRejectsCorruptArrays(t *testing.T) {
 // input cannot back is refused before anything is allocated for it.
 func TestReadCSRSizesFromInput(t *testing.T) {
 	m := randBigCSR(3000, 3000, 30, 1)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	back, err := ReadCSR(bytes.NewReader(raw))
-	if err != nil || !back.Equal(m) {
+	raw := writePattern(t, m)
+	back, err := ReadPattern(bytes.NewReader(raw))
+	if err != nil || !back.Expand(randVec(3000, 1)).Equal(PatternOf(m).Expand(randVec(3000, 1))) {
 		t.Fatalf("round trip: err=%v", err)
 	}
-	if cap(back.col) != len(back.col) || cap(back.val) != len(back.val) || cap(back.rowPtr) != len(back.rowPtr) {
-		t.Fatalf("arrays over-allocated: col %d/%d val %d/%d rowPtr %d/%d",
-			len(back.col), cap(back.col), len(back.val), cap(back.val), len(back.rowPtr), cap(back.rowPtr))
+	if cap(back.col16) != len(back.col16) || cap(back.rowPtr32) != len(back.rowPtr32) {
+		t.Fatalf("arrays over-allocated: col %d/%d rowPtr %d/%d",
+			len(back.col16), cap(back.col16), len(back.rowPtr32), cap(back.rowPtr32))
 	}
 	huge := append([]byte(nil), raw[:64]...)
-	binary.LittleEndian.PutUint64(huge[8:], 1<<40) // rows
+	binary.LittleEndian.PutUint64(huge[0:], 1<<31) // rows
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ReadCSR(bytes.NewReader(huge)); err == nil {
-			t.Fatal("accepted 2^40 rows backed by 32 bytes")
+		if _, err := ReadPattern(bytes.NewReader(huge)); err == nil {
+			t.Fatal("accepted 2^31 rows backed by 40 bytes")
 		}
 	})
 	if allocs > 8 {

@@ -1,9 +1,9 @@
 package sparse
 
 // The row-gather kernels shared by the CSR and CSR32 layouts, generic over
-// the column-index type (int for CSR, uint32 for CSR32). Both layouts
-// compile to the exact same operation sequence — that is the bit-identity
-// contract between them.
+// the column-index type (int for CSR, uint16 or uint32 for CSR32). Every
+// layout compiles to the exact same operation sequence — that is the
+// bit-identity contract between them.
 //
 // gatherRow4 is the four-lane accumulation behind MulVec and AddMulVec: four
 // independent accumulator lanes walk the row in stride-4 steps (remainder
@@ -15,7 +15,7 @@ package sparse
 // FMA (the Go spec allows fusion otherwise, and arm64, ppc64le, s390x and
 // amd64 at GOAMD64=v3 do it). So the sum is the same on every GOARCH, and
 // equal to sumRow4's over the products stored first.
-func gatherRow4[C int | uint32](cols []C, vals, x []float64) float64 {
+func gatherRow4[C int | uint16 | uint32](cols []C, vals, x []float64) float64 {
 	var s0, s1, s2, s3 float64
 	p := 0
 	for ; p+4 <= len(cols); p += 4 {
@@ -34,7 +34,7 @@ func gatherRow4[C int | uint32](cols []C, vals, x []float64) float64 {
 // in the same lanes and order. A Pattern caller forms z = w∘x first, so each
 // term is the product val·x gatherRow4 forms for the valued matrix whose
 // entries in column j all hold w[j], and the two sums agree bit for bit.
-func sumRow4(cols []uint32, z []float64) float64 {
+func sumRow4[C uint16 | uint32](cols []C, z []float64) float64 {
 	var s0, s1, s2, s3 float64
 	p := 0
 	for ; p+4 <= len(cols); p += 4 {

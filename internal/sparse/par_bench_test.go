@@ -74,7 +74,7 @@ func BenchmarkCSR32MulVec(b *testing.B) {
 			if w > 1 {
 				m.SetPool(par.NewPool(w))
 			}
-			b.SetBytes(int64(m.NNZ() * 12)) // uint32 col idx + float64 value
+			b.SetBytes(int64(m.NNZ() * 12)) // uint32 col idx (2^17 columns) + float64 value
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.MulVec(mulVecBench.dst, mulVecBench.x)

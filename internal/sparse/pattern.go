@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 
 	"bepi/internal/par"
 )
@@ -12,7 +11,8 @@ import (
 // shape of every off-diagonal block of BePI's H, where column u holds
 // −(1−c)/outdeg(u). The weights live beside the pattern, one per column
 // instead of one per entry, and the kernels take them as an argument: an
-// SpMV streams 4 bytes per entry instead of CSR32's 12.
+// SpMV streams 2 bytes per entry (4 past 65 536 columns) instead of
+// CSR32's 10.
 //
 // The kernels are bit-identical to CSR32's on the expanded matrix
 // (Expand) at any worker count: each term is the same IEEE product w[j]·x[j]
@@ -26,43 +26,34 @@ type Pattern struct {
 func PatternOf(m *CSR) *Pattern { return &Pattern{layout32: compactLayout(m)} }
 
 // Expand returns the valued matrix P·diag(w) in the wide layout: entry
-// (i, j) holds w[j]. It is the inverse of CSR32.Unscale, and what the cold
-// paths that need values read (the Schur-column routine, surgery).
+// (i, j) holds w[j]. It is what the cold paths that need values read (the
+// Schur-column routine, surgery).
 func (p *Pattern) Expand(w []float64) *CSR {
 	if len(w) != p.cols {
 		panic(fmt.Sprintf("sparse: Expand with %d weights for %d columns", len(w), p.cols))
 	}
 	rowPtr, col := p.wide()
 	val := make([]float64, len(col))
-	for k, j := range p.col {
+	for k, j := range col {
 		val[k] = w[j]
 	}
 	return &CSR{rows: p.rows, cols: p.cols, rowPtr: rowPtr, col: col, val: val, pool: p.pool, bounds: p.bounds}
 }
 
-// Unscale splits m into its pattern and the one value each of its columns
-// holds, m = P·diag(w): w[j] receives column j's value, and seen[j] is set.
-// w and seen (length Cols) may be shared with another matrix over the same
-// columns — a column seen before must then hold the value already in w. A
-// column whose entries differ, bit for bit, from each other or from that
-// value is an error. An empty column leaves w[j] and seen[j] alone. The
-// pattern shares m's index arrays.
-func (m *CSR32) Unscale(w []float64, seen []bool) (*Pattern, error) {
-	if len(w) != m.cols || len(seen) != m.cols {
-		panic(fmt.Sprintf("sparse: Unscale with %d weights, %d marks for %d columns", len(w), len(seen), m.cols))
+// MarkColumns sets used[j] for every column j that holds a stored entry.
+func (p *Pattern) MarkColumns(used []bool) {
+	if p.col16 != nil {
+		markColumns(p.col16, used)
+	} else {
+		markColumns(p.col32, used)
 	}
-	for k, j := range m.col {
-		v := m.val[k]
-		if seen[j] && math.Float64bits(w[j]) != math.Float64bits(v) {
-			return nil, fmt.Errorf("sparse: column %d holds %v and %v", j, w[j], v)
-		}
-		w[j], seen[j] = v, true
-	}
-	return &Pattern{layout32: m.layout32}, nil
 }
 
-// ColIdx exposes the column indexes (read-only).
-func (p *Pattern) ColIdx() []uint32 { return p.col }
+func markColumns[C uint16 | uint32](col []C, used []bool) {
+	for _, j := range col {
+		used[j] = true
+	}
+}
 
 // SetPool attaches a parallel pool and returns p; semantics match
 // CSR32.SetPool.
@@ -71,17 +62,22 @@ func (p *Pattern) SetPool(pool *par.Pool) *Pattern {
 	return p
 }
 
-func sumRange32[P int32 | int64](rowPtr []P, col []uint32, dst, z []float64, lo, hi int) {
+func sumRange32[P int32 | int64, C uint16 | uint32](rowPtr []P, col []C, dst, z []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst[i] = sumRow4(col[rowPtr[i]:rowPtr[i+1]], z)
 	}
 }
 
 func (p *Pattern) sumRange(dst, z []float64, lo, hi int) {
-	if p.rowPtr32 != nil {
-		sumRange32(p.rowPtr32, p.col, dst, z, lo, hi)
-	} else {
-		sumRange32(p.rowPtr64, p.col, dst, z, lo, hi)
+	switch {
+	case p.rowPtr32 != nil && p.col16 != nil:
+		sumRange32(p.rowPtr32, p.col16, dst, z, lo, hi)
+	case p.rowPtr32 != nil:
+		sumRange32(p.rowPtr32, p.col32, dst, z, lo, hi)
+	case p.col16 != nil:
+		sumRange32(p.rowPtr64, p.col16, dst, z, lo, hi)
+	default:
+		sumRange32(p.rowPtr64, p.col32, dst, z, lo, hi)
 	}
 }
 
@@ -112,7 +108,7 @@ func (p *Pattern) MulVec(dst, z []float64) {
 	p.sumRange(dst, z, 0, p.rows)
 }
 
-func mulVecTScaled32[P int32 | int64](rows int, rowPtr []P, col []uint32, dst, w, x []float64) {
+func mulVecTScaled32[P int32 | int64, C uint16 | uint32](rows int, rowPtr []P, col []C, dst, w, x []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -135,15 +131,20 @@ func (p *Pattern) MulVecTScaled(dst, w, x []float64) {
 	if len(dst) != p.cols || len(w) != p.cols || len(x) != p.rows {
 		panic(fmt.Sprintf("sparse: MulVecTScaled dims dst=%d w=%d x=%d want %d,%d,%d", len(dst), len(w), len(x), p.cols, p.cols, p.rows))
 	}
-	if p.rowPtr32 != nil {
-		mulVecTScaled32(p.rows, p.rowPtr32, p.col, dst, w, x)
-	} else {
-		mulVecTScaled32(p.rows, p.rowPtr64, p.col, dst, w, x)
+	switch {
+	case p.rowPtr32 != nil && p.col16 != nil:
+		mulVecTScaled32(p.rows, p.rowPtr32, p.col16, dst, w, x)
+	case p.rowPtr32 != nil:
+		mulVecTScaled32(p.rows, p.rowPtr32, p.col32, dst, w, x)
+	case p.col16 != nil:
+		mulVecTScaled32(p.rows, p.rowPtr64, p.col16, dst, w, x)
+	default:
+		mulVecTScaled32(p.rows, p.rowPtr64, p.col32, dst, w, x)
 	}
 }
 
-// MemoryBytes reports the storage footprint: 4 bytes per column index and 4
-// or 8 per row pointer. The weights are the caller's.
+// MemoryBytes reports the storage footprint: 2 or 4 bytes per column index
+// and 4 or 8 per row pointer. The weights are the caller's.
 func (p *Pattern) MemoryBytes() int64 { return p.indexBytes() }
 
 // String returns a short shape/nnz description.

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"bepi/internal/par"
@@ -54,10 +53,9 @@ func TestPatternScaledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPatternRoundTrip: a pattern is written as CSR32's layout without the
-// values, ReadPattern gives it back exactly, it occupies CSR32's bytes less
-// 8 per entry, and Unscale recovers pattern and weights from the expanded
-// matrix.
+// TestPatternRoundTrip: a pattern is written in the widths it holds,
+// ReadPattern gives it back exactly, and it occupies CSR32's bytes less 8
+// per entry.
 func TestPatternRoundTrip(t *testing.T) {
 	m := randBigCSR(900, 700, 40, 45)
 	p := PatternOf(m)
@@ -66,7 +64,7 @@ func TestPatternRoundTrip(t *testing.T) {
 	if n, err := p.WriteTo(&buf); err != nil || n != int64(buf.Len()) {
 		t.Fatalf("WriteTo = %d, %v; wrote %d", n, err, buf.Len())
 	}
-	if want := 24 + 4*(m.rows+1) + 4*m.NNZ(); buf.Len() != want {
+	if want := patternBytes(m.rows, m.cols, m.NNZ()); buf.Len() != want {
 		t.Errorf("%d bytes, want %d", buf.Len(), want)
 	}
 	back, err := ReadPattern(bytes.NewReader(buf.Bytes()))
@@ -79,38 +77,5 @@ func TestPatternRoundTrip(t *testing.T) {
 	}
 	if got, want := back.MemoryBytes(), valued.MemoryBytes()-8*int64(m.NNZ()); got != want {
 		t.Errorf("pattern occupies %d B, want %d", got, want)
-	}
-
-	got, seen := make([]float64, m.Cols()), make([]bool, m.Cols())
-	unscaled, err := valued.Unscale(got, seen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !unscaled.Expand(w).Equal(valued.ToCSR()) {
-		t.Error("Unscale changed the pattern")
-	}
-	for j := range w {
-		if seen[j] && math.Float64bits(got[j]) != math.Float64bits(w[j]) {
-			t.Fatalf("column %d: weight %v, want %v", j, got[j], w[j])
-		}
-	}
-}
-
-// TestUnscaleRefusesNonConstantColumns: a column whose entries differ, or
-// that a second matrix over the same columns gives another value, is no
-// pattern times weights.
-func TestUnscaleRefusesNonConstantColumns(t *testing.T) {
-	a := Compact(NewCSR(3, 2, []int{0, 1, 2, 3}, []int{0, 0, 1}, []float64{-0.5, -0.5, -0.25}))
-	w, seen := make([]float64, 2), make([]bool, 2)
-	if _, err := a.Unscale(w, seen); err != nil || w[0] != -0.5 || w[1] != -0.25 {
-		t.Fatalf("constant columns: w = %v, %v", w, err)
-	}
-	b := Compact(NewCSR(1, 2, []int{0, 1}, []int{1}, []float64{-0.125}))
-	if _, err := b.Unscale(w, seen); err == nil {
-		t.Error("a second matrix disagreeing on column 1 accepted")
-	}
-	c := Compact(NewCSR(2, 2, []int{0, 1, 2}, []int{0, 0}, []float64{-0.5, -0.5000001}))
-	if _, err := c.Unscale(make([]float64, 2), make([]bool, 2)); err == nil {
-		t.Error("a non-constant column accepted")
 	}
 }

@@ -175,20 +175,21 @@ func NewCSR(rows, cols int, rowPtr, col []int, val []float64) *CSR {
 }
 
 // RowRuns describes a matrix its owner holds as several runs of entries per
-// row: called with a row index, it hands emit that row's runs, the runs and
-// the columns within them strictly ascending and in range.
-type RowRuns func(i int, emit func(col []uint32, val []float64))
+// row, with compact column indexes of type C: called with a row index, it
+// hands emit that row's runs, the runs and the columns within them strictly
+// ascending and in range.
+type RowRuns[C uint16 | uint32] func(i int, emit func(col []C, val []float64))
 
 // CSRFromRows assembles the matrix the runs describe: copies only.
-func CSRFromRows(rows, cols int, row RowRuns) *CSR {
+func CSRFromRows[C uint16 | uint32](rows, cols int, row RowRuns[C]) *CSR {
 	end := 0
-	count := func(col []uint32, _ []float64) { end += len(col) }
+	count := func(col []C, _ []float64) { end += len(col) }
 	for i := 0; i < rows; i++ {
 		row(i, count)
 	}
 	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1), col: make([]int, end), val: make([]float64, end)}
 	end = 0
-	widen := func(col []uint32, val []float64) {
+	widen := func(col []C, val []float64) {
 		dst := m.col[end : end+len(col)]
 		for k, j := range col {
 			dst[k] = int(j)

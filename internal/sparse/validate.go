@@ -11,22 +11,23 @@ func Validate(rows, cols int, rowPtr, col []int) error {
 	return validate(rows, cols, rowPtr, col, false)
 }
 
-// validateCompact is the check of the compact index types used by CSR32.
+// validateCompact is the check of the compact index types used by CSR32 and
+// Pattern.
 // Unlike Validate it also requires strictly increasing columns within each
 // row: CSR32 is immutable, so its constructors must be handed the final
 // sorted, duplicate-free layout.
-func validateCompact[P int32 | int64](rows, cols int, rowPtr []P, col []uint32) error {
+func validateCompact[P int32 | int64, C uint16 | uint32](rows, cols int, rowPtr []P, col []C) error {
 	if int64(cols) > maxIndex32 {
 		return fmt.Errorf("sparse: cols %d exceeds uint32 index range", cols)
 	}
 	return validate(rows, cols, rowPtr, col, true)
 }
 
-// validate is the one structural check behind Validate, validateCompact and
-// ReadCSR, at any index width; sorted additionally requires each row's
+// validate is the one structural check behind Validate and validateCompact,
+// at any index width; sorted additionally requires each row's
 // columns to be strictly increasing (the invariant every CSR kernel and
 // Compact rely on, which only NewCSR's repair pass may assume away).
-func validate[P int | int32 | int64, C int | uint32](rows, cols int, rowPtr []P, col []C, sorted bool) error {
+func validate[P int | int32 | int64, C int | uint16 | uint32](rows, cols int, rowPtr []P, col []C, sorted bool) error {
 	if rows < 0 || cols < 0 {
 		return fmt.Errorf("sparse: negative dimension %dx%d", rows, cols)
 	}

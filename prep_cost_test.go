@@ -120,8 +120,7 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	// Load allocates every array once at its declared size and served
 	// width — the file is the index — plus the pivot recurrence's cursors and
 	// the 32-bit permutation it widens: append-doubling the arrays, a wide
-	// copy of S (the version-1 path: 2 447 824 B) or a second copy of S push
-	// it back up.
+	// copy of S or a second copy of S push it back up.
 	// poolSlack: under the race detector the codec's pool comes up empty for
 	// up to four of Load's array reads in the best of five runs (64 KiB
 	// each), which the 10% margin (245 KB) would not absorb.
@@ -160,8 +159,8 @@ func (s *growSink) Grow(n int) {
 
 const (
 	poolSlack  = 4 * 64 << 10
-	loadBudget = 1_165_000  // measured 1 059 184 (1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
-	newBudget  = 10_867_000 // measured 9 879 216 at two workers (7 482 152 serial)
+	loadBudget = 995_000    // measured 904 544 (1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	newBudget  = 10_697_000 // measured 9 724 576 at two workers (9 879 216 with 32-bit columns)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
@@ -173,8 +172,9 @@ const (
 // engine's only copy of S, so the whole index is pinned to the byte: 2 315 664
 // B with S held twice, 1 591 584 B with S held once and H22 retained by built
 // engines, 1 084 296 B for the index a built, a loaded and a patched engine
-// share, 948 384 B now that H12/H21/H31/H32 keep their structure and one
-// weight per non-deadend node instead of a value per entry.
+// share, 948 384 B once H12/H21/H31/H32 kept their structure and one
+// weight per non-deadend node instead of a value per entry, 789 552 B now
+// that S's triangles and the H patterns hold 16-bit columns.
 func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	eng, err := bepi.New(costFixture(t))
 	if err != nil {
@@ -182,15 +182,15 @@ func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	}
 	f := eng.Internal().ILU()
 	nnz, n2 := int64(f.NNZ()), int64(f.N())
-	if want := 12*nnz + 2*4*(n2+1) + 8*n2; f.MemoryBytes() != want {
-		t.Errorf("factors occupy %d B, want 12·nnz + two row-pointer arrays + D_S = %d B", f.MemoryBytes(), want)
+	if want := 10*nnz + 2*4*(n2+1) + 8*n2; f.MemoryBytes() != want {
+		t.Errorf("factors occupy %d B, want 10·nnz + two row-pointer arrays + D_S = %d B", f.MemoryBytes(), want)
 	}
 	if f.MemoryBytes() > iluBytesBefore {
 		t.Errorf("factors occupy %d B, the commit before %d B", f.MemoryBytes(), iluBytesBefore)
 	}
 	if got := eng.Internal().MemoryBytes(); got != indexBytesFixture {
-		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with the H blocks' values: 1084296 B)",
-			got, indexBytesFixture, indexBytesFixture+12*nnz+4*(n2+1))
+		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with 32-bit columns: 948384 B)",
+			got, indexBytesFixture, indexBytesFixture+10*nnz+4*(n2+1))
 	}
 }
 
@@ -272,8 +272,8 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 const (
-	indexBytesFixture = 948384
-	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 742 900
+	indexBytesFixture = 789552
+	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 623 266
 	queryObjectBudget = 29     // measured 26; the commit before averaged 105
 	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
 )
