@@ -65,9 +65,11 @@ race:
 # metric tables (every metrics view of a dynamic shard and a coordinator
 # scraped while queries run and flushes swap engines), and the column-width
 # boundary (compact matrices, patterns and DILU factors at 65 535, 65 536
-# and 65 537 columns, pooled kernels at both widths).
+# and 65 537 columns, pooled kernels at both widths), and the ordering an
+# engine holds once (the 32-bit permutation and the block LU's bounds,
+# reassembled by built, loaded and patched engines).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -107,13 +109,14 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurIteration|BenchmarkHBlockMulVec' -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
-# Smoke-run the index write path — preprocessing, a format-v4 Save + Load
+# Smoke-run the index write path — preprocessing, a format-v5 Save + Load
 # round trip, and a hub and a spoke delta absorbed by a built and by a loaded
 # engine —
 # with allocation counts and the resulting index's MemoryBytes() (index-B),
 # and for the round trip the saved file's size (file-B), so CI shows a
 # return to per-word index I/O, append-grown arrays, a second copy of S, a
-# widened file or 32-bit columns where 16 bits hold them, or state only some
+# widened file, 32-bit columns where 16 bits hold them, a permutation wider
+# than 32 bits or its inverse held beside it, or state only some
 # engines carry (the built and loaded
 # ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op,
 # file-B or index-B next to the time. (The exact gates on those are

@@ -25,7 +25,7 @@ func (e *Engine) AccuracyBound(seed int) (float64, error) {
 	if seed < 0 || seed >= e.n {
 		return 0, fmt.Errorf("core: seed %d out of range [0,%d)", seed, e.n)
 	}
-	if e.ord.N2 == 0 {
+	if e.ord.n2 == 0 {
 		return 0, nil
 	}
 	factor, err := e.boundFactor()
@@ -68,7 +68,7 @@ func (e *Engine) boundFactor() (float64, error) {
 // lazily on its first query — services that care about first-query latency
 // call this during warmup instead.
 func (e *Engine) CalibrateBound() error {
-	if e.ord.N2 == 0 {
+	if e.ord.n2 == 0 {
 		return nil
 	}
 	if _, err := e.boundFactor(); err != nil {
@@ -111,7 +111,7 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		calFloor    = 1e-13 // errors at rounding level carry no signal
 		calSeedRNG  = 424242 + 7
 	)
-	if e.ord.N2 == 0 {
+	if e.ord.n2 == 0 {
 		return 0, nil
 	}
 	ws := e.NewWorkspace()
@@ -176,7 +176,7 @@ func (e *Engine) computeBoundFactor() (float64, error) {
 		normIters = 30
 		seedRNG   = 424242
 	)
-	n1, n2 := e.ord.N1, e.ord.N2
+	n1, n2 := e.ord.n1, e.ord.n2
 	if n2 == 0 {
 		return 0, nil
 	}
@@ -231,7 +231,7 @@ func Norm2Est(a *sparse.Pattern, w []float64, iters int, seed int64) float64 {
 // sminH11 estimates σmin(H11) by inverse power iteration on (H11ᵀH11)⁻¹,
 // using the precomputed block LU for the solves.
 func (e *Engine) sminH11(iters int, seed int64) (float64, error) {
-	n1 := e.ord.N1
+	n1 := e.ord.n1
 	if n1 == 0 {
 		return 1, nil
 	}
@@ -258,7 +258,7 @@ func (e *Engine) sminH11(iters int, seed int64) (float64, error) {
 // sminSchur estimates σmin(S) by inverse power iteration with GMRES solves
 // on S and Sᵀ.
 func (e *Engine) sminSchur(iters int, seed int64) (float64, error) {
-	n2 := e.ord.N2
+	n2 := e.ord.n2
 	if n2 == 0 {
 		return 1, nil
 	}

@@ -159,7 +159,7 @@ func BenchmarkHBlockMulVec(b *testing.B) {
 	fx.once.Do(func() {
 		var e *Engine
 		if e, fx.err = Preprocess(gen.Hybrid(gen.DefaultHybrid(15, 14, 1)), Options{Parallelism: 1}); fx.err == nil {
-			fx.p, fx.w = e.h32, e.hw[e.ord.N1:]
+			fx.p, fx.w = e.h32, e.hw[e.ord.n1:]
 		}
 	})
 	if fx.err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
-	"bepi/internal/reorder"
 	"bepi/internal/sparse"
 )
 
@@ -132,20 +131,14 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// out-edge-free nodes that sort after every existing deadend.
 	ord := e.ord
 	if growth > 0 {
-		perm := make([]int, gNew.N())
-		inv := make([]int, gNew.N())
-		copy(perm, e.ord.Perm)
-		copy(inv, e.ord.Inv)
+		perm := make([]uint32, gNew.N())
+		copy(perm, e.ord.perm)
 		for i := e.n; i < gNew.N(); i++ {
-			perm[i], inv[i] = i, i
+			perm[i] = uint32(i)
 		}
-		ord = &reorder.Ordering{
-			Perm: perm, Inv: inv,
-			N1: e.ord.N1, N2: e.ord.N2, N3: e.ord.N3 + growth,
-			Blocks: e.ord.Blocks,
-		}
+		ord = nodeOrder{perm: perm, n1: e.ord.n1, n2: e.ord.n2, n3: e.ord.n3 + growth}
 	}
-	n1, n2 := ord.N1, ord.N2
+	n1, n2 := ord.n1, ord.n2
 	l := n1 + n2
 
 	// Group and classify. Sources must be pre-existing non-deadend nodes;
@@ -163,7 +156,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		if op.Src >= e.n {
 			return nil, st, fmt.Errorf("new node %d has out-edges: %w", op.Src, ErrDeltaFull)
 		}
-		pu := ord.Perm[op.Src]
+		pu := int(ord.perm[op.Src])
 		if pu >= l {
 			return nil, st, fmt.Errorf("deadend node %d gains an out-edge: %w", op.Src, ErrDeltaFull)
 		}
@@ -191,14 +184,14 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	slices.Sort(sorted)
 	touched := make(map[int]bool)
 	for _, u := range sorted {
-		pu := ord.Perm[u]
+		pu := int(ord.perm[u])
 		if pu >= n1 {
 			continue
 		}
 		b := e.h11LU.BlockOf(pu)
 		lo, hi := e.h11LU.BlockRange(b)
 		for _, v := range gNew.OutNeighbors(u) {
-			if pv := ord.Perm[v]; pv < n1 && (pv < lo || pv >= hi) {
+			if pv := int(ord.perm[v]); pv < n1 && (pv < lo || pv >= hi) {
 				return nil, st, fmt.Errorf("edge %d→%d crosses H11 blocks: %w", u, v, ErrDeltaFull)
 			}
 		}
@@ -223,7 +216,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	hubCols := make(map[int]bool)
 	hw := slices.Clone(e.hw)
 	for u, d := range srcs {
-		pu := ord.Perm[u]
+		pu := int(ord.perm[u])
 		route := func(pv int, del bool) {
 			switch {
 			case pu < n1: // spoke column
@@ -246,12 +239,12 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			}
 		}
 		for _, v := range d.del {
-			route(ord.Perm[v], true)
+			route(int(ord.perm[v]), true)
 		}
 		for _, v := range d.ins {
-			route(ord.Perm[v], false)
+			route(int(ord.perm[v]), false)
 		}
-		hw[pu] = hWeight(gNew, ord, c, pu)
+		hw[pu] = ord.hWeight(gNew, c, u)
 		if pu >= n1 {
 			hubCols[pu-n1] = true
 		}
@@ -279,6 +272,10 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	h32New := patch(e.h32, wHub, growth, h32E)
 	patchDur := time.Since(tPatch)
 
+	// The blocks and columns rebuilt below are walked in new ids; the engine
+	// holds no inverse permutation, so the delta inverts it once.
+	inv := ord.inverse()
+
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
 	// dense from gNew (same per-cell arithmetic as BuildH + the CSR merge:
 	// at most identity + one edge weight per cell, a commutative two-term
@@ -291,14 +288,14 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			lo, hi := e.h11LU.BlockRange(b)
 			blk := dense.New(hi-lo, hi-lo)
 			for col := lo; col < hi; col++ {
-				u := ord.Inv[col]
+				u := int(inv[col])
 				deg := gNew.OutDegree(u)
 				if deg == 0 {
 					continue
 				}
 				w := -(1 - c) / float64(deg)
 				for _, v := range gNew.OutNeighbors(u) {
-					if pv := ord.Perm[v]; pv >= lo && pv < hi {
+					if pv := int(ord.perm[v]); pv >= lo && pv < hi {
 						blk.Set(pv-lo, col-lo, blk.At(pv-lo, col-lo)+w)
 					}
 				}
@@ -358,7 +355,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 			for k, i := range w.touched {
 				staged[k] = colEntry{i, w.acc[i]}
 			}
-			newCols[j] = mergeColumns(h22Column(gNew, ord, c, j), staged)
+			newCols[j] = mergeColumns(h22Column(gNew, ord, c, j, int(inv[n1+j])), staged)
 		}
 	}
 	schurDur := time.Since(tSchur)
@@ -370,7 +367,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		pool: e.pool, prep: e.prep,
 	}
 
-	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.N3
+	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.n3
 	ne.prep.Reorder = 0
 	ne.prep.BuildH = patchDur
 	ne.prep.FactorH11 = factorDur
@@ -400,16 +397,15 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 // the identity diagonal plus −(1−c)/outdeg(u) for every hub out-neighbor of
 // the hub node u owning the column, duplicates (the self-loop) merged by
 // the same two-term sum the CSR build produces.
-func h22Column(g *graph.Graph, ord *reorder.Ordering, c float64, j int) []colEntry {
-	n1 := ord.N1
-	l := n1 + ord.N2
-	u := ord.Inv[n1+j]
+func h22Column(g *graph.Graph, ord nodeOrder, c float64, j, u int) []colEntry {
+	n1 := ord.n1
+	l := n1 + ord.n2
 	deg := g.OutDegree(u)
 	out := append(make([]colEntry, 0, deg+1), colEntry{j, 1})
 	if deg > 0 {
 		w := -(1 - c) / float64(deg)
 		for _, v := range g.OutNeighbors(u) {
-			if pv := ord.Perm[v]; pv >= n1 && pv < l {
+			if pv := int(ord.perm[v]); pv >= n1 && pv < l {
 				out = append(out, colEntry{pv - n1, w})
 			}
 		}

@@ -38,7 +38,7 @@ func applyOpsToGraph(g *graph.Graph, n int, ops []EdgeDelta) *graph.Graph {
 // absorb exactly: spoke sources, targets confined to the source's own H11
 // block or to hubs/deadends.
 func genSpokeDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []EdgeDelta {
-	ord := e.ord
+	ord := e.Ordering()
 	n1 := ord.N1
 	var spokes []int
 	for u := 0; u < g.N(); u++ {
@@ -83,7 +83,7 @@ func genSpokeDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []Ed
 
 // genHubDeltaOps builds ops whose sources are hubs (targets unconstrained).
 func genHubDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []EdgeDelta {
-	ord := e.ord
+	ord := e.Ordering()
 	n1, l := ord.N1, ord.N1+ord.N2
 	var hubs []int
 	for u := 0; u < g.N(); u++ {
@@ -168,7 +168,7 @@ func requireHBitsEqual(t *testing.T, a, b *Engine) {
 // valuedH is an engine's H12, H21, H31 and H32, each pattern expanded with
 // the slice of the weights it reads.
 func valuedH(e *Engine) [4]*sparse.CSR32 {
-	spoke, hub := e.hw[:e.ord.N1], e.hw[e.ord.N1:]
+	spoke, hub := e.hw[:e.ord.n1], e.hw[e.ord.n1:]
 	return [4]*sparse.CSR32{
 		sparse.Compact(e.h12.Expand(hub)),
 		sparse.Compact(e.h21.Expand(spoke)),
@@ -234,14 +234,14 @@ func requireSchurStoredOnce(t *testing.T, e *Engine) {
 	}
 	pattern := func(m *sparse.Pattern) int64 { return 2*int64(m.NNZ()) + 4*int64(m.Rows()+1) }
 	want := pattern(e.h12) + pattern(e.h21) + pattern(e.h31) + pattern(e.h32) +
-		8*int64(e.ord.N1+e.ord.N2) + e.h11LU.MemoryBytes() + 16*int64(e.n)
+		8*int64(e.ord.n1+e.ord.n2) + e.h11LU.MemoryBytes() + 4*int64(e.n)
 	if e.schur != nil {
 		want += 10*int64(e.schur.NNZ()) + 4*int64(e.schur.Rows()+1)
 	}
 	var nnz int
 	if e.ilu != nil {
 		nnz = e.ilu.NNZ()
-		n2 := int64(e.ord.N2)
+		n2 := int64(e.ord.n2)
 		want += 10*int64(nnz) + 2*4*(n2+1) + 8*n2
 	} else {
 		nnz = e.schur.NNZ()
@@ -260,7 +260,7 @@ func requireSchurStoredOnce(t *testing.T, e *Engine) {
 // weights, S, four seeds' scores, the saved bytes, and MemoryBytes().
 func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	t.Helper()
-	ref, err := PreprocessWithOrdering(g, e.opts, e.ord)
+	ref, err := PreprocessWithOrdering(g, e.opts, e.Ordering())
 	if err != nil {
 		t.Fatalf("reference preprocess: %v", err)
 	}
@@ -305,13 +305,14 @@ func genDelta(t *testing.T, rng *rand.Rand, kind deltaKind, step int, g *graph.G
 		n += 2
 		if step > 0 {
 			// One spoke and one hub each gain an edge to a new (deadend) node.
-			n1, l := e.ord.N1, e.ord.N1+e.ord.N2
+			n1, l := e.ord.n1, e.ord.n1+e.ord.n2
 			if n1 == 0 || l == n1 {
 				t.Skip("fixture lacks a spoke or a hub")
 			}
+			inv := e.ord.inverse()
 			ops = []EdgeDelta{
-				{Src: e.ord.Inv[0], Dst: g.N(), Insert: true},
-				{Src: e.ord.Inv[l-1], Dst: g.N() + 1, Insert: true},
+				{Src: int(inv[0]), Dst: g.N(), Insert: true},
+				{Src: int(inv[l-1]), Dst: g.N() + 1, Insert: true},
 			}
 		}
 	}
@@ -324,7 +325,7 @@ func genDelta(t *testing.T, rng *rand.Rand, kind deltaKind, step int, g *graph.G
 // wantClass is the class ApplyDelta must report for a delta.
 func wantClass(e *Engine, ops []EdgeDelta) DeltaClass {
 	for _, op := range ops {
-		if e.ord.Perm[op.Src] >= e.ord.N1 {
+		if int(e.ord.perm[op.Src]) >= e.ord.n1 {
 			return DeltaHub
 		}
 	}
@@ -418,10 +419,10 @@ func TestDeltaLongHubColumnBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ord := built.ord
-	if p := ord.Perm[0]; p < ord.N1 || p >= ord.N1+ord.N2 {
-		t.Fatalf("the star's centre is at %d, outside the hub range [%d,%d)", p, ord.N1, ord.N1+ord.N2)
+	if p := int(ord.perm[0]); p < ord.n1 || p >= ord.n1+ord.n2 {
+		t.Fatalf("the star's centre is at %d, outside the hub range [%d,%d)", p, ord.n1, ord.n1+ord.n2)
 	}
-	if d := len(h22Column(g, ord, built.opts.C, ord.Perm[0]-ord.N1)); d < 2000 {
+	if d := len(h22Column(g, ord, built.opts.C, int(ord.perm[0])-ord.n1, 0)); d < 2000 {
 		t.Fatalf("the centre's H22 column has %d entries, the fixture is meant to give it 2000", d)
 	}
 	ops := []EdgeDelta{
@@ -467,7 +468,7 @@ func TestDeltaSequentialSpoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := PreprocessWithOrdering(g2, opts, e2.ord)
+	ref, err := PreprocessWithOrdering(g2, opts, e2.Ordering())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +513,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var ops []EdgeDelta
 	for u := 0; u < g.N() && len(ops) < 4; u++ {
-		if e0.ord.Perm[u] < e0.ord.N1 && !g.HasEdge(u, g.N()+len(ops)) {
+		if int(e0.ord.perm[u]) < e0.ord.n1 && !g.HasEdge(u, g.N()+len(ops)) {
 			ops = append(ops, EdgeDelta{Src: u, Dst: g.N() + len(ops), Insert: true})
 		}
 	}
@@ -525,7 +526,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 	if st2.Class != DeltaSpoke {
 		t.Fatalf("class %v, want DeltaSpoke", st2.Class)
 	}
-	ref, err := PreprocessWithOrdering(gNew, opts, e2.ord)
+	ref, err := PreprocessWithOrdering(gNew, opts, e2.Ordering())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +544,7 @@ func TestDeltaFullClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := e0.ord
+	ord := e0.Ordering()
 	n1, l := ord.N1, ord.N1+ord.N2
 
 	// A deadend gaining its first out-edge.
@@ -633,7 +634,7 @@ func TestDeltaCrossingRefusalIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ord := e.ord
+	ord := e.Ordering()
 	if len(ord.Blocks) < 2 {
 		t.Fatalf("fixture has %d H11 blocks; want at least 2", len(ord.Blocks))
 	}

@@ -150,7 +150,7 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		requireSchurStoredOnce(t, e)
-		ref, err := PreprocessWithOrdering(g, Options{Variant: VariantS}, e.ord)
+		ref, err := PreprocessWithOrdering(g, Options{Variant: VariantS}, e.Ordering())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -235,7 +235,7 @@ func TestSplitSolveMatchesILU0Reference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if e.ord.N2 == 0 {
+		if e.ord.n2 == 0 {
 			continue
 		}
 		ilu0, err := lu.FactorILU0(e.Schur())
@@ -470,7 +470,7 @@ func TestSolveStreamsOneFactorPassPerIteration(t *testing.T) {
 		counts[kernel]++
 		streamed += b
 	})
-	nnz, n2 := int64(e.ilu.NNZ()), int64(e.ord.N2)
+	nnz, n2 := int64(e.ilu.NNZ()), int64(e.ord.n2)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
 		counts, streamed = map[string]int{}, 0

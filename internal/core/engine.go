@@ -203,7 +203,7 @@ type StageTimings struct {
 type Engine struct {
 	opts Options
 	n    int
-	ord  *reorder.Ordering
+	ord  nodeOrder
 
 	// The four off-diagonal blocks of H are built (and patched by ApplyDelta)
 	// in the wide sparse.CSR layout and served as value-free patterns with
@@ -273,6 +273,35 @@ type Engine struct {
 	tkErr    error
 }
 
+// nodeOrder is the node ordering as an engine serves it: the permutation at
+// 4 bytes per node (n < 2³², checkNodeCount) and the partition sizes. It
+// holds no inverse — a query scatters its input and gathers its answer
+// through perm alone, and the cold paths that walk new ids (preprocessing,
+// ApplyDelta) invert it for the call — and no H11 block bounds: the block
+// LU's are the one copy (lu.BlockLU.BlockRange).
+type nodeOrder struct {
+	perm       []uint32 // old id → new id
+	n1, n2, n3 int      // spokes, hubs, deadends
+}
+
+// servedOrder narrows a reorder.Ordering to the form an engine holds.
+func servedOrder(o *reorder.Ordering) nodeOrder {
+	perm := make([]uint32, len(o.Perm))
+	for u, p := range o.Perm {
+		perm[u] = uint32(p)
+	}
+	return nodeOrder{perm: perm, n1: o.N1, n2: o.N2, n3: o.N3}
+}
+
+// inverse returns the new id → old id map of the permutation.
+func (o nodeOrder) inverse() []uint32 {
+	inv := make([]uint32, len(o.perm))
+	for u, p := range o.perm {
+		inv[p] = uint32(u)
+	}
+	return inv
+}
+
 // SetIterHook installs a per-iteration solver observer (nil removes it).
 // Set it before serving queries; it must not race with in-flight solves.
 func (e *Engine) SetIterHook(f func(iter int, residual float64)) { e.iterHook = f }
@@ -313,7 +342,7 @@ func (e *Engine) attachPool() {
 }
 
 // maxNodes bounds the graphs an engine can index: the serving layout holds
-// row and column indexes in 32 bits.
+// row and column indexes and the permutation in 32 bits.
 const maxNodes = int64(1) << 32
 
 func checkNodeCount(n int) error {
@@ -347,12 +376,12 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 
 	// 1. Node reordering: deadends to the tail, SlashBurn on the rest.
 	t0 := time.Now()
-	e.ord = reorder.HubAndSpoke(g, e.opts.HubRatio)
+	ord := reorder.HubAndSpoke(g, e.opts.HubRatio)
 	e.prep.Reorder = time.Since(t0)
 	if e.opts.Deadline > 0 && time.Since(start) > e.opts.Deadline {
 		return nil, fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
 	}
-	return e.preprocessFrom(g, start)
+	return e.preprocessFrom(g, ord, start)
 }
 
 // PreprocessWithOrdering runs preprocessing stages 2–6 (build H, partition,
@@ -374,8 +403,7 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 	if err != nil {
 		return nil, err
 	}
-	e.ord = ord
-	return e.preprocessFrom(g, start)
+	return e.preprocessFrom(g, ord, start)
 }
 
 // newEngine is the engine both entry points start from: defaulted options,
@@ -393,10 +421,10 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// preprocessFrom runs stages 2–6 of preprocessing on an engine whose
-// ordering (e.ord) is already in place. start anchors the deadline budget
-// and the Total stat.
-func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error) {
+// preprocessFrom runs stages 2–6 of preprocessing under the ordering ord,
+// which the engine keeps as its nodeOrder and the block LU's bounds. start
+// anchors the deadline budget and the Total stat.
+func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start time.Time) (*Engine, error) {
 	opts := e.opts
 	deadline := func() error {
 		if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
@@ -404,16 +432,17 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 		}
 		return nil
 	}
-	e.prep.N1, e.prep.N2, e.prep.N3 = e.ord.N1, e.ord.N2, e.ord.N3
-	e.prep.Blocks = len(e.ord.Blocks)
+	e.ord = servedOrder(ord)
+	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
+	e.prep.Blocks = len(ord.Blocks)
 
 	// 2. Build the reordered H = I − (1−c)Ãᵀ and partition it.
 	t0 := time.Now()
-	n1, n2 := e.ord.N1, e.ord.N2
+	n1, n2 := ord.N1, ord.N2
 	l := n1 + n2
 	// The deadend columns (≥ l) hold only the diagonal and belong to no
 	// stored block.
-	blocks := BuildH(g, e.ord.Perm, opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
+	blocks := BuildH(g, ord.Perm, opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
 	h11, h12 := blocks[0][0], blocks[0][1]
 	h21, h22 := blocks[1][0], blocks[1][1]
 	h31, h32 := blocks[2][0], blocks[2][1]
@@ -425,7 +454,7 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	// 3. Per-block LU of the block-diagonal H11, blocks in parallel.
 	t0 = time.Now()
 	var err error
-	e.h11LU, err = lu.FactorBlockDiagPool(h11, e.ord.Blocks, e.pool)
+	e.h11LU, err = lu.FactorBlockDiagPool(h11, ord.Blocks, e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: factoring H11: %w", err)
 	}
@@ -460,8 +489,8 @@ func (e *Engine) preprocessFrom(g *graph.Graph, start time.Time) (*Engine, error
 	e.h12, e.h21 = sparse.PatternOf(h12), sparse.PatternOf(h21)
 	e.h31, e.h32 = sparse.PatternOf(h31), sparse.PatternOf(h32)
 	e.hw = make([]float64, l)
-	for j := range e.hw {
-		e.hw[j] = hWeight(g, e.ord, opts.C, j)
+	for j, u := range ord.Inv[:l] {
+		e.hw[j] = e.ord.hWeight(g, opts.C, u)
 	}
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
@@ -556,20 +585,19 @@ func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 	return sparse.NewCSR(n, n, rowPtr, col, val)
 }
 
-// hWeight is the stored weight of column j < l of the reordered H: the
-// number BuildH writes into every off-diagonal entry of the column,
-// −(1−c)/outdeg(u) for the node u at j, when one of those entries falls in
+// hWeight is the stored weight of the column of the reordered H that the
+// non-deadend node u owns: the number BuildH writes into every off-diagonal
+// entry of the column, −(1−c)/outdeg(u), when one of those entries falls in
 // a stored block — a spoke's out-neighbor outside H11, a hub's outside H22 —
 // and 0 when every one falls in the diagonal block the engine does not
 // store as values. Preprocessing and ApplyDelta both take weights from here.
-func hWeight(g *graph.Graph, ord *reorder.Ordering, c float64, j int) float64 {
-	lo, hi := 0, ord.N1 // the rows of the column's diagonal block
-	if j >= ord.N1 {
-		lo, hi = ord.N1, ord.N1+ord.N2
+func (o nodeOrder) hWeight(g *graph.Graph, c float64, u int) float64 {
+	lo, hi := uint32(0), uint32(o.n1) // the rows of the column's diagonal block
+	if o.perm[u] >= hi {
+		lo, hi = hi, uint32(o.n1+o.n2)
 	}
-	u := ord.Inv[j]
 	for _, v := range g.OutNeighbors(u) {
-		if pv := ord.Perm[v]; pv < lo || pv >= hi {
+		if pv := o.perm[v]; pv < lo || pv >= hi {
 			return -(1 - c) / float64(g.OutDegree(u))
 		}
 	}
@@ -716,8 +744,21 @@ func (e *Engine) Options() Options { return e.opts }
 // PrepStats returns preprocessing statistics.
 func (e *Engine) PrepStats() PrepStats { return e.prep }
 
-// Ordering exposes the node ordering (for experiments).
-func (e *Engine) Ordering() *reorder.Ordering { return e.ord }
+// Ordering returns the engine's node ordering as a reorder.Ordering: Perm,
+// its inverse and the H11 block sizes, widened from the 32-bit permutation
+// and the block LU's bounds — the one copy of each the engine holds. For
+// experiments and tests; each call allocates 16 bytes per node.
+func (e *Engine) Ordering() *reorder.Ordering {
+	o := &reorder.Ordering{
+		Perm: make([]int, e.n), Inv: make([]int, e.n),
+		N1: e.ord.n1, N2: e.ord.n2, N3: e.ord.n3,
+		Blocks: e.h11LU.BlockSizes(),
+	}
+	for u, p := range e.ord.perm {
+		o.Perm[u], o.Inv[p] = int(p), u
+	}
+	return o
+}
 
 // Schur exposes the Schur complement as a wide copy — reassembled from the
 // DILU factors on an engine that has them, widened from the stored matrix
@@ -742,7 +783,7 @@ type IndexPart struct {
 //     columns) and 4 per row pointer;
 //   - "weights": the blocks' one 8-byte weight per non-deadend node;
 //   - "blocklu": the H11 LU factors;
-//   - "perm": the permutation and its inverse.
+//   - "perm": the permutation, 4 bytes per node (no inverse is held).
 //
 // MemoryBytes is their sum.
 func (e *Engine) IndexParts() []IndexPart {
@@ -758,7 +799,7 @@ func (e *Engine) IndexParts() []IndexPart {
 		{"h", e.h12.MemoryBytes() + e.h21.MemoryBytes() + e.h31.MemoryBytes() + e.h32.MemoryBytes()},
 		{"weights", int64(8 * len(e.hw))},
 		{"blocklu", e.h11LU.MemoryBytes()},
-		{"perm", int64(2 * e.n * 8)},
+		{"perm", int64(4 * len(e.ord.perm))},
 	}
 }
 

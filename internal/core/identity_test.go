@@ -9,7 +9,9 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -119,8 +121,8 @@ func TestPreprocessBlocksMatchBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := buildHCOO(g, e.ord.Perm, e.opts.C)
-	n1, l, n := e.ord.N1, e.ord.N1+e.ord.N2, e.n
+	h := buildHCOO(g, e.Ordering().Perm, e.opts.C)
+	n1, l, n := e.ord.n1, e.ord.n1+e.ord.n2, e.n
 	for name, pair := range map[string][2]*sparse.CSR{
 		"h12": {e.h12.Expand(e.hw[n1:]), h.Block(0, n1, n1, l)},
 		"h21": {e.h21.Expand(e.hw[:n1]), h.Block(n1, l, 0, n1)},
@@ -139,8 +141,8 @@ func TestPreprocessBlocksMatchBlock(t *testing.T) {
 // the four blocks holds entries of it, 0 at every other non-deadend column.
 func requireHBlocks(t *testing.T, e *Engine, g *graph.Graph) {
 	t.Helper()
-	n1, l := e.ord.N1, e.ord.N1+e.ord.N2
-	blocks := BuildH(g, e.ord.Perm, e.opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
+	n1, l := e.ord.n1, e.ord.n1+e.ord.n2
+	blocks := BuildH(g, e.Ordering().Perm, e.opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
 	want := make([]float64, l)
 	for _, b := range []struct {
 		name string
@@ -216,11 +218,15 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 }
 
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
-// SHA-256 of its format-version-4 file (315 690 bytes): ordering, H patterns
+// SHA-256 of its format-version-5 file (313 870 bytes): ordering, H patterns
 // and weights, S and the block LU all flow into these bytes, so none of
 // them may move by one bit. Save → Load → Save is a fixed point. History:
-// the version-3 file of the same index, 382 336 bytes — 2 bytes more per
-// entry of S and of the H patterns — hashed to
+// the version-4 file of the same index, 315 690 bytes — the 453 H11 block
+// sizes a second time, as 32-bit words after the permutation, and their
+// count in the header — hashed to
+// 552aefa6743d8dced65319db2088f091f165af2bfb391534b8a3dbc53f50ef48; the
+// version-3 file, 382 336 bytes — 2 bytes more per entry of S and of the H
+// patterns — to
 // f9b322e12979898f3b74da5100df30bc30309fa3e76806c1973122ef469d251b; the
 // version-2 file, 436 540 bytes, to
 // 7fb69f6b2f30d25d0e34df3ba877900c7f8e4610069aa3a21e55460c332716ce from
@@ -229,7 +235,7 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 // from the commit before the chunked codec and the linear-time builders to
 // the last version-1 writer.
 func TestSaveLoadFrozenBytes(t *testing.T) {
-	const frozen = "552aefa6743d8dced65319db2088f091f165af2bfb391534b8a3dbc53f50ef48"
+	const frozen = "eb4781dab8a5dc68380f415eb90b3ffe8d7df97076c1ac72bbbe7e8fb0165b04"
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
@@ -248,6 +254,53 @@ func TestSaveLoadFrozenBytes(t *testing.T) {
 	}
 	if back.ILU() == nil {
 		t.Error("Load returned without the ILU factors")
+	}
+}
+
+// TestOrderingHeldOnce: an engine holds its ordering as the 32-bit
+// permutation and the block LU's bounds, nothing beside them — and from
+// those Ordering() reassembles exactly the ordering preprocessing was given
+// (Perm, Inv, the partition and the H11 block sizes), on a built, a loaded
+// and a patched engine, the patched one with its new deadends appended. The
+// index's "perm" part is 4 bytes per node.
+func TestOrderingHeldOnce(t *testing.T) {
+	g := gen.Hybrid(gen.DefaultHybrid(10, 8, 1))
+	want := reorder.HubAndSpoke(g, 0.2)
+	if len(want.Blocks) < 2 || want.N2 == 0 || want.N3 == 0 {
+		t.Fatalf("fixture: %d blocks, %d hubs, %d deadends", len(want.Blocks), want.N2, want.N3)
+	}
+	e, err := PreprocessWithOrdering(g, Options{}, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const growth = 2
+	gNew := graph.MustNew(g.N()+growth, g.Edges())
+	patched, _, err := e.ApplyDelta(gNew, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := &reorder.Ordering{
+		Perm: append(slices.Clone(want.Perm), g.N(), g.N()+1),
+		Inv:  append(slices.Clone(want.Inv), g.N(), g.N()+1),
+		N1:   want.N1, N2: want.N2, N3: want.N3 + growth,
+		Blocks: want.Blocks,
+	}
+	for state, c := range map[string]struct {
+		e    *Engine
+		want *reorder.Ordering
+	}{
+		"built":   {e, want},
+		"loaded":  {reloaded(t, e), want},
+		"patched": {patched, grown},
+	} {
+		if got := c.e.Ordering(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Ordering() is not the ordering the engine was built under", state)
+		}
+		for _, p := range c.e.IndexParts() {
+			if p.Name == "perm" && p.Bytes != 4*int64(c.e.N()) {
+				t.Errorf("%s: the permutation occupies %d B, want 4 per node (%d)", state, p.Bytes, 4*c.e.N())
+			}
+		}
 	}
 }
 
@@ -334,15 +387,18 @@ func reseal(t testing.TB, raw []byte) []byte {
 // saved index: its section's start, past the dimension words and the int32
 // row pointers, 2 bytes a column (H12 has n2 ≤ 65 536 columns here).
 func h12ColumnOffset(t testing.TB, e *Engine, raw []byte, k int) int {
-	return sections(t, raw)[secH12][0] + 3*8 + 4*(e.ord.N1+1) + 2*k
+	return sections(t, raw)[secH12][0] + 3*8 + 4*(e.ord.n1+1) + 2*k
 }
 
 // corruptFixture is the graph of corruptIndexes.
 func corruptFixture() *graph.Graph { return gen.RMAT(gen.DefaultRMAT(6, 4, 3)) }
 
-// corruptIndexes are saved indexes with one H12 column index or one option
-// word of the header overwritten, and their checksums recomputed: what the
-// structural checks must refuse on their own. Before the matrix reader
+// corruptIndexes are saved indexes with one H12 column index, one
+// permutation entry or one option word of the header overwritten, and their
+// checksums recomputed: what the structural checks must refuse on their own.
+// A permutation entry repeated or out of range must be refused by the
+// load's own check: no later one would notice, and a query would scatter
+// two nodes into one slot. Before the matrix reader
 // validated what it decodes the first two loaded without error: one was
 // truncated to column 0 by the uint32 compaction and the engine served silently wrong
 // scores, the other made Query index out of range. Before ReadEngine
@@ -362,10 +418,19 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	_, valid = saveHash(t, e)
 	header := sections(t, valid)[secHeader][0]
 	corrupt = map[string][]byte{}
-	for name, v := range map[string]uint16{"1<<16-1": 1<<16 - 1, "n2": uint16(e.ord.N2)} {
+	for name, v := range map[string]uint16{"1<<16-1": 1<<16 - 1, "n2": uint16(e.ord.n2)} {
 		raw := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint16(raw[h12ColumnOffset(t, e, raw, 1):], v)
 		corrupt["H12 column "+name] = reseal(t, raw)
+	}
+	ordering := sections(t, valid)[secOrdering][0]
+	for name, v := range map[string]uint32{
+		"repeated": binary.LittleEndian.Uint32(valid[ordering:]),
+		"n":        uint32(e.n),
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(raw[ordering+4:], v)
+		corrupt["permutation entry "+name] = reseal(t, raw)
 	}
 	for name, w := range map[string]struct {
 		word int
@@ -432,7 +497,7 @@ func TestReadEngineRejectsWrongShapes(t *testing.T) {
 	}
 	_, raw := saveHash(t, e)
 	// H12's declared column count is its section's second word.
-	binary.LittleEndian.PutUint64(raw[sections(t, raw)[secH12][0]+8:], uint64(e.ord.N2+1))
+	binary.LittleEndian.PutUint64(raw[sections(t, raw)[secH12][0]+8:], uint64(e.ord.n2+1))
 	if _, err := ReadEngine(bytes.NewReader(reseal(t, raw))); err == nil || errors.Is(err, binio.ErrChecksum) {
 		t.Fatalf("an index whose H12 is one column too wide: %v", err)
 	}

@@ -9,21 +9,20 @@ import (
 
 	"bepi/internal/binio"
 	"bepi/internal/lu"
-	"bepi/internal/reorder"
 	"bepi/internal/sparse"
 )
 
 // Index persistence: a preprocessed engine can be written to disk once and
 // reloaded for later query sessions, which is the whole point of a
 // preprocessing method. The file is the index in the layout the engine
-// serves it from, little-endian (format version 4):
+// serves it from, little-endian (format version 5):
 //
 //	magic    uint32 'BePI'
-//	version  uint32 4
+//	version  uint32 5
 //	sections, each  length int64 · payload · CRC-32C(payload) uint32:
 //	  header    c, tol (float64), variant, maxIter (int64), hubRatio (float64),
-//	            n, n1, n2, n3, nblocks (int64)
-//	  ordering  perm n × uint32, blocks nblocks × uint32
+//	            n, n1, n2, n3 (int64)
+//	  ordering  perm n × uint32 (old id → new id)
 //	  h12, h21, h31, h32   (sparse.Pattern.WriteTo: int32 row pointers,
 //	                        uint16 columns, no values)
 //	  weights   n1+n2 × float64: the H blocks' value of each non-deadend
@@ -31,7 +30,11 @@ import (
 //	  S         (lu.ILU.WriteTo: the strict lower triangle, and the upper one
 //	            with each row led by S's diagonal; int32 row pointers,
 //	            uint16 columns)
-//	  blockLU   (lu.BlockLU.WriteTo)
+//	  blockLU   (lu.BlockLU.WriteTo: the block count and bounds, then the
+//	            packed factors)
+//
+// The H11 block bounds are stored once, in the blockLU section, and the
+// permutation once, without its inverse — as the engine holds them.
 //
 // A column array is 16-bit exactly when its matrix has at most 65 536
 // columns (sparse.NarrowCols) and 32-bit otherwise: H12 and H32 span the n2
@@ -44,14 +47,14 @@ import (
 // file whose checksums were recomputed over corrupt arrays still meets the
 // structural checks, and weights no H has are refused (checkWeights).
 //
-// Versions 1 to 3 — v1 under the magic 'BPI1', with no version word — are
+// Versions 1 to 4 — v1 under the magic 'BPI1', with no version word — are
 // refused with ErrIndexVersion: re-running `bepi preprocess` rebuilds the
 // index in this format.
 
 const (
 	indexMagicV1 = 0x42504931 // 'BPI1', the unversioned magic of version 1
 	indexMagic   = 0x49506542 // "BePI" as bytes
-	indexVersion = 4
+	indexVersion = 5
 )
 
 // ErrCorruptIndex is wrapped around every error ReadEngine returns but
@@ -66,7 +69,7 @@ var ErrCorruptIndex = errors.New("core: corrupt index")
 // preprocess` replaces, or a newer one.
 var ErrIndexVersion = errors.New("core: unsupported index format version")
 
-// WriteTo serializes the engine in format version 4. It implements
+// WriteTo serializes the engine in format version 5. It implements
 // io.WriterTo. A sink with a Grow(int) method — a bytes.Buffer — is told the
 // file's length first, by a counting pass that reads no array, so that it
 // allocates once instead of doubling under the writes.
@@ -107,7 +110,7 @@ func (e *Engine) writeHeader(w io.Writer) (int64, error) {
 	bw.Int(int(e.opts.Variant))
 	bw.Int(e.opts.MaxIter)
 	bw.F64(e.opts.HubRatio)
-	for _, v := range []int{e.n, e.ord.N1, e.ord.N2, e.ord.N3, len(e.ord.Blocks)} {
+	for _, v := range []int{e.n, e.ord.n1, e.ord.n2, e.ord.n3} {
 		bw.Int(v)
 	}
 	return bw.Close()
@@ -115,8 +118,7 @@ func (e *Engine) writeHeader(w io.Writer) (int64, error) {
 
 func (e *Engine) writeOrdering(w io.Writer) (int64, error) {
 	bw := binio.NewWriter(w)
-	binio.WriteInts32(bw, e.ord.Perm) // n < 2³² (checkNodeCount)
-	binio.WriteInts32(bw, e.ord.Blocks)
+	binio.WriteInts32(bw, e.ord.perm)
 	return bw.Close()
 }
 
@@ -190,15 +192,15 @@ func readSections(br *binio.Reader) (*Engine, error) {
 		}
 		return nil
 	}
-	var head [10 * 8]byte
+	var head [headerWords * 8]byte
 	if err := section("header", func() error { return br.Full(head[:]) }); err != nil {
 		return nil, err
 	}
-	var words [10]uint64
+	var words [headerWords]uint64
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(head[8*i:])
 	}
-	e, nblocks, err := engineFromHeader(words)
+	e, err := engineFromHeader(words)
 	if err != nil {
 		return nil, err
 	}
@@ -207,16 +209,12 @@ func readSections(br *binio.Reader) (*Engine, error) {
 		if err != nil {
 			return err
 		}
-		blocks, err := br.Uint32s(nblocks)
-		if err != nil {
-			return err
-		}
-		return e.setOrdering(widen(perm), widen(blocks))
+		return e.setPerm(perm)
 	})
 	if err != nil {
 		return nil, err
 	}
-	n1, n2, n3 := e.ord.N1, e.ord.N2, e.ord.N3
+	n1, n2, n3 := e.ord.n1, e.ord.n2, e.ord.n3
 	shapes := [4][2]int{{n1, n2}, {n2, n1}, {n3, n1}, {n3, n2}}
 	var pats [4]*sparse.Pattern
 	for i, shape := range shapes {
@@ -274,7 +272,7 @@ func readSections(br *binio.Reader) (*Engine, error) {
 // blockCol0 is, for H12, H21, H31 and H32 in turn, the first column of H
 // the block spans: H12 and H32 span the hubs, the others the spokes.
 func (e *Engine) blockCol0() [4]int {
-	n1 := e.ord.N1
+	n1 := e.ord.n1
 	return [4]int{n1, 0, 0, n1}
 }
 
@@ -296,56 +294,48 @@ func (e *Engine) checkWeights() error {
 	return nil
 }
 
-// widen copies stored 32-bit indexes into the ints the ordering holds.
-func widen(s []uint32) []int {
-	out := make([]int, len(s))
-	for i, v := range s {
-		out[i] = int(v)
-	}
-	return out
-}
+// headerWords is the length of the header section in 8-byte words.
+const headerWords = 9
 
 // engineFromHeader starts a loaded engine from the header words in the
 // order WriteTo writes them — c, tol, variant, maxIter, hubRatio, n, n1,
-// n2, n3, nblocks — refusing option words no engine carries and a partition
-// that does not add up. It returns the block count the ordering declares.
-func engineFromHeader(w [10]uint64) (*Engine, int, error) {
+// n2, n3 — refusing option words no engine carries and a partition that
+// does not add up.
+func engineFromHeader(w [headerWords]uint64) (*Engine, error) {
 	e := &Engine{}
 	e.opts.C, e.opts.Tol = math.Float64frombits(w[0]), math.Float64frombits(w[1])
 	e.opts.Variant = Variant(w[2])
 	e.opts.MaxIter = int(w[3])
 	e.opts.HubRatio = math.Float64frombits(w[4])
 	if err := e.opts.validate(); err != nil {
-		return nil, 0, fmt.Errorf("header: %w", err)
+		return nil, fmt.Errorf("header: %w", err)
 	}
 	e.n = int(w[5])
-	e.ord = &reorder.Ordering{N1: int(w[6]), N2: int(w[7]), N3: int(w[8])}
-	nblocks := int(w[9])
-	if e.n < 0 || nblocks < 0 || e.ord.N1+e.ord.N2+e.ord.N3 != e.n {
-		return nil, 0, fmt.Errorf("header: n=%d partition=%d+%d+%d", e.n, e.ord.N1, e.ord.N2, e.ord.N3)
+	e.ord = nodeOrder{n1: int(w[6]), n2: int(w[7]), n3: int(w[8])}
+	if e.n < 0 || e.ord.n1 < 0 || e.ord.n2 < 0 || e.ord.n3 < 0 || e.ord.n1+e.ord.n2+e.ord.n3 != e.n {
+		return nil, fmt.Errorf("header: n=%d partition=%d+%d+%d", e.n, e.ord.n1, e.ord.n2, e.ord.n3)
 	}
 	if err := checkNodeCount(e.n); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return e, nblocks, nil
+	return e, nil
 }
 
-// setOrdering installs the stored permutation and block sizes, refusing a
-// permutation entry out of range and an ordering that fails its own
-// validation.
-func (e *Engine) setOrdering(perm, blocks []int) error {
-	ord := e.ord
-	ord.Perm, ord.Blocks = perm, blocks
-	ord.Inv = make([]int, e.n)
-	for old, nw := range ord.Perm {
-		if nw < 0 || nw >= e.n {
-			return fmt.Errorf("permutation entry %d out of range", nw)
+// setPerm installs the stored permutation, refusing one that is not a
+// permutation of the engine's n nodes: an entry out of range, or one
+// repeated.
+func (e *Engine) setPerm(perm []uint32) error {
+	seen := make([]bool, e.n)
+	for old, nw := range perm {
+		if int64(nw) >= int64(e.n) {
+			return fmt.Errorf("permutation entry %d of node %d out of range [0,%d)", nw, old, e.n)
 		}
-		ord.Inv[nw] = old
+		if seen[nw] {
+			return fmt.Errorf("permutation entry %d repeated at node %d", nw, old)
+		}
+		seen[nw] = true
 	}
-	if err := ord.Validate(); err != nil {
-		return fmt.Errorf("stored ordering invalid: %w", err)
-	}
+	e.ord.perm = perm
 	return nil
 }
 
@@ -354,8 +344,8 @@ func (e *Engine) readBlockLU(br *binio.Reader) error {
 	if e.h11LU, err = lu.ReadBlockLU(br); err != nil {
 		return err
 	}
-	if e.h11LU.N() != e.ord.N1 {
-		return fmt.Errorf("H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), e.ord.N1)
+	if e.h11LU.N() != e.ord.n1 {
+		return fmt.Errorf("H11 factors cover %d rows, the partition has %d spokes", e.h11LU.N(), e.ord.n1)
 	}
 	return nil
 }
@@ -367,8 +357,8 @@ func (e *Engine) readBlockLU(br *binio.Reader) error {
 func (e *Engine) loaded() *Engine {
 	e.pool = poolFor(0)
 	e.prep.N = e.n
-	e.prep.N1, e.prep.N2, e.prep.N3 = e.ord.N1, e.ord.N2, e.ord.N3
-	e.prep.Blocks = len(e.ord.Blocks)
+	e.prep.N1, e.prep.N2, e.prep.N3 = e.ord.n1, e.ord.n2, e.ord.n3
+	e.prep.Blocks = e.h11LU.NumBlocks()
 	e.prep.HubRatio = e.opts.HubRatio
 	e.attachPool()
 	return e

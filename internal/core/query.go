@@ -54,7 +54,7 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 	if sp == nil {
 		var op solver.Operator = e.schur
 		if hook != nil {
-			op = &timedOperator{op: op, hook: hook, bytes: e.schur.MemoryBytes() + int64(16*e.ord.N2)}
+			op = &timedOperator{op: op, hook: hook, bytes: e.schur.MemoryBytes() + int64(16*e.ord.n2)}
 		}
 		return solver.GMRES(op, qt2, opts)
 	}

@@ -27,8 +27,8 @@ func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
 	}
 	if ws.split == nil || ws.split.ILU() != e.ilu {
 		ws.split = e.ilu.Eisenstat()
-		ws.bhat = make([]float64, e.ord.N2)
-		ws.iterate = make([]float64, e.ord.N2)
+		ws.bhat = make([]float64, e.ord.n2)
+		ws.iterate = make([]float64, e.ord.n2)
 	}
 	return ws.split
 }

@@ -128,13 +128,13 @@ func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int,
 	var chk *tkChecker
 	// A k that covers every candidate can't early-stop (there is no
 	// (k+1)-th bound to clear) — run those to tolerance.
-	if ferr == nil && factor > 0 && e.ord.N2 > 0 && k > 0 && k < cand {
+	if ferr == nil && factor > 0 && e.ord.n2 > 0 && k > 0 && k < cand {
 		chk = &tkChecker{e: e, ws: ws, k: k, skip: -1, factor: factor, qt2Norm: -1, nextCheck: 1}
 		if len(ws.tkScores) < e.n {
 			ws.tkScores = make([]float64, e.n)
 		}
 		if exclude >= 0 && exclude < e.n {
-			chk.skip = e.ord.Perm[exclude]
+			chk.skip = int(e.ord.perm[exclude])
 		}
 		opts.Probe = chk.probe
 		opts.StopWhen = chk.stop
@@ -271,8 +271,8 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 // buffers), concatenated with r2 into out.
 func (e *Engine) permutedScores(ws *Workspace, r2, out []float64) {
 	e.reconstruct(ws, r2)
-	n1 := e.ord.N1
-	l := n1 + e.ord.N2
+	n1 := e.ord.n1
+	l := n1 + e.ord.n2
 	copy(out[:n1], ws.r1)
 	copy(out[n1:l], r2)
 	copy(out[l:e.n], ws.r3)

@@ -142,7 +142,7 @@ func (e *Engine) solveR2(ws *Workspace, q []float64, opts solver.GMRESOptions, s
 // permute scatters the query into the reordered space and forms t1 = c·q1,
 // allocating the workspace's block buffers on first use.
 func (e *Engine) permute(ws *Workspace, q []float64) {
-	n1, n2 := e.ord.N1, e.ord.N2
+	n1, n2 := e.ord.n1, e.ord.n2
 	if ws.qp == nil {
 		n3 := e.n - n1 - n2
 		ws.qp = make([]float64, e.n)
@@ -155,9 +155,10 @@ func (e *Engine) permute(ws *Workspace, q []float64) {
 	for i := range qp {
 		qp[i] = 0
 	}
+	perm := e.ord.perm
 	for old, v := range q {
 		if v != 0 {
-			qp[e.ord.Perm[old]] = v
+			qp[perm[old]] = v
 		}
 	}
 	c := e.opts.C
@@ -170,11 +171,11 @@ func (e *Engine) permute(ws *Workspace, q []float64) {
 // blocks of the substitution and rows of the SpMV run in parallel over the
 // engine pool.
 func (e *Engine) forward(ws *Workspace) {
-	n1 := e.ord.N1
+	n1 := e.ord.n1
 	c := e.opts.C
 	e.h11LU.SolvePool(ws.t1, e.pool)
 	e.h21.MulVecScaled(ws.qt2, ws.z1, e.hw[:n1], ws.t1)
-	q2 := ws.qp[n1 : n1+e.ord.N2]
+	q2 := ws.qp[n1 : n1+e.ord.n2]
 	for i, v := range ws.qt2 {
 		ws.qt2[i] = c*q2[i] - v
 	}
@@ -185,7 +186,7 @@ func (e *Engine) forward(ws *Workspace) {
 // not touch the solver workspace: the solve may still be running.
 func (e *Engine) reconstruct(ws *Workspace, r2 []float64) {
 	c := e.opts.C
-	n1 := e.ord.N1
+	n1 := e.ord.n1
 	qp, r1, r3, tmp := ws.qp, ws.r1, ws.r3, ws.tmp
 
 	// r1 = H11⁻¹·(c·q1 − H12·r2)   (line 5); z2 = w2∘r2 serves H32 below
@@ -198,7 +199,7 @@ func (e *Engine) reconstruct(ws *Workspace, r2 []float64) {
 	// r3 = c·q3 − H31·r1 − H32·r2   (line 6)
 	e.h31.MulVecScaled(r3, ws.z1, e.hw[:n1], r1)
 	e.h32.MulVec(tmp, ws.z2)
-	q3 := qp[n1+e.ord.N2:]
+	q3 := qp[n1+e.ord.n2:]
 	for i := range r3 {
 		r3[i] = c*q3[i] - r3[i] - tmp[i]
 	}
@@ -215,13 +216,12 @@ func (e *Engine) assemble(ws *Workspace, r2 []float64) []float64 {
 // r2 into a fresh original-id vector (line 7) — the one allocation that must
 // escape.
 func (e *Engine) unpermute(ws *Workspace, r2 []float64) []float64 {
-	n1 := e.ord.N1
-	l := n1 + e.ord.N2
+	n1 := e.ord.n1
+	l := n1 + e.ord.n2
 	r := make([]float64, e.n)
 	r1, r3 := ws.r1, ws.r3
-	for old := 0; old < e.n; old++ {
-		nw := e.ord.Perm[old]
-		switch {
+	for old, p := range e.ord.perm {
+		switch nw := int(p); {
 		case nw < n1:
 			r[old] = r1[nw]
 		case nw < l:

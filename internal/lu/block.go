@@ -140,6 +140,16 @@ func (b *BlockLU) NumBlocks() int { return len(b.factors) }
 // BlockRange returns the half-open row range of block i.
 func (b *BlockLU) BlockRange(i int) (lo, hi int) { return b.offsets[i], b.offsets[i+1] }
 
+// BlockSizes returns the block dimensions in order: the sizes the factors
+// were built from.
+func (b *BlockLU) BlockSizes() []int {
+	sizes := make([]int, len(b.factors))
+	for i := range sizes {
+		sizes[i] = b.offsets[i+1] - b.offsets[i]
+	}
+	return sizes
+}
+
 // BlockOf returns the index of the block containing row i.
 func (b *BlockLU) BlockOf(i int) int {
 	return sort.SearchInts(b.offsets, i+1) - 1

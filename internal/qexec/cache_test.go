@@ -429,9 +429,9 @@ func TestCacheSegmentAccounting(t *testing.T) {
 	wantCache(t, c, 0, 0)
 }
 
-// budgetEngine is a fixture whose index holds 9 of its 256 score vectors,
+// budgetEngine is a fixture whose index holds 10 of its 256 score vectors,
 // so that probation holds one.
-func budgetEngine(t *testing.T) *core.Engine { return freshEngine(t, 8, 8, 5) }
+func budgetEngine(t *testing.T) *core.Engine { return freshEngine(t, 8, 12, 5) }
 
 // vectorFit is how many of e's score vectors the cache's budget holds, and
 // how many of them never-hit answers may hold.

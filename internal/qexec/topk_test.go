@@ -12,10 +12,11 @@ import (
 
 // skewedEng builds a fresh hub-heavy engine on which the bounded top-k
 // certificate actually fires (the shared eng(t) fixture is too small and
-// uniform to exercise early stopping reliably).
+// uniform to exercise early stopping reliably). Its index holds 9 of its
+// score vectors, so that the cache tests' probation share holds one.
 func skewedEng(t testing.TB) *core.Engine {
 	t.Helper()
-	g := gen.RMAT(gen.DefaultRMAT(9, 8, 42))
+	g := gen.RMAT(gen.DefaultRMAT(9, 10, 42))
 	e, err := core.Preprocess(g, core.Options{Variant: core.VariantFull, HubRatio: 0.2})
 	if err != nil {
 		t.Fatalf("preprocess: %v", err)

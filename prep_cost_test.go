@@ -119,8 +119,9 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	}
 	// Load allocates every array once at its declared size and served
 	// width — the file is the index — plus the pivot recurrence's cursors and
-	// the 32-bit permutation it widens: append-doubling the arrays, a wide
-	// copy of S or a second copy of S push it back up.
+	// the one byte per node the permutation check marks: append-doubling the
+	// arrays, a wide copy of S, a second copy of S or an inverse permutation
+	// push it back up.
 	// poolSlack: under the race detector the codec's pool comes up empty for
 	// up to four of Load's array reads in the best of five runs (64 KiB
 	// each), which the 10% margin (245 KB) would not absorb.
@@ -128,8 +129,7 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		t.Errorf("Load allocated %d B, budget %d B + %d B", loadBytes, loadBudget, poolSlack)
 	}
 	// The saved file is the index in the layout it is served from, without
-	// what loading derives from it (the inverse permutation, the pivots) and
-	// with the permutation in 32 bits.
+	// what loading derives from it (the pivots).
 	if int64(len(raw)) > mem {
 		t.Errorf("the saved file takes %d B, the index it loads into %d B", len(raw), mem)
 	}
@@ -159,8 +159,8 @@ func (s *growSink) Grow(n int) {
 
 const (
 	poolSlack  = 4 * 64 << 10
-	loadBudget = 995_000    // measured 904 544 (1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
-	newBudget  = 10_697_000 // measured 9 724 576 at two workers (9 879 216 with 32-bit columns)
+	loadBudget = 906_000    // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	newBudget  = 10_716_000 // measured 9 741 072 at two workers, the engine's 32-bit copy of the permutation included (9 879 216 with 32-bit columns)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
@@ -173,8 +173,9 @@ const (
 // B with S held twice, 1 591 584 B with S held once and H22 retained by built
 // engines, 1 084 296 B for the index a built, a loaded and a patched engine
 // share, 948 384 B once H12/H21/H31/H32 kept their structure and one
-// weight per non-deadend node instead of a value per entry, 789 552 B now
-// that S's triangles and the H patterns hold 16-bit columns.
+// weight per non-deadend node instead of a value per entry, 789 552 B once
+// S's triangles and the H patterns held 16-bit columns, 740 400 B now that
+// the permutation is 4 bytes per node and its inverse is not held.
 func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 	eng, err := bepi.New(costFixture(t))
 	if err != nil {
@@ -189,7 +190,7 @@ func TestIndexBytesDoNotPayForTheDiagonal(t *testing.T) {
 		t.Errorf("factors occupy %d B, the commit before %d B", f.MemoryBytes(), iluBytesBefore)
 	}
 	if got := eng.Internal().MemoryBytes(); got != indexBytesFixture {
-		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with 32-bit columns: 948384 B)",
+		t.Errorf("index occupies %d B, pinned %d B (with a second copy of S: %d B; with 16 bytes per node for the permutation and its inverse: 789552 B)",
 			got, indexBytesFixture, indexBytesFixture+10*nnz+4*(n2+1))
 	}
 }
@@ -206,7 +207,7 @@ func liveHeap() uint64 {
 // TestMemoryBytesMatchesRetainedHeap holds the counter index_bytes reports
 // against the heap: the live heap with one built engine reachable, minus
 // the live heap once it is dropped, is within 5% (+ 64 KiB for what no
-// array accounts for: the ordering's block list, stats, the structs
+// array accounts for: the block LU's per-block headers, stats, the structs
 // themselves) of MemoryBytes() — for the variant that holds S as DILU
 // factors and for one that holds it as a CSR. The smallest of three
 // attempts is judged, so that garbage another goroutine leaves between the
@@ -272,7 +273,7 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 const (
-	indexBytesFixture = 789552
+	indexBytesFixture = 740400
 	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 623 266
 	queryObjectBudget = 29     // measured 26; the commit before averaged 105
 	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
