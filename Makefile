@@ -67,9 +67,11 @@ race:
 # boundary (compact matrices, patterns and DILU factors at 65 535, 65 536
 # and 65 537 columns, pooled kernels at both widths), and the ordering an
 # engine holds once (the 32-bit permutation and the block LU's bounds,
-# reassembled by built, loaded and patched engines).
+# reassembled by built, loaded and patched engines), and the assembly of S
+# (every column computed once into per-worker shards, scattered into the
+# DILU triangles, against the triplet-summed reference at 1 and 4 workers).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -93,6 +95,9 @@ bench-repo:
 
 # Serial-vs-parallel kernel benchmarks (Schur build, H11 factorization,
 # SpMV) across worker counts; compare the workers=1 and workers=N lines.
+# BenchmarkSchurComplement measures the assembly preprocessing runs: the
+# column routine into per-worker shards, then one counting sort into rows
+# (here into a CSR, where preprocessing scatters into S's DILU triangles).
 bench-par:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurComplement|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -27,11 +26,11 @@ import (
 //   - An edge update with a hub source u rescales column perm[u]−n1 of
 //     H12/H22/H32, so exactly one column of S changes per hub source.
 //   - Either way the changed Schur columns are recomputed by the column
-//     routine SchurComplementT runs (schurScratch.column), merged with their
-//     H22 columns read off the updated graph, and spliced into S, and the
-//     DILU factors are re-factored from the patched S — the one O(nnz(S))
-//     pass Preprocess runs — so every absorbed delta, first or n-th in a
-//     chain, on a built or a loaded engine, is bit-identical to
+//     routine preprocessing runs (schurInputs.column: the cross term merged
+//     with the H22 column read off the updated graph) and spliced into S,
+//     and the DILU pivots are re-derived from the patched S — the one
+//     O(nnz(S)) recurrence Preprocess runs — so every absorbed delta, first
+//     or n-th in a chain, on a built or a loaded engine, is bit-identical to
 //     PreprocessWithOrdering on the updated graph (DESIGN.md §16, §20).
 //   - Anything that breaks the reused ordering's structure — a new node
 //     with out-edges, a deadend gaining its first out-edge, a spoke edge
@@ -277,9 +276,8 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	inv := ord.inverse()
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
-	// dense from gNew (same per-cell arithmetic as BuildH + the CSR merge:
-	// at most identity + one edge weight per cell, a commutative two-term
-	// sum) and LU-factor only those.
+	// dense from gNew, the way preprocessing fills every block (h11Block),
+	// and LU-factor only those.
 	tFactor := time.Now()
 	h11LUNew := e.h11LU
 	if len(touched) > 0 {
@@ -287,21 +285,8 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		for b := range touched {
 			lo, hi := e.h11LU.BlockRange(b)
 			blk := dense.New(hi-lo, hi-lo)
-			for col := lo; col < hi; col++ {
-				u := int(inv[col])
-				deg := gNew.OutDegree(u)
-				if deg == 0 {
-					continue
-				}
-				w := -(1 - c) / float64(deg)
-				for _, v := range gNew.OutNeighbors(u) {
-					if pv := int(ord.perm[v]); pv >= lo && pv < hi {
-						blk.Set(pv-lo, col-lo, blk.At(pv-lo, col-lo)+w)
-					}
-				}
-			}
-			for i := 0; i < hi-lo; i++ {
-				blk.Set(i, i, blk.At(i, i)+1)
+			if err := h11Block(gNew, ord, inv, c, b, lo, blk); err != nil {
+				return nil, st, fmt.Errorf("%v: %w", err, ErrDeltaFull)
 			}
 			raw[b] = blk
 		}
@@ -338,24 +323,22 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	sort.Ints(cols)
 	st.AffectedColumns = len(cols)
 
-	// Recompute each affected S column the way SchurComplementT builds it,
-	// against the patched blocks: the shared column routine, then the merge
-	// with the H22 column (rebuilt from the graph) that CSR.Add performs,
-	// explicit zeros kept — bit-identical to a from-scratch Schur build.
+	// Recompute each affected S column with the column routine of the full
+	// build (schurInputs.column), against the patched blocks and H22's
+	// columns read off gNew — bit-identical to a from-scratch Schur build.
 	tSchur := time.Now()
 	newCols := make(map[int][]colEntry, len(cols))
 	if len(cols) > 0 {
-		h12T := h12W.Transpose()
-		h21T := h21New.Expand(wSpoke).Transpose()
+		in := graphSchurInputs(gNew, ord, inv, c, h11LUNew, h12New, h21New, hw)
 		w := newSchurScratch(n2, h11LUNew)
 		for _, j := range cols {
-			w.column(j, h21T, h12T, h11LUNew)
+			in.column(w, j)
 			sort.Ints(w.touched)
-			staged := make([]colEntry, len(w.touched))
+			col := make([]colEntry, len(w.touched))
 			for k, i := range w.touched {
-				staged[k] = colEntry{i, w.acc[i]}
+				col[k] = colEntry{i, w.acc[i]}
 			}
-			newCols[j] = mergeColumns(h22Column(gNew, ord, c, j, int(inv[n1+j])), staged)
+			newCols[j] = col
 		}
 	}
 	schurDur := time.Since(tSchur)
@@ -391,62 +374,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	ne.prep.Total = time.Since(start)
 	st.Duration = ne.prep.Total
 	return ne, st, nil
-}
-
-// h22Column builds column j of the reordered H22 straight from the graph:
-// the identity diagonal plus −(1−c)/outdeg(u) for every hub out-neighbor of
-// the hub node u owning the column, duplicates (the self-loop) merged by
-// the same two-term sum the CSR build produces.
-func h22Column(g *graph.Graph, ord nodeOrder, c float64, j, u int) []colEntry {
-	n1 := ord.n1
-	l := n1 + ord.n2
-	deg := g.OutDegree(u)
-	out := append(make([]colEntry, 0, deg+1), colEntry{j, 1})
-	if deg > 0 {
-		w := -(1 - c) / float64(deg)
-		for _, v := range g.OutNeighbors(u) {
-			if pv := int(ord.perm[v]); pv >= n1 && pv < l {
-				out = append(out, colEntry{pv - n1, w})
-			}
-		}
-	}
-	// A top hub's column holds thousands of entries, so this is an
-	// O(d log d) sort — and not the reflection-based sort.Slice, which showed
-	// up in per-flush profiles at 347 columns a delta. The only duplicate row
-	// is the diagonal, and its two terms sum to the same bits in either order.
-	slices.SortFunc(out, func(a, b colEntry) int { return cmp.Compare(a.row, b.row) })
-	merged := out[:0]
-	for _, ce := range out {
-		if len(merged) > 0 && merged[len(merged)-1].row == ce.row {
-			merged[len(merged)-1].val += ce.val
-		} else {
-			merged = append(merged, ce)
-		}
-	}
-	return merged
-}
-
-// mergeColumns merges an H22 column with the staged −H21·H11⁻¹·H12 column
-// entries with exactly sparse.CSR.Add's two-pointer semantics (same sum
-// expression, explicit zeros kept).
-func mergeColumns(h22col, staged []colEntry) []colEntry {
-	out := make([]colEntry, 0, len(h22col)+len(staged))
-	pa, pb := 0, 0
-	for pa < len(h22col) || pb < len(staged) {
-		switch {
-		case pb >= len(staged) || (pa < len(h22col) && h22col[pa].row < staged[pb].row):
-			out = append(out, h22col[pa])
-			pa++
-		case pa >= len(h22col) || staged[pb].row < h22col[pa].row:
-			out = append(out, staged[pb])
-			pb++
-		default:
-			out = append(out, colEntry{h22col[pa].row, h22col[pa].val + staged[pb].val})
-			pa++
-			pb++
-		}
-	}
-	return out
 }
 
 // extractColumns collects the stored entries of the wanted columns in one

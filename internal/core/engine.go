@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"bepi/internal/dense"
 	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/par"
@@ -148,7 +149,17 @@ var (
 )
 
 // PrepStats records where preprocessing time went and the sizes that
-// determine query cost.
+// determine query cost. The stages of a build (ApplyDelta reports its own
+// counterparts):
+//
+//   - Reorder: deadends to the tail, SlashBurn on the rest;
+//   - BuildH: H12, H21, H31 and H32 built from the graph as the patterns
+//     the engine keeps, and their weights;
+//   - FactorH11: H11's diagonal blocks filled dense from the graph and
+//     LU-factored;
+//   - Schur: S's columns, and their assembly into the DILU triangles L̂ and
+//     Û (the compact CSR for the unpreconditioned variants);
+//   - ILU: D_S and the DILU pivots (zero without a preconditioner).
 type PrepStats struct {
 	Total      time.Duration
 	Reorder    time.Duration
@@ -205,14 +216,15 @@ type Engine struct {
 	n    int
 	ord  nodeOrder
 
-	// The four off-diagonal blocks of H are built (and patched by ApplyDelta)
-	// in the wide sparse.CSR layout and served as value-free patterns with
-	// compact indexes: every off-diagonal entry of column j of H is the same
-	// number, −(1−c)/outdeg of the node at j (BuildH), so hw holds it once
-	// per column, for the l = n1+n2 non-deadend nodes in new-id order —
-	// H21/H31 read hw[:n1], H12/H32 hw[n1:]. hw is canonical: 0 at a column
-	// none of the four blocks holds an entry of (hWeight), so the weights
-	// are a function of the graph and the ordering alone.
+	// The four off-diagonal blocks of H are built from the graph as, and
+	// served as, value-free patterns with compact indexes (ApplyDelta
+	// patches them in the wide sparse.CSR layout): every off-diagonal entry
+	// of column j of H is the same number, −(1−c)/outdeg of the node at j
+	// (BuildH), so hw holds it once per column, for the l = n1+n2
+	// non-deadend nodes in new-id order — H21/H31 read hw[:n1], H12/H32
+	// hw[n1:]. hw is canonical: 0 at a column none of the four blocks holds
+	// an entry of (hWeight), so the weights are a function of the graph and
+	// the ordering alone.
 	h12, h21, h31, h32 *sparse.Pattern
 	hw                 []float64
 	// S is stored once: schur == nil ⇔ ilu != nil. An engine with DILU
@@ -384,13 +396,13 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 	return e.preprocessFrom(g, ord, start)
 }
 
-// PreprocessWithOrdering runs preprocessing stages 2–6 (build H, partition,
-// factor H11, Schur complement, DILU, compaction) under a caller-supplied
-// node ordering, skipping the SlashBurn reordering stage entirely. It is the
-// from-scratch reference for the delta-rebuild path: a spoke-only delta
-// rebuild must be bit-identical to PreprocessWithOrdering of the updated
-// graph under the reused ordering. The ordering must cover exactly g.N()
-// nodes and pass its own validation.
+// PreprocessWithOrdering runs preprocessing stages 2–5 (H's blocks, the
+// block LU of H11, S assembled into its served layout, the DILU pivots)
+// under a caller-supplied node ordering, skipping the SlashBurn reordering
+// stage entirely. It is the from-scratch reference for the delta-rebuild
+// path: a spoke-only delta rebuild must be bit-identical to
+// PreprocessWithOrdering of the updated graph under the reused ordering.
+// The ordering must cover exactly g.N() nodes and pass its own validation.
 func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering) (*Engine, error) {
 	if len(ord.Perm) != g.N() {
 		return nil, fmt.Errorf("core: ordering covers %d nodes, graph has %d", len(ord.Perm), g.N())
@@ -421,7 +433,7 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// preprocessFrom runs stages 2–6 of preprocessing under the ordering ord,
+// preprocessFrom runs stages 2–5 of preprocessing under the ordering ord,
 // which the engine keeps as its nodeOrder and the block LU's bounds. start
 // anchors the deadline budget and the Total stat.
 func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start time.Time) (*Engine, error) {
@@ -436,25 +448,29 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
 	e.prep.Blocks = len(ord.Blocks)
 
-	// 2. Build the reordered H = I − (1−c)Ãᵀ and partition it.
+	// 2. The off-diagonal blocks of H, built from the graph as the patterns
+	// the engine keeps, and their weights, once per column.
 	t0 := time.Now()
 	n1, n2 := ord.N1, ord.N2
 	l := n1 + n2
-	// The deadend columns (≥ l) hold only the diagonal and belong to no
-	// stored block.
-	blocks := BuildH(g, ord.Perm, opts.C).Partition([]int{0, n1, l, e.n}, []int{0, n1, l})
-	h11, h12 := blocks[0][0], blocks[0][1]
-	h21, h22 := blocks[1][0], blocks[1][1]
-	h31, h32 := blocks[2][0], blocks[2][1]
+	inv := e.ord.inverse()
+	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv)
+	e.hw = make([]float64, l)
+	for j, u := range inv[:l] {
+		e.hw[j] = e.ord.hWeight(g, opts.C, int(u))
+	}
 	e.prep.BuildH = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
 	}
 
-	// 3. Per-block LU of the block-diagonal H11, blocks in parallel.
+	// 3. Per-block LU of the block-diagonal H11, blocks in parallel, each
+	// filled dense from the graph.
 	t0 = time.Now()
 	var err error
-	e.h11LU, err = lu.FactorBlockDiagPool(h11, ord.Blocks, e.pool)
+	e.h11LU, err = lu.FactorBlocksPool(n1, ord.Blocks, func(b, lo int, blk *dense.Matrix) error {
+		return h11Block(g, e.ord, inv, opts.C, b, lo, blk)
+	}, e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: factoring H11: %w", err)
 	}
@@ -466,31 +482,31 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 		return nil, err
 	}
 
-	// 4. Schur complement S = H22 − H21·H11⁻¹·H12, columns in parallel.
-	// The engine already needs column views of H12/H21, so it builds the
-	// transposes once here and hands them in instead of letting
-	// SchurComplement rebuild them.
+	// 4. Schur complement S = H22 − H21·H11⁻¹·H12, columns in parallel,
+	// assembled straight into the layout its solve reads: for the full
+	// variant S's two DILU triangles, whose pivots (step 5) make them the
+	// factors; otherwise the compact CSR.
 	t0 = time.Now()
-	schur := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), e.h11LU, e.pool)
-	e.prep.Schur = time.Since(t0)
+	in := graphSchurInputs(g, e.ord, inv, opts.C, e.h11LU, e.h12, e.h21, e.hw)
+	cols := in.columns(n2, e.pool)
+	nnz := cols.nnz()
+	e.prep.SchurNNZ = nnz
+	if opts.Variant != VariantFull {
+		e.schur = sparse.CompactFromColumns(n2, n2, nnz, cols.visit).SetPool(e.pool)
+		e.prep.Schur = time.Since(t0)
+	} else {
+		tri, err := lu.TrianglesFromColumns(n2, nnz, cols.visit)
+		if err != nil {
+			return nil, fmt.Errorf("core: DILU of S: %w", err)
+		}
+		e.prep.Schur = time.Since(t0)
+		// 5. The DILU pivots: D_S and the one O(nnz(S)) recurrence.
+		t0 = time.Now()
+		e.ilu = lu.FactorTriangles(tri)
+		e.prep.ILU = time.Since(t0)
+	}
 	if err := deadline(); err != nil {
 		return nil, err
-	}
-
-	// 5. S moves into the layout its solve reads: for the full variant the
-	// DILU factors, which are S split at the diagonal plus the pivots;
-	// otherwise the compact CSR.
-	if err := e.storeSchur(schur); err != nil {
-		return nil, fmt.Errorf("core: DILU of S: %w", err)
-	}
-	// 6. Keep the blocks as narrow patterns and their weights once per
-	// column: the wide copies are dropped here, so the budget check below
-	// sees the footprint queries will pay.
-	e.h12, e.h21 = sparse.PatternOf(h12), sparse.PatternOf(h21)
-	e.h31, e.h32 = sparse.PatternOf(h31), sparse.PatternOf(h32)
-	e.hw = make([]float64, l)
-	for j, u := range ord.Inv[:l] {
-		e.hw[j] = e.ord.hWeight(g, opts.C, u)
 	}
 	e.prep.Total = time.Since(start)
 	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
@@ -500,10 +516,10 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	return e, nil
 }
 
-// storeSchur takes the wide S into the engine in the one layout its variant
-// serves it from — DILU factors for VariantFull, the compact CSR on the
-// engine's pool otherwise — and records the factorization time and S's
-// entry count.
+// storeSchur takes a wide S — ApplyDelta's patched copy — into the engine in
+// the one layout its variant serves it from — DILU factors for VariantFull,
+// the compact CSR on the engine's pool otherwise — and records the
+// factorization time and S's entry count.
 func (e *Engine) storeSchur(s *sparse.CSR) error {
 	e.prep.SchurNNZ = s.NNZ()
 	if e.opts.Variant != VariantFull {
@@ -602,137 +618,6 @@ func (o nodeOrder) hWeight(g *graph.Graph, c float64, u int) float64 {
 		}
 	}
 	return 0
-}
-
-// SchurComplement computes S = H22 − H21·H11⁻¹·H12 column by column,
-// exploiting the block-diagonal H11: each H12 column only activates the
-// blocks it touches. It builds the column views (transposes) of H12/H21
-// itself and runs serially; callers that already hold the transposes — the
-// engine builds them once during preprocessing — should use
-// SchurComplementT directly.
-func SchurComplement(h22, h21, h12 *sparse.CSR, h11LU *lu.BlockLU) *sparse.CSR {
-	return SchurComplementT(h22, h21.Transpose(), h12.Transpose(), h11LU, nil)
-}
-
-// schurScratch is the working state of Schur-column computations: a dense
-// accumulator with last-touched column marks, a substitution scratch vector
-// and the rows the current column reached. A parallel Schur build gives each
-// worker one, with a COO shard collecting the worker's columns.
-type schurScratch struct {
-	acc     []float64
-	mark    []int
-	scratch []float64
-	touched []int
-	coo     *sparse.COO
-}
-
-func newSchurScratch(n2 int, h11LU *lu.BlockLU) *schurScratch {
-	mark := make([]int, n2)
-	for i := range mark {
-		mark[i] = -1
-	}
-	return &schurScratch{
-		acc:     make([]float64, n2),
-		mark:    mark,
-		scratch: make([]float64, maxInt(h11LU.MaxBlockSize(), 1)),
-	}
-}
-
-// column computes column j of −H21·H11⁻¹·H12 over the column views h21T and
-// h12T: y = H21·(H11⁻¹·H12[:,j]) accumulated sparsely in the order the
-// substitution emits its rows, exact zeros dropped, the rest negated. On
-// return w.touched lists the rows of the column's entries in the order they
-// were first reached and w.acc[i] holds entry i. This is the one place a
-// Schur column is computed — the full build runs it for every j, a delta for
-// the affected ones — so the two agree bit for bit by construction. A
-// scratch may be reused across columns as long as no j repeats.
-func (w *schurScratch) column(j int, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU) {
-	w.touched = w.touched[:0]
-	s, e := h12T.RowRange(j)
-	h11LU.SolveSparse(h12T.ColIdx()[s:e], h12T.Values()[s:e], w.scratch, func(row int, x float64) {
-		rs, re := h21T.RowRange(row)
-		cols := h21T.ColIdx()[rs:re]
-		vs := h21T.Values()[rs:re]
-		for p, i := range cols {
-			if w.mark[i] != j {
-				w.mark[i] = j
-				w.acc[i] = 0
-				w.touched = append(w.touched, i)
-			}
-			w.acc[i] += vs[p] * x
-		}
-	})
-	kept := w.touched[:0]
-	for _, i := range w.touched {
-		if w.acc[i] != 0 {
-			w.acc[i] = -w.acc[i]
-			kept = append(kept, i)
-		}
-	}
-	w.touched = kept
-}
-
-// SchurComplementT is SchurComplement over the pre-transposed column views
-// h21T (n1×n2, row i = column i of H21) and h12T (n2×n1, row j = column j
-// of H12), with the n2 columns partitioned across the pool. Each worker
-// accumulates its columns with the serial algorithm into a private
-// accumulator and COO shard; shards merge in deterministic chunk order.
-// Per-column accumulation order is unchanged and every (i, j) entry is
-// produced exactly once, so the result is bit-identical to the serial path
-// at any worker count. A nil pool runs serially.
-func SchurComplementT(h22, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU, pool *par.Pool) *sparse.CSR {
-	n2 := h22.Rows()
-	parts := pool.Workers()
-	if parts > 1 && n2 < 2 {
-		parts = 1
-	}
-	arena := par.NewArena(parts, func() *schurScratch {
-		w := newSchurScratch(n2, h11LU)
-		w.coo = sparse.NewCOO(n2, n2)
-		return w
-	})
-
-	// Build Sᵀ row by row (row j of Sᵀ = column j of S); S = H22 +
-	// (−H21·H11⁻¹·H12). Columns are independent: each touches only its own
-	// chunk's scratch and shard.
-	columnRange := func(chunk, jlo, jhi int) {
-		w := arena.Get(chunk)
-		for j := jlo; j < jhi; j++ {
-			w.column(j, h21T, h12T, h11LU)
-			for _, i := range w.touched {
-				w.coo.Add(i, j, w.acc[i])
-			}
-		}
-	}
-
-	if parts <= 1 {
-		arena.Get(0).coo.Reserve(h22.NNZ())
-		columnRange(0, 0, n2)
-		return h22.Add(arena.Get(0).coo.ToCSR())
-	}
-	// Balance chunks by H12-column fill (the substitution fan-out driver).
-	bounds := par.BoundsByPrefix(h12T.RowPtr(), parts)
-	pool.ForBounds(bounds, columnRange)
-	// Merge shards in chunk order. Entry order does not affect ToCSR's
-	// result here — every (i, j) appears in exactly one shard — but a
-	// deterministic order keeps the whole pipeline reproducible.
-	merged := sparse.NewCOO(n2, n2)
-	total := 0
-	for c := 0; c < len(bounds)-1; c++ {
-		total += arena.Get(c).coo.NNZ()
-	}
-	merged.Reserve(total)
-	for c := 0; c < len(bounds)-1; c++ {
-		merged.Append(arena.Get(c).coo)
-	}
-	return h22.Add(merged.ToCSR())
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // N returns the number of nodes the engine was built for.

@@ -38,15 +38,41 @@ func FactorBlockDiag(m *sparse.CSR, blockSizes []int) (*BlockLU, error) {
 }
 
 // FactorBlockDiagPool is FactorBlockDiag with the independent diagonal
-// blocks factored in parallel over the pool. Blocks are partitioned into
-// contiguous ranges balanced by estimated factorization cost (size³); each
-// block's factorization is unchanged, so the factors are bit-identical to
-// the serial path, and on failure the reported error is the same
-// lowest-index one the serial sweep would hit. A nil pool runs serially.
+// blocks factored in parallel over the pool (FactorBlocksPool), each block
+// filled from m's rows. A nil pool runs serially.
 func FactorBlockDiagPool(m *sparse.CSR, blockSizes []int, p *par.Pool) (*BlockLU, error) {
 	if m.Rows() != m.Cols() {
 		return nil, fmt.Errorf("lu: block-diagonal matrix must be square, got %v", m)
 	}
+	col := m.ColIdx()
+	val := m.Values()
+	return FactorBlocksPool(m.Rows(), blockSizes, func(b, lo int, blk *dense.Matrix) error {
+		hi := lo + blk.R
+		for i := lo; i < hi; i++ {
+			start, end := m.RowRange(i)
+			for p := start; p < end; p++ {
+				j := col[p]
+				if j < lo || j >= hi {
+					return fmt.Errorf("lu: entry (%d,%d) outside block %d [%d,%d)", i, j, b, lo, hi)
+				}
+				blk.Set(i-lo, j-lo, val[p])
+			}
+		}
+		return nil
+	}, p)
+}
+
+// FactorBlocksPool factors the n×n block-diagonal matrix whose diagonal
+// blocks have the given sizes, in order: fill(b, lo, blk) writes block b —
+// rows and columns [lo, lo+size) — into the zeroed dense blk, or reports
+// why it cannot, and the block is LU-factored in place. Blocks are
+// partitioned into contiguous ranges balanced by estimated factorization
+// cost (size³) and factored in parallel over the pool; each block's
+// factorization is unchanged, so the factors are bit-identical to the serial
+// path, and on failure the reported error is the same lowest-index one the
+// serial sweep would hit. fill must be safe for concurrent calls on
+// distinct blocks. A nil pool runs serially.
+func FactorBlocksPool(n int, blockSizes []int, fill func(b, lo int, blk *dense.Matrix) error, p *par.Pool) (*BlockLU, error) {
 	offsets := make([]int, len(blockSizes)+1)
 	factorCost := make([]int, len(blockSizes)+1)
 	for i, s := range blockSizes {
@@ -56,25 +82,16 @@ func FactorBlockDiagPool(m *sparse.CSR, blockSizes []int, p *par.Pool) (*BlockLU
 		offsets[i+1] = offsets[i] + s
 		factorCost[i+1] = factorCost[i] + s*s*s
 	}
-	if offsets[len(blockSizes)] != m.Rows() {
-		return nil, fmt.Errorf("lu: block sizes sum to %d, matrix is %d", offsets[len(blockSizes)], m.Rows())
+	if offsets[len(blockSizes)] != n {
+		return nil, fmt.Errorf("lu: block sizes sum to %d, matrix is %d", offsets[len(blockSizes)], n)
 	}
 	factors := make([]*dense.Matrix, len(blockSizes))
-	col := m.ColIdx()
-	val := m.Values()
 	factorRange := func(blo, bhi int) error {
 		for b := blo; b < bhi; b++ {
 			lo, hi := offsets[b], offsets[b+1]
 			blk := dense.New(hi-lo, hi-lo)
-			for i := lo; i < hi; i++ {
-				start, end := m.RowRange(i)
-				for p := start; p < end; p++ {
-					j := col[p]
-					if j < lo || j >= hi {
-						return fmt.Errorf("lu: entry (%d,%d) outside block %d [%d,%d)", i, j, b, lo, hi)
-					}
-					blk.Set(i-lo, j-lo, val[p])
-				}
+			if err := fill(b, lo, blk); err != nil {
+				return err
 			}
 			if err := blk.LU(); err != nil {
 				return fmt.Errorf("lu: factoring block %d: %w", b, err)

@@ -190,13 +190,122 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 		return nil, err
 	}
 	n := a.Rows()
-	f := &ILU{n: n, ds: make([]float64, n)}
+	f := &ILU{n: n}
 	f.l, f.u = splitTriangles(n, a.RowPtr(), a.ColIdx(), a.Values(), diagPos)
+	f.derivePivots()
+	return f, nil
+}
+
+// Triangles is a square matrix split at its diagonal into the two triangles
+// DILU factors keep, before its pivots exist: the strict lower triangle,
+// and the upper one with every row led by its diagonal entry. Build it with
+// TrianglesFromColumns; FactorTriangles adopts it.
+type Triangles struct {
+	n    int
+	l, u triFactor
+}
+
+// TrianglesFromColumns scatters the n×n matrix of nnz entries the columns
+// describe straight into its two triangles, by counting sort: one pass
+// counts every row's entries below and from the diagonal, a second writes
+// them — the columns arrive ascending, so every row is born sorted and each
+// row of the upper triangle leads with its smallest column. It refuses what
+// FactorDILU refuses of a CSR matrix: a matrix the factors' 32-bit indexes
+// cannot hold, before anything is allocated, and a missing diagonal. The
+// columns take the width sparse.NarrowCols picks for n. It panics if the
+// columns do not describe nnz entries in ascending columns within range.
+func TrianglesFromColumns(n, nnz int, c sparse.Columns) (*Triangles, error) {
+	if n < 0 || int64(n) >= 1<<32 || int64(nnz) > math.MaxInt32 {
+		return nil, fmt.Errorf("lu: DILU of a %dx%d matrix of %d entries exceeds the factors' 32-bit index range", n, n, nnz)
+	}
+	t := &Triangles{n: n}
+	// Row i's count at i+2, then its fill cursor at i+1, ending as the row
+	// pointers (sparse.PatternBuilder's counting sort, in int32).
+	lp, up := make([]int32, n+2), make([]int32, n+2)
+	c(func(j int, rows []uint32, _ []float64) {
+		for _, i := range rows {
+			if int(i) > j {
+				lp[i+2]++
+			} else {
+				up[i+2]++
+			}
+		}
+	})
+	for i := 2; i < n+2; i++ {
+		lp[i] += lp[i-1]
+		up[i] += up[i-1]
+	}
+	if got := int(lp[n+1]) + int(up[n+1]); got != nnz {
+		panic(fmt.Sprintf("lu: columns hold %d entries, want %d", got, nnz))
+	}
+	for _, tri := range []struct {
+		f   *triFactor
+		ptr []int32
+	}{{&t.l, lp}, {&t.u, up}} {
+		nnz := tri.ptr[n+1]
+		tri.f.val = make([]float64, nnz)
+		if sparse.NarrowCols(n) {
+			tri.f.col16 = make([]uint16, nnz)
+		} else {
+			tri.f.col32 = make([]uint32, nnz)
+		}
+	}
+	if t.u.col16 != nil {
+		scatterTriangles(t, t.l.col16, t.u.col16, lp, up, c)
+	} else {
+		scatterTriangles(t, t.l.col32, t.u.col32, lp, up, c)
+	}
+	t.l.rowPtr, t.u.rowPtr = lp[:n+1], up[:n+1]
+	for i := 0; i < n; i++ {
+		if lo, hi := t.u.rowSpan(i); lo == hi || t.u.colAt(lo) != i {
+			return nil, fmt.Errorf("lu: DILU missing diagonal at row %d", i)
+		}
+	}
+	return t, nil
+}
+
+func scatterTriangles[C uint16 | uint32](t *Triangles, lCol, uCol []C, lp, up []int32, c sparse.Columns) {
+	lVal, uVal := t.l.val, t.u.val
+	last := -1
+	c(func(j int, rows []uint32, vals []float64) {
+		if j <= last || j >= t.n {
+			panic(fmt.Sprintf("lu: column %d after %d in a %dx%d matrix", j, last, t.n, t.n))
+		}
+		last = j
+		vals = vals[:len(rows)]
+		for k, i := range rows {
+			if int(i) > j {
+				p := lp[i+1]
+				lp[i+1]++
+				lCol[p], lVal[p] = C(j), vals[k]
+			} else {
+				p := up[i+1]
+				up[i+1]++
+				uCol[p], uVal[p] = C(j), vals[k]
+			}
+		}
+	})
+}
+
+// FactorTriangles computes the DILU factorization of the matrix t holds,
+// adopting its triangles as the factors' own: D_S and the pivots are all it
+// derives, so the factors are FactorDILU's of the same matrix bit for bit.
+// t must not be used afterwards.
+func FactorTriangles(t *Triangles) *ILU {
+	f := &ILU{n: t.n, l: t.l, u: t.u}
+	*t = Triangles{}
+	f.derivePivots()
+	return f
+}
+
+// derivePivots reads D_S off the leads of Û's rows, which still hold A's
+// own diagonal, and replaces each lead by its pivot.
+func (f *ILU) derivePivots() {
+	f.ds = make([]float64, f.n)
 	for i := range f.ds {
 		f.ds[i] = f.u.val[f.u.rowPtr[i]]
 	}
 	f.pivots()
-	return f, nil
 }
 
 // pivots runs the DILU recurrence over factors whose rows of Û still lead

@@ -96,11 +96,7 @@ func ReadDILU(r io.Reader) (*ILU, error) {
 			return nil, fmt.Errorf("lu: reading DILU values: %w", err)
 		}
 	}
-	f.ds = make([]float64, f.n)
-	for i := range f.ds {
-		f.ds[i] = f.u.val[f.u.rowPtr[i]]
-	}
-	f.pivots()
+	f.derivePivots()
 	return f, nil
 }
 

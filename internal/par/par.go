@@ -1,7 +1,6 @@
 // Package par is the shared parallel runtime under BePI's preprocessing
-// stages and sparse kernels: a bounded goroutine pool, a chunked
-// index-range scheduler with deterministic chunk boundaries, and
-// per-chunk scratch arenas.
+// stages and sparse kernels: a bounded goroutine pool and a chunked
+// index-range scheduler with deterministic chunk boundaries.
 //
 // Design constraints, in order:
 //
@@ -202,33 +201,4 @@ func (p *Pool) Each(n int, fn func(i int)) {
 			fn(i)
 		}
 	})
-}
-
-// Arena hands out one lazily built scratch value per chunk index, so a
-// parallel kernel can reuse accumulators across chunks without sharing
-// them between concurrently running ones. Get is safe for concurrent use
-// by distinct chunk indices — exactly the access pattern of For — and an
-// Arena may be reused across sequential For invocations on the same pool.
-type Arena[T any] struct {
-	mk    func() T
-	slots []T
-	built []bool
-}
-
-// NewArena returns an arena with parts slots; mk builds a slot's scratch
-// value on first use.
-func NewArena[T any](parts int, mk func() T) *Arena[T] {
-	if parts < 1 {
-		parts = 1
-	}
-	return &Arena[T]{mk: mk, slots: make([]T, parts), built: make([]bool, parts)}
-}
-
-// Get returns chunk's scratch value, building it on first use.
-func (a *Arena[T]) Get(chunk int) T {
-	if !a.built[chunk] {
-		a.slots[chunk] = a.mk()
-		a.built[chunk] = true
-	}
-	return a.slots[chunk]
 }

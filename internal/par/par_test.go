@@ -231,34 +231,6 @@ func TestSharedPoolConcurrentFor(t *testing.T) {
 	}
 }
 
-func TestArenaPerChunkScratch(t *testing.T) {
-	p := NewPool(4)
-	built := int32(0)
-	arena := NewArena(4, func() []int {
-		atomic.AddInt32(&built, 1)
-		return make([]int, 8)
-	})
-	// Two sequential For rounds reuse the same per-chunk slots.
-	for round := 0; round < 2; round++ {
-		p.For(4000, func(chunk, lo, hi int) {
-			s := arena.Get(chunk)
-			s[0]++ // safe: one goroutine per chunk index at a time
-		})
-	}
-	if built > 4 {
-		t.Fatalf("arena built %d scratch values for 4 slots", built)
-	}
-	sum := 0
-	for c := 0; c < 4; c++ {
-		sum += arena.Get(c)[0]
-	}
-	// Each round visits every chunk that actually ran; with 4000 items and 4
-	// workers, all 4 chunks run each round.
-	if sum != 8 {
-		t.Fatalf("arena uses summed to %d, want 8", sum)
-	}
-}
-
 func TestNewPoolDefaults(t *testing.T) {
 	if w := NewPool(0).Workers(); w < 1 {
 		t.Fatalf("NewPool(0).Workers() = %d", w)

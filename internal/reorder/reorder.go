@@ -8,8 +8,8 @@
 package reorder
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -165,14 +165,20 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 		}
 	}
 	// byDegree orders nodes highest current degree first, ties by id: the
-	// order hubs are slashed in and components are discovered in.
+	// order hubs are slashed in and components are discovered in. It sorts
+	// one packed key per node, (MaxUint32−degree)<<32 | id, whose ascending
+	// order is exactly that one — an integer sort with no comparator call
+	// per comparison. Local ids and degrees are below nn < 2³².
+	keys := make([]uint64, 0, nn)
 	byDegree := func(us []int) {
-		slices.SortFunc(us, func(a, b int) int {
-			if c := cmp.Compare(curDeg[b], curDeg[a]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
+		keys = keys[:0]
+		for _, u := range us {
+			keys = append(keys, uint64(math.MaxUint32-uint32(curDeg[u]))<<32|uint64(u))
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			us[i] = int(uint32(k))
+		}
 	}
 	// joinHubs assigns every given node the next hub id, in the given order.
 	joinHubs := func(us []int) {

@@ -1,0 +1,171 @@
+package sparse
+
+import "fmt"
+
+// Counting-sort assembly: the write path of an index builds each matrix it
+// keeps by counting every row's entries in one pass and scattering them in a
+// second, walking the columns in ascending order — so every row is born
+// sorted, and every array is allocated once, at its final size and at the
+// width it is served in. No triplet list, no per-row sort, no wide copy.
+
+// Columns describes a matrix column by column: called with emit, it hands
+// emit every column that holds entries, in strictly ascending j, with the
+// column's rows — each at most once, in any order — and their values. An
+// assembler calls it twice, to count and to fill, and it must describe the
+// same entries both times.
+type Columns func(emit func(j int, rows []uint32, vals []float64))
+
+// PatternBuilder assembles a Pattern by counting sort: Count every entry's
+// row, Alloc, Put every entry — the entries of each row in ascending column
+// order, which walking the columns in ascending order gives — then Pattern.
+type PatternBuilder struct {
+	rows, cols int
+	// ptr holds row i's count at i+2 while counting, its fill cursor at
+	// i+1 while filling, and ends as the row pointers: filling moves each
+	// cursor from its row's start to its row's end, the next row's start.
+	ptr   []int
+	col16 []uint16
+	col32 []uint32
+}
+
+// NewPatternBuilder starts a rows×cols pattern. It panics if the matrix
+// dimensions exceed the uint32 index range.
+func NewPatternBuilder(rows, cols int) *PatternBuilder {
+	if rows < 0 || cols < 0 || int64(rows) > maxIndex32 || int64(cols) > maxIndex32 {
+		panic(fmt.Sprintf("sparse: pattern %dx%d outside the uint32 index range", rows, cols))
+	}
+	return &PatternBuilder{rows: rows, cols: cols, ptr: make([]int, rows+2)}
+}
+
+// Count records one entry in row i.
+func (b *PatternBuilder) Count(i int) { b.ptr[i+2]++ }
+
+// Alloc ends counting and allocates the columns at the width NarrowCols
+// picks; it returns the entry count.
+func (b *PatternBuilder) Alloc() int {
+	for i := 2; i < len(b.ptr); i++ {
+		b.ptr[i] += b.ptr[i-1]
+	}
+	nnz := b.ptr[b.rows+1]
+	if NarrowCols(b.cols) {
+		b.col16 = make([]uint16, nnz)
+	} else {
+		b.col32 = make([]uint32, nnz)
+	}
+	return nnz
+}
+
+// Put stores entry (i, j) and returns its position in the entry arrays.
+func (b *PatternBuilder) Put(i, j int) int {
+	p := b.ptr[i+1]
+	b.ptr[i+1]++
+	if b.col16 != nil {
+		b.col16[p] = uint16(j)
+	} else {
+		b.col32[p] = uint32(j)
+	}
+	return p
+}
+
+// layout returns the assembled index arrays, the row pointers narrowed to
+// int32 when the entry count allows it.
+func (b *PatternBuilder) layout() layout32 {
+	l := layout32{rows: b.rows, cols: b.cols, col16: b.col16, col32: b.col32}
+	rowPtr := b.ptr[:b.rows+1]
+	if wideRowPtr(rowPtr[b.rows]) {
+		l.rowPtr64 = make([]int64, len(rowPtr))
+		for i, p := range rowPtr {
+			l.rowPtr64[i] = int64(p)
+		}
+	} else {
+		l.rowPtr32 = make([]int32, len(rowPtr))
+		for i, p := range rowPtr {
+			l.rowPtr32[i] = int32(p)
+		}
+	}
+	return l
+}
+
+// Pattern returns the assembled pattern. It panics if the entries put do
+// not form one — a row left short of its count, or a row's columns not
+// strictly ascending.
+func (b *PatternBuilder) Pattern() *Pattern {
+	l := b.layout()
+	if err := l.validate(); err != nil {
+		panic(err)
+	}
+	return &Pattern{layout32: l}
+}
+
+// CompactFromColumns assembles the rows×cols matrix of nnz entries the
+// columns describe straight into the compact layout, by counting sort. It
+// panics if the columns do not describe nnz entries in ascending columns
+// within range.
+func CompactFromColumns(rows, cols, nnz int, c Columns) *CSR32 {
+	b := NewPatternBuilder(rows, cols)
+	c(func(_ int, rs []uint32, _ []float64) {
+		for _, i := range rs {
+			b.Count(int(i))
+		}
+	})
+	if got := b.Alloc(); got != nnz {
+		panic(fmt.Sprintf("sparse: columns hold %d entries, want %d", got, nnz))
+	}
+	val := make([]float64, nnz)
+	last := -1
+	c(func(j int, rs []uint32, vs []float64) {
+		if j <= last || j >= cols {
+			panic(fmt.Sprintf("sparse: column %d after %d in a %dx%d matrix", j, last, rows, cols))
+		}
+		last = j
+		vs = vs[:len(rs)]
+		for k, i := range rs {
+			val[b.Put(int(i), j)] = vs[k]
+		}
+	})
+	return &CSR32{layout32: b.layout(), val: val}
+}
+
+// ExpandT returns the transpose of Expand(w), built directly: row j lists
+// the rows of column j in ascending order, each entry holding w[j]. It is
+// the column view the Schur-column routine reads.
+func (p *Pattern) ExpandT(w []float64) *CSR {
+	if len(w) != p.cols {
+		panic(fmt.Sprintf("sparse: ExpandT with %d weights for %d columns", len(w), p.cols))
+	}
+	t := &CSR{rows: p.cols, cols: p.rows, rowPtr: make([]int, p.cols+2)}
+	switch {
+	case p.rowPtr32 != nil && p.col16 != nil:
+		transposeScaled(t, p.rowPtr32, p.col16, w)
+	case p.rowPtr32 != nil:
+		transposeScaled(t, p.rowPtr32, p.col32, w)
+	case p.col16 != nil:
+		transposeScaled(t, p.rowPtr64, p.col16, w)
+	default:
+		transposeScaled(t, p.rowPtr64, p.col32, w)
+	}
+	return t
+}
+
+// transposeScaled fills t, whose rowPtr is zeroed with length rows+2, with
+// the transpose of the pattern (rowPtr, col) scaled by w — the counting
+// sort of PatternBuilder, walking the pattern's rows in ascending order.
+func transposeScaled[P int32 | int64, C uint16 | uint32](t *CSR, rowPtr []P, col []C, w []float64) {
+	ptr := t.rowPtr
+	for _, j := range col {
+		ptr[int(j)+2]++
+	}
+	for j := 2; j < len(ptr); j++ {
+		ptr[j] += ptr[j-1]
+	}
+	t.col = make([]int, len(col))
+	t.val = make([]float64, len(col))
+	for i := 0; i+1 < len(rowPtr); i++ {
+		for _, j := range col[rowPtr[i]:rowPtr[i+1]] {
+			q := ptr[int(j)+1]
+			ptr[int(j)+1]++
+			t.col[q], t.val[q] = i, w[j]
+		}
+	}
+	t.rowPtr = ptr[:t.rows+1]
+}

@@ -163,16 +163,3 @@ func TestPooledMulVecAllocatesNoPartition(t *testing.T) {
 		}
 	}
 }
-
-func TestCOOAppend(t *testing.T) {
-	a := NewCOO(4, 4)
-	a.Add(0, 1, 2)
-	b := NewCOO(4, 4)
-	b.Add(3, 2, 5)
-	b.Add(0, 1, 1) // duplicate coordinate accumulates on ToCSR
-	a.Append(b)
-	m := a.ToCSR()
-	if m.At(0, 1) != 3 || m.At(3, 2) != 5 || m.NNZ() != 2 {
-		t.Fatalf("append merge wrong: %v", m)
-	}
-}

@@ -66,21 +66,9 @@ func (a *COO) Add(i, j int, v float64) {
 	a.v = append(a.v, v)
 }
 
-// Append concatenates all entries of b, which must have the same shape,
-// onto a. It is how per-worker COO shards built by a parallel kernel merge
-// back into one accumulator.
-func (a *COO) Append(b *COO) {
-	if a.rows != b.rows || a.cols != b.cols {
-		panic(fmt.Sprintf("sparse: Append shape %dx%d vs %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	a.r = append(a.r, b.r...)
-	a.c = append(a.c, b.c...)
-	a.v = append(a.v, b.v...)
-}
-
 // ToCSR converts the accumulated triplets into a CSR matrix, summing
-// duplicates and dropping entries whose merged value is exactly zero is NOT
-// done (explicit zeros are kept so patterns remain predictable).
+// duplicates. An entry whose sum is exactly zero is kept as an explicit
+// zero, so the pattern is the set of positions added, whatever the values.
 func (a *COO) ToCSR() *CSR {
 	n := len(a.v)
 	// Count entries per row.

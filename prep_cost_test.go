@@ -133,9 +133,10 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	if int64(len(raw)) > mem {
 		t.Errorf("the saved file takes %d B, the index it loads into %d B", len(raw), mem)
 	}
-	// New: no edge-pair list, no triplet list for H, blocks counted before
-	// they are filled. What remains is dominated by the Schur complement's
-	// triplet shards, which this budget deliberately leaves room for.
+	// New: no edge-pair list, no H, no triplet list — H's blocks are built
+	// from the graph and S's columns scattered from fixed-size shards
+	// straight into its DILU triangles. A wide copy of H or of S, a regrown
+	// shard or a return to triplets pushes it back up.
 	if newBytes > newBudget {
 		t.Errorf("New allocated %d B, budget %d B", newBytes, newBudget)
 	}
@@ -159,8 +160,8 @@ func (s *growSink) Grow(n int) {
 
 const (
 	poolSlack  = 4 * 64 << 10
-	loadBudget = 906_000    // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
-	newBudget  = 10_716_000 // measured 9 741 072 at two workers, the engine's 32-bit copy of the permutation included (9 879 216 with 32-bit columns)
+	loadBudget = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	newBudget  = 3_877_000 // measured 3 524 112 at two workers (9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
