@@ -60,7 +60,7 @@ race:
 # and singleflight (hot-set storm solved once per key, leader cancellation),
 # and the wire codec (pooled chunk buffers, negotiation on both handlers,
 # corrupt binary bodies retried on the ring successor), and the index write
-# path (SlashBurn over the counting-pass adjacency, the direct H assembly,
+# path (SlashBurn over the 32-bit, merge-free undirected view, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool), and the
 # metric tables (every metrics view of a dynamic shard and a coordinator
 # scraped while queries run and flushes swap engines), and the column-width
@@ -126,9 +126,11 @@ bench-kernels:
 # ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op,
 # file-B or index-B next to the time. (The exact gates on those are
 # TestPreprocessingAllocBudget and TestEveryEngineStateComposes in
-# `make test`.)
+# `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
+# scale 13): a return to a merged or 64-bit undirected view shows in its B/op.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkHubAndSpoke -benchtime=3x -benchmem ./internal/reorder/
 
 # Capture a CPU profile from a running bepi-serve (start it with
 # -debug-addr $(PROFILE_ADDR)) and drop into the pprof shell:

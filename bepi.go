@@ -156,7 +156,8 @@ func WithVariant(v Variant) Option {
 }
 
 // WithHubRatio overrides the SlashBurn hub selection ratio k ∈ (0, 1);
-// defaults follow the paper (0.2, or 0.001 for BePIB).
+// defaults follow the paper (0.2, or 0.001 for BePIB). New returns an error
+// for a k outside that range other than 0, which selects the default.
 func WithHubRatio(k float64) Option {
 	return func(o *core.Options) { o.HubRatio = k }
 }

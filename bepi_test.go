@@ -99,6 +99,25 @@ func TestOptionsPlumbing(t *testing.T) {
 	}
 }
 
+// TestHubRatioOutOfRangeIsAnError: a hub ratio SlashBurn cannot run with,
+// or a stored index could not carry, is refused by New with an error, not a
+// panic in the reordering.
+func TestHubRatioOutOfRangeIsAnError(t *testing.T) {
+	g := ringGraph(t, 50)
+	for _, k := range []float64{1, 1.5, -0.1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("hub ratio %v: New panicked: %v", k, r)
+				}
+			}()
+			if _, err := New(g, WithHubRatio(k)); err == nil {
+				t.Errorf("hub ratio %v: New returned no error", k)
+			}
+		}()
+	}
+}
+
 func TestBudgetOptions(t *testing.T) {
 	g := RMAT(9, 6, 3)
 	if _, err := New(g, WithMemoryBudget(128)); err == nil {

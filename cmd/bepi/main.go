@@ -86,7 +86,7 @@ func cmdPreprocess(args []string) error {
 	indexPath := fs.String("index", "", "output index file (required)")
 	c := fs.Float64("c", core.DefaultC, "restart probability")
 	tol := fs.Float64("tol", core.DefaultTol, "solver tolerance")
-	k := fs.Float64("k", 0, "hub selection ratio (0 = paper default)")
+	k := fs.Float64("k", 0, "hub selection ratio in (0,1) (0 = paper default)")
 	variant := fs.String("variant", "bepi", "bepi | bepi-s | bepi-b")
 	parallelism := fs.Int("parallelism", 0, "worker cap for preprocessing kernels (0 = all cores, 1 = serial)")
 	if err := fs.Parse(args); err != nil {

@@ -75,7 +75,8 @@ type Options struct {
 	// Variant selects BePI-B, BePI-S or full BePI; default VariantFull.
 	Variant Variant
 	// HubRatio overrides the SlashBurn hub selection ratio k. Zero selects
-	// the paper's defaults: 0.001 for BePI-B, 0.2 for BePI-S/BePI.
+	// the paper's defaults: 0.001 for BePI-B, 0.2 for BePI-S/BePI; any
+	// other value outside (0, 1) is refused with an error.
 	HubRatio float64
 	// MaxIter bounds GMRES iterations per query; default 1000.
 	MaxIter int
@@ -134,12 +135,10 @@ func (o Options) validate() error {
 		return fmt.Errorf("tolerance %v outside (0,1)", o.Tol)
 	case o.Variant != VariantFull && o.Variant != VariantB && o.Variant != VariantS:
 		return fmt.Errorf("unknown variant %d", int(o.Variant))
-	case !(o.HubRatio > 0 && o.HubRatio <= 1):
-		return fmt.Errorf("hub ratio %v outside (0,1]", o.HubRatio)
 	case o.MaxIter <= 0 || o.MaxIter > maxIterLimit:
 		return fmt.Errorf("iteration budget %d outside [1,%d]", o.MaxIter, maxIterLimit)
 	}
-	return nil
+	return reorder.CheckHubRatio(o.HubRatio)
 }
 
 // Errors reported by preprocessing budget guards.
@@ -420,12 +419,16 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 
 // newEngine is the engine both entry points start from: defaulted options,
 // the pool, the graph's sizes — and the refusal of a graph the serving
-// layout cannot index, before any work is spent on it.
+// layout cannot index, or of a hub ratio a stored index could not carry,
+// before any work is spent on it.
 func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err := checkNodeCount(g.N()); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	if err := reorder.CheckHubRatio(opts.HubRatio); err != nil {
+		return nil, err
+	}
 	e := &Engine{opts: opts, n: g.N(), pool: poolFor(opts.Parallelism)}
 	e.prep.N, e.prep.M = g.N(), g.M()
 	e.prep.HubRatio = opts.HubRatio

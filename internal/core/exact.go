@@ -56,6 +56,9 @@ func ProfileSchur(g *graph.Graph, k, c float64) (SchurProfile, error) {
 // build parallelized over the pool (nil runs serially). The column views of
 // H12/H21 are built once here and passed through to the Schur kernel.
 func ProfileSchurPool(g *graph.Graph, k, c float64, pool *par.Pool) (SchurProfile, error) {
+	if err := reorder.CheckHubRatio(k); err != nil {
+		return SchurProfile{}, err
+	}
 	ord := reorder.HubAndSpoke(g, k)
 	h := BuildH(g, ord.Perm, c)
 	n1, n2 := ord.N1, ord.N2

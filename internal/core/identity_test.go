@@ -443,6 +443,8 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 		"variant 9":      {2, 9},
 		"hubRatio +Inf":  {4, math.Float64bits(math.Inf(1))},
 		"hubRatio -0.25": {4, math.Float64bits(-0.25)},
+		"hubRatio 1":     {4, math.Float64bits(1)},
+		"hubRatio NaN":   {4, math.Float64bits(math.NaN())},
 	} {
 		raw := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint64(raw[header+8*w.word:], w.bits)

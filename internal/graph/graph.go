@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bepi/internal/sparse"
@@ -161,10 +162,13 @@ func (g *Graph) UndirectedComponents() (compOf []int, sizes []int) {
 		queue = append(queue[:0], s)
 		compOf[s] = id
 		for head := 0; head < len(queue); head++ {
-			for _, v := range und.Neighbors(queue[head]) {
-				if compOf[v] < 0 {
-					compOf[v] = id
-					queue = append(queue, v)
+			out, inOnly := und.Neighbors(queue[head])
+			for _, list := range [2][]uint32{out, inOnly} {
+				for _, v := range list {
+					if compOf[v] < 0 {
+						compOf[v] = id
+						queue = append(queue, int(v))
+					}
 				}
 			}
 		}
@@ -174,28 +178,35 @@ func (g *Graph) UndirectedComponents() (compOf []int, sizes []int) {
 }
 
 // Undirected is the symmetric view of a directed graph, or of the subgraph
-// induced by a node subset, as CSR adjacency over local ids (a node's
-// position in the subset): each neighbor list is sorted, holds a neighbor
-// once however many directed edges join the pair, and omits self-loops.
+// induced by a node subset, over 32-bit local ids (a node's position in the
+// subset). A node's neighbours are two unsorted lists: its induced
+// out-neighbours, and its in-only neighbours — the induced in-neighbours
+// that are not also out-neighbours. Together they hold each neighbour once
+// however many directed edges join the pair, and no self-loop.
 type Undirected struct {
-	ptr []int // len n+1
-	adj []int // concatenated neighbor lists
+	outPtr, inPtr []int // len n+1 each
+	out, inOnly   []uint32
 }
 
-// Neighbors returns the sorted neighbor list of local node v (shared
-// storage; do not mutate).
-func (u *Undirected) Neighbors(v int) []int { return u.adj[u.ptr[v]:u.ptr[v+1]] }
+// Neighbors returns the out-neighbours and the in-only neighbours of local
+// node v, in no particular order (shared storage; do not mutate).
+func (u *Undirected) Neighbors(v int) (out, inOnly []uint32) {
+	return u.out[u.outPtr[v]:u.outPtr[v+1]], u.inOnly[u.inPtr[v]:u.inPtr[v+1]]
+}
 
 // Degree returns the number of distinct neighbors of local node v.
-func (u *Undirected) Degree(v int) int { return u.ptr[v+1] - u.ptr[v] }
+func (u *Undirected) Degree(v int) int {
+	return u.outPtr[v+1] - u.outPtr[v] + u.inPtr[v+1] - u.inPtr[v]
+}
 
 // Undirected builds the symmetric view of the subgraph induced by nodes,
-// which must be strictly increasing; nil means every node. It is two
-// counting passes over the out-adjacency and one merge, O(n + m) with no
-// comparison sort: the induced in-lists are bucketed by head while tails
-// are walked in increasing order, so they are born sorted like the
-// out-lists, and merging the two sorted lists of a node puts duplicates
-// (u→v next to v→u) side by side.
+// which must be strictly increasing and fewer than 2³² − 1; nil means every
+// node. It is O(n + m) with no merge and no sort: one counting pass over the
+// out-adjacency writes each node's induced out-neighbours as local ids and
+// counts in-degrees; a counting sort over those ids buckets the in-lists;
+// and each node's in-list is compacted in place to the entries its
+// out-list does not hold (the other half of a reciprocal pair u→v, v→u),
+// found by stamping the out-list first.
 func (g *Graph) Undirected(nodes []int) *Undirected {
 	if nodes == nil {
 		nodes = make([]int, g.n)
@@ -204,64 +215,68 @@ func (g *Graph) Undirected(nodes []int) *Undirected {
 		}
 	}
 	nn := len(nodes)
-	local := make([]int, g.n) // original id -> local id, -1 outside the subset
-	for i := range local {
-		local[i] = -1
+	const outside = math.MaxUint32
+	if uint64(nn) >= outside {
+		panic(fmt.Sprintf("graph: Undirected over %d nodes exceeds 32-bit local ids", nn))
 	}
+	local := make([]uint32, g.n) // original id -> local id, outside the subset: outside
+	for i := range local {
+		local[i] = outside
+	}
+	m := 0
 	for i, u := range nodes {
 		if i > 0 && u <= nodes[i-1] {
 			panic(fmt.Sprintf("graph: Undirected nodes not strictly increasing at %d", i))
 		}
-		local[u] = i
+		local[u] = uint32(i)
+		m += g.OutDegree(u)
 	}
-	// Pass 1: count each local node's induced in-edges (self-loops dropped).
-	inPtr := make([]int, nn+1)
-	for i, u := range nodes {
-		for _, v := range g.OutNeighbors(u) {
-			if lv := local[v]; lv >= 0 && lv != i {
-				inPtr[lv+1]++
+	// The counting pass: induced out-neighbours written (self-loops
+	// dropped), each head's in-degree counted.
+	outPtr, inPtr, out := make([]int, nn+1), make([]int, nn+1), make([]uint32, 0, m)
+	for i, v := range nodes {
+		for _, w := range g.OutNeighbors(v) {
+			if lw := local[w]; lw != outside && lw != uint32(i) {
+				out = append(out, lw)
+				inPtr[lw+1]++
 			}
 		}
+		outPtr[i+1] = len(out)
 	}
 	for i := 0; i < nn; i++ {
 		inPtr[i+1] += inPtr[i]
 	}
-	// Pass 2: scatter tails into their heads' buckets, tails ascending.
-	in := make([]int, inPtr[nn])
-	next := make([]int, nn)
-	copy(next, inPtr[:nn])
-	for i, u := range nodes {
-		for _, v := range g.OutNeighbors(u) {
-			if lv := local[v]; lv >= 0 && lv != i {
-				in[next[lv]] = i
-				next[lv]++
-			}
+	// Bucket each tail under its heads. inPtr[v] advances to the end of
+	// v's bucket, which is where v+1's starts.
+	in := make([]uint32, len(out))
+	for i := 0; i < nn; i++ {
+		for _, lw := range out[outPtr[i]:outPtr[i+1]] {
+			in[inPtr[lw]] = uint32(i)
+			inPtr[lw]++
 		}
 	}
-	// Merge each node's out- and in-list. Both hold at most the induced
-	// edges, so 2·|in| bounds the result; reciprocal pairs leave it short.
-	ptr := make([]int, nn+1)
-	adj := make([]int, 0, 2*len(in))
-	for i, u := range nodes {
-		ins := in[inPtr[i]:inPtr[i+1]]
-		for _, v := range g.OutNeighbors(u) {
-			lv := local[v]
-			if lv < 0 || lv == i {
-				continue
-			}
-			for len(ins) > 0 && ins[0] < lv {
-				adj = append(adj, ins[0])
-				ins = ins[1:]
-			}
-			if len(ins) > 0 && ins[0] == lv {
-				ins = ins[1:]
-			}
-			adj = append(adj, lv)
+	// Compact: node v keeps the in-neighbours not stamped as its
+	// out-neighbours, written from the front, so each list moves left.
+	// local is no longer read, so its first nn words hold the stamps.
+	stamp := local[:nn]
+	clear(stamp)
+	kept, start := 0, 0
+	for v := 0; v < nn; v++ {
+		end := inPtr[v]
+		inPtr[v] = kept
+		for _, lw := range out[outPtr[v]:outPtr[v+1]] {
+			stamp[lw] = uint32(v + 1)
 		}
-		adj = append(adj, ins...)
-		ptr[i+1] = len(adj)
+		for _, lw := range in[start:end] {
+			if stamp[lw] != uint32(v+1) {
+				in[kept] = lw
+				kept++
+			}
+		}
+		start = end
 	}
-	return &Undirected{ptr: ptr, adj: adj}
+	inPtr[nn] = kept
+	return &Undirected{outPtr: outPtr, inPtr: inPtr, out: out, inOnly: in[:kept]}
 }
 
 // EdgePrefix returns the subgraph induced by the first m edges in (src, dst)

@@ -8,7 +8,7 @@ import (
 )
 
 // undirectedRef builds the same view with a set per node and a sort: the
-// obvious construction the counting-pass builder replaces.
+// obvious construction the builder is checked against.
 func undirectedRef(g *Graph, nodes []int) [][]int {
 	if nodes == nil {
 		for u := 0; u < g.N(); u++ {
@@ -43,8 +43,10 @@ func undirectedRef(g *Graph, nodes []int) [][]int {
 
 // TestUndirectedMatchesReference: on random graphs with reciprocal edges,
 // self-loops and isolated nodes, over the whole graph and over random
-// induced subsets, every neighbor list is the reference's — sorted, each
-// neighbor once, no self-loop, in local ids.
+// induced subsets, every node's out- and in-only lists together hold the
+// reference's neighbour set, each neighbour once, in local ids, and its
+// degree is that set's size; no in-only entry is also an out-neighbour and
+// no list holds the node itself.
 func TestUndirectedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -71,12 +73,30 @@ func TestUndirectedMatchesReference(t *testing.T) {
 			}
 		}
 		und, want := g.Undirected(nodes), undirectedRef(g, nodes)
-		if len(und.ptr) != len(want)+1 {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(und.ptr)-1, len(want))
+		if len(und.outPtr) != len(want)+1 || len(und.inPtr) != len(want)+1 {
+			t.Fatalf("trial %d: %d/%d rows, want %d", trial, len(und.outPtr)-1, len(und.inPtr)-1, len(want))
 		}
 		for i := range want {
-			if got := und.Neighbors(i); !reflect.DeepEqual(append([]int{}, got...), want[i]) || und.Degree(i) != len(want[i]) {
-				t.Fatalf("trial %d: node %d has neighbors %v, want %v", trial, i, got, want[i])
+			out, inOnly := und.Neighbors(i)
+			isOut := map[uint32]bool{}
+			for _, v := range out {
+				isOut[v] = true
+			}
+			var got []int
+			for _, v := range inOnly {
+				if isOut[v] {
+					t.Fatalf("trial %d: node %d has %d as an out- and an in-only neighbour", trial, i, v)
+				}
+			}
+			for _, v := range append(append([]uint32{}, out...), inOnly...) {
+				if int(v) == i {
+					t.Fatalf("trial %d: node %d lists itself", trial, i)
+				}
+				got = append(got, int(v))
+			}
+			sort.Ints(got)
+			if !reflect.DeepEqual(append([]int{}, got...), want[i]) || und.Degree(i) != len(want[i]) {
+				t.Fatalf("trial %d: node %d has neighbors %v (degree %d), want %v", trial, i, got, und.Degree(i), want[i])
 			}
 		}
 	}

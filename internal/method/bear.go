@@ -52,6 +52,9 @@ func (m *Bear) Preprocess(g *graph.Graph) error {
 		}
 		return nil
 	}
+	if err := reorder.CheckHubRatio(m.k); err != nil {
+		return err
+	}
 	m.n = g.N()
 	ord := reorder.HubAndSpoke(g, m.k)
 	m.ord = ord

@@ -105,12 +105,35 @@ func TestHubAndSpokeFrozen(t *testing.T) {
 	}
 }
 
-// TestSlashBurnMatchesPairSort property-tests the counting-pass SlashBurn
-// against the pair-sort reference below on random graphs with reciprocal
-// edges, self-loops, deadends and isolated nodes, at several hub ratios and
-// iteration caps.
+// TestSlashBurnMatchesPairSort property-tests SlashBurn on the merge-free
+// undirected view against the pair-sort reference below: on small random
+// graphs with reciprocal edges, self-loops, deadends and isolated nodes, and
+// on skewed graphs of up to 2 000 nodes whose edges are all reciprocal, none
+// reciprocal or mixed, some with small components hanging off the hubs
+// alone, at several hub ratios and iteration caps 0–3.
 func TestSlashBurnMatchesPairSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170514))
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		var nodes []int
+		for u := 0; u < g.N(); u++ {
+			if g.OutDegree(u) > 0 {
+				nodes = append(nodes, u)
+			}
+		}
+		k := []float64{0.001, 0.05, 0.2, 0.5}[rng.Intn(4)]
+		maxIters := rng.Intn(4)
+		got, want := slashBurn(g, nodes, k, maxIters), slashBurnPairSort(g, nodes, k, maxIters)
+		perm := make([]int, len(got.perm))
+		for i, p := range got.perm {
+			perm[i] = int(p)
+		}
+		if !reflect.DeepEqual(perm, want.perm) || got.n1 != want.n1 || got.n2 != want.n2 ||
+			!(len(got.blocks) == 0 && len(want.blocks) == 0 || reflect.DeepEqual(got.blocks, want.blocks)) {
+			t.Fatalf("%s (n=%d m=%d k=%v maxIters=%d): SlashBurn differs from the pair-sort reference\n got n1=%d n2=%d blocks=%v perm=%v\nwant %+v",
+				name, g.N(), g.M(), k, maxIters, got.n1, got.n2, got.blocks, perm, want)
+		}
+	}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(120)
 		m := rng.Intn(4 * n)
@@ -125,22 +148,57 @@ func TestSlashBurnMatchesPairSort(t *testing.T) {
 				edges = append(edges, graph.Edge{Src: v, Dst: u})
 			}
 		}
-		g := graph.MustNew(n, edges)
-		var nodes []int
-		for u := 0; u < n; u++ {
-			if g.OutDegree(u) > 0 {
-				nodes = append(nodes, u)
+		check(fmt.Sprintf("small trial %d", trial), graph.MustNew(n, edges))
+	}
+	for trial := 0; trial < 36; trial++ {
+		kind := []string{"all reciprocal", "none reciprocal", "mixed"}[trial%3]
+		n := 200 + rng.Intn(1800)
+		var edges []graph.Edge
+		add := func(u, v int) {
+			switch {
+			case kind == "all reciprocal" || kind == "mixed" && rng.Intn(2) == 0:
+				edges = append(edges, graph.Edge{Src: u, Dst: v}, graph.Edge{Src: v, Dst: u})
+			case kind == "none reciprocal" && (u+v)%2 == 1:
+				// One direction per pair, chosen by the pair alone.
+				edges = append(edges, graph.Edge{Src: max(u, v), Dst: min(u, v)})
+			case kind == "none reciprocal":
+				edges = append(edges, graph.Edge{Src: min(u, v), Dst: max(u, v)})
+			default:
+				edges = append(edges, graph.Edge{Src: u, Dst: v})
 			}
 		}
-		k := []float64{0.001, 0.05, 0.2, 0.5}[rng.Intn(4)]
-		maxIters := rng.Intn(3)
-		got, want := slashBurn(g, nodes, k, maxIters), slashBurnPairSort(g, nodes, k, maxIters)
-		if !reflect.DeepEqual(got.perm, want.perm) || got.n1 != want.n1 || got.n2 != want.n2 ||
-			!(len(got.blocks) == 0 && len(want.blocks) == 0 || reflect.DeepEqual(got.blocks, want.blocks)) {
-			t.Fatalf("trial %d (n=%d m=%d k=%v maxIters=%d): counting-pass SlashBurn differs from the pair-sort reference\n got %+v\nwant %+v",
-				trial, n, g.M(), k, maxIters, got, want)
+		// A skewed core: low ids are drawn far more often, so they are the
+		// hubs the first slash removes.
+		core := n
+		if trial%2 == 1 {
+			core = n / 2
 		}
+		for i := 3 * core; i > 0; i-- {
+			add(rng.Intn(rng.Intn(core)+1), rng.Intn(core))
+		}
+		// On odd trials the other half is small groups joined to each other
+		// only through hubs of the core: spoke components whose neighbours
+		// outside them have all been slashed.
+		for u := core; u < n; {
+			size := min(1+rng.Intn(5), n-u)
+			for i := 1; i < size; i++ {
+				add(u+i-1, u+i)
+			}
+			for i := 0; i < size; i++ {
+				add(u+i, rng.Intn(1+core/100))
+			}
+			u += size
+		}
+		check(fmt.Sprintf("%s trial %d", kind, trial), graph.MustNew(n, edges))
 	}
+}
+
+// sbResult is the result type slashBurnPairSort was written against: the
+// local permutation at the width of an int.
+type sbResult struct {
+	perm   []int // perm[localOld] = localNew
+	n1, n2 int
+	blocks []int
 }
 
 // slashBurnPairSort is the implementation this package shipped before the

@@ -65,10 +65,19 @@ func (o *Ordering) Validate() error {
 	return nil
 }
 
+// CheckHubRatio reports a SlashBurn hub selection ratio outside (0, 1), the
+// range every k the reordering is run with must lie in. NaN is outside it.
+func CheckHubRatio(k float64) error {
+	if !(k > 0 && k < 1) {
+		return fmt.Errorf("reorder: hub selection ratio %v out of (0,1)", k)
+	}
+	return nil
+}
+
 // HubAndSpoke computes the full BePI ordering: deadends are moved to the
 // tail, and the non-deadend subgraph is permuted by SlashBurn with hub
 // selection ratio k so that spokes (small disconnected components after hub
-// removal) come first and hubs last.
+// removal) come first and hubs last. It panics on a k CheckHubRatio refuses.
 func HubAndSpoke(g *graph.Graph, k float64) *Ordering {
 	return HubAndSpokeIters(g, k, 0)
 }
@@ -79,8 +88,8 @@ func HubAndSpoke(g *graph.Graph, k float64) *Ordering {
 // of being burned further — which the reordering ablation uses to show why
 // SlashBurn's recursion earns its cost.
 func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
-	if k <= 0 || k >= 1 {
-		panic(fmt.Sprintf("reorder: hub selection ratio %v out of (0,1)", k))
+	if err := CheckHubRatio(k); err != nil {
+		panic(err)
 	}
 	n := g.N()
 	// Deadend separation. nonDead keeps original relative order, so the
@@ -98,7 +107,7 @@ func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
 	perm := make([]int, n)
 	inv := make([]int, n)
 	for localOld, localNew := range sb.perm {
-		perm[nonDead[localOld]] = localNew
+		perm[nonDead[localOld]] = int(localNew)
 	}
 	base := len(nonDead)
 	for i, u := range dead {
@@ -114,9 +123,9 @@ func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
 	}
 }
 
-// sbResult is the SlashBurn output in local (non-deadend) id space.
-type sbResult struct {
-	perm   []int // perm[localOld] = localNew
+// localOrder is the SlashBurn output in local (non-deadend) id space.
+type localOrder struct {
+	perm   []uint32 // perm[localOld] = localNew
 	n1, n2 int
 	blocks []int
 }
@@ -125,10 +134,12 @@ type sbResult struct {
 // the given nodes (strictly increasing). hubsPerIter = ceil(k·|nodes|)
 // high-degree nodes are slashed per iteration; the procedure recurses on the
 // giant connected component until it is no larger than one slash, at which
-// point the remainder joins the hub region.
-func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
+// point the remainder joins the hub region. Its state is 32 bits a node:
+// local ids, degrees and BFS stamps all lie below |nodes| < 2³² − 1, which
+// graph.Undirected enforces.
+func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *localOrder {
 	nn := len(nodes)
-	res := &sbResult{perm: make([]int, nn)}
+	res := &localOrder{perm: make([]uint32, nn)}
 	if nn == 0 {
 		return res
 	}
@@ -142,97 +153,110 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 		hubsPerIter = 1
 	}
 
-	alive := make([]bool, nn)
-	curDeg := make([]int, nn)
 	// current holds the nodes of the graph SlashBurn currently operates on
-	// (initially everything; after the first iteration, the previous GCC).
-	current := make([]int, nn)
+	// in ascending id: initially everything, after each iteration the GCC.
+	// mark[u] is removed once u has left the graph, else the last iteration
+	// whose BFS reached it.
+	const removed = math.MaxUint32
+	curDeg := make([]uint32, nn)
+	current := make([]uint32, nn)
+	mark := make([]uint32, nn)
 	for i := range current {
-		alive[i] = true
-		curDeg[i] = und.Degree(i)
-		current[i] = i
+		curDeg[i] = uint32(und.Degree(i))
+		current[i] = uint32(i)
 	}
 
 	low := 0       // next spoke id (assigned from the bottom)
 	high := nn - 1 // next hub id (assigned from the top)
 
-	removeNode := func(u int) {
-		alive[u] = false
-		for _, v := range und.Neighbors(u) {
-			if alive[v] {
-				curDeg[v]--
-			}
-		}
-	}
-	// byDegree orders nodes highest current degree first, ties by id: the
-	// order hubs are slashed in and components are discovered in. It sorts
-	// one packed key per node, (MaxUint32−degree)<<32 | id, whose ascending
-	// order is exactly that one — an integer sort with no comparator call
-	// per comparison. Local ids and degrees are below nn < 2³².
-	keys := make([]uint64, 0, nn)
-	byDegree := func(us []int) {
-		keys = keys[:0]
+	// byDegree returns us, which must be in ascending id, ordered highest
+	// current degree first and ties by id: the order hubs are slashed in
+	// and components are discovered in. It is a stable counting sort on
+	// degree into ranked. A node's current degree counts its neighbours
+	// still in the graph, which share its component, so it is below
+	// len(us) ≤ nn and the buckets fit in counts.
+	ranked := make([]uint32, nn)
+	counts := make([]uint32, nn+1)
+	byDegree := func(us []uint32) []uint32 {
+		top := uint32(0)
 		for _, u := range us {
-			keys = append(keys, uint64(math.MaxUint32-uint32(curDeg[u]))<<32|uint64(u))
+			top = max(top, curDeg[u])
 		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			us[i] = int(uint32(k))
-		}
-	}
-	// joinHubs assigns every given node the next hub id, in the given order.
-	joinHubs := func(us []int) {
+		cnt := counts[:top+2] // bucket top−degree, from cnt[1]
+		clear(cnt)
 		for _, u := range us {
-			res.perm[u] = high
+			cnt[top-curDeg[u]+1]++
+		}
+		for b := 1; b < len(cnt); b++ {
+			cnt[b] += cnt[b-1]
+		}
+		out := ranked[:len(us)]
+		for _, u := range us {
+			b := top - curDeg[u]
+			out[cnt[b]] = u
+			cnt[b]++
+		}
+		return out
+	}
+	// joinHubs assigns every given node the next hub id, in the given
+	// order, and takes it out of its neighbours' degrees.
+	joinHubs := func(us []uint32) {
+		for _, u := range us {
+			res.perm[u] = uint32(high)
 			high--
 			res.n2++
-			removeNode(u)
+			mark[u] = removed
+			out, inOnly := und.Neighbors(int(u))
+			for _, list := range [2][]uint32{out, inOnly} {
+				for _, v := range list {
+					if mark[v] != removed {
+						curDeg[v]--
+					}
+				}
+			}
 		}
 	}
 
 	// burned receives each iteration's BFS output: the members of every
 	// component back to back, each component doubling as its own queue.
-	// spare is the buffer of the iteration before, which current (a
-	// component of it) still points into.
-	var burned, spare []int
-	visitedIter := make([]int, nn) // BFS stamp: iteration index when visited
-	for iter := 1; len(current) > 0; iter++ {
-		byDegree(current)
-		if maxIters > 0 && iter > maxIters {
+	burned := make([]uint32, 0, nn)
+	var comps [][]uint32
+	for iter := uint32(1); len(current) > 0; iter++ {
+		order := byDegree(current)
+		if maxIters > 0 && int(iter) > maxIters {
 			// Iteration cap reached: the rest of the graph joins the hub
 			// region, highest degree first.
-			joinHubs(current)
+			joinHubs(order)
 			break
 		}
 		// 1. Slash: remove the hubsPerIter highest-degree nodes of the
 		// current graph, assigning them the highest free ids in
 		// decreasing-degree order.
-		h := min(hubsPerIter, len(current))
-		joinHubs(current[:h])
-		remaining := current[h:]
+		h := min(hubsPerIter, len(order))
+		joinHubs(order[:h])
+		remaining := order[h:]
 		if len(remaining) == 0 {
 			break
 		}
 		// 2. Burn: find components of the remainder; all but the largest
 		// are spokes and leave the graph with the lowest free ids, one
 		// contiguous block per component.
-		burned, spare = spare[:0], burned
-		if cap(burned) < len(remaining) {
-			burned = make([]int, 0, len(remaining))
-		}
-		var comps [][]int
+		burned, comps = burned[:0], comps[:0]
 		for _, s := range remaining {
-			if visitedIter[s] == iter {
+			if mark[s] == iter {
 				continue
 			}
 			start := len(burned)
 			burned = append(burned, s)
-			visitedIter[s] = iter
+			mark[s] = iter
 			for head := start; head < len(burned); head++ {
-				for _, v := range und.Neighbors(burned[head]) {
-					if alive[v] && visitedIter[v] != iter {
-						visitedIter[v] = iter
-						burned = append(burned, v)
+				out, inOnly := und.Neighbors(int(burned[head]))
+				for _, list := range [2][]uint32{out, inOnly} {
+					for _, v := range list {
+						if mark[v] < iter {
+							mark[v] = iter
+							burned = append(burned, v)
+						}
 					}
 				}
 			}
@@ -244,25 +268,33 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *sbResult {
 				gcc = i
 			}
 		}
+		// A spoke leaves without taking itself out of its neighbours'
+		// degrees: they all lie in its own component, which leaves with it.
 		for i, members := range comps {
 			if i == gcc {
 				continue
 			}
 			slices.Sort(members)
 			for _, u := range members {
-				res.perm[u] = low
+				res.perm[u] = uint32(low)
 				low++
 				res.n1++
-				removeNode(u)
+				mark[u] = removed
 			}
 			res.blocks = append(res.blocks, len(members))
 		}
-		// 3. Recurse on the GCC while it is larger than one slash.
-		current = comps[gcc]
+		// 3. Recurse on the GCC — what is left of the current graph, still
+		// in ascending id — while it is larger than one slash.
+		gccNodes := current[:0]
+		for _, u := range current {
+			if mark[u] != removed {
+				gccNodes = append(gccNodes, u)
+			}
+		}
+		current = gccNodes
 		if len(current) <= hubsPerIter {
 			// Remainder joins the hub region, highest degree first.
-			byDegree(current)
-			joinHubs(current)
+			joinHubs(byDegree(current))
 			break
 		}
 	}

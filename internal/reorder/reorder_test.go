@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,7 +115,7 @@ func TestHubAndSpokeAllDeadends(t *testing.T) {
 
 func TestHubAndSpokeInvalidK(t *testing.T) {
 	g := graph.MustNew(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
-	for _, k := range []float64{0, 1, -0.5, 2} {
+	for _, k := range []float64{0, 1, -0.5, 2, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -222,5 +223,19 @@ func TestHubAndSpokeDeterministic(t *testing.T) {
 		if a.Perm[i] != b.Perm[i] {
 			t.Fatal("HubAndSpoke is nondeterministic")
 		}
+	}
+}
+
+var orderingSink *Ordering
+
+// BenchmarkHubAndSpoke times the reordering of the hybrid scale-13 graph at
+// the engine's default hub ratio; with -benchmem, B/op is what the
+// undirected view and SlashBurn's state allocate.
+func BenchmarkHubAndSpoke(b *testing.B) {
+	g := gen.Hybrid(gen.DefaultHybrid(13, 14, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		orderingSink = HubAndSpoke(g, 0.2)
 	}
 }
