@@ -69,7 +69,9 @@ race:
 # engine holds once (the 32-bit permutation and the block LU's bounds,
 # reassembled by built, loaded and patched engines), and the assembly of S
 # (every column computed once into per-worker shards, scattered into the
-# DILU triangles, against the triplet-summed reference at 1 and 4 workers).
+# DILU triangles, against the triplet-summed reference at 1 and 4 workers),
+# and S held as those triangles by every variant (S·x read off them on a
+# pool, a delta's columns spliced into them row by row).
 race-par:
 	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
@@ -121,12 +123,13 @@ bench-kernels:
 # and for the round trip the saved file's size (file-B), so CI shows a
 # return to per-word index I/O, append-grown arrays, a second copy of S, a
 # widened file, 32-bit columns where 16 bits hold them, a permutation wider
-# than 32 bits or its inverse held beside it, or state only some
-# engines carry (the built and loaded
+# than 32 bits or its inverse held beside it, a delta that patches a wide
+# copy of S instead of splicing its columns into S's triangles, or state
+# only some engines carry (the built and loaded
 # ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op,
 # file-B or index-B next to the time. (The exact gates on those are
-# TestPreprocessingAllocBudget and TestEveryEngineStateComposes in
-# `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
+# TestPreprocessingAllocBudget, TestApplyDeltaAllocBudget — the hub-4op
+# delta's bytes — and TestEveryEngineStateComposes in `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
 # scale 13): a return to a merged or 64-bit undirected view shows in its B/op.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .

@@ -78,7 +78,7 @@ func BenchmarkPreprocessBePI(b *testing.B) {
 // robin — the first half inserts toward hubs (which a source of either kind
 // may point at without breaking the ordering), the second half deletes of
 // edges the graph has — with the graph the batch leads to.
-func benchDelta(b *testing.B, g *bepi.Graph, eng *bepi.Engine, sources []int, size int) (*graph.Graph, []core.EdgeDelta) {
+func benchDelta(b testing.TB, g *bepi.Graph, eng *bepi.Engine, sources []int, size int) (*graph.Graph, []core.EdgeDelta) {
 	b.Helper()
 	ord := eng.Internal().Ordering()
 	var ops []core.EdgeDelta
@@ -114,6 +114,15 @@ func benchDelta(b *testing.B, g *bepi.Graph, eng *bepi.Engine, sources []int, si
 	return gNew, ops
 }
 
+// topHubs returns the engine's two hubs of the highest out-degree, the
+// sources of the hub-4op delta.
+func topHubs(g *bepi.Graph, eng *bepi.Engine) []int {
+	ord := eng.Internal().Ordering()
+	hubs := slices.Clone(ord.Inv[ord.N1 : ord.N1+ord.N2])
+	slices.SortStableFunc(hubs, func(u, v int) int { return g.OutDegree(v) - g.OutDegree(u) })
+	return hubs[:2]
+}
+
 // BenchmarkApplyDelta is what a Dynamic flush spends in core.ApplyDelta on
 // the scale-12 fixture: a 4-op batch on its two highest-out-degree hubs
 // and a 64-op batch spread over 32 spokes, each absorbed by the engine
@@ -135,8 +144,6 @@ func BenchmarkApplyDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	ord := built.Internal().Ordering()
-	hubs := slices.Clone(ord.Inv[ord.N1 : ord.N1+ord.N2])
-	slices.SortStableFunc(hubs, func(u, v int) int { return g.OutDegree(v) - g.OutDegree(u) })
 	var spokes []int
 	for p := 0; p < ord.N1 && len(spokes) < 32; p += max(1, ord.N1/64) {
 		if u := ord.Inv[p]; g.OutDegree(u) >= 2 {
@@ -149,7 +156,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		size    int
 		class   core.DeltaClass
 	}{
-		{"hub-4op", hubs[:2], 4, core.DeltaHub},
+		{"hub-4op", topHubs(g, built), 4, core.DeltaHub},
 		{"spoke-batch", spokes, 64, core.DeltaSpoke},
 	} {
 		gNew, ops := benchDelta(b, g, built, batch.sources, batch.size)

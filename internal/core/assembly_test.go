@@ -58,7 +58,7 @@ func newReferenceBuild(t *testing.T, g *graph.Graph, ord *reorder.Ordering) *ref
 }
 
 // engine stores the reference build as variant v's engine: the blocks'
-// patterns and weights, and S as FactorDILU's factors (or Compact's CSR).
+// patterns and weights, and S as FactorDILU's factors, whatever v.
 func (r *referenceBuild) engine(t *testing.T, v Variant) *Engine {
 	t.Helper()
 	l := r.ord.N1 + r.ord.N2
@@ -70,10 +70,6 @@ func (r *referenceBuild) engine(t *testing.T, v Variant) *Engine {
 	}
 	for j, u := range r.ord.Inv[:l] {
 		e.hw[j] = e.ord.hWeight(r.g, DefaultC, u)
-	}
-	if v != VariantFull {
-		e.schur = sparse.Compact(r.s)
-		return e
 	}
 	var err error
 	if e.ilu, err = lu.FactorDILU(r.s); err != nil {
@@ -164,8 +160,8 @@ func stored(m *sparse.CSR, i, j int) bool {
 
 // TestSchurAssemblyMatchesReference holds preprocessing's assembly of S —
 // H's blocks built from the graph, every column of S computed once into
-// per-worker shards and scattered straight into S's DILU triangles (or its
-// compact CSR) — against the reference pipeline it replaced, BuildH →
+// per-worker shards and scattered straight into S's DILU triangles —
+// against the reference pipeline it replaced, BuildH →
 // Partition → SchurComplement → FactorDILU with S summed from triplets: L̂,
 // Û, D_S, the pivots and the saved bytes agree bit for bit, for all three
 // variants at one and at four workers. The graphs hold self-loops on hubs
@@ -212,11 +208,7 @@ func TestSchurAssemblyMatchesReference(t *testing.T) {
 				if e.prep.SchurNNZ != rb.s.NNZ() {
 					t.Fatalf("%s: SchurNNZ %d, reference %d", name, e.prep.SchurNNZ, rb.s.NNZ())
 				}
-				if v == VariantFull {
-					requireDILUBitsEqual(t, name, e.ilu, ref.ilu)
-				} else {
-					matBitsEqual(t, name+" S", e.schur, ref.schur)
-				}
+				requireDILUBitsEqual(t, name, e.ilu, ref.ilu)
 				if got := engineBytes(t, e); !bytes.Equal(got, want) {
 					t.Fatalf("%s: saved index differs from the reference's (%d vs %d bytes)", name, len(got), len(want))
 				}

@@ -262,7 +262,7 @@ func (e *Engine) sminSchur(iters int, seed int64) (float64, error) {
 	if n2 == 0 {
 		return 1, nil
 	}
-	s := e.schurWide()
+	s := e.Schur()
 	st := s.Transpose()
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float64, n2)

@@ -3,13 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
+	"bepi/internal/lu"
 	"bepi/internal/sparse"
 )
 
@@ -27,9 +27,10 @@ import (
 //     H12/H22/H32, so exactly one column of S changes per hub source.
 //   - Either way the changed Schur columns are recomputed by the column
 //     routine preprocessing runs (schurInputs.column: the cross term merged
-//     with the H22 column read off the updated graph) and spliced into S,
-//     and the DILU pivots are re-derived from the patched S — the one
-//     O(nnz(S)) recurrence Preprocess runs — so every absorbed delta, first
+//     with the H22 column read off the updated graph) and spliced into S's
+//     DILU triangles in place of the old ones (lu.ILU.SpliceColumns), and
+//     the pivots are re-derived from the patched S — the one O(nnz(S))
+//     recurrence Preprocess runs — so every absorbed delta, first
 //     or n-th in a chain, on a built or a loaded engine, is bit-identical to
 //     PreprocessWithOrdering on the updated graph (DESIGN.md §16, §20).
 //   - Anything that breaks the reused ordering's structure — a new node
@@ -323,130 +324,56 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	sort.Ints(cols)
 	st.AffectedColumns = len(cols)
 
-	// Recompute each affected S column with the column routine of the full
-	// build (schurInputs.column), against the patched blocks and H22's
-	// columns read off gNew — bit-identical to a from-scratch Schur build.
-	tSchur := time.Now()
-	newCols := make(map[int][]colEntry, len(cols))
+	// Recompute each affected S column with the full build's column routine
+	// (schurInputs.column) against the patched blocks and gNew, splice the
+	// columns into S's triangles and re-derive the pivots, as Preprocess does.
+	ilu := e.ilu
+	var schurDur, iluDur time.Duration
 	if len(cols) > 0 {
+		tSchur := time.Now()
 		in := graphSchurInputs(gNew, ord, inv, c, h11LUNew, h12New, h21New, hw)
 		w := newSchurScratch(n2, h11LUNew)
-		for _, j := range cols {
+		var rows []uint32
+		var vals []float64
+		end := make([]int, len(cols))
+		for k, j := range cols {
 			in.column(w, j)
-			sort.Ints(w.touched)
-			col := make([]colEntry, len(w.touched))
-			for k, i := range w.touched {
-				col[k] = colEntry{i, w.acc[i]}
+			for _, i := range w.touched {
+				rows = append(rows, uint32(i))
+				vals = append(vals, w.acc[i])
 			}
-			newCols[j] = col
+			end[k] = len(rows)
 		}
+		tri, err := e.ilu.SpliceColumns(func(emit func(j int, rows []uint32, vals []float64)) {
+			start := 0
+			for k, j := range cols {
+				emit(j, rows[start:end[k]], vals[start:end[k]])
+				start = end[k]
+			}
+		})
+		if err != nil {
+			return nil, st, fmt.Errorf("core: splicing S's patched columns: %w", err)
+		}
+		schurDur = time.Since(tSchur)
+		tILU := time.Now()
+		ilu = lu.FactorTriangles(tri).SetPool(e.pool)
+		iluDur = time.Since(tILU)
 	}
-	schurDur := time.Since(tSchur)
 
 	ne := &Engine{
 		opts: e.opts, n: gNew.N(), ord: ord,
 		h12: h12New, h21: h21New, h31: h31New, h32: h32New, hw: hw,
-		schur: e.schur, h11LU: h11LUNew, ilu: e.ilu,
+		h11LU: h11LUNew, ilu: ilu,
 		pool: e.pool, prep: e.prep,
 	}
-
 	ne.prep.N, ne.prep.M, ne.prep.N3 = gNew.N(), gNew.M(), ord.n3
 	ne.prep.Reorder = 0
 	ne.prep.BuildH = patchDur
 	ne.prep.FactorH11 = factorDur
 	ne.prep.Schur = schurDur
-	ne.prep.ILU = 0
-
-	// Splice the recomputed columns into a wide copy of S and store the
-	// patched S the way Preprocess does — for the full variant that is the
-	// same one O(|S|) DILU pass over the same source.
-	if len(cols) > 0 {
-		schurW := e.schurWide()
-		oldCols := extractColumns(schurW, affected)
-		var edits []sparse.Edit
-		for _, j := range cols {
-			edits = appendColumnEdits(edits, j, oldCols[j], newCols[j])
-		}
-		if err := ne.storeSchur(schurW.WithEdits(edits)); err != nil {
-			return nil, st, fmt.Errorf("core: re-factoring DILU of patched S: %w", err)
-		}
-	}
+	ne.prep.ILU = iluDur
+	ne.prep.SchurNNZ = ilu.NNZ()
 	ne.prep.Total = time.Since(start)
 	st.Duration = ne.prep.Total
 	return ne, st, nil
-}
-
-// extractColumns collects the stored entries of the wanted columns in one
-// row-major sweep; each column comes out in ascending-row order. A dense
-// slot mask stands in for the map during the sweep — a hash lookup per
-// stored entry dominated the delta-rebuild profile.
-func extractColumns(m *sparse.CSR, want map[int]bool) map[int][]colEntry {
-	out := make(map[int][]colEntry, len(want))
-	if len(want) == 0 {
-		return out
-	}
-	slot := make([]int, m.Cols())
-	order := make([]int, 0, len(want))
-	for j := range want {
-		order = append(order, j)
-		slot[j] = len(order) // 1-based; 0 means unwanted
-	}
-	// Count pass, then fill into one backing array: wanted columns are a
-	// minority but can be long, and growing each slice by append re-copies
-	// enough to show in per-flush profiles.
-	counts := make([]int, len(order)+1)
-	cols := m.ColIdx()
-	vals := m.Values()
-	nnz := m.NNZ()
-	for p := 0; p < nnz; p++ {
-		if sl := slot[cols[p]]; sl != 0 {
-			counts[sl]++
-		}
-	}
-	for k := 1; k <= len(order); k++ {
-		counts[k] += counts[k-1]
-	}
-	buf := make([]colEntry, counts[len(order)])
-	starts := make([]int, len(order))
-	copy(starts, counts[:len(order)])
-	fill := make([]int, len(order))
-	copy(fill, starts)
-	for i := 0; i < m.Rows(); i++ {
-		s, en := m.RowRange(i)
-		for p := s; p < en; p++ {
-			if sl := slot[cols[p]]; sl != 0 {
-				buf[fill[sl-1]] = colEntry{i, vals[p]}
-				fill[sl-1]++
-			}
-		}
-	}
-	for k, j := range order {
-		out[j] = buf[starts[k]:fill[k]:fill[k]]
-	}
-	return out
-}
-
-// appendColumnEdits emits the WithEdits batch replacing column j's old
-// entries with the new ones, skipping entries that are already bitwise
-// equal — an affected column usually overlaps its predecessor almost
-// everywhere, and the splice cost scales with the edits actually emitted.
-func appendColumnEdits(edits []sparse.Edit, j int, oldCol, newCol []colEntry) []sparse.Edit {
-	pa, pb := 0, 0
-	for pa < len(oldCol) || pb < len(newCol) {
-		switch {
-		case pb >= len(newCol) || (pa < len(oldCol) && oldCol[pa].row < newCol[pb].row):
-			edits = append(edits, sparse.Edit{Row: oldCol[pa].row, Col: j, Delete: true})
-			pa++
-		case pa >= len(oldCol) || newCol[pb].row < oldCol[pa].row:
-			edits = append(edits, sparse.Edit{Row: newCol[pb].row, Col: j, Val: newCol[pb].val})
-			pb++
-		default:
-			if math.Float64bits(oldCol[pa].val) != math.Float64bits(newCol[pb].val) {
-				edits = append(edits, sparse.Edit{Row: newCol[pb].row, Col: j, Val: newCol[pb].val})
-			}
-			pa++
-			pb++
-		}
-	}
-	return edits
 }

@@ -220,32 +220,22 @@ func reloaded(t *testing.T, e *Engine) *Engine {
 }
 
 // requireSchurStoredOnce checks the engine's storage invariant: S lives in
-// exactly one structure — the DILU factors on a full-BePI engine, the CSR32
-// on the unpreconditioned variants — PrepStats reports its entry count, and
-// MemoryBytes() is the sum of the arrays the engine retains, worked out
-// here from their lengths (int32 row pointers and 16-bit columns at test
-// sizes): the H blocks as patterns, 2 bytes per entry, one weight per
-// non-deadend node, and S at 10 bytes an entry.
+// one structure, its DILU factors, whatever the variant — PrepStats reports
+// their entry count, and MemoryBytes() is the sum of the arrays the engine
+// retains, worked out here from their lengths (int32 row pointers and
+// 16-bit columns at test sizes): the H blocks as patterns, 2 bytes per
+// entry, one weight per non-deadend node, and S at 10 bytes an entry, two
+// row-pointer arrays and D_S.
 func requireSchurStoredOnce(t *testing.T, e *Engine) {
 	t.Helper()
-	if (e.schur == nil) != (e.ilu != nil) || (e.ilu != nil) != (e.opts.Variant == VariantFull) {
-		t.Fatalf("%v engine: schur stored = %t, factors stored = %t; want exactly one, the factors iff BePI",
-			e.opts.Variant, e.schur != nil, e.ilu != nil)
+	if e.ilu == nil || e.ilu.N() != e.ord.n2 {
+		t.Fatalf("%v engine: S's factors are not held for its %d hubs", e.opts.Variant, e.ord.n2)
 	}
 	pattern := func(m *sparse.Pattern) int64 { return 2*int64(m.NNZ()) + 4*int64(m.Rows()+1) }
+	nnz, n2 := e.ilu.NNZ(), int64(e.ord.n2)
 	want := pattern(e.h12) + pattern(e.h21) + pattern(e.h31) + pattern(e.h32) +
-		8*int64(e.ord.n1+e.ord.n2) + e.h11LU.MemoryBytes() + 4*int64(e.n)
-	if e.schur != nil {
-		want += 10*int64(e.schur.NNZ()) + 4*int64(e.schur.Rows()+1)
-	}
-	var nnz int
-	if e.ilu != nil {
-		nnz = e.ilu.NNZ()
-		n2 := int64(e.ord.n2)
-		want += 10*int64(nnz) + 2*4*(n2+1) + 8*n2
-	} else {
-		nnz = e.schur.NNZ()
-	}
+		8*int64(e.ord.n1+e.ord.n2) + e.h11LU.MemoryBytes() + 4*int64(e.n) +
+		10*int64(nnz) + 2*4*(n2+1) + 8*n2
 	if got := e.MemoryBytes(); got != want {
 		t.Fatalf("MemoryBytes() = %d, the retained arrays sum to %d", got, want)
 	}
@@ -266,7 +256,7 @@ func requireMatchesFullPreprocess(t *testing.T, e *Engine, g *graph.Graph) {
 	}
 	requireSchurStoredOnce(t, e)
 	requireHBitsEqual(t, e, ref)
-	matBitsEqual(t, "schur", sparse.Compact(e.schurWide()), sparse.Compact(ref.schurWide()))
+	requireDILUBitsEqual(t, "schur", e.ilu, ref.ilu)
 	requireQueryBitsEqual(t, e, ref, []int{0, 1, g.N() / 2, g.N() - 1})
 	if !bytes.Equal(engineBytes(t, e), engineBytes(t, ref)) {
 		t.Fatal("saved bytes differ from the full preprocess's")
@@ -471,7 +461,7 @@ func TestDeltaSequentialSpoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matBitsEqual(t, "schur", sparse.Compact(e2.schurWide()), sparse.Compact(ref.schurWide()))
+	requireDILUBitsEqual(t, "schur", e2.ilu, ref.ilu)
 	requireQueryBitsEqual(t, e2, ref, []int{2, g.N() / 3})
 }
 
@@ -530,7 +520,7 @@ func TestDeltaNodeGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireHBitsEqual(t, e2, ref)
-	matBitsEqual(t, "schur", sparse.Compact(e2.schurWide()), sparse.Compact(ref.schurWide()))
+	requireDILUBitsEqual(t, "schur", e2.ilu, ref.ilu)
 	requireQueryBitsEqual(t, e2, ref, []int{0, g.N() + 2})
 }
 

@@ -134,13 +134,12 @@ func TestDILUOfEngineSchur(t *testing.T) {
 	}
 }
 
-// TestDILUFactorsAreTheOnlySchur: on every fixture a full-BePI engine
-// holds S in its DILU factors and nowhere else, and what they hold is S
-// exactly — the reassembled matrix has the pattern and the value bits of
-// the S a BePI-S build under the same ordering stores as a CSR32 (no
-// factors on that path), and the S section Save writes from the triangles
-// is byte for byte the one it writes for that BePI-S engine. The
-// unpreconditioned variants hold the CSR32 and no factors.
+// TestDILUFactorsAreTheOnlySchur: on every fixture every variant holds S
+// in its DILU factors and nowhere else, and what they hold is S exactly —
+// the reassembled matrix has the pattern and the value bits of the S a
+// BePI-S build under the same ordering holds, and of Schur(); the pivots
+// are FactorDILU's of that S; and the S section Save writes from the
+// triangles is byte for byte the one FactorDILU's factors of it write.
 func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 	fixtures := splitFixtures()
 	for _, name := range sortedNames(fixtures) {
@@ -155,12 +154,13 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		requireSchurStoredOnce(t, ref)
-		matBitsEqual(t, name+": S", sparse.Compact(e.ilu.Matrix()), ref.schur)
-		matBitsEqual(t, name+": Schur()", sparse.Compact(e.Schur()), ref.schur)
-		refFactors, err := lu.FactorDILU(ref.schur.ToCSR())
+		refFactors, err := lu.FactorDILU(ref.Schur())
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireDILUBitsEqual(t, name, e.ilu, refFactors)
+		requireDILUBitsEqual(t, name+" BePI-S", ref.ilu, refFactors)
+		matBitsEqual(t, name+": Schur()", sparse.Compact(e.Schur()), sparse.Compact(ref.ilu.Matrix()))
 		var want, got bytes.Buffer
 		if _, err := refFactors.WriteTo(&want); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: the S section written from the factors differs from the one written from the CSR32 (%d vs %d bytes)", name, got.Len(), want.Len())
+			t.Fatalf("%s: the S section written from the triangles differs from FactorDILU's (%d vs %d bytes)", name, got.Len(), want.Len())
 		}
 		b, err := Preprocess(g, Options{Variant: VariantB})
 		if err != nil {
@@ -191,7 +191,7 @@ func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64,
 	e.permute(ws, q)
 	e.forward(ws)
 	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Precond: ilu0}
-	r2, st, err := solver.GMRES(e.schurWide(), ws.qt2, opts)
+	r2, st, err := solver.GMRES(e.Schur(), ws.qt2, opts)
 	if err != nil {
 		t.Fatalf("reference solve for seed %d: %v", seed, err)
 	}

@@ -156,9 +156,8 @@ var (
 //     the engine keeps, and their weights;
 //   - FactorH11: H11's diagonal blocks filled dense from the graph and
 //     LU-factored;
-//   - Schur: S's columns, and their assembly into the DILU triangles L̂ and
-//     Û (the compact CSR for the unpreconditioned variants);
-//   - ILU: D_S and the DILU pivots (zero without a preconditioner).
+//   - Schur: S's columns, and their assembly into the DILU triangles L̂, Û;
+//   - ILU: D_S and the DILU pivots, whatever the variant.
 type PrepStats struct {
 	Total      time.Duration
 	Reorder    time.Duration
@@ -226,14 +225,11 @@ type Engine struct {
 	// the ordering alone.
 	h12, h21, h31, h32 *sparse.Pattern
 	hw                 []float64
-	// S is stored once: schur == nil ⇔ ilu != nil. An engine with DILU
-	// factors holds S as the two triangles its solve streams (the factors
-	// are S's own off-diagonals plus its diagonal, lu.ILU.Matrix), the
-	// unpreconditioned variants as the CSR32 their SpMV reads; schurWide
-	// widens whichever there is for the cold readers.
-	schur *sparse.CSR32
+	// S is stored once, whatever the variant, as its DILU factors: S's own
+	// triangles and diagonal plus the pivots (lu.ILU). The variant picks
+	// only the operator a solve runs on them (runSchurSolve).
 	h11LU *lu.BlockLU
-	ilu   *lu.ILU // DILU factors of S, and S itself; nil unless VariantFull
+	ilu   *lu.ILU
 
 	// wsFree recycles Workspaces for the query entry points that are not
 	// handed one (Query, QueryVector, TopKBounded, …), so a library caller's
@@ -346,9 +342,7 @@ func (e *Engine) attachPool() {
 	for _, m := range []*sparse.Pattern{e.h12, e.h21, e.h31, e.h32} {
 		m.SetPool(e.pool)
 	}
-	if e.schur != nil {
-		e.schur.SetPool(e.pool)
-	}
+	e.ilu.SetPool(e.pool)
 	e.prep.Workers = e.pool.Workers()
 }
 
@@ -486,28 +480,22 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	}
 
 	// 4. Schur complement S = H22 − H21·H11⁻¹·H12, columns in parallel,
-	// assembled straight into the layout its solve reads: for the full
-	// variant S's two DILU triangles, whose pivots (step 5) make them the
-	// factors; otherwise the compact CSR.
+	// assembled straight into S's two DILU triangles, whose pivots (step 5)
+	// make them the factors.
 	t0 = time.Now()
 	in := graphSchurInputs(g, e.ord, inv, opts.C, e.h11LU, e.h12, e.h21, e.hw)
 	cols := in.columns(n2, e.pool)
 	nnz := cols.nnz()
 	e.prep.SchurNNZ = nnz
-	if opts.Variant != VariantFull {
-		e.schur = sparse.CompactFromColumns(n2, n2, nnz, cols.visit).SetPool(e.pool)
-		e.prep.Schur = time.Since(t0)
-	} else {
-		tri, err := lu.TrianglesFromColumns(n2, nnz, cols.visit)
-		if err != nil {
-			return nil, fmt.Errorf("core: DILU of S: %w", err)
-		}
-		e.prep.Schur = time.Since(t0)
-		// 5. The DILU pivots: D_S and the one O(nnz(S)) recurrence.
-		t0 = time.Now()
-		e.ilu = lu.FactorTriangles(tri)
-		e.prep.ILU = time.Since(t0)
+	tri, err := lu.TrianglesFromColumns(n2, nnz, cols.visit)
+	if err != nil {
+		return nil, fmt.Errorf("core: DILU of S: %w", err)
 	}
+	e.prep.Schur = time.Since(t0)
+	// 5. The DILU pivots: D_S and the one O(nnz(S)) recurrence.
+	t0 = time.Now()
+	e.ilu = lu.FactorTriangles(tri)
+	e.prep.ILU = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
 	}
@@ -517,34 +505,6 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	}
 	e.attachPool()
 	return e, nil
-}
-
-// storeSchur takes a wide S — ApplyDelta's patched copy — into the engine in
-// the one layout its variant serves it from — DILU factors for VariantFull,
-// the compact CSR on the engine's pool otherwise — and records the
-// factorization time and S's entry count.
-func (e *Engine) storeSchur(s *sparse.CSR) error {
-	e.prep.SchurNNZ = s.NNZ()
-	if e.opts.Variant != VariantFull {
-		e.schur = sparse.Compact(s).SetPool(e.pool)
-		return nil
-	}
-	t0 := time.Now()
-	ilu, err := lu.FactorDILU(s)
-	if err != nil {
-		return err
-	}
-	e.ilu, e.prep.ILU = ilu, time.Since(t0)
-	return nil
-}
-
-// schurWide returns S as a fresh wide matrix on the engine's pool, from
-// whichever structure holds it. Cold paths only: it copies S.
-func (e *Engine) schurWide() *sparse.CSR {
-	if e.ilu != nil {
-		return e.ilu.Matrix().SetPool(e.pool)
-	}
-	return e.schur.ToCSR()
 }
 
 // BuildH constructs the reordered system matrix H = P(I − (1−c)Ãᵀ)Pᵀ
@@ -648,11 +608,10 @@ func (e *Engine) Ordering() *reorder.Ordering {
 	return o
 }
 
-// Schur exposes the Schur complement as a wide copy — reassembled from the
-// DILU factors on an engine that has them, widened from the stored matrix
-// otherwise; bit for bit the S preprocessing computed either way (for
-// experiments; each call copies S).
-func (e *Engine) Schur() *sparse.CSR { return e.schurWide() }
+// Schur exposes the Schur complement as a wide copy on the engine's pool,
+// bit for bit the S preprocessing computed (for experiments and the
+// accuracy bound; each call copies S).
+func (e *Engine) Schur() *sparse.CSR { return e.ilu.Matrix().SetPool(e.pool) }
 
 // IndexPart is one part of an index's footprint, in bytes.
 type IndexPart struct {
@@ -663,9 +622,8 @@ type IndexPart struct {
 // IndexParts splits the footprint of the preprocessed data by what holds
 // it, in the one order the split is reported in:
 //
-//   - "schur": the Schur complement, stored once — as its DILU factors (S's
-//     two triangles, its diagonal and the pivots) for full BePI, as a
-//     compact CSR otherwise;
+//   - "schur": the Schur complement, stored once, as its DILU factors — S's
+//     two triangles, its diagonal and the pivots — whatever the variant;
 //   - "h": the partition blocks H12/H21/H31/H32 (not H22 — S replaces it)
 //     as patterns, 2 bytes per entry (4 in a block of more than 65 536
 //     columns) and 4 per row pointer;
@@ -675,15 +633,8 @@ type IndexPart struct {
 //
 // MemoryBytes is their sum.
 func (e *Engine) IndexParts() []IndexPart {
-	var schur int64
-	if e.schur != nil {
-		schur += e.schur.MemoryBytes()
-	}
-	if e.ilu != nil {
-		schur += e.ilu.MemoryBytes()
-	}
 	return []IndexPart{
-		{"schur", schur},
+		{"schur", e.ilu.MemoryBytes()},
 		{"h", e.h12.MemoryBytes() + e.h21.MemoryBytes() + e.h31.MemoryBytes() + e.h32.MemoryBytes()},
 		{"weights", int64(8 * len(e.hw))},
 		{"blocklu", e.h11LU.MemoryBytes()},
@@ -702,10 +653,11 @@ func (e *Engine) MemoryBytes() int64 {
 	return total
 }
 
-// Preconditioned reports whether the engine applies an ILU preconditioner.
-func (e *Engine) Preconditioned() bool { return e.ilu != nil }
+// Preconditioned reports whether the engine's solves are preconditioned by
+// S's DILU factors — full BePI's — rather than plain GMRES on S.
+func (e *Engine) Preconditioned() bool { return e.opts.Variant == VariantFull }
 
-// ILU exposes the DILU factors of S (nil unless VariantFull), which are
-// also the engine's only copy of S, for the spectrum experiments; Apply on
-// them is the left preconditioner M⁻¹.
+// ILU exposes the DILU factors of S, which every engine holds as its only
+// copy of S whatever the variant, for the spectrum experiments: MulVec on
+// them is S·x, and Apply the left preconditioner M⁻¹.
 func (e *Engine) ILU() *lu.ILU { return e.ilu }

@@ -234,26 +234,38 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 // bytes, to 9cca22a1257205931dac54382a762fc67dc94ea87ce3595ba04844e2f4198f8c
 // from the commit before the chunked codec and the linear-time builders to
 // the last version-1 writer.
+//
+// The BePI-B and BePI-S files of the same graph (662 628 and 313 870 bytes)
+// are pinned beside it, to the hashes of the last build whose engines for
+// those variants held S as a compact CSR and factored it only to save it:
+// holding S as its DILU triangles changed what they keep in memory, not a
+// byte of what they write.
 func TestSaveLoadFrozenBytes(t *testing.T) {
-	const frozen = "eb4781dab8a5dc68380f415eb90b3ffe8d7df97076c1ac72bbbe7e8fb0165b04"
+	frozen := map[Variant]string{
+		VariantFull: "eb4781dab8a5dc68380f415eb90b3ffe8d7df97076c1ac72bbbe7e8fb0165b04",
+		VariantB:    "25f5bc9c67e066417c736e1c935a3ceb818e42582b222696f62cc5bd22ff8b6e",
+		VariantS:    "96781bbfedc8d7b4e39f866a33efd3ab88f375404e861dfd70c71c7449a78bea",
+	}
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
-	e, err := Preprocess(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, raw := saveHash(t, e)
-	if sum != frozen {
-		t.Errorf("saved index hashes to %s, frozen %s (%d bytes)", sum, frozen, len(raw))
-	}
-	back, err := ReadEngine(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := saveHash(t, back); again != sum {
-		t.Error("Save → Load → Save changed the bytes")
-	}
-	if back.ILU() == nil {
-		t.Error("Load returned without the ILU factors")
+	for _, v := range []Variant{VariantFull, VariantB, VariantS} {
+		e, err := Preprocess(g, Options{Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, raw := saveHash(t, e)
+		if sum != frozen[v] {
+			t.Errorf("%v: saved index hashes to %s, frozen %s (%d bytes)", v, sum, frozen[v], len(raw))
+		}
+		back, err := ReadEngine(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := saveHash(t, back); again != sum {
+			t.Errorf("%v: Save → Load → Save changed the bytes", v)
+		}
+		if back.ILU() == nil {
+			t.Errorf("%v: Load returned without the ILU factors", v)
+		}
 	}
 }
 
@@ -394,8 +406,9 @@ func h12ColumnOffset(t testing.TB, e *Engine, raw []byte, k int) int {
 func corruptFixture() *graph.Graph { return gen.RMAT(gen.DefaultRMAT(6, 4, 3)) }
 
 // corruptIndexes are saved indexes with one H12 column index, one
-// permutation entry or one option word of the header overwritten, and their
-// checksums recomputed: what the structural checks must refuse on their own.
+// permutation entry, one option word of the header or one value of S or of
+// the H11 factors overwritten, and their checksums recomputed: what the
+// structural and value checks must refuse on their own.
 // A permutation entry repeated or out of range must be refused by the
 // load's own check: no later one would notice, and a query would scatter
 // two nodes into one slot. Before the matrix reader
@@ -406,7 +419,10 @@ func corruptFixture() *graph.Graph { return gen.RMAT(gen.DefaultRMAT(6, 4, 3)) }
 // died in GMRES's bookkeeping allocation with a fatal out-of-memory no
 // recover catches, one of 8.3 M (a single flipped byte) allocated 600 MB
 // per query, c = 7 served "probabilities" of 7.5, and an unknown variant
-// served unpreconditioned.
+// served unpreconditioned. Before the factor readers checked values, a NaN
+// in the block LU served NaN scores without an error (and TopK ranked
+// one), a NaN or +Inf diagonal of S ran every query to its iteration budget
+// before failing, and a diagonal of 0 or −1 served finite wrong scores.
 func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	e, err := Preprocess(corruptFixture(), Options{})
 	if err != nil {
@@ -453,13 +469,60 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	flipped := append([]byte(nil), valid...)
 	flipped[header+8*3+2] ^= 0x7F // maxIter 1000 → 8 323 048
 	corrupt["header maxIter byte flip"] = reseal(t, flipped)
+	diag, offDiag := sValueOffsets(t, valid)
+	for name, v := range map[string]float64{
+		"S diagonal NaN":  math.NaN(),
+		"S diagonal +Inf": math.Inf(1),
+		"S diagonal 0":    0,
+		"S diagonal -1":   -1,
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(raw[diag:], math.Float64bits(v))
+		corrupt[name] = reseal(t, raw)
+	}
+	for name, off := range map[string]int{
+		"S off-diagonal NaN": offDiag,
+		"block-LU NaN":       blockLUValueOffset(t, valid),
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(raw[off:], math.Float64bits(math.NaN()))
+		corrupt[name] = reseal(t, raw)
+	}
 	return valid, corrupt
 }
 
+// sValueOffsets returns the byte offsets, in a saved index, of S's first
+// diagonal entry (the lead of the upper triangle's first row) and of the
+// first entry of its strict lower triangle, read off the S section's
+// header words: n, nnzL, nnzU, then each triangle's int32 row pointers,
+// 16-bit columns and values.
+func sValueOffsets(t testing.TB, raw []byte) (diag, offDiag int) {
+	start := sections(t, raw)[secS][0]
+	word := func(k int) int { return int(binary.LittleEndian.Uint64(raw[start+8*k:])) }
+	n, nnzL, nnzU := word(0), word(1), word(2)
+	if n == 0 || nnzL == 0 {
+		t.Fatalf("fixture's S is %d×%d with %d strictly lower entries", n, n, nnzL)
+	}
+	offDiag = start + 3*8 + 4*(n+1) + 2*nnzL
+	return offDiag + 8*nnzL + 4*(n+1) + 2*nnzU, offDiag
+}
+
+// blockLUValueOffset returns the byte offset of the first packed H11 factor
+// entry in a saved index: past the block-LU section's magic, its block
+// count and the count+1 offsets.
+func blockLUValueOffset(t testing.TB, raw []byte) int {
+	start := sections(t, raw)[secBlockLU][0]
+	nb := int(binary.LittleEndian.Uint64(raw[start+4:]))
+	if nb == 0 {
+		t.Fatal("fixture has no H11 blocks")
+	}
+	return start + 4 + 8 + 8*(nb+1)
+}
+
 // TestReadEngineRejectsCorruptColumn: every corrupt index is refused with
-// the typed error — by the structural checks, its checksums being intact —
-// having allocated no more than a small multiple of the bytes it was given:
-// the refusal comes before the file's own numbers size anything.
+// the typed error — by the structural or value checks, its checksums being
+// intact — having allocated no more than a small multiple of the bytes it
+// was given: the refusal comes before the file's own numbers size anything.
 func TestReadEngineRejectsCorruptColumn(t *testing.T) {
 	valid, corrupt := corruptIndexes(t)
 	if _, err := ReadEngine(bytes.NewReader(valid)); err != nil {
@@ -468,7 +531,7 @@ func TestReadEngineRejectsCorruptColumn(t *testing.T) {
 	for name, raw := range corrupt {
 		allocated, err := readAllocated(raw)
 		if !errors.Is(err, ErrCorruptIndex) || errors.Is(err, binio.ErrChecksum) {
-			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex from a structural check", name, err)
+			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex from a structural or value check", name, err)
 		}
 		if limit := refusalAllocLimit(raw); allocated > limit {
 			t.Errorf("%s: refusing a %d-byte index allocated %d bytes", name, len(raw), allocated)

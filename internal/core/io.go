@@ -41,11 +41,11 @@ import (
 // hubs, H21 and H31 the n1 spokes, S the hubs — so each width follows from
 // the header, and every array is read at the width it is served in.
 //
-// Every engine writes S as DILU factors do; a BePI-B/-S engine's loader
-// assembles its CSR32 from them. Loading recomputes only the DILU pivots
-// (one O(|S|) pass). A flipped bit anywhere fails a checksum or a length; a
-// file whose checksums were recomputed over corrupt arrays still meets the
-// structural checks, and weights no H has are refused (checkWeights).
+// Loading recomputes only the DILU pivots (one O(|S|) pass). A flipped bit
+// anywhere fails a checksum or a length; a file whose checksums were
+// recomputed over corrupt bytes still meets the structural and value
+// checks: weights no H has (checkWeights), a non-finite entry of S or of the
+// H11 factors and a diagonal of S that is not positive are refused.
 //
 // Versions 1 to 4 — v1 under the magic 'BPI1', with no version word — are
 // refused with ErrIndexVersion: re-running `bepi preprocess` rebuilds the
@@ -74,15 +74,6 @@ var ErrIndexVersion = errors.New("core: unsupported index format version")
 // file's length first, by a counting pass that reads no array, so that it
 // allocates once instead of doubling under the writes.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
-	s := e.ilu
-	if s == nil {
-		// BePI-B/-S: S is written as factors too — one S encoding. The
-		// factorization is a copy of S, on a path only ablations take.
-		var err error
-		if s, err = lu.FactorDILU(e.schur.ToCSR()); err != nil {
-			return 0, fmt.Errorf("core: writing S: %w", err)
-		}
-	}
 	write := func(w io.Writer) (int64, error) {
 		bw := binio.NewWriter(w)
 		bw.U32(indexMagic)
@@ -93,7 +84,7 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 			bw.Section(m.WriteTo)
 		}
 		bw.Section(e.writeWeights)
-		bw.Section(s.WriteTo)
+		bw.Section(e.ilu.WriteTo)
 		bw.Section(e.h11LU.WriteTo)
 		return bw.Close()
 	}
@@ -129,9 +120,9 @@ func (e *Engine) writeWeights(w io.Writer) (int64, error) {
 }
 
 // ReadEngine deserializes an engine written by WriteTo, recomputing the
-// DILU pivots if the stored variant uses them. Option words, arrays, shapes
-// and weights that no engine could have written, or that disagree with each
-// other, are rejected here, not discovered by a query.
+// DILU pivots. Option words, arrays, shapes, weights and factor values that
+// no engine could have written, or that disagree with each other, are
+// rejected here, not discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	e, err := readEngine(r)
 	if errors.Is(err, ErrIndexVersion) {
@@ -260,12 +251,8 @@ func readSections(br *binio.Reader) (*Engine, error) {
 	if err := section("H11 factors", func() error { return e.readBlockLU(br) }); err != nil {
 		return nil, err
 	}
+	e.ilu = s
 	e.prep.SchurNNZ = s.NNZ()
-	if e.opts.Variant == VariantFull {
-		e.ilu = s
-	} else {
-		e.schur = sparse.Compact(s.Matrix())
-	}
 	return e.loaded(), nil
 }
 

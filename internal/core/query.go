@@ -38,12 +38,12 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 // workspace. The returned solution points into the workspace and is only
 // valid until its next solve.
 //
-// With DILU factors the solve is split-preconditioned and runs on the
+// For full BePI the solve is split-preconditioned and runs on the
 // one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
 // residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and every iterate a
 // Probe or Callback sees is mapped through Û⁻¹ first, by the same
-// arithmetic as the returned solution. Without factors (BePI-B, BePI-S) it
-// is plain GMRES on S.
+// arithmetic as the returned solution. Unpreconditioned (BePI-B, BePI-S) it
+// is plain GMRES on S, whose products S·x read the same factors.
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
 	opts.OnIteration = e.iterHook
@@ -52,9 +52,9 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 
 	sp := e.splitOperator(ws)
 	if sp == nil {
-		var op solver.Operator = e.schur
+		var op solver.Operator = e.ilu
 		if hook != nil {
-			op = &timedOperator{op: op, hook: hook, bytes: e.schur.MemoryBytes() + int64(16*e.ord.n2)}
+			op = &timedOperator{op: op, hook: hook, bytes: e.ilu.MemoryBytes() + int64(16*e.ord.n2)}
 		}
 		return solver.GMRES(op, qt2, opts)
 	}

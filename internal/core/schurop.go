@@ -10,8 +10,8 @@ import (
 // Kernel names reported through SetKernelHook.
 const (
 	// KernelSchur is one application of the operator an iterative solve
-	// runs on: the one-pass preconditioned Ŝ = D·L̂⁻¹·S·Û⁻¹ on engines with
-	// DILU factors, the SpMV on S otherwise (the unpreconditioned variants).
+	// runs on: the one-pass preconditioned Ŝ = D·L̂⁻¹·S·Û⁻¹ for full BePI,
+	// S·x read off the same factors for the unpreconditioned variants.
 	KernelSchur = "schur"
 	// KernelPrecond is one preconditioner sweep outside that operator: the
 	// two half-passes of a split solve (b̂ = D·L̂⁻¹·b before it, x = Û⁻¹·y
@@ -20,9 +20,9 @@ const (
 )
 
 // splitOperator returns the workspace's one-pass operator over the engine's
-// DILU factors, or nil when there are none.
+// DILU factors, or nil when the variant solves unpreconditioned.
 func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
-	if e.ilu == nil {
+	if !e.Preconditioned() {
 		return nil
 	}
 	if ws.split == nil || ws.split.ILU() != e.ilu {

@@ -2,6 +2,7 @@ package lu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -31,9 +32,10 @@ func (b *BlockLU) WriteTo(w io.Writer) (int64, error) {
 	return bw.Close()
 }
 
-// ReadBlockLU deserializes factors written by WriteTo. It reads exactly the
-// bytes the factors occupy (no read-ahead), so the data can be embedded in a
-// concatenated stream. The blocks share one backing array, read in one run.
+// ReadBlockLU deserializes factors written by WriteTo, refusing a factor
+// entry that is not finite. It reads exactly the bytes the factors occupy
+// (no read-ahead), so the data can be embedded in a concatenated stream.
+// The blocks share one backing array, read in one run.
 func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	br := binio.NewReader(r)
 	var head [4 + 8]byte
@@ -71,6 +73,9 @@ func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	data, err := br.Floats(total)
 	if err != nil {
 		return nil, fmt.Errorf("lu: reading %d blocks of %d entries: %w", nb, total, err)
+	}
+	if !allFinite(data) {
+		return nil, errors.New("lu: the factors hold a value that is not finite")
 	}
 	blocks := make([]dense.Matrix, nb)
 	factors := make([]*dense.Matrix, nb)

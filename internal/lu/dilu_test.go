@@ -193,8 +193,9 @@ func TestDILUFactorization(t *testing.T) {
 // kept), same values by Float64bits, including a diagonal the pivot
 // recurrence replaced — and WriteTo writes it in the factors' layout, 10
 // bytes an entry and 8 a row, which ReadDILU turns back into the same
-// factors bit for bit, across several chunks of the codec. ILU(0) factors,
-// which overwrite their matrix, refuse both.
+// factors bit for bit, across several chunks of the codec — unless its
+// diagonal holds a value no index's S has (−0 here), which ReadDILU
+// refuses. ILU(0) factors, which overwrite their matrix, refuse both.
 func TestDILUStoresMatrixOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	mats := []*sparse.CSR{
@@ -202,6 +203,7 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 		sparse.Identity(1),
 		sparse.FromDense([][]float64{{1, 1, 0}, {2, 2, 1}, {0, 3, 1}}),
 		sparse.NewCSR(2, 2, []int{0, 2, 4}, []int{0, 1, 0, 1}, []float64{math.Copysign(0, -1), 2, 3, 1e-300}),
+		sparse.NewCSR(2, 2, []int{0, 2, 4}, []int{0, 1, 0, 1}, []float64{1e-300, math.Copysign(0, -1), 3, 5e-324}),
 		randSparseDiag(4000, 9, 17), // 300 KB of columns: chunk boundaries fall inside rows
 	}
 	for trial := 0; trial < 40; trial++ {
@@ -229,6 +231,12 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 			t.Fatalf("matrix %d: %d bytes, want %d", mi, buf.Len(), want)
 		}
 		back, err := ReadDILU(bytes.NewReader(buf.Bytes()))
+		if slices.ContainsFunc(f.ds, func(d float64) bool { return !(d > 0) }) {
+			if err == nil {
+				t.Fatalf("matrix %d: ReadDILU accepted the diagonal %v", mi, f.ds)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("matrix %d: %v", mi, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"bepi/internal/par"
 	"bepi/internal/sparse"
 )
 
@@ -25,11 +26,16 @@ import (
 // Both keep the two triangles as separate row-major structures in natural
 // row order, each row of the upper one led by its pivot, indexed by int32
 // row pointers and uint16 columns — uint32 past 65 536 rows, the width
-// sparse.NarrowCols picks. The factors are immutable after construction.
+// sparse.NarrowCols picks. The factors are immutable after construction;
+// SetPool only chooses where MulVec runs.
 type ILU struct {
 	n    int
 	l, u triFactor
 	ds   []float64 // nil for ILU(0)
+
+	// pool and the row partition bounds run MulVec in parallel (SetPool).
+	pool   *par.Pool
+	bounds []int
 }
 
 // triFactor is one triangular factor in row-major storage, rows in natural
@@ -56,6 +62,17 @@ func (t *triFactor) colAt(p int) int {
 		return int(t.col16[p])
 	}
 	return int(t.col32[p])
+}
+
+// alloc sizes the entries of the factor of an n×n matrix for nnz of them,
+// the columns at the width sparse.NarrowCols picks.
+func (t *triFactor) alloc(n, nnz int) {
+	t.val = make([]float64, nnz)
+	if sparse.NarrowCols(n) {
+		t.col16 = make([]uint16, nnz)
+	} else {
+		t.col32 = make([]uint32, nnz)
+	}
 }
 
 func (t *triFactor) memoryBytes() int64 {
@@ -95,12 +112,7 @@ func splitTriangles(n int, rowPtr, col []int, val []float64, diagPos []int) (l, 
 	}
 	gather := func(t *triFactor, nnz int, span func(i int) (lo, hi int)) {
 		t.rowPtr = make([]int32, n+1)
-		t.val = make([]float64, nnz)
-		if sparse.NarrowCols(n) {
-			t.col16 = make([]uint16, nnz)
-		} else {
-			t.col32 = make([]uint32, nnz)
-		}
+		t.alloc(n, nnz)
 		out := 0
 		for i := 0; i < n; i++ {
 			lo, hi := span(i)
@@ -183,7 +195,8 @@ func FactorILU0(a *sparse.CSR) (*ILU, error) {
 //
 // the off-diagonals left as A's own. A zero pivot is replaced by the same
 // epsilon FactorILU0 uses. For the M-matrices the engine factors (Schur
-// complements of I − (1−c)Ãᵀ) every pivot is positive.
+// complements of I − (1−c)Ãᵀ) every pivot is positive. Engines build their
+// factors as triangles (FactorTriangles); this is the tests' reference.
 func FactorDILU(a *sparse.CSR) (*ILU, error) {
 	diagPos, err := diagPositions(a, "DILU")
 	if err != nil {
@@ -206,18 +219,31 @@ type Triangles struct {
 }
 
 // TrianglesFromColumns scatters the n×n matrix of nnz entries the columns
-// describe straight into its two triangles, by counting sort: one pass
-// counts every row's entries below and from the diagonal, a second writes
-// them — the columns arrive ascending, so every row is born sorted and each
-// row of the upper triangle leads with its smallest column. It refuses what
-// FactorDILU refuses of a CSR matrix: a matrix the factors' 32-bit indexes
-// cannot hold, before anything is allocated, and a missing diagonal. The
-// columns take the width sparse.NarrowCols picks for n. It panics if the
-// columns do not describe nnz entries in ascending columns within range.
+// describe straight into its two triangles (columnTriangles). It refuses
+// what FactorDILU refuses of a CSR matrix: a matrix the factors' 32-bit
+// indexes cannot hold, before anything is allocated, and a missing
+// diagonal. It panics if the columns do not describe nnz entries in
+// ascending columns within range.
 func TrianglesFromColumns(n, nnz int, c sparse.Columns) (*Triangles, error) {
 	if n < 0 || int64(n) >= 1<<32 || int64(nnz) > math.MaxInt32 {
 		return nil, fmt.Errorf("lu: DILU of a %dx%d matrix of %d entries exceeds the factors' 32-bit index range", n, n, nnz)
 	}
+	t := columnTriangles(n, c)
+	if got := t.l.nnz() + t.u.nnz(); got != nnz {
+		panic(fmt.Sprintf("lu: columns hold %d entries, want %d", got, nnz))
+	}
+	if err := t.checkDiagonal(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// columnTriangles splits the n×n matrix the columns describe into its two
+// triangles by counting sort: one pass counts every row's entries below and
+// from the diagonal, a second writes them — the columns arrive ascending,
+// so every row is born sorted and each row of the upper triangle leads with
+// its smallest column. The columns take the width sparse.NarrowCols picks.
+func columnTriangles(n int, c sparse.Columns) *Triangles {
 	t := &Triangles{n: n}
 	// Row i's count at i+2, then its fill cursor at i+1, ending as the row
 	// pointers (sparse.PatternBuilder's counting sort, in int32).
@@ -235,33 +261,25 @@ func TrianglesFromColumns(n, nnz int, c sparse.Columns) (*Triangles, error) {
 		lp[i] += lp[i-1]
 		up[i] += up[i-1]
 	}
-	if got := int(lp[n+1]) + int(up[n+1]); got != nnz {
-		panic(fmt.Sprintf("lu: columns hold %d entries, want %d", got, nnz))
-	}
-	for _, tri := range []struct {
-		f   *triFactor
-		ptr []int32
-	}{{&t.l, lp}, {&t.u, up}} {
-		nnz := tri.ptr[n+1]
-		tri.f.val = make([]float64, nnz)
-		if sparse.NarrowCols(n) {
-			tri.f.col16 = make([]uint16, nnz)
-		} else {
-			tri.f.col32 = make([]uint32, nnz)
-		}
-	}
+	t.l.alloc(n, int(lp[n+1]))
+	t.u.alloc(n, int(up[n+1]))
 	if t.u.col16 != nil {
 		scatterTriangles(t, t.l.col16, t.u.col16, lp, up, c)
 	} else {
 		scatterTriangles(t, t.l.col32, t.u.col32, lp, up, c)
 	}
 	t.l.rowPtr, t.u.rowPtr = lp[:n+1], up[:n+1]
-	for i := 0; i < n; i++ {
+	return t
+}
+
+// checkDiagonal refuses triangles with an upper row not led by its diagonal.
+func (t *Triangles) checkDiagonal() error {
+	for i := 0; i < t.n; i++ {
 		if lo, hi := t.u.rowSpan(i); lo == hi || t.u.colAt(lo) != i {
-			return nil, fmt.Errorf("lu: DILU missing diagonal at row %d", i)
+			return fmt.Errorf("lu: DILU missing diagonal at row %d", i)
 		}
 	}
-	return t, nil
+	return nil
 }
 
 func scatterTriangles[C uint16 | uint32](t *Triangles, lCol, uCol []C, lp, up []int32, c sparse.Columns) {
@@ -428,6 +446,53 @@ func (f *ILU) Split() (l, u *sparse.CSR) {
 		}
 	}
 	return lc.ToCSR(), uc.ToCSR()
+}
+
+// SetPool attaches a pool and returns f. From sparse.ParallelMinNNZ entries
+// on, MulVec then splits the rows across it into chunks of balanced entry
+// counts, computed here once; the product is the same at any worker count.
+func (f *ILU) SetPool(p *par.Pool) *ILU {
+	f.pool, f.bounds = p, nil
+	if p.Workers() > 1 && f.NNZ() >= sparse.ParallelMinNNZ {
+		prefix := make([]int32, f.n+1)
+		for i := range prefix {
+			prefix[i] = f.l.rowPtr[i] + f.u.rowPtr[i]
+		}
+		f.bounds = par.BoundsByPrefixOf(prefix, p.Workers())
+	}
+	return f
+}
+
+// MulVec computes dst = A·x, A the matrix of DILU factors read straight off
+// them — row i is the strict-lower row, D_S's entry, the strict-upper row.
+// dst and x must not alias. It implements the solvers' operator contract.
+func (f *ILU) MulVec(dst, x []float64) {
+	if len(dst) != f.n || len(x) != f.n {
+		panic("lu: ILU.MulVec length mismatch")
+	}
+	if f.bounds != nil {
+		f.pool.ForBounds(f.bounds, func(_, lo, hi int) { f.mulVecRange(dst, x, lo, hi) })
+		return
+	}
+	f.mulVecRange(dst, x, 0, f.n)
+}
+
+func (f *ILU) mulVecRange(dst, x []float64, lo, hi int) {
+	if f.u.col16 != nil {
+		mulVecRange(f, f.l.col16, f.u.col16, dst, x, lo, hi)
+	} else {
+		mulVecRange(f, f.l.col32, f.u.col32, dst, x, lo, hi)
+	}
+}
+
+func mulVecRange[C uint16 | uint32](f *ILU, lCol, uCol []C, dst, x []float64, lo, hi int) {
+	l, u := &f.l, &f.u
+	for i := lo; i < hi; i++ {
+		llo, lhi := l.rowSpan(i)
+		ulo, uhi := u.rowSpan(i)
+		dst[i] = sparse.GatherRow4(lCol[llo:lhi], l.val[llo:lhi], x) + float64(f.ds[i]*x[i]) +
+			sparse.GatherRow4(uCol[ulo+1:uhi], u.val[ulo+1:uhi], x)
+	}
 }
 
 // matrixRows describes the matrix a DILU factorization was computed from,

@@ -2,6 +2,7 @@ package lu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -56,7 +57,8 @@ func (t *triFactor) writeCols(bw *binio.Writer) {
 }
 
 // ReadDILU deserializes factors written by ILU.WriteTo straight into their
-// arrays, refuses triangles no factorization could hold, and runs the pivot
+// arrays, refuses triangles no factorization could hold and values no
+// index's S holds (checkValues), and runs the pivot
 // recurrence — the only computation FactorDILU does beyond splitting its
 // input, so the factors are FactorDILU's of the same matrix bit for bit.
 func ReadDILU(r io.Reader) (*ILU, error) {
@@ -96,8 +98,44 @@ func ReadDILU(r io.Reader) (*ILU, error) {
 			return nil, fmt.Errorf("lu: reading DILU values: %w", err)
 		}
 	}
+	if err := f.checkValues(); err != nil {
+		return nil, err
+	}
 	f.derivePivots()
 	return f, nil
+}
+
+// checkValues refuses values the matrix of an index cannot hold: S is a
+// nonsingular M-matrix, so every entry is finite and every diagonal entry —
+// the lead of an upper row, D_S before the pivots replace it — positive
+// (compared so that NaN fails).
+func (f *ILU) checkValues() error {
+	if !allFinite(f.l.val) || !allFinite(f.u.val) {
+		return errors.New("lu: DILU factors hold a value that is not finite")
+	}
+	for i := 0; i < f.n; i++ {
+		if d := f.u.val[f.u.rowPtr[i]]; !(d > 0) {
+			return fmt.Errorf("lu: DILU diagonal entry %d is %v, want positive", i, d)
+		}
+	}
+	return nil
+}
+
+// allFinite reports whether every value is finite: v·0 is ±0 for a finite v
+// and NaN otherwise, so the sum of the products is NaN exactly when a value
+// is not finite — a scan of two independent adds per pair of values, with no
+// branch.
+func allFinite(vals []float64) bool {
+	var s0, s1 float64
+	p := 0
+	for ; p+2 <= len(vals); p += 2 {
+		s0 += vals[p] * 0
+		s1 += vals[p+1] * 0
+	}
+	if p < len(vals) {
+		s0 += vals[p] * 0
+	}
+	return s0+s1 == 0
 }
 
 // check refuses a factor that is not a triangle of an n×n matrix stored the

@@ -29,8 +29,9 @@ func NarrowCols(cols int) bool { return cols <= 1<<16 }
 // kernels in the same order, so their results are bit-identical to CSR at
 // any worker count and either index width.
 //
-// CSR32 is immutable after construction: there is no mutating API, and the
-// constructors reject (rather than repair) malformed input.
+// CSR32 is immutable after construction: there is no mutating API, and its
+// constructors, Compact and CompactFromColumns, take a matrix already in
+// shape — a CSR, or columns that must hold the entry count declared.
 type CSR32 struct {
 	layout32
 	val []float64
@@ -57,7 +58,7 @@ type layout32 struct {
 
 // narrow copies column indexes known to fit C into a fresh array of C; the
 // result is non-nil even when empty, which is how a layout tells its width.
-func narrow[C uint16 | uint32, S int | uint32](src []S) []C {
+func narrow[C uint16 | uint32](src []int) []C {
 	out := make([]C, len(src))
 	for i, j := range src {
 		out[i] = C(j)
@@ -200,36 +201,6 @@ func Compact(m *CSR) *CSR32 {
 	return c
 }
 
-// NewCSR32 constructs a compact matrix from raw slices with int32 row
-// pointers. Unlike NewCSR it does not repair its input: the slices must
-// already satisfy the CSR invariants (monotone row pointers, in-range and
-// strictly increasing columns per row); violations panic. The row pointers
-// and values are used as-is; the columns are copied to 16 bits when the
-// column count allows it (NarrowCols), as Compact stores them.
-func NewCSR32(rows, cols int, rowPtr []int32, col []uint32, val []float64) *CSR32 {
-	return newCSR32(layout32{rows: rows, cols: cols, rowPtr32: rowPtr}, col, val)
-}
-
-// NewCSR32Wide is NewCSR32 with int64 row pointers, for matrices whose
-// entry count exceeds the int32 range.
-func NewCSR32Wide(rows, cols int, rowPtr []int64, col []uint32, val []float64) *CSR32 {
-	return newCSR32(layout32{rows: rows, cols: cols, rowPtr64: rowPtr}, col, val)
-}
-
-func newCSR32(l layout32, col []uint32, val []float64) *CSR32 {
-	if len(col) != len(val) {
-		panic(fmt.Sprintf("sparse: col/val length %d/%d", len(col), len(val)))
-	}
-	l.col32 = col
-	if err := l.validate(); err != nil {
-		panic(err)
-	}
-	if NarrowCols(l.cols) {
-		l.col16, l.col32 = narrow[uint16](col), nil
-	}
-	return &CSR32{layout32: l, val: val}
-}
-
 // ToCSR widens the matrix back to the standard CSR layout. The round trip
 // CSR -> Compact -> ToCSR is exact (Equal).
 func (m *CSR32) ToCSR() *CSR {
@@ -246,23 +217,16 @@ func (m *CSR32) SetPool(p *par.Pool) *CSR32 {
 	return m
 }
 
-// The range kernels are generic over the row-pointer and the column width,
-// so all four layouts share one loop body each, delegating the per-row
-// accumulation to the shared gather kernels (kernels.go): the compiled loop
+// The range kernel is generic over the row-pointer and the column width,
+// so all four layouts share one loop body, delegating the per-row
+// accumulation to the shared gather kernel (kernels.go): the compiled loop
 // performs the exact CSR operation sequence, which is what keeps CSR32
 // bit-identical to CSR.
 
 func mulVecRange32[P int32 | int64, C uint16 | uint32](rowPtr []P, col []C, val, dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] = gatherRow4(col[start:end], val[start:end], x)
-	}
-}
-
-func addMulVecRange32[P int32 | int64, C uint16 | uint32](rowPtr []P, col []C, val, dst []float64, alpha float64, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := rowPtr[i], rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(col[start:end], val[start:end], x)
+		dst[i] = GatherRow4(col[start:end], val[start:end], x)
 	}
 }
 
@@ -279,19 +243,6 @@ func (m *CSR32) mulVecRange(dst, x []float64, lo, hi int) {
 	}
 }
 
-func (m *CSR32) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	switch {
-	case m.rowPtr32 != nil && m.col16 != nil:
-		addMulVecRange32(m.rowPtr32, m.col16, m.val, dst, alpha, x, lo, hi)
-	case m.rowPtr32 != nil:
-		addMulVecRange32(m.rowPtr32, m.col32, m.val, dst, alpha, x, lo, hi)
-	case m.col16 != nil:
-		addMulVecRange32(m.rowPtr64, m.col16, m.val, dst, alpha, x, lo, hi)
-	default:
-		addMulVecRange32(m.rowPtr64, m.col32, m.val, dst, alpha, x, lo, hi)
-	}
-}
-
 // MulVec computes dst = M·x with the same dimension rules, pool behavior
 // and bit-identical results as CSR.MulVec.
 func (m *CSR32) MulVec(dst, x []float64) {
@@ -303,18 +254,6 @@ func (m *CSR32) MulVec(dst, x []float64) {
 		return
 	}
 	m.mulVecRange(dst, x, 0, m.rows)
-}
-
-// AddMulVec computes dst += alpha · M·x, row-partitioned like MulVec.
-func (m *CSR32) AddMulVec(dst []float64, alpha float64, x []float64) {
-	if len(dst) != m.rows || len(x) != m.cols {
-		panic("sparse: AddMulVec dimension mismatch")
-	}
-	if bounds := m.parBounds(); bounds != nil {
-		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
-		return
-	}
-	m.addMulVecRange(dst, alpha, x, 0, m.rows)
 }
 
 // MemoryBytes reports the storage footprint: 8 bytes per value, 2 or 4 per

@@ -5,9 +5,9 @@ package sparse
 // layout compiles to the exact same operation sequence — that is the
 // bit-identity contract between them.
 //
-// gatherRow4 is the four-lane accumulation behind MulVec and AddMulVec: four
-// independent accumulator lanes walk the row in stride-4 steps (remainder
-// entries fold into lane 0) and combine as (s0+s1)+(s2+s3). Breaking the single loop-carried FP-add chain is worth
+// GatherRow4 is the four-lane accumulation behind MulVec, AddMulVec and lu's
+// S·x: four independent accumulator lanes walk the row in stride-4 steps
+// (remainder entries fold into lane 0) and combine as (s0+s1)+(s2+s3). Breaking the single loop-carried FP-add chain is worth
 // ~2× on long rows; the lane order is part of the layout contract.
 //
 // Each product is rounded before it is added: the explicit float64
@@ -15,7 +15,7 @@ package sparse
 // FMA (the Go spec allows fusion otherwise, and arm64, ppc64le, s390x and
 // amd64 at GOAMD64=v3 do it). So the sum is the same on every GOARCH, and
 // equal to sumRow4's over the products stored first.
-func gatherRow4[C int | uint16 | uint32](cols []C, vals, x []float64) float64 {
+func GatherRow4[C int | uint16 | uint32](cols []C, vals, x []float64) float64 {
 	var s0, s1, s2, s3 float64
 	p := 0
 	for ; p+4 <= len(cols); p += 4 {
@@ -30,9 +30,9 @@ func gatherRow4[C int | uint16 | uint32](cols []C, vals, x []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// sumRow4 is gatherRow4 over a row without values: the terms are z[cols[p]]
+// sumRow4 is GatherRow4 over a row without values: the terms are z[cols[p]]
 // in the same lanes and order. A Pattern caller forms z = w∘x first, so each
-// term is the product val·x gatherRow4 forms for the valued matrix whose
+// term is the product val·x GatherRow4 forms for the valued matrix whose
 // entries in column j all hold w[j], and the two sums agree bit for bit.
 func sumRow4[C uint16 | uint32](cols []C, z []float64) float64 {
 	var s0, s1, s2, s3 float64

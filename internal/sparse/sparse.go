@@ -332,7 +332,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] = gatherRow4(m.col[start:end], m.val[start:end], x)
+		dst[i] = GatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -372,7 +372,7 @@ func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
 func (m *CSR) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] += alpha * gatherRow4(m.col[start:end], m.val[start:end], x)
+		dst[i] += alpha * GatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 

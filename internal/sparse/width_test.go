@@ -33,10 +33,8 @@ func TestCSR32PatternColumnWidthBoundary(t *testing.T) {
 		narrow := cols <= 1<<16
 		x, w := randVec(cols, 1), randVec(cols, 2)
 		xt := randVec(m.rows, 3)
-		wantMul, wantAdd := make([]float64, m.rows), randVec(m.rows, 4)
+		wantMul := make([]float64, m.rows)
 		m.MulVec(wantMul, x)
-		addInit := append([]float64(nil), wantAdd...)
-		m.AddMulVec(wantAdd, -0.7, x)
 		wide := PatternOf(m).Expand(w)
 		wantScaled, wantT := make([]float64, m.rows), make([]float64, cols)
 		wide.MulVec(wantScaled, x)
@@ -55,11 +53,6 @@ func TestCSR32PatternColumnWidthBoundary(t *testing.T) {
 			c.MulVec(got, x)
 			if i, ok := bitsEqual(got, wantMul); !ok {
 				t.Fatalf("%d columns, workers=%d: MulVec differs at %d", cols, workers, i)
-			}
-			got = append(got[:0], addInit...)
-			c.AddMulVec(got, -0.7, x)
-			if i, ok := bitsEqual(got, wantAdd); !ok {
-				t.Fatalf("%d columns, workers=%d: AddMulVec differs at %d", cols, workers, i)
 			}
 			z := make([]float64, cols)
 			p.MulVecScaled(got, z, w, x)

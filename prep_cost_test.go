@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bepi"
+	"bepi/internal/core"
 	"bepi/internal/gen"
 )
 
@@ -143,6 +144,30 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaAllocBudget pins what BenchmarkApplyDelta's hub-4op delta
+// allocates on the fixture: the patched H patterns, the recomputed columns
+// of S, and the new S — its triangles spliced row by row from the old ones,
+// 10 bytes an entry, and the pivots. A return to patching a wide copy of S
+// (16 bytes an entry, then copied again by the edits and once more by the
+// factorization) shows up as three times the budget.
+func TestApplyDeltaAllocBudget(t *testing.T) {
+	g := costFixture(t)
+	eng, err := bepi.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gNew, ops := benchDelta(t, g, eng, topHubs(g, eng), 4)
+	_, deltaBytes := allocated(func() {
+		if _, st, err := eng.Internal().ApplyDelta(gNew, ops); err != nil || st.Class != core.DeltaHub {
+			t.Fatalf("class %v, want %v: %v", st.Class, core.DeltaHub, err)
+		}
+	})
+	t.Logf("ApplyDelta hub-4op: %d B, MemoryBytes %d B", deltaBytes, eng.MemoryBytes())
+	if deltaBytes > applyDeltaBudget {
+		t.Errorf("ApplyDelta allocated %d B, budget %d B", deltaBytes, applyDeltaBudget)
+	}
+}
+
 // growSink is a bytes.Buffer that records the Grow calls a Save makes, and
 // how many bytes had arrived before the first.
 type growSink struct {
@@ -160,9 +185,10 @@ func (s *growSink) Grow(n int) {
 }
 
 const (
-	poolSlack  = 4 * 64 << 10
-	loadBudget = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
-	newBudget  = 2_975_000 // measured 2 704 448 at two workers (3 524 112 with SlashBurn on a merged 64-bit undirected view; 9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
+	poolSlack        = 4 * 64 << 10
+	loadBudget       = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	applyDeltaBudget = 1_117_000 // measured 1 015 048 (2 979 844 patching a wide copy of S with edits and factoring it again)
+	newBudget        = 2_975_000 // measured 2 704 448 at two workers (3 524 112 with SlashBurn on a merged 64-bit undirected view; 9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
@@ -210,10 +236,10 @@ func liveHeap() uint64 {
 // against the heap: the live heap with one built engine reachable, minus
 // the live heap once it is dropped, is within 5% (+ 64 KiB for what no
 // array accounts for: the block LU's per-block headers, stats, the structs
-// themselves) of MemoryBytes() — for the variant that holds S as DILU
-// factors and for one that holds it as a CSR. The smallest of three
-// attempts is judged, so that garbage another goroutine leaves between the
-// two readings does not count. A retained array MemoryBytes() does not
+// themselves) of MemoryBytes() — for full BePI and for BePI-S, which hold S
+// the same way, as its DILU factors, and read it through different
+// operators. The smallest of three attempts is judged, so that garbage
+// another goroutine leaves between the two readings does not count. A retained array MemoryBytes() does not
 // count fails the upper bound; a counted one that is not retained, the
 // lower.
 func TestMemoryBytesMatchesRetainedHeap(t *testing.T) {
