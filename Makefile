@@ -124,12 +124,12 @@ bench-kernels:
 # return to per-word index I/O, append-grown arrays, a second copy of S, a
 # widened file, 32-bit columns where 16 bits hold them, a permutation wider
 # than 32 bits or its inverse held beside it, a delta that patches a wide
-# copy of S instead of splicing its columns into S's triangles, or state
-# only some engines carry (the built and loaded
+# copy of S or of H's patterns instead of splicing rebuilt columns into
+# them, or state only some engines carry (the built and loaded
 # ApplyDelta lines must read the same index-B) as a jump in B/op, allocs/op,
 # file-B or index-B next to the time. (The exact gates on those are
-# TestPreprocessingAllocBudget, TestApplyDeltaAllocBudget — the hub-4op
-# delta's bytes — and TestEveryEngineStateComposes in `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
+# TestPreprocessingAllocBudget, TestApplyDeltaAllocBudget — the hub-4op and
+# spoke-batch deltas' bytes — and TestEveryEngineStateComposes in `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
 # scale 13): a return to a merged or 64-bit undirected view shows in its B/op.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .

@@ -123,6 +123,19 @@ func topHubs(g *bepi.Graph, eng *bepi.Engine) []int {
 	return hubs[:2]
 }
 
+// spreadSpokes returns up to 32 spokes of out-degree at least two, spread
+// over the spoke range: the sources of the spoke-batch delta.
+func spreadSpokes(g *bepi.Graph, eng *bepi.Engine) []int {
+	ord := eng.Internal().Ordering()
+	var spokes []int
+	for p := 0; p < ord.N1 && len(spokes) < 32; p += max(1, ord.N1/64) {
+		if u := ord.Inv[p]; g.OutDegree(u) >= 2 {
+			spokes = append(spokes, u)
+		}
+	}
+	return spokes
+}
+
 // BenchmarkApplyDelta is what a Dynamic flush spends in core.ApplyDelta on
 // the scale-12 fixture: a 4-op batch on its two highest-out-degree hubs
 // and a 64-op batch spread over 32 spokes, each absorbed by the engine
@@ -143,13 +156,6 @@ func BenchmarkApplyDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ord := built.Internal().Ordering()
-	var spokes []int
-	for p := 0; p < ord.N1 && len(spokes) < 32; p += max(1, ord.N1/64) {
-		if u := ord.Inv[p]; g.OutDegree(u) >= 2 {
-			spokes = append(spokes, u)
-		}
-	}
 	for _, batch := range []struct {
 		name    string
 		sources []int
@@ -157,7 +163,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		class   core.DeltaClass
 	}{
 		{"hub-4op", topHubs(g, built), 4, core.DeltaHub},
-		{"spoke-batch", spokes, 64, core.DeltaSpoke},
+		{"spoke-batch", spreadSpokes(g, built), 64, core.DeltaSpoke},
 	} {
 		gNew, ops := benchDelta(b, g, built, batch.sources, batch.size)
 		for _, from := range []struct {

@@ -197,10 +197,8 @@ func (d *Dynamic) Pending() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	p := len(d.pending)
-	if d.engine != nil {
-		if growth := d.n - d.engine.N(); growth > 0 {
-			p += growth
-		}
+	if growth := d.n - d.engine.N(); growth > 0 {
+		p += growth
 	}
 	return p
 }
@@ -376,7 +374,7 @@ func (d *Dynamic) StartFlush() *Rebuild {
 	r := &Rebuild{id: d.nextID, start: time.Now(), genStart: d.gen, done: make(chan struct{})}
 	d.nextID++
 	d.record(r)
-	if len(d.pending) == 0 && d.engine != nil && d.engine.N() == d.n {
+	if len(d.pending) == 0 && d.engine.N() == d.n {
 		r.noop = true
 		r.gen = d.gen
 		r.mode = RebuildModeNoop
@@ -421,8 +419,9 @@ func (d *Dynamic) record(r *Rebuild) {
 func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bool, base *Engine) {
 	// Patch the snapshot graph with the buffered delta: O(M + changes), no
 	// edge-list re-sort. The buffer is normalized against the serving edge
-	// set, so the patch can only fail on an internal inconsistency; the
-	// defensive fallback rebuilds from the merged edge list.
+	// set at every StartFlush, so the patch cannot refuse it; if it ever
+	// did, its error is the rebuild's — the old index keeps serving and the
+	// buffer is restored.
 	var add, del []graph.Edge
 	for e, insert := range snap {
 		if insert {
@@ -431,31 +430,11 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 			del = append(del, graph.Edge{Src: e[0], Dst: e[1]})
 		}
 	}
-	var g *Graph
-	var err error
-	if gi, gerr := gBase.inner.WithEdgeDeltas(n, add, del); gerr == nil {
-		g = &Graph{inner: gi}
-	} else {
-		em := make(map[[2]int]bool, gBase.M()+len(snap))
-		for _, e := range gBase.inner.Edges() {
-			em[[2]int{e.Src, e.Dst}] = true
-		}
-		for e, insert := range snap {
-			if insert {
-				em[e] = true
-			} else {
-				delete(em, e)
-			}
-		}
-		edges := make([]Edge, 0, len(em))
-		for e := range em {
-			edges = append(edges, Edge{Src: e[0], Dst: e[1]})
-		}
-		g, err = NewGraph(n, edges)
-	}
+	gi, err := gBase.inner.WithEdgeDeltas(n, add, del)
+	g := &Graph{inner: gi}
 	var eng *Engine
 	mode := RebuildModeFull
-	if err == nil && base != nil {
+	if err == nil {
 		ops := make([]core.EdgeDelta, 0, len(snap))
 		for e, insert := range snap {
 			ops = append(ops, core.EdgeDelta{Src: e[0], Dst: e[1], Insert: insert})
@@ -465,10 +444,8 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 			mode = RebuildMode(st.Class.String())
 		} else {
 			r.fallback = derr.Error()
+			eng, err = New(g, d.opts...)
 		}
-	}
-	if err == nil && eng == nil {
-		eng, err = New(g, d.opts...)
 	}
 	if err != nil {
 		err = fmt.Errorf("bepi: rebuilding dynamic index: %w", err)

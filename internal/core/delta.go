@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"bepi/internal/dense"
@@ -18,27 +17,27 @@ import (
 // SlashBurn or the full factorization pipeline, exploiting the block
 // structure the paper's reordering creates:
 //
-//   - An edge update with a spoke source u rescales column perm[u] of H,
-//     which lives entirely inside u's H11 diagonal block plus the H21/H31
-//     columns below it — for those two, one weight and the inserted or
-//     deleted entries. Only that block's LU factors and the Schur columns
-//     fed by the block change; everything else is reused byte-for-byte.
-//   - An edge update with a hub source u rescales column perm[u]−n1 of
-//     H12/H22/H32, so exactly one column of S changes per hub source.
-//   - Either way the changed Schur columns are recomputed by the column
-//     routine preprocessing runs (schurInputs.column: the cross term merged
-//     with the H22 column read off the updated graph) and spliced into S's
-//     DILU triangles in place of the old ones (lu.ILU.SpliceColumns), and
-//     the pivots are re-derived from the patched S — the one O(nnz(S))
-//     recurrence Preprocess runs — so every absorbed delta, first
-//     or n-th in a chain, on a built or a loaded engine, is bit-identical to
-//     PreprocessWithOrdering on the updated graph (DESIGN.md §16, §20).
+//   - An edge update changes column perm[u] of H, for its source u, and
+//     nothing else. A spoke source's column lives inside u's H11 diagonal
+//     block plus the H21/H31 columns below it; a hub source's in H12, H22
+//     and H32, so exactly one column of S changes per hub source.
+//   - Every part of the index that a source's column reaches is rebuilt by
+//     the routine preprocessing runs, and spliced in: the column's entries
+//     in H12/H21/H31/H32 by buildHBlocks over the sources' columns
+//     (sparse.Pattern.Splice), with one new weight; the touched H11 blocks
+//     by h11Block, then LU-factored; and the affected Schur columns by
+//     schurInputs.column, spliced into S's DILU triangles
+//     (lu.ILU.SpliceColumns). The pivots are re-derived from the patched
+//     S — the one O(nnz(S)) recurrence Preprocess runs — so every absorbed
+//     delta, first or n-th in a chain, on a built or a loaded engine, is
+//     bit-identical to PreprocessWithOrdering on the updated graph
+//     (DESIGN.md §16, §20). Everything else is shared with the receiver.
 //   - Anything that breaks the reused ordering's structure — a new node
 //     with out-edges, a deadend gaining its first out-edge, a spoke edge
 //     crossing H11 blocks — is refused with ErrDeltaFull.
 //
 // Pure node growth appends the new (necessarily deadend) nodes to the
-// ordering's tail and pads H31/H32 with empty rows.
+// ordering's tail, where they are H31/H32's new rows.
 
 // EdgeDelta is one buffered graph update: insert or delete the edge
 // Src → Dst.
@@ -94,26 +93,22 @@ type colEntry struct {
 	val float64
 }
 
-// srcDelta groups a delta's ops by source node.
-type srcDelta struct {
-	ins, del []int
-}
-
 // ApplyDelta builds a new engine for gNew — the updated graph — from the
 // receiver plus the edge updates that turned the receiver's graph into
 // gNew. The receiver is not modified and keeps serving; the returned engine
-// shares every untouched H pattern, matrix and LU factor with it and holds
-// its own copy of the H weights, in which each source of ops has taken the
-// weight of its new out-degree. Where the receiver came from — a build, a
-// file, an earlier ApplyDelta — changes nothing about the result: not its
-// bits, not its MemoryBytes(), not the work done here.
+// shares every H pattern no source spans, every untouched H11 factor and
+// the weights of every other node with it. Each source of ops has its
+// column of H re-read from gNew and takes the weight of its new out-degree.
+// Where the receiver came from — a build, a file, an earlier ApplyDelta —
+// changes nothing about the result: not its bits, not its MemoryBytes(),
+// not the work done here.
 //
-// Preconditions: gNew.N() ≥ e.N(); ops lists every change, since the H
-// patterns are patched from the ops alone (an insert for an edge gNew
-// lacks, or a delete for one it has, is refused); nodes beyond e.N() are
-// new and must have no out-edges. ErrDeltaFull means the
-// delta cannot be absorbed incrementally — run a full Preprocess instead.
-// Any other error likewise leaves the receiver untouched.
+// Preconditions: gNew.N() ≥ e.N(); ops names every node whose out-edges
+// changed, since only the ops' sources are re-read (an insert for an edge
+// gNew lacks, or a delete for one it has, is refused); nodes beyond e.N()
+// are new and must have no out-edges. ErrDeltaFull means the delta cannot
+// be absorbed incrementally — run a full Preprocess instead. Any other
+// error likewise leaves the receiver untouched.
 func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaStats, error) {
 	start := time.Now()
 	st := DeltaStats{Class: DeltaFull, Ops: len(ops)}
@@ -141,9 +136,9 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	n1, n2 := ord.n1, ord.n2
 	l := n1 + n2
 
-	// Group and classify. Sources must be pre-existing non-deadend nodes;
-	// spoke sources may not reach spokes outside their own H11 block.
-	srcs := make(map[int]*srcDelta)
+	// Classify. Sources must be pre-existing non-deadend nodes; spoke
+	// sources may not reach spokes outside their own H11 block.
+	srcs := make(map[int]bool)
 	hub := false
 	for _, op := range ops {
 		if op.Src < 0 || op.Src >= gNew.N() || op.Dst < 0 || op.Dst >= gNew.N() {
@@ -163,16 +158,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		if pu >= n1 {
 			hub = true
 		}
-		d := srcs[op.Src]
-		if d == nil {
-			d = &srcDelta{}
-			srcs[op.Src] = d
-		}
-		if op.Insert {
-			d.ins = append(d.ins, op.Dst)
-		} else {
-			d.del = append(d.del, op.Dst)
-		}
+		srcs[op.Src] = true
 	}
 
 	// Sources in ascending id, so a refusal names the smallest crossing
@@ -204,77 +190,47 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		st.Class = DeltaSpoke
 	}
 
-	// Translate the ops into structural edits on the stored blocks: an
-	// inserted edge adds an entry, a deleted one removes it. The values are
-	// the weights': a source's out-degree changed, so its column takes a new
-	// weight — one number, not a rewrite of every entry of the column. Two
-	// blocks are skipped: H11, whose touched blocks are rebuilt dense from
-	// gNew below, and H22, which no engine stores — S replaced it, and an
-	// affected S column takes its H22 part from gNew.
-	c := e.opts.C
-	var h21E, h31E, h12E, h32E []sparse.Edit
-	hubCols := make(map[int]bool)
-	hw := slices.Clone(e.hw)
-	for u, d := range srcs {
-		pu := int(ord.perm[u])
-		route := func(pv int, del bool) {
-			switch {
-			case pu < n1: // spoke column
-				switch {
-				case pv < n1: // inside the rebuilt H11 block
-				case pv < l:
-					h21E = append(h21E, sparse.Edit{Row: pv - n1, Col: pu, Delete: del})
-				default:
-					h31E = append(h31E, sparse.Edit{Row: pv - l, Col: pu, Delete: del})
-				}
-			default: // hub column j = pu-n1
-				j := pu - n1
-				switch {
-				case pv < n1:
-					h12E = append(h12E, sparse.Edit{Row: pv, Col: j, Delete: del})
-				case pv < l: // an H22 entry: not stored, see h22Column
-				default:
-					h32E = append(h32E, sparse.Edit{Row: pv - l, Col: j, Delete: del})
-				}
-			}
-		}
-		for _, v := range d.del {
-			route(int(ord.perm[v]), true)
-		}
-		for _, v := range d.ins {
-			route(int(ord.perm[v]), false)
-		}
-		hw[pu] = ord.hWeight(gNew, c, u)
-		if pu >= n1 {
-			hubCols[pu-n1] = true
-		}
-	}
-
-	// Copy-on-write patches. Only patterns with edits (or appended rows) are
-	// rebuilt — widened, patched with the surgery the wide layout has,
-	// narrowed again, on the engine's pool; the rest are shared with the
-	// serving engine, untouched.
-	tPatch := time.Now()
-	patch := func(m *sparse.Pattern, w []float64, appendRows int, edits []sparse.Edit) *sparse.Pattern {
-		if appendRows == 0 && len(edits) == 0 {
-			return m
-		}
-		wide := m.Expand(w)
-		if appendRows > 0 {
-			wide = wide.WithRowsAppended(appendRows)
-		}
-		return sparse.PatternOf(wide.WithEdits(edits)).SetPool(e.pool)
-	}
-	wSpoke, wHub := hw[:n1], hw[n1:]
-	h12New := patch(e.h12, wHub, 0, h12E)
-	h21New := patch(e.h21, wSpoke, 0, h21E)
-	h31New := patch(e.h31, wSpoke, growth, h31E)
-	h32New := patch(e.h32, wHub, growth, h32E)
-	patchDur := time.Since(tPatch)
-
 	// The blocks and columns rebuilt below are walked in new ids; the engine
 	// holds no inverse permutation, so the delta inverts it once.
 	inv := ord.inverse()
+
+	// H's blocks: each source's column is rebuilt from gNew by the build's
+	// own routine (buildHBlocks over the sources' columns) and spliced into
+	// the stored patterns in place of the old one — a spoke's into H21 and
+	// H31, a hub's into H12 and H32 — and takes the weight of its new
+	// out-degree. H11's part of a spoke column is refilled with its block
+	// below; H22's part of a hub column is not stored — S replaced it, and
+	// the hub's S column takes it from gNew. A block no source spans, and
+	// whose rows did not grow, is shared with the serving engine.
+	c := e.opts.C
+	tPatch := time.Now()
+	hw := slices.Clone(e.hw)
+	cols := make([]int, 0, len(sorted))
+	spokeCols, hubCols := make([]bool, n1), make([]bool, n2)
+	for _, u := range sorted {
+		pu := int(ord.perm[u])
+		cols = append(cols, pu)
+		hw[pu] = ord.hWeight(gNew, c, u)
+		if pu < n1 {
+			spokeCols[pu] = true
+		} else {
+			hubCols[pu-n1] = true
+		}
+	}
+	slices.Sort(cols)
+	nw12, nw21, nw31, nw32 := buildHBlocks(gNew, ord, inv, cols)
+	splice := func(old, nw *sparse.Pattern, replaced []bool, spanned bool) *sparse.Pattern {
+		if !spanned && nw.Rows() == old.Rows() {
+			return old
+		}
+		return old.Splice(nw, replaced).SetPool(e.pool)
+	}
+	spoke := len(touched) > 0
+	h12New := splice(e.h12, nw12, hubCols, hub)
+	h21New := splice(e.h21, nw21, spokeCols, spoke)
+	h31New := splice(e.h31, nw31, spokeCols, spoke)
+	h32New := splice(e.h32, nw32, hubCols, hub)
+	patchDur := time.Since(tPatch)
 
 	// Partial H11 refactorization: rebuild the touched diagonal blocks
 	// dense from gNew, the way preprocessing fills every block (h11Block),
@@ -303,40 +259,32 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// column whose H12 support reaches a touched H11 block (those columns'
 	// back-substitutions — and the H21 columns they gather through — run
 	// through refactored blocks).
-	affected := make(map[int]bool, len(hubCols))
-	for j := range hubCols {
-		affected[j] = true
-	}
-	h12W := h12New.Expand(wHub)
+	affected := slices.Clone(hubCols)
 	for b := range touched {
 		lo, hi := e.h11LU.BlockRange(b)
-		for i := lo; i < hi; i++ {
-			s, en := h12W.RowRange(i)
-			for p := s; p < en; p++ {
-				affected[h12W.ColIdx()[p]] = true
-			}
+		h12New.MarkColumns(lo, hi, affected)
+	}
+	var schurCols []int
+	for j, a := range affected {
+		if a {
+			schurCols = append(schurCols, j)
 		}
 	}
-	cols := make([]int, 0, len(affected))
-	for j := range affected {
-		cols = append(cols, j)
-	}
-	sort.Ints(cols)
-	st.AffectedColumns = len(cols)
+	st.AffectedColumns = len(schurCols)
 
 	// Recompute each affected S column with the full build's column routine
 	// (schurInputs.column) against the patched blocks and gNew, splice the
 	// columns into S's triangles and re-derive the pivots, as Preprocess does.
 	ilu := e.ilu
 	var schurDur, iluDur time.Duration
-	if len(cols) > 0 {
+	if len(schurCols) > 0 {
 		tSchur := time.Now()
 		in := graphSchurInputs(gNew, ord, inv, c, h11LUNew, h12New, h21New, hw)
 		w := newSchurScratch(n2, h11LUNew)
 		var rows []uint32
 		var vals []float64
-		end := make([]int, len(cols))
-		for k, j := range cols {
+		end := make([]int, len(schurCols))
+		for k, j := range schurCols {
 			in.column(w, j)
 			for _, i := range w.touched {
 				rows = append(rows, uint32(i))
@@ -346,7 +294,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		}
 		tri, err := e.ilu.SpliceColumns(func(emit func(j int, rows []uint32, vals []float64)) {
 			start := 0
-			for k, j := range cols {
+			for k, j := range schurCols {
 				emit(j, rows[start:end[k]], vals[start:end[k]])
 				start = end[k]
 			}

@@ -322,6 +322,19 @@ func wantClass(e *Engine, ops []EdgeDelta) DeltaClass {
 	return DeltaSpoke
 }
 
+// requireBlocksShared checks the copy-on-write contract on H's patterns: a
+// delta with spoke sources only leaves H12 and H32, which hold hub columns,
+// the receiver's own, and one with hub sources only H21 and H31.
+func requireBlocksShared(t *testing.T, e, ne *Engine, kind deltaKind) {
+	t.Helper()
+	switch {
+	case kind == kindSpoke && (ne.h12 != e.h12 || ne.h32 != e.h32):
+		t.Fatal("a spoke delta copied H12 or H32")
+	case kind == kindHub && (ne.h21 != e.h21 || ne.h31 != e.h31):
+		t.Fatal("a hub delta copied H21 or H31")
+	}
+}
+
 // runDeltaBitIdentical is the core property: chains of three deltas of one
 // kind, each link bit-identical to a full preprocess of the updated graph
 // under the reused ordering, on an R-MAT graph, a pathological near-uniform
@@ -350,10 +363,15 @@ func runDeltaBitIdentical(t *testing.T, kind deltaKind) {
 				g := g
 				for step := 0; step < 3; step++ {
 					ops, gNew := genDelta(t, rng, kind, step, g, e)
+					before := engineBytes(t, e)
 					ne, st, err := e.ApplyDelta(gNew, ops)
 					if err != nil {
 						t.Fatalf("step %d: ApplyDelta: %v", step, err)
 					}
+					if !bytes.Equal(engineBytes(t, e), before) {
+						t.Fatalf("step %d: ApplyDelta changed its receiver", step)
+					}
+					requireBlocksShared(t, e, ne, kind)
 					if want := wantClass(e, ops); st.Class != want {
 						t.Fatalf("step %d: class %v, want %v", step, st.Class, want)
 					}

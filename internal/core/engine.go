@@ -216,9 +216,9 @@ type Engine struct {
 
 	// The four off-diagonal blocks of H are built from the graph as, and
 	// served as, value-free patterns with compact indexes (ApplyDelta
-	// patches them in the wide sparse.CSR layout): every off-diagonal entry
-	// of column j of H is the same number, −(1−c)/outdeg of the node at j
-	// (BuildH), so hw holds it once per column, for the l = n1+n2
+	// splices its sources' rebuilt columns into them): every off-diagonal
+	// entry of column j of H is the same number, −(1−c)/outdeg of the node
+	// at j (BuildH), so hw holds it once per column, for the l = n1+n2
 	// non-deadend nodes in new-id order — H21/H31 read hw[:n1], H12/H32
 	// hw[n1:]. hw is canonical: 0 at a column none of the four blocks holds
 	// an entry of (hWeight), so the weights are a function of the graph and
@@ -451,7 +451,7 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	n1, n2 := ord.N1, ord.N2
 	l := n1 + n2
 	inv := e.ord.inverse()
-	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv)
+	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv, nil)
 	e.hw = make([]float64, l)
 	for j, u := range inv[:l] {
 		e.hw[j] = e.ord.hWeight(g, opts.C, int(u))

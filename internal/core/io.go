@@ -270,7 +270,7 @@ func (e *Engine) checkWeights() error {
 	used := make([]bool, len(e.hw))
 	blocks := [4]*sparse.Pattern{e.h12, e.h21, e.h31, e.h32}
 	for i, lo := range e.blockCol0() {
-		blocks[i].MarkColumns(used[lo : lo+blocks[i].Cols()])
+		blocks[i].MarkColumns(0, blocks[i].Rows(), used[lo:lo+blocks[i].Cols()])
 	}
 	floor := -(1 - e.opts.C)
 	for j, w := range e.hw {

@@ -26,12 +26,17 @@ import (
 // new id, 1 on the diagonal, and a self-loop's weight added to that 1.
 
 // buildHBlocks builds H12, H21, H31 and H32 of the reordered H from the
-// graph by one counting pass: the non-deadend columns' entries are counted
-// per block row, then scattered with the columns walked in ascending new id,
-// so every row is born sorted and every column array is allocated once, at
-// its served width. The count visits the nodes in id order, which reads the
-// graph's adjacency front to back. inv is the new id → old id map of ord.
-func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32) (h12, h21, h31, h32 *sparse.Pattern) {
+// graph by one counting pass: the columns' entries are counted per block
+// row, then scattered with the columns walked in ascending new id, so every
+// row is born sorted and every column array is allocated once, at its
+// served width. With cols nil it covers every non-deadend column — the
+// build, whose count visits the nodes in id order, reading the graph's
+// adjacency front to back. Otherwise it covers only the new ids cols lists,
+// in ascending order, and the four blocks hold those columns' entries alone
+// (ApplyDelta splices them into the stored patterns). It is the one code
+// that places an entry of H in the four blocks. inv is the new id → old id
+// map of ord.
+func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32, cols []int) (h12, h21, h31, h32 *sparse.Pattern) {
 	n1, l := ord.n1, ord.n1+ord.n2
 	b12 := sparse.NewPatternBuilder(n1, ord.n2)
 	b21 := sparse.NewPatternBuilder(ord.n2, n1)
@@ -56,17 +61,29 @@ func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32) (h12, h21, h31, h
 		}
 	}
 	count := func(b *sparse.PatternBuilder, row, _ int) { b.Count(row) }
-	for u := range g.N() {
-		if j := int(ord.perm[u]); j < l {
-			column(j, u, count)
+	put := func(b *sparse.PatternBuilder, row, col int) { b.Put(row, col) }
+	if cols == nil {
+		for u := range g.N() {
+			if j := int(ord.perm[u]); j < l {
+				column(j, u, count)
+			}
+		}
+	} else {
+		for _, j := range cols {
+			column(j, int(inv[j]), count)
 		}
 	}
 	for _, b := range []*sparse.PatternBuilder{b12, b21, b31, b32} {
 		b.Alloc()
 	}
-	put := func(b *sparse.PatternBuilder, row, col int) { b.Put(row, col) }
-	for j, u := range inv[:l] {
-		column(j, int(u), put)
+	if cols == nil {
+		for j, u := range inv[:l] {
+			column(j, int(u), put)
+		}
+	} else {
+		for _, j := range cols {
+			column(j, int(inv[j]), put)
+		}
 	}
 	return b12.Pattern(), b21.Pattern(), b31.Pattern(), b32.Pattern()
 }

@@ -123,6 +123,15 @@ func (l *layout32) wide() (rowPtr, col []int) {
 	return rowPtr, widen(l.col32)
 }
 
+// rowStart returns the position of row i's first entry; rowStart(rows) is
+// the entry count.
+func (l *layout32) rowStart(i int) int {
+	if l.rowPtr32 != nil {
+		return int(l.rowPtr32[i])
+	}
+	return int(l.rowPtr64[i])
+}
+
 // validate is validateCompact over the layout's own arrays, at their widths.
 func (l *layout32) validate() error {
 	switch {
@@ -185,10 +194,10 @@ func (l *layout32) indexBytes() int64 {
 
 // Compact converts a CSR matrix into the compact layout, sharing the
 // float64 value slice (values are identical; only the index arrays shrink)
-// unless that slice was built with spare capacity (AddScaled and WithEdits
-// size for the worst case): the compact matrix is what an engine retains,
-// and MemoryBytes counts lengths, so such values are copied to their exact
-// size instead of pinning the dead tail.
+// unless that slice was built with spare capacity (AddScaled sizes for the
+// worst case): a compact matrix may be retained, and MemoryBytes counts
+// lengths, so such values are copied to their exact size instead of pinning
+// the dead tail.
 // It panics if the matrix dimensions exceed the uint32 index range. The
 // conversion is lossless: ToCSR reproduces an Equal matrix, and every
 // kernel is bit-identical to its CSR counterpart.

@@ -22,12 +22,15 @@ type Pattern struct {
 }
 
 // PatternOf returns the compact pattern of m, its values dropped. It panics
-// if the matrix dimensions exceed the uint32 index range.
+// if the matrix dimensions exceed the uint32 index range. No engine path
+// calls it — every stored pattern is assembled by PatternBuilder or Splice —
+// and it stays as the tests' reference.
 func PatternOf(m *CSR) *Pattern { return &Pattern{layout32: compactLayout(m)} }
 
 // Expand returns the valued matrix P·diag(w) in the wide layout: entry
-// (i, j) holds w[j]. It is what the cold paths that need values read (the
-// Schur-column routine, surgery).
+// (i, j) holds w[j]. No engine path calls it — the Schur-column routine
+// reads ExpandT — and it stays as the reference the tests compare the
+// kernels and the patched patterns against.
 func (p *Pattern) Expand(w []float64) *CSR {
 	if len(w) != p.cols {
 		panic(fmt.Sprintf("sparse: Expand with %d weights for %d columns", len(w), p.cols))
@@ -40,18 +43,79 @@ func (p *Pattern) Expand(w []float64) *CSR {
 	return &CSR{rows: p.rows, cols: p.cols, rowPtr: rowPtr, col: col, val: val, pool: p.pool, bounds: p.bounds}
 }
 
-// MarkColumns sets used[j] for every column j that holds a stored entry.
-func (p *Pattern) MarkColumns(used []bool) {
+// MarkColumns sets used[j] for every column j that holds a stored entry in
+// rows [lo, hi).
+func (p *Pattern) MarkColumns(lo, hi int, used []bool) {
+	s, e := p.rowStart(lo), p.rowStart(hi)
 	if p.col16 != nil {
-		markColumns(p.col16, used)
+		markColumns(p.col16[s:e], used)
 	} else {
-		markColumns(p.col32, used)
+		markColumns(p.col32[s:e], used)
 	}
 }
 
 func markColumns[C uint16 | uint32](col []C, used []bool) {
 	for _, j := range col {
 		used[j] = true
+	}
+}
+
+// Splice returns p with the columns marked in replaced taken from nw: each
+// row of the result is p's row outside those columns merged, in column
+// order, with nw's row. nw has p's columns and at least its rows; a row
+// past p's is nw's alone (a block grown by new nodes). No column holds an
+// entry in both. The result is assembled by PatternBuilder's counts, so it
+// takes the widths a fresh build of it takes; p and nw are not modified.
+// It panics on mismatched shapes, and on entries that do not form a
+// pattern.
+func (p *Pattern) Splice(nw *Pattern, replaced []bool) *Pattern {
+	if nw.cols != p.cols || nw.rows < p.rows || len(replaced) != p.cols {
+		panic(fmt.Sprintf("sparse: splicing %v into %v over %d columns", nw, p, len(replaced)))
+	}
+	b := NewPatternBuilder(nw.rows, p.cols)
+	if p.col16 != nil {
+		spliceRows(b, &b.col16, &p.layout32, &nw.layout32, p.col16, nw.col16, replaced)
+	} else {
+		spliceRows(b, &b.col32, &p.layout32, &nw.layout32, p.col32, nw.col32, replaced)
+	}
+	return b.Pattern()
+}
+
+// spliceRows counts every row of the splice into b, allocates, and fills
+// *out, the builder's columns, row by row: p's kept entries merged with
+// nw's, each row's end written to the builder's pointers as Put leaves them.
+func spliceRows[C uint16 | uint32](b *PatternBuilder, out *[]C, p, nw *layout32, pCol, nwCol []C, replaced []bool) {
+	for i := 0; i < nw.rows; i++ {
+		k := nw.rowStart(i+1) - nw.rowStart(i)
+		if i < p.rows {
+			for _, j := range pCol[p.rowStart(i):p.rowStart(i+1)] {
+				if !replaced[j] {
+					k++
+				}
+			}
+		}
+		b.ptr[i+2] = k
+	}
+	b.Alloc()
+	col := *out
+	q := 0
+	for i := 0; i < nw.rows; i++ {
+		a, e := nw.rowStart(i), nw.rowStart(i+1)
+		if i < p.rows {
+			for _, j := range pCol[p.rowStart(i):p.rowStart(i+1)] {
+				if !replaced[j] {
+					for ; a < e && nwCol[a] < j; a, q = a+1, q+1 {
+						col[q] = nwCol[a]
+					}
+					col[q] = j
+					q++
+				}
+			}
+		}
+		for ; a < e; a, q = a+1, q+1 {
+			col[q] = nwCol[a]
+		}
+		b.ptr[i+1] = q
 	}
 }
 

@@ -83,31 +83,3 @@ func TestCSR32PatternColumnWidthBoundary(t *testing.T) {
 		}
 	}
 }
-
-// TestPatternSurgeryCrossesColumnWidth: the width follows the column count
-// through the surgery the delta path runs — widening 65 536 columns to
-// 65 537 switches a compacted block to 32-bit columns, appending rows past
-// 65 536 leaves its columns 16-bit — and the kernels stay bit-identical to
-// the wide matrix's across the switch.
-func TestPatternSurgeryCrossesColumnWidth(t *testing.T) {
-	m := widthCase(200, 1<<16, 7)
-	widened := m.WithColsWidened(1<<16 + 1)
-	appended := m.WithRowsAppended(1<<16 + 1 - m.rows)
-	for _, c := range []struct {
-		name   string
-		m      *CSR
-		narrow bool
-	}{{"as built", m, true}, {"columns widened", widened, false}, {"rows appended", appended, true}} {
-		p := PatternOf(c.m)
-		if (p.col16 != nil) != c.narrow || (Compact(c.m).col16 != nil) != c.narrow {
-			t.Fatalf("%s (%v): 16-bit columns %t, want %t", c.name, c.m, p.col16 != nil, c.narrow)
-		}
-		w, x := randVec(c.m.cols, 5), randVec(c.m.cols, 6)
-		want, got := make([]float64, c.m.rows), make([]float64, c.m.rows)
-		p.Expand(w).MulVec(want, x)
-		p.MulVecScaled(got, make([]float64, c.m.cols), w, x)
-		if i, ok := bitsEqual(got, want); !ok {
-			t.Fatalf("%s: MulVecScaled differs at %d", c.name, i)
-		}
-	}
-}

@@ -144,27 +144,41 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaAllocBudget pins what BenchmarkApplyDelta's hub-4op delta
-// allocates on the fixture: the patched H patterns, the recomputed columns
-// of S, and the new S — its triangles spliced row by row from the old ones,
-// 10 bytes an entry, and the pivots. A return to patching a wide copy of S
-// (16 bytes an entry, then copied again by the edits and once more by the
-// factorization) shows up as three times the budget.
+// TestApplyDeltaAllocBudget pins what BenchmarkApplyDelta's two deltas
+// allocate on the fixture: the sources' columns of H rebuilt and spliced
+// into the patterns, the recomputed columns of S, and the new S — its
+// triangles spliced row by row from the old ones, 10 bytes an entry, and
+// the pivots. A return to patching a wide copy of S (16 bytes an entry,
+// then copied again by the edits and once more by the factorization) shows
+// up in the hub-4op delta as three times its budget; a return to patching
+// H's patterns through a wide copy shows up in the spoke-batch delta, whose
+// 32 sources span H21 and H31.
 func TestApplyDeltaAllocBudget(t *testing.T) {
 	g := costFixture(t)
 	eng, err := bepi.New(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gNew, ops := benchDelta(t, g, eng, topHubs(g, eng), 4)
-	_, deltaBytes := allocated(func() {
-		if _, st, err := eng.Internal().ApplyDelta(gNew, ops); err != nil || st.Class != core.DeltaHub {
-			t.Fatalf("class %v, want %v: %v", st.Class, core.DeltaHub, err)
+	for _, c := range []struct {
+		name    string
+		sources []int
+		size    int
+		class   core.DeltaClass
+		budget  uint64
+	}{
+		{"hub-4op", topHubs(g, eng), 4, core.DeltaHub, applyDeltaBudget},
+		{"spoke-batch", spreadSpokes(g, eng), 64, core.DeltaSpoke, applyDeltaSpokeBudget},
+	} {
+		gNew, ops := benchDelta(t, g, eng, c.sources, c.size)
+		_, deltaBytes := allocated(func() {
+			if _, st, err := eng.Internal().ApplyDelta(gNew, ops); err != nil || st.Class != c.class {
+				t.Fatalf("%s: class %v, want %v: %v", c.name, st.Class, c.class, err)
+			}
+		})
+		t.Logf("ApplyDelta %s: %d B, MemoryBytes %d B", c.name, deltaBytes, eng.MemoryBytes())
+		if deltaBytes > c.budget {
+			t.Errorf("ApplyDelta %s allocated %d B, budget %d B", c.name, deltaBytes, c.budget)
 		}
-	})
-	t.Logf("ApplyDelta hub-4op: %d B, MemoryBytes %d B", deltaBytes, eng.MemoryBytes())
-	if deltaBytes > applyDeltaBudget {
-		t.Errorf("ApplyDelta allocated %d B, budget %d B", deltaBytes, applyDeltaBudget)
 	}
 }
 
@@ -185,10 +199,11 @@ func (s *growSink) Grow(n int) {
 }
 
 const (
-	poolSlack        = 4 * 64 << 10
-	loadBudget       = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
-	applyDeltaBudget = 1_117_000 // measured 1 015 048 (2 979 844 patching a wide copy of S with edits and factoring it again)
-	newBudget        = 2_975_000 // measured 2 704 448 at two workers (3 524 112 with SlashBurn on a merged 64-bit undirected view; 9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
+	poolSlack             = 4 * 64 << 10
+	loadBudget            = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	applyDeltaBudget      = 1_117_000 // measured 1 015 048 (2 979 844 patching a wide copy of S with edits and factoring it again)
+	applyDeltaSpokeBudget = 2_057_000 // measured 1 870 384 (2 067 512 patching H's patterns through a wide copy with edits)
+	newBudget             = 2_975_000 // measured 2 704 448 at two workers (3 524 112 with SlashBurn on a merged 64-bit undirected view; 9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
 )
 
 // TestIndexBytesDoNotPayForTheDiagonal pins the preconditioner's share of
