@@ -116,13 +116,15 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'BenchmarkSchurIteration|BenchmarkHBlockMulVec' -benchtime=100x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkCSR32MulVec -benchtime=100x -benchmem ./internal/sparse/
 
-# Smoke-run the index write path — preprocessing, a format-v5 Save + Load
+# Smoke-run the index write path — preprocessing, a format-v6 Save + Load
 # round trip, and a hub and a spoke delta absorbed by a built and by a loaded
 # engine —
 # with allocation counts and the resulting index's MemoryBytes() (index-B),
 # and for the round trip the saved file's size (file-B), so CI shows a
 # return to per-word index I/O, append-grown arrays, a second copy of S, a
-# widened file, 32-bit columns where 16 bits hold them, a permutation wider
+# widened file, weight-valued entries of S written with values, the pivots
+# dropped from the file (and recomputed on load), 32-bit columns where 16
+# bits hold them, a permutation wider
 # than 32 bits or its inverse held beside it, a delta that patches a wide
 # copy of S or of H's patterns instead of splicing rebuilt columns into
 # them, or state only some engines carry (the built and loaded

@@ -251,9 +251,9 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkSaveLoad measures index persistence round trips: Save into a
-// buffer, Load back (which recomputes the DILU preconditioner's pivots). It
-// reports the saved file's size (file-B) beside the index it loads into
-// (index-B).
+// buffer, Load back (which reads the DILU preconditioner's pivots from the
+// file). It reports the saved file's size (file-B) beside the index it
+// loads into (index-B).
 func BenchmarkSaveLoad(b *testing.B) {
 	g := benchGraph()
 	eng, err := bepi.New(g)

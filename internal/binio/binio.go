@@ -1,9 +1,10 @@
 // Package binio is the one array codec of the index file format. Every
-// array in a saved index (sparse.CSR32, lu.ILU, lu.BlockLU, core.Engine) is
-// a run of little-endian 16-, 32- or 64-bit words; this package moves such runs
-// between slices and a stream a chunk at a time, through a pooled buffer and
-// a tight Put/Uint loop, so that neither direction makes a call, an
-// allocation or an error check per word.
+// array in a saved index (sparse.Pattern, lu.ILU, lu.BlockLU, core.Engine)
+// is a run of little-endian 16-, 32- or 64-bit words, or a bitmap packed 8
+// bits a byte; this package moves such runs between slices and a stream a
+// chunk at a time, through a pooled buffer and a tight Put/Uint loop, so
+// that neither direction makes a call, an allocation or an error check per
+// word.
 //
 // It also frames sections: length · payload · CRC-32C(payload). The
 // checksum is computed over the bytes as they pass through the chunk, so no
@@ -214,7 +215,7 @@ func (w *Writer) next(entries, size int) ([]byte, int) {
 
 // WriteInts writes every element of s as a 64-bit word (sign-extended for
 // the signed types), whatever the in-memory width.
-func WriteInts[T int | int32 | int64 | uint32](w *Writer, s []T) {
+func WriteInts[T int | int32 | int64 | uint32 | uint64](w *Writer, s []T) {
 	for len(s) > 0 {
 		b, k := w.next(len(s), 8)
 		if k == 0 {
@@ -273,6 +274,36 @@ func WriteFloats(w *Writer, s []float64) {
 		}
 		w.advance(8 * k)
 		s = s[k:]
+	}
+}
+
+// WriteBits writes the first n bits of a bitmap held as 64-bit words — bit
+// p at bit p%64 of words[p/64] — as ⌈n/8⌉ bytes, bit p at bit p%8 of byte
+// p/8 (Reader.Bits reads them back). The bits past n must be clear.
+func WriteBits(w *Writer, words []uint64, n int) {
+	nb := (n + 7) / 8
+	WriteInts(w, words[:nb/8])
+	if tail := nb % 8; tail > 0 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], words[nb/8])
+		w.Write(b[:tail])
+	}
+}
+
+// Stream writes n words of size bytes each that fill encodes: it hands fill
+// the chunk's free room, a run of whole words at a time, in order, until n
+// are written. Counting, it counts them and does not call fill, so an
+// encoder that computes its words — from no array WriteFloats could be
+// handed — reads nothing while counting either.
+func (w *Writer) Stream(n, size int, fill func(b []byte)) {
+	for n > 0 {
+		b, k := w.next(n, size)
+		if k == 0 {
+			return
+		}
+		fill(b[:size*k])
+		w.advance(size * k)
+		n -= k
 	}
 }
 
@@ -393,14 +424,21 @@ const growEntries = 1 << 16
 // them, exactly sized when the input is known to, and otherwise capped so
 // that the slice grows with the input.
 func sized[T any](r *Reader, n, size int) ([]T, error) {
-	if n < 0 || (r.left >= 0 && int64(n) > r.left/int64(size)) ||
-		(r.inSection && int64(n) > r.sec/int64(size)) {
+	if !r.backs(n, size) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	if r.left < 0 {
 		n = min(n, growEntries)
 	}
 	return make([]T, 0, n), nil
+}
+
+// backs reports whether n words of size bytes each can follow: n is not
+// negative, and neither the open section nor the remaining input is known
+// to hold fewer bytes.
+func (r *Reader) backs(n, size int) bool {
+	return n >= 0 && (r.left < 0 || int64(n) <= r.left/int64(size)) &&
+		(!r.inSection || int64(n) <= r.sec/int64(size))
 }
 
 // extend lengthens *s by k entries and returns the new tail.
@@ -422,17 +460,66 @@ func read[T any](r *Reader, n, size int, decode func(dst []T, b []byte)) ([]T, e
 	if err != nil {
 		return nil, err
 	}
+	err = r.Stream(n, size, func(b []byte) { decode(extend(&out, len(b)/size), b) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Stream reads n words of size bytes each without allocating for them: it
+// hands use the words a chunk at a time, in order. Like the array reads it
+// refuses, before reading, a count the open section or the remaining input
+// is known not to back.
+func (r *Reader) Stream(n, size int, use func(b []byte)) error {
+	if !r.backs(n, size) {
+		return io.ErrUnexpectedEOF
+	}
 	buf := chunks.Get().(*[chunkBytes]byte)
 	defer chunks.Put(buf)
 	for n > 0 {
 		k := min(n, chunkBytes/size)
 		if err := r.Full(buf[:size*k]); err != nil {
-			return nil, err
+			return err
 		}
-		decode(extend(&out, k), buf[:size*k])
+		use(buf[:size*k])
 		n -= k
 	}
-	return out, nil
+	return nil
+}
+
+// Bits reads a bitmap of n bits written by WriteBits into 64-bit words,
+// refusing one with a bit set past n: the padding is zero. The words are
+// allocated at their declared count once the input is known to back it, so
+// a caller reading from a source that cannot say how much it holds bounds n
+// itself.
+func (r *Reader) Bits(n int) ([]uint64, error) {
+	nb := (n + 7) / 8
+	if n < 0 || !r.backs(nb, 1) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	words := make([]uint64, (n+63)/64)
+	at := 0
+	// Every chunk but the last is a whole number of words: chunkBytes is a
+	// multiple of 8.
+	err := r.Stream(nb, 1, func(b []byte) {
+		for ; len(b) >= 8; b = b[8:] {
+			words[at] = binary.LittleEndian.Uint64(b)
+			at++
+		}
+		if len(b) > 0 {
+			var last [8]byte
+			copy(last[:], b)
+			words[at] = binary.LittleEndian.Uint64(last[:])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n%64 != 0 && words[len(words)-1]>>(n%64) != 0 {
+		return nil, fmt.Errorf("binio: a bitmap of %d bits has a padding bit set", n)
+	}
+	return words, nil
 }
 
 // Ints reads n 64-bit words as ints.

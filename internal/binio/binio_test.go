@@ -377,3 +377,101 @@ func TestUint16RunRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBitsRoundTrip: a bitmap of n bits is written as ⌈n/8⌉ bytes, bit p at
+// bit p%8 of byte p/8, and comes back as the same words across chunk
+// boundaries — at every length around a byte and a word boundary — from a
+// source that reports its length and from one that does not; a set
+// padding bit is refused.
+func TestBitsRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 8*chunkBytes - 1, 8*chunkBytes + 70} {
+		words := make([]uint64, (n+63)/64)
+		for p := 0; p < n; p++ {
+			if (p*2654435761)>>7&1 != 0 {
+				words[p/64] |= 1 << (p % 64)
+			}
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		WriteBits(w, words, n)
+		if _, err := w.Close(); err != nil || buf.Len() != (n+7)/8 {
+			t.Fatalf("n=%d: wrote %d bytes (%v), want %d", n, buf.Len(), err, (n+7)/8)
+		}
+		if got := Count(func(out io.Writer) (int64, error) {
+			w := NewWriter(out)
+			WriteBits(w, words, n)
+			return w.Close()
+		}); got != int64(buf.Len()) {
+			t.Fatalf("n=%d: counted %d bytes, wrote %d", n, got, buf.Len())
+		}
+		raw := buf.Bytes()
+		for p := 0; p < n; p++ {
+			if raw[p/8]>>(p%8)&1 != byte(words[p/64]>>(p%64)&1) {
+				t.Fatalf("n=%d: bit %d not at bit %d of byte %d", n, p, p%8, p/8)
+			}
+		}
+		for name, src := range map[string]io.Reader{"sized": bytes.NewReader(raw), "stream": onlyReader{bytes.NewReader(raw)}} {
+			got, err := NewReader(src).Bits(n)
+			if err != nil || !reflect.DeepEqual(got, words) {
+				t.Fatalf("n=%d %s: bitmap differs (err %v)", n, name, err)
+			}
+		}
+		if n%8 != 0 {
+			padded := append([]byte(nil), raw...)
+			padded[len(padded)-1] |= 0x80
+			if _, err := NewReader(bytes.NewReader(padded)).Bits(n); err == nil {
+				t.Fatalf("n=%d: a set padding bit accepted", n)
+			}
+		}
+	}
+}
+
+// TestStreamRoundTrip: Writer.Stream hands its encoder whole words that
+// fill the stream in order, never while counting; Reader.Stream hands them
+// back a chunk at a time, and refuses a count the open section does not
+// back before reading any of it.
+func TestStreamRoundTrip(t *testing.T) {
+	const n = chunkBytes/8*2 + 3
+	encode := func(out io.Writer) (int64, error) {
+		w := NewWriter(out)
+		next := 0
+		w.Stream(n, 8, func(b []byte) {
+			if len(b)%8 != 0 {
+				t.Fatalf("handed %d bytes, not whole words", len(b))
+			}
+			for o := 0; o < len(b); o += 8 {
+				binary.LittleEndian.PutUint64(b[o:], uint64(next)*0x9E3779B97F4A7C15)
+				next++
+			}
+		})
+		return w.Close()
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Section(encode) // counted first: a fill while counting would shift every word
+	if _, err := w.Close(); err != nil || buf.Len() != 8+8*n+4 {
+		t.Fatalf("wrote %d bytes (%v), want %d", buf.Len(), err, 8+8*n+4)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	if err := r.Section(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Stream(n+1, 8, func([]byte) { t.Fatal("read past the section") }); err == nil {
+		t.Fatal("a count past the section accepted")
+	}
+	next := 0
+	err := r.Stream(n, 8, func(b []byte) {
+		for o := 0; o < len(b); o += 8 {
+			if got := binary.LittleEndian.Uint64(b[o:]); got != uint64(next)*0x9E3779B97F4A7C15 {
+				t.Fatalf("word %d is %#x", next, got)
+			}
+			next++
+		}
+	})
+	if err != nil || next != n {
+		t.Fatalf("read %d words (%v), want %d", next, err, n)
+	}
+	if err := r.EndSection(); err != nil {
+		t.Fatal(err)
+	}
+}

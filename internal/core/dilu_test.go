@@ -162,10 +162,10 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 		requireDILUBitsEqual(t, name+" BePI-S", ref.ilu, refFactors)
 		matBitsEqual(t, name+": Schur()", sparse.Compact(e.Schur()), sparse.Compact(ref.ilu.Matrix()))
 		var want, got bytes.Buffer
-		if _, err := refFactors.WriteTo(&want); err != nil {
+		if _, err := refFactors.WriterTo(e.hw[e.ord.n1:]).WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.ilu.WriteTo(&got); err != nil {
+		if _, err := e.ilu.WriterTo(e.hw[e.ord.n1:]).WriteTo(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -377,7 +377,9 @@ func TestEveryEngineStateMatchesOracle(t *testing.T) {
 // capability holds in every way of reaching it, and the way does not show.
 // States serving the same graph occupy the same MemoryBytes(). Each state
 // holds the H blocks of its graph as patterns times canonical weights
-// (requireHBlocks, on its reload too), S exactly once and counts every array
+// (requireHBlocks, on its reload too), S exactly once — its reload the same
+// triangles, D_S and pivots bit for bit, the pivots read from the file where
+// the state derived them — and counts every array
 // it retains (requireSchurStoredOnce, also on its reload and on each further
 // delta),
 // saves and reloads to bit-equal queries and an equal footprint, absorbs a
@@ -401,6 +403,7 @@ func TestEveryEngineStateComposes(t *testing.T) {
 			loaded := reloaded(t, e)
 			requireHBlocks(t, e, g)
 			requireHBlocks(t, loaded, g)
+			requireDILUBitsEqual(t, "reloaded", loaded.ilu, e.ilu)
 			requireQueryBitsEqual(t, loaded, e, []int{0, 3, g.N() / 2, g.N() - 1})
 			requireSchurStoredOnce(t, e)
 			requireSchurStoredOnce(t, loaded)

@@ -26,7 +26,7 @@ func FuzzReadEngine(f *testing.F) {
 	}
 	// The valid file under every other version word, and under version 1's
 	// magic.
-	for _, v := range []uint32{1, 2, 3, 4, indexVersion + 1} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, indexVersion + 1} {
 		raw := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint32(raw[4:], v)
 		f.Add(raw)

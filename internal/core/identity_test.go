@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -218,13 +219,15 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 }
 
 // TestSaveLoadFrozenBytes pins the saved index of a fixed graph to the
-// SHA-256 of its format-version-5 file (313 870 bytes): ordering, H patterns
-// and weights, S and the block LU all flow into these bytes, so none of
-// them may move by one bit. Save → Load → Save is a fixed point. History:
-// the version-4 file of the same index, 315 690 bytes — the 453 H11 block
-// sizes a second time, as 32-bit words after the permutation, and their
-// count in the header — hashed to
-// 552aefa6743d8dced65319db2088f091f165af2bfb391534b8a3dbc53f50ef48; the
+// SHA-256 of its format-version-6 file (227 815 bytes): ordering, H patterns
+// and weights, S, its pivots and the block LU all flow into these bytes, so
+// none of them may move by one bit. Save → Load → Save is a fixed point.
+// History: the version-5 file of the same index, 313 870 bytes — every
+// value of S written, its pivots not — hashed to
+// eb4781dab8a5dc68380f415eb90b3ffe8d7df97076c1ac72bbbe7e8fb0165b04; the
+// version-4 file, 315 690 bytes — the 453 H11 block sizes a second time,
+// as 32-bit words after the permutation, and their count in the header —
+// to 552aefa6743d8dced65319db2088f091f165af2bfb391534b8a3dbc53f50ef48; the
 // version-3 file, 382 336 bytes — 2 bytes more per entry of S and of the H
 // patterns — to
 // f9b322e12979898f3b74da5100df30bc30309fa3e76806c1973122ef469d251b; the
@@ -235,16 +238,19 @@ func saveHash(t testing.TB, e *Engine) (string, []byte) {
 // from the commit before the chunked codec and the linear-time builders to
 // the last version-1 writer.
 //
-// The BePI-B and BePI-S files of the same graph (662 628 and 313 870 bytes)
-// are pinned beside it, to the hashes of the last build whose engines for
-// those variants held S as a compact CSR and factored it only to save it:
-// holding S as its DILU triangles changed what they keep in memory, not a
-// byte of what they write.
+// The BePI-B and BePI-S files of the same graph (643 628 and 227 815 bytes)
+// are pinned beside it. Their version-5 files, 662 628 and 313 870 bytes,
+// hashed to 25f5bc9c67e066417c736e1c935a3ceb818e42582b222696f62cc5bd22ff8b6e
+// and 96781bbfedc8d7b4e39f866a33efd3ab88f375404e861dfd70c71c7449a78bea from
+// the last build whose engines for those variants held S as a compact CSR
+// and factored it only to save it to the last version-5 writer: holding S
+// as its DILU triangles changed what they keep in memory, not a byte of
+// what they write.
 func TestSaveLoadFrozenBytes(t *testing.T) {
 	frozen := map[Variant]string{
-		VariantFull: "eb4781dab8a5dc68380f415eb90b3ffe8d7df97076c1ac72bbbe7e8fb0165b04",
-		VariantB:    "25f5bc9c67e066417c736e1c935a3ceb818e42582b222696f62cc5bd22ff8b6e",
-		VariantS:    "96781bbfedc8d7b4e39f866a33efd3ab88f375404e861dfd70c71c7449a78bea",
+		VariantFull: "e34ad5f7d6e5696e78e758049d8816ecd940a410c9b10aa7a4ea33fd1db220db",
+		VariantB:    "38628a028ed0bbe383e411b7e8a97e790362850ddd520988c1c6aa19ce6ed5d9",
+		VariantS:    "c853ef279dc3a94eaabff51e898aa1cfd1e3e4c086f64ff30a5917dafb0ec748",
 	}
 	g := gen.Hybrid(gen.DefaultHybrid(11, 10, 1))
 	for _, v := range []Variant{VariantFull, VariantB, VariantS} {
@@ -469,7 +475,7 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 	flipped := append([]byte(nil), valid...)
 	flipped[header+8*3+2] ^= 0x7F // maxIter 1000 → 8 323 048
 	corrupt["header maxIter byte flip"] = reseal(t, flipped)
-	diag, offDiag := sValueOffsets(t, valid)
+	sl := sLayoutOf(t, valid)
 	for name, v := range map[string]float64{
 		"S diagonal NaN":  math.NaN(),
 		"S diagonal +Inf": math.Inf(1),
@@ -477,34 +483,111 @@ func corruptIndexes(t testing.TB) (valid []byte, corrupt map[string][]byte) {
 		"S diagonal -1":   -1,
 	} {
 		raw := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint64(raw[diag:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(raw[sl.diag:], math.Float64bits(v))
 		corrupt[name] = reseal(t, raw)
 	}
 	for name, off := range map[string]int{
-		"S off-diagonal NaN": offDiag,
+		"S off-diagonal NaN": sl.values,
 		"block-LU NaN":       blockLUValueOffset(t, valid),
 	} {
 		raw := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint64(raw[off:], math.Float64bits(math.NaN()))
 		corrupt[name] = reseal(t, raw)
 	}
+	for name, v := range map[string]float64{
+		"S pivot 0":    0,
+		"S pivot -1":   -1,
+		"S pivot NaN":  math.NaN(),
+		"S pivot +Inf": math.Inf(1),
+	} {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(raw[sl.pivots:], math.Float64bits(v))
+		corrupt[name] = reseal(t, raw)
+	}
+	// The first value written, an entry of S's lower triangle, overwritten
+	// with its column's weight: a value its bit should have stood for.
+	raw := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(raw[sl.values:], math.Float64bits(e.hw[e.ord.n1+sl.firstWrittenCol]))
+	corrupt["S value its weight"] = reseal(t, raw)
+
+	raw = append([]byte(nil), valid...)
+	raw[sl.uBits] |= 1 // U's entry 0 leads row 0
+	corrupt["S lead bit set"] = reseal(t, raw)
+	raw = append([]byte(nil), valid...)
+	if pad := sl.nnzL % 8; pad != 0 {
+		raw[sl.uBits-1] |= 1 << pad
+	} else if pad = sl.nnzU % 8; pad != 0 {
+		raw[sl.values-1] |= 1 << pad
+	} else {
+		t.Fatalf("fixture's S has %d+%d entries: no padding bit", sl.nnzL, sl.nnzU)
+	}
+	corrupt["S padding bit set"] = reseal(t, raw)
+	// The first value written marked as its column's weight and left out,
+	// the rest moved up, and 8 bytes appended in its place: every value
+	// and pivot is read where it belongs, the section keeps its length, and
+	// one value more is written than the bitmaps leave clear.
+	raw = append([]byte(nil), valid...)
+	copy(raw[sl.values:sl.end-8], valid[sl.values+8:sl.end])
+	raw[sl.lBits+sl.firstWritten/8] |= 1 << (sl.firstWritten % 8)
+	corrupt["S bitmap one set bit over its values"] = reseal(t, raw)
 	return valid, corrupt
 }
 
-// sValueOffsets returns the byte offsets, in a saved index, of S's first
-// diagonal entry (the lead of the upper triangle's first row) and of the
-// first entry of its strict lower triangle, read off the S section's
-// header words: n, nnzL, nnzU, then each triangle's int32 row pointers,
-// 16-bit columns and values.
-func sValueOffsets(t testing.TB, raw []byte) (diag, offDiag int) {
-	start := sections(t, raw)[secS][0]
-	word := func(k int) int { return int(binary.LittleEndian.Uint64(raw[start+8*k:])) }
-	n, nnzL, nnzU := word(0), word(1), word(2)
-	if n == 0 || nnzL == 0 {
-		t.Fatalf("fixture's S is %d×%d with %d strictly lower entries", n, n, nnzL)
+// refusedBy names, for the mutants of corruptIndexes that one check of
+// the S section refuses, a part of the message of that check.
+var refusedBy = map[string]string{
+	"S pivot 0":                            "pivots are not finite and positive",
+	"S pivot -1":                           "pivots are not finite and positive",
+	"S pivot NaN":                          "pivots are not finite and positive",
+	"S pivot +Inf":                         "pivots are not finite and positive",
+	"S value its weight":                   "could have marked",
+	"S lead bit set":                       "is marked as its column's weight",
+	"S padding bit set":                    "padding bit set",
+	"S bitmap one set bit over its values": "of the section not read",
+}
+
+// sLayout is where the parts of the S section of a saved index lie, read
+// off its header words: n, nnzL, nnzU, then each triangle's int32 row
+// pointers and 16-bit columns, a bitmap per triangle (a byte per 8
+// entries), the values of the clear bits and the n pivots.
+type sLayout struct {
+	n, nnzL, nnzU        int
+	lBits, uBits, values int
+	diag                 int // the value of the lead of U's first row
+	pivots, end          int
+	firstWritten         int // the first clear bit of L's bitmap
+	firstWrittenCol      int // and the column of its entry
+}
+
+func sLayoutOf(t testing.TB, raw []byte) sLayout {
+	t.Helper()
+	span := sections(t, raw)[secS]
+	word := func(k int) int { return int(binary.LittleEndian.Uint64(raw[span[0]+8*k:])) }
+	s := sLayout{n: word(0), nnzL: word(1), nnzU: word(2), end: span[1]}
+	if s.n == 0 || s.nnzL == 0 {
+		t.Fatalf("fixture's S is %d×%d with %d strictly lower entries", s.n, s.n, s.nnzL)
 	}
-	offDiag = start + 3*8 + 4*(n+1) + 2*nnzL
-	return offDiag + 8*nnzL + 4*(n+1) + 2*nnzU, offDiag
+	lCol := span[0] + 3*8 + 4*(s.n+1)
+	s.lBits = lCol + 2*s.nnzL + 4*(s.n+1) + 2*s.nnzU
+	s.uBits = s.lBits + (s.nnzL+7)/8
+	s.values = s.uBits + (s.nnzU+7)/8
+	s.pivots = s.end - 8*s.n
+	s.firstWritten = -1
+	lWritten := 0
+	for p := 0; p < s.nnzL; p++ {
+		if raw[s.lBits+p/8]>>(p%8)&1 == 0 {
+			if s.firstWritten < 0 {
+				s.firstWritten = p
+			}
+			lWritten++
+		}
+	}
+	if s.firstWritten < 0 {
+		t.Fatal("fixture's S writes no value of its lower triangle")
+	}
+	s.firstWrittenCol = int(binary.LittleEndian.Uint16(raw[lCol+2*s.firstWritten:]))
+	s.diag = s.values + 8*lWritten
+	return s
 }
 
 // blockLUValueOffset returns the byte offset of the first packed H11 factor
@@ -532,6 +615,8 @@ func TestReadEngineRejectsCorruptColumn(t *testing.T) {
 		allocated, err := readAllocated(raw)
 		if !errors.Is(err, ErrCorruptIndex) || errors.Is(err, binio.ErrChecksum) {
 			t.Errorf("%s: ReadEngine returned %v, want ErrCorruptIndex from a structural or value check", name, err)
+		} else if says, ok := refusedBy[name]; ok && !strings.Contains(err.Error(), says) {
+			t.Errorf("%s: ReadEngine returned %v, want the refusal of the check that says %q", name, err, says)
 		}
 		if limit := refusalAllocLimit(raw); allocated > limit {
 			t.Errorf("%s: refusing a %d-byte index allocated %d bytes", name, len(raw), allocated)

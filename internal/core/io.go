@@ -15,10 +15,10 @@ import (
 // Index persistence: a preprocessed engine can be written to disk once and
 // reloaded for later query sessions, which is the whole point of a
 // preprocessing method. The file is the index in the layout the engine
-// serves it from, little-endian (format version 5):
+// serves it from, little-endian (format version 6):
 //
 //	magic    uint32 'BePI'
-//	version  uint32 5
+//	version  uint32 6
 //	sections, each  length int64 · payload · CRC-32C(payload) uint32:
 //	  header    c, tol (float64), variant, maxIter (int64), hubRatio (float64),
 //	            n, n1, n2, n3 (int64)
@@ -27,9 +27,11 @@ import (
 //	                        uint16 columns, no values)
 //	  weights   n1+n2 × float64: the H blocks' value of each non-deadend
 //	            column, 0 at a column no block holds an entry of
-//	  S         (lu.ILU.WriteTo: the strict lower triangle, and the upper one
-//	            with each row led by S's diagonal; int32 row pointers,
-//	            uint16 columns)
+//	  S         (lu.ILU.WriterTo under the hub columns' weights: the strict
+//	            lower triangle, and the upper one with each row led by S's
+//	            diagonal; int32 row pointers, uint16 columns, a bitmap per
+//	            triangle marking the entries whose value is their column's
+//	            weight, the other values, then the DILU pivots)
 //	  blockLU   (lu.BlockLU.WriteTo: the block count and bounds, then the
 //	            packed factors)
 //
@@ -41,20 +43,24 @@ import (
 // hubs, H21 and H31 the n1 spokes, S the hubs — so each width follows from
 // the header, and every array is read at the width it is served in.
 //
-// Loading recomputes only the DILU pivots (one O(|S|) pass). A flipped bit
+// Where the file is not the index: an entry of S whose value is its hub
+// column's weight −(1−c)/outdeg — an H22 entry the Schur fill does not
+// touch, most of S — is one bit, restored from the weights section, and
+// the pivots are stored, so loading derives nothing. A flipped bit
 // anywhere fails a checksum or a length; a file whose checksums were
 // recomputed over corrupt bytes still meets the structural and value
-// checks: weights no H has (checkWeights), a non-finite entry of S or of the
-// H11 factors and a diagonal of S that is not positive are refused.
+// checks: weights no H has (checkWeights), a bitmap no writer produces, a
+// non-finite entry of S or of the H11 factors, a diagonal of S or a pivot
+// that is not positive are refused.
 //
-// Versions 1 to 4 — v1 under the magic 'BPI1', with no version word — are
+// Versions 1 to 5 — v1 under the magic 'BPI1', with no version word — are
 // refused with ErrIndexVersion: re-running `bepi preprocess` rebuilds the
 // index in this format.
 
 const (
 	indexMagicV1 = 0x42504931 // 'BPI1', the unversioned magic of version 1
 	indexMagic   = 0x49506542 // "BePI" as bytes
-	indexVersion = 5
+	indexVersion = 6
 )
 
 // ErrCorruptIndex is wrapped around every error ReadEngine returns but
@@ -69,11 +75,14 @@ var ErrCorruptIndex = errors.New("core: corrupt index")
 // preprocess` replaces, or a newer one.
 var ErrIndexVersion = errors.New("core: unsupported index format version")
 
-// WriteTo serializes the engine in format version 5. It implements
-// io.WriterTo. A sink with a Grow(int) method — a bytes.Buffer — is told the
-// file's length first, by a counting pass that reads no array, so that it
-// allocates once instead of doubling under the writes.
+// WriteTo serializes the engine in format version 6. It implements
+// io.WriterTo. S's entries are classified against the weights once, before
+// anything is counted or written. A sink with a Grow(int) method — a
+// bytes.Buffer — is told the file's length first, by a counting pass that
+// reads no array, so that it allocates once instead of doubling under the
+// writes.
 func (e *Engine) WriteTo(w io.Writer) (int64, error) {
+	s := e.ilu.WriterTo(e.hw[e.ord.n1:])
 	write := func(w io.Writer) (int64, error) {
 		bw := binio.NewWriter(w)
 		bw.U32(indexMagic)
@@ -84,7 +93,7 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 			bw.Section(m.WriteTo)
 		}
 		bw.Section(e.writeWeights)
-		bw.Section(e.ilu.WriteTo)
+		bw.Section(s.WriteTo)
 		bw.Section(e.h11LU.WriteTo)
 		return bw.Close()
 	}
@@ -119,8 +128,9 @@ func (e *Engine) writeWeights(w io.Writer) (int64, error) {
 	return bw.Close()
 }
 
-// ReadEngine deserializes an engine written by WriteTo, recomputing the
-// DILU pivots. Option words, arrays, shapes, weights and factor values that
+// ReadEngine deserializes an engine written by WriteTo, deriving nothing:
+// S's weight-valued entries come from the weights section, its pivots from
+// its own. Option words, arrays, shapes, weights and factor values that
 // no engine could have written, or that disagree with each other, are
 // rejected here, not discovered by a query.
 func ReadEngine(r io.Reader) (*Engine, error) {
@@ -237,13 +247,8 @@ func readSections(br *binio.Reader) (*Engine, error) {
 	}
 	var s *lu.ILU
 	err = section("S", func() error {
-		if s, err = lu.ReadDILU(br); err != nil {
-			return err
-		}
-		if s.N() != n2 {
-			return fmt.Errorf("%d rows, the partition has %d hubs", s.N(), n2)
-		}
-		return nil
+		s, err = lu.ReadDILU(br, e.hw[n1:])
+		return err
 	})
 	if err != nil {
 		return nil, err

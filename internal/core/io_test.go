@@ -127,7 +127,7 @@ func TestSaveLoadNewerVersionRefused(t *testing.T) {
 	}
 }
 
-// TestReadEngineRefusesOtherVersions: a file of any format version but 5 —
+// TestReadEngineRefusesOtherVersions: a file of any format version but 6 —
 // the versions before it, under the versioned magic or version 1's own,
 // and a newer one — is ErrIndexVersion alone, and the message of an older
 // one names its version and how to rebuild the index.
@@ -144,7 +144,8 @@ func TestReadEngineRefusesOtherVersions(t *testing.T) {
 		{"version 2", append(word(indexMagic), word(2)...), "version 2: ", true},
 		{"version 3", append(word(indexMagic), word(3)...), "version 3: ", true},
 		{"version 4", append(word(indexMagic), word(4)...), "version 4: ", true},
-		{"version 6", append(word(indexMagic), word(6)...), "version 6: ", false},
+		{"version 5", append(word(indexMagic), word(5)...), "version 5: ", true},
+		{"version 7", append(word(indexMagic), word(7)...), "version 7: ", false},
 	} {
 		_, err := ReadEngine(bytes.NewReader(c.raw))
 		if !errors.Is(err, ErrIndexVersion) || errors.Is(err, ErrCorruptIndex) {

@@ -3,6 +3,8 @@ package gen
 import (
 	"sort"
 	"testing"
+
+	"bepi/internal/graph"
 )
 
 func TestRMATDeterministic(t *testing.T) {
@@ -150,6 +152,27 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 }
 
+// reachedUndirected counts the nodes a BFS from s reaches over
+// g.Undirected(nil): s's undirected component.
+func reachedUndirected(g *graph.Graph, s int) int {
+	und := g.Undirected(nil)
+	seen := make([]bool, g.N())
+	seen[s] = true
+	queue := []int{s}
+	for head := 0; head < len(queue); head++ {
+		out, inOnly := und.Neighbors(queue[head])
+		for _, list := range [2][]uint32{out, inOnly} {
+			for _, v := range list {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, int(v))
+				}
+			}
+		}
+	}
+	return len(queue)
+}
+
 func TestWattsStrogatz(t *testing.T) {
 	g := WattsStrogatz(241, 4, 0.1, 5)
 	if g.N() != 241 {
@@ -158,9 +181,8 @@ func TestWattsStrogatz(t *testing.T) {
 	if len(g.Deadends()) != 0 {
 		t.Fatal("WS graph should have no deadends")
 	}
-	_, sizes := g.UndirectedComponents()
-	if len(sizes) != 1 {
-		t.Fatalf("WS graph should be connected at beta=0.1, got %d components", len(sizes))
+	if reached := reachedUndirected(g, 0); reached != g.N() {
+		t.Fatalf("WS graph should be connected at beta=0.1, node 0 reaches %d of %d nodes", reached, g.N())
 	}
 }
 

@@ -144,39 +144,6 @@ func (g *Graph) Adjacency() *sparse.CSR {
 	return sparse.NewCSR(g.n, g.n, rowPtr, col, val)
 }
 
-// UndirectedComponents treats edges as undirected and returns the component
-// id of every node plus the component sizes. Component ids are assigned in
-// discovery (BFS from node 0 upward) order.
-func (g *Graph) UndirectedComponents() (compOf []int, sizes []int) {
-	und := g.Undirected(nil)
-	compOf = make([]int, g.n)
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	queue := make([]int, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if compOf[s] >= 0 {
-			continue
-		}
-		id := len(sizes)
-		queue = append(queue[:0], s)
-		compOf[s] = id
-		for head := 0; head < len(queue); head++ {
-			out, inOnly := und.Neighbors(queue[head])
-			for _, list := range [2][]uint32{out, inOnly} {
-				for _, v := range list {
-					if compOf[v] < 0 {
-						compOf[v] = id
-						queue = append(queue, int(v))
-					}
-				}
-			}
-		}
-		sizes = append(sizes, len(queue))
-	}
-	return compOf, sizes
-}
-
 // Undirected is the symmetric view of a directed graph, or of the subgraph
 // induced by a node subset, over 32-bit local ids (a node's position in the
 // subset). A node's neighbours are two unsorted lists: its induced

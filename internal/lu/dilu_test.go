@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -191,11 +190,15 @@ func TestDILUFactorization(t *testing.T) {
 // TestDILUStoresMatrixOnce: the factors are their matrix stored once.
 // Matrix gives FactorDILU's input back — same pattern (explicit zeros
 // kept), same values by Float64bits, including a diagonal the pivot
-// recurrence replaced — and WriteTo writes it in the factors' layout, 10
-// bytes an entry and 8 a row, which ReadDILU turns back into the same
-// factors bit for bit, across several chunks of the codec — unless its
-// diagonal holds a value no index's S has (−0 here), which ReadDILU
-// refuses. ILU(0) factors, which overwrite their matrix, refuse both.
+// recurrence replaced — and the encoder of WriterTo writes it in the
+// factors' layout, 2 bytes an entry and a bit, 8 a row, 8 a pivot and 8 a
+// value that is not its column's weight, which ReadDILU turns back into the
+// same factors bit for bit, across several chunks of the codec — unless a
+// diagonal entry or a pivot is a value no index's S has (−0, or a pivot
+// the recurrence drove negative here), which ReadDILU refuses. Each matrix
+// is written twice: under zero weights, which mark the +0 entries, and
+// under weights that mark many entries (sameWeights). ILU(0) factors, which
+// overwrite their matrix, refuse both calls.
 func TestDILUStoresMatrixOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	mats := []*sparse.CSR{
@@ -222,31 +225,36 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 		if !bitsEqual(m.Values(), a.Values()) {
 			t.Fatalf("matrix %d: reassembled values differ from the input's", mi)
 		}
-		var buf bytes.Buffer
-		n, err := f.WriteTo(&buf)
-		if err != nil || n != int64(buf.Len()) {
-			t.Fatalf("matrix %d: WriteTo = %d, %v; wrote %d", mi, n, err, buf.Len())
-		}
-		if want := 24 + 8*(a.Rows()+1) + 10*a.NNZ(); buf.Len() != want {
-			t.Fatalf("matrix %d: %d bytes, want %d", mi, buf.Len(), want)
-		}
-		back, err := ReadDILU(bytes.NewReader(buf.Bytes()))
-		if slices.ContainsFunc(f.ds, func(d float64) bool { return !(d > 0) }) {
-			if err == nil {
-				t.Fatalf("matrix %d: ReadDILU accepted the diagonal %v", mi, f.ds)
+		loadable := !slices.ContainsFunc(f.ds, func(d float64) bool { return !(d > 0) }) &&
+			!slices.ContainsFunc(pivotsOf(f), func(d float64) bool { return !(d > 0 && d <= math.MaxFloat64) })
+		for name, w := range map[string][]float64{"zero weights": zeroWeights(f), "same weights": sameWeights(a)} {
+			tag := fmt.Sprintf("matrix %d, %s", mi, name)
+			var buf bytes.Buffer
+			n, err := f.WriterTo(w).WriteTo(&buf)
+			if err != nil || n != int64(buf.Len()) {
+				t.Fatalf("%s: WriteTo = %d, %v; wrote %d", tag, n, err, buf.Len())
 			}
-			continue
+			if want := diluFileBytes(f, w); buf.Len() != want {
+				t.Fatalf("%s: %d bytes, want %d", tag, buf.Len(), want)
+			}
+			back, err := ReadDILU(bytes.NewReader(buf.Bytes()), w)
+			if !loadable {
+				if err == nil {
+					t.Fatalf("%s: ReadDILU accepted the diagonal %v, pivots %v", tag, f.ds, pivotsOf(f))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			requireSameFactors(t, tag, back, f)
 		}
-		if err != nil {
-			t.Fatalf("matrix %d: %v", mi, err)
-		}
-		requireSameFactors(t, fmt.Sprintf("matrix %d", mi), back, f)
 	}
 	f, err := FactorILU0(sparse.Identity(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, call := range map[string]func(){"Matrix": func() { f.Matrix() }, "WriteTo": func() { f.WriteTo(io.Discard) }} {
+	for name, call := range map[string]func(){"Matrix": func() { f.Matrix() }, "WriterTo": func() { f.WriterTo(make([]float64, 3)) }} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -256,6 +264,58 @@ func TestDILUStoresMatrixOnce(t *testing.T) {
 			call()
 		}()
 	}
+}
+
+// zeroWeights is a weight of 0 for each of f's columns.
+func zeroWeights(f *ILU) []float64 { return make([]float64, f.N()) }
+
+// sameWeights gives each column of a the value of its last off-diagonal
+// entry in row order, which marks it and every other entry of the column
+// with those Float64bits.
+func sameWeights(a *sparse.CSR) []float64 {
+	w := make([]float64, a.Cols())
+	col, val := a.ColIdx(), a.Values()
+	for i := 0; i < a.Rows(); i++ {
+		lo, hi := a.RowRange(i)
+		for p := lo; p < hi; p++ {
+			if col[p] != i {
+				w[col[p]] = val[p]
+			}
+		}
+	}
+	return w
+}
+
+// pivotsOf returns the pivots f holds at the leads of Û's rows.
+func pivotsOf(f *ILU) []float64 {
+	d := make([]float64, f.n)
+	for i := range d {
+		d[i] = f.u.val[f.u.rowPtr[i]]
+	}
+	return d
+}
+
+// diluFileBytes is the length of f's encoding under weights, from the
+// layout: the header, both row-pointer arrays, a column and a bit per entry
+// (each bitmap padded to a byte), a value per entry off the leads whose
+// Float64bits are not its column's weight and per lead, and the pivots.
+func diluFileBytes(f *ILU, weights []float64) int {
+	colBytes := 2
+	if !sparse.NarrowCols(f.n) {
+		colBytes = 4
+	}
+	m := f.Matrix()
+	col, val := m.ColIdx(), m.Values()
+	written := 0
+	for i := 0; i < f.n; i++ {
+		lo, hi := m.RowRange(i)
+		for p := lo; p < hi; p++ {
+			if col[p] == i || math.Float64bits(val[p]) != math.Float64bits(weights[col[p]]) {
+				written++
+			}
+		}
+	}
+	return 24 + 8*(f.n+1) + colBytes*m.NNZ() + (f.l.nnz()+7)/8 + (f.u.nnz()+7)/8 + 8*written + 8*f.n
 }
 
 // requireSameFactors fails unless got holds want's arrays exactly: pattern,
@@ -276,46 +336,64 @@ func requireSameFactors(t *testing.T, tag string, got, want *ILU) {
 // TestReadDILURejectsCorruptTriangles: a written factorization with one
 // index word overwritten — lengths kept consistent — is refused by the
 // triangle check, never turned into factors a sweep would read out of
-// bounds or out of order; a truncated one by the reader.
+// bounds or out of order; one with a bit of its bitmaps or a pivot
+// overwritten by the bitmap and pivot checks; a truncated one by the
+// reader.
 func TestReadDILURejectsCorruptTriangles(t *testing.T) {
 	f, err := FactorDILU(sparse.FromDense([][]float64{{4, 1, 0}, {2, 4, 1}, {0, 3, 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := zeroWeights(f)
 	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
+	if _, err := f.WriterTo(w).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	// L: rowPtr [0 0 1 2] at 24, uint16 col [0 1] at 40, val at 44; U:
-	// rowPtr [0 2 4 5] at 60, col [0 1 1 2 2] at 76.
-	const lPtr, lCol, uPtr, uCol = 24, 40, 60, 76
+	if _, err := ReadDILU(bytes.NewReader(valid), w); err != nil {
+		t.Fatal(err)
+	}
+	// L: rowPtr [0 0 1 2] at 24, uint16 col [0 1] at 40; U: rowPtr
+	// [0 2 4 5] at 44, col [0 1 1 2 2] at 60; one bitmap byte each at 70
+	// and 71, all clear; the 7 values at 72; the pivots at 128.
+	const lPtr, lCol, uPtr, uCol, lBits, uBits, pivots = 24, 40, 44, 60, 70, 71, 128
+	if len(valid) != pivots+3*8 {
+		t.Fatalf("fixture: %d bytes, want %d", len(valid), pivots+3*8)
+	}
 	for name, w := range map[string]struct {
-		off int
-		v   uint32
-		col bool // a 16-bit column word, else a 32-bit row pointer
+		off   int
+		v     uint64
+		width int // bytes overwritten, little-endian
 	}{
-		"L column on the diagonal": {lCol, 1, true},
-		"L column above":           {lCol + 2, 2, true},
-		"L rowPtr does not start":  {lPtr, 1, false},
-		"L rowPtr runs past":       {lPtr + 4, 3, false},
-		"U row leads off-diagonal": {uCol + 2*2, 2, true},
-		"U column out of range":    {uCol + 2, 3, true},
-		"U empty row":              {uPtr + 4, 0, false},
-		"U rowPtr negative":        {uPtr + 8, 1 << 31, false},
+		"L column on the diagonal": {lCol, 1, 2},
+		"L column above":           {lCol + 2, 2, 2},
+		"L rowPtr does not start":  {lPtr, 1, 4},
+		"L rowPtr runs past":       {lPtr + 4, 3, 4},
+		"U row leads off-diagonal": {uCol + 2*2, 2, 2},
+		"U column out of range":    {uCol + 2, 3, 2},
+		"U empty row":              {uPtr + 4, 0, 4},
+		"U rowPtr negative":        {uPtr + 8, 1 << 31, 4},
+		"L padding bit set":        {lBits, 1 << 2, 1},
+		"U lead bit set":           {uBits, 1 << 2, 1}, // U entry 2 leads row 1
+		"L value its weight":       {pivots - 7*8, 0, 8},
+		"pivot 0":                  {pivots + 8, 0, 8},
+		"pivot -1":                 {pivots + 8, math.Float64bits(-1), 8},
+		"pivot NaN":                {pivots + 8, math.Float64bits(math.NaN()), 8},
+		"pivot +Inf":               {pivots + 8, math.Float64bits(math.Inf(1)), 8},
 	} {
 		raw := append([]byte(nil), valid...)
-		if w.col {
-			binary.LittleEndian.PutUint16(raw[w.off:], uint16(w.v))
-		} else {
-			binary.LittleEndian.PutUint32(raw[w.off:], w.v)
-		}
-		if _, err := ReadDILU(bytes.NewReader(raw)); err == nil {
+		var word [8]byte
+		binary.LittleEndian.PutUint64(word[:], w.v)
+		copy(raw[w.off:w.off+w.width], word[:])
+		if _, err := ReadDILU(bytes.NewReader(raw), zeroWeights(f)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := ReadDILU(bytes.NewReader(valid[:len(valid)-1])); err == nil {
+	if _, err := ReadDILU(bytes.NewReader(valid[:len(valid)-1]), w); err == nil {
 		t.Error("truncated factors accepted")
+	}
+	if _, err := ReadDILU(bytes.NewReader(valid), make([]float64, 2)); err == nil {
+		t.Error("factors of 3 rows accepted with 2 column weights")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //   - FactorDILU, the diagonal ILU: A ≈ L̂·D⁻¹·Û with L̂ = D + L_A and
 //     Û = D + U_A — only the pivots D differ from A, the strict triangles
 //     are A's own. ds then holds A's own diagonal D_S, so the factors are A
-//     stored once: Matrix gives it back exactly, WriteTo writes it in the
+//     stored once: Matrix gives it back exactly, WriterTo writes it in the
 //     factors' own layout, and Eisenstat applies the preconditioned
 //     operator in one pass over them with K = 2D − D_S formed per row.
 //

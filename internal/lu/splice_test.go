@@ -105,12 +105,12 @@ func spliceBase(n int, seed int64) colMatrix {
 
 // requireSplicedEqual checks the splice of repl into base's factors against
 // the factors of the patched matrix built from scratch: every array by
-// Float64bits, and the bytes WriteTo writes.
+// Float64bits, and the bytes they are written as.
 func requireSplicedEqual(t *testing.T, tag string, base colMatrix, repl map[int]spliceCol) {
 	t.Helper()
 	f := base.factors(t)
 	before := new(bytes.Buffer)
-	if _, err := f.WriteTo(before); err != nil {
+	if _, err := f.WriterTo(zeroWeights(f)).WriteTo(before); err != nil {
 		t.Fatal(err)
 	}
 	want, cols := base.patched(repl)
@@ -122,17 +122,17 @@ func requireSplicedEqual(t *testing.T, tag string, base colMatrix, repl map[int]
 	ref := want.factors(t)
 	requireSameFactors(t, tag, got, ref)
 	var gb, wb bytes.Buffer
-	if _, err := got.WriteTo(&gb); err != nil {
+	if _, err := got.WriterTo(zeroWeights(got)).WriteTo(&gb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.WriteTo(&wb); err != nil {
+	if _, err := ref.WriterTo(zeroWeights(ref)).WriteTo(&wb); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
 		t.Fatalf("%s: the spliced factors write %d bytes unlike the reference's %d", tag, gb.Len(), wb.Len())
 	}
 	var after bytes.Buffer
-	if _, err := f.WriteTo(&after); err != nil {
+	if _, err := f.WriterTo(zeroWeights(f)).WriteTo(&after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {

@@ -32,8 +32,8 @@ func widthMatrix(n int, seed int64) *sparse.CSR {
 // matrix hold 16-bit columns, of a 65 537-row one 32-bit columns; at every
 // width the factors reassemble their matrix exactly, the one-pass operator
 // and its backward half are bit-identical to the wide reference, their bytes
-// are 10 (or 12) an entry, and a save/load round trip gives back the same
-// bytes.
+// are 10 (or 12) an entry, and a save/load round trip writes the bytes the
+// layout prescribes and gives back the same bytes.
 func TestDILUColumnWidthBoundary(t *testing.T) {
 	for _, n := range []int{1<<16 - 1, 1 << 16, 1<<16 + 1} {
 		a := widthMatrix(n, int64(n))
@@ -72,16 +72,19 @@ func TestDILUColumnWidthBoundary(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if _, err := f.WriteTo(&buf); err != nil {
+		if _, err := f.WriterTo(sameWeights(a)).WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadDILU(bytes.NewReader(buf.Bytes()))
+		if want := diluFileBytes(f, sameWeights(a)); buf.Len() != want {
+			t.Fatalf("n=%d: %d bytes written, want %d", n, buf.Len(), want)
+		}
+		back, err := ReadDILU(bytes.NewReader(buf.Bytes()), sameWeights(a))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		requireSameFactors(t, "round trip", back, f)
 		var again bytes.Buffer
-		if _, err := back.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		if _, err := back.WriterTo(sameWeights(a)).WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
 			t.Fatalf("n=%d: save → load → save changed the bytes (%v)", n, err)
 		}
 	}

@@ -3,12 +3,14 @@ package bepi_test
 import (
 	"bytes"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
 	"bepi"
 	"bepi/internal/core"
 	"bepi/internal/gen"
+	"bepi/internal/graph"
 )
 
 // Deterministic cost proxies of the index write path. Wall-clock claims
@@ -119,20 +121,30 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 		t.Errorf("Save allocated %d bytes, budget 512 KiB (it copies no array)", saveBytes)
 	}
 	// Load allocates every array once at its declared size and served
-	// width — the file is the index — plus the pivot recurrence's cursors and
-	// the one byte per node the permutation check marks: append-doubling the
-	// arrays, a wide copy of S, a second copy of S or an inverse permutation
-	// push it back up.
+	// width — the file is the index — plus the bitmaps of S's weight-valued
+	// entries and the one byte per node the permutation check marks:
+	// append-doubling the arrays, a wide copy of S, a second copy of S, a
+	// transient array for S's written values or an inverse permutation push
+	// it back up.
 	// poolSlack: under the race detector the codec's pool comes up empty for
 	// up to four of Load's array reads in the best of five runs (64 KiB
 	// each), which the 10% margin (245 KB) would not absorb.
 	if loadBytes > loadBudget+poolSlack {
 		t.Errorf("Load allocated %d B, budget %d B + %d B", loadBytes, loadBudget, poolSlack)
 	}
-	// The saved file is the index in the layout it is served from, without
-	// what loading derives from it (the pivots).
+	// The saved file is the index in the layout it is served from, less the
+	// values of S that are their column's weight — a bit each — and with
+	// S's pivots, so that loading derives nothing.
 	if int64(len(raw)) > mem {
 		t.Errorf("the saved file takes %d B, the index it loads into %d B", len(raw), mem)
+	}
+	f, nnzL, n2 := weightValuedEntries(eng.Internal(), gen.Hybrid(gen.DefaultHybrid(12, 14, 1)))
+	nnz := int64(eng.Internal().ILU().NNZ())
+	bitmaps := (nnzL+7)/8 + (nnz-nnzL+7)/8
+	t.Logf("S: %d of %d entries weight-valued, %d hubs", f, nnz, n2)
+	if want := fileBytesV5Fixture - 8*f + bitmaps + 8*n2; int64(len(raw)) != want {
+		t.Errorf("the saved file takes %d B, want %d: the version-5 file's %d B − 8 · %d weight-valued entries of S + %d B of bitmaps + 8 · %d pivots",
+			len(raw), want, fileBytesV5Fixture, f, bitmaps, n2)
 	}
 	// New: no edge-pair list, no H, no triplet list — H's blocks are built
 	// from the graph and S's columns scattered from fixed-size shards
@@ -142,6 +154,40 @@ func TestPreprocessingAllocBudget(t *testing.T) {
 	if newBytes > newBudget {
 		t.Errorf("New allocated %d B, budget %d B", newBytes, newBudget)
 	}
+}
+
+// weightValuedEntries counts, worked out from the graph and the engine's
+// ordering rather than from the file, the off-diagonal entries of S whose
+// Float64bits are those of their column's weight: −(1−c)/outdeg of the
+// column's hub when it has an out-neighbour outside the hubs, 0 otherwise.
+// It also returns S's strictly lower entry count and its order n2.
+func weightValuedEntries(e *core.Engine, g *graph.Graph) (weightValued, nnzL, n2 int64) {
+	ord := e.Ordering()
+	c := e.Options().C
+	w := make([]float64, ord.N2)
+	for j := range w {
+		u := ord.Inv[ord.N1+j]
+		for _, v := range g.OutNeighbors(u) {
+			if p := ord.Perm[v]; p < ord.N1 || p >= ord.N1+ord.N2 {
+				w[j] = -(1 - c) / float64(g.OutDegree(u))
+				break
+			}
+		}
+	}
+	s := e.Schur()
+	col, val := s.ColIdx(), s.Values()
+	for i := 0; i < s.Rows(); i++ {
+		lo, hi := s.RowRange(i)
+		for p := lo; p < hi; p++ {
+			if col[p] < i {
+				nnzL++
+			}
+			if j := col[p]; j != i && math.Float64bits(val[p]) == math.Float64bits(w[j]) {
+				weightValued++
+			}
+		}
+	}
+	return weightValued, nnzL, int64(ord.N2)
 }
 
 // TestApplyDeltaAllocBudget pins what BenchmarkApplyDelta's two deltas
@@ -200,7 +246,7 @@ func (s *growSink) Grow(n int) {
 
 const (
 	poolSlack             = 4 * 64 << 10
-	loadBudget            = 906_000   // measured 823 104 (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
+	loadBudget            = 906_000   // measured 834 904 with S's bitmaps and without the pivot recurrence's cursors, 833 240 with the cursors and no bitmaps (904 544 widening the permutation to ints and inverting it, 1 059 184 with 32-bit columns, 1 194 400 with the H blocks' values, 2 447 824 reading the wide version-1 layout)
 	applyDeltaBudget      = 1_117_000 // measured 1 015 048 (2 979 844 patching a wide copy of S with edits and factoring it again)
 	applyDeltaSpokeBudget = 2_057_000 // measured 1 870 384 (2 067 512 patching H's patterns through a wide copy with edits)
 	newBudget             = 2_975_000 // measured 2 704 448 at two workers (3 524 112 with SlashBurn on a merged 64-bit undirected view; 9 741 072 building the full H, partitioning it and summing S from triplets; 9 879 216 with 32-bit columns)
@@ -316,8 +362,11 @@ func TestQueryAllocBudget(t *testing.T) {
 }
 
 const (
-	indexBytesFixture = 740400
-	iluBytesBefore    = 743892 // level-ordered ILU(0) factors, compact; now 623 266
-	queryObjectBudget = 29     // measured 26; the commit before averaged 105
-	queryByteBudget   = 118000 // measured 107 280; the commit before averaged 385 007
+	// fileBytesV5Fixture is the fixture's index saved in format version 5:
+	// every value of S written, its pivots not.
+	fileBytesV5Fixture = 728176
+	indexBytesFixture  = 740400
+	iluBytesBefore     = 743892 // level-ordered ILU(0) factors, compact; now 623 266
+	queryObjectBudget  = 29     // measured 26; the commit before averaged 105
+	queryByteBudget    = 118000 // measured 107 280; the commit before averaged 385 007
 )
