@@ -2,7 +2,6 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -59,23 +58,6 @@ func sizeIdx(s Size) int {
 	default:
 		return 0
 	}
-}
-
-// SuiteGraph generates one suite dataset by name at the given size;
-// deterministic in the name.
-func SuiteGraph(name string, size Size) (Dataset, error) {
-	idx := sizeIdx(size)
-	for i, spec := range suiteSpecs {
-		if spec.name != name {
-			continue
-		}
-		if spec.scale[idx] == 0 {
-			return Dataset{}, fmt.Errorf("bench: dataset %s not present at size %s", name, size)
-		}
-		g := gen.Hybrid(gen.DefaultHybrid(spec.scale[idx], spec.ef[idx], int64(1000+i)))
-		return Dataset{Name: spec.name, G: g}, nil
-	}
-	return Dataset{}, fmt.Errorf("bench: unknown dataset %s", name)
 }
 
 // Suite generates the benchmark datasets at the given size, smallest first.
@@ -241,16 +223,6 @@ func RunOne(m method.Method, d Dataset, seeds []int) Result {
 		res.AvgIters = float64(iters) / float64(len(seeds))
 	}
 	return res
-}
-
-// PreprocessingMethods returns the methods compared in Figures 1(a)/1(b):
-// BePI and the preprocessing baselines.
-func PreprocessingMethods(cfg method.Config) []method.Method {
-	return []method.Method{
-		method.NewBePI(cfg),
-		method.NewBear(cfg),
-		method.NewLU(cfg),
-	}
 }
 
 // AllMethods returns the methods compared in Figure 1(c): the

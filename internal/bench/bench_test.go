@@ -25,22 +25,6 @@ func TestSuiteSizes(t *testing.T) {
 	}
 }
 
-func TestSuiteGraphLookup(t *testing.T) {
-	d, err := SuiteGraph("slashdot-syn", Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.G.N() != 128 {
-		t.Fatalf("N = %d", d.G.N())
-	}
-	if _, err := SuiteGraph("nope", Tiny); err == nil {
-		t.Fatal("expected error for unknown dataset")
-	}
-	if _, err := SuiteGraph("friendster-syn", Tiny); err == nil {
-		t.Fatal("expected error for dataset absent at tiny size")
-	}
-}
-
 func TestQuerySeedsDeterministic(t *testing.T) {
 	g := Suite(Tiny)[0].G
 	a := QuerySeeds(g, 5, 1)

@@ -171,9 +171,6 @@ func NewLocalBackend(name string, c *server.Core) *LocalBackend {
 // Name implements Backend.
 func (b *LocalBackend) Name() string { return b.name }
 
-// Core exposes the wrapped serving core (for tests and benches).
-func (b *LocalBackend) Core() *server.Core { return b.core }
-
 // Query implements Backend over the core's transport-agnostic query path.
 func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	resp, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full, Exact: exact})

@@ -257,24 +257,11 @@ type Engine struct {
 	// Same contract as iterHook: concurrent-safe and cheap.
 	kernelHook func(kernel string, seconds float64, bytes int64)
 
-	// bnd caches the seed-independent factor of the Theorem-4 accuracy
-	// bound, √((α‖H31‖+‖H32‖)² + α² + 1)/σmin(S): the norm and
-	// singular-value estimates behind it cost dozens of GMRES solves on S,
-	// so they run once per engine — lazily, under the Once — and every
-	// per-seed bound then just scales the factor by that seed's ‖q̃2‖.
-	// SetParallelism keeps it valid (the parallel kernels are
-	// bit-identical), and an engine swap replaces the whole Engine.
-	bndOnce   sync.Once
-	bndFactor float64
-	bndErr    error
-
 	// tk caches the calibrated ℓ∞ error-to-residual ratio the bounded
-	// top-k certificate scales per-iteration residuals by. Unlike the
-	// Theorem-4 ℓ2 envelope above (valid but orders too conservative for
-	// per-node gap tests at scale), it is measured: reference solves record
-	// the worst observed max-node score error per unit of true Schur
-	// residual, and topkBoundSafety inflates it at check time. Computed
-	// once per engine, lazily, under the Once.
+	// top-k certificate scales per-iteration residuals by. It is measured:
+	// reference solves record the worst observed max-node score error per
+	// unit of true Schur residual, and topkBoundSafety inflates it at check
+	// time. Computed once per engine, lazily, under the Once.
 	tkOnce   sync.Once
 	tkFactor float64
 	tkErr    error

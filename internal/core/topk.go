@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"time"
 
 	"bepi/internal/solver"
@@ -19,7 +20,7 @@ import (
 //	δ = topkBoundSafety · factor · residual · ‖q̃2‖₂
 //
 // where factor is the engine's calibrated ℓ∞ error-to-residual ratio
-// (topkFactor in bound.go): the worst per-node score error per unit of
+// (topkFactor below): the worst per-node score error per unit of
 // that same solver-reported residual metric, measured on instrumented
 // reference solves against the engine-tolerance solution. Every node's current score is then within
 // δ of its score in the vector Engine.TopK would rank: lower bound =
@@ -27,12 +28,14 @@ import (
 // bound clears the (k+1)-th's upper bound — i.e. the observed gap exceeds
 // 2δ — no further iteration can change WHICH k nodes win, only their exact
 // scores, so the solve halts and one ranking pass orders the candidates.
-// (The Theorem-4 ℓ2 envelope in bound.go would give an a-priori valid δ,
-// but at scale it is orders larger than real per-node errors and the
-// certificate would never fire; the calibrated ratio is the same quantity
-// measured instead of majorized.) Ties and near-uniform score
-// distributions never separate, in which case the solve simply runs to the
-// engine tolerance and the result is bit-identical to Engine.TopK.
+// (The Schur residual also gives a proven radius: every score's error is at
+// most ‖q̃2 − S·x‖₁ / c, because H's columns are diagonally dominant with
+// margin c. It first certifies about three iterations after the calibrated
+// δ on the benchmark graphs and costs a pass over S per check, so the
+// tests assert it and the solve stops on the calibration.) Ties and
+// near-uniform score distributions never separate, in which case the solve
+// simply runs to the engine tolerance and the result is bit-identical to
+// Engine.TopK.
 
 // topkBoundSafety inflates the calibrated radius. The factor behind it is
 // an empirical maximum over sampled reference solves, not an analytic
@@ -168,6 +171,105 @@ func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int,
 	stats.Stages.Back = time.Since(tBack)
 	stats.Duration = time.Since(start)
 	return top, r, stats, nil
+}
+
+// CalibrateBound forces the one-time calibration behind the bounded top-k
+// certificate: the empirical ℓ∞ error-to-residual ratio, measured on a
+// handful of instrumented reference solves. The bounded top-k path
+// calibrates lazily on its first query — services that care about
+// first-query latency call this during warmup instead.
+func (e *Engine) CalibrateBound() error {
+	_, err := e.topkFactor()
+	return err
+}
+
+// topkFactor returns the memoized calibrated ratio behind the bounded
+// top-k certificate: the largest observed per-node (ℓ∞) score error per
+// unit of the solver's reported residual times ‖q̃2‖, measured on
+// instrumented reference solves against the engine-tolerance solution.
+// Calibrating against the exact residual metric the solver hands every
+// probe (relative, and preconditioned when the engine runs ILU) makes the
+// per-iteration radius free at query time — no extra operator apply — and
+// folds the preconditioner's conditioning into the measured ratio. The
+// reference is exactly the vector Engine.TopK ranks, so a radius from this
+// factor bounds the quantity the set-equality contract actually depends
+// on. The calibrated ratio is sharp, and topkBoundSafety inflates it at
+// every check to absorb sampling error.
+func (e *Engine) topkFactor() (float64, error) {
+	e.tkOnce.Do(func() {
+		e.tkFactor, e.tkErr = e.computeTopKFactor()
+	})
+	return e.tkFactor, e.tkErr
+}
+
+// computeTopKFactor runs the instrumented reference solves behind
+// topkFactor. Only topkFactor (under its Once) calls it. A zero result
+// (trivial graph: every sampled solve converges in under two iterations)
+// disables the bounded path — there is nothing to save on such engines.
+func (e *Engine) computeTopKFactor() (float64, error) {
+	const (
+		calSamples  = 4     // nontrivial reference solves to calibrate on
+		calMaxSeeds = 16    // candidate seeds tried to find them
+		calMaxIters = 48    // iterates captured per solve
+		calFloor    = 1e-13 // errors at rounding level carry no signal
+		calSeedRNG  = 424242 + 7
+	)
+	if e.ord.n2 == 0 {
+		return 0, nil
+	}
+	ws := e.NewWorkspace()
+	ref := make([]float64, e.n)
+	cur := make([]float64, e.n)
+	rng := rand.New(rand.NewSource(calSeedRNG))
+	factor := 0.0
+	samples := 0
+	type calIter struct {
+		residual float64
+		x        []float64
+	}
+	for try := 0; try < calMaxSeeds && samples < calSamples; try++ {
+		seed := rng.Intn(e.n)
+		q := ws.unitQuery(seed)
+		e.permute(ws, q)
+		q[seed] = 0
+		e.forward(ws)
+		var iterates []calIter
+		probe := func(iter int, residual float64, iterate func() []float64) {
+			if len(iterates) < calMaxIters {
+				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
+			}
+		}
+		r2, st, err := e.runSchurSolve(ws, ws.qt2, solver.GMRESOptions{Probe: probe})
+		if err != nil {
+			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
+		}
+		if st.Iterations < 2 || len(iterates) == 0 {
+			continue
+		}
+		samples++
+		e.permutedScores(ws, r2, ref)
+		qt2Norm := vec.Norm2(ws.qt2)
+		for _, it := range iterates {
+			rn := it.residual * qt2Norm
+			if rn == 0 {
+				continue
+			}
+			e.permutedScores(ws, it.x, cur)
+			var errInf float64
+			for j := range cur {
+				if d := math.Abs(cur[j] - ref[j]); d > errInf {
+					errInf = d
+				}
+			}
+			if errInf <= calFloor {
+				continue
+			}
+			if r := errInf / rn; r > factor {
+				factor = r
+			}
+		}
+	}
+	return factor, nil
 }
 
 // tkChecker is the per-solve state of the bounded search: probe() turns

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bepi/internal/gen"
+	"bepi/internal/graph"
 )
 
 // assertSameTopKSet fails unless bounded and full name the same node set.
@@ -42,50 +43,44 @@ func assertSameTopKSet(t *testing.T, tag string, full, bounded []Ranked, checkOr
 // RMAT graph and on pathological near-uniform graphs (regular ring
 // lattices, where scores tie and the bound can never separate them), the
 // bounded search must return the identical top-k node set as Engine.TopK
-// for every k in {1, 10, 100}, across seeds.
+// for every k in {1, 10, 100}, across seeds. Both are also held to the
+// exact answer (ExactDense) through the full solve's proof radius ρ
+// (proofRadius): a node whose exact score clears the exact k/(k+1)
+// boundary by more than 2ρ must fall on the same side of it in the bounded
+// set; a node within 2ρ is a real tie and may fall on either side.
 func TestTopKBoundedEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
-		build func() *Engine
+		g     *graph.Graph
 		seeds []int
 	}{
-		{
-			name: "skewed-rmat",
-			build: func() *Engine {
-				g := gen.RMAT(gen.DefaultRMAT(9, 8, 42))
-				e, err := Preprocess(g, Options{Variant: VariantFull, HubRatio: 0.2})
-				if err != nil {
-					t.Fatalf("Preprocess: %v", err)
-				}
-				return e
-			},
-			seeds: []int{0, 7, 123, 400},
-		},
-		{
-			name: "near-uniform-ring",
-			build: func() *Engine {
-				// beta=0 Watts-Strogatz is a regular ring lattice: every
-				// node is symmetric, scores are near-uniform with massive
-				// tie classes — the adversarial case for a gap test.
-				g := gen.WattsStrogatz(300, 6, 0, 7)
-				e, err := Preprocess(g, Options{Variant: VariantFull, HubRatio: 0.2})
-				if err != nil {
-					t.Fatalf("Preprocess: %v", err)
-				}
-				return e
-			},
-			seeds: []int{0, 149},
-		},
+		{name: "skewed-rmat", g: gen.RMAT(gen.DefaultRMAT(9, 8, 42)), seeds: []int{0, 7, 123, 400}},
+		// beta=0 Watts-Strogatz is a regular ring lattice: every node is
+		// symmetric, scores are near-uniform with massive tie classes — the
+		// adversarial case for a gap test.
+		{name: "near-uniform-ring", g: gen.WattsStrogatz(300, 6, 0, 7), seeds: []int{0, 149}},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.build()
+			e, err := Preprocess(tc.g, Options{Variant: VariantFull, HubRatio: 0.2})
+			if err != nil {
+				t.Fatalf("Preprocess: %v", err)
+			}
 			if err := e.CalibrateBound(); err != nil {
 				t.Fatalf("CalibrateBound: %v", err)
 			}
-			sawEarlyStop := false
+			sawEarlyStop, ties := false, 0
 			for _, seed := range tc.seeds {
+				exact, err := ExactDense(tc.g, DefaultC, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, _, err := e.Query(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rho := proofRadius(e, seed, r)
 				for _, k := range []int{1, 10, 100} {
 					full, err := e.TopK(seed, k)
 					if err != nil {
@@ -108,14 +103,48 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 							}
 						}
 					}
+					ties += assertExactSides(t, tag, exact, bounded, seed, k, 2*rho+1e-12)
 					sawEarlyStop = sawEarlyStop || stats.EarlyStopped
 				}
 			}
+			t.Logf("%d nodes within 2ρ of a k/(k+1) boundary, unreached zero-score nodes included", ties)
 			if tc.name == "skewed-rmat" && !sawEarlyStop {
 				t.Fatalf("bounded search never early-stopped on the skewed graph — the fast path is dead")
 			}
 		})
 	}
+}
+
+// assertExactSides fails unless every node (seed excluded) whose exact
+// score clears the exact k/(k+1) boundary by more than margin falls on the
+// same side of it in the bounded set. It returns how many nodes lie within
+// margin — real ties, accepted on either side.
+func assertExactSides(t *testing.T, tag string, exact []float64, bounded []Ranked, seed, k int, margin float64) int {
+	t.Helper()
+	top := RankTopK(exact, k+1, seed)
+	if len(top) <= k {
+		return 0
+	}
+	kth, next := top[k-1].Score, top[k].Score
+	in := make(map[int]bool, len(bounded))
+	for _, r := range bounded {
+		in[r.Node] = true
+	}
+	ties := 0
+	for u, x := range exact {
+		switch {
+		case u == seed:
+		case x-next > margin && !in[u]:
+			t.Fatalf("%s: node %d scores %.6g, above the (k+1)-th exact score %.6g by more than %.3g, yet is not in the bounded set",
+				tag, u, x, next, margin)
+		case kth-x > margin && in[u]:
+			t.Fatalf("%s: node %d scores %.6g, below the k-th exact score %.6g by more than %.3g, yet is in the bounded set",
+				tag, u, x, kth, margin)
+		case x-next <= margin && kth-x <= margin:
+			ties++
+		}
+	}
+	return ties
 }
 
 // TestTopKBoundedParallelPool runs bounded queries concurrently on a

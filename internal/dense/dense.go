@@ -23,32 +23,6 @@ func New(r, c int) *Matrix {
 	return &Matrix{R: r, C: c, Data: make([]float64, r*c)}
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// FromRows builds a matrix from row slices (all the same length).
-func FromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	c := 0
-	if r > 0 {
-		c = len(rows[0])
-	}
-	m := New(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("dense: ragged row %d", i))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.C+j] }
 
@@ -100,31 +74,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// Transpose returns Mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			out.Data[j*m.R+i] = m.Data[i*m.C+j]
-		}
-	}
-	return out
-}
-
-// MaxAbsDiff returns max |m_ij − b_ij|; shapes must match.
-func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
-	if m.R != b.R || m.C != b.C {
-		panic("dense: MaxAbsDiff shape mismatch")
-	}
-	var mx float64
-	for i, v := range m.Data {
-		if d := math.Abs(v - b.Data[i]); d > mx {
-			mx = d
-		}
-	}
-	return mx
 }
 
 // LU factors a square matrix in place into L (unit lower, strict part) and U
@@ -183,32 +132,6 @@ func (m *Matrix) LUSolve(b []float64) {
 			s -= row[j] * b[j]
 		}
 		b[i] = s / row[i]
-	}
-}
-
-// LUSolveT solves (LU)ᵀx = b in place on b, where m holds packed LU
-// factors from LU(). Used for singular-value estimation, which needs
-// solves with the transpose.
-func (m *Matrix) LUSolveT(b []float64) {
-	n := m.R
-	if len(b) != n {
-		panic("dense: LUSolveT length mismatch")
-	}
-	// Forward: Uᵀ y = b (lower triangular with U's diagonal).
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= m.Data[j*n+i] * b[j]
-		}
-		b[i] = s / m.Data[i*n+i]
-	}
-	// Backward: Lᵀ x = y (unit upper triangular).
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.Data[j*n+i] * b[j]
-		}
-		b[i] = s
 	}
 }
 

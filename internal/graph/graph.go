@@ -246,30 +246,6 @@ func (g *Graph) Undirected(nodes []int) *Undirected {
 	return &Undirected{outPtr: outPtr, inPtr: inPtr, out: out, inOnly: in[:kept]}
 }
 
-// EdgePrefix returns the subgraph induced by the first m edges in (src, dst)
-// lexicographic order, over the same node set. This mirrors the paper's
-// scalability protocol of taking principal submatrices with a target edge
-// count (§4.4).
-func (g *Graph) EdgePrefix(m int) *Graph {
-	if m < 0 || m > g.M() {
-		panic(fmt.Sprintf("graph: EdgePrefix %d out of range [0,%d]", m, g.M()))
-	}
-	edges := g.Edges()[:m]
-	// Restrict to the principal submatrix: keep only nodes < maxNode+1 where
-	// maxNode is the largest endpoint referenced, matching the paper's
-	// "upper left part of the adjacency matrix" protocol.
-	maxNode := -1
-	for _, e := range edges {
-		if e.Src > maxNode {
-			maxNode = e.Src
-		}
-		if e.Dst > maxNode {
-			maxNode = e.Dst
-		}
-	}
-	return MustNew(maxNode+1, edges)
-}
-
 // NodePrefix returns the principal subgraph on nodes [0, x): the upper-left
 // part of the adjacency matrix, the paper's scalability protocol (§4.4).
 func (g *Graph) NodePrefix(x int) *Graph {
@@ -285,25 +261,6 @@ func (g *Graph) NodePrefix(x int) *Graph {
 		}
 	}
 	return MustNew(x, edges)
-}
-
-// InducedSubgraph returns the subgraph on the given nodes (relabelled
-// 0..len(nodes)-1 in the given order) keeping only edges with both endpoints
-// in the set.
-func (g *Graph) InducedSubgraph(nodes []int) *Graph {
-	newID := make(map[int]int, len(nodes))
-	for i, u := range nodes {
-		newID[u] = i
-	}
-	var edges []Edge
-	for _, u := range nodes {
-		for _, v := range g.OutNeighbors(u) {
-			if j, ok := newID[v]; ok {
-				edges = append(edges, Edge{newID[u], j})
-			}
-		}
-	}
-	return MustNew(len(nodes), edges)
 }
 
 // Relabel returns a graph in which old node i becomes perm[i].

@@ -124,21 +124,6 @@ func TestUndirectedComponents(t *testing.T) {
 	}
 }
 
-func TestEdgePrefix(t *testing.T) {
-	g := testGraph(t)
-	sub := g.EdgePrefix(3)
-	if sub.M() != 3 {
-		t.Fatalf("prefix M = %d", sub.M())
-	}
-	// First three edges lexicographically: (0,1),(0,2),(1,2) → max node 2.
-	if sub.N() != 3 {
-		t.Fatalf("prefix N = %d", sub.N())
-	}
-	if g.EdgePrefix(0).N() != 0 {
-		t.Fatal("empty prefix should have no nodes")
-	}
-}
-
 func TestNodePrefix(t *testing.T) {
 	g := testGraph(t)
 	sub := g.NodePrefix(3)
@@ -165,18 +150,6 @@ func TestNodePrefix(t *testing.T) {
 		}
 	}()
 	g.NodePrefix(g.N() + 1)
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := testGraph(t)
-	sub := g.InducedSubgraph([]int{2, 0, 1})
-	// Relabel: 2→0, 0→1, 1→2. Edges among {0,1,2}: (0,1),(0,2),(1,2),(2,0).
-	if sub.N() != 3 || sub.M() != 4 {
-		t.Fatalf("induced %v", sub)
-	}
-	if !sub.HasEdge(0, 1) { // old (2,0)
-		t.Fatal("missing relabelled edge")
-	}
 }
 
 func TestRelabel(t *testing.T) {

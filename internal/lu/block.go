@@ -221,27 +221,6 @@ func (b *BlockLU) SolvePool(x []float64, p *par.Pool) {
 	})
 }
 
-// SolveT solves the transposed block-diagonal system in place on x.
-func (b *BlockLU) SolveT(x []float64) {
-	if len(x) != b.N() {
-		panic(fmt.Sprintf("lu: BlockLU.SolveT length %d want %d", len(x), b.N()))
-	}
-	for i, f := range b.factors {
-		f.LUSolveT(x[b.offsets[i]:b.offsets[i+1]])
-	}
-}
-
-// SolveBlock solves only block i on the slice x, which must have the
-// block's length. Used when the right-hand side is known to be zero outside
-// a few blocks (sparse columns of H12).
-func (b *BlockLU) SolveBlock(i int, x []float64) {
-	lo, hi := b.BlockRange(i)
-	if len(x) != hi-lo {
-		panic(fmt.Sprintf("lu: SolveBlock length %d want %d", len(x), hi-lo))
-	}
-	b.factors[i].LUSolve(x)
-}
-
 // SolveSparse solves H11·x = col for a sparse right-hand side given as
 // (row index, value) pairs, writing the (block-dense) result through emit.
 // Only blocks containing a nonzero are solved; the scratch slice must have

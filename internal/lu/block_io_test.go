@@ -2,7 +2,6 @@ package lu
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -68,31 +67,6 @@ func TestReadBlockLURejectsTruncated(t *testing.T) {
 	for _, cut := range []int{5, len(raw) / 2, len(raw) - 3} {
 		if _, err := ReadBlockLU(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("expected error for cut at %d", cut)
-		}
-	}
-}
-
-func TestBlockLUSolveT(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 10; trial++ {
-		m, sizes := randBlockDiag(rng, 1+rng.Intn(5), 8)
-		f, err := FactorBlockDiag(m, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := m.Rows()
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = rng.NormFloat64()
-		}
-		// b = Aᵀ x  via MulVecT.
-		b := make([]float64, n)
-		m.MulVecT(b, xTrue)
-		f.SolveT(b)
-		for i := range b {
-			if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-				t.Fatalf("trial %d: SolveT[%d] = %v want %v", trial, i, b[i], xTrue[i])
-			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func TestFactorSparseDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.N() != 600 {
+	if f.n != 600 {
 		t.Fatal("factorization incomplete")
 	}
 }

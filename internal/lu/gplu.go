@@ -161,13 +161,6 @@ func FactorSparseDeadline(a *sparse.CSR, maxFill int, deadline time.Time) (*Spar
 	return f, nil
 }
 
-// N returns the dimension.
-func (f *SparseLU) N() int { return f.n }
-
-// NNZ returns the number of stored factor entries (L strict + U strict +
-// diagonal).
-func (f *SparseLU) NNZ() int { return len(f.li) + len(f.ui) + f.n }
-
 // Solve solves A x = b in place on b via column-oriented forward and
 // backward substitution.
 func (f *SparseLU) Solve(b []float64) {

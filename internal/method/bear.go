@@ -21,7 +21,6 @@ import (
 // what makes Bear fail on large graphs in the paper's Figure 1.
 type Bear struct {
 	cfg      Config
-	k        float64
 	n        int
 	ord      *reorder.Ordering
 	h11LU    *lu.BlockLU
@@ -31,11 +30,11 @@ type Bear struct {
 	prepTime time.Duration
 }
 
-// NewBear returns the Bear baseline with the paper's hub ratio k = 0.001.
-func NewBear(cfg Config) *Bear { return &Bear{cfg: cfg.withDefaults(), k: 0.001} }
+// bearHubRatio is the SlashBurn hub ratio the paper runs Bear with.
+const bearHubRatio = 0.001
 
-// SetHubRatio overrides the SlashBurn hub ratio before Preprocess.
-func (m *Bear) SetHubRatio(k float64) { m.k = k }
+// NewBear returns the Bear baseline with the paper's hub ratio k = 0.001.
+func NewBear(cfg Config) *Bear { return &Bear{cfg: cfg.withDefaults()} }
 
 // Name implements Method.
 func (m *Bear) Name() string { return "Bear" }
@@ -52,11 +51,8 @@ func (m *Bear) Preprocess(g *graph.Graph) error {
 		}
 		return nil
 	}
-	if err := reorder.CheckHubRatio(m.k); err != nil {
-		return err
-	}
 	m.n = g.N()
-	ord := reorder.HubAndSpoke(g, m.k)
+	ord := reorder.HubAndSpoke(g, bearHubRatio)
 	m.ord = ord
 	if err := deadline(); err != nil {
 		return err

@@ -161,9 +161,6 @@ func (b *BePI) MemoryBytes() int64 {
 	return b.engine.MemoryBytes()
 }
 
-// Engine exposes the underlying core engine (for stats-level experiments).
-func (b *BePI) Engine() *core.Engine { return b.engine }
-
 // classify maps budget errors from lower layers onto the method package's
 // outcome errors so the harness can label bars o.o.m. / o.o.t.
 func classify(err error) error {

@@ -66,37 +66,3 @@ func (e *Estimator) Query(seedNode, walks int) ([]float64, error) {
 	}
 	return r, nil
 }
-
-// TopK estimates the k highest-scoring nodes (excluding the seed).
-func (e *Estimator) TopK(seedNode, walks, k int) ([]Ranked, error) {
-	r, err := e.Query(seedNode, walks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, 0, k+1)
-	for node, s := range r {
-		if node == seedNode || s == 0 {
-			continue
-		}
-		pos := len(out)
-		for pos > 0 && (out[pos-1].Score < s || (out[pos-1].Score == s && out[pos-1].Node > node)) {
-			pos--
-		}
-		if pos >= k {
-			continue
-		}
-		out = append(out, Ranked{})
-		copy(out[pos+1:], out[pos:])
-		out[pos] = Ranked{Node: node, Score: s}
-		if len(out) > k {
-			out = out[:k]
-		}
-	}
-	return out, nil
-}
-
-// Ranked is a node with its estimated score.
-type Ranked struct {
-	Node  int
-	Score float64
-}

@@ -95,10 +95,11 @@ func TestTopKOverlapWithBePI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcTop, err := est.TopK(seedNode, 300_000, 10)
+	mcScores, err := est.Query(seedNode, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mcTop := core.RankTopK(mcScores, 10, seedNode)
 	want := map[int]bool{}
 	for _, r := range exactTop {
 		want[r.Node] = true

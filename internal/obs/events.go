@@ -61,23 +61,6 @@ func (l *EventLog) Record(kind, traceID string, fields map[string]string) {
 	l.ring[(seq-1)&l.mask].Store(ev)
 }
 
-// Count reports how many events were ever recorded (recorded, not
-// retained — the ring holds the most recent Capacity of them).
-func (l *EventLog) Count() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.seq.Load()
-}
-
-// Capacity returns the ring size (0 for a nil log).
-func (l *EventLog) Capacity() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.ring)
-}
-
 // Recent returns up to max events, newest first. Pass max ≤ 0 for the whole
 // ring. Taken under concurrent Record calls the result is a consistent
 // point-in-time sample: each returned event is whole, ordering is by

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Histogram is a lock-free fixed-bucket histogram. Bucket i counts values
@@ -51,9 +50,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Name returns the family name the histogram was built with.
 func (h *Histogram) Name() string {
@@ -189,14 +185,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		cum = next
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns Sum/Count, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // LogBuckets returns upper bounds log-spaced from lo up to at least hi with

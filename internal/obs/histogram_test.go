@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -31,7 +30,6 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1)
-	h.ObserveDuration(time.Second)
 	if s := h.Snapshot(); s.Count != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram must snapshot empty")
 	}
@@ -63,18 +61,6 @@ func TestHistogramQuantile(t *testing.T) {
 	o.Observe(5)
 	if got := o.Snapshot().Quantile(0.5); got != 1 {
 		t.Errorf("overflow quantile %v want 1", got)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram("m", []float64{10})
-	h.Observe(2)
-	h.Observe(4)
-	if got := h.Snapshot().Mean(); got != 3 {
-		t.Fatalf("mean %v", got)
-	}
-	if (HistSnapshot{}).Mean() != 0 {
-		t.Fatal("empty mean")
 	}
 }
 

@@ -137,9 +137,8 @@ type Options struct {
 // histogramFamilies is the observer's histogram set, one row per family:
 // its Observer field, Prometheus help text and bucket layout. New builds
 // the histograms from it (each named by its family), and the shard's metric
-// table and HistogramSnapshots read them through it. A merged family is
-// only meaningful because every process builds it over the identical
-// bucket layout.
+// table reads them through it. A merged family is only meaningful because
+// every process builds it over the identical bucket layout.
 var histogramFamilies = []struct {
 	name, help string
 	buckets    func() []float64
@@ -213,20 +212,4 @@ func (o *Observer) Metric(family, json string) Metric {
 		}
 	}
 	return m
-}
-
-// HistogramSnapshots exports every histogram the observer carries, keyed by
-// family name. Nil-valued histograms (and a nil observer) yield no entry —
-// absent, not zero.
-func (o *Observer) HistogramSnapshots() map[string]HistSnapshot {
-	out := make(map[string]HistSnapshot, len(histogramFamilies))
-	if o == nil {
-		return out
-	}
-	for _, f := range histogramFamilies {
-		if h := *f.field(o); h != nil {
-			out[f.name] = h.Snapshot()
-		}
-	}
-	return out
 }

@@ -27,14 +27,6 @@ func NewSlowLog(logger *slog.Logger, threshold time.Duration) *SlowLog {
 	return &SlowLog{log: logger, threshold: threshold}
 }
 
-// Threshold returns the configured threshold (0 for a nil log).
-func (s *SlowLog) Threshold() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.threshold
-}
-
 // Slow reports whether d crosses the threshold; false on a nil log, so the
 // caller only assembles the record's attributes for queries that will
 // actually be logged.

@@ -129,20 +129,3 @@ func TestMergeMetricsSnapshots(t *testing.T) {
 		t.Fatalf("counters must still merge: %d", merged.Counters["queries"])
 	}
 }
-
-func TestHistogramSnapshotsFamilies(t *testing.T) {
-	o := New(Options{})
-	o.QueryLatency.Observe(0.001)
-	o.Rebuild.Observe(1.5)
-	snaps := o.HistogramSnapshots()
-	if len(snaps) != 9 {
-		t.Fatalf("families: %d want 9", len(snaps))
-	}
-	if snaps[FamilyQueryLatency].Count != 1 || snaps[FamilyRebuild].Count != 1 {
-		t.Fatalf("family counts wrong: %+v", snaps)
-	}
-	var disabled *Observer
-	if got := disabled.HistogramSnapshots(); len(got) != 0 {
-		t.Fatalf("nil observer families: %d", len(got))
-	}
-}

@@ -167,15 +167,6 @@ func (t *Tracer) ByTraceID(id string, max int) []Trace {
 	return out
 }
 
-// Capacity returns the ring size (0 for a nil tracer) — the hard upper
-// bound on what Recent and ByTraceID can return.
-func (t *Tracer) Capacity() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ring)
-}
-
 // ActiveTrace is a trace being recorded. A small mutex guards the record:
 // the qexec path hands the trace between goroutines with happens-before
 // edges, but the cluster coordinator appends attempt spans from concurrent

@@ -304,37 +304,6 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *localOrder
 	return res
 }
 
-// DeadendOnly returns an ordering that only separates deadends (all
-// non-deadends form a single "hub" partition with N1 = 0). Used by tests
-// and by methods that do not exploit the hub-and-spoke structure.
-func DeadendOnly(g *graph.Graph) *Ordering {
-	n := g.N()
-	isDead := make([]bool, n)
-	for _, u := range g.Deadends() {
-		isDead[u] = true
-	}
-	perm := make([]int, n)
-	inv := make([]int, n)
-	lo, hi := 0, 0
-	for u := 0; u < n; u++ {
-		if !isDead[u] {
-			perm[u] = lo
-			lo++
-		}
-	}
-	hi = lo
-	for u := 0; u < n; u++ {
-		if isDead[u] {
-			perm[u] = hi
-			hi++
-		}
-	}
-	for old, nw := range perm {
-		inv[nw] = old
-	}
-	return &Ordering{Perm: perm, Inv: inv, N1: 0, N2: lo, N3: n - lo}
-}
-
 // ByDegree returns a permutation ordering nodes by ascending total degree
 // (in+out), the fill-reducing heuristic used by the LU-decomposition
 // baseline of Fujiwara et al.

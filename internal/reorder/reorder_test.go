@@ -127,21 +127,6 @@ func TestHubAndSpokeInvalidK(t *testing.T) {
 	}
 }
 
-func TestDeadendOnly(t *testing.T) {
-	g := graph.MustNew(4, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 3}})
-	o := DeadendOnly(g)
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if o.N3 != 2 || o.N2 != 2 || o.N1 != 0 {
-		t.Fatalf("got n1=%d n2=%d n3=%d", o.N1, o.N2, o.N3)
-	}
-	// Nodes 2, 3 are deadends; they must map to 2, 3 in some order.
-	if o.Perm[2] < 2 || o.Perm[3] < 2 {
-		t.Fatalf("deadends not in tail: %v", o.Perm)
-	}
-}
-
 func TestByDegree(t *testing.T) {
 	g := graph.MustNew(4, []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 0, Dst: 3},

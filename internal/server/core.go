@@ -109,9 +109,6 @@ func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 // Engine snapshots the currently serving engine.
 func (c *Core) Engine() *bepi.Engine { return c.eng.Load() }
 
-// Dynamic returns the underlying dynamic index, or nil for a static one.
-func (c *Core) Dynamic() *bepi.Dynamic { return c.dyn }
-
 // Executor exposes the execution subsystem (for bindings and tests).
 func (c *Core) Executor() *qexec.Executor { return c.exec }
 

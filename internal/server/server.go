@@ -103,9 +103,6 @@ func NewFromCore(c *Core) *Server {
 // Core exposes the transport-agnostic serving core.
 func (s *Server) Core() *Core { return s.core }
 
-// Dynamic returns the underlying dynamic index, or nil for a static one.
-func (s *Server) Dynamic() *bepi.Dynamic { return s.core.Dynamic() }
-
 // Executor exposes the execution subsystem (for tests and shutdown hooks).
 func (s *Server) Executor() *qexec.Executor { return s.core.Executor() }
 

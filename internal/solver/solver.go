@@ -350,8 +350,8 @@ type PowerOptions struct {
 
 // PowerIteration computes the RWR vector by iterating
 // r ← (1−c)·Ãᵀ·r + c·q until successive iterates differ by at most Tol.
-// at must multiply by Ãᵀ (use sparse.CSR.MulVec on the transposed matrix, or
-// wrap MulVecT). The returned vector is a fresh slice.
+// at must multiply by Ãᵀ (use sparse.CSR.MulVec on the transposed matrix).
+// The returned vector is a fresh slice.
 func PowerIteration(at Operator, q []float64, c float64, opts PowerOptions) ([]float64, Stats, error) {
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-9

@@ -155,9 +155,6 @@ func (l *layout32) Cols() int { return l.cols }
 // NNZ returns the number of stored entries.
 func (l *layout32) NNZ() int { return len(l.col16) + len(l.col32) }
 
-// Pool returns the attached pool (nil means serial).
-func (l *layout32) Pool() *par.Pool { return l.pool }
-
 // setPool attaches a pool and computes the row partition its kernels split
 // rows by, once.
 func (l *layout32) setPool(p *par.Pool) {

@@ -176,7 +176,7 @@ func TestValidate(t *testing.T) {
 func TestCSR32CompactPreservesPool(t *testing.T) {
 	pool := par.NewPool(4)
 	m := randBigCSR(300, 250, 5, 13).SetPool(pool)
-	if c := Compact(m); c.Pool() != pool {
+	if c := Compact(m); c.pool != pool {
 		t.Fatal("Compact dropped the pool")
 	}
 }

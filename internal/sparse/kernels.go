@@ -5,7 +5,7 @@ package sparse
 // layout compiles to the exact same operation sequence — that is the
 // bit-identity contract between them.
 //
-// GatherRow4 is the four-lane accumulation behind MulVec, AddMulVec and lu's
+// GatherRow4 is the four-lane accumulation behind MulVec and lu's
 // S·x: four independent accumulator lanes walk the row in stride-4 steps
 // (remainder entries fold into lane 0) and combine as (s0+s1)+(s2+s3). Breaking the single loop-carried FP-add chain is worth
 // ~2× on long rows; the lane order is part of the layout contract.

@@ -172,41 +172,6 @@ func (p *Pattern) MulVec(dst, z []float64) {
 	p.sumRange(dst, z, 0, p.rows)
 }
 
-func mulVecTScaled32[P int32 | int64, C uint16 | uint32](rows int, rowPtr []P, col []C, dst, w, x []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			j := col[k]
-			dst[j] += w[j] * xi
-		}
-	}
-}
-
-// MulVecTScaled computes dst = (P·diag(w))ᵀ·x, a serial scatter like
-// CSR32.MulVecT. Each entry adds its own product w[j]·x[i] — w is never
-// factored out of a column's sum, which would round differently.
-func (p *Pattern) MulVecTScaled(dst, w, x []float64) {
-	if len(dst) != p.cols || len(w) != p.cols || len(x) != p.rows {
-		panic(fmt.Sprintf("sparse: MulVecTScaled dims dst=%d w=%d x=%d want %d,%d,%d", len(dst), len(w), len(x), p.cols, p.cols, p.rows))
-	}
-	switch {
-	case p.rowPtr32 != nil && p.col16 != nil:
-		mulVecTScaled32(p.rows, p.rowPtr32, p.col16, dst, w, x)
-	case p.rowPtr32 != nil:
-		mulVecTScaled32(p.rows, p.rowPtr32, p.col32, dst, w, x)
-	case p.col16 != nil:
-		mulVecTScaled32(p.rows, p.rowPtr64, p.col16, dst, w, x)
-	default:
-		mulVecTScaled32(p.rows, p.rowPtr64, p.col32, dst, w, x)
-	}
-}
-
 // MemoryBytes reports the storage footprint: 2 or 4 bytes per column index
 // and 4 or 8 per row pointer. The weights are the caller's.
 func (p *Pattern) MemoryBytes() int64 { return p.indexBytes() }

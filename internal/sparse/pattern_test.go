@@ -7,26 +7,19 @@ import (
 	"bepi/internal/par"
 )
 
-// TestPatternScaledBitIdentical: the value-free kernels on a pattern and its
-// weights equal, by Float64bits, the valued kernels on the expanded matrix —
-// CSR32.MulVec, and for the transpose CSR.MulVecT — serially and on a
-// 4-worker pool, over the shapes of csr32Cases, and MulVecScaled leaves w∘x
-// in z for a second gather.
+// TestPatternScaledBitIdentical: the value-free kernel on a pattern and its
+// weights equals, by Float64bits, CSR32.MulVec on the expanded matrix,
+// serially and on a 4-worker pool, over the shapes of csr32Cases, and
+// MulVecScaled leaves w∘x in z for a second gather.
 func TestPatternScaledBitIdentical(t *testing.T) {
 	for name, m := range csr32Cases() {
 		t.Run(name, func(t *testing.T) {
 			rows, cols := m.Rows(), m.Cols()
 			w := randVec(cols, 5)
 			x := randVec(cols, 2)
-			xt := randVec(rows, 3)
-			for i := 0; i < len(xt); i += 5 {
-				xt[i] = 0 // exercise the scatter zero-skip on both sides
-			}
 			wide := PatternOf(m).Expand(w)
 			wantMul := make([]float64, rows)
 			Compact(wide).MulVec(wantMul, x)
-			wantT := make([]float64, cols)
-			wide.MulVecT(wantT, xt)
 
 			for _, workers := range []int{1, 4} {
 				p := PatternOf(m)
@@ -42,11 +35,6 @@ func TestPatternScaledBitIdentical(t *testing.T) {
 				p.MulVec(again, z)
 				if i, ok := bitsEqual(again, wantMul); !ok {
 					t.Fatalf("workers=%d MulVec over the scaled z differs at %d", workers, i)
-				}
-				gotT := make([]float64, cols)
-				p.MulVecTScaled(gotT, w, xt)
-				if i, ok := bitsEqual(gotT, wantT); !ok {
-					t.Fatalf("workers=%d MulVecTScaled differs at %d: %v vs %v", workers, i, gotT[i], wantT[i])
 				}
 			}
 		})

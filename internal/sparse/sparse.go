@@ -33,15 +33,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
-// Rows returns the number of rows.
-func (a *COO) Rows() int { return a.rows }
-
-// Cols returns the number of columns.
-func (a *COO) Cols() int { return a.cols }
-
-// NNZ returns the number of accumulated entries (duplicates included).
-func (a *COO) NNZ() int { return len(a.v) }
-
 // Reserve grows internal capacity to hold at least n entries.
 func (a *COO) Reserve(n int) {
 	if cap(a.v) >= n {
@@ -118,11 +109,11 @@ type CSR struct {
 const ParallelMinNNZ = 1 << 15
 
 // SetPool attaches a parallel pool to the matrix and returns it. With a
-// pool attached (and more than one worker), MulVec, MulVecT and AddMulVec
-// partition rows across the pool once the matrix has at least
-// ParallelMinNNZ stored entries. Each output element is still produced by
-// the unchanged serial per-row loop, so results are bit-identical to the
-// serial kernels at any worker count. A nil pool restores serial execution.
+// pool attached (and more than one worker), MulVec partitions rows across
+// the pool once the matrix has at least ParallelMinNNZ stored entries. Each
+// output element is still produced by the unchanged serial per-row loop, so
+// results are bit-identical to the serial kernel at any worker count. A nil
+// pool restores serial execution.
 func (m *CSR) SetPool(p *par.Pool) *CSR {
 	m.pool = p
 	m.bounds = nil
@@ -131,9 +122,6 @@ func (m *CSR) SetPool(p *par.Pool) *CSR {
 	}
 	return m
 }
-
-// Pool returns the attached pool (nil means serial).
-func (m *CSR) Pool() *par.Pool { return m.pool }
 
 // parBounds returns the row partition the apply kernels should run parallel
 // with, or nil to run serially (no pool, or too few entries to pay for the
@@ -325,7 +313,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 	m.mulVecRange(dst, x, 0, m.rows)
 }
 
-// mulVecRange is the gather loop behind MulVec and AddMulVec; the shared
+// mulVecRange is the gather loop behind MulVec; the shared
 // four-lane kernel (kernels.go) does the accumulation, so CSR and CSR32
 // run the exact same sequence — which is what keeps the two layouts
 // bit-identical.
@@ -333,46 +321,6 @@ func (m *CSR) mulVecRange(dst, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		start, end := m.rowPtr[i], m.rowPtr[i+1]
 		dst[i] = GatherRow4(m.col[start:end], m.val[start:end], x)
-	}
-}
-
-// MulVecT computes dst = Mᵀ·x. dst must have length Cols and x length
-// Rows; they must not alias. It is a serial scatter loop.
-func (m *CSR) MulVecT(dst, x []float64) {
-	if len(dst) != m.cols || len(x) != m.rows {
-		panic(fmt.Sprintf("sparse: MulVecT dims dst=%d x=%d want %d,%d", len(dst), len(x), m.cols, m.rows))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			dst[m.col[p]] += m.val[p] * xi
-		}
-	}
-}
-
-// AddMulVec computes dst += alpha · M·x. Row-partitioned like MulVec when
-// a pool is attached.
-func (m *CSR) AddMulVec(dst []float64, alpha float64, x []float64) {
-	if len(dst) != m.rows || len(x) != m.cols {
-		panic("sparse: AddMulVec dimension mismatch")
-	}
-	if bounds := m.parBounds(); bounds != nil {
-		m.pool.ForBounds(bounds, func(_, lo, hi int) { m.addMulVecRange(dst, alpha, x, lo, hi) })
-		return
-	}
-	m.addMulVecRange(dst, alpha, x, 0, m.rows)
-}
-
-func (m *CSR) addMulVecRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := m.rowPtr[i], m.rowPtr[i+1]
-		dst[i] += alpha * GatherRow4(m.col[start:end], m.val[start:end], x)
 	}
 }
 
@@ -401,14 +349,6 @@ func (m *CSR) Transpose() *CSR {
 	}
 	// Traversal by increasing row i keeps each output row sorted.
 	return &CSR{rows: m.cols, cols: m.rows, rowPtr: rowPtr, col: col, val: val}
-}
-
-// Scale multiplies all stored values by alpha in place and returns m.
-func (m *CSR) Scale(alpha float64) *CSR {
-	for i := range m.val {
-		m.val[i] *= alpha
-	}
-	return m
 }
 
 // Add returns M + B as a new matrix. Shapes must match.
@@ -509,40 +449,6 @@ func (m *CSR) DropZeros(tol float64) *CSR {
 	return m
 }
 
-// PermuteSym returns P·M·Pᵀ where the permutation maps old index i to new
-// index perm[i]; i.e. result[perm[i], perm[j]] = M[i, j]. M must be square
-// and perm a bijection on [0, n).
-func (m *CSR) PermuteSym(perm []int) *CSR {
-	if m.rows != m.cols {
-		panic("sparse: PermuteSym requires a square matrix")
-	}
-	if len(perm) != m.rows {
-		panic(fmt.Sprintf("sparse: perm length %d want %d", len(perm), m.rows))
-	}
-	n := m.rows
-	nnz := m.NNZ()
-	rowPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		rowPtr[perm[i]+1] = m.rowPtr[i+1] - m.rowPtr[i]
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	col := make([]int, nnz)
-	val := make([]float64, nnz)
-	for i := 0; i < n; i++ {
-		q := rowPtr[perm[i]]
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			col[q] = perm[m.col[p]]
-			val[q] = m.val[p]
-			q++
-		}
-	}
-	out := &CSR{rows: n, cols: n, rowPtr: rowPtr, col: col, val: val}
-	out.sortRowsAndMerge()
-	return out
-}
-
 // Block returns the dense-index submatrix M[r0:r1, c0:c1] as a new CSR
 // matrix of shape (r1−r0)×(c1−c0). Intended for extracting the contiguous
 // partitions H11, H12, ... after node reordering.
@@ -617,17 +523,6 @@ func (m *CSR) Partition(rowCuts, colCuts []int) [][]*CSR {
 	return out
 }
 
-// RowSums returns the vector of row sums.
-func (m *CSR) RowSums() []float64 {
-	s := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s[i] += m.val[p]
-		}
-	}
-	return s
-}
-
 // RowNormalize divides each nonempty row by its sum in place and returns m.
 // Rows whose sum is zero are left untouched (deadend rows).
 func (m *CSR) RowNormalize() *CSR {
@@ -645,38 +540,6 @@ func (m *CSR) RowNormalize() *CSR {
 		}
 	}
 	return m
-}
-
-// Diag returns the diagonal as a dense vector (square matrices only).
-func (m *CSR) Diag() []float64 {
-	if m.rows != m.cols {
-		panic("sparse: Diag requires a square matrix")
-	}
-	d := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		d[i] = m.At(i, i)
-	}
-	return d
-}
-
-// MaxAbs returns the largest absolute stored value (0 for empty matrices).
-func (m *CSR) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.val {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// FrobeniusNorm returns sqrt(sum of squared entries).
-func (m *CSR) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.val {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MemoryBytes reports the storage footprint of the matrix: 8 bytes per
@@ -711,8 +574,12 @@ func (m *CSR) AlmostEqual(b *CSR, tol float64) bool {
 	if m.rows != b.rows || m.cols != b.cols {
 		return false
 	}
-	d := m.Sub(b)
-	return d.MaxAbs() <= tol
+	for _, v := range m.Sub(b).val {
+		if math.Abs(v) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 // String returns a short shape/nnz description.

@@ -108,27 +108,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulVecTMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		rows, cols := 1+rng.Intn(30), 1+rng.Intn(30)
-		m := randCSR(rng, rows, cols, 0.3)
-		x := make([]float64, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		got := make([]float64, cols)
-		m.MulVecT(got, x)
-		want := make([]float64, cols)
-		m.Transpose().MulVec(want, x)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("trial %d: MulVecT[%d] = %v, want %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
@@ -149,13 +128,8 @@ func TestAddSubScale(t *testing.T) {
 	if !diff.AlmostEqual(a, 1e-12) {
 		t.Fatal("(a+b)-b != a")
 	}
-	zero := a.Sub(a)
-	if zero.MaxAbs() != 0 {
+	if !a.Sub(a).AlmostEqual(NewCOO(20, 15).ToCSR(), 0) {
 		t.Fatal("a-a != 0")
-	}
-	scaled := a.Clone().Scale(2)
-	if !scaled.AlmostEqual(a.Add(a), 1e-12) {
-		t.Fatal("2a != a+a")
 	}
 }
 
@@ -177,26 +151,6 @@ func TestMulMatchesDense(t *testing.T) {
 					t.Fatalf("trial %d: C[%d][%d] = %v, want %v", trial, i, j, dc[i][j], want)
 				}
 			}
-		}
-	}
-}
-
-func TestPermuteSym(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(30)
-		m := randCSR(rng, n, n, 0.3)
-		perm := rng.Perm(n)
-		p := m.PermuteSym(perm)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if got, want := p.At(perm[i], perm[j]), m.At(i, j); got != want {
-					t.Fatalf("trial %d: P[%d][%d] = %v, want %v", trial, perm[i], perm[j], got, want)
-				}
-			}
-		}
-		if p.NNZ() != m.NNZ() {
-			t.Fatalf("permutation changed nnz: %d vs %d", p.NNZ(), m.NNZ())
 		}
 	}
 }
@@ -230,7 +184,8 @@ func TestRowNormalize(t *testing.T) {
 	coo.Add(2, 2, 5)
 	// Row 1 is empty (deadend-like) and must stay empty.
 	m := coo.ToCSR().RowNormalize()
-	sums := m.RowSums()
+	sums := make([]float64, 3)
+	m.MulVec(sums, []float64{1, 1, 1})
 	if math.Abs(sums[0]-1) > 1e-15 || sums[1] != 0 || math.Abs(sums[2]-1) > 1e-15 {
 		t.Fatalf("row sums after normalize: %v", sums)
 	}
@@ -250,66 +205,17 @@ func TestDropZeros(t *testing.T) {
 	}
 }
 
-func TestAddMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	m := randCSR(rng, 12, 9, 0.4)
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	dst := make([]float64, 12)
-	for i := range dst {
-		dst[i] = float64(i)
-	}
-	want := make([]float64, 12)
-	copy(want, dst)
-	mx := make([]float64, 12)
-	m.MulVec(mx, x)
-	for i := range want {
-		want[i] += 2.5 * mx[i]
-	}
-	m.AddMulVec(dst, 2.5, x)
-	for i := range dst {
-		if math.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Fatalf("AddMulVec[%d] = %v want %v", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestRowSums(t *testing.T) {
-	m := FromDense([][]float64{{1, 2, 0}, {0, 0, 0}, {-1, 0, 4}})
-	s := m.RowSums()
-	if s[0] != 3 || s[1] != 0 || s[2] != 3 {
-		t.Fatalf("RowSums = %v", s)
-	}
-}
-
 func TestReserveAndNNZ(t *testing.T) {
 	coo := NewCOO(3, 3)
 	coo.Reserve(10)
 	coo.Add(0, 0, 1)
 	coo.Add(1, 1, 1)
-	if coo.NNZ() != 2 || coo.Rows() != 3 || coo.Cols() != 3 {
+	if len(coo.v) != 2 || coo.rows != 3 || coo.cols != 3 {
 		t.Fatal("COO accounting wrong")
 	}
 	coo.Reserve(4) // shrinking request is a no-op
-	if coo.NNZ() != 2 {
+	if len(coo.v) != 2 {
 		t.Fatal("Reserve lost entries")
-	}
-}
-
-func TestDiagAndNorms(t *testing.T) {
-	m := FromDense([][]float64{{3, 0, -4}, {0, 5, 0}, {1, 0, 2}})
-	d := m.Diag()
-	if d[0] != 3 || d[1] != 5 || d[2] != 2 {
-		t.Fatalf("Diag = %v", d)
-	}
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v", m.MaxAbs())
-	}
-	want := math.Sqrt(9 + 16 + 25 + 1 + 4)
-	if math.Abs(m.FrobeniusNorm()-want) > 1e-12 {
-		t.Fatalf("FrobeniusNorm = %v, want %v", m.FrobeniusNorm(), want)
 	}
 }
 
@@ -358,41 +264,6 @@ func TestQuickMulAssociativity(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PermuteSym with a random permutation preserves MulVec up to
-// permutation of the coordinates.
-func TestQuickPermutePreservesAction(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(15)
-		a := randCSR(r, n, n, 0.4)
-		perm := r.Perm(n)
-		p := a.PermuteSym(perm)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		// y = A x, then permuted: y'[perm[i]] should equal (P A Pᵀ)(x')[perm[i]]
-		// where x'[perm[i]] = x[i].
-		xp := make([]float64, n)
-		for i := range x {
-			xp[perm[i]] = x[i]
-		}
-		y := make([]float64, n)
-		a.MulVec(y, x)
-		yp := make([]float64, n)
-		p.MulVec(yp, xp)
-		for i := range y {
-			if math.Abs(yp[perm[i]]-y[i]) > 1e-10 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

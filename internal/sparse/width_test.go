@@ -32,13 +32,11 @@ func TestCSR32PatternColumnWidthBoundary(t *testing.T) {
 		m := widthCase(6000, cols, int64(cols)) // 42 000 entries: past ParallelMinNNZ
 		narrow := cols <= 1<<16
 		x, w := randVec(cols, 1), randVec(cols, 2)
-		xt := randVec(m.rows, 3)
 		wantMul := make([]float64, m.rows)
 		m.MulVec(wantMul, x)
 		wide := PatternOf(m).Expand(w)
-		wantScaled, wantT := make([]float64, m.rows), make([]float64, cols)
+		wantScaled := make([]float64, m.rows)
 		wide.MulVec(wantScaled, x)
-		wide.MulVecT(wantT, xt)
 
 		for _, workers := range []int{1, 3} {
 			c, p := Compact(m), PatternOf(m)
@@ -58,11 +56,6 @@ func TestCSR32PatternColumnWidthBoundary(t *testing.T) {
 			p.MulVecScaled(got, z, w, x)
 			if i, ok := bitsEqual(got, wantScaled); !ok {
 				t.Fatalf("%d columns, workers=%d: MulVecScaled differs at %d", cols, workers, i)
-			}
-			gotT := make([]float64, cols)
-			p.MulVecTScaled(gotT, w, xt)
-			if i, ok := bitsEqual(gotT, wantT); !ok {
-				t.Fatalf("%d columns, workers=%d: MulVecTScaled differs at %d", cols, workers, i)
 			}
 		}
 

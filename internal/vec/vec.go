@@ -37,26 +37,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormInf returns the max-abs entry of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm1 returns the sum of absolute entries of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // AXPY computes y += alpha·x in place.
 func AXPY(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -74,14 +54,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("vec: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
 // Sub computes dst = x − y.
 func Sub(dst, x, y []float64) {
 	if len(dst) != len(x) || len(x) != len(y) {
@@ -89,23 +61,6 @@ func Sub(dst, x, y []float64) {
 	}
 	for i := range dst {
 		dst[i] = x[i] - y[i]
-	}
-}
-
-// Add computes dst = x + y.
-func Add(dst, x, y []float64) {
-	if len(dst) != len(x) || len(x) != len(y) {
-		panic("vec: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] + y[i]
-	}
-}
-
-// Zero sets every entry of x to 0.
-func Zero(x []float64) {
-	for i := range x {
-		x[i] = 0
 	}
 }
 

@@ -23,12 +23,6 @@ func TestNorms(t *testing.T) {
 	if !almostEq(Norm2(x), 5, 1e-15) {
 		t.Fatalf("Norm2 = %v", Norm2(x))
 	}
-	if NormInf(x) != 4 {
-		t.Fatalf("NormInf = %v", NormInf(x))
-	}
-	if Norm1(x) != 7 {
-		t.Fatalf("Norm1 = %v", Norm1(x))
-	}
 	if Norm2(nil) != 0 {
 		t.Fatal("Norm2(nil) != 0")
 	}
@@ -55,18 +49,10 @@ func TestAXPYScaleCopySubAdd(t *testing.T) {
 	if y[2] != 3.5 {
 		t.Fatalf("Scale = %v", y)
 	}
-	dst := make([]float64, 3)
-	Copy(dst, y)
-	if dst[0] != 1.5 {
-		t.Fatalf("Copy = %v", dst)
-	}
+	dst := []float64{1, 1, 1}
 	Sub(dst, y, y)
 	if Norm2(dst) != 0 {
 		t.Fatalf("Sub(y,y) = %v", dst)
-	}
-	Add(dst, y, y)
-	if dst[0] != 3 {
-		t.Fatalf("Add = %v", dst)
 	}
 }
 
@@ -77,10 +63,6 @@ func TestZeroSumDist(t *testing.T) {
 	}
 	if !almostEq(Dist2([]float64{0, 0}, []float64{3, 4}), 5, 1e-15) {
 		t.Fatal("Dist2 wrong")
-	}
-	Zero(x)
-	if Sum(x) != 0 {
-		t.Fatal("Zero failed")
 	}
 }
 
@@ -97,7 +79,6 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 	cases := []func(){
 		func() { Dot([]float64{1}, []float64{1, 2}) },
 		func() { AXPY(1, []float64{1}, []float64{1, 2}) },
-		func() { Copy([]float64{1}, []float64{1, 2}) },
 		func() { Sub([]float64{1}, []float64{1}, []float64{1, 2}) },
 		func() { Dist2([]float64{1}, []float64{1, 2}) },
 	}
@@ -141,7 +122,9 @@ func TestQuickTriangleInequality(t *testing.T) {
 		for i := range x {
 			x[i], y[i] = r.NormFloat64(), r.NormFloat64()
 		}
-		Add(s, x, y)
+		for i := range s {
+			s[i] = x[i] + y[i]
+		}
 		return Norm2(s) <= Norm2(x)+Norm2(y)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
