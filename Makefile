@@ -71,9 +71,10 @@ race:
 # (every column computed once into per-worker shards, scattered into the
 # DILU triangles, against the triplet-summed reference at 1 and 4 workers),
 # and S held as those triangles by every variant (S·x read off them on a
-# pool, a delta's columns spliced into them row by row).
+# pool, a delta's columns spliced into them row by row), and H11's block LU
+# as one array (pooled solves on it while a refactor builds a patched copy).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \

@@ -1,8 +1,8 @@
 // Community detection: find the local community around a seed node with a
-// conductance sweep over the RWR ranking (the Andersen–Chung–Lang pattern
-// the paper cites for RWR-based community detection). The graph is a
-// planted-partition network, so the recovered community can be checked
-// against the ground truth.
+// conductance sweep over the RWR ranking (apps.LocalCommunity, the
+// Andersen–Chung–Lang pattern the paper cites for RWR-based community
+// detection). The graph is a planted-partition network, so the recovered
+// community can be checked against the ground truth.
 //
 //	go run ./examples/community
 package main
@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
 
 	"bepi"
+	"bepi/apps"
 )
 
 const (
@@ -36,71 +36,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scores, err := eng.Query(seedNode)
+	// Degree-normalized sweep: order nodes by score/degree and cut where
+	// conductance is minimal, over sets of at least 5 nodes.
+	c, err := apps.LocalCommunity(eng, g, seedNode, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Degree-normalized sweep: order nodes by score/degree and cut where
-	// conductance is minimal.
-	type cand struct {
-		node int
-		val  float64
-	}
-	var order []cand
-	for u := 0; u < g.N(); u++ {
-		d := g.OutDegree(u)
-		if d == 0 || scores[u] <= 0 {
-			continue
-		}
-		order = append(order, cand{u, scores[u] / float64(d)})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].val > order[j].val })
-
-	totalVol := 0
-	for u := 0; u < g.N(); u++ {
-		totalVol += g.OutDegree(u)
-	}
-	inSet := make([]bool, g.N())
-	vol, cut := 0, 0
-	bestPhi, bestSize := 2.0, 0
-	for i, c := range order {
-		u := c.node
-		inSet[u] = true
-		vol += g.OutDegree(u)
-		for _, v := range g.OutNeighbors(u) {
-			if inSet[v] {
-				cut-- // this edge is now internal
-			} else {
-				cut++
-			}
-		}
-		if vol == 0 || vol == totalVol {
-			continue
-		}
-		denom := vol
-		if totalVol-vol < denom {
-			denom = totalVol - vol
-		}
-		phi := float64(cut) / float64(denom)
-		if i >= 4 && phi < bestPhi { // require a non-trivial set
-			bestPhi, bestSize = phi, i+1
-		}
-	}
-
-	community := map[int]bool{}
-	for _, c := range order[:bestSize] {
-		community[c.node] = true
-	}
 	correct := 0
-	for u := range community {
+	for _, u := range c.Members {
 		if u/groupSize == seedNode/groupSize {
 			correct++
 		}
 	}
-	fmt.Printf("sweep cut: community of %d nodes with conductance %.3f\n", bestSize, bestPhi)
+	size := len(c.Members)
+	fmt.Printf("sweep cut: community of %d nodes with conductance %.3f\n", size, c.Conductance)
 	fmt.Printf("precision vs planted group: %.1f%% (%d/%d in the seed's group of %d)\n",
-		100*float64(correct)/float64(bestSize), correct, bestSize, groupSize)
+		100*float64(correct)/float64(size), correct, size, groupSize)
 }
 
 // planted builds a directed planted-partition graph (edges added both ways).

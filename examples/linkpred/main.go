@@ -1,7 +1,8 @@
 // Link prediction: hide a fraction of a graph's edges, rank candidate
 // endpoints by RWR score, and measure how often a hidden edge appears in
-// the top-k — one of the RWR applications (Backstrom & Leskovec) the
-// paper's introduction motivates. A random ranker is the control.
+// the top-k (apps.Recommender.EvaluateHoldout) — one of the RWR
+// applications (Backstrom & Leskovec) the paper's introduction motivates.
+// A random ranker is the control.
 //
 //	go run ./examples/linkpred
 package main
@@ -12,6 +13,7 @@ import (
 	"math/rand"
 
 	"bepi"
+	"bepi/apps"
 )
 
 const (
@@ -29,9 +31,8 @@ func main() {
 	// Hold out one out-edge from each evaluated node (only nodes with
 	// enough neighbors, so the train graph keeps them connected).
 	edges := full.Edges()
-	type hidden struct{ src, dst int }
-	var tests []hidden
-	hiddenSet := map[hidden]bool{}
+	var tests []bepi.Edge
+	hiddenSet := map[bepi.Edge]bool{}
 	perm := rng.Perm(full.N())
 	for _, u := range perm {
 		if len(tests) >= evalNodes {
@@ -45,7 +46,7 @@ func main() {
 		if u == v {
 			continue
 		}
-		h := hidden{u, v}
+		h := bepi.Edge{Src: u, Dst: v}
 		if !hiddenSet[h] {
 			hiddenSet[h] = true
 			tests = append(tests, h)
@@ -53,7 +54,7 @@ func main() {
 	}
 	var trainEdges []bepi.Edge
 	for _, e := range edges {
-		if !hiddenSet[hidden{e.Src, e.Dst}] {
+		if !hiddenSet[e] {
 			trainEdges = append(trainEdges, e)
 		}
 	}
@@ -68,38 +69,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rwrHits, randHits := 0, 0
+	rec, err := apps.NewRecommender(eng, train)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := rec.EvaluateHoldout(tests, topK)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rwrHits, randHits := res.Hits, 0
 	for _, h := range tests {
-		scores, err := eng.Query(h.src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Candidates: every node that is not already a neighbor.
-		cand := scores[:len(scores):len(scores)]
-		hit := false
-		rank := 0
-		for node, s := range cand {
-			if node == h.src || train.HasEdge(h.src, node) {
-				continue
-			}
-			if node == h.dst {
-				continue
-			}
-			if s > scores[h.dst] {
-				rank++
-				if rank >= topK {
-					break
-				}
-			}
-		}
-		if rank < topK {
-			hit = true
-		}
-		if hit {
-			rwrHits++
-		}
 		// Random control: top-k out of all non-neighbors.
-		nonNbrs := full.N() - train.OutDegree(h.src) - 1
+		nonNbrs := full.N() - train.OutDegree(h.Src) - 1
 		if nonNbrs > 0 && rng.Float64() < float64(topK)/float64(nonNbrs) {
 			randHits++
 		}

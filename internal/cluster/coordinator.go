@@ -29,31 +29,34 @@ var (
 	ErrGenerationMix = errors.New("cluster: partial results span index generations, refusing to merge")
 )
 
-// Config tunes the coordinator. Zero values select defaults.
+// The coordinator's fixed health and retry policy.
+const (
+	// failThreshold is how many consecutive probe failures eject a replica
+	// from the ring.
+	failThreshold = 3
+	// readmitThreshold is how many consecutive probe successes readmit an
+	// ejected replica.
+	readmitThreshold = 2
+	// retryBackoff is the base wait before each retry, doubling per
+	// attempt; a replica's Retry-After hint overrides it when longer. The
+	// wait honors the caller's context.
+	retryBackoff = 5 * time.Millisecond
+	// attemptTimeout bounds each replica attempt. A timed-out attempt
+	// counts as a retryable replica failure (504), not a caller
+	// cancellation.
+	attemptTimeout = 10 * time.Second
+)
+
+// Config tunes the coordinator. Zero values select defaults. Each replica
+// owns DefaultVnodes points of the ring.
 type Config struct {
-	// Vnodes is the virtual-node count per replica (default DefaultVnodes).
-	Vnodes int
 	// HealthInterval is the probe period of the background health checker
 	// (default 2s; negative disables the background loop — probes then run
 	// only via CheckNow, which tests use for determinism).
 	HealthInterval time.Duration
-	// FailThreshold is how many consecutive probe failures eject a replica
-	// from the ring (default 3).
-	FailThreshold int
-	// ReadmitThreshold is how many consecutive probe successes readmit an
-	// ejected replica (default 2).
-	ReadmitThreshold int
 	// Retries bounds how many ring successors a failed query is retried on
 	// (default 2; 0 disables retry).
 	Retries int
-	// RetryBackoff is the base wait before each retry, doubling per
-	// attempt; a replica's Retry-After hint overrides it when longer
-	// (default 5ms). The wait honors the caller's context.
-	RetryBackoff time.Duration
-	// AttemptTimeout bounds each replica attempt (default 10s). A timed-out
-	// attempt counts as a retryable replica failure (504), not a caller
-	// cancellation.
-	AttemptTimeout time.Duration
 	// Obs is the coordinator's observability bundle: its tracer opens the
 	// root span of every distributed trace (replicas attach under it via
 	// the propagated X-Bepi-Trace context), and its flight recorder logs
@@ -64,28 +67,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Vnodes <= 0 {
-		c.Vnodes = DefaultVnodes
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.ReadmitThreshold <= 0 {
-		c.ReadmitThreshold = 2
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 10 * time.Second
 	}
 	if c.Obs == nil {
 		c.Obs = obs.New(obs.Options{TraceSample: qexec.DefaultTraceSample})
@@ -180,7 +168,7 @@ func New(backends []Backend, cfg Config) (*Coordinator, error) {
 		c.names = append(c.names, b.Name())
 	}
 	sort.Strings(c.names)
-	c.ring.Store(NewRing(c.names, cfg.Vnodes))
+	c.ring.Store(NewRing(c.names, DefaultVnodes))
 	if cfg.HealthInterval > 0 {
 		c.wg.Add(1)
 		go c.healthLoop()
@@ -286,9 +274,9 @@ func (c *Coordinator) route(ctx context.Context, at *obs.ActiveTrace, seed, topk
 
 // backoff waits before retry attempt i (1-based): the replica's
 // Retry-After hint when it gave one, otherwise exponential from
-// RetryBackoff, aborting early if the caller's context dies.
+// retryBackoff, aborting early if the caller's context dies.
 func (c *Coordinator) backoff(ctx context.Context, attempt int, lastErr error) error {
-	wait := c.cfg.RetryBackoff << (attempt - 1)
+	wait := retryBackoff << (attempt - 1)
 	if ra := RetryAfterOf(lastErr); ra > wait {
 		wait = ra
 	}
@@ -308,7 +296,7 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int, lastErr error) e
 // answer top-k fetches from their bound-pruned path (exact is never set).
 func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk int, full bool) (Partial, error) {
 	rep.routed.Add(1)
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	start := time.Now()
 	p, err := rep.backend.Query(actx, seed, topk, full, false)
@@ -319,7 +307,7 @@ func (c *Coordinator) queryReplica(ctx context.Context, rep *replica, seed, topk
 			return Partial{}, &BackendError{
 				Replica: rep.name,
 				Status:  http.StatusGatewayTimeout,
-				Msg:     fmt.Sprintf("attempt timed out after %v", c.cfg.AttemptTimeout),
+				Msg:     fmt.Sprintf("attempt timed out after %v", attemptTimeout),
 			}
 		}
 		return Partial{}, err

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"bepi/internal/server"
 )
@@ -98,7 +97,7 @@ func (f *fakeBackend) Health(ctx context.Context) (Health, error) {
 // testConfig keeps retries fast and the background checker off so tests
 // drive membership deterministically via CheckNow.
 func testConfig() Config {
-	return Config{HealthInterval: -1, RetryBackoff: time.Millisecond}
+	return Config{HealthInterval: -1}
 }
 
 func newTestCoordinator(t *testing.T, cfg Config, fakes ...*fakeBackend) *Coordinator {
@@ -236,15 +235,15 @@ func TestCoordinatorEjectionReadmission(t *testing.T) {
 	fakes[victim].mu.Unlock()
 
 	ctx := context.Background()
-	for i := 0; i < c.cfg.FailThreshold-1; i++ {
+	for i := 0; i < failThreshold-1; i++ {
 		c.CheckNow(ctx)
 		if !c.Ring().Has(victim) {
-			t.Fatalf("ejected after %d failures, threshold is %d", i+1, c.cfg.FailThreshold)
+			t.Fatalf("ejected after %d failures, threshold is %d", i+1, failThreshold)
 		}
 	}
 	c.CheckNow(ctx)
 	if c.Ring().Has(victim) {
-		t.Fatal("not ejected at FailThreshold")
+		t.Fatal("not ejected at failThreshold")
 	}
 	// Ejected replica's keys now route to survivors.
 	p, err := c.Query(ctx, 42, 10, false)
@@ -258,11 +257,11 @@ func TestCoordinatorEjectionReadmission(t *testing.T) {
 	fakes[victim].mu.Lock()
 	fakes[victim].healthErr = nil
 	fakes[victim].mu.Unlock()
-	for i := 0; i < c.cfg.ReadmitThreshold; i++ {
+	for i := 0; i < readmitThreshold; i++ {
 		c.CheckNow(ctx)
 	}
 	if !c.Ring().Has(victim) {
-		t.Fatal("not readmitted after ReadmitThreshold successes")
+		t.Fatal("not readmitted after readmitThreshold successes")
 	}
 	p, err = c.Query(ctx, 42, 10, false)
 	if err != nil {
@@ -287,7 +286,7 @@ func TestCoordinatorAllEjected(t *testing.T) {
 	f := newFake("r0", 10)
 	f.healthErr = errors.New("down")
 	c := newTestCoordinator(t, testConfig(), f)
-	for i := 0; i < c.cfg.FailThreshold; i++ {
+	for i := 0; i < failThreshold; i++ {
 		c.CheckNow(context.Background())
 	}
 	if _, err := c.Query(context.Background(), 1, 10, false); !errors.Is(err, ErrNoReplicas) {

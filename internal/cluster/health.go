@@ -33,7 +33,7 @@ func (c *Coordinator) CheckNow(ctx context.Context) {
 		wg.Add(1)
 		go func(i int, rep *replica) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+			pctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			defer cancel()
 			healths[i], results[i] = rep.backend.Health(pctx)
 		}(i, c.replicas[name])
@@ -53,7 +53,7 @@ func (c *Coordinator) CheckNow(ctx context.Context) {
 			rep.lastHealth.Store(&h)
 			rep.consecFail = 0
 			rep.consecOK++
-			if !rep.healthy.Load() && rep.consecOK >= c.cfg.ReadmitThreshold {
+			if !rep.healthy.Load() && rep.consecOK >= readmitThreshold {
 				rep.healthy.Store(true)
 				rep.readmissions.Add(1)
 				c.obs.Events.Record("shard_readmitted", "", map[string]string{
@@ -66,7 +66,7 @@ func (c *Coordinator) CheckNow(ctx context.Context) {
 		} else {
 			rep.consecOK = 0
 			rep.consecFail++
-			if rep.healthy.Load() && rep.consecFail >= c.cfg.FailThreshold {
+			if rep.healthy.Load() && rep.consecFail >= failThreshold {
 				rep.healthy.Store(false)
 				rep.ejections.Add(1)
 				c.obs.Events.Record("shard_ejected", "", map[string]string{

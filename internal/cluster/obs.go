@@ -45,7 +45,7 @@ func (c *Coordinator) TraceTree(ctx context.Context, traceID string, max int) ([
 		wg.Add(1)
 		go func(name string, ts TraceSource) {
 			defer wg.Done()
-			fctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+			fctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			defer cancel()
 			traces, err := ts.Traces(fctx, traceID, max)
 			if err != nil {
@@ -133,7 +133,7 @@ func (c *Coordinator) FleetSnapshots(ctx context.Context) []obs.MetricsSnapshot 
 		wg.Add(1)
 		go func(name string, ss SnapshotSource) {
 			defer wg.Done()
-			fctx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+			fctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			defer cancel()
 			s, err := ss.MetricsSnapshot(fctx)
 			if err != nil {
@@ -210,7 +210,7 @@ func (c *Coordinator) metrics(snaps []obs.MetricsSnapshot) (rows []obs.Metric, m
 		{Name: "bepi_cluster_generation_mix_refused_total", Kind: counter, Help: "Merges refused because partials spanned index generations.", JSON: "generation_mix_refused", Value: obs.Val(c.mixRefused.Load())},
 		{Name: "bepi_cluster_degraded_batches_total", Kind: counter, Help: "Batches with at least one failed seed.", JSON: "degraded_batches", Value: obs.Val(c.degraded.Load())},
 		{Name: "bepi_cluster_ring_size", Kind: gauge, Help: "Healthy replicas on the ring.", Value: obs.Val(ring.Len())},
-		{JSON: "vnodes", Value: obs.Val(c.cfg.Vnodes)},
+		{JSON: "vnodes", Value: obs.Val(DefaultVnodes)},
 		{Name: "bepi_cluster_replica_routed_total", Kind: counter, Label: "replica", Help: "Queries routed per replica.", Vec: perReplica(routed)},
 		{Name: "bepi_cluster_replica_errors_total", Kind: counter, Label: "replica", Help: "Failed replica attempts.", Vec: perReplica(errs)},
 		{Name: "bepi_cluster_replica_retries_total", Kind: counter, Label: "replica", Help: "Retry attempts landing on this replica.", Vec: perReplica(retries)},

@@ -159,8 +159,8 @@ func TestPersonalizedRankMergeFallsBackOnTies(t *testing.T) {
 // TestConfigFieldCount pins cluster.Config: a coordinator knob is added
 // only with a benchmark row that justifies it.
 func TestConfigFieldCount(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 8 {
-		t.Fatalf("cluster.Config has %d fields, want 8", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 3 {
+		t.Fatalf("cluster.Config has %d fields, want 3", n)
 	}
 }
 

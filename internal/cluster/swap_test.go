@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bepi"
 	"bepi/internal/qexec"
@@ -54,7 +53,7 @@ func TestClusterGenerationSwapNeverMixes(t *testing.T) {
 		defer core.Close()
 		backends[i] = NewLocalBackend(fmt.Sprintf("replica-%d", i), core)
 	}
-	coord, err := New(backends, Config{HealthInterval: -1, RetryBackoff: time.Millisecond})
+	coord, err := New(backends, Config{HealthInterval: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bepi"
 	"bepi/internal/obs"
@@ -60,7 +59,6 @@ func traceTestFleet(t *testing.T, n, replicas int, cfg Config) (*Coordinator, []
 func TestClusterDistributedTraceTreeHTTP(t *testing.T) {
 	coord, _, cleanup := traceTestFleet(t, 40, 2, Config{
 		HealthInterval: -1,
-		RetryBackoff:   time.Millisecond,
 		Obs:            obs.New(obs.Options{TraceSample: 1}),
 	})
 	defer cleanup()
@@ -239,7 +237,6 @@ func TestClusterTraceConcurrentSwapHTTP(t *testing.T) {
 	const n = 40
 	coord, dyns, cleanup := traceTestFleet(t, n, 2, Config{
 		HealthInterval: -1,
-		RetryBackoff:   time.Millisecond,
 		Obs:            obs.New(obs.Options{TraceSample: 1}),
 	})
 	defer cleanup()

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"bepi/internal/dense"
 	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/sparse"
@@ -25,8 +24,8 @@ import (
 //     the routine preprocessing runs, and spliced in: the column's entries
 //     in H12/H21/H31/H32 by buildHBlocks over the sources' columns
 //     (sparse.Pattern.Splice), with one new weight; the touched H11 blocks
-//     by h11Block, then LU-factored; and the affected Schur columns by
-//     schurInputs.column, spliced into S's DILU triangles
+//     by h11Fill, then LU-factored (lu.BlockLU.Refactor); and the affected
+//     Schur columns by schurInputs.column, spliced into S's DILU triangles
 //     (lu.ILU.SpliceColumns). The pivots are re-derived from the patched
 //     S — the one O(nnz(S)) recurrence Preprocess runs — so every absorbed
 //     delta, first or n-th in a chain, on a built or a loaded engine, is
@@ -96,8 +95,9 @@ type colEntry struct {
 // ApplyDelta builds a new engine for gNew — the updated graph — from the
 // receiver plus the edge updates that turned the receiver's graph into
 // gNew. The receiver is not modified and keeps serving; the returned engine
-// shares every H pattern no source spans, every untouched H11 factor and
-// the weights of every other node with it. Each source of ops has its
+// shares every H pattern no source spans with it, keeps the weights of
+// every other node and the factors of every untouched H11 block, and
+// shares the H11 factors outright when no block is touched. Each source of ops has its
 // column of H re-read from gNew and takes the weight of its new out-degree.
 // Where the receiver came from — a build, a file, an earlier ApplyDelta —
 // changes nothing about the result: not its bits, not its MemoryBytes(),
@@ -168,7 +168,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		sorted = append(sorted, u)
 	}
 	slices.Sort(sorted)
-	touched := make(map[int]bool)
+	var touched []int // H11 blocks the spoke sources span, ascending
 	for _, u := range sorted {
 		pu := int(ord.perm[u])
 		if pu >= n1 {
@@ -181,8 +181,10 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 				return nil, st, fmt.Errorf("edge %d→%d crosses H11 blocks: %w", u, v, ErrDeltaFull)
 			}
 		}
-		touched[b] = true
+		touched = append(touched, b)
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 	st.TouchedBlocks = len(touched)
 	if hub {
 		st.Class = DeltaHub
@@ -232,26 +234,16 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	h32New := splice(e.h32, nw32, hubCols, hub)
 	patchDur := time.Since(tPatch)
 
-	// Partial H11 refactorization: rebuild the touched diagonal blocks
-	// dense from gNew, the way preprocessing fills every block (h11Block),
-	// and LU-factor only those.
+	// Partial H11 refactorization: the touched diagonal blocks are refilled
+	// from gNew by the fill preprocessing factors every block through
+	// (h11Fill) and LU-factored, in a copy of the factor array; a delta
+	// that touches no block shares the whole factorization. The
+	// classification above refused every spoke edge that leaves its block,
+	// so a failure here is numerical.
 	tFactor := time.Now()
-	h11LUNew := e.h11LU
-	if len(touched) > 0 {
-		raw := make(map[int]*dense.Matrix, len(touched))
-		for b := range touched {
-			lo, hi := e.h11LU.BlockRange(b)
-			blk := dense.New(hi-lo, hi-lo)
-			if err := h11Block(gNew, ord, inv, c, b, lo, blk); err != nil {
-				return nil, st, fmt.Errorf("%v: %w", err, ErrDeltaFull)
-			}
-			raw[b] = blk
-		}
-		var err error
-		h11LUNew, err = e.h11LU.RefactorBlocks(raw)
-		if err != nil {
-			return nil, st, fmt.Errorf("core: refactoring touched H11 blocks: %w", err)
-		}
+	h11LUNew, err := e.h11LU.Refactor(touched, h11Fill(gNew, ord, inv, c))
+	if err != nil {
+		return nil, st, fmt.Errorf("core: refactoring touched H11 blocks: %w", err)
 	}
 	factorDur := time.Since(tFactor)
 
@@ -260,7 +252,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	// back-substitutions — and the H21 columns they gather through — run
 	// through refactored blocks).
 	affected := slices.Clone(hubCols)
-	for b := range touched {
+	for _, b := range touched {
 		lo, hi := e.h11LU.BlockRange(b)
 		h12New.MarkColumns(lo, hi, affected)
 	}

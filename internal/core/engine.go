@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"bepi/internal/dense"
 	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/par"
@@ -452,9 +451,7 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	// filled dense from the graph.
 	t0 = time.Now()
 	var err error
-	e.h11LU, err = lu.FactorBlocksPool(n1, ord.Blocks, func(b, lo int, blk *dense.Matrix) error {
-		return h11Block(g, e.ord, inv, opts.C, b, lo, blk)
-	}, e.pool)
+	e.h11LU, err = lu.FactorBlocksPool(n1, ord.Blocks, h11Fill(g, e.ord, inv, opts.C), e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: factoring H11: %w", err)
 	}

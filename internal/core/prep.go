@@ -15,7 +15,7 @@ import (
 // is built straight from the graph, in the layout it is used in:
 //
 //   - H11's diagonal blocks, dense, by the block LU that factors them
-//     (h11Block);
+//     (h11Fill);
 //   - H12, H21, H31 and H32 as the patterns an engine keeps (buildHBlocks),
 //     and the column views of H12 and H21 the Schur columns read
 //     (sparse.Pattern.ExpandT);
@@ -88,32 +88,35 @@ func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32, cols []int) (h12,
 	return b12.Pattern(), b21.Pattern(), b31.Pattern(), b32.Pattern()
 }
 
-// h11Block writes block b of the reordered H11 — rows and columns
-// [lo, lo+blk.R) — into the zeroed dense blk, straight from the graph: each
-// column's weight at the row of every out-neighbor, then 1 on the diagonal.
-// A cell sums at most two terms, a self-loop's weight and the 1, and those
-// sum to BuildH's bits in either order. An out-neighbor among the spokes
-// outside the block is an entry the block-diagonal H11 cannot hold, and is
-// refused. Preprocessing fills every block with it, ApplyDelta the ones a
-// delta touches.
-func h11Block(g *graph.Graph, ord nodeOrder, inv []uint32, c float64, b, lo int, blk *dense.Matrix) error {
-	hi := lo + blk.R
-	for col := lo; col < hi; col++ {
-		u := int(inv[col])
-		if deg := g.OutDegree(u); deg > 0 {
-			w := -(1 - c) / float64(deg)
-			for _, v := range g.OutNeighbors(u) {
-				switch pv := int(ord.perm[v]); {
-				case pv >= lo && pv < hi:
-					blk.Set(pv-lo, col-lo, blk.At(pv-lo, col-lo)+w)
-				case pv < ord.n1:
-					return fmt.Errorf("core: H11 entry (%d,%d) outside block %d [%d,%d)", pv, col, b, lo, hi)
+// h11Fill returns the fill (lu.FactorBlocksPool's contract) that writes
+// block b of the reordered H11 — rows and columns [lo, lo+blk.R) — into the
+// zeroed dense blk, straight from g: each column's weight at the row of
+// every out-neighbor, then 1 on the diagonal. A cell sums at most two
+// terms, a self-loop's weight and the 1, and those sum to BuildH's bits in
+// either order. An out-neighbor among the spokes outside the block is an
+// entry the block-diagonal H11 cannot hold, and is refused. Preprocessing
+// factors every block through it, ApplyDelta refactors the ones a delta
+// touches.
+func h11Fill(g *graph.Graph, ord nodeOrder, inv []uint32, c float64) func(b, lo int, blk *dense.Matrix) error {
+	return func(b, lo int, blk *dense.Matrix) error {
+		hi := lo + blk.R
+		for col := lo; col < hi; col++ {
+			u := int(inv[col])
+			if deg := g.OutDegree(u); deg > 0 {
+				w := -(1 - c) / float64(deg)
+				for _, v := range g.OutNeighbors(u) {
+					switch pv := int(ord.perm[v]); {
+					case pv >= lo && pv < hi:
+						blk.Set(pv-lo, col-lo, blk.At(pv-lo, col-lo)+w)
+					case pv < ord.n1:
+						return fmt.Errorf("core: H11 entry (%d,%d) outside block %d [%d,%d)", pv, col, b, lo, hi)
+					}
 				}
 			}
+			blk.Set(col-lo, col-lo, blk.At(col-lo, col-lo)+1)
 		}
-		blk.Set(col-lo, col-lo, blk.At(col-lo, col-lo)+1)
+		return nil
 	}
-	return nil
 }
 
 // h22Column appends column j of the reordered H22 to col, read off the

@@ -47,14 +47,19 @@ func assertSameTopKSet(t *testing.T, tag string, full, bounded []Ranked, checkOr
 // exact answer (ExactDense) through the full solve's proof radius ρ
 // (proofRadius): a node whose exact score clears the exact k/(k+1)
 // boundary by more than 2ρ must fall on the same side of it in the bounded
-// set; a node within 2ρ is a real tie and may fall on either side.
+// set; a node within 2ρ is a real tie and may fall on either side. A seed
+// whose restart never reaches the hubs has ρ = 0 and no Schur solve to stop
+// early, so the skewed case moves each of its seeds to the first id at or
+// after it whose reduced right-hand side q̃2 is nonzero (reachesHubs), and
+// holds every one of them to ρ > 0.
 func TestTopKBoundedEquivalence(t *testing.T) {
 	cases := []struct {
-		name  string
-		g     *graph.Graph
-		seeds []int
+		name    string
+		g       *graph.Graph
+		seeds   []int
+		hubMass bool // move each seed to the first id at or after it that reachesHubs
 	}{
-		{name: "skewed-rmat", g: gen.RMAT(gen.DefaultRMAT(9, 8, 42)), seeds: []int{0, 7, 123, 400}},
+		{name: "skewed-rmat", g: gen.RMAT(gen.DefaultRMAT(9, 8, 42)), seeds: []int{0, 7, 123, 400}, hubMass: true},
 		// beta=0 Watts-Strogatz is a regular ring lattice: every node is
 		// symmetric, scores are near-uniform with massive tie classes — the
 		// adversarial case for a gap test.
@@ -71,7 +76,12 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 				t.Fatalf("CalibrateBound: %v", err)
 			}
 			sawEarlyStop, ties := false, 0
+			var used []int
 			for _, seed := range tc.seeds {
+				for tc.hubMass && !reachesHubs(e, seed) {
+					seed++
+				}
+				used = append(used, seed)
 				exact, err := ExactDense(tc.g, DefaultC, seed)
 				if err != nil {
 					t.Fatal(err)
@@ -81,6 +91,9 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				rho := proofRadius(e, seed, r)
+				if tc.hubMass && !(rho > 0) {
+					t.Fatalf("seed %d: proof radius %v, want > 0 — its solve checks no bounded stop", seed, rho)
+				}
 				for _, k := range []int{1, 10, 100} {
 					full, err := e.TopK(seed, k)
 					if err != nil {
@@ -107,12 +120,27 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 					sawEarlyStop = sawEarlyStop || stats.EarlyStopped
 				}
 			}
-			t.Logf("%d nodes within 2ρ of a k/(k+1) boundary, unreached zero-score nodes included", ties)
+			t.Logf("seeds %v: %d nodes within 2ρ of a k/(k+1) boundary, unreached zero-score nodes included", used, ties)
 			if tc.name == "skewed-rmat" && !sawEarlyStop {
 				t.Fatalf("bounded search never early-stopped on the skewed graph — the fast path is dead")
 			}
 		})
 	}
+}
+
+// reachesHubs reports whether a unit restart at seed puts mass on the hubs:
+// whether its reduced right-hand side q̃2 = q2 − H21·H11⁻¹·q1, which the
+// Schur solve starts from, has a nonzero entry.
+func reachesHubs(e *Engine, seed int) bool {
+	ws := e.NewWorkspace()
+	e.permute(ws, ws.unitQuery(seed))
+	e.forward(ws)
+	for _, v := range ws.qt2 {
+		if v != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // assertExactSides fails unless every node (seed excluded) whose exact

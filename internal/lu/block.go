@@ -1,8 +1,11 @@
 // Package lu provides the factorization substrate of the BePI
 // reproduction: a per-block dense LU of the block-diagonal spoke matrix
-// H11, ILU(0) incomplete factorization of the Schur complement (the BePI
-// preconditioner), sparse triangular solves, and a Gilbert–Peierls sparse
-// LU used by the LU-decomposition baseline.
+// H11, every block's factors in one array; the diagonal ILU (DILU) of the
+// Schur complement, which holds S once and which the engine applies as its
+// preconditioner in one pass by Eisenstat's trick; the paper's ILU(0),
+// which serves only the Figure 7 eigenvalue experiment (and the repository
+// benchmark's factor-time row); sparse triangular solves; and a
+// Gilbert–Peierls sparse LU used by the LU-decomposition baseline.
 //
 // None of the factorizations pivot: every matrix factored here (H, H11 and
 // its diagonal blocks, the Schur complement's ILU surrogate) is strictly
@@ -12,21 +15,43 @@ package lu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"bepi/internal/dense"
 	"bepi/internal/par"
 	"bepi/internal/sparse"
 )
 
-// BlockLU holds per-block packed LU factors of a block-diagonal matrix.
+// BlockLU holds the packed LU factors of a block-diagonal matrix, every
+// block's in one array: block b's factors are data[at[b]:at[b+1]], row-major,
+// whether a build, a file or a refactor produced them. A 1×1 block is one
+// entry, its pivot.
 type BlockLU struct {
-	offsets []int           // len nblocks+1; block b covers [offsets[b], offsets[b+1])
-	factors []*dense.Matrix // packed LU factors, one per block
+	offsets []int     // len nblocks+1; block b covers rows [offsets[b], offsets[b+1])
+	at      []int     // len nblocks+1; prefix sums of size²: where each block's factors start in data
+	data    []float64 // every block's packed LU factors, in block order
+}
 
-	costOnce sync.Once
-	costPfx  []int // prefix sums of per-block size², for solve partitioning
+// block views block i's factors as a dense matrix over the shared array.
+func (b *BlockLU) block(i int) dense.Matrix {
+	s := b.offsets[i+1] - b.offsets[i]
+	return dense.Matrix{R: s, C: s, Data: b.data[b.at[i]:b.at[i+1]:b.at[i+1]]}
+}
+
+// factorBlock is the one per-block body of a build and a refactor: it points
+// blk at block i, zeroes it, has fill write the block into it, and
+// LU-factors it in place.
+func (b *BlockLU) factorBlock(i int, blk *dense.Matrix, fill func(b, lo int, blk *dense.Matrix) error) error {
+	*blk = b.block(i)
+	clear(blk.Data)
+	if err := fill(i, b.offsets[i], blk); err != nil {
+		return err
+	}
+	if err := blk.LU(); err != nil {
+		return fmt.Errorf("lu: factoring block %d: %w", i, err)
+	}
+	return nil
 }
 
 // FactorBlockDiag factors the block-diagonal matrix m whose diagonal blocks
@@ -64,8 +89,9 @@ func FactorBlockDiagPool(m *sparse.CSR, blockSizes []int, p *par.Pool) (*BlockLU
 
 // FactorBlocksPool factors the n×n block-diagonal matrix whose diagonal
 // blocks have the given sizes, in order: fill(b, lo, blk) writes block b —
-// rows and columns [lo, lo+size) — into the zeroed dense blk, or reports
-// why it cannot, and the block is LU-factored in place. Blocks are
+// rows and columns [lo, lo+size) — into the zeroed dense blk, a view of the
+// block's place in the one factor array that fill must not retain, or
+// reports why it cannot, and the block is LU-factored in place. Blocks are
 // partitioned into contiguous ranges balanced by estimated factorization
 // cost (size³) and factored in parallel over the pool; each block's
 // factorization is unchanged, so the factors are bit-identical to the serial
@@ -73,35 +99,31 @@ func FactorBlockDiagPool(m *sparse.CSR, blockSizes []int, p *par.Pool) (*BlockLU
 // serial sweep would hit. fill must be safe for concurrent calls on
 // distinct blocks. A nil pool runs serially.
 func FactorBlocksPool(n int, blockSizes []int, fill func(b, lo int, blk *dense.Matrix) error, p *par.Pool) (*BlockLU, error) {
-	offsets := make([]int, len(blockSizes)+1)
-	factorCost := make([]int, len(blockSizes)+1)
+	nb := len(blockSizes)
+	offsets, at, factorCost := make([]int, nb+1), make([]int, nb+1), make([]int, nb+1)
 	for i, s := range blockSizes {
 		if s <= 0 {
 			return nil, fmt.Errorf("lu: block %d has size %d", i, s)
 		}
 		offsets[i+1] = offsets[i] + s
+		at[i+1] = at[i] + s*s
 		factorCost[i+1] = factorCost[i] + s*s*s
 	}
-	if offsets[len(blockSizes)] != n {
-		return nil, fmt.Errorf("lu: block sizes sum to %d, matrix is %d", offsets[len(blockSizes)], n)
+	if offsets[nb] != n {
+		return nil, fmt.Errorf("lu: block sizes sum to %d, matrix is %d", offsets[nb], n)
 	}
-	factors := make([]*dense.Matrix, len(blockSizes))
+	f := &BlockLU{offsets: offsets, at: at, data: make([]float64, at[nb])}
 	factorRange := func(blo, bhi int) error {
+		var blk dense.Matrix
 		for b := blo; b < bhi; b++ {
-			lo, hi := offsets[b], offsets[b+1]
-			blk := dense.New(hi-lo, hi-lo)
-			if err := fill(b, lo, blk); err != nil {
+			if err := f.factorBlock(b, &blk, fill); err != nil {
 				return err
 			}
-			if err := blk.LU(); err != nil {
-				return fmt.Errorf("lu: factoring block %d: %w", b, err)
-			}
-			factors[b] = blk
 		}
 		return nil
 	}
-	if p.Workers() <= 1 || len(blockSizes) < 2 {
-		if err := factorRange(0, len(blockSizes)); err != nil {
+	if p.Workers() <= 1 || nb < 2 {
+		if err := factorRange(0, nb); err != nil {
 			return nil, err
 		}
 	} else {
@@ -119,40 +141,38 @@ func FactorBlocksPool(n int, blockSizes []int, fill func(b, lo int, blk *dense.M
 			}
 		}
 	}
-	return &BlockLU{offsets: offsets, factors: factors}, nil
+	return f, nil
 }
 
-// RefactorBlocks returns a new BlockLU that shares every untouched factor
-// (and the offsets slice) with b, replacing only the blocks named in raw.
-// Each raw entry maps a block index to that block's fresh, unfactored dense
-// content; RefactorBlocks LU-factors it in place. This is the partial
-// refactorization behind spoke-only delta rebuilds: a delta that touches k
-// of the H11 diagonal blocks costs k block factorizations instead of a full
-// FactorBlockDiagPool sweep. The receiver stays valid and keeps serving —
-// the shared factors are never written.
-func (b *BlockLU) RefactorBlocks(raw map[int]*dense.Matrix) (*BlockLU, error) {
-	factors := make([]*dense.Matrix, len(b.factors))
-	copy(factors, b.factors)
-	for i, blk := range raw {
-		if i < 0 || i >= len(b.factors) {
-			return nil, fmt.Errorf("lu: RefactorBlocks block %d out of range [0,%d)", i, len(b.factors))
-		}
-		if s := b.offsets[i+1] - b.offsets[i]; blk.R != s || blk.C != s {
-			return nil, fmt.Errorf("lu: RefactorBlocks block %d is %dx%d, want %dx%d", i, blk.R, blk.C, s, s)
-		}
-		if err := blk.LU(); err != nil {
-			return nil, fmt.Errorf("lu: refactoring block %d: %w", i, err)
-		}
-		factors[i] = blk
+// Refactor returns a copy of b whose listed blocks, ascending, are refilled
+// through fill (FactorBlocksPool's contract) and LU-factored by the build's
+// own per-block body, so a failure is reported at the lowest listed block.
+// b is never written and keeps serving; an empty list returns b itself.
+// This is the partial refactorization behind spoke-only delta rebuilds.
+func (b *BlockLU) Refactor(blocks []int, fill func(b, lo int, blk *dense.Matrix) error) (*BlockLU, error) {
+	if len(blocks) == 0 {
+		return b, nil
 	}
-	return &BlockLU{offsets: b.offsets, factors: factors}, nil
+	f := &BlockLU{offsets: b.offsets, at: b.at, data: slices.Clone(b.data)}
+	var blk dense.Matrix
+	prev := -1
+	for _, i := range blocks {
+		if i <= prev || i >= b.NumBlocks() {
+			return nil, fmt.Errorf("lu: Refactor block %d out of ascending order in [0,%d)", i, b.NumBlocks())
+		}
+		prev = i
+		if err := f.factorBlock(i, &blk, fill); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
 }
 
 // N returns the dimension of the factored matrix.
 func (b *BlockLU) N() int { return b.offsets[len(b.offsets)-1] }
 
 // NumBlocks returns the number of diagonal blocks.
-func (b *BlockLU) NumBlocks() int { return len(b.factors) }
+func (b *BlockLU) NumBlocks() int { return len(b.offsets) - 1 }
 
 // BlockRange returns the half-open row range of block i.
 func (b *BlockLU) BlockRange(i int) (lo, hi int) { return b.offsets[i], b.offsets[i+1] }
@@ -160,7 +180,7 @@ func (b *BlockLU) BlockRange(i int) (lo, hi int) { return b.offsets[i], b.offset
 // BlockSizes returns the block dimensions in order: the sizes the factors
 // were built from.
 func (b *BlockLU) BlockSizes() []int {
-	sizes := make([]int, len(b.factors))
+	sizes := make([]int, b.NumBlocks())
 	for i := range sizes {
 		sizes[i] = b.offsets[i+1] - b.offsets[i]
 	}
@@ -177,23 +197,15 @@ func (b *BlockLU) Solve(x []float64) {
 	if len(x) != b.N() {
 		panic(fmt.Sprintf("lu: BlockLU.Solve length %d want %d", len(x), b.N()))
 	}
-	for i, f := range b.factors {
-		f.LUSolve(x[b.offsets[i]:b.offsets[i+1]])
-	}
+	b.solveRange(x, 0, b.NumBlocks())
 }
 
-// ensureCost builds the lazy prefix of per-block substitution costs (s²),
-// used to balance the parallel solve partitions.
-func (b *BlockLU) ensureCost() []int {
-	b.costOnce.Do(func() {
-		pfx := make([]int, len(b.factors)+1)
-		for i := range b.factors {
-			s := b.offsets[i+1] - b.offsets[i]
-			pfx[i+1] = pfx[i] + s*s
-		}
-		b.costPfx = pfx
-	})
-	return b.costPfx
+// solveRange substitutes blocks [blo, bhi) in place on their slices of x.
+func (b *BlockLU) solveRange(x []float64, blo, bhi int) {
+	for i := blo; i < bhi; i++ {
+		f := b.block(i)
+		f.LUSolve(x[b.offsets[i]:b.offsets[i+1]])
+	}
 }
 
 // parallelMinUnknowns is the system size below which SolvePool stays
@@ -210,14 +222,12 @@ func (b *BlockLU) SolvePool(x []float64, p *par.Pool) {
 	if len(x) != b.N() {
 		panic(fmt.Sprintf("lu: BlockLU.SolvePool length %d want %d", len(x), b.N()))
 	}
-	if p.Workers() <= 1 || len(b.factors) < 2 || b.N() < parallelMinUnknowns {
+	if p.Workers() <= 1 || b.NumBlocks() < 2 || b.N() < parallelMinUnknowns {
 		b.Solve(x)
 		return
 	}
-	p.ForBounds(par.BoundsByPrefix(b.ensureCost(), p.Workers()), func(_, blo, bhi int) {
-		for i := blo; i < bhi; i++ {
-			b.factors[i].LUSolve(x[b.offsets[i]:b.offsets[i+1]])
-		}
+	p.ForBounds(par.BoundsByPrefix(b.at, p.Workers()), func(_, blo, bhi int) {
+		b.solveRange(x, blo, bhi)
 	})
 }
 
@@ -242,7 +252,8 @@ func (b *BlockLU) SolveSparse(idx []int, vals []float64, scratch []float64, emit
 			x[idx[p]-lo] = vals[p]
 			p++
 		}
-		b.factors[blk].LUSolve(x)
+		f := b.block(blk)
+		f.LUSolve(x)
 		for i, v := range x {
 			if v != 0 {
 				emit(lo+i, v)
@@ -254,7 +265,7 @@ func (b *BlockLU) SolveSparse(idx []int, vals []float64, scratch []float64, emit
 // MaxBlockSize returns the largest block dimension (scratch sizing).
 func (b *BlockLU) MaxBlockSize() int {
 	mx := 0
-	for i := range b.factors {
+	for i := range b.NumBlocks() {
 		if s := b.offsets[i+1] - b.offsets[i]; s > mx {
 			mx = s
 		}
@@ -265,9 +276,5 @@ func (b *BlockLU) MaxBlockSize() int {
 // MemoryBytes reports the storage footprint of the packed factors. This is
 // the analogue of the paper's storage for L1⁻¹ and U1⁻¹ (Σᵢ n1i²).
 func (b *BlockLU) MemoryBytes() int64 {
-	var total int64
-	for _, f := range b.factors {
-		total += f.MemoryBytes()
-	}
-	return total + int64(len(b.offsets))*8
+	return int64(len(b.data))*8 + int64(len(b.offsets))*8
 }

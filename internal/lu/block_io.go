@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"bepi/internal/binio"
-	"bepi/internal/dense"
 )
 
 // Binary serialization of BlockLU factors, used when persisting a
@@ -24,18 +23,16 @@ const blockLUMagic = 0x424c5531
 func (b *BlockLU) WriteTo(w io.Writer) (int64, error) {
 	bw := binio.NewWriter(w)
 	bw.U32(blockLUMagic)
-	bw.Int(len(b.factors))
+	bw.Int(b.NumBlocks())
 	binio.WriteInts(bw, b.offsets)
-	for _, f := range b.factors {
-		binio.WriteFloats(bw, f.Data)
-	}
+	binio.WriteFloats(bw, b.data)
 	return bw.Close()
 }
 
 // ReadBlockLU deserializes factors written by WriteTo, refusing a factor
 // entry that is not finite. It reads exactly the bytes the factors occupy
 // (no read-ahead), so the data can be embedded in a concatenated stream.
-// The blocks share one backing array, read in one run.
+// The factors are kept as the one array they are read into, in one run.
 func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	br := binio.NewReader(r)
 	var head [4 + 8]byte
@@ -60,16 +57,17 @@ func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	// corrupt stream. Capping the running total as well keeps it from
 	// overflowing before the reader refuses a length its input cannot back.
 	const maxBlockDim, maxEntries = 1 << 20, 1 << 50
-	total := 0
+	at := make([]int, nb+1)
 	for i := 0; i < nb; i++ {
 		size := offsets[i+1] - offsets[i]
 		if size <= 0 || size > maxBlockDim {
 			return nil, fmt.Errorf("lu: corrupt block size %d", size)
 		}
-		if total += size * size; total > maxEntries {
+		if at[i+1] = at[i] + size*size; at[i+1] > maxEntries {
 			return nil, fmt.Errorf("lu: corrupt offsets: over %d factor entries", maxEntries)
 		}
 	}
+	total := at[nb]
 	data, err := br.Floats(total)
 	if err != nil {
 		return nil, fmt.Errorf("lu: reading %d blocks of %d entries: %w", nb, total, err)
@@ -77,13 +75,5 @@ func ReadBlockLU(r io.Reader) (*BlockLU, error) {
 	if !allFinite(data) {
 		return nil, errors.New("lu: the factors hold a value that is not finite")
 	}
-	blocks := make([]dense.Matrix, nb)
-	factors := make([]*dense.Matrix, nb)
-	for i := range blocks {
-		size := offsets[i+1] - offsets[i]
-		blocks[i] = dense.Matrix{R: size, C: size, Data: data[: size*size : size*size]}
-		data = data[size*size:]
-		factors[i] = &blocks[i]
-	}
-	return &BlockLU{offsets: offsets, factors: factors}, nil
+	return &BlockLU{offsets: offsets, at: at, data: data}, nil
 }
