@@ -134,9 +134,13 @@ bench-kernels:
 # TestPreprocessingAllocBudget, TestApplyDeltaAllocBudget — the hub-4op and
 # spoke-batch deltas' bytes — and TestEveryEngineStateComposes in `make test`.) BenchmarkHubAndSpoke shows the reordering alone (hybrid
 # scale 13): a return to a merged or 64-bit undirected view shows in its B/op.
+# BenchmarkNewGraph and BenchmarkWithEdgeDeltas build the input graph (hybrid
+# scale 13) and patch it as a Dynamic flush does: a return to 8-byte
+# adjacency or in-degrees, or to slack capacity, shows in their B/op.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkHubAndSpoke -benchtime=3x -benchmem ./internal/reorder/
+	$(GO) test -run '^$$' -bench 'BenchmarkNewGraph|BenchmarkWithEdgeDeltas' -benchtime=3x -benchmem ./internal/graph/
 
 # Capture a CPU profile from a running bepi-serve (start it with
 # -debug-addr $(PROFILE_ADDR)) and drop into the pprof shell:

@@ -162,7 +162,7 @@ func LocalCommunity(eng *bepi.Engine, g *bepi.Graph, seed, minSize int) (Communi
 		u := c.node
 		inSet[u] = true
 		vol += g.OutDegree(u)
-		for _, v := range g.OutNeighbors(u) {
+		for _, v := range g.Internal().OutNeighbors(u) {
 			if inSet[v] {
 				cut--
 			} else {
@@ -207,8 +207,8 @@ func Conductance(g *bepi.Graph, set []int) float64 {
 	vol, cut := 0, 0
 	for _, u := range set {
 		vol += g.OutDegree(u)
-		for _, v := range g.OutNeighbors(u) {
-			if !in[v] {
+		for _, v := range g.Internal().OutNeighbors(u) {
+			if !in[int(v)] {
 				cut++
 			}
 		}
@@ -247,13 +247,13 @@ func EdgeAnomaly(eng *bepi.Engine, g *bepi.Graph, u, v int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	nbrs := g.OutNeighbors(u)
+	nbrs := g.Internal().OutNeighbors(u)
 	if len(nbrs) <= 1 {
 		return 0, nil
 	}
 	below := 0
 	for _, w := range nbrs {
-		if w == v {
+		if int(w) == v {
 			continue
 		}
 		if scores[w] < scores[v] {

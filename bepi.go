@@ -46,7 +46,8 @@ type Graph struct {
 
 // NewGraph builds a graph with n nodes from the given edges. Duplicate
 // edges collapse; nodes without out-edges are deadends (handled natively by
-// the solver).
+// the solver). Node ids are held in 32 bits: more than 2³² − 1 nodes is an
+// error.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
 	es := make([]graph.Edge, len(edges))
 	for i, e := range edges {
@@ -101,10 +102,11 @@ func (g *Graph) WriteEdgeList(w io.Writer) error { return g.inner.WriteEdgeList(
 
 // Edges returns all edges in (src, dst) order.
 func (g *Graph) Edges() []Edge {
-	inner := g.inner.Edges()
-	out := make([]Edge, len(inner))
-	for i, e := range inner {
-		out[i] = Edge{Src: e.Src, Dst: e.Dst}
+	out := make([]Edge, 0, g.M())
+	for u := range g.N() {
+		for _, v := range g.inner.OutNeighbors(u) {
+			out = append(out, Edge{Src: u, Dst: int(v)})
+		}
 	}
 	return out
 }
@@ -115,8 +117,17 @@ func (g *Graph) HasEdge(u, v int) bool { return g.inner.HasEdge(u, v) }
 // OutDegree returns the number of out-edges of node u.
 func (g *Graph) OutDegree(u int) int { return g.inner.OutDegree(u) }
 
-// OutNeighbors returns the sorted out-neighbors of node u (do not mutate).
-func (g *Graph) OutNeighbors(u int) []int { return g.inner.OutNeighbors(u) }
+// OutNeighbors returns the sorted out-neighbors of node u, copied out of
+// the graph's 32-bit adjacency into a fresh slice. Loops over every node
+// read the shared lists of Internal().OutNeighbors instead.
+func (g *Graph) OutNeighbors(u int) []int {
+	nbrs := g.inner.OutNeighbors(u)
+	out := make([]int, len(nbrs))
+	for i, v := range nbrs {
+		out[i] = int(v)
+	}
+	return out
+}
 
 // Internal exposes the internal graph representation for the example and
 // benchmark programs inside this module.

@@ -1,7 +1,9 @@
 package bepi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -439,6 +441,11 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 		for e, insert := range snap {
 			ops = append(ops, core.EdgeDelta{Src: e[0], Dst: e[1], Insert: insert})
 		}
+		// In (Src, Dst) order, not the map's: ApplyDelta refuses with the
+		// first op it cannot absorb, so one delta names one Fallback.
+		slices.SortFunc(ops, func(a, b core.EdgeDelta) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+		})
 		if ce, st, derr := base.inner.ApplyDelta(g.inner, ops); derr == nil {
 			eng = &Engine{inner: ce}
 			mode = RebuildMode(st.Class.String())

@@ -1,6 +1,7 @@
 package bepi
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -293,6 +294,39 @@ func TestDynamicFallbackReason(t *testing.T) {
 	}
 	if st = d.LastRebuild().Status(); st.Mode != RebuildModeDeltaHub || st.Fallback != "" {
 		t.Fatalf("hub batch: mode %q, reason %q; want delta-hub and no reason", st.Mode, st.Fallback)
+	}
+}
+
+// TestDynamicFallbackIsDeterministic: a delta with two ops ApplyDelta
+// refuses — two new nodes, each with an out-edge — names the same one, the
+// smaller source, on every flush. The ops come out of a map; taken in the
+// map's order, the named node changed from run to run.
+func TestDynamicFallbackIsDeterministic(t *testing.T) {
+	g := RMAT(8, 6, 17)
+	var first string
+	for run := 0; run < 20; run++ {
+		d, err := NewDynamic(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := d.AddNode(), d.AddNode()
+		for _, u := range []int{a, b} {
+			if err := d.AddEdge(u, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st := d.LastRebuild().Status()
+		if st.Mode != RebuildModeFull || !strings.Contains(st.Fallback, fmt.Sprintf("new node %d has out-edges", a)) {
+			t.Fatalf("run %d: mode %q, reason %q; want full, naming new node %d", run, st.Mode, st.Fallback, a)
+		}
+		if run == 0 {
+			first = st.Fallback
+		} else if st.Fallback != first {
+			t.Fatalf("run %d: reason %q, run 0 gave %q", run, st.Fallback, first)
+		}
 	}
 }
 

@@ -54,12 +54,12 @@ func main() {
 		score float64
 	}
 	var results []scored
-	for _, v := range g.OutNeighbors(0) {
-		a, err := apps.EdgeAnomaly(eng, g, 0, v)
+	for _, v := range g.Internal().OutNeighbors(0) {
+		a, err := apps.EdgeAnomaly(eng, g, 0, int(v))
 		if err != nil {
 			log.Fatal(err)
 		}
-		results = append(results, scored{v, a})
+		results = append(results, scored{int(v), a})
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].score > results[j].score })
 

@@ -38,11 +38,11 @@ func main() {
 		if len(tests) >= evalNodes {
 			break
 		}
-		nbrs := full.OutNeighbors(u)
+		nbrs := full.Internal().OutNeighbors(u)
 		if len(nbrs) < 3 {
 			continue
 		}
-		v := nbrs[rng.Intn(len(nbrs))]
+		v := int(nbrs[rng.Intn(len(nbrs))])
 		if u == v {
 			continue
 		}

@@ -115,9 +115,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	if gNew.N() < e.n {
 		return nil, st, fmt.Errorf("graph shrank %d → %d: %w", e.n, gNew.N(), ErrDeltaFull)
 	}
-	if err := checkNodeCount(gNew.N()); err != nil {
-		return nil, st, fmt.Errorf("%v: %w", err, ErrDeltaFull)
-	}
 	growth := gNew.N() - e.n
 	st.NewNodes = growth
 

@@ -55,7 +55,7 @@ func genSpokeDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []Ed
 		u := spokes[rng.Intn(len(spokes))]
 		if rng.Intn(2) == 0 && g.OutDegree(u) > 1 {
 			nbrs := g.OutNeighbors(u)
-			v := nbrs[rng.Intn(len(nbrs))]
+			v := int(nbrs[rng.Intn(len(nbrs))])
 			if used[[2]int{u, v}] {
 				continue
 			}
@@ -100,7 +100,7 @@ func genHubDeltaOps(rng *rand.Rand, g *graph.Graph, e *Engine, count int) []Edge
 		u := hubs[rng.Intn(len(hubs))]
 		if rng.Intn(2) == 0 && g.OutDegree(u) > 1 {
 			nbrs := g.OutNeighbors(u)
-			v := nbrs[rng.Intn(len(nbrs))]
+			v := int(nbrs[rng.Intn(len(nbrs))])
 			if used[[2]int{u, v}] {
 				continue
 			}

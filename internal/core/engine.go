@@ -267,11 +267,11 @@ type Engine struct {
 }
 
 // nodeOrder is the node ordering as an engine serves it: the permutation at
-// 4 bytes per node (n < 2³², checkNodeCount) and the partition sizes. It
-// holds no inverse — a query scatters its input and gathers its answer
-// through perm alone, and the cold paths that walk new ids (preprocessing,
-// ApplyDelta) invert it for the call — and no H11 block bounds: the block
-// LU's are the one copy (lu.BlockLU.BlockRange).
+// 4 bytes per node (n < 2³², which graph.New and checkNodeCount hold) and
+// the partition sizes. It holds no inverse — a query scatters its input and
+// gathers its answer through perm alone, and the cold paths that walk new
+// ids (preprocessing, ApplyDelta) invert it for the call — and no H11 block
+// bounds: the block LU's are the one copy (lu.BlockLU.BlockRange).
 type nodeOrder struct {
 	perm       []uint32 // old id → new id
 	n1, n2, n3 int      // spokes, hubs, deadends
@@ -332,8 +332,9 @@ func (e *Engine) attachPool() {
 	e.prep.Workers = e.pool.Workers()
 }
 
-// maxNodes bounds the graphs an engine can index: the serving layout holds
-// row and column indexes and the permutation in 32 bits.
+// maxNodes bounds the indexes an engine can load: the serving layout holds
+// row and column indexes and the permutation in 32 bits. A graph is bounded
+// by the same 32 bits when it is built (graph.New).
 const maxNodes = int64(1) << 32
 
 func checkNodeCount(n int) error {
@@ -398,13 +399,9 @@ func PreprocessWithOrdering(g *graph.Graph, opts Options, ord *reorder.Ordering)
 }
 
 // newEngine is the engine both entry points start from: defaulted options,
-// the pool, the graph's sizes — and the refusal of a graph the serving
-// layout cannot index, or of a hub ratio a stored index could not carry,
-// before any work is spent on it.
+// the pool, the graph's sizes — and the refusal of a hub ratio a stored
+// index could not carry, before any work is spent on it.
 func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
-	if err := checkNodeCount(g.N()); err != nil {
-		return nil, err
-	}
 	opts = opts.withDefaults()
 	if err := reorder.CheckHubRatio(opts.HubRatio); err != nil {
 		return nil, err
@@ -515,7 +512,7 @@ func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 	for u := 0; u < n; u++ {
 		rowPtr[perm[u]+1]++ // the diagonal
 		for _, v := range g.OutNeighbors(u) {
-			if v != u {
+			if int(v) != u {
 				rowPtr[perm[v]+1]++
 			}
 		}
@@ -536,7 +533,7 @@ func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 		}
 		w := -(1 - c) / float64(g.OutDegree(u))
 		for _, v := range g.OutNeighbors(u) {
-			if v == u {
+			if int(v) == u {
 				val[diag] += w
 				continue
 			}

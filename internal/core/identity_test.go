@@ -43,7 +43,7 @@ func buildHCOO(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 			pu = perm[u]
 		}
 		for _, v := range g.OutNeighbors(u) {
-			pv := v
+			pv := int(v)
 			if perm != nil {
 				pv = perm[v]
 			}

@@ -129,7 +129,7 @@ func h22Column(g *graph.Graph, ord nodeOrder, c float64, j, u int, col []colEntr
 	if deg := g.OutDegree(u); deg > 0 {
 		w := -(1 - c) / float64(deg)
 		for _, v := range g.OutNeighbors(u) {
-			if v == u {
+			if int(v) == u {
 				diag += w
 			} else if pv := ord.perm[v]; pv >= n1 && pv < l {
 				col = append(col, colEntry{int(pv - n1), w})

@@ -136,7 +136,7 @@ func TestBarabasiAlbert(t *testing.T) {
 	// Symmetry.
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.OutNeighbors(u) {
-			if !g.HasEdge(v, u) {
+			if !g.HasEdge(int(v), u) {
 				t.Fatalf("asymmetric edge (%d,%d)", u, v)
 			}
 		}

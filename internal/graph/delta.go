@@ -19,6 +19,9 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 	if n < g.n {
 		return nil, fmt.Errorf("graph: node count shrank %d → %d", g.n, n)
 	}
+	if err := checkNodeCount(n); err != nil {
+		return nil, err
+	}
 	for _, e := range add {
 		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.Src, e.Dst, n)
@@ -63,9 +66,11 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 		}
 	}
 
+	// The result holds exactly the m edges a valid delta leaves; an invalid
+	// one is refused below, whatever its appends allocated.
 	outPtr := make([]int, n+1)
-	adj := make([]int, 0, g.M()+len(add))
-	inDeg := make([]int, n)
+	adj := make([]uint32, 0, max(0, g.M()+len(add)-len(del)))
+	inDeg := make([]uint32, n)
 	copy(inDeg, g.inDeg)
 	for _, e := range del {
 		inDeg[e.Dst]--
@@ -74,7 +79,7 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 		inDeg[e.Dst]++
 	}
 	for i := 0; i < n; i++ {
-		var old []int
+		var old []uint32
 		if i < g.n {
 			old = g.OutNeighbors(i)
 		}
@@ -86,23 +91,25 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 		}
 		ai, di := 0, 0
 		for _, v := range old {
-			for ai < len(rd.add) && rd.add[ai] < v {
-				adj = append(adj, rd.add[ai])
+			for ai < len(rd.add) && rd.add[ai] < int(v) {
+				adj = append(adj, uint32(rd.add[ai]))
 				ai++
 			}
-			if ai < len(rd.add) && rd.add[ai] == v {
+			if ai < len(rd.add) && rd.add[ai] == int(v) {
 				return nil, fmt.Errorf("graph: insert of existing edge (%d,%d)", i, v)
 			}
-			for di < len(rd.del) && rd.del[di] < v {
+			for di < len(rd.del) && rd.del[di] < int(v) {
 				return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, rd.del[di])
 			}
-			if di < len(rd.del) && rd.del[di] == v {
+			if di < len(rd.del) && rd.del[di] == int(v) {
 				di++
 				continue
 			}
 			adj = append(adj, v)
 		}
-		adj = append(adj, rd.add[ai:]...)
+		for _, v := range rd.add[ai:] {
+			adj = append(adj, uint32(v))
+		}
 		if di < len(rd.del) {
 			return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, rd.del[di])
 		}

@@ -7,7 +7,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"bepi/internal/sparse"
 )
@@ -19,24 +19,29 @@ type Edge struct {
 
 // Graph is an immutable directed graph over nodes 0..N-1 with out-adjacency
 // stored in CSR layout. Parallel edges are collapsed and self-loops kept.
+// Node ids are held in 32 bits, so a graph has fewer than 2³² nodes and
+// costs 4 bytes an edge plus 12 bytes a node.
 type Graph struct {
 	n      int
-	outPtr []int // len n+1
-	outAdj []int // concatenated sorted out-neighbor lists
-	inDeg  []int
+	outPtr []int    // len n+1
+	outAdj []uint32 // concatenated sorted out-neighbor lists, len M
+	inDeg  []uint32
 }
 
-// New builds a graph with n nodes from the given edges. Edges referencing
-// nodes outside [0, n) cause an error. Duplicate edges are collapsed.
+// New builds a graph with n nodes from the given edges. A node count above
+// 2³² − 1, or an edge referencing a node outside [0, n), is an error.
+// Duplicate edges are collapsed.
 func New(n int, edges []Edge) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative node count %d", n)
+	if err := checkNodeCount(n); err != nil {
+		return nil, err
 	}
 	for _, e := range edges {
 		if e.Src < 0 || e.Src >= n || e.Dst < 0 || e.Dst >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.Src, e.Dst, n)
 		}
 	}
+	// Count each row, then fill it: outPtr[u] advances from the start of
+	// u's row to its end, which is where u+1's starts.
 	outPtr := make([]int, n+1)
 	for _, e := range edges {
 		outPtr[e.Src+1]++
@@ -44,35 +49,45 @@ func New(n int, edges []Edge) (*Graph, error) {
 	for i := 0; i < n; i++ {
 		outPtr[i+1] += outPtr[i]
 	}
-	adj := make([]int, len(edges))
-	next := make([]int, n)
-	copy(next, outPtr[:n])
+	adj := make([]uint32, len(edges))
 	for _, e := range edges {
-		adj[next[e.Src]] = e.Dst
-		next[e.Src]++
+		adj[outPtr[e.Src]] = uint32(e.Dst)
+		outPtr[e.Src]++
 	}
-	// Sort and dedupe each neighbor list.
-	out := 0
-	newPtr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		lst := adj[outPtr[i]:outPtr[i+1]]
-		sort.Ints(lst)
-		start := out
+	// Sort and dedupe each neighbor list in place, moving it left over the
+	// duplicates collapsed before it; outPtr[u] goes back to its start.
+	out, lo := 0, 0
+	for u := 0; u < n; u++ {
+		hi := outPtr[u]
+		lst := adj[lo:hi]
+		slices.Sort(lst)
+		outPtr[u] = out
 		for _, v := range lst {
-			if out > start && adj[out-1] == v {
+			if out > outPtr[u] && adj[out-1] == v {
 				continue
 			}
 			adj[out] = v
 			out++
 		}
-		newPtr[i+1] = out
+		lo = hi
 	}
-	adj = adj[:out]
-	inDeg := make([]int, n)
+	outPtr[n] = out
+	if out < len(adj) { // duplicates collapsed: keep m words, not len(edges)
+		adj = append(make([]uint32, 0, out), adj[:out]...)
+	}
+	inDeg := make([]uint32, n)
 	for _, v := range adj {
 		inDeg[v]++
 	}
-	return &Graph{n: n, outPtr: newPtr, outAdj: adj, inDeg: inDeg}, nil
+	return &Graph{n: n, outPtr: outPtr, outAdj: adj, inDeg: inDeg}, nil
+}
+
+// checkNodeCount refuses a node count the 32-bit node ids cannot hold.
+func checkNodeCount(n int) error {
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("graph: node count %d outside [0, 2³² − 1]", n)
+	}
+	return nil
 }
 
 // MustNew is New but panics on error; for tests and generators that
@@ -91,21 +106,23 @@ func (g *Graph) N() int { return g.n }
 // M returns the number of (deduplicated) directed edges.
 func (g *Graph) M() int { return len(g.outAdj) }
 
-// OutNeighbors returns the sorted out-neighbor list of node u (shared
-// storage; do not mutate).
-func (g *Graph) OutNeighbors(u int) []int { return g.outAdj[g.outPtr[u]:g.outPtr[u+1]] }
+// OutNeighbors returns the sorted out-neighbor list of node u as 32-bit
+// node ids (shared storage; do not mutate).
+func (g *Graph) OutNeighbors(u int) []uint32 { return g.outAdj[g.outPtr[u]:g.outPtr[u+1]] }
 
 // OutDegree returns the out-degree of node u.
 func (g *Graph) OutDegree(u int) int { return g.outPtr[u+1] - g.outPtr[u] }
 
 // InDegree returns the in-degree of node u.
-func (g *Graph) InDegree(u int) int { return g.inDeg[u] }
+func (g *Graph) InDegree(u int) int { return int(g.inDeg[u]) }
 
 // HasEdge reports whether the directed edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	lst := g.OutNeighbors(u)
-	p := sort.SearchInts(lst, v)
-	return p < len(lst) && lst[p] == v
+	if v < 0 || v >= g.n {
+		return false
+	}
+	_, found := slices.BinarySearch(g.OutNeighbors(u), uint32(v))
+	return found
 }
 
 // Edges returns all edges in (src, dst) order.
@@ -113,7 +130,7 @@ func (g *Graph) Edges() []Edge {
 	edges := make([]Edge, 0, g.M())
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.OutNeighbors(u) {
-			edges = append(edges, Edge{u, v})
+			edges = append(edges, Edge{u, int(v)})
 		}
 	}
 	return edges
@@ -136,7 +153,9 @@ func (g *Graph) Adjacency() *sparse.CSR {
 	rowPtr := make([]int, g.n+1)
 	copy(rowPtr, g.outPtr)
 	col := make([]int, len(g.outAdj))
-	copy(col, g.outAdj)
+	for p, v := range g.outAdj {
+		col[p] = int(v)
+	}
 	val := make([]float64, len(col))
 	for i := range val {
 		val[i] = 1
@@ -255,8 +274,8 @@ func (g *Graph) NodePrefix(x int) *Graph {
 	var edges []Edge
 	for u := 0; u < x; u++ {
 		for _, v := range g.OutNeighbors(u) {
-			if v < x {
-				edges = append(edges, Edge{u, v})
+			if int(v) < x {
+				edges = append(edges, Edge{u, int(v)})
 			}
 		}
 	}

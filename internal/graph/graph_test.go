@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,6 +47,48 @@ func TestNewRejectsOutOfRange(t *testing.T) {
 	}
 	if _, err := New(-1, nil); err == nil {
 		t.Fatal("expected error for negative n")
+	}
+}
+
+// TestNodeCountRefusedBeforeAllocating: the node ids are 32-bit, so 2³² − 1
+// nodes is the most a graph holds, and New and WithEdgeDeltas refuse more
+// before the row pointers (8 bytes a node) are allocated. They are called
+// with no edges and with counts whose arrays could not be allocated at all,
+// so that without the check they panic at once instead of reserving and
+// walking tens of gigabytes.
+func TestNodeCountRefusedBeforeAllocating(t *testing.T) {
+	if err := checkNodeCount(math.MaxUint32); err != nil {
+		t.Errorf("2³² − 1 nodes refused: %v", err)
+	}
+	if err := checkNodeCount(math.MaxUint32 + 1); err == nil {
+		t.Error("2³² nodes accepted")
+	}
+	small := MustNew(2, []Edge{{Src: 0, Dst: 1}})
+	for _, c := range []struct {
+		name  string
+		build func(n int) error
+	}{
+		{"New", func(n int) error { _, err := New(n, nil); return err }},
+		{"WithEdgeDeltas", func(n int) error { _, err := small.WithEdgeDeltas(n, nil, nil); return err }},
+	} {
+		for _, n := range []int{1 << 60, math.MaxInt} {
+			// The least of five calls, so that a runtime-internal
+			// allocation in the window does not count against it.
+			least := ^uint64(0)
+			for run := 0; run < 5; run++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := c.build(n)
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatalf("%s(%d nodes) accepted a count past 2³² − 1", c.name, n)
+				}
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > 4<<10 {
+				t.Errorf("%s(%d nodes) allocated %d B before refusing", c.name, n, least)
+			}
+		}
 	}
 }
 
@@ -197,7 +241,7 @@ func TestReadWriteEdgeList(t *testing.T) {
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.OutNeighbors(u) {
-			if !back.HasEdge(u, v) {
+			if !back.HasEdge(u, int(v)) {
 				t.Fatalf("edge (%d,%d) lost in round trip", u, v)
 			}
 		}
@@ -219,7 +263,7 @@ func TestMatrixMarketGraphRoundTrip(t *testing.T) {
 	}
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.OutNeighbors(u) {
-			if !back.HasEdge(u, v) {
+			if !back.HasEdge(u, int(v)) {
 				t.Fatalf("edge (%d,%d) lost", u, v)
 			}
 		}

@@ -25,7 +25,7 @@ func undirectedRef(g *Graph, nodes []int) [][]int {
 	}
 	for i, u := range nodes {
 		for _, v := range g.OutNeighbors(u) {
-			if j, ok := local[v]; ok && j != i {
+			if j, ok := local[int(v)]; ok && j != i {
 				sets[i][j], sets[j][i] = true, true
 			}
 		}

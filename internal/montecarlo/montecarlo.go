@@ -56,7 +56,7 @@ func (e *Estimator) Query(seedNode, walks int) ([]float64, error) {
 				// simply vanishes (H's trailing identity block).
 				break
 			}
-			u = nbrs[rng.Intn(len(nbrs))]
+			u = int(nbrs[rng.Intn(len(nbrs))])
 		}
 	}
 	r := make([]float64, n)
