@@ -72,9 +72,12 @@ race:
 # DILU triangles, against the triplet-summed reference at 1 and 4 workers),
 # and S held as those triangles by every variant (S·x read off them on a
 # pool, a delta's columns spliced into them row by row), and H11's block LU
-# as one array (pooled solves on it while a refactor builds a patched copy).
+# as one array (pooled solves on it while a refactor builds a patched copy),
+# and the counting sort the builders share on the pool (par.Scatter under
+# the undirected view, H's patterns and S's triangles at 1, 2, 3 and 7
+# workers, and the saved index at 1 to 4).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
@@ -136,11 +139,17 @@ bench-kernels:
 # scale 13): a return to a merged or 64-bit undirected view shows in its B/op.
 # BenchmarkNewGraph and BenchmarkWithEdgeDeltas build the input graph (hybrid
 # scale 13) and patch it as a Dynamic flush does: a return to 8-byte
-# adjacency or in-degrees, or to slack capacity, shows in their B/op.
+# adjacency or in-degrees, or to slack capacity, shows in their B/op, and a
+# return to per-row change lists in WithEdgeDeltas' allocs/op (4). The three
+# passes the build runs on the pool — SlashBurn's undirected view
+# (BenchmarkUndirected), H's patterns (BenchmarkBuildHBlocks) and S's columns
+# with their scatter into its triangles (BenchmarkSchurTriangles), on the
+# scale-15 benchmark graph — run at 1 and 2 workers: compare the two lines.
 bench-prep:
 	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkHubAndSpoke -benchtime=3x -benchmem ./internal/reorder/
-	$(GO) test -run '^$$' -bench 'BenchmarkNewGraph|BenchmarkWithEdgeDeltas' -benchtime=3x -benchmem ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BenchmarkNewGraph|BenchmarkWithEdgeDeltas|BenchmarkUndirected' -benchtime=3x -benchmem ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildHBlocks|BenchmarkSchurTriangles' -benchtime=3x -benchmem ./internal/core/
 
 # Capture a CPU profile from a running bepi-serve (start it with
 # -debug-addr $(PROFILE_ADDR)) and drop into the pprof shell:

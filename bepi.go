@@ -61,7 +61,10 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 }
 
 // ReadGraph parses a whitespace-separated "src dst" edge list ('#' and '%'
-// lines are comments). The node count is the largest id seen plus one.
+// lines are comments). The node count is the one a "# nodes=N" header line
+// gives, as Graph.WriteEdgeList writes it, or else the largest id seen plus
+// one. A node count the input's size cannot justify is refused with a
+// *NodeCountError before anything is allocated for it.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	g, err := graph.ReadEdgeList(r)
 	if err != nil {
@@ -69,6 +72,10 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	}
 	return &Graph{inner: g}, nil
 }
+
+// NodeCountError is ReadGraph's refusal of an edge list whose node count
+// its size cannot justify; Error states the bound.
+type NodeCountError = graph.NodeCountError
 
 // ReadGraphMatrixMarket parses a MatrixMarket coordinate stream as a
 // directed graph (each stored entry (i, j) is the edge i→j).

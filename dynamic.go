@@ -423,13 +423,23 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 	// edge-list re-sort. The buffer is normalized against the serving edge
 	// set at every StartFlush, so the patch cannot refuse it; if it ever
 	// did, its error is the rebuild's — the old index keeps serving and the
-	// buffer is restored.
-	var add, del []graph.Edge
+	// buffer is restored. The ops are put in (Src, Dst) order, not the
+	// map's: ApplyDelta refuses with the first op it cannot absorb, so one
+	// delta names one Fallback, and the patch walks its change lists in
+	// that order without sorting them.
+	ops := make([]core.EdgeDelta, 0, len(snap))
 	for e, insert := range snap {
-		if insert {
-			add = append(add, graph.Edge{Src: e[0], Dst: e[1]})
+		ops = append(ops, core.EdgeDelta{Src: e[0], Dst: e[1], Insert: insert})
+	}
+	slices.SortFunc(ops, func(a, b core.EdgeDelta) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	var add, del []graph.Edge
+	for _, op := range ops {
+		if op.Insert {
+			add = append(add, graph.Edge{Src: op.Src, Dst: op.Dst})
 		} else {
-			del = append(del, graph.Edge{Src: e[0], Dst: e[1]})
+			del = append(del, graph.Edge{Src: op.Src, Dst: op.Dst})
 		}
 	}
 	gi, err := gBase.inner.WithEdgeDeltas(n, add, del)
@@ -437,15 +447,6 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 	var eng *Engine
 	mode := RebuildModeFull
 	if err == nil {
-		ops := make([]core.EdgeDelta, 0, len(snap))
-		for e, insert := range snap {
-			ops = append(ops, core.EdgeDelta{Src: e[0], Dst: e[1], Insert: insert})
-		}
-		// In (Src, Dst) order, not the map's: ApplyDelta refuses with the
-		// first op it cannot absorb, so one delta names one Fallback.
-		slices.SortFunc(ops, func(a, b core.EdgeDelta) int {
-			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-		})
 		if ce, st, derr := base.inner.ApplyDelta(g.inner, ops); derr == nil {
 			eng = &Engine{inner: ce}
 			mode = RebuildMode(st.Class.String())

@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"strconv"
-	"strings"
 	"testing"
 
 	"bepi/internal/gen"
@@ -68,8 +66,16 @@ func (r *referenceBuild) engine(t *testing.T, v Variant) *Engine {
 		h31: sparse.PatternOf(r.h31), h32: sparse.PatternOf(r.h32),
 		hw: make([]float64, l),
 	}
-	for j, u := range r.ord.Inv[:l] {
-		e.hw[j] = e.ord.hWeight(r.g, DefaultC, u)
+	// A column's weight is the value of its every entry in the four blocks,
+	// 0 where they hold none.
+	for _, b := range []struct {
+		m   *sparse.CSR
+		off int
+	}{{r.h21, 0}, {r.h31, 0}, {r.h12, r.ord.N1}, {r.h32, r.ord.N1}} {
+		vals := b.m.Values()
+		for p, j := range b.m.ColIdx() {
+			e.hw[b.off+j] = vals[p]
+		}
 	}
 	var err error
 	if e.ilu, err = lu.FactorDILU(r.s); err != nil {
@@ -232,8 +238,7 @@ func TestSchurAssemblyMatchesReference(t *testing.T) {
 			pool := par.NewPool(workers)
 			matBitsEqual(t, name+" SchurComplementT", sparse.Compact(SchurComplementT(h22, h21T, h12T, f, pool)), sparse.Compact(ref))
 			in := &schurInputs{h11LU: f, h21T: h21T, h12T: h12T, h22: csrH22(h22)}
-			cols := in.columns(n2, pool)
-			tri, err := lu.TrianglesFromColumns(n2, cols.nnz(), cols.visit)
+			tri, _, err := in.triangles(n2, pool)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -241,12 +246,6 @@ func TestSchurAssemblyMatchesReference(t *testing.T) {
 		}
 	}
 
-	never := func(func(int, []uint32, []float64)) { t.Fatal("the refused matrix's columns were read") }
-	for _, c := range []struct{ n, nnz int }{{3, math.MaxInt32 + 1}, {1 << 32, 1}} {
-		if _, err := lu.TrianglesFromColumns(c.n, c.nnz, never); err == nil || !strings.Contains(err.Error(), "32-bit") {
-			t.Fatalf("%d×%d with %d entries: err = %v, want the 32-bit refusal", c.n, c.n, c.nnz, err)
-		}
-	}
 }
 
 // cancellingBlocks returns Schur inputs with two spokes, each its own 1×1

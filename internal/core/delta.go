@@ -209,7 +209,6 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	for _, u := range sorted {
 		pu := int(ord.perm[u])
 		cols = append(cols, pu)
-		hw[pu] = ord.hWeight(gNew, c, u)
 		if pu < n1 {
 			spokeCols[pu] = true
 		} else {
@@ -217,7 +216,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 		}
 	}
 	slices.Sort(cols)
-	nw12, nw21, nw31, nw32 := buildHBlocks(gNew, ord, inv, cols)
+	nw12, nw21, nw31, nw32 := buildHBlocks(gNew, ord, inv, cols, nil, hw, c)
 	splice := func(old, nw *sparse.Pattern, replaced []bool, spanned bool) *sparse.Pattern {
 		if !spanned && nw.Rows() == old.Rows() {
 			return old
@@ -268,7 +267,7 @@ func (e *Engine) ApplyDelta(gNew *graph.Graph, ops []EdgeDelta) (*Engine, DeltaS
 	var schurDur, iluDur time.Duration
 	if len(schurCols) > 0 {
 		tSchur := time.Now()
-		in := graphSchurInputs(gNew, ord, inv, c, h11LUNew, h12New, h21New, hw)
+		in := graphSchurInputs(gNew, ord, inv, c, h11LUNew, h12New, h21New, hw, nil)
 		w := newSchurScratch(n2, h11LUNew)
 		var rows []uint32
 		var vals []float64

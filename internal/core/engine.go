@@ -220,8 +220,8 @@ type Engine struct {
 	// at j (BuildH), so hw holds it once per column, for the l = n1+n2
 	// non-deadend nodes in new-id order — H21/H31 read hw[:n1], H12/H32
 	// hw[n1:]. hw is canonical: 0 at a column none of the four blocks holds
-	// an entry of (hWeight), so the weights are a function of the graph and
-	// the ordering alone.
+	// an entry of (buildHBlocks sets both), so the weights are a function of
+	// the graph and the ordering alone.
 	h12, h21, h31, h32 *sparse.Pattern
 	hw                 []float64
 	// S is stored once, whatever the variant, as its DILU factors: S's own
@@ -368,7 +368,7 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 
 	// 1. Node reordering: deadends to the tail, SlashBurn on the rest.
 	t0 := time.Now()
-	ord := reorder.HubAndSpoke(g, e.opts.HubRatio)
+	ord := reorder.HubAndSpokePool(g, e.opts.HubRatio, e.pool)
 	e.prep.Reorder = time.Since(t0)
 	if e.opts.Deadline > 0 && time.Since(start) > e.opts.Deadline {
 		return nil, fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
@@ -434,11 +434,8 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	n1, n2 := ord.N1, ord.N2
 	l := n1 + n2
 	inv := e.ord.inverse()
-	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv, nil)
 	e.hw = make([]float64, l)
-	for j, u := range inv[:l] {
-		e.hw[j] = e.ord.hWeight(g, opts.C, int(u))
-	}
+	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv, nil, e.pool, e.hw, opts.C)
 	e.prep.BuildH = time.Since(t0)
 	if err := deadline(); err != nil {
 		return nil, err
@@ -464,14 +461,12 @@ func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start tim
 	// assembled straight into S's two DILU triangles, whose pivots (step 5)
 	// make them the factors.
 	t0 = time.Now()
-	in := graphSchurInputs(g, e.ord, inv, opts.C, e.h11LU, e.h12, e.h21, e.hw)
-	cols := in.columns(n2, e.pool)
-	nnz := cols.nnz()
-	e.prep.SchurNNZ = nnz
-	tri, err := lu.TrianglesFromColumns(n2, nnz, cols.visit)
+	in := graphSchurInputs(g, e.ord, inv, opts.C, e.h11LU, e.h12, e.h21, e.hw, e.pool)
+	tri, nnz, err := in.triangles(n2, e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: DILU of S: %w", err)
 	}
+	e.prep.SchurNNZ = nnz
 	e.prep.Schur = time.Since(t0)
 	// 5. The DILU pivots: D_S and the one O(nnz(S)) recurrence.
 	t0 = time.Now()
@@ -543,25 +538,6 @@ func BuildH(g *graph.Graph, perm []int, c float64) *sparse.CSR {
 		}
 	}
 	return sparse.NewCSR(n, n, rowPtr, col, val)
-}
-
-// hWeight is the stored weight of the column of the reordered H that the
-// non-deadend node u owns: the number BuildH writes into every off-diagonal
-// entry of the column, −(1−c)/outdeg(u), when one of those entries falls in
-// a stored block — a spoke's out-neighbor outside H11, a hub's outside H22 —
-// and 0 when every one falls in the diagonal block the engine does not
-// store as values. Preprocessing and ApplyDelta both take weights from here.
-func (o nodeOrder) hWeight(g *graph.Graph, c float64, u int) float64 {
-	lo, hi := uint32(0), uint32(o.n1) // the rows of the column's diagonal block
-	if o.perm[u] >= hi {
-		lo, hi = hi, uint32(o.n1+o.n2)
-	}
-	for _, v := range g.OutNeighbors(u) {
-		if pv := o.perm[v]; pv < lo || pv >= hi {
-			return -(1 - c) / float64(g.OutDegree(u))
-		}
-	}
-	return 0
 }
 
 // N returns the number of nodes the engine was built for.

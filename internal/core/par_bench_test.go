@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bepi/internal/gen"
+	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/par"
 	"bepi/internal/reorder"
@@ -110,4 +111,71 @@ func BenchmarkFactorBlockDiag(b *testing.B) {
 			}
 		}
 	})
+}
+
+// prepBench is the scale-15 hybrid graph of the repository benchmark's
+// index-build, its ordering, and the H11 factors and patterns the Schur
+// stage reads. Built once, on first benchmark use only.
+var prepBench struct {
+	once  sync.Once
+	g     *graph.Graph
+	ord   nodeOrder
+	inv   []uint32
+	in    *schurInputs
+	n2, l int
+}
+
+func prepBenchSetup(b *testing.B) {
+	prepBench.once.Do(func() {
+		g := gen.Hybrid(gen.DefaultHybrid(15, 14, 1))
+		ro := reorder.HubAndSpoke(g, 0.2) // the default hub ratio
+		ord := servedOrder(ro)
+		inv := ord.inverse()
+		l := ro.N1 + ro.N2
+		hw := make([]float64, l)
+		h12, h21, _, _ := buildHBlocks(g, ord, inv, nil, nil, hw, DefaultC)
+		f, err := lu.FactorBlocksPool(ro.N1, ro.Blocks, h11Fill(g, ord, inv, DefaultC), nil)
+		if err != nil {
+			panic(err)
+		}
+		prepBench.g, prepBench.ord, prepBench.inv, prepBench.n2, prepBench.l = g, ord, inv, ro.N2, l
+		prepBench.in = graphSchurInputs(g, ord, inv, DefaultC, f, h12, h21, hw, nil)
+	})
+}
+
+// BenchmarkBuildHBlocks builds H's four off-diagonal patterns and the
+// column weights of the scale-15 benchmark graph on 1 and 2 workers: the
+// counting sort of buildHBlocks, its columns cut between the workers.
+func BenchmarkBuildHBlocks(b *testing.B) {
+	prepBenchSetup(b)
+	hw := make([]float64, prepBench.l)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildHBlocks(prepBench.g, prepBench.ord, prepBench.inv, nil, pool, hw, DefaultC)
+			}
+		})
+	}
+}
+
+// BenchmarkSchurTriangles computes S's columns of the scale-15 benchmark
+// graph and scatters them into S's two DILU triangles on 1 and 2 workers,
+// as preprocessing does: each worker counts its columns' rows as it
+// computes them, then scatters them.
+func BenchmarkSchurTriangles(b *testing.B) {
+	prepBenchSetup(b)
+	n2, in := prepBench.n2, prepBench.in
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := in.triangles(n2, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

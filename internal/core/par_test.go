@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -116,11 +117,29 @@ func TestSchurComplementParallelMatchesSerialPathological(t *testing.T) {
 	}
 }
 
-// TestPreprocessParallelismBitIdentical preprocesses the same graph
-// serially and with a 4-worker pool and requires the stored matrices and
-// every query answer to be bit-identical.
+// TestPreprocessParallelismBitIdentical preprocesses the same graph on 1,
+// 2, 3 and 4 workers — SlashBurn's undirected view, H's patterns, S's
+// columns and their scatter into its triangles all run on the pool — and
+// requires the saved index to be the same bytes each time, and the stored
+// matrices and every query answer of the serial and the 4-worker engine to
+// be bit-identical.
 func TestPreprocessParallelismBitIdentical(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 5))
+	var saved [][]byte
+	for _, workers := range []int{1, 2, 3, 4} {
+		e, err := Preprocess(g, Options{Variant: VariantFull, Tol: 1e-10, Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := e.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved = append(saved, buf.Bytes())
+		if !bytes.Equal(buf.Bytes(), saved[0]) {
+			t.Fatalf("the index built on %d workers saves %d bytes differing from the serial build's %d", workers, buf.Len(), len(saved[0]))
+		}
+	}
 	serial, err := Preprocess(g, Options{Variant: VariantFull, Tol: 1e-10, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

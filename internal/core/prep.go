@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
@@ -26,66 +25,97 @@ import (
 // new id, 1 on the diagonal, and a self-loop's weight added to that 1.
 
 // buildHBlocks builds H12, H21, H31 and H32 of the reordered H from the
-// graph by one counting pass: the columns' entries are counted per block
-// row, then scattered with the columns walked in ascending new id, so every
-// row is born sorted and every column array is allocated once, at its
-// served width. With cols nil it covers every non-deadend column — the
-// build, whose count visits the nodes in id order, reading the graph's
-// adjacency front to back. Otherwise it covers only the new ids cols lists,
-// in ascending order, and the four blocks hold those columns' entries alone
-// (ApplyDelta splices them into the stored patterns). It is the one code
-// that places an entry of H in the four blocks. inv is the new id → old id
-// map of ord.
-func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32, cols []int) (h12, h21, h31, h32 *sparse.Pattern) {
+// graph by one counting sort (sparse.PatternBuilder) on the pool: the
+// columns are cut into contiguous ranges balanced by out-degree, each
+// range's worker counts its columns' entries per block row, and after the
+// prefix each worker puts its entries walking its columns in ascending new
+// id, so every row is born sorted — the same at any worker count — and
+// every column array is allocated once, at its served width. With cols nil
+// it covers every non-deadend column — the build. Otherwise it covers only
+// the new ids cols lists, in ascending order, and the four blocks hold
+// those columns' entries alone (ApplyDelta splices them into the stored
+// patterns). It is the one code that places an entry of H in the four
+// blocks. inv is the new id → old id map of ord. With hw not nil it also
+// sets the stored weight hw[j] of every column j it covers, for restart
+// probability c: the value BuildH writes into every off-diagonal entry of
+// the column, −(1−c)/outdeg of its node, when the column places an entry
+// in one of the four blocks, and 0 when every entry falls in H11 or H22,
+// which the engine does not store as values. The build and ApplyDelta both
+// take their weights from here. A nil pool runs serially.
+func buildHBlocks(g *graph.Graph, ord nodeOrder, inv []uint32, cols []int, pool *par.Pool, hw []float64, c float64) (h12, h21, h31, h32 *sparse.Pattern) {
 	n1, l := ord.n1, ord.n1+ord.n2
-	b12 := sparse.NewPatternBuilder(n1, ord.n2)
-	b21 := sparse.NewPatternBuilder(ord.n2, n1)
-	b31 := sparse.NewPatternBuilder(ord.n3, n1)
-	b32 := sparse.NewPatternBuilder(ord.n3, ord.n2)
-	// column visits the entries of column j, the column of node u, that
+	items := l // the columns covered: x-th is x, or cols[x]
+	if cols != nil {
+		items = len(cols)
+	}
+	colAt := func(x int) int {
+		if cols == nil {
+			return x
+		}
+		return cols[x]
+	}
+	// A column costs about as much as columnCost of its entries: its own
+	// lookups, and the low-degree spokes' columns are most of them.
+	const columnCost = 8
+	bounds := []int{0, items}
+	if pool.Workers() > 1 && items >= 2 {
+		bounds = par.BoundsByWeight(items, pool.Workers(), func(x int) int { return g.OutDegree(int(inv[colAt(x)])) + columnCost })
+	}
+	parts := len(bounds) - 1
+	b12 := sparse.NewPatternBuilder(n1, ord.n2, parts)
+	b21 := sparse.NewPatternBuilder(ord.n2, n1, parts)
+	b31 := sparse.NewPatternBuilder(ord.n3, n1, parts)
+	b32 := sparse.NewPatternBuilder(ord.n3, ord.n2, parts)
+	builders := []*sparse.PatternBuilder{b12, b21, b31, b32}
+	// pass counts, or puts, the entries of part's columns [lo, hi) that
 	// fall in the four blocks, as (block, row, column) within the block.
-	column := func(j, u int, visit func(b *sparse.PatternBuilder, row, col int)) {
-		for _, v := range g.OutNeighbors(u) {
-			switch pv := int(ord.perm[v]); {
-			case j < n1 && pv >= l:
-				visit(b31, pv-l, j)
-			case j < n1 && pv >= n1:
-				visit(b21, pv-n1, j)
-			case j < n1: // H11: the block LU fills it
-			case pv >= l:
-				visit(b32, pv-l, j-n1)
-			case pv < n1:
-				visit(b12, pv, j-n1)
-			default: // H22: S's columns read it
+	pass := func(put bool) func(part, lo, hi int) {
+		return func(part, lo, hi int) {
+			for x := lo; x < hi; x++ {
+				j := colAt(x)
+				u := int(inv[j])
+				placed := false
+				for _, v := range g.OutNeighbors(u) {
+					var b *sparse.PatternBuilder
+					var row, col int
+					switch pv := int(ord.perm[v]); {
+					case j < n1 && pv >= l:
+						b, row, col = b31, pv-l, j
+					case j < n1 && pv >= n1:
+						b, row, col = b21, pv-n1, j
+					case j < n1: // H11: the block LU fills it
+						continue
+					case pv >= l:
+						b, row, col = b32, pv-l, j-n1
+					case pv < n1:
+						b, row, col = b12, pv, j-n1
+					default: // H22: S's columns read it
+						continue
+					}
+					if put {
+						b.Put(part, row, col)
+					} else {
+						b.Count(part, row)
+						placed = true
+					}
+				}
+				if hw != nil && !put {
+					hw[j] = 0
+					if placed {
+						hw[j] = -(1 - c) / float64(g.OutDegree(u))
+					}
+				}
 			}
 		}
 	}
-	count := func(b *sparse.PatternBuilder, row, _ int) { b.Count(row) }
-	put := func(b *sparse.PatternBuilder, row, col int) { b.Put(row, col) }
-	if cols == nil {
-		for u := range g.N() {
-			if j := int(ord.perm[u]); j < l {
-				column(j, u, count)
-			}
-		}
-	} else {
-		for _, j := range cols {
-			column(j, int(inv[j]), count)
-		}
-	}
-	for _, b := range []*sparse.PatternBuilder{b12, b21, b31, b32} {
+	pool.ForBounds(bounds, pass(false))
+	for _, b := range builders {
 		b.Alloc()
 	}
-	if cols == nil {
-		for j, u := range inv[:l] {
-			column(j, int(u), put)
-		}
-	} else {
-		for _, j := range cols {
-			column(j, int(inv[j]), put)
-		}
-	}
-	return b12.Pattern(), b21.Pattern(), b31.Pattern(), b32.Pattern()
+	pool.ForBounds(bounds, pass(true))
+	var p [4]*sparse.Pattern
+	pool.Each(len(builders), func(i int) { p[i] = builders[i].Pattern() })
+	return p[0], p[1], p[2], p[3]
 }
 
 // h11Fill returns the fill (lu.FactorBlocksPool's contract) that writes
@@ -141,16 +171,23 @@ func h22Column(g *graph.Graph, ord nodeOrder, c float64, j, u int, col []colEntr
 
 // graphSchurInputs is what an engine's columns of S are computed from: its
 // H11 factors, the column views of its H21 and H12 patterns under the
-// weights hw, and H22's columns read off the graph by h22Column.
-func graphSchurInputs(g *graph.Graph, ord nodeOrder, inv []uint32, c float64, h11LU *lu.BlockLU, h12, h21 *sparse.Pattern, hw []float64) *schurInputs {
-	return &schurInputs{
+// weights hw, the two built side by side on the pool, and H22's columns
+// read off the graph by h22Column.
+func graphSchurInputs(g *graph.Graph, ord nodeOrder, inv []uint32, c float64, h11LU *lu.BlockLU, h12, h21 *sparse.Pattern, hw []float64, pool *par.Pool) *schurInputs {
+	in := &schurInputs{
 		h11LU: h11LU,
-		h21T:  h21.ExpandT(hw[:ord.n1]),
-		h12T:  h12.ExpandT(hw[ord.n1:]),
 		h22: func(j int, col []colEntry) []colEntry {
 			return h22Column(g, ord, c, j, int(inv[ord.n1+j]), col)
 		},
 	}
+	pool.Each(2, func(k int) {
+		if k == 0 {
+			in.h21T = h21.ExpandT(hw[:ord.n1])
+		} else {
+			in.h12T = h12.ExpandT(hw[ord.n1:])
+		}
+	})
+	return in
 }
 
 // csrH22 is the H22 column source of a CSR H22: column j is row j of its
@@ -186,7 +223,7 @@ func SchurComplement(h22, h21, h12 *sparse.CSR, h11LU *lu.BlockLU) *sparse.CSR {
 func SchurComplementT(h22, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU, pool *par.Pool) *sparse.CSR {
 	in := &schurInputs{h11LU: h11LU, h21T: h21T, h12T: h12T, h22: csrH22(h22)}
 	n2 := h22.Rows()
-	cols := in.columns(n2, pool)
+	cols := in.columns(n2, in.bounds(n2, pool), pool, nil)
 	return sparse.CompactFromColumns(n2, n2, cols.nnz(), cols.visit).ToCSR()
 }
 
@@ -241,25 +278,35 @@ type schurShard struct {
 // one shard per worker (96 KiB).
 const schurShardEntries = 1 << 13
 
-// schurColumns is S as its columns: the shards, in column order.
-type schurColumns []schurShard
+// schurColumns is S as its columns: the column ranges bounds cut [0, n2)
+// into, and each range's shards, in column order.
+type schurColumns struct {
+	bounds []int
+	parts  [][]schurShard
+}
 
-// columns computes the n2 columns of S across the pool. The columns are cut
-// into contiguous chunks balanced by H12-column fill (what drives each
-// column's substitution fan-out), and each chunk's worker runs the column
-// routine over its columns in ascending order, into a private scratch and
-// its own shards. Every column is computed once, with its accumulation
-// order unchanged, so the columns are the same at any worker count. A nil
-// pool runs serially.
-func (in *schurInputs) columns(n2 int, pool *par.Pool) schurColumns {
-	bounds := []int{0, n2}
+// bounds cuts S's n2 columns into one contiguous range per worker of the
+// pool, balanced by H12-column fill (what drives each column's
+// substitution fan-out); a nil pool gives one range.
+func (in *schurInputs) bounds(n2 int, pool *par.Pool) []int {
 	if pool.Workers() > 1 && n2 >= 2 {
-		bounds = par.BoundsByPrefix(in.h12T.RowPtr(), pool.Workers())
+		return par.BoundsByPrefix(in.h12T.RowPtr(), pool.Workers())
 	}
-	chunks := make([]schurColumns, len(bounds)-1)
-	run := func(chunk, jlo, jhi int) {
+	return []int{0, n2}
+}
+
+// columns computes the n2 columns of S across the pool, one range of
+// bounds per worker: each worker runs the column routine over its columns
+// in ascending order, into a private scratch and its own shards, and hands
+// each finished column to count, when it is not nil, under its range's
+// index. Every column is computed once, with its accumulation order
+// unchanged, so the columns are the same at any worker count. A nil pool
+// runs serially.
+func (in *schurInputs) columns(n2 int, bounds []int, pool *par.Pool, count func(part, j int, rows []uint32)) schurColumns {
+	s := schurColumns{bounds: bounds, parts: make([][]schurShard, len(bounds)-1)}
+	pool.ForBounds(bounds, func(part, jlo, jhi int) {
 		w := newSchurScratch(n2, in.h11LU)
-		var out schurColumns
+		var out []schurShard
 		var sh *schurShard
 		for j := jlo; j < jhi; j++ {
 			in.column(w, j)
@@ -268,40 +315,78 @@ func (in *schurInputs) columns(n2 int, pool *par.Pool) schurColumns {
 				out = append(out, schurShard{jlo: j, rows: make([]uint32, 0, size), vals: make([]float64, 0, size)})
 				sh = &out[len(out)-1]
 			}
-			for _, i := range w.touched {
-				sh.rows = append(sh.rows, uint32(i))
-				sh.vals = append(sh.vals, w.acc[i])
+			start, end := len(sh.rows), len(sh.rows)+len(w.touched)
+			sh.rows, sh.vals = sh.rows[:end], sh.vals[:end]
+			rows, vals := sh.rows[start:], sh.vals[start:end]
+			for k, i := range w.touched {
+				rows[k], vals[k] = uint32(i), w.acc[i]
 			}
-			sh.end = append(sh.end, len(sh.rows))
+			sh.end = append(sh.end, end)
+			if count != nil {
+				count(part, j, rows)
+			}
 		}
-		chunks[chunk] = out
+		s.parts[part] = out
+	})
+	return s
+}
+
+// triangles computes S's n2 columns on the pool and assembles them into
+// S's two DILU triangles: each worker counts its columns' rows of L̂ and Û
+// as it computes them (lu.TriangleBuilder), and after the prefix scatters
+// its own shards. It returns the triangles and S's entry count; it refuses
+// what the builder refuses.
+func (in *schurInputs) triangles(n2 int, pool *par.Pool) (*lu.Triangles, int, error) {
+	bounds := in.bounds(n2, pool)
+	tb, err := lu.NewTriangleBuilder(n2, len(bounds)-1)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(bounds) == 2 {
-		run(0, 0, n2)
-	} else {
-		pool.ForBounds(bounds, run)
+	cols := in.columns(n2, bounds, pool, tb.Count)
+	if err := tb.Alloc(); err != nil {
+		return nil, 0, err
 	}
-	return slices.Concat(chunks...)
+	cols.scatter(pool, tb.Put)
+	tri, err := tb.Triangles()
+	return tri, cols.nnz(), err
 }
 
 // nnz returns S's entry count.
 func (s schurColumns) nnz() int {
 	n := 0
-	for _, sh := range s {
-		n += len(sh.rows)
+	for _, shards := range s.parts {
+		for _, sh := range shards {
+			n += len(sh.rows)
+		}
 	}
 	return n
 }
 
 // visit is S as a sparse.Columns: every column, in ascending order.
 func (s schurColumns) visit(emit func(j int, rows []uint32, vals []float64)) {
-	for _, sh := range s {
+	for part := range s.parts {
+		s.visitPart(part, emit)
+	}
+}
+
+// visitPart hands emit the columns of one range, in ascending order.
+func (s schurColumns) visitPart(part int, emit func(j int, rows []uint32, vals []float64)) {
+	for _, sh := range s.parts[part] {
 		start := 0
 		for k, end := range sh.end {
 			emit(sh.jlo+k, sh.rows[start:end], sh.vals[start:end])
 			start = end
 		}
 	}
+}
+
+// scatter hands put every column across the pool, each range's columns in
+// ascending order on the worker of that range, under its index — the
+// parts columns counted them under.
+func (s schurColumns) scatter(pool *par.Pool, put func(part, j int, rows []uint32, vals []float64)) {
+	pool.ForBounds(s.bounds, func(part, _, _ int) {
+		s.visitPart(part, func(j int, rows []uint32, vals []float64) { put(part, j, rows, vals) })
+	})
 }
 
 // schurScratch is the working state of Schur-column computations: a dense

@@ -153,9 +153,9 @@ func TestBarabasiAlbert(t *testing.T) {
 }
 
 // reachedUndirected counts the nodes a BFS from s reaches over
-// g.Undirected(nil): s's undirected component.
+// g.Undirected(nil, nil): s's undirected component.
 func reachedUndirected(g *graph.Graph, s int) int {
-	und := g.Undirected(nil)
+	und := g.Undirected(nil, nil)
 	seen := make([]bool, g.N())
 	seen[s] = true
 	queue := []int{s}

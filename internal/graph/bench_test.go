@@ -1,10 +1,13 @@
 package graph_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"bepi/internal/gen"
 	"bepi/internal/graph"
+	"bepi/internal/par"
 )
 
 var graphSink *graph.Graph
@@ -26,9 +29,10 @@ func BenchmarkNewGraph(b *testing.B) {
 }
 
 // BenchmarkWithEdgeDeltas patches the scale-13 hybrid graph with a
-// 64-insert, 64-delete delta, the graph a Dynamic flush builds: B/op is one
-// graph in the 32-bit layout at exactly its new edge count, plus the
-// delta's row lists.
+// 64-insert, 64-delete delta in (Src, Dst) order, the graph a Dynamic flush
+// builds: B/op is one graph in the 32-bit layout at exactly its new edge
+// count, in 4 allocations — the changes are walked with a cursor, not
+// gathered per row.
 func BenchmarkWithEdgeDeltas(b *testing.B) {
 	g := gen.Hybrid(gen.DefaultHybrid(13, 14, 1))
 	var add, del []graph.Edge
@@ -42,6 +46,7 @@ func BenchmarkWithEdgeDeltas(b *testing.B) {
 			add = append(add, graph.Edge{Src: u, Dst: v})
 		}
 	}
+	slices.Reverse(add) // a Dynamic flush passes its changes sorted
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -51,3 +56,27 @@ func BenchmarkWithEdgeDeltas(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUndirected builds SlashBurn's undirected view of the scale-15
+// hybrid graph's non-deadend nodes on 1 and 2 workers: the counting sort of
+// the in-lists runs on the pool, and the view is the same at both.
+func BenchmarkUndirected(b *testing.B) {
+	g := gen.Hybrid(gen.DefaultHybrid(15, 14, 1))
+	var nodes []int
+	for u := 0; u < g.N(); u++ {
+		if g.OutDegree(u) > 0 {
+			nodes = append(nodes, u)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				undirectedSink = g.Undirected(nodes, pool)
+			}
+		})
+	}
+}
+
+var undirectedSink *graph.Undirected

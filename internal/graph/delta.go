@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // WithEdgeDeltas returns a new graph with n nodes (n ≥ g.N(); the extra
@@ -14,7 +15,10 @@ import (
 // lacks, or listing the same edge twice (including in both lists — the
 // batch is a set of net changes, not a sequential log) is an error: callers
 // hold the exact change set, and a silent collapse would desynchronize it
-// from the graph.
+// from the graph. The changes are walked in (Src, Dst) order, each list once
+// beside the rows: a list already in that order, as a Dynamic flush passes
+// them, is read as it is, and any other is sorted in a copy; the caller's
+// lists are never reordered.
 func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 	if n < g.n {
 		return nil, fmt.Errorf("graph: node count shrank %d → %d", g.n, n)
@@ -33,41 +37,21 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 		}
 	}
 
-	type rowDelta struct{ add, del []int }
-	rows := make(map[int]*rowDelta, len(add)+len(del))
-	rowOf := func(src int) *rowDelta {
-		rd := rows[src]
-		if rd == nil {
-			rd = &rowDelta{}
-			rows[src] = rd
+	add, del = sortedEdges(add), sortedEdges(del)
+	for p := 1; p < len(add); p++ {
+		if add[p] == add[p-1] {
+			return nil, fmt.Errorf("graph: duplicate insert (%d,%d)", add[p].Src, add[p].Dst)
 		}
-		return rd
 	}
-	for _, e := range add {
-		rd := rowOf(e.Src)
-		rd.add = append(rd.add, e.Dst)
-	}
-	for _, e := range del {
-		rd := rowOf(e.Src)
-		rd.del = append(rd.del, e.Dst)
-	}
-	for src, rd := range rows {
-		sort.Ints(rd.add)
-		sort.Ints(rd.del)
-		for p := 1; p < len(rd.add); p++ {
-			if rd.add[p] == rd.add[p-1] {
-				return nil, fmt.Errorf("graph: duplicate insert (%d,%d)", src, rd.add[p])
-			}
-		}
-		for p := 1; p < len(rd.del); p++ {
-			if rd.del[p] == rd.del[p-1] {
-				return nil, fmt.Errorf("graph: duplicate delete (%d,%d)", src, rd.del[p])
-			}
+	for p := 1; p < len(del); p++ {
+		if del[p] == del[p-1] {
+			return nil, fmt.Errorf("graph: duplicate delete (%d,%d)", del[p].Src, del[p].Dst)
 		}
 	}
 
 	// The result holds exactly the m edges a valid delta leaves; an invalid
-	// one is refused below, whatever its appends allocated.
+	// one is refused below, whatever its appends allocated. The rows are
+	// walked in order, and with them a cursor into each sorted change list.
 	outPtr := make([]int, n+1)
 	adj := make([]uint32, 0, max(0, g.M()+len(add)-len(del)))
 	inDeg := make([]uint32, n)
@@ -78,42 +62,65 @@ func (g *Graph) WithEdgeDeltas(n int, add, del []Edge) (*Graph, error) {
 	for _, e := range add {
 		inDeg[e.Dst]++
 	}
+	ai, di := 0, 0
 	for i := 0; i < n; i++ {
 		var old []uint32
 		if i < g.n {
 			old = g.OutNeighbors(i)
 		}
-		rd := rows[i]
-		if rd == nil {
+		// aEnd and dEnd end row i's inserts and deletes.
+		aEnd, dEnd := ai, di
+		for aEnd < len(add) && add[aEnd].Src == i {
+			aEnd++
+		}
+		for dEnd < len(del) && del[dEnd].Src == i {
+			dEnd++
+		}
+		if ai == aEnd && di == dEnd {
 			adj = append(adj, old...)
 			outPtr[i+1] = len(adj)
 			continue
 		}
-		ai, di := 0, 0
 		for _, v := range old {
-			for ai < len(rd.add) && rd.add[ai] < int(v) {
-				adj = append(adj, uint32(rd.add[ai]))
+			for ai < aEnd && add[ai].Dst < int(v) {
+				adj = append(adj, uint32(add[ai].Dst))
 				ai++
 			}
-			if ai < len(rd.add) && rd.add[ai] == int(v) {
+			if ai < aEnd && add[ai].Dst == int(v) {
 				return nil, fmt.Errorf("graph: insert of existing edge (%d,%d)", i, v)
 			}
-			for di < len(rd.del) && rd.del[di] < int(v) {
-				return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, rd.del[di])
+			if di < dEnd && del[di].Dst < int(v) {
+				return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, del[di].Dst)
 			}
-			if di < len(rd.del) && rd.del[di] == int(v) {
+			if di < dEnd && del[di].Dst == int(v) {
 				di++
 				continue
 			}
 			adj = append(adj, v)
 		}
-		for _, v := range rd.add[ai:] {
-			adj = append(adj, uint32(v))
+		for ; ai < aEnd; ai++ {
+			adj = append(adj, uint32(add[ai].Dst))
 		}
-		if di < len(rd.del) {
-			return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, rd.del[di])
+		if di < dEnd {
+			return nil, fmt.Errorf("graph: delete of missing edge (%d,%d)", i, del[di].Dst)
 		}
 		outPtr[i+1] = len(adj)
 	}
 	return &Graph{n: n, outPtr: outPtr, outAdj: adj, inDeg: inDeg}, nil
+}
+
+// compareEdges orders edges by (Src, Dst).
+func compareEdges(a, b Edge) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+}
+
+// sortedEdges returns es in (Src, Dst) order: es itself when it is already
+// sorted, a sorted copy otherwise, so a caller's list is never reordered.
+func sortedEdges(es []Edge) []Edge {
+	if slices.IsSortedFunc(es, compareEdges) {
+		return es
+	}
+	es = slices.Clone(es)
+	slices.SortFunc(es, compareEdges)
+	return es
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,5 +90,52 @@ func TestWithEdgeDeltasErrors(t *testing.T) {
 	// The receiver survives every failed patch untouched.
 	if g.M() != 2 || !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
 		t.Fatal("receiver mutated by failed patches")
+	}
+}
+
+// TestWithEdgeDeltasWalksSortedChanges patches a graph with changes in
+// (Src, Dst) order, as a Dynamic flush passes them, and requires the patch
+// to allocate the graph alone — row pointers, adjacency, in-degrees and
+// the header, 4 allocations — and the same changes in reverse order to
+// give the same graph without reordering the caller's lists.
+func TestWithEdgeDeltasWalksSortedChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 300
+	var edges []Edge
+	for u := 0; u < n; u++ {
+		for k := 0; k < 6; k++ {
+			edges = append(edges, Edge{u, rng.Intn(n)})
+		}
+	}
+	g := MustNew(n, edges)
+	var add, del []Edge
+	for u := 0; u < n; u += 3 {
+		if nbrs := g.OutNeighbors(u); len(nbrs) > 0 {
+			del = append(del, Edge{u, int(nbrs[0])})
+		}
+		if v := (u * 7) % (n + 5); v >= n || !g.HasEdge(u, v) {
+			add = append(add, Edge{u, v})
+		}
+	}
+	want, err := g.WithEdgeDeltas(n+5, add, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = g.WithEdgeDeltas(n+5, add, del) }); allocs > 4 {
+		t.Errorf("a patch with sorted changes made %v allocations, want 4", allocs)
+	}
+	revAdd, revDel := slices.Clone(add), slices.Clone(del)
+	slices.Reverse(revAdd)
+	slices.Reverse(revDel)
+	keepAdd, keepDel := slices.Clone(revAdd), slices.Clone(revDel)
+	got, err := g.WithEdgeDeltas(n+5, revAdd, revDel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("changes in reverse order gave a different graph")
+	}
+	if !slices.Equal(revAdd, keepAdd) || !slices.Equal(revDel, keepDel) {
+		t.Fatal("the caller's change lists were reordered")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 
+	"bepi/internal/par"
 	"bepi/internal/sparse"
 )
 
@@ -187,13 +188,24 @@ func (u *Undirected) Degree(v int) int {
 
 // Undirected builds the symmetric view of the subgraph induced by nodes,
 // which must be strictly increasing and fewer than 2³² − 1; nil means every
-// node. It is O(n + m) with no merge and no sort: one counting pass over the
-// out-adjacency writes each node's induced out-neighbours as local ids and
-// counts in-degrees; a counting sort over those ids buckets the in-lists;
-// and each node's in-list is compacted in place to the entries its
-// out-list does not hold (the other half of a reciprocal pair u→v, v→u),
-// found by stamping the out-list first.
-func (g *Graph) Undirected(nodes []int) *Undirected {
+// node. It is O(n + m) with no merge of the adjacency and no sort, and runs
+// on the pool (nil: serially), each worker owning a contiguous range of the
+// nodes balanced by out-degree:
+//
+//   - each worker writes its nodes' induced out-neighbours as local ids,
+//     from the first slot its nodes' out-degrees leave it, and counts the
+//     heads' in-degrees under its range (par.Scatter); the ranges' lists are
+//     then moved together;
+//   - after the prefix, each worker buckets its nodes under their heads, so
+//     every in-list holds its tails in ascending local id, whatever the
+//     worker count;
+//   - each worker compacts its nodes' in-lists to the entries their
+//     out-lists do not hold (the other half of a reciprocal pair u→v,
+//     v→u), found by stamping the out-list first; the ranges' lists are
+//     again moved together.
+//
+// So the view is the same at any worker count.
+func (g *Graph) Undirected(nodes []int, pool *par.Pool) *Undirected {
 	if nodes == nil {
 		nodes = make([]int, g.n)
 		for i := range nodes {
@@ -209,60 +221,116 @@ func (g *Graph) Undirected(nodes []int) *Undirected {
 	for i := range local {
 		local[i] = outside
 	}
-	m := 0
 	for i, u := range nodes {
 		if i > 0 && u <= nodes[i-1] {
 			panic(fmt.Sprintf("graph: Undirected nodes not strictly increasing at %d", i))
 		}
 		local[u] = uint32(i)
-		m += g.OutDegree(u)
+	}
+	bounds := []int{0, nn}
+	if pool.Workers() > 1 && nn >= 2 {
+		bounds = par.BoundsByWeight(nn, pool.Workers(), func(i int) int { return g.OutDegree(nodes[i]) })
+	}
+	parts := len(bounds) - 1
+	// base[c] is the first slot of range c's out-lists: the out-degrees of
+	// the nodes before it. end[c] is where its lists end.
+	base, end := make([]int, parts+1), make([]int, parts)
+	for c := 0; c < parts; c++ {
+		base[c+1] = base[c]
+		for _, u := range nodes[bounds[c]:bounds[c+1]] {
+			base[c+1] += g.OutDegree(u)
+		}
 	}
 	// The counting pass: induced out-neighbours written (self-loops
-	// dropped), each head's in-degree counted.
-	outPtr, inPtr, out := make([]int, nn+1), make([]int, nn+1), make([]uint32, 0, m)
-	for i, v := range nodes {
-		for _, w := range g.OutNeighbors(v) {
-			if lw := local[w]; lw != outside && lw != uint32(i) {
-				out = append(out, lw)
-				inPtr[lw+1]++
+	// dropped), each head's in-degree counted. outPtr[i+1] is node i's end,
+	// within its range's slots until the ranges are moved together.
+	outPtr, out := make([]int, nn+1), make([]uint32, base[parts])
+	heads := par.NewScatter[int](nn, parts)
+	pool.ForBounds(bounds, func(c, lo, hi int) {
+		at := base[c]
+		for i := lo; i < hi; i++ {
+			for _, w := range g.OutNeighbors(nodes[i]) {
+				if lw := local[w]; lw != outside && lw != uint32(i) {
+					out[at] = lw
+					at++
+					heads.Count(c, int(lw))
+				}
+			}
+			outPtr[i+1] = at
+		}
+		end[c] = at
+	})
+	out = out[:packRanges(out, outPtr, bounds, base[:parts], end)]
+	// Bucket each tail under its heads.
+	in := make([]uint32, heads.Prefix())
+	pool.ForBounds(bounds, func(c, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for _, lw := range out[outPtr[i]:outPtr[i+1]] {
+				in[heads.Put(c, int(lw))] = uint32(i)
 			}
 		}
-		outPtr[i+1] = len(out)
-	}
-	for i := 0; i < nn; i++ {
-		inPtr[i+1] += inPtr[i]
-	}
-	// Bucket each tail under its heads. inPtr[v] advances to the end of
-	// v's bucket, which is where v+1's starts.
-	in := make([]uint32, len(out))
-	for i := 0; i < nn; i++ {
-		for _, lw := range out[outPtr[i]:outPtr[i+1]] {
-			in[inPtr[lw]] = uint32(i)
-			inPtr[lw]++
-		}
-	}
+	})
+	inPtr := heads.RowPtr()
 	// Compact: node v keeps the in-neighbours not stamped as its
-	// out-neighbours, written from the front, so each list moves left.
-	// local is no longer read, so its first nn words hold the stamps.
-	stamp := local[:nn]
-	clear(stamp)
-	kept, start := 0, 0
-	for v := 0; v < nn; v++ {
-		end := inPtr[v]
-		inPtr[v] = kept
-		for _, lw := range out[outPtr[v]:outPtr[v+1]] {
-			stamp[lw] = uint32(v + 1)
+	// out-neighbours, written from the front of its range's entries, so
+	// each list moves left. local is no longer read, so its first nn words
+	// hold the first range's stamps; the other ranges get their own. A
+	// range leaves its first node's start as it is, and reads the next
+	// range's first start, which that range leaves too.
+	stamps := make([]uint32, (parts-1)*nn)
+	starts := make([]int, parts)
+	pool.ForBounds(bounds, func(c, lo, hi int) {
+		stamp := local[:nn]
+		if c > 0 {
+			stamp = stamps[(c-1)*nn : c*nn]
+		} else {
+			clear(stamp)
 		}
-		for _, lw := range in[start:end] {
-			if stamp[lw] != uint32(v+1) {
-				in[kept] = lw
-				kept++
+		kept := inPtr[lo]
+		starts[c] = kept
+		start := kept
+		for v := lo; v < hi; v++ {
+			stop := inPtr[v+1]
+			if v > lo {
+				inPtr[v] = kept
+			}
+			for _, lw := range out[outPtr[v]:outPtr[v+1]] {
+				stamp[lw] = uint32(v + 1)
+			}
+			for _, lw := range in[start:stop] {
+				if stamp[lw] != uint32(v+1) {
+					in[kept] = lw
+					kept++
+				}
+			}
+			start = stop
+		}
+		end[c] = kept
+	})
+	kept := packRanges(in, inPtr, bounds, starts, end)
+	return &Undirected{outPtr: outPtr, inPtr: inPtr, out: out, inOnly: in[:kept]}
+}
+
+// packRanges moves the lists of the node ranges bounds cuts together: range
+// c's lists fill list[from[c]:to[c]], and for each node i of the range but
+// its first, ptr[i] is where its list starts. Each range's lists move left
+// to follow the previous range's, ptr moves with them, and the ranges'
+// first starts and the last end are set. It returns the end of the lists.
+func packRanges(list []uint32, ptr []int, bounds, from, to []int) int {
+	at := 0
+	for c := range from {
+		lo, hi := bounds[c], bounds[c+1]
+		if shift := from[c] - at; shift != 0 {
+			copy(list[at:], list[from[c]:to[c]])
+			for i := lo + 1; i < hi; i++ {
+				ptr[i] -= shift
 			}
 		}
-		start = end
+		ptr[lo] = at
+		at += to[c] - from[c]
 	}
-	inPtr[nn] = kept
-	return &Undirected{outPtr: outPtr, inPtr: inPtr, out: out, inOnly: in[:kept]}
+	ptr[bounds[len(from)]] = at
+	return at
 }
 
 // NodePrefix returns the principal subgraph on nodes [0, x): the upper-left

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -112,10 +115,10 @@ func TestAdjacency(t *testing.T) {
 }
 
 // components labels the undirected connected components of g by BFS over
-// g.Undirected(nil), ids in discovery order from node 0 upward, and returns
+// g.Undirected(nil, nil), ids in discovery order from node 0 upward, and returns
 // every node's id and the components' sizes.
 func components(g *Graph) (compOf []int, sizes []int) {
-	und := g.Undirected(nil)
+	und := g.Undirected(nil, nil)
 	compOf = make([]int, g.N())
 	for i := range compOf {
 		compOf[i] = -1
@@ -245,6 +248,59 @@ func TestReadWriteEdgeList(t *testing.T) {
 				t.Fatalf("edge (%d,%d) lost in round trip", u, v)
 			}
 		}
+	}
+}
+
+// TestEdgeListKeepsTrailingIsolatedNodes round-trips a 5-node graph whose
+// two edges name only nodes 0–2: the "# nodes=5" header WriteEdgeList
+// writes keeps nodes 3 and 4, which sizing by the largest id lost.
+func TestEdgeListKeepsTrailingIsolatedNodes(t *testing.T) {
+	g := MustNew(5, []Edge{{0, 1}, {1, 2}})
+	var buf bytes.Buffer
+	if err := g.WriteEdgeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadEdgeList(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, g) {
+		t.Fatalf("round trip gave %v, want %v", back, g)
+	}
+	if _, err := ReadEdgeList(strings.NewReader("# nodes=2\n0 2\n")); err == nil {
+		t.Error("an edge past the header's node count was accepted")
+	}
+}
+
+// TestReadEdgeListRefusesUnjustifiedNodeCount feeds inputs of a few bytes
+// that name a node near 2³² (or one past 2²⁰ + 64 per byte): each is refused with a *NodeCountError that
+// states the bound, before the graph's arrays — 12 bytes a node, 48 GiB
+// here — are allocated.
+func TestReadEdgeListRefusesUnjustifiedNodeCount(t *testing.T) {
+	for _, in := range []string{"4294967294 0\n", "# nodes=4294967295\n", "0 1\n" + strings.Repeat("%\n", 100) + "9000000 1\n"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := ReadEdgeList(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		var nc *NodeCountError
+		if !errors.As(err, &nc) {
+			t.Fatalf("input %q: error %v, want a *NodeCountError", in, err)
+		}
+		if want := maxNodesBase + maxNodesPerByte*int64(len(in)); nc.Bound != want || nc.InputBytes != int64(len(in)) {
+			t.Errorf("input %q: bound %d from %d bytes, want %d from %d", in, nc.Bound, nc.InputBytes, want, len(in))
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(nc.Bound)) {
+			t.Errorf("input %q: error %q does not state the bound %d", in, err, nc.Bound)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("input %q: refusing it allocated %d B", in, got)
+		}
+	}
+	// At the bound an input is read.
+	in := fmt.Sprintf("# nodes=%d\n", maxNodesBase)
+	if g, err := ReadEdgeList(strings.NewReader(in)); err != nil || g.N() != maxNodesBase {
+		t.Fatalf("header of %d nodes: %v", maxNodesBase, err)
 	}
 }
 

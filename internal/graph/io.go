@@ -11,20 +11,33 @@ import (
 )
 
 // ReadEdgeList parses a whitespace-separated "src dst" edge list, one edge
-// per line. Lines beginning with '#' or '%' are comments. Node ids may be
-// arbitrary non-negative integers; the graph is sized to the largest id
-// seen plus one, so sparse id spaces produce isolated nodes (which are
-// deadends, as in the paper's datasets).
+// per line. Lines beginning with '#' or '%' are comments, but for a
+// "# nodes=N" field, which WriteEdgeList writes first: the graph then has N
+// nodes, isolated trailing ones included, and an edge naming a node past
+// N is an error. Without it the graph is sized to the largest id seen plus
+// one, so sparse id spaces produce isolated nodes (which are deadends, as
+// in the paper's datasets). A node count the input's size cannot justify —
+// more than maxNodesBase plus maxNodesPerByte per byte read — is refused
+// with a *NodeCountError before the graph is allocated.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	cr := &countingReader{r: r}
+	sc := bufio.NewScanner(cr)
+	sc.Buffer(nil, 1<<20)
 	var edges []Edge
-	maxID := -1
+	maxID, header := -1, -1
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		if line == "" || line[0] == '%' {
+			continue
+		}
+		if line[0] == '#' {
+			if n, ok, err := headerNodes(line); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
+			} else if ok && header < 0 {
+				header = n
+			}
 			continue
 		}
 		fields := strings.Fields(line)
@@ -42,18 +55,73 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if src < 0 || dst < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative node id", lineNo)
 		}
-		if src > maxID {
-			maxID = src
-		}
-		if dst > maxID {
-			maxID = dst
-		}
+		maxID = max(maxID, src, dst)
 		edges = append(edges, Edge{src, dst})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scanning edge list: %w", err)
 	}
-	return New(maxID+1, edges)
+	n := maxID + 1
+	if header >= 0 {
+		if maxID >= header {
+			return nil, fmt.Errorf("graph: edge list names node %d, but its header gives nodes=%d", maxID, header)
+		}
+		n = header
+	}
+	if bound := maxNodesBase + maxNodesPerByte*cr.n; int64(n) > bound {
+		return nil, &NodeCountError{Nodes: n, InputBytes: cr.n, Bound: bound}
+	}
+	return New(n, edges)
+}
+
+// The node counts an edge list of b bytes may give: maxNodesBase plus
+// maxNodesPerByte·b. A graph costs 12 bytes a node, so what a short input
+// can make the reader allocate stays bounded — about 12 MiB, plus 768 bytes
+// per byte read — while sparse id spaces and the isolated nodes a
+// "# nodes=N" header declares fit with room to spare: an edge line is at
+// least four bytes and names at most two nodes.
+const (
+	maxNodesBase    = 1 << 20
+	maxNodesPerByte = 64
+)
+
+// NodeCountError refuses an edge list whose node count — its largest id
+// plus one, or its "# nodes=N" header — its size cannot justify.
+type NodeCountError struct {
+	Nodes      int   // the node count the input gives
+	InputBytes int64 // the bytes read
+	Bound      int64 // the most nodes that many bytes justify
+}
+
+func (e *NodeCountError) Error() string {
+	return fmt.Sprintf("graph: edge list of %d bytes gives %d nodes, above the bound of %d (%d plus %d per input byte)",
+		e.InputBytes, e.Nodes, e.Bound, maxNodesBase, maxNodesPerByte)
+}
+
+// headerNodes reads the node count from a comment line's "nodes=N" field,
+// reporting whether it has one.
+func headerNodes(line string) (n int, ok bool, err error) {
+	for _, f := range strings.Fields(line[1:]) {
+		if v, found := strings.CutPrefix(f, "nodes="); found {
+			if n, err = strconv.Atoi(v); err != nil || n < 0 {
+				return 0, false, fmt.Errorf("bad node count %q", f)
+			}
+			return n, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
 }
 
 // ReadMatrixMarketGraph parses a MatrixMarket coordinate stream as a

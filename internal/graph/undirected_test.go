@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"bepi/internal/par"
 )
 
 // undirectedRef builds the same view with a set per node and a sort: the
@@ -72,7 +74,7 @@ func TestUndirectedMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		und, want := g.Undirected(nodes), undirectedRef(g, nodes)
+		und, want := g.Undirected(nodes, nil), undirectedRef(g, nodes)
 		if len(und.outPtr) != len(want)+1 || len(und.inPtr) != len(want)+1 {
 			t.Fatalf("trial %d: %d/%d rows, want %d", trial, len(und.outPtr)-1, len(und.inPtr)-1, len(want))
 		}
@@ -111,7 +113,52 @@ func TestUndirectedRejectsUnsortedNodes(t *testing.T) {
 					t.Errorf("nodes %v accepted", nodes)
 				}
 			}()
-			g.Undirected(nodes)
+			g.Undirected(nodes, nil)
 		}()
+	}
+}
+
+// TestUndirectedWorkerCounts builds the undirected view of random graphs —
+// reciprocal pairs, self-loops, subsets — on 1, 2, 3 and 7 workers and
+// requires the one-worker view list for list: each worker counts, buckets
+// and compacts a contiguous range of nodes, and every in-list keeps its
+// tails in ascending order at any worker count. The 3-node graph has more
+// workers than nodes.
+func TestUndirectedWorkerCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		n := 3
+		if trial > 0 {
+			n = 2 + rng.Intn(300)
+		}
+		var edges []Edge
+		for u := 0; u < n; u++ {
+			for k := rng.Intn(6); k > 0; k-- {
+				v := rng.Intn(n)
+				if rng.Intn(8) == 0 {
+					v = u
+				}
+				edges = append(edges, Edge{u, v})
+				if rng.Intn(3) == 0 {
+					edges = append(edges, Edge{v, u})
+				}
+			}
+		}
+		g := MustNew(n, edges)
+		var nodes []int // nil on even trials: the whole graph
+		if trial%2 == 1 {
+			for u := 0; u < n; u++ {
+				if rng.Intn(4) > 0 {
+					nodes = append(nodes, u)
+				}
+			}
+		}
+		want := g.Undirected(nodes, nil)
+		for _, workers := range []int{1, 2, 3, 7} {
+			got := g.Undirected(nodes, par.NewPool(workers))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d): the view on %d workers differs from the serial one", trial, n, workers)
+			}
+		}
 	}
 }

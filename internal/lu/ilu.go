@@ -212,64 +212,130 @@ func FactorDILU(a *sparse.CSR) (*ILU, error) {
 // Triangles is a square matrix split at its diagonal into the two triangles
 // DILU factors keep, before its pivots exist: the strict lower triangle,
 // and the upper one with every row led by its diagonal entry. Build it with
-// TrianglesFromColumns; FactorTriangles adopts it.
+// a TriangleBuilder; FactorTriangles adopts it.
 type Triangles struct {
 	n    int
 	l, u triFactor
 }
 
-// TrianglesFromColumns scatters the n×n matrix of nnz entries the columns
-// describe straight into its two triangles (columnTriangles). It refuses
-// what FactorDILU refuses of a CSR matrix: a matrix the factors' 32-bit
-// indexes cannot hold, before anything is allocated, and a missing
-// diagonal. It panics if the columns do not describe nnz entries in
-// ascending columns within range.
-func TrianglesFromColumns(n, nnz int, c sparse.Columns) (*Triangles, error) {
-	if n < 0 || int64(n) >= 1<<32 || int64(nnz) > math.MaxInt32 {
-		return nil, fmt.Errorf("lu: DILU of a %dx%d matrix of %d entries exceeds the factors' 32-bit index range", n, n, nnz)
+// TriangleBuilder scatters the columns of an n×n matrix into its two
+// triangles by counting sort (par.Scatter), over parts that each own a
+// contiguous range of columns: Count every column under its part, Alloc,
+// Put every column again — each part's in ascending order — then
+// Triangles. The parts may count and put on their own workers; the columns
+// arriving ascending within a part and parts in column order, every row is
+// born sorted, each upper row led by its smallest column, and the triangles
+// are the same at any part count. The columns take the width
+// sparse.NarrowCols picks.
+type TriangleBuilder struct {
+	t     Triangles
+	sorts [2]*par.Scatter[int32] // L̂'s rows, then Û's
+	last  []int                  // the last column each part put
+}
+
+// upper is the triangle entry (i, j) falls in: 0 for L̂ (i > j), 1 for Û.
+// It is an index, not a branch: which triangle a column's next row falls
+// in is as good as random.
+func upper(i uint32, j int) int {
+	k := 0
+	if int(i) <= j {
+		k = 1
 	}
-	t := columnTriangles(n, c)
-	if got := t.l.nnz() + t.u.nnz(); got != nnz {
-		panic(fmt.Sprintf("lu: columns hold %d entries, want %d", got, nnz))
+	return k
+}
+
+// NewTriangleBuilder starts the triangles of an n×n matrix assembled by
+// parts parts. It refuses an n the factors' 32-bit indexes cannot hold,
+// before allocating anything.
+func NewTriangleBuilder(n, parts int) (*TriangleBuilder, error) {
+	if n < 0 || int64(n) >= 1<<32 {
+		return nil, fmt.Errorf("lu: DILU of a %dx%d matrix exceeds the factors' 32-bit index range", n, n)
 	}
+	b := &TriangleBuilder{t: Triangles{n: n}, sorts: [2]*par.Scatter[int32]{par.NewScatter[int32](n, parts), par.NewScatter[int32](n, parts)}}
+	b.last = make([]int, b.sorts[0].Parts())
+	for i := range b.last {
+		b.last[i] = -1
+	}
+	return b, nil
+}
+
+// Count records part's column j, whose entries lie in rows.
+func (b *TriangleBuilder) Count(part, j int, rows []uint32) {
+	for _, i := range rows {
+		b.sorts[upper(i, j)].Count(part, int(i))
+	}
+}
+
+// Alloc ends counting and allocates the entries. It refuses more entries
+// than the factors' 32-bit row pointers hold, before allocating them.
+func (b *TriangleBuilder) Alloc() error {
+	nnzL, nnzU := b.sorts[0].Prefix(), b.sorts[1].Prefix()
+	if int64(nnzL)+int64(nnzU) > math.MaxInt32 {
+		return fmt.Errorf("lu: DILU of a %dx%d matrix of %d entries exceeds the factors' 32-bit index range", b.t.n, b.t.n, nnzL+nnzU)
+	}
+	b.t.l.alloc(b.t.n, nnzL)
+	b.t.u.alloc(b.t.n, nnzU)
+	b.t.l.rowPtr, b.t.u.rowPtr = b.sorts[0].RowPtr(), b.sorts[1].RowPtr()
+	return nil
+}
+
+// Put stores part's column j: its entries in rows with their vals. It
+// panics on a column out of range or not after the part's last one.
+func (b *TriangleBuilder) Put(part, j int, rows []uint32, vals []float64) {
+	if j <= b.last[part] || j >= b.t.n {
+		panic(fmt.Sprintf("lu: column %d after %d in a %dx%d matrix", j, b.last[part], b.t.n, b.t.n))
+	}
+	b.last[part] = j
+	if b.t.u.col16 != nil {
+		putColumn(b, b.t.l.col16, b.t.u.col16, part, j, rows, vals)
+	} else {
+		putColumn(b, b.t.l.col32, b.t.u.col32, part, j, rows, vals)
+	}
+}
+
+func putColumn[C uint16 | uint32](b *TriangleBuilder, lCol, uCol []C, part, j int, rows []uint32, vals []float64) {
+	cols := [2][]C{lCol, uCol}
+	vs := [2][]float64{b.t.l.val, b.t.u.val}
+	vals = vals[:len(rows)]
+	for k, i := range rows {
+		t := upper(i, j)
+		p := b.sorts[t].Put(part, int(i))
+		cols[t][p], vs[t][p] = C(j), vals[k]
+	}
+}
+
+// Triangles returns the assembled triangles. It refuses an upper row not
+// led by its diagonal, and panics if fewer entries were put than counted.
+func (b *TriangleBuilder) Triangles() (*Triangles, error) {
+	t := b.triangles()
 	if err := t.checkDiagonal(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
+func (b *TriangleBuilder) triangles() *Triangles {
+	if !b.sorts[0].Filled() || !b.sorts[1].Filled() {
+		panic("lu: triangle entries put do not match those counted")
+	}
+	t := b.t
+	return &t
+}
+
 // columnTriangles splits the n×n matrix the columns describe into its two
-// triangles by counting sort: one pass counts every row's entries below and
-// from the diagonal, a second writes them — the columns arrive ascending,
-// so every row is born sorted and each row of the upper triangle leads with
-// its smallest column. The columns take the width sparse.NarrowCols picks.
-func columnTriangles(n int, c sparse.Columns) *Triangles {
-	t := &Triangles{n: n}
-	// Row i's count at i+2, then its fill cursor at i+1, ending as the row
-	// pointers (sparse.PatternBuilder's counting sort, in int32).
-	lp, up := make([]int32, n+2), make([]int32, n+2)
-	c(func(j int, rows []uint32, _ []float64) {
-		for _, i := range rows {
-			if int(i) > j {
-				lp[i+2]++
-			} else {
-				up[i+2]++
-			}
-		}
-	})
-	for i := 2; i < n+2; i++ {
-		lp[i] += lp[i-1]
-		up[i] += up[i-1]
+// triangles, with no check of the diagonal: a TriangleBuilder of one part,
+// c walked once to count and once to put.
+func columnTriangles(n int, c sparse.Columns) (*Triangles, error) {
+	b, err := NewTriangleBuilder(n, 1)
+	if err != nil {
+		return nil, err
 	}
-	t.l.alloc(n, int(lp[n+1]))
-	t.u.alloc(n, int(up[n+1]))
-	if t.u.col16 != nil {
-		scatterTriangles(t, t.l.col16, t.u.col16, lp, up, c)
-	} else {
-		scatterTriangles(t, t.l.col32, t.u.col32, lp, up, c)
+	c(func(j int, rows []uint32, _ []float64) { b.Count(0, j, rows) })
+	if err := b.Alloc(); err != nil {
+		return nil, err
 	}
-	t.l.rowPtr, t.u.rowPtr = lp[:n+1], up[:n+1]
-	return t
+	c(func(j int, rows []uint32, vals []float64) { b.Put(0, j, rows, vals) })
+	return b.triangles(), nil
 }
 
 // checkDiagonal refuses triangles with an upper row not led by its diagonal.
@@ -280,29 +346,6 @@ func (t *Triangles) checkDiagonal() error {
 		}
 	}
 	return nil
-}
-
-func scatterTriangles[C uint16 | uint32](t *Triangles, lCol, uCol []C, lp, up []int32, c sparse.Columns) {
-	lVal, uVal := t.l.val, t.u.val
-	last := -1
-	c(func(j int, rows []uint32, vals []float64) {
-		if j <= last || j >= t.n {
-			panic(fmt.Sprintf("lu: column %d after %d in a %dx%d matrix", j, last, t.n, t.n))
-		}
-		last = j
-		vals = vals[:len(rows)]
-		for k, i := range rows {
-			if int(i) > j {
-				p := lp[i+1]
-				lp[i+1]++
-				lCol[p], lVal[p] = C(j), vals[k]
-			} else {
-				p := up[i+1]
-				up[i+1]++
-				uCol[p], uVal[p] = C(j), vals[k]
-			}
-		}
-	})
 }
 
 // FactorTriangles computes the DILU factorization of the matrix t holds,

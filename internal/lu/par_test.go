@@ -3,6 +3,8 @@ package lu
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"bepi/internal/par"
@@ -129,5 +131,85 @@ func TestSolvePoolSmallSystemFallsBack(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("x[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestTriangleBuilderWorkerCounts scatters the same columns into their two
+// triangles with 1, 2, 3 and 7 parts, each part counting and then putting
+// a contiguous range of columns on its own worker, and requires the
+// triangles of one part walking every column, array for array and bit for
+// bit. Each column lists its rows in shuffled order, as the Schur
+// columns list theirs; 7 parts over the 3×3 matrix leave parts with no
+// column.
+func TestTriangleBuilderWorkerCounts(t *testing.T) {
+	for _, n := range []int{3, 64, 700} {
+		m := spliceBase(n, int64(n))
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, c := range m {
+			rng.Shuffle(len(c.rows), func(a, b int) {
+				c.rows[a], c.rows[b] = c.rows[b], c.rows[a]
+				c.vals[a], c.vals[b] = c.vals[b], c.vals[a]
+			})
+		}
+		want, err := columnTriangles(n, m.visit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 7} {
+			bounds := make([]int, workers+1)
+			for c := range bounds {
+				bounds[c] = c * n / workers
+			}
+			b, err := NewTriangleBuilder(n, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := par.NewPool(workers)
+			pool.ForBounds(bounds, func(part, lo, hi int) {
+				for j := lo; j < hi; j++ {
+					b.Count(part, j, m[j].rows)
+				}
+			})
+			if err := b.Alloc(); err != nil {
+				t.Fatal(err)
+			}
+			pool.ForBounds(bounds, func(part, lo, hi int) {
+				for j := lo; j < hi; j++ {
+					b.Put(part, j, m[j].rows, m[j].vals)
+				}
+			})
+			got, err := b.Triangles()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, pair := range map[string][2]*triFactor{"L": {&got.l, &want.l}, "U": {&got.u, &want.u}} {
+				g, w := pair[0], pair[1]
+				if !slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(g.col16, w.col16) || !slices.Equal(g.col32, w.col32) || !bitsEqual(g.val, w.val) {
+					t.Fatalf("n=%d, %d workers: %s triangle differs from the one-pass scatter", n, workers, name)
+				}
+			}
+		}
+	}
+}
+
+// TestTriangleBuilderRefuses32BitIndexes: an order the factors' 32-bit
+// columns cannot hold is refused when the builder is made, and more
+// entries than their int32 row pointers hold when the counts are in,
+// before any entry is allocated.
+func TestTriangleBuilderRefuses32BitIndexes(t *testing.T) {
+	if _, err := NewTriangleBuilder(1<<32, 1); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("a 2³²-row matrix: err = %v, want the 32-bit refusal", err)
+	}
+	b, err := NewTriangleBuilder(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.sorts[0].CountN(1, 2, math.MaxInt32)
+	b.sorts[1].CountN(0, 0, 1)
+	if err := b.Alloc(); err == nil || !strings.Contains(err.Error(), "32-bit") {
+		t.Fatalf("2³¹ entries: err = %v, want the 32-bit refusal", err)
+	}
+	if b.t.l.val != nil || b.t.u.val != nil {
+		t.Fatal("the refused entries were allocated")
 	}
 }

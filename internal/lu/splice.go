@@ -13,15 +13,18 @@ import (
 // two triangles (columnTriangles), each row's old entries outside those
 // columns are merged with them in column order, and each upper row is led
 // by the diagonal again (the new column's entry, or D_S). The receiver is
-// not modified; c is called three times. It refuses what
-// TrianglesFromColumns refuses, and panics on columns out of order or
-// range, and on ILU(0) factors.
+// not modified; c is called three times. It refuses what a TriangleBuilder
+// refuses, and panics on columns out of order or range, and on ILU(0)
+// factors.
 func (f *ILU) SpliceColumns(c sparse.Columns) (*Triangles, error) {
 	if f.ds == nil {
 		panic("lu: only a DILU factorization retains its matrix")
 	}
 	n := f.n
-	nw := columnTriangles(n, c)
+	nw, err := columnTriangles(n, c)
+	if err != nil {
+		return nil, err
+	}
 	replaced := make([]bool, n)
 	c(func(j int, _ []uint32, _ []float64) { replaced[j] = true })
 	nnzL := f.l.nnz() - f.l.countIn(replaced) + nw.l.nnz()

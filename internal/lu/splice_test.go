@@ -39,7 +39,10 @@ func (m colMatrix) nnz() int {
 // factors is the DILU factorization of m the way preprocessing builds it.
 func (m colMatrix) factors(t *testing.T) *ILU {
 	t.Helper()
-	tri, err := TrianglesFromColumns(len(m), m.nnz(), m.visit)
+	tri, err := columnTriangles(len(m), m.visit)
+	if err == nil {
+		err = tri.checkDiagonal()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func requireSplicedEqual(t *testing.T, tag string, base colMatrix, repl map[int]
 
 // TestDILUSpliceColumns: splicing new columns into the factors of a matrix
 // gives, bit for bit and byte for byte written, the factors preprocessing
-// builds of the patched matrix (TrianglesFromColumns, FactorTriangles) —
+// builds of the patched matrix (columnTriangles, FactorTriangles) —
 // at 16-bit (n ≤ 65 536) and 32-bit columns. The cases: the first and last
 // column; a column reduced to its diagonal; columns that bring entries into
 // a row whose strict lower and strict upper parts were empty; an explicit
@@ -198,7 +201,7 @@ func TestDILUSpliceColumns(t *testing.T) {
 }
 
 // TestDILUSpliceRefuses: a replaced column without its diagonal entry is
-// refused, as TrianglesFromColumns refuses it; columns out of order panic.
+// refused, as a TriangleBuilder refuses it; columns out of order panic.
 func TestDILUSpliceRefuses(t *testing.T) {
 	f := spliceBase(9, 1).factors(t)
 	noDiag := func(emit func(int, []uint32, []float64)) {

@@ -136,6 +136,42 @@ func BoundsByPrefixOf[T int | int32 | int64](prefix []T, parts int) []int {
 	return bounds
 }
 
+// BoundsByWeight is BoundsByPrefix over the items [0, n) of weights
+// weight(i), without storing their prefix: it walks the weights once for
+// their total and once more to cut the chunks. The boundaries are
+// BoundsByPrefix's on the prefix of the weights.
+func BoundsByWeight(n, parts int, weight func(i int) int) []int {
+	if parts > n {
+		parts = n
+	}
+	if parts < 1 {
+		parts = 1
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		total += weight(i)
+	}
+	bounds := make([]int, parts+1)
+	bounds[parts] = n
+	at, sum := 0, 0 // sum is the weight of [0, at)
+	for c := 1; c < parts; c++ {
+		target := total * c / parts
+		for at < n && sum+weight(at) <= target {
+			sum += weight(at)
+			at++
+		}
+		for hi := n - (parts - c); at > hi; {
+			at--
+			sum -= weight(at)
+		}
+		for lo := bounds[c-1] + 1; at < lo; at++ {
+			sum += weight(at)
+		}
+		bounds[c] = at
+	}
+	return bounds
+}
+
 // For splits [0, n) into Workers() evenly sized chunks and runs
 // fn(chunk, lo, hi) for each, returning when all chunks are done. Chunk 0
 // always runs on the calling goroutine; the rest run on pool goroutines as

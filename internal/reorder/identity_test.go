@@ -11,6 +11,7 @@ import (
 
 	"bepi/internal/gen"
 	"bepi/internal/graph"
+	"bepi/internal/par"
 )
 
 // orderingHash folds everything an Ordering decides — the permutation, the
@@ -105,16 +106,43 @@ func TestHubAndSpokeFrozen(t *testing.T) {
 	}
 }
 
+// TestHubAndSpokePoolWorkerCounts requires HubAndSpokePool on 2, 3 and 7
+// workers to give HubAndSpoke's ordering — the one TestHubAndSpokeFrozen
+// pins — position for position: only the undirected view runs on the pool.
+func TestHubAndSpokePoolWorkerCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		k    float64
+	}{
+		{"hybrid12", gen.Hybrid(gen.DefaultHybrid(12, 14, 1)), 0.2},
+		{"rmat11-k0.01", gen.RMAT(gen.DefaultRMAT(11, 8, 77)), 0.01},
+		{"reciprocal", reciprocal(500), 0.05},
+		{"self-loops", selfLoops(600), 0.1},
+		{"star", star(5), 0.2},
+	} {
+		want := orderingHash(HubAndSpoke(tc.g, tc.k))
+		for _, workers := range []int{2, 3, 7} {
+			if got := orderingHash(HubAndSpokePool(tc.g, tc.k, par.NewPool(workers))); got != want {
+				t.Errorf("%s on %d workers: ordering hash %s, serial %s", tc.name, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestSlashBurnMatchesPairSort property-tests SlashBurn on the merge-free
 // undirected view against the pair-sort reference below: on small random
 // graphs with reciprocal edges, self-loops, deadends and isolated nodes, and
 // on skewed graphs of up to 2 000 nodes whose edges are all reciprocal, none
 // reciprocal or mixed, some with small components hanging off the hubs
-// alone, at several hub ratios and iteration caps 0–3.
+// alone, at several hub ratios and iteration caps 0–3, with the undirected
+// view built on 1 to 4 workers in turn.
 func TestSlashBurnMatchesPairSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170514))
+	calls := 0
 	check := func(name string, g *graph.Graph) {
 		t.Helper()
+		calls++
 		var nodes []int
 		for u := 0; u < g.N(); u++ {
 			if g.OutDegree(u) > 0 {
@@ -123,7 +151,7 @@ func TestSlashBurnMatchesPairSort(t *testing.T) {
 		}
 		k := []float64{0.001, 0.05, 0.2, 0.5}[rng.Intn(4)]
 		maxIters := rng.Intn(4)
-		got, want := slashBurn(g, nodes, k, maxIters), slashBurnPairSort(g, nodes, k, maxIters)
+		got, want := slashBurn(g, nodes, k, maxIters, par.NewPool(1+calls%4)), slashBurnPairSort(g, nodes, k, maxIters)
 		perm := make([]int, len(got.perm))
 		for i, p := range got.perm {
 			perm[i] = int(p)

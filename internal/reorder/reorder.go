@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"bepi/internal/graph"
+	"bepi/internal/par"
 )
 
 // Ordering describes a permutation of the graph's nodes and the partition
@@ -78,8 +79,16 @@ func CheckHubRatio(k float64) error {
 // tail, and the non-deadend subgraph is permuted by SlashBurn with hub
 // selection ratio k so that spokes (small disconnected components after hub
 // removal) come first and hubs last. It panics on a k CheckHubRatio refuses.
+// It runs serially; HubAndSpokePool is the same ordering on a pool.
 func HubAndSpoke(g *graph.Graph, k float64) *Ordering {
-	return HubAndSpokeIters(g, k, 0)
+	return hubAndSpoke(g, k, 0, nil)
+}
+
+// HubAndSpokePool is HubAndSpoke with SlashBurn's undirected view built on
+// the pool (graph.Undirected); the slash-and-burn loop, which fixes the
+// order, stays serial. The ordering is the same at any worker count.
+func HubAndSpokePool(g *graph.Graph, k float64, pool *par.Pool) *Ordering {
+	return hubAndSpoke(g, k, 0, pool)
 }
 
 // HubAndSpokeIters is HubAndSpoke with a cap on SlashBurn iterations
@@ -88,6 +97,10 @@ func HubAndSpoke(g *graph.Graph, k float64) *Ordering {
 // of being burned further — which the reordering ablation uses to show why
 // SlashBurn's recursion earns its cost.
 func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
+	return hubAndSpoke(g, k, maxIters, nil)
+}
+
+func hubAndSpoke(g *graph.Graph, k float64, maxIters int, pool *par.Pool) *Ordering {
 	if err := CheckHubRatio(k); err != nil {
 		panic(err)
 	}
@@ -103,7 +116,7 @@ func HubAndSpokeIters(g *graph.Graph, k float64, maxIters int) *Ordering {
 			nonDead = append(nonDead, u)
 		}
 	}
-	sb := slashBurn(g, nonDead, k, maxIters)
+	sb := slashBurn(g, nonDead, k, maxIters, pool)
 	perm := make([]int, n)
 	inv := make([]int, n)
 	for localOld, localNew := range sb.perm {
@@ -136,14 +149,14 @@ type localOrder struct {
 // giant connected component until it is no larger than one slash, at which
 // point the remainder joins the hub region. Its state is 32 bits a node:
 // local ids, degrees and BFS stamps all lie below |nodes| < 2³² − 1, which
-// graph.Undirected enforces.
-func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *localOrder {
+// graph.Undirected enforces. The view is built on the pool.
+func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int, pool *par.Pool) *localOrder {
 	nn := len(nodes)
 	res := &localOrder{perm: make([]uint32, nn)}
 	if nn == 0 {
 		return res
 	}
-	und := g.Undirected(nodes)
+	und := g.Undirected(nodes, pool)
 
 	hubsPerIter := int(k * float64(nn))
 	if k*float64(nn) > float64(hubsPerIter) {
@@ -199,7 +212,9 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *localOrder
 		return out
 	}
 	// joinHubs assigns every given node the next hub id, in the given
-	// order, and takes it out of its neighbours' degrees.
+	// order, and takes it out of its neighbours' degrees. A neighbour that
+	// has left the graph loses a degree too: no one reads it again, as
+	// byDegree ranks only nodes still in the graph.
 	joinHubs := func(us []uint32) {
 		for _, u := range us {
 			res.perm[u] = uint32(high)
@@ -209,9 +224,7 @@ func slashBurn(g *graph.Graph, nodes []int, k float64, maxIters int) *localOrder
 			out, inOnly := und.Neighbors(int(u))
 			for _, list := range [2][]uint32{out, inOnly} {
 				for _, v := range list {
-					if mark[v] != removed {
-						curDeg[v]--
-					}
+					curDeg[v]--
 				}
 			}
 		}

@@ -1,6 +1,10 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+
+	"bepi/internal/par"
+)
 
 // Counting-sort assembly: the write path of an index builds each matrix it
 // keeps by counting every row's entries in one pass and scattering them in a
@@ -15,38 +19,35 @@ import "fmt"
 // same entries both times.
 type Columns func(emit func(j int, rows []uint32, vals []float64))
 
-// PatternBuilder assembles a Pattern by counting sort: Count every entry's
-// row, Alloc, Put every entry — the entries of each row in ascending column
-// order, which walking the columns in ascending order gives — then Pattern.
+// PatternBuilder assembles a Pattern by counting sort (par.Scatter), over
+// parts that each own a contiguous range of columns, in ascending order:
+// Count every entry's row under its part, Alloc, Put every entry — each
+// part's entries of a row in ascending column order, which walking its
+// columns in ascending order gives — then Pattern. The parts may count and
+// put on their own workers; the pattern is the same at any part count.
 type PatternBuilder struct {
 	rows, cols int
-	// ptr holds row i's count at i+2 while counting, its fill cursor at
-	// i+1 while filling, and ends as the row pointers: filling moves each
-	// cursor from its row's start to its row's end, the next row's start.
-	ptr   []int
-	col16 []uint16
-	col32 []uint32
+	rowSort    *par.Scatter[int]
+	col16      []uint16
+	col32      []uint32
 }
 
-// NewPatternBuilder starts a rows×cols pattern. It panics if the matrix
-// dimensions exceed the uint32 index range.
-func NewPatternBuilder(rows, cols int) *PatternBuilder {
+// NewPatternBuilder starts a rows×cols pattern assembled by parts parts. It
+// panics if the matrix dimensions exceed the uint32 index range.
+func NewPatternBuilder(rows, cols, parts int) *PatternBuilder {
 	if rows < 0 || cols < 0 || int64(rows) > maxIndex32 || int64(cols) > maxIndex32 {
 		panic(fmt.Sprintf("sparse: pattern %dx%d outside the uint32 index range", rows, cols))
 	}
-	return &PatternBuilder{rows: rows, cols: cols, ptr: make([]int, rows+2)}
+	return &PatternBuilder{rows: rows, cols: cols, rowSort: par.NewScatter[int](rows, parts)}
 }
 
-// Count records one entry in row i.
-func (b *PatternBuilder) Count(i int) { b.ptr[i+2]++ }
+// Count records one entry of part in row i.
+func (b *PatternBuilder) Count(part, i int) { b.rowSort.Count(part, i) }
 
 // Alloc ends counting and allocates the columns at the width NarrowCols
 // picks; it returns the entry count.
 func (b *PatternBuilder) Alloc() int {
-	for i := 2; i < len(b.ptr); i++ {
-		b.ptr[i] += b.ptr[i-1]
-	}
-	nnz := b.ptr[b.rows+1]
+	nnz := b.rowSort.Prefix()
 	if NarrowCols(b.cols) {
 		b.col16 = make([]uint16, nnz)
 	} else {
@@ -55,10 +56,10 @@ func (b *PatternBuilder) Alloc() int {
 	return nnz
 }
 
-// Put stores entry (i, j) and returns its position in the entry arrays.
-func (b *PatternBuilder) Put(i, j int) int {
-	p := b.ptr[i+1]
-	b.ptr[i+1]++
+// Put stores part's entry (i, j) and returns its position in the entry
+// arrays.
+func (b *PatternBuilder) Put(part, i, j int) int {
+	p := b.rowSort.Put(part, i)
 	if b.col16 != nil {
 		b.col16[p] = uint16(j)
 	} else {
@@ -71,7 +72,7 @@ func (b *PatternBuilder) Put(i, j int) int {
 // int32 when the entry count allows it.
 func (b *PatternBuilder) layout() layout32 {
 	l := layout32{rows: b.rows, cols: b.cols, col16: b.col16, col32: b.col32}
-	rowPtr := b.ptr[:b.rows+1]
+	rowPtr := b.rowSort.RowPtr()
 	if wideRowPtr(rowPtr[b.rows]) {
 		l.rowPtr64 = make([]int64, len(rowPtr))
 		for i, p := range rowPtr {
@@ -87,9 +88,12 @@ func (b *PatternBuilder) layout() layout32 {
 }
 
 // Pattern returns the assembled pattern. It panics if the entries put do
-// not form one — a row left short of its count, or a row's columns not
-// strictly ascending.
+// not form one — fewer put than counted, or a row's columns not strictly
+// ascending.
 func (b *PatternBuilder) Pattern() *Pattern {
+	if !b.rowSort.Filled() {
+		panic("sparse: pattern entries put do not match those counted")
+	}
 	l := b.layout()
 	if err := l.validate(); err != nil {
 		panic(err)
@@ -102,10 +106,10 @@ func (b *PatternBuilder) Pattern() *Pattern {
 // panics if the columns do not describe nnz entries in ascending columns
 // within range.
 func CompactFromColumns(rows, cols, nnz int, c Columns) *CSR32 {
-	b := NewPatternBuilder(rows, cols)
+	b := NewPatternBuilder(rows, cols, 1)
 	c(func(_ int, rs []uint32, _ []float64) {
 		for _, i := range rs {
-			b.Count(int(i))
+			b.Count(0, int(i))
 		}
 	})
 	if got := b.Alloc(); got != nnz {
@@ -120,7 +124,7 @@ func CompactFromColumns(rows, cols, nnz int, c Columns) *CSR32 {
 		last = j
 		vs = vs[:len(rs)]
 		for k, i := range rs {
-			val[b.Put(int(i), j)] = vs[k]
+			val[b.Put(0, int(i), j)] = vs[k]
 		}
 	})
 	return &CSR32{layout32: b.layout(), val: val}
@@ -128,44 +132,39 @@ func CompactFromColumns(rows, cols, nnz int, c Columns) *CSR32 {
 
 // ExpandT returns the transpose of Expand(w), built directly: row j lists
 // the rows of column j in ascending order, each entry holding w[j]. It is
-// the column view the Schur-column routine reads.
+// the column view the Schur-column routine reads, assembled by the counting
+// sort of par.Scatter.
 func (p *Pattern) ExpandT(w []float64) *CSR {
 	if len(w) != p.cols {
 		panic(fmt.Sprintf("sparse: ExpandT with %d weights for %d columns", len(w), p.cols))
 	}
-	t := &CSR{rows: p.cols, cols: p.rows, rowPtr: make([]int, p.cols+2)}
 	switch {
 	case p.rowPtr32 != nil && p.col16 != nil:
-		transposeScaled(t, p.rowPtr32, p.col16, w)
+		return transposeScaled(p.rows, p.cols, p.rowPtr32, p.col16, w)
 	case p.rowPtr32 != nil:
-		transposeScaled(t, p.rowPtr32, p.col32, w)
+		return transposeScaled(p.rows, p.cols, p.rowPtr32, p.col32, w)
 	case p.col16 != nil:
-		transposeScaled(t, p.rowPtr64, p.col16, w)
+		return transposeScaled(p.rows, p.cols, p.rowPtr64, p.col16, w)
 	default:
-		transposeScaled(t, p.rowPtr64, p.col32, w)
+		return transposeScaled(p.rows, p.cols, p.rowPtr64, p.col32, w)
 	}
-	return t
 }
 
-// transposeScaled fills t, whose rowPtr is zeroed with length rows+2, with
-// the transpose of the pattern (rowPtr, col) scaled by w — the counting
-// sort of PatternBuilder, walking the pattern's rows in ascending order.
-func transposeScaled[P int32 | int64, C uint16 | uint32](t *CSR, rowPtr []P, col []C, w []float64) {
-	ptr := t.rowPtr
+// transposeScaled returns the transpose of the rows×cols pattern (rowPtr,
+// col) scaled by w, walking the pattern's rows in ascending order.
+func transposeScaled[P int32 | int64, C uint16 | uint32](rows, cols int, rowPtr []P, col []C, w []float64) *CSR {
+	s := par.NewScatter[int](cols, 1)
 	for _, j := range col {
-		ptr[int(j)+2]++
+		s.Count(0, int(j))
 	}
-	for j := 2; j < len(ptr); j++ {
-		ptr[j] += ptr[j-1]
-	}
-	t.col = make([]int, len(col))
-	t.val = make([]float64, len(col))
-	for i := 0; i+1 < len(rowPtr); i++ {
+	t := &CSR{rows: cols, cols: rows, col: make([]int, s.Prefix())}
+	t.val = make([]float64, len(t.col))
+	for i := 0; i < rows; i++ {
 		for _, j := range col[rowPtr[i]:rowPtr[i+1]] {
-			q := ptr[int(j)+1]
-			ptr[int(j)+1]++
+			q := s.Put(0, int(j))
 			t.col[q], t.val[q] = i, w[j]
 		}
 	}
-	t.rowPtr = ptr[:t.rows+1]
+	t.rowPtr = s.RowPtr()
+	return t
 }

@@ -72,7 +72,7 @@ func (p *Pattern) Splice(nw *Pattern, replaced []bool) *Pattern {
 	if nw.cols != p.cols || nw.rows < p.rows || len(replaced) != p.cols {
 		panic(fmt.Sprintf("sparse: splicing %v into %v over %d columns", nw, p, len(replaced)))
 	}
-	b := NewPatternBuilder(nw.rows, p.cols)
+	b := NewPatternBuilder(nw.rows, p.cols, 1)
 	if p.col16 != nil {
 		spliceRows(b, &b.col16, &p.layout32, &nw.layout32, p.col16, nw.col16, replaced)
 	} else {
@@ -83,7 +83,7 @@ func (p *Pattern) Splice(nw *Pattern, replaced []bool) *Pattern {
 
 // spliceRows counts every row of the splice into b, allocates, and fills
 // *out, the builder's columns, row by row: p's kept entries merged with
-// nw's, each row's end written to the builder's pointers as Put leaves them.
+// nw's, each at the position the builder's Put gives it.
 func spliceRows[C uint16 | uint32](b *PatternBuilder, out *[]C, p, nw *layout32, pCol, nwCol []C, replaced []bool) {
 	for i := 0; i < nw.rows; i++ {
 		k := nw.rowStart(i+1) - nw.rowStart(i)
@@ -94,28 +94,25 @@ func spliceRows[C uint16 | uint32](b *PatternBuilder, out *[]C, p, nw *layout32,
 				}
 			}
 		}
-		b.ptr[i+2] = k
+		b.rowSort.CountN(0, i, k)
 	}
 	b.Alloc()
 	col := *out
-	q := 0
 	for i := 0; i < nw.rows; i++ {
 		a, e := nw.rowStart(i), nw.rowStart(i+1)
 		if i < p.rows {
 			for _, j := range pCol[p.rowStart(i):p.rowStart(i+1)] {
 				if !replaced[j] {
-					for ; a < e && nwCol[a] < j; a, q = a+1, q+1 {
-						col[q] = nwCol[a]
+					for ; a < e && nwCol[a] < j; a++ {
+						col[b.rowSort.Put(0, i)] = nwCol[a]
 					}
-					col[q] = j
-					q++
+					col[b.rowSort.Put(0, i)] = j
 				}
 			}
 		}
-		for ; a < e; a, q = a+1, q+1 {
-			col[q] = nwCol[a]
+		for ; a < e; a++ {
+			col[b.rowSort.Put(0, i)] = nwCol[a]
 		}
-		b.ptr[i+1] = q
 	}
 }
 

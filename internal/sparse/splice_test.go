@@ -10,16 +10,16 @@ import (
 // patternFromRows assembles the pattern whose row i holds the columns
 // rows[i], ascending, by PatternBuilder's count-alloc-put.
 func patternFromRows(rows [][]int, cols int) *Pattern {
-	b := NewPatternBuilder(len(rows), cols)
+	b := NewPatternBuilder(len(rows), cols, 1)
 	for i, r := range rows {
 		for range r {
-			b.Count(i)
+			b.Count(0, i)
 		}
 	}
 	b.Alloc()
 	for i, r := range rows {
 		for _, j := range r {
-			b.Put(i, j)
+			b.Put(0, i, j)
 		}
 	}
 	return b.Pattern()
