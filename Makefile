@@ -101,11 +101,12 @@ bench-repo:
 
 # Serial-vs-parallel kernel benchmarks (Schur build, H11 factorization,
 # SpMV) across worker counts; compare the workers=1 and workers=N lines.
-# BenchmarkSchurComplement measures the assembly preprocessing runs: the
-# column routine into per-worker shards, then one counting sort into rows
-# (here into a CSR, where preprocessing scatters into S's DILU triangles).
+# BenchmarkProfileSchur profiles S the way Fig. 4 does, at 1 and 2 workers:
+# the reordering, H's patterns, H11's block LU and S's columns, computed by
+# preprocessing's own build (core.SchurColumns), stopped before the
+# triangles.
 bench-par:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchurComplement|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkProfileSchur|BenchmarkFactorBlockDiag' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench BenchmarkParallelMulVec -benchmem ./internal/sparse/
 
 # The one micro-benchmark target: one preconditioned Schur iteration (the

@@ -51,17 +51,12 @@ func AblationReorder(cfg Config) ([]*Table, error) {
 			}
 			start := time.Now()
 			ord := reorder.HubAndSpokeIters(d.G, 0.2, cap)
-			h := core.BuildH(d.G, ord.Perm, core.DefaultC)
-			n1, n2 := ord.N1, ord.N2
-			l := n1 + n2
-			h11 := h.Block(0, n1, 0, n1)
-			f, err := lu.FactorBlockDiag(h11, ord.Blocks)
+			_, p, err := core.SchurColumns(d.G, ord, core.DefaultC, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s cap %d: %w", d.Name, cap, err)
 			}
-			s := core.SchurComplement(h.Block(n1, l, n1, l), h.Block(n1, l, 0, n1), h.Block(0, n1, n1, l), f)
-			t.AddRow(d.Name, label, FmtCount(n1), FmtCount(n2),
-				FmtCount(s.NNZ()), FmtDuration(time.Since(start)))
+			t.AddRow(d.Name, label, FmtCount(p.N1), FmtCount(p.N2),
+				FmtCount(p.SchurNNZ), FmtDuration(time.Since(start)))
 		}
 	}
 	return []*Table{t}, nil

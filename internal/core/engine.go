@@ -370,8 +370,8 @@ func Preprocess(g *graph.Graph, opts Options) (*Engine, error) {
 	t0 := time.Now()
 	ord := reorder.HubAndSpokePool(g, e.opts.HubRatio, e.pool)
 	e.prep.Reorder = time.Since(t0)
-	if e.opts.Deadline > 0 && time.Since(start) > e.opts.Deadline {
-		return nil, fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
+	if err := e.deadline(start); err != nil {
+		return nil, err
 	}
 	return e.preprocessFrom(g, ord, start)
 }
@@ -417,70 +417,82 @@ func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 // which the engine keeps as its nodeOrder and the block LU's bounds. start
 // anchors the deadline budget and the Total stat.
 func (e *Engine) preprocessFrom(g *graph.Graph, ord *reorder.Ordering, start time.Time) (*Engine, error) {
-	opts := e.opts
-	deadline := func() error {
-		if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
-			return fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
-		}
-		return nil
-	}
-	e.ord = servedOrder(ord)
 	e.prep.N1, e.prep.N2, e.prep.N3 = ord.N1, ord.N2, ord.N3
 	e.prep.Blocks = len(ord.Blocks)
-
-	// 2. The off-diagonal blocks of H, built from the graph as the patterns
-	// the engine keeps, and their weights, once per column.
-	t0 := time.Now()
-	n1, n2 := ord.N1, ord.N2
-	l := n1 + n2
-	inv := e.ord.inverse()
-	e.hw = make([]float64, l)
-	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv, nil, e.pool, e.hw, opts.C)
-	e.prep.BuildH = time.Since(t0)
-	if err := deadline(); err != nil {
-		return nil, err
-	}
-
-	// 3. Per-block LU of the block-diagonal H11, blocks in parallel, each
-	// filled dense from the graph.
-	t0 = time.Now()
-	var err error
-	e.h11LU, err = lu.FactorBlocksPool(n1, ord.Blocks, h11Fill(g, e.ord, inv, opts.C), e.pool)
+	in, err := e.buildSchur(g, ord, start)
 	if err != nil {
-		return nil, fmt.Errorf("core: factoring H11: %w", err)
-	}
-	e.prep.FactorH11 = time.Since(t0)
-	if opts.MemoryBudget > 0 && e.h11LU.MemoryBytes() > opts.MemoryBudget {
-		return nil, fmt.Errorf("H11 factors need %d bytes: %w", e.h11LU.MemoryBytes(), ErrMemoryBudget)
-	}
-	if err := deadline(); err != nil {
 		return nil, err
 	}
 
 	// 4. Schur complement S = H22 − H21·H11⁻¹·H12, columns in parallel,
 	// assembled straight into S's two DILU triangles, whose pivots (step 5)
 	// make them the factors.
-	t0 = time.Now()
-	in := graphSchurInputs(g, e.ord, inv, opts.C, e.h11LU, e.h12, e.h21, e.hw, e.pool)
-	tri, nnz, err := in.triangles(n2, e.pool)
+	t0 := time.Now()
+	tri, nnz, err := in.triangles(ord.N2, e.pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: DILU of S: %w", err)
 	}
 	e.prep.SchurNNZ = nnz
-	e.prep.Schur = time.Since(t0)
+	e.prep.Schur += time.Since(t0)
 	// 5. The DILU pivots: D_S and the one O(nnz(S)) recurrence.
 	t0 = time.Now()
 	e.ilu = lu.FactorTriangles(tri)
 	e.prep.ILU = time.Since(t0)
-	if err := deadline(); err != nil {
+	if err := e.deadline(start); err != nil {
 		return nil, err
 	}
 	e.prep.Total = time.Since(start)
-	if opts.MemoryBudget > 0 && e.MemoryBytes() > opts.MemoryBudget {
+	if e.opts.MemoryBudget > 0 && e.MemoryBytes() > e.opts.MemoryBudget {
 		return nil, fmt.Errorf("preprocessed data needs %d bytes: %w", e.MemoryBytes(), ErrMemoryBudget)
 	}
 	e.attachPool()
 	return e, nil
+}
+
+// buildSchur runs preprocessing's stages 2–4 under the ordering o, up to
+// the inputs of S's columns, which it returns: 2. H's off-diagonal blocks,
+// built from the graph as the patterns the engine keeps, and their weights,
+// once per column (buildHBlocks); 3. the per-block LU of the block-diagonal
+// H11, blocks in parallel, each filled dense from the graph (h11Fill); then
+// the column views S's columns read (graphSchurInputs). It keeps what it
+// builds, and the stage times, in e, and stops on e's deadline and, once
+// H11 is factored, on its memory budget. preprocessFrom runs it, and so
+// does SchurColumns, on an engine it discards.
+func (e *Engine) buildSchur(g *graph.Graph, o *reorder.Ordering, start time.Time) (*schurInputs, error) {
+	c := e.opts.C
+	e.ord, e.hw = servedOrder(o), make([]float64, o.N1+o.N2)
+	inv := e.ord.inverse()
+	t0 := time.Now()
+	e.h12, e.h21, e.h31, e.h32 = buildHBlocks(g, e.ord, inv, nil, e.pool, e.hw, c)
+	e.prep.BuildH = time.Since(t0)
+	if err := e.deadline(start); err != nil {
+		return nil, err
+	}
+	t0 = time.Now()
+	var err error
+	if e.h11LU, err = lu.FactorBlocksPool(o.N1, o.Blocks, h11Fill(g, e.ord, inv, c), e.pool); err != nil {
+		return nil, fmt.Errorf("core: factoring H11: %w", err)
+	}
+	e.prep.FactorH11 = time.Since(t0)
+	if budget := e.opts.MemoryBudget; budget > 0 && e.h11LU.MemoryBytes() > budget {
+		return nil, fmt.Errorf("H11 factors need %d bytes: %w", e.h11LU.MemoryBytes(), ErrMemoryBudget)
+	}
+	if err := e.deadline(start); err != nil {
+		return nil, err
+	}
+	t0 = time.Now()
+	in := graphSchurInputs(g, e.ord, inv, c, e.h11LU, e.h12, e.h21, e.hw, e.pool)
+	e.prep.Schur = time.Since(t0)
+	return in, nil
+}
+
+// deadline refuses a build that started at start and has run past the
+// engine's Deadline option.
+func (e *Engine) deadline(start time.Time) error {
+	if e.opts.Deadline > 0 && time.Since(start) > e.opts.Deadline {
+		return fmt.Errorf("after %v: %w", time.Since(start).Round(time.Millisecond), ErrDeadline)
+	}
+	return nil
 }
 
 // BuildH constructs the reordered system matrix H = P(I − (1−c)Ãᵀ)Pᵀ

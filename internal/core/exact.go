@@ -5,7 +5,6 @@ import (
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
-	"bepi/internal/lu"
 	"bepi/internal/par"
 	"bepi/internal/reorder"
 	"bepi/internal/sparse"
@@ -45,41 +44,25 @@ type SchurProfile struct {
 }
 
 // ProfileSchur computes the Schur complement for hub ratio k and returns
-// the non-zero counts the paper plots in Figure 4. It shares all machinery
-// with Preprocess but skips the ILU step. It is the serial case of
-// ProfileSchurPool.
+// the non-zero counts the paper plots in Figure 4. It runs preprocessing's
+// own build (SchurColumns) under the ordering Preprocess picks for k,
+// stopped before S's triangles. It is the serial case of ProfileSchurPool.
 func ProfileSchur(g *graph.Graph, k, c float64) (SchurProfile, error) {
 	return ProfileSchurPool(g, k, c, nil)
 }
 
-// ProfileSchurPool is ProfileSchur with the block factorization and Schur
-// build parallelized over the pool (nil runs serially). The column views of
-// H12/H21 are built once here and passed through to the Schur kernel.
+// ProfileSchurPool is ProfileSchur with the reordering, H's blocks, the
+// block factorization and S's columns run on the pool (nil runs serially).
 func ProfileSchurPool(g *graph.Graph, k, c float64, pool *par.Pool) (SchurProfile, error) {
 	if err := reorder.CheckHubRatio(k); err != nil {
 		return SchurProfile{}, err
 	}
-	ord := reorder.HubAndSpoke(g, k)
-	h := BuildH(g, ord.Perm, c)
-	n1, n2 := ord.N1, ord.N2
-	l := n1 + n2
-	h11 := h.Block(0, n1, 0, n1)
-	h12 := h.Block(0, n1, n1, l)
-	h21 := h.Block(n1, l, 0, n1)
-	h22 := h.Block(n1, l, n1, l)
-	h11LU, err := lu.FactorBlockDiagPool(h11, ord.Blocks, pool)
+	_, p, err := SchurColumns(g, reorder.HubAndSpokePool(g, k, pool), c, pool, nil)
 	if err != nil {
-		return SchurProfile{}, fmt.Errorf("core: factoring H11 at k=%v: %w", k, err)
+		return SchurProfile{}, fmt.Errorf("core: profiling S at k=%v: %w", k, err)
 	}
-	s := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), h11LU, pool)
-	cross := s.Sub(h22).DropZeros(0)
-	return SchurProfile{
-		K:  k,
-		N1: n1, N2: n2, N3: ord.N3,
-		SchurNNZ: s.NNZ(),
-		H22NNZ:   h22.NNZ(),
-		CrossNNZ: cross.NNZ(),
-	}, nil
+	p.K = k
+	return p, nil
 }
 
 // ChooseHubRatio evaluates the candidate hub ratios and returns the one

@@ -15,14 +15,13 @@ import (
 )
 
 // parBench holds the shared fixture for the parallel-kernel benchmarks: an
-// R-MAT graph at the acceptance scale (~1e6 edges) carved into BePI's
-// blocks. Built once, on first benchmark use only.
+// R-MAT graph at the acceptance scale (~1e6 edges), its ordering and the
+// H11 block of its H. Built once, on first benchmark use only.
 var parBench struct {
-	once               sync.Once
-	ord                *reorder.Ordering
-	h11, h12, h21, h22 *sparse.CSR
-	h12T, h21T         *sparse.CSR
-	f                  *lu.BlockLU
+	once sync.Once
+	g    *graph.Graph
+	ord  *reorder.Ordering
+	h11  *sparse.CSR
 }
 
 func parBenchSetup(b *testing.B) {
@@ -30,21 +29,10 @@ func parBenchSetup(b *testing.B) {
 		g := gen.RMAT(gen.DefaultRMAT(16, 16, 1)) // 65_536 nodes, ~1M edges
 		ord := reorder.HubAndSpoke(g, 0.2)
 		h := BuildH(g, ord.Perm, DefaultC)
-		n1, l := ord.N1, ord.N1+ord.N2
-		parBench.ord = ord
-		parBench.h11 = h.Block(0, n1, 0, n1)
-		parBench.h12 = h.Block(0, n1, n1, l)
-		parBench.h21 = h.Block(n1, l, 0, n1)
-		parBench.h22 = h.Block(n1, l, n1, l)
-		parBench.h12T = parBench.h12.Transpose()
-		parBench.h21T = parBench.h21.Transpose()
-		f, err := lu.FactorBlockDiag(parBench.h11, ord.Blocks)
-		if err != nil {
-			panic(err)
-		}
-		parBench.f = f
+		parBench.g, parBench.ord = g, ord
+		parBench.h11 = h.Block(0, ord.N1, 0, ord.N1)
 	})
-	if parBench.f == nil {
+	if parBench.h11 == nil {
 		b.Fatal("benchmark fixture failed to build")
 	}
 }
@@ -84,19 +72,26 @@ func runAtWidth(b *testing.B, fn func(b *testing.B, pool *par.Pool)) {
 	}
 }
 
-// BenchmarkSchurComplement measures the column-partitioned Schur build
-// S = H22 − H21·H11⁻¹·H12 on the ~1M-edge fixture.
-func BenchmarkSchurComplement(b *testing.B) {
+// BenchmarkProfileSchur profiles S of the ~1M-edge fixture at the default
+// hub ratio on 1 and 2 workers: the reordering, H's patterns, H11's block
+// LU and every column of S, computed by preprocessing's own build.
+func BenchmarkProfileSchur(b *testing.B) {
 	parBenchSetup(b)
-	runAtWidth(b, func(b *testing.B, pool *par.Pool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := SchurComplementT(parBench.h22, parBench.h21T, parBench.h12T, parBench.f, pool)
-			if s.NNZ() == 0 {
-				b.Fatal("empty Schur complement")
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			pool := par.NewPool(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := ProfileSchurPool(parBench.g, 0.2, DefaultC, pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if p.SchurNNZ == 0 {
+					b.Fatal("empty Schur complement")
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkFactorBlockDiag measures the per-block dense LU of H11 with the

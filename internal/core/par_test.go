@@ -4,39 +4,63 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"bepi/internal/gen"
 	"bepi/internal/graph"
-	"bepi/internal/lu"
 	"bepi/internal/par"
 	"bepi/internal/reorder"
 )
 
-// schurBothWays builds the Schur complement of g serially and over a pool
-// and reports whether the parallel build is bit-identical. Graphs whose
-// ordering has no spokes or no hubs are skipped (nothing to eliminate).
+// emittedColumns runs SchurColumns on g under ord over a pool of workers
+// and returns the columns it emits, in the order it emits them, and the
+// profile.
+func emittedColumns(t *testing.T, g *graph.Graph, ord *reorder.Ordering, workers int) ([]schurColumn, SchurProfile) {
+	t.Helper()
+	var cols []schurColumn
+	_, p, err := SchurColumns(g, ord, DefaultC, par.NewPool(workers), func(j int, rows []uint32, vals []float64) {
+		cols = append(cols, schurColumn{j, slices.Clone(rows), slices.Clone(vals)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols, p
+}
+
+// schurColumn is one column of S as SchurColumns emits it.
+type schurColumn struct {
+	j    int
+	rows []uint32
+	vals []float64
+}
+
+// schurBothWays computes the columns of S of g on one worker and on a pool
+// of workers and requires the two runs to emit the same columns, row for
+// row and bit for bit, and the same profile. Graphs whose ordering has no
+// spokes or no hubs are skipped (nothing to eliminate).
 func schurBothWays(t *testing.T, g *graph.Graph, k float64, workers int) bool {
 	t.Helper()
 	ord := reorder.HubAndSpoke(g, k)
 	if ord.N1 == 0 || ord.N2 == 0 {
 		return false
 	}
-	h := BuildH(g, ord.Perm, DefaultC)
-	n1, l := ord.N1, ord.N1+ord.N2
-	h11 := h.Block(0, n1, 0, n1)
-	h12 := h.Block(0, n1, n1, l)
-	h21 := h.Block(n1, l, 0, n1)
-	h22 := h.Block(n1, l, n1, l)
-	f, err := lu.FactorBlockDiag(h11, ord.Blocks)
-	if err != nil {
-		t.Fatal(err)
+	want, wp := emittedColumns(t, g, ord, 1)
+	got, gp := emittedColumns(t, g, ord, workers)
+	if gp != wp {
+		t.Fatalf("workers=%d: profile %+v, serial %+v", workers, gp, wp)
 	}
-	want := SchurComplement(h22, h21, h12, f)
-	got := SchurComplementT(h22, h21.Transpose(), h12.Transpose(), f, par.NewPool(workers))
-	if !got.Equal(want) {
-		t.Fatalf("parallel Schur (workers=%d) differs from serial on n=%d m=%d", workers, g.N(), g.M())
+	if len(got) != len(want) {
+		t.Fatalf("workers=%d: %d columns emitted, serial %d", workers, len(got), len(want))
+	}
+	for c, w := range want {
+		if w.j != c {
+			t.Fatalf("serial run emitted column %d in place %d", w.j, c)
+		}
+		if got[c].j != w.j || !slices.Equal(got[c].rows, w.rows) || !bitsEqual(got[c].vals, w.vals) {
+			t.Fatalf("parallel Schur (workers=%d) differs from serial in column %d on n=%d m=%d", workers, w.j, g.N(), g.M())
+		}
 	}
 	return true
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"bepi/internal/dense"
 	"bepi/internal/graph"
 	"bepi/internal/lu"
 	"bepi/internal/par"
+	"bepi/internal/reorder"
 	"bepi/internal/sparse"
 )
 
@@ -190,41 +192,29 @@ func graphSchurInputs(g *graph.Graph, ord nodeOrder, inv []uint32, c float64, h1
 	return in
 }
 
-// csrH22 is the H22 column source of a CSR H22: column j is row j of its
-// transpose.
-func csrH22(h22 *sparse.CSR) func(j int, col []colEntry) []colEntry {
-	h22T := h22.Transpose()
-	return func(j int, col []colEntry) []colEntry {
-		s, e := h22T.RowRange(j)
-		vals := h22T.Values()
-		for p, i := range h22T.ColIdx()[s:e] {
-			col = append(col, colEntry{i, vals[s+p]})
-		}
-		return col
+// SchurColumns runs preprocessing under the ordering ord of g's nodes, for
+// restart probability c, on the pool (nil runs serially), and stops before
+// S's triangles: it hands every column j of S = H22 − H21·H11⁻¹·H12, in
+// ascending j, to emit when it is not nil — its rows, each once, and their
+// values, valid only during the call — and returns H11's block LU and the
+// profile of S, K left 0. The columns are the ones an engine built under
+// ord stores, bit for bit, at any worker count.
+func SchurColumns(g *graph.Graph, ord *reorder.Ordering, c float64, pool *par.Pool, emit func(j int, rows []uint32, vals []float64)) (*lu.BlockLU, SchurProfile, error) {
+	e := &Engine{opts: Options{C: c}, pool: pool} // discarded: no deadline, no budget
+	in, err := e.buildSchur(g, ord, time.Now())
+	if err != nil {
+		return nil, SchurProfile{}, err
 	}
-}
-
-// SchurComplement computes S = H22 − H21·H11⁻¹·H12 column by column,
-// exploiting the block-diagonal H11: each H12 column only activates the
-// blocks it touches. It builds the column views (transposes) of H12/H21
-// itself and runs serially; callers that already hold the transposes should
-// use SchurComplementT directly.
-func SchurComplement(h22, h21, h12 *sparse.CSR, h11LU *lu.BlockLU) *sparse.CSR {
-	return SchurComplementT(h22, h21.Transpose(), h12.Transpose(), h11LU, nil)
-}
-
-// SchurComplementT is SchurComplement over the pre-transposed column views
-// h21T (n1×n2, row i = column i of H21) and h12T (n2×n1, row j = column j
-// of H12), with the n2 columns partitioned across the pool. It runs the
-// assembly preprocessing runs — the one column routine into per-worker
-// shards, then one counting sort into rows (schurInputs.columns) — with
-// H22's columns taken from h22, and the result is bit-identical at any
-// worker count. A nil pool runs serially.
-func SchurComplementT(h22, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU, pool *par.Pool) *sparse.CSR {
-	in := &schurInputs{h11LU: h11LU, h21T: h21T, h12T: h12T, h22: csrH22(h22)}
-	n2 := h22.Rows()
-	cols := in.columns(n2, in.bounds(n2, pool), pool, nil)
-	return sparse.CompactFromColumns(n2, n2, cols.nnz(), cols.visit).ToCSR()
+	cols := in.columns(ord.N2, in.bounds(ord.N2, pool), pool, nil)
+	if emit != nil {
+		cols.visit(emit)
+	}
+	p := SchurProfile{N1: ord.N1, N2: ord.N2, N3: ord.N3, SchurNNZ: cols.nnz()}
+	for _, n := range cols.counts {
+		p.H22NNZ += n.h22
+		p.CrossNNZ += n.cross
+	}
+	return e.h11LU, p, nil
 }
 
 // schurInputs is what the columns of S = H22 − H21·H11⁻¹·H12 are computed
@@ -247,7 +237,9 @@ type schurInputs struct {
 // construction.
 func (in *schurInputs) column(w *schurScratch, j int) {
 	w.column(j, in.h21T, in.h12T, in.h11LU)
+	w.counts.cross += len(w.touched)
 	w.h22 = in.h22(j, w.h22[:0])
+	w.counts.h22 += len(w.h22)
 	for _, e := range w.h22 {
 		// The cross term dropped its exact zeros, so a row it holds is one
 		// marked for j with a nonzero value.
@@ -279,10 +271,17 @@ type schurShard struct {
 const schurShardEntries = 1 << 13
 
 // schurColumns is S as its columns: the column ranges bounds cut [0, n2)
-// into, and each range's shards, in column order.
+// into, and each range's shards, in column order, and each range's counts.
 type schurColumns struct {
 	bounds []int
 	parts  [][]schurShard
+	counts []schurCounts
+}
+
+// schurCounts counts what a run of the column routine merged: the entries
+// of H22's columns and those of the cross term's, before the merge.
+type schurCounts struct {
+	h22, cross int
 }
 
 // bounds cuts S's n2 columns into one contiguous range per worker of the
@@ -303,7 +302,7 @@ func (in *schurInputs) bounds(n2 int, pool *par.Pool) []int {
 // unchanged, so the columns are the same at any worker count. A nil pool
 // runs serially.
 func (in *schurInputs) columns(n2 int, bounds []int, pool *par.Pool, count func(part, j int, rows []uint32)) schurColumns {
-	s := schurColumns{bounds: bounds, parts: make([][]schurShard, len(bounds)-1)}
+	s := schurColumns{bounds: bounds, parts: make([][]schurShard, len(bounds)-1), counts: make([]schurCounts, len(bounds)-1)}
 	pool.ForBounds(bounds, func(part, jlo, jhi int) {
 		w := newSchurScratch(n2, in.h11LU)
 		var out []schurShard
@@ -326,7 +325,7 @@ func (in *schurInputs) columns(n2 int, bounds []int, pool *par.Pool, count func(
 				count(part, j, rows)
 			}
 		}
-		s.parts[part] = out
+		s.parts[part], s.counts[part] = out, w.counts
 	})
 	return s
 }
@@ -362,7 +361,7 @@ func (s schurColumns) nnz() int {
 	return n
 }
 
-// visit is S as a sparse.Columns: every column, in ascending order.
+// visit hands emit every column of S, in ascending order.
 func (s schurColumns) visit(emit func(j int, rows []uint32, vals []float64)) {
 	for part := range s.parts {
 		s.visitPart(part, emit)
@@ -392,13 +391,15 @@ func (s schurColumns) scatter(pool *par.Pool, put func(part, j int, rows []uint3
 // schurScratch is the working state of Schur-column computations: a dense
 // accumulator with last-touched column marks, a substitution scratch
 // vector, the rows the current column reached and a buffer for H22's
-// column. Each worker of a Schur build holds one.
+// column, and the counts of what its columns merged. Each worker of a
+// Schur build holds one.
 type schurScratch struct {
 	acc     []float64
 	mark    []int
 	scratch []float64
 	touched []int
 	h22     []colEntry
+	counts  schurCounts
 }
 
 func newSchurScratch(n2 int, h11LU *lu.BlockLU) *schurScratch {

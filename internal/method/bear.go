@@ -65,38 +65,31 @@ func (m *Bear) Preprocess(g *graph.Graph) error {
 				fmt.Errorf("bear: dense S⁻¹ needs %d bytes for n2=%d", need, ord.N2))
 		}
 	}
-	h := core.BuildH(g, ord.Perm, m.cfg.C)
+	// S's columns come from BePI's own build, written straight into the
+	// dense S, with H11's factors; the blocks the queries multiply by are
+	// cut from H.
 	n1, n2 := ord.N1, ord.N2
 	l := n1 + n2
-	h11 := h.Block(0, n1, 0, n1)
+	sd := dense.New(n2, n2)
+	var err error
+	m.h11LU, _, err = core.SchurColumns(g, ord, m.cfg.C, nil, func(j int, rows []uint32, vals []float64) {
+		for k, i := range rows {
+			sd.Set(int(i), j, vals[k])
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("bear: %w", err)
+	}
+	if err := deadline(); err != nil {
+		return err
+	}
+	h := core.BuildH(g, ord.Perm, m.cfg.C)
 	m.h12 = h.Block(0, n1, n1, l)
 	m.h21 = h.Block(n1, l, 0, n1)
-	h22 := h.Block(n1, l, n1, l)
 	m.h31 = h.Block(l, m.n, 0, n1)
 	m.h32 = h.Block(l, m.n, n1, l)
-	var err error
-	m.h11LU, err = lu.FactorBlockDiag(h11, ord.Blocks)
-	if err != nil {
-		return fmt.Errorf("bear: factoring H11: %w", err)
-	}
-	if err := deadline(); err != nil {
-		return err
-	}
-	s := core.SchurComplement(h22, m.h21, m.h12, m.h11LU)
-	if err := deadline(); err != nil {
-		return err
-	}
 	// Dense inversion of S via LU + per-column solves, checking the
 	// deadline periodically so huge inversions surface as o.o.t.
-	sd := dense.New(n2, n2)
-	cols := s.ColIdx()
-	vals := s.Values()
-	for i := 0; i < n2; i++ {
-		rs, re := s.RowRange(i)
-		for p := rs; p < re; p++ {
-			sd.Set(i, cols[p], vals[p])
-		}
-	}
 	if err := sd.LU(); err != nil {
 		return fmt.Errorf("bear: LU of S: %w", err)
 	}
@@ -118,6 +111,11 @@ func (m *Bear) Preprocess(g *graph.Graph) error {
 		}
 	}
 	m.prepTime = time.Since(start)
+	if m.cfg.Budget.Memory > 0 && m.MemoryBytes() > m.cfg.Budget.Memory {
+		need := m.MemoryBytes()
+		m.sinv = nil
+		return errors.Join(ErrOutOfMemory, fmt.Errorf("bear: preprocessed data needs %d bytes", need))
+	}
 	return nil
 }
 

@@ -110,6 +110,33 @@ func TestBearOutOfMemoryOnTightBudget(t *testing.T) {
 	}
 }
 
+// TestBearBudgetCoversItsWholeFootprint: Bear refuses a budget one byte
+// below its own MemoryBytes — S⁻¹ is only part of it, beside H11's factors
+// and the blocks a query multiplies by — and fits in exactly that many, and
+// a refused Bear answers no query.
+func TestBearBudgetCoversItsWholeFootprint(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(11, 8, 6))
+	probe := NewBear(Config{})
+	if err := probe.Preprocess(g); err != nil {
+		t.Fatal(err)
+	}
+	need := probe.MemoryBytes()
+	if sinv := probe.sinv.MemoryBytes(); need-1 < sinv {
+		t.Fatalf("the fixture's footprint %d B is S⁻¹'s %d B alone; it cannot tell the two budgets apart", need, sinv)
+	}
+	tight := NewBear(Config{Budget: Budget{Memory: need - 1}})
+	if err := tight.Preprocess(g); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("budget %d B, one below the footprint: got %v, want ErrOutOfMemory", need-1, err)
+	}
+	if _, _, err := tight.Query(0); !errors.Is(err, ErrNotPreprocessed) {
+		t.Fatalf("a refused Bear answered a query: %v", err)
+	}
+	exact := NewBear(Config{Budget: Budget{Memory: need}})
+	if err := exact.Preprocess(g); err != nil {
+		t.Fatalf("budget %d B, the footprint: %v", need, err)
+	}
+}
+
 func TestLUOutOfMemoryOnTightBudget(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 6, 4))
 	m := NewLU(Config{Budget: Budget{Memory: 2048}})

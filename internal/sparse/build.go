@@ -101,35 +101,6 @@ func (b *PatternBuilder) Pattern() *Pattern {
 	return &Pattern{layout32: l}
 }
 
-// CompactFromColumns assembles the rows×cols matrix of nnz entries the
-// columns describe straight into the compact layout, by counting sort. It
-// panics if the columns do not describe nnz entries in ascending columns
-// within range.
-func CompactFromColumns(rows, cols, nnz int, c Columns) *CSR32 {
-	b := NewPatternBuilder(rows, cols, 1)
-	c(func(_ int, rs []uint32, _ []float64) {
-		for _, i := range rs {
-			b.Count(0, int(i))
-		}
-	})
-	if got := b.Alloc(); got != nnz {
-		panic(fmt.Sprintf("sparse: columns hold %d entries, want %d", got, nnz))
-	}
-	val := make([]float64, nnz)
-	last := -1
-	c(func(j int, rs []uint32, vs []float64) {
-		if j <= last || j >= cols {
-			panic(fmt.Sprintf("sparse: column %d after %d in a %dx%d matrix", j, last, rows, cols))
-		}
-		last = j
-		vs = vs[:len(rs)]
-		for k, i := range rs {
-			val[b.Put(0, int(i), j)] = vs[k]
-		}
-	})
-	return &CSR32{layout32: b.layout(), val: val}
-}
-
 // ExpandT returns the transpose of Expand(w), built directly: row j lists
 // the rows of column j in ascending order, each entry holding w[j]. It is
 // the column view the Schur-column routine reads, assembled by the counting

@@ -30,8 +30,7 @@ func NarrowCols(cols int) bool { return cols <= 1<<16 }
 // any worker count and either index width.
 //
 // CSR32 is immutable after construction: there is no mutating API, and its
-// constructors, Compact and CompactFromColumns, take a matrix already in
-// shape — a CSR, or columns that must hold the entry count declared.
+// constructor, Compact, takes a matrix already in shape, a CSR.
 type CSR32 struct {
 	layout32
 	val []float64

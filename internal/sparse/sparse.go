@@ -429,26 +429,6 @@ func (m *CSR) Mul(b *CSR) *CSR {
 	return &CSR{rows: m.rows, cols: b.cols, rowPtr: rowPtr, col: col, val: val}
 }
 
-// DropZeros removes stored entries with |v| <= tol and returns m.
-func (m *CSR) DropZeros(tol float64) *CSR {
-	out := 0
-	newPtr := make([]int, m.rows+1)
-	for i := 0; i < m.rows; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			if math.Abs(m.val[p]) > tol {
-				m.col[out] = m.col[p]
-				m.val[out] = m.val[p]
-				out++
-			}
-		}
-		newPtr[i+1] = out
-	}
-	m.rowPtr = newPtr
-	m.col = m.col[:out]
-	m.val = m.val[:out]
-	return m
-}
-
 // Block returns the dense-index submatrix M[r0:r1, c0:c1] as a new CSR
 // matrix of shape (r1−r0)×(c1−c0). Intended for extracting the contiguous
 // partitions H11, H12, ... after node reordering.

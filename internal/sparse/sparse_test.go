@@ -191,20 +191,6 @@ func TestRowNormalize(t *testing.T) {
 	}
 }
 
-func TestDropZeros(t *testing.T) {
-	coo := NewCOO(2, 3)
-	coo.Add(0, 0, 1e-14)
-	coo.Add(0, 2, 1)
-	coo.Add(1, 1, -2)
-	m := coo.ToCSR().DropZeros(1e-12)
-	if m.NNZ() != 2 {
-		t.Fatalf("nnz after drop = %d, want 2", m.NNZ())
-	}
-	if m.At(0, 0) != 0 || m.At(0, 2) != 1 || m.At(1, 1) != -2 {
-		t.Fatal("DropZeros removed wrong entries")
-	}
-}
-
 func TestReserveAndNNZ(t *testing.T) {
 	coo := NewCOO(3, 3)
 	coo.Reserve(10)
