@@ -159,8 +159,8 @@ func main() {
 	indexPath := flag.String("index", "", "index file built by `bepi preprocess` (static mode; exactly one of -index/-graph)")
 	graphPath := flag.String("graph", "", "edge-list file to preprocess at startup and serve with online updates (dynamic mode)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 0, "admission queue bound; excess requests get 429 (0 = default 32×workers)")
+	workers := flag.Int("workers", 0, "queries solved at once (0 = GOMAXPROCS)")
+	queueDepth := flag.Int("queue-depth", 0, "queries that may wait for a solve slot; excess requests get 429 (0 = default 32×workers)")
 	cacheEntries := flag.Int("cache-entries", 0, "LRU score-cache capacity (0 = default 1024, negative disables)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline enforced inside the solver (0 = none)")
 	parallelism := flag.Int("parallelism", 0, "per-solve kernel worker cap (0 = keep engine default, 1 = serial kernels)")

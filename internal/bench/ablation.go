@@ -203,7 +203,7 @@ func AblationMonteCarlo(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		seeds := QuerySeeds(d.G, minI2(cfg.Seeds, 5), int64(di))
+		seeds := QuerySeeds(d.G, min(cfg.Seeds, 5), int64(di))
 		var bepiTotal time.Duration
 		exact := make([][]float64, len(seeds))
 		for i, s := range seeds {
@@ -234,13 +234,6 @@ func AblationMonteCarlo(cfg Config) ([]*Table, error) {
 		}
 	}
 	return []*Table{t}, nil
-}
-
-func minI2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AblationH11 compares the two ways to make H11 solvable: the paper's

@@ -15,13 +15,13 @@ import (
 )
 
 // emittedColumns runs SchurColumns on g under ord over a pool of workers
-// and returns the columns it emits, in the order it emits them, and the
-// profile.
+// and returns the columns it emits, stored at their index j (workers emit
+// distinct columns concurrently), and the profile.
 func emittedColumns(t *testing.T, g *graph.Graph, ord *reorder.Ordering, workers int) ([]schurColumn, SchurProfile) {
 	t.Helper()
-	var cols []schurColumn
+	cols := make([]schurColumn, ord.N2)
 	_, p, err := SchurColumns(g, ord, DefaultC, par.NewPool(workers), func(j int, rows []uint32, vals []float64) {
-		cols = append(cols, schurColumn{j, slices.Clone(rows), slices.Clone(vals)})
+		cols[j] = schurColumn{j, slices.Clone(rows), slices.Clone(vals)}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -194,25 +194,45 @@ func graphSchurInputs(g *graph.Graph, ord nodeOrder, inv []uint32, c float64, h1
 
 // SchurColumns runs preprocessing under the ordering ord of g's nodes, for
 // restart probability c, on the pool (nil runs serially), and stops before
-// S's triangles: it hands every column j of S = H22 − H21·H11⁻¹·H12, in
-// ascending j, to emit when it is not nil — its rows, each once, and their
-// values, valid only during the call — and returns H11's block LU and the
-// profile of S, K left 0. The columns are the ones an engine built under
-// ord stores, bit for bit, at any worker count.
+// S's triangles: it hands every column j of S = H22 − H21·H11⁻¹·H12 to emit
+// when it is not nil — its rows, each once, and their values, valid only
+// during the call — and returns H11's block LU and the profile of S, K left
+// 0. Each worker of the pool computes a contiguous range of columns and
+// emits them itself, in ascending j: calls for distinct j may run
+// concurrently, and no column is kept once emitted. The columns are the
+// ones an engine built under ord stores, bit for bit, at any worker count.
 func SchurColumns(g *graph.Graph, ord *reorder.Ordering, c float64, pool *par.Pool, emit func(j int, rows []uint32, vals []float64)) (*lu.BlockLU, SchurProfile, error) {
 	e := &Engine{opts: Options{C: c}, pool: pool} // discarded: no deadline, no budget
 	in, err := e.buildSchur(g, ord, time.Now())
 	if err != nil {
 		return nil, SchurProfile{}, err
 	}
-	cols := in.columns(ord.N2, in.bounds(ord.N2, pool), pool, nil)
-	if emit != nil {
-		cols.visit(emit)
-	}
-	p := SchurProfile{N1: ord.N1, N2: ord.N2, N3: ord.N3, SchurNNZ: cols.nnz()}
-	for _, n := range cols.counts {
+	bounds := in.bounds(ord.N2, pool)
+	counts := make([]schurCounts, len(bounds)-1)
+	nnz := make([]int, len(bounds)-1)
+	pool.ForBounds(bounds, func(part, jlo, jhi int) {
+		w := newSchurScratch(ord.N2, in.h11LU)
+		var rows []uint32
+		var vals []float64
+		for j := jlo; j < jhi; j++ {
+			in.column(w, j)
+			nnz[part] += len(w.touched)
+			if emit == nil {
+				continue
+			}
+			rows, vals = rows[:0], vals[:0]
+			for _, i := range w.touched {
+				rows, vals = append(rows, uint32(i)), append(vals, w.acc[i])
+			}
+			emit(j, rows, vals)
+		}
+		counts[part] = w.counts
+	})
+	p := SchurProfile{N1: ord.N1, N2: ord.N2, N3: ord.N3}
+	for part, n := range counts {
 		p.H22NNZ += n.h22
 		p.CrossNNZ += n.cross
+		p.SchurNNZ += nnz[part]
 	}
 	return e.h11LU, p, nil
 }
@@ -359,13 +379,6 @@ func (s schurColumns) nnz() int {
 		}
 	}
 	return n
-}
-
-// visit hands emit every column of S, in ascending order.
-func (s schurColumns) visit(emit func(j int, rows []uint32, vals []float64)) {
-	for part := range s.parts {
-		s.visitPart(part, emit)
-	}
 }
 
 // visitPart hands emit the columns of one range, in ascending order.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -66,5 +67,53 @@ func TestSetIterHook(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatal("hook fired after removal")
+	}
+}
+
+// TestPanickingSolveDropsWorkspace: QueryVectorWS and TopKBoundedWS handed
+// no workspace put the free-list one back only when the solve returns, so
+// a solve that panics (here in the iteration hook) cannot recycle a
+// workspace whose buffers it left in an unknown state.
+func TestPanickingSolveDropsWorkspace(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(8, 8, 2))
+	e, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 3
+	if _, st, err := e.Query(seed); err != nil || st.Iterations == 0 {
+		t.Fatalf("seed %d: want an iterating solve, got %d iterations, err %v", seed, st.Iterations, err)
+	}
+	if err := e.CalibrateBound(); err != nil { // its reference solves run before the hook panics
+		t.Fatal(err)
+	}
+	free := func() int {
+		e.wsMu.Lock()
+		defer e.wsMu.Unlock()
+		return len(e.wsFree)
+	}
+	e.SetIterHook(func(int, float64) { panic("injected solver fault") })
+	defer e.SetIterHook(nil)
+	q := make([]float64, e.N())
+	q[seed] = 1
+	for _, c := range []struct {
+		name  string
+		solve func()
+	}{
+		{"QueryVectorWS", func() { _, _, _ = e.QueryVectorWS(context.Background(), q, nil) }},
+		{"TopKBoundedWS", func() { _, _, _, _ = e.TopKBoundedWS(context.Background(), q, seed, 5, nil) }},
+	} {
+		before := free()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the injected panic did not surface", c.name)
+				}
+			}()
+			c.solve()
+		}()
+		if got, want := free(), max(before-1, 0); got != want {
+			t.Errorf("%s: %d workspaces on the free list after a panicking solve, want %d", c.name, got, want)
+		}
 	}
 }

@@ -113,13 +113,22 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 // exclude is the node left out of the ranking (negative: none). Besides the
 // ranking it returns the full score vector in original ids — exact when
 // !stats.EarlyStopped, otherwise within stats.Bound per node (callers must
-// not treat early-stopped vectors as full-tolerance results).
+// not treat early-stopped vectors as full-tolerance results). A nil ws
+// solves on a workspace of the engine's free list, which a solve that panics
+// drops instead of returning.
 func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int, ws *Workspace) ([]Ranked, []float64, TopKStats, error) {
-	start := time.Now()
-	if ws == nil || ws.e != e {
-		ws = e.acquireWorkspace()
-		defer e.releaseWorkspace(ws)
+	if ws != nil && ws.e == e {
+		return e.topKBoundedOn(ctx, q, exclude, k, ws)
 	}
+	ws = e.acquireWorkspace()
+	top, r, stats, err := e.topKBoundedOn(ctx, q, exclude, k, ws)
+	e.releaseWorkspace(ws)
+	return top, r, stats, err
+}
+
+// topKBoundedOn is TopKBoundedWS on a workspace the caller holds.
+func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int, ws *Workspace) ([]Ranked, []float64, TopKStats, error) {
+	start := time.Now()
 	// The calibrated factor computes lazily here on first use; engines that
 	// cannot be calibrated (or have no hub block) serve full solves.
 	factor, ferr := e.topkFactor()

@@ -83,13 +83,17 @@ func (w *Workspace) unitQuery(seed int) []float64 {
 // serving path), and the workspace, when non-nil, supplies every temporary
 // so the only allocation left is the returned score vector. ctx may be nil
 // (no cancellation) and ws may be nil (solve from a workspace of the
-// engine's free list).
+// engine's free list; a solve that panics drops it instead of returning
+// it).
 func (e *Engine) QueryVectorWS(ctx context.Context, q []float64, ws *Workspace) ([]float64, QueryStats, error) {
-	if ws == nil || ws.e != e {
-		ws = e.acquireWorkspace()
-		defer e.releaseWorkspace(ws)
+	opts := solver.GMRESOptions{Ctx: ctx}
+	if ws != nil && ws.e == e {
+		return e.queryOn(ws, q, opts)
 	}
-	return e.queryOn(ws, q, solver.GMRESOptions{Ctx: ctx})
+	ws = e.acquireWorkspace()
+	r, stats, err := e.queryOn(ws, q, opts)
+	e.releaseWorkspace(ws)
+	return r, stats, err
 }
 
 // queryOn is Algorithm 4 on a workspace the caller holds: solveR2 with the

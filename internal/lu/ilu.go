@@ -501,7 +501,7 @@ func (f *ILU) SetPool(p *par.Pool) *ILU {
 		for i := range prefix {
 			prefix[i] = f.l.rowPtr[i] + f.u.rowPtr[i]
 		}
-		f.bounds = par.BoundsByPrefixOf(prefix, p.Workers())
+		f.bounds = par.BoundsByPrefix(prefix, p.Workers())
 	}
 	return f
 }

@@ -93,19 +93,12 @@ func ChunkBounds(n, parts int) []int {
 // BoundsByPrefix splits [0, n) into parts contiguous chunks of near-equal
 // total weight, where prefix is the length-(n+1) cumulative weight array
 // (prefix[i] = total weight of items [0, i), as in a CSR row-pointer
-// array). Deterministic in (prefix, parts). Empty chunks are avoided:
-// every chunk spans at least one item while items remain, so bounds are
-// strictly increasing and parts is clamped to [1, n].
-func BoundsByPrefix(prefix []int, parts int) []int {
-	return BoundsByPrefixOf(prefix, parts)
-}
-
-// BoundsByPrefixOf is BoundsByPrefix generalized over the prefix element
-// type, so compact row-pointer arrays (int32 or int64, as stored by
-// sparse.CSR32) drive the same nnz-balanced partition without widening to
-// []int first. The boundaries are identical to BoundsByPrefix on the
-// widened prefix.
-func BoundsByPrefixOf[T int | int32 | int64](prefix []T, parts int) []int {
+// array). The element type is generic so compact row-pointer arrays (int32
+// or int64, as stored by sparse.CSR32) drive the same partition without
+// widening to []int first. Deterministic in (prefix, parts). Empty chunks
+// are avoided: every chunk spans at least one item while items remain, so
+// bounds are strictly increasing and parts is clamped to [1, n].
+func BoundsByPrefix[T int | int32 | int64](prefix []T, parts int) []int {
 	n := len(prefix) - 1
 	if parts > n {
 		parts = n

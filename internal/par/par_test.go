@@ -83,8 +83,9 @@ func TestBoundsByPrefix(t *testing.T) {
 	}
 }
 
-// TestBoundsByPrefixOfMatchesWide: the int32/int64 instantiations must pick
-// exactly the boundaries of the []int version on the same weights.
+// TestBoundsByPrefixOfMatchesWide: BoundsByPrefix's int32/int64
+// instantiations must pick exactly the boundaries of its []int one on the
+// same weights.
 func TestBoundsByPrefixOfMatchesWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -99,7 +100,7 @@ func TestBoundsByPrefixOfMatchesWide(t *testing.T) {
 		}
 		parts := 1 + rng.Intn(10)
 		want := BoundsByPrefix(prefix, parts)
-		for i, got := range [][]int{BoundsByPrefixOf(p32, parts), BoundsByPrefixOf(p64, parts)} {
+		for i, got := range [][]int{BoundsByPrefix(p32, parts), BoundsByPrefix(p64, parts)} {
 			if len(got) != len(want) {
 				t.Fatalf("variant %d: %v vs %v", i, got, want)
 			}

@@ -25,9 +25,9 @@ func benchSeed(i, n int) int {
 //
 //	naive   — the pre-qexec serving path: every request calls
 //	          Engine.Query directly, allocating all solve temporaries.
-//	pooled  — the qexec pool with the cache disabled: reusable
-//	          workspaces behind the admission queue.
-//	qexec   — the full subsystem: pool + LRU cache with singleflight.
+//	pooled  — qexec with the cache disabled: solves on the engine's
+//	          pooled workspaces behind the admission semaphore.
+//	qexec   — the full subsystem: admission + LRU cache with singleflight.
 //
 // Run with -benchmem: queries/sec (ns/op) and allocs/op are the acceptance
 // numbers for the subsystem.

@@ -205,12 +205,17 @@ func TestCacheCertifiedTopKStaysUnderItsKey(t *testing.T) {
 // singleflight error fan-out: a leader whose own context is cancelled
 // mid-solve used to fail every coalesced follower with its
 // "context canceled", although their contexts were alive. A follower must
-// take the solve over instead.
+// take the solve over instead. The leader solves on its own goroutine, so it
+// sees its cancel only once the stalled iteration is released, at the
+// solve's next iteration: the seed's solve, bounded included, runs two.
 func TestFlightLeaderCancelSparesFollowers(t *testing.T) {
 	for _, k := range []int{0, 10} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			e := freshEngine(t, 8, 6, 7)
 			seed := iteratingSeed(t, e)
+			if _, st, err := e.TopKBounded(seed, 10); err != nil || st.Iterations < 2 {
+				t.Fatalf("seed %d: bounded solve runs %d iterations (err %v), want at least 2", seed, st.Iterations, err)
+			}
 			ex := New(e, Config{CacheEntries: -1, Workers: 2})
 			defer ex.Close()
 			ask := func(ctx context.Context) error {
@@ -254,10 +259,10 @@ func TestFlightLeaderCancelSparesFollowers(t *testing.T) {
 			}
 
 			cancelLeader()
+			releaseStall()
 			if err := <-leaderErr; !errors.Is(err, context.Canceled) {
 				t.Fatalf("leader: got %v, want context.Canceled", err)
 			}
-			releaseStall()
 			for i := 0; i < followers; i++ {
 				select {
 				case err := <-followerErrs:

@@ -33,19 +33,20 @@ type Metrics struct {
 	// Coalesced counts queries that piggybacked on an identical in-flight
 	// solve instead of solving on their own.
 	Coalesced int64
-	// Shed counts requests rejected by admission control (full queue).
+	// Shed counts queries rejected by admission control because
+	// QueueDepth callers were already waiting for a solve slot.
 	Shed int64
-	// Batches counts engine solves executed by the pool. Each solve serves
+	// Batches counts engine solves admitted. Each solve serves
 	// one query, so it equals Executed; the name is what the benchmark
 	// harness compiles against.
 	Batches int64
-	// Executed counts queries actually solved.
+	// Executed counts queries admitted to a solve slot and solved.
 	Executed int64
 	// EngineSwaps counts SwapEngine calls that actually replaced the
 	// engine (the dynamic-graph rebuild path).
 	EngineSwaps int64
 	// SolvePanics counts engine solves that panicked and were recovered by
-	// the worker's panic barrier (each fails its request with
+	// the solve's panic barrier (each fails its query with
 	// ErrSolvePanicked).
 	SolvePanics int64
 	// TopKSolves counts queries solved through the bounded top-k path.
@@ -63,7 +64,8 @@ type Metrics struct {
 	// ProbationEvictions counts answers the cache evicted from its
 	// probation segment without any request having read them.
 	ProbationEvictions int64
-	// Queued is the current admission-queue occupancy (gauge).
+	// Queued is the number of callers currently waiting for a solve slot
+	// (gauge).
 	Queued int
 	// Generation is the current engine generation (gauge; starts at 1,
 	// bumped on every swap).
@@ -87,7 +89,7 @@ func (e *Executor) Metrics() Metrics {
 		SolvePanics:   e.m.panics.Load(),
 		TopKSolves:    e.m.topk.Load(),
 		EarlyStops:    e.m.early.Load(),
-		Queued:        len(e.reqs),
+		Queued:        int(e.queued.Load()),
 		Generation:    e.Generation(),
 	}
 	m.Batches = m.Executed

@@ -3,6 +3,7 @@ package qexec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"log/slog"
 	"strings"
 	"sync"
@@ -114,6 +115,35 @@ func TestObserverIntegration(t *testing.T) {
 	}
 	if s := logBuf.String(); !strings.Contains(s, "slow query") || !strings.Contains(s, `"solve"`) {
 		t.Errorf("slow log output missing record or stage breakdown:\n%s", s)
+	}
+}
+
+// TestTimedOutQueryTraced: a query that runs past Config.Timeout is traced
+// like any other, its trace finished with the deadline error and kept in
+// the ring.
+func TestTimedOutQueryTraced(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	seed := iteratingSeed(t, e)
+	o := obs.New(obs.Options{TraceSample: 1})
+	const timeout = 20 * time.Millisecond
+	ex := New(e, Config{Timeout: timeout, CacheEntries: -1, Obs: o})
+	defer ex.Close()
+	// The solve's first iteration outlasts the deadline, which the solver
+	// sees before its second.
+	e.SetIterHook(func(iter int, _ float64) {
+		if iter == 1 {
+			time.Sleep(2 * timeout)
+		}
+	})
+	if _, err := ex.Query(context.Background(), seed); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	traces := o.Tracer.Recent(0)
+	if len(traces) != 1 {
+		t.Fatalf("trace ring has %d traces, want the timed-out query's", len(traces))
+	}
+	if tr := traces[0]; tr.Seed != seed || !strings.Contains(tr.Err, context.DeadlineExceeded.Error()) {
+		t.Fatalf("trace of seed %d with error %q, want seed %d with the deadline error", tr.Seed, tr.Err, seed)
 	}
 }
 

@@ -2,10 +2,10 @@
 // and the BePI engine — the layer that turns "preprocess once, answer many
 // queries fast" into served throughput. It combines:
 //
-//   - a worker pool (sized to GOMAXPROCS by default) where each worker owns
-//     a reusable core.Workspace and solves one request at a time
-//     (core.Engine.QueryVectorWS), so steady-state queries allocate nothing
-//     but their result vectors;
+//   - solves on the caller's goroutine, at most Config.Workers at once
+//     (GOMAXPROCS by default), each on a workspace from the engine's free
+//     list (core.Engine.QueryVectorWS with a nil workspace), so
+//     steady-state queries allocate little but their result vectors;
 //   - one generation-tagged segmented LRU cache and one singleflight map,
 //     both keyed by (seed, k): k = 0 is the seed's full-tolerance score
 //     vector, k > 0 its top-k ranking. Full requests store vectors and
@@ -20,9 +20,10 @@
 //   - a bounded top-k path: TopK halts each Schur solve on a certified
 //     score-error bound as soon as the top-k SET is provably settled
 //     (core.Engine.TopKBoundedWS);
-//   - admission control: a bounded queue that sheds load with
-//     ErrOverloaded when full, and per-query deadlines threaded down into
-//     the iterative Schur solver via context.Context.
+//   - admission control: a semaphore of Workers slots, callers waiting for
+//     one in arrival order; a caller finding QueueDepth others already
+//     waiting is shed with ErrOverloaded. Per-query deadlines reach both the
+//     wait and the iterative Schur solver via context.Context.
 //
 // Counters for all of the above are exposed through Metrics for the
 // server's /metrics endpoint, and every query is observed by an
@@ -47,24 +48,26 @@ import (
 
 // Errors reported by admission control.
 var (
-	// ErrOverloaded means the bounded queue was full; the caller should
-	// shed the request (HTTP 429).
+	// ErrOverloaded means QueueDepth callers were already waiting for a
+	// solve slot; the caller should shed the request (HTTP 429).
 	ErrOverloaded = errors.New("qexec: queue full, request shed")
 	// ErrClosed means the executor has been shut down.
 	ErrClosed = errors.New("qexec: executor closed")
-	// ErrSolvePanicked means the engine solve panicked under a request; the
-	// panic was recovered by the worker so the pool (and every coalesced
-	// waiter) keeps running, and the request fails with this error.
+	// ErrSolvePanicked means the engine solve panicked under a query; the
+	// panic was recovered on the caller's goroutine, so the process (and
+	// every coalesced waiter) keeps running, and the query fails with this
+	// error.
 	ErrSolvePanicked = errors.New("qexec: solve panicked")
 )
 
 // Config sizes the executor. Zero values select defaults; CacheEntries < 0
 // disables the cache.
 type Config struct {
-	// Workers is the pool size; default runtime.GOMAXPROCS(0).
+	// Workers is the number of queries solved at once, each on its
+	// caller's goroutine; default runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth bounds the admission queue; requests beyond it are shed
-	// with ErrOverloaded. Default 32×Workers.
+	// QueueDepth bounds the callers waiting for a solve slot; callers
+	// beyond it are shed with ErrOverloaded. Default 32×Workers.
 	QueueDepth int
 	// CacheEntries bounds the LRU cache, counting score vectors and top-k
 	// rankings alike; default 1024, negative disables caching. The cache is
@@ -74,11 +77,12 @@ type Config struct {
 	// those bytes: on the scale-15 benchmark index that is 4 full vectors,
 	// and 28 more once they are asked for again.
 	CacheEntries int
-	// Timeout, if positive, is the per-query deadline applied on
-	// submission and enforced inside the iterative solver.
+	// Timeout, if positive, is the per-query deadline applied once a query
+	// goes past the cache, enforced while it waits for a solve slot and
+	// inside the iterative solver.
 	Timeout time.Duration
 	// Parallelism, when non-zero, re-points the engine's compute pool
-	// (core.Engine.SetParallelism) before the workers start: the sparse
+	// (core.Engine.SetParallelism) in New and on every SwapEngine: the sparse
 	// kernels under each solve then use up to that many cores. Zero keeps
 	// the engine's current pool (the shared GOMAXPROCS pool for freshly
 	// loaded indexes). With Workers already sized to GOMAXPROCS the pool
@@ -115,36 +119,6 @@ func (c Config) withDefaults() Config {
 		c.Obs = obs.New(obs.Options{TraceSample: DefaultTraceSample})
 	}
 	return c
-}
-
-// request is one query in flight through the pool. eng is the engine
-// snapshot the query vector was built against: the worker solves on it even
-// if SwapEngine replaces the serving engine while the request queues, so a
-// query vector never meets an engine of another length.
-type request struct {
-	ctx   context.Context
-	q     []float64
-	eng   *core.Engine
-	done  chan struct{}
-	res   []float64
-	stats core.QueryStats
-	err   error
-
-	// k > 0 marks a bounded top-k request: the worker routes it through
-	// Engine.TopKBoundedWS with `exclude` left out of the ranking, and
-	// fills top/early/saved alongside res.
-	k       int
-	exclude int
-	top     []core.Ranked
-	early   bool
-	saved   int
-
-	// Observability: when the request was enqueued and dequeued (queue-wait
-	// histogram and "admission" span), and the sampled trace it belongs to,
-	// nil for untraced queries.
-	enq time.Time
-	deq time.Time
-	at  *obs.ActiveTrace
 }
 
 // Result is a completed query: the score vector (shared and read-only when
@@ -203,10 +177,13 @@ type Executor struct {
 	cfg Config
 	obs *obs.Observer
 
-	reqs chan *request
-	mu   sync.RWMutex // guards closed vs. sends on reqs
-	done bool
-	wg   sync.WaitGroup
+	// slots holds one token per running solve, Config.Workers at most;
+	// queued counts the callers waiting to add theirs.
+	slots  chan struct{}
+	queued atomic.Int64
+	mu     sync.RWMutex // orders Close against admissions
+	done   bool
+	wg     sync.WaitGroup // admitted queries, waiting or solving
 
 	cache *lruCache // nil when disabled
 
@@ -231,24 +208,21 @@ type flight struct {
 	err   error
 }
 
-// New starts the executor's worker pool over a preprocessed engine.
-// Call Close to stop it.
+// New returns an executor over a preprocessed engine. It starts no
+// goroutine: every solve runs on the goroutine of the query that needs it.
+// Close stops it admitting solves.
 func New(eng *core.Engine, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
 		cfg:     cfg,
 		obs:     cfg.Obs,
-		reqs:    make(chan *request, cfg.QueueDepth),
+		slots:   make(chan struct{}, cfg.Workers),
 		flights: make(map[key]*flight),
 	}
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes())
-	}
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
 	}
 	return e
 }
@@ -292,7 +266,7 @@ func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 
 // SwapEngine atomically replaces the engine the executor serves from — the
 // dynamic-graph rebuild path. The swap is the only coordination queries
-// ever see: requests already submitted keep solving against the engine
+// ever see: queries already past the cache keep solving against the engine
 // they captured, but their results are tagged with the old generation, so
 // neither the cache nor the singleflight map can serve them to queries
 // that arrive after the swap. The cache is emptied eagerly (stale vectors
@@ -341,8 +315,9 @@ func (e *Executor) Config() Config { return e.cfg }
 // /metrics and /debug/traces endpoints).
 func (e *Executor) Observer() *obs.Observer { return e.obs }
 
-// Close stops accepting work, lets queued requests drain, and waits for the
-// workers to exit. It is idempotent.
+// Close stops admitting solves, waits for the admitted ones — waiting for
+// a slot or solving — to finish, and refuses every later solve with
+// ErrClosed. It is idempotent.
 func (e *Executor) Close() {
 	e.mu.Lock()
 	if e.done {
@@ -350,55 +325,50 @@ func (e *Executor) Close() {
 		return
 	}
 	e.done = true
-	close(e.reqs)
 	e.mu.Unlock()
 	e.wg.Wait()
 }
 
-// worker owns one reusable workspace and solves one request at a time until
-// the queue closes. A request submitted before an engine swap is solved on
-// the engine it captured; the workspace is engine-bound and rebuilt when the
-// worker moves to a new engine. Each request's done closes when its own
-// solve ends.
-func (e *Executor) worker() {
-	defer e.wg.Done()
-	var ws *core.Workspace
-	var wsEng *core.Engine
-	for r := range e.reqs {
-		r.deq = e.obs.Now()
-		e.m.executed.Add(1)
-		e.obs.QueueWait.Observe(r.deq.Sub(r.enq).Seconds())
-		if r.at != nil {
-			r.at.AddSpan("admission", r.enq, r.deq)
-		}
-		if wsEng != r.eng {
-			ws, wsEng = r.eng.NewWorkspace(), r.eng
-		}
-		if panicErr := e.solve(r, ws); panicErr != nil {
-			// The engine panicked mid-solve: fail the request instead of
-			// hanging it, discard the workspace (its buffers are in an
-			// unknown state), and keep the worker alive for the next one.
-			e.obs.Events.Record("solve_panic", r.at.TraceID(), map[string]string{
-				"error": panicErr.Error(),
-			})
-			wsEng, ws = nil, nil
-			r.err = panicErr
-			close(r.done)
-			continue
-		}
-		tEnd := e.obs.Now()
-		e.obs.SolveLatency.Observe(tEnd.Sub(r.deq).Seconds())
-		if r.at != nil {
-			r.at.AddSpan("solve", r.deq, tEnd)
-			r.at.SetSolve(r.stats.Iterations, r.stats.Residual)
-			addStageSpans(r.at, r.deq, r.stats.Stages)
-		}
-		if r.err == nil {
-			e.obs.Iterations.Observe(float64(r.stats.Iterations))
-			e.obs.Residual.Observe(r.stats.Residual)
-		}
-		close(r.done)
+// admit takes a solve slot for the caller. Callers that find every slot
+// taken wait for one in arrival order (a channel serves its blocked senders
+// first in, first out); a caller that finds QueueDepth others already
+// waiting is shed with ErrOverloaded, and one whose ctx ends while it waits
+// leaves with ctx.Err(). After Close it refuses with ErrClosed. On a nil
+// error the caller holds a slot and must release it.
+func (e *Executor) admit(ctx context.Context, at *obs.ActiveTrace) error {
+	e.mu.RLock()
+	if e.done {
+		e.mu.RUnlock()
+		return ErrClosed
 	}
+	e.wg.Add(1)
+	e.mu.RUnlock()
+	select {
+	case e.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	if e.queued.Add(1) > int64(e.cfg.QueueDepth) {
+		e.queued.Add(-1)
+		e.wg.Done()
+		e.m.shed.Add(1)
+		e.obs.Events.Record("admission_reject", at.TraceID(), nil)
+		return ErrOverloaded
+	}
+	defer e.queued.Add(-1)
+	select {
+	case e.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		e.wg.Done()
+		return ctx.Err()
+	}
+}
+
+// release hands back the slot admit took.
+func (e *Executor) release() {
+	<-e.slots
+	e.wg.Done()
 }
 
 // addStageSpans translates the engine's per-phase durations (permute,
@@ -420,43 +390,71 @@ func addStageSpans(at *obs.ActiveTrace, tSolve time.Time, st core.StageTimings) 
 	}
 }
 
-// solve runs one request through the engine — the full-vector solve, or the
-// bounded top-k path whose Schur solve halts on its gap certificate — behind
-// a panic barrier: a panic inside the engine (or a hook it calls) is
-// recovered and reported as an ErrSolvePanicked-wrapped error so the request
-// fails loudly instead of killing the worker and hanging its waiters.
-func (e *Executor) solve(r *request, ws *core.Workspace) (panicErr error) {
+// solve runs one query vector through admission control and then the
+// engine, on the caller's goroutine: the full-vector solve, or for k > 0 the
+// bounded top-k solve, whose Schur solve halts on its gap certificate, with
+// exclude left out of the ranking. eng is the engine snapshot the query
+// vector was built against, so it never meets an engine of another length.
+// ctx, which carries the per-query deadline (see deadline), is honoured
+// while waiting for a slot and inside the solver. The solve runs behind a
+// panic barrier: a panic inside the engine (or a hook it calls) is recovered
+// and returned wrapped in ErrSolvePanicked, so the query fails loudly
+// instead of killing the process and hanging its coalesced waiters; the
+// engine drops the workspace the panic left in an unknown state.
+func (e *Executor) solve(ctx context.Context, q []float64, eng *core.Engine, k, exclude int, at *obs.ActiveTrace) (ans answer, stats core.QueryStats, saved int, err error) {
+	enq := e.obs.Now()
+	if err = e.admit(ctx, at); err != nil {
+		return answer{}, stats, 0, err
+	}
+	defer e.release()
+	deq := e.obs.Now()
+	e.m.executed.Add(1)
+	e.obs.QueueWait.Observe(deq.Sub(enq).Seconds())
+	if at != nil {
+		at.AddSpan("admission", enq, deq)
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			e.m.panics.Add(1)
-			panicErr = fmt.Errorf("%w: %v", ErrSolvePanicked, p)
+			ans, err = answer{}, fmt.Errorf("%w: %v", ErrSolvePanicked, p)
+			e.obs.Events.Record("solve_panic", at.TraceID(), map[string]string{
+				"error": err.Error(),
+			})
 		}
 	}()
-	if r.k == 0 {
-		r.res, r.stats, r.err = r.eng.QueryVectorWS(r.ctx, r.q, ws)
-		return nil
-	}
-	var stats core.TopKStats
-	r.top, r.res, stats, r.err = r.eng.TopKBoundedWS(r.ctx, r.q, r.exclude, r.k, ws)
-	r.stats, r.early, r.saved = stats.QueryStats, stats.EarlyStopped, stats.SavedIters
-	if r.err == nil {
-		e.m.topk.Add(1)
-		if r.early {
-			e.m.early.Add(1)
-			e.obs.TopKSaved.Observe(float64(r.saved))
+	if k == 0 {
+		ans.scores, stats, err = eng.QueryVectorWS(ctx, q, nil)
+	} else {
+		var ts core.TopKStats
+		ans.top, ans.scores, ts, err = eng.TopKBoundedWS(ctx, q, exclude, k, nil)
+		stats, ans.early, saved = ts.QueryStats, ts.EarlyStopped, ts.SavedIters
+		if err == nil {
+			e.m.topk.Add(1)
+			if ans.early {
+				e.m.early.Add(1)
+				e.obs.TopKSaved.Observe(float64(saved))
+			}
 		}
 	}
-	return nil
+	tEnd := e.obs.Now()
+	e.obs.SolveLatency.Observe(tEnd.Sub(deq).Seconds())
+	if at != nil {
+		at.AddSpan("solve", deq, tEnd)
+		at.SetSolve(stats.Iterations, stats.Residual)
+		addStageSpans(at, deq, stats.Stages)
+	}
+	if err == nil {
+		e.obs.Iterations.Observe(float64(stats.Iterations))
+		e.obs.Residual.Observe(stats.Residual)
+	}
+	return ans, stats, saved, err
 }
 
 // queryObs is the observability state of one query moving through the
-// executor: its start time, its sampled trace (nil when untraced), and
-// whether the trace had to be abandoned because the requester gave up
-// while a worker still held it.
+// executor: its start time and its sampled trace (nil when untraced).
 type queryObs struct {
-	start     time.Time
-	at        *obs.ActiveTrace
-	abandoned bool
+	start time.Time
+	at    *obs.ActiveTrace
 }
 
 // startQuery opens the query's observation window. ctx may carry a
@@ -479,16 +477,12 @@ func (e *Executor) span(at *obs.ActiveTrace, name string, from time.Time) {
 }
 
 // finish records the query's completion: the latency histogram, the trace
-// ring, and the slow-query log. An abandoned trace (deadline hit while a
-// worker still held it) is dropped rather than raced.
+// ring, and the slow-query log.
 func (e *Executor) finish(qo *queryObs, kind string, seed int, res *Result, err error) {
 	end := e.obs.Now()
 	total := end.Sub(qo.start)
 	e.obs.QueryLatency.Observe(total.Seconds())
 	at := qo.at
-	if qo.abandoned {
-		at = nil
-	}
 	if at != nil {
 		if res.Generation > 0 {
 			at.SetTag("generation", strconv.FormatUint(res.Generation, 10))
@@ -512,49 +506,6 @@ func (e *Executor) finish(qo *queryObs, kind string, seed int, res *Result, err 
 	}
 }
 
-// submit enqueues a prepared request, shedding with ErrOverloaded when the
-// queue is full and ErrClosed after shutdown.
-func (e *Executor) submit(r *request) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.done {
-		return ErrClosed
-	}
-	select {
-	case e.reqs <- r:
-		return nil
-	default:
-		e.m.shed.Add(1)
-		e.obs.Events.Record("admission_reject", r.at.TraceID(), nil)
-		return ErrOverloaded
-	}
-}
-
-// do runs one prepared query vector through admission control and the
-// pool, honoring ctx (which carries the per-query deadline, see deadline)
-// both while waiting and inside the solver. eng is the engine snapshot the
-// query vector was built against; k > 0 asks for the bounded top-k solve
-// with seed left out of the ranking. A nil error means the worker
-// completed the request without one.
-func (e *Executor) do(ctx context.Context, q []float64, eng *core.Engine, k, seed int, qo *queryObs) (*request, error) {
-	r := &request{ctx: ctx, q: q, eng: eng, done: make(chan struct{}),
-		at: qo.at, enq: e.obs.Now(), k: k, exclude: seed}
-	if err := e.submit(r); err != nil {
-		return nil, err
-	}
-	select {
-	case <-r.done:
-		return r, r.err
-	case <-ctx.Done():
-		// The worker sees the same context and aborts the solve; the
-		// requester does not wait for it. The worker may still append
-		// spans to the trace afterwards, so the trace is abandoned
-		// (never finished) instead of raced.
-		qo.abandoned = true
-		return nil, ctx.Err()
-	}
-}
-
 // deadline applies Config.Timeout, the per-query deadline, to a request's
 // context, once per query that goes past the cache.
 func (e *Executor) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
@@ -567,7 +518,7 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 // run is the one execution core of every single-seed query — k = 0 for
 // the full-tolerance score vector, k > 0 for the bounded top-k ranking:
 // serve a cache hit, coalesce onto an in-flight solve, or lead a solve
-// through the pool and remember its answer. eng and gen are the
+// and remember its answer. eng and gen are the
 // engine snapshot the query runs against; cache lookups, cache fills, and
 // singleflight joins all carry gen so nothing crosses an engine swap.
 //
@@ -642,7 +593,7 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 	}
 
 	// The flight MUST be released no matter how the solve ends — error,
-	// engine panic surfacing through do, even a panic in the cache fill —
+	// engine panic surfacing through solve, even a panic in the cache fill —
 	// or every coalesced waiter hangs until its context expires (forever
 	// with no deadline). The map entry is removed before the channel
 	// closes so late arrivals miss straight into the (already populated)
@@ -658,13 +609,12 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 
 	q := make([]float64, eng.N())
 	q[seed] = 1
-	r, err := e.do(ctx, q, eng, k, seed, qo)
+	ans, stats, saved, err := e.solve(ctx, q, eng, k, seed, qo.at)
 	if err != nil {
 		f.err = err
 		return nil, Result{}, err
 	}
-	f.ans = answer{scores: r.res, top: r.top, early: r.early}
-	f.stats, f.saved = r.stats, r.saved
+	f.ans, f.stats, f.saved = ans, stats, saved
 	if e.cache != nil {
 		stored := f.ans
 		if k > 0 {
@@ -672,7 +622,7 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 		}
 		e.cache.put(own, stored, gen)
 	}
-	return e.deliver(qo, f.ans, seed, rank, Result{Stats: r.stats, SavedIters: r.saved, Generation: gen})
+	return e.deliver(qo, ans, seed, rank, Result{Stats: stats, SavedIters: saved, Generation: gen})
 }
 
 // lookup consults the cache for a request keyed own: the seed's full
@@ -741,8 +691,8 @@ func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked
 }
 
 // Query answers a single-seed RWR query with the full-tolerance score
-// vector: cache hit, coalesce onto an identical in-flight solve, or run
-// through the pool.
+// vector: cache hit, coalesce onto an identical in-flight solve, or solve
+// it.
 func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
 	_, res, err := e.single(ctx, seed, 0, 0)
 	return res, err
@@ -763,7 +713,7 @@ func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result
 }
 
 // TopKFull ranks the seed's full-tolerance score vector — the pre-bounded
-// TopK behavior, served through the cache and pool like Query and never
+// TopK behavior, served through the cache and solves like Query and never
 // from a certified (seed, k) ranking. It is the path for callers that need
 // exact scores alongside the exact set (the cluster tier's weighted
 // merges, debugging, A-B baselines).
@@ -771,9 +721,10 @@ func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Re
 	return e.single(ctx, seed, 0, k)
 }
 
-// Personalized answers an arbitrary-distribution PPR query through the
-// pool. q must have length N; it is not cached (the key space is
-// unbounded) but still benefits from pooled workspaces.
+// Personalized answers an arbitrary-distribution PPR query through
+// admission control and a solve. q must have length N; it is not cached
+// (the key space is unbounded) but still solves on the engine's pooled
+// workspaces.
 func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -787,9 +738,9 @@ func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error
 	ctx, cancel := e.deadline(ctx)
 	defer cancel()
 	var res Result
-	r, err := e.do(ctx, q, eng, 0, -1, &qo)
+	ans, stats, _, err := e.solve(ctx, q, eng, 0, -1, qo.at)
 	if err == nil {
-		res = Result{Scores: r.res, Stats: r.stats, Generation: gen}
+		res = Result{Scores: ans.scores, Stats: stats, Generation: gen}
 	}
 	e.finish(&qo, "personalized", -1, &res, err)
 	return res, err

@@ -199,12 +199,12 @@ func TestSingleflightCoalesce(t *testing.T) {
 	}
 }
 
-// TestQueuedMissCompletesAfterOwnSolve: a request that queued behind another
-// on one worker completes when its own solve ends, not when the solves queued
-// after it do, and its Stats.Duration covers that one solve. The single
-// worker is parked inside a first solve while two distinct-seed misses queue
-// behind it; once released, the first of the two must return while the second
-// is still held inside its solve.
+// TestQueuedMissCompletesAfterOwnSolve: a query that waited behind another
+// for the one solve slot completes when its own solve ends, not when the
+// solves queued after it do, and its Stats.Duration covers that one solve.
+// The slot is parked inside a first solve while two distinct-seed misses
+// queue behind it; once released, the first of the two must return while the
+// second is still held inside its solve.
 func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
 	var seeds []int
@@ -273,7 +273,7 @@ func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
 		t.Fatal("the second queued miss never started its solve")
 	}
 	if d, wall := first.res.Stats.Duration, time.Since(released); d <= 0 || d > wall {
-		t.Fatalf("Stats.Duration = %v, want one solve's time within the %v since the worker was released", d, wall)
+		t.Fatalf("Stats.Duration = %v, want one solve's time within the %v since the slot was released", d, wall)
 	}
 	close(gates[3])
 	for _, i := range []int{0, 2} {
@@ -283,33 +283,67 @@ func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlSheds floods a deliberately tiny executor with a
-// burst of submissions from one goroutine — far faster than the single
-// worker can drain a queue of depth 1 — and expects load shedding rather
-// than unbounded queueing.
+// parkSolves makes every solve on e wait in its first solver iteration
+// until release is called, and returns a channel closed once a solve is
+// parked there. Install it after New, which attaches a hook of its own, and
+// defer release after deferring Close, so a failing test does not leave
+// Close waiting on a parked solve.
+func parkSolves(e *core.Engine) (parked <-chan struct{}, release func()) {
+	gate, started := make(chan struct{}), make(chan struct{})
+	var startOnce, releaseOnce sync.Once
+	e.SetIterHook(func(int, float64) {
+		startOnce.Do(func() { close(started) })
+		<-gate
+	})
+	return started, func() { releaseOnce.Do(func() { close(gate) }) }
+}
+
+// waitQueued spins until n callers wait for a solve slot.
+func waitQueued(ex *Executor, n int) {
+	for ex.Metrics().Queued < n {
+		runtime.Gosched()
+	}
+}
+
+// TestAdmissionControlSheds parks the only solve slot of a deliberately
+// tiny executor, fills its depth-1 queue with one waiting caller, and then
+// floods it with distinct seeds: every one of them must be shed rather than
+// queued, and the two accepted queries still complete once the slot frees.
 func TestAdmissionControlSheds(t *testing.T) {
-	e := eng(t)
+	e := freshEngine(t, 8, 6, 7)
+	parkSeed := iteratingSeed(t, e)
 	ex := New(e, Config{
 		Workers:      1,
 		QueueDepth:   1,
 		CacheEntries: -1,
 	})
 	defer ex.Close()
+	parked, release := parkSolves(e)
+	defer release()
+
+	ctx := context.Background()
+	accepted := make(chan error, 2)
+	go func() { _, err := ex.Query(ctx, parkSeed); accepted <- err }()
+	<-parked
+	waitSeed := (parkSeed + 1) % e.N()
+	go func() { _, err := ex.Query(ctx, waitSeed); accepted <- err }()
+	waitQueued(ex, 1)
+
 	const N = 128
-	var accepted []*request
 	var shedSeen int64
 	for i := 0; i < N; i++ {
-		q := make([]float64, e.N())
-		q[i%e.N()] = 1
-		r := &request{ctx: context.Background(), q: q, eng: e, done: make(chan struct{})}
-		err := ex.submit(r)
+		seed := i % e.N()
+		if seed == parkSeed || seed == waitSeed {
+			continue // would join the parked or the waiting query's flight
+		}
+		_, err := ex.Query(ctx, seed)
 		switch {
 		case errors.Is(err, ErrOverloaded):
 			shedSeen++
 		case err != nil:
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("query %d: %v", i, err)
 		default:
-			accepted = append(accepted, r)
+			t.Fatalf("query %d was solved while the only slot was parked", i)
 		}
 	}
 	if shedSeen == 0 {
@@ -318,12 +352,123 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if got := ex.Metrics().Shed; got != shedSeen {
 		t.Fatalf("shed counter %d, callers saw %d", got, shedSeen)
 	}
-	// The accepted requests still complete.
-	for i, r := range accepted {
-		<-r.done
-		if r.err != nil {
-			t.Fatalf("accepted request %d failed: %v", i, r.err)
+	// The accepted queries still complete.
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-accepted; err != nil {
+			t.Fatalf("accepted query failed: %v", err)
 		}
+	}
+}
+
+// TestNewStartsNoGoroutine: an executor solves on its callers' goroutines,
+// so neither New nor a query through it leaves a goroutine running.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	e := eng(t)
+	before := runtime.NumGoroutine()
+	ex := New(e, Config{})
+	defer ex.Close()
+	if _, err := ex.Query(context.Background(), 17); err != nil {
+		t.Fatal(err)
+	}
+	// Kernel goroutines of the solve may still be exiting: wait for them.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after New and a query, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWaitingCallerLeavesOnCancel: a caller waiting for a solve slot whose
+// context is cancelled returns context.Canceled while the slot is still
+// taken, leaves the wait, and solves nothing.
+func TestWaitingCallerLeavesOnCancel(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	parkSeed := iteratingSeed(t, e)
+	ex := New(e, Config{Workers: 1, CacheEntries: -1})
+	defer ex.Close()
+	parked, release := parkSolves(e)
+	defer release()
+
+	parkedErr := make(chan error, 1)
+	go func() { _, err := ex.Query(context.Background(), parkSeed); parkedErr <- err }()
+	<-parked
+	executed := ex.Metrics().Executed
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waitErr := make(chan error, 1)
+	go func() { _, err := ex.Query(ctx, (parkSeed+1)%e.N()); waitErr <- err }()
+	waitQueued(ex, 1)
+	cancel()
+	select {
+	case err := <-waitErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiting caller: got %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cancelled caller kept waiting for the parked slot")
+	}
+	if m := ex.Metrics(); m.Queued != 0 || m.Executed != executed {
+		t.Fatalf("after the cancel: queued %d, executed %d; want 0, %d", m.Queued, m.Executed, executed)
+	}
+	release()
+	if err := <-parkedErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseLetsAdmittedQueriesFinish: Close while one solve is parked and
+// one caller waits for the slot refuses new solves at once, returns only
+// after both admitted queries complete, and leaves every later cache miss
+// refused with ErrClosed.
+func TestCloseLetsAdmittedQueriesFinish(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	parkSeed := iteratingSeed(t, e)
+	ex := New(e, Config{Workers: 1, QueueDepth: 1, CacheEntries: -1})
+	parked, release := parkSolves(e)
+	defer release()
+
+	ctx := context.Background()
+	admitted := make(chan error, 2)
+	go func() { _, err := ex.Query(ctx, parkSeed); admitted <- err }()
+	<-parked
+	go func() { _, err := ex.Query(ctx, (parkSeed+1)%e.N()); admitted <- err }()
+	waitQueued(ex, 1)
+
+	closed := make(chan struct{})
+	go func() { ex.Close(); close(closed) }()
+	// With the queue full, a miss is shed until Close has begun, then
+	// refused.
+	miss := (parkSeed + 2) % e.N()
+	for {
+		_, err := ex.Query(ctx, miss)
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("miss before Close began: got %v, want ErrOverloaded", err)
+		}
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a solve was parked and a caller waited")
+	default:
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-admitted; err != nil {
+			t.Fatalf("admitted query failed across Close: %v", err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the admitted queries finished")
+	}
+	if _, err := ex.Query(ctx, miss); !errors.Is(err, ErrClosed) {
+		t.Fatalf("cache miss after Close: got %v, want ErrClosed", err)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	releaseStall := func() { releaseOnce.Do(func() { close(release) }) }
-	defer releaseStall() // unblock the stalled worker even if the test fatals
+	defer releaseStall() // unblock the stalled solve even if the test fatals
 	var stallOnce sync.Once
 	started := make(chan struct{})
 	e1.SetIterHook(func(int, float64) {
@@ -184,13 +184,15 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	}
 }
 
-// iteratingSeed returns a seed whose Schur solve actually iterates, for
-// tests that inject through the per-iteration solver hook — spoke/dead-end
-// seeds can finish in zero iterations and never reach the hook.
+// iteratingSeed returns a seed whose Schur solve runs at least two
+// iterations, for tests that inject through the per-iteration solver hook:
+// spoke/dead-end seeds can finish in zero iterations and never reach the
+// hook, and a context that ends while the hook holds the first iteration is
+// seen by the solver only at the second.
 func iteratingSeed(t *testing.T, e *core.Engine) int {
 	t.Helper()
 	for s := 0; s < e.N(); s++ {
-		if _, st, err := e.Query(s); err == nil && st.Iterations > 0 {
+		if _, st, err := e.Query(s); err == nil && st.Iterations >= 2 {
 			return s
 		}
 	}
@@ -199,7 +201,7 @@ func iteratingSeed(t *testing.T, e *core.Engine) int {
 }
 
 // TestSolvePanicFailsFlight injects a panic into the engine's iteration
-// hook and checks the worker's panic barrier: the leader and every
+// hook and checks the solve's panic barrier: the leader and every
 // coalesced waiter get ErrSolvePanicked instead of hanging on a flight
 // whose done channel never closes, and the executor keeps serving.
 func TestSolvePanicFailsFlight(t *testing.T) {
@@ -245,8 +247,8 @@ func TestSolvePanicFailsFlight(t *testing.T) {
 		t.Fatal("panic barrier fired but SolvePanics counter is zero")
 	}
 
-	// The worker survived and the discarded workspace was rebuilt: the
-	// executor still answers once the fault clears.
+	// The executor survived, and the engine dropped the workspace the panic
+	// left behind: it still answers once the fault clears.
 	panicking.Delete("arm")
 	res, err := ex.Query(context.Background(), seed)
 	if err != nil {
@@ -291,18 +293,18 @@ func TestCachedScoresSharedByDefault(t *testing.T) {
 	}
 }
 
-// TestQueuedRequestSolvesOnCapturedEngine: a request that is still queued
-// when SwapEngine replaces the serving engine solves on the engine it
-// captured at submission — here one of a different size, so a mix-up could
+// TestQueuedRequestSolvesOnCapturedEngine: a query still waiting for a
+// solve slot when SwapEngine replaces the serving engine solves on the engine
+// it captured past the cache — here one of a different size, so a mix-up could
 // not go unnoticed — and is tagged with that engine's generation, while the
-// next request on the same worker solves on the new engine.
+// next query solves on the new engine.
 func TestQueuedRequestSolvesOnCapturedEngine(t *testing.T) {
 	e1 := freshEngine(t, 8, 6, 5)
 	e2 := freshEngine(t, 7, 6, 99)
 	ex := New(e1, Config{Workers: 1, CacheEntries: -1})
 	defer ex.Close()
 
-	// Park the only worker inside a first solve on e1.
+	// Park the only solve slot inside a first solve on e1.
 	parkSeed := iteratingSeed(t, e1)
 	release := make(chan struct{})
 	started := make(chan struct{})

@@ -56,7 +56,7 @@ type Core struct {
 }
 
 // NewCore builds a serving core over a static preprocessed engine. Call
-// Close to stop the execution pool.
+// Close to stop it admitting solves.
 func NewCore(eng *bepi.Engine, cfg qexec.Config) *Core {
 	c := &Core{
 		exec:   qexec.New(eng.Internal(), cfg),
@@ -112,7 +112,7 @@ func (c *Core) Engine() *bepi.Engine { return c.eng.Load() }
 // Executor exposes the execution subsystem (for bindings and tests).
 func (c *Core) Executor() *qexec.Executor { return c.exec }
 
-// Close drains and stops the query-execution pool.
+// Close lets the admitted queries finish and refuses further solves.
 func (c *Core) Close() { c.exec.Close() }
 
 // IndexFingerprint hashes the quantities that determine an engine's

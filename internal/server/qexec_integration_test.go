@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -139,12 +140,10 @@ func TestQexecMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestOverloadReturns429 floods a depth-1 queue behind a single worker and
-// checks that excess requests are shed with 429 and counted in /metrics.
-// The burst uses requests whose client context is already canceled: the
-// handler submits them (each occupies a queue slot until a worker collects
-// it) but returns without blocking, so a single goroutine can outpace the
-// pool deterministically instead of racing the scheduler.
+// TestOverloadReturns429 parks the only solve slot of a depth-1 executor,
+// fills its queue with one waiting query, and floods /personalized: every
+// flood request must be shed with 429 and counted in /metrics, both as shed
+// and as an error. The parked and the waiting query complete once released.
 func TestOverloadReturns429(t *testing.T) {
 	g := bepi.RMAT(8, 6, 5)
 	eng, err := bepi.New(g)
@@ -157,29 +156,53 @@ func TestOverloadReturns429(t *testing.T) {
 		CacheEntries: -1,
 	})
 	defer s.Close()
+	ex := s.core.Executor()
+	ce := eng.Internal()
+	parkSeed := -1
+	for seed := 0; seed < ce.N() && parkSeed < 0; seed++ {
+		if _, st, err := ce.Query(seed); err == nil && st.Iterations > 0 {
+			parkSeed = seed
+		}
+	}
+	if parkSeed < 0 {
+		t.Fatal("no seed on this graph exercises the iterative solver")
+	}
 
-	gone, cancel := context.WithCancel(context.Background())
-	cancel()
+	// Every solve waits in its first iteration until released (installed
+	// after the executor attached its own hook).
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	ce.SetIterHook(func(int, float64) {
+		parkOnce.Do(func() { close(parked) })
+		<-gate
+	})
+	release := func() { releaseOnce.Do(func() { close(gate) }) }
+	defer release()
+	held := make(chan error, 2)
+	go func() { _, err := ex.Query(context.Background(), parkSeed); held <- err }()
+	<-parked
+	go func() { _, err := ex.Query(context.Background(), (parkSeed+1)%ce.N()); held <- err }()
+	for ex.Metrics().Queued < 1 {
+		runtime.Gosched()
+	}
+
 	total, shed := 0, 0
-	for attempt := 0; attempt < 10 && shed == 0; attempt++ {
-		const N = 32
-		for i := 0; i < N; i++ {
-			body := fmt.Sprintf(`{"weights":{"%d":1}}`, i)
-			req := httptest.NewRequest(http.MethodPost, "/personalized", bytes.NewReader([]byte(body)))
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, req.WithContext(gone))
-			total++
-			switch rec.Code {
-			case http.StatusServiceUnavailable: // accepted, then client-gone
-			case http.StatusTooManyRequests:
-				shed++
-			default:
-				t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
-			}
+	const N = 32
+	for i := 0; i < N; i++ {
+		body := fmt.Sprintf(`{"weights":{"%d":1}}`, i)
+		req := httptest.NewRequest(http.MethodPost, "/personalized", bytes.NewReader([]byte(body)))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		total++
+		switch rec.Code {
+		case http.StatusTooManyRequests:
+			shed++
+		default:
+			t.Fatalf("unexpected status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 	if shed == 0 {
-		t.Fatal("flooding a depth-1 queue shed nothing across 10 bursts")
+		t.Fatal("flooding a depth-1 queue shed nothing")
 	}
 	_, metrics := get(t, s, "/metrics")
 	if int(metrics["shed"].(float64)) != shed {
@@ -187,6 +210,12 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 	if got := int(metrics["errors"].(float64)); got != total {
 		t.Fatalf("errors = %d, want %d (every burst request failed)", got, total)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("parked or waiting query failed: %v", err)
+		}
 	}
 }
 

@@ -5,11 +5,11 @@
 // executor) and a thin HTTP binding (Server), so the same engine can
 // simultaneously serve public HTTP traffic and the cluster coordinator's
 // in-process replica path (internal/cluster). All query traffic runs
-// through the internal/qexec execution subsystem (worker pool with pooled
-// workspaces → LRU cache + singleflight → admission control), so
+// through the internal/qexec execution subsystem (LRU cache + singleflight
+// → admission control → one solve on the request's goroutine), so
 // identical concurrent requests coalesce, hot seeds hit the cache, and
 // overload sheds with 429 (plus a Retry-After hint) instead of piling up
-// goroutines.
+// waiting requests.
 //
 // Endpoints:
 //

@@ -161,9 +161,9 @@ func (l *layout32) setPool(p *par.Pool) {
 	l.bounds = nil
 	if p.Workers() > 1 && l.rows >= 2 {
 		if l.rowPtr32 != nil {
-			l.bounds = par.BoundsByPrefixOf(l.rowPtr32, p.Workers())
+			l.bounds = par.BoundsByPrefix(l.rowPtr32, p.Workers())
 		} else {
-			l.bounds = par.BoundsByPrefixOf(l.rowPtr64, p.Workers())
+			l.bounds = par.BoundsByPrefix(l.rowPtr64, p.Workers())
 		}
 	}
 }
