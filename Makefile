@@ -77,7 +77,7 @@ race:
 # the undirected view, H's patterns and S's triangles at 1, 2, 3 and 7
 # workers, and the saved index at 1 to 4).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|Flight|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts|Admission|Overload|Close|Deadline' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|DuplicateMiss|SameGeneration|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts|Admission|Overload|Close|Deadline' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \

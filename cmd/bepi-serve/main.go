@@ -1,6 +1,6 @@
 // Command bepi-serve serves RWR queries from a preprocessed index over
 // HTTP/JSON through the qexec execution subsystem (pooled workspaces,
-// score cache, singleflight, admission control).
+// score cache, admission control).
 //
 //	bepi-serve -index graph.idx -addr :8080
 //
@@ -187,7 +187,6 @@ func main() {
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		Timeout:      *queryTimeout,
-		Parallelism:  *parallelism,
 		Obs: obs.New(obs.Options{
 			TraceSample: *traceSample,
 			SlowQuery:   *slowQuery,
@@ -235,6 +234,9 @@ func main() {
 		log.Printf("loaded %s (%d nodes, %d bytes) in %v",
 			*indexPath, eng.N(), eng.MemoryBytes(),
 			time.Since(start).Round(time.Millisecond))
+		if *parallelism != 0 {
+			eng.SetParallelism(*parallelism)
+		}
 		handler = server.NewWithConfig(eng, cfg)
 	}
 	xc := handler.Executor().Config()

@@ -437,15 +437,15 @@ func TestDynamicRandomInterleavingMatchesFreshBuild(t *testing.T) {
 }
 
 // TestDynamicParallelismLeaksNoGoroutines: an index built WithParallelism(4)
-// and an executor configured with Parallelism 4 go through ten full rebuilds
-// and ten engine swaps without the process gaining goroutines — dedicated
+// and an executor serving it go through ten full rebuilds and ten engine
+// swaps without the process gaining goroutines — dedicated
 // pools hold none between kernel calls.
 func TestDynamicParallelismLeaksNoGoroutines(t *testing.T) {
 	d, err := NewDynamic(RMAT(7, 5, 3), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := qexec.New(d.Engine().Internal(), qexec.Config{Workers: 1, Parallelism: 4})
+	x := qexec.New(d.Engine().Internal(), qexec.Config{Workers: 1})
 	defer x.Close()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {

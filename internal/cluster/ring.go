@@ -5,11 +5,11 @@
 // readmission.
 //
 // Routing is keyed by seed so repeated queries for a seed land on the same
-// replica, maximizing that replica's LRU+singleflight hit rate — on a
-// hot-seed workload a routed cluster serves almost entirely from per-
-// replica caches. Consistent hashing bounds key movement when membership
-// changes: ejecting or readmitting one replica only moves the keys it
-// owns, never reshuffling traffic between surviving replicas.
+// replica, maximizing that replica's LRU cache hit rate — on a hot-seed
+// workload a routed cluster serves almost entirely from per-replica caches.
+// Consistent hashing bounds key movement when membership changes: ejecting
+// or readmitting one replica only moves the keys it owns, never reshuffling
+// traffic between surviving replicas.
 //
 // Replicas tag every response and health check with their (index hash,
 // generation) pair. The coordinator records the tags and — crucially — the

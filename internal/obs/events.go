@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -17,17 +17,16 @@ type Event struct {
 	Fields  map[string]string `json:"fields,omitempty"`
 }
 
-// EventLog is an always-on bounded flight recorder. Record is lock-free —
-// one atomic counter bump plus one atomic pointer store into a power-of-two
-// ring — so it is safe to call from retry loops, health checks, and the
-// admission fast path without a mutex ever appearing on a serving path.
-// Readers snapshot pointers without stopping writers; an entry being
-// overwritten concurrently is simply skipped or read in its old, fully
-// consistent form (pointers are published whole).
+// EventLog is an always-on bounded flight recorder: a power-of-two ring
+// of the most recent events. Record takes the next sequence number and
+// stores the event in its slot under one mutex, as Tracer's ring does, so
+// the ring always holds the newest events in sequence order. Events are
+// per anomaly, not per query, so the lock is off the serving hot path.
 type EventLog struct {
 	clock Clock
-	seq   atomic.Uint64
-	ring  []atomic.Pointer[Event]
+	mu    sync.Mutex
+	seq   uint64 // events recorded; the newest has Seq == seq
+	ring  []*Event
 	mask  uint64
 }
 
@@ -47,7 +46,7 @@ func NewEventLog(capacity int, clock Clock) *EventLog {
 	for n < capacity {
 		n <<= 1
 	}
-	return &EventLog{clock: clock, ring: make([]atomic.Pointer[Event], n), mask: uint64(n - 1)}
+	return &EventLog{clock: clock, ring: make([]*Event, n), mask: uint64(n - 1)}
 }
 
 // Record appends one event. traceID may be "" (no correlation); fields may
@@ -56,44 +55,30 @@ func (l *EventLog) Record(kind, traceID string, fields map[string]string) {
 	if l == nil {
 		return
 	}
-	seq := l.seq.Add(1)
-	ev := &Event{Seq: seq, Time: l.clock.now(), Kind: kind, TraceID: traceID, Fields: fields}
-	l.ring[(seq-1)&l.mask].Store(ev)
+	ev := &Event{Time: l.clock.now(), Kind: kind, TraceID: traceID, Fields: fields}
+	l.mu.Lock()
+	l.seq++
+	ev.Seq = l.seq
+	l.ring[(l.seq-1)&l.mask] = ev
+	l.mu.Unlock()
 }
 
 // Recent returns up to max events, newest first. Pass max ≤ 0 for the whole
-// ring. Taken under concurrent Record calls the result is a consistent
-// point-in-time sample: each returned event is whole, ordering is by
-// sequence number, and entries that were overwritten mid-scan are dropped
-// rather than duplicated.
+// ring. It copies the events out under the ring's lock, so the result is a
+// point-in-time snapshot in descending sequence order.
 func (l *EventLog) Recent(max int) []Event {
 	if l == nil {
 		return nil
 	}
-	head := l.seq.Load()
-	n := uint64(len(l.ring))
-	if head < n {
-		n = head
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := min(l.seq, uint64(len(l.ring)))
 	if max > 0 && uint64(max) < n {
 		n = uint64(max)
 	}
-	out := make([]Event, 0, n)
-	lastSeq := head + 1
-	for i := uint64(0); i < uint64(len(l.ring)) && uint64(len(out)) < n; i++ {
-		seq := head - i
-		if seq == 0 {
-			break
-		}
-		ev := l.ring[(seq-1)&l.mask].Load()
-		// A slot may hold a newer event than the one we targeted if a
-		// writer lapped us; keep the scan monotone by sequence instead of
-		// emitting out-of-order duplicates.
-		if ev == nil || ev.Seq >= lastSeq {
-			continue
-		}
-		out = append(out, *ev)
-		lastSeq = ev.Seq
+	out := make([]Event, n)
+	for i := range out {
+		out[i] = *l.ring[(l.seq-1-uint64(i))&l.mask]
 	}
 	return out
 }

@@ -13,7 +13,7 @@ func TestEventLogRecordRecent(t *testing.T) {
 	l.Record("shard_ejected", "", map[string]string{"shard": "a"})
 	l.Record("retry", "deadbeef00000001", map[string]string{"attempt": "2"})
 
-	if n := l.seq.Load(); n != 2 {
+	if n := l.seq; n != 2 {
 		t.Fatalf("count %d", n)
 	}
 	got := l.Recent(0)
@@ -68,9 +68,10 @@ func TestEventLogNilSafe(t *testing.T) {
 }
 
 // TestEventLogConcurrentRecordRecent hammers Record from many goroutines
-// while readers call Recent — the lock-free ring's race regression (run
-// under -race by the race-par make target). Recent under concurrent lapping
-// must stay monotone by sequence and never return a torn event.
+// while readers call Recent — the ring's race regression (run under -race
+// by the race-par make target). Recent under concurrent lapping must stay
+// monotone by sequence and never return a torn event, and once the writers
+// are done it returns the whole ring.
 func TestEventLogConcurrentRecordRecent(t *testing.T) {
 	l := NewEventLog(64, nil)
 	const writers = 8
@@ -116,7 +117,7 @@ func TestEventLogConcurrentRecordRecent(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got := l.seq.Load(); got != writers*perWriter {
+	if got := l.seq; got != writers*perWriter {
 		t.Fatalf("count %d want %d", got, writers*perWriter)
 	}
 	if got := l.Recent(0); len(got) != len(l.ring) {

@@ -5,9 +5,8 @@
 //   - Histogram: lock-free fixed-bucket (log-spaced) histograms for query
 //     latency, engine-solve latency, queue wait, GMRES iteration counts and
 //     final residuals, with p50/p90/p99 snapshot summaries;
-//   - Tracer: per-query trace records with stage spans (admission, cache
-//     lookup, coalesce wait, solve, top-k rank) captured
-//     against an injected clock and kept in a bounded ring buffer
+//   - Tracer: per-query trace records with stage spans (cache lookup,
+//     admission, solve, top-k rank) captured against an injected clock and kept in a bounded ring buffer
 //     (served at GET /debug/traces);
 //   - Metric: one row of a serving tier's metric table, where each metric
 //     is declared once; ServeProm, JSON and Snapshot derive the Prometheus
@@ -104,7 +103,7 @@ type Observer struct {
 	Tracer *Tracer
 	// SlowLog logs queries slower than its threshold through log/slog.
 	SlowLog *SlowLog
-	// Events is the always-on flight recorder: a lock-free bounded ring of
+	// Events is the always-on flight recorder: a bounded ring of
 	// structured operational events (engine swaps, admission rejections,
 	// shard ejections, retries) served at GET /debug/events and correlated
 	// with traces by trace ID.

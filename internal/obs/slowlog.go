@@ -48,7 +48,7 @@ func (s *SlowLog) Count() int64 {
 // the per-stage breakdown is emitted inline so the one line is actionable
 // without a second lookup.
 func (s *SlowLog) Log(kind string, seed int, traceID string, total time.Duration,
-	cached, coalesced bool, iterations int, residual float64, err error, spans []Span) {
+	cached bool, iterations int, residual float64, err error, spans []Span) {
 	if s == nil {
 		return
 	}
@@ -59,7 +59,6 @@ func (s *SlowLog) Log(kind string, seed int, traceID string, total time.Duration
 		slog.Duration("total", total),
 		slog.Duration("threshold", s.threshold),
 		slog.Bool("cached", cached),
-		slog.Bool("coalesced", coalesced),
 		slog.Int("iterations", iterations),
 		slog.Float64("residual", residual),
 	}

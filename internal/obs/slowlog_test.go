@@ -21,11 +21,11 @@ func TestSlowLog(t *testing.T) {
 		t.Fatal("at threshold must be slow")
 	}
 	spans := []Span{{Name: "solve", Start: 0, Dur: 90 * time.Millisecond}}
-	sl.Log("query", 42, "deadbeefcafe0001", 120*time.Millisecond, false, true, 17, 3e-10, errors.New("late"), spans)
+	sl.Log("query", 42, "deadbeefcafe0001", 120*time.Millisecond, false, 17, 3e-10, errors.New("late"), spans)
 	out := buf.String()
 	for _, want := range []string{
 		`"msg":"slow query"`, `"kind":"query"`, `"seed":42`,
-		`"iterations":17`, `"coalesced":true`, `"error":"late"`, `"solve":`,
+		`"iterations":17`, `"error":"late"`, `"solve":`,
 		`"trace_id":"deadbeefcafe0001"`,
 	} {
 		if !strings.Contains(out, want) {
@@ -42,7 +42,7 @@ func TestSlowLogNilSafe(t *testing.T) {
 	if sl.Slow(time.Hour) {
 		t.Fatal("nil log is never slow")
 	}
-	sl.Log("query", 0, "", time.Hour, false, false, 0, 0, nil, nil)
+	sl.Log("query", 0, "", time.Hour, false, 0, 0, nil, nil)
 	if sl.Count() != 0 {
 		t.Fatal("nil accessors")
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 // Span is one named stage of a query's life, as an offset from the trace
-// start. The serving path emits: "cache" (lookup), "coalesce" (waiting on
-// an identical in-flight solve), "admission" (bounded queue, enqueue to
-// worker pickup), "solve" (the engine call), and "rank" (top-k extraction).
+// start. The serving path emits: "cache" (lookup), "admission" (waiting
+// for a solve slot), "solve" (the engine call), and "rank" (top-k
+// extraction).
 type Span struct {
 	Name  string        `json:"name"`
 	Start time.Duration `json:"start_ns"`
@@ -41,7 +41,6 @@ type Trace struct {
 
 	Total      time.Duration `json:"total_ns"`
 	Cached     bool          `json:"cached,omitempty"`
-	Coalesced  bool          `json:"coalesced,omitempty"`
 	BatchSize  int           `json:"batch_size,omitempty"`
 	Iterations int           `json:"iterations,omitempty"`
 	Residual   float64       `json:"residual,omitempty"`
@@ -223,15 +222,6 @@ func (a *ActiveTrace) SetCached() {
 	if a != nil {
 		a.mu.Lock()
 		a.tr.Cached = true
-		a.mu.Unlock()
-	}
-}
-
-// SetCoalesced marks the query as having ridden an in-flight solve.
-func (a *ActiveTrace) SetCoalesced() {
-	if a != nil {
-		a.mu.Lock()
-		a.tr.Coalesced = true
 		a.mu.Unlock()
 	}
 }

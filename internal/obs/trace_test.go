@@ -112,7 +112,6 @@ func TestTraceNilSafe(t *testing.T) {
 	// Every ActiveTrace method must be a no-op on nil.
 	at.AddSpan("x", time.Now(), time.Now())
 	at.SetCached()
-	at.SetCoalesced()
 	at.SetBatch(1)
 	at.SetSolve(1, 0)
 	at.SetErr(errors.New("x"))

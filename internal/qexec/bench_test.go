@@ -27,7 +27,7 @@ func benchSeed(i, n int) int {
 //	          Engine.Query directly, allocating all solve temporaries.
 //	pooled  — qexec with the cache disabled: solves on the engine's
 //	          pooled workspaces behind the admission semaphore.
-//	qexec   — the full subsystem: admission + LRU cache with singleflight.
+//	qexec   — the full subsystem: admission + LRU cache.
 //
 // Run with -benchmem: queries/sec (ns/op) and allocs/op are the acceptance
 // numbers for the subsystem.
@@ -76,8 +76,8 @@ func BenchmarkQexecThroughput(b *testing.B) {
 		var ctr atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()
-		// Model several concurrent clients even on few cores so identical
-		// queries can actually coalesce.
+		// Model several concurrent clients even on few cores, so hot-set
+		// queries race each other as serving traffic does.
 		b.SetParallelism(8)
 		b.RunParallel(func(pb *testing.PB) {
 			ctx := context.Background()

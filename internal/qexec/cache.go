@@ -8,17 +8,16 @@ import (
 )
 
 // key names one rememberable answer for a seed: k == 0 is the seed's
-// full-tolerance score vector, k > 0 its top-k ranking. The cache and the
-// singleflight map share it, so "what may be reused for whom" is decided in
-// one place (Executor.run).
+// full-tolerance score vector, k > 0 its top-k ranking. "What may be reused
+// for whom" is decided in one place (Executor.run).
 type key struct{ seed, k int }
 
-// answer is what is remembered under a key or handed over by a flight: the
+// answer is what a solve returns and the cache remembers under a key: the
 // full-tolerance score vector with no ranking (k == 0: top is nil), or the
 // ranked list of a bounded solve (k > 0: top is non-nil, as
 // core.Engine.TopKBoundedWS returns it) with the flag that says its scores
 // came from an early-stopped solve — exact as a SET for that k only. A
-// ranking never leaves its (seed, k) key. A bounded flight's answer also
+// ranking never leaves its (seed, k) key. A bounded solve's answer also
 // carries the solve's vector; the cache drops it.
 type answer struct {
 	scores []float64
@@ -131,16 +130,19 @@ func (c *lruCache) get(k key, gen uint64) (answer, bool) {
 
 // put stores an answer solved under the given generation, in probation. It
 // never replaces a newer-generation entry with an older one (a pre-swap
-// solve finishing after the swap must not shadow a fresh result); a
-// replaced entry leaves with its charge and the new answer starts over in
-// probation. Entries are then evicted until the cache is within its
-// limits; the entry just stored always stays. Protected entries leave only
-// for the entry cap or for an answer larger than probation's whole share.
+// solve finishing after the swap must not shadow a fresh result), and it
+// keeps an entry of the same generation as it is: answers are bit-identical
+// per (key, generation), so a duplicate miss's answer must not demote a
+// promoted entry back to probation. An older entry leaves with its charge
+// and the new answer starts over in probation. Entries are then evicted
+// until the cache is within its limits; the entry just stored always stays.
+// Protected entries leave only for the entry cap or for an answer larger
+// than probation's whole share.
 func (c *lruCache) put(k key, val answer, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		if el.Value.(*lruEntry).gen > gen {
+		if el.Value.(*lruEntry).gen >= gen {
 			return
 		}
 		c.remove(el)

@@ -6,15 +6,15 @@
 //     (GOMAXPROCS by default), each on a workspace from the engine's free
 //     list (core.Engine.QueryVectorWS with a nil workspace), so
 //     steady-state queries allocate little but their result vectors;
-//   - one generation-tagged segmented LRU cache and one singleflight map,
-//     both keyed by (seed, k): k = 0 is the seed's full-tolerance score
-//     vector, k > 0 its top-k ranking. Full requests store vectors and
-//     bounded requests store rankings. A hot (seed, k) costs one solve per
-//     engine generation no matter how many requests race for it or repeat
-//     it. A full vector serves every request for its seed; a ranking is
-//     served to its own (seed, k) alone, because one from an early-stopped
-//     solve is exact only as a SET for that k and its approximate scores
-//     never leave that key. Answers no request has read yet hold at most
+//   - one generation-tagged segmented LRU cache keyed by (seed, k): k = 0
+//     is the seed's full-tolerance score vector, k > 0 its top-k ranking.
+//     Full requests store vectors and bounded requests store rankings. A
+//     miss solves; requests that miss on the same key at once each solve
+//     it, like any other misses, and every later request for it is a hit
+//     until the engine is swapped. A full vector serves every request for
+//     its seed; a ranking is served to its own (seed, k) alone, because one
+//     from an early-stopped solve is exact only as a SET for that k and its
+//     approximate scores never leave that key. Answers no request has read yet hold at most
 //     an eighth of the cache's bytes, so one-time misses cannot crowd out
 //     the answers that are asked for again;
 //   - a bounded top-k path: TopK halts each Schur solve on a certified
@@ -54,9 +54,8 @@ var (
 	// ErrClosed means the executor has been shut down.
 	ErrClosed = errors.New("qexec: executor closed")
 	// ErrSolvePanicked means the engine solve panicked under a query; the
-	// panic was recovered on the caller's goroutine, so the process (and
-	// every coalesced waiter) keeps running, and the query fails with this
-	// error.
+	// panic was recovered on the caller's goroutine, so the process keeps
+	// running, and the query fails with this error.
 	ErrSolvePanicked = errors.New("qexec: solve panicked")
 )
 
@@ -81,15 +80,6 @@ type Config struct {
 	// goes past the cache, enforced while it waits for a solve slot and
 	// inside the iterative solver.
 	Timeout time.Duration
-	// Parallelism, when non-zero, re-points the engine's compute pool
-	// (core.Engine.SetParallelism) in New and on every SwapEngine: the sparse
-	// kernels under each solve then use up to that many cores. Zero keeps
-	// the engine's current pool (the shared GOMAXPROCS pool for freshly
-	// loaded indexes). With Workers already sized to GOMAXPROCS the pool
-	// is usually saturated by concurrent queries alone; raising kernel
-	// parallelism mainly helps low-concurrency/large-graph serving — see
-	// DESIGN.md for guidance on capping it.
-	Parallelism int
 	// Obs receives the executor's telemetry: latency/queue/iteration
 	// histograms, per-query stage traces, and the slow-query log. Nil
 	// selects obs.New with a 256-entry trace ring sampling one query in
@@ -124,24 +114,22 @@ func (c Config) withDefaults() Config {
 // Result is a completed query: the score vector (shared and read-only when
 // it came from the cache), engine stats, and how the subsystem served it.
 type Result struct {
-	// Scores is indexed by original node id. When Cached or Coalesced is
-	// true it is shared with other callers and with the cache itself, and
-	// MUST NOT be mutated: writing through it silently corrupts every
-	// future hit for the same seed. Callers that need a private, mutable
-	// vector copy it themselves. Nil when a TopK was served from a cached
-	// ranking: the cache keeps the ranked list, not the vector.
+	// Scores is indexed by original node id. When Cached is true, or when
+	// this request solved a full vector and stored it, it is shared with
+	// the cache and every request it serves, and MUST NOT be mutated:
+	// writing through it silently corrupts every future hit for the same
+	// seed. Callers that need a private, mutable vector copy it themselves.
+	// Nil when a TopK was served from a cached ranking: the cache keeps the
+	// ranked list, not the vector.
 	Scores []float64
-	// Stats describes the solve this request ran or joined; zero on a
-	// cache hit, which ran none.
+	// Stats describes the solve this request ran; zero on a cache hit,
+	// which ran none.
 	Stats core.QueryStats
 	// Cached means the result came from the LRU cache without any solve.
 	Cached bool
-	// Coalesced means this request piggybacked on an identical in-flight
-	// query (singleflight) instead of solving on its own.
-	Coalesced bool
 	// Generation is the engine generation the scores belong to (see
-	// Executor.Generation). Cache hits, coalesced joins, and fresh solves
-	// all carry the generation of the engine they were computed against, so
+	// Executor.Generation). Cache hits and fresh solves both carry the
+	// generation of the engine they were computed against, so
 	// callers that must not mix scores across an engine swap — the cluster
 	// coordinator's scatter-gather merge in particular — can compare tags
 	// instead of guessing from timing.
@@ -169,7 +157,7 @@ type engineState struct {
 
 // Executor is the query-execution subsystem over one preprocessed engine.
 // It is safe for concurrent use. The engine can be replaced at runtime with
-// SwapEngine (the dynamic-graph rebuild path); every cached or in-flight
+// SwapEngine (the dynamic-graph rebuild path); every cached or solved
 // result is generation-tagged so nothing solved against one engine is ever
 // served as an answer from another.
 type Executor struct {
@@ -187,25 +175,7 @@ type Executor struct {
 
 	cache *lruCache // nil when disabled
 
-	fmu     sync.Mutex
-	flights map[key]*flight // singleflight per (seed, k)
-
 	m counters
-}
-
-// flight is one in-progress solve for a key that duplicate requests wait
-// on. gen pins the engine generation the solve runs under: requests on a
-// later generation never coalesce onto it. Requests for the same seed but
-// different k have different stopping points, so a bounded solve is joined
-// only by its exact (seed, k) twins; a full-vector flight is joined by
-// every request for its seed.
-type flight struct {
-	done  chan struct{}
-	gen   uint64
-	ans   answer
-	stats core.QueryStats
-	saved int
-	err   error
 }
 
 // New returns an executor over a preprocessed engine. It starts no
@@ -214,10 +184,9 @@ type flight struct {
 func New(eng *core.Engine, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
-		cfg:     cfg,
-		obs:     cfg.Obs,
-		slots:   make(chan struct{}, cfg.Workers),
-		flights: make(map[key]*flight),
+		cfg:   cfg,
+		obs:   cfg.Obs,
+		slots: make(chan struct{}, cfg.Workers),
 	}
 	e.attach(eng)
 	e.eng.Store(&engineState{eng: eng, gen: 1})
@@ -227,12 +196,9 @@ func New(eng *core.Engine, cfg Config) *Executor {
 	return e
 }
 
-// attach points an engine's telemetry hooks and compute pool at this
-// executor; called for the initial engine and for every SwapEngine.
+// attach points an engine's telemetry hooks at this executor; called for
+// the initial engine and for every SwapEngine.
 func (e *Executor) attach(eng *core.Engine) {
-	if e.cfg.Parallelism != 0 {
-		eng.SetParallelism(e.cfg.Parallelism)
-	}
 	// Live convergence telemetry: one atomic add per solver iteration.
 	// (The hook is engine-wide; a second executor over the same engine
 	// would re-point it.)
@@ -268,15 +234,13 @@ func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 // dynamic-graph rebuild path. The swap is the only coordination queries
 // ever see: queries already past the cache keep solving against the engine
 // they captured, but their results are tagged with the old generation, so
-// neither the cache nor the singleflight map can serve them to queries
-// that arrive after the swap. The cache is emptied eagerly (stale vectors
-// and rankings free immediately; its byte budget becomes the new engine's
-// size) and the generation tag covers the remaining race of a pre-swap
-// solve completing post-swap.
+// the cache cannot serve them to queries that arrive after the swap. The
+// cache is emptied eagerly (stale vectors and rankings free immediately;
+// its byte budget becomes the new engine's size) and the generation tag
+// covers the remaining race of a pre-swap solve completing post-swap.
 //
 // SwapEngine is safe to call concurrently with queries. The new engine
-// inherits the executor's telemetry hooks and, when Config.Parallelism is
-// set, its compute-pool setting.
+// inherits the executor's telemetry hooks and keeps its own compute pool.
 func (e *Executor) SwapEngine(eng *core.Engine) {
 	cur := e.eng.Load()
 	if cur.eng == eng {
@@ -299,13 +263,6 @@ func (e *Executor) SwapEngine(eng *core.Engine) {
 	if e.cache != nil {
 		e.cache.reset(e.Engine().MemoryBytes())
 	}
-	// Drop the stale flights: post-swap arrivals start fresh solves
-	// instead of waiting on old-generation results. The old leaders still
-	// hold their flight pointers and only delete map entries that are
-	// identically theirs, so clearing here cannot strand a new flight.
-	e.fmu.Lock()
-	clear(e.flights)
-	e.fmu.Unlock()
 }
 
 // Config returns the executor's effective (defaulted) configuration.
@@ -399,8 +356,8 @@ func addStageSpans(at *obs.ActiveTrace, tSolve time.Time, st core.StageTimings) 
 // while waiting for a slot and inside the solver. The solve runs behind a
 // panic barrier: a panic inside the engine (or a hook it calls) is recovered
 // and returned wrapped in ErrSolvePanicked, so the query fails loudly
-// instead of killing the process and hanging its coalesced waiters; the
-// engine drops the workspace the panic left in an unknown state.
+// instead of killing the process; the engine drops the workspace the
+// panic left in an unknown state.
 func (e *Executor) solve(ctx context.Context, q []float64, eng *core.Engine, k, exclude int, at *obs.ActiveTrace) (ans answer, stats core.QueryStats, saved int, err error) {
 	enq := e.obs.Now()
 	if err = e.admit(ctx, at); err != nil {
@@ -496,7 +453,7 @@ func (e *Executor) finish(qo *queryObs, kind string, seed int, res *Result, err 
 		at.Finish(end)
 	}
 	if sl := e.obs.SlowLog; sl.Slow(total) {
-		sl.Log(kind, seed, at.TraceID(), total, res.Cached, res.Coalesced,
+		sl.Log(kind, seed, at.TraceID(), total, res.Cached,
 			res.Stats.Iterations, res.Stats.Residual, err, at.Spans())
 		e.obs.Events.Record("slow_query", at.TraceID(), map[string]string{
 			"kind":  kind,
@@ -517,19 +474,17 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 
 // run is the one execution core of every single-seed query — k = 0 for
 // the full-tolerance score vector, k > 0 for the bounded top-k ranking:
-// serve a cache hit, coalesce onto an in-flight solve, or lead a solve
-// and remember its answer. eng and gen are the
-// engine snapshot the query runs against; cache lookups, cache fills, and
-// singleflight joins all carry gen so nothing crosses an engine swap.
+// serve a cache hit, or solve and remember the answer. eng and gen are the
+// engine snapshot the query runs against; cache lookups and cache fills
+// both carry gen so nothing crosses an engine swap.
 //
-// Reuse follows one rule, applied to the cache and to flights alike: the
-// seed's full vector, key (seed, 0), answers any k and is consulted first;
-// a bounded answer is consulted and stored only under its exact (seed, k),
-// because an early-stopped solve certifies that k's SET and nothing else.
-// So a full request stores its vector and a bounded one its ranking, the
-// latter about 16·k bytes against the vector's 8·n whether or not its solve
-// stopped early. rank > 0 asks for a ranking of that length (rank = k when
-// k > 0).
+// Reuse follows one rule: the seed's full vector, key (seed, 0), answers
+// any k and is consulted first; a bounded answer is consulted and stored
+// only under its exact (seed, k), because an early-stopped solve certifies
+// that k's SET and nothing else. So a full request stores its vector and a
+// bounded one its ranking, the latter about 16·k bytes against the
+// vector's 8·n whether or not its solve stopped early. rank > 0 asks for a
+// ranking of that length (rank = k when k > 0).
 func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
 	full, own := key{seed, 0}, key{seed, k}
 	ans, hit := e.lookup(full, own, gen)
@@ -538,85 +493,16 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: gen})
 	}
 	e.m.misses.Add(1)
-	// One deadline covers waiting on a flight and leading a solve, so a
-	// follower that takes over from a timed-out leader does not start over.
 	ctx, cancel := e.deadline(ctx)
 	defer cancel()
-
-	var f *flight // this request's own flight, once it leads
-	for f == nil {
-		e.fmu.Lock()
-		w := e.flights[full]
-		if (w == nil || w.gen != gen) && k > 0 {
-			w = e.flights[own]
-		}
-		if w == nil || w.gen != gen {
-			// Nobody is solving it. A leader fills the cache before it
-			// retires its flight, so an answer may have landed since the
-			// lookup above: look once more while holding the flight lock,
-			// and a (seed, k, generation) is solved exactly once however
-			// requests interleave. Otherwise lead, overwriting any stale
-			// (older-generation) flight; its leader only removes entries
-			// that are identically its own.
-			if ans, hit = e.lookup(full, own, gen); !hit {
-				f = &flight{done: make(chan struct{}), gen: gen}
-				e.flights[own] = f
-			}
-			e.fmu.Unlock()
-			if hit {
-				return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: gen})
-			}
-			break
-		}
-		e.fmu.Unlock()
-		e.m.coalesced.Add(1)
-		tw := e.obs.Now()
-		select {
-		case <-w.done:
-		case <-ctx.Done():
-			return nil, Result{}, ctx.Err()
-		}
-		e.span(qo.at, "coalesce", tw)
-		if isContextErr(w.err) && ctx.Err() == nil {
-			// The leader's own context ended (client gone, deadline hit);
-			// that says nothing about this request, whose context is
-			// alive: go round again and lead, or join whoever now does.
-			continue
-		}
-		qo.at.SetCoalesced()
-		if w.err != nil {
-			return nil, Result{}, w.err
-		}
-		qo.at.SetSolve(w.stats.Iterations, w.stats.Residual)
-		return e.deliver(qo, w.ans, seed, rank,
-			Result{Stats: w.stats, SavedIters: w.saved, Coalesced: true, Generation: gen})
-	}
-
-	// The flight MUST be released no matter how the solve ends — error,
-	// engine panic surfacing through solve, even a panic in the cache fill —
-	// or every coalesced waiter hangs until its context expires (forever
-	// with no deadline). The map entry is removed before the channel
-	// closes so late arrivals miss straight into the (already populated)
-	// cache instead of a dead flight.
-	defer func() {
-		e.fmu.Lock()
-		if e.flights[own] == f {
-			delete(e.flights, own)
-		}
-		e.fmu.Unlock()
-		close(f.done)
-	}()
-
 	q := make([]float64, eng.N())
 	q[seed] = 1
 	ans, stats, saved, err := e.solve(ctx, q, eng, k, seed, qo.at)
 	if err != nil {
-		f.err = err
 		return nil, Result{}, err
 	}
-	f.ans, f.stats, f.saved = ans, stats, saved
 	if e.cache != nil {
-		stored := f.ans
+		stored := ans
 		if k > 0 {
 			stored.scores = nil // the ranking, not the vector behind it
 		}
@@ -643,11 +529,11 @@ func (e *Executor) lookup(full, own key, gen uint64) (answer, bool) {
 	return ans, ok
 }
 
-// deliver shapes an answer — out of the cache, a joined flight, or the
-// request's own solve — into what the request returns. An answer without a
-// ranking is the seed's full vector (see answer): it is ranked here when a
-// ranking was asked for, inside the query's observation window, so traces
-// carry the "rank" span. A bounded answer already is the ranking asked for.
+// deliver shapes an answer — out of the cache or the request's own solve —
+// into what the request returns. An answer without a ranking is the seed's
+// full vector (see answer): it is ranked here when a ranking was asked for,
+// inside the query's observation window, so traces carry the "rank" span. A
+// bounded answer already is the ranking asked for.
 func (e *Executor) deliver(qo *queryObs, ans answer, seed, rank int, res Result) ([]core.Ranked, Result, error) {
 	if res.Cached {
 		qo.at.SetCached()
@@ -659,12 +545,6 @@ func (e *Executor) deliver(qo *queryObs, ans answer, seed, rank int, res Result)
 		e.span(qo.at, "rank", tr)
 	}
 	return ans.top, res, nil
-}
-
-// isContextErr reports whether err is a context's own ending rather than a
-// failure of the solve.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // single is the shared body of Query, TopK and TopKFull: validate the
@@ -691,8 +571,7 @@ func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked
 }
 
 // Query answers a single-seed RWR query with the full-tolerance score
-// vector: cache hit, coalesce onto an identical in-flight solve, or solve
-// it.
+// vector: a cache hit, or a solve.
 func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
 	_, res, err := e.single(ctx, seed, 0, 0)
 	return res, err
@@ -705,7 +584,7 @@ func (e *Executor) Query(ctx context.Context, seed int) (Result, error) {
 // full solve would rank — only the returned scores may be early-stopped
 // approximations (Result.EarlyStopped). The certified ranking is cached
 // under (seed, k), so repeating the request costs a map lookup. A cached
-// or in-flight full vector for the seed short-circuits the solve entirely:
+// full vector for the seed short-circuits the solve entirely:
 // any k ranks out of a full vector for free. k <= 0 and k covering the
 // whole graph fall back to TopKFull.
 func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {

@@ -165,40 +165,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSingleflightCoalesce races many identical queries with the cache
-// disabled: all but the leaders must piggyback on an in-flight solve.
-func TestSingleflightCoalesce(t *testing.T) {
-	e := eng(t)
-	ex := New(e, Config{CacheEntries: -1})
-	defer ex.Close()
-	const N = 64
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, N)
-	wg.Add(N)
-	for i := 0; i < N; i++ {
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			_, errs[i] = ex.Query(context.Background(), 5)
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
-	}
-	m := ex.Metrics()
-	if m.Coalesced == 0 {
-		t.Fatal("no queries coalesced onto the in-flight solve")
-	}
-	if m.Coalesced+m.Executed < N {
-		t.Fatalf("coalesced %d + executed %d < %d submitted", m.Coalesced, m.Executed, N)
-	}
-}
-
 // TestQueuedMissCompletesAfterOwnSolve: a query that waited behind another
 // for the one solve slot completes when its own solve ends, not when the
 // solves queued after it do, and its Stats.Duration covers that one solve.
@@ -307,8 +273,10 @@ func waitQueued(ex *Executor, n int) {
 
 // TestAdmissionControlSheds parks the only solve slot of a deliberately
 // tiny executor, fills its depth-1 queue with one waiting caller, and then
-// floods it with distinct seeds: every one of them must be shed rather than
-// queued, and the two accepted queries still complete once the slot frees.
+// floods it with distinct seeds, the parked and the waiting one among them:
+// every one of them must be shed rather than queued (a miss on a seed being
+// solved is a miss like any other), and the two accepted queries still
+// complete once the slot frees.
 func TestAdmissionControlSheds(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
 	parkSeed := iteratingSeed(t, e)
@@ -332,11 +300,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	const N = 128
 	var shedSeen int64
 	for i := 0; i < N; i++ {
-		seed := i % e.N()
-		if seed == parkSeed || seed == waitSeed {
-			continue // would join the parked or the waiting query's flight
-		}
-		_, err := ex.Query(ctx, seed)
+		_, err := ex.Query(ctx, i%e.N())
 		switch {
 		case errors.Is(err, ErrOverloaded):
 			shedSeen++
@@ -500,8 +464,8 @@ func TestClose(t *testing.T) {
 // TestConcurrencyStress hammers the executor from many goroutines with
 // mixed single-seed and personalized traffic, verifying every response
 // against the exact per-query engine answer, then shuts down cleanly. Run
-// under -race this exercises the pooled workspaces, the cache, and the
-// singleflight map.
+// under -race this exercises the pooled workspaces, the admission
+// semaphore and the cache.
 func TestConcurrencyStress(t *testing.T) {
 	e := eng(t)
 	const seeds = 12
@@ -563,9 +527,9 @@ func TestConcurrencyStress(t *testing.T) {
 	wg.Wait()
 	ex.Close()
 	m := ex.Metrics()
-	if m.Executed+m.CacheHits+m.Coalesced < workers*opsEach {
-		t.Fatalf("accounting hole: executed %d + hits %d + coalesced %d < %d ops",
-			m.Executed, m.CacheHits, m.Coalesced, workers*opsEach)
+	if m.Executed+m.CacheHits < workers*opsEach {
+		t.Fatalf("accounting hole: executed %d + hits %d < %d ops",
+			m.Executed, m.CacheHits, workers*opsEach)
 	}
 	if m.CacheHits == 0 {
 		t.Fatal("hot-seed traffic produced no cache hits")

@@ -104,9 +104,9 @@ func TestSwapEngineSamePointerNoop(t *testing.T) {
 }
 
 // TestSwapDoesNotCoalesceAcrossGenerations stalls a solve on the old
-// engine, swaps mid-flight, and checks a new query for the same seed does
-// NOT piggyback on the old-generation flight: it must be solved on the new
-// engine and return the new engine's scores.
+// engine, swaps mid-solve, and checks a new query for the same seed is not
+// blocked behind the stalled old-generation solve: it must be solved on the
+// new engine and return the new engine's scores.
 func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	e1 := freshEngine(t, 8, 6, 5)
 	e2 := freshEngine(t, 8, 6, 99)
@@ -138,11 +138,11 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 		r, err := ex.Query(context.Background(), seed)
 		oldDone <- out{r, err}
 	}()
-	<-started // the old-generation solve is in flight and stalled
+	<-started // the old-generation solve is running and stalled
 
 	ex.SwapEngine(e2)
 
-	// Same seed on the new generation: must not join the stalled flight.
+	// Same seed on the new generation: must not wait for the stalled solve.
 	newDone := make(chan out, 1)
 	go func() {
 		r, err := ex.Query(context.Background(), seed)
@@ -153,13 +153,10 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	select {
 	case got = <-newDone:
 	case <-time.After(30 * time.Second):
-		t.Fatal("post-swap query blocked behind the old-generation flight")
+		t.Fatal("post-swap query blocked behind the old-generation solve")
 	}
 	if got.err != nil {
 		t.Fatal(got.err)
-	}
-	if got.res.Coalesced {
-		t.Fatal("post-swap query coalesced onto an old-generation flight")
 	}
 	want, _, err := e2.Query(seed)
 	if err != nil {
@@ -201,9 +198,9 @@ func iteratingSeed(t *testing.T, e *core.Engine) int {
 }
 
 // TestSolvePanicFailsFlight injects a panic into the engine's iteration
-// hook and checks the solve's panic barrier: the leader and every
-// coalesced waiter get ErrSolvePanicked instead of hanging on a flight
-// whose done channel never closes, and the executor keeps serving.
+// hook and checks the solve's panic barrier: every query on the seed, each
+// solving in turn through the one slot, gets ErrSolvePanicked instead of
+// hanging or killing the process, and the executor keeps serving.
 func TestSolvePanicFailsFlight(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
 	seed := iteratingSeed(t, e)
@@ -228,7 +225,7 @@ func TestSolvePanicFailsFlight(t *testing.T) {
 	for i := 0; i < N; i++ {
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = ex.Query(context.Background(), seed) // same seed → coalesce
+			_, errs[i] = ex.Query(context.Background(), seed)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -236,7 +233,7 @@ func TestSolvePanicFailsFlight(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("queries hung after a solve panic — flight.done never closed")
+		t.Fatal("queries hung after a solve panic — a slot was never released")
 	}
 	for i, err := range errs {
 		if !errors.Is(err, ErrSolvePanicked) {

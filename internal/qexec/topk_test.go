@@ -162,8 +162,8 @@ func TestTopKEarlyStopNotCached(t *testing.T) {
 }
 
 // TestTopKParallelCoalesce races many TopK calls — identical (seed, k)
-// twins that should coalesce onto one bounded flight, plus mixed k-classes
-// and full-vector queries interleaved — under the race detector.
+// twins that miss together and each solve or hit, plus mixed k-classes and
+// full-vector queries interleaved — under the race detector.
 func TestTopKParallelCoalesce(t *testing.T) {
 	e := skewedEng(t)
 	ex := New(e, Config{})
@@ -180,7 +180,7 @@ func TestTopKParallelCoalesce(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			switch w % 3 {
-			case 0: // identical bounded twins — coalesce candidates
+			case 0: // identical bounded twins
 				top, _, err := ex.TopK(ctx, 11, 10)
 				if err != nil {
 					errCh <- err

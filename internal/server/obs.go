@@ -75,7 +75,6 @@ func (c *Core) metrics() []obs.Metric {
 		merged(counter, "bepi_cache_hits_total", "cache_hits", "Queries answered from the cache (score vectors and certified top-k rankings).", obs.Val(xm.CacheHits)),
 		merged(counter, "bepi_topk_cache_hits_total", "topk_cache_hits", "Cache hits served from a certified (seed, k) ranking.", obs.Val(xm.TopKCacheHits)),
 		merged(counter, "bepi_cache_misses_total", "cache_misses", "Queries past the cache.", obs.Val(xm.CacheMisses)),
-		merged(counter, "bepi_coalesced_total", "coalesced", "Queries that rode an identical in-flight solve.", obs.Val(xm.Coalesced)),
 		merged(counter, "bepi_shed_total", "shed", "Requests shed by admission control.", obs.Val(xm.Shed)),
 		{Name: "bepi_cache_entries", Kind: gauge, Help: "Cached answers: score vectors and certified top-k rankings.", JSON: "cache_entries", Value: obs.Val(xm.CacheEntries)},
 		merged(gauge, "bepi_cache_bytes", "cache_bytes", "Bytes the cached answers are charged against the cache's budget, the index size.", obs.Val(xm.CacheBytes)),

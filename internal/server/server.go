@@ -5,11 +5,10 @@
 // executor) and a thin HTTP binding (Server), so the same engine can
 // simultaneously serve public HTTP traffic and the cluster coordinator's
 // in-process replica path (internal/cluster). All query traffic runs
-// through the internal/qexec execution subsystem (LRU cache + singleflight
-// → admission control → one solve on the request's goroutine), so
-// identical concurrent requests coalesce, hot seeds hit the cache, and
-// overload sheds with 429 (plus a Retry-After hint) instead of piling up
-// waiting requests.
+// through the internal/qexec execution subsystem (LRU cache → admission
+// control → one solve on the request's goroutine), so hot seeds hit the
+// cache and overload sheds with 429 (plus a Retry-After hint) instead of
+// piling up waiting requests.
 //
 // Endpoints:
 //
@@ -212,7 +211,6 @@ type QueryDebug struct {
 	Iterations int     `json:"iterations"`
 	Residual   float64 `json:"residual"`
 	Cached     bool    `json:"cached"`
-	Coalesced  bool    `json:"coalesced"`
 	// Engine stage wall times in milliseconds (zero for cache hits, which
 	// never reach the engine).
 	StageMS map[string]float64 `json:"stage_ms,omitempty"`
@@ -223,7 +221,6 @@ func queryDebug(res qexec.Result) *QueryDebug {
 		Iterations: res.Stats.Iterations,
 		Residual:   res.Stats.Residual,
 		Cached:     res.Cached,
-		Coalesced:  res.Coalesced,
 	}
 	st := res.Stats.Stages
 	if !res.Cached && st.Solve > 0 {
