@@ -50,14 +50,16 @@ race:
 # checked against them, and the dynamic-index rebuild/swap protocol (root
 # package: concurrent queries, updates, and
 # background flushes over one index), the cluster tier's routing ring
-# and generation-guarded scatter-gather against concurrent engine swaps,
+# and its /personalized forward (retry on a ring successor, the caller's
+# deadline, concurrent calls against engine swaps),
 # and the bounded top-k search (solver StopWhen/Probe hooks, set-equality
-# property tests, qexec top-k coalescing under concurrent load), and the
-# observability layer (lock-free event ring, trace propagation across
+# property tests, concurrent qexec top-k searches), and the
+# observability layer (the event ring, trace propagation across
 # HTTP backends during engine swaps, histogram snapshot merging), and the
 # STREAM probe, and the incremental rebuild path (delta classification, exact
 # hub and spoke splices) racing concurrent queries, and qexec's keyed cache
-# and singleflight (hot-set storm solved once per key, leader cancellation),
+# (a hot-set storm served from memory, a duplicate miss whose cancellation
+# spares its twin),
 # and the wire codec (pooled chunk buffers, negotiation on both handlers,
 # corrupt binary bodies retried on the ring successor), and the index write
 # path (SlashBurn over the 32-bit, merge-free undirected view, the direct H assembly,
@@ -77,7 +79,7 @@ race:
 # the undirected view, H's patterns and S's triangles at 1, 2, 3 and 7
 # workers, and the saved index at 1 to 4).
 race-par:
-	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|DuplicateMiss|SameGeneration|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts|Admission|Overload|Close|Deadline' \
+	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|DuplicateMiss|SameGeneration|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts|Admission|Overload|Close|Deadline|Forward' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
 		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \

@@ -23,13 +23,13 @@
 //
 // With -coordinator the process serves no index of its own; it fronts a
 // fleet of replica bepi-serve instances with consistent-hash routing keyed
-// by seed, health checking with ejection/readmission, and generation-aware
-// scatter-gather (see internal/cluster):
+// by seed, health checking with ejection/readmission, and retries on ring
+// successors (see internal/cluster):
 //
 //	bepi-serve -coordinator -replicas localhost:8081,localhost:8082 -addr :8080
 //
 //	curl localhost:8080/query?seed=42&topk=10      # routed to seed 42's owner
-//	curl -X POST localhost:8080/batch -d '{"seeds":[1,2,3],"topk":10}'
+//	curl -X POST localhost:8080/personalized -d '{"weights":{"3":0.5,"9":0.5}}'
 //	curl localhost:8080/replicas
 //
 // Observability: /metrics serves JSON (or Prometheus text to scrapers),

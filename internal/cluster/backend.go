@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -26,10 +29,10 @@ type Health struct {
 	RebuildInFlight bool
 }
 
-// Partial is one replica's answer to a single-seed query: a ranking (and,
-// for scatter-gather merges, the full score vector) tagged with the
-// engine identity it was computed under. Scores may be shared with the
-// replica's cache and MUST be treated as read-only.
+// Partial is one replica's answer to a single-seed query: a ranking, or
+// the full score vector, tagged with the engine identity it was computed
+// under. Scores may be shared with the replica's cache and MUST be treated
+// as read-only.
 type Partial struct {
 	Seed       int
 	Replica    string
@@ -62,33 +65,19 @@ func partialOf(replica string, r server.QueryResponse) Partial {
 	}
 }
 
-// Tag returns the partial's merge key: the (index hash, generation) pair.
-func (p Partial) Tag() Tag { return Tag{Hash: p.IndexHash, Gen: p.Generation} }
-
-// Tag identifies one engine incarnation: the index fingerprint (content
-// identity, comparable across replicas) and the generation (swap counter,
-// comparable across replicas that apply the same update stream — and, per
-// replica, the authoritative "did an engine swap happen under this
-// query" signal). The scatter-gather merge requires all partials to share
-// one tag.
-type Tag struct {
-	Hash string
-	Gen  uint64
-}
-
-func (t Tag) String() string { return fmt.Sprintf("%s@g%d", t.Hash, t.Gen) }
-
 // Backend is one replica as the coordinator sees it: a name (its ring
 // identity) plus the query and health-check calls. Implementations must be
 // safe for concurrent use.
 type Backend interface {
 	Name() string
 	// Query answers a single-seed query; full requests the whole score
-	// vector (what the personalized merge sums), otherwise a top-k ranking —
-	// bound-pruned by default, from a full-tolerance solve when exact is set.
-	// exact is never set by the coordinator; it is kept for callers of a
-	// shard's /query that ask for it.
+	// vector, otherwise a top-k ranking — bound-pruned by default, from a
+	// full-tolerance solve when exact is set. exact is never set by the
+	// coordinator; it is kept for callers of a shard's /query that ask for it.
 	Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error)
+	// Personalized answers a multi-seed query with one solve on the
+	// replica, which validates and normalizes the weights.
+	Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error)
 	// Health probes the replica's readiness.
 	Health(ctx context.Context) (Health, error)
 }
@@ -175,15 +164,30 @@ func (b *LocalBackend) Name() string { return b.name }
 func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	resp, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full, Exact: exact})
 	if err != nil {
-		status := server.StatusOf(err)
-		return Partial{}, &BackendError{
-			Replica:    b.name,
-			Status:     status,
-			RetryAfter: time.Duration(server.RetryAfterSeconds(status)) * time.Second,
-			Msg:        err.Error(),
-		}
+		return Partial{}, b.backendError(err)
 	}
 	return partialOf(b.name, resp), nil
+}
+
+// Personalized implements Backend over the core's personalized path.
+func (b *LocalBackend) Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error) {
+	resp, err := b.core.Personalized(ctx, weights, topk)
+	if err != nil {
+		return server.PersonalizedResponse{}, b.backendError(err)
+	}
+	return resp, nil
+}
+
+// backendError gives a core error the status and back-off hint the
+// shard's HTTP binding would answer it with.
+func (b *LocalBackend) backendError(err error) *BackendError {
+	status := server.StatusOf(err)
+	return &BackendError{
+		Replica:    b.name,
+		Status:     status,
+		RetryAfter: time.Duration(server.RetryAfterSeconds(status)) * time.Second,
+		Msg:        err.Error(),
+	}
 }
 
 // Traces implements TraceSource over the core's in-process trace ring.
@@ -211,7 +215,7 @@ func (b *LocalBackend) Health(ctx context.Context) (Health, error) {
 }
 
 // HTTPBackend serves coordinator traffic from a remote bepi-serve replica
-// over its public HTTP endpoints (/query, /healthz).
+// over its public HTTP endpoints (/query, /personalized, /healthz).
 type HTTPBackend struct {
 	name   string
 	base   string
@@ -237,15 +241,23 @@ func NewHTTPBackend(addr string, client *http.Client) *HTTPBackend {
 // Name implements Backend.
 func (b *HTTPBackend) Name() string { return b.name }
 
-// do issues a GET and returns the 200 response, whose body the caller
+// do issues a request and returns the 200 response, whose body the caller
 // closes; any other status (and its Retry-After hint) becomes a
-// BackendError. A non-empty accept is sent as the Accept header. A trace
-// context on ctx is forwarded as the X-Bepi-Trace header, so the shard's
-// executor records its spans under the coordinator's trace.
-func (b *HTTPBackend) do(ctx context.Context, path, accept string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
+// BackendError. A non-nil body is sent as JSON. A non-empty accept is sent
+// as the Accept header. A trace context on ctx is forwarded as the
+// X-Bepi-Trace header, so the shard's executor records its spans under the
+// coordinator's trace.
+func (b *HTTPBackend) do(ctx context.Context, method, path, accept string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.base+path, rd)
 	if err != nil {
 		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", wire.TypeJSON)
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
@@ -267,7 +279,7 @@ func (b *HTTPBackend) do(ctx context.Context, path, accept string) (*http.Respon
 
 // get issues a GET and decodes the JSON body into out.
 func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
-	resp, err := b.do(ctx, path, "")
+	resp, err := b.do(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return err
 	}
@@ -294,7 +306,7 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 	if exact {
 		v.Set("exact", "true")
 	}
-	resp, err := b.do(ctx, "/query?"+v.Encode(), accept)
+	resp, err := b.do(ctx, http.MethodGet, "/query?"+v.Encode(), accept, nil)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -319,6 +331,30 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 		return Partial{}, fmt.Errorf("replica %s: %w", b.name, err)
 	}
 	return partialOf(b.name, qr), nil
+}
+
+// Personalized implements Backend over POST /personalized, whose body and
+// answer the shard defines.
+func (b *HTTPBackend) Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error) {
+	req := server.PersonalizedRequest{Weights: make(map[string]float64, len(weights)), TopK: topk}
+	for node, w := range weights {
+		req.Weights[strconv.Itoa(node)] = w
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		// A weight JSON cannot carry (NaN, ±Inf) fails on every replica alike.
+		return server.PersonalizedResponse{}, &BackendError{Replica: b.name, Status: http.StatusBadRequest, Msg: err.Error()}
+	}
+	resp, err := b.do(ctx, http.MethodPost, "/personalized", "", body)
+	if err != nil {
+		return server.PersonalizedResponse{}, err
+	}
+	defer resp.Body.Close()
+	var pr server.PersonalizedResponse
+	if err := wire.ReadJSON(resp.Body, &pr); err != nil {
+		return server.PersonalizedResponse{}, fmt.Errorf("replica %s: %w", b.name, err)
+	}
+	return pr, nil
 }
 
 // Traces implements TraceSource over GET /debug/traces?trace=ID.

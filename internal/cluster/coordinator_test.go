@@ -18,8 +18,6 @@ type fakeBackend struct {
 	mu         sync.Mutex
 	hash       string
 	gen        uint64
-	staleLeft  int // answer this many queries with staleTag first
-	staleTag   Tag
 	failStatus int   // non-zero: Query fails with this status
 	failLeft   int   // -1 = fail forever, else countdown
 	healthErr  error // non-nil: Health fails
@@ -40,35 +38,34 @@ func (f *fakeBackend) setFail(status, k int) {
 	f.failLeft = k
 }
 
-func (f *fakeBackend) setTag(hash string, gen uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.hash, f.gen = hash, gen
-}
-
 func (f *fakeBackend) queries() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.queried
 }
 
-func (f *fakeBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// fail counts a call and returns the scripted failure when one applies.
+// The caller holds f.mu.
+func (f *fakeBackend) fail() error {
 	f.queried++
 	if f.failStatus != 0 && f.failLeft != 0 {
 		if f.failLeft > 0 {
 			f.failLeft--
 		}
-		return Partial{}, &BackendError{Replica: f.name, Status: f.failStatus, Msg: "scripted failure"}
+		return &BackendError{Replica: f.name, Status: f.failStatus, Msg: "scripted failure"}
+	}
+	return nil
+}
+
+func (f *fakeBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.fail(); err != nil {
+		return Partial{}, err
 	}
 	p := Partial{Seed: seed, Replica: f.name, Generation: f.gen, IndexHash: f.hash}
-	if f.staleLeft > 0 {
-		f.staleLeft--
-		p.Generation, p.IndexHash = f.staleTag.Gen, f.staleTag.Hash
-	}
-	// A recognizable per-seed answer so merge results are checkable:
-	// 0.5 at the seed, 0.25 at its ring neighbour, zero elsewhere.
+	// A recognizable per-seed answer: 0.5 at the seed, 0.25 at its ring
+	// neighbour, zero elsewhere.
 	if full {
 		p.Scores = make([]float64, f.n)
 		p.Scores[seed%f.n] = 0.5
@@ -83,6 +80,21 @@ func (f *fakeBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 		}
 	}
 	return p, nil
+}
+
+// Personalized answers with each seed's ring neighbour, scored by its
+// weight.
+func (f *fakeBackend) Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.fail(); err != nil {
+		return server.PersonalizedResponse{}, err
+	}
+	resp := server.PersonalizedResponse{Generation: f.gen, IndexHash: f.hash}
+	for seed, w := range weights {
+		resp.Top = append(resp.Top, server.RankedEntry{Node: (seed + 1) % f.n, Score: w})
+	}
+	return resp, nil
 }
 
 func (f *fakeBackend) Health(ctx context.Context) (Health, error) {
@@ -178,49 +190,6 @@ func TestCoordinatorNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBatchPartialFailure: with retries disabled, seeds owned by
-// a broken replica fail individually; the batch degrades instead of failing
-// and reports which shards answered.
-func TestCoordinatorBatchPartialFailure(t *testing.T) {
-	fakes := map[string]*fakeBackend{
-		"r0": newFake("r0", 100), "r1": newFake("r1", 100), "r2": newFake("r2", 100),
-	}
-	cfg := testConfig()
-	cfg.Retries = -1 // no retry: failures must surface as degraded entries
-	c := newTestCoordinator(t, cfg, fakes["r0"], fakes["r1"], fakes["r2"])
-	bad := c.Ring().Owner(0)
-	fakes[bad].setFail(http.StatusInternalServerError, -1)
-
-	seeds := make([]int, 60)
-	for i := range seeds {
-		seeds[i] = i
-	}
-	res, err := c.Batch(context.Background(), seeds, 5)
-	if err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	if !res.Degraded {
-		t.Fatal("batch with a dead shard must be degraded")
-	}
-	if len(res.ShardsFailed) != 1 || res.ShardsFailed[0] != bad {
-		t.Fatalf("ShardsFailed = %v, want [%s]", res.ShardsFailed, bad)
-	}
-	if len(res.ShardsOK) != 2 {
-		t.Fatalf("ShardsOK = %v, want the two live shards", res.ShardsOK)
-	}
-	ring := c.Ring()
-	for i, seed := range seeds {
-		owner := ring.Owner(seed)
-		if owner == bad {
-			if res.Results[i] != nil || res.Errs[i] == nil {
-				t.Fatalf("seed %d owned by dead shard: want a per-seed error", seed)
-			}
-		} else if res.Results[i] == nil {
-			t.Fatalf("seed %d owned by live shard %q failed: %v", seed, owner, res.Errs[i])
-		}
-	}
-}
-
 // TestCoordinatorEjectionReadmission: consecutive health-probe failures
 // eject a replica from the ring (its keys move to survivors); consecutive
 // successes readmit it (keys move back).
@@ -292,112 +261,7 @@ func TestCoordinatorAllEjected(t *testing.T) {
 	if _, err := c.Query(context.Background(), 1, 10, false); !errors.Is(err, ErrNoReplicas) {
 		t.Fatalf("err = %v, want ErrNoReplicas", err)
 	}
-	if _, err := c.Batch(context.Background(), []int{1}, 10); !errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("batch err = %v, want ErrNoReplicas", err)
-	}
-}
-
-// TestCoordinatorPersonalizedMerge: the linearity merge sums weighted
-// per-seed vectors from the owning replicas under one tag.
-func TestCoordinatorPersonalizedMerge(t *testing.T) {
-	fakes := []*fakeBackend{newFake("r0", 10), newFake("r1", 10), newFake("r2", 10)}
-	c := newTestCoordinator(t, testConfig(), fakes...)
-	m, err := c.Personalized(context.Background(), map[int]float64{2: 1, 7: 3}, 5)
-	if err != nil {
-		t.Fatalf("Personalized: %v", err)
-	}
-	if m.Tag.Hash != "abc" || m.Tag.Gen != 1 {
-		t.Fatalf("tag = %v, want abc@g1", m.Tag)
-	}
-	// Seeds 2 and 7 contribute 0.5 at themselves (excluded as seeds) and
-	// 0.25 at seed+1; weights normalize to 1/4 and 3/4.
-	want3, want8 := 0.25*0.25, 0.75*0.25
-	got := map[int]float64{}
-	for _, e := range m.Top {
-		got[e.Node] = e.Score
-	}
-	if len(got) != 2 {
-		t.Fatalf("top = %v, want nodes 3 and 8 only", m.Top)
-	}
-	const eps = 1e-12
-	if d := got[3] - want3; d > eps || d < -eps {
-		t.Fatalf("node 3 score %v, want %v", got[3], want3)
-	}
-	if d := got[8] - want8; d > eps || d < -eps {
-		t.Fatalf("node 8 score %v, want %v", got[8], want8)
-	}
-}
-
-// TestCoordinatorGenerationMixRefused is the merge-guard regression: when
-// replicas persistently disagree on (index hash, generation) — a rolling
-// rebuild window — the personalized merge must refuse rather than sum
-// scores from two different indexes.
-func TestCoordinatorGenerationMixRefused(t *testing.T) {
-	fakes := []*fakeBackend{newFake("r0", 10), newFake("r1", 10), newFake("r2", 10)}
-	c := newTestCoordinator(t, testConfig(), fakes...)
-	// Seeds 0..9 spread across replicas; find two owned by different
-	// replicas and put their owners on different generations.
-	ring := c.Ring()
-	seedA := 0
-	seedB := -1
-	for s := 1; s < 10; s++ {
-		if ring.Owner(s) != ring.Owner(seedA) {
-			seedB = s
-			break
-		}
-	}
-	if seedB < 0 {
-		t.Skip("all probe seeds landed on one replica")
-	}
-	for _, f := range fakes {
-		if f.name == ring.Owner(seedB) {
-			f.setTag("abc", 2) // one generation ahead, persistently
-		}
-	}
-	_, err := c.Personalized(context.Background(), map[int]float64{seedA: 1, seedB: 1}, 5)
-	if !errors.Is(err, ErrGenerationMix) {
-		t.Fatalf("err = %v, want ErrGenerationMix", err)
-	}
-}
-
-// TestCoordinatorGenerationMixHealedByRefetch: a transient mix — the
-// minority replica finishes its swap between the first gather and the
-// re-fetch — converges instead of failing.
-func TestCoordinatorGenerationMixHealedByRefetch(t *testing.T) {
-	fakes := []*fakeBackend{newFake("r0", 10), newFake("r1", 10), newFake("r2", 10)}
-	c := newTestCoordinator(t, testConfig(), fakes...)
-	ring := c.Ring()
-	seedA := 0
-	seedB := -1
-	for s := 1; s < 10; s++ {
-		if ring.Owner(s) != ring.Owner(seedA) {
-			seedB = s
-			break
-		}
-	}
-	if seedB < 0 {
-		t.Skip("all probe seeds landed on one replica")
-	}
-	// Everyone is on generation 2, but seedB's owner answers its first
-	// query with the pre-swap tag — the shape of a swap completing between
-	// the first gather and the re-fetch.
-	for _, f := range fakes {
-		f.setTag("abc", 2)
-		if f.name == ring.Owner(seedB) {
-			f.mu.Lock()
-			f.staleLeft = 1
-			f.staleTag = Tag{Hash: "abc", Gen: 1}
-			f.mu.Unlock()
-		}
-	}
-	m, err := c.Personalized(context.Background(), map[int]float64{seedA: 1, seedB: 1}, 5)
-	if err != nil {
-		t.Fatalf("Personalized: %v", err)
-	}
-	if m.Refetched == 0 {
-		t.Fatal("expected the stale partial to be re-fetched")
-	}
-	if m.Tag.Gen != 2 {
-		t.Fatalf("merged at generation %d, want the post-swap generation 2", m.Tag.Gen)
+	if _, err := c.Personalized(context.Background(), map[int]float64{1: 1}, 10); !errors.Is(err, ErrNoReplicas) {
+		t.Fatalf("personalized err = %v, want ErrNoReplicas", err)
 	}
 }

@@ -19,11 +19,9 @@ import (
 //	GET  /query?seed=N&topk=K             routed single-seed query
 //	     (&full=true for the score vector; top-k comes from the shard's
 //	     bound-pruned path)
-//	POST /batch {"seeds":[...],"topk":K}  scatter-gather batch (degraded
-//	                                      responses report failed shards)
-//	POST /personalized {"weights":{...}}  linearity-decomposed PPR: the
-//	                                      weighted sum of per-seed score
-//	                                      vectors, ranked
+//	POST /personalized {"weights":{...}}  multi-seed PPR, forwarded whole
+//	                                      to the smallest seed's ring owner;
+//	                                      the shard's answer, unchanged
 //	GET  /healthz                         coordinator readiness
 //	GET  /replicas                        per-replica health/routing state
 //	GET  /metrics, /metrics.prom          routing + fleet-merged metrics
@@ -32,8 +30,8 @@ import (
 //	GET  /debug/traces?n=K                coordinator's recent trace records
 //	GET  /debug/events?n=K                coordinator flight recorder
 //
-// Adding `?trace=1` to /query, /batch, or /personalized forces a distributed
-// trace for that request; the X-Bepi-Trace response header carries its ID.
+// Adding `?trace=1` to /query or /personalized forces a distributed trace
+// for that request; the X-Bepi-Trace response header carries its ID.
 type Handler struct {
 	coord *Coordinator
 	mux   *http.ServeMux
@@ -43,7 +41,6 @@ type Handler struct {
 func NewHandler(c *Coordinator) *Handler {
 	h := &Handler{coord: c, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/query", h.handleQuery)
-	h.mux.HandleFunc("/batch", h.handleBatch)
 	h.mux.HandleFunc("/personalized", h.handlePersonalized)
 	h.mux.HandleFunc("/healthz", h.handleHealth)
 	h.mux.HandleFunc("/replicas", h.handleReplicas)
@@ -62,8 +59,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeErr maps coordinator errors onto HTTP: replica errors keep their
-// status (and Retry-After hint), a generation mix and an empty ring are
-// retryable-soon conditions (503 + Retry-After).
+// status (and Retry-After hint), an empty ring is a retryable-soon
+// condition (503 + Retry-After).
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	retryAfter := 0
@@ -76,7 +73,7 @@ func writeErr(w http.ResponseWriter, err error) {
 		} else {
 			retryAfter = server.RetryAfterSeconds(status)
 		}
-	case errors.Is(err, ErrGenerationMix), errors.Is(err, ErrNoReplicas):
+	case errors.Is(err, ErrNoReplicas):
 		status = http.StatusServiceUnavailable
 		retryAfter = server.RetryAfterSeconds(status)
 	}
@@ -118,101 +115,14 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}, p)
 }
 
-// BatchRequest is the /batch request body.
-type BatchRequest struct {
-	Seeds []int `json:"seeds"`
-	TopK  int   `json:"topk"`
-}
-
-// batchEntry is one seed's row in the /batch response.
-type batchEntry struct {
-	Seed       int                  `json:"seed"`
-	Top        []server.RankedEntry `json:"top,omitempty"`
-	Replica    string               `json:"replica,omitempty"`
-	Generation uint64               `json:"generation,omitempty"`
-	IndexHash  string               `json:"index_hash,omitempty"`
-	Cached     bool                 `json:"cached,omitempty"`
-	Error      string               `json:"error,omitempty"`
-}
-
-// BatchResponse is the /batch payload.
-type BatchResponse struct {
-	Results      []batchEntry `json:"results"`
-	Degraded     bool         `json:"degraded"`
-	MixedTags    bool         `json:"mixed_tags,omitempty"`
-	ShardsOK     []string     `json:"shards_ok"`
-	ShardsFailed []string     `json:"shards_failed,omitempty"`
-}
-
-func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
-		return
-	}
-	var req BatchRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, 0, "bad JSON: "+err.Error())
-		return
-	}
-	if len(req.Seeds) == 0 {
-		wire.WriteError(w, http.StatusBadRequest, 0, "seeds must be non-empty")
-		return
-	}
-	res, err := h.coord.Batch(obs.TraceRequest(w, r), req.Seeds, req.TopK)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp := BatchResponse{
-		Results:      make([]batchEntry, len(res.Seeds)),
-		Degraded:     res.Degraded,
-		MixedTags:    res.MixedTags,
-		ShardsOK:     res.ShardsOK,
-		ShardsFailed: res.ShardsFailed,
-	}
-	for i, seed := range res.Seeds {
-		e := batchEntry{Seed: seed}
-		if p := res.Results[i]; p != nil {
-			e.Top = p.Top
-			e.Replica = p.Replica
-			e.Generation = p.Generation
-			e.IndexHash = p.IndexHash
-			e.Cached = p.Cached
-		} else if res.Errs[i] != nil {
-			e.Error = res.Errs[i].Error()
-		}
-		resp.Results[i] = e
-	}
-	// A fully failed batch is an error; a partially failed one is a 200
-	// with degraded=true — the caller decides whether partial coverage is
-	// acceptable.
-	status := http.StatusOK
-	if len(resp.ShardsOK) == 0 && res.Degraded {
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(server.RetryAfterSeconds(status)))
-	}
-	wire.WriteJSON(w, status, resp)
-}
-
-// PersonalizedResponse is the /personalized payload: Coordinator.Personalized's
-// Merged, with the tag split into its generation and index hash.
-type PersonalizedResponse struct {
-	Top        []server.RankedEntry `json:"top"`
-	Generation uint64               `json:"generation"`
-	IndexHash  string               `json:"index_hash,omitempty"`
-	Replicas   []string             `json:"replicas"`
-	Refetched  int                  `json:"refetched,omitempty"`
-	CacheHits  int                  `json:"cache_hits"`
-}
-
 func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
 		return
 	}
 	var req server.PersonalizedRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, 0, "bad JSON: "+err.Error())
+	if status, err := wire.ReadRequest(w, r, &req); err != nil {
+		wire.WriteError(w, status, 0, err.Error())
 		return
 	}
 	weights, err := req.NodeWeights()
@@ -220,19 +130,12 @@ func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	m, err := h.coord.Personalized(obs.TraceRequest(w, r), weights, req.TopK)
+	resp, err := h.coord.Personalized(obs.TraceRequest(w, r), weights, req.TopK)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, PersonalizedResponse{
-		Top:        m.Top,
-		Generation: m.Tag.Gen,
-		IndexHash:  m.Tag.Hash,
-		Replicas:   m.Replicas,
-		Refetched:  m.Refetched,
-		CacheHits:  m.CacheHits,
-	})
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // HealthResponse is the coordinator's /healthz payload.

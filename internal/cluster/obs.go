@@ -193,11 +193,10 @@ func (c *Coordinator) metrics(snaps []obs.MetricsSnapshot) (rows []obs.Metric, m
 	rows = []obs.Metric{
 		obs.RingMembers(obs.Val(ring.Len())),
 		obs.ShardHealthy(healthy),
-		// Fleet totals of the routing counters, and the generation guard.
+		// Fleet totals of the routing counters.
 		{Name: "bepi_cluster_retries_total", Kind: counter, Help: "Query attempts retried on a ring successor.", Value: total(retries)},
 		{Name: "bepi_cluster_ejections_total", Kind: counter, Help: "Health-check ejections across the fleet.", Value: total(ejections)},
 		{Name: "bepi_cluster_readmissions_total", Kind: counter, Help: "Health-check readmissions across the fleet.", Value: total(readmissions)},
-		{Name: "bepi_cluster_refetches_total", Kind: counter, Help: "Partials re-fetched to converge a merge on one generation.", JSON: "generation_refetches", Value: obs.Val(c.refetches.Load())},
 	}
 	if len(snaps) > 0 {
 		var fleet []obs.Metric
@@ -205,10 +204,6 @@ func (c *Coordinator) metrics(snaps []obs.MetricsSnapshot) (rows []obs.Metric, m
 		rows = append(rows, fleet...)
 	}
 	rows = append(rows, []obs.Metric{
-		{Name: "bepi_cluster_batches_total", Kind: counter, Help: "Scatter-gather batch queries.", JSON: "batches", Value: obs.Val(c.batches.Load())},
-		{Name: "bepi_cluster_merges_total", Kind: counter, Help: "Personalized merges completed.", JSON: "merges", Value: obs.Val(c.merges.Load())},
-		{Name: "bepi_cluster_generation_mix_refused_total", Kind: counter, Help: "Merges refused because partials spanned index generations.", JSON: "generation_mix_refused", Value: obs.Val(c.mixRefused.Load())},
-		{Name: "bepi_cluster_degraded_batches_total", Kind: counter, Help: "Batches with at least one failed seed.", JSON: "degraded_batches", Value: obs.Val(c.degraded.Load())},
 		{Name: "bepi_cluster_ring_size", Kind: gauge, Help: "Healthy replicas on the ring.", Value: obs.Val(ring.Len())},
 		{JSON: "vnodes", Value: obs.Val(DefaultVnodes)},
 		{Name: "bepi_cluster_replica_routed_total", Kind: counter, Label: "replica", Help: "Queries routed per replica.", Vec: perReplica(routed)},

@@ -1,8 +1,7 @@
 // Package cluster is the sharded serving tier: a coordinator that fronts N
 // replica serving cores (in-process or remote bepi-serve instances) with
-// seed-affine consistent-hash routing, generation-aware scatter-gather for
-// multi-seed queries, and replica health checking with ejection and
-// readmission.
+// seed-affine consistent-hash routing, retries on ring successors, and
+// replica health checking with ejection and readmission.
 //
 // Routing is keyed by seed so repeated queries for a seed land on the same
 // replica, maximizing that replica's LRU cache hit rate — on a hot-seed
@@ -12,10 +11,9 @@
 // traffic between surviving replicas.
 //
 // Replicas tag every response and health check with their (index hash,
-// generation) pair. The coordinator records the tags and — crucially — the
-// scatter-gather merge path refuses to combine score vectors whose tags
-// differ, so a personalized query decomposed across replicas can never mix
-// scores from two sides of an engine rebuild (see Coordinator.Personalized).
+// generation) pair. Every answer, a multi-seed one included, comes from one
+// replica's one solve (see Coordinator.Personalized), so no answer mixes
+// scores from two sides of an engine rebuild.
 package cluster
 
 import (

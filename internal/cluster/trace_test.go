@@ -210,7 +210,6 @@ func TestClusterFleetMergedQuantilesProm(t *testing.T) {
 		"bepi_fleet_query_latency_seconds_bucket",
 		"bepi_shard_query_latency_p50_seconds{",
 		"bepi_cluster_retries_total",
-		"bepi_cluster_refetches_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics.prom missing %q", want)

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,55 +340,18 @@ func TestWireShardIgnoringAccept(t *testing.T) {
 	}
 }
 
-// staleFirst answers its first `left` full-vector queries from an engine
-// one generation behind — the minority side of a mid-gather swap — and
-// everything after from the current one.
-type staleFirst struct {
-	name     string
-	old, cur Backend
-	left     atomic.Int32
-}
-
-func (s *staleFirst) Name() string { return s.name }
-func (s *staleFirst) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
-	if full && s.left.Add(-1) >= 0 {
-		return s.old.Query(ctx, seed, topk, full, exact)
-	}
-	return s.cur.Query(ctx, seed, topk, full, exact)
-}
-func (s *staleFirst) Health(ctx context.Context) (Health, error) { return s.cur.Health(ctx) }
-
-// TestWirePersonalizedFullMergeMatchesLocal: the personalized merge — with
-// and without a generation re-fetch — gives the same ranking and scores,
-// bit for bit, whether its partials crossed the binary hop (HTTPBackend) or
-// never left the process (LocalBackend).
-func TestWirePersonalizedFullMergeMatchesLocal(t *testing.T) {
+// TestWirePersonalizedMatchesLocal: a forwarded multi-seed query gives the
+// same answer, bit for bit, whether it crossed HTTP to the shard's
+// /personalized (HTTPBackend) or never left the process (LocalBackend).
+func TestWirePersonalizedMatchesLocal(t *testing.T) {
 	g := swapTestGraph(t, 60)
 	weights := map[int]float64{3: 1, 17: 2, 40: 0.5, 41: 1}
-	// fleet builds two replicas, each able to answer from generation 1 (a
-	// static engine over g) and from generation 2 (a dynamic index over g
-	// after one flushed edge), through the transport under test.
-	fleet := func(backend func(c *server.Core) Backend, stale int32) *Coordinator {
+	fleet := func(backend func(c *server.Core) Backend) *Coordinator {
 		var backends []Backend
 		for i := 0; i < 2; i++ {
-			oldCore := server.NewCore(wireEngine(t, g), qexec.Config{})
-			d, err := bepi.NewDynamic(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			curCore := server.NewDynamicCore(d, qexec.Config{})
-			t.Cleanup(func() { oldCore.Close(); curCore.Close() })
-			if err := d.AddEdge(1, 17); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			sf := &staleFirst{name: fmt.Sprintf("replica-%d", i), old: backend(oldCore), cur: backend(curCore)}
-			if i == 0 {
-				sf.left.Store(stale)
-			}
-			backends = append(backends, sf)
+			c := server.NewCore(wireEngine(t, g), qexec.Config{})
+			t.Cleanup(c.Close)
+			backends = append(backends, backend(c))
 		}
 		coord, err := New(backends, testConfig())
 		if err != nil {
@@ -398,34 +360,33 @@ func TestWirePersonalizedFullMergeMatchesLocal(t *testing.T) {
 		t.Cleanup(coord.Close)
 		return coord
 	}
-	local := func(c *server.Core) Backend { return NewLocalBackend("local", c) }
+	n := 0
+	local := func(c *server.Core) Backend {
+		n++
+		return NewLocalBackend(fmt.Sprintf("local-%d", n), c)
+	}
 	overHTTP := func(c *server.Core) Backend {
 		hs := httptest.NewServer(server.NewFromCore(c))
 		t.Cleanup(hs.Close)
 		return NewHTTPBackend(hs.URL, nil)
 	}
-	for _, stale := range []int32{0, 1} {
-		want, err := fleet(local, stale).Personalized(context.Background(), weights, 8)
-		if err != nil {
-			t.Fatalf("stale=%d local: %v", stale, err)
-		}
-		got, err := fleet(overHTTP, stale).Personalized(context.Background(), weights, 8)
-		if err != nil {
-			t.Fatalf("stale=%d http: %v", stale, err)
-		}
-		if got.Refetched != int(stale) || want.Refetched != int(stale) {
-			t.Fatalf("stale=%d: refetched %d/%d", stale, got.Refetched, want.Refetched)
-		}
-		if got.Tag != want.Tag || got.Tag.Gen != 2 {
-			t.Fatalf("stale=%d: tag %v, local %v, want generation 2", stale, got.Tag, want.Tag)
-		}
-		if len(got.Top) != len(want.Top) || len(got.Top) == 0 {
-			t.Fatalf("stale=%d: %d entries, local %d", stale, len(got.Top), len(want.Top))
-		}
-		for i := range want.Top {
-			if got.Top[i].Node != want.Top[i].Node || math.Float64bits(got.Top[i].Score) != math.Float64bits(want.Top[i].Score) {
-				t.Fatalf("stale=%d: entry %d = %+v, local %+v", stale, i, got.Top[i], want.Top[i])
-			}
+	want, err := fleet(local).Personalized(context.Background(), weights, 8)
+	if err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	got, err := fleet(overHTTP).Personalized(context.Background(), weights, 8)
+	if err != nil {
+		t.Fatalf("http: %v", err)
+	}
+	if got.Generation != want.Generation || got.IndexHash != want.IndexHash || got.IndexHash == "" {
+		t.Fatalf("http answered g%d %q, local g%d %q", got.Generation, got.IndexHash, want.Generation, want.IndexHash)
+	}
+	if len(got.Top) != len(want.Top) || len(got.Top) == 0 {
+		t.Fatalf("%d entries, local %d", len(got.Top), len(want.Top))
+	}
+	for i := range want.Top {
+		if got.Top[i].Node != want.Top[i].Node || math.Float64bits(got.Top[i].Score) != math.Float64bits(want.Top[i].Score) {
+			t.Fatalf("entry %d = %+v, local %+v", i, got.Top[i], want.Top[i])
 		}
 	}
 }

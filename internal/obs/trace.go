@@ -168,8 +168,7 @@ func (t *Tracer) ByTraceID(id string, max int) []Trace {
 
 // ActiveTrace is a trace being recorded. A small mutex guards the record:
 // the qexec path hands the trace between goroutines with happens-before
-// edges, but the cluster coordinator appends attempt spans from concurrent
-// scatter-gather goroutines, so mutation must be internally synchronized.
+// edges, and the lock keeps any other caller safe without proving its own.
 // All methods are no-ops on a nil receiver.
 type ActiveTrace struct {
 	t     *Tracer
@@ -226,7 +225,7 @@ func (a *ActiveTrace) SetCached() {
 	}
 }
 
-// SetBatch records how many seeds a coordinator scatter-gather carried.
+// SetBatch records how many seeds a multi-seed query carried.
 func (a *ActiveTrace) SetBatch(k int) {
 	if a != nil {
 		a.mu.Lock()

@@ -130,9 +130,8 @@ type Result struct {
 	// Generation is the engine generation the scores belong to (see
 	// Executor.Generation). Cache hits and fresh solves both carry the
 	// generation of the engine they were computed against, so
-	// callers that must not mix scores across an engine swap — the cluster
-	// coordinator's scatter-gather merge in particular — can compare tags
-	// instead of guessing from timing.
+	// callers that must not mix scores across an engine swap can compare
+	// tags instead of guessing from timing.
 	Generation uint64
 	// EarlyStopped (TopK results only) means the scores come from a
 	// bound-certified early-stopped solve: the top-k SET is exact, but the
@@ -594,8 +593,8 @@ func (e *Executor) TopK(ctx context.Context, seed, k int) ([]core.Ranked, Result
 // TopKFull ranks the seed's full-tolerance score vector — the pre-bounded
 // TopK behavior, served through the cache and solves like Query and never
 // from a certified (seed, k) ranking. It is the path for callers that need
-// exact scores alongside the exact set (the cluster tier's weighted
-// merges, debugging, A-B baselines).
+// exact scores alongside the exact set (a shard's /query?exact=true,
+// debugging, A-B baselines).
 func (e *Executor) TopKFull(ctx context.Context, seed, k int) ([]core.Ranked, Result, error) {
 	return e.single(ctx, seed, 0, k)
 }

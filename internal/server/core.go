@@ -26,9 +26,8 @@ import (
 // stay in the bindings, which map Core errors through StatusOf.
 //
 // Every response that carries scores is tagged with the (index hash,
-// generation) pair it was computed under, so a coordinator gathering
-// partial results from several replicas can refuse to merge across an
-// engine swap.
+// generation) pair it was computed under, so a caller can tell which
+// engine answered, across replicas and across an engine swap.
 type Core struct {
 	eng  atomic.Pointer[bepi.Engine]
 	dyn  *bepi.Dynamic // nil for a static index
@@ -118,9 +117,7 @@ func (c *Core) Close() { c.exec.Close() }
 // IndexFingerprint hashes the quantities that determine an engine's
 // answers — graph size, partition, Schur structure, and solver options —
 // into a short hex tag. Two replicas that preprocessed the same graph with
-// the same options fingerprint identically; any edge update changes it. The
-// cluster coordinator uses equality of this tag (plus the generation) as its
-// merge guard.
+// the same options fingerprint identically; any edge update changes it.
 func IndexFingerprint(eng *bepi.Engine) string {
 	st := eng.Internal().PrepStats()
 	opts := eng.Internal().Options()
@@ -268,7 +265,7 @@ type QueryRequest struct {
 	// Exact forces the ranking to come from a full-tolerance solve instead
 	// of the default bound-pruned search. Both return the identical top-k
 	// SET; Exact additionally guarantees the reported scores are at full
-	// solver tolerance (the cluster tier's weighted merges need that).
+	// solver tolerance, for callers that compare scores, not just sets.
 	Exact bool
 	// Debug attaches solver/stage detail to the response.
 	Debug bool

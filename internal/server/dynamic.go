@@ -100,8 +100,8 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EdgesRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON body: %v", err)
+	if status, err := wire.ReadRequest(w, r, &req); err != nil {
+		s.fail(w, status, "%v", err)
 		return
 	}
 	if req.AddNodes < 0 {

@@ -12,6 +12,7 @@ import (
 
 	"bepi"
 	"bepi/internal/qexec"
+	"bepi/internal/wire"
 )
 
 func testDynamicServer(t *testing.T) (*Server, *bepi.Dynamic) {
@@ -229,6 +230,31 @@ func TestEdgesValidation(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /edges: status %d", rec.Code)
+	}
+}
+
+// TestOversizeBodyRefused: a POST body over wire.MaxRequestBytes is
+// answered 413 and counted as an error, and an oversize update applies
+// none of its edges.
+func TestOversizeBodyRefused(t *testing.T) {
+	s, d := testDynamicServer(t)
+	pad := `"pad":"` + strings.Repeat("x", wire.MaxRequestBytes) + `"`
+	for path, body := range map[string]string{
+		"/personalized": `{"weights":{"1":1},` + pad + `}`,
+		"/edges":        `{"add":[{"src":0,"dst":1}],` + pad + `}`,
+	} {
+		before := s.core.errors.Load()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, rec.Code)
+		}
+		if n := s.core.errors.Load() - before; n != 1 {
+			t.Errorf("%s: errors rose by %d, want 1", path, n)
+		}
+	}
+	if p := d.Pending(); p != 0 {
+		t.Fatalf("an oversize update left %d pending", p)
 	}
 }
 

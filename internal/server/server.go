@@ -187,7 +187,7 @@ type RankedEntry struct {
 }
 
 // QueryResponse is the /query payload. Generation and IndexHash tag the
-// engine the scores were computed under (the coordinator's merge guard).
+// engine the scores were computed under.
 type QueryResponse struct {
 	Seed       int           `json:"seed"`
 	Top        []RankedEntry `json:"top,omitempty"`
@@ -304,8 +304,8 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PersonalizedRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if status, err := wire.ReadRequest(w, r, &req); err != nil {
+		s.fail(w, status, "%v", err)
 		return
 	}
 	weights, err := req.NodeWeights()

@@ -7,6 +7,8 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -55,6 +57,28 @@ func WantsProm(r *http.Request) bool {
 
 // ReadJSON decodes one JSON value from a request or response body.
 func ReadJSON(r io.Reader, v any) error { return json.NewDecoder(r).Decode(v) }
+
+// MaxRequestBytes bounds the body of a POST from outside the cluster
+// (/personalized on either tier, /edges on a shard): 8 MiB holds a weight
+// for every node of a graph with a few hundred thousand nodes, or a
+// quarter of a million edges in one update.
+const MaxRequestBytes = 8 << 20
+
+// ReadRequest decodes a request's JSON body of at most MaxRequestBytes into
+// v. On failure it returns the status to answer with — 413 for a body over
+// the bound, 400 for one that does not decode — and the message.
+func ReadRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := ReadJSON(http.MaxBytesReader(w, r.Body, MaxRequestBytes), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", MaxRequestBytes)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+	}
+}
 
 // ReadError decodes what WriteError wrote, as the receiver of a non-200
 // response sees it: the message of the {"error": ...} body (the raw body
