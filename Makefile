@@ -60,8 +60,9 @@ race:
 # hub and spoke splices) racing concurrent queries, and qexec's keyed cache
 # (a hot-set storm served from memory, a duplicate miss whose cancellation
 # spares its twin),
-# and the wire codec (pooled chunk buffers, negotiation on both handlers,
-# corrupt binary bodies retried on the ring successor), and the index write
+# and the serving tiers' body codec in the server package (pooled chunk
+# buffers, negotiation on both handlers, corrupt binary bodies retried on the
+# ring successor), and the index write
 # path (SlashBurn over the 32-bit, merge-free undirected view, the direct H assembly,
 # save/load round trips sharing the index codec's chunk pool), and the
 # metric tables (every metrics view of a dynamic shard and a coordinator
@@ -82,7 +83,7 @@ race-par:
 	$(GO) test -race -count=2 -run 'Par|Parallel|Pool|Shared|Concurrent|Nested|DILU|Eisenstat|Workspace|CSR32|Pattern|Dynamic|Swap|Panic|Ring|Cluster|Generation|TopK|StopWhen|Trace|Merge|Event|Snapshot|Stream|Delta|Cache|DuplicateMiss|SameGeneration|Queued|Wire|Vector|Negotiat|SlashBurn|BuildH|SaveLoad|Metric|ColumnWidth|Ordering|SchurAssembly|BlockLU|Refactor|Scatter|BoundsByWeight|Undirected|TriangleBuilder|WorkerCounts|Admission|Overload|Close|Deadline|Forward' \
 		. ./internal/par/ ./internal/sparse/ ./internal/lu/ ./internal/core/ \
 		./internal/obs/ ./internal/qexec/ ./internal/server/ ./internal/cluster/ \
-		./internal/solver/ ./internal/wire/ ./internal/reorder/ ./internal/graph/ \
+		./internal/solver/ ./internal/reorder/ ./internal/graph/ \
 		./internal/binio/
 
 # The CI gate: everything must build, lint clean (gofmt and vet always;

@@ -16,6 +16,13 @@
 // The preprocessed index can be persisted with Engine.Save and reloaded
 // with Load, so the (comparatively expensive) preprocessing phase runs only
 // once per graph.
+//
+// Dynamic serves a graph that receives edge updates: it rebuilds the index
+// in the background and reports every settled rebuild, with the new engine
+// when it swapped one in, to its one OnRebuild hook — the hook the HTTP
+// serving layer (cmd/bepi-serve) follows swaps with. Ranked, the entry of
+// every ranking here, is also the row of the serving layer's JSON
+// rankings, {"node": …, "score": …}.
 package bepi
 
 import (
@@ -258,24 +265,11 @@ func (e *Engine) Personalized(q []float64) ([]float64, error) {
 }
 
 // Ranked is a node with its RWR score.
-type Ranked struct {
-	Node  int
-	Score float64
-}
+type Ranked = core.Ranked
 
 // TopK returns the k nodes most related to seed (descending score, seed
 // excluded).
-func (e *Engine) TopK(seed, k int) ([]Ranked, error) {
-	rs, err := e.inner.TopK(seed, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Ranked, len(rs))
-	for i, r := range rs {
-		out[i] = Ranked{Node: r.Node, Score: r.Score}
-	}
-	return out, nil
-}
+func (e *Engine) TopK(seed, k int) ([]Ranked, error) { return e.inner.TopK(seed, k) }
 
 // TopKBounded is TopK with certified early termination: the Schur solve
 // halts as soon as a calibrated score-error radius proves the k-th /
@@ -287,14 +281,7 @@ func (e *Engine) TopK(seed, k int) ([]Ranked, error) {
 // care about first-query latency should issue a throwaway call at warmup.
 func (e *Engine) TopKBounded(seed, k int) ([]Ranked, bool, error) {
 	rs, st, err := e.inner.TopKBounded(seed, k)
-	if err != nil {
-		return nil, false, err
-	}
-	out := make([]Ranked, len(rs))
-	for i, r := range rs {
-		out[i] = Ranked{Node: r.Node, Score: r.Score}
-	}
-	return out, st.EarlyStopped, nil
+	return rs, st.EarlyStopped, err
 }
 
 // MemoryBytes reports the footprint of the preprocessed index.

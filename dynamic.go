@@ -52,8 +52,7 @@ type Dynamic struct {
 	pending   map[[2]int]bool // true = insert, false = delete
 	engine    *Engine
 	gen       uint64 // index generation; starts at 1, bumped per swap
-	onSwap    func(eng *Engine, gen uint64, rebuild time.Duration)
-	onRebuild func(id, gen uint64, rebuild time.Duration, mode RebuildMode, err error)
+	onRebuild func(RebuildStatus, *Engine)
 
 	rebuild *Rebuild            // in-flight rebuild, nil when idle
 	history map[uint64]*Rebuild // recent rebuilds by id, for status polling
@@ -108,33 +107,23 @@ func (d *Dynamic) Generation() uint64 {
 
 // Engine returns the engine currently serving queries. The engine is
 // immutable; after a Flush a new one replaces it, so callers that must
-// follow swaps should use OnSwap (or query through Dynamic).
+// follow swaps should use OnRebuild (or query through Dynamic).
 func (d *Dynamic) Engine() *Engine {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.engine
 }
 
-// OnSwap registers f to be called after every successful rebuild swap with
-// the new engine, the new generation, and how long the rebuild took. It is
-// how a serving layer keeps its executor and caches in step with the index
-// (e.g. qexec.Executor.SwapEngine). f runs with Dynamic's lock held: keep
-// it short and do not call back into Dynamic from it.
-func (d *Dynamic) OnSwap(f func(eng *Engine, gen uint64, rebuild time.Duration)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onSwap = f
-}
-
-// OnRebuild registers f to be called when a background rebuild completes,
-// successfully or not: the rebuild id, the generation now serving (bumped
-// on success, unchanged on failure), the rebuild wall time, the path the
-// rebuild took (full, delta-spoke, delta-hub), and the error (nil on
-// success). Unlike OnSwap it fires on failures too, so an observability
-// layer can record rebuild_fail events for rebuilds that never swapped.
-// Same constraints as OnSwap: f runs with Dynamic's lock held — keep it
-// short and do not call back into Dynamic.
-func (d *Dynamic) OnRebuild(f func(id, gen uint64, rebuild time.Duration, mode RebuildMode, err error)) {
+// OnRebuild registers f to be called when a background rebuild settles,
+// successfully or not, with the rebuild's final status — its id, the
+// generation now serving (bumped on success, unchanged on failure), its
+// wall time, the path it took and its error — and, on a successful swap
+// only, the new engine (nil on failure). It is how a serving layer keeps
+// its executor and caches in step with the index (e.g.
+// qexec.Executor.SwapEngine) and records rebuilds that never swapped. f
+// runs with Dynamic's lock held, so swaps reach it in order: keep it short
+// and do not call back into Dynamic from it.
+func (d *Dynamic) OnRebuild(f func(st RebuildStatus, swapped *Engine)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.onRebuild = f
@@ -303,6 +292,7 @@ type RebuildStatus struct {
 func (r *Rebuild) Status() RebuildStatus {
 	select {
 	case <-r.done:
+		return r.settled()
 	default:
 		return RebuildStatus{
 			ID:         r.id,
@@ -311,6 +301,10 @@ func (r *Rebuild) Status() RebuildStatus {
 			Duration:   time.Since(r.start),
 		}
 	}
+}
+
+// settled is the status of a rebuild whose result fields are written.
+func (r *Rebuild) settled() RebuildStatus {
 	st := RebuildStatus{
 		ID:         r.id,
 		State:      RebuildDone,
@@ -417,7 +411,7 @@ func (d *Dynamic) record(r *Rebuild) {
 // reason, so the delta path can only ever improve rebuild latency, never
 // availability. The swap and generation bump are identical on both paths;
 // downstream consumers (qexec executors, serving layers) see the same
-// OnSwap contract regardless of mode.
+// OnRebuild contract regardless of mode.
 func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bool, base *Engine) {
 	// Patch the snapshot graph with the buffered delta: O(M + changes), no
 	// edge-list re-sort. The buffer is normalized against the serving edge
@@ -490,11 +484,12 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 			delete(d.pending, e)
 		}
 	}
-	if err == nil && d.onSwap != nil {
-		d.onSwap(eng, d.gen, r.dur)
-	}
 	if d.onRebuild != nil {
-		d.onRebuild(r.id, d.gen, r.dur, mode, err)
+		var swapped *Engine
+		if err == nil {
+			swapped = eng
+		}
+		d.onRebuild(r.settled(), swapped)
 	}
 	d.mu.Unlock()
 	close(r.done)

@@ -15,55 +15,13 @@ import (
 
 	"bepi/internal/obs"
 	"bepi/internal/server"
-	"bepi/internal/wire"
 )
 
-// Health is a replica's readiness report: the (index hash, generation)
-// pair it is serving plus load signals the coordinator's health checker
-// and router use.
-type Health struct {
-	Nodes           int
-	Generation      uint64
-	IndexHash       string
-	QueueDepth      int
-	RebuildInFlight bool
-}
-
-// Partial is one replica's answer to a single-seed query: a ranking, or
-// the full score vector, tagged with the engine identity it was computed
-// under. Scores may be shared with the replica's cache and MUST be treated
-// as read-only.
-type Partial struct {
-	Seed       int
-	Replica    string
-	Top        []server.RankedEntry
-	Scores     []float64
-	Iterations int
-	Cached     bool
-	// EarlyStopped means the replica's bound-pruned solve stopped on its
-	// certificate: the ranking SET is exact but the scores are within the
-	// certified radius, not at full tolerance. Exact fetches never set it.
-	EarlyStopped bool
-	Generation   uint64
-	IndexHash    string
-	DurationMS   float64
-}
-
-// partialOf is a shard's answer as the named replica's Partial.
-func partialOf(replica string, r server.QueryResponse) Partial {
-	return Partial{
-		Seed:         r.Seed,
-		Replica:      replica,
-		Top:          r.Top,
-		Scores:       r.Scores,
-		Iterations:   r.Iterations,
-		Cached:       r.Cached,
-		EarlyStopped: r.EarlyStopped,
-		Generation:   r.Generation,
-		IndexHash:    r.IndexHash,
-		DurationMS:   r.DurationMS,
-	}
-}
+// Partial is one replica's answer to a single-seed query: the shard's
+// /query answer, a ranking or the full score vector tagged with the engine
+// identity it was computed under, with Replica naming the shard. Scores
+// may be shared with the replica's cache and MUST be treated as read-only.
+type Partial = server.QueryResponse
 
 // Backend is one replica as the coordinator sees it: a name (its ring
 // identity) plus the query and health-check calls. Implementations must be
@@ -79,7 +37,7 @@ type Backend interface {
 	// replica, which validates and normalizes the weights.
 	Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error)
 	// Health probes the replica's readiness.
-	Health(ctx context.Context) (Health, error)
+	Health(ctx context.Context) (server.HealthResponse, error)
 }
 
 // TraceSource is an optional Backend capability: fetch the replica's trace
@@ -107,6 +65,9 @@ type BackendError struct {
 }
 
 func (e *BackendError) Error() string {
+	if e.Replica == "" { // the coordinator's own refusal
+		return fmt.Sprintf("%s (status %d)", e.Msg, e.Status)
+	}
 	return fmt.Sprintf("replica %s: %s (status %d)", e.Replica, e.Msg, e.Status)
 }
 
@@ -162,11 +123,12 @@ func (b *LocalBackend) Name() string { return b.name }
 
 // Query implements Backend over the core's transport-agnostic query path.
 func (b *LocalBackend) Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
-	resp, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full, Exact: exact})
+	p, err := b.core.Query(ctx, server.QueryRequest{Seed: seed, TopK: topk, Full: full, Exact: exact})
 	if err != nil {
 		return Partial{}, b.backendError(err)
 	}
-	return partialOf(b.name, resp), nil
+	p.Replica = b.name
+	return p, nil
 }
 
 // Personalized implements Backend over the core's personalized path.
@@ -203,15 +165,8 @@ func (b *LocalBackend) MetricsSnapshot(ctx context.Context) (obs.MetricsSnapshot
 }
 
 // Health implements Backend.
-func (b *LocalBackend) Health(ctx context.Context) (Health, error) {
-	h := b.core.Health()
-	return Health{
-		Nodes:           h.Nodes,
-		Generation:      h.Generation,
-		IndexHash:       h.IndexHash,
-		QueueDepth:      h.QueueDepth,
-		RebuildInFlight: h.RebuildInFlight,
-	}, nil
+func (b *LocalBackend) Health(ctx context.Context) (server.HealthResponse, error) {
+	return b.core.Health(), nil
 }
 
 // HTTPBackend serves coordinator traffic from a remote bepi-serve replica
@@ -257,7 +212,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path, accept string, body 
 		return nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", wire.TypeJSON)
+		req.Header.Set("Content-Type", server.TypeJSON)
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
@@ -271,7 +226,7 @@ func (b *HTTPBackend) do(ctx context.Context, method, path, accept string, body 
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
-		msg, ra := wire.ReadError(resp)
+		msg, ra := server.ReadError(resp)
 		return nil, &BackendError{Replica: b.name, Status: resp.StatusCode, RetryAfter: ra, Msg: msg}
 	}
 	return resp, nil
@@ -284,7 +239,7 @@ func (b *HTTPBackend) get(ctx context.Context, path string, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	return wire.ReadJSON(resp.Body, out)
+	return server.ReadJSON(resp.Body, out)
 }
 
 // Query implements Backend over GET /query. A full-vector query asks for
@@ -301,7 +256,7 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 	accept := ""
 	if full {
 		v.Set("full", "true")
-		accept = wire.AcceptVector
+		accept = server.AcceptVector
 	}
 	if exact {
 		v.Set("exact", "true")
@@ -311,36 +266,23 @@ func (b *HTTPBackend) Query(ctx context.Context, seed, topk int, full, exact boo
 		return Partial{}, err
 	}
 	defer resp.Body.Close()
-	if wire.IsVector(resp) {
-		vec, err := wire.DecodeVector(resp.Body, resp.ContentLength)
-		if err != nil {
-			return Partial{}, fmt.Errorf("replica %s: %w", b.name, err)
-		}
-		return partialOf(b.name, server.QueryResponse{
-			Seed:       vec.Seed,
-			Scores:     vec.Scores,
-			Iterations: vec.Iterations,
-			Cached:     vec.Cached,
-			Generation: vec.Generation,
-			IndexHash:  vec.IndexHash,
-			DurationMS: vec.DurationMS,
-		}), nil
+	var p Partial
+	if server.IsVector(resp) {
+		p, err = server.DecodeVector(resp.Body, resp.ContentLength)
+	} else {
+		err = server.ReadJSON(resp.Body, &p)
 	}
-	var qr server.QueryResponse
-	if err := wire.ReadJSON(resp.Body, &qr); err != nil {
+	if err != nil {
 		return Partial{}, fmt.Errorf("replica %s: %w", b.name, err)
 	}
-	return partialOf(b.name, qr), nil
+	p.Replica = b.name
+	return p, nil
 }
 
 // Personalized implements Backend over POST /personalized, whose body and
 // answer the shard defines.
 func (b *HTTPBackend) Personalized(ctx context.Context, weights map[int]float64, topk int) (server.PersonalizedResponse, error) {
-	req := server.PersonalizedRequest{Weights: make(map[string]float64, len(weights)), TopK: topk}
-	for node, w := range weights {
-		req.Weights[strconv.Itoa(node)] = w
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(server.PersonalizedRequest{Weights: weights, TopK: topk})
 	if err != nil {
 		// A weight JSON cannot carry (NaN, ±Inf) fails on every replica alike.
 		return server.PersonalizedResponse{}, &BackendError{Replica: b.name, Status: http.StatusBadRequest, Msg: err.Error()}
@@ -351,7 +293,7 @@ func (b *HTTPBackend) Personalized(ctx context.Context, weights map[int]float64,
 	}
 	defer resp.Body.Close()
 	var pr server.PersonalizedResponse
-	if err := wire.ReadJSON(resp.Body, &pr); err != nil {
+	if err := server.ReadJSON(resp.Body, &pr); err != nil {
 		return server.PersonalizedResponse{}, fmt.Errorf("replica %s: %w", b.name, err)
 	}
 	return pr, nil
@@ -384,16 +326,8 @@ func (b *HTTPBackend) MetricsSnapshot(ctx context.Context) (obs.MetricsSnapshot,
 }
 
 // Health implements Backend over GET /healthz.
-func (b *HTTPBackend) Health(ctx context.Context) (Health, error) {
+func (b *HTTPBackend) Health(ctx context.Context) (server.HealthResponse, error) {
 	var h server.HealthResponse
-	if err := b.get(ctx, "/healthz", &h); err != nil {
-		return Health{}, err
-	}
-	return Health{
-		Nodes:           h.Nodes,
-		Generation:      h.Generation,
-		IndexHash:       h.IndexHash,
-		QueueDepth:      h.QueueDepth,
-		RebuildInFlight: h.RebuildInFlight,
-	}, nil
+	err := b.get(ctx, "/healthz", &h)
+	return h, err
 }

@@ -83,7 +83,7 @@ type replica struct {
 	healthy    atomic.Bool
 	consecFail int // health-checker goroutine only
 	consecOK   int // health-checker goroutine only
-	lastHealth atomic.Pointer[Health]
+	lastHealth atomic.Pointer[server.HealthResponse]
 
 	routed       atomic.Int64
 	errs         atomic.Int64

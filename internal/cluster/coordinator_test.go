@@ -97,13 +97,13 @@ func (f *fakeBackend) Personalized(ctx context.Context, weights map[int]float64,
 	return resp, nil
 }
 
-func (f *fakeBackend) Health(ctx context.Context) (Health, error) {
+func (f *fakeBackend) Health(ctx context.Context) (server.HealthResponse, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.healthErr != nil {
-		return Health{}, f.healthErr
+		return server.HealthResponse{}, f.healthErr
 	}
-	return Health{Nodes: f.n, Generation: f.gen, IndexHash: f.hash}, nil
+	return server.HealthResponse{Status: "ok", Nodes: f.n, Generation: f.gen, IndexHash: f.hash}, nil
 }
 
 // testConfig keeps retries fast and the background checker off so tests

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"bepi/internal/server"
 )
 
 // healthLoop probes every replica each HealthInterval until Close.
@@ -28,7 +30,7 @@ func (c *Coordinator) healthLoop() {
 func (c *Coordinator) CheckNow(ctx context.Context) {
 	var wg sync.WaitGroup
 	results := make([]error, len(c.names))
-	healths := make([]Health, len(c.names))
+	healths := make([]server.HealthResponse, len(c.names))
 	for i, name := range c.names {
 		wg.Add(1)
 		go func(i int, rep *replica) {

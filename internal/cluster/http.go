@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"bepi/internal/obs"
 	"bepi/internal/server"
-	"bepi/internal/wire"
 )
 
 // Handler is the coordinator's HTTP binding — what `bepi-serve -coordinator`
@@ -77,65 +74,43 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusServiceUnavailable
 		retryAfter = server.RetryAfterSeconds(status)
 	}
-	wire.WriteError(w, status, retryAfter, err.Error())
+	server.WriteError(w, status, retryAfter, err.Error())
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
+		server.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
 		return
 	}
-	seedStr := r.URL.Query().Get("seed")
-	seed, err := strconv.Atoi(seedStr)
+	req, err := server.ParseQuery(r)
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, 0, fmt.Sprintf("seed %q is not an integer", seedStr))
+		server.WriteError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	topk := 0
-	if v := r.URL.Query().Get("topk"); v != "" {
-		if topk, err = strconv.Atoi(v); err != nil || topk < 0 {
-			wire.WriteError(w, http.StatusBadRequest, 0, fmt.Sprintf("bad topk %q", v))
-			return
-		}
-	}
-	p, err := h.coord.Query(obs.TraceRequest(w, r), seed, topk, r.URL.Query().Get("full") == "true")
+	p, err := h.coord.Query(obs.TraceRequest(w, r), req.Seed, req.TopK, req.Full)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	wire.WriteQuery(w, r, wire.Vector{
-		Seed:       p.Seed,
-		Iterations: p.Iterations,
-		Cached:     p.Cached,
-		Generation: p.Generation,
-		DurationMS: p.DurationMS,
-		IndexHash:  p.IndexHash,
-		Replica:    p.Replica,
-		Scores:     p.Scores,
-	}, p)
+	server.WriteQuery(w, r, &p)
 }
 
 func (h *Handler) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
+		server.WriteError(w, http.StatusMethodNotAllowed, 0, "use POST")
 		return
 	}
 	var req server.PersonalizedRequest
-	if status, err := wire.ReadRequest(w, r, &req); err != nil {
-		wire.WriteError(w, status, 0, err.Error())
+	if status, err := server.ReadRequest(w, r, &req); err != nil {
+		server.WriteError(w, status, 0, err.Error())
 		return
 	}
-	weights, err := req.NodeWeights()
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, 0, err.Error())
-		return
-	}
-	resp, err := h.coord.Personalized(obs.TraceRequest(w, r), weights, req.TopK)
+	resp, err := h.coord.Personalized(obs.TraceRequest(w, r), req.Weights, req.TopK)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // HealthResponse is the coordinator's /healthz payload.
@@ -160,9 +135,9 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 	case ring.Len() < len(h.coord.names):
 		resp.Status = "degraded"
 	}
-	wire.WriteJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }
 
 func (h *Handler) handleReplicas(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, h.coord.Replicas())
+	server.WriteJSON(w, http.StatusOK, h.coord.Replicas())
 }

@@ -11,7 +11,6 @@ import (
 	"bepi/internal/obs"
 	"bepi/internal/server"
 	"bepi/internal/sparse"
-	"bepi/internal/wire"
 )
 
 // TraceNode is one process's trace record with the records it parented
@@ -92,7 +91,7 @@ type TraceTreeResponse struct {
 // distributed trace.
 func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
+		server.WriteError(w, http.StatusMethodNotAllowed, 0, "use GET")
 		return
 	}
 	if r.Context().Err() != nil {
@@ -107,14 +106,14 @@ func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
 		if roots == nil {
 			roots = []*TraceNode{}
 		}
-		wire.WriteJSON(w, http.StatusOK, TraceTreeResponse{TraceID: id, Count: count, Roots: roots})
+		server.WriteJSON(w, http.StatusOK, TraceTreeResponse{TraceID: id, Count: count, Roots: roots})
 		return
 	}
 	traces := h.coord.Observer().Tracer.Recent(n)
 	if traces == nil {
 		traces = []obs.Trace{}
 	}
-	wire.WriteJSON(w, http.StatusOK, server.TraceResponse{Count: len(traces), Traces: traces})
+	server.WriteJSON(w, http.StatusOK, server.TraceResponse{Count: len(traces), Traces: traces})
 }
 
 // FleetSnapshots fetches the mergeable metrics snapshot from every replica
@@ -306,7 +305,7 @@ func (h *Handler) snapshots(r *http.Request) []obs.MetricsSnapshot {
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wire.WantsProm(r) {
+	if server.WantsProm(r) {
 		h.handleMetricsProm(w, r)
 		return
 	}
@@ -323,7 +322,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// malformed.
 		obs.SetJSON(doc, "fleet.mismatched_families", mismatched)
 	}
-	wire.WriteJSON(w, http.StatusOK, doc)
+	server.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (h *Handler) handleMetricsProm(w http.ResponseWriter, r *http.Request) {

@@ -20,7 +20,6 @@ import (
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
 	"bepi/internal/server"
-	"bepi/internal/wire"
 )
 
 // shardProbe wraps a replica's Personalized: it counts attempts, answers
@@ -108,14 +107,10 @@ func engineRanking(t *testing.T, eng *bepi.Engine, weights map[int]float64, topk
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := []server.RankedEntry{}
-	for _, r := range core.RankTopKFunc(scores, topk, func(node int) bool {
+	return core.RankTopKFunc(scores, topk, func(node int) bool {
 		_, seed := weights[node]
 		return seed || scores[node] <= 0
-	}) {
-		top = append(top, server.RankedEntry{Node: r.Node, Score: r.Score})
-	}
-	return top
+	})
 }
 
 // TestCoordinatorForwardMatchesEngine: the coordinator's answer to a
@@ -267,10 +262,10 @@ func TestCoordinatorForwardCallerDeadlineIsFinal(t *testing.T) {
 }
 
 // TestCoordinatorForwardOversizeBody: a /personalized body over
-// wire.MaxRequestBytes is refused with 413 before any replica is asked.
+// server.MaxRequestBytes is refused with 413 before any replica is asked.
 func TestCoordinatorForwardOversizeBody(t *testing.T) {
 	c, probes := probedFleet(t, bepi.RMAT(6, 4, 5))
-	body := `{"weights":{"1":1},"pad":"` + strings.Repeat("x", wire.MaxRequestBytes) + `"}`
+	body := `{"weights":{"1":1},"pad":"` + strings.Repeat("x", server.MaxRequestBytes) + `"}`
 	rec := postPersonalized(NewHandler(c), body)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", rec.Code)

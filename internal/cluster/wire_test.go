@@ -17,7 +17,6 @@ import (
 	"bepi"
 	"bepi/internal/qexec"
 	"bepi/internal/server"
-	"bepi/internal/wire"
 )
 
 // wireShard is one real shard server on a loopback listener, optionally
@@ -55,9 +54,10 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestWirePartialGolden pins the coordinator's default body to bytes
-// captured from the pre-wire writeJSON for the same Partial values: the
-// benchmark's client unmarshals exactly this.
+// TestWirePartialGolden pins the coordinator's default body: the shard's
+// /query body (server.TestWireQueryResponseGolden pins those bytes for the
+// same values) with "replica" after "index_hash". The benchmark's client
+// unmarshals exactly this into a Partial.
 func TestWirePartialGolden(t *testing.T) {
 	for _, tc := range []struct {
 		p    Partial
@@ -66,14 +66,14 @@ func TestWirePartialGolden(t *testing.T) {
 		{Partial{
 			Seed: 7, Replica: "127.0.0.1:9001", Scores: []float64{0.15, 0, 1e-300, 0.3, 5e-324, math.Copysign(0, -1), 1.0 / 3},
 			Iterations: 9, DurationMS: 1.234, Cached: true, Generation: 3, IndexHash: "00c0ffee00c0ffee",
-		}, "{\"Seed\":7,\"Replica\":\"127.0.0.1:9001\",\"Top\":null,\"Scores\":[0.15,0,1e-300,0.3,5e-324,-0,0.3333333333333333],\"Iterations\":9,\"Cached\":true,\"EarlyStopped\":false,\"Generation\":3,\"IndexHash\":\"00c0ffee00c0ffee\",\"DurationMS\":1.234}\n"},
+		}, "{\"seed\":7,\"scores\":[0.15,0,1e-300,0.3,5e-324,-0,0.3333333333333333],\"iterations\":9,\"duration_ms\":1.234,\"cached\":true,\"generation\":3,\"index_hash\":\"00c0ffee00c0ffee\",\"replica\":\"127.0.0.1:9001\"}\n"},
 		{Partial{
 			Seed: 7, Replica: "127.0.0.1:9001", Top: []server.RankedEntry{{Node: 3, Score: 0.25}, {Node: 11, Score: 1.0 / 3}},
 			Iterations: 4, DurationMS: 0.5, EarlyStopped: true, Generation: 1, IndexHash: "00c0ffee00c0ffee",
-		}, "{\"Seed\":7,\"Replica\":\"127.0.0.1:9001\",\"Top\":[{\"node\":3,\"score\":0.25},{\"node\":11,\"score\":0.3333333333333333}],\"Scores\":null,\"Iterations\":4,\"Cached\":false,\"EarlyStopped\":true,\"Generation\":1,\"IndexHash\":\"00c0ffee00c0ffee\",\"DurationMS\":0.5}\n"},
+		}, "{\"seed\":7,\"top\":[{\"node\":3,\"score\":0.25},{\"node\":11,\"score\":0.3333333333333333}],\"iterations\":4,\"duration_ms\":0.5,\"early_stopped\":true,\"generation\":1,\"index_hash\":\"00c0ffee00c0ffee\",\"replica\":\"127.0.0.1:9001\"}\n"},
 	} {
 		rec := httptest.NewRecorder()
-		wire.WriteJSON(rec, http.StatusOK, tc.p)
+		server.WriteQuery(rec, httptest.NewRequest(http.MethodGet, "/query?seed=7", nil), &tc.p)
 		if got := rec.Body.String(); got != tc.want {
 			t.Errorf("body\n%q\nwant\n%q", got, tc.want)
 		}
@@ -164,9 +164,9 @@ func TestWireNegotiationCoordinator(t *testing.T) {
 		binary             bool
 	}{
 		{"no Accept, full", "/query?seed=9&full=true", "", false},
-		{"vector, full", "/query?seed=9&full=true", wire.TypeVector, true},
-		{"vector, full, debug", "/query?seed=9&full=true&debug=1", wire.AcceptVector, false},
-		{"vector, top-k", "/query?seed=9&topk=5", wire.AcceptVector, false},
+		{"vector, full", "/query?seed=9&full=true", server.TypeVector, true},
+		{"vector, full, debug", "/query?seed=9&full=true&debug=1", server.AcceptVector, false},
+		{"vector, top-k", "/query?seed=9&topk=5", server.AcceptVector, false},
 	} {
 		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
 		if tc.accept != "" {
@@ -178,12 +178,12 @@ func TestWireNegotiationCoordinator(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("Vary") != "Accept" {
 			t.Fatalf("%s: status %d, Vary %q: %s", tc.name, resp.StatusCode, resp.Header.Get("Vary"), rec.Body)
 		}
-		if wire.IsVector(resp) != tc.binary {
+		if server.IsVector(resp) != tc.binary {
 			t.Fatalf("%s: Content-Type %q", tc.name, resp.Header.Get("Content-Type"))
 		}
 		body := rec.Body.Bytes()
 		if tc.binary {
-			v, err := wire.DecodeVector(bytes.NewReader(body), resp.ContentLength)
+			v, err := server.DecodeVector(bytes.NewReader(body), resp.ContentLength)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -215,14 +215,14 @@ func TestWireNegotiationCoordinator(t *testing.T) {
 func badVector(damage string) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get("Accept") != wire.AcceptVector {
+			if r.Header.Get("Accept") != server.AcceptVector {
 				next.ServeHTTP(w, r)
 				return
 			}
 			rec := httptest.NewRecorder()
 			next.ServeHTTP(rec, r)
 			body := rec.Body.Bytes()
-			w.Header().Set("Content-Type", wire.TypeVector)
+			w.Header().Set("Content-Type", server.TypeVector)
 			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
 			switch damage {
 			case "magic":
@@ -254,7 +254,7 @@ func TestWireCorruptVectorRetried(t *testing.T) {
 			if err == nil || !Retryable(err) {
 				t.Fatalf("Query on a damaged body: err = %v, want a retryable error", err)
 			}
-			if !errors.Is(err, wire.ErrCorruptVector) {
+			if !errors.Is(err, server.ErrCorruptVector) {
 				t.Fatalf("err = %v, want ErrCorruptVector", err)
 			}
 			// Top-k answers never take the binary path, so they still work.
@@ -397,7 +397,7 @@ func TestWirePersonalizedMatchesLocal(t *testing.T) {
 func TestWireBackendDeadlineNotCorrupt(t *testing.T) {
 	release := make(chan struct{})
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", wire.TypeVector)
+		w.Header().Set("Content-Type", server.TypeVector)
 		w.Header().Set("Content-Length", "4096")
 		_, _ = w.Write([]byte("BPV1"))
 		w.(http.Flusher).Flush()

@@ -119,10 +119,12 @@ func (e *Engine) TopK(seed, k int) ([]Ranked, error) {
 	return RankTopK(r, k, seed), nil
 }
 
-// Ranked is a node with its RWR score.
+// Ranked is a node with its RWR score. It is the one ranking entry of
+// every layer: bepi.Ranked and the serving tiers' JSON "top" rows are this
+// type.
 type Ranked struct {
-	Node  int
-	Score float64
+	Node  int     `json:"node"`
+	Score float64 `json:"score"`
 }
 
 // RankTopK returns the k nodes with the highest scores, excluding `exclude`

@@ -34,6 +34,8 @@ package qexec
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -128,11 +130,13 @@ type Result struct {
 	// Cached means the result came from the LRU cache without any solve.
 	Cached bool
 	// Generation is the engine generation the scores belong to (see
-	// Executor.Generation). Cache hits and fresh solves both carry the
-	// generation of the engine they were computed against, so
-	// callers that must not mix scores across an engine swap can compare
-	// tags instead of guessing from timing.
+	// Executor.Generation), and IndexHash that engine's fingerprint (see
+	// Executor.Identity). Cache hits and fresh solves both carry the tags of
+	// the engine they were computed against, read from the one snapshot the
+	// query captured, so callers that must not mix scores across an engine
+	// swap can compare tags instead of guessing from timing.
 	Generation uint64
+	IndexHash  string
 	// EarlyStopped (TopK results only) means the scores come from a
 	// bound-certified early-stopped solve: the top-k SET is exact, but the
 	// scores are only within the certified radius of the true values. Like
@@ -147,11 +151,29 @@ type Result struct {
 }
 
 // engineState is the executor's current engine together with the
-// generation it belongs to, published as one unit so readers can never see
-// a new engine with an old generation (or vice versa).
+// generation it belongs to and its fingerprint, published as one unit so
+// readers can never see a new engine with an old generation or hash (or
+// vice versa).
 type engineState struct {
-	eng *core.Engine
-	gen uint64
+	eng  *core.Engine
+	gen  uint64
+	hash string
+}
+
+// fingerprint names an engine by its index: the first 8 bytes of the
+// SHA-256 of the stream Engine.WriteTo writes, in hex. Two engines with
+// the same index bytes — replicas that preprocessed the same graph with
+// the same options, or one that loaded the other's file — fingerprint
+// identically, and any change to the index changes it. It reads the whole
+// index once (about 7 ms for the 6.7 MB scale-15 benchmark index on a
+// 2-vCPU Xeon), so it is computed once per published engine, never on a
+// request.
+func fingerprint(eng *core.Engine) string {
+	h := sha256.New()
+	if _, err := eng.WriteTo(h); err != nil {
+		return "" // an engine that cannot be written has no index to name
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // Executor is the query-execution subsystem over one preprocessed engine.
@@ -188,7 +210,7 @@ func New(eng *core.Engine, cfg Config) *Executor {
 		slots: make(chan struct{}, cfg.Workers),
 	}
 	e.attach(eng)
-	e.eng.Store(&engineState{eng: eng, gen: 1})
+	e.eng.Store(&engineState{eng: eng, gen: 1, hash: fingerprint(eng)})
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes())
 	}
@@ -216,18 +238,19 @@ func (e *Executor) attach(eng *core.Engine) {
 	})
 }
 
-// engine snapshots the current engine and its generation.
-func (e *Executor) engine() (*core.Engine, uint64) {
-	st := e.eng.Load()
-	return st.eng, st.gen
-}
-
 // Engine returns the engine currently being served.
 func (e *Executor) Engine() *core.Engine { return e.eng.Load().eng }
 
 // Generation returns the current engine generation. It starts at 1 and is
 // bumped by every SwapEngine.
 func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
+
+// Identity returns the generation and the index fingerprint of the engine
+// currently being served, read from one snapshot.
+func (e *Executor) Identity() (gen uint64, indexHash string) {
+	st := e.eng.Load()
+	return st.gen, st.hash
+}
 
 // SwapEngine atomically replaces the engine the executor serves from — the
 // dynamic-graph rebuild path. The swap is the only coordination queries
@@ -240,14 +263,17 @@ func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 //
 // SwapEngine is safe to call concurrently with queries. The new engine
 // inherits the executor's telemetry hooks and keeps its own compute pool.
+// It fingerprints the new engine before publishing it, on the caller's
+// goroutine.
 func (e *Executor) SwapEngine(eng *core.Engine) {
 	cur := e.eng.Load()
 	if cur.eng == eng {
 		return
 	}
+	hash := fingerprint(eng)
 	e.attach(eng)
 	for {
-		if e.eng.CompareAndSwap(cur, &engineState{eng: eng, gen: cur.gen + 1}) {
+		if e.eng.CompareAndSwap(cur, &engineState{eng: eng, gen: cur.gen + 1, hash: hash}) {
 			break
 		}
 		cur = e.eng.Load()
@@ -473,9 +499,10 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 
 // run is the one execution core of every single-seed query — k = 0 for
 // the full-tolerance score vector, k > 0 for the bounded top-k ranking:
-// serve a cache hit, or solve and remember the answer. eng and gen are the
-// engine snapshot the query runs against; cache lookups and cache fills
-// both carry gen so nothing crosses an engine swap.
+// serve a cache hit, or solve and remember the answer. st is the engine
+// snapshot the query runs against; cache lookups and cache fills both
+// carry its generation so nothing crosses an engine swap, and the result
+// carries its generation and hash.
 //
 // Reuse follows one rule: the seed's full vector, key (seed, 0), answers
 // any k and is consulted first; a bounded answer is consulted and stored
@@ -484,19 +511,19 @@ func (e *Executor) deadline(ctx context.Context) (context.Context, context.Cance
 // bounded one its ranking, the latter about 16·k bytes against the
 // vector's 8·n whether or not its solve stopped early. rank > 0 asks for a
 // ranking of that length (rank = k when k > 0).
-func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine, gen uint64, qo *queryObs) ([]core.Ranked, Result, error) {
+func (e *Executor) run(ctx context.Context, seed, k, rank int, st *engineState, qo *queryObs) ([]core.Ranked, Result, error) {
 	full, own := key{seed, 0}, key{seed, k}
-	ans, hit := e.lookup(full, own, gen)
+	ans, hit := e.lookup(full, own, st.gen)
 	e.span(qo.at, "cache", qo.start)
 	if hit {
-		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: gen})
+		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: st.gen, IndexHash: st.hash})
 	}
 	e.m.misses.Add(1)
 	ctx, cancel := e.deadline(ctx)
 	defer cancel()
-	q := make([]float64, eng.N())
+	q := make([]float64, st.eng.N())
 	q[seed] = 1
-	ans, stats, saved, err := e.solve(ctx, q, eng, k, seed, qo.at)
+	ans, stats, saved, err := e.solve(ctx, q, st.eng, k, seed, qo.at)
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -505,9 +532,9 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, eng *core.Engine,
 		if k > 0 {
 			stored.scores = nil // the ranking, not the vector behind it
 		}
-		e.cache.put(own, stored, gen)
+		e.cache.put(own, stored, st.gen)
 	}
-	return e.deliver(qo, ans, seed, rank, Result{Stats: stats, SavedIters: saved, Generation: gen})
+	return e.deliver(qo, ans, seed, rank, Result{Stats: stats, SavedIters: saved, Generation: st.gen, IndexHash: st.hash})
 }
 
 // lookup consults the cache for a request keyed own: the seed's full
@@ -555,16 +582,16 @@ func (e *Executor) single(ctx context.Context, seed, k, rank int) ([]core.Ranked
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eng, gen := e.engine()
-	if seed < 0 || seed >= eng.N() {
-		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, eng.N())
+	st := e.eng.Load()
+	if n := st.eng.N(); seed < 0 || seed >= n {
+		return nil, Result{}, fmt.Errorf("qexec: seed %d out of range [0,%d)", seed, n)
 	}
 	kind := "topk"
-	if k <= 0 || k >= eng.N() {
+	if k <= 0 || k >= st.eng.N() {
 		kind, k = "query", 0
 	}
 	qo := e.startQuery(ctx, kind, seed)
-	top, res, err := e.run(ctx, seed, k, rank, eng, gen, &qo)
+	top, res, err := e.run(ctx, seed, k, rank, st, &qo)
 	e.finish(&qo, kind, seed, &res, err)
 	return top, res, err
 }
@@ -607,18 +634,18 @@ func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	eng, gen := e.engine()
-	if len(q) != eng.N() {
-		return Result{}, fmt.Errorf("qexec: query vector length %d want %d", len(q), eng.N())
+	st := e.eng.Load()
+	if len(q) != st.eng.N() {
+		return Result{}, fmt.Errorf("qexec: query vector length %d want %d", len(q), st.eng.N())
 	}
 	qo := e.startQuery(ctx, "personalized", -1)
 	e.m.misses.Add(1)
 	ctx, cancel := e.deadline(ctx)
 	defer cancel()
 	var res Result
-	ans, stats, _, err := e.solve(ctx, q, eng, 0, -1, qo.at)
+	ans, stats, _, err := e.solve(ctx, q, st.eng, 0, -1, qo.at)
 	if err == nil {
-		res = Result{Scores: ans.scores, Stats: stats, Generation: gen}
+		res = Result{Scores: ans.scores, Stats: stats, Generation: st.gen, IndexHash: st.hash}
 	}
 	e.finish(&qo, "personalized", -1, &res, err)
 	return res, err

@@ -1,9 +1,11 @@
-// Package wire is the one place both serving tiers (internal/server, the
-// shard, and internal/cluster, the coordinator) encode and decode HTTP
-// bodies. JSON is the default for every endpoint; a /query response that
-// carries a full score vector has a second, negotiated form — the binary
-// vector body in vector.go — chosen by the request's Accept header.
-package wire
+package server
+
+// The HTTP body codec of both serving tiers: the shard's handlers here and
+// the coordinator's (internal/cluster) encode and decode every body with
+// these functions. JSON is the default for every endpoint; a /query
+// response that carries a full score vector has a second, negotiated form
+// — the binary vector body in vector.go — chosen by the request's Accept
+// header.
 
 import (
 	"encoding/json"

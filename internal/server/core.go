@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,19 +24,12 @@ import (
 // stay in the bindings, which map Core errors through StatusOf.
 //
 // Every response that carries scores is tagged with the (index hash,
-// generation) pair it was computed under, so a caller can tell which
-// engine answered, across replicas and across an engine swap.
+// generation) pair of the engine it was computed on, as the executor's
+// result carries it, so a caller can tell which engine answered, across
+// replicas and across an engine swap.
 type Core struct {
-	eng  atomic.Pointer[bepi.Engine]
 	dyn  *bepi.Dynamic // nil for a static index
 	exec *qexec.Executor
-
-	// hashes maps engine generation → index fingerprint, so a result tagged
-	// with an older generation (a solve that finished after a swap) is
-	// paired with the hash of the engine it was actually computed on, not
-	// the current one. Bounded to the last few generations.
-	hmu    sync.Mutex
-	hashes map[uint64]string
 
 	// Served-traffic counters (atomic; exposed at /metrics).
 	queries      atomic.Int64
@@ -57,112 +48,47 @@ type Core struct {
 // NewCore builds a serving core over a static preprocessed engine. Call
 // Close to stop it admitting solves.
 func NewCore(eng *bepi.Engine, cfg qexec.Config) *Core {
-	c := &Core{
-		exec:   qexec.New(eng.Internal(), cfg),
-		hashes: make(map[uint64]string),
-	}
-	c.eng.Store(eng)
-	c.recordHash(c.exec.Generation(), eng)
-	return c
+	return &Core{exec: qexec.New(eng.Internal(), cfg)}
 }
 
 // NewDynamicCore builds a serving core over a dynamic (online-update)
 // index: every successful background rebuild atomically swaps the serving
-// engine, purges the executor's cache, bumps the generation, and
-// records the new index fingerprint.
+// engine, purges the executor's cache and bumps the generation, and every
+// settled rebuild, swapped or failed, is a flight-recorder event.
 func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 	c := NewCore(d.Engine(), cfg)
 	c.dyn = d
-	d.OnSwap(func(eng *bepi.Engine, gen uint64, rebuild time.Duration) {
-		c.eng.Store(eng)
-		c.exec.SwapEngine(eng.Internal())
-		c.recordHash(c.exec.Generation(), eng)
-		c.exec.Observer().Rebuild.Observe(rebuild.Seconds())
-	})
-	// Flight-recorder events for rebuild outcomes. OnSwap covers the
-	// engine-swap bookkeeping above; OnRebuild additionally fires for
-	// failed rebuilds, which never swap but are exactly what an incident
-	// review needs to see.
-	d.OnRebuild(func(id, gen uint64, rebuild time.Duration, mode bepi.RebuildMode, err error) {
-		ev := c.exec.Observer().Events
-		fields := map[string]string{
-			"id":         strconv.FormatUint(id, 10),
-			"generation": strconv.FormatUint(gen, 10),
-			"duration":   rebuild.String(),
-			"mode":       string(mode),
+	d.OnRebuild(func(st bepi.RebuildStatus, swapped *bepi.Engine) {
+		o := c.exec.Observer()
+		if swapped != nil {
+			c.exec.SwapEngine(swapped.Internal())
+			o.Rebuild.Observe(st.Duration.Seconds())
 		}
-		if err != nil {
-			fields["error"] = err.Error()
-			ev.Record("rebuild_fail", "", fields)
+		fields := map[string]string{
+			"id":         strconv.FormatUint(st.ID, 10),
+			"generation": strconv.FormatUint(st.Generation, 10),
+			"duration":   st.Duration.String(),
+			"mode":       string(st.Mode),
+		}
+		if st.Err != nil {
+			fields["error"] = st.Err.Error()
+			o.Events.Record("rebuild_fail", "", fields)
 			return
 		}
-		c.lastRebuildMode.Store(string(mode))
-		if mode == bepi.RebuildModeDeltaSpoke || mode == bepi.RebuildModeDeltaHub {
+		c.lastRebuildMode.Store(string(st.Mode))
+		if st.Mode == bepi.RebuildModeDeltaSpoke || st.Mode == bepi.RebuildModeDeltaHub {
 			c.deltaApplied.Add(1)
 		}
-		ev.Record("rebuild_swap", "", fields)
+		o.Events.Record("rebuild_swap", "", fields)
 	})
 	return c
 }
-
-// Engine snapshots the currently serving engine.
-func (c *Core) Engine() *bepi.Engine { return c.eng.Load() }
 
 // Executor exposes the execution subsystem (for bindings and tests).
 func (c *Core) Executor() *qexec.Executor { return c.exec }
 
 // Close lets the admitted queries finish and refuses further solves.
 func (c *Core) Close() { c.exec.Close() }
-
-// IndexFingerprint hashes the quantities that determine an engine's
-// answers — graph size, partition, Schur structure, and solver options —
-// into a short hex tag. Two replicas that preprocessed the same graph with
-// the same options fingerprint identically; any edge update changes it.
-func IndexFingerprint(eng *bepi.Engine) string {
-	st := eng.Internal().PrepStats()
-	opts := eng.Internal().Options()
-	h := fnv.New64a()
-	for _, v := range []uint64{
-		uint64(st.N), uint64(st.M), uint64(st.N1), uint64(st.N2),
-		uint64(st.N3), uint64(st.Blocks), uint64(st.SchurNNZ),
-		math.Float64bits(st.HubRatio),
-		math.Float64bits(opts.C), math.Float64bits(opts.Tol),
-		uint64(opts.Variant),
-	} {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func (c *Core) recordHash(gen uint64, eng *bepi.Engine) {
-	fp := IndexFingerprint(eng)
-	c.hmu.Lock()
-	c.hashes[gen] = fp
-	for g := range c.hashes {
-		if g+8 < gen {
-			delete(c.hashes, g)
-		}
-	}
-	c.hmu.Unlock()
-}
-
-// hashFor returns the index fingerprint recorded for a generation (empty
-// when the generation has aged out of the window).
-func (c *Core) hashFor(gen uint64) string {
-	c.hmu.Lock()
-	defer c.hmu.Unlock()
-	return c.hashes[gen]
-}
-
-// Generation returns the engine generation currently being served.
-func (c *Core) Generation() uint64 { return c.exec.Generation() }
-
-// IndexHash returns the fingerprint of the engine currently being served.
-func (c *Core) IndexHash() string { return c.hashFor(c.exec.Generation()) }
 
 // RebuildInFlight reports whether a background index rebuild is running.
 func (c *Core) RebuildInFlight() bool {
@@ -192,11 +118,12 @@ type HealthResponse struct {
 
 // Health reports the core's readiness state.
 func (c *Core) Health() HealthResponse {
+	gen, hash := c.exec.Identity()
 	h := HealthResponse{
 		Status:          "ok",
-		Nodes:           c.Engine().N(),
-		Generation:      c.Generation(),
-		IndexHash:       c.IndexHash(),
+		Nodes:           c.exec.Engine().N(),
+		Generation:      gen,
+		IndexHash:       hash,
 		QueueDepth:      c.exec.Metrics().Queued,
 		RebuildInFlight: c.RebuildInFlight(),
 	}
@@ -277,7 +204,7 @@ type QueryRequest struct {
 // replayed from the cache keeps EarlyStopped as the solve that certified it
 // set it; Full and Exact are only ever served full-tolerance scores.
 func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
-	if n := c.Engine().N(); req.Seed < 0 || req.Seed >= n {
+	if n := c.exec.Engine().N(); req.Seed < 0 || req.Seed >= n {
 		c.errors.Add(1)
 		return QueryResponse{}, badRequest("seed %d out of range [0,%d)", req.Seed, n)
 	}
@@ -315,23 +242,19 @@ func (c *Core) Query(ctx context.Context, req QueryRequest) (QueryResponse, erro
 	c.queryNanos.Add(time.Since(start).Nanoseconds())
 	resp := QueryResponse{
 		Seed:         req.Seed,
+		Top:          top,
 		Iterations:   res.Stats.Iterations,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 		Cached:       res.Cached,
 		EarlyStopped: res.EarlyStopped,
 		Generation:   res.Generation,
-		IndexHash:    c.hashFor(res.Generation),
+		IndexHash:    res.IndexHash,
 	}
 	if req.Debug {
 		resp.Debug = queryDebug(res)
 	}
 	if req.Full {
 		resp.Scores = res.Scores
-	} else {
-		resp.Top = make([]RankedEntry, len(top))
-		for i, t := range top {
-			resp.Top[i] = RankedEntry{Node: t.Node, Score: t.Score}
-		}
 	}
 	return resp, nil
 }
@@ -346,40 +269,51 @@ type PersonalizedResponse struct {
 
 // Personalized answers a multi-seed PPR query from a node→weight map. The
 // weights are validated and normalized here so both transports enforce the
-// same rules; seeds themselves are excluded from the ranking.
+// same rules; seeds themselves are excluded from the ranking. A map with
+// one positive finite weight normalizes to exactly its node's unit vector,
+// so it is that node's single-seed query: served from the cache, or solved
+// and cached. Every other map is one solve.
 func (c *Core) Personalized(ctx context.Context, weights map[int]float64, topk int) (PersonalizedResponse, error) {
 	if len(weights) == 0 {
 		c.errors.Add(1)
 		return PersonalizedResponse{}, badRequest("weights must be non-empty")
 	}
-	q := make([]float64, c.Engine().N())
+	n := c.exec.Engine().N()
 	var sum float64
-	seeds := map[int]bool{}
+	positive, sole := 0, -1
 	for node, v := range weights {
-		if node < 0 || node >= len(q) {
+		if node < 0 || node >= n {
 			c.errors.Add(1)
-			return PersonalizedResponse{}, badRequest("node id %d out of range [0,%d)", node, len(q))
+			return PersonalizedResponse{}, badRequest("node id %d out of range [0,%d)", node, n)
 		}
 		if v < 0 {
 			c.errors.Add(1)
 			return PersonalizedResponse{}, badRequest("negative weight for node %d", node)
 		}
-		q[node] += v
 		sum += v
-		seeds[node] = true
+		if v > 0 {
+			positive, sole = positive+1, node
+		}
 	}
 	if sum <= 0 {
 		c.errors.Add(1)
 		return PersonalizedResponse{}, badRequest("weights must sum to a positive value")
 	}
-	for i := range q {
-		q[i] /= sum
-	}
 	if topk <= 0 {
 		topk = 10
 	}
 	start := time.Now()
-	res, err := c.exec.Personalized(ctx, q)
+	var res qexec.Result
+	var err error
+	if positive == 1 && !math.IsInf(sum, 0) {
+		res, err = c.exec.Query(ctx, sole)
+	} else {
+		q := make([]float64, n)
+		for node, v := range weights {
+			q[node] = v / sum
+		}
+		res, err = c.exec.Personalized(ctx, q)
+	}
 	if err != nil {
 		c.errors.Add(1)
 		return PersonalizedResponse{}, err
@@ -387,26 +321,22 @@ func (c *Core) Personalized(ctx context.Context, weights map[int]float64, topk i
 	c.personalized.Add(1)
 	c.queryNanos.Add(time.Since(start).Nanoseconds())
 	scores := res.Scores
-	top := core.RankTopKFunc(scores, topk, func(node int) bool {
-		return seeds[node] || scores[node] <= 0
-	})
-	entries := make([]RankedEntry, len(top))
-	for i, t := range top {
-		entries[i] = RankedEntry{Node: t.Node, Score: t.Score}
-	}
 	return PersonalizedResponse{
-		Top:        entries,
+		Top: core.RankTopKFunc(scores, topk, func(node int) bool {
+			_, seed := weights[node]
+			return seed || scores[node] <= 0
+		}),
 		DurationMS: float64(time.Since(start).Microseconds()) / 1000,
 		Generation: res.Generation,
-		IndexHash:  c.hashFor(res.Generation),
+		IndexHash:  res.IndexHash,
 	}, nil
 }
 
 // Stats reports the index statistics (the /stats payload).
 func (c *Core) Stats() StatsResponse {
-	eng := c.Engine()
-	st := eng.Internal().PrepStats()
-	opts := eng.Internal().Options()
+	eng := c.exec.Engine()
+	st := eng.PrepStats()
+	opts := eng.Options()
 	return StatsResponse{
 		Nodes:          eng.N(),
 		Spokes:         st.N1,
@@ -418,6 +348,6 @@ func (c *Core) Stats() StatsResponse {
 		RestartProb:    opts.C,
 		Tolerance:      opts.Tol,
 		Variant:        opts.Variant.String(),
-		Preconditioned: eng.Internal().Preconditioned(),
+		Preconditioned: eng.Preconditioned(),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"bepi"
-	"bepi/internal/wire"
 )
 
 // Dynamic-update endpoints (available when the server was built with
@@ -100,7 +99,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req EdgesRequest
-	if status, err := wire.ReadRequest(w, r, &req); err != nil {
+	if status, err := ReadRequest(w, r, &req); err != nil {
 		s.fail(w, status, "%v", err)
 		return
 	}
@@ -127,7 +126,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	wire.WriteJSON(w, http.StatusOK, EdgesResponse{
+	WriteJSON(w, http.StatusOK, EdgesResponse{
 		Nodes:      s.core.dyn.N(),
 		Pending:    s.core.dyn.Pending(),
 		Generation: s.core.dyn.Generation(),
@@ -153,7 +152,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		"id":      strconv.FormatUint(st.ID, 10),
 		"applied": strconv.Itoa(st.Applied),
 	})
-	wire.WriteJSON(w, http.StatusAccepted, rebuildJSON(st))
+	WriteJSON(w, http.StatusAccepted, rebuildJSON(st))
 }
 
 func (s *Server) handleFlushStatus(w http.ResponseWriter, r *http.Request) {
@@ -175,5 +174,5 @@ func (s *Server) handleFlushStatus(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "unknown rebuild id %d (history is bounded)", id)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, rebuildJSON(st))
+	WriteJSON(w, http.StatusOK, rebuildJSON(st))
 }

@@ -12,7 +12,6 @@ import (
 
 	"bepi"
 	"bepi/internal/qexec"
-	"bepi/internal/wire"
 )
 
 func testDynamicServer(t *testing.T) (*Server, *bepi.Dynamic) {
@@ -233,12 +232,12 @@ func TestEdgesValidation(t *testing.T) {
 	}
 }
 
-// TestOversizeBodyRefused: a POST body over wire.MaxRequestBytes is
+// TestOversizeBodyRefused: a POST body over MaxRequestBytes is
 // answered 413 and counted as an error, and an oversize update applies
 // none of its edges.
 func TestOversizeBodyRefused(t *testing.T) {
 	s, d := testDynamicServer(t)
-	pad := `"pad":"` + strings.Repeat("x", wire.MaxRequestBytes) + `"`
+	pad := `"pad":"` + strings.Repeat("x", MaxRequestBytes) + `"`
 	for path, body := range map[string]string{
 		"/personalized": `{"weights":{"1":1},` + pad + `}`,
 		"/edges":        `{"add":[{"src":0,"dst":1}],` + pad + `}`,

@@ -8,7 +8,6 @@ import (
 	"bepi"
 	"bepi/internal/obs"
 	"bepi/internal/sparse"
-	"bepi/internal/wire"
 )
 
 // metrics is the shard's metric table: every metric it exports, declared
@@ -18,15 +17,15 @@ import (
 func (c *Core) metrics() []obs.Metric {
 	o := c.exec.Observer()
 	xm := c.exec.Metrics()
-	eng := c.Engine()
-	st := eng.Internal().PrepStats()
+	eng := c.exec.Engine()
+	st := eng.PrepStats()
 	queries, personalized := c.queries.Load(), c.personalized.Load()
 	served, servedSeconds := queries+personalized, float64(c.queryNanos.Load())/1e9
 	var avg, perPrep float64
 	if served > 0 {
 		avg = servedSeconds / float64(served)
 	}
-	if prep := eng.PreprocessTime().Seconds(); prep > 0 {
+	if prep := st.Total.Seconds(); prep > 0 {
 		perPrep = servedSeconds / prep
 	}
 	// Sources of what only some shards collect: a nil source leaves the
@@ -68,7 +67,7 @@ func (c *Core) metrics() []obs.Metric {
 		merged(counter, "bepi_personalized_total", "personalized", "Personalized (multi-seed) queries served.", obs.Val(personalized)),
 		merged(counter, "bepi_errors_total", "errors", "Requests answered with an error status.", obs.Val(c.errors.Load())),
 		{JSON: "avg_query_ms", Value: obs.Val(avg)},
-		{JSON: "preprocess_ms", Value: obs.Val(eng.PreprocessTime().Seconds())},
+		{JSON: "preprocess_ms", Value: obs.Val(st.Total.Seconds())},
 		{JSON: "queries_per_preprocess", Value: obs.Val(perPrep)},
 
 		// Query-execution subsystem.
@@ -116,7 +115,7 @@ func (c *Core) metrics() []obs.Metric {
 		{Name: "bepi_index_bytes", Kind: gauge, Help: "Preprocessed index size.", JSON: "index_bytes", Value: obs.Val(eng.MemoryBytes())},
 		{Name: "bepi_index_part_bytes", Kind: gauge, Label: "part", Help: "Preprocessed index size by part; the parts sum to bepi_index_bytes.", JSON: "index_parts.{}", Vec: func() map[string]float64 {
 			m := map[string]float64{}
-			for _, p := range eng.Internal().IndexParts() {
+			for _, p := range eng.IndexParts() {
 				m[p.Name] = float64(p.Bytes)
 			}
 			return m
@@ -217,7 +216,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if traces == nil {
 		traces = []obs.Trace{} // tracing disabled: an empty list, not null
 	}
-	wire.WriteJSON(w, http.StatusOK, TraceResponse{Count: len(traces), Traces: traces})
+	WriteJSON(w, http.StatusOK, TraceResponse{Count: len(traces), Traces: traces})
 }
 
 // EventResponse is the /debug/events payload.
@@ -245,7 +244,7 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, log *obs.EventLog) {
 	if events == nil {
 		events = []obs.Event{}
 	}
-	wire.WriteJSON(w, http.StatusOK, EventResponse{Count: len(events), Events: events})
+	WriteJSON(w, http.StatusOK, EventResponse{Count: len(events), Events: events})
 }
 
 // handleMetricsSnapshot serves this process's mergeable metrics export — the
@@ -256,5 +255,5 @@ func (s *Server) handleMetricsSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, s.core.MetricsSnapshot())
+	WriteJSON(w, http.StatusOK, s.core.MetricsSnapshot())
 }

@@ -44,9 +44,9 @@ import (
 	"time"
 
 	"bepi"
+	"bepi/internal/core"
 	"bepi/internal/obs"
 	"bepi/internal/qexec"
-	"bepi/internal/wire"
 )
 
 // Server is the http.Handler binding over a serving Core.
@@ -110,11 +110,11 @@ func (s *Server) Executor() *qexec.Executor { return s.core.Executor() }
 func (s *Server) Close() { s.core.Close() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wire.WantsProm(r) {
+	if WantsProm(r) {
 		s.handleMetricsProm(w, r)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, obs.JSON(s.core.metrics()))
+	WriteJSON(w, http.StatusOK, obs.JSON(s.core.metrics()))
 }
 
 // ServeHTTP implements http.Handler.
@@ -126,7 +126,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Retry-After hint so clients (the cluster coordinator in particular) back
 // off instead of hot-retrying.
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	wire.WriteError(w, status, RetryAfterSeconds(status), fmt.Sprintf(format, args...))
+	WriteError(w, status, RetryAfterSeconds(status), fmt.Sprintf(format, args...))
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -154,7 +154,7 @@ func (s *Server) failCore(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	wire.WriteJSON(w, http.StatusOK, s.core.Health())
+	WriteJSON(w, http.StatusOK, s.core.Health())
 }
 
 // StatsResponse is the /stats payload.
@@ -177,17 +177,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, s.core.Stats())
+	WriteJSON(w, http.StatusOK, s.core.Stats())
 }
 
 // RankedEntry is one row of a ranking response.
-type RankedEntry struct {
-	Node  int     `json:"node"`
-	Score float64 `json:"score"`
-}
+type RankedEntry = core.Ranked
 
-// QueryResponse is the /query payload. Generation and IndexHash tag the
-// engine the scores were computed under.
+// QueryResponse is the /query payload of both tiers. Generation and
+// IndexHash tag the engine the scores were computed under; a shard leaves
+// Replica empty, and the coordinator's answer is the shard's with Replica
+// naming that shard.
 type QueryResponse struct {
 	Seed       int           `json:"seed"`
 	Top        []RankedEntry `json:"top,omitempty"`
@@ -202,6 +201,7 @@ type QueryResponse struct {
 	EarlyStopped bool        `json:"early_stopped,omitempty"`
 	Generation   uint64      `json:"generation"`
 	IndexHash    string      `json:"index_hash,omitempty"`
+	Replica      string      `json:"replica,omitempty"`
 	Debug        *QueryDebug `json:"debug,omitempty"`
 }
 
@@ -235,67 +235,54 @@ func queryDebug(res qexec.Result) *QueryDebug {
 	return d
 }
 
+// ParseQuery reads a /query request's parameters, as both tiers take
+// them. An error is the request's fault: answer it with 400.
+func ParseQuery(r *http.Request) (QueryRequest, error) {
+	q := r.URL.Query()
+	seed, err := strconv.Atoi(q.Get("seed"))
+	if err != nil {
+		return QueryRequest{}, fmt.Errorf("seed %q is not an integer", q.Get("seed"))
+	}
+	req := QueryRequest{
+		Seed:  seed,
+		Full:  q.Get("full") == "true",
+		Exact: q.Get("exact") == "true",
+		Debug: q.Get("debug") == "1",
+	}
+	if v := q.Get("topk"); v != "" {
+		if req.TopK, err = strconv.Atoi(v); err != nil || req.TopK < 0 {
+			return QueryRequest{}, fmt.Errorf("bad topk %q", v)
+		}
+	}
+	return req, nil
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	seedStr := r.URL.Query().Get("seed")
-	seed, err := strconv.Atoi(seedStr)
+	req, err := ParseQuery(r)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "seed %q is not an integer", seedStr)
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	req := QueryRequest{
-		Seed:  seed,
-		Full:  r.URL.Query().Get("full") == "true",
-		Exact: r.URL.Query().Get("exact") == "true",
-		Debug: r.URL.Query().Get("debug") == "1",
-	}
-	if v := r.URL.Query().Get("topk"); v != "" {
-		req.TopK, err = strconv.Atoi(v)
-		if err != nil || req.TopK < 0 {
-			s.fail(w, http.StatusBadRequest, "bad topk %q", v)
-			return
-		}
-	}
-	ctx := obs.TraceRequest(w, r)
-	resp, err := s.core.Query(ctx, req)
+	resp, err := s.core.Query(obs.TraceRequest(w, r), req)
 	if err != nil {
 		s.failCore(w, err)
 		return
 	}
 	// A full score vector goes out as bytes to a client that asked for them
 	// (the coordinator's HTTPBackend does); everything else is JSON.
-	wire.WriteQuery(w, r, wire.Vector{
-		Seed:       resp.Seed,
-		Iterations: resp.Iterations,
-		Cached:     resp.Cached,
-		Generation: resp.Generation,
-		DurationMS: resp.DurationMS,
-		IndexHash:  resp.IndexHash,
-		Scores:     resp.Scores,
-	}, resp)
+	WriteQuery(w, r, &resp)
 }
 
-// PersonalizedRequest is the /personalized request body.
+// PersonalizedRequest is the /personalized request body of both tiers.
 type PersonalizedRequest struct {
-	// Weights maps node id (as a JSON string key) to restart weight.
-	Weights map[string]float64 `json:"weights"`
-	TopK    int                `json:"topk"`
-}
-
-// NodeWeights parses the string-keyed Weights into node id → weight.
-func (r PersonalizedRequest) NodeWeights() (map[int]float64, error) {
-	weights := make(map[int]float64, len(r.Weights))
-	for k, v := range r.Weights {
-		node, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, fmt.Errorf("bad node id %q", k)
-		}
-		weights[node] = v
-	}
-	return weights, nil
+	// Weights maps node id (a JSON object's string key, such as "3") to
+	// restart weight.
+	Weights map[int]float64 `json:"weights"`
+	TopK    int             `json:"topk"`
 }
 
 func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
@@ -304,20 +291,14 @@ func (s *Server) handlePersonalized(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PersonalizedRequest
-	if status, err := wire.ReadRequest(w, r, &req); err != nil {
+	if status, err := ReadRequest(w, r, &req); err != nil {
 		s.fail(w, status, "%v", err)
 		return
 	}
-	weights, err := req.NodeWeights()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx := obs.TraceRequest(w, r)
-	resp, err := s.core.Personalized(ctx, weights, req.TopK)
+	resp, err := s.core.Personalized(obs.TraceRequest(w, r), req.Weights, req.TopK)
 	if err != nil {
 		s.failCore(w, err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

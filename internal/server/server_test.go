@@ -221,7 +221,7 @@ func TestQueryHugeTopK(t *testing.T) {
 func TestPersonalized(t *testing.T) {
 	s, eng := testServer(t)
 	body, _ := json.Marshal(PersonalizedRequest{
-		Weights: map[string]float64{"1": 1, "2": 3},
+		Weights: map[int]float64{1: 1, 2: 3},
 		TopK:    7,
 	})
 	req := httptest.NewRequest(http.MethodPost, "/personalized", bytes.NewReader(body))

@@ -1,4 +1,4 @@
-package wire
+package server
 
 import (
 	"encoding/binary"
@@ -12,21 +12,9 @@ import (
 	"sync"
 )
 
-// Vector is a /query answer that carries a full score vector, in the form
-// both tiers hand to and take from the binary codec. The shard leaves
-// Replica empty; the coordinator fills in which shard answered.
-type Vector struct {
-	Seed       int
-	Iterations int
-	Cached     bool
-	Generation uint64
-	DurationMS float64
-	IndexHash  string
-	Replica    string
-	Scores     []float64
-}
-
-// The binary vector body, little-endian, fixed order:
+// The binary vector body is a QueryResponse that carries a full score
+// vector (and so no ranking, no debug block and never early_stopped),
+// little-endian, fixed order:
 //
 //	offset  size  field
 //	0       4     magic "BPV1"
@@ -57,7 +45,7 @@ const (
 // ErrCorruptVector reports a binary vector body that is not one: wrong
 // magic, unknown flags, a length that disagrees with the body's size, or a
 // body that ends early.
-var ErrCorruptVector = errors.New("wire: corrupt vector body")
+var ErrCorruptVector = errors.New("server: corrupt vector body")
 
 func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptVector, fmt.Sprintf(format, args...))
@@ -89,13 +77,13 @@ func wantsVector(r *http.Request) bool {
 // WriteQuery answers a /query request on either tier, and is where the
 // format is negotiated: the binary body when the answer carries a score
 // vector and the request allows it, otherwise — rankings, debug=1, no
-// Accept, a vector this format cannot carry — body as JSON.
-func WriteQuery(w http.ResponseWriter, r *http.Request, v Vector, body any) {
+// Accept, a vector this format cannot carry — the answer as JSON.
+func WriteQuery(w http.ResponseWriter, r *http.Request, resp *QueryResponse) {
 	w.Header().Set("Vary", "Accept")
-	if len(v.Scores) > 0 && wantsVector(r) && writeVector(w, &v) == nil {
+	if len(resp.Scores) > 0 && wantsVector(r) && writeVector(w, resp) == nil {
 		return
 	}
-	WriteJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // IsVector reports whether a response body is the binary vector form.
@@ -103,10 +91,10 @@ func IsVector(resp *http.Response) bool {
 	return hasType(resp.Header.Get("Content-Type"), TypeVector)
 }
 
-// header encodes everything before the scores.
-func (v *Vector) header() ([]byte, error) {
+// vectorHeader encodes everything before the scores.
+func (v *QueryResponse) vectorHeader() ([]byte, error) {
 	if len(v.IndexHash) > maxString || len(v.Replica) > maxString {
-		return nil, fmt.Errorf("wire: index hash (%d bytes) or replica name (%d bytes) exceeds %d bytes",
+		return nil, fmt.Errorf("server: index hash (%d bytes) or replica name (%d bytes) exceeds %d bytes",
 			len(v.IndexHash), len(v.Replica), maxString)
 	}
 	le := binary.LittleEndian
@@ -153,8 +141,8 @@ func writeBody(w io.Writer, hdr []byte, scores []float64) error {
 // writeVector writes v as a 200 response in the binary form. A non-nil
 // error means v cannot be encoded and nothing was written; failed writes
 // (the client is gone) are dropped as WriteJSON drops them.
-func writeVector(w http.ResponseWriter, v *Vector) error {
-	hdr, err := v.header()
+func writeVector(w http.ResponseWriter, v *QueryResponse) error {
+	hdr, err := v.vectorHeader()
 	if err != nil {
 		return err
 	}
@@ -172,7 +160,7 @@ func readFull(r io.Reader, b []byte) error {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return corrupt("body ends early")
 		}
-		return fmt.Errorf("wire: reading vector body: %w", err)
+		return fmt.Errorf("server: reading vector body: %w", err)
 	}
 	return nil
 }
@@ -182,26 +170,26 @@ func readFull(r io.Reader, b []byte) error {
 // bytes after the header are exactly 8·n before it allocates the score
 // slice, so allocation is bounded by size; anything else is
 // ErrCorruptVector.
-func DecodeVector(r io.Reader, size int64) (Vector, error) {
+func DecodeVector(r io.Reader, size int64) (QueryResponse, error) {
 	if size < fixedLen+4 {
-		return Vector{}, corrupt("body of %d bytes is shorter than a header", size)
+		return QueryResponse{}, corrupt("body of %d bytes is shorter than a header", size)
 	}
 	var fixed [fixedLen]byte
 	if err := readFull(r, fixed[:]); err != nil {
-		return Vector{}, err
+		return QueryResponse{}, err
 	}
 	if string(fixed[:4]) != vectorMagic {
-		return Vector{}, corrupt("bad magic %q", fixed[:4])
+		return QueryResponse{}, corrupt("bad magic %q", fixed[:4])
 	}
 	if fixed[4]&^flagCached != 0 {
-		return Vector{}, corrupt("unknown flags %#x", fixed[4])
+		return QueryResponse{}, corrupt("unknown flags %#x", fixed[4])
 	}
 	le := binary.LittleEndian
 	seed, iters, n := le.Uint64(fixed[5:]), le.Uint64(fixed[13:]), le.Uint64(fixed[37:])
 	if seed > math.MaxInt || iters > math.MaxInt {
-		return Vector{}, corrupt("seed %d or iterations %d out of range", seed, iters)
+		return QueryResponse{}, corrupt("seed %d or iterations %d out of range", seed, iters)
 	}
-	v := Vector{
+	v := QueryResponse{
 		Seed:       int(seed),
 		Iterations: int(iters),
 		Cached:     fixed[4]&flagCached != 0,
@@ -212,20 +200,20 @@ func DecodeVector(r io.Reader, size int64) (Vector, error) {
 	for _, dst := range []*string{&v.IndexHash, &v.Replica} {
 		var l [2]byte
 		if err := readFull(r, l[:]); err != nil {
-			return Vector{}, err
+			return QueryResponse{}, err
 		}
 		sl := int(le.Uint16(l[:]))
 		if left -= 2 + int64(sl); left < 0 {
-			return Vector{}, corrupt("string of %d bytes runs past the body", sl)
+			return QueryResponse{}, corrupt("string of %d bytes runs past the body", sl)
 		}
 		s := make([]byte, sl)
 		if err := readFull(r, s); err != nil {
-			return Vector{}, err
+			return QueryResponse{}, err
 		}
 		*dst = string(s)
 	}
 	if n != uint64(left)/8 || left%8 != 0 {
-		return Vector{}, corrupt("n = %d but %d bytes of scores follow the header", n, left)
+		return QueryResponse{}, corrupt("n = %d but %d bytes of scores follow the header", n, left)
 	}
 	if n == 0 {
 		return v, nil
@@ -236,7 +224,7 @@ func DecodeVector(r io.Reader, size int64) (Vector, error) {
 	for s := v.Scores; len(s) > 0; {
 		k := min(len(s), chunkBytes/8)
 		if err := readFull(r, buf[:8*k]); err != nil {
-			return Vector{}, err
+			return QueryResponse{}, err
 		}
 		for i := range s[:k] {
 			s[i] = math.Float64frombits(le.Uint64(buf[8*i:]))

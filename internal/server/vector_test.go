@@ -1,4 +1,4 @@
-package wire
+package server
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -36,9 +37,9 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-func encode(t testing.TB, v *Vector) []byte {
+func encode(t testing.TB, v *QueryResponse) []byte {
 	t.Helper()
-	hdr, err := v.header()
+	hdr, err := v.vectorHeader()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestVectorRoundTripExact(t *testing.T) {
 	for i := range long {
 		long[i] = awkward()[i%len(awkward())] * float64(i+1)
 	}
-	for _, v := range []Vector{
+	for _, v := range []QueryResponse{
 		{Seed: 7, Iterations: 9, Cached: true, Generation: 3, DurationMS: 1.234, IndexHash: "00c0ffee00c0ffee", Replica: "127.0.0.1:9001", Scores: awkward()},
 		{Seed: 0, Scores: awkward()},
 		{Seed: math.MaxInt, Iterations: math.MaxInt, Generation: math.MaxUint64, DurationMS: math.Inf(1), IndexHash: "h", Scores: long},
@@ -85,7 +86,7 @@ func TestVectorRoundTripExact(t *testing.T) {
 	}
 }
 
-func equalHeader(a, b Vector) bool {
+func equalHeader(a, b QueryResponse) bool {
 	return a.Seed == b.Seed && a.Iterations == b.Iterations && a.Cached == b.Cached &&
 		a.Generation == b.Generation && a.IndexHash == b.IndexHash && a.Replica == b.Replica
 }
@@ -93,7 +94,7 @@ func equalHeader(a, b Vector) bool {
 // TestDecodeVectorRejects: every way a body can disagree with itself is
 // ErrCorruptVector, decided before the score slice exists.
 func TestDecodeVectorRejects(t *testing.T) {
-	good := encode(t, &Vector{Seed: 1, IndexHash: "abcd", Scores: []float64{1, 2, 3}})
+	good := encode(t, &QueryResponse{Seed: 1, IndexHash: "abcd", Scores: []float64{1, 2, 3}})
 	mutate := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(good)) }
 	for name, tc := range map[string]struct {
 		body []byte
@@ -129,7 +130,7 @@ func (f failing) Read([]byte) (int, error) { return 0, f.err }
 // TestDecodeVectorAllocationBoundedByInput: a 49-byte body that claims a
 // vector of 2⁴⁰ scores costs a header's worth of memory, not 8 TB.
 func TestDecodeVectorAllocationBoundedByInput(t *testing.T) {
-	b := encode(t, &Vector{})
+	b := encode(t, &QueryResponse{})
 	binary.LittleEndian.PutUint64(b[37:], 1<<40)
 	if grew := allocated(func() {
 		if _, err := DecodeVector(bytes.NewReader(b), int64(len(b))); !errors.Is(err, ErrCorruptVector) {
@@ -155,19 +156,19 @@ func allocated(f func()) uint64 {
 // (the slack covers one pooled chunk buffer and the fuzz worker's own
 // bookkeeping).
 func FuzzDecodeVector(f *testing.F) {
-	valid := encode(f, &Vector{Seed: 7, Iterations: 9, Cached: true, Generation: 3, DurationMS: 1.5, IndexHash: "00c0ffee", Replica: "r0", Scores: awkward()})
+	valid := encode(f, &QueryResponse{Seed: 7, Iterations: 9, Cached: true, Generation: 3, DurationMS: 1.5, IndexHash: "00c0ffee", Replica: "r0", Scores: awkward()})
 	f.Add(valid, uint64(len(awkward())))
 	f.Add(valid, uint64(1)<<40)
 	f.Add(valid, uint64(math.MaxUint64))
 	f.Add(valid[:30], uint64(0))
-	f.Add(encode(f, &Vector{}), uint64(0))
+	f.Add(encode(f, &QueryResponse{}), uint64(0))
 	f.Add([]byte("BPV1"), uint64(3))
 	f.Fuzz(func(t *testing.T, body []byte, n uint64) {
 		if len(body) >= fixedLen {
 			body = bytes.Clone(body)
 			binary.LittleEndian.PutUint64(body[37:], n)
 		}
-		var v Vector
+		var v QueryResponse
 		var err error
 		grew := allocated(func() { v, err = DecodeVector(bytes.NewReader(body), int64(len(body))) })
 		if grew > uint64(2*len(body))+256<<10 {
@@ -188,7 +189,7 @@ func FuzzDecodeVector(f *testing.F) {
 // TestWriteVectorHeaders: the HTTP form declares its type and its exact
 // length, and refuses — before writing anything — what it cannot encode.
 func TestWriteVectorHeaders(t *testing.T) {
-	v := Vector{Seed: 2, IndexHash: "abcd", Scores: awkward()}
+	v := QueryResponse{Seed: 2, IndexHash: "abcd", Scores: awkward()}
 	rec := httptest.NewRecorder()
 	if err := writeVector(rec, &v); err != nil {
 		t.Fatal(err)
@@ -205,8 +206,8 @@ func TestWriteVectorHeaders(t *testing.T) {
 	rec = httptest.NewRecorder()
 	r := httptest.NewRequest(http.MethodGet, "/query?seed=2&full=true", nil)
 	r.Header.Set("Accept", AcceptVector)
-	WriteQuery(rec, r, Vector{Replica: string(make([]byte, maxString+1)), Scores: awkward()[:1]}, map[string]int{"seed": 2})
-	if ct := rec.Header().Get("Content-Type"); ct != TypeJSON || rec.Body.String() != "{\"seed\":2}\n" {
+	WriteQuery(rec, r, &QueryResponse{Seed: 2, Replica: string(make([]byte, maxString+1)), Scores: awkward()[:1]})
+	if ct := rec.Header().Get("Content-Type"); ct != TypeJSON || !strings.HasPrefix(rec.Body.String(), "{\"seed\":2,\"scores\":[0],") {
 		t.Fatalf("oversized replica name: Content-Type %q, body %q", ct, rec.Body)
 	}
 }

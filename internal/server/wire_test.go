@@ -7,13 +7,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"bepi/internal/wire"
 )
 
 // headJSON encodes v the way this package's writeJSON did before the codec
-// moved to internal/wire: the reference a default response must still match
-// byte for byte.
+// existed: the reference a default response must still match byte for
+// byte.
 func headJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -40,7 +38,7 @@ func TestWireQueryResponseGolden(t *testing.T) {
 		}, "{\"seed\":7,\"top\":[{\"node\":3,\"score\":0.25},{\"node\":11,\"score\":0.3333333333333333}],\"iterations\":4,\"duration_ms\":0.5,\"early_stopped\":true,\"generation\":1,\"index_hash\":\"00c0ffee00c0ffee\"}\n"},
 	} {
 		rec := httptest.NewRecorder()
-		wire.WriteJSON(rec, http.StatusOK, tc.resp)
+		WriteJSON(rec, http.StatusOK, tc.resp)
 		if got := rec.Body.String(); got != tc.want {
 			t.Errorf("body\n%q\nwant\n%q", got, tc.want)
 		}
@@ -63,10 +61,10 @@ func TestWireNegotiationShard(t *testing.T) {
 		binary             bool
 	}{
 		{"no Accept, full", "/query?seed=9&full=true", "", false},
-		{"JSON only, full", "/query?seed=9&full=true", wire.TypeJSON, false},
-		{"vector, full", "/query?seed=9&full=true", wire.AcceptVector, true},
-		{"vector, full, debug", "/query?seed=9&full=true&debug=1", wire.AcceptVector, false},
-		{"vector, top-k", "/query?seed=9&topk=5", wire.AcceptVector, false},
+		{"JSON only, full", "/query?seed=9&full=true", TypeJSON, false},
+		{"vector, full", "/query?seed=9&full=true", AcceptVector, true},
+		{"vector, full, debug", "/query?seed=9&full=true&debug=1", AcceptVector, false},
+		{"vector, top-k", "/query?seed=9&topk=5", AcceptVector, false},
 		{"no Accept, top-k", "/query?seed=9&topk=5", "", false},
 	} {
 		req := httptest.NewRequest(http.MethodGet, tc.path, nil)
@@ -79,22 +77,22 @@ func TestWireNegotiationShard(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("Vary") != "Accept" {
 			t.Fatalf("%s: status %d, Vary %q", tc.name, resp.StatusCode, resp.Header.Get("Vary"))
 		}
-		if wire.IsVector(resp) != tc.binary {
+		if IsVector(resp) != tc.binary {
 			t.Fatalf("%s: Content-Type %q", tc.name, resp.Header.Get("Content-Type"))
 		}
 		body := rec.Body.Bytes()
 		if tc.binary {
-			v, err := wire.DecodeVector(bytes.NewReader(body), resp.ContentLength)
+			v, err := DecodeVector(bytes.NewReader(body), resp.ContentLength)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if v.Seed != 9 || v.Generation != 1 || v.IndexHash != s.Core().IndexHash() || v.Replica != "" {
+			if v.Seed != 9 || v.Generation != 1 || v.IndexHash != s.Core().Health().IndexHash || v.Replica != "" {
 				t.Fatalf("%s: header %+v", tc.name, v)
 			}
 			assertSameBits(t, tc.name, v.Scores, want)
 			continue
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != wire.TypeJSON {
+		if ct := resp.Header.Get("Content-Type"); ct != TypeJSON {
 			t.Fatalf("%s: Content-Type %q", tc.name, ct)
 		}
 		var qr QueryResponse
