@@ -52,7 +52,7 @@ race:
 # background flushes over one index), the cluster tier's routing ring
 # and its /personalized forward (retry on a ring successor, the caller's
 # deadline, concurrent calls against engine swaps),
-# and the bounded top-k search (solver StopWhen/Probe hooks, set-equality
+# and the bounded top-k search (the solver's one Probe hook halting a solve, set-equality
 # property tests, concurrent qexec top-k searches), and the
 # observability layer (the event ring, trace propagation across
 # HTTP backends during engine swaps, histogram snapshot merging), and the

@@ -223,13 +223,13 @@ type Rebuild struct {
 	id       uint64
 	start    time.Time
 	genStart uint64 // generation serving when the rebuild began (immutable)
+	applied  int    // buffered updates it folds in, set before it is published (immutable)
 	done     chan struct{}
 
 	// Written once by the rebuild goroutine before close(done).
 	err      error
 	gen      uint64
 	noop     bool
-	applied  int
 	mode     RebuildMode
 	fallback string
 	dur      time.Duration
@@ -297,6 +297,7 @@ func (r *Rebuild) Status() RebuildStatus {
 		return RebuildStatus{
 			ID:         r.id,
 			State:      RebuildRunning,
+			Applied:    r.applied,
 			Generation: r.genStart,
 			Duration:   time.Since(r.start),
 		}

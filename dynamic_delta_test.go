@@ -92,6 +92,33 @@ func TestDynamicRunningStatusGeneration(t *testing.T) {
 	}
 }
 
+// TestDynamicRunningStatusApplied: a running rebuild's status counts the
+// buffered updates it folds in, as the settled one does, so the answer to
+// a flush (taken while the rebuild runs) does not read 0.
+func TestDynamicRunningStatusApplied(t *testing.T) {
+	d, err := NewDynamic(dynGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	d.testRebuildGate = gate
+	if err := d.AddEdge(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	r := d.StartFlush()
+	st := r.Status()
+	close(gate)
+	if st.State != RebuildRunning || st.Applied != 1 {
+		t.Fatalf("running status = %+v, want running with Applied 1", st)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Status(); st.Applied != 1 {
+		t.Fatalf("settled status Applied = %d, want 1", st.Applied)
+	}
+}
+
 // TestDynamicFailedRebuildRenormalizesBuffer pins the failure path: when a
 // rebuild fails, the consumed buffer is restored (newer mid-rebuild ops
 // winning) and then re-normalized against the still-serving edge set, so

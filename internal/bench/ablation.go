@@ -2,26 +2,22 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"bepi/internal/core"
 	"bepi/internal/lu"
 	"bepi/internal/montecarlo"
 	"bepi/internal/reorder"
-	"bepi/internal/solver"
 	"bepi/internal/vec"
 )
 
 // Extra ablation experiments beyond the paper's figures, covering the
-// design choices DESIGN.md calls out: the Schur solver, the GMRES restart
-// length, and the H11 factorization strategy.
+// design choices DESIGN.md calls out: the H11 factorization strategy, the
+// SlashBurn iteration budget, and exact answers against Monte Carlo.
 
 // AblationExperiments returns the beyond-paper ablations.
 func AblationExperiments() []Experiment {
 	return []Experiment{
-		{"abl-solver", "Ablation: GMRES vs BiCGSTAB for the Schur solve", AblationSolver},
-		{"abl-restart", "Ablation: GMRES restart length vs query time", AblationRestart},
 		{"abl-h11", "Ablation: per-block dense LU vs sparse LU for H11", AblationH11},
 		{"abl-mc", "Ablation: exact BePI vs Monte Carlo approximation (§5 context)", AblationMonteCarlo},
 		{"abl-reorder", "Ablation: iterated SlashBurn vs one-shot hub removal", AblationReorder},
@@ -57,121 +53,6 @@ func AblationReorder(cfg Config) ([]*Table, error) {
 			}
 			t.AddRow(d.Name, label, FmtCount(p.N1), FmtCount(p.N2),
 				FmtCount(p.SchurNNZ), FmtDuration(time.Since(start)))
-		}
-	}
-	return []*Table{t}, nil
-}
-
-// schurSolve is one iterative method under ablation, solving S·x = b on a
-// dataset's Schur complement.
-type schurSolve func(b []float64) (solver.Stats, error)
-
-// hubSolves times a solver arm over count sampled hub seeds of the engine's
-// graph. For a hub seed the Schur right-hand side q̃2 of Algorithm 4 is
-// exactly c·e_j (q1 = 0), so S·x = c·e_j is that query's whole iterative
-// phase, with no engine option between the ablation and the solver.
-func hubSolves(e *core.Engine, count int, salt int64, solve schurSolve) (avg time.Duration, avgIters float64, err error) {
-	rng := rand.New(rand.NewSource(7700 + salt))
-	b := make([]float64, e.ILU().N())
-	var total time.Duration
-	var iters int
-	for i := 0; i < count; i++ {
-		j := rng.Intn(len(b))
-		b[j] = e.Options().C
-		start := time.Now()
-		st, err := solve(b)
-		total += time.Since(start)
-		b[j] = 0
-		if err != nil {
-			return 0, 0, fmt.Errorf("hub column %d: %w", j, err)
-		}
-		iters += st.Iterations
-	}
-	return total / time.Duration(count), float64(iters) / float64(count), nil
-}
-
-// splitGMRES is the engine's own solve: split-preconditioned GMRES on the
-// one-pass operator over the DILU factors, optionally restarted.
-func splitGMRES(e *core.Engine, opts solver.GMRESOptions) schurSolve {
-	op := e.ILU().Eisenstat()
-	bhat := make([]float64, e.ILU().N())
-	return func(b []float64) (solver.Stats, error) {
-		op.Left(bhat, b)
-		y, st, err := solver.GMRES(op, bhat, opts)
-		if err == nil {
-			op.Right(y, y)
-		}
-		return st, err
-	}
-}
-
-// AblationSolver compares GMRES against BiCGSTAB on the Schur system, both
-// preconditioned with the engine's DILU factors: GMRES split, as the engine
-// runs it; BiCGSTAB classically from the left, because its fixed shadow
-// residual hits ρ = 0 breakdowns on the split system's sparse right-hand
-// side.
-func AblationSolver(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		Title:  "Ablation: Schur solver (both DILU-preconditioned)",
-		Note:   "S·x = c·e_j over sampled hub seeds; GMRES is the paper's choice; BiCGSTAB does 2 mat-vecs/iter but stores no Krylov basis",
-		Header: []string{"dataset", "solve GMRES", "iters", "solve BiCGSTAB", "iters"},
-	}
-	for di, d := range Suite(cfg.Size) {
-		e, err := core.Preprocess(d.G, core.Options{Tol: cfg.Tol})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d.Name, err)
-		}
-		opts := solver.GMRESOptions{Tol: cfg.Tol, MaxIter: 4000}
-		gm, gmIters, err := hubSolves(e, cfg.Seeds, int64(di), splitGMRES(e, opts))
-		if err != nil {
-			return nil, fmt.Errorf("%s/GMRES: %w", d.Name, err)
-		}
-		s := e.Schur()
-		opts.Precond = e.ILU()
-		bi, biIters, err := hubSolves(e, cfg.Seeds, int64(di), func(b []float64) (solver.Stats, error) {
-			_, st, err := solver.BiCGSTAB(s, b, opts)
-			return st, err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s/BiCGSTAB: %w", d.Name, err)
-		}
-		t.AddRow(d.Name, FmtDuration(gm), fmt.Sprintf("%.1f", gmIters),
-			FmtDuration(bi), fmt.Sprintf("%.1f", biIters))
-	}
-	return []*Table{t}, nil
-}
-
-// AblationRestart measures how restarting GMRES (shorter Krylov bases)
-// trades iterations for memory on the Schur solve.
-func AblationRestart(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	restarts := []int{0, 5, 10, 20}
-	t := &Table{
-		Title:  "Ablation: GMRES restart length",
-		Note:   "S·x = c·e_j over sampled hub seeds; restart 0 = full GMRES (the paper's configuration)",
-		Header: []string{"dataset", "restart", "solve time", "iters"},
-	}
-	datasets := Suite(cfg.Size)
-	if len(datasets) > 2 {
-		datasets = datasets[:2]
-	}
-	for di, d := range datasets {
-		e, err := core.Preprocess(d.G, core.Options{Tol: cfg.Tol})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d.Name, err)
-		}
-		for _, rs := range restarts {
-			solve := splitGMRES(e, solver.GMRESOptions{Tol: cfg.Tol, MaxIter: 4000, Restart: rs})
-			avg, iters, err := hubSolves(e, cfg.Seeds, int64(di), solve)
-			if err != nil {
-				return nil, fmt.Errorf("%s restart %d: %w", d.Name, rs, err)
-			}
-			label := fmt.Sprintf("%d", rs)
-			if rs == 0 {
-				label = "full"
-			}
-			t.AddRow(d.Name, label, FmtDuration(avg), fmt.Sprintf("%.1f", iters))
 		}
 	}
 	return []*Table{t}, nil

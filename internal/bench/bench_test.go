@@ -143,7 +143,7 @@ func TestFindExperiment(t *testing.T) {
 	if _, ok := FindExperiment("fig1"); !ok {
 		t.Fatal("fig1 missing")
 	}
-	if _, ok := FindExperiment("abl-solver"); !ok {
+	if _, ok := FindExperiment("abl-h11"); !ok {
 		t.Fatal("ablation missing")
 	}
 	if _, ok := FindExperiment("nope"); ok {

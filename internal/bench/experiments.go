@@ -523,9 +523,10 @@ func Fig10(cfg Config) ([]*Table, error) {
 		var gLast int
 		if _, _, err := solver.GMRES(h, cq, solver.GMRESOptions{
 			Tol: cfg.Tol, MaxIter: maxIter,
-			Callback: func(iter int, x []float64) {
-				record("GMRES", si, iter, vec.Dist2(x, exact))
+			Probe: func(iter int, _ float64, iterate func() []float64) bool {
+				record("GMRES", si, iter, vec.Dist2(iterate(), exact))
 				gLast = iter
+				return false
 			},
 		}); err != nil && !errors.Is(err, solver.ErrNotConverged) {
 			return nil, err

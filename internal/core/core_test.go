@@ -167,20 +167,27 @@ func TestQueryContextCancel(t *testing.T) {
 	}
 	q := make([]float64, e.N())
 	q[1] = 1
-	ws := e.NewWorkspace()
-	want, _, err := e.QueryVectorWS(context.Background(), q, ws)
+	ws := e.newWorkspace()
+	query := func(ctx context.Context, q []float64) ([]float64, error) {
+		r, _, err := e.queryOn(ws, q, solver.GMRESOptions{Ctx: ctx})
+		return r, err
+	}
+	want, err := query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if r, _, err := e.QueryVectorWS(ctx, q, ws); !errors.Is(err, context.Canceled) || r != nil {
+	if r, err := query(ctx, q); !errors.Is(err, context.Canceled) || r != nil {
 		t.Fatalf("canceled query returned (%v, %v), want its context error", r != nil, err)
 	}
-	if r, _, err := e.QueryVectorWS(context.Background(), make([]float64, e.N()+3), ws); err == nil || r != nil {
+	if r, _, err := e.QueryVectorWS(ctx, q); !errors.Is(err, context.Canceled) || r != nil {
+		t.Fatalf("canceled QueryVectorWS returned (%v, %v), want its context error", r != nil, err)
+	}
+	if r, err := query(context.Background(), make([]float64, e.N()+3)); err == nil || r != nil {
 		t.Fatal("length-mismatched query should fail")
 	}
-	got, _, err := e.QueryVectorWS(context.Background(), q, ws)
+	got, err := query(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +389,7 @@ func proofRadius(e *Engine, seed int, r []float64) float64 {
 	if n2 == 0 {
 		return 0
 	}
-	ws := e.NewWorkspace()
+	ws := e.newWorkspace()
 	e.permute(ws, ws.unitQuery(seed))
 	e.forward(ws)
 	r2, sr2 := make([]float64, n2), make([]float64, n2)

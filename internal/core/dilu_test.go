@@ -185,7 +185,7 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 // block-elimination phases.
 func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64, int) {
 	t.Helper()
-	ws := e.NewWorkspace()
+	ws := e.newWorkspace()
 	q := make([]float64, e.n)
 	q[seed] = 1
 	e.permute(ws, q)
@@ -539,7 +539,7 @@ func TestWorkspacePoolReuseBitIdentical(t *testing.T) {
 			defer wg.Done()
 			q := make([]float64, g.N())
 			q[s] = 1
-			got, _, err := e.QueryVectorWS(context.Background(), q, nil)
+			got, _, err := e.QueryVectorWS(context.Background(), q)
 			if err != nil {
 				t.Error(err)
 			} else if !bitsEqual(got, want[i]) {

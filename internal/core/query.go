@@ -18,7 +18,7 @@ func (e *Engine) Query(seed int) ([]float64, QueryStats, error) {
 	defer e.releaseWorkspace(ws)
 	q := ws.unitQuery(seed)
 	defer func() { q[seed] = 0 }()
-	return e.QueryVectorWS(context.Background(), q, ws)
+	return e.queryOn(ws, q, solver.GMRESOptions{})
 }
 
 // QueryVector computes the personalized PageRank vector for an arbitrary
@@ -27,30 +27,50 @@ func (e *Engine) Query(seed int) ([]float64, QueryStats, error) {
 // block-elimination machinery supports unchanged. It solves on a workspace
 // from the engine's free list.
 func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
-	return e.QueryVectorWS(context.Background(), q, nil)
+	return e.QueryVectorWS(context.Background(), q)
 }
 
 // runSchurSolve solves S·r2 = q̃2 by GMRES, and is the only place the engine
 // does: queries, top-k and bound calibration all funnel through here, so
 // every one of them sees the same system. The caller's opts carry the
-// per-solve hooks (Ctx, Callback, Probe, StopWhen); tolerance, iteration
-// budget, telemetry and the Krylov arena come from the engine and the
-// workspace. The returned solution points into the workspace and is only
-// valid until its next solve.
+// per-solve Ctx and Probe; tolerance, iteration budget, telemetry and the
+// Krylov arena come from the engine and the workspace. The returned
+// solution points into the workspace and is only valid until its next
+// solve.
 //
 // For full BePI the solve is split-preconditioned and runs on the
 // one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
-// residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and every iterate a
-// Probe or Callback sees is mapped through Û⁻¹ first, by the same
+// residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and every iterate the
+// caller's Probe assembles is mapped through Û⁻¹ first, by the same
 // arithmetic as the returned solution. Unpreconditioned (BePI-B, BePI-S) it
 // is plain GMRES on S, whose products S·x read the same factors.
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
-	opts.OnIteration = e.iterHook
 	opts.Work = &ws.slv
 	hook := e.kernelHook
 
 	sp := e.splitOperator(ws)
+	// One hook: the engine's telemetry first, then the caller's probe, whose
+	// iterates a split solve maps through Û⁻¹ — untimed, as their assembly
+	// inside the solver is: the kernel hook reports the solve's own kernels.
+	if probe, tele := opts.Probe, e.iterHook; probe != nil || tele != nil {
+		opts.Probe = func(iter int, residual float64, iterate func() []float64) bool {
+			if tele != nil {
+				tele(iter, residual)
+			}
+			if probe == nil {
+				return false
+			}
+			if sp != nil {
+				y := iterate
+				iterate = func() []float64 {
+					sp.Right(ws.iterate, y())
+					return ws.iterate
+				}
+			}
+			return probe(iter, residual, iterate)
+		}
+	}
 	if sp == nil {
 		var op solver.Operator = e.ilu
 		if hook != nil {
@@ -65,22 +85,6 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 		op = &timedOperator{op: sp, hook: hook, bytes: mulB}
 		left = (&timedPrecond{apply: sp.Left, hook: hook, bytes: leftB}).Apply
 		right = (&timedPrecond{apply: sp.Right, hook: hook, bytes: rightB}).Apply
-	}
-	// Iterates shown to the caller are mapped untimed, as their assembly
-	// inside the solver is: the hook reports the solve's own kernels.
-	if probe := opts.Probe; probe != nil {
-		opts.Probe = func(iter int, residual float64, iterate func() []float64) {
-			probe(iter, residual, func() []float64 {
-				sp.Right(ws.iterate, iterate())
-				return ws.iterate
-			})
-		}
-	}
-	if cb := opts.Callback; cb != nil {
-		opts.Callback = func(iter int, y []float64) {
-			sp.Right(ws.iterate, y)
-			cb(iter, ws.iterate)
-		}
 	}
 	left(ws.bhat, qt2)
 	r2, stats, err := solver.GMRES(op, ws.bhat, opts)
@@ -104,7 +108,10 @@ func (e *Engine) QueryWithCallback(seed int, cb func(iter int, r []float64)) ([]
 	defer func() { q[seed] = 0 }()
 	var opts solver.GMRESOptions
 	if cb != nil {
-		opts.Callback = func(iter int, r2 []float64) { cb(iter, e.assemble(ws, r2)) }
+		opts.Probe = func(iter int, _ float64, iterate func() []float64) bool {
+			cb(iter, e.assemble(ws, iterate()))
+			return false
+		}
 	}
 	return e.queryOn(ws, q, opts)
 }

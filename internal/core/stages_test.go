@@ -100,8 +100,8 @@ func TestPanickingSolveDropsWorkspace(t *testing.T) {
 		name  string
 		solve func()
 	}{
-		{"QueryVectorWS", func() { _, _, _ = e.QueryVectorWS(context.Background(), q, nil) }},
-		{"TopKBoundedWS", func() { _, _, _, _ = e.TopKBoundedWS(context.Background(), q, seed, 5, nil) }},
+		{"QueryVectorWS", func() { _, _, _ = e.QueryVectorWS(context.Background(), q) }},
+		{"TopKBoundedWS", func() { _, _, _, _ = e.TopKBoundedWS(context.Background(), q, seed, 5) }},
 	} {
 		before := free()
 		func() {

@@ -104,23 +104,20 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 	defer e.releaseWorkspace(ws)
 	q := ws.unitQuery(seed)
 	defer func() { q[seed] = 0 }()
-	top, _, stats, err := e.TopKBoundedWS(context.Background(), q, seed, k, ws)
+	top, _, stats, err := e.topKBoundedOn(context.Background(), q, seed, k, ws)
 	return top, stats, err
 }
 
 // TopKBoundedWS is the bounded top-k search for an arbitrary starting
-// distribution q, with an explicit context and workspace like QueryVectorWS.
-// exclude is the node left out of the ranking (negative: none). Besides the
-// ranking it returns the full score vector in original ids — exact when
-// !stats.EarlyStopped, otherwise within stats.Bound per node (callers must
-// not treat early-stopped vectors as full-tolerance results). A nil ws
-// solves on a workspace of the engine's free list, which a solve that panics
-// drops instead of returning.
-func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int, ws *Workspace) ([]Ranked, []float64, TopKStats, error) {
-	if ws != nil && ws.e == e {
-		return e.topKBoundedOn(ctx, q, exclude, k, ws)
-	}
-	ws = e.acquireWorkspace()
+// distribution q, with a context like QueryVectorWS. exclude is the node
+// left out of the ranking (negative: none). Besides the ranking it returns
+// the full score vector in original ids — exact when !stats.EarlyStopped,
+// otherwise within stats.Bound per node (callers must not treat
+// early-stopped vectors as full-tolerance results). It solves on a
+// workspace of the engine's free list, which a solve that panics drops
+// instead of returning.
+func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int) ([]Ranked, []float64, TopKStats, error) {
+	ws := e.acquireWorkspace()
 	top, r, stats, err := e.topKBoundedOn(ctx, q, exclude, k, ws)
 	e.releaseWorkspace(ws)
 	return top, r, stats, err
@@ -149,7 +146,6 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 			chk.skip = int(e.ord.perm[exclude])
 		}
 		opts.Probe = chk.probe
-		opts.StopWhen = chk.stop
 	}
 	var stats TopKStats
 	r2, st, err := e.solveR2(ws, q, opts, &stats.QueryStats)
@@ -226,7 +222,7 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 	if e.ord.n2 == 0 {
 		return 0, nil
 	}
-	ws := e.NewWorkspace()
+	ws := e.newWorkspace()
 	ref := make([]float64, e.n)
 	cur := make([]float64, e.n)
 	rng := rand.New(rand.NewSource(calSeedRNG))
@@ -243,10 +239,11 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		q[seed] = 0
 		e.forward(ws)
 		var iterates []calIter
-		probe := func(iter int, residual float64, iterate func() []float64) {
+		probe := func(iter int, residual float64, iterate func() []float64) bool {
 			if len(iterates) < calMaxIters {
 				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
 			}
+			return false
 		}
 		r2, st, err := e.runSchurSolve(ws, ws.qt2, solver.GMRESOptions{Probe: probe})
 		if err != nil {
@@ -281,9 +278,9 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 	return factor, nil
 }
 
-// tkChecker is the per-solve state of the bounded search: probe() turns
-// selected iterates into (certified radius, current k-th gap) and stop()
-// reports the verdict to the solver's StopWhen.
+// tkChecker is the per-solve state of the bounded search: its probe turns
+// selected iterates into (certified radius, current k-th gap) and halts the
+// solve once the gap is certified.
 type tkChecker struct {
 	e      *Engine
 	ws     *Workspace
@@ -303,11 +300,9 @@ type tkChecker struct {
 	gap       float64
 }
 
-func (c *tkChecker) stop(iter int, residual float64) bool { return c.resolved }
-
-func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) {
+func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) (stop bool) {
 	if c.resolved || iter < c.nextCheck {
-		return
+		return c.resolved
 	}
 	e, ws := c.e, c.ws
 	if c.qt2Norm < 0 {
@@ -328,10 +323,10 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	delta := topkBoundSafety * c.factor * residual * c.qt2Norm
 	if c.gapKnown {
 		if delta > c.gap/2 {
-			return
+			return false
 		}
 	} else if residual > topkLearnResid && iter < topkMaxCheckStride {
-		return
+		return false
 	}
 
 	c.checks++
@@ -353,7 +348,7 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 		c.gapKnown = false
 		c.gap = 0
 		c.nextCheck = iter + topkMaxCheckStride
-		return
+		return false
 	}
 	gap := top[c.k-1].Score - top[c.k].Score
 	c.gap, c.gapKnown = gap, true
@@ -362,7 +357,7 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	// still wins — the set can no longer change.
 	if gap > 2*delta {
 		c.resolved = true
-		return
+		return true
 	}
 	// Certification would need the residual down to gap/(2·safety·factor·
 	// ‖q̃2‖); if that is within topkMinHeadroom of the tolerance, a check
@@ -370,11 +365,12 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	// chasing and let the solve run out (ties land here with gap 0).
 	if gap < 2*topkBoundSafety*c.factor*c.qt2Norm*topkMinHeadroom*e.opts.Tol {
 		c.nextCheck = math.MaxInt
-		return
+		return false
 	}
 	// Not separated: the gate re-arms on the fresh gap and lets the next
 	// plausible iteration through.
 	c.nextCheck = iter + 1
+	return false
 }
 
 // permutedScores rebuilds the full permuted-order score vector from a

@@ -132,7 +132,7 @@ func TestTopKBoundedEquivalence(t *testing.T) {
 // whether its reduced right-hand side q̃2 = q2 − H21·H11⁻¹·q1, which the
 // Schur solve starts from, has a nonzero entry.
 func reachesHubs(e *Engine, seed int) bool {
-	ws := e.NewWorkspace()
+	ws := e.newWorkspace()
 	e.permute(ws, ws.unitQuery(seed))
 	e.forward(ws)
 	for _, v := range ws.qt2 {

@@ -27,7 +27,7 @@ type Workspace struct {
 	// split is this workspace's one-pass preconditioned operator (engines
 	// with DILU factors), bhat the split system's
 	// right-hand side D·L̂⁻¹·q̃2, and iterate the Û⁻¹-mapped iterate handed
-	// to Probe/Callback. Built together, lazily, by Engine.splitOperator.
+	// to a solve's Probe. Built together, lazily, by Engine.splitOperator.
 	split         *lu.Eisenstat
 	bhat, iterate []float64
 	// unit (length n) is the all-zero query vector Engine.Query and
@@ -39,13 +39,12 @@ type Workspace struct {
 	tkScores []float64
 }
 
-// NewWorkspace returns an empty workspace for the engine. Buffers are
+// newWorkspace returns an empty workspace for the engine. Buffers are
 // allocated on first use.
-func (e *Engine) NewWorkspace() *Workspace { return &Workspace{e: e} }
+func (e *Engine) newWorkspace() *Workspace { return &Workspace{e: e} }
 
 // acquireWorkspace takes an idle workspace from the engine's free list (or
-// builds an empty one). This is what the public query entry points solve
-// from when the caller supplies no workspace of its own.
+// builds an empty one). Every public query entry point solves on one.
 func (e *Engine) acquireWorkspace() *Workspace {
 	e.wsMu.Lock()
 	defer e.wsMu.Unlock()
@@ -54,7 +53,7 @@ func (e *Engine) acquireWorkspace() *Workspace {
 		e.wsFree = e.wsFree[:last]
 		return ws
 	}
-	return e.NewWorkspace()
+	return e.newWorkspace()
 }
 
 // releaseWorkspace returns a workspace once nothing the caller hands back
@@ -78,20 +77,13 @@ func (w *Workspace) unitQuery(seed int) []float64 {
 	return w.unit
 }
 
-// QueryVectorWS is QueryVector with an explicit context and workspace: the
-// context cancels the iterative Schur solve (per-query deadlines on the
-// serving path), and the workspace, when non-nil, supplies every temporary
-// so the only allocation left is the returned score vector. ctx may be nil
-// (no cancellation) and ws may be nil (solve from a workspace of the
-// engine's free list; a solve that panics drops it instead of returning
-// it).
-func (e *Engine) QueryVectorWS(ctx context.Context, q []float64, ws *Workspace) ([]float64, QueryStats, error) {
-	opts := solver.GMRESOptions{Ctx: ctx}
-	if ws != nil && ws.e == e {
-		return e.queryOn(ws, q, opts)
-	}
-	ws = e.acquireWorkspace()
-	r, stats, err := e.queryOn(ws, q, opts)
+// QueryVectorWS is QueryVector with a context that cancels the iterative
+// Schur solve (per-query deadlines on the serving path); ctx may be nil (no
+// cancellation). It solves on a workspace of the engine's free list, which
+// a solve that panics drops instead of returning.
+func (e *Engine) QueryVectorWS(ctx context.Context, q []float64) ([]float64, QueryStats, error) {
+	ws := e.acquireWorkspace()
+	r, stats, err := e.queryOn(ws, q, solver.GMRESOptions{Ctx: ctx})
 	e.releaseWorkspace(ws)
 	return r, stats, err
 }

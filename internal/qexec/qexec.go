@@ -4,7 +4,7 @@
 //
 //   - solves on the caller's goroutine, at most Config.Workers at once
 //     (GOMAXPROCS by default), each on a workspace from the engine's free
-//     list (core.Engine.QueryVectorWS with a nil workspace), so
+//     list (core.Engine.QueryVectorWS), so
 //     steady-state queries allocate little but their result vectors;
 //   - one generation-tagged segmented LRU cache keyed by (seed, k): k = 0
 //     is the seed's full-tolerance score vector, k > 0 its top-k ranking.
@@ -405,10 +405,10 @@ func (e *Executor) solve(ctx context.Context, q []float64, eng *core.Engine, k, 
 		}
 	}()
 	if k == 0 {
-		ans.scores, stats, err = eng.QueryVectorWS(ctx, q, nil)
+		ans.scores, stats, err = eng.QueryVectorWS(ctx, q)
 	} else {
 		var ts core.TopKStats
-		ans.top, ans.scores, ts, err = eng.TopKBoundedWS(ctx, q, exclude, k, nil)
+		ans.top, ans.scores, ts, err = eng.TopKBoundedWS(ctx, q, exclude, k)
 		stats, ans.early, saved = ts.QueryStats, ts.EarlyStopped, ts.SavedIters
 		if err == nil {
 			e.m.topk.Add(1)

@@ -20,10 +20,10 @@ type counted struct {
 func (c *counted) MulVec(dst, x []float64) { c.mulVecs++; c.a.MulVec(dst, x) }
 func (c *counted) Apply(dst, x []float64)  { c.applies++; c.m.Apply(dst, x) }
 
-// gmresRecomputedFirstResidual is single-cycle GMRES as it ran before the
-// first cycle reused t = M⁻¹b: it computes the first residual M⁻¹(b − A·0)
-// with an operator product and a second preconditioner sweep. Kept as the
-// reference the production solver must match bit for bit.
+// gmresRecomputedFirstResidual is GMRES as it ran before its start reused
+// t = M⁻¹b: it computes the first residual M⁻¹(b − A·0) with an operator
+// product and a second preconditioner sweep. Kept as the reference the
+// production solver must match bit for bit.
 func gmresRecomputedFirstResidual(a Operator, m Preconditioner, b []float64, tol float64) ([]float64, int) {
 	n := len(b)
 	x := make([]float64, n)
@@ -66,14 +66,14 @@ func gmresRecomputedFirstResidual(a Operator, m Preconditioner, b []float64, tol
 		g[j] = c * g[j]
 		iters++
 		if math.Abs(g[j+1])/normT <= tol {
-			return assemble(arena{n: n}, x, v, h, g, iters), iters
+			return assemble(arena{n: n}, v, h, g, iters), iters
 		}
 	}
 }
 
-// TestGMRESFirstCycleReusesPreconditionedRHS checks the first-cycle
-// shortcut two ways on the package's fixtures: a single-cycle solve costs
-// exactly one operator product per iteration and one preconditioner sweep
+// TestGMRESFirstCycleReusesPreconditionedRHS checks GMRES's start two ways
+// on the package's fixtures: a solve costs exactly one operator product per
+// iteration (none for the initial residual) and one preconditioner sweep
 // per iteration plus the one for M⁻¹b, and its solution and iteration count
 // are those of the sequence that recomputed the first residual.
 func TestGMRESFirstCycleReusesPreconditionedRHS(t *testing.T) {
@@ -119,34 +119,5 @@ func TestGMRESFirstCycleReusesPreconditionedRHS(t *testing.T) {
 					math.Float64bits(x[i]), math.Float64bits(want[i]))
 			}
 		}
-	}
-}
-
-// TestGMRESRestartCyclesRecomputeResidual pins the other half of the rule:
-// only the first cycle may skip the residual computation, because only
-// there is x = 0.
-func TestGMRESRestartCyclesRecomputeResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randDiagDominant(rng, 60, 0.15)
-	b := make([]float64, 60)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	c := &counted{a: a, m: identity{}}
-	x, stats, err := GMRES(c, b, GMRESOptions{Tol: 1e-9, Restart: 5, MaxIter: 500, Precond: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual(a, x, b) > 1e-7 {
-		t.Fatalf("restarted solve did not converge: %+v", stats)
-	}
-	// Every cycle after the first pays one product and one sweep for its
-	// residual; the last of them may be the one that finds it converged.
-	restarts := c.mulVecs - stats.Iterations
-	if restarts < 1 || restarts != (stats.Iterations+4)/5-1 && restarts != (stats.Iterations+4)/5 {
-		t.Errorf("%d iterations in cycles of 5 recomputed the residual %d times", stats.Iterations, restarts)
-	}
-	if c.applies != c.mulVecs+1 {
-		t.Errorf("%d Apply for %d MulVec, want one more", c.applies, c.mulVecs)
 	}
 }

@@ -1,8 +1,10 @@
 // Package solver implements the iterative linear solvers BePI builds on:
-// power iteration for the RWR fixed point, and GMRES (Saad & Schultz) with
-// optional left preconditioning (Saad's preconditioned variant, Appendix B
+// power iteration for the RWR fixed point, and full, never-restarted GMRES
+// (Saad & Schultz) with optional left preconditioning (Saad's preconditioned variant, Appendix B
 // of the paper) for the Schur-complement system and the full-system
-// baseline.
+// baseline. As in package vec, a product that meets a sum is rounded by an
+// explicit float64(…) conversion, so no GOARCH fuses it into a
+// multiply-add.
 package solver
 
 import (
@@ -50,7 +52,7 @@ const (
 	// ("lucky") breakdown: the subspace closed and the iterate is exact to
 	// working precision even though the measured residual may sit above Tol.
 	StopBreakdown
-	// StopEarly means Options.StopWhen asked for the halt: the caller's own
+	// StopEarly means GMRESOptions.Probe asked for the halt: the caller's own
 	// convergence criterion was met before the residual reached Tol.
 	StopEarly
 	// StopMaxIter means the iteration limit was exhausted; the solve
@@ -80,7 +82,7 @@ type Stats struct {
 	Residual   float64 // final relative residual
 	Converged  bool
 	// StopReason says which rule ended the solve; in particular StopEarly
-	// distinguishes a StopWhen halt (Converged false, nil error) from a
+	// distinguishes a Probe halt (Converged false, nil error) from a
 	// genuine tolerance stop.
 	StopReason StopReason
 }
@@ -93,39 +95,25 @@ type GMRESOptions struct {
 	// Tol is the relative-residual stopping tolerance (default 1e-9, the
 	// paper's ε).
 	Tol float64
-	// MaxIter bounds the total number of Arnoldi steps (default 1000).
+	// MaxIter bounds the number of Arnoldi steps (default 1000).
 	MaxIter int
-	// Restart, if positive, restarts GMRES every Restart iterations.
-	// Zero means full GMRES, as the paper uses.
-	Restart int
 	// Precond, if non-nil, left-preconditions the system: M⁻¹A x = M⁻¹b.
 	Precond Preconditioner
-	// Callback, if non-nil, receives the current iterate after every
-	// Arnoldi step. Assembling the iterate costs a triangular solve and a
-	// basis combination per step; intended for accuracy experiments.
-	Callback func(iter int, x []float64)
-	// OnIteration, if non-nil, receives the iteration count and current
-	// relative residual after every solver iteration. Unlike Callback it
-	// does not assemble the iterate — it is a couple of loads per call —
-	// so the serving path uses it for live convergence telemetry.
-	OnIteration func(iter int, residual float64)
-	// Probe, if non-nil, is invoked after every iteration like OnIteration,
-	// but additionally receives a thunk that assembles the current iterate
-	// on demand. Calling the thunk costs what Callback costs every step (a
-	// triangular solve plus a basis combination for GMRES); not calling it
-	// costs nothing, so a caller that inspects the iterate only on selected
-	// iterations — the bounded top-k search — pays only for those. The
-	// returned slice is valid until the solver's next iteration and must
-	// not be mutated.
-	Probe func(iter int, residual float64, iterate func() []float64)
-	// StopWhen, if non-nil, is consulted after every iteration (after
-	// OnIteration/Probe/Callback have observed it); returning true halts
-	// the solve at the current iterate with a nil error, Converged false,
-	// and Stats.StopReason = StopEarly. Meeting Tol on the same iteration
-	// wins: the solve then reports an ordinary converged stop. This is the
-	// caller-owned convergence criterion behind exact top-k early
-	// termination.
-	StopWhen func(iter int, residual float64) bool
+	// Probe, if non-nil, is called after every Arnoldi step with the
+	// iteration count, the current relative residual and a thunk that
+	// assembles the current iterate on demand. Not calling the thunk costs
+	// nothing, so telemetry pays a couple of loads per step; calling it
+	// costs a triangular solve and a basis combination, so a caller that
+	// inspects the iterate only on selected steps (the bounded top-k
+	// search) pays only for those. The thunk's slice is valid until the
+	// next step and must not be mutated.
+	//
+	// Returning true halts the solve at the current iterate with a nil
+	// error, Converged false and Stats.StopReason = StopEarly: the caller's
+	// own convergence criterion behind exact top-k early termination.
+	// Meeting Tol on the same step wins, and the solve reports an ordinary
+	// converged stop.
+	Probe func(iter int, residual float64, iterate func() []float64) (stop bool)
 	// Ctx, if non-nil, is checked once per iteration; when it is done the
 	// solve aborts with an error wrapping ctx.Err(). This is how per-query
 	// deadlines reach the innermost loop of the serving path.
@@ -158,158 +146,104 @@ func (o GMRESOptions) withDefaults() GMRESOptions {
 	return o
 }
 
-// GMRES solves A·x = b, returning the solution and solve statistics.
-// The residual reported and tested against Tol is the (preconditioned)
-// relative residual ‖M⁻¹(A·x − b)‖₂ / ‖M⁻¹b‖₂, matching the stopping rule
-// of Algorithm 5 in the paper.
+// GMRES solves A·x = b by full (never restarted) GMRES from x = 0,
+// returning the solution and solve statistics. The residual reported and
+// tested against Tol is the (preconditioned) relative residual
+// ‖M⁻¹(A·x − b)‖₂ / ‖M⁻¹b‖₂, matching the stopping rule of Algorithm 5 in
+// the paper.
 func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error) {
 	opts = opts.withDefaults()
 	n := len(b)
 	ar := newArena(opts.Work, n)
-	x := ar.takeZero()
 	if n == 0 {
-		return x, Stats{Converged: true, StopReason: StopTolerance}, nil
-	}
-	cycle := opts.Restart
-	if cycle <= 0 || cycle > opts.MaxIter {
-		cycle = opts.MaxIter
+		return ar.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
 	}
 
-	var stats Stats
-	t := ar.take() // M⁻¹ b
-	opts.Precond.Apply(t, b)
-	normT := vec.Norm2(t)
-	if normT == 0 {
-		return x, Stats{Converged: true, StopReason: StopTolerance}, nil
+	// The residual of x = 0 is M⁻¹b: one preconditioner sweep and no
+	// operator product start the Arnoldi basis.
+	z := ar.take()
+	opts.Precond.Apply(z, b)
+	beta := vec.Norm2(z)
+	if beta == 0 {
+		return ar.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
 	}
+
+	// Arnoldi basis and Hessenberg factorization with Givens updates.
+	m := opts.MaxIter
+	v := make([][]float64, 1, m+1)
+	vec.Scale(1/beta, z)
+	v[0] = z
+	h := make([][]float64, 0, m) // h[j] has length j+2
+	cs := make([]float64, 0, m)  // Givens cosines
+	sn := make([]float64, 0, m)  // Givens sines
+	g := make([]float64, 1, m+1) // rotated rhs
+	g[0] = beta
+	var stats Stats
+	iterate := func() []float64 { return assemble(arena{n: n}, v, h, g, stats.Iterations) }
 
 	scratch := ar.take()
-	for first := true; stats.Iterations < opts.MaxIter; first = false {
+	for j := 0; j < m; j++ {
 		if err := opts.ctxErr(); err != nil {
-			return x, stats, fmt.Errorf("solver: aborted after %d iterations: %w", stats.Iterations, err)
+			return assemble(ar, v, h, g, j), stats, fmt.Errorf("solver: aborted after %d iterations: %w", j, err)
 		}
-		// Residual of the current iterate in the preconditioned norm. On
-		// the first cycle x = 0, so it is M⁻¹b — t, already computed — and
-		// the operator product and the second preconditioner sweep that
-		// would reproduce it are skipped; restart cycles compute it.
-		z, beta := t, normT
-		if !first {
-			a.MulVec(scratch, x)
-			vec.Sub(scratch, b, scratch) // b − A·x
-			z = ar.take()
-			opts.Precond.Apply(z, scratch)
-			beta = vec.Norm2(z)
+		w := ar.take()
+		a.MulVec(scratch, v[j])
+		opts.Precond.Apply(w, scratch)
+		// Modified Gram-Schmidt.
+		hj := make([]float64, j+2)
+		for i := 0; i <= j; i++ {
+			hj[i] = vec.Dot(w, v[i])
+			vec.AXPY(-hj[i], v[i], w)
 		}
-		stats.Residual = beta / normT
-		if stats.Residual <= opts.Tol {
+		hj[j+1] = vec.Norm2(w)
+		breakdown := hj[j+1] < 1e-300
+		if !breakdown {
+			vec.Scale(1/hj[j+1], w)
+			v = append(v, w)
+		}
+		// Apply accumulated rotations to the new column.
+		for i := 0; i < j; i++ {
+			hj[i], hj[i+1] = float64(cs[i]*hj[i])+float64(sn[i]*hj[i+1]), float64(-sn[i]*hj[i])+float64(cs[i]*hj[i+1])
+		}
+		// New rotation to annihilate hj[j+1].
+		c, s := givens(hj[j], hj[j+1])
+		cs, sn = append(cs, c), append(sn, s)
+		hj[j] = float64(c*hj[j]) + float64(s*hj[j+1])
+		hj[j+1] = 0
+		h = append(h, hj)
+		g = append(g, -s*g[j])
+		g[j] = c * g[j]
+		stats.Iterations = j + 1
+		stats.Residual = math.Abs(g[j+1]) / beta
+		stop := opts.Probe != nil && opts.Probe(stats.Iterations, stats.Residual, iterate)
+		if stats.Residual <= opts.Tol || breakdown {
 			stats.Converged = true
 			stats.StopReason = StopTolerance
-			return x, stats, nil
-		}
-
-		m := cycle
-		if rem := opts.MaxIter - stats.Iterations; m > rem {
-			m = rem
-		}
-		// Arnoldi basis and Hessenberg factorization with Givens updates.
-		v := make([][]float64, 1, m+1)
-		vec.Scale(1/beta, z)
-		v[0] = z
-		h := make([][]float64, 0, m) // h[j] has length j+2
-		cs := make([]float64, 0, m)  // Givens cosines
-		sn := make([]float64, 0, m)  // Givens sines
-		g := make([]float64, 1, m+1) // rotated rhs
-		g[0] = beta
-
-		converged := false
-		stopped := false
-		steps := 0
-		for j := 0; j < m; j++ {
-			if err := opts.ctxErr(); err != nil {
-				x = assemble(ar, x, v, h, g, steps)
-				return x, stats, fmt.Errorf("solver: aborted after %d iterations: %w", stats.Iterations, err)
-			}
-			w := ar.take()
-			a.MulVec(scratch, v[j])
-			opts.Precond.Apply(w, scratch)
-			// Modified Gram-Schmidt.
-			hj := make([]float64, j+2)
-			for i := 0; i <= j; i++ {
-				hj[i] = vec.Dot(w, v[i])
-				vec.AXPY(-hj[i], v[i], w)
-			}
-			hj[j+1] = vec.Norm2(w)
-			breakdown := hj[j+1] < 1e-300
-			if !breakdown {
-				vec.Scale(1/hj[j+1], w)
-				v = append(v, w)
-			}
-			// Apply accumulated rotations to the new column.
-			for i := 0; i < j; i++ {
-				hj[i], hj[i+1] = cs[i]*hj[i]+sn[i]*hj[i+1], -sn[i]*hj[i]+cs[i]*hj[i+1]
-			}
-			// New rotation to annihilate hj[j+1].
-			c, s := givens(hj[j], hj[j+1])
-			cs, sn = append(cs, c), append(sn, s)
-			hj[j] = c*hj[j] + s*hj[j+1]
-			hj[j+1] = 0
-			h = append(h, hj)
-			g = append(g, -s*g[j])
-			g[j] = c * g[j]
-			stats.Iterations++
-			steps = j + 1
-			stats.Residual = math.Abs(g[j+1]) / normT
-			if opts.OnIteration != nil {
-				opts.OnIteration(stats.Iterations, stats.Residual)
-			}
-			if opts.Probe != nil {
-				opts.Probe(stats.Iterations, stats.Residual, func() []float64 {
-					return assemble(arena{n: n}, x, v, h, g, steps)
-				})
-			}
-			if opts.Callback != nil {
-				xj := assemble(arena{n: n}, x, v, h, g, steps)
-				opts.Callback(stats.Iterations, xj)
-			}
-			if stats.Residual <= opts.Tol || breakdown {
-				converged = true
-				break
-			}
-			if opts.StopWhen != nil && opts.StopWhen(stats.Iterations, stats.Residual) {
-				stopped = true
-				break
-			}
-		}
-		// Update x with the minimizer over the Krylov space built so far.
-		x = assemble(ar, x, v, h, g, steps)
-		if converged {
-			stats.Converged = true
-			if stats.Residual <= opts.Tol {
-				stats.StopReason = StopTolerance
-			} else {
+			if stats.Residual > opts.Tol {
 				stats.StopReason = StopBreakdown
 			}
-			return x, stats, nil
+			return assemble(ar, v, h, g, stats.Iterations), stats, nil
 		}
-		if stopped {
+		if stop {
 			stats.StopReason = StopEarly
-			return x, stats, nil
+			return assemble(ar, v, h, g, stats.Iterations), stats, nil
 		}
 	}
 	stats.StopReason = StopMaxIter
-	return x, stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
+	return assemble(ar, v, h, g, stats.Iterations), stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
 		stats.Iterations, stats.Residual, ErrNotConverged)
 }
 
-// assemble returns x + V·y where R·y = g is the triangular least-squares
-// system accumulated by the Givens rotations (first `steps` columns). The
-// result vector comes from the arena (a fresh allocation without one).
-func assemble(ar arena, x []float64, v [][]float64, h [][]float64, g []float64, steps int) []float64 {
+// assemble returns V·y where R·y = g is the triangular least-squares
+// system accumulated by the Givens rotations (first `steps` columns): the
+// iterate, since GMRES starts from x = 0. The result vector comes from the
+// arena (a fresh allocation without one).
+func assemble(ar arena, v [][]float64, h [][]float64, g []float64, steps int) []float64 {
 	y := make([]float64, steps)
 	for i := steps - 1; i >= 0; i-- {
 		s := g[i]
 		for k := i + 1; k < steps; k++ {
-			s -= h[k][i] * y[k]
+			s -= float64(h[k][i] * y[k])
 		}
 		// h[i][i] is the rotated diagonal.
 		if h[i][i] == 0 {
@@ -318,8 +252,7 @@ func assemble(ar arena, x []float64, v [][]float64, h [][]float64, g []float64, 
 		}
 		y[i] = s / h[i][i]
 	}
-	out := ar.take()
-	copy(out, x)
+	out := ar.takeZero()
 	for k := 0; k < steps; k++ {
 		vec.AXPY(y[k], v[k], out)
 	}
@@ -333,11 +266,11 @@ func givens(a, b float64) (c, s float64) {
 	}
 	if math.Abs(b) > math.Abs(a) {
 		t := a / b
-		s = 1 / math.Sqrt(1+t*t)
+		s = 1 / math.Sqrt(1+float64(t*t))
 		return s * t, s
 	}
 	t := b / a
-	c = 1 / math.Sqrt(1+t*t)
+	c = 1 / math.Sqrt(1+float64(t*t))
 	return c, c * t
 }
 
@@ -367,7 +300,7 @@ func PowerIteration(at Operator, q []float64, c float64, opts PowerOptions) ([]f
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		at.MulVec(next, r)
 		for i := range next {
-			next[i] = (1-c)*next[i] + c*q[i]
+			next[i] = float64((1-c)*next[i]) + float64(c*q[i])
 		}
 		stats.Iterations = iter
 		diff := vec.Dist2(next, r)

@@ -4,12 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"bepi/internal/vec"
 )
 
-// TestStopWhenHaltsGMRES checks that StopWhen ends the solve at the
-// caller's criterion with a nil error, Converged false, and StopEarly.
+// TestStopWhenHaltsGMRES checks that a Probe returning true ends the solve
+// at the caller's criterion with a nil error, Converged false, and
+// StopEarly.
 func TestStopWhenHaltsGMRES(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 80
@@ -18,7 +17,7 @@ func TestStopWhenHaltsGMRES(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	full, fullStats, err := GMRES(a, b, GMRESOptions{Tol: 1e-12})
+	_, fullStats, err := GMRES(a, b, GMRESOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
@@ -26,7 +25,7 @@ func TestStopWhenHaltsGMRES(t *testing.T) {
 	var stopIter int
 	x, stats, err := GMRES(a, b, GMRESOptions{
 		Tol: 1e-12,
-		StopWhen: func(iter int, residual float64) bool {
+		Probe: func(iter int, residual float64, _ func() []float64) bool {
 			stopIter = iter
 			return residual <= loose
 		},
@@ -53,12 +52,12 @@ func TestStopWhenHaltsGMRES(t *testing.T) {
 	if fullStats.StopReason != StopTolerance {
 		t.Fatalf("full solve StopReason = %v, want StopTolerance", fullStats.StopReason)
 	}
-	_ = full
 }
 
-// TestStopWhenToleranceWins: meeting Tol on the same iteration StopWhen
-// fires must report an ordinary converged stop, not StopEarly.
+// TestStopWhenToleranceWins: meeting Tol on the same iteration the Probe
+// asks to stop must report an ordinary converged stop, not StopEarly.
 func TestStopWhenToleranceWins(t *testing.T) {
+	always := func(int, float64, func() []float64) bool { return true }
 	rng := rand.New(rand.NewSource(8))
 	n := 40
 	a := randDiagDominant(rng, n, 0.2)
@@ -66,44 +65,40 @@ func TestStopWhenToleranceWins(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	_, stats, err := GMRES(a, b, GMRESOptions{
-		Tol:      1e-8,
-		StopWhen: func(int, float64) bool { return true },
-	})
+	_, stats, err := GMRES(a, b, GMRESOptions{Tol: 1e-8, Probe: always})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
 	if stats.Converged {
-		// StopWhen fires on iteration 1, long before 1e-8; the only way to
-		// be converged here is a one-iteration exact solve, which this
-		// random system is not.
-		t.Fatalf("expected StopWhen to fire before tolerance")
+		// The probe halts iteration 1, long before 1e-8; the only way to be
+		// converged here is a one-iteration exact solve, which this random
+		// system is not.
+		t.Fatalf("expected the probe to halt before tolerance")
 	}
 	if stats.Iterations != 1 || stats.StopReason != StopEarly {
 		t.Fatalf("iterations=%d reason=%v, want 1/StopEarly", stats.Iterations, stats.StopReason)
 	}
 
-	// Now a trivially converging system: Tol met on the very check StopWhen
-	// would also pass — tolerance must win.
+	// Now a trivially converging system: Tol met on the very step the
+	// probe halts — tolerance must win.
 	d := make(diagOp, 4)
 	for i := range d {
 		d[i] = 1
 	}
 	rhs := []float64{1, 2, 3, 4}
-	_, stats, err = GMRES(d, rhs, GMRESOptions{
-		Tol:      1e-9,
-		StopWhen: func(int, float64) bool { return true },
-	})
+	_, stats, err = GMRES(d, rhs, GMRESOptions{Tol: 1e-9, Probe: always})
 	if err != nil {
 		t.Fatalf("identity solve: %v", err)
 	}
-	if !stats.Converged || stats.StopReason == StopEarly {
-		t.Fatalf("converged=%v reason=%v, want converged with non-early reason", stats.Converged, stats.StopReason)
+	if !stats.Converged || stats.StopReason != StopTolerance {
+		t.Fatalf("converged=%v reason=%v, want a converged tolerance stop", stats.Converged, stats.StopReason)
 	}
 }
 
-// TestStopWhenProbeIterate: the Probe thunk must assemble the same iterate
-// Callback sees, and only cost when called.
+// TestStopWhenProbeIterate: the thunk's iterate at the step the probe halts
+// is, bit for bit, the solution the solve returns; and a solve halted at
+// step k returns what a full solve's thunk showed at step k, so an iterate
+// looked at costs nothing in the steps that follow.
 func TestStopWhenProbeIterate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 50
@@ -112,85 +107,45 @@ func TestStopWhenProbeIterate(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	byCallback := map[int][]float64{}
-	_, _, err := GMRES(a, b, GMRESOptions{
+	seen := map[int][]float64{}
+	_, full, err := GMRES(a, b, GMRESOptions{
 		Tol: 1e-10,
-		Callback: func(iter int, x []float64) {
-			byCallback[iter] = append([]float64(nil), x...)
+		Probe: func(iter int, _ float64, iterate func() []float64) bool {
+			if iter%3 == 0 {
+				seen[iter] = append([]float64(nil), iterate()...)
+			}
+			return false
 		},
 	})
-	if err != nil {
-		t.Fatalf("callback solve: %v", err)
-	}
-	probed := 0
-	_, _, err = GMRES(a, b, GMRESOptions{
-		Tol: 1e-10,
-		Probe: func(iter int, residual float64, iterate func() []float64) {
-			if iter%3 != 0 {
-				return
-			}
-			probed++
-			got := iterate()
-			want := byCallback[iter]
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("iteration %d: probe iterate differs from Callback iterate at %d: %v vs %v",
-						iter, i, got[i], want[i])
-				}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatalf("probe solve: %v", err)
-	}
-	if probed == 0 {
-		t.Fatalf("probe never sampled an iterate")
-	}
-}
-
-// TestStopWhenHaltsBiCGSTAB mirrors the GMRES halt test for the
-// short-recurrence solver.
-func TestStopWhenHaltsBiCGSTAB(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 80
-	a := randDiagDominant(rng, n, 0.15)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	_, fullStats, err := BiCGSTAB(a, b, GMRESOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatalf("full solve: %v", err)
 	}
-	const loose = 1e-3
-	probes := 0
-	x, stats, err := BiCGSTAB(a, b, GMRESOptions{
-		Tol: 1e-12,
-		Probe: func(iter int, residual float64, iterate func() []float64) {
-			probes++
-			if got := vec.Norm2(iterate()); got == 0 {
-				t.Fatalf("iteration %d: probe saw a zero iterate", iter)
+	if len(seen) == 0 {
+		t.Fatalf("%d iterations, none sampled", full.Iterations)
+	}
+	for k, want := range seen {
+		var atStop []float64
+		x, stats, err := GMRES(a, b, GMRESOptions{
+			Tol: 1e-10,
+			Probe: func(iter int, _ float64, iterate func() []float64) bool {
+				if iter < k {
+					return false
+				}
+				atStop = append([]float64(nil), iterate()...)
+				return true
+			},
+		})
+		if err != nil || stats.StopReason != StopEarly || stats.Iterations != k {
+			t.Fatalf("halt at %d: %d iterations, reason %v, err %v", k, stats.Iterations, stats.StopReason, err)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(atStop[i]) {
+				t.Fatalf("halt at %d: x[%d] = %v, thunk showed %v", k, i, x[i], atStop[i])
 			}
-		},
-		StopWhen: func(iter int, residual float64) bool { return residual <= loose },
-	})
-	if err != nil {
-		t.Fatalf("stopped solve: %v", err)
-	}
-	if stats.Converged || stats.StopReason != StopEarly {
-		t.Fatalf("converged=%v reason=%v, want early stop", stats.Converged, stats.StopReason)
-	}
-	if stats.Iterations >= fullStats.Iterations {
-		t.Fatalf("early stop used %d iterations, full solve %d", stats.Iterations, fullStats.Iterations)
-	}
-	if probes != stats.Iterations {
-		t.Fatalf("probe fired %d times over %d iterations", probes, stats.Iterations)
-	}
-	if r := residual(a, x, b); r > 10*loose {
-		t.Fatalf("stopped iterate residual %v, asked to stop at %v", r, loose)
-	}
-	if fullStats.StopReason != StopTolerance {
-		t.Fatalf("full solve StopReason = %v, want StopTolerance", fullStats.StopReason)
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("halt at %d: x[%d] = %v, full solve's thunk showed %v", k, i, x[i], want[i])
+			}
+		}
 	}
 }
 
@@ -210,9 +165,6 @@ func TestStopReasonMaxIter(t *testing.T) {
 	}
 	if stats.StopReason != StopMaxIter {
 		t.Fatalf("StopReason = %v, want StopMaxIter", stats.StopReason)
-	}
-	if _, stats, err = BiCGSTAB(a, b, GMRESOptions{Tol: 1e-14, MaxIter: 1}); err == nil || stats.StopReason != StopMaxIter {
-		t.Fatalf("BiCGSTAB: err=%v reason=%v, want limit error + StopMaxIter", err, stats.StopReason)
 	}
 }
 

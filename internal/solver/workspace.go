@@ -1,8 +1,7 @@
 package solver
 
-// Workspace recycles the n-length vectors an iterative solve allocates —
-// for GMRES that is dominated by the stored Krylov basis (one n-vector per
-// Arnoldi step), for BiCGSTAB the fixed set of recurrence vectors. A
+// Workspace recycles the n-length vectors a GMRES solve allocates, which
+// the stored Krylov basis (one n-vector per Arnoldi step) dominates. A
 // workspace is owned by one solve at a time (it is not safe for concurrent
 // use) but is reused across solves, so a query-serving worker that runs one
 // solve after another stops allocating on the hot path.

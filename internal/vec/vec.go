@@ -1,5 +1,8 @@
 // Package vec provides the small set of dense-vector kernels shared by the
-// iterative solvers and the BePI engine.
+// iterative solvers and the BePI engine. Every product that meets a sum is
+// rounded by an explicit float64(…) conversion, which forbids the compiler
+// to fuse the two into one multiply-add: the kernels round the same way on
+// every GOARCH.
 package vec
 
 import "math"
@@ -11,7 +14,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -27,11 +30,11 @@ func Norm2(x []float64) float64 {
 		a := math.Abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	return scale * math.Sqrt(ssq)
@@ -43,7 +46,7 @@ func AXPY(alpha float64, x, y []float64) {
 		panic("vec: AXPY length mismatch")
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -81,7 +84,7 @@ func Dist2(x, y []float64) float64 {
 	var s float64
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
