@@ -149,8 +149,11 @@ bench-kernels:
 # (BenchmarkUndirected), H's patterns (BenchmarkBuildHBlocks) and S's columns
 # with their scatter into its triangles (BenchmarkSchurTriangles), on the
 # scale-15 benchmark graph — run at 1 and 2 workers: compare the two lines.
+# BenchmarkDynamicFlush is a Dynamic writer's price per 4-op hub flush
+# (hybrid scale 13): the delta rebuild plus the new engine's top-k
+# calibration, whose share its calibrate-ms reports.
 bench-prep:
-	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta' -benchtime=3x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPreprocessBePI|BenchmarkSaveLoad|BenchmarkApplyDelta|BenchmarkDynamicFlush' -benchtime=3x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkHubAndSpoke -benchtime=3x -benchmem ./internal/reorder/
 	$(GO) test -run '^$$' -bench 'BenchmarkNewGraph|BenchmarkWithEdgeDeltas|BenchmarkUndirected' -benchtime=3x -benchmem ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildHBlocks|BenchmarkSchurTriangles' -benchtime=3x -benchmem ./internal/core/

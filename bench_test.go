@@ -11,10 +11,12 @@ import (
 	"io"
 	"slices"
 	"testing"
+	"time"
 
 	"bepi"
 	"bepi/internal/bench"
 	"bepi/internal/core"
+	"bepi/internal/gen"
 	"bepi/internal/graph"
 	"bepi/internal/method"
 )
@@ -182,6 +184,44 @@ func BenchmarkApplyDelta(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkDynamicFlush is what a Dynamic's writer pays per flush of a 4-op
+// batch on the two highest-out-degree hubs of the scale-13 hybrid graph: the
+// delta rebuild, then the new engine's top-k calibration. Iterations
+// alternate the batch and its inverse, so every flush is a delta-hub
+// rebuild of the same size; calibrate-ms is the calibration's share of one.
+func BenchmarkDynamicFlush(b *testing.B) {
+	g := publicGraph(b, gen.Hybrid(gen.DefaultHybrid(13, 14, 1)))
+	d, err := bepi.NewDynamic(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, ops := benchDelta(b, g, d.Engine(), topHubs(g, d.Engine()), 4)
+	var calibration time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, op := range ops {
+			if op.Insert != (i%2 == 1) {
+				err = d.AddEdge(op.Src, op.Dst)
+			} else {
+				err = d.RemoveEdge(op.Src, op.Dst)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		st := d.LastRebuild().Status()
+		if st.Mode != bepi.RebuildModeDeltaHub {
+			b.Fatalf("flush %d took mode %s, want %s", i, st.Mode, bepi.RebuildModeDeltaHub)
+		}
+		calibration += st.Calibration
+	}
+	b.ReportMetric(float64(calibration.Microseconds())/1000/float64(b.N), "calibrate-ms")
 }
 
 func BenchmarkPreprocessBear(b *testing.B) {

@@ -276,13 +276,22 @@ func (e *Engine) TopK(seed, k int) ([]Ranked, error) { return e.inner.TopK(seed,
 // (k+1)-th gap can no longer change which k nodes win. The returned SET
 // is always identical to TopK's; earlyStopped reports whether the
 // certificate fired (when false the solve ran to the engine tolerance and
-// the result is bit-identical to TopK, order included). The first bounded
-// call calibrates the radius with a few reference solves; services that
-// care about first-query latency should issue a throwaway call at warmup.
+// the result is bit-identical to TopK, order included). The radius is
+// calibrated once per engine, by CalibrateBound: Dynamic runs it on every
+// engine a flush swaps in, on the writer's goroutine, and bepi-serve before
+// it listens. On an engine nobody calibrated, the first bounded call pays
+// it.
 func (e *Engine) TopKBounded(seed, k int) ([]Ranked, bool, error) {
 	rs, st, err := e.inner.TopKBounded(seed, k)
 	return rs, st.EarlyStopped, err
 }
+
+// CalibrateBound calibrates the radius behind TopKBounded now, with a few
+// instrumented reference solves (about ten queries' work), so that no
+// query pays it. Call it before the engine serves; later calls cost
+// nothing and return the first call's error. A failed calibration leaves
+// TopKBounded answering with full solves.
+func (e *Engine) CalibrateBound() error { return e.inner.CalibrateBound() }
 
 // MemoryBytes reports the footprint of the preprocessed index.
 func (e *Engine) MemoryBytes() int64 { return e.inner.MemoryBytes() }

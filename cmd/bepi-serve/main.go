@@ -44,6 +44,10 @@
 // with net/http/pprof (keep it off the serving port — profiles are
 // expensive and unauthenticated).
 //
+// Before it listens, the server calibrates the top-k bound of the engine it
+// serves and logs how long that took, so that no request pays it; in
+// dynamic mode every flush calibrates the engine it swaps in.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, in-flight
 // requests get up to -shutdown-timeout to finish, and the execution pool
 // drains.
@@ -88,6 +92,19 @@ func pprofServer(addr string) *http.Server {
 		}
 	}()
 	return srv
+}
+
+// calibrate runs the engine's top-k calibration before the server listens,
+// so that no request pays it; each engine a dynamic flush swaps in later is
+// calibrated by the rebuild. A failed calibration is logged, not fatal: the
+// engine then answers top-k queries with full solves.
+func calibrate(eng *bepi.Engine) {
+	start := time.Now()
+	if err := eng.CalibrateBound(); err != nil {
+		log.Printf("top-k calibration failed, top-k queries run full solves: %v", err)
+		return
+	}
+	log.Printf("calibrated the top-k bound in %v", time.Since(start).Round(time.Millisecond))
 }
 
 // runCoordinator is the -coordinator entry point: front the replica fleet
@@ -219,6 +236,7 @@ func main() {
 			*graphPath, eng.N(), g.M(), eng.MemoryBytes(),
 			time.Since(start).Round(time.Millisecond))
 		log.Printf("dynamic mode: POST /edges buffers updates, POST /flush rebuilds in the background")
+		calibrate(eng)
 		handler = server.NewDynamic(dyn, cfg)
 	} else {
 		f, err := os.Open(*indexPath)
@@ -237,6 +255,7 @@ func main() {
 		if *parallelism != 0 {
 			eng.SetParallelism(*parallelism)
 		}
+		calibrate(eng)
 		handler = server.NewWithConfig(eng, cfg)
 	}
 	xc := handler.Executor().Config()

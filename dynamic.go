@@ -32,12 +32,13 @@ import (
 // RebuildStatus.Fallback why a fallback fired.
 //
 // Rebuilds run in the background: Flush (or StartFlush) snapshots the edge
-// set under a short lock, runs graph construction and the rebuild with no
-// lock held, then atomically swaps the new engine in and bumps the index
-// generation. Queries therefore keep completing throughout a rebuild — the
-// only serialization they ever see is the pointer swap — and updates
-// arriving mid-rebuild stay buffered for the next one. At most one rebuild
-// is in flight at a time; a Flush during a rebuild joins it.
+// set under a short lock, runs graph construction, the rebuild and the new
+// engine's top-k calibration (Engine.CalibrateBound) with no lock held,
+// then atomically swaps the new engine in and bumps the index generation.
+// Queries therefore keep completing throughout a rebuild — the only
+// serialization they ever see is the pointer swap — and updates arriving
+// mid-rebuild stay buffered for the next one. At most one rebuild is in
+// flight at a time; a Flush during a rebuild joins it.
 //
 // Dynamic is safe for concurrent use.
 type Dynamic struct {
@@ -233,6 +234,7 @@ type Rebuild struct {
 	mode     RebuildMode
 	fallback string
 	dur      time.Duration
+	calib    time.Duration
 }
 
 // ID identifies the rebuild for status polling (Dynamic.RebuildStatus).
@@ -284,6 +286,10 @@ type RebuildStatus struct {
 	Drift float64
 	// Duration is the rebuild wall time so far (final once settled).
 	Duration time.Duration
+	// Calibration is the part of Duration the rebuild spent calibrating the
+	// new engine's top-k bound before swapping it in; zero while running,
+	// and for a rebuild that failed or had nothing to do.
+	Calibration time.Duration
 	// Err is the failure, nil while running or on success.
 	Err error
 }
@@ -307,15 +313,16 @@ func (r *Rebuild) Status() RebuildStatus {
 // settled is the status of a rebuild whose result fields are written.
 func (r *Rebuild) settled() RebuildStatus {
 	st := RebuildStatus{
-		ID:         r.id,
-		State:      RebuildDone,
-		NoOp:       r.noop,
-		Applied:    r.applied,
-		Generation: r.gen,
-		Mode:       r.mode,
-		Fallback:   r.fallback,
-		Duration:   r.dur,
-		Err:        r.err,
+		ID:          r.id,
+		State:       RebuildDone,
+		NoOp:        r.noop,
+		Applied:     r.applied,
+		Generation:  r.gen,
+		Mode:        r.mode,
+		Fallback:    r.fallback,
+		Duration:    r.dur,
+		Calibration: r.calib,
+		Err:         r.err,
 	}
 	if r.err != nil {
 		st.State = RebuildFailed
@@ -399,9 +406,10 @@ func (d *Dynamic) record(r *Rebuild) {
 }
 
 // runRebuild is the background rebuild: all the expensive work — graph
-// construction and the rebuild itself — happens here with no lock held, so
-// queries and updates proceed freely. Only the final swap (or the failure
-// bookkeeping) re-acquires the lock, briefly.
+// construction, the rebuild itself and the new engine's top-k calibration —
+// happens here with no lock held, so queries and updates proceed freely.
+// Only the final swap (or the failure bookkeeping) re-acquires the lock,
+// briefly.
 //
 // The incremental path is tried first: the buffered delta is replayed
 // against the serving engine with ApplyDelta, which classifies it and
@@ -452,6 +460,13 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 	}
 	if err != nil {
 		err = fmt.Errorf("bepi: rebuilding dynamic index: %w", err)
+	} else {
+		// The writer pays the calibration, so that no reader of the new
+		// engine waits for it. It cannot fail the flush: an engine whose
+		// calibration failed answers bounded queries with full solves.
+		tCal := time.Now()
+		_ = eng.inner.CalibrateBound()
+		r.calib = time.Since(tCal)
 	}
 	if d.testRebuildGate != nil {
 		<-d.testRebuildGate
@@ -507,10 +522,21 @@ func (d *Dynamic) Query(seed int) ([]float64, error) {
 	return eng.Query(seed)
 }
 
-// TopK answers from the most recently flushed index.
+// TopK answers from the most recently flushed index with the k nodes most
+// related to seed (descending score, seed excluded). The set is always the
+// one Engine.TopK returns. Every engine a flush swaps in was calibrated by
+// the rebuild, on the writer's goroutine, so TopK answers it with the
+// certified bounded search (Engine.TopKBounded): when that stops early, the
+// order and scores are within its certified radius of Engine.TopK's. Until
+// the first flush — the engine NewDynamic built, which nothing calibrated
+// unless a caller did — it answers exactly, with Engine.TopK.
 func (d *Dynamic) TopK(seed, k int) ([]Ranked, error) {
 	d.mu.RLock()
 	eng := d.engine
 	d.mu.RUnlock()
+	if eng.inner.BoundCalibrated() {
+		top, _, err := eng.TopKBounded(seed, k)
+		return top, err
+	}
 	return eng.TopK(seed, k)
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bepi/internal/graph"
@@ -260,8 +261,12 @@ type Engine struct {
 	// top-k certificate scales per-iteration residuals by. It is measured:
 	// reference solves record the worst observed max-node score error per
 	// unit of true Schur residual, and topkBoundSafety inflates it at check
-	// time. Computed once per engine, lazily, under the Once.
+	// time. Computed once per engine, under the Once: by CalibrateBound
+	// before the engine serves, or else by its first bounded query.
+	// tkDone is set once the Once has run, so BoundCalibrated can answer
+	// without entering it.
 	tkOnce   sync.Once
+	tkDone   atomic.Bool
 	tkFactor float64
 	tkErr    error
 }

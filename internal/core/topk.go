@@ -100,6 +100,7 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 	if seed < 0 || seed >= e.n {
 		return nil, TopKStats{}, fmt.Errorf("core: seed %d out of range [0,%d)", seed, e.n)
 	}
+	_ = e.CalibrateBound() // before the workspace: see TopKBoundedWS
 	ws := e.acquireWorkspace()
 	defer e.releaseWorkspace(ws)
 	q := ws.unitQuery(seed)
@@ -117,6 +118,12 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 // workspace of the engine's free list, which a solve that panics drops
 // instead of returning.
 func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int) ([]Ranked, []float64, TopKStats, error) {
+	// An engine nobody calibrated calibrates here, before the query takes
+	// its workspace: the calibration borrows one from the free list and
+	// returns it, and the query reuses it, so the engine keeps one
+	// workspace where it would otherwise keep two. (topKBoundedOn handles
+	// a calibration error.)
+	_ = e.CalibrateBound()
 	ws := e.acquireWorkspace()
 	top, r, stats, err := e.topKBoundedOn(ctx, q, exclude, k, ws)
 	e.releaseWorkspace(ws)
@@ -178,15 +185,22 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 	return top, r, stats, nil
 }
 
-// CalibrateBound forces the one-time calibration behind the bounded top-k
+// CalibrateBound runs the one-time calibration behind the bounded top-k
 // certificate: the empirical ℓ∞ error-to-residual ratio, measured on a
-// handful of instrumented reference solves. The bounded top-k path
-// calibrates lazily on its first query — services that care about
-// first-query latency call this during warmup instead.
+// handful of instrumented reference solves. Whoever publishes an engine
+// calls it before the engine serves — bepi.Dynamic before it swaps a
+// rebuilt engine in, bepi-serve before it listens — so that no query pays
+// it; an engine nobody calibrated calibrates on its first bounded query.
+// Later calls return the first call's error and cost nothing.
 func (e *Engine) CalibrateBound() error {
 	_, err := e.topkFactor()
 	return err
 }
+
+// BoundCalibrated reports whether the calibration behind the bounded top-k
+// search has run (successfully or not), without running it: when true, a
+// bounded query starts solving at once.
+func (e *Engine) BoundCalibrated() bool { return e.tkDone.Load() }
 
 // topkFactor returns the memoized calibrated ratio behind the bounded
 // top-k certificate: the largest observed per-node (ℓ∞) score error per
@@ -203,6 +217,7 @@ func (e *Engine) CalibrateBound() error {
 func (e *Engine) topkFactor() (float64, error) {
 	e.tkOnce.Do(func() {
 		e.tkFactor, e.tkErr = e.computeTopKFactor()
+		e.tkDone.Store(true)
 	})
 	return e.tkFactor, e.tkErr
 }
@@ -211,6 +226,13 @@ func (e *Engine) topkFactor() (float64, error) {
 // topkFactor. Only topkFactor (under its Once) calls it. A zero result
 // (trivial graph: every sampled solve converges in under two iterations)
 // disables the bounded path — there is nothing to save on such engines.
+//
+// It solves on a workspace of the engine's free list, which the engine's
+// first queries then reuse, and copies each solve's captured iterates into
+// one store, reused from solve to solve and grown by doubling only when a
+// solve yields more iterates than it holds. Besides the store it allocates
+// one n-vector, the reference scores; the workspace's top-k scratch holds
+// each iterate's.
 func (e *Engine) computeTopKFactor() (float64, error) {
 	const (
 		calSamples  = 4     // nontrivial reference solves to calibrate on
@@ -218,19 +240,40 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		calMaxIters = 48    // iterates captured per solve
 		calFloor    = 1e-13 // errors at rounding level carry no signal
 		calSeedRNG  = 424242 + 7
+		// calFirstIters is the store's first size, in iterates: the
+		// benchmark graphs' reference solves take 9–10 iterations, so
+		// there it is allocated once per calibration.
+		calFirstIters = 16
 	)
 	if e.ord.n2 == 0 {
 		return 0, nil
 	}
-	ws := e.newWorkspace()
+	n2 := e.ord.n2
+	ws := e.acquireWorkspace()
+	defer e.releaseWorkspace(ws)
+	if len(ws.tkScores) < e.n {
+		ws.tkScores = make([]float64, e.n)
+	}
+	cur := ws.tkScores[:e.n]
 	ref := make([]float64, e.n)
-	cur := make([]float64, e.n)
+	store := make([]float64, calFirstIters*n2)
+	residuals := make([]float64, 0, calMaxIters) // of the captured iterates, in store order
 	rng := rand.New(rand.NewSource(calSeedRNG))
 	factor := 0.0
 	samples := 0
-	type calIter struct {
-		residual float64
-		x        []float64
+	probe := func(iter int, residual float64, iterate func() []float64) bool {
+		i := len(residuals)
+		if i == calMaxIters {
+			return false
+		}
+		if (i+1)*n2 > len(store) {
+			grown := make([]float64, min(2*len(store), calMaxIters*n2))
+			copy(grown, store[:i*n2])
+			store = grown
+		}
+		copy(store[i*n2:(i+1)*n2], iterate())
+		residuals = append(residuals, residual)
+		return false
 	}
 	for try := 0; try < calMaxSeeds && samples < calSamples; try++ {
 		seed := rng.Intn(e.n)
@@ -238,29 +281,23 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		e.permute(ws, q)
 		q[seed] = 0
 		e.forward(ws)
-		var iterates []calIter
-		probe := func(iter int, residual float64, iterate func() []float64) bool {
-			if len(iterates) < calMaxIters {
-				iterates = append(iterates, calIter{residual, append([]float64(nil), iterate()...)})
-			}
-			return false
-		}
+		residuals = residuals[:0]
 		r2, st, err := e.runSchurSolve(ws, ws.qt2, solver.GMRESOptions{Probe: probe})
 		if err != nil {
 			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
 		}
-		if st.Iterations < 2 || len(iterates) == 0 {
+		if st.Iterations < 2 || len(residuals) == 0 {
 			continue
 		}
 		samples++
 		e.permutedScores(ws, r2, ref)
 		qt2Norm := vec.Norm2(ws.qt2)
-		for _, it := range iterates {
-			rn := it.residual * qt2Norm
+		for i, residual := range residuals {
+			rn := residual * qt2Norm
 			if rn == 0 {
 				continue
 			}
-			e.permutedScores(ws, it.x, cur)
+			e.permutedScores(ws, store[i*n2:(i+1)*n2], cur)
 			var errInf float64
 			for j := range cur {
 				if d := math.Abs(cur[j] - ref[j]); d > errInf {

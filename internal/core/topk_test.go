@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -294,5 +297,108 @@ func TestTopKBoundedStats(t *testing.T) {
 	}
 	if early.Iterations >= fullStats.Iterations {
 		t.Fatalf("early stop used %d iterations, full solve %d", early.Iterations, fullStats.Iterations)
+	}
+}
+
+// TestCalibrationAllocBudget pins what one calibration allocates on the
+// scale-12 hybrid fixture once the engine has a workspace on its free list
+// (the one Query leaves there): the iterate store, the reference scores and
+// the solver's per-solve slices. It used to allocate 1.70 MB in 299 objects
+// here, 11.2 MB in 731 at scale 15: a fresh workspace, two n-vectors, and
+// two copies of each of ≈ 40 captured iterates (the solver's assembly and
+// the probe's own). The budgets are the measured 544 KB / 170 objects plus
+// 10%; the best of five runs is taken, so a collection mid-run does not
+// count.
+func TestCalibrationAllocBudget(t *testing.T) {
+	e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(12, 14, 1)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Query(0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.computeTopKFactor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects, bytes := ^uint64(0), ^uint64(0)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f, err := e.computeTopKFactor()
+		runtime.ReadMemStats(&after)
+		if err != nil || math.Float64bits(f) != math.Float64bits(want) {
+			t.Fatalf("run %d: factor %v (%v), the first run's %v", run, f, err, want)
+		}
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("calibration: %d objects, %d B (n = %d, n2 = %d)", objects, bytes, e.n, e.ord.n2)
+	if bytes > 600<<10 {
+		t.Errorf("calibration allocated %d B, budget 600 KiB", bytes)
+	}
+	if objects > 190 {
+		t.Errorf("calibration allocated %d objects, budget 190", objects)
+	}
+}
+
+// TestPatchedEngineCalibratesItself: ApplyDelta's engine carries no factor
+// from its parent — it reports itself uncalibrated until it calibrates —
+// and once calibrated it answers TopKBounded bit-identically, iterations
+// included, to a fresh build of the same graph under the same ordering.
+func TestPatchedEngineCalibratesItself(t *testing.T) {
+	g := gen.Hybrid(gen.DefaultHybrid(11, 14, 1))
+	e, err := Preprocess(g, Options{HubRatio: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.BoundCalibrated() {
+		t.Fatal("a fresh build reports its bound calibrated")
+	}
+	if err := e.CalibrateBound(); err != nil || !e.BoundCalibrated() {
+		t.Fatalf("CalibrateBound: %v, calibrated %v", err, e.BoundCalibrated())
+	}
+	ops := genHubDeltaOps(rand.New(rand.NewSource(5)), g, e, 4)
+	gNew := applyOpsToGraph(g, g.N(), ops)
+	ne, st, err := e.ApplyDelta(gNew, ops)
+	if err != nil || st.Class != DeltaHub {
+		t.Fatalf("ApplyDelta: class %v, %v", st.Class, err)
+	}
+	if ne.BoundCalibrated() {
+		t.Fatal("the patched engine reports the parent's calibration as its own")
+	}
+	ref, err := PreprocessWithOrdering(gNew, ne.opts, ne.Ordering())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Engine{ne, ref} {
+		if err := x.CalibrateBound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if math.Float64bits(ne.tkFactor) != math.Float64bits(ref.tkFactor) {
+		t.Fatalf("factor %v, a fresh build under the same ordering %v", ne.tkFactor, ref.tkFactor)
+	}
+	early := 0
+	for seed := 0; seed < g.N(); seed += 97 {
+		got, gs, err := ne.TopKBounded(seed, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ws, err := ref.TopKBounded(seed, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || gs.Iterations != ws.Iterations || gs.EarlyStopped != ws.EarlyStopped {
+			t.Fatalf("seed %d: patched %v (%d iterations, early %v), fresh %v (%d, %v)",
+				seed, got, gs.Iterations, gs.EarlyStopped, want, ws.Iterations, ws.EarlyStopped)
+		}
+		if gs.EarlyStopped {
+			early++
+		}
+	}
+	if early == 0 {
+		t.Fatal("test setup: no seed stopped early, so the factor went unused")
 	}
 }

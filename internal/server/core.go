@@ -68,6 +68,7 @@ func NewDynamicCore(d *bepi.Dynamic, cfg qexec.Config) *Core {
 			"id":         strconv.FormatUint(st.ID, 10),
 			"generation": strconv.FormatUint(st.Generation, 10),
 			"duration":   st.Duration.String(),
+			"calibrate":  st.Calibration.String(),
 			"mode":       string(st.Mode),
 		}
 		if st.Err != nil {

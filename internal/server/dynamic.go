@@ -51,29 +51,32 @@ type EdgesResponse struct {
 // after the rebuild — "state" carries the lifecycle, not a zero sentinel.
 // Mode reports which path the rebuild took (full, delta-spoke, delta-hub,
 // noop) once it has settled, and Fallback why the incremental path refused
-// when a full rebuild ran in its place.
+// when a full rebuild ran in its place. CalibrateMS is the part of
+// DurationMS spent calibrating the new engine's top-k bound before the swap.
 type RebuildJSON struct {
-	ID         uint64  `json:"id"`
-	State      string  `json:"state"` // running | done | failed
-	NoOp       bool    `json:"noop,omitempty"`
-	Applied    int     `json:"applied"`
-	Generation uint64  `json:"generation"`
-	Mode       string  `json:"mode,omitempty"`
-	Fallback   string  `json:"fallback,omitempty"`
-	DurationMS float64 `json:"duration_ms"`
-	Error      string  `json:"error,omitempty"`
+	ID          uint64  `json:"id"`
+	State       string  `json:"state"` // running | done | failed
+	NoOp        bool    `json:"noop,omitempty"`
+	Applied     int     `json:"applied"`
+	Generation  uint64  `json:"generation"`
+	Mode        string  `json:"mode,omitempty"`
+	Fallback    string  `json:"fallback,omitempty"`
+	DurationMS  float64 `json:"duration_ms"`
+	CalibrateMS float64 `json:"calibrate_ms"`
+	Error       string  `json:"error,omitempty"`
 }
 
 func rebuildJSON(st bepi.RebuildStatus) RebuildJSON {
 	j := RebuildJSON{
-		ID:         st.ID,
-		State:      string(st.State),
-		NoOp:       st.NoOp,
-		Applied:    st.Applied,
-		Generation: st.Generation,
-		Mode:       string(st.Mode),
-		Fallback:   st.Fallback,
-		DurationMS: float64(st.Duration.Microseconds()) / 1000,
+		ID:          st.ID,
+		State:       string(st.State),
+		NoOp:        st.NoOp,
+		Applied:     st.Applied,
+		Generation:  st.Generation,
+		Mode:        string(st.Mode),
+		Fallback:    st.Fallback,
+		DurationMS:  float64(st.Duration.Microseconds()) / 1000,
+		CalibrateMS: float64(st.Calibration.Microseconds()) / 1000,
 	}
 	if st.Err != nil {
 		j.Error = st.Err.Error()

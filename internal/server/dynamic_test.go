@@ -378,3 +378,71 @@ func TestDynamicFlushInvalidatesCachedTopK(t *testing.T) {
 		t.Fatalf("repeat on the new generation: cached=%v generation=%v", again["cached"], again["generation"])
 	}
 }
+
+// TestDynamicFirstTopKAfterSwapRunsNoCalibration: the rebuild calibrates
+// the engine it swaps in, so the first top-k query on that engine runs only
+// its own solve. Counted through the engine's iteration hook — the
+// executor's solver_iters_total — the query costs exactly the iterations it
+// reports; a query that calibrated would add the reference solves'. The
+// calibration's time is in the rebuild's /flush JSON and in its
+// rebuild_swap event.
+func TestDynamicFirstTopKAfterSwapRunsNoCalibration(t *testing.T) {
+	g := bepi.RMAT(9, 8, 42)
+	d, err := bepi.NewDynamic(g, bepi.WithHubRatio(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewDynamic(d, qexec.Config{})
+	t.Cleanup(s.Close)
+	seed := 0
+	for g.OutDegree(seed) == 0 {
+		seed++
+	}
+	target := 0
+	for target == seed || g.HasEdge(seed, target) {
+		target++
+	}
+
+	if rec, body := post(t, s, "/edges", EdgesRequest{Add: []EdgeJSON{{Src: seed, Dst: target}}}); rec.Code != http.StatusOK {
+		t.Fatalf("/edges: status %d body %v", rec.Code, body)
+	}
+	rec, body := post(t, s, "/flush", nil)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("/flush: status %d body %v", rec.Code, body)
+	}
+	if _, ok := body["calibrate_ms"]; !ok {
+		t.Fatalf("/flush answer %v has no calibrate_ms", body)
+	}
+	final := waitFlush(t, s, uint64(body["id"].(float64)))
+	if final["state"] != string(bepi.RebuildDone) {
+		t.Fatalf("rebuild state %v (error %v)", final["state"], final["error"])
+	}
+	if cal := final["calibrate_ms"].(float64); cal <= 0 || cal > final["duration_ms"].(float64) {
+		t.Fatalf("calibrate_ms %v, duration_ms %v: want a calibration inside the rebuild", cal, final["duration_ms"])
+	}
+	swaps := 0
+	for _, ev := range s.Executor().Observer().Events.Recent(0) {
+		if ev.Kind != "rebuild_swap" {
+			continue
+		}
+		swaps++
+		if cal, err := time.ParseDuration(ev.Fields["calibrate"]); err != nil || cal <= 0 {
+			t.Fatalf("rebuild_swap event %v: calibrate %q (%v)", ev.Fields, ev.Fields["calibrate"], err)
+		}
+	}
+	if swaps != 1 {
+		t.Fatalf("%d rebuild_swap events, want 1", swaps)
+	}
+
+	_, before := get(t, s, "/metrics")
+	rec, q := get(t, s, fmt.Sprintf("/query?seed=%d&topk=5", seed))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("top-k query: status %d body %v", rec.Code, q)
+	}
+	_, after := get(t, s, "/metrics")
+	iters := q["iterations"].(float64)
+	spent := after["solver_iters_total"].(float64) - before["solver_iters_total"].(float64)
+	if iters <= 0 || spent != iters {
+		t.Fatalf("the first top-k after the swap reports %v iterations, the iteration hook counted %v", iters, spent)
+	}
+}

@@ -66,7 +66,7 @@ func gmresRecomputedFirstResidual(a Operator, m Preconditioner, b []float64, tol
 		g[j] = c * g[j]
 		iters++
 		if math.Abs(g[j+1])/normT <= tol {
-			return assemble(arena{n: n}, v, h, g, iters), iters
+			return assemble(make([]float64, n), v, h, g, iters), iters
 		}
 	}
 }

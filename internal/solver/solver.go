@@ -179,12 +179,20 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 	g := make([]float64, 1, m+1) // rotated rhs
 	g[0] = beta
 	var stats Stats
-	iterate := func() []float64 { return assemble(arena{n: n}, v, h, g, stats.Iterations) }
+	// The probe's iterate is assembled into one vector, taken on the
+	// thunk's first call and reused by every later one.
+	var probed []float64
+	iterate := func() []float64 {
+		if probed == nil {
+			probed = ar.take()
+		}
+		return assemble(probed, v, h, g, stats.Iterations)
+	}
 
 	scratch := ar.take()
 	for j := 0; j < m; j++ {
 		if err := opts.ctxErr(); err != nil {
-			return assemble(ar, v, h, g, j), stats, fmt.Errorf("solver: aborted after %d iterations: %w", j, err)
+			return assemble(ar.take(), v, h, g, j), stats, fmt.Errorf("solver: aborted after %d iterations: %w", j, err)
 		}
 		w := ar.take()
 		a.MulVec(scratch, v[j])
@@ -222,23 +230,22 @@ func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error)
 			if stats.Residual > opts.Tol {
 				stats.StopReason = StopBreakdown
 			}
-			return assemble(ar, v, h, g, stats.Iterations), stats, nil
+			return assemble(ar.take(), v, h, g, stats.Iterations), stats, nil
 		}
 		if stop {
 			stats.StopReason = StopEarly
-			return assemble(ar, v, h, g, stats.Iterations), stats, nil
+			return assemble(ar.take(), v, h, g, stats.Iterations), stats, nil
 		}
 	}
 	stats.StopReason = StopMaxIter
-	return assemble(ar, v, h, g, stats.Iterations), stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
+	return assemble(ar.take(), v, h, g, stats.Iterations), stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
 		stats.Iterations, stats.Residual, ErrNotConverged)
 }
 
-// assemble returns V·y where R·y = g is the triangular least-squares
-// system accumulated by the Givens rotations (first `steps` columns): the
-// iterate, since GMRES starts from x = 0. The result vector comes from the
-// arena (a fresh allocation without one).
-func assemble(ar arena, v [][]float64, h [][]float64, g []float64, steps int) []float64 {
+// assemble writes V·y into out and returns it, where R·y = g is the
+// triangular least-squares system accumulated by the Givens rotations
+// (first `steps` columns): the iterate, since GMRES starts from x = 0.
+func assemble(out []float64, v [][]float64, h [][]float64, g []float64, steps int) []float64 {
 	y := make([]float64, steps)
 	for i := steps - 1; i >= 0; i-- {
 		s := g[i]
@@ -252,7 +259,9 @@ func assemble(ar arena, v [][]float64, h [][]float64, g []float64, steps int) []
 		}
 		y[i] = s / h[i][i]
 	}
-	out := ar.takeZero()
+	for i := range out {
+		out[i] = 0
+	}
 	for k := 0; k < steps; k++ {
 		vec.AXPY(y[k], v[k], out)
 	}

@@ -31,7 +31,12 @@ import (
 // costFixture is a scale-12 hybrid graph (n = 4096, m ≈ 60 k).
 func costFixture(t testing.TB) *bepi.Graph {
 	t.Helper()
-	gi := gen.Hybrid(gen.DefaultHybrid(12, 14, 1))
+	return publicGraph(t, gen.Hybrid(gen.DefaultHybrid(12, 14, 1)))
+}
+
+// publicGraph wraps an internal graph as a bepi.Graph.
+func publicGraph(t testing.TB, gi *graph.Graph) *bepi.Graph {
+	t.Helper()
 	ie := gi.Edges()
 	edges := make([]bepi.Edge, len(ie))
 	for i, e := range ie {
