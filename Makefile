@@ -4,7 +4,7 @@ GO ?= go
 PROFILE_ADDR ?= localhost:6060
 PROFILE_SECONDS ?= 15
 
-.PHONY: build test race race-par vet fmt lint check bench bench-repo bench-par bench-kernels bench-prep profile
+.PHONY: build test race race-par vet fmt lint fma-check check bench bench-repo bench-par bench-kernels bench-prep profile
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,27 @@ lint: fmt vet
 	else \
 		echo "lint: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
+
+# No fused multiply-add in the packages converted to explicit rounding, so
+# their answers are the same bits on every GOARCH: cross-compile them for
+# the three targets whose compilers fuse a product into a sum and fail if
+# the assembly listing holds a fused instruction. The build cache is fresh,
+# because -S prints only for packages it compiles: a warm cache prints
+# nothing and would read 0. core, lu, sparse and dense are not converted
+# yet and stay out.
+fma-check:
+	@cache="$$(mktemp -d)"; status=0; \
+	for arch in arm64 ppc64le s390x; do \
+		case $$arch in arm64) fused='FN?M(ADD|SUB)D' ;; *) fused='FN?M(ADD|SUB)' ;; esac; \
+		if ! out="$$(GOCACHE=$$cache GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/vec ./internal/solver 2>&1)"; then \
+			echo "$$out"; status=1; continue; \
+		fi; \
+		case "$$out" in *TEXT*) ;; *) echo "fma-check $$arch: no assembly listing"; status=1; continue ;; esac; \
+		hits="$$(printf '%s\n' "$$out" | grep -E "[[:space:]]$$fused[[:space:]]" || true)"; \
+		echo "fma-check $$arch: $$(printf '%s' "$$hits" | grep -c . || true) fused instructions in vec and solver"; \
+		if [ -n "$$hits" ]; then echo "$$hits"; status=1; fi; \
+	done; \
+	rm -rf "$$cache"; exit $$status
 
 # Race-checks the whole module; the qexec/server concurrency stress tests
 # only give real coverage under -race.

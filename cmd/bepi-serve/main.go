@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -122,9 +123,13 @@ func runCoordinator(addr, replicaList string, healthInterval time.Duration, retr
 		fmt.Fprintln(os.Stderr, "bepi-serve: -coordinator requires -replicas host:port[,host:port...]")
 		os.Exit(2)
 	}
+	budget := retries
+	if budget == 0 {
+		budget = -1 // cluster.Config reads 0 as its default of 2
+	}
 	coord, err := cluster.New(backends, cluster.Config{
 		HealthInterval: healthInterval,
-		Retries:        retries,
+		Retries:        budget,
 		Obs: obs.New(obs.Options{
 			TraceSample: traceSample,
 			SlowQuery:   slowQuery,
@@ -135,31 +140,39 @@ func runCoordinator(addr, replicaList string, healthInterval time.Duration, retr
 		log.Fatalf("bepi-serve: %v", err)
 	}
 	log.Printf("coordinator: %d replicas, health probes every %v, retry budget %d",
-		len(backends), healthInterval, retries)
+		len(backends), healthInterval, max(retries, 0))
 	if debugAddr != "" {
 		dbg := pprofServer(debugAddr)
 		defer dbg.Close()
 		log.Printf("obs: pprof on %s/debug/pprof/", debugAddr)
 	}
 
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           cluster.NewHandler(coord),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	listenAndServe(addr, cluster.NewHandler(coord), "coordinating RWR queries", shutdownTimeout, coord.Close)
+}
+
+// listenAndServe binds addr and only then logs what it serves there, so the
+// line never precedes a port that is not bound. It serves handler until
+// SIGINT or SIGTERM, then shuts down with the in-flight grace and calls
+// done. A failure to bind or to serve is fatal.
+func listenAndServe(addr string, handler http.Handler, what string, grace time.Duration, done func()) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("bepi-serve: %v", err)
+	}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("coordinating RWR queries on %s", addr)
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("%s on %s", what, addr)
 
 	select {
 	case err := <-errc:
 		log.Fatalf("bepi-serve: %v", err)
 	case <-ctx.Done():
 		stop()
-		log.Printf("shutting down (in-flight grace %v)", shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+		log.Printf("shutting down (in-flight grace %v)", grace)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			log.Printf("bepi-serve: shutdown: %v", err)
@@ -167,7 +180,7 @@ func runCoordinator(addr, replicaList string, healthInterval time.Duration, retr
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("bepi-serve: %v", err)
 		}
-		coord.Close()
+		done()
 		log.Printf("bye")
 	}
 }
@@ -188,7 +201,7 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "run as a cluster coordinator fronting -replicas instead of serving an index")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses (host:port) for -coordinator mode")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "coordinator replica health-probe period")
-	retriesFlag := flag.Int("retries", 2, "coordinator retry budget: failed queries retry up to this many ring successors")
+	retriesFlag := flag.Int("retries", 2, "coordinator retry budget: failed queries retry up to this many ring successors (0 = no retry)")
 	flag.Parse()
 	if *coordinator {
 		runCoordinator(*addr, *replicas, *healthInterval, *retriesFlag, *traceSample, *slowQuery, *debugAddr, *shutdownTimeout)
@@ -270,34 +283,5 @@ func main() {
 		log.Printf("obs: pprof on %s/debug/pprof/", *debugAddr)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("serving RWR queries on %s", *addr)
-
-	select {
-	case err := <-errc:
-		// Listener failed before any shutdown signal.
-		log.Fatalf("bepi-serve: %v", err)
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutting down (in-flight grace %v)", *shutdownTimeout)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := srv.Shutdown(shutdownCtx); err != nil {
-			log.Printf("bepi-serve: shutdown: %v", err)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("bepi-serve: %v", err)
-		}
-		handler.Close()
-		log.Printf("bye")
-	}
+	listenAndServe(*addr, handler, "serving RWR queries", *shutdownTimeout, handler.Close)
 }

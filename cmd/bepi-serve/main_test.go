@@ -4,13 +4,14 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,6 +71,78 @@ func TestBatchFlagsAreGone(t *testing.T) {
 	}
 }
 
+// writeIndex saves a small graph's index into a temporary file and returns
+// its path and the graph.
+func writeIndex(t *testing.T) (string, *bepi.Graph) {
+	t.Helper()
+	g := bepi.RMAT(9, 8, 42)
+	eng, err := bepi.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.idx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path, g
+}
+
+// TestServeLogsOnlyOnceListening: bepi-serve says it serves an address only
+// once the port is bound. On an address another listener holds, both modes
+// exit non-zero without ever printing the line.
+func TestServeLogsOnlyOnceListening(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	index, _ := writeIndex(t)
+	for _, args := range [][]string{
+		{"-index", index},
+		{"-coordinator", "-replicas", "127.0.0.1:1"},
+	} {
+		out, code := serve(t, append(args, "-addr", held.Addr().String())...)
+		if code == 0 || strings.Contains(out, "RWR queries on") {
+			t.Errorf("bepi-serve %v on a held address: exit %d, output:\n%s", args, code, out)
+		}
+	}
+}
+
+// TestCoordinatorRetriesZeroTriesOnlyOwner: -retries 0 disables retry, so a
+// query whose ring owner fails is tried on that owner alone, not on its
+// successor.
+func TestCoordinatorRetriesZeroTriesOnlyOwner(t *testing.T) {
+	var tries atomic.Int64
+	var replicas []string
+	for range 2 {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/query" {
+				tries.Add(1)
+			}
+			http.Error(w, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+		}))
+		defer hs.Close()
+		replicas = append(replicas, strings.TrimPrefix(hs.URL, "http://"))
+	}
+	addr, _ := startServe(t, "-coordinator", "-replicas", strings.Join(replicas, ","),
+		"-retries", "0", "-health-interval", "-1s")
+	resp, err := http.Get("http://" + addr + "/query?seed=3&topk=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || tries.Load() != 1 {
+		t.Fatalf("status %d after %d replica attempts; want 503 after 1", resp.StatusCode, tries.Load())
+	}
+}
+
 // TestServeCalibratesBeforeListening: in both modes bepi-serve calibrates
 // the top-k bound of the engine it serves — the one -index loads, the one
 // -graph builds — and logs its time before it listens. So the first top-k
@@ -77,24 +150,17 @@ func TestBatchFlagsAreGone(t *testing.T) {
 // solver_iters_total counts exactly the iterations the answer reports,
 // where a request that calibrated would add the reference solves'.
 func TestServeCalibratesBeforeListening(t *testing.T) {
-	g := bepi.RMAT(9, 8, 42)
-	eng, err := bepi.New(g)
+	index, g := writeIndex(t)
+	edges := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	index, edges := filepath.Join(dir, "g.idx"), filepath.Join(dir, "g.txt")
-	for path, write := range map[string]func(io.Writer) error{index: eng.Save, edges: g.WriteEdgeList} {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.WriteEdgeList(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	seed := 0
 	for g.OutDegree(seed) == 0 {
@@ -106,19 +172,7 @@ func TestServeCalibratesBeforeListening(t *testing.T) {
 			if mode == "-graph" {
 				path = edges
 			}
-			addr, log := startServe(t, mode, path)
-			// The log line comes as the listener starts: wait for it to answer.
-			for try := 0; ; try++ {
-				resp, err := http.Get("http://" + addr + "/healthz")
-				if err == nil {
-					resp.Body.Close()
-					break
-				}
-				if try == 100 {
-					t.Fatalf("bepi-serve does not answer on %s: %v", addr, err)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
+			addr, log := startServe(t, mode, path, "-workers", "1")
 			cal := strings.Index(log, "calibrated the top-k bound in")
 			if cal < 0 || cal > strings.Index(log, "serving RWR queries") {
 				t.Fatalf("no calibration logged before the server listened:\n%s", log)
@@ -135,10 +189,11 @@ func TestServeCalibratesBeforeListening(t *testing.T) {
 	}
 }
 
-// startServe runs bepi-serve on a free loopback port with the given source
-// flag until the test ends, and returns its address and what it logged up
-// to and including the line that says it listens.
-func startServe(t *testing.T, flag, path string) (string, string) {
+// startServe runs bepi-serve with the given arguments on a free loopback
+// port until the test ends, and returns its address and what it logged up
+// to and including the line that says it serves there — by which time the
+// port is bound.
+func startServe(t *testing.T, args ...string) (string, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -146,7 +201,7 @@ func startServe(t *testing.T, flag, path string) (string, string) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cmd := exec.Command(os.Args[0], flag, path, "-addr", addr, "-workers", "1")
+	cmd := exec.Command(os.Args[0], append(args, "-addr", addr)...)
 	cmd.Env = append(os.Environ(), "BEPI_SERVE_MAIN=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -176,7 +231,7 @@ func startServe(t *testing.T, flag, path string) (string, string) {
 				t.Fatalf("bepi-serve exited before it listened:\n%s", log.String())
 			}
 			log.WriteString(line + "\n")
-			if strings.Contains(line, "serving RWR queries") {
+			if strings.Contains(line, "RWR queries on") {
 				go func() { // drain the rest, so the server never blocks on its log
 					for range lines {
 					}

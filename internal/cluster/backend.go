@@ -30,8 +30,8 @@ type Backend interface {
 	Name() string
 	// Query answers a single-seed query; full requests the whole score
 	// vector, otherwise a top-k ranking — bound-pruned by default, from a
-	// full-tolerance solve when exact is set. exact is never set by the
-	// coordinator; it is kept for callers of a shard's /query that ask for it.
+	// full-tolerance solve when exact is set, as the coordinator's
+	// /query?exact=true asks.
 	Query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error)
 	// Personalized answers a multi-seed query with one solve on the
 	// replica, which validates and normalizes the weights.

@@ -47,7 +47,7 @@ type Config struct {
 	// only via CheckNow, which tests use for determinism).
 	HealthInterval time.Duration
 	// Retries bounds how many ring successors a failed query is retried on
-	// (default 2; 0 disables retry).
+	// (0 selects the default, 2; a negative value disables retry).
 	Retries int
 	// Obs is the coordinator's observability bundle: its tracer opens the
 	// root span of every distributed trace (replicas attach under it via
@@ -190,15 +190,22 @@ func (c *Coordinator) beginTrace(ctx context.Context, kind string, seed int) (*o
 
 // Query answers a single-seed query, routing to the seed's ring owner for
 // cache affinity and retrying ring successors (with back-off honoring the
-// replica's Retry-After hint) on retryable failures.
+// replica's Retry-After hint) on retryable failures. A ranking comes from
+// the shard's bound-pruned search.
 func (c *Coordinator) Query(ctx context.Context, seed, topk int, full bool) (Partial, error) {
+	return c.query(ctx, seed, topk, full, false)
+}
+
+// query is Query with the shard's exact flag: a ranking from a
+// full-tolerance solve, as /query?exact=true asks.
+func (c *Coordinator) query(ctx context.Context, seed, topk int, full, exact bool) (Partial, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	at, ctx := c.beginTrace(ctx, "cluster.query", seed)
 	var p Partial
 	_, err := c.route(ctx, at, seed, func(ctx context.Context, b Backend) (err error) {
-		p, err = b.Query(ctx, seed, topk, full, false)
+		p, err = b.Query(ctx, seed, topk, full, exact)
 		return err
 	})
 	if at != nil {

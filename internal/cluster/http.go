@@ -15,7 +15,8 @@ import (
 //
 //	GET  /query?seed=N&topk=K             routed single-seed query
 //	     (&full=true for the score vector; top-k comes from the shard's
-//	     bound-pruned path)
+//	     bound-pruned path, or with &exact=true from its full-tolerance
+//	     solve)
 //	POST /personalized {"weights":{...}}  multi-seed PPR, forwarded whole
 //	                                      to the smallest seed's ring owner;
 //	                                      the shard's answer, unchanged
@@ -87,7 +88,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, 0, err.Error())
 		return
 	}
-	p, err := h.coord.Query(obs.TraceRequest(w, r), req.Seed, req.TopK, req.Full)
+	p, err := h.coord.query(obs.TraceRequest(w, r), req.Seed, req.TopK, req.Full, req.Exact)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -153,4 +154,51 @@ func TestCoordinatorOwnRefusalNamesNoReplica(t *testing.T) {
 	if got, want := rec.Body.String(), "{\"error\":\"weights must be non-empty (status 400)\"}\n"; got != want {
 		t.Fatalf("body %q, want %q", got, want)
 	}
+}
+
+// TestCoordinatorExactQueryIsFullTolerance: /query?topk=K&exact=true through
+// the coordinator reaches the shard as an exact query, so no ranking comes
+// from an early-stopped solve and each is the shard's own exact answer, bit
+// for bit — on a fixture where most default rankings do stop early.
+func TestCoordinatorExactQueryIsFullTolerance(t *testing.T) {
+	core := server.NewCore(wireEngine(t, bepi.RMAT(10, 8, 5)), qexec.Config{CacheEntries: -1})
+	t.Cleanup(core.Close)
+	c, err := New([]Backend{NewLocalBackend("r0", core)}, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	h := NewHandler(c)
+	stopped := 0
+	for seed := 0; seed < 40; seed++ {
+		var bounded, exact Partial
+		for p, path := range map[*Partial]string{
+			&bounded: fmt.Sprintf("/query?seed=%d&topk=10", seed),
+			&exact:   fmt.Sprintf("/query?seed=%d&topk=10&exact=true", seed),
+		} {
+			if err := json.Unmarshal(coordinatorBody(t, h, path), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bounded.EarlyStopped {
+			stopped++
+		}
+		want, err := core.Query(context.Background(), server.QueryRequest{Seed: seed, TopK: 10, Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.EarlyStopped || len(exact.Top) != len(want.Top) {
+			t.Fatalf("seed %d: exact=true answered early_stopped %v with %d entries, the shard's exact answer %d",
+				seed, exact.EarlyStopped, len(exact.Top), len(want.Top))
+		}
+		for i := range want.Top {
+			if exact.Top[i].Node != want.Top[i].Node || math.Float64bits(exact.Top[i].Score) != math.Float64bits(want.Top[i].Score) {
+				t.Fatalf("seed %d: exact entry %d is %+v, the shard's %+v", seed, i, exact.Top[i], want.Top[i])
+			}
+		}
+	}
+	if stopped == 0 {
+		t.Fatal("no default ranking stopped early: the fixture cannot tell an exact query from a bounded one")
+	}
+	t.Logf("%d of 40 default rankings stopped early; no exact one did", stopped)
 }

@@ -179,6 +179,19 @@ func TestDILUFactorsAreTheOnlySchur(t *testing.T) {
 	}
 }
 
+// leftPreconditioned is the operator M⁻¹S — S, then M⁻¹ — on which GMRES
+// with the right-hand side M⁻¹b runs left-preconditioned.
+type leftPreconditioned struct {
+	s   solver.Operator
+	m   *lu.ILU
+	tmp []float64
+}
+
+func (l *leftPreconditioned) MulVec(dst, x []float64) {
+	l.s.MulVec(l.tmp, x)
+	l.m.Apply(dst, l.tmp)
+}
+
 // referenceQuery answers a single-seed query the way the engine did before
 // the one-pass solve: left-preconditioned GMRES on S with the paper's
 // ILU(0) factors (M⁻¹ = FactorILU0(S).Apply), through the engine's own
@@ -190,8 +203,11 @@ func referenceQuery(t *testing.T, e *Engine, ilu0 *lu.ILU, seed int) ([]float64,
 	q[seed] = 1
 	e.permute(ws, q)
 	e.forward(ws)
-	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter, Precond: ilu0}
-	r2, st, err := solver.GMRES(e.Schur(), ws.qt2, opts)
+	rhs := make([]float64, e.ord.n2)
+	ilu0.Apply(rhs, ws.qt2)
+	op := &leftPreconditioned{s: e.Schur(), m: ilu0, tmp: make([]float64, e.ord.n2)}
+	opts := solver.GMRESOptions{Tol: e.opts.Tol, MaxIter: e.opts.MaxIter}
+	r2, st, err := solver.GMRES(op, rhs, opts)
 	if err != nil {
 		t.Fatalf("reference solve for seed %d: %v", seed, err)
 	}

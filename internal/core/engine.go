@@ -95,10 +95,11 @@ type Options struct {
 	Parallelism int
 }
 
-// maxIterLimit is the largest per-query iteration budget an engine accepts:
-// GMRES sizes its rotation and Hessenberg bookkeeping by the budget before
-// the first iteration (72 B per iteration allowed), so the budget is an
-// allocation per solve, and a stored index's header chooses it.
+// maxIterLimit is the largest per-query iteration budget an engine accepts,
+// the bound a loaded index header's budget is validated against. GMRES
+// sizes nothing by the budget — its workspace grows with the iterations a
+// solve runs — but every iteration keeps one hub-length basis vector, so
+// the budget caps what a query that does not converge can hold.
 const maxIterLimit = 1 << 16
 
 func (o Options) withDefaults() Options {

@@ -33,8 +33,8 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 // runSchurSolve solves S·r2 = q̃2 by GMRES, and is the only place the engine
 // does: queries, top-k and bound calibration all funnel through here, so
 // every one of them sees the same system. The caller's opts carry the
-// per-solve Ctx and Probe; tolerance, iteration budget, telemetry and the
-// Krylov arena come from the engine and the workspace. The returned
+// per-solve Ctx and Probe; tolerance, iteration budget and telemetry come
+// from the engine, and the solve runs on the workspace's solver workspace. The returned
 // solution points into the workspace and is only valid until its next
 // solve.
 //

@@ -16,11 +16,17 @@ import (
 	"bepi/internal/vec"
 )
 
+// Preconditioner applies M⁻¹: dst = M⁻¹·src. *lu.ILU satisfies it.
+type Preconditioner interface {
+	Apply(dst, src []float64)
+}
+
 // Arnoldi runs m steps of the Arnoldi iteration on the n-dimensional
-// operator a (preconditioned by pre if non-nil), returning the square upper
+// operator a, or on M⁻¹a when pre is non-nil (Fig. 7's spectrum of the
+// ILU-preconditioned Schur complement), returning the square upper
 // Hessenberg projection H_m (size k×k with k ≤ m; smaller on breakdown).
 // The starting vector is pseudo-random with the given seed.
-func Arnoldi(a solver.Operator, pre solver.Preconditioner, n, m int, seed int64) [][]complex128 {
+func Arnoldi(a solver.Operator, pre Preconditioner, n, m int, seed int64) [][]complex128 {
 	if m > n {
 		m = n
 	}
@@ -190,7 +196,7 @@ func givensC(a, b complex128) (float64, complex128) {
 
 // RitzValues returns up to m approximate eigenvalues of the operator
 // (preconditioned by pre if non-nil), sorted by decreasing magnitude.
-func RitzValues(a solver.Operator, pre solver.Preconditioner, n, m int, seed int64) []complex128 {
+func RitzValues(a solver.Operator, pre Preconditioner, n, m int, seed int64) []complex128 {
 	h := Arnoldi(a, pre, n, m, seed)
 	if len(h) == 0 {
 		return nil

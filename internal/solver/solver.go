@@ -1,10 +1,12 @@
 // Package solver implements the iterative linear solvers BePI builds on:
 // power iteration for the RWR fixed point, and full, never-restarted GMRES
-// (Saad & Schultz) with optional left preconditioning (Saad's preconditioned variant, Appendix B
-// of the paper) for the Schur-complement system and the full-system
-// baseline. As in package vec, a product that meets a sum is rounded by an
-// explicit float64(…) conversion, so no GOARCH fuses it into a
-// multiply-add.
+// (Saad & Schultz) for the Schur-complement system and the full-system
+// baseline. GMRES solves the one operator it is handed, on one Workspace
+// that holds its vectors and its Krylov bookkeeping: a preconditioned
+// system (Appendix B of the paper) is an operator the caller builds, as the
+// engine's split-preconditioned Schur operator is. As in package vec, a
+// product that meets a sum is rounded by an explicit float64(…)
+// conversion, so no GOARCH fuses it into a multiply-add.
 package solver
 
 import (
@@ -20,22 +22,6 @@ import (
 // *sparse.CSR satisfies it.
 type Operator interface {
 	MulVec(dst, x []float64)
-}
-
-// Preconditioner applies M⁻¹: dst = M⁻¹·src. dst and src may alias.
-// *lu.ILU satisfies it.
-type Preconditioner interface {
-	Apply(dst, src []float64)
-}
-
-// identity is the trivial preconditioner.
-type identity struct{}
-
-// Apply copies src to dst (M = I).
-func (identity) Apply(dst, src []float64) {
-	if &dst[0] != &src[0] {
-		copy(dst, src)
-	}
 }
 
 // StopReason records why an iterative solve returned.
@@ -97,8 +83,6 @@ type GMRESOptions struct {
 	Tol float64
 	// MaxIter bounds the number of Arnoldi steps (default 1000).
 	MaxIter int
-	// Precond, if non-nil, left-preconditions the system: M⁻¹A x = M⁻¹b.
-	Precond Preconditioner
 	// Probe, if non-nil, is called after every Arnoldi step with the
 	// iteration count, the current relative residual and a thunk that
 	// assembles the current iterate on demand. Not calling the thunk costs
@@ -118,10 +102,9 @@ type GMRESOptions struct {
 	// solve aborts with an error wrapping ctx.Err(). This is how per-query
 	// deadlines reach the innermost loop of the serving path.
 	Ctx context.Context
-	// Work, if non-nil, supplies the solve's vector buffers from a
-	// reusable arena instead of fresh allocations. The returned solution
-	// then points into Work and is only valid until the next solve that
-	// uses it.
+	// Work is the workspace the solve runs on and reuses; nil runs it on a
+	// fresh one. The returned solution points into the workspace and is
+	// only valid until the next solve that uses it.
 	Work *Workspace
 }
 
@@ -140,132 +123,94 @@ func (o GMRESOptions) withDefaults() GMRESOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
 	}
-	if o.Precond == nil {
-		o.Precond = identity{}
-	}
 	return o
 }
 
-// GMRES solves A·x = b by full (never restarted) GMRES from x = 0,
-// returning the solution and solve statistics. The residual reported and
-// tested against Tol is the (preconditioned) relative residual
-// ‖M⁻¹(A·x − b)‖₂ / ‖M⁻¹b‖₂, matching the stopping rule of Algorithm 5 in
-// the paper.
+// GMRES solves A·x = b by full (never restarted) GMRES from x = 0 on the
+// options' workspace (a fresh one when Work is nil), returning the solution
+// and solve statistics. The residual reported and tested against Tol is the
+// relative residual ‖A·x − b‖₂ / ‖b‖₂, the stopping rule of Algorithm 5 in
+// the paper once A is the preconditioned operator.
 func GMRES(a Operator, b []float64, opts GMRESOptions) ([]float64, Stats, error) {
 	opts = opts.withDefaults()
-	n := len(b)
-	ar := newArena(opts.Work, n)
-	if n == 0 {
-		return ar.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
+	w := opts.Work
+	if w == nil {
+		w = new(Workspace)
+	}
+	w.reset(len(b))
+	if len(b) == 0 {
+		return w.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
 	}
 
-	// The residual of x = 0 is M⁻¹b: one preconditioner sweep and no
-	// operator product start the Arnoldi basis.
-	z := ar.take()
-	opts.Precond.Apply(z, b)
+	// The residual of x = 0 is b: a copy of it, and no operator product,
+	// starts the Arnoldi basis.
+	z := w.take()
+	copy(z, b)
 	beta := vec.Norm2(z)
 	if beta == 0 {
-		return ar.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
+		return w.takeZero(), Stats{Converged: true, StopReason: StopTolerance}, nil
 	}
-
-	// Arnoldi basis and Hessenberg factorization with Givens updates.
-	m := opts.MaxIter
-	v := make([][]float64, 1, m+1)
 	vec.Scale(1/beta, z)
-	v[0] = z
-	h := make([][]float64, 0, m) // h[j] has length j+2
-	cs := make([]float64, 0, m)  // Givens cosines
-	sn := make([]float64, 0, m)  // Givens sines
-	g := make([]float64, 1, m+1) // rotated rhs
-	g[0] = beta
-	var stats Stats
-	// The probe's iterate is assembled into one vector, taken on the
-	// thunk's first call and reused by every later one.
-	var probed []float64
-	iterate := func() []float64 {
-		if probed == nil {
-			probed = ar.take()
-		}
-		return assemble(probed, v, h, g, stats.Iterations)
+	w.v = append(w.v, z)
+	w.g = append(w.g, beta)
+	if w.iterate == nil {
+		w.iterate = w.probeIterate
 	}
-
-	scratch := ar.take()
-	for j := 0; j < m; j++ {
+	var stats Stats
+	for j := 0; j < opts.MaxIter; j++ {
 		if err := opts.ctxErr(); err != nil {
-			return assemble(ar.take(), v, h, g, j), stats, fmt.Errorf("solver: aborted after %d iterations: %w", j, err)
+			return w.assemble(w.take()), stats, fmt.Errorf("solver: aborted after %d iterations: %w", j, err)
 		}
-		w := ar.take()
-		a.MulVec(scratch, v[j])
-		opts.Precond.Apply(w, scratch)
-		// Modified Gram-Schmidt.
-		hj := make([]float64, j+2)
+		u := w.take()
+		a.MulVec(u, w.v[j])
+		// Modified Gram-Schmidt into Hessenberg column j, which the
+		// workspace keeps from solve to solve: every entry is written here.
+		if j == len(w.h) {
+			w.h = append(w.h, make([]float64, j+2))
+		}
+		hj := w.h[j]
 		for i := 0; i <= j; i++ {
-			hj[i] = vec.Dot(w, v[i])
-			vec.AXPY(-hj[i], v[i], w)
+			hj[i] = vec.Dot(u, w.v[i])
+			vec.AXPY(-hj[i], w.v[i], u)
 		}
-		hj[j+1] = vec.Norm2(w)
+		hj[j+1] = vec.Norm2(u)
 		breakdown := hj[j+1] < 1e-300
 		if !breakdown {
-			vec.Scale(1/hj[j+1], w)
-			v = append(v, w)
+			vec.Scale(1/hj[j+1], u)
+			w.v = append(w.v, u)
 		}
 		// Apply accumulated rotations to the new column.
+		cs, sn := w.cs, w.sn
 		for i := 0; i < j; i++ {
 			hj[i], hj[i+1] = float64(cs[i]*hj[i])+float64(sn[i]*hj[i+1]), float64(-sn[i]*hj[i])+float64(cs[i]*hj[i+1])
 		}
 		// New rotation to annihilate hj[j+1].
 		c, s := givens(hj[j], hj[j+1])
-		cs, sn = append(cs, c), append(sn, s)
+		w.cs, w.sn = append(cs, c), append(sn, s)
 		hj[j] = float64(c*hj[j]) + float64(s*hj[j+1])
 		hj[j+1] = 0
-		h = append(h, hj)
-		g = append(g, -s*g[j])
+		g := append(w.g, -s*w.g[j])
 		g[j] = c * g[j]
+		w.g = g
 		stats.Iterations = j + 1
 		stats.Residual = math.Abs(g[j+1]) / beta
-		stop := opts.Probe != nil && opts.Probe(stats.Iterations, stats.Residual, iterate)
+		stop := opts.Probe != nil && opts.Probe(stats.Iterations, stats.Residual, w.iterate)
 		if stats.Residual <= opts.Tol || breakdown {
 			stats.Converged = true
 			stats.StopReason = StopTolerance
 			if stats.Residual > opts.Tol {
 				stats.StopReason = StopBreakdown
 			}
-			return assemble(ar.take(), v, h, g, stats.Iterations), stats, nil
+			return w.assemble(w.take()), stats, nil
 		}
 		if stop {
 			stats.StopReason = StopEarly
-			return assemble(ar.take(), v, h, g, stats.Iterations), stats, nil
+			return w.assemble(w.take()), stats, nil
 		}
 	}
 	stats.StopReason = StopMaxIter
-	return assemble(ar.take(), v, h, g, stats.Iterations), stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
+	return w.assemble(w.take()), stats, fmt.Errorf("after %d iterations (residual %.3g): %w",
 		stats.Iterations, stats.Residual, ErrNotConverged)
-}
-
-// assemble writes V·y into out and returns it, where R·y = g is the
-// triangular least-squares system accumulated by the Givens rotations
-// (first `steps` columns): the iterate, since GMRES starts from x = 0.
-func assemble(out []float64, v [][]float64, h [][]float64, g []float64, steps int) []float64 {
-	y := make([]float64, steps)
-	for i := steps - 1; i >= 0; i-- {
-		s := g[i]
-		for k := i + 1; k < steps; k++ {
-			s -= float64(h[k][i] * y[k])
-		}
-		// h[i][i] is the rotated diagonal.
-		if h[i][i] == 0 {
-			y[i] = 0
-			continue
-		}
-		y[i] = s / h[i][i]
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	for k := 0; k < steps; k++ {
-		vec.AXPY(y[k], v[k], out)
-	}
-	return out
 }
 
 // givens returns the rotation (c, s) with c·a + s·b = r, −s·a + c·b = 0.

@@ -111,7 +111,7 @@ func TestPreconditionedGMRESFewerIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, cond, err := GMRES(a, b, GMRESOptions{Tol: 1e-10, Precond: pre})
+	x, cond, err := gmresLeftPreconditioned(a, pre, b, GMRESOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}

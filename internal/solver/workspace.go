@@ -1,68 +1,101 @@
 package solver
 
-// Workspace recycles the n-length vectors a GMRES solve allocates, which
-// the stored Krylov basis (one n-vector per Arnoldi step) dominates. A
-// workspace is owned by one solve at a time (it is not safe for concurrent
-// use) but is reused across solves, so a query-serving worker that runs one
-// solve after another stops allocating on the hot path.
+import "bepi/internal/vec"
+
+// Workspace is everything a GMRES solve keeps between iterations: the
+// n-length vectors, which the stored Krylov basis (one per Arnoldi step)
+// dominates, and the Krylov bookkeeping — the basis pointers, the rotated
+// Hessenberg columns, the Givens rotations, the rotated right-hand side and
+// the coefficients the iterate is assembled from. All of it grows by
+// append to the iterations a solve actually runs and is reused by the next
+// solve, so a query-serving worker that runs one solve after another stops
+// allocating in the solver. A workspace is owned by one solve at a time (it
+// is not safe for concurrent use), and must not be copied once used: its
+// probe thunk is bound to it.
 //
-// Vectors handed out by take() may hold stale data from a previous solve;
-// callers must fully overwrite them (or use takeZero). Solutions returned
-// by a solver running on a workspace point into the workspace and are only
-// valid until the next solve that uses it — copy them out if they must
-// survive.
+// Vectors handed out by take may hold stale data from a previous solve;
+// callers must fully overwrite them (or use takeZero). The solution a solve
+// returns points into its workspace and is only valid until the next solve
+// that uses it — copy it out if it must survive.
 type Workspace struct {
 	n    int
-	buf  [][]float64
+	vecs [][]float64 // n-length vectors, handed out in order by take
 	next int
+
+	v      [][]float64 // the Arnoldi basis, v[j] one of vecs
+	h      [][]float64 // h[j] (length j+2) is Hessenberg column j, rotated
+	cs, sn []float64   // Givens cosines and sines
+	g      []float64   // the rotated right-hand side
+	y      []float64   // assemble's triangular-solve coefficients
+
+	// iterate is probeIterate as the thunk a Probe is handed, bound once;
+	// probed is the vector it assembles into, taken on its first call in a
+	// solve.
+	iterate func() []float64
+	probed  []float64
 }
 
-// reset prepares the workspace to hand out vectors of length n, recycling
-// any buffers of a matching length from earlier solves.
+// reset prepares the workspace for a solve of length n, recycling the
+// vectors of a matching length and the bookkeeping of earlier solves.
 func (w *Workspace) reset(n int) {
 	if w.n != n {
-		w.buf = w.buf[:0]
+		w.vecs = w.vecs[:0]
 		w.n = n
 	}
 	w.next = 0
-}
-
-// arena adapts an optional workspace: with a nil workspace every take is a
-// fresh allocation, preserving the historical allocate-per-solve behavior.
-type arena struct {
-	ws *Workspace
-	n  int
-}
-
-func newArena(ws *Workspace, n int) arena {
-	if ws != nil {
-		ws.reset(n)
-	}
-	return arena{ws: ws, n: n}
+	w.v, w.cs, w.sn, w.g = w.v[:0], w.cs[:0], w.sn[:0], w.g[:0]
+	w.probed = nil
 }
 
 // take returns an n-length vector with unspecified contents.
-func (a arena) take() []float64 {
-	if a.ws == nil {
-		return make([]float64, a.n)
+func (w *Workspace) take() []float64 {
+	if w.next == len(w.vecs) {
+		w.vecs = append(w.vecs, make([]float64, w.n))
 	}
-	w := a.ws
-	if w.next < len(w.buf) {
-		v := w.buf[w.next]
-		w.next++
-		return v
-	}
-	v := make([]float64, w.n)
-	w.buf = append(w.buf, v)
 	w.next++
-	return v
+	return w.vecs[w.next-1]
 }
 
 // takeZero returns an n-length vector of zeros.
-func (a arena) takeZero() []float64 {
-	v := a.take()
-	for i := range v {
-		v[i] = 0
-	}
+func (w *Workspace) takeZero() []float64 {
+	v := w.take()
+	clear(v)
 	return v
+}
+
+// probeIterate assembles the iterate of the iterations run so far.
+func (w *Workspace) probeIterate() []float64 {
+	if w.probed == nil {
+		w.probed = w.take()
+	}
+	return w.assemble(w.probed)
+}
+
+// assemble writes V·y into out and returns it, where R·y = g is the
+// triangular least-squares system the Givens rotations have accumulated
+// over the iterations run so far: the iterate, since GMRES starts from
+// x = 0.
+func (w *Workspace) assemble(out []float64) []float64 {
+	steps := len(w.cs)
+	if len(w.y) < steps {
+		w.y = append(w.y, make([]float64, steps-len(w.y))...)
+	}
+	y, h := w.y[:steps], w.h
+	for i := steps - 1; i >= 0; i-- {
+		s := w.g[i]
+		for k := i + 1; k < steps; k++ {
+			s -= float64(h[k][i] * y[k])
+		}
+		// h[i][i] is the rotated diagonal.
+		if h[i][i] == 0 {
+			y[i] = 0
+			continue
+		}
+		y[i] = s / h[i][i]
+	}
+	clear(out)
+	for k := 0; k < steps; k++ {
+		vec.AXPY(y[k], w.v[k], out)
+	}
+	return out
 }

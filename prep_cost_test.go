@@ -332,10 +332,10 @@ func TestMemoryBytesMatchesRetainedHeap(t *testing.T) {
 
 // TestQueryAllocBudget pins what one library query allocates once the
 // engine holds an idle workspace: the score vector it returns (8·n bytes),
-// GMRES's per-solve Hessenberg bookkeeping, and a handful of result slices
-// — not the Krylov basis, the block-elimination temporaries or the query
-// vector, which come from the recycled workspace. The worst of eight seeds
-// with a real solve is judged; budgets are the measured values plus 10%.
+// and nothing else — the Krylov basis and bookkeeping, the
+// block-elimination temporaries and the query vector come from the
+// recycled workspace. The worst of eight seeds with a real solve is judged;
+// budgets are the measured values plus one object and 1 232 B.
 func TestQueryAllocBudget(t *testing.T) {
 	g := costFixture(t)
 	eng, err := bepi.New(g)
@@ -372,6 +372,6 @@ const (
 	fileBytesV5Fixture = 728176
 	indexBytesFixture  = 740400
 	iluBytesBefore     = 743892 // level-ordered ILU(0) factors, compact; now 623 266
-	queryObjectBudget  = 29     // measured 26; the commit before averaged 105
-	queryByteBudget    = 118000 // measured 107 280; the commit before averaged 385 007
+	queryObjectBudget  = 2      // measured 1; 22 while GMRES allocated its bookkeeping per solve
+	queryByteBudget    = 34000  // measured 32 768; 107 224 while GMRES allocated its bookkeeping per solve
 )
