@@ -41,18 +41,18 @@ lint: fmt vet
 # the three targets whose compilers fuse a product into a sum and fail if
 # the assembly listing holds a fused instruction. The build cache is fresh,
 # because -S prints only for packages it compiles: a warm cache prints
-# nothing and would read 0. core, lu, sparse and dense are not converted
-# yet and stay out.
+# nothing and would read 0. lu, sparse and dense are not converted yet and
+# stay out.
 fma-check:
 	@cache="$$(mktemp -d)"; status=0; \
 	for arch in arm64 ppc64le s390x; do \
 		case $$arch in arm64) fused='FN?M(ADD|SUB)D' ;; *) fused='FN?M(ADD|SUB)' ;; esac; \
-		if ! out="$$(GOCACHE=$$cache GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/vec ./internal/solver 2>&1)"; then \
+		if ! out="$$(GOCACHE=$$cache GOOS=linux GOARCH=$$arch $(GO) build -gcflags=-S ./internal/vec ./internal/solver ./internal/core 2>&1)"; then \
 			echo "$$out"; status=1; continue; \
 		fi; \
 		case "$$out" in *TEXT*) ;; *) echo "fma-check $$arch: no assembly listing"; status=1; continue ;; esac; \
 		hits="$$(printf '%s\n' "$$out" | grep -E "[[:space:]]$$fused[[:space:]]" || true)"; \
-		echo "fma-check $$arch: $$(printf '%s' "$$hits" | grep -c . || true) fused instructions in vec and solver"; \
+		echo "fma-check $$arch: $$(printf '%s' "$$hits" | grep -c . || true) fused instructions in vec, solver and core"; \
 		if [ -n "$$hits" ]; then echo "$$hits"; status=1; fi; \
 	done; \
 	rm -rf "$$cache"; exit $$status

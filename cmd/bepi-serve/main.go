@@ -76,9 +76,10 @@ import (
 	"bepi/internal/server"
 )
 
-// pprofServer starts the private debug listener: the four pprof handlers
-// on an explicit mux, so nothing else (in particular the query endpoints)
-// leaks onto the debug port.
+// pprofServer starts the private debug listener: the pprof handlers on an
+// explicit mux, so nothing else (in particular the query endpoints) leaks
+// onto the debug port. It binds addr and only then logs the bound address,
+// as listenAndServe does; a failure to bind is fatal, as it is for -addr.
 func pprofServer(addr string) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -86,12 +87,17 @@ func pprofServer(addr string) *http.Server {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("bepi-serve: debug listener: %v", err)
+	}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("bepi-serve: debug listener: %v", err)
 		}
 	}()
+	log.Printf("obs: pprof on %s/debug/pprof/", ln.Addr())
 	return srv
 }
 
@@ -142,16 +148,15 @@ func runCoordinator(addr, replicaList string, healthInterval time.Duration, retr
 	log.Printf("coordinator: %d replicas, health probes every %v, retry budget %d",
 		len(backends), healthInterval, max(retries, 0))
 	if debugAddr != "" {
-		dbg := pprofServer(debugAddr)
-		defer dbg.Close()
-		log.Printf("obs: pprof on %s/debug/pprof/", debugAddr)
+		defer pprofServer(debugAddr).Close()
 	}
 
 	listenAndServe(addr, cluster.NewHandler(coord), "coordinating RWR queries", shutdownTimeout, coord.Close)
 }
 
-// listenAndServe binds addr and only then logs what it serves there, so the
-// line never precedes a port that is not bound. It serves handler until
+// listenAndServe binds addr and only then logs what it serves there, at the
+// bound address (the port the kernel chose for ":0"), so the line never
+// precedes a port that is not bound. It serves handler until
 // SIGINT or SIGTERM, then shuts down with the in-flight grace and calls
 // done. A failure to bind or to serve is fatal.
 func listenAndServe(addr string, handler http.Handler, what string, grace time.Duration, done func()) {
@@ -164,7 +169,7 @@ func listenAndServe(addr string, handler http.Handler, what string, grace time.D
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("%s on %s", what, addr)
+	log.Printf("%s on %s", what, ln.Addr())
 
 	select {
 	case err := <-errc:
@@ -278,9 +283,7 @@ func main() {
 		log.Printf("obs: logging queries slower than %v", *slowQuery)
 	}
 	if *debugAddr != "" {
-		dbg := pprofServer(*debugAddr)
-		defer dbg.Close()
-		log.Printf("obs: pprof on %s/debug/pprof/", *debugAddr)
+		defer pprofServer(*debugAddr).Close()
 	}
 
 	listenAndServe(*addr, handler, "serving RWR queries", *shutdownTimeout, handler.Close)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -29,10 +30,12 @@ func TestMain(m *testing.M) {
 }
 
 // serve runs bepi-serve with the given arguments and returns what it printed
-// and its exit code.
+// and its exit code. A run that has not exited within 30 s is killed.
 func serve(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "BEPI_SERVE_MAIN=1")
 	out, err := cmd.CombinedOutput()
 	if exit, ok := err.(*exec.ExitError); ok {
@@ -112,6 +115,52 @@ func TestServeLogsOnlyOnceListening(t *testing.T) {
 		if code == 0 || strings.Contains(out, "RWR queries on") {
 			t.Errorf("bepi-serve %v on a held address: exit %d, output:\n%s", args, code, out)
 		}
+	}
+}
+
+// TestServeDebugAddrBindsBeforeItLogs: the -debug-addr listener is bound
+// before anything says it is, and a held -debug-addr fails the way a held
+// -addr does: both modes exit non-zero without printing the pprof line or
+// the serving line.
+func TestServeDebugAddrBindsBeforeItLogs(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	index, _ := writeIndex(t)
+	for _, args := range [][]string{
+		{"-index", index},
+		{"-coordinator", "-replicas", "127.0.0.1:1"},
+	} {
+		out, code := serve(t, append(args, "-addr", "127.0.0.1:0", "-debug-addr", held.Addr().String())...)
+		if code == 0 || strings.Contains(out, "RWR queries on") || strings.Contains(out, "pprof on") {
+			t.Errorf("bepi-serve %v on a held -debug-addr: exit %d, output:\n%s", args, code, out)
+		}
+	}
+}
+
+// TestServeLogsTheBoundAddress: on -addr 127.0.0.1:0 (and -debug-addr
+// likewise) bepi-serve logs the ports the kernel chose, not ":0", and the
+// logged address answers /healthz.
+func TestServeLogsTheBoundAddress(t *testing.T) {
+	index, _ := writeIndex(t)
+	log := launch(t, "-index", index, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
+	_, addr, _ := strings.Cut(log, "RWR queries on ")
+	addr = strings.TrimSpace(addr) // the serving line is the last one logged
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+		t.Fatalf("serving line names %q (%v), want the bound port:\n%s", addr, err, log)
+	}
+	if !strings.Contains(log, "pprof on 127.0.0.1:") || strings.Contains(log, "pprof on 127.0.0.1:0/") {
+		t.Fatalf("the pprof line does not name the bound port:\n%s", log)
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz on the logged address: status %d", resp.StatusCode)
 	}
 }
 
@@ -201,7 +250,14 @@ func startServe(t *testing.T, args ...string) (string, string) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cmd := exec.Command(os.Args[0], append(args, "-addr", addr)...)
+	return addr, launch(t, append(args, "-addr", addr)...)
+}
+
+// launch runs bepi-serve with the given arguments until the test ends, and
+// returns what it logged up to and including the line that says it serves.
+func launch(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "BEPI_SERVE_MAIN=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -236,7 +292,7 @@ func startServe(t *testing.T, args ...string) (string, string) {
 					for range lines {
 					}
 				}()
-				return addr, log.String()
+				return log.String()
 			}
 		case <-timeout:
 			t.Fatalf("bepi-serve did not listen within 30 s:\n%s", log.String())

@@ -123,7 +123,8 @@ func (d *Dynamic) Engine() *Engine {
 // its executor and caches in step with the index (e.g.
 // qexec.Executor.SwapEngine) and records rebuilds that never swapped. f
 // runs with Dynamic's lock held, so swaps reach it in order: keep it short
-// and do not call back into Dynamic from it.
+// and do not call back into Dynamic from it. A flush started after f was
+// registered hands it an engine already identified (core.Engine.IndexHash).
 func (d *Dynamic) OnRebuild(f func(st RebuildStatus, swapped *Engine)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -391,7 +392,7 @@ func (d *Dynamic) StartFlush() *Rebuild {
 	d.pending = make(map[[2]int]bool)
 	r.applied = len(snap)
 	d.rebuild = r
-	go d.runRebuild(r, d.n, d.graph, snap, d.engine)
+	go d.runRebuild(r, d.n, d.graph, snap, d.engine, d.onRebuild != nil)
 	return r
 }
 
@@ -406,8 +407,9 @@ func (d *Dynamic) record(r *Rebuild) {
 }
 
 // runRebuild is the background rebuild: all the expensive work — graph
-// construction, the rebuild itself and the new engine's top-k calibration —
-// happens here with no lock held, so queries and updates proceed freely.
+// construction, the rebuild itself, the new engine's top-k calibration and,
+// when an OnRebuild hook follows the swap (hooked), its identity — happens
+// here with no lock held, so queries and updates proceed freely.
 // Only the final swap (or the failure bookkeeping) re-acquires the lock,
 // briefly.
 //
@@ -421,7 +423,7 @@ func (d *Dynamic) record(r *Rebuild) {
 // availability. The swap and generation bump are identical on both paths;
 // downstream consumers (qexec executors, serving layers) see the same
 // OnRebuild contract regardless of mode.
-func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bool, base *Engine) {
+func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bool, base *Engine, hooked bool) {
 	// Patch the snapshot graph with the buffered delta: O(M + changes), no
 	// edge-list re-sort. The buffer is normalized against the serving edge
 	// set at every StartFlush, so the patch cannot refuse it; if it ever
@@ -467,6 +469,9 @@ func (d *Dynamic) runRebuild(r *Rebuild, n int, gBase *Graph, snap map[[2]int]bo
 		tCal := time.Now()
 		_ = eng.inner.CalibrateBound()
 		r.calib = time.Since(tCal)
+		if hooked { // so that nothing under the lock reads the index
+			eng.inner.IndexHash()
+		}
 	}
 	if d.testRebuildGate != nil {
 		<-d.testRebuildGate

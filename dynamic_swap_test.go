@@ -2,6 +2,7 @@ package bepi
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,5 +251,47 @@ func TestDynamicRaceStress(t *testing.T) {
 	}
 	if _, err := d.Query(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDynamicOnRebuildGetsIdentifiedEngine: a flush started with an
+// OnRebuild hook registered identifies the new engine beside its
+// calibration, before it takes the lock, so the hook (an executor's
+// SwapEngine) reads no index bytes under Dynamic's lock. A flush with no
+// hook identifies nothing.
+func TestDynamicOnRebuildGetsIdentifiedEngine(t *testing.T) {
+	identified := func(e *Engine) bool { // see qexec's identified
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Internal().IndexHash()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs == before.Mallocs
+	}
+	for _, hooked := range []bool{true, false} {
+		d, err := NewDynamic(dynGraph(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handed []bool
+		if hooked {
+			d.OnRebuild(func(_ RebuildStatus, swapped *Engine) {
+				if swapped != nil {
+					handed = append(handed, identified(swapped))
+				}
+			})
+		}
+		if err := d.AddEdge(0, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if hooked && (len(handed) != 1 || !handed[0]) {
+			t.Fatalf("OnRebuild was handed engines identified %v; want one, identified", handed)
+		}
+		if !hooked && identified(d.Engine()) {
+			t.Fatal("a flush no hook follows identified its engine")
+		}
 	}
 }

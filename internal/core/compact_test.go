@@ -54,43 +54,37 @@ func TestCompactSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-// TestKernelHookObservesSolve checks what SetKernelHook reports for a
-// one-pass solve: KernelSchur once per iteration (the operator application,
-// which here is the whole preconditioned pass), KernelPrecond for exactly
-// the two half-passes around it, each with a plausible payload.
+// TestKernelHookObservesSolve checks the kernel counters a one-pass solve
+// returns in its QueryStats: one operator application per iteration (here
+// the whole preconditioned pass), exactly the two half-passes around it,
+// each timed, and a plausible byte count. A second query reports its own
+// counters, not a running total.
 func TestKernelHookObservesSolve(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 7, 26))
 	e, err := Preprocess(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	counts := map[string]int{}
-	var bytesSum int64
-	e.SetKernelHook(func(kernel string, seconds float64, b int64) {
-		mu.Lock()
-		defer mu.Unlock()
-		counts[kernel]++
-		bytesSum += b
-		if seconds < 0 || b <= 0 {
-			t.Errorf("kernel %s: bad sample (%v s, %d bytes)", kernel, seconds, b)
-		}
-	})
-	if _, st, err := e.Query(2); err != nil {
-		t.Fatal(err)
-	} else if st.Iterations == 0 || counts[KernelSchur] != st.Iterations || counts[KernelPrecond] != 2 {
-		t.Fatalf("hook counts %v for %d iterations", counts, st.Iterations)
-	}
-	if bytesSum < e.Schur().MemoryBytes() {
-		t.Fatalf("bytes moved %d implausibly small", bytesSum)
-	}
-	e.SetKernelHook(nil)
-	before := counts[KernelSchur]
-	if _, _, err := e.Query(2); err != nil {
+	_, st, err := e.Query(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if counts[KernelSchur] != before {
-		t.Fatal("removed hook still fired")
+	k := st.Kernels
+	if st.Iterations == 0 || k.SchurApplies != st.Iterations || k.PrecondApplies != 2 {
+		t.Fatalf("kernel counters %+v for %d iterations", k, st.Iterations)
+	}
+	if k.SchurTime <= 0 || k.PrecondTime <= 0 || k.SchurTime+k.PrecondTime > st.Stages.Solve {
+		t.Fatalf("kernel times %v + %v outside the solve's %v", k.SchurTime, k.PrecondTime, st.Stages.Solve)
+	}
+	if k.Bytes < e.Schur().MemoryBytes() {
+		t.Fatalf("bytes moved %d implausibly small", k.Bytes)
+	}
+	_, again, err := e.Query(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := again.Kernels; a.SchurApplies != again.Iterations || a.PrecondApplies != 2 || a.Bytes != k.Bytes {
+		t.Fatalf("a repeated query reports %+v after %+v: counters must be per query", a, k)
 	}
 }
 

@@ -468,7 +468,7 @@ func TestEveryEngineStateComposes(t *testing.T) {
 }
 
 // TestSolveStreamsOneFactorPassPerIteration is the deterministic cost proxy
-// of the one-pass solve, read through the kernel hook on the scale-12
+// of the one-pass solve, read from the query's kernel counters on the scale-12
 // fixture: a solve of k iterations applies the operator k times and the two
 // half-passes once, so it streams at most (k+1)·nnz(S) stored entries plus
 // 4·n2 vector-and-diagonal words per iteration. "S·x, then two sweeps"
@@ -480,19 +480,9 @@ func TestSolveStreamsOneFactorPassPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	counts := map[string]int{}
-	var streamed int64
-	e.SetKernelHook(func(kernel string, _ float64, b int64) {
-		mu.Lock()
-		defer mu.Unlock()
-		counts[kernel]++
-		streamed += b
-	})
 	nnz, n2 := int64(e.ilu.NNZ()), int64(e.ord.n2)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
-		counts, streamed = map[string]int{}, 0
 		_, st, err := e.Query(rng.Intn(g.N()))
 		if err != nil {
 			t.Fatal(err)
@@ -501,11 +491,11 @@ func TestSolveStreamsOneFactorPassPerIteration(t *testing.T) {
 		if k == 0 {
 			continue
 		}
-		if counts[KernelSchur] != st.Iterations || counts[KernelPrecond] != 2 {
-			t.Fatalf("hook counts %v for %d iterations, want %d operator applications and 2 half-passes",
-				counts, st.Iterations, st.Iterations)
+		if ks := st.Kernels; ks.SchurApplies != st.Iterations || ks.PrecondApplies != 2 {
+			t.Fatalf("kernel counters %+v for %d iterations, want %d operator applications and 2 half-passes",
+				ks, st.Iterations, st.Iterations)
 		}
-		if entries, budget := streamed/12, (k+1)*nnz+4*n2*k; entries > budget {
+		if entries, budget := st.Kernels.Bytes/12, (k+1)*nnz+4*n2*k; entries > budget {
 			t.Fatalf("%d iterations streamed %d entries, budget %d (S·x-then-sweeps would be %d)",
 				k, entries, budget, (2*k+1)*nnz)
 		}

@@ -183,6 +183,20 @@ type QueryStats struct {
 	Residual   float64
 	// Stages breaks Duration down by pipeline phase.
 	Stages StageTimings
+	// Kernels counts the Schur solve's kernels; a canceled solve reports
+	// those it ran.
+	Kernels KernelStats
+}
+
+// KernelStats counts and times the kernel applications of one Schur solve:
+// the operator it iterates on (the one-pass Ŝ = D·L̂⁻¹·S·Û⁻¹ for full
+// BePI, S·x otherwise), once per iteration, and the preconditioner
+// half-passes around a split solve (2, or 0 unpreconditioned). Bytes is
+// what they streamed, derived from structure (lu.Eisenstat.TrafficBytes).
+type KernelStats struct {
+	SchurApplies, PrecondApplies int
+	SchurTime, PrecondTime       time.Duration
+	Bytes                        int64
 }
 
 // StageTimings is the engine-side phase breakdown of one query: where the
@@ -246,17 +260,12 @@ type Engine struct {
 	pool *par.Pool // compute pool for kernels; nil means serial
 	prep PrepStats
 
-	// iterHook, when set, receives (iteration, residual) from inside every
-	// iterative Schur solve — live convergence telemetry for the serving
-	// layer. It must be safe for concurrent calls (solves run on many
-	// workers) and cheap (it fires once per solver iteration).
+	// iterHook is SetIterHook's test seam.
 	iterHook func(iter int, residual float64)
 
-	// kernelHook, when set, receives one sample per hot-path kernel
-	// application during iterative solves: the kernel name (KernelSchur,
-	// KernelPrecond), its wall time, and the approximate bytes it moved.
-	// Same contract as iterHook: concurrent-safe and cheap.
-	kernelHook func(kernel string, seconds float64, bytes int64)
+	// hashOnce memoises IndexHash.
+	hashOnce sync.Once
+	hash     string
 
 	// tk caches the calibrated ℓ∞ error-to-residual ratio the bounded
 	// top-k certificate scales per-iteration residuals by. It is measured:
@@ -301,17 +310,11 @@ func (o nodeOrder) inverse() []uint32 {
 	return inv
 }
 
-// SetIterHook installs a per-iteration solver observer (nil removes it).
-// Set it before serving queries; it must not race with in-flight solves.
+// SetIterHook installs a per-iteration solver observer (nil removes it):
+// the tests' seam for parking, counting and failing solves. No production
+// code sets it — a query's counters come back in its QueryStats — and it
+// must not race with in-flight solves.
 func (e *Engine) SetIterHook(f func(iter int, residual float64)) { e.iterHook = f }
-
-// SetKernelHook installs a per-kernel-application observer (nil removes
-// it): each Schur-operator and preconditioner application during an
-// iterative solve reports (kernel, seconds, bytes moved). Set it before
-// serving queries; it must not race with in-flight solves.
-func (e *Engine) SetKernelHook(f func(kernel string, seconds float64, bytes int64)) {
-	e.kernelHook = f
-}
 
 // poolFor resolves the Parallelism option to a pool: 0 shares the
 // process-wide pool, 1 is serial (nil pool), n > 1 is a dedicated n-worker

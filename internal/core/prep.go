@@ -447,7 +447,7 @@ func (w *schurScratch) column(j int, h21T, h12T *sparse.CSR, h11LU *lu.BlockLU) 
 				w.acc[i] = 0
 				w.touched = append(w.touched, i)
 			}
-			w.acc[i] += vs[p] * x
+			w.acc[i] += float64(vs[p] * x)
 		}
 	})
 	kept := w.touched[:0]

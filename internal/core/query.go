@@ -33,10 +33,11 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 // runSchurSolve solves S·r2 = q̃2 by GMRES, and is the only place the engine
 // does: queries, top-k and bound calibration all funnel through here, so
 // every one of them sees the same system. The caller's opts carry the
-// per-solve Ctx and Probe; tolerance, iteration budget and telemetry come
-// from the engine, and the solve runs on the workspace's solver workspace. The returned
-// solution points into the workspace and is only valid until its next
-// solve.
+// per-solve Ctx and Probe; tolerance and iteration budget come from the
+// engine, and the solve runs on the workspace's solver workspace, through
+// its timedOperator, which holds the solve's kernel counters once it
+// returns. The returned solution points into the workspace and is only
+// valid until its next solve.
 //
 // For full BePI the solve is split-preconditioned and runs on the
 // one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
@@ -47,12 +48,12 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
 	opts.Work = &ws.slv
-	hook := e.kernelHook
 
 	sp := e.splitOperator(ws)
-	// One hook: the engine's telemetry first, then the caller's probe, whose
+	// One hook: the test seam first, then the caller's probe, whose
 	// iterates a split solve maps through Û⁻¹ — untimed, as their assembly
-	// inside the solver is: the kernel hook reports the solve's own kernels.
+	// inside the solver is: the kernel counters count the solve's own
+	// kernels.
 	if probe, tele := opts.Probe, e.iterHook; probe != nil || tele != nil {
 		opts.Probe = func(iter int, residual float64, iterate func() []float64) bool {
 			if tele != nil {
@@ -71,25 +72,17 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 			return probe(iter, residual, iterate)
 		}
 	}
+	op := &ws.op
 	if sp == nil {
-		var op solver.Operator = e.ilu
-		if hook != nil {
-			op = &timedOperator{op: op, hook: hook, bytes: e.ilu.MemoryBytes() + int64(16*e.ord.n2)}
-		}
+		*op = timedOperator{op: e.ilu, bytes: e.ilu.MemoryBytes() + int64(16*e.ord.n2)}
 		return solver.GMRES(op, qt2, opts)
 	}
-	var op solver.Operator = sp
-	left, right := sp.Left, sp.Right
-	if hook != nil {
-		mulB, leftB, rightB := sp.TrafficBytes()
-		op = &timedOperator{op: sp, hook: hook, bytes: mulB}
-		left = (&timedPrecond{apply: sp.Left, hook: hook, bytes: leftB}).Apply
-		right = (&timedPrecond{apply: sp.Right, hook: hook, bytes: rightB}).Apply
-	}
-	left(ws.bhat, qt2)
+	mulB, leftB, rightB := sp.TrafficBytes()
+	*op = timedOperator{op: sp, bytes: mulB}
+	op.precond(sp.Left, ws.bhat, qt2, leftB)
 	r2, stats, err := solver.GMRES(op, ws.bhat, opts)
 	if err == nil {
-		right(r2, r2)
+		op.precond(sp.Right, r2, r2, rightB)
 	}
 	return r2, stats, err
 }

@@ -7,18 +7,6 @@ import (
 	"bepi/internal/solver"
 )
 
-// Kernel names reported through SetKernelHook.
-const (
-	// KernelSchur is one application of the operator an iterative solve
-	// runs on: the one-pass preconditioned Ŝ = D·L̂⁻¹·S·Û⁻¹ for full BePI,
-	// S·x read off the same factors for the unpreconditioned variants.
-	KernelSchur = "schur"
-	// KernelPrecond is one preconditioner sweep outside that operator: the
-	// two half-passes of a split solve (b̂ = D·L̂⁻¹·b before it, x = Û⁻¹·y
-	// after it).
-	KernelPrecond = "precond"
-)
-
 // splitOperator returns the workspace's one-pass operator over the engine's
 // DILU factors, or nil when the variant solves unpreconditioned.
 func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
@@ -33,30 +21,29 @@ func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
 	return ws.split
 }
 
-// timedOperator wraps an operator to report each application through the
-// engine's kernel hook as KernelSchur.
+// timedOperator is a workspace's wrapper around the operator a solve runs
+// on: it counts and times every application into stats, adding bytes, the
+// traffic of one application, each time. precond does the same for a
+// half-pass outside the operator. A solve resets it before it starts.
 type timedOperator struct {
 	op    solver.Operator
-	hook  func(kernel string, seconds float64, bytes int64)
 	bytes int64
+	stats KernelStats
 }
 
 func (t *timedOperator) MulVec(dst, x []float64) {
 	start := time.Now()
 	t.op.MulVec(dst, x)
-	t.hook(KernelSchur, time.Since(start).Seconds(), t.bytes)
+	t.stats.SchurTime += time.Since(start)
+	t.stats.SchurApplies++
+	t.stats.Bytes += t.bytes
 }
 
-// timedPrecond reports one half-pass of a split solve through the engine's
-// kernel hook as KernelPrecond.
-type timedPrecond struct {
-	apply func(dst, src []float64)
-	hook  func(kernel string, seconds float64, bytes int64)
-	bytes int64
-}
-
-func (t *timedPrecond) Apply(dst, src []float64) {
+// precond applies one half-pass of a split solve, counted and timed.
+func (t *timedOperator) precond(apply func(dst, src []float64), dst, src []float64, bytes int64) {
 	start := time.Now()
-	t.apply(dst, src)
-	t.hook(KernelPrecond, time.Since(start).Seconds(), t.bytes)
+	apply(dst, src)
+	t.stats.PrecondTime += time.Since(start)
+	t.stats.PrecondApplies++
+	t.stats.Bytes += bytes
 }

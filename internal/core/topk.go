@@ -357,7 +357,7 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	// (residual ≤ topkLearnResid). Exact ties never pass the gate — such
 	// solves pay one learning check and then run to tolerance with one
 	// multiply per iteration.
-	delta := topkBoundSafety * c.factor * residual * c.qt2Norm
+	delta := float64(topkBoundSafety * c.factor * residual * c.qt2Norm)
 	if c.gapKnown {
 		if delta > c.gap/2 {
 			return false

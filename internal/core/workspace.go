@@ -30,6 +30,9 @@ type Workspace struct {
 	// to a solve's Probe. Built together, lazily, by Engine.splitOperator.
 	split         *lu.Eisenstat
 	bhat, iterate []float64
+	// op wraps the operator of the workspace's current solve, and holds
+	// that solve's kernel counters once it returns.
+	op timedOperator
 	// unit (length n) is the all-zero query vector Engine.Query and
 	// TopKBounded set one entry of, so a single-seed query allocates no
 	// input vector; see unitQuery.
@@ -127,7 +130,7 @@ func (e *Engine) solveR2(ws *Workspace, q []float64, opts solver.GMRESOptions, s
 
 	tPhase = time.Now()
 	r2, st, err := e.runSchurSolve(ws, ws.qt2, opts)
-	stats.Iterations, stats.Residual = st.Iterations, st.Residual
+	stats.Iterations, stats.Residual, stats.Kernels = st.Iterations, st.Residual, ws.op.stats
 	stats.Stages.Solve = time.Since(tPhase)
 	if err != nil {
 		return nil, st, fmt.Errorf("core: solving Schur system: %w", err)
@@ -173,7 +176,7 @@ func (e *Engine) forward(ws *Workspace) {
 	e.h21.MulVecScaled(ws.qt2, ws.z1, e.hw[:n1], ws.t1)
 	q2 := ws.qp[n1 : n1+e.ord.n2]
 	for i, v := range ws.qt2 {
-		ws.qt2[i] = c*q2[i] - v
+		ws.qt2[i] = float64(c*q2[i]) - v
 	}
 }
 
@@ -188,7 +191,7 @@ func (e *Engine) reconstruct(ws *Workspace, r2 []float64) {
 	// r1 = H11⁻¹·(c·q1 − H12·r2)   (line 5); z2 = w2∘r2 serves H32 below
 	e.h12.MulVecScaled(r1, ws.z2, e.hw[n1:], r2)
 	for i := range r1 {
-		r1[i] = c*qp[i] - r1[i]
+		r1[i] = float64(c*qp[i]) - r1[i]
 	}
 	e.h11LU.SolvePool(r1, e.pool)
 
@@ -197,7 +200,7 @@ func (e *Engine) reconstruct(ws *Workspace, r2 []float64) {
 	e.h32.MulVec(tmp, ws.z2)
 	q3 := qp[n1+e.ord.n2:]
 	for i := range r3 {
-		r3[i] = c*q3[i] - r3[i] - tmp[i]
+		r3[i] = float64(c*q3[i]) - r3[i] - tmp[i]
 	}
 }
 

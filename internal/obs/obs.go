@@ -65,11 +65,13 @@ type Observer struct {
 	// query.
 	Residual *Histogram
 	// SchurApply observes the wall time of each application of the solve's
-	// operator (core.KernelSchur), in seconds — the dominant per-iteration
-	// kernel.
+	// operator, in seconds — the dominant per-iteration kernel. A solve
+	// reports its applications' total (core.KernelStats), so each of its
+	// applications is one sample of the solve's mean.
 	SchurApply *Histogram
 	// PrecondApply observes the wall time of each preconditioner sweep
-	// outside that operator (core.KernelPrecond), in seconds.
+	// outside that operator, in seconds: one sample per sweep, each the
+	// solve's mean, as for SchurApply.
 	PrecondApply *Histogram
 	// TopKSaved observes, for each early-stopped bounded top-k solve, the
 	// estimated number of Schur iterations the certificate avoided — the
@@ -82,9 +84,10 @@ type Observer struct {
 	// rebuilds never show up as query stalls.
 	Rebuild *Histogram
 
-	// KernelBytes accumulates the bytes each observed kernel application
-	// streams (matrix arrays plus vectors), so bandwidth pressure is
-	// visible as a rate alongside the time histograms.
+	// KernelBytes accumulates the bytes the observed kernel applications
+	// streamed (matrix arrays plus vectors, derived from structure), added
+	// from each solve's core.KernelStats as the solve returns, so bandwidth
+	// pressure is visible as a rate alongside the time histograms.
 	KernelBytes atomic.Int64
 
 	// KernelNanos accumulates the wall time of those same kernel
@@ -94,9 +97,10 @@ type Observer struct {
 	// measured STREAM roof (see Kernel).
 	KernelNanos atomic.Int64
 
-	// SolverIters counts solver iterations as they happen (incremented from
-	// the solver's per-iteration hook), so convergence progress of long
-	// solves is visible between queries.
+	// SolverIters counts the solver iterations of the queries the executor
+	// solved, canceled ones included, added as each solve returns. A lazy
+	// top-k calibration's reference solves are not a query's and are not
+	// counted.
 	SolverIters atomic.Int64
 
 	// Tracer records per-query stage spans into a bounded ring buffer.
@@ -153,9 +157,9 @@ var histogramFamilies = []struct {
 		func(o *Observer) **Histogram { return &o.Iterations }},
 	{FamilyResidual, "Final relative residual per solved query.", ResidualBuckets,
 		func(o *Observer) **Histogram { return &o.Residual }},
-	{FamilySchurApply, "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants.", LatencyBuckets,
+	{FamilySchurApply, "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants. One sample per application, each its solve's mean.", LatencyBuckets,
 		func(o *Observer) **Histogram { return &o.SchurApply }},
-	{FamilyPrecondApply, "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve.", LatencyBuckets,
+	{FamilyPrecondApply, "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve. One sample per sweep, each its solve's mean.", LatencyBuckets,
 		func(o *Observer) **Histogram { return &o.PrecondApply }},
 	{FamilyTopKSaved, "Estimated solver iterations saved per early-stopped top-k solve.", IterationBuckets,
 		func(o *Observer) **Histogram { return &o.TopKSaved }},

@@ -242,8 +242,8 @@ func TestDuplicateMissCancelSparesTwin(t *testing.T) {
 				return out{top: top, err: err}
 			}
 
-			// Park the first solve to reach the solver (hook installed after
-			// New, which attaches its own); every later one runs through.
+			// Park the first solve to reach the solver; every later one runs
+			// through.
 			parked, release := make(chan struct{}), make(chan struct{})
 			var parkOnce, releaseOnce sync.Once
 			releasePark := func() { releaseOnce.Do(func() { close(release) }) }

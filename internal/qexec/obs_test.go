@@ -81,7 +81,7 @@ func TestObserverIntegration(t *testing.T) {
 		t.Errorf("SolveLatency observed %d solves, want 2", got)
 	}
 	if o.SolverIters.Load() == 0 {
-		t.Error("SolverIters never incremented: engine iteration hook not wired")
+		t.Error("SolverIters never incremented: the solves' counters were not added")
 	}
 
 	traces := o.Tracer.Recent(0)
@@ -214,4 +214,85 @@ func TestObsDisabled(t *testing.T) {
 	if o.QueryLatency.Snapshot().Count != 0 || len(o.Tracer.Recent(0)) != 0 {
 		t.Fatal("disabled observer recorded telemetry")
 	}
+}
+
+// TestSharedEngineExecutorsCountOwnSolves: two executors over one engine
+// each count only the solves of their own queries — iterations, operator
+// and preconditioner applications, kernel bytes and time — because the
+// counters ride in each query's QueryStats, not in a hook on the engine
+// they share.
+func TestSharedEngineExecutorsCountOwnSolves(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	seed := iteratingSeed(t, e)
+	o1, o2 := obs.New(obs.Options{}), obs.New(obs.Options{})
+	x1 := New(e, Config{Obs: o1, CacheEntries: -1})
+	defer x1.Close()
+	x2 := New(e, Config{Obs: o2, CacheEntries: -1})
+	defer x2.Close()
+
+	res, err := x1.Query(context.Background(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, k := res.Stats, res.Stats.Kernels
+	if st.Iterations == 0 || k.SchurApplies != st.Iterations || k.PrecondApplies != 2 || k.Bytes <= 0 {
+		t.Fatalf("the solve reports %d iterations and kernels %+v", st.Iterations, k)
+	}
+	if got := o1.SolverIters.Load(); got != int64(st.Iterations) {
+		t.Errorf("first executor counted %d iterations, its query ran %d", got, st.Iterations)
+	}
+	if got := o1.KernelBytes.Load(); got != k.Bytes {
+		t.Errorf("first executor counted %d kernel bytes, its query moved %d", got, k.Bytes)
+	}
+	if got := o1.KernelNanos.Load(); got != int64(k.SchurTime+k.PrecondTime) {
+		t.Errorf("first executor counted %d kernel ns, its query spent %v", got, k.SchurTime+k.PrecondTime)
+	}
+	if got := o1.SchurApply.Snapshot().Count; got != uint64(k.SchurApplies) {
+		t.Errorf("first executor's schur histogram holds %d samples, want one per application (%d)", got, k.SchurApplies)
+	}
+	if got := o1.PrecondApply.Snapshot().Count; got != 2 {
+		t.Errorf("first executor's precond histogram holds %d samples, want 2", got)
+	}
+	if it, b, n := o2.SolverIters.Load(), o2.KernelBytes.Load(), o2.SchurApply.Snapshot().Count; it != 0 || b != 0 || n != 0 {
+		t.Errorf("second executor counted %d iterations, %d bytes and %d applications of a query it never ran", it, b, n)
+	}
+}
+
+// TestNewOverServingEngineConcurrent: building an executor over an engine
+// that is answering queries writes nothing to the engine, so under -race
+// the builds and the solves in flight never conflict.
+func TestNewOverServingEngineConcurrent(t *testing.T) {
+	e := freshEngine(t, 8, 6, 7)
+	seed := iteratingSeed(t, e)
+	ctx := context.Background()
+	serving := New(e, Config{Workers: 2, CacheEntries: -1})
+	defer serving.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := serving.Query(ctx, seed); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		x := New(e, Config{Workers: 1, CacheEntries: -1})
+		if _, err := x.Query(ctx, seed); err != nil {
+			t.Error(err)
+		}
+		x.Close()
+	}
+	close(stop)
+	wg.Wait()
 }

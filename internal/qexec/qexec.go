@@ -34,8 +34,6 @@ package qexec
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -130,8 +128,8 @@ type Result struct {
 	// Cached means the result came from the LRU cache without any solve.
 	Cached bool
 	// Generation is the engine generation the scores belong to (see
-	// Executor.Generation), and IndexHash that engine's fingerprint (see
-	// Executor.Identity). Cache hits and fresh solves both carry the tags of
+	// Executor.Generation), and IndexHash that engine's identity
+	// (core.Engine.IndexHash). Cache hits and fresh solves both carry the tags of
 	// the engine they were computed against, read from the one snapshot the
 	// query captured, so callers that must not mix scores across an engine
 	// swap can compare tags instead of guessing from timing.
@@ -151,29 +149,12 @@ type Result struct {
 }
 
 // engineState is the executor's current engine together with the
-// generation it belongs to and its fingerprint, published as one unit so
-// readers can never see a new engine with an old generation or hash (or
-// vice versa).
+// generation it belongs to, published as one unit so readers can never see
+// a new engine with an old generation (or vice versa). The engine carries
+// its own identity (core.Engine.IndexHash).
 type engineState struct {
-	eng  *core.Engine
-	gen  uint64
-	hash string
-}
-
-// fingerprint names an engine by its index: the first 8 bytes of the
-// SHA-256 of the stream Engine.WriteTo writes, in hex. Two engines with
-// the same index bytes — replicas that preprocessed the same graph with
-// the same options, or one that loaded the other's file — fingerprint
-// identically, and any change to the index changes it. It reads the whole
-// index once (about 7 ms for the 6.7 MB scale-15 benchmark index on a
-// 2-vCPU Xeon), so it is computed once per published engine, never on a
-// request.
-func fingerprint(eng *core.Engine) string {
-	h := sha256.New()
-	if _, err := eng.WriteTo(h); err != nil {
-		return "" // an engine that cannot be written has no index to name
-	}
-	return hex.EncodeToString(h.Sum(nil)[:8])
+	eng *core.Engine
+	gen uint64
 }
 
 // Executor is the query-execution subsystem over one preprocessed engine.
@@ -209,33 +190,12 @@ func New(eng *core.Engine, cfg Config) *Executor {
 		obs:   cfg.Obs,
 		slots: make(chan struct{}, cfg.Workers),
 	}
-	e.attach(eng)
-	e.eng.Store(&engineState{eng: eng, gen: 1, hash: fingerprint(eng)})
+	eng.IndexHash() // identify the engine before it serves; memoised
+	e.eng.Store(&engineState{eng: eng, gen: 1})
 	if cfg.CacheEntries > 0 {
 		e.cache = newLRUCache(cfg.CacheEntries, eng.MemoryBytes())
 	}
 	return e
-}
-
-// attach points an engine's telemetry hooks at this executor; called for
-// the initial engine and for every SwapEngine.
-func (e *Executor) attach(eng *core.Engine) {
-	// Live convergence telemetry: one atomic add per solver iteration.
-	// (The hook is engine-wide; a second executor over the same engine
-	// would re-point it.)
-	eng.SetIterHook(func(int, float64) { e.obs.SolverIters.Add(1) })
-	// Per-kernel telemetry: timing and bytes-streamed for each Schur
-	// operator and preconditioner application. Same engine-wide caveat.
-	eng.SetKernelHook(func(kernel string, seconds float64, bytes int64) {
-		switch kernel {
-		case core.KernelSchur:
-			e.obs.SchurApply.Observe(seconds)
-		case core.KernelPrecond:
-			e.obs.PrecondApply.Observe(seconds)
-		}
-		e.obs.KernelBytes.Add(bytes)
-		e.obs.KernelNanos.Add(int64(seconds * 1e9))
-	})
 }
 
 // Engine returns the engine currently being served.
@@ -245,11 +205,11 @@ func (e *Executor) Engine() *core.Engine { return e.eng.Load().eng }
 // bumped by every SwapEngine.
 func (e *Executor) Generation() uint64 { return e.eng.Load().gen }
 
-// Identity returns the generation and the index fingerprint of the engine
+// Identity returns the generation and the index hash of the engine
 // currently being served, read from one snapshot.
 func (e *Executor) Identity() (gen uint64, indexHash string) {
 	st := e.eng.Load()
-	return st.gen, st.hash
+	return st.gen, st.eng.IndexHash()
 }
 
 // SwapEngine atomically replaces the engine the executor serves from — the
@@ -261,19 +221,18 @@ func (e *Executor) Identity() (gen uint64, indexHash string) {
 // its byte budget becomes the new engine's size) and the generation tag
 // covers the remaining race of a pre-swap solve completing post-swap.
 //
-// SwapEngine is safe to call concurrently with queries. The new engine
-// inherits the executor's telemetry hooks and keeps its own compute pool.
-// It fingerprints the new engine before publishing it, on the caller's
-// goroutine.
+// SwapEngine is safe to call concurrently with queries. It is a pointer
+// swap and a cache reset: the new engine keeps its own compute pool and
+// carries its own identity, which its publisher computed before handing it
+// over (bepi.Dynamic's rebuild does, off its lock) — or else its first
+// reader computes, once.
 func (e *Executor) SwapEngine(eng *core.Engine) {
 	cur := e.eng.Load()
 	if cur.eng == eng {
 		return
 	}
-	hash := fingerprint(eng)
-	e.attach(eng)
 	for {
-		if e.eng.CompareAndSwap(cur, &engineState{eng: eng, gen: cur.gen + 1, hash: hash}) {
+		if e.eng.CompareAndSwap(cur, &engineState{eng: eng, gen: cur.gen + 1}) {
 			break
 		}
 		cur = e.eng.Load()
@@ -418,6 +377,7 @@ func (e *Executor) solve(ctx context.Context, q []float64, eng *core.Engine, k, 
 			}
 		}
 	}
+	e.observeKernels(stats)
 	tEnd := e.obs.Now()
 	e.obs.SolveLatency.Observe(tEnd.Sub(deq).Seconds())
 	if at != nil {
@@ -430,6 +390,22 @@ func (e *Executor) solve(ctx context.Context, q []float64, eng *core.Engine, k, 
 		e.obs.Residual.Observe(stats.Residual)
 	}
 	return ans, stats, saved, err
+}
+
+// observeKernels adds one solve's counters, canceled solves included, to
+// the executor's observer. The apply histograms get one sample per
+// application, each the solve's mean: a solve times its kernels in totals.
+func (e *Executor) observeKernels(st core.QueryStats) {
+	k := st.Kernels
+	e.obs.SolverIters.Add(int64(st.Iterations))
+	for range k.SchurApplies {
+		e.obs.SchurApply.Observe(k.SchurTime.Seconds() / float64(k.SchurApplies))
+	}
+	for range k.PrecondApplies {
+		e.obs.PrecondApply.Observe(k.PrecondTime.Seconds() / float64(k.PrecondApplies))
+	}
+	e.obs.KernelBytes.Add(k.Bytes)
+	e.obs.KernelNanos.Add(int64(k.SchurTime + k.PrecondTime))
 }
 
 // queryObs is the observability state of one query moving through the
@@ -516,7 +492,7 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, st *engineState, 
 	ans, hit := e.lookup(full, own, st.gen)
 	e.span(qo.at, "cache", qo.start)
 	if hit {
-		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: st.gen, IndexHash: st.hash})
+		return e.deliver(qo, ans, seed, rank, Result{Cached: true, Generation: st.gen, IndexHash: st.eng.IndexHash()})
 	}
 	e.m.misses.Add(1)
 	ctx, cancel := e.deadline(ctx)
@@ -534,7 +510,7 @@ func (e *Executor) run(ctx context.Context, seed, k, rank int, st *engineState, 
 		}
 		e.cache.put(own, stored, st.gen)
 	}
-	return e.deliver(qo, ans, seed, rank, Result{Stats: stats, SavedIters: saved, Generation: st.gen, IndexHash: st.hash})
+	return e.deliver(qo, ans, seed, rank, Result{Stats: stats, SavedIters: saved, Generation: st.gen, IndexHash: st.eng.IndexHash()})
 }
 
 // lookup consults the cache for a request keyed own: the seed's full
@@ -645,7 +621,7 @@ func (e *Executor) Personalized(ctx context.Context, q []float64) (Result, error
 	var res Result
 	ans, stats, _, err := e.solve(ctx, q, st.eng, 0, -1, qo.at)
 	if err == nil {
-		res = Result{Scores: ans.scores, Stats: stats, Generation: st.gen, IndexHash: st.hash}
+		res = Result{Scores: ans.scores, Stats: stats, Generation: st.gen, IndexHash: st.eng.IndexHash()}
 	}
 	e.finish(&qo, "personalized", -1, &res, err)
 	return res, err

@@ -185,8 +185,8 @@ func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
 	ex := New(e, Config{Workers: 1, CacheEntries: -1})
 	defer ex.Close()
 
-	// Installed after New (the executor attaches its own hook there). Every
-	// solve's first iteration reports iter == 1; solves 1 and 3 park on it.
+	// Every solve's first iteration reports iter == 1; solves 1 and 3 park
+	// on it.
 	var solves atomic.Int32
 	gates := map[int32]chan struct{}{1: make(chan struct{}), 3: make(chan struct{})}
 	thirdStarted := make(chan struct{})
@@ -251,9 +251,8 @@ func TestQueuedMissCompletesAfterOwnSolve(t *testing.T) {
 
 // parkSolves makes every solve on e wait in its first solver iteration
 // until release is called, and returns a channel closed once a solve is
-// parked there. Install it after New, which attaches a hook of its own, and
-// defer release after deferring Close, so a failing test does not leave
-// Close waiting on a parked solve.
+// parked there. Defer release after deferring Close, so a failing test
+// does not leave Close waiting on a parked solve.
 func parkSolves(e *core.Engine) (parked <-chan struct{}, release func()) {
 	gate, started := make(chan struct{}), make(chan struct{})
 	var startOnce, releaseOnce sync.Once

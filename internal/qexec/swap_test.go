@@ -13,7 +13,8 @@ import (
 )
 
 // freshEngine preprocesses a private engine (distinct from the shared one in
-// eng) so tests can attach hooks or swap without disturbing other tests.
+// eng) so tests can set its iteration hook or swap it without disturbing
+// other tests.
 func freshEngine(t testing.TB, scale, ef int, seed int64) *core.Engine {
 	t.Helper()
 	g := gen.RMAT(gen.DefaultRMAT(scale, ef, seed))
@@ -81,6 +82,42 @@ func TestSwapEngineInvalidatesCache(t *testing.T) {
 	}
 }
 
+// identified reports whether e's IndexHash was computed before this call,
+// computing it if it was not: a memoised IndexHash allocates nothing, a
+// first one allocates its hasher and its hex digits. It counts the
+// process's allocations with one P, so that no other goroutine's are
+// counted as the hash's.
+func identified(e *core.Engine) bool {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.IndexHash()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs == before.Mallocs
+}
+
+// TestSwapEngineStreamsNoIndexBytes: New identifies the engine it serves,
+// and SwapEngine is a pointer swap and a cache reset — it leaves the
+// identity of an engine nobody identified to that engine's first reader,
+// so it streams none of the index — while the identity read after it names
+// the new engine.
+func TestSwapEngineStreamsNoIndexBytes(t *testing.T) {
+	e1 := freshEngine(t, 8, 6, 5)
+	e2 := freshEngine(t, 8, 6, 99)
+	ex := New(e1, Config{})
+	defer ex.Close()
+	if !identified(e1) {
+		t.Fatal("New left the engine it serves unidentified")
+	}
+	ex.SwapEngine(e2)
+	if identified(e2) {
+		t.Fatal("SwapEngine hashed the engine it swapped in")
+	}
+	if gen, h := ex.Identity(); gen != 2 || h != e2.IndexHash() || h == e1.IndexHash() {
+		t.Fatalf("identity after the swap: generation %d, hash %s; want 2 and %s (not %s)", gen, h, e2.IndexHash(), e1.IndexHash())
+	}
+}
+
 // TestSwapEngineSamePointerNoop checks swapping in the engine already being
 // served neither bumps the generation nor purges the cache.
 func TestSwapEngineSamePointerNoop(t *testing.T) {
@@ -114,8 +151,7 @@ func TestSwapDoesNotCoalesceAcrossGenerations(t *testing.T) {
 	ex := New(e1, Config{CacheEntries: -1, Workers: 2})
 	defer ex.Close()
 
-	// Stall every solve on e1 until released. Installed after New because
-	// the executor attaches its own telemetry hook at construction.
+	// Stall every solve on e1 until released.
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	releaseStall := func() { releaseOnce.Do(func() { close(release) }) }
@@ -204,11 +240,7 @@ func iteratingSeed(t *testing.T, e *core.Engine) int {
 func TestSolvePanicFailsFlight(t *testing.T) {
 	e := freshEngine(t, 8, 6, 7)
 	seed := iteratingSeed(t, e)
-	ex := New(e, Config{Workers: 1})
-	defer ex.Close()
-
-	// Installed after New: the executor attaches its own hook at
-	// construction and would overwrite one set earlier.
+	// Installed before New, which sets nothing on the engine.
 	var panicking sync.Map
 	e.SetIterHook(func(int, float64) {
 		if _, ok := panicking.Load("arm"); ok {
@@ -216,6 +248,8 @@ func TestSolvePanicFailsFlight(t *testing.T) {
 		}
 	})
 	defer e.SetIterHook(nil)
+	ex := New(e, Config{Workers: 1})
+	defer ex.Close()
 
 	panicking.Store("arm", true)
 	const N = 6

@@ -381,10 +381,11 @@ func TestDynamicFlushInvalidatesCachedTopK(t *testing.T) {
 
 // TestDynamicFirstTopKAfterSwapRunsNoCalibration: the rebuild calibrates
 // the engine it swaps in, so the first top-k query on that engine runs only
-// its own solve. Counted through the engine's iteration hook — the
-// executor's solver_iters_total — the query costs exactly the iterations it
-// reports; a query that calibrated would add the reference solves'. The
-// calibration's time is in the rebuild's /flush JSON and in its
+// its own solve: the engine is calibrated before the query, and the
+// executor's solver_iters_total grows by exactly the iterations the query
+// reports. (That counter adds each query's own solve, so a lazy
+// calibration's reference solves would not show in it; BoundCalibrated
+// does.) The calibration's time is in the rebuild's /flush JSON and in its
 // rebuild_swap event.
 func TestDynamicFirstTopKAfterSwapRunsNoCalibration(t *testing.T) {
 	g := bepi.RMAT(9, 8, 42)
@@ -434,6 +435,9 @@ func TestDynamicFirstTopKAfterSwapRunsNoCalibration(t *testing.T) {
 		t.Fatalf("%d rebuild_swap events, want 1", swaps)
 	}
 
+	if !d.Engine().Internal().BoundCalibrated() {
+		t.Fatal("the engine the flush swapped in is not calibrated")
+	}
 	_, before := get(t, s, "/metrics")
 	rec, q := get(t, s, fmt.Sprintf("/query?seed=%d&topk=5", seed))
 	if rec.Code != http.StatusOK {
@@ -443,6 +447,6 @@ func TestDynamicFirstTopKAfterSwapRunsNoCalibration(t *testing.T) {
 	iters := q["iterations"].(float64)
 	spent := after["solver_iters_total"].(float64) - before["solver_iters_total"].(float64)
 	if iters <= 0 || spent != iters {
-		t.Fatalf("the first top-k after the swap reports %v iterations, the iteration hook counted %v", iters, spent)
+		t.Fatalf("the first top-k after the swap reports %v iterations, solver_iters_total counted %v", iters, spent)
 	}
 }

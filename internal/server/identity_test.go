@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -90,6 +91,39 @@ func TestIndexHashNamesTheIndex(t *testing.T) {
 	}
 }
 
+// TestSharedEngineCoresHashOnce: cores over one engine identify it once.
+// The first core's executor computes the engine's IndexHash before it
+// serves; the later ones find it memoised, and all three report it.
+func TestSharedEngineCoresHashOnce(t *testing.T) {
+	e, err := bepi.New(bepi.RMAT(8, 6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	identified := func() bool { // see qexec's identified
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Internal().IndexHash()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs == before.Mallocs
+	}
+	cores := []*Core{NewCore(e, qexec.Config{})}
+	defer func() {
+		for _, c := range cores {
+			c.Close()
+		}
+	}()
+	if !identified() {
+		t.Fatal("NewCore left the engine it serves unidentified")
+	}
+	cores = append(cores, NewCore(e, qexec.Config{}), NewCore(e, qexec.Config{}))
+	for i, c := range cores {
+		if h := c.Health().IndexHash; h != e.Internal().IndexHash() || len(h) != 16 {
+			t.Fatalf("core %d reports index_hash %q, the engine's is %q", i, h, e.Internal().IndexHash())
+		}
+	}
+}
+
 // TestSolveAfterSwapKeepsItsEngineTags: a solve that is still running when
 // the executor swaps engines answers with the generation and the
 // index_hash of the engine it ran on, while the core already reports the
@@ -107,8 +141,7 @@ func TestSolveAfterSwapKeepsItsEngineTags(t *testing.T) {
 	defer c.Close()
 	before := c.Health()
 
-	// Stall the solve on e1 until the swap is done. Installed after NewCore,
-	// which attaches the executor's own telemetry hook.
+	// Stall the solve on e1 until the swap is done.
 	release, started := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	e1.Internal().SetIterHook(func(int, float64) {

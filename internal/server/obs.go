@@ -83,7 +83,7 @@ func (c *Core) metrics() []obs.Metric {
 		{JSON: "hit_rate", Value: obs.Val(xm.HitRate())},
 
 		// Solver progress and the observer's histograms.
-		{Name: "bepi_solver_iterations_total", Kind: counter, Help: "Iterative-solver iterations across all solves.", JSON: "solver_iters_total", Snap: "solver_iterations", Value: obs.Val(o.SolverIters.Load())},
+		{Name: "bepi_solver_iterations_total", Kind: counter, Help: "Iterative-solver iterations of the solved queries, added as each solve returns.", JSON: "solver_iters_total", Snap: "solver_iterations", Value: obs.Val(o.SolverIters.Load())},
 		merged(counter, "bepi_slow_queries_total", "slow_queries", "Queries slower than the slow-query threshold.", slow),
 		o.Metric(obs.FamilyQueryLatency, "query_latency"),
 		o.Metric(obs.FamilySolve, ""),

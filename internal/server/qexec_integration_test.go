@@ -168,8 +168,7 @@ func TestOverloadReturns429(t *testing.T) {
 		t.Fatal("no seed on this graph exercises the iterative solver")
 	}
 
-	// Every solve waits in its first iteration until released (installed
-	// after the executor attached its own hook).
+	// Every solve waits in its first iteration until released.
 	gate, parked := make(chan struct{}), make(chan struct{})
 	var parkOnce, releaseOnce sync.Once
 	ce.SetIterHook(func(int, float64) {
