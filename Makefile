@@ -41,7 +41,7 @@ lint: fmt vet
 # the three targets whose compilers fuse a product into a sum and fail if
 # the assembly listing holds a fused instruction. The build cache is fresh,
 # because -S prints only for packages it compiles: a warm cache prints
-# nothing and would read 0. lu, sparse and dense are not converted yet and
+# nothing and would read 0. sparse and dense are not converted yet and
 # stay out.
 fma-check:
 	@cache="$$(mktemp -d)"; status=0; \
@@ -52,7 +52,7 @@ fma-check:
 		fi; \
 		case "$$out" in *TEXT*) ;; *) echo "fma-check $$arch: no assembly listing"; status=1; continue ;; esac; \
 		hits="$$(printf '%s\n' "$$out" | grep -E "[[:space:]]$$fused[[:space:]]" || true)"; \
-		echo "fma-check $$arch: $$(printf '%s' "$$hits" | grep -c . || true) fused instructions in vec, solver and core"; \
+		echo "fma-check $$arch: $$(printf '%s' "$$hits" | grep -c . || true) fused instructions in vec, solver, core and lu"; \
 		if [ -n "$$hits" ]; then echo "$$hits"; status=1; fi; \
 	done; \
 	rm -rf "$$cache"; exit $$status

@@ -194,10 +194,10 @@ func TestCoordinatorRetriesZeroTriesOnlyOwner(t *testing.T) {
 
 // TestServeCalibratesBeforeListening: in both modes bepi-serve calibrates
 // the top-k bound of the engine it serves — the one -index loads, the one
-// -graph builds — and logs its time before it listens. So the first top-k
-// request runs only its own solve: the iteration hook behind
-// solver_iters_total counts exactly the iterations the answer reports,
-// where a request that calibrated would add the reference solves'.
+// -graph builds — and logs its time before it listens; the log order is
+// what guards the calibration. The first top-k request then checks that
+// solver_iters_total, which adds each query's own solve, counts exactly the
+// iterations the answer reports.
 func TestServeCalibratesBeforeListening(t *testing.T) {
 	index, g := writeIndex(t)
 	edges := filepath.Join(t.TempDir(), "g.txt")
@@ -232,7 +232,7 @@ func TestServeCalibratesBeforeListening(t *testing.T) {
 			iters := q["iterations"].(float64)
 			spent := after["solver_iters_total"].(float64) - before["solver_iters_total"].(float64)
 			if iters <= 0 || spent != iters {
-				t.Fatalf("the first top-k reports %v iterations, the iteration hook counted %v", iters, spent)
+				t.Fatalf("the first top-k reports %v iterations, solver_iters_total counted %v", iters, spent)
 			}
 		})
 	}

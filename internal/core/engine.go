@@ -191,8 +191,11 @@ type QueryStats struct {
 // KernelStats counts and times the kernel applications of one Schur solve:
 // the operator it iterates on (the one-pass Ŝ = D·L̂⁻¹·S·Û⁻¹ for full
 // BePI, S·x otherwise), once per iteration, and the preconditioner
-// half-passes around a split solve (2, or 0 unpreconditioned). Bytes is
-// what they streamed, derived from structure (lu.Eisenstat.TrafficBytes).
+// half-passes around a split solve (2; 1 when a bounded search stops it
+// early, since its answer is assembled from the kept Krylov images; 0
+// unpreconditioned). Bytes is what they streamed, derived from structure
+// (lu.Eisenstat.TrafficBytes), with 8·n2 per application for the image a
+// probed solve keeps.
 type KernelStats struct {
 	SchurApplies, PrecondApplies int
 	SchurTime, PrecondTime       time.Duration

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"bepi/internal/gen"
@@ -13,25 +15,32 @@ import (
 )
 
 // answersHash digests everything a caller can observe of 200 seeds' answers
-// on one engine: Float64bits of Query and of a three-seed QueryVector, the
-// iteration counts, and TopKBounded's ranks, score bits and early-stop flag
-// for k cycling through 1, 10, 100.
-func answersHash(t *testing.T, e *Engine) string {
+// on one engine, in three digests. The first, full answers: Float64bits of
+// Query and of a three-seed QueryVector and their iteration counts. The
+// second, TopKBounded's decisions for k cycling through 1, 10, 100: its
+// iterations, its early-stop flag and its node set, sorted. The third, the
+// ranks and score bits of the early-stopped answers, which are a mid-solve
+// iterate's and move with the arithmetic that assembles it.
+func answersHash(t *testing.T, e *Engine) [3]string {
 	t.Helper()
-	h := sha256.New()
+	var hs [3]hash.Hash
+	for i := range hs {
+		hs[i] = sha256.New()
+	}
 	var word [8]byte
-	put := func(v uint64) {
+	put := func(h int, v uint64) {
 		binary.LittleEndian.PutUint64(word[:], v)
-		h.Write(word[:])
+		hs[h].Write(word[:])
 	}
 	vector := func(r []float64, iters int) {
-		put(uint64(iters))
+		put(0, uint64(iters))
 		for _, v := range r {
-			put(math.Float64bits(v))
+			put(0, math.Float64bits(v))
 		}
 	}
 	n := e.N()
 	q := make([]float64, n)
+	var set []int
 	for i := 0; i < 200; i++ {
 		seed := i * 7919 % n
 		r, st, err := e.Query(seed)
@@ -55,33 +64,54 @@ func answersHash(t *testing.T, e *Engine) string {
 		if err != nil {
 			t.Fatalf("TopKBounded(%d): %v", seed, err)
 		}
-		put(uint64(tst.Iterations))
+		put(1, uint64(tst.Iterations))
 		if tst.EarlyStopped {
-			put(1)
+			put(1, 1)
 		}
+		set = set[:0]
 		for _, rk := range top {
-			put(uint64(rk.Node))
-			put(math.Float64bits(rk.Score))
+			set = append(set, rk.Node)
+		}
+		slices.Sort(set)
+		for _, node := range set {
+			put(1, uint64(node))
+		}
+		if tst.EarlyStopped {
+			for _, rk := range top {
+				put(2, uint64(rk.Node))
+				put(2, math.Float64bits(rk.Score))
+			}
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	var out [3]string
+	for i, h := range hs {
+		out[i] = fmt.Sprintf("%x", h.Sum(nil)[:8])
+	}
+	return out
 }
 
-// TestAnswersFrozen pins every answer of the query path to the bits the
-// commit before the multi-RHS batch stack was deleted produced (hashes
-// captured there, with this function): the single-RHS path that remained is
-// the arithmetic a batch of one always ran. One hash per graph — the worker
-// count and whether the engine was built or loaded must not move a bit
-// either.
+// TestAnswersFrozen pins every answer of the query path. The full answers
+// and the bounded decisions are the bits the commit before the multi-RHS
+// batch stack was deleted produced: the single-RHS path that remained is the
+// arithmetic a batch of one always ran, and assembling a bounded check's
+// iterate from the solve's kept Krylov images instead of a triangular sweep
+// moved neither (digests captured before that change, with this function).
+// The early-stopped scores and order were captured with the kept images.
+// One set of digests per graph — the worker count and whether the engine was
+// built or loaded must not move a bit either.
 func TestAnswersFrozen(t *testing.T) {
 	graphs := append([]*graph.Graph{gen.RMAT(gen.DefaultRMAT(10, 8, 5))}, pathologicalGraphs()...)
-	frozen := [...]struct{ name, hash string }{
-		{"rmat-10", "10dc9dad86a8e03b"},
-		{"star", "859c5a52ce135a0e"},
-		{"chain", "5cce8bc31166b96b"},
-		{"clique-spokes", "2e6331a25f97c4c9"},
-		{"deadend-random", "d8b2db3f6a65486d"},
+	frozen := [...]struct {
+		name string
+		hash [3]string
+	}{
+		{"rmat-10", [3]string{"779260f9a3285e42", "cd355032323bd9ec", "6ab41da2346092ab"}},
+		{"star", [3]string{"22c2d58f6b5bfbf7", "ae2fb54078e5fc7b", "e3b0c44298fc1c14"}},
+		{"chain", [3]string{"2b81c06d6e87a129", "49e385835aeab3b0", "e62f3ded79389ebf"}},
+		{"clique-spokes", [3]string{"77290a1afc915199", "897e692fec3e19af", "009d74ddd6580f82"}},
+		{"deadend-random", [3]string{"fd8658b7e918c871", "78015bdf4d9c23a2", "98337e9018616039"}},
 	}
+	what := [3]string{"full answers", "bounded decisions", "early-stopped scores"}
 	for i, f := range frozen {
 		g := graphs[i]
 		for _, workers := range []int{1, 4} {
@@ -99,9 +129,12 @@ func TestAnswersFrozen(t *testing.T) {
 			}
 			loaded.SetParallelism(workers)
 			for state, e := range map[string]*Engine{"built": built, "loaded": loaded} {
-				if got := answersHash(t, e); got != f.hash {
-					t.Errorf("%s workers=%d %s: answers hash to %s, frozen %s",
-						f.name, workers, state, got, f.hash)
+				got := answersHash(t, e)
+				for d := range got {
+					if got[d] != f.hash[d] {
+						t.Errorf("%s workers=%d %s: %s hash to %s, frozen %s",
+							f.name, workers, state, what[d], got[d], f.hash[d])
+					}
 				}
 			}
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bepi/internal/solver"
 )
@@ -41,50 +41,75 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 //
 // For full BePI the solve is split-preconditioned and runs on the
 // one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
-// residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖ — and every iterate the
-// caller's Probe assembles is mapped through Û⁻¹ first, by the same
-// arithmetic as the returned solution. Unpreconditioned (BePI-B, BePI-S) it
-// is plain GMRES on S, whose products S·x read the same factors.
+// residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖. Unpreconditioned
+// (BePI-B, BePI-S) it is plain GMRES on S, whose products S·x read the same
+// factors. A solve with a caller's Probe runs on the workspace's
+// krylovImages, which keep the image z_j of every basis vector, and the
+// probe's iterate is Σ y_j·z_j, assembled with no triangular sweep. A probe
+// that stops the solve early gets that same vector back as r2; a solve that
+// runs to tolerance returns Û⁻¹·(V·y), the full answer's arithmetic,
+// probed or not.
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
 	opts.Work = &ws.slv
+	n2 := e.ord.n2
 
 	sp := e.splitOperator(ws)
-	// One hook: the test seam first, then the caller's probe, whose
-	// iterates a split solve maps through Û⁻¹ — untimed, as their assembly
-	// inside the solver is: the kernel counters count the solve's own
-	// kernels.
-	if probe, tele := opts.Probe, e.iterHook; probe != nil || tele != nil {
-		opts.Probe = func(iter int, residual float64, iterate func() []float64) bool {
-			if tele != nil {
-				tele(iter, residual)
-			}
-			if probe == nil {
-				return false
-			}
-			if sp != nil {
-				y := iterate
-				iterate = func() []float64 {
-					sp.Right(ws.iterate, y())
-					return ws.iterate
-				}
-			}
-			return probe(iter, residual, iterate)
+	var op solver.Operator = e.ilu
+	bytes, leftB, rightB := e.ilu.MemoryBytes()+int64(16*n2), int64(0), int64(0)
+	if sp != nil {
+		op = sp
+		bytes, leftB, rightB = sp.TrafficBytes()
+	}
+	keep := opts.Probe != nil
+	if keep {
+		ws.images.reset(sp, op, n2)
+		if ws.imageIterate == nil {
+			ws.imageIterate = ws.probedIterate
 		}
+		op, bytes = &ws.images, bytes+int64(8*n2)
 	}
-	op := &ws.op
-	if sp == nil {
-		*op = timedOperator{op: e.ilu, bytes: e.ilu.MemoryBytes() + int64(16*e.ord.n2)}
-		return solver.GMRES(op, qt2, opts)
+	// One hook: the test seam first, then the caller's probe. The images'
+	// assembly is untimed, as the solver's own is: the kernel counters
+	// count the solve's kernels.
+	ws.probe, ws.tele = opts.Probe, e.iterHook
+	defer func() { ws.probe, ws.tele = nil, nil }()
+	if ws.probe != nil || ws.tele != nil {
+		if ws.hook == nil {
+			ws.hook = ws.solveProbe
+		}
+		opts.Probe = ws.hook
 	}
-	mulB, leftB, rightB := sp.TrafficBytes()
-	*op = timedOperator{op: sp, bytes: mulB}
-	op.precond(sp.Left, ws.bhat, qt2, leftB)
-	r2, stats, err := solver.GMRES(op, ws.bhat, opts)
-	if err == nil {
-		op.precond(sp.Right, r2, r2, rightB)
+	ws.op = timedOperator{op: op, bytes: bytes}
+	b := qt2
+	if sp != nil {
+		ws.op.precond(sp.Left, ws.bhat, qt2, leftB)
+		b = ws.bhat
+	}
+	r2, stats, err := solver.GMRES(&ws.op, b, opts)
+	switch {
+	case err != nil:
+	case keep && stats.StopReason == solver.StopEarly:
+		r2 = ws.images.iterate(ws.slv.Coefficients())
+	case sp != nil:
+		ws.op.precond(sp.Right, r2, r2, rightB)
 	}
 	return r2, stats, err
+}
+
+// solveProbe is the Probe of a solve with a caller's probe or an iteration
+// hook: the hook, then the probe, handed the iterate from the kept images.
+func (ws *Workspace) solveProbe(iter int, residual float64, _ func() []float64) bool {
+	if ws.tele != nil {
+		ws.tele(iter, residual)
+	}
+	return ws.probe != nil && ws.probe(iter, residual, ws.imageIterate)
+}
+
+// probedIterate assembles the current iterate of a probed solve from its
+// kept images.
+func (ws *Workspace) probedIterate() []float64 {
+	return ws.images.iterate(ws.slv.Coefficients())
 }
 
 // QueryWithCallback runs a query invoking cb with the fully assembled RWR
@@ -148,6 +173,18 @@ func (a Ranked) Outranks(b Ranked) bool {
 // outranks is the free-function spelling the heap code below uses.
 func outranks(a, b Ranked) bool { return a.Outranks(b) }
 
+// compareRanked is Outranks as a sort comparison: a sorts first when it
+// outranks b.
+func compareRanked(a, b Ranked) int {
+	switch {
+	case a.Outranks(b):
+		return -1
+	case b.Outranks(a):
+		return 1
+	}
+	return 0
+}
+
 // RankTopKFunc returns the k highest-scoring nodes among those not skipped,
 // in descending order (ties break on lower node id). It maintains a bounded
 // min-heap of k candidates — O(n·log k) instead of the O(n·k)
@@ -158,10 +195,15 @@ func RankTopKFunc(scores []float64, k int, skip func(node int) bool) []Ranked {
 	if k <= 0 {
 		return nil
 	}
-	// h is a min-heap on the outranks order: h[0] is the weakest candidate
-	// kept so far, the first to be displaced by a better node. k comes from
-	// requests, so it sizes the heap only up to the nodes there are.
-	h := make([]Ranked, 0, min(k, len(scores)))
+	// k comes from requests, so it sizes the heap only up to the nodes
+	// there are.
+	return rankTopK(make([]Ranked, 0, min(k, len(scores))), scores, k, skip)
+}
+
+// rankTopK is RankTopKFunc into h, an empty slice it appends into within
+// its capacity. h is a min-heap on the outranks order: h[0] is the weakest
+// candidate kept so far, the first to be displaced by a better node.
+func rankTopK(h []Ranked, scores []float64, k int, skip func(node int) bool) []Ranked {
 	for node, s := range scores {
 		if skip != nil && skip(node) {
 			continue
@@ -201,6 +243,6 @@ func RankTopKFunc(scores []float64, k int, skip func(node int) bool) []Ranked {
 			i = worst
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return outranks(h[i], h[j]) })
+	slices.SortFunc(h, compareRanked)
 	return h
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bepi/internal/solver"
@@ -31,8 +32,10 @@ import (
 // (The Schur residual also gives a proven radius: every score's error is at
 // most ‖q̃2 − S·x‖₁ / c, because H's columns are diagonally dominant with
 // margin c. It first certifies about three iterations after the calibrated
-// δ on the benchmark graphs and costs a pass over S per check, so the
-// tests assert it and the solve stops on the calibration.) Ties and
+// δ on the benchmark graphs, and it would add a pass over S to every check,
+// which otherwise costs no product with S and no triangular sweep — the
+// iterate is assembled from the solve's kept Krylov images — so the tests
+// assert it and the solve stops on the calibration.) Ties and
 // near-uniform score distributions never separate, in which case the solve
 // simply runs to the engine tolerance and the result is bit-identical to
 // Engine.TopK.
@@ -48,17 +51,21 @@ const topkBoundSafety = 2.0
 
 // topkMaxCheckStride bounds how many solver iterations may pass before the
 // checker re-attempts a gap measurement whose last ranking was not yet
-// usable (iterate support still spreading): each full check costs a
-// partial back-substitution plus a ranking pass — roughly the whole
-// non-solve half of a query — so they must stay rare.
+// usable (iterate support still spreading): each full check assembles the
+// iterate from the kept images (one AXPY per iteration run), rebuilds r1
+// and r3 from it (an H11 block solve and three H-block products, the back
+// phase of a query) and ranks all n scores — about 0.8 ms on the scale-15
+// benchmark graph, against about 1 ms per iteration — so they must stay
+// rare.
 const topkMaxCheckStride = 8
 
 // topkLearnResid is the solver-residual level at which the checker runs
 // its first full check to learn the k-th gap. Earlier iterates rank
-// half-formed scores: the measured gap would be noise and the check cost
-// pure overhead. One full check learns the gap; afterwards the cheap
-// per-iteration residual proxy decides when certification has become
-// plausible and only then pays for another reconstruction.
+// half-formed scores: the measured gap would be noise and the check — a
+// reconstruction of r1 and r3 and a ranking pass — pure overhead. One full
+// check learns the gap; afterwards the cheap per-iteration residual proxy
+// decides when certification has become plausible and only then pays for
+// another reconstruction.
 const topkLearnResid = 1e-2
 
 // topkMinHeadroom abandons certification attempts when the learned gap is
@@ -105,7 +112,7 @@ func (e *Engine) TopKBounded(seed, k int) ([]Ranked, TopKStats, error) {
 	defer e.releaseWorkspace(ws)
 	q := ws.unitQuery(seed)
 	defer func() { q[seed] = 0 }()
-	top, _, stats, err := e.topKBoundedOn(context.Background(), q, seed, k, ws)
+	top, _, stats, err := e.topKBoundedOn(context.Background(), q, seed, k, ws, false)
 	return top, stats, err
 }
 
@@ -125,13 +132,15 @@ func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int)
 	// a calibration error.)
 	_ = e.CalibrateBound()
 	ws := e.acquireWorkspace()
-	top, r, stats, err := e.topKBoundedOn(ctx, q, exclude, k, ws)
+	top, r, stats, err := e.topKBoundedOn(ctx, q, exclude, k, ws, true)
 	e.releaseWorkspace(ws)
 	return top, r, stats, err
 }
 
-// topKBoundedOn is TopKBoundedWS on a workspace the caller holds.
-func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int, ws *Workspace) ([]Ranked, []float64, TopKStats, error) {
+// topKBoundedOn is TopKBoundedWS on a workspace the caller holds. Without
+// vector it returns no score vector, and an early-stopped search ranks
+// from its resolving check instead of unpermuting one (rankFromCheck).
+func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int, ws *Workspace, vector bool) ([]Ranked, []float64, TopKStats, error) {
 	start := time.Now()
 	// The calibrated factor computes lazily here on first use; engines that
 	// cannot be calibrated (or have no hub block) serve full solves.
@@ -145,14 +154,21 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 	// A k that covers every candidate can't early-stop (there is no
 	// (k+1)-th bound to clear) — run those to tolerance.
 	if ferr == nil && factor > 0 && e.ord.n2 > 0 && k > 0 && k < cand {
-		chk = &tkChecker{e: e, ws: ws, k: k, skip: -1, factor: factor, qt2Norm: -1, nextCheck: 1}
+		chk = &ws.tk
+		*chk = tkChecker{e: e, ws: ws, k: k, skip: -1, factor: factor, qt2Norm: -1, nextCheck: 1}
 		if len(ws.tkScores) < e.n {
 			ws.tkScores = make([]float64, e.n)
+		}
+		if cap(ws.tkTop) < k+1 {
+			ws.tkTop = make([]Ranked, 0, k+1)
 		}
 		if exclude >= 0 && exclude < e.n {
 			chk.skip = int(e.ord.perm[exclude])
 		}
-		opts.Probe = chk.probe
+		if ws.tkProbe == nil {
+			ws.tkProbe = ws.tk.probe
+		}
+		opts.Probe = ws.tkProbe
 	}
 	var stats TopKStats
 	r2, st, err := e.solveR2(ws, q, opts, &stats.QueryStats)
@@ -169,20 +185,53 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 	}
 
 	tBack := time.Now()
-	// An early-stopped solve skips the r1/r3 recomputation: the solver's
-	// returned iterate is assembled by the same arithmetic as the probe's,
-	// so the resolving gap check's reconstruction (still in the workspace's
-	// r1/r3 buffers) is bitwise current — only the unpermute remains.
-	if chk == nil || !chk.resolved {
-		e.reconstruct(ws, r2)
+	var top []Ranked
+	var r []float64
+	if stats.EarlyStopped && !vector {
+		top = e.rankFromCheck(ws, chk.top[:k])
+	} else {
+		// An early-stopped solve skips the r1/r3 recomputation: its r2 is the
+		// iterate the resolving gap check assembled, so that check's
+		// reconstruction (still in the workspace's r1/r3 buffers) is
+		// bitwise current — only the unpermute remains.
+		if !stats.EarlyStopped {
+			e.reconstruct(ws, r2)
+		}
+		r = e.unpermute(ws, r2)
+		// The final exact ranking pass over the reconstructed vector — in
+		// original-id space, so order and tie-breaks match Engine.TopK.
+		top = RankTopK(r, k, exclude)
 	}
-	r := e.unpermute(ws, r2)
-	// The final exact ranking pass over the reconstructed vector — in
-	// original-id space, so order and tie-breaks match Engine.TopK.
-	top := RankTopK(r, k, exclude)
 	stats.Stages.Back = time.Since(tBack)
 	stats.Duration = time.Since(start)
 	return top, r, stats, nil
+}
+
+// rankFromCheck is the answer of an early-stopped search that returns no
+// vector: the resolving check's k winners (permuted ids, their scores the
+// unpermuted vector's bit for bit), mapped to original ids by one scan of
+// perm, which marks them in ws.tkMarks, and sorted by Outranks. The
+// certificate leaves the k-th score strictly above the (k+1)-th, so they
+// are the set RankTopK would pick from the unpermuted vector, in its order.
+func (e *Engine) rankFromCheck(ws *Workspace, win []Ranked) []Ranked {
+	if words := (e.n + 63) / 64; len(ws.tkMarks) < words {
+		ws.tkMarks = make([]uint64, words)
+	}
+	marks := ws.tkMarks
+	for _, r := range win {
+		marks[r.Node/64] |= 1 << (r.Node % 64)
+	}
+	top := make([]Ranked, 0, len(win))
+	for old, p := range e.ord.perm {
+		if marks[p/64]&(1<<(p%64)) != 0 {
+			top = append(top, Ranked{Node: old, Score: ws.tkScores[p]})
+		}
+	}
+	for _, r := range win {
+		marks[r.Node/64] = 0
+	}
+	slices.SortFunc(top, compareRanked)
+	return top
 }
 
 // CalibrateBound runs the one-time calibration behind the bounded top-k
@@ -228,11 +277,12 @@ func (e *Engine) topkFactor() (float64, error) {
 // disables the bounded path — there is nothing to save on such engines.
 //
 // It solves on a workspace of the engine's free list, which the engine's
-// first queries then reuse, and copies each solve's captured iterates into
-// one store, reused from solve to solve and grown by doubling only when a
-// solve yields more iterates than it holds. Besides the store it allocates
-// one n-vector, the reference scores; the workspace's top-k scratch holds
-// each iterate's.
+// first queries then reuse. The probe keeps each captured iterate's
+// coefficients (at most calMaxIters short vectors, in one array), and after
+// the reference solve each iterate is assembled from the images the solve
+// kept, by the arithmetic of the bounded search's checks. Besides
+// the coefficients and the residuals it allocates one n-vector, the
+// reference scores; the workspace's top-k scratch holds each iterate's.
 func (e *Engine) computeTopKFactor() (float64, error) {
 	const (
 		calSamples  = 4     // nontrivial reference solves to calibrate on
@@ -240,15 +290,10 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		calMaxIters = 48    // iterates captured per solve
 		calFloor    = 1e-13 // errors at rounding level carry no signal
 		calSeedRNG  = 424242 + 7
-		// calFirstIters is the store's first size, in iterates: the
-		// benchmark graphs' reference solves take 9–10 iterations, so
-		// there it is allocated once per calibration.
-		calFirstIters = 16
 	)
 	if e.ord.n2 == 0 {
 		return 0, nil
 	}
-	n2 := e.ord.n2
 	ws := e.acquireWorkspace()
 	defer e.releaseWorkspace(ws)
 	if len(ws.tkScores) < e.n {
@@ -256,22 +301,18 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 	}
 	cur := ws.tkScores[:e.n]
 	ref := make([]float64, e.n)
-	store := make([]float64, calFirstIters*n2)
-	residuals := make([]float64, 0, calMaxIters) // of the captured iterates, in store order
+	// coefs holds the captured iterates' coefficients back to back: the
+	// i-th (0-based) has i+1 of them, since every probe captures.
+	coefs := make([]float64, 0, calMaxIters*(calMaxIters+1)/2)
+	residuals := make([]float64, 0, calMaxIters) // of the captured iterates
 	rng := rand.New(rand.NewSource(calSeedRNG))
 	factor := 0.0
 	samples := 0
-	probe := func(iter int, residual float64, iterate func() []float64) bool {
-		i := len(residuals)
-		if i == calMaxIters {
+	probe := func(iter int, residual float64, _ func() []float64) bool {
+		if len(residuals) == calMaxIters {
 			return false
 		}
-		if (i+1)*n2 > len(store) {
-			grown := make([]float64, min(2*len(store), calMaxIters*n2))
-			copy(grown, store[:i*n2])
-			store = grown
-		}
-		copy(store[i*n2:(i+1)*n2], iterate())
+		coefs = append(coefs, ws.slv.Coefficients()...)
 		residuals = append(residuals, residual)
 		return false
 	}
@@ -281,7 +322,7 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		e.permute(ws, q)
 		q[seed] = 0
 		e.forward(ws)
-		residuals = residuals[:0]
+		coefs, residuals = coefs[:0], residuals[:0]
 		r2, st, err := e.runSchurSolve(ws, ws.qt2, solver.GMRESOptions{Probe: probe})
 		if err != nil {
 			return 0, fmt.Errorf("core: top-k calibration solve on seed %d: %w", seed, err)
@@ -293,11 +334,12 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 		e.permutedScores(ws, r2, ref)
 		qt2Norm := vec.Norm2(ws.qt2)
 		for i, residual := range residuals {
+			y := coefs[i*(i+1)/2 : (i+1)*(i+2)/2]
 			rn := residual * qt2Norm
 			if rn == 0 {
 				continue
 			}
-			e.permutedScores(ws, store[i*n2:(i+1)*n2], cur)
+			e.permutedScores(ws, ws.images.combine(y), cur)
 			var errInf float64
 			for j := range cur {
 				if d := math.Abs(cur[j] - ref[j]); d > errInf {
@@ -322,7 +364,8 @@ type tkChecker struct {
 	e      *Engine
 	ws     *Workspace
 	k      int
-	skip   int // permuted index excluded from ranking; -1 none
+	top    []Ranked // the last check's k+1 best candidates, permuted ids
+	skip   int      // permuted index excluded from ranking; -1 none
 	factor float64
 	// qt2Norm is ‖q̃2‖₂, which rescales the solver's relative residual;
 	// negative until the first probe takes it (q̃2 exists only once the
@@ -371,11 +414,12 @@ func (c *tkChecker) probe(iter int, residual float64, iterate func() []float64) 
 	c.delta = delta
 
 	// Current full score snapshot (permuted order — only score values and
-	// the k-th gap matter here; the final ranking re-ranks in original-id
-	// space after the solve).
+	// the k-th gap matter here; the answer is ranked in original-id space
+	// after the solve).
 	e.permutedScores(ws, r2, ws.tkScores)
 	skip := c.skip
-	top := RankTopKFunc(ws.tkScores[:e.n], c.k+1, func(i int) bool { return i == skip })
+	top := rankTopK(ws.tkTop[:0], ws.tkScores[:e.n], c.k+1, func(i int) bool { return i == skip })
+	c.top = top
 	if len(top) <= c.k {
 		// The iterate shows at most k positive candidates. That is NOT a
 		// certificate: early iterates can have small support that later

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -302,13 +303,15 @@ func TestTopKBoundedStats(t *testing.T) {
 
 // TestCalibrationAllocBudget pins what one calibration allocates on the
 // scale-12 hybrid fixture once the engine has a workspace on its free list
-// (the one Query leaves there): the iterate store and the reference scores;
-// the solver's bookkeeping lives in the workspace. It used to allocate
-// 1.70 MB in 299 objects here, 11.2 MB in 731 at scale 15: a fresh
+// (the one Query leaves there): the reference scores and the captured
+// iterates' coefficients; the solver's bookkeeping and the Krylov images
+// the iterates are assembled from live in the workspace. It used to
+// allocate 1.70 MB in 299 objects here, 11.2 MB in 731 at scale 15: a fresh
 // workspace, two n-vectors, and two copies of each of ≈ 40 captured
 // iterates (the solver's assembly and the probe's own); then 544 KB in 170
-// objects while GMRES allocated its bookkeeping per solve. The budgets are
-// the measured 245 KB / 50 objects plus 10%; the best of five runs is
+// objects while GMRES allocated its bookkeeping per solve; then 245 KB in
+// 50 while it copied each captured iterate into a store. The budgets are
+// the measured 48 KB / 7 objects plus about 15%; the best of five runs is
 // taken, so a collection mid-run does not count.
 func TestCalibrationAllocBudget(t *testing.T) {
 	e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(12, 14, 1)), Options{})
@@ -336,11 +339,11 @@ func TestCalibrationAllocBudget(t *testing.T) {
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("calibration: %d objects, %d B (n = %d, n2 = %d)", objects, bytes, e.n, e.ord.n2)
-	if bytes > 264<<10 {
-		t.Errorf("calibration allocated %d B, budget 264 KiB", bytes)
+	if bytes > 54<<10 {
+		t.Errorf("calibration allocated %d B, budget 54 KiB", bytes)
 	}
-	if objects > 55 {
-		t.Errorf("calibration allocated %d objects, budget 55", objects)
+	if objects > 8 {
+		t.Errorf("calibration allocated %d objects, budget 8", objects)
 	}
 }
 
@@ -401,5 +404,100 @@ func TestPatchedEngineCalibratesItself(t *testing.T) {
 	}
 	if early == 0 {
 		t.Fatal("test setup: no seed stopped early, so the factor went unused")
+	}
+}
+
+// TestEarlyStopRunsOneHalfPass reads the kernel counters of bounded solves
+// on the scale-12 fixture. A probed solve keeps every basis vector's image
+// Û⁻¹·v_j, so each operator application streams 8·n2 bytes more than
+// MulVec's. An early-stopped one returns the iterate its resolving check
+// assembled from those images and runs one half-pass, Left; a solve that
+// runs to tolerance still maps its answer through Û⁻¹ (Right), and a
+// query without a probe keeps no images.
+func TestEarlyStopRunsOneHalfPass(t *testing.T) {
+	e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(12, 14, 1)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CalibrateBound(); err != nil {
+		t.Fatal(err)
+	}
+	mulB, leftB, rightB := e.ilu.Eisenstat().TrafficBytes()
+	image := int64(8 * e.ord.n2)
+	early, full := 0, 0
+	for seed := 0; seed < e.n && (early < 6 || full < 2); seed++ {
+		_, st, err := e.TopKBounded(seed, [2]int{10, 1000}[seed%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Iterations == 0 {
+			continue // a dead end: nothing is solved
+		}
+		want := KernelStats{SchurApplies: st.Iterations, PrecondApplies: 2,
+			Bytes: int64(st.Iterations)*(mulB+image) + leftB + rightB}
+		if st.EarlyStopped {
+			want.PrecondApplies, want.Bytes = 1, want.Bytes-rightB
+			early++
+		} else {
+			full++
+		}
+		got := st.Kernels
+		got.SchurTime, got.PrecondTime = 0, 0
+		if got != want {
+			t.Fatalf("seed %d (early stop %v, %d iterations): kernel counters %+v, want %+v",
+				seed, st.EarlyStopped, st.Iterations, got, want)
+		}
+	}
+	if early == 0 || full == 0 {
+		t.Fatalf("%d early-stopped and %d full-tolerance bounded solves: the fixture must show both", early, full)
+	}
+	_, st, err := e.Query(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(st.Iterations)*mulB + leftB + rightB; st.Kernels.Bytes != want || st.Kernels.PrecondApplies != 2 {
+		t.Fatalf("a query streamed %d B in %d half-passes, want %d B in 2: it keeps no images",
+			st.Kernels.Bytes, st.Kernels.PrecondApplies, want)
+	}
+}
+
+// TestTopKBoundedRanksFromCheck: an early-stopped TopKBounded ranks from its
+// resolving check's candidates, and returns exactly what TopKBoundedWS,
+// which unpermutes the score vector and ranks all n nodes, returns for the
+// same seed — nodes, order and score bits.
+func TestTopKBoundedRanksFromCheck(t *testing.T) {
+	e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(11, 14, 1)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, e.n)
+	early := 0
+	for seed := 0; seed < e.n && early < 20; seed += 7 {
+		for _, k := range []int{1, 10, 50} {
+			got, st, err := e.TopKBounded(seed, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q[seed] = 1
+			want, _, wst, err := e.TopKBoundedWS(context.Background(), q, seed, k)
+			q[seed] = 0
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.EarlyStopped != wst.EarlyStopped || st.Iterations != wst.Iterations {
+				t.Fatalf("seed %d k %d: TopKBounded stopped early %v after %d iterations, TopKBoundedWS %v after %d",
+					seed, k, st.EarlyStopped, st.Iterations, wst.EarlyStopped, wst.Iterations)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d k %d (early stop %v): TopKBounded %v, TopKBoundedWS %v",
+					seed, k, st.EarlyStopped, got, want)
+			}
+			if st.EarlyStopped {
+				early++
+			}
+		}
+	}
+	if early == 0 {
+		t.Fatal("no bounded search stopped early: the check's ranking went untested")
 	}
 }

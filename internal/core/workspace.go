@@ -19,17 +19,28 @@ type Workspace struct {
 	e *Engine
 	// Buffers in the reordered space: the permuted query, t1 = H11⁻¹·c·q1,
 	// the Schur right-hand side q̃2, the r1 and r3 result blocks and the
-	// H32·r2 temporary. r2 itself lives in the solver workspace. z1 and z2
+	// H32·r2 temporary. r2 itself lives in the solver workspace, or in the
+	// images' sum when a probe stopped the solve early. z1 and z2
 	// hold a spoke- and a hub-length vector scaled by its columns' weights,
 	// what the H-block gathers read.
 	qp, t1, qt2, r1, r3, tmp, z1, z2 []float64
 	slv                              solver.Workspace
 	// split is this workspace's one-pass preconditioned operator (engines
-	// with DILU factors), bhat the split system's
-	// right-hand side D·L̂⁻¹·q̃2, and iterate the Û⁻¹-mapped iterate handed
-	// to a solve's Probe. Built together, lazily, by Engine.splitOperator.
-	split         *lu.Eisenstat
-	bhat, iterate []float64
+	// with DILU factors) and bhat the split system's right-hand side
+	// D·L̂⁻¹·q̃2, built together, lazily, by Engine.splitOperator.
+	split *lu.Eisenstat
+	bhat  []float64
+	// images is the operator of a solve whose probe reads iterates: it
+	// keeps each basis vector's image, and assembles the iterate the probe
+	// is handed (imageIterate, bound once) from them.
+	images       krylovImages
+	imageIterate func() []float64
+	// probe and tele are the current solve's caller probe and the engine's
+	// iteration hook, which hook (solveProbe, bound once) runs; runSchurSolve
+	// sets them for one solve and clears them after it.
+	probe func(iter int, residual float64, iterate func() []float64) bool
+	tele  func(iter int, residual float64)
+	hook  func(iter int, residual float64, iterate func() []float64) bool
 	// op wraps the operator of the workspace's current solve, and holds
 	// that solve's kernel counters once it returns.
 	op timedOperator
@@ -38,8 +49,16 @@ type Workspace struct {
 	// input vector; see unitQuery.
 	unit []float64
 	// tkScores (length n, permuted order) is the bounded top-k search's
-	// scratch: the mid-solve score snapshot the gap checks rank.
+	// scratch: the mid-solve score snapshot the gap checks rank. tk is the
+	// search's per-solve state and tkProbe its probe, bound once; tkTop
+	// holds the k+1 candidates its checks rank, and tkMarks (one bit per
+	// node, all clear between searches) the set rankFromCheck looks the
+	// winners up in.
 	tkScores []float64
+	tk       tkChecker
+	tkProbe  func(iter int, residual float64, iterate func() []float64) bool
+	tkTop    []Ranked
+	tkMarks  []uint64
 }
 
 // newWorkspace returns an empty workspace for the engine. Buffers are

@@ -527,6 +527,13 @@ func TestEisenstatMatchesComposedOperator(t *testing.T) {
 		if ref := eisenstatRef(a, diluPivotsRef(a), v); !bitsEqual(got, ref) {
 			t.Fatalf("n=%d: one-pass product differs from the stored-K reference", n)
 		}
+		// MulVecKeep is the same pass, keeping the backward half's Û⁻¹·v:
+		// the product is MulVec's and the image Right's, bit for bit.
+		kept, img := make([]float64, n), make([]float64, n)
+		op.MulVecKeep(kept, img, v)
+		if !bitsEqual(kept, got) || !bitsEqual(img, tmp) {
+			t.Fatalf("n=%d: MulVecKeep's product or image differs from MulVec's and Right's", n)
+		}
 		alias := append([]float64(nil), av...)
 		op.Left(alias, alias)
 		if !bitsEqual(alias, want) {

@@ -34,14 +34,25 @@ func (f *ILU) Eisenstat() *Eisenstat {
 func (o *Eisenstat) ILU() *ILU { return o.f }
 
 // MulVec computes dst = Â·v. dst and v must not alias. It implements the
-// iterative solvers' operator contract.
-func (o *Eisenstat) MulVec(dst, v []float64) {
+// iterative solvers' operator contract, and is MulVecKeep on the operator's
+// own scratch.
+func (o *Eisenstat) MulVec(dst, v []float64) { o.MulVecKeep(dst, o.t, v) }
+
+// MulVecKeep computes dst = Â·v and leaves img = Û⁻¹·v, the backward half's
+// result: a right-preconditioned solve that keeps img for every basis
+// vector v_j assembles an iterate Û⁻¹·Σ y_j·v_j as Σ y_j·img_j, with no
+// triangular sweep (flexible GMRES, Saad 1993). img must not alias dst or
+// v. The backward half stores each entry of t = Û⁻¹·v into img as it
+// stores it into the operator's scratch, where the forward half then works
+// in place; MulVec passes that scratch as img, so the product is the same
+// bit for bit either way.
+func (o *Eisenstat) MulVecKeep(dst, img, v []float64) {
 	l, u := &o.f.l, &o.f.u
 	if u.col16 != nil {
-		eisenstatUpper(u.rowPtr, u.col16, u.val, dst, o.t, v)
+		eisenstatUpper(u.rowPtr, u.col16, u.val, dst, o.t, img, v)
 		eisenstatLower(l.rowPtr, l.col16, l.val, o.f.ds, dst, o.t, v)
 	} else {
-		eisenstatUpper(u.rowPtr, u.col32, u.val, dst, o.t, v)
+		eisenstatUpper(u.rowPtr, u.col32, u.val, dst, o.t, img, v)
 		eisenstatLower(l.rowPtr, l.col32, l.val, o.f.ds, dst, o.t, v)
 	}
 }
@@ -73,21 +84,28 @@ func (o *Eisenstat) Right(dst, y []float64) {
 
 // TrafficBytes approximates the bytes one call of each method moves: the
 // factor arrays it streams (plus D_S for MulVec) and its vector operands —
-// three for MulVec, two for each half-pass.
+// three for MulVec, two for each half-pass. MulVecKeep moves MulVec's bytes
+// plus the image it writes, 8·n.
 func (o *Eisenstat) TrafficBytes() (mulVec, left, right int64) {
 	vec := int64(8 * o.f.n)
 	return o.f.MemoryBytes() + 3*vec, o.f.l.memoryBytes() + 2*vec, o.f.u.memoryBytes() + 2*vec
 }
 
-// eisenstatUpper is the backward half of MulVec: t = Û⁻¹·v, with each pivot
-// parked in dst so the forward half reads it sequentially instead of
-// gathering it from the upper factor.
-func eisenstatUpper[C uint16 | uint32](rowPtr []int32, col []C, val, dst, t, v []float64) {
+// eisenstatUpper is the backward half of MulVec: t = Û⁻¹·v, stored into
+// img too, with each pivot parked in dst so the forward half reads it
+// sequentially instead of gathering it from the upper factor. img may be
+// t. (A forward half that read t from img and wrote its own result to a
+// second vector would keep one more slice live across its inner loop; the
+// compiler then spills that loop's index and base pointer, and the pair
+// ran ≈ 15 % slower.)
+func eisenstatUpper[C uint16 | uint32](rowPtr []int32, col []C, val, dst, t, img, v []float64) {
 	for i := len(v) - 1; i >= 0; i-- {
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		s := subRowDesc(v[i], col[lo+1:hi], val[lo+1:hi], t)
 		d := val[lo]
-		t[i] = s / d
+		ti := s / d
+		t[i] = ti
+		img[i] = ti
 		dst[i] = d
 	}
 }
@@ -102,9 +120,9 @@ func eisenstatLower[C uint16 | uint32](rowPtr []int32, col []C, val, ds, dst, t,
 		lo, hi := int(rowPtr[i]), int(rowPtr[i+1])
 		ti := t[i]
 		d := dst[i]
-		k := 2*d - ds[i]
-		s := subRow(v[i]-k*ti, col[lo:hi], val[lo:hi], t)
-		dst[i] = d*ti + s
+		k := float64(2*d) - ds[i]
+		s := subRow(v[i]-float64(k*ti), col[lo:hi], val[lo:hi], t)
+		dst[i] = float64(d*ti) + s
 		t[i] = s / d
 	}
 }

@@ -116,7 +116,7 @@ func FactorSparseDeadline(a *sparse.CSR, maxFill int, deadline time.Time) (*Spar
 				continue
 			}
 			for p := f.lp[k]; p < f.lp[k+1]; p++ {
-				x[f.li[p]] -= f.lx[p] * xk
+				x[f.li[p]] -= float64(f.lx[p] * xk)
 			}
 		}
 		// Gather U[:,j] (k < j), the diagonal, and L[:,j] (k > j).
@@ -174,7 +174,7 @@ func (f *SparseLU) Solve(b []float64) {
 			continue
 		}
 		for p := f.lp[j]; p < f.lp[j+1]; p++ {
-			b[f.li[p]] -= f.lx[p] * xj
+			b[f.li[p]] -= float64(f.lx[p] * xj)
 		}
 	}
 	// Backward: U x = y.
@@ -185,7 +185,7 @@ func (f *SparseLU) Solve(b []float64) {
 			continue
 		}
 		for p := f.up[j]; p < f.up[j+1]; p++ {
-			b[f.ui[p]] -= f.ux[p] * xj
+			b[f.ui[p]] -= float64(f.ux[p] * xj)
 		}
 	}
 }

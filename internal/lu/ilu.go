@@ -172,7 +172,7 @@ func FactorILU0(a *sparse.CSR) (*ILU, error) {
 			val[p] = lik
 			for q := diagPos[k] + 1; q < rowPtr[k+1]; q++ {
 				if t := pos[col[q]]; t >= 0 {
-					val[t] -= lik * val[q]
+					val[t] -= float64(lik * val[q])
 				}
 			}
 		}
@@ -589,7 +589,7 @@ func (f *ILU) MemoryBytes() int64 {
 func subRow[C uint16 | uint32](s float64, cols []C, vals, x []float64) float64 {
 	vals = vals[:len(cols)]
 	for p, j := range cols {
-		s -= vals[p] * x[j]
+		s -= float64(vals[p] * x[j])
 	}
 	return s
 }
@@ -598,7 +598,7 @@ func subRow[C uint16 | uint32](s float64, cols []C, vals, x []float64) float64 {
 func subRowDesc[C uint16 | uint32](s float64, cols []C, vals, x []float64) float64 {
 	vals = vals[:len(cols)]
 	for p := len(cols) - 1; p >= 0; p-- {
-		s -= vals[p] * x[cols[p]]
+		s -= float64(vals[p] * x[cols[p]])
 	}
 	return s
 }
@@ -640,7 +640,7 @@ func sweepUpperScaled[C uint16 | uint32](rowPtr []int32, col []C, val, dst []flo
 		vals := val[lo+1 : hi]
 		var s float64
 		for p := len(cols) - 1; p >= 0; p-- {
-			s += vals[p] * dst[cols[p]]
+			s += float64(vals[p] * dst[cols[p]])
 		}
 		dst[i] -= s / val[lo]
 	}

@@ -338,11 +338,11 @@ func allFinite(vals []float64) bool {
 	var s0, s1 float64
 	p := 0
 	for ; p+2 <= len(vals); p += 2 {
-		s0 += vals[p] * 0
-		s1 += vals[p+1] * 0
+		s0 += float64(vals[p] * 0)
+		s1 += float64(vals[p+1] * 0)
 	}
 	if p < len(vals) {
-		s0 += vals[p] * 0
+		s0 += float64(vals[p] * 0)
 	}
 	return s0+s1 == 0
 }

@@ -159,7 +159,7 @@ var histogramFamilies = []struct {
 		func(o *Observer) **Histogram { return &o.Residual }},
 	{FamilySchurApply, "Wall time per application of the solve's operator: the one-pass preconditioned Schur operator, or S itself on unpreconditioned variants. One sample per application, each its solve's mean.", LatencyBuckets,
 		func(o *Observer) **Histogram { return &o.SchurApply }},
-	{FamilyPrecondApply, "Wall time per preconditioner sweep outside the operator: the two half-passes of a split solve. One sample per sweep, each its solve's mean.", LatencyBuckets,
+	{FamilyPrecondApply, "Wall time per preconditioner sweep outside the operator: the half-passes of a split solve, two, or one when a bounded top-k search stops it early. One sample per sweep, each its solve's mean.", LatencyBuckets,
 		func(o *Observer) **Histogram { return &o.PrecondApply }},
 	{FamilyTopKSaved, "Estimated solver iterations saved per early-stopped top-k solve.", IterationBuckets,
 		func(o *Observer) **Histogram { return &o.TopKSaved }},

@@ -90,7 +90,9 @@ type GMRESOptions struct {
 	// costs a triangular solve and a basis combination, so a caller that
 	// inspects the iterate only on selected steps (the bounded top-k
 	// search) pays only for those. The thunk's slice is valid until the
-	// next step and must not be mutated.
+	// next step and must not be mutated. A probe that combines vectors of
+	// its own reads the triangular solve's result from
+	// Workspace.Coefficients instead.
 	//
 	// Returning true halts the solve at the current iterate with a nil
 	// error, Converged false and Stats.StopReason = StopEarly: the caller's

@@ -26,7 +26,7 @@ type Workspace struct {
 	h      [][]float64 // h[j] (length j+2) is Hessenberg column j, rotated
 	cs, sn []float64   // Givens cosines and sines
 	g      []float64   // the rotated right-hand side
-	y      []float64   // assemble's triangular-solve coefficients
+	y      []float64   // Coefficients' triangular-solve result
 
 	// iterate is probeIterate as the thunk a Probe is handed, bound once;
 	// probed is the vector it assembles into, taken on its first call in a
@@ -71,11 +71,15 @@ func (w *Workspace) probeIterate() []float64 {
 	return w.assemble(w.probed)
 }
 
-// assemble writes V·y into out and returns it, where R·y = g is the
-// triangular least-squares system the Givens rotations have accumulated
-// over the iterations run so far: the iterate, since GMRES starts from
-// x = 0.
-func (w *Workspace) assemble(out []float64) []float64 {
+// Coefficients returns y, the current iterate's coefficients in the
+// Arnoldi basis: the solution of R·y = g, the triangular least-squares
+// system the Givens rotations have accumulated over the iterations run so
+// far, so that the iterate is V·y (GMRES starts from x = 0). One entry per
+// iteration run. A Probe may call it to assemble the iterate from vectors
+// of its own — the images Û⁻¹·v_j of a right-preconditioned solve — rather
+// than from the basis; the slice is valid until the next step and must not
+// be mutated.
+func (w *Workspace) Coefficients() []float64 {
 	steps := len(w.cs)
 	if len(w.y) < steps {
 		w.y = append(w.y, make([]float64, steps-len(w.y))...)
@@ -93,9 +97,16 @@ func (w *Workspace) assemble(out []float64) []float64 {
 		}
 		y[i] = s / h[i][i]
 	}
+	return y
+}
+
+// assemble writes V·y into out and returns it, with y the Coefficients of
+// the iterations run so far: the iterate.
+func (w *Workspace) assemble(out []float64) []float64 {
+	y := w.Coefficients()
 	clear(out)
-	for k := 0; k < steps; k++ {
-		vec.AXPY(y[k], w.v[k], out)
+	for k, yk := range y {
+		vec.AXPY(yk, w.v[k], out)
 	}
 	return out
 }

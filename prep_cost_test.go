@@ -366,6 +366,49 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// TestTopKBoundedAllocBudget is TestQueryAllocBudget for a warm,
+// early-stopped bounded top-k read on the same fixture, the path
+// Dynamic.TopK takes: the answer is ranked from the resolving gap check's
+// candidates, so the read allocates its k-entry result and no n-length
+// score vector, and the search's state lives in the pooled workspace.
+func TestTopKBoundedAllocBudget(t *testing.T) {
+	g := costFixture(t)
+	eng, err := bepi.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CalibrateBound(); err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	var worstObjects, worstBytes uint64
+	seen := 0
+	for seed := 100; seed < g.N() && seen < 8; seed++ {
+		if _, early, err := eng.TopKBounded(seed, k); err != nil {
+			t.Fatal(err)
+		} else if !early {
+			continue
+		}
+		seen++
+		objects, bytes := allocated(func() {
+			if _, _, err := eng.TopKBounded(seed, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		worstObjects, worstBytes = max(worstObjects, objects), max(worstBytes, bytes)
+	}
+	if seen == 0 {
+		t.Fatal("no bounded read stopped early on the fixture")
+	}
+	t.Logf("%d objects, %d B per early-stopped top-%d read (score vector %d B)", worstObjects, worstBytes, k, 8*g.N())
+	if worstObjects > topKObjectBudget {
+		t.Errorf("a bounded read allocated %d objects, budget %d", worstObjects, topKObjectBudget)
+	}
+	if worstBytes > topKByteBudget {
+		t.Errorf("a bounded read allocated %d B, budget %d B", worstBytes, topKByteBudget)
+	}
+}
+
 const (
 	// fileBytesV5Fixture is the fixture's index saved in format version 5:
 	// every value of S written, its pivots not.
@@ -374,4 +417,6 @@ const (
 	iluBytesBefore     = 743892 // level-ordered ILU(0) factors, compact; now 623 266
 	queryObjectBudget  = 2      // measured 1; 22 while GMRES allocated its bookkeeping per solve
 	queryByteBudget    = 34000  // measured 32 768; 107 224 while GMRES allocated its bookkeeping per solve
+	topKObjectBudget   = 1      // the result; 24 objects, 34 096 B while the read unpermuted a score vector
+	topKByteBudget     = 160    // the result's 10 entries
 )
