@@ -195,7 +195,7 @@ type QueryStats struct {
 // early, since its answer is assembled from the kept Krylov images; 0
 // unpreconditioned). Bytes is what they streamed, derived from structure
 // (lu.Eisenstat.TrafficBytes), with 8·n2 per application for the image a
-// probed solve keeps.
+// probed split solve keeps.
 type KernelStats struct {
 	SchurApplies, PrecondApplies int
 	SchurTime, PrecondTime       time.Duration

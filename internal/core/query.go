@@ -43,12 +43,13 @@ func (e *Engine) QueryVector(q []float64) ([]float64, QueryStats, error) {
 // one-pass operator: GMRES(Ŝ, b̂ = D·L̂⁻¹·q̃2), then r2 = Û⁻¹·y — the
 // residual Tol bounds is ‖D·L̂⁻¹(q̃2 − S·r2)‖/‖b̂‖. Unpreconditioned
 // (BePI-B, BePI-S) it is plain GMRES on S, whose products S·x read the same
-// factors. A solve with a caller's Probe runs on the workspace's
-// krylovImages, which keep the image z_j of every basis vector, and the
-// probe's iterate is Σ y_j·z_j, assembled with no triangular sweep. A probe
-// that stops the solve early gets that same vector back as r2; a solve that
-// runs to tolerance returns Û⁻¹·(V·y), the full answer's arithmetic,
-// probed or not.
+// factors. A split solve with a caller's Probe runs on the workspace's
+// krylovImages, which keep Û⁻¹·v_j for every basis vector v_j, and the
+// probe's iterate is Σ y_j·z_j, assembled with no triangular sweep; an
+// unpreconditioned solve's probe gets the solver's own V·y. A probe that
+// stops the solve early gets that same vector back as r2; a solve that runs
+// to tolerance returns Û⁻¹·(V·y), the full answer's arithmetic, probed or
+// not.
 func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOptions) ([]float64, solver.Stats, error) {
 	opts.Tol, opts.MaxIter = e.opts.Tol, e.opts.MaxIter
 	opts.Work = &ws.slv
@@ -61,9 +62,10 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 		op = sp
 		bytes, leftB, rightB = sp.TrafficBytes()
 	}
-	keep := opts.Probe != nil
+	keep := opts.Probe != nil && sp != nil
+	ws.images.split = nil
 	if keep {
-		ws.images.reset(sp, op, n2)
+		ws.images.reset(sp, n2)
 		if ws.imageIterate == nil {
 			ws.imageIterate = ws.probedIterate
 		}
@@ -98,16 +100,23 @@ func (e *Engine) runSchurSolve(ws *Workspace, qt2 []float64, opts solver.GMRESOp
 }
 
 // solveProbe is the Probe of a solve with a caller's probe or an iteration
-// hook: the hook, then the probe, handed the iterate from the kept images.
-func (ws *Workspace) solveProbe(iter int, residual float64, _ func() []float64) bool {
+// hook: the hook, then the probe, handed the iterate from the kept images
+// when the solve keeps them and the solver's own otherwise.
+func (ws *Workspace) solveProbe(iter int, residual float64, iterate func() []float64) bool {
 	if ws.tele != nil {
 		ws.tele(iter, residual)
 	}
-	return ws.probe != nil && ws.probe(iter, residual, ws.imageIterate)
+	if ws.probe == nil {
+		return false
+	}
+	if ws.images.split != nil {
+		iterate = ws.imageIterate
+	}
+	return ws.probe(iter, residual, iterate)
 }
 
-// probedIterate assembles the current iterate of a probed solve from its
-// kept images.
+// probedIterate assembles the current iterate of a probed split solve from
+// its kept images.
 func (ws *Workspace) probedIterate() []float64 {
 	return ws.images.iterate(ws.slv.Coefficients())
 }

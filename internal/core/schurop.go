@@ -28,17 +28,16 @@ func (e *Engine) splitOperator(ws *Workspace) *lu.Eisenstat {
 // holds every later solve's images.
 const imagesFirst = 16
 
-// krylovImages is the operator of a solve whose probe reads iterates. Each
-// application keeps z_j, the image of the basis vector v_j it is applied
-// to — Û⁻¹·v_j for the split operator, written by its backward half
-// (lu.Eisenstat.MulVecKeep), and v_j itself, copied, for S·x — so that
-// the iterate Û⁻¹·V·y is Σ y_j·z_j: one AXPY per iteration run and no
-// triangular sweep (the stored preconditioned vectors of flexible GMRES,
-// Saad 1993). The images live in one slab, n2 per image, grown by doubling
-// and reused by the workspace's later solves.
+// krylovImages is the operator of a split solve whose probe reads
+// iterates. Each application keeps z_j = Û⁻¹·v_j, the image of the basis
+// vector v_j it is applied to, which the operator's backward half writes
+// (lu.Eisenstat.MulVecKeep), so that the iterate Û⁻¹·V·y is Σ y_j·z_j: one
+// AXPY per iteration run and no triangular sweep (the stored
+// preconditioned vectors of flexible GMRES, Saad 1993). The images live in
+// one slab, n2 per image, grown by doubling and reused by the workspace's
+// later solves.
 type krylovImages struct {
-	split *lu.Eisenstat   // the split operator, or nil: op, unpreconditioned
-	op    solver.Operator // the unpreconditioned operator
+	split *lu.Eisenstat // the current solve's operator; nil when it keeps no images
 	n     int
 	slab  []float64
 	m     int // images kept by the current solve
@@ -48,12 +47,12 @@ type krylovImages struct {
 	sumAt int
 }
 
-// reset starts a solve of length n on split (or, when nil, on op).
-func (k *krylovImages) reset(split *lu.Eisenstat, op solver.Operator, n int) {
+// reset starts a solve of length n on split.
+func (k *krylovImages) reset(split *lu.Eisenstat, n int) {
 	if k.n != n {
 		k.n, k.slab, k.sum = n, nil, make([]float64, n)
 	}
-	k.split, k.op, k.m, k.sumAt = split, op, 0, 0
+	k.split, k.m, k.sumAt = split, 0, 0
 }
 
 func (k *krylovImages) MulVec(dst, v []float64) {
@@ -64,13 +63,7 @@ func (k *krylovImages) MulVec(dst, v []float64) {
 		k.slab = grown
 	}
 	k.m++
-	z := k.slab[lo:hi]
-	if k.split != nil {
-		k.split.MulVecKeep(dst, z, v)
-		return
-	}
-	copy(z, v)
-	k.op.MulVec(dst, v)
+	k.split.MulVecKeep(dst, k.slab[lo:hi], v)
 }
 
 // combine writes Σ y_j·z_j, over the first len(y) images, into sum and

@@ -137,9 +137,9 @@ func (e *Engine) TopKBoundedWS(ctx context.Context, q []float64, exclude, k int)
 	return top, r, stats, err
 }
 
-// topKBoundedOn is TopKBoundedWS on a workspace the caller holds. Without
-// vector it returns no score vector, and an early-stopped search ranks
-// from its resolving check instead of unpermuting one (rankFromCheck).
+// topKBoundedOn is TopKBoundedWS on a workspace the caller holds. An
+// early-stopped search ranks from its resolving check (rankFromCheck), and
+// unpermutes its score vector only when vector is set.
 func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int, ws *Workspace, vector bool) ([]Ranked, []float64, TopKStats, error) {
 	start := time.Now()
 	// The calibrated factor computes lazily here on first use; engines that
@@ -187,18 +187,19 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 	tBack := time.Now()
 	var top []Ranked
 	var r []float64
-	if stats.EarlyStopped && !vector {
+	if stats.EarlyStopped {
+		// r2 is the iterate the resolving gap check assembled, so that
+		// check's ranking is the answer, and its reconstruction (still in
+		// the workspace's r1/r3 buffers) is bitwise current: only the
+		// unpermute remains.
 		top = e.rankFromCheck(ws, chk.top[:k])
-	} else {
-		// An early-stopped solve skips the r1/r3 recomputation: its r2 is the
-		// iterate the resolving gap check assembled, so that check's
-		// reconstruction (still in the workspace's r1/r3 buffers) is
-		// bitwise current — only the unpermute remains.
-		if !stats.EarlyStopped {
-			e.reconstruct(ws, r2)
+		if vector {
+			r = e.unpermute(ws, r2)
 		}
+	} else {
+		e.reconstruct(ws, r2)
 		r = e.unpermute(ws, r2)
-		// The final exact ranking pass over the reconstructed vector — in
+		// The exact ranking pass over the reconstructed vector — in
 		// original-id space, so order and tie-breaks match Engine.TopK.
 		top = RankTopK(r, k, exclude)
 	}
@@ -207,12 +208,12 @@ func (e *Engine) topKBoundedOn(ctx context.Context, q []float64, exclude, k int,
 	return top, r, stats, nil
 }
 
-// rankFromCheck is the answer of an early-stopped search that returns no
-// vector: the resolving check's k winners (permuted ids, their scores the
-// unpermuted vector's bit for bit), mapped to original ids by one scan of
-// perm, which marks them in ws.tkMarks, and sorted by Outranks. The
-// certificate leaves the k-th score strictly above the (k+1)-th, so they
-// are the set RankTopK would pick from the unpermuted vector, in its order.
+// rankFromCheck is the answer of an early-stopped search: the resolving
+// check's k winners (permuted ids, their scores the unpermuted vector's bit
+// for bit), mapped to original ids by one scan of perm, which marks them
+// in ws.tkMarks, and sorted by Outranks. The certificate leaves the k-th
+// score strictly above the (k+1)-th, so they are the set RankTopK would
+// pick from the unpermuted vector, in its order.
 func (e *Engine) rankFromCheck(ws *Workspace, win []Ranked) []Ranked {
 	if words := (e.n + 63) / 64; len(ws.tkMarks) < words {
 		ws.tkMarks = make([]uint64, words)
@@ -279,10 +280,11 @@ func (e *Engine) topkFactor() (float64, error) {
 // It solves on a workspace of the engine's free list, which the engine's
 // first queries then reuse. The probe keeps each captured iterate's
 // coefficients (at most calMaxIters short vectors, in one array), and after
-// the reference solve each iterate is assembled from the images the solve
-// kept, by the arithmetic of the bounded search's checks. Besides
-// the coefficients and the residuals it allocates one n-vector, the
-// reference scores; the workspace's top-k scratch holds each iterate's.
+// the reference solve each iterate is assembled by the arithmetic of the
+// bounded search's checks: from the images a split solve kept, or from an
+// unpreconditioned solve's basis into an n2-vector allocated for it.
+// Besides these it allocates one n-vector, the reference scores; the
+// workspace's top-k scratch holds each iterate's.
 func (e *Engine) computeTopKFactor() (float64, error) {
 	const (
 		calSamples  = 4     // nontrivial reference solves to calibrate on
@@ -305,6 +307,11 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 	// i-th (0-based) has i+1 of them, since every probe captures.
 	coefs := make([]float64, 0, calMaxIters*(calMaxIters+1)/2)
 	residuals := make([]float64, 0, calMaxIters) // of the captured iterates
+	iterateOf := ws.images.combine
+	if !e.Preconditioned() {
+		x := make([]float64, e.ord.n2)
+		iterateOf = func(y []float64) []float64 { return ws.slv.Combine(y, x) }
+	}
 	rng := rand.New(rand.NewSource(calSeedRNG))
 	factor := 0.0
 	samples := 0
@@ -339,7 +346,7 @@ func (e *Engine) computeTopKFactor() (float64, error) {
 			if rn == 0 {
 				continue
 			}
-			e.permutedScores(ws, ws.images.combine(y), cur)
+			e.permutedScores(ws, iterateOf(y), cur)
 			var errInf float64
 			for j := range cur {
 				if d := math.Abs(cur[j] - ref[j]); d > errInf {

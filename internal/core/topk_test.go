@@ -461,43 +461,48 @@ func TestEarlyStopRunsOneHalfPass(t *testing.T) {
 	}
 }
 
-// TestTopKBoundedRanksFromCheck: an early-stopped TopKBounded ranks from its
-// resolving check's candidates, and returns exactly what TopKBoundedWS,
-// which unpermutes the score vector and ranks all n nodes, returns for the
-// same seed — nodes, order and score bits.
+// TestTopKBoundedRanksFromCheck: an early-stopped search ranks from its
+// resolving check's candidates, and returns exactly what RankTopK over the
+// unpermuted score vector returns — nodes, order and score bits — both
+// through TopKBounded and through TopKBoundedWS, whose vector it is, on a
+// split solve, which keeps its Krylov images, and on an unpreconditioned
+// one, which keeps none.
 func TestTopKBoundedRanksFromCheck(t *testing.T) {
-	e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(11, 14, 1)), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := make([]float64, e.n)
-	early := 0
-	for seed := 0; seed < e.n && early < 20; seed += 7 {
-		for _, k := range []int{1, 10, 50} {
-			got, st, err := e.TopKBounded(seed, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q[seed] = 1
-			want, _, wst, err := e.TopKBoundedWS(context.Background(), q, seed, k)
-			q[seed] = 0
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.EarlyStopped != wst.EarlyStopped || st.Iterations != wst.Iterations {
-				t.Fatalf("seed %d k %d: TopKBounded stopped early %v after %d iterations, TopKBoundedWS %v after %d",
-					seed, k, st.EarlyStopped, st.Iterations, wst.EarlyStopped, wst.Iterations)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d k %d (early stop %v): TopKBounded %v, TopKBoundedWS %v",
-					seed, k, st.EarlyStopped, got, want)
-			}
-			if st.EarlyStopped {
-				early++
+	for _, v := range []Variant{VariantFull, VariantB} {
+		e, err := Preprocess(gen.Hybrid(gen.DefaultHybrid(11, 14, 1)), Options{Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]float64, e.n)
+		early := 0
+		for seed := 0; seed < e.n && early < 20; seed += 7 {
+			for _, k := range []int{1, 10, 50} {
+				got, st, err := e.TopKBounded(seed, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q[seed] = 1
+				gotWS, r, wst, err := e.TopKBoundedWS(context.Background(), q, seed, k)
+				q[seed] = 0
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.EarlyStopped != wst.EarlyStopped || st.Iterations != wst.Iterations {
+					t.Fatalf("%v seed %d k %d: TopKBounded stopped early %v after %d iterations, TopKBoundedWS %v after %d",
+						v, seed, k, st.EarlyStopped, st.Iterations, wst.EarlyStopped, wst.Iterations)
+				}
+				want := RankTopK(r, k, seed)
+				if !slices.Equal(got, want) || !slices.Equal(gotWS, want) {
+					t.Fatalf("%v seed %d k %d (early stop %v): TopKBounded %v, TopKBoundedWS %v, RankTopK over its vector %v",
+						v, seed, k, st.EarlyStopped, got, gotWS, want)
+				}
+				if st.EarlyStopped {
+					early++
+				}
 			}
 		}
-	}
-	if early == 0 {
-		t.Fatal("no bounded search stopped early: the check's ranking went untested")
+		if early == 0 {
+			t.Fatalf("%v: no bounded search stopped early: the check's ranking went untested", v)
+		}
 	}
 }

@@ -20,7 +20,7 @@ type Workspace struct {
 	// Buffers in the reordered space: the permuted query, t1 = H11⁻¹·c·q1,
 	// the Schur right-hand side q̃2, the r1 and r3 result blocks and the
 	// H32·r2 temporary. r2 itself lives in the solver workspace, or in the
-	// images' sum when a probe stopped the solve early. z1 and z2
+	// images' sum when a probe stopped a split solve early. z1 and z2
 	// hold a spoke- and a hub-length vector scaled by its columns' weights,
 	// what the H-block gathers read.
 	qp, t1, qt2, r1, r3, tmp, z1, z2 []float64
@@ -30,9 +30,9 @@ type Workspace struct {
 	// D·L̂⁻¹·q̃2, built together, lazily, by Engine.splitOperator.
 	split *lu.Eisenstat
 	bhat  []float64
-	// images is the operator of a solve whose probe reads iterates: it
-	// keeps each basis vector's image, and assembles the iterate the probe
-	// is handed (imageIterate, bound once) from them.
+	// images is the operator of a split solve whose probe reads iterates:
+	// it keeps each basis vector's image, and assembles the iterate the
+	// probe is handed (imageIterate, bound once) from them.
 	images       krylovImages
 	imageIterate func() []float64
 	// probe and tele are the current solve's caller probe and the engine's

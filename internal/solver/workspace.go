@@ -103,7 +103,15 @@ func (w *Workspace) Coefficients() []float64 {
 // assemble writes V·y into out and returns it, with y the Coefficients of
 // the iterations run so far: the iterate.
 func (w *Workspace) assemble(out []float64) []float64 {
-	y := w.Coefficients()
+	return w.Combine(w.Coefficients(), out)
+}
+
+// Combine writes V·y into out and returns it: the iterate whose
+// coefficients are y, over the first len(y) vectors of the basis of the
+// workspace's current or last solve, which stays valid until its next
+// solve starts. A caller that kept the Coefficients of an earlier
+// iteration assembles that iterate with them after the solve.
+func (w *Workspace) Combine(y, out []float64) []float64 {
 	clear(out)
 	for k, yk := range y {
 		vec.AXPY(yk, w.v[k], out)
